@@ -27,33 +27,35 @@
 //!   `TRACE_t5_slowest.txt`);
 //! * `--duration-secs N` (default 10), `--nodes N` (default 4),
 //!   `--backend echo|bracha|acctorder` (default echo),
-//!   `--auth none|ed25519|ed25519-serial` (default none; echo only),
+//!   `--auth none|ed25519` (default none; echo only),
 //!   `--batch N` (default 128), `--window-us N` (default 1000),
 //!   `--pipeline N` (default 256), `--hotspot` (mixed workload with a
 //!   hot sink instead of uniform rotation).
 //!
 //! # Experiment T7 (`--t7`)
 //!
-//! The hot-path bench: three legs on the same machine, reported to
-//! `BENCH_t7.json`. A NoAuth **headline** run measures
-//! the transport after the T7 work — zero-copy wire decode, coalesced
-//! writes, condvar wakeups — against the T5 baseline
-//! (`--t5-baseline-tps`, a same-machine interleaved rerun of the pre-T7
-//! code, else the recorded `BENCH_t5.json`). Then the
-//! identical shape runs twice under real Ed25519: once with the batched
-//! random-linear-combination certificate check (`--auth ed25519`) and
-//! once with per-share verification (`--auth ed25519-serial`). Both
-//! legs wrap the authenticator in [`ObservedAuth`], so the scraped
-//! `stage_sign_us`/`stage_verify_us` histograms show the batching win
-//! directly; the serial leg's raw node snapshots are written to
-//! `BENCH_t5_metrics.txt` as the per-share baseline.
+//! The hot-path bench: two legs on the same machine, reported to
+//! `BENCH_t7.json`. A NoAuth **headline** run measures the transport
+//! after the T7 work — zero-copy wire decode, coalesced writes, condvar
+//! wakeups — against the T5 baseline (`--t5-baseline-tps`, a
+//! same-machine interleaved rerun of the pre-T7 code, else the recorded
+//! `BENCH_t5.json`). Then the identical shape runs under real Ed25519
+//! (`--auth ed25519`, wrapped in [`ObservedAuth`]) and the scraped
+//! sign/verify counters are held to SignedEcho's per-instance signature
+//! budget: `n + 1` signs and `n·(q + 1)` verifications, so a change
+//! that makes the protocol sign or verify something twice fails the
+//! gate by count, whatever the machine. (Until PR 14 a third leg ran a
+//! table-less per-share verifier as a time baseline; with long division
+//! gone from at-crypto that ratio measured table-vs-no-table and
+//! nothing about the protocol, so the leg went. Sign/verify *times* are
+//! `perf`'s `crypto.*` and `obs.stage_*` rows, recorded with their
+//! environment.)
 
 use at_bench::{t5_json, t7_json, T5Report, T7AuthRow};
-use at_broadcast::auth::{Authenticator, EdAuth, NoAuth, ObservedAuth};
+use at_broadcast::auth::{EdAuth, NoAuth, ObservedAuth};
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::EchoBroadcast;
 use at_broadcast::{AccountOrderBackend, SecureBroadcast};
-use at_crypto::Signature;
 use at_engine::replica::EnginePayload;
 use at_engine::{percentiles, EngineConfig, Workload};
 use at_model::codec::{Decode, Encode};
@@ -90,65 +92,6 @@ struct Args {
     trace_slowest: usize,
     t5_baseline_tps: Option<f64>,
     t5_baseline_p99_us: u64,
-}
-
-/// The pre-T7 verification discipline, reproduced operation for
-/// operation: every share checked one at a time, with **both**
-/// fixed-base multiplications going through the generic double-and-add
-/// path — exactly what `PublicKey::verify` computed before T7 added the
-/// precomputed comb tables and the batched certificate pass (no
-/// `verify_batch` override, so certificates fall back to the trait's
-/// per-item loop). This is the baseline leg the regenerated
-/// `BENCH_t5_metrics.txt` records; letting the baseline borrow the comb
-/// tables would silently hand it half of T7's verify speedup.
-#[derive(Clone)]
-struct SerialEdAuth(Arc<at_crypto::KeyStore>);
-
-impl SerialEdAuth {
-    fn deterministic(n: usize, seed: u64) -> Self {
-        // Signing still uses the shared base-point comb; build it at
-        // startup so the first metered sign span stays honest.
-        at_crypto::edwards::basepoint_table();
-        SerialEdAuth(Arc::new(at_crypto::KeyStore::deterministic(n, seed)))
-    }
-}
-
-impl Authenticator for SerialEdAuth {
-    type Sig = Signature;
-
-    fn sign(&self, signer: ProcessId, bytes: &[u8]) -> Signature {
-        self.0.keypair(signer).sign(bytes)
-    }
-
-    fn verify(&self, signer: ProcessId, bytes: &[u8], sig: &Signature) -> bool {
-        use at_crypto::edwards::EdwardsPoint;
-        use at_crypto::scalar::Scalar;
-        use at_crypto::Sha512;
-        let sig_bytes = sig.to_bytes();
-        let r_bytes: [u8; 32] = sig_bytes[..32].try_into().expect("32-byte R");
-        let s_bytes: [u8; 32] = sig_bytes[32..].try_into().expect("32-byte S");
-        let Some(r_point) = EdwardsPoint::decompress(&r_bytes) else {
-            return false;
-        };
-        let Some(s) = Scalar::from_canonical_bytes(&s_bytes) else {
-            return false;
-        };
-        let a_bytes = self.0.public(signer).as_bytes();
-        let Some(a_point) = EdwardsPoint::decompress(a_bytes) else {
-            return false;
-        };
-        let mut hasher = Sha512::new();
-        hasher.update(&r_bytes);
-        hasher.update(a_bytes);
-        hasher.update(bytes);
-        let k = Scalar::from_wide_bytes(&hasher.finalize());
-        // The pre-T7 hot path: generic double-and-add on the base point
-        // (no comb table) and on the public key.
-        let lhs = EdwardsPoint::basepoint().mul(s.to_u256());
-        let rhs = r_point.add(a_point.mul(k.to_u256()));
-        lhs == rhs
-    }
-    // Deliberately no `verify_batch` override.
 }
 
 fn parse_args() -> Args {
@@ -553,11 +496,6 @@ fn run_leg(args: &Args) -> (T5Report, Vec<Snapshot>, Vec<TraceLog>) {
             let auth = ObservedAuth::new(inner, recorder.clone());
             EchoBroadcast::<EnginePayload, _>::new(me, n, auth)
         }),
-        ("echo", "ed25519-serial") => run(args, |me, recorder| {
-            let auth =
-                ObservedAuth::new(SerialEdAuth::deterministic(n, AUTH_SEED), recorder.clone());
-            EchoBroadcast::<EnginePayload, _>::new(me, n, auth)
-        }),
         ("bracha", "none") => run(args, |me, _| BrachaBroadcast::<EnginePayload>::new(me, n)),
         ("acctorder", "none") => run(args, |me, _| {
             AccountOrderBackend::<EnginePayload, NoAuth>::new(me, n, NoAuth)
@@ -565,7 +503,7 @@ fn run_leg(args: &Args) -> (T5Report, Vec<Snapshot>, Vec<TraceLog>) {
         (backend, auth) => {
             eprintln!(
                 "unsupported backend/auth pair {backend:?}/{auth:?} \
-                 (echo|bracha|acctorder; auth none|ed25519|ed25519-serial, echo only)"
+                 (echo|bracha|acctorder; auth none|ed25519, echo only)"
             );
             std::process::exit(2);
         }
@@ -653,9 +591,8 @@ fn recorded_t5_tps() -> Option<f64> {
 const T7_SMOKE_TPS_FLOOR: f64 = 25_000.0;
 
 /// Experiment T7: the headline NoAuth run against the recorded T5
-/// baseline, plus the serial-vs-batched Ed25519 comparison. Writes
-/// `BENCH_t7.json` and regenerates `BENCH_t5_metrics.txt` from the
-/// serial leg.
+/// baseline, plus the signed leg held to SignedEcho's signature
+/// budget. Writes `BENCH_t7.json`.
 fn run_t7(args: &Args) {
     // The baseline for the throughput comparison: an explicit
     // `--t5-baseline-tps` (a same-machine interleaved rerun of the
@@ -681,57 +618,36 @@ fn run_t7(args: &Args) {
     print_observability(&headline_snaps);
     assert_reliable(&headline, &headline_snaps, args.smoke);
 
-    // Leg 2 — per-share Ed25519: the pre-T7 verification discipline.
-    let serial_args = Args {
-        backend: "echo".into(),
-        auth: "ed25519-serial".into(),
-        ..args.clone()
-    };
-    let (serial_report, serial_snaps, _) = run_leg(&serial_args);
-    print_leg_summary(&serial_report);
-    assert_reliable(&serial_report, &serial_snaps, args.smoke);
-    let serial = auth_row(&serial_report, &serial_snaps);
-
-    // Leg 3 — batched Ed25519: one random-linear-combination pass per
-    // certificate.
-    let batched_args = Args {
+    // Leg 2 — the same shape under real Ed25519.
+    let signed_args = Args {
         backend: "echo".into(),
         auth: "ed25519".into(),
         ..args.clone()
     };
-    let (batched_report, batched_snaps, _) = run_leg(&batched_args);
-    print_leg_summary(&batched_report);
-    print_observability(&batched_snaps);
-    assert_reliable(&batched_report, &batched_snaps, args.smoke);
-    let batched = auth_row(&batched_report, &batched_snaps);
+    let (signed_report, signed_snaps, _) = run_leg(&signed_args);
+    print_leg_summary(&signed_report);
+    print_observability(&signed_snaps);
+    assert_reliable(&signed_report, &signed_snaps, args.smoke);
+    let signed = auth_row(&signed_report, &signed_snaps);
 
     println!(
-        "\n# T7 summary: headline {:.0} tps (T5 baseline {:.0}), verify mean \
-         {}µs serial -> {}µs batched over {} verifies",
+        "\n# T7 summary: headline {:.0} tps (T5 baseline {:.0}); signed leg {:.0} tps, \
+         sign mean {}µs over {} signs, verify mean {}µs over {} verifies",
         headline.throughput_tps,
         t5_baseline_tps,
-        serial.verify_mean_us,
-        batched.verify_mean_us,
-        batched.verify_count,
+        signed.throughput_tps,
+        signed.sign_mean_us,
+        signed.sign_count,
+        signed.verify_mean_us,
+        signed.verify_count,
     );
-
-    // The serial leg's raw snapshots are the per-share sign/verify
-    // baseline the batched numbers are read against.
-    let rendered: String = serial_snaps
-        .iter()
-        .map(Snapshot::render)
-        .collect::<Vec<_>>()
-        .join("\n");
-    std::fs::write("BENCH_t5_metrics.txt", &rendered).expect("write BENCH_t5_metrics.txt");
-    println!("wrote BENCH_t5_metrics.txt ({} bytes)", rendered.len());
 
     let json = t7_json(
         args.smoke,
         &headline,
         t5_baseline_tps,
         args.t5_baseline_p99_us,
-        &serial,
-        &batched,
+        &signed,
     );
     std::fs::write("BENCH_t7.json", &json).expect("write BENCH_t7.json");
     println!("wrote BENCH_t7.json ({} bytes)", json.len());
@@ -743,11 +659,8 @@ fn run_t7(args: &Args) {
     // node gets a core, while a 4-node cluster plus clients on ONE
     // shared core ceilings near 45k NoAuth tps however fast the hot
     // path is, and old-vs-new differences on the CPU-bound headline sit
-    // inside scheduler noise — the record the run must still produce is
-    // the part of the win the shared core cannot hide: no headline
-    // regression against the rerun, and the signed legs (where the hot
-    // path is crypto-dominated) committing ≥2× the serial leg's
-    // throughput under the batched authenticator. Smoke keeps a floor
+    // inside scheduler noise — the record the run must still produce
+    // is no headline regression against the rerun. Smoke keeps a floor
     // the pre-T7 transport could not reach in a 2s window.
     if args.smoke {
         assert!(
@@ -758,35 +671,42 @@ fn run_t7(args: &Args) {
     } else {
         let absolute = headline.throughput_tps >= 250_000.0 && headline.latency_p99_us < 10_000;
         let eight_x = t5_baseline_tps > 0.0 && headline.throughput_tps >= 8.0 * t5_baseline_tps;
-        let single_core_record = t5_baseline_tps > 0.0
-            && headline.throughput_tps >= t5_baseline_tps
-            && batched.throughput_tps >= 2.0 * serial.throughput_tps;
+        let no_regression = t5_baseline_tps > 0.0 && headline.throughput_tps >= t5_baseline_tps;
         assert!(
-            absolute || eight_x || single_core_record,
+            absolute || eight_x || no_regression,
             "headline {:.0} tps / p99 {}µs meets neither the absolute bar (250k, <10ms) \
-             nor 8x the T5 baseline ({:.0} tps), and the single-core record fails: \
-             batched leg {:.0} tps vs serial leg {:.0} tps",
+             nor the T5 baseline ({:.0} tps)",
             headline.throughput_tps,
             headline.latency_p99_us,
             t5_baseline_tps,
-            batched.throughput_tps,
-            serial.throughput_tps
         );
     }
-    // Batch verification must be on and winning: the batched leg's
-    // amortized per-signature verify mean beats the per-share baseline
-    // by ≥4× in a full run (≥2× in short smoke windows).
+    // The signed leg's signature budget, by count. One SignedEcho
+    // instance costs n + 1 signatures (the SEND, reused for the FINAL,
+    // and one echo share per process) and n·(q + 1) verifications (the
+    // SEND at every process, q shares at the sender, q certificate
+    // shares at each of the other n − 1; nobody re-verifies what it
+    // already verified, and echoes past the quorum are dropped
+    // unverified). Instances straddling the two scrapes blur the ratio
+    // slightly, hence the 3 % allowance; signing the FINAL afresh
+    // (n + 2) or re-verifying the SEND in every FINAL (n·(q + 2)) is
+    // 20 % and more.
     assert!(
-        batched.sign_count > 0 && batched.verify_count > 0,
-        "ed25519 legs metered no signature work"
+        signed.sign_count > 0 && signed.verify_count > 0,
+        "the ed25519 leg metered no signature work"
     );
-    let required = if args.smoke { 2 } else { 4 };
+    let n = args.nodes as u64;
+    let quorum = EchoBroadcast::<EnginePayload, NoAuth>::new(ProcessId::new(0), args.nodes, NoAuth)
+        .quorum() as u64;
+    let budget = signed.sign_count * n * (quorum + 1);
+    let spent = signed.verify_count * (n + 1);
     assert!(
-        serial.verify_mean_us >= required * batched.verify_mean_us.max(1),
-        "batched verify mean {}µs is not {}x under the serial {}µs",
-        batched.verify_mean_us,
-        required,
-        serial.verify_mean_us
+        spent * 100 <= budget * 103,
+        "{} verifies for {} signs exceeds SignedEcho's budget of n(q+1)/(n+1) = {}/{} per sign",
+        signed.verify_count,
+        signed.sign_count,
+        n * (quorum + 1),
+        n + 1
     );
 }
 

@@ -540,27 +540,25 @@ pub struct T7AuthRow {
     pub throughput_tps: f64,
     /// Mean of the merged `stage_sign_us` histogram (µs).
     pub sign_mean_us: u64,
-    /// Mean of the merged `stage_verify_us` histogram (µs) — under the
-    /// batched authenticator this is the *amortized* per-signature cost
-    /// of the random-linear-combination certificate check.
+    /// Mean of the merged `stage_verify_us` histogram (µs); a
+    /// certificate checked in one call contributes its mean per share.
     pub verify_mean_us: u64,
     /// Signing operations metered across the cluster.
     pub sign_count: u64,
-    /// Signature verifications metered across the cluster (batch passes
-    /// count once per covered signature).
+    /// Signature verifications metered across the cluster (a
+    /// certificate counts once per share verified).
     pub verify_count: u64,
 }
 
 /// Renders the **T7** hot-path report as `BENCH_t7.json` (hand-rolled,
 /// no serde): the NoAuth headline run against the recorded T5 baseline,
-/// plus the serial-vs-batched Ed25519 comparison.
+/// plus the signed leg's metered signature work.
 pub fn t7_json(
     smoke: bool,
     headline: &T5Report,
     t5_baseline_tps: f64,
     t5_baseline_p99_us: u64,
-    serial: &T7AuthRow,
-    batched: &T7AuthRow,
+    signed: &T7AuthRow,
 ) -> String {
     let speedup_vs_t5 = if t5_baseline_tps > 0.0 {
         headline.throughput_tps / t5_baseline_tps
@@ -572,24 +570,22 @@ pub fn t7_json(
     } else {
         0.0
     };
-    let verify_mean_speedup = if batched.verify_mean_us > 0 {
-        serial.verify_mean_us as f64 / batched.verify_mean_us as f64
+    let verifies_per_sign = if signed.sign_count > 0 {
+        signed.verify_count as f64 / signed.sign_count as f64
     } else {
         0.0
     };
-    let auth_row = |row: &T7AuthRow| {
-        format!(
-            "{{\"throughput_tps\": {:.1}, \"sign_mean_us\": {}, \"verify_mean_us\": {}, \
-             \"sign_count\": {}, \"verify_count\": {}}}",
-            row.throughput_tps,
-            row.sign_mean_us,
-            row.verify_mean_us,
-            row.sign_count,
-            row.verify_count,
-        )
-    };
+    let auth_signed = format!(
+        "{{\"throughput_tps\": {:.1}, \"sign_mean_us\": {}, \"verify_mean_us\": {}, \
+         \"sign_count\": {}, \"verify_count\": {}}}",
+        signed.throughput_tps,
+        signed.sign_mean_us,
+        signed.verify_mean_us,
+        signed.sign_count,
+        signed.verify_count,
+    );
     format!(
-        "{{\n  \"experiment\": \"T7 hot-path (batched ed25519 verify, zero-copy decode, \
+        "{{\n  \"experiment\": \"T7 hot-path (comb-table ed25519, zero-copy decode, \
          coalesced socket I/O)\",\n  \"smoke\": {smoke},\n  \"headline\": {{\n    \
          \"backend\": \"{}\",\n    \"n\": {},\n    \"batch\": {},\n    \"window_us\": {},\n    \
          \"pipeline\": {},\n    \"duration_ms\": {},\n    \"submitted\": {},\n    \
@@ -597,8 +593,8 @@ pub fn t7_json(
          \"latency_p50_us\": {},\n    \"latency_p99_us\": {},\n    \"converged\": {},\n    \
          \"dropped_frames\": {}\n  }},\n  \"t5_baseline_tps\": {:.1},\n  \
          \"t5_baseline_p99_us\": {},\n  \"speedup_vs_t5\": {:.2},\n  \
-         \"p99_improvement\": {:.2},\n  \"auth_serial\": {},\n  \"auth_batched\": {},\n  \
-         \"verify_mean_speedup\": {:.2},\n  \"batch_verify_enabled\": true\n}}\n",
+         \"p99_improvement\": {:.2},\n  \"auth_signed\": {},\n  \
+         \"verifies_per_sign\": {:.2}\n}}\n",
         headline.backend,
         headline.n,
         headline.batch,
@@ -617,9 +613,8 @@ pub fn t7_json(
         t5_baseline_p99_us,
         speedup_vs_t5,
         p99_improvement,
-        auth_row(serial),
-        auth_row(batched),
-        verify_mean_speedup,
+        auth_signed,
+        verifies_per_sign,
     )
 }
 
@@ -855,27 +850,20 @@ mod tests {
             balance_digest: 42,
             dropped_frames: 0,
         };
-        let serial = T7AuthRow {
-            throughput_tps: 20_000.0,
-            sign_mean_us: 120,
-            verify_mean_us: 200,
-            sign_count: 10_000,
-            verify_count: 40_000,
-        };
-        let batched = T7AuthRow {
+        let signed = T7AuthRow {
             throughput_tps: 60_000.0,
-            sign_mean_us: 120,
-            verify_mean_us: 40,
+            sign_mean_us: 13,
+            verify_mean_us: 17,
             sign_count: 30_000,
-            verify_count: 120_000,
+            verify_count: 96_000,
         };
-        let json = t7_json(false, &headline, 30_000.0, 104_000, &serial, &batched);
+        let json = t7_json(false, &headline, 30_000.0, 104_000, &signed);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
         assert!(json.contains("\"experiment\": \"T7 hot-path"));
         assert!(json.contains("\"speedup_vs_t5\": 10.00"));
         assert!(json.contains("\"p99_improvement\": 13.00"));
-        assert!(json.contains("\"verify_mean_speedup\": 5.00"));
-        assert!(json.contains("\"batch_verify_enabled\": true"));
+        assert!(json.contains("\"verify_count\": 96000"));
+        assert!(json.contains("\"verifies_per_sign\": 3.20"));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 

@@ -48,9 +48,8 @@ pub trait Authenticator: Clone + Send {
 
     /// Verifies many signatures at once, returning the (ascending)
     /// indices of the items that fail. Agrees item-for-item with
-    /// [`Authenticator::verify`]; implementations with a cheaper
-    /// combined check (see [`EdAuth`]) override this and fall back to
-    /// per-item verification only to attribute failures.
+    /// [`Authenticator::verify`]; the seam exists so an implementation
+    /// can meter or amortize a whole certificate in one call.
     ///
     /// # Errors
     ///
@@ -73,10 +72,12 @@ pub trait Authenticator: Clone + Send {
 /// Real Ed25519 authentication over a shared (simulation-wide, test-only)
 /// key store. Each signer's public key gets a lazily-built precomputed
 /// multiplication table ([`at_crypto::PrecomputedKey`]), shared across
-/// clones, so steady-state verification — and above all
-/// [`Authenticator::verify_batch`], which checks a whole certificate in
-/// one random-linear-combination equation — runs several times faster
-/// than naive per-signature arithmetic.
+/// clones, so steady-state verification is two additions-only table
+/// walks and runs several times faster than generic double-and-add.
+/// [`Authenticator::verify_batch`] goes through
+/// [`at_crypto::verify_batch`], which checks each share against its
+/// table (see there for why that beats a combined equation at
+/// certificate sizes).
 #[derive(Clone)]
 pub struct EdAuth {
     keys: Arc<KeyStore>,
@@ -103,7 +104,7 @@ impl EdAuth {
 
     /// Builds every signer's comb table (and the shared base-point
     /// table) eagerly. The tables are otherwise built lazily on first
-    /// use, which is right for tests but lands the one-time ~ms
+    /// use, which is right for tests but lands the one-time ~3 ms
     /// precomputation inside the first metered sign/verify span of a
     /// benchmark run — call this at startup when that matters.
     pub fn warm(&self) {
@@ -228,10 +229,10 @@ impl<A: Authenticator> Authenticator for ObservedAuth<A> {
         }
         let started = Instant::now();
         let result = self.inner.verify_batch(items);
-        // One batched pass checked `items.len()` signatures: meter it as
-        // that many verifies, each at the amortized per-signature cost,
-        // so counters stay per-signature and the Stage::Verify histogram
-        // shows the batching win directly.
+        // One call checked `items.len()` signatures: meter it as that
+        // many verifies, each at the mean per-signature cost, so both
+        // the counter and the Stage::Verify histogram stay
+        // per-signature.
         let amortized = started.elapsed() / items.len() as u32;
         for _ in 0..items.len() {
             self.recorder.record(Stage::Verify, amortized);

@@ -21,6 +21,7 @@ use crate::types::{CryptoOps, SourceOrderBuffer, Step};
 use at_model::codec::{encode, Writer};
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceCtx, TraceEventKind, Tracer};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
@@ -64,8 +65,20 @@ pub enum EchoMsg<P, S> {
 
 struct SendState<S> {
     digest: [u8; 32],
+    /// Our signature over `send_bytes(me, seq, digest)`, made once in
+    /// `broadcast` and reused for the FINAL (signing is deterministic).
+    sig: S,
+    /// Echo shares over `digest`, each verified on arrival.
     shares: BTreeMap<ProcessId, S>,
     finalized: bool,
+}
+
+/// Receiver-side record of the one SEND this process echoed for an
+/// instance: the digest (the anti-equivocation rule) and the exact SEND
+/// signature `on_send` verified for it.
+struct Echoed<S> {
+    digest: [u8; 32],
+    send_sig: S,
 }
 
 /// One process's endpoint of the signed-echo broadcast.
@@ -85,9 +98,9 @@ pub struct EchoBroadcast<P, A: Authenticator> {
     /// the tests exercise the defense — and makes a broken quorum
     /// (`broken` feature) actually observable as a double certificate.
     split_shadow: HashMap<SeqNo, (P, SendState<A::Sig>)>,
-    /// Receiver-side: the digest we echoed per instance (one per
+    /// Receiver-side: what we echoed per instance (one digest per
     /// instance — the anti-equivocation rule).
-    echoed: HashMap<(ProcessId, SeqNo), [u8; 32]>,
+    echoed: HashMap<(ProcessId, SeqNo), Echoed<A::Sig>>,
     /// Instances already delivered (to forward and dedup).
     delivered: HashMap<(ProcessId, SeqNo), ()>,
     /// Monotone count of deliveries — survives pruning, unlike
@@ -207,6 +220,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
                 payload.clone(),
                 SendState {
                     digest,
+                    sig: sig.clone(),
                     shares: BTreeMap::new(),
                     finalized: false,
                 },
@@ -235,13 +249,14 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         self.next_seq = self.next_seq.next();
         let seq = self.next_seq;
         let left_digest = payload_digest(&left);
+        let right_digest = payload_digest(&right);
         self.ops.signs += 2;
         let left_sig = self
             .auth
             .sign(self.me, &send_bytes(self.me, seq, left_digest));
         let right_sig = self
             .auth
-            .sign(self.me, &send_bytes(self.me, seq, payload_digest(&right)));
+            .sign(self.me, &send_bytes(self.me, seq, right_digest));
         // Collect echo shares for *both* payloads: the strongest attacker
         // would certify whichever side ever reached a quorum. With the
         // correct quorum ⌈(n+f+1)/2⌉ neither can (each half of the system
@@ -254,6 +269,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
                 left.clone(),
                 SendState {
                     digest: left_digest,
+                    sig: left_sig.clone(),
                     shares: BTreeMap::new(),
                     finalized: false,
                 },
@@ -264,7 +280,8 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             (
                 right.clone(),
                 SendState {
-                    digest: payload_digest(&right),
+                    digest: right_digest,
+                    sig: right_sig.clone(),
                     shares: BTreeMap::new(),
                     finalized: false,
                 },
@@ -326,16 +343,14 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             return; // forged SEND
         }
         // Echo at most one digest per instance: the anti-equivocation rule.
-        let entry = self.echoed.entry((from, seq));
-        let previously = match &entry {
-            std::collections::hash_map::Entry::Occupied(o) => Some(*o.get()),
-            std::collections::hash_map::Entry::Vacant(_) => None,
-        };
-        match previously {
-            Some(echoed) if echoed != digest => return, // equivocation: stay silent
-            Some(_) => {} // duplicate SEND: re-echo (idempotent for the sender)
-            None => {
-                entry.or_insert(digest);
+        match self.echoed.entry((from, seq)) {
+            Entry::Occupied(echoed) if echoed.get().digest != digest => return, // equivocation: stay silent
+            Entry::Occupied(_) => {} // duplicate SEND: re-echo (idempotent for the sender)
+            Entry::Vacant(slot) => {
+                slot.insert(Echoed {
+                    digest,
+                    send_sig: sig,
+                });
             }
         }
         self.ops.signs += 1;
@@ -364,13 +379,6 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         if source != self.me {
             return; // echoes are addressed to the instance's sender
         }
-        self.ops.verifies += 1;
-        if !self
-            .auth
-            .verify(from, &echo_bytes(source, seq, digest), &share)
-        {
-            return; // invalid share
-        }
         let quorum = self.quorum();
         let n = self.n;
         let me = self.me;
@@ -391,7 +399,14 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             return; // echo for an unknown/finished broadcast
         };
         if state.finalized {
-            return;
+            return; // a late echo past the quorum costs no verification
+        }
+        self.ops.verifies += 1;
+        if !self
+            .auth
+            .verify(from, &echo_bytes(source, seq, digest), &share)
+        {
+            return; // invalid share
         }
         state.shares.insert(from, share);
         if state.shares.len() < quorum {
@@ -404,8 +419,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             .map(|(process, sig)| (*process, sig.clone()))
             .collect();
         let payload = payload.clone();
-        self.ops.signs += 1;
-        let sig = self.auth.sign(me, &send_bytes(me, seq, digest));
+        let sig = state.sig.clone();
         self.trace(
             &payload,
             me,
@@ -437,47 +451,68 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             return; // already delivered (possibly pruned since)
         }
         let digest = payload_digest(&payload);
-        self.ops.verifies += 1;
-        if !self
-            .auth
-            .verify(source, &send_bytes(source, seq, digest), &sig)
-        {
-            return;
+        // Signatures this process already verified for this instance —
+        // the SEND signature it echoed, and for its own broadcast the
+        // signature it made and the shares `on_echo` accepted — are not
+        // verified again. Only a byte-exact match over the same digest
+        // is skipped; anything else takes the full check below.
+        let own = self
+            .sending
+            .get(&seq)
+            .map(|(_, state)| state)
+            .filter(|state| source == self.me && state.digest == digest);
+        let send_verified = own.is_some_and(|state| state.sig == sig)
+            || self
+                .echoed
+                .get(&(source, seq))
+                .is_some_and(|echoed| echoed.digest == digest && echoed.send_sig == sig);
+        if !send_verified {
+            self.ops.verifies += 1;
+            if !self
+                .auth
+                .verify(source, &send_bytes(source, seq, digest), &sig)
+            {
+                return;
+            }
         }
         // Validate the certificate: distinct signers, valid shares,
-        // quorum. Every share signs the same echo bytes, so the whole
-        // certificate is checked in one batched pass; only a failing
-        // batch falls back to per-share verification (inside
-        // `verify_batch`) to attribute the bad shares.
+        // quorum. Every share signs the same echo bytes; the ones not
+        // already verified go to the authenticator in one call, which
+        // reports the indices of the bad ones.
         let echo = echo_bytes(source, seq, digest);
+        let unverified = |(signer, share): &(ProcessId, A::Sig)| {
+            !own.is_some_and(|state| state.shares.get(signer) == Some(share))
+        };
         let items: Vec<BatchVerifyItem<'_, A::Sig>> = certificate
             .iter()
+            .filter(|entry| unverified(entry))
             .map(|(signer, share)| BatchVerifyItem {
                 signer: *signer,
                 bytes: &echo,
                 sig: share,
             })
             .collect();
-        self.ops.verifies += certificate.len() as u64;
+        self.ops.verifies += items.len() as u64;
         let span = self
             .trace_ctx(&payload, source)
             .map(|(tracer, ctx)| (tracer.clone(), ctx));
         if let Some((tracer, ctx)) = &span {
             tracer.record(*ctx, TraceEventKind::VerifyStart, items.len() as u64);
         }
-        let mut signers = BTreeMap::new();
-        match self.auth.verify_batch(&items) {
-            Ok(()) => {
-                for (signer, _) in &certificate {
-                    signers.insert(*signer, ());
-                }
-            }
+        // Ascending certificate indices of the shares that failed.
+        let bad: Vec<usize> = match self.auth.verify_batch(&items) {
+            Ok(()) => Vec::new(),
             Err(bad) => {
-                for (index, (signer, _)) in certificate.iter().enumerate() {
-                    if bad.binary_search(&index).is_err() {
-                        signers.insert(*signer, ());
-                    }
-                }
+                let checked: Vec<usize> = (0..certificate.len())
+                    .filter(|&index| unverified(&certificate[index]))
+                    .collect();
+                bad.into_iter().map(|item| checked[item]).collect()
+            }
+        };
+        let mut signers = BTreeMap::new();
+        for (index, (signer, _)) in certificate.iter().enumerate() {
+            if bad.binary_search(&index).is_err() {
+                signers.insert(*signer, ());
             }
         }
         if let Some((tracer, ctx)) = &span {
@@ -604,6 +639,7 @@ mod tests {
     use super::*;
     use crate::auth::{EdAuth, NoAuth};
     use crate::types::Delivery;
+    use at_crypto::Signature;
     use std::collections::VecDeque;
 
     fn p(i: u32) -> ProcessId {
@@ -781,6 +817,249 @@ mod tests {
             auth.verifies(),
             "one histogram sample per verify"
         );
+    }
+
+    /// A receiver that has echoed `payload` for `(p0, seq 1)`, metered:
+    /// `(endpoint, auth handle, SEND signature, full certificate)`.
+    #[allow(clippy::type_complexity)]
+    fn echoed_receiver(
+        ed: &EdAuth,
+        payload: u64,
+    ) -> (
+        EchoBroadcast<u64, crate::auth::ObservedAuth<EdAuth>>,
+        crate::auth::ObservedAuth<EdAuth>,
+        Signature,
+        Vec<(ProcessId, Signature)>,
+    ) {
+        let registry = at_obs::Registry::new("node 1");
+        let auth = crate::auth::ObservedAuth::new(ed.clone(), registry.recorder());
+        let mut endpoint: EchoBroadcast<u64, _> = EchoBroadcast::new(p(1), 4, auth.clone());
+        let seq = SeqNo::new(1);
+        let digest = payload_digest(&payload);
+        let sig = ed.sign(p(0), &send_bytes(p(0), seq, digest));
+        let mut step = Step::new();
+        endpoint.on_message(p(0), EchoMsg::Send { seq, payload, sig }, &mut step);
+        assert_eq!(step.outgoing.len(), 1, "the SEND was echoed");
+        let certificate = (1..4)
+            .map(|i| (p(i), ed.sign(p(i), &echo_bytes(p(0), seq, digest))))
+            .collect();
+        (endpoint, auth, sig, certificate)
+    }
+
+    #[test]
+    fn final_matching_the_echoed_send_skips_only_that_verification() {
+        let ed = EdAuth::deterministic(4, 21);
+        let (mut endpoint, auth, sig, certificate) = echoed_receiver(&ed, 5);
+        let before = auth.verifies();
+        let mut step = Step::new();
+        endpoint.on_message(
+            p(0),
+            EchoMsg::Final {
+                source: p(0),
+                seq: SeqNo::new(1),
+                payload: 5,
+                sig,
+                certificate,
+            },
+            &mut step,
+        );
+        assert_eq!(step.deliveries.len(), 1);
+        assert_eq!(
+            auth.verifies() - before,
+            3,
+            "three shares, no second SEND check"
+        );
+    }
+
+    #[test]
+    fn final_with_a_different_send_signature_is_fully_verified() {
+        // Same digest, but not the signature bytes `on_send` verified:
+        // the skip must not apply, and a signature that does not verify
+        // must sink the FINAL even under a valid certificate.
+        let ed = EdAuth::deterministic(4, 22);
+        let (mut endpoint, auth, _, certificate) = echoed_receiver(&ed, 5);
+        let forged = ed.sign(p(0), b"not the send bytes");
+        let before = auth.verifies();
+        let mut step = Step::new();
+        endpoint.on_message(
+            p(0),
+            EchoMsg::Final {
+                source: p(0),
+                seq: SeqNo::new(1),
+                payload: 5,
+                sig: forged,
+                certificate,
+            },
+            &mut step,
+        );
+        assert!(step.deliveries.is_empty() && step.outgoing.is_empty());
+        assert_eq!(
+            auth.verifies() - before,
+            1,
+            "the SEND signature was checked"
+        );
+        assert_eq!(endpoint.delivered_count(), 0);
+    }
+
+    #[test]
+    fn final_for_a_different_payload_is_fully_verified() {
+        // The verified SEND signature replayed over another payload: the
+        // digest differs from the echoed one, so nothing is skipped and
+        // the signature fails against the new digest.
+        let ed = EdAuth::deterministic(4, 23);
+        let (mut endpoint, auth, sig, _) = echoed_receiver(&ed, 5);
+        let seq = SeqNo::new(1);
+        let other_digest = payload_digest(&6u64);
+        let certificate = (1..4)
+            .map(|i| (p(i), ed.sign(p(i), &echo_bytes(p(0), seq, other_digest))))
+            .collect();
+        let before = auth.verifies();
+        let mut step = Step::new();
+        endpoint.on_message(
+            p(0),
+            EchoMsg::Final {
+                source: p(0),
+                seq,
+                payload: 6,
+                sig,
+                certificate,
+            },
+            &mut step,
+        );
+        assert!(step.deliveries.is_empty() && step.outgoing.is_empty());
+        assert_eq!(
+            auth.verifies() - before,
+            1,
+            "the SEND signature was checked"
+        );
+    }
+
+    #[test]
+    fn sender_reverifies_exactly_the_shares_it_did_not_collect() {
+        // The sender collected and verified echoes from p1..p3. A FINAL
+        // for its own instance whose certificate swaps p2's share for a
+        // forgery: the two exact matches are skipped, the forgery is
+        // verified, attributed and not counted.
+        let ed = EdAuth::deterministic(4, 24);
+        let registry = at_obs::Registry::new("node 0");
+        let auth = crate::auth::ObservedAuth::new(ed.clone(), registry.recorder());
+        let mut sender: EchoBroadcast<u64, _> = EchoBroadcast::new(p(0), 4, auth.clone());
+        let mut step = Step::new();
+        let seq = sender.broadcast(9, &mut step);
+        let digest = payload_digest(&9u64);
+        let signs_after_broadcast = auth.signs();
+        let mut finals = Vec::new();
+        for i in 1..4 {
+            let share = ed.sign(p(i), &echo_bytes(p(0), seq, digest));
+            let mut step = Step::new();
+            sender.on_message(
+                p(i),
+                EchoMsg::Echo {
+                    source: p(0),
+                    seq,
+                    digest,
+                    share,
+                },
+                &mut step,
+            );
+            finals.extend(step.outgoing);
+        }
+        assert_eq!(finals.len(), 4, "the quorum's FINAL goes to all four");
+        assert_eq!(
+            auth.signs(),
+            signs_after_broadcast,
+            "the FINAL reuses the SEND signature"
+        );
+        let EchoMsg::Final {
+            sig, certificate, ..
+        } = finals.swap_remove(0).msg
+        else {
+            panic!("expected a FINAL");
+        };
+
+        // A late fourth echo finds the instance finalized: no verify.
+        let before = auth.verifies();
+        let own_share = ed.sign(p(0), &echo_bytes(p(0), seq, digest));
+        sender.on_message(
+            p(0),
+            EchoMsg::Echo {
+                source: p(0),
+                seq,
+                digest,
+                share: own_share,
+            },
+            &mut Step::new(),
+        );
+        assert_eq!(auth.verifies(), before, "late echo cost a verification");
+
+        // Forged share among verified ones: below quorum, rejected.
+        let mut forged = certificate.clone();
+        forged[1].1 = ed.sign(p(2), b"not the echo bytes");
+        let mut step = Step::new();
+        sender.on_message(
+            p(0),
+            EchoMsg::Final {
+                source: p(0),
+                seq,
+                payload: 9,
+                sig,
+                certificate: forged.clone(),
+            },
+            &mut step,
+        );
+        assert!(step.deliveries.is_empty(), "forged share counted");
+        assert_eq!(auth.verifies() - before, 1, "only the forgery was verified");
+
+        // With a fourth, unseen-but-valid share the quorum holds without
+        // the forgery: it and the new share are verified, nothing else.
+        forged.push((p(0), own_share));
+        let before = auth.verifies();
+        let mut step = Step::new();
+        sender.on_message(
+            p(0),
+            EchoMsg::Final {
+                source: p(0),
+                seq,
+                payload: 9,
+                sig,
+                certificate: forged,
+            },
+            &mut step,
+        );
+        assert_eq!(step.deliveries.len(), 1);
+        assert_eq!(auth.verifies() - before, 2);
+
+        // The untouched certificate needs no verification at all.
+        let mut fresh: EchoBroadcast<u64, _> = EchoBroadcast::new(p(0), 4, auth.clone());
+        let mut step = Step::new();
+        fresh.broadcast(9, &mut step);
+        for (signer, share) in &certificate {
+            fresh.on_message(
+                *signer,
+                EchoMsg::Echo {
+                    source: p(0),
+                    seq,
+                    digest,
+                    share: *share,
+                },
+                &mut Step::new(),
+            );
+        }
+        let before = auth.verifies();
+        let mut step = Step::new();
+        fresh.on_message(
+            p(0),
+            EchoMsg::Final {
+                source: p(0),
+                seq,
+                payload: 9,
+                sig,
+                certificate,
+            },
+            &mut step,
+        );
+        assert_eq!(step.deliveries.len(), 1);
+        assert_eq!(auth.verifies(), before, "own certificate re-verified");
     }
 
     #[test]

@@ -1,19 +1,27 @@
 //! Minimal fixed-width big-integer arithmetic.
 //!
-//! [`U256`] and [`U512`] back the Ed25519 scalar field (arithmetic modulo
-//! the group order `ℓ`), serve as the *reference implementation* against
-//! which the fast curve25519 field arithmetic is property-tested, and are
-//! used to derive the SHA-2 round constants from first principles (integer
-//! cube/square roots of the first primes) instead of trusting transcribed
-//! magic tables.
+//! [`U256`] and [`U512`] are the *reference implementation* against which
+//! the field and scalar kernels are property-tested, the 256-bit integer
+//! type scalar multiplication takes, and the means of deriving the SHA-2
+//! round constants from first principles (integer cube/square roots of
+//! the first primes) instead of trusting transcribed magic tables.
 //!
 //! The implementation favours obviousness over speed: schoolbook
-//! multiplication and binary long division. All hot-path arithmetic in the
-//! library uses the specialised field/scalar code; these types only appear
-//! on cold paths (key setup, constant derivation, tests).
+//! multiplication and binary long division (256–512 shift-and-subtract
+//! rounds per `rem`). Nothing on the sign / verify path calls it: the
+//! field and scalar kernels carry their own division-free reductions and
+//! use these types only as the integer container in their signatures and
+//! for canonical-range checks. A test-only counter in [`U512::rem`] and
+//! the `sign_and_verify_paths_never_divide` test hold that line.
 
 use std::cmp::Ordering;
 use std::fmt;
+
+#[cfg(test)]
+thread_local! {
+    /// Long divisions ([`U256::rem`] / [`U512::rem`]) run on this thread.
+    pub(crate) static LONG_DIVISIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// A 256-bit unsigned integer, little-endian `u64` limbs.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -282,6 +290,8 @@ impl U512 {
     /// Panics when `m` is zero.
     pub fn rem(self, m: U256) -> U256 {
         assert!(!m.is_zero(), "division by zero");
+        #[cfg(test)]
+        LONG_DIVISIONS.with(|count| count.set(count.get() + 1));
         let bits = self.bits();
         let mut remainder = U256::ZERO;
         for i in (0..bits).rev() {

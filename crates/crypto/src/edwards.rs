@@ -4,33 +4,39 @@
 //!
 //! Points use extended homogeneous coordinates `(X : Y : Z : T)` with
 //! `x = X/Z`, `y = Y/Z`, `T = XY/Z` (Hisil–Wong–Carter–Dawson 2008), the
-//! coordinate system of the EdDSA reference implementations. The curve
-//! constants (`d`, the base point) are derived from their defining
-//! equations at first use rather than transcribed.
+//! coordinate system of the EdDSA reference implementations. `d` and
+//! `2d` sit in every addition, so they are compile-time constants (a
+//! test re-derives both from the defining equation); the base point is
+//! derived from `y = 4/5` at first use rather than transcribed.
 //!
-//! Scalar multiplication is plain double-and-add — variable time, which is
-//! acceptable for a research reproduction (documented in DESIGN.md).
+//! Scalar multiplication is variable time, which is acceptable for a
+//! research reproduction: a generic point goes through Straus's
+//! interleaved method over width-5 non-adjacent forms
+//! ([`EdwardsPoint::vartime_multiscalar_mul`]), a long-lived point (the
+//! base point, a peer's public key) through a precomputed [`CombTable`]
+//! of affine Niels entries — additions only, seven field
+//! multiplications each.
 
 use crate::bigint::U256;
 use crate::field::FieldElement;
 use std::fmt;
 use std::sync::OnceLock;
 
-/// The curve constant `d = -121665/121666 mod p`.
-pub fn curve_d() -> FieldElement {
-    static D: OnceLock<FieldElement> = OnceLock::new();
-    *D.get_or_init(|| {
-        FieldElement::from_u64(121665)
-            .neg()
-            .mul(FieldElement::from_u64(121666).invert())
-    })
-}
+/// `d = -121665/121666 mod p`.
+const D: FieldElement = FieldElement::from_limbs([
+    0x75EB_4DCA_1359_78A3,
+    0x0070_0A4D_4141_D8AB,
+    0x8CC7_4079_7779_E898,
+    0x5203_6CEE_2B6F_FE73,
+]);
 
-/// `2d`, used by the addition formula.
-fn curve_2d() -> FieldElement {
-    static D2: OnceLock<FieldElement> = OnceLock::new();
-    *D2.get_or_init(|| curve_d().add(curve_d()))
-}
+/// `2d mod p`, used by the addition formulas.
+const D2: FieldElement = FieldElement::from_limbs([
+    0xEBD6_9B94_26B2_F159,
+    0x00E0_149A_8283_B156,
+    0x198E_80F2_EEF3_D130,
+    0x2406_D9DC_56DF_FCE7,
+]);
 
 /// A point on edwards25519 in extended coordinates.
 #[derive(Clone, Copy)]
@@ -69,7 +75,7 @@ impl EdwardsPoint {
         let x2 = x.square();
         let y2 = y.square();
         let lhs = y2.sub(x2);
-        let rhs = FieldElement::ONE.add(curve_d().mul(x2).mul(y2));
+        let rhs = FieldElement::ONE.add(D.mul(x2).mul(y2));
         lhs.equals(rhs).then(|| EdwardsPoint {
             x,
             y,
@@ -100,7 +106,7 @@ impl EdwardsPoint {
     pub fn add(self, rhs: EdwardsPoint) -> EdwardsPoint {
         let a = self.y.sub(self.x).mul(rhs.y.sub(rhs.x));
         let b = self.y.add(self.x).mul(rhs.y.add(rhs.x));
-        let c = self.t.mul(curve_2d()).mul(rhs.t);
+        let c = self.t.mul(D2).mul(rhs.t);
         let d = self.z.add(self.z).mul(rhs.z);
         let e = b.sub(a);
         let f = d.sub(c);
@@ -118,12 +124,32 @@ impl EdwardsPoint {
     pub fn double(self) -> EdwardsPoint {
         let a = self.x.square();
         let b = self.y.square();
-        let c = self.z.square().add(self.z.square());
+        let zz = self.z.square();
+        let c = zz.add(zz);
         let d = a.neg(); // a = -1 twist
         let e = self.x.add(self.y).square().sub(a).sub(b);
         let g = d.add(b);
         let f = g.sub(c);
         let h = d.sub(b);
+        EdwardsPoint {
+            x: e.mul(f),
+            y: g.mul(h),
+            z: f.mul(g),
+            t: e.mul(h),
+        }
+    }
+
+    /// Mixed addition with a precomputed affine point (`Z2 = 1`,
+    /// madd-2008-hwcd-3): seven multiplications instead of `add`'s nine.
+    fn add_niels(self, rhs: &AffineNiels) -> EdwardsPoint {
+        let a = self.y.sub(self.x).mul(rhs.y_minus_x);
+        let b = self.y.add(self.x).mul(rhs.y_plus_x);
+        let c = self.t.mul(rhs.xy2d);
+        let d = self.z.add(self.z);
+        let e = b.sub(a);
+        let f = d.sub(c);
+        let g = d.add(c);
+        let h = b.add(a);
         EdwardsPoint {
             x: e.mul(f),
             y: g.mul(h),
@@ -142,8 +168,9 @@ impl EdwardsPoint {
         }
     }
 
-    /// Scalar multiplication `[n]P` by a 256-bit integer (windowed
-    /// double-and-add, 4-bit windows).
+    /// Scalar multiplication `[n]P` by a 256-bit integer: the one-term
+    /// case of [`EdwardsPoint::vartime_multiscalar_mul`] (width-5 NAF,
+    /// ~256 doublings and ~43 additions).
     pub fn mul(self, n: U256) -> EdwardsPoint {
         EdwardsPoint::vartime_multiscalar_mul(&[(n, self)])
     }
@@ -161,9 +188,8 @@ impl EdwardsPoint {
     /// doubling chain for all terms, and signed odd digits mean only
     /// ~1 in 6 chain positions costs an addition per term — so `k`
     /// terms cost far less than `k` separate multiplications, and the
-    /// chain length tracks the *largest* scalar (half-size batch
-    /// coefficients pay for half a chain). Variable time, like the
-    /// rest of the arithmetic.
+    /// chain length tracks the *largest* scalar. Variable time, like
+    /// the rest of the arithmetic.
     pub fn vartime_multiscalar_mul(terms: &[(U256, EdwardsPoint)]) -> EdwardsPoint {
         let nafs: Vec<[i8; 257]> = terms.iter().map(|(n, _)| naf5(*n)).collect();
         let top = nafs
@@ -209,15 +235,14 @@ impl EdwardsPoint {
         let mut y_bytes = *bytes;
         y_bytes[31] &= 0x7F;
         // Reject non-canonical y (≥ p) to make encodings unique.
-        let y_int = crate::bigint::U256::from_le_bytes(&y_bytes);
-        if y_int >= crate::field::prime() {
+        if U256::from_le_bytes(&y_bytes) >= crate::field::prime() {
             return None;
         }
         let y = FieldElement::from_le_bytes(&y_bytes);
         // x² = (y² - 1) / (d·y² + 1)
         let y2 = y.square();
         let u = y2.sub(FieldElement::ONE);
-        let v = curve_d().mul(y2).add(FieldElement::ONE);
+        let v = D.mul(y2).add(FieldElement::ONE);
         let mut x = FieldElement::sqrt_ratio(u, v)?;
         if x.is_zero() && sign == 1 {
             return None; // -0 is not a valid encoding
@@ -279,48 +304,93 @@ fn naf5(n: U256) -> [i8; 257] {
     naf
 }
 
+/// An affine point premultiplied for mixed addition (Niels form):
+/// `(y + x, y − x, 2d·x·y)`, 96 bytes.
+#[derive(Clone, Copy, Debug)]
+struct AffineNiels {
+    y_plus_x: FieldElement,
+    y_minus_x: FieldElement,
+    xy2d: FieldElement,
+}
+
+/// Rows and nonzero digits per row of a [`CombTable`].
+const COMB_ROWS: usize = 32;
+const COMB_DIGITS: usize = 255;
+
 /// A precomputed fixed-base multiplication table (Lim–Lee comb, radix
 /// 256): row `i` holds `[j·256^i]P` for `j = 1..=255`, so `[n]P` is at
-/// most 32 additions and **zero doublings**. Build once per long-lived
-/// point (the base point, a session's public keys); [`CombTable::mul`]
-/// then runs well over an order of magnitude faster than the generic
-/// double-and-add. The table is ~1 MiB and costs ~8k point additions to
-/// build, which a point that verifies more than a handful of signatures
-/// amortizes immediately.
+/// most 32 mixed additions and **zero doublings**. Build once per
+/// long-lived point (the base point, a session's public keys). Entries
+/// are stored normalized in [`AffineNiels`] form in one flat
+/// allocation: 32 × 255 × 96 B = 765 KiB. Building costs ~8k point
+/// additions and one field inversion per row (~3 ms), which a point
+/// that verifies more than a handful of signatures amortizes
+/// immediately.
 #[derive(Clone, Debug)]
 pub struct CombTable {
-    rows: Vec<Vec<EdwardsPoint>>,
+    /// Row-major: entry `row · 255 + (digit − 1)`.
+    entries: Vec<AffineNiels>,
 }
 
 impl CombTable {
-    /// Precomputes the table of `point` (~8k point additions, ~1 MiB).
+    /// Precomputes the table of `point` (~8k point additions, 765 KiB).
     pub fn new(point: EdwardsPoint) -> CombTable {
-        let mut rows = Vec::with_capacity(32);
+        let mut entries = Vec::with_capacity(COMB_ROWS * COMB_DIGITS);
         let mut base = point; // [256^i]P for the current row
-        for _ in 0..32 {
+        let mut row = Vec::with_capacity(COMB_DIGITS);
+        for _ in 0..COMB_ROWS {
             // row = [base, 2·base, …, 255·base]
-            let mut row = Vec::with_capacity(255);
+            row.clear();
             row.push(base);
-            for j in 1..255 {
+            for j in 1..COMB_DIGITS {
                 let prev: EdwardsPoint = row[j - 1];
                 row.push(prev.add(base));
             }
-            base = row[254].add(base); // [256^(i+1)]P = [255·256^i]P + [256^i]P
-            rows.push(row);
+            base = row[COMB_DIGITS - 1].add(base); // [256^(i+1)]P
+            push_normalized(&row, &mut entries);
         }
-        CombTable { rows }
+        CombTable { entries }
     }
 
     /// Fixed-base multiplication `[n]P` (additions only).
     pub fn mul(&self, n: U256) -> EdwardsPoint {
         let mut acc = EdwardsPoint::identity();
-        for (row, byte) in self.rows.iter().zip(n.to_le_bytes()) {
+        for (row, byte) in n.to_le_bytes().into_iter().enumerate() {
             if byte != 0 {
-                acc = acc.add(row[byte as usize - 1]);
+                acc = acc.add_niels(&self.entries[row * COMB_DIGITS + byte as usize - 1]);
             }
         }
         acc
     }
+}
+
+/// Appends `points` to `out` in affine Niels form, sharing one field
+/// inversion across them (Montgomery's trick). `Z` is never zero: the
+/// addition law is complete on this curve.
+fn push_normalized(points: &[EdwardsPoint], out: &mut Vec<AffineNiels>) {
+    // z_inv[i] starts as the prefix product z_0 · … · z_{i−1} …
+    let mut z_inv = Vec::with_capacity(points.len());
+    let mut product = FieldElement::ONE;
+    for point in points {
+        z_inv.push(product);
+        product = product.mul(point.z);
+    }
+    // … and walking back, with `inverse` = 1 / (z_0 · … · z_i), becomes
+    // 1 / z_i.
+    let mut inverse = product.invert();
+    for (slot, point) in z_inv.iter_mut().zip(points).rev() {
+        *slot = inverse.mul(*slot);
+        inverse = inverse.mul(point.z);
+    }
+    out.extend(points.iter().zip(z_inv).map(|(point, z_inv)| {
+        let x = point.x.mul(z_inv);
+        let y = point.y.mul(z_inv);
+        AffineNiels {
+            y_plus_x: y.add(x),
+            y_minus_x: y.sub(x),
+            xy2d: x.mul(y).mul(D2),
+        }
+    }));
 }
 
 /// The shared comb table of the standard base point.
@@ -350,6 +420,15 @@ mod tests {
 
     fn b() -> EdwardsPoint {
         EdwardsPoint::basepoint()
+    }
+
+    #[test]
+    fn curve_constants_are_derived_not_trusted() {
+        let d = FieldElement::from_u64(121665)
+            .neg()
+            .mul(FieldElement::from_u64(121666).invert());
+        assert!(D.equals(d));
+        assert!(D2.equals(d.add(d)));
     }
 
     #[test]

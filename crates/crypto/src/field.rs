@@ -1,31 +1,55 @@
 //! Arithmetic in the field GF(2^255 − 19) underlying Curve25519.
 //!
-//! Elements are four little-endian `u64` limbs kept *weakly reduced*
-//! (< 2^256); full canonical reduction happens on encode/compare. The
-//! multiplication folds the high 256 bits of the 512-bit product back in
-//! using `2^256 ≡ 38 (mod p)`.
+//! Elements are four little-endian `u64` limbs kept *weakly reduced*:
+//! any value below 2^256 is a valid representative, and every operation
+//! returns one. Nothing here divides:
+//!
+//! * `mul`/`square` fold the high 256 bits of the 512-bit product back
+//!   in with `2^256 ≡ 38 (mod p)`;
+//! * `add` folds a carry out of bit 255 the same way, and `sub`/`neg`
+//!   fold a *borrow*: `a − b + 2^256 ≡ a − b + 38`, so a wrapped
+//!   difference is corrected by subtracting 38 (for `neg` this is the
+//!   biased subtraction `2p − x`, extended to representatives above
+//!   `2p`);
+//! * the canonical residue (`reduce`, `equals`, `is_zero`, `is_odd`,
+//!   encoding) is at most two conditional subtractions of `p`, because
+//!   `2^256 = 2p + 38`;
+//! * `invert` and the `(p−5)/8` power inside `sqrt_ratio` run the fixed
+//!   addition chain of the reference implementations (254 squarings and
+//!   11 multiplications each) instead of generic square-and-multiply.
 //!
 //! The implementation is **not constant-time** — this library is a research
 //! reproduction of a PODC paper, not a production wallet — and is
 //! property-tested against the generic big-integer reference in
-//! [`crate::bigint`].
+//! [`crate::bigint`], which it does not call.
 
-use crate::bigint::{U256, U512};
+use crate::bigint::U256;
+use crate::limbs::{add4, add_small, load_le, mul4, square4, sub4};
 use std::fmt;
-use std::sync::OnceLock;
 
 /// An element of GF(2^255 − 19).
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy)]
 pub struct FieldElement([u64; 4]);
+
+/// `p = 2^255 − 19`.
+const P: [u64; 4] = [
+    0xFFFF_FFFF_FFFF_FFED,
+    u64::MAX,
+    u64::MAX,
+    0x7FFF_FFFF_FFFF_FFFF,
+];
+
+/// `sqrt(−1) = 2^((p−1)/4) mod p`; a test re-derives it.
+const SQRT_MINUS_ONE: FieldElement = FieldElement([
+    0xC4EE_1B27_4A0E_A0B0,
+    0x2F43_1806_AD2F_E478,
+    0x2B4D_0099_3DFB_D7A7,
+    0x2B83_2480_4FC1_DF0B,
+]);
 
 /// The prime modulus `p = 2^255 − 19` as a `U256`.
 pub fn prime() -> U256 {
-    static P: OnceLock<U256> = OnceLock::new();
-    *P.get_or_init(|| {
-        let mut limbs = [u64::MAX; 4];
-        limbs[3] = 0x7FFF_FFFF_FFFF_FFFF;
-        U256(limbs).overflowing_sub(U256::from_u64(18)).0
-    })
+    U256(P)
 }
 
 impl FieldElement {
@@ -39,12 +63,18 @@ impl FieldElement {
         FieldElement([v, 0, 0, 0])
     }
 
+    /// Constructs from four little-endian limbs (any value below 2^256
+    /// is a valid representative).
+    pub(crate) const fn from_limbs(limbs: [u64; 4]) -> FieldElement {
+        FieldElement(limbs)
+    }
+
     /// Constructs from 32 little-endian bytes, reducing modulo `p`.
     ///
     /// Point decompression masks the sign bit before calling this; general
     /// callers may pass any 256-bit value.
     pub fn from_le_bytes(bytes: &[u8; 32]) -> FieldElement {
-        FieldElement(U256::from_le_bytes(bytes).rem(prime()).0)
+        FieldElement(FieldElement(load_le(bytes)).canonical())
     }
 
     /// Canonical 32-byte little-endian encoding (fully reduced).
@@ -54,60 +84,94 @@ impl FieldElement {
 
     /// The canonical residue in `[0, p)`.
     pub fn reduce(self) -> U256 {
-        U256(self.0).rem(prime())
+        U256(self.canonical())
+    }
+
+    /// The limbs of the canonical residue: `2^256 = 2p + 38`, so two
+    /// conditional subtractions of `p` reach `[0, p)`.
+    fn canonical(self) -> [u64; 4] {
+        let mut limbs = self.0;
+        for _ in 0..2 {
+            let (diff, borrow) = sub4(&limbs, &P);
+            if borrow {
+                break;
+            }
+            limbs = diff;
+        }
+        limbs
     }
 
     /// Whether the canonical residue is zero.
     pub fn is_zero(self) -> bool {
-        self.reduce().is_zero()
+        self.canonical() == [0; 4]
     }
 
     /// The low bit of the canonical residue (the "sign" in EdDSA point
     /// compression).
     pub fn is_odd(self) -> bool {
-        self.reduce().bit(0)
+        self.canonical()[0] & 1 == 1
     }
 
     /// Field addition.
+    #[inline]
     pub fn add(self, rhs: FieldElement) -> FieldElement {
-        let (mut sum, mut overflow) = U256(self.0).overflowing_add(U256(rhs.0));
-        while overflow {
-            // 2^256 ≡ 38 (mod p); the second fold cannot overflow again
-            // but the loop keeps the invariant obvious.
-            let (s, o) = sum.overflowing_add(U256::from_u64(38));
-            sum = s;
-            overflow = o;
+        // 2^256 ≡ 38 (mod p): fold the carry back in. The wrapped sum is
+        // at most 2^256 − 2, so a second carry (rare) leaves a value
+        // below 38 and a third cannot happen.
+        let (sum, carry) = add4(&self.0, &rhs.0);
+        let (folded, again) = add_small(&sum, 38 * carry as u64);
+        if again {
+            FieldElement(add_small(&folded, 38).0)
+        } else {
+            FieldElement(folded)
         }
-        FieldElement(sum.0)
     }
 
     /// Field negation.
+    #[inline]
     pub fn neg(self) -> FieldElement {
-        let residue = self.reduce();
-        if residue.is_zero() {
-            FieldElement::ZERO
-        } else {
-            FieldElement(prime().overflowing_sub(residue).0 .0)
-        }
+        FieldElement::ZERO.sub(self)
     }
 
     /// Field subtraction.
+    #[inline]
     pub fn sub(self, rhs: FieldElement) -> FieldElement {
-        self.add(rhs.neg())
+        // The wrapped difference is a − b + 2^256 ≡ a − b + 38: take the
+        // 38 back out. A second borrow (rare) wraps to at least
+        // 2^256 − 38, so a third cannot happen.
+        let (diff, borrow) = sub4(&self.0, &rhs.0);
+        let (folded, again) = sub4(&diff, &[38 * borrow as u64, 0, 0, 0]);
+        if again {
+            FieldElement(sub4(&folded, &[38, 0, 0, 0]).0)
+        } else {
+            FieldElement(folded)
+        }
     }
 
-    /// Field multiplication with fast `2^256 ≡ 38` folding.
+    /// Field multiplication with `2^256 ≡ 38` folding.
+    #[inline]
     pub fn mul(self, rhs: FieldElement) -> FieldElement {
-        let product = U256(self.0).widening_mul(U256(rhs.0));
-        FieldElement(fold_512(product).0)
+        FieldElement(fold_512(&mul4(&self.0, &rhs.0)))
     }
 
-    /// Field squaring.
+    /// Field squaring (10 limb products instead of `mul`'s 16).
+    #[inline]
     pub fn square(self) -> FieldElement {
-        self.mul(self)
+        FieldElement(fold_512(&square4(&self.0)))
     }
 
-    /// Exponentiation by a 256-bit exponent (square-and-multiply).
+    /// `self^(2^k)`: `k` successive squarings.
+    fn square_times(self, k: usize) -> FieldElement {
+        let mut out = self;
+        for _ in 0..k {
+            out = out.square();
+        }
+        out
+    }
+
+    /// Exponentiation by a 256-bit exponent (generic square-and-multiply;
+    /// the reference the addition chains are tested against, not used on
+    /// the sign / verify path).
     pub fn pow(self, exponent: U256) -> FieldElement {
         let mut result = FieldElement::ONE;
         let mut base = self;
@@ -120,12 +184,36 @@ impl FieldElement {
         result
     }
 
-    /// Multiplicative inverse via Fermat: `a^(p−2)`.
+    /// The shared prefix of the two fixed addition chains:
+    /// `(self^(2^250 − 1), self^11)` in 249 squarings and 10
+    /// multiplications.
+    fn pow_2_250_minus_1(self) -> (FieldElement, FieldElement) {
+        let x2 = self.square();
+        let x9 = x2.square_times(2).mul(self);
+        let x11 = x9.mul(x2);
+        let e5 = x11.square().mul(x9); // 2^5 − 1
+        let e10 = e5.square_times(5).mul(e5); // 2^10 − 1
+        let e20 = e10.square_times(10).mul(e10);
+        let e40 = e20.square_times(20).mul(e20);
+        let e50 = e40.square_times(10).mul(e10);
+        let e100 = e50.square_times(50).mul(e50);
+        let e200 = e100.square_times(100).mul(e100);
+        let e250 = e200.square_times(50).mul(e50);
+        (e250, x11)
+    }
+
+    /// Multiplicative inverse via Fermat: `a^(p−2) = a^(2^255 − 21)`.
     ///
     /// Returns zero for zero (no inverse exists).
     pub fn invert(self) -> FieldElement {
-        let exponent = prime().overflowing_sub(U256::from_u64(2)).0;
-        self.pow(exponent)
+        let (e250, x11) = self.pow_2_250_minus_1();
+        e250.square_times(5).mul(x11)
+    }
+
+    /// `self^((p−5)/8) = self^(2^252 − 3)`.
+    fn pow_p58(self) -> FieldElement {
+        let (e250, _) = self.pow_2_250_minus_1();
+        e250.square_times(2).mul(self)
     }
 
     /// `sqrt(u/v)` as used by Ed25519 point decompression
@@ -137,17 +225,12 @@ impl FieldElement {
         // candidate = u * v^3 * (u * v^7)^((p-5)/8)
         let v3 = v.square().mul(v);
         let v7 = v3.square().mul(v);
-        let exponent = {
-            // (p - 5) / 8: p ≡ 5 (mod 8) so this is exact.
-            let (pm5, _) = prime().overflowing_sub(U256::from_u64(5));
-            shr3(pm5)
-        };
-        let candidate = u.mul(v3).mul(u.mul(v7).pow(exponent));
+        let candidate = u.mul(v3).mul(u.mul(v7).pow_p58());
         let check = v.mul(candidate.square());
         if check.equals(u) {
             Some(candidate)
         } else if check.equals(u.neg()) {
-            Some(candidate.mul(sqrt_minus_one()))
+            Some(candidate.mul(SQRT_MINUS_ONE))
         } else {
             None
         }
@@ -155,9 +238,18 @@ impl FieldElement {
 
     /// Canonical equality (compares fully-reduced residues).
     pub fn equals(self, rhs: FieldElement) -> bool {
-        self.reduce() == rhs.reduce()
+        self.canonical() == rhs.canonical()
     }
 }
+
+/// Equality of field elements, not of representatives.
+impl PartialEq for FieldElement {
+    fn eq(&self, other: &Self) -> bool {
+        self.equals(*other)
+    }
+}
+
+impl Eq for FieldElement {}
 
 impl fmt::Debug for FieldElement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -167,62 +259,24 @@ impl fmt::Debug for FieldElement {
 
 /// Folds a 512-bit product into a weakly-reduced 256-bit value using
 /// `2^256 ≡ 38 (mod p)`.
-fn fold_512(product: U512) -> U256 {
-    // low + high * 38; high * 38 < 2^256 * 38 so do it limb-wise.
-    let low = product.low_u256();
-    let high = product.high_u256();
+#[inline(always)]
+fn fold_512(product: &[u64; 8]) -> [u64; 4] {
+    // low + 38·high, limb-wise; the carry out is at most 38.
     let mut out = [0u64; 4];
-    let mut carry: u128 = 0;
+    let mut carry = 0u64;
     for i in 0..4 {
-        let acc = low.0[i] as u128 + (high.0[i] as u128) * 38 + carry;
+        let acc = product[i] as u128 + (product[i + 4] as u128) * 38 + carry as u128;
         out[i] = acc as u64;
-        carry = acc >> 64;
+        carry = (acc >> 64) as u64;
     }
-    // carry < 38; fold again: carry * 2^256 ≡ carry * 38.
-    let mut result = U256(out);
-    while carry != 0 {
-        let (sum, overflow) = result.overflowing_add(U256::from_u64(carry as u64 * 38));
-        result = sum;
-        carry = overflow as u128;
+    // carry·2^256 ≡ carry·38 ≤ 1444; if adding that wraps, what is left
+    // is below 1444 and one more 38 cannot wrap again.
+    let (folded, again) = add_small(&out, carry * 38);
+    if again {
+        add_small(&folded, 38).0
+    } else {
+        folded
     }
-    result
-}
-
-/// `(x) >> 3` for a 256-bit value.
-fn shr3(x: U256) -> U256 {
-    let mut out = [0u64; 4];
-    for i in 0..4 {
-        out[i] = x.0[i] >> 3;
-        if i + 1 < 4 {
-            out[i] |= x.0[i + 1] << 61;
-        }
-    }
-    U256(out)
-}
-
-/// `sqrt(−1) = 2^((p−1)/4) mod p`, derived rather than transcribed.
-pub fn sqrt_minus_one() -> FieldElement {
-    static ROOT: OnceLock<FieldElement> = OnceLock::new();
-    *ROOT.get_or_init(|| {
-        let (pm1, _) = prime().overflowing_sub(U256::ONE);
-        let exponent = {
-            // (p - 1) / 4
-            let half = shr1(pm1);
-            shr1(half)
-        };
-        FieldElement::from_u64(2).pow(exponent)
-    })
-}
-
-fn shr1(x: U256) -> U256 {
-    let mut out = [0u64; 4];
-    for i in 0..4 {
-        out[i] = x.0[i] >> 1;
-        if i + 1 < 4 {
-            out[i] |= x.0[i + 1] << 63;
-        }
-    }
-    U256(out)
 }
 
 #[cfg(test)]
@@ -308,9 +362,11 @@ mod tests {
     }
 
     #[test]
-    fn sqrt_minus_one_squares_to_minus_one() {
-        let i = sqrt_minus_one();
-        assert!(i.square().equals(FieldElement::ONE.neg()));
+    fn sqrt_minus_one_is_derived_not_trusted() {
+        // (p − 1)/4 = 2^253 − 5.
+        let exponent = U256([u64::MAX - 4, u64::MAX, u64::MAX, 0x1FFF_FFFF_FFFF_FFFF]);
+        assert!(fe(2).pow(exponent).equals(SQRT_MINUS_ONE));
+        assert!(SQRT_MINUS_ONE.square().equals(FieldElement::ONE.neg()));
     }
 
     #[test]
@@ -364,5 +420,103 @@ mod tests {
             .rem(prime())
             .mul_mod(U256::from_u64(1000), prime());
         assert_eq!(acc.reduce(), expected);
+    }
+
+    /// Representatives at the edges of the weakly-reduced range
+    /// `[0, 2^256)`: 0, 1, p−1, p, p+1, 2p−1, 2p, 2^256−1.
+    fn edge_representatives() -> Vec<U256> {
+        let p = prime();
+        let two_p = p.overflowing_add(p).0;
+        vec![
+            U256::ZERO,
+            U256::ONE,
+            p.overflowing_sub(U256::ONE).0,
+            p,
+            p.overflowing_add(U256::ONE).0,
+            two_p.overflowing_sub(U256::ONE).0,
+            two_p,
+            U256([u64::MAX; 4]),
+        ]
+    }
+
+    /// Every rewritten kernel against the long-division oracle, on raw
+    /// (unreduced) representatives.
+    fn check_against_oracle(a: U256, b: U256) {
+        let p = prime();
+        let (ra, rb) = (a.rem(p), b.rem(p));
+        let (fa, fb) = (FieldElement(a.0), FieldElement(b.0));
+        assert_eq!(fa.reduce(), ra, "reduce {a:?}");
+        assert_eq!(fa.is_zero(), ra.is_zero(), "is_zero {a:?}");
+        assert_eq!(fa.is_odd(), ra.bit(0), "is_odd {a:?}");
+        assert_eq!(fa.equals(fb), ra == rb, "equals {a:?} {b:?}");
+        assert_eq!(fa == fb, ra == rb, "== {a:?} {b:?}");
+        assert_eq!(FieldElement::from_le_bytes(&a.to_le_bytes()).0, ra.0);
+        assert_eq!(fa.to_le_bytes(), ra.to_le_bytes());
+        assert_eq!(fa.add(fb).reduce(), ra.add_mod(rb, p), "add {a:?} {b:?}");
+        assert_eq!(fa.sub(fb).reduce(), ra.sub_mod(rb, p), "sub {a:?} {b:?}");
+        assert_eq!(fa.neg().reduce(), U256::ZERO.sub_mod(ra, p), "neg {a:?}");
+        assert_eq!(fa.mul(fb).reduce(), ra.mul_mod(rb, p), "mul {a:?} {b:?}");
+        assert_eq!(fa.square().reduce(), ra.mul_mod(ra, p), "square {a:?}");
+    }
+
+    /// The fixed addition chains against generic square-and-multiply.
+    fn check_chains(a: U256, b: U256) {
+        let (fa, fb) = (FieldElement(a.0), FieldElement(b.0));
+        let p_minus_2 = prime().overflowing_sub(U256::from_u64(2)).0;
+        assert!(fa.invert().equals(fa.pow(p_minus_2)), "invert {a:?}");
+        // (p − 5)/8 = 2^252 − 3.
+        let p58 = U256([u64::MAX - 2, u64::MAX, u64::MAX, 0x0FFF_FFFF_FFFF_FFFF]);
+        assert!(fa.pow_p58().equals(fa.pow(p58)), "pow_p58 {a:?}");
+        // sqrt_ratio(a²·b, b) must find ±a; whatever it returns solves
+        // v·x² = u.
+        if !fb.is_zero() {
+            let u = fa.square().mul(fb);
+            let root = FieldElement::sqrt_ratio(u, fb).expect("a²·b / b is a square");
+            assert!(root.equals(fa) || root.equals(fa.neg()), "sqrt_ratio {a:?}");
+        }
+        if let Some(root) = FieldElement::sqrt_ratio(fa, fb) {
+            assert!(fb.mul(root.square()).equals(fa));
+        }
+    }
+
+    #[test]
+    fn kernels_match_oracle_on_edge_representatives() {
+        for a in edge_representatives() {
+            for b in edge_representatives() {
+                check_against_oracle(a, b);
+            }
+        }
+    }
+
+    #[test]
+    fn chains_match_generic_pow_on_edge_representatives() {
+        let edges = edge_representatives();
+        for (i, &a) in edges.iter().enumerate() {
+            check_chains(a, edges[(i + 3) % edges.len()]);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn kernels_match_oracle(
+            a in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+            b in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+        ) {
+            check_against_oracle(U256(a), U256(b));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        #[test]
+        fn chains_match_generic_pow(
+            a in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+            b in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+        ) {
+            check_chains(U256(a), U256(b));
+        }
     }
 }

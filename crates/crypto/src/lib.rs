@@ -8,10 +8,12 @@
 //!
 //! * [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4), round constants *derived*
 //!   from integer square/cube roots of primes rather than transcribed;
-//! * [`bigint`] — fixed-width 256/512-bit integers backing scalar
-//!   arithmetic, constant derivation, and reference tests;
-//! * [`field`] — GF(2^255 − 19) arithmetic;
-//! * [`edwards`] — the edwards25519 group in extended coordinates;
+//! * [`bigint`] — fixed-width 256/512-bit integers: the long-division
+//!   reference the kernels are tested against, and constant derivation;
+//! * [`field`] — GF(2^255 − 19) arithmetic, division-free;
+//! * [`scalar`] — arithmetic modulo the group order ℓ, division-free;
+//! * [`edwards`] — the edwards25519 group in extended coordinates, with
+//!   precomputed comb tables for long-lived points;
 //! * [`keys`] — Ed25519 (RFC 8032) key pairs, signing, verification, and
 //!   the deterministic per-process [`KeyStore`].
 //!
@@ -19,9 +21,10 @@
 //!
 //! This is a research reproduction: the arithmetic is **variable-time**
 //! and the API favours clarity over side-channel resistance. Correctness
-//! is established by standard test vectors (SHA-2, RFC 8032 TEST 1),
-//! algebraic laws (`[ℓ]B = 𝟘`), and property tests against the big-integer
-//! reference implementation.
+//! is established by standard test vectors (SHA-2; RFC 8032 §7.1 TEST 1,
+//! 2, 3 and 1024 from seed to signature), a pinned accept/reject table
+//! for malformed inputs, algebraic laws (`[ℓ]B = 𝟘`), and property tests
+//! of every kernel against the big-integer reference implementation.
 //!
 //! # Example
 //!
@@ -47,6 +50,7 @@ pub mod bigint;
 pub mod edwards;
 pub mod field;
 pub mod keys;
+mod limbs;
 pub mod scalar;
 pub mod sha2;
 

@@ -1,60 +1,62 @@
 //! Arithmetic modulo the Ed25519 group order
 //! `ℓ = 2^252 + 27742317777372353535851937790883648493`.
 //!
-//! Scalars are canonical residues in `[0, ℓ)`. Wide (512-bit) inputs — the
-//! SHA-512 outputs of the EdDSA construction — are reduced with the generic
-//! big-integer machinery; this is cold-path arithmetic (a handful of
-//! reductions per signature), so clarity wins over speed.
+//! Scalars are canonical residues in `[0, ℓ)`, four little-endian `u64`
+//! limbs. Every signature reduces two SHA-512 outputs and multiplies two
+//! scalars, and every verification reduces one, so wide values are
+//! reduced without division: with `c = ℓ − 2^252` (125 bits),
+//! `2^252 ≡ −c (mod ℓ)`, hence `lo + 2^252·hi ≡ lo − c·hi`. Folding the
+//! part above bit 252 this way shrinks a 512-bit input to 385, 258 and
+//! 131 bits, and the low parts — each below `2^252 < ℓ`, so already
+//! canonical — are combined with alternating sign. The generic
+//! long division in [`crate::bigint`] is the oracle the tests compare
+//! against, not something this module calls.
 
-use crate::bigint::{U256, U512};
+use crate::bigint::U256;
+use crate::limbs::{add4, ge4, load_le, mul4, sub4};
 use std::fmt;
-use std::sync::OnceLock;
+
+/// `ℓ`: the low 125 bits `27742317777372353535851937790883648493 =
+/// 0x14DEF9DEA2F79CD6_5812631A5CF5D3ED`, plus `2^252`.
+const L: [u64; 4] = [0x5812_631A_5CF5_D3ED, 0x14DE_F9DE_A2F7_9CD6, 0, 1 << 60];
 
 /// The group order `ℓ`.
 pub fn order() -> U256 {
-    static L: OnceLock<U256> = OnceLock::new();
-    *L.get_or_init(|| {
-        // ℓ = 2^252 + 27742317777372353535851937790883648493.
-        // The additive constant is 125 bits; assemble it from two u64 halves:
-        // 27742317777372353535851937790883648493 = 0x14DEF9DEA2F79CD6_5812631A5CF5D3ED.
-        let mut limbs = [0u64; 4];
-        limbs[0] = 0x5812_631A_5CF5_D3ED;
-        limbs[1] = 0x14DE_F9DE_A2F7_9CD6;
-        limbs[3] = 1u64 << 60; // 2^252
-        U256(limbs)
-    })
+    U256(L)
 }
 
 /// A scalar modulo `ℓ`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Scalar(U256);
+pub struct Scalar([u64; 4]);
 
 impl Scalar {
     /// The scalar zero.
-    pub const ZERO: Scalar = Scalar(U256([0; 4]));
+    pub const ZERO: Scalar = Scalar([0; 4]);
     /// The scalar one.
-    pub const ONE: Scalar = Scalar(U256([1, 0, 0, 0]));
+    pub const ONE: Scalar = Scalar([1, 0, 0, 0]);
 
     /// Constructs from a small integer.
     pub fn from_u64(v: u64) -> Scalar {
-        Scalar(U256::from_u64(v).rem(order()))
+        Scalar([v, 0, 0, 0])
     }
 
     /// Reduces 32 little-endian bytes modulo `ℓ`.
     pub fn from_le_bytes_reduced(bytes: &[u8; 32]) -> Scalar {
-        Scalar(U256::from_le_bytes(bytes).rem(order()))
+        let mut wide = [0u8; 64];
+        wide[..32].copy_from_slice(bytes);
+        Scalar::from_wide_bytes(&wide)
     }
 
     /// Parses 32 little-endian bytes, rejecting non-canonical values
     /// (`≥ ℓ`), as RFC 8032 verification requires for `S`.
     pub fn from_canonical_bytes(bytes: &[u8; 32]) -> Option<Scalar> {
         let value = U256::from_le_bytes(bytes);
-        (value < order()).then_some(Scalar(value))
+        (value < order()).then_some(Scalar(value.0))
     }
 
     /// Reduces 64 little-endian bytes (a SHA-512 output) modulo `ℓ`.
     pub fn from_wide_bytes(bytes: &[u8; 64]) -> Scalar {
-        Scalar(U512::from_le_bytes(bytes).rem(order()))
+        reduce_wide(load_le(bytes))
     }
 
     /// The "clamped" secret scalar of RFC 8032 §5.1.5: clears the low 3
@@ -72,32 +74,43 @@ impl Scalar {
 
     /// Canonical 32-byte little-endian encoding.
     pub fn to_le_bytes(self) -> [u8; 32] {
-        self.0.to_le_bytes()
+        U256(self.0).to_le_bytes()
     }
 
     /// The canonical residue as a 256-bit integer.
     pub fn to_u256(self) -> U256 {
-        self.0
+        U256(self.0)
     }
 
     /// Whether the scalar is zero.
     pub fn is_zero(self) -> bool {
-        self.0.is_zero()
+        self.0 == [0; 4]
     }
 
     /// Scalar addition mod ℓ.
     pub fn add(self, rhs: Scalar) -> Scalar {
-        Scalar(self.0.add_mod(rhs.0, order()))
+        // Both operands are below ℓ < 2^253: no carry, one subtraction.
+        let (sum, _) = add4(&self.0, &rhs.0);
+        if ge4(&sum, &L) {
+            Scalar(sub4(&sum, &L).0)
+        } else {
+            Scalar(sum)
+        }
     }
 
     /// Scalar subtraction mod ℓ.
     pub fn sub(self, rhs: Scalar) -> Scalar {
-        Scalar(self.0.sub_mod(rhs.0, order()))
+        let (diff, borrow) = sub4(&self.0, &rhs.0);
+        if borrow {
+            Scalar(add4(&diff, &L).0)
+        } else {
+            Scalar(diff)
+        }
     }
 
     /// Scalar multiplication mod ℓ.
     pub fn mul(self, rhs: Scalar) -> Scalar {
-        Scalar(self.0.mul_mod(rhs.0, order()))
+        reduce_wide(mul4(&self.0, &rhs.0))
     }
 
     /// Scalar negation mod ℓ.
@@ -106,9 +119,65 @@ impl Scalar {
     }
 }
 
+/// Reduces a 512-bit integer modulo `ℓ` by folding at bit 252 (see the
+/// module header): at most four rounds, each one multiplication by the
+/// two-limb constant `c`.
+fn reduce_wide(wide: [u64; 8]) -> Scalar {
+    let mut acc = Scalar(low_252(&wide));
+    let mut rest = wide;
+    let mut subtract = true;
+    loop {
+        let high = shr_252(&rest);
+        if high == [0; 8] {
+            return acc;
+        }
+        rest = mul_c(&high);
+        let term = Scalar(low_252(&rest));
+        acc = if subtract {
+            acc.sub(term)
+        } else {
+            acc.add(term)
+        };
+        subtract = !subtract;
+    }
+}
+
+/// The low 252 bits of `x`.
+fn low_252(x: &[u64; 8]) -> [u64; 4] {
+    [x[0], x[1], x[2], x[3] & ((1 << 60) - 1)]
+}
+
+/// `x >> 252`.
+fn shr_252(x: &[u64; 8]) -> [u64; 8] {
+    let mut out = [0u64; 8];
+    for i in 0..5 {
+        out[i] = x[i + 3] >> 60;
+        if i + 4 < 8 {
+            out[i] |= x[i + 4] << 4;
+        }
+    }
+    out
+}
+
+/// `x · c` for `c = ℓ − 2^252`; `x` is a shifted-down high part (below
+/// 2^260), so the product stays below 2^385 and fits.
+fn mul_c(x: &[u64; 8]) -> [u64; 8] {
+    let mut out = [0u64; 8];
+    for (j, &c) in L[..2].iter().enumerate() {
+        let mut carry = 0u64;
+        for i in 0..(8 - j) {
+            let acc = out[i + j] as u128 + (x[i] as u128) * (c as u128) + carry as u128;
+            out[i + j] = acc as u64;
+            carry = (acc >> 64) as u64;
+        }
+        debug_assert_eq!(carry, 0, "high part above 2^260");
+    }
+    out
+}
+
 impl fmt::Debug for Scalar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Scalar({:?})", self.0)
+        write!(f, "Scalar({:?})", self.to_u256())
     }
 }
 
@@ -219,5 +288,72 @@ mod tests {
             base = base.mul(base);
         }
         assert_eq!(result, Scalar::ONE);
+    }
+
+    fn wide_bytes(limbs: [u64; 8]) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        for (chunk, limb) in out.chunks_exact_mut(8).zip(limbs) {
+            chunk.copy_from_slice(&limb.to_le_bytes());
+        }
+        out
+    }
+
+    /// Every rewritten kernel against the long-division oracle.
+    fn check_against_oracle(wide: [u64; 8]) {
+        use crate::bigint::U512;
+        let l = order();
+        let want = U512(wide).rem(l);
+        assert_eq!(
+            Scalar::from_wide_bytes(&wide_bytes(wide)).to_u256(),
+            want,
+            "from_wide_bytes {wide:?}"
+        );
+        let a = U256([wide[0], wide[1], wide[2], wide[3]]);
+        let b = U256([wide[4], wide[5], wide[6], wide[7]]);
+        let sa = Scalar::from_le_bytes_reduced(&a.to_le_bytes());
+        let sb = Scalar::from_le_bytes_reduced(&b.to_le_bytes());
+        let (ra, rb) = (a.rem(l), b.rem(l));
+        assert_eq!(sa.to_u256(), ra, "from_le_bytes_reduced {a:?}");
+        assert_eq!(sa.mul(sb).to_u256(), ra.mul_mod(rb, l), "mul {a:?} {b:?}");
+        assert_eq!(sa.add(sb).to_u256(), ra.add_mod(rb, l), "add {a:?} {b:?}");
+        assert_eq!(sa.sub(sb).to_u256(), ra.sub_mod(rb, l), "sub {a:?} {b:?}");
+        assert_eq!(sa.neg().to_u256(), U256::ZERO.sub_mod(ra, l), "neg {a:?}");
+    }
+
+    #[test]
+    fn kernels_match_oracle_on_edge_inputs() {
+        let l = order();
+        let halves = [
+            U256::ZERO,
+            U256::ONE,
+            l.overflowing_sub(U256::ONE).0,
+            l,
+            l.overflowing_add(U256::ONE).0,
+            U256([0, 0, 0, 1 << 60]), // 2^252
+            U256([u64::MAX; 4]),
+        ];
+        for lo in halves {
+            for hi in halves {
+                let mut wide = [0u64; 8];
+                wide[..4].copy_from_slice(&lo.0);
+                wide[4..].copy_from_slice(&hi.0);
+                check_against_oracle(wide);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn kernels_match_oracle(
+            lo in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+            hi in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+        ) {
+            let mut wide = [0u64; 8];
+            wide[..4].copy_from_slice(&lo);
+            wide[4..].copy_from_slice(&hi);
+            check_against_oracle(wide);
+        }
     }
 }

@@ -278,8 +278,7 @@ fn tampered_echo_quorum_certificates_are_rejected() {
     );
 }
 
-/// Batched certificate verification under attack: the random-linear-
-/// combination check fails closed, and the serial fallback attributes
+/// Certificate verification under attack: `verify_batch` attributes
 /// the exact tampered shares — so a certificate carrying a genuine
 /// quorum *plus* corrupt padding still delivers (the attack gains
 /// nothing), while tampering that eats into the quorum is rejected.
