@@ -53,11 +53,13 @@
 #![warn(missing_docs)]
 
 pub mod config;
+pub mod inbox;
 pub mod sim;
 pub mod time;
 pub mod transport;
 
 pub use config::{LatencyModel, NetConfig};
+pub use inbox::{Inbox, Waker};
 pub use sim::{
     Actor, Context, ContextOutputs, EntryKind, LinkFault, PendingEntry, SimStats, Simulation,
 };

@@ -33,6 +33,7 @@
 //! tests and a TCP transport with per-peer reader/writer threads,
 //! reconnect, and bounded outboxes.
 
+use crate::inbox::Waker;
 use at_model::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,8 +147,17 @@ pub trait Transport: Send {
     /// frame and count it in [`Transport::dropped_frames`].
     fn send(&mut self, to: ProcessId, payload: Vec<u8>);
 
-    /// Waits up to `timeout` for the next frame.
+    /// Waits up to `timeout` for the next frame (`Duration::MAX` waits
+    /// without a deadline). [`RecvOutcome::TimedOut`] may come early:
+    /// at once when [`Transport::waker`]'s handle was used since the
+    /// previous return, and whenever the transport has housekeeping of
+    /// its own due (the next call performs it) — consumers loop.
     fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome;
+
+    /// A handle other threads use to interrupt this endpoint's
+    /// `recv_timeout` — how a consumer with more inputs than peer
+    /// frames blocks in one place (see [`crate::inbox`]).
+    fn waker(&self) -> Waker;
 
     /// Frames dropped by this endpoint because buffering capacity was
     /// exhausted (0 in the reliable regime).

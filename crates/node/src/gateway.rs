@@ -158,12 +158,13 @@ impl ClientGateway {
 
     /// Starts serving: accepts client connections, registers their
     /// response channels in `registry`, and forwards requests through
-    /// `deliver`.
+    /// `deliver` — called with everything one socket read held, which
+    /// it takes (leaving the vector empty).
     pub(crate) fn run(
         self,
         conn_counter: Arc<AtomicU64>,
         registry: Arc<Mutex<HashMap<u64, Sender<ClientDelivery>>>>,
-        deliver: impl Fn(GatewayEvent) + Send + Clone + 'static,
+        deliver: impl Fn(&mut Vec<GatewayEvent>) + Send + Clone + 'static,
     ) -> GatewayStop {
         let flag = Arc::new(AtomicBool::new(false));
         let addr = self
@@ -219,7 +220,7 @@ impl ClientGateway {
                         .name("at-node-client-reader".into())
                         .spawn(move || {
                             client_reader(stream, conn, &deliver, &reader_flag);
-                            deliver(GatewayEvent::Gone { conn });
+                            deliver(&mut vec![GatewayEvent::Gone { conn }]);
                         });
                 }
             })
@@ -233,7 +234,7 @@ impl ClientGateway {
 fn client_reader(
     stream: TcpStream,
     conn: u64,
-    deliver: &impl Fn(GatewayEvent),
+    deliver: &impl Fn(&mut Vec<GatewayEvent>),
     shutdown: &AtomicBool,
 ) {
     if stream.set_nodelay(true).is_err()
@@ -246,32 +247,36 @@ fn client_reader(
     let mut buffer = FrameBuffer::new();
     let mut chunk = [0u8; crate::wire::READ_CHUNK];
     let mut greeted = false;
+    // Everything the last read held goes to the node loop in one
+    // delivery (one wake-up), so a pipelined burst reaches the batcher
+    // whole.
+    let mut events = Vec::new();
     loop {
-        loop {
-            match buffer.next_frame() {
-                Ok(Some(Frame::HelloClient)) if !greeted => greeted = true,
-                Ok(Some(Frame::Request(request))) if greeted => {
-                    deliver(GatewayEvent::Request {
-                        conn,
-                        request,
-                        received: Instant::now(),
-                    });
+        let healthy = loop {
+            events.push(match buffer.next_frame() {
+                Ok(Some(Frame::HelloClient)) if !greeted => {
+                    greeted = true;
+                    continue;
                 }
-                Ok(Some(Frame::StatsRequest { id })) if greeted => {
-                    deliver(GatewayEvent::Stats { conn, id });
-                }
-                Ok(Some(Frame::TraceRequest { id })) if greeted => {
-                    deliver(GatewayEvent::Trace { conn, id });
-                }
+                Ok(Some(Frame::Request(request))) if greeted => GatewayEvent::Request {
+                    conn,
+                    request,
+                    received: Instant::now(),
+                },
+                Ok(Some(Frame::StatsRequest { id })) if greeted => GatewayEvent::Stats { conn, id },
+                Ok(Some(Frame::TraceRequest { id })) if greeted => GatewayEvent::Trace { conn, id },
                 Ok(Some(Frame::SnapshotRequest { id, offset })) if greeted => {
-                    deliver(GatewayEvent::Snapshot { conn, id, offset });
+                    GatewayEvent::Snapshot { conn, id, offset }
                 }
-                Ok(Some(_)) => return, // protocol violation
-                Ok(None) => break,
-                Err(_) => return, // malformed stream
-            }
+                Ok(None) => break true,
+                // Protocol violation or malformed stream.
+                Ok(Some(_)) | Err(_) => break false,
+            });
+        };
+        if !events.is_empty() {
+            deliver(&mut events);
         }
-        if shutdown.load(Ordering::Relaxed) {
+        if !healthy || shutdown.load(Ordering::Relaxed) {
             return;
         }
         match (&stream).read(&mut chunk) {

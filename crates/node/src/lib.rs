@@ -17,8 +17,8 @@
 //!   dedup — the reliable channel the protocols assume;
 //! * [`node`] — the [`Node`] event loop: drains transport frames,
 //!   client requests, and wall-clock batch timers into the replica
-//!   through a detached [`at_net::Context`], with frame decoding
-//!   sharded across worker threads by source process;
+//!   through a detached [`at_net::Context`], blocking in one place
+//!   until the next frame, command or deadline (nothing is polled);
 //! * [`gateway`] / [`client`] — the client side: a per-node TCP
 //!   gateway, and a pipelining [`Client`] library with
 //!   acknowledgement tracking;

@@ -22,11 +22,20 @@
 //! [`Transport::dropped_frames`] stays `0` across heal-and-drain — which
 //! is exactly what lets the chaos validators require convergence
 //! afterwards.
+//!
+//! Parked frames are released by the sending endpoint's own
+//! `send`/`recv_timeout` calls, so while any are parked
+//! [`Transport::recv_timeout`] bounds its wait by the earliest release
+//! (a partitioned line, which heals without notice, is re-checked on
+//! the TCP dialer's reconnect cadence) and returns `TimedOut` early;
+//! the caller's next call delivers what came due.
 
+use crate::tcp::TcpOptions;
 use at_model::ProcessId;
 use at_net::transport::{FaultInjector, InboundFrame, RecvOutcome, Transport, TransportStats};
+use at_net::{Inbox, Waker};
 use std::collections::VecDeque;
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long a full inbox applies backpressure before the frame is
@@ -53,9 +62,8 @@ enum Release {
 /// One endpoint of an in-process mesh (see [`channel_mesh`]).
 pub struct ChannelMesh {
     me: ProcessId,
-    /// Senders into every endpoint's inbox, indexed by process.
-    peers: Vec<SyncSender<InboundFrame>>,
-    inbox: Receiver<InboundFrame>,
+    /// Every endpoint's inbox, indexed by process (ours included).
+    peers: Vec<Arc<Inbox>>,
     faults: Option<FaultInjector>,
     /// Parked frames per destination, per-link FIFO (front releases
     /// first; later frames wait behind it).
@@ -81,20 +89,11 @@ pub fn channel_mesh_faulty(n: usize, capacity: usize, faults: FaultInjector) -> 
 fn mesh_with(n: usize, capacity: usize, faults: Option<FaultInjector>) -> Vec<ChannelMesh> {
     assert!(n >= 1, "at least one endpoint");
     assert!(capacity >= 1, "capacity must be positive");
-    let mut senders = Vec::with_capacity(n);
-    let mut inboxes = Vec::with_capacity(n);
-    for _ in 0..n {
-        let (tx, rx) = sync_channel(capacity);
-        senders.push(tx);
-        inboxes.push(rx);
-    }
-    inboxes
-        .into_iter()
-        .enumerate()
-        .map(|(i, inbox)| ChannelMesh {
+    let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Arc::new(Inbox::new(capacity))).collect();
+    (0..n)
+        .map(|i| ChannelMesh {
             me: ProcessId::new(i as u32),
-            peers: senders.clone(),
-            inbox,
+            peers: inboxes.clone(),
             faults: faults.clone(),
             limbo: (0..n).map(|_| VecDeque::new()).collect(),
             dropped: 0,
@@ -105,54 +104,61 @@ fn mesh_with(n: usize, capacity: usize, faults: Option<FaultInjector>) -> Vec<Ch
 }
 
 impl ChannelMesh {
-    /// Pushes one frame into `to`'s inbox with bounded backpressure
-    /// (std's SyncSender has no send_timeout): retry a non-blocking send
-    /// until the deadline, then drop and count — never block the node
-    /// loop unboundedly.
-    fn transmit(&mut self, to: ProcessId, mut frame: InboundFrame) {
-        let deadline = Instant::now() + BACKPRESSURE_TIMEOUT;
-        loop {
-            match self.peers[to.as_usize()].try_send(frame) {
-                Ok(()) => return,
-                Err(TrySendError::Full(back)) => {
-                    if Instant::now() >= deadline {
-                        self.dropped += 1;
-                        return;
-                    }
-                    frame = back;
-                    std::thread::sleep(Duration::from_micros(200));
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    self.dropped += 1;
-                    return;
-                }
-            }
+    fn inbox(&self) -> &Arc<Inbox> {
+        &self.peers[self.me.as_usize()]
+    }
+
+    /// Pushes one frame into `to`'s inbox with bounded backpressure:
+    /// park on a full inbox until its consumer makes room, up to the
+    /// deadline, then drop and count — never block the node loop
+    /// unboundedly. A closed (shut down or dropped) endpoint counts the
+    /// frame as dropped at once.
+    fn transmit(&mut self, to: ProcessId, frame: InboundFrame) {
+        if !self.peers[to.as_usize()].push(frame, BACKPRESSURE_TIMEOUT) {
+            self.dropped += 1;
         }
     }
 
     /// Releases every parked frame whose condition has passed, in
-    /// per-link FIFO order (a still-parked front keeps the line waiting).
-    fn pump_limbo(&mut self) {
-        let Some(faults) = self.faults.clone() else {
-            return;
-        };
+    /// per-link FIFO order (a still-parked front keeps the line
+    /// waiting), and returns when to look again: the earliest deadline
+    /// at the head of a line, or — for a partitioned line, which heals
+    /// without notice — the TCP dialer's reconnect cadence from now.
+    /// `None` while nothing is parked.
+    fn pump_limbo(&mut self) -> Option<Instant> {
+        let faults = self.faults.clone()?;
         let now = Instant::now();
+        let heal_check = now + TcpOptions::default().reconnect_delay;
+        let mut next: Option<Instant> = None;
         for to in 0..self.limbo.len() {
+            if self.limbo[to].is_empty() {
+                continue;
+            }
             let to_id = ProcessId::new(to as u32);
             let blocked = faults.link(self.me, to_id).blocked;
             while let Some((release, _)) = self.limbo[to].front() {
-                let ready = !blocked
-                    && match release {
-                        Release::AtHeal => true,
-                        Release::At(at) => *at <= now,
-                    };
-                if !ready {
+                let due = match release {
+                    _ if blocked => heal_check,
+                    Release::AtHeal => now,
+                    Release::At(at) => *at,
+                };
+                if due > now {
+                    next = Some(next.map_or(due, |at| at.min(due)));
                     break;
                 }
                 let (_, frame) = self.limbo[to].pop_front().expect("peeked");
                 self.transmit(to_id, frame);
             }
         }
+        next
+    }
+}
+
+impl Drop for ChannelMesh {
+    fn drop(&mut self) {
+        // Peers sending to a dead endpoint count the frame as dropped
+        // instead of filling an inbox nobody drains.
+        self.inbox().close();
     }
 }
 
@@ -221,17 +227,19 @@ impl Transport for ChannelMesh {
         if self.closed {
             return RecvOutcome::Closed;
         }
-        self.pump_limbo();
-        match self.inbox.recv_timeout(timeout) {
-            Ok(frame) => {
-                self.stats.note_recv(frame.payload.len());
-                RecvOutcome::Frame(frame)
-            }
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
-            // All senders gone (every peer endpoint dropped, including
-            // our own clone): nothing can ever arrive again.
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
+        let timeout = match self.pump_limbo() {
+            Some(at) => timeout.min(at.saturating_duration_since(Instant::now())),
+            None => timeout,
+        };
+        let outcome = self.inbox().recv_timeout(timeout);
+        if let RecvOutcome::Frame(frame) = &outcome {
+            self.stats.note_recv(frame.payload.len());
         }
+        outcome
+    }
+
+    fn waker(&self) -> Waker {
+        Waker::new(Arc::clone(self.inbox()))
     }
 
     fn dropped_frames(&self) -> u64 {
@@ -255,6 +263,7 @@ impl Transport for ChannelMesh {
             queue.clear();
         }
         self.closed = true;
+        self.inbox().close();
     }
 }
 
@@ -445,6 +454,80 @@ mod tests {
             }
         }
         assert_eq!(got, vec![vec![1], vec![2]]);
+        assert_eq!(a.dropped_frames(), 0);
+    }
+
+    #[test]
+    fn full_inbox_backpressure_releases_on_wakeup_not_on_a_sleep_quantum() {
+        // A one-slot inbox parks the sender on every frame. A sender
+        // that retried on a 200µs sleep would put a floor of frames ×
+        // 200µs on this drain (≥ 200ms for 1000 frames); released by
+        // the pop itself, the whole run finishes far under that floor.
+        let mut mesh = channel_mesh(2, 1);
+        let mut b = mesh.pop().unwrap();
+        let mut a = mesh.pop().unwrap();
+        let started = Instant::now();
+        let sender = std::thread::spawn(move || {
+            for i in 0..1000u32 {
+                a.send(p(1), i.to_le_bytes().to_vec());
+            }
+            a
+        });
+        for expected in 0..1000u32 {
+            match b.recv_timeout(Duration::from_secs(10)) {
+                RecvOutcome::Frame(frame) => assert_eq!(frame.payload, expected.to_le_bytes()),
+                other => panic!("unexpected outcome: {other:?}"),
+            }
+        }
+        let elapsed = started.elapsed();
+        let a = sender.join().unwrap();
+        assert!(
+            elapsed < Duration::from_millis(150),
+            "draining 1000 frames through a 1-slot inbox took {elapsed:?}; \
+             backpressure is waiting on a sleep quantum again"
+        );
+        assert_eq!(a.dropped_frames(), 0);
+    }
+
+    #[test]
+    fn a_parked_frame_bounds_the_senders_own_wait() {
+        let faults = FaultInjector::new(6);
+        let mut mesh = channel_mesh_faulty(2, 16, faults.clone());
+        let mut b = mesh.pop().unwrap();
+        let mut a = mesh.pop().unwrap();
+        let delay = Duration::from_millis(30);
+        faults.set_link(
+            p(0),
+            p(1),
+            LinkProfile {
+                delay_us: delay.as_micros() as u32,
+                ..LinkProfile::default()
+            },
+        );
+        a.send(p(1), vec![1]);
+        // Nothing will ever arrive for `a`, and nobody wakes it: only
+        // the parked frame's deadline can end this wait.
+        let started = Instant::now();
+        assert_eq!(a.recv_timeout(Duration::MAX), RecvOutcome::TimedOut);
+        assert!(started.elapsed() >= delay - Duration::from_millis(1));
+        // The next call delivers what came due.
+        assert_eq!(a.recv_timeout(Duration::ZERO), RecvOutcome::TimedOut);
+        assert!(a.is_flushed());
+        match b.recv_timeout(Duration::from_secs(1)) {
+            RecvOutcome::Frame(frame) => assert_eq!(frame.payload, vec![1]),
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+        // A partitioned line heals without notice: it is re-checked on
+        // a cadence instead of waited on forever.
+        faults.set_blocked(p(0), p(1), true);
+        a.send(p(1), vec![2]);
+        assert_eq!(a.recv_timeout(Duration::MAX), RecvOutcome::TimedOut);
+        faults.heal_all();
+        assert_eq!(a.recv_timeout(Duration::ZERO), RecvOutcome::TimedOut);
+        match b.recv_timeout(Duration::from_secs(1)) {
+            RecvOutcome::Frame(frame) => assert_eq!(frame.payload, vec![2]),
+            other => panic!("unexpected outcome: {other:?}"),
+        }
         assert_eq!(a.dropped_frames(), 0);
     }
 

@@ -12,18 +12,30 @@
 //! timers join a real timer heap, and engine events update counters and
 //! resolve client acknowledgements.
 //!
-//! # Sharded parallel validation
+//! # One thread, one place to block
 //!
-//! Untrusted peer frames are decoded (and, under `EdAuth` backends,
-//! their signatures later verified) before they touch replica state.
-//! That per-frame validation work is the parallel part of the runtime:
-//! [`NodeConfig::decode_workers`] worker threads decode frames
-//! concurrently, sharded by source process so the per-source FIFO order
-//! the broadcast contract requires is preserved (frames from one source
-//! always traverse the same worker; cross-source reordering is harmless
-//! and already happens under the simulator's jitter). The replica
-//! itself stays single-threaded — the protocols are sequential state
-//! machines — so the loop thread is the only place replica state lives.
+//! The replica is a sequential state machine, so the loop thread is the
+//! only place replica state lives, and everything that touches it —
+//! frame decode (a fraction of a microsecond per frame), the protocol
+//! step, signature checks under `EdAuth` backends — runs there, inline.
+//! The loop blocks in exactly one place, the transport's
+//! [`Transport::recv_timeout`], until its next real deadline: the
+//! earliest armed timer (the batch window), a prune that is due, or —
+//! while stopping — the drain window and the grace deadline. With none
+//! of those it blocks without a timeout. Peer frames end the wait by
+//! arriving; every other input (a client request from the gateway, a
+//! [`NodeHandle`] or [`LocalClient`] call) goes through one sender type
+//! that queues the command and then calls the transport's
+//! [`at_net::Waker`], so the wait returns at once and the loop drains
+//! its command queue. Nothing is polled: an idle node makes no timed
+//! wake-ups, and a peer frame at low load costs four thread wake-ups
+//! cluster-wide (the sender's writer, the receiver's reader, the
+//! receiver's loop, the sender's ack reader).
+//!
+//! Two at-obs counters make that a reading instead of an argument:
+//! `node_loop_wakeups_total` counts every return from the blocking
+//! wait, `node_loop_idle_wakeups_total` those that found no frame, no
+//! command and no due deadline (expected ≈ 0 outside a stop's drain).
 
 use crate::gateway::{ClientDelivery, ClientGateway, GatewayEvent, GatewayStop};
 use crate::probe::EventProbe;
@@ -35,13 +47,13 @@ use at_engine::{EngineConfig, ShardedReplica};
 use at_model::codec::{Decode, Encode};
 use at_model::{Amount, ProcessId};
 use at_net::transport::{RecvOutcome, Transport};
-use at_net::{Actor, Context, VirtualTime};
+use at_net::{Actor, Context, VirtualTime, Waker};
 use at_obs::{
     Recorder, Registry, Snapshot, Stage, TraceConfig, TraceCtx, TraceEventKind, TraceLog, Tracer,
 };
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, SendError, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -54,34 +66,28 @@ pub struct NodeConfig {
     pub engine: EngineConfig,
     /// Initial balance of every account.
     pub initial: Amount,
-    /// Frame-decode worker threads (0 decodes inline on the loop
-    /// thread).
-    pub decode_workers: usize,
-    /// Event-loop wakeup granularity when idle.
-    pub tick: Duration,
     /// How long [`NodeHandle::stop`] keeps draining and flushing before
     /// tearing the transport down.
     pub stop_grace: Duration,
     /// Causal tracing plane, when enabled. `None` (the default) builds
     /// no tracer at all, so the hot path pays nothing.
     pub trace: Option<TraceConfig>,
-    /// How often the loop prunes replica state behind the stability
-    /// frontier ([`ShardedReplica::prune_through`]) — the log-truncation
-    /// cadence that keeps steady-state memory flat. `Duration::MAX`
-    /// disables pruning (history grows without bound, the pre-snapshot
-    /// behavior).
+    /// How long after a peer message the loop prunes replica state
+    /// behind the stability frontier ([`ShardedReplica::prune_through`])
+    /// — under traffic, the log-truncation cadence that keeps
+    /// steady-state memory flat; without traffic the frontier cannot
+    /// move and no prune is scheduled. `Duration::MAX` disables pruning
+    /// (history grows without bound, the pre-snapshot behavior).
     pub prune_interval: Duration,
 }
 
 impl NodeConfig {
-    /// A configuration with the given engine shape and initial balance,
-    /// default runtime knobs.
+    /// A configuration with the given engine shape and initial balance:
+    /// 3 s stop grace, no tracing, pruning 1 s after traffic.
     pub fn new(engine: EngineConfig, initial: Amount) -> Self {
         NodeConfig {
             engine,
             initial,
-            decode_workers: 2,
-            tick: Duration::from_micros(200),
             stop_grace: Duration::from_secs(3),
             trace: None,
             prune_interval: Duration::from_secs(1),
@@ -173,11 +179,52 @@ enum Command {
     Stop,
 }
 
+/// The only way a [`Command`] reaches the loop: queue it, then
+/// interrupt the loop's one blocking wait — so no sender can forget the
+/// wake-up. Dropping the last clone wakes the loop too, which then sees
+/// the queue disconnected and winds down.
+#[derive(Clone)]
+struct CommandSender {
+    // Dropped before `hangup` (declaration order), so the wake-up a
+    // drop sends finds the queue already disconnected.
+    commands: Sender<Command>,
+    hangup: WakeOnDrop,
+}
+
+#[derive(Clone)]
+struct WakeOnDrop(Waker);
+
+impl Drop for WakeOnDrop {
+    fn drop(&mut self) {
+        self.0.wake();
+    }
+}
+
+impl CommandSender {
+    fn send(&self, command: Command) -> Result<(), SendError<Command>> {
+        self.send_all([command])
+    }
+
+    /// Queues `commands` in order, then wakes the loop once: a burst
+    /// read off one socket costs one wake-up, and the loop finds the
+    /// whole burst queued instead of racing its producer.
+    fn send_all(
+        &self,
+        commands: impl IntoIterator<Item = Command>,
+    ) -> Result<(), SendError<Command>> {
+        for command in commands {
+            self.commands.send(command)?;
+        }
+        self.hangup.0.wake();
+        Ok(())
+    }
+}
+
 type ResponseRegistry = Arc<Mutex<HashMap<u64, Sender<ClientDelivery>>>>;
 
 /// A handle to a running [`Node`]: submit work, inspect state, stop it.
 pub struct NodeHandle<B: at_broadcast::SecureBroadcast<EnginePayload>> {
-    commands: Sender<Command>,
+    commands: CommandSender,
     stats: Arc<NodeStats>,
     registry: ResponseRegistry,
     conn_counter: Arc<AtomicU64>,
@@ -304,7 +351,7 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
 pub struct LocalClient {
     conn: u64,
     next_id: u64,
-    commands: Sender<Command>,
+    commands: CommandSender,
     responses: Receiver<ClientDelivery>,
 }
 
@@ -404,6 +451,15 @@ impl Drop for LocalClient {
 ///
 /// [`Frame::SnapshotChunk`]: crate::wire::Frame::SnapshotChunk
 const SNAPSHOT_CHUNK: usize = 1 << 20;
+
+/// How long a stopping loop must see no ingest before it treats the
+/// cluster's in-flight traffic towards it as drained.
+const DRAIN_WINDOW: Duration = Duration::from_millis(50);
+
+/// How often a stopping loop that is drained but whose outboxes are not
+/// yet acknowledged looks again (only ever used between a stop request
+/// and the loop's exit).
+const FLUSH_POLL: Duration = Duration::from_millis(1);
 
 /// Timer-heap entry ordered by deadline (earliest first).
 #[derive(PartialEq, Eq)]
@@ -587,6 +643,10 @@ where
         obs: Registry,
     ) -> NodeHandle<B> {
         let (commands, command_rx) = channel();
+        let commands = CommandSender {
+            commands,
+            hangup: WakeOnDrop(transport.waker()),
+        };
         let stats: Arc<NodeStats> = Arc::default();
         let registry: ResponseRegistry = Arc::default();
         let conn_counter = Arc::new(AtomicU64::new(0));
@@ -615,6 +675,8 @@ where
             .spawn(move || {
                 let msgs_in = recorder.registry().counter("node_peer_msgs_in_total");
                 let msgs_out = recorder.registry().counter("node_peer_msgs_out_total");
+                let wakeups = recorder.registry().counter("node_loop_wakeups_total");
+                let idle_wakeups = recorder.registry().counter("node_loop_idle_wakeups_total");
                 NodeLoop {
                     replica,
                     transport,
@@ -628,10 +690,6 @@ where
                     events: Vec::new(),
                     started: Instant::now(),
                     current_request: None,
-                    workers: Vec::new(),
-                    worker_threads: Vec::new(),
-                    decoded: None,
-                    decode_inflight: Arc::new(AtomicU64::new(0)),
                     stopping: false,
                     gateway: gateway_stop,
                     probe,
@@ -641,10 +699,12 @@ where
                     tracer,
                     msgs_in,
                     msgs_out,
+                    wakeups,
+                    idle_wakeups,
                     batch_pending: VecDeque::new(),
                     broadcast_pending: VecDeque::new(),
                     snapshot_cache: None,
-                    last_prune: Instant::now(),
+                    next_prune: None,
                 }
                 .run()
             })
@@ -660,10 +720,13 @@ where
     }
 }
 
-/// Adapts the loop's command sender into the gateway's event callback.
-fn commands_adapter(commands: Sender<Command>) -> impl Fn(GatewayEvent) + Send + Clone + 'static {
-    move |event| {
-        let command = match event {
+/// Adapts the loop's command sender into the gateway's event callback
+/// (which hands over, and empties, everything one socket read held).
+fn commands_adapter(
+    commands: CommandSender,
+) -> impl Fn(&mut Vec<GatewayEvent>) + Send + Clone + 'static {
+    move |events| {
+        let _ = commands.send_all(events.drain(..).map(|event| match event {
             GatewayEvent::Request {
                 conn,
                 request,
@@ -677,12 +740,10 @@ fn commands_adapter(commands: Sender<Command>) -> impl Fn(GatewayEvent) + Send +
             GatewayEvent::Trace { conn, id } => Command::Trace { conn, id },
             GatewayEvent::Snapshot { conn, id, offset } => Command::Snapshot { conn, id, offset },
             GatewayEvent::Gone { conn } => Command::ClientGone { conn },
-        };
-        let _ = commands.send(command);
+        }));
     }
 }
 
-type RawFrame = (ProcessId, Vec<u8>);
 type TypedMsg<B> = (
     ProcessId,
     <B as at_broadcast::SecureBroadcast<EnginePayload>>::Msg,
@@ -712,13 +773,6 @@ where
     /// The client request currently being submitted (associates the
     /// synchronous Submitted/Rejected event with its requester).
     current_request: Option<(u64, u64, Instant, Option<TraceCtx>)>,
-    workers: Vec<Sender<RawFrame>>,
-    worker_threads: Vec<JoinHandle<()>>,
-    decoded: Option<Receiver<TypedMsg<B>>>,
-    /// Frames dispatched to decode workers whose results have not yet
-    /// been emitted — the stop path must see this at zero before it may
-    /// treat the ingest pipeline as drained.
-    decode_inflight: Arc<AtomicU64>,
     stopping: bool,
     gateway: Option<GatewayStop>,
     /// The cluster's shared history recorder, when attached.
@@ -731,7 +785,7 @@ where
     /// nemesis's batch-timer skew; 100 = no skew).
     timer_skew_pct: u32,
     /// Stage-span recorder over the node's metric registry (shared with
-    /// the replica, the decode workers, and snapshot requests).
+    /// the replica).
     recorder: Recorder,
     /// Causal tracer, when [`NodeConfig::trace`] enabled one (shared
     /// with the replica and its broadcast backend).
@@ -740,6 +794,10 @@ where
     msgs_in: Arc<at_obs::Counter>,
     /// Peer protocol messages encoded onto the wire (pre-resolved).
     msgs_out: Arc<at_obs::Counter>,
+    /// Returns from the loop's blocking wait (pre-resolved).
+    wakeups: Arc<at_obs::Counter>,
+    /// Of those, the ones that found nothing to do (pre-resolved).
+    idle_wakeups: Arc<at_obs::Counter>,
     /// Admission instants of own transfers whose batch has not flushed
     /// yet — `Submitted` pushes, `BatchBroadcast` pops its batch's worth
     /// (both events are in admission order, so FIFO matches).
@@ -753,9 +811,10 @@ where
     /// a resumed transfer stays byte-consistent; a request at offset 0
     /// re-cuts.
     snapshot_cache: Option<(u64, Vec<u8>)>,
-    /// When replica state behind the stability frontier was last pruned
-    /// (see [`NodeConfig::prune_interval`]).
-    last_prune: Instant,
+    /// When to prune replica state behind the stability frontier next:
+    /// armed by a peer message, [`NodeConfig::prune_interval`] ahead,
+    /// and disarmed by the prune (an idle replica's frontier is still).
+    next_prune: Option<Instant>,
 }
 
 impl<B, T> NodeLoop<B, T>
@@ -765,7 +824,6 @@ where
     T: Transport,
 {
     fn run(mut self) -> ShardedReplica<B> {
-        self.spawn_workers();
         // Warm-restart recovery: a batch window armed by the previous
         // incarnation died with its timer heap; flush anything stranded
         // and clear the replica's armed-timer latch (a no-op on a fresh
@@ -773,6 +831,9 @@ where
         self.drive(|replica, ctx| replica.flush_pending(ctx));
         let mut stop_deadline: Option<Instant> = None;
         let mut last_activity = Instant::now();
+        // Whether the last return from the blocking wait has yet to be
+        // explained by a frame, a command or a due deadline.
+        let mut woke_for_nothing = false;
         loop {
             // 1. Fire due timers.
             let now = Instant::now();
@@ -782,121 +843,98 @@ where
                 .is_some_and(|TimerEntry(at, _)| *at <= now)
             {
                 let TimerEntry(_, timer) = self.timers.pop().expect("peeked");
+                woke_for_nothing = false;
                 self.drive(|replica, ctx| replica.on_timer(timer, ctx));
             }
 
             // 2. Drain loop commands.
             loop {
-                match self.commands.try_recv() {
-                    Ok(Command::Request {
-                        conn,
-                        request,
-                        received,
-                    }) => self.handle_request(conn, request, received),
-                    Ok(Command::Stats { conn, id }) => {
-                        let snapshot = self.metrics_snapshot();
-                        self.deliver(conn, ClientDelivery::Stats { id, snapshot });
-                    }
-                    Ok(Command::Trace { conn, id }) => {
-                        let log = self.trace_log();
-                        self.deliver(conn, ClientDelivery::Trace { id, log });
-                    }
-                    Ok(Command::Snapshot { conn, id, offset }) => {
-                        self.handle_snapshot(conn, id, offset);
-                    }
-                    Ok(Command::TraceLog(reply)) => {
-                        let _ = reply.send(self.trace_log());
-                    }
-                    Ok(Command::ClientGone { conn }) => {
-                        self.registry
-                            .lock()
-                            .expect("registry poisoned")
-                            .remove(&conn);
-                    }
-                    Ok(Command::Inspect(reply)) => {
-                        let _ = reply.send(self.report());
-                    }
-                    Ok(Command::Metrics(reply)) => {
-                        let _ = reply.send(self.metrics_snapshot());
-                    }
-                    Ok(Command::SetTimerSkew(pct)) => {
-                        self.timer_skew_pct = pct;
-                    }
-                    Ok(Command::Stop) => {
-                        if stop_deadline.is_none() {
-                            stop_deadline = Some(Instant::now() + self.config.stop_grace);
-                            self.stopping = true;
-                        }
-                    }
+                let command = match self.commands.try_recv() {
+                    Ok(command) => command,
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
                         // Every handle and gateway is gone: nobody can
                         // stop us explicitly, so wind down.
                         if stop_deadline.is_none() {
+                            woke_for_nothing = false;
                             stop_deadline = Some(Instant::now() + self.config.stop_grace);
                             self.stopping = true;
                         }
                         break;
                     }
-                }
-            }
-
-            // 3. Collect decoded frames from the workers.
-            if let Some(decoded) = &self.decoded {
-                while let Ok(msg) = decoded.try_recv() {
-                    self.typed.push_back(msg);
-                }
-            }
-
-            // 4. Feed the replica (self-loopback pushed by `flush` is
-            // consumed here too, in arrival order).
-            let mut worked = false;
-            while let Some((from, msg)) = self.typed.pop_front() {
-                worked = true;
-                self.msgs_in.inc();
-                self.drive(|replica, ctx| replica.on_message(from, msg, ctx));
-            }
-
-            // 4b. Truncate history behind the stability frontier on a
-            // fixed cadence — the log-truncation half of the snapshot
-            // story, keeping steady-state memory flat over long runs.
-            if self.config.prune_interval != Duration::MAX
-                && self.last_prune.elapsed() >= self.config.prune_interval
-            {
-                self.last_prune = Instant::now();
-                let frontier = self.replica.stability_frontier();
-                self.replica.prune_through(&frontier);
-            }
-
-            // 5. Pull from the transport until the next deadline.
-            let next_timer = self.timers.peek().map(|TimerEntry(at, _)| *at);
-            let deadline = next_timer
-                .unwrap_or_else(|| Instant::now() + self.config.tick)
-                .min(Instant::now() + self.config.tick);
-            let timeout = deadline.saturating_duration_since(Instant::now());
-            match self.transport.recv_timeout(timeout) {
-                RecvOutcome::Frame(frame) => {
-                    worked = true;
-                    self.ingest_raw(frame.from, frame.payload);
-                }
-                RecvOutcome::TimedOut => {}
-                RecvOutcome::Closed => {
-                    // Transport gone: nothing further can arrive.
-                    if stop_deadline.is_none() {
-                        stop_deadline = Some(Instant::now());
-                        self.stopping = true;
+                };
+                woke_for_nothing = false;
+                match command {
+                    Command::Request {
+                        conn,
+                        request,
+                        received,
+                    } => self.handle_request(conn, request, received),
+                    Command::Stats { conn, id } => {
+                        let snapshot = self.metrics_snapshot();
+                        self.deliver(conn, ClientDelivery::Stats { id, snapshot });
+                    }
+                    Command::Trace { conn, id } => {
+                        let log = self.trace_log();
+                        self.deliver(conn, ClientDelivery::Trace { id, log });
+                    }
+                    Command::Snapshot { conn, id, offset } => {
+                        self.handle_snapshot(conn, id, offset);
+                    }
+                    Command::TraceLog(reply) => {
+                        let _ = reply.send(self.trace_log());
+                    }
+                    Command::ClientGone { conn } => {
+                        self.registry
+                            .lock()
+                            .expect("registry poisoned")
+                            .remove(&conn);
+                    }
+                    Command::Inspect(reply) => {
+                        let _ = reply.send(self.report());
+                    }
+                    Command::Metrics(reply) => {
+                        let _ = reply.send(self.metrics_snapshot());
+                    }
+                    Command::SetTimerSkew(pct) => {
+                        self.timer_skew_pct = pct;
+                    }
+                    Command::Stop => {
+                        if stop_deadline.is_none() {
+                            stop_deadline = Some(Instant::now() + self.config.stop_grace);
+                            self.stopping = true;
+                        }
                     }
                 }
             }
 
-            if worked {
+            // 3. Feed the replica (self-loopback pushed by `flush` is
+            // consumed here too, in arrival order).
+            while let Some((from, msg)) = self.typed.pop_front() {
                 last_activity = Instant::now();
+                self.msgs_in.inc();
+                self.drive(|replica, ctx| replica.on_message(from, msg, ctx));
+                if self.next_prune.is_none() {
+                    self.next_prune = last_activity.checked_add(self.config.prune_interval);
+                }
             }
+
+            // 4. Truncate history behind the stability frontier — the
+            // log-truncation half of the snapshot story, keeping
+            // steady-state memory flat over long runs.
+            if self.next_prune.is_some_and(|at| at <= Instant::now()) {
+                self.next_prune = None;
+                woke_for_nothing = false;
+                let frontier = self.replica.stability_frontier();
+                self.replica.prune_through(&frontier);
+            }
+
+            // 5. While stopping: leave once drained, or at the deadline.
+            let mut stop_wait = None;
             if let Some(at) = stop_deadline {
-                let idle = last_activity.elapsed() > Duration::from_millis(50);
-                let drained =
-                    self.typed.is_empty() && self.decode_inflight.load(Ordering::Acquire) == 0;
-                if idle && drained && self.transport.is_flushed() {
+                let idle_at = last_activity + DRAIN_WINDOW;
+                let now = Instant::now();
+                if now >= idle_at && self.transport.is_flushed() {
                     // Quiesce before the last sweep: from here the
                     // transport may not acknowledge anything new, so a
                     // frame a peer holds unacked replays to the next
@@ -921,34 +959,58 @@ where
                     }
                     break;
                 }
-                if Instant::now() >= at {
+                if now >= at {
                     // Grace expired with work possibly still in flight:
                     // bounded shutdown wins. Count what we verifiably
-                    // discard — these frames were acked to peers and
-                    // will never be replayed, so the count taints a
-                    // later warm restart. Settle the decode pipeline
-                    // first: frames already decoded but not yet
-                    // collected would otherwise dodge the count.
+                    // discard — frames still in the transport's inbox
+                    // were acked to peers and will never be replayed,
+                    // so the count taints a later warm restart.
                     // (Unflushed *outbox* frames are additionally lost
                     // but not countable through the Transport trait;
                     // `is_flushed()` false at this point implies them.)
-                    let deadline = Instant::now() + Duration::from_millis(100);
-                    while self.decode_inflight.load(Ordering::Acquire) > 0
-                        && Instant::now() < deadline
-                    {
-                        std::thread::sleep(Duration::from_micros(100));
+                    let mut lost = 0;
+                    while let RecvOutcome::Frame(_) = self.transport.recv_timeout(Duration::ZERO) {
+                        lost += 1;
                     }
-                    if let Some(decoded) = &self.decoded {
-                        while let Ok(msg) = decoded.try_recv() {
-                            self.typed.push_back(msg);
-                        }
-                    }
-                    let lost =
-                        self.typed.len() as u64 + self.decode_inflight.load(Ordering::Acquire);
-                    if lost > 0 {
-                        self.stats.lost_ingest.fetch_add(lost, Ordering::Relaxed);
-                    }
+                    self.stats.lost_ingest.fetch_add(lost, Ordering::Relaxed);
                     break;
+                }
+                // Not yet idle: wait out the drain window. Idle but
+                // unflushed: acknowledgements arrive on the transport's
+                // threads without waking us, so look again shortly.
+                stop_wait = Some(at.min(idle_at.max(now + FLUSH_POLL)));
+            }
+
+            // 6. Block until a frame, a wake-up, or the next deadline.
+            if woke_for_nothing {
+                self.idle_wakeups.inc();
+            }
+            let deadline = [
+                self.timers.peek().map(|TimerEntry(at, _)| *at),
+                self.next_prune,
+                stop_wait,
+            ]
+            .into_iter()
+            .flatten()
+            .min();
+            let timeout = deadline.map_or(Duration::MAX, |at| {
+                at.saturating_duration_since(Instant::now())
+            });
+            let outcome = self.transport.recv_timeout(timeout);
+            self.wakeups.inc();
+            woke_for_nothing = outcome == RecvOutcome::TimedOut;
+            match outcome {
+                RecvOutcome::Frame(frame) => {
+                    last_activity = Instant::now();
+                    self.ingest_raw(frame.from, frame.payload);
+                }
+                RecvOutcome::TimedOut => {}
+                RecvOutcome::Closed => {
+                    // Transport gone: nothing further can arrive.
+                    if stop_deadline.is_none() {
+                        stop_deadline = Some(Instant::now());
+                        self.stopping = true;
+                    }
                 }
             }
         }
@@ -956,96 +1018,41 @@ where
             gateway.stop();
         }
         self.transport.shutdown();
-        self.workers.clear(); // closes worker channels
-        for handle in self.worker_threads.drain(..) {
-            let _ = handle.join();
-        }
         self.replica
     }
 
-    /// Synchronously empties the transport inbox and the decode
-    /// pipeline; returns whether anything new arrived.
+    /// Synchronously empties the transport inbox, giving a reader that
+    /// raced [`Transport::quiesce`] a millisecond of silence to land its
+    /// frame; returns whether anything new arrived.
     fn final_sweep(&mut self) -> bool {
-        let mut found = false;
-        while let RecvOutcome::Frame(frame) = self.transport.recv_timeout(Duration::from_millis(1))
-        {
-            found = true;
-            self.ingest_raw(frame.from, frame.payload);
-        }
-        // Wait out any decodes still in flight on the workers.
-        let deadline = Instant::now() + Duration::from_millis(100);
-        while self.decode_inflight.load(Ordering::Acquire) > 0 && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        if let Some(decoded) = &self.decoded {
-            while let Ok(msg) = decoded.try_recv() {
-                found = true;
-                self.typed.push_back(msg);
-            }
-        }
-        found || !self.typed.is_empty()
-    }
-
-    fn spawn_workers(&mut self) {
-        if self.config.decode_workers == 0 {
-            return;
-        }
-        let (out_tx, out_rx) = channel::<TypedMsg<B>>();
-        self.decoded = Some(out_rx);
-        for w in 0..self.config.decode_workers {
-            let (tx, rx) = channel::<RawFrame>();
-            let out = out_tx.clone();
-            let stats = Arc::clone(&self.stats);
-            let inflight = Arc::clone(&self.decode_inflight);
-            let recorder = self.recorder.clone();
-            self.workers.push(tx);
-            self.worker_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("at-node-decode-{w}"))
-                    .spawn(move || {
-                        while let Ok((from, payload)) = rx.recv() {
-                            let t = Instant::now();
-                            let result = decode_peer_payload::<B::Msg>(&payload);
-                            recorder.record(Stage::WireDecode, t.elapsed());
-                            match result {
-                                Ok(msg) => {
-                                    let sent = out.send((from, msg));
-                                    inflight.fetch_sub(1, Ordering::AcqRel);
-                                    if sent.is_err() {
-                                        break;
-                                    }
-                                }
-                                Err(_) => {
-                                    stats.malformed_frames.fetch_add(1, Ordering::Relaxed);
-                                    inflight.fetch_sub(1, Ordering::AcqRel);
-                                }
-                            }
-                        }
-                    })
-                    .expect("spawn decode worker"),
-            );
-        }
-    }
-
-    /// Routes one raw peer frame to its decode worker (sharded by source
-    /// to preserve per-source FIFO), or decodes inline without workers.
-    fn ingest_raw(&mut self, from: ProcessId, payload: Vec<u8>) {
-        if self.workers.is_empty() {
-            let t = Instant::now();
-            let result = decode_peer_payload::<B::Msg>(&payload);
-            self.recorder.record(Stage::WireDecode, t.elapsed());
-            match result {
-                Ok(msg) => self.typed.push_back((from, msg)),
-                Err(_) => {
-                    self.stats.malformed_frames.fetch_add(1, Ordering::Relaxed);
+        const SILENCE: Duration = Duration::from_millis(1);
+        let mut quiet_since = Instant::now();
+        // A wake-up or the transport's own deadline can end a wait
+        // early; only a full window of silence ends the sweep.
+        while let Some(left) = SILENCE.checked_sub(quiet_since.elapsed()) {
+            match self.transport.recv_timeout(left) {
+                RecvOutcome::Frame(frame) => {
+                    self.ingest_raw(frame.from, frame.payload);
+                    quiet_since = Instant::now();
                 }
+                RecvOutcome::TimedOut => {}
+                RecvOutcome::Closed => break,
             }
-            return;
         }
-        let worker = from.as_usize() % self.workers.len();
-        self.decode_inflight.fetch_add(1, Ordering::AcqRel);
-        if self.workers[worker].send((from, payload)).is_err() {
-            self.decode_inflight.fetch_sub(1, Ordering::AcqRel);
+        !self.typed.is_empty()
+    }
+
+    /// Decodes one raw peer frame and queues it for the replica
+    /// (arrival order, so per-source FIFO holds).
+    fn ingest_raw(&mut self, from: ProcessId, payload: Vec<u8>) {
+        let t = Instant::now();
+        let result = decode_peer_payload::<B::Msg>(&payload);
+        self.recorder.record(Stage::WireDecode, t.elapsed());
+        match result {
+            Ok(msg) => self.typed.push_back((from, msg)),
+            Err(_) => {
+                self.stats.malformed_frames.fetch_add(1, Ordering::Relaxed);
+            }
         }
     }
 

@@ -79,13 +79,14 @@
 use crate::wire::{encode_frame, Frame, FrameBuffer, FrameRef};
 use at_model::ProcessId;
 use at_net::transport::{FaultInjector, InboundFrame, RecvOutcome, Transport, TransportStats};
+use at_net::{Inbox, Waker};
 use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// Tuning knobs of the TCP transport.
 #[derive(Clone, Copy, Debug)]
@@ -131,9 +132,12 @@ struct OutboxState {
 
 struct Outbox {
     state: Mutex<OutboxState>,
-    /// Signalled on enqueue (writer waits for work) and on prune
-    /// (enqueuers wait for space).
-    cv: Condvar,
+    /// Signalled on enqueue: the writer waits here for work.
+    work: Condvar,
+    /// Signalled on prune: a back-pressured `enqueue` waits here for
+    /// space. Kept apart from `work` so an acknowledgement does not
+    /// wake the writer, which has nothing to do with it.
+    space: Condvar,
 }
 
 impl Outbox {
@@ -145,7 +149,8 @@ impl Outbox {
                 dropped: 0,
                 closed: false,
             }),
-            cv: Condvar::new(),
+            work: Condvar::new(),
+            space: Condvar::new(),
         }
     }
 
@@ -156,7 +161,7 @@ impl Outbox {
             let mut state = self.state.lock().expect("outbox poisoned");
             if state.queue.len() >= capacity {
                 let (next, result) = self
-                    .cv
+                    .space
                     .wait_timeout_while(state, timeout, |s| !s.closed && s.queue.len() >= capacity)
                     .expect("outbox poisoned");
                 state = next;
@@ -183,7 +188,8 @@ impl Outbox {
             return;
         }
         state.queue.push_back((seq, Arc::new(frame)));
-        self.cv.notify_all();
+        drop(state);
+        self.work.notify_one();
     }
 
     /// Removes every entry with `seq <= through` (cumulative ack).
@@ -192,12 +198,14 @@ impl Outbox {
         while state.queue.front().is_some_and(|(seq, _)| *seq <= through) {
             state.queue.pop_front();
         }
-        self.cv.notify_all();
+        drop(state);
+        self.space.notify_all();
     }
 
     fn close(&self) {
         self.state.lock().expect("outbox poisoned").closed = true;
-        self.cv.notify_all();
+        self.work.notify_all();
+        self.space.notify_all();
     }
 
     fn is_flushed(&self) -> bool {
@@ -206,90 +214,6 @@ impl Outbox {
 
     fn dropped(&self) -> u64 {
         self.state.lock().expect("outbox poisoned").dropped
-    }
-}
-
-/// Bounded hand-off queue from the reader threads to the node loop.
-///
-/// A mutex plus two condvars instead of `std::sync::mpsc::sync_channel`:
-/// a reader blocked on a full queue parks on `not_full` and is woken by
-/// the very pop that makes room, so backpressure releases within a
-/// scheduler wakeup instead of a sleep quantum (the old path retried
-/// `try_send` on a 200µs timer, adding up to a whole quantum of latency
-/// per frame whenever the node loop ran slower than the wire).
-struct InboxState {
-    queue: VecDeque<InboundFrame>,
-    closed: bool,
-}
-
-struct Inbox {
-    state: Mutex<InboxState>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    capacity: usize,
-}
-
-impl Inbox {
-    fn new(capacity: usize) -> Self {
-        Inbox {
-            state: Mutex::new(InboxState {
-                queue: VecDeque::new(),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Queues a frame for the node loop, parking while the queue is at
-    /// capacity (end-to-end backpressure: the frame stays unacked, so
-    /// the peer's outbox fills in turn). Returns `false` when the inbox
-    /// closed — the frame is dropped unacked and will replay.
-    fn push(&self, frame: InboundFrame) -> bool {
-        let mut state = self.state.lock().expect("inbox poisoned");
-        while state.queue.len() >= self.capacity && !state.closed {
-            state = self.not_full.wait(state).expect("inbox poisoned");
-        }
-        if state.closed {
-            return false;
-        }
-        state.queue.push_back(frame);
-        drop(state);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Pops the next frame, waiting up to `timeout`. Buffered frames
-    /// still drain after close; `Closed` means closed *and* empty.
-    fn recv_timeout(&self, timeout: Duration) -> RecvOutcome {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().expect("inbox poisoned");
-        loop {
-            if let Some(frame) = state.queue.pop_front() {
-                drop(state);
-                self.not_full.notify_one();
-                return RecvOutcome::Frame(frame);
-            }
-            if state.closed {
-                return RecvOutcome::Closed;
-            }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return RecvOutcome::TimedOut;
-            }
-            let (next, _) = self
-                .not_empty
-                .wait_timeout(state, remaining)
-                .expect("inbox poisoned");
-            state = next;
-        }
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("inbox poisoned").closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
     }
 }
 
@@ -368,7 +292,10 @@ struct Shared {
     n: usize,
     options: TcpOptions,
     epoch: u64,
-    inbox: Inbox,
+    /// Hand-off to the node loop. A reader blocked on a full inbox
+    /// parks until the loop pops (end-to-end backpressure: the frame
+    /// stays unacked, so the peer's outbox fills in turn).
+    inbox: Arc<Inbox>,
     recv: Mutex<Vec<RecvState>>,
     outboxes: Vec<Arc<Outbox>>,
     shutdown: AtomicBool,
@@ -430,7 +357,7 @@ impl TcpTransport {
             n,
             options,
             epoch,
-            inbox: Inbox::new(options.inbox_capacity),
+            inbox: Arc::new(Inbox::new(options.inbox_capacity)),
             recv: Mutex::new(vec![RecvState::default(); n]),
             outboxes: (0..n).map(|_| Arc::new(Outbox::new())).collect(),
             shutdown: AtomicBool::new(false),
@@ -501,6 +428,10 @@ impl Transport for TcpTransport {
 
     fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
         self.shared.inbox.recv_timeout(timeout)
+    }
+
+    fn waker(&self) -> Waker {
+        Waker::new(Arc::clone(&self.shared.inbox))
     }
 
     fn dropped_frames(&self) -> u64 {
@@ -727,10 +658,11 @@ fn data_loop(
             // this reader (the frame stays unacked, so the peer's
             // outbox fills and backpressure propagates end to end)
             // instead of growing memory without bound.
-            if !shared.inbox.push(InboundFrame {
+            let frame = InboundFrame {
                 from: node,
                 payload,
-            }) {
+            };
+            if !shared.inbox.push(frame, Duration::MAX) {
                 return Ok(()); // transport shut down; frame unacked
             }
             shared.stats.note_recv(payload_len);
@@ -900,9 +832,29 @@ fn writer_conn(
     let result = loop {
         batch.clear();
         {
-            let state = outbox.state.lock().expect("outbox poisoned");
+            let mut state = outbox.state.lock().expect("outbox poisoned");
             if state.closed {
                 break Ok(());
+            }
+            if state.queue.back().is_none_or(|(seq, _)| *seq < cursor) {
+                // Caught up: wait for an enqueue under the same lock
+                // acquisition that found nothing, so none is missed.
+                state = outbox
+                    .work
+                    .wait_timeout(state, Duration::from_millis(100))
+                    .expect("outbox poisoned")
+                    .0;
+                if state.closed {
+                    break Ok(());
+                }
+                // An idle connection only learns of its death on the
+                // next write — which may never come, stranding unacked
+                // frames in the replay window (e.g. against a peer that
+                // quiesced and restarted). The ack reader sees the EOF
+                // immediately: follow it into a reconnect.
+                if ack_handle.is_finished() {
+                    break Err(std::io::Error::other("peer closed the connection"));
+                }
             }
             if let Some((front_seq, _)) = state.queue.front() {
                 // Our cursor may predate the window (the peer
@@ -925,23 +877,6 @@ fn writer_conn(
             }
         }
         if batch.is_empty() {
-            let state = outbox.state.lock().expect("outbox poisoned");
-            let (state, _) = outbox
-                .cv
-                .wait_timeout(state, Duration::from_millis(100))
-                .expect("outbox poisoned");
-            if state.closed {
-                break Ok(());
-            }
-            drop(state);
-            // An idle connection only learns of its death on the
-            // next write — which may never come, stranding unacked
-            // frames in the replay window (e.g. against a peer that
-            // quiesced and restarted). The ack reader sees the EOF
-            // immediately: follow it into a reconnect.
-            if ack_handle.is_finished() {
-                break Err(std::io::Error::other("peer closed the connection"));
-            }
             continue;
         }
         // Wire faults act here, underneath the replay layer: a "lost"
