@@ -17,7 +17,13 @@
 //! accepted but had not yet acknowledged may be replayed to the new
 //! one, so consumers that keep state across restarts must tolerate
 //! duplicates at the protocol level (the broadcast backends do, via
-//! their per-source sequence cursors). An implementation should deliver
+//! their per-source sequence cursors). How wide that edge is belongs
+//! to the implementation: an acknowledgement may trail the frames it
+//! covers (the TCP transport acknowledges cumulatively, once per
+//! replay-window interval or quiet period, so an incarnation that
+//! *crashes* leaves up to that much already-processed traffic to be
+//! replayed; one that stops through [`Transport::quiesce`] after its
+//! drain leaves none). An implementation should deliver
 //! *exactly* once whenever the peer is reachable within its buffering
 //! capacity — the paper's reliable authenticated channel — and must
 //! surface any capacity-forced loss via
@@ -56,6 +62,7 @@ struct TransportStatsInner {
     frames_in: AtomicU64,
     bytes_in: AtomicU64,
     reconnects: AtomicU64,
+    acks_out: AtomicU64,
 }
 
 impl TransportStats {
@@ -85,6 +92,11 @@ impl TransportStats {
         self.inner.reconnects.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one acknowledgement written to a peer.
+    pub fn note_ack(&self) {
+        self.inner.acks_out.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Outbound frames accepted so far.
     pub fn frames_out(&self) -> u64 {
         self.inner.frames_out.load(Ordering::Relaxed)
@@ -108,6 +120,12 @@ impl TransportStats {
     /// Link repairs performed so far.
     pub fn reconnects(&self) -> u64 {
         self.inner.reconnects.load(Ordering::Relaxed)
+    }
+
+    /// Acknowledgements written to peers so far — the receive side's
+    /// own traffic, not counted in [`TransportStats::frames_out`].
+    pub fn acks_out(&self) -> u64 {
+        self.inner.acks_out.load(Ordering::Relaxed)
     }
 }
 

@@ -14,7 +14,9 @@
 //!   an in-process channel mesh for tests, and TCP with per-peer
 //!   reader/writer threads, reconnect, bounded replayed outboxes
 //!   (backpressure, not silent loss), and sequence-numbered frame
-//!   dedup — the reliable channel the protocols assume;
+//!   dedup — the reliable channel the protocols assume (the per-link
+//!   protocol state, including when an acknowledgement is owed, is the
+//!   private sans-I/O `link` module);
 //! * [`node`] — the [`Node`] event loop: drains transport frames,
 //!   client requests, and wall-clock batch timers into the replica
 //!   through a detached [`at_net::Context`], blocking in one place
@@ -38,6 +40,7 @@
 pub mod client;
 pub mod cluster;
 pub mod gateway;
+mod link;
 pub mod mesh;
 pub mod node;
 pub mod probe;

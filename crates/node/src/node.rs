@@ -1301,6 +1301,7 @@ where
         );
         if let Some(ts) = self.transport.stats() {
             fold("transport_frames_out_total", ts.frames_out());
+            fold("transport_acks_out_total", ts.acks_out());
             fold("transport_bytes_out_total", ts.bytes_out());
             fold("transport_frames_in_total", ts.frames_in());
             fold("transport_bytes_in_total", ts.bytes_in());

@@ -24,12 +24,34 @@
 //!   ([`crate::wire::Frame::DataAck`]), and replays unacknowledged
 //!   frames after a reconnect (the acceptor's
 //!   [`crate::wire::Frame::HelloAck`] names the resume point);
-//! * the receiver deduplicates by sequence number, so overlapping
-//!   connections and replays deliver each frame at most once;
+//! * the receiver deduplicates by sequence number, so replays deliver
+//!   each frame at most once, and one connection per peer drives the
+//!   link at a time (a newer handshake supersedes the older connection);
+//! * an acknowledgement bounds the sender's replay window, it does not
+//!   pace the data: the receiver writes one cumulative `DataAck` when
+//!   `ACK_INTERVAL` (64) delivered frames are unacknowledged, or when
+//!   the link has been quiet for `ACK_QUIET` (10 ms) with anything
+//!   unacknowledged — never per frame. The quiet period is the socket's
+//!   own read timeout, armed when the first unacknowledged frame
+//!   arrives and put back to the 200 ms liveness tick only by a timed-
+//!   out read that finds nothing owed: steady traffic makes no system
+//!   call for it, a link going quiet makes one timed wake-up;
 //! * a full outbox applies backpressure (the sending node loop blocks up
 //!   to [`TcpOptions::backpressure_timeout`]) and only then drops,
 //!   counting the loss in [`Transport::dropped_frames`] — `0` there
 //!   certifies the reliable-channel regime held for the whole run.
+//!
+//! What is written but not yet acknowledged is what a *crash* of the
+//! receiver replays to its next incarnation: up to `ACK_INTERVAL`
+//! frames, or `ACK_QUIET` of traffic, that the dead incarnation had
+//! already processed (the delivery contract's duplicate edge — see
+//! [`at_net::transport`]). A graceful stop leaves none: it quiesces
+//! only after a drain window several times `ACK_QUIET`, and a
+//! connection that ends acknowledges what it still owes on the way out.
+//!
+//! All of this protocol state — cursor, epochs, the acknowledgement
+//! policy, the sender's window — lives in the sans-I/O `link` module;
+//! this file moves bytes and holds the locks.
 //!
 //! A node that stops and warm-restarts (see `Node::stop`) begins a new
 //! transport *epoch*: its outbox numbering restarts at 0 and peers reset
@@ -76,19 +98,22 @@
 //! *payloads* end-to-end — forged protocol messages are rejected above
 //! the transport — but transport framing itself is unauthenticated.
 
+use crate::link::{RecvLink, SendWindow, Verdict, ACK_QUIET};
 use crate::wire::{encode_frame, Frame, FrameBuffer, FrameRef};
 use at_model::ProcessId;
 use at_net::transport::{FaultInjector, InboundFrame, RecvOutcome, Transport, TransportStats};
 use at_net::{Inbox, Waker};
-use std::collections::VecDeque;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::{Duration, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Tuning knobs of the TCP transport.
+/// Tuning knobs of the TCP transport: buffer sizes and how long to wait
+/// on a peer that is full or gone. When acknowledgements are sent is
+/// not one of them — that is fixed by the replay window (see the
+/// module docs).
 #[derive(Clone, Copy, Debug)]
 pub struct TcpOptions {
     /// Unacknowledged frames kept per peer before backpressure.
@@ -102,9 +127,6 @@ pub struct TcpOptions {
     pub backpressure_timeout: Duration,
     /// Delay between reconnect attempts to an unreachable peer.
     pub reconnect_delay: Duration,
-    /// Acknowledge after this many received frames (acks also flush
-    /// whenever the read side goes idle, so quiescent links drain).
-    pub ack_interval: u64,
 }
 
 impl Default for TcpOptions {
@@ -114,20 +136,24 @@ impl Default for TcpOptions {
             inbox_capacity: 65_536,
             backpressure_timeout: Duration::from_secs(5),
             reconnect_delay: Duration::from_millis(20),
-            ack_interval: 64,
         }
     }
 }
 
-/// Sender-side state of one directed link: the replay window.
+/// Sender-side state of one directed link: the replay window and who
+/// is parked on it.
+#[derive(Default)]
 struct OutboxState {
-    /// Unacknowledged `(seq, encoded frame)` entries, contiguous seqs.
-    queue: VecDeque<(u64, Arc<Vec<u8>>)>,
-    /// Next sequence number to assign.
-    next_seq: u64,
+    window: SendWindow,
     /// Frames dropped because the window stayed full past the timeout.
     dropped: u64,
     closed: bool,
+    /// The writer is parked on `work`, and `space_waiters` enqueuers on
+    /// `space`: set and cleared under the lock acquisition that decides
+    /// to wait, so an enqueue or an acknowledgement that finds nobody
+    /// parked skips the condvar's system call.
+    writer_parked: bool,
+    space_waiters: usize,
 }
 
 struct Outbox {
@@ -143,29 +169,30 @@ struct Outbox {
 impl Outbox {
     fn new() -> Self {
         Outbox {
-            state: Mutex::new(OutboxState {
-                queue: VecDeque::new(),
-                next_seq: 0,
-                dropped: 0,
-                closed: false,
-            }),
+            state: Mutex::new(OutboxState::default()),
             work: Condvar::new(),
             space: Condvar::new(),
         }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, OutboxState> {
+        self.state.lock().expect("outbox poisoned")
     }
 
     /// Queues a payload, blocking on a full window (backpressure) up to
     /// `timeout`; drops and counts on expiry.
     fn enqueue(&self, payload: Vec<u8>, capacity: usize, timeout: Duration) {
         let seq = {
-            let mut state = self.state.lock().expect("outbox poisoned");
-            if state.queue.len() >= capacity {
+            let mut state = self.lock();
+            if state.window.len() >= capacity {
+                state.space_waiters += 1;
                 let (next, result) = self
                     .space
-                    .wait_timeout_while(state, timeout, |s| !s.closed && s.queue.len() >= capacity)
+                    .wait_timeout_while(state, timeout, |s| !s.closed && s.window.len() >= capacity)
                     .expect("outbox poisoned");
                 state = next;
-                if result.timed_out() && state.queue.len() >= capacity {
+                state.space_waiters -= 1;
+                if result.timed_out() && state.window.len() >= capacity {
                     state.dropped += 1;
                     return;
                 }
@@ -173,9 +200,7 @@ impl Outbox {
             if state.closed {
                 return;
             }
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            seq
+            state.window.reserve()
         };
         // Encode off the lock: `Transport::send` takes `&mut self`, so
         // this is the only enqueuer and the reserved seq is pushed in
@@ -183,37 +208,55 @@ impl Outbox {
         // waiting on the reserved-but-unpushed seq simply sleeps on the
         // condvar until the push lands.
         let frame = encode_frame(&Frame::Data { seq, payload });
-        let mut state = self.state.lock().expect("outbox poisoned");
+        let mut state = self.lock();
         if state.closed {
             return;
         }
-        state.queue.push_back((seq, Arc::new(frame)));
+        state.window.push(seq, Arc::new(frame));
+        let wake = state.writer_parked;
         drop(state);
-        self.work.notify_one();
+        if wake {
+            self.work.notify_one();
+        }
     }
 
-    /// Removes every entry with `seq <= through` (cumulative ack).
+    /// Applies a cumulative acknowledgement and releases enqueuers
+    /// waiting for the space it made.
     fn prune(&self, through: u64) {
-        let mut state = self.state.lock().expect("outbox poisoned");
-        while state.queue.front().is_some_and(|(seq, _)| *seq <= through) {
-            state.queue.pop_front();
-        }
+        let mut state = self.lock();
+        state.window.prune(through);
+        self.release_space(state);
+    }
+
+    /// Applies a new connection's resume point (itself a cumulative
+    /// acknowledgement); returns the connection's send cursor.
+    fn resume(&self, next_seq: u64) -> u64 {
+        let mut state = self.lock();
+        let cursor = state.window.resume(next_seq);
+        self.release_space(state);
+        cursor
+    }
+
+    fn release_space(&self, state: MutexGuard<'_, OutboxState>) {
+        let wake = state.space_waiters > 0;
         drop(state);
-        self.space.notify_all();
+        if wake {
+            self.space.notify_all();
+        }
     }
 
     fn close(&self) {
-        self.state.lock().expect("outbox poisoned").closed = true;
+        self.lock().closed = true;
         self.work.notify_all();
         self.space.notify_all();
     }
 
     fn is_flushed(&self) -> bool {
-        self.state.lock().expect("outbox poisoned").queue.is_empty()
+        self.lock().window.is_empty()
     }
 
     fn dropped(&self) -> u64 {
-        self.state.lock().expect("outbox poisoned").dropped
+        self.lock().dropped
     }
 }
 
@@ -279,14 +322,6 @@ pub fn peer_directory(addrs: Vec<SocketAddr>) -> PeerDirectory {
     })
 }
 
-/// Receiver-side per-peer state: epoch + dedup cursor.
-#[derive(Clone, Copy, Default)]
-struct RecvState {
-    epoch: Option<u64>,
-    /// Next expected sequence number from this peer.
-    next: u64,
-}
-
 struct Shared {
     me: ProcessId,
     n: usize,
@@ -296,15 +331,15 @@ struct Shared {
     /// parks until the loop pops (end-to-end backpressure: the frame
     /// stays unacked, so the peer's outbox fills in turn).
     inbox: Arc<Inbox>,
-    recv: Mutex<Vec<RecvState>>,
-    outboxes: Vec<Arc<Outbox>>,
-    shutdown: AtomicBool,
-    /// Draining for shutdown: reader connections stop delivering *and
+    /// Receiver side of the link from each peer. [`Transport::quiesce`]
+    /// sets every one draining: reader connections stop delivering *and
     /// acknowledging* new `Data` frames, so nothing can be pruned from a
     /// peer's replay window without the node loop having a chance to
-    /// retrieve it (see [`Transport::quiesce`]). Unacked frames replay
-    /// to the next incarnation instead.
-    draining: AtomicBool,
+    /// retrieve it. Unacked frames replay to the next incarnation
+    /// instead.
+    recv: Vec<Mutex<RecvLink>>,
+    outboxes: Vec<Arc<Outbox>>,
+    shutdown: AtomicBool,
     /// Connections terminated for malformed/unexpected frames —
     /// diagnostics only, *not* loss: a peer link that drops here
     /// reconnects and replays, and stranger junk never carried data.
@@ -313,6 +348,14 @@ struct Shared {
     faults: Option<FaultInjector>,
     /// Traffic totals for observability ([`Transport::stats`]).
     stats: TransportStats,
+}
+
+impl Shared {
+    fn link(&self, peer: ProcessId) -> MutexGuard<'_, RecvLink> {
+        self.recv[peer.as_usize()]
+            .lock()
+            .expect("recv link poisoned")
+    }
 }
 
 /// The TCP transport endpoint (see the module docs).
@@ -358,10 +401,9 @@ impl TcpTransport {
             options,
             epoch,
             inbox: Arc::new(Inbox::new(options.inbox_capacity)),
-            recv: Mutex::new(vec![RecvState::default(); n]),
+            recv: (0..n).map(|_| Mutex::new(RecvLink::default())).collect(),
             outboxes: (0..n).map(|_| Arc::new(Outbox::new())).collect(),
             shutdown: AtomicBool::new(false),
-            draining: AtomicBool::new(false),
             poisoned_conns: AtomicU64::new(0),
             faults,
             stats: TransportStats::new(),
@@ -456,11 +498,13 @@ impl Transport for TcpTransport {
     /// See [`Transport::quiesce`]: readers stop delivering and — the
     /// load-bearing part — stop *acknowledging*, so every frame a peer
     /// still holds unacked replays to the node's next incarnation
-    /// instead of being silently pruned. An ack racing this flag is
+    /// instead of being silently pruned. An ack racing this is
     /// harmless: acks are only ever sent *after* the corresponding
     /// frames reached the inbox, so whatever it covers is retrievable.
     fn quiesce(&mut self) {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        for link in &self.shared.recv {
+            link.lock().expect("recv link poisoned").quiesce();
+        }
     }
 
     fn stats(&self) -> Option<TransportStats> {
@@ -513,20 +557,15 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     }
 }
 
+/// Read timeout of a connection with nothing to acknowledge: how often
+/// its thread looks at the shutdown flag.
+const LIVENESS: Duration = Duration::from_millis(200);
+
 /// Handles one accepted connection: handshake, then `Data` frames in,
 /// acknowledgements out.
 fn reader_conn(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<()> {
-    if shared.draining.load(Ordering::SeqCst) {
-        // Quiesced: refuse even the handshake — its `HelloAck` resume
-        // point is itself a cumulative acknowledgement, and it could
-        // cover a frame delivered into the dying inbox after the node
-        // loop's final sweep. Peers reconnect against the next
-        // incarnation instead.
-        return Ok(());
-    }
     stream.set_nodelay(true)?;
-    // Periodic read timeouts let the thread observe shutdown.
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    stream.set_read_timeout(Some(LIVENESS))?;
     let mut reader = FrameReader::new(&stream);
 
     // Handshake: the peer names itself and its epoch.
@@ -536,145 +575,114 @@ fn reader_conn(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<()> {
     if node.as_usize() >= shared.n || node == shared.me {
         return Ok(());
     }
-    let peer = node.as_usize();
-    let next = {
-        let mut recv = shared.recv.lock().expect("recv state poisoned");
-        if recv[peer].epoch != Some(epoch) {
-            // New incarnation of the peer: its numbering restarts.
-            recv[peer] = RecvState {
-                epoch: Some(epoch),
-                next: 0,
-            };
-        }
-        recv[peer].next
+    let hello = shared.link(node).on_hello(epoch);
+    let Some((conn, next_seq)) = hello else {
+        // Quiesced: refuse even the handshake — its `HelloAck` resume
+        // point is itself a cumulative acknowledgement, and it could
+        // cover a frame delivered into the dying inbox after the node
+        // loop's final sweep. Peers reconnect against the next
+        // incarnation instead.
+        return Ok(());
     };
-    (&stream).write_all(&encode_frame(&Frame::HelloAck { next_seq: next }))?;
+    (&stream).write_all(&encode_frame(&Frame::HelloAck { next_seq }))?;
 
-    let mut unacked: u64 = 0;
-    let result = data_loop(&stream, &shared, &mut reader, node, epoch, &mut unacked);
-    if unacked > 0 {
-        // Best-effort final ack: frames this connection delivered but
-        // had not yet acknowledged would otherwise be replayed to our
-        // next incarnation (see the Transport trait's duplicate-delivery
-        // note). An ack that fails to send just widens that window.
-        let _ = send_ack(&stream, &shared, node.as_usize(), epoch);
+    let result = data_loop(&stream, &shared, &mut reader, node, conn);
+    let owed = shared.link(node).final_ack(conn);
+    if let Some(through) = owed {
+        // Best effort: an ack that fails to send just leaves those
+        // frames to be replayed and deduplicated.
+        let _ = send_ack(&stream, &shared, through);
     }
     result
 }
 
-/// Sends one cumulative `DataAck` for `peer`, unless this connection's
-/// epoch has been superseded; returns whether an ack was written.
-fn send_ack(stream: &TcpStream, shared: &Shared, peer: usize, epoch: u64) -> std::io::Result<bool> {
-    if shared.draining.load(Ordering::SeqCst) {
-        // Quiesced: an ack now could prune a frame from the peer's
-        // replay window that the stopping node loop will never process.
-        // Leave everything unacked; it replays to the next incarnation.
-        return Ok(false);
-    }
-    let through = {
-        let recv = shared.recv.lock().expect("recv state poisoned");
-        let state = &recv[peer];
-        if state.epoch != Some(epoch) {
-            return Ok(false); // superseded by a newer incarnation
-        }
-        // A delivery happened on this epoch, so the cursor is >= 1.
-        match state.next.checked_sub(1) {
-            Some(through) => through,
-            None => return Ok(false),
-        }
-    };
-    let mut writer = stream;
-    writer.write_all(&encode_frame(&Frame::DataAck { through }))?;
-    Ok(true)
+/// Writes one cumulative `DataAck`.
+fn send_ack(mut stream: &TcpStream, shared: &Shared, through: u64) -> std::io::Result<()> {
+    stream.write_all(&encode_frame(&Frame::DataAck { through }))?;
+    shared.stats.note_ack();
+    Ok(())
 }
 
-/// The `Data`-frame receive loop of one accepted peer connection.
+/// The `Data`-frame receive loop of one accepted peer connection,
+/// holding the link under the token `conn`.
 fn data_loop(
     stream: &TcpStream,
     shared: &Arc<Shared>,
     reader: &mut FrameReader<'_>,
     node: ProcessId,
-    epoch: u64,
-    unacked: &mut u64,
+    conn: u64,
 ) -> std::io::Result<()> {
-    let peer = node.as_usize();
-    let mut first_data = true;
+    // Whether the socket's read timeout is `ACK_QUIET` (something may
+    // be owed) rather than `LIVENESS`.
+    let mut quiet_armed = false;
     loop {
-        if shared.draining.load(Ordering::SeqCst) {
-            // Quiesced: stop accepting. The best-effort exit ack in
-            // `reader_conn` is suppressed too (see `send_ack`), so
-            // everything undelivered stays in the peer's outbox.
-            return Ok(());
+        match reader.fill(shared)? {
+            Fill::Frame => {}
+            Fill::Closed => return Ok(()),
+            Fill::TimedOut => {
+                // Nothing arrived for a whole read timeout: acknowledge
+                // what the quiet period made due, and stop ticking at
+                // `ACK_QUIET` once nothing is owed.
+                let (due, owed) = {
+                    let mut link = shared.link(node);
+                    let due = link.ack_due(conn, Instant::now());
+                    (due, link.next_deadline().is_some())
+                };
+                if let Some(through) = due {
+                    send_ack(stream, shared, through)?;
+                }
+                if quiet_armed && !owed {
+                    stream.set_read_timeout(Some(LIVENESS))?;
+                    quiet_armed = false;
+                }
+                continue;
+            }
         }
-        if !reader.fill(shared)? {
-            return Ok(());
-        }
+        let now = Instant::now();
         // Borrow the frame straight out of the receive buffer and run
         // the dedup decision on the borrowed payload: replay overlaps
         // and dead-incarnation frames are discarded without ever
         // copying their bytes out of the buffer.
-        let deliver: Option<Vec<u8>> = {
-            let frame = match reader.buffer.next_frame_ref() {
-                Ok(Some(frame)) => frame,
-                Ok(None) => return Ok(()), // unreachable after fill
-                Err(_) => {
-                    shared.poisoned_conns.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-            };
-            let FrameRef::Data { seq, payload } = frame else {
-                return Ok(()); // protocol violation: drop the connection
-            };
-            let mut recv = shared.recv.lock().expect("recv state poisoned");
-            let state = &mut recv[peer];
-            if state.epoch != Some(epoch) {
-                // The peer restarted and its *new* connection has taken
-                // over this slot: this connection belongs to a dead
-                // incarnation, and acting on its buffered frames would
-                // poison the fresh dedup cursor. Drop it (without the
-                // final ack — the state is no longer ours to vouch for).
-                *unacked = 0;
-                return Ok(());
-            }
-            if seq < state.next {
-                None // replay overlap: already delivered
-            } else if seq == state.next || first_data {
-                // In sequence — or the first frame after our own warm
-                // restart, where the peer's live numbering is ahead of
-                // our reset cursor and we adopt it (the skipped frames
-                // were acknowledged to our previous incarnation).
-                state.next = seq + 1;
-                Some(payload.to_vec())
-            } else {
-                // A forward gap mid-connection cannot happen on an
-                // ordered stream: the peer is misbehaving.
+        let frame = match reader.buffer.next_frame_ref() {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return Ok(()), // unreachable after fill
+            Err(_) => {
+                shared.poisoned_conns.fetch_add(1, Ordering::Relaxed);
                 return Ok(());
             }
         };
-        first_data = false;
-        if let Some(payload) = deliver {
-            let payload_len = payload.len();
-            // Bounded hand-off to the node loop: a full inbox parks
-            // this reader (the frame stays unacked, so the peer's
-            // outbox fills and backpressure propagates end to end)
-            // instead of growing memory without bound.
-            let frame = InboundFrame {
-                from: node,
-                payload,
-            };
-            if !shared.inbox.push(frame, Duration::MAX) {
-                return Ok(()); // transport shut down; frame unacked
+        let FrameRef::Data { seq, payload } = frame else {
+            return Ok(()); // protocol violation: drop the connection
+        };
+        let verdict = shared.link(node).on_data(conn, seq, now);
+        match verdict {
+            Verdict::Deliver => {
+                let payload = payload.to_vec();
+                let payload_len = payload.len();
+                // Bounded hand-off to the node loop: a full inbox parks
+                // this reader (the frame stays unacked, so the peer's
+                // outbox fills and backpressure propagates end to end)
+                // instead of growing memory without bound.
+                let frame = InboundFrame {
+                    from: node,
+                    payload,
+                };
+                if !shared.inbox.push(frame, Duration::MAX) {
+                    return Ok(()); // transport shut down; frame unacked
+                }
+                shared.stats.note_recv(payload_len);
+                if !quiet_armed {
+                    stream.set_read_timeout(Some(ACK_QUIET))?;
+                    quiet_armed = true;
+                }
             }
-            shared.stats.note_recv(payload_len);
-            *unacked += 1;
+            Verdict::Duplicate => {}
+            Verdict::Violation => return Ok(()),
         }
-        // Acknowledge on the interval, and whenever the link goes idle
-        // (nothing buffered), so quiescent outboxes drain to empty.
-        if *unacked >= shared.options.ack_interval || (*unacked > 0 && !reader.has_buffered()) {
-            if !send_ack(stream, shared, peer, epoch)? {
-                return Ok(()); // superseded by a newer incarnation
-            }
-            *unacked = 0;
+        // Only now — the frame is in the inbox — may it be acknowledged.
+        let due = shared.link(node).ack_due(conn, now);
+        if let Some(through) = due {
+            send_ack(stream, shared, through)?;
         }
     }
 }
@@ -786,7 +794,7 @@ fn writer_conn(
 ) -> std::io::Result<()> {
     let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(Duration::from_millis(200)))?;
+    stream.set_read_timeout(Some(LIVENESS))?;
     (&stream).write_all(&encode_frame(&Frame::HelloNode {
         node: shared.me,
         epoch: shared.epoch,
@@ -799,10 +807,7 @@ fn writer_conn(
         _ => return Err(std::io::Error::other("handshake failed")),
     };
     backoff.reset();
-    if resume > 0 {
-        // Everything below the resume point reached the peer already.
-        outbox.prune(resume - 1);
-    }
+    let mut cursor = outbox.resume(resume);
 
     let ack_stream = stream.try_clone()?;
     let ack_shared = Arc::clone(shared);
@@ -826,24 +831,25 @@ fn writer_conn(
     // caught up. Frames are drained many-at-a-time per lock acquisition
     // and coalesced into one buffered write per burst — one syscall
     // moves up to `MAX_WRITE_BURST` bytes instead of one per frame.
-    let mut cursor = resume;
     let mut batch: Vec<Arc<Vec<u8>>> = Vec::new();
     let mut wire: Vec<u8> = Vec::new();
     let result = loop {
         batch.clear();
         {
-            let mut state = outbox.state.lock().expect("outbox poisoned");
+            let mut state = outbox.lock();
             if state.closed {
                 break Ok(());
             }
-            if state.queue.back().is_none_or(|(seq, _)| *seq < cursor) {
+            if !state.window.has_unsent(cursor) {
                 // Caught up: wait for an enqueue under the same lock
                 // acquisition that found nothing, so none is missed.
+                state.writer_parked = true;
                 state = outbox
                     .work
                     .wait_timeout(state, Duration::from_millis(100))
                     .expect("outbox poisoned")
                     .0;
+                state.writer_parked = false;
                 if state.closed {
                     break Ok(());
                 }
@@ -856,23 +862,12 @@ fn writer_conn(
                     break Err(std::io::Error::other("peer closed the connection"));
                 }
             }
-            if let Some((front_seq, _)) = state.queue.front() {
-                // Our cursor may predate the window (the peer
-                // warm-restarted and asked for 0, or acks raced ahead):
-                // jump to the oldest retained frame — everything before
-                // it was acknowledged, to this incarnation or a
-                // previous one.
-                if cursor < *front_seq {
-                    cursor = *front_seq;
-                }
-                let offset = (cursor - front_seq) as usize;
-                let mut burst = 0;
-                for (_, bytes) in state.queue.iter().skip(offset) {
-                    burst += bytes.len();
-                    batch.push(Arc::clone(bytes));
-                    if burst >= MAX_WRITE_BURST || batch.len() >= MAX_WRITE_FRAMES {
-                        break;
-                    }
+            let mut burst = 0;
+            for bytes in state.window.unsent(&mut cursor) {
+                burst += bytes.len();
+                batch.push(Arc::clone(bytes));
+                if burst >= MAX_WRITE_BURST || batch.len() >= MAX_WRITE_FRAMES {
+                    break;
                 }
             }
         }
@@ -946,6 +941,17 @@ fn writer_conn(
     result
 }
 
+/// What [`FrameReader::fill`] found.
+enum Fill {
+    /// A complete frame is buffered.
+    Frame,
+    /// The socket's read timeout passed with no byte arriving.
+    TimedOut,
+    /// Shutdown, EOF, or an oversized length prefix (counted as a
+    /// poisoned connection): drop the connection.
+    Closed,
+}
+
 /// Blocking frame reader over a borrowed stream, shutdown-aware.
 struct FrameReader<'a> {
     stream: &'a TcpStream,
@@ -962,47 +968,46 @@ impl<'a> FrameReader<'a> {
         }
     }
 
-    /// Whether undecoded bytes are buffered (used to detect read-idle).
-    fn has_buffered(&self) -> bool {
-        self.buffer.buffered() > 0
-    }
-
     /// Blocks until a complete frame is buffered, reading from the
-    /// stream as needed; `Ok(false)` on shutdown, EOF, or an oversized
-    /// length prefix (counted as a poisoned connection). On `Ok(true)`
-    /// the frame can be taken — borrowed or owned — from `self.buffer`.
-    fn fill(&mut self, shared: &Shared) -> std::io::Result<bool> {
+    /// stream as needed, or one read times out. On [`Fill::Frame`] the
+    /// frame can be taken — borrowed or owned — from `self.buffer`.
+    fn fill(&mut self, shared: &Shared) -> std::io::Result<Fill> {
         loop {
             match self.buffer.has_complete_frame() {
-                Ok(true) => return Ok(true),
+                Ok(true) => return Ok(Fill::Frame),
                 Ok(false) => {}
                 Err(_) => {
                     shared.poisoned_conns.fetch_add(1, Ordering::Relaxed);
-                    return Ok(false);
+                    return Ok(Fill::Closed);
                 }
             }
             if shared.shutdown.load(Ordering::Relaxed) {
-                return Ok(false);
+                return Ok(Fill::Closed);
             }
             match self.stream.read(&mut self.chunk) {
-                Ok(0) => return Ok(false),
+                Ok(0) => return Ok(Fill::Closed),
                 Ok(read) => self.buffer.extend(&self.chunk[..read]),
                 Err(err)
                     if err.kind() == std::io::ErrorKind::WouldBlock
                         || err.kind() == std::io::ErrorKind::TimedOut =>
                 {
-                    continue
+                    return Ok(Fill::TimedOut)
                 }
                 Err(err) => return Err(err),
             }
         }
     }
 
-    /// Next frame, owned; `Ok(None)` on shutdown, EOF, or a malformed
-    /// stream (the caller drops the connection either way).
+    /// Next frame, owned, waiting through read timeouts; `Ok(None)` on
+    /// shutdown, EOF, or a malformed stream (the caller drops the
+    /// connection either way).
     fn next(&mut self, shared: &Shared) -> std::io::Result<Option<Frame>> {
-        if !self.fill(shared)? {
-            return Ok(None);
+        loop {
+            match self.fill(shared)? {
+                Fill::Frame => break,
+                Fill::TimedOut => continue,
+                Fill::Closed => return Ok(None),
+            }
         }
         match self.buffer.next_frame() {
             Ok(frame) => Ok(frame),
@@ -1029,6 +1034,18 @@ mod tests {
         let t0 = TcpTransport::start(p(0), l0, Arc::clone(&dir), TcpOptions::default()).unwrap();
         let t1 = TcpTransport::start(p(1), l1, dir, TcpOptions::default()).unwrap();
         (t0, t1)
+    }
+
+    fn await_flushed(t: &TcpTransport, why: &str) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !t.is_flushed() {
+            assert!(Instant::now() < deadline, "{why}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    fn acks_out(t: &TcpTransport) -> u64 {
+        t.stats().expect("tcp keeps stats").acks_out()
     }
 
     fn recv_frame(t: &mut TcpTransport) -> InboundFrame {
@@ -1118,11 +1135,7 @@ mod tests {
         for _ in 0..10 {
             recv_frame(&mut t1);
         }
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !t0.is_flushed() {
-            assert!(std::time::Instant::now() < deadline, "outbox never drained");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        await_flushed(&t0, "outbox never drained");
         t0.shutdown();
         t1.shutdown();
     }
@@ -1160,7 +1173,6 @@ mod tests {
         let dir = peer_directory(vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()]);
         let opts = TcpOptions {
             reconnect_delay: Duration::from_millis(2),
-            ack_interval: 4,
             ..TcpOptions::default()
         };
         let t0 =
@@ -1178,18 +1190,15 @@ mod tests {
         let dir = peer_directory(vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()]);
         let opts = TcpOptions {
             reconnect_delay: Duration::from_millis(2),
-            ack_interval: 1,
             ..TcpOptions::default()
         };
         let mut t0 = TcpTransport::start(p(0), l0, Arc::clone(&dir), opts).unwrap();
         let mut t1 = TcpTransport::start(p(1), l1, Arc::clone(&dir), opts).unwrap();
+        // While live, the endpoint does acknowledge — one quiet period
+        // after the frame, not at once.
         t0.send(p(1), vec![1]);
         assert_eq!(recv_frame(&mut t1).payload, vec![1]);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !t0.is_flushed() {
-            assert!(std::time::Instant::now() < deadline, "first frame unacked");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        await_flushed(&t0, "first frame unacked");
 
         // Quiesce the receiver, then send: the frame may still slip
         // into t1's dying inbox, but it must never be *acknowledged* —
@@ -1302,11 +1311,7 @@ mod tests {
         }
         faults.heal_all();
         assert_eq!(t0.dropped_frames(), 0);
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        while !t0.is_flushed() {
-            assert!(std::time::Instant::now() < deadline, "outbox never drained");
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        await_flushed(&t0, "outbox never drained");
         t0.shutdown();
         t1.shutdown();
     }
@@ -1350,6 +1355,86 @@ mod tests {
         }
         // The one-shot disconnect was consumed by the run.
         assert!(faults.is_quiet());
+        assert_eq!(t0.dropped_frames(), 0);
+        t0.shutdown();
+        t1.shutdown();
+    }
+
+    #[test]
+    fn steady_traffic_is_acknowledged_per_interval_not_per_frame() {
+        let (mut t0, mut t1) = start_pair();
+        // 1 ms apart: every frame finds the reader idle, which used to
+        // mean an ack each.
+        for i in 0..1000u32 {
+            t0.send(p(1), i.to_le_bytes().to_vec());
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        for expected in 0..1000u32 {
+            assert_eq!(recv_frame(&mut t1).payload, expected.to_le_bytes());
+        }
+        await_flushed(&t0, "outbox never drained");
+        let acks = acks_out(&t1);
+        assert!(
+            (1..=1000 / 8).contains(&acks),
+            "1000 paced frames were answered by {acks} acks"
+        );
+        assert_eq!(acks_out(&t0), 0, "the reverse link carried nothing");
+        t0.shutdown();
+        t1.shutdown();
+    }
+
+    #[test]
+    fn a_lone_frame_is_acknowledged_once_within_the_quiet_period() {
+        let (mut t0, mut t1) = start_pair();
+        t0.send(p(1), vec![7]);
+        assert_eq!(recv_frame(&mut t1).payload, vec![7]);
+        let received = Instant::now();
+        await_flushed(&t0, "lone frame never acknowledged");
+        let waited = received.elapsed();
+        assert!(
+            waited <= ACK_QUIET + Duration::from_millis(50),
+            "a lone frame stayed unacknowledged for {waited:?}"
+        );
+        // The link stays quiet: nothing more is owed, nothing more is
+        // sent.
+        std::thread::sleep(ACK_QUIET * 5);
+        assert_eq!(acks_out(&t1), 1);
+        t0.shutdown();
+        t1.shutdown();
+    }
+
+    #[test]
+    fn frames_delivered_but_unacknowledged_at_a_disconnect_are_not_delivered_again() {
+        use crate::link::ACK_INTERVAL;
+        let (mut t0, mut t1, faults) = start_faulty_pair(11);
+        // Under one interval, sent in one go: delivered well before
+        // either ack condition holds, so the sender's window still
+        // holds them all when the connection is torn down.
+        let unacked = ACK_INTERVAL as u8 - 1;
+        for i in 0..unacked {
+            t0.send(p(1), vec![i]);
+        }
+        for expected in 0..unacked {
+            assert_eq!(recv_frame(&mut t1).payload, vec![expected]);
+        }
+        faults.force_disconnect(p(0), p(1));
+        for i in unacked..unacked + 20 {
+            t0.send(p(1), vec![i]);
+        }
+        // The new connection's resume point (or the replay overlap it
+        // deduplicates) covers the first batch: only the new frames
+        // come out, each once, in order.
+        for expected in unacked..unacked + 20 {
+            assert_eq!(recv_frame(&mut t1).payload, vec![expected]);
+        }
+        await_flushed(&t0, "outbox never drained");
+        assert_eq!(
+            t1.recv_timeout(Duration::from_millis(50)),
+            RecvOutcome::TimedOut,
+            "a frame was delivered twice"
+        );
+        assert!(faults.is_quiet());
+        assert_eq!(t0.stats().expect("stats").reconnects(), 1);
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1.shutdown();

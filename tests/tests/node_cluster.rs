@@ -11,7 +11,7 @@ use at_engine::{EngineConfig, ShardedReplica, Workload};
 use at_model::{AccountId, Amount, ProcessId};
 use at_net::{Actor, Context, VirtualTime};
 use at_node::{await_convergence, start_tcp_cluster, Client, NodeConfig, ResponseBody, TcpOptions};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type EchoNode = EchoBroadcast<EnginePayload, NoAuth>;
 
@@ -127,6 +127,22 @@ fn tcp_cluster_converges_and_rejects_double_spend_over_the_wire() {
     cluster.stop_all();
 }
 
+/// One transfer of 2 from every running node but `skip`, to an account
+/// that rotates with `wave`. Ack consumption is not needed; commits are
+/// observed via reports.
+fn submit_wave(cluster: &at_node::TcpCluster<EchoNode>, skip: Option<usize>, wave: u32) {
+    let n = cluster.handles.len();
+    for (i, handle) in cluster.handles.iter().enumerate() {
+        if Some(i) == skip {
+            continue;
+        }
+        if let Some(handle) = handle {
+            let mut client = handle.local_client();
+            client.submit_transfer(a(((i as u32) + wave + 1) % n as u32), Amount::new(2));
+        }
+    }
+}
+
 /// Crash/restart: one node leaves mid-run, traffic continues without
 /// it, and after a warm restart (the replica-restart model at-check
 /// introduced on the simulator: state kept, missed messages replayed by
@@ -139,20 +155,6 @@ fn tcp_node_restart_catches_up_and_converges() {
         EchoNode::new(me, n, NoAuth)
     })
     .expect("cluster");
-
-    let submit_wave = |cluster: &at_node::TcpCluster<EchoNode>, skip: Option<usize>, wave: u32| {
-        for i in 0..n {
-            if Some(i) == skip {
-                continue;
-            }
-            if let Some(handle) = cluster.handles[i].as_ref() {
-                let mut client = handle.local_client();
-                client.submit_transfer(a(((i as u32) + wave + 1) % n as u32), Amount::new(2));
-                // Ack consumption is not needed; the commit is observed
-                // via reports.
-            }
-        }
-    };
 
     // Phase 1: everyone participates.
     for wave in 0..4 {
@@ -202,6 +204,72 @@ fn tcp_node_restart_catches_up_and_converges() {
         await_convergence(&handles, Duration::from_secs(30)).expect("post-restart convergence");
     for report in &reports {
         assert_eq!(report.balances, reports[0].balances);
+    }
+    drop(handles);
+    cluster.stop_all();
+}
+
+/// Acknowledgements trail the data by up to a quiet period, so a stop
+/// requested right after traffic finds the node's peers still holding
+/// frames it has processed but not acknowledged, and its own outboxes
+/// unflushed. The stop must neither wait for `stop_grace` nor leave
+/// anything behind that the next incarnation applies a second time.
+#[test]
+fn tcp_warm_restart_right_after_traffic_is_prompt_and_applies_nothing_twice() {
+    let n = 4;
+    let victim = 2usize;
+    let config = NodeConfig {
+        stop_grace: Duration::from_secs(10),
+        ..node_config()
+    };
+    let mut cluster = start_tcp_cluster(n, config, TcpOptions::default(), |me| {
+        EchoNode::new(me, n, NoAuth)
+    })
+    .expect("cluster");
+    let await_applied = |cluster: &at_node::TcpCluster<EchoNode>, applied: u64| {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        for handle in cluster.running() {
+            while handle.applied() < applied {
+                assert!(Instant::now() < deadline, "transfers never applied");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    };
+
+    for wave in 0..3 {
+        submit_wave(&cluster, None, wave);
+    }
+    await_applied(&cluster, 12);
+    // The drain window (50 ms of silence), one quiet period for the
+    // peers' acknowledgements, the transport's 200 ms liveness tick to
+    // join its readers — not the 10 s grace.
+    let started = Instant::now();
+    let replica = cluster.stop_node(victim);
+    let stopping = started.elapsed();
+    assert!(
+        stopping < Duration::from_millis(1_000),
+        "a stop right after traffic took {stopping:?}"
+    );
+
+    for wave in 3..5 {
+        submit_wave(&cluster, Some(victim), wave);
+    }
+    await_applied(&cluster, 18);
+    cluster.restart_node(victim, replica).expect("restart");
+    let handles: Vec<_> = cluster.running().collect();
+    let reports =
+        await_convergence(&handles, Duration::from_secs(30)).expect("restarted node must catch up");
+    assert_eq!(reports.len(), n);
+    for (i, report) in reports.iter().enumerate() {
+        // The counter is per incarnation: the restarted node applied
+        // the six transfers it missed and not one it already had.
+        let expected = if i == victim { 6 } else { 18 };
+        assert_eq!(report.applied, expected, "node {i} applied twice");
+        assert_eq!(report.balances, reports[0].balances);
+        let supply: u64 = report.balances.iter().map(|b| b.units()).sum();
+        assert_eq!(supply, 1_000 * n as u64);
+        assert_eq!(report.lost_ingest, 0);
+        assert_eq!(report.dropped_frames, 0);
     }
     drop(handles);
     cluster.stop_all();
