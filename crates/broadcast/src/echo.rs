@@ -1062,6 +1062,37 @@ mod tests {
         assert_eq!(auth.verifies(), before, "own certificate re-verified");
     }
 
+    /// SignedEcho's signature budget, as an exact count over a whole
+    /// honest instance (all `n` endpoints metered into one registry).
+    /// Signs: the SEND — reused for the FINAL — plus one echo share per
+    /// process, `n + 1`. Verifies: the SEND at every process, the
+    /// first `q` shares at the sender (echoes past the quorum are
+    /// dropped unverified), and `q` certificate shares at each of the
+    /// other `n − 1` (nobody re-verifies what it already verified),
+    /// `n·(q + 1)`. Signing the FINAL afresh or re-verifying the SEND
+    /// signature inside the FINAL moves a count and fails here.
+    fn assert_signature_budget(n: usize) {
+        let registry = at_obs::Registry::new("cluster");
+        let auth =
+            crate::auth::ObservedAuth::new(EdAuth::deterministic(n, 31), registry.recorder());
+        let q = EchoBroadcast::<u64, _>::new(p(0), n, NoAuth).quorum() as u64;
+        let delivered = run_system(n, |_| auth.clone(), vec![(p(0), 42)], |_, _, _| false);
+        assert!(delivered.iter().all(|deliveries| deliveries.len() == 1));
+        let n = n as u64;
+        assert_eq!(auth.signs(), n + 1, "signs at n = {n}");
+        assert_eq!(auth.verifies(), n * (q + 1), "verifies at n = {n}, q = {q}");
+    }
+
+    #[test]
+    fn honest_instance_costs_5_signs_and_16_verifies_at_n4() {
+        assert_signature_budget(4);
+    }
+
+    #[test]
+    fn honest_instance_costs_8_signs_and_42_verifies_at_n7() {
+        assert_signature_budget(7);
+    }
+
     #[test]
     fn equivocating_sender_cannot_get_two_certificates() {
         // A Byzantine sender sends payload 1 to half the processes and

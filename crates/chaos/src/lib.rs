@@ -18,9 +18,10 @@
 //! acknowledgement vanished without a crash.
 //!
 //! Schedules are pure functions of their seed
-//! ([`generate_schedule`]), so any violation reproduces from a one-line
-//! command; the `chaos_soak` bin in at-bench runs N seeds × 3 backends
-//! and prints exactly that line on failure.
+//! ([`generate_schedule`]), so any violation reproduces from its
+//! `(backend, transport, seed)` row: the soak in `tests/chaos_runs.rs`
+//! runs seeded schedules against all three backends, and a failing run
+//! prints [`ChaosReport::counterexample`] — the row to pin included.
 //!
 //! # Example
 //!
@@ -42,6 +43,6 @@ pub mod runner;
 
 pub use nemesis::{format_nemesis_schedule, generate_schedule, NemesisChoice};
 pub use runner::{
-    chaos_backends, run_chaos_mesh, run_chaos_tcp, run_seeded, run_with_schedule, ChaosConfig,
-    ChaosReport, ChaosTransport,
+    run_chaos_mesh, run_chaos_tcp, run_seeded, run_with_schedule, ChaosConfig, ChaosReport,
+    ChaosTransport,
 };

@@ -5,8 +5,8 @@
 //! `Schedule` of delivery `Choice`s. Schedules are *generated* from a
 //! seed ([`generate_schedule`] is a pure function of `(seed, n,
 //! disruptions, allow_crash)`), so a failing run's fault script
-//! regenerates bit-for-bit from its seed alone, and the soak harness
-//! prints exactly that seed as a repro command. (The *execution* is
+//! regenerates bit-for-bit from its seed alone, and a failing run
+//! prints exactly that seed as the row to replay. (The *execution* is
 //! wall-clock: a tight race may need a few replays of the same schedule
 //! to re-trigger.)
 
@@ -104,8 +104,8 @@ impl fmt::Display for NemesisChoice {
     }
 }
 
-/// Renders a schedule as one bracketed line (the form repro output and
-/// counterexample artifacts use).
+/// Renders a schedule as one bracketed line (the form counterexample
+/// texts use).
 pub fn format_nemesis_schedule(schedule: &[NemesisChoice]) -> String {
     let steps: Vec<String> = schedule.iter().map(|c| c.to_string()).collect();
     format!("[{}]", steps.join("; "))

@@ -24,9 +24,10 @@
 //!    no crash was scheduled.
 //!
 //! Every violation carries the seed, and the schedule is a pure
-//! function of the seed — the repro story `chaos_soak` prints.
+//! function of the seed — the repro story
+//! [`ChaosReport::counterexample`] prints.
 
-use crate::nemesis::{generate_schedule, NemesisChoice};
+use crate::nemesis::{format_nemesis_schedule, generate_schedule, NemesisChoice};
 use at_broadcast::auth::NoAuth;
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::EchoBroadcast;
@@ -113,8 +114,8 @@ impl Default for ChaosConfig {
 pub struct ChaosReport {
     /// Backend label (`echo` / `bracha` / `acctorder`).
     pub backend: String,
-    /// Transport label (`tcp` / `mesh`).
-    pub transport: &'static str,
+    /// The transport the run exercised.
+    pub transport: ChaosTransport,
     /// Cluster size.
     pub n: usize,
     /// The schedule seed (full repro key together with the config).
@@ -169,15 +170,25 @@ pub struct ChaosReport {
 }
 
 impl ChaosReport {
-    /// One compact log line.
-    pub fn summary(&self) -> String {
-        format!(
-            "{}/{} seed {}: {} steps, {} submitted, {} committed, {} rejected, {} unresolved, \
-             {} timed out, {} events, converged={}, dropped={}, overflow={}, violations={}{}",
+    /// Everything a failed run leaves behind, as one text: the tallies,
+    /// the schedule, the row to paste into the pinned regression table
+    /// of `tests/chaos_runs.rs` (this run's `(backend, transport, seed)`
+    /// at `config`'s quota and disruption count — the shape that found
+    /// it), every violation, each still-reachable node's final metrics,
+    /// and the merged timeline of every transfer that never reached its
+    /// acknowledgement. The schedule regenerates bit-for-bit from the
+    /// row; the execution is wall-clock, so a tight race may need a few
+    /// replays.
+    pub fn counterexample(&self, config: &ChaosConfig) -> String {
+        let mut text = format!(
+            "counterexample: {}/{} seed {} (n = {}): {} submitted, {} committed, {} rejected, \
+             {} unresolved, {} timed out, {} events, converged={}, dropped={}, overflow={}{}\n\
+             schedule: {}\n\
+             pinned row: (\"{}\", ChaosTransport::{:?}, {}, {}, {}),\n",
             self.backend,
-            self.transport,
+            self.transport.label(),
             self.seed,
-            self.schedule.len(),
+            self.n,
             self.submitted,
             self.committed,
             self.rejected,
@@ -187,9 +198,27 @@ impl ChaosReport {
             self.converged,
             self.dropped_frames,
             self.overflow_dropped,
-            self.violations.len(),
             if self.unknown { " (unknown)" } else { "" },
-        )
+            format_nemesis_schedule(&self.schedule),
+            self.backend,
+            self.transport,
+            self.seed,
+            config.quota,
+            config.disruptions,
+        );
+        for violation in &self.violations {
+            text.push_str(&format!("  {:?}: {}\n", violation.kind, violation.detail));
+        }
+        for (heading, sections) in [
+            ("metrics", &self.metrics),
+            ("undelivered trace", &self.traces),
+        ] {
+            for rendered in sections {
+                let indented = rendered.trim_end().replace('\n', "\n  ");
+                text.push_str(&format!("{heading}:\n  {indented}\n"));
+            }
+        }
+        text
     }
 }
 
@@ -517,7 +546,7 @@ fn finalize(
 
     ChaosReport {
         backend: backend.to_string(),
-        transport: transport.label(),
+        transport,
         n,
         seed,
         schedule: schedule.to_vec(),
@@ -848,11 +877,6 @@ where
         metrics,
         traces,
     )
-}
-
-/// The production backend line-up of a soak (labels match at-check's).
-pub fn chaos_backends() -> Vec<&'static str> {
-    vec!["echo", "bracha", "acctorder"]
 }
 
 /// Runs one experiment with the schedule generated from `seed`,

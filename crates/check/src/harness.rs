@@ -331,31 +331,6 @@ pub struct ExplorationReport {
     pub violations: Vec<Counterexample>,
 }
 
-impl ExplorationReport {
-    /// One markdown table row (pairs with
-    /// [`ExplorationReport::table_header`]).
-    pub fn table_row(&self) -> String {
-        format!(
-            "| {} | {} | {} | {} | {} | {} |",
-            self.scenario,
-            self.backend,
-            self.executions,
-            self.distinct_schedules,
-            self.unknown,
-            self.violations.len(),
-        )
-    }
-
-    /// The markdown header matching [`ExplorationReport::table_row`].
-    pub fn table_header() -> String {
-        [
-            "| scenario | backend | executions | distinct | unknown | violations |",
-            "|---|---|---|---|---|---|",
-        ]
-        .join("\n")
-    }
-}
-
 /// Explores `scenario` on `backend` under `budget` (see the
 /// [module docs](self) for the invariants checked per execution).
 pub fn explore(
@@ -775,20 +750,6 @@ mod tests {
         assert!(report.violations.is_empty(), "{}", report.violations[0]);
         // Crash choices actually entered the schedules.
         assert!(report.executions > 0);
-    }
-
-    #[test]
-    fn report_table_renders() {
-        let report = ExplorationReport {
-            scenario: "s".into(),
-            backend: "bracha",
-            executions: 10,
-            distinct_schedules: 9,
-            unknown: 0,
-            violations: vec![],
-        };
-        assert!(report.table_row().starts_with("| s | bracha | 10 | 9 |"));
-        assert!(ExplorationReport::table_header().contains("violations"));
     }
 
     #[test]

@@ -21,7 +21,7 @@
 //! transfer to q that did not appear at hist[q] before the corresponding
 //! (q,d,y,s) has been added to it"). We therefore evaluate the balance
 //! over `hist[q] ∪ h`, which is the reading consistent with Lemma 3's
-//! liveness claim; DESIGN.md records this deviation-from-the-letter.
+//! liveness claim — a deliberate deviation from the letter of line 25.
 
 use at_model::codec::{Decode, Encode, Reader, Writer};
 use at_model::spec::balance_from_transfers;

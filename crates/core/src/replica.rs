@@ -124,11 +124,6 @@ where
 }
 
 impl<B: TransferBroadcast> ConsensuslessReplica<B> {
-    /// A replica from explicit parts.
-    pub fn from_parts(state: TransferState, broadcast: B) -> Self {
-        ConsensuslessReplica { state, broadcast }
-    }
-
     /// The Figure 4 state (for assertions).
     pub fn state(&self) -> &TransferState {
         &self.state
@@ -405,10 +400,6 @@ mod tests {
         assert_eq!(replica.state().me(), p(0));
         assert_eq!(replica.read(a(0)), amt(10));
         assert!(format!("{replica:?}").contains("me=p0"));
-        let _ = ConsensuslessReplica::from_parts(
-            TransferState::new(p(1), 3, amt(1)),
-            BrachaBroadcast::new(p(1), 3),
-        );
         let _ = TransferEvent::Applied {
             transfer: Transfer::new(a(0), a(1), amt(1), p(0), SeqNo::new(1)),
         };

@@ -148,12 +148,6 @@ pub struct EngineConfig {
     pub batch: BatchPolicy,
     /// The secure-broadcast protocol carrying the batches.
     pub backend: BroadcastBackend,
-    /// Modelled CPU cost, in virtual µs, charged per signature operation
-    /// the backend performs (sign or verify). Zero leaves signature work
-    /// free — the message/round-complexity-only regime. Non-zero makes
-    /// the signed backends' "CPU for messages" trade visible in virtual
-    /// time without real cryptography on the hot path.
-    pub sig_cost_us: u64,
     /// Number of ledger accounts. `0` (the default) means one account
     /// per process — the paper's base topology. The T9 scale scenarios
     /// set this far above `n` (e.g. one million) so the account universe
@@ -171,7 +165,6 @@ impl EngineConfig {
             shards: 1,
             batch: BatchPolicy::immediate(),
             backend: BroadcastBackend::Bracha,
-            sig_cost_us: 0,
             accounts: 0,
         }
     }
@@ -183,7 +176,6 @@ impl EngineConfig {
             shards,
             batch: BatchPolicy::windowed(batch_size, window),
             backend: BroadcastBackend::Bracha,
-            sig_cost_us: 0,
             accounts: 0,
         }
     }
@@ -197,12 +189,6 @@ impl EngineConfig {
     /// Replaces the broadcast backend.
     pub fn with_backend(mut self, backend: BroadcastBackend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Sets the modelled per-signature-operation CPU cost (virtual µs).
-    pub fn with_sig_cost_us(mut self, sig_cost_us: u64) -> Self {
-        self.sig_cost_us = sig_cost_us;
         self
     }
 
@@ -276,7 +262,6 @@ mod tests {
         assert_eq!(EngineConfig::default(), EngineConfig::standard());
         assert_eq!(EngineConfig::standard().shards, 4);
         assert_eq!(EngineConfig::standard().backend, BroadcastBackend::Bracha);
-        assert_eq!(EngineConfig::standard().sig_cost_us, 0);
     }
 
     #[test]
@@ -299,11 +284,8 @@ mod tests {
         assert_eq!(BroadcastBackend::signed_echo().label(), "echo");
         assert_eq!(BroadcastBackend::signed_echo_ed().label(), "echo-ed25519");
         assert_eq!(BroadcastBackend::account_order().label(), "acctorder");
-        let config = EngineConfig::standard()
-            .with_backend(BroadcastBackend::signed_echo())
-            .with_sig_cost_us(25);
+        let config = EngineConfig::standard().with_backend(BroadcastBackend::signed_echo());
         assert_eq!(config.backend, BroadcastBackend::signed_echo());
-        assert_eq!(config.sig_cost_us, 25);
         assert!(matches!(
             BroadcastBackend::signed_echo_ed(),
             BroadcastBackend::SignedEcho {

@@ -4,7 +4,7 @@
 //! proves asset transfer has consensus number 1: transfers debiting
 //! different accounts need no mutual ordering. This crate turns that
 //! result into a production-shaped runtime above `at-broadcast`/`at-core`
-//! and below `at-bench`, with three pillars:
+//! and below `at-node`, with three pillars:
 //!
 //! * **a sharded account-state engine over pluggable broadcast
 //!   backends** ([`shard`], [`replica`], [`config`]) — the ledger is
@@ -76,7 +76,7 @@ pub use replica::{
     DefaultEngineBroadcast, DropDiagnostic, DropReason, EngineEvent, EngineMsg, EnginePayload,
     ShardedReplica,
 };
-pub use scenario::{percentiles, Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload};
+pub use scenario::{Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload};
 pub use shard::{ShardError, ShardMap, ShardStats, ShardedLedger};
 pub use snapshot::LedgerSnapshot;
 pub use suite::{format_reports, run_suite, standard_suite};

@@ -53,7 +53,7 @@ use at_broadcast::types::{Delivery, Outgoing, Step};
 use at_broadcast::{Batch, Batcher};
 use at_core::figure4::TransferMsg;
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
-use at_net::{Actor, Context, VirtualTime};
+use at_net::{Actor, Context};
 use at_obs::{Recorder, Stage, TraceCtx, TraceEventKind, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -190,10 +190,6 @@ pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroad
     me: ProcessId,
     n: usize,
     policy: BatchPolicy,
-    /// Virtual CPU charged per backend signature operation.
-    sig_cost: VirtualTime,
-    /// Backend signature operations already charged.
-    charged_ops: u64,
     ledger: ShardedLedger,
     broadcast: B,
     batcher: Batcher<TransferMsg>,
@@ -288,8 +284,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             me,
             n,
             policy: config.batch,
-            sig_cost: VirtualTime::from_micros(config.sig_cost_us),
-            charged_ops: 0,
             ledger: ShardedLedger::uniform(config.account_count(n), initial, config.shards),
             broadcast: backend,
             batcher: Batcher::new(config.batch.max_size),
@@ -355,8 +349,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             me,
             n,
             policy: config.batch,
-            sig_cost: VirtualTime::from_micros(config.sig_cost_us),
-            charged_ops: 0,
             ledger: ShardedLedger::new(snapshot.balances.iter().copied(), config.shards),
             broadcast: backend,
             batcher: Batcher::new(config.batch.max_size),
@@ -695,16 +687,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         step: Step<B::Msg, EnginePayload>,
         ctx: &mut Context<'_, B::Msg, EngineEvent>,
     ) {
-        // Charge modelled CPU for the signature work the backend just
-        // performed (see `EngineConfig::sig_cost_us`).
-        if self.sig_cost > VirtualTime::ZERO {
-            let ops = self.broadcast.crypto_ops().total();
-            let delta = ops.saturating_sub(self.charged_ops);
-            if delta > 0 {
-                ctx.charge(VirtualTime::from_micros(self.sig_cost.as_micros() * delta));
-                self.charged_ops = ops;
-            }
-        }
         let Step {
             outgoing,
             deliveries,
@@ -1307,42 +1289,6 @@ mod tests {
         let account = run_one(|me| AccountOrderBackend::new(me, 4, NoAuth));
         assert_eq!(bracha, echo);
         assert_eq!(bracha, account);
-    }
-
-    #[test]
-    fn sig_cost_stretches_virtual_time_on_signed_backends() {
-        use at_broadcast::auth::NoAuth;
-        use at_broadcast::echo::EchoBroadcast;
-
-        fn run_one(sig_cost_us: u64) -> VirtualTime {
-            let n = 4;
-            let config = EngineConfig::unsharded().with_sig_cost_us(sig_cost_us);
-            let replicas: Vec<ShardedReplica<EchoBroadcast<EnginePayload, NoAuth>>> = (0..n as u32)
-                .map(|i| {
-                    ShardedReplica::with_backend(
-                        p(i),
-                        n,
-                        amt(100),
-                        config,
-                        EchoBroadcast::new(p(i), n, NoAuth),
-                    )
-                })
-                .collect();
-            let mut sim = Simulation::new(replicas, NetConfig::lan(3));
-            sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
-                replica.submit(a(1), amt(5), ctx);
-            });
-            assert!(sim.run_until_quiet(1_000_000));
-            assert_eq!(completed(&sim.take_events()).len(), 1);
-            sim.now()
-        }
-
-        let free = run_one(0);
-        let costly = run_one(400);
-        assert!(
-            costly > free,
-            "modelled signature CPU must stretch the run: {costly:?} vs {free:?}"
-        );
     }
 
     /// Regression (found wiring the real event loop in at-node): an

@@ -376,9 +376,8 @@ impl ScenarioReport {
 }
 
 /// Aggregates raw latency samples into `(p50, p99)` — the percentile
-/// convention every report in this workspace uses, virtual-time
-/// ([`ScenarioReport`]) and wall-clock (`at-node`'s loadgen) alike.
-pub fn percentiles(latencies: &mut [u64]) -> (u64, u64) {
+/// convention of every [`ScenarioReport`].
+pub(crate) fn percentiles(latencies: &mut [u64]) -> (u64, u64) {
     latencies.sort_unstable();
     let pick = |q: f64| -> u64 {
         if latencies.is_empty() {

@@ -59,9 +59,8 @@ impl Default for LatencyModel {
 /// `processing_cost` models the CPU time a process spends handling one
 /// event (message validation, signature checks, state updates). Processes
 /// are single-threaded in the model: while busy, later arrivals queue.
-/// This is what produces realistic throughput saturation curves in the
-/// evaluation harness — see DESIGN.md §4 on substituting the paper's
-/// deployment with a simulator.
+/// This is what produces realistic throughput saturation curves when
+/// the simulator stands in for the paper's deployment.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
     /// One-way message latency model.

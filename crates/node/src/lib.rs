@@ -25,7 +25,7 @@
 //!   gateway, and a pipelining [`Client`] library with
 //!   acknowledgement tracking;
 //! * [`cluster`] — N-node loopback clusters (mesh or TCP) and the
-//!   [`await_convergence`] poll used by tests and the `loadgen` bench;
+//!   [`await_convergence`] poll used by tests and the `perf` benchmark;
 //! * [`probe`] — the shared [`EventProbe`] recorder that turns a live
 //!   cluster run into the same checkable event stream the simulator
 //!   produces (consumed by `at-chaos` and at-check's recorded-run

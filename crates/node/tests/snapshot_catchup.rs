@@ -1,7 +1,8 @@
 //! Integration tests for the snapshot catch-up plane: cold-starting a
 //! node from a quorum-attested snapshot plus the peers' short log
-//! suffix, and resuming a chunked snapshot download across a client
-//! crash.
+//! suffix, resuming a chunked snapshot download across a client crash,
+//! and the steady-state memory gate — under log truncation, what a
+//! drained node retains does not grow with the history behind it.
 
 use at_broadcast::auth::NoAuth;
 use at_broadcast::echo::EchoBroadcast;
@@ -9,9 +10,21 @@ use at_engine::{EngineConfig, LedgerSnapshot};
 use at_model::codec::decode;
 use at_model::{AccountId, Amount, ProcessId};
 use at_node::{
-    await_convergence, start_tcp_cluster, Client, NodeConfig, NodeHandle, ResponseBody, TcpOptions,
+    await_convergence, start_tcp_cluster, Client, LocalClient, NodeConfig, NodeHandle,
+    ResponseBody, TcpOptions,
 };
 use std::time::Duration;
+
+/// Awaits `client`'s next acknowledgement and requires a commit.
+fn expect_committed(client: &mut LocalClient) {
+    let ack = client
+        .recv_response(Duration::from_secs(30))
+        .expect("transfer acknowledged");
+    assert!(
+        matches!(ack.body, ResponseBody::Committed { .. }),
+        "transfer rejected: {ack:?}"
+    );
+}
 
 fn committed_transfer<B>(handle: &NodeHandle<B>, destination: AccountId, amount: Amount)
 where
@@ -19,13 +32,7 @@ where
 {
     let mut client = handle.local_client();
     client.submit_transfer(destination, amount);
-    let ack = client
-        .recv_response(Duration::from_secs(20))
-        .expect("transfer acknowledged");
-    assert!(
-        matches!(ack.body, ResponseBody::Committed { .. }),
-        "transfer rejected: {ack:?}"
-    );
+    expect_committed(&mut client);
 }
 
 #[test]
@@ -207,4 +214,236 @@ fn warm_restart_still_converges_with_pruning_enabled() {
     let handles: Vec<_> = cluster.running().collect();
     await_convergence(&handles, Duration::from_secs(30)).expect("convergence with pruning");
     cluster.stop_all();
+}
+
+/// What the memory gauges read after one soak window has drained and
+/// settled — the maximum across running nodes.
+#[derive(Debug)]
+struct WindowSample {
+    /// `broadcast_instances`: backend instance state still held.
+    instances: u64,
+    /// `engine_pending`: delivered transfers still awaiting validation.
+    pending: u64,
+    /// `broadcast_delivered_total`: instances delivered since genesis
+    /// (the backend carries it across warm restarts) — the history.
+    delivered: u64,
+}
+
+#[derive(Debug)]
+struct SoakPeaks {
+    per_window: u64,
+    samples: Vec<WindowSample>,
+    /// `engine_pruned_total`, summed across the cluster at the end.
+    pruned_total: u64,
+}
+
+/// The long-running deployment compressed into seconds: a 4-node TCP
+/// cluster over `accounts` accounts takes `windows` windows of
+/// `per_window` closed-loop transfers to Zipf-hot destinations, with
+/// one warm crash/restart between windows (rolling through the nodes)
+/// and a gauge sample after every drained window.
+fn rolling_soak(
+    accounts: usize,
+    windows: usize,
+    per_window: usize,
+    prune_interval: Duration,
+) -> SoakPeaks {
+    const N: usize = 4;
+    const PIPELINE: usize = 16;
+    let mut config = NodeConfig::new(
+        EngineConfig::standard().with_accounts(accounts),
+        Amount::new(1_000_000),
+    );
+    config.prune_interval = prune_interval;
+    let mut cluster = start_tcp_cluster(N, config, TcpOptions::default(), |me| {
+        EchoBroadcast::new(me, N, NoAuth)
+    })
+    .expect("cluster start");
+
+    // xorshift64*, mapped log-uniformly onto the accounts no process
+    // owns: a handful of hot keys, a tail as long as the universe.
+    let mut rng = 0x79u64;
+    let mut zipf_destination = move || {
+        rng ^= rng << 13;
+        rng ^= rng >> 7;
+        rng ^= rng << 17;
+        let u = (rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 11) as f64 / (1u64 << 53) as f64;
+        let rank = ((accounts - N) as f64).powf(u) as usize - 1;
+        AccountId::new((N + rank.min(accounts - N - 1)) as u32)
+    };
+
+    let mut samples = Vec::with_capacity(windows);
+    for window in 0..windows {
+        let handles: Vec<_> = cluster.running().collect();
+        let mut clients: Vec<_> = handles.iter().map(|h| h.local_client()).collect();
+        let mut outstanding = vec![0usize; clients.len()];
+        for t in 0..per_window {
+            let c = t % clients.len();
+            clients[c].submit_transfer(zipf_destination(), Amount::new(1));
+            outstanding[c] += 1;
+            if outstanding[c] == PIPELINE {
+                expect_committed(&mut clients[c]);
+                outstanding[c] -= 1;
+            }
+        }
+        for (client, outstanding) in clients.iter_mut().zip(outstanding) {
+            for _ in 0..outstanding {
+                expect_committed(client);
+            }
+        }
+        drop(clients);
+        drop(handles);
+
+        // Every acknowledgement is in; give every node two prune
+        // cadences of quiet before reading what it still holds.
+        std::thread::sleep(SETTLE);
+        let scrapes: Vec<_> = cluster.running().map(|h| h.metrics()).collect();
+        let max_of = |read: &dyn Fn(&at_obs::Snapshot) -> Option<u64>| {
+            scrapes.iter().filter_map(read).max().unwrap_or(0)
+        };
+        samples.push(WindowSample {
+            instances: max_of(&|m| m.gauge("broadcast_instances")),
+            pending: max_of(&|m| m.gauge("engine_pending")),
+            delivered: max_of(&|m| m.counter("broadcast_delivered_total")),
+        });
+
+        if window + 1 < windows {
+            let victim = window % N;
+            let replica = cluster.stop_node(victim);
+            cluster.restart_node(victim, replica).expect("warm restart");
+        }
+    }
+
+    let handles: Vec<_> = cluster.running().collect();
+    await_convergence(&handles, Duration::from_secs(60)).expect("post-soak convergence");
+    let pruned_total = handles
+        .iter()
+        .filter_map(|h| h.metrics().counter("engine_pruned_total"))
+        .sum();
+    drop(handles);
+    cluster.stop_all();
+    SoakPeaks {
+        per_window: per_window as u64,
+        samples,
+        pruned_total,
+    }
+}
+
+/// The truncation cadence of the compressed soak, and the quiet a
+/// window gets before its sample (two cadences and change).
+const PRUNE_EVERY: Duration = Duration::from_millis(200);
+const SETTLE: Duration = Duration::from_millis(450);
+
+/// The plateau clause: every window added history, yet no drained
+/// node ever held more than one window's worth of it — a bound that
+/// does not move with the number of windows. Without truncation the
+/// retained instances track `delivered` itself and cross the bound in
+/// the second window.
+fn plateau(peaks: &SoakPeaks) -> Result<(), String> {
+    let mut bound = 0;
+    let mut before = 0;
+    for sample in &peaks.samples {
+        if sample.delivered <= before {
+            return Err(format!("a window delivered nothing: {peaks:?}"));
+        }
+        bound = bound.max(sample.delivered - before);
+        before = sample.delivered;
+    }
+    match peaks
+        .samples
+        .iter()
+        .find(|s| s.instances > bound || s.pending > peaks.per_window)
+    {
+        None => Ok(()),
+        Some(sample) => Err(format!(
+            "retained state grows with history: {sample:?} exceeds one window's \
+             {bound} instances / {} transfers in {peaks:?}",
+            peaks.per_window
+        )),
+    }
+}
+
+fn assert_plateau(peaks: &SoakPeaks) {
+    assert!(peaks.pruned_total > 0, "truncation never ran: {peaks:?}");
+    if let Err(growth) = plateau(peaks) {
+        panic!("{growth}");
+    }
+}
+
+/// Peaks as a soak would report them, from per-window
+/// `(instances, delivered)` readings.
+fn peaks_of(readings: &[(u64, u64)]) -> SoakPeaks {
+    SoakPeaks {
+        per_window: 48,
+        samples: readings
+            .iter()
+            .map(|&(instances, delivered)| WindowSample {
+                instances,
+                pending: 0,
+                delivered,
+            })
+            .collect(),
+        pruned_total: 1,
+    }
+}
+
+#[test]
+fn plateau_accepts_residue_within_one_window_of_history() {
+    // Fully pruned, and a node caught one window behind its prune.
+    plateau(&peaks_of(&[(0, 9), (0, 22), (0, 34), (0, 42)])).expect("flat");
+    plateau(&peaks_of(&[(0, 9), (13, 22), (0, 34), (8, 42)])).expect("one window behind");
+}
+
+/// The series a soak without truncation produced, which the gate this
+/// one replaces (`late ≤ max(1.5·early, early + 64)` over half-soak
+/// peaks: 34 → 58) let through.
+#[test]
+fn plateau_rejects_residue_that_tracks_history() {
+    let growth = plateau(&peaks_of(&[
+        (9, 9),
+        (22, 22),
+        (34, 34),
+        (42, 42),
+        (50, 50),
+        (58, 58),
+    ]))
+    .expect_err("retained == delivered");
+    assert!(growth.contains("instances: 22"), "{growth}");
+}
+
+#[test]
+fn plateau_rejects_a_window_that_added_no_history() {
+    // Nothing retained because nothing happened is not a plateau.
+    plateau(&peaks_of(&[(0, 9), (0, 9)])).expect_err("idle window");
+    plateau(&peaks_of(&[(0, 0)])).expect_err("idle soak");
+}
+
+#[test]
+fn retained_state_plateaus_under_truncation() {
+    assert_plateau(&rolling_soak(150_000, 6, 48, PRUNE_EVERY));
+}
+
+/// The same gate at deployment size (`cargo test --release -- --ignored`).
+#[test]
+#[ignore = "1M accounts, 20 windows; run with --release -- --ignored"]
+fn retained_state_plateaus_under_truncation_at_a_million_accounts() {
+    assert_plateau(&rolling_soak(1_000_000, 20, 200, PRUNE_EVERY));
+}
+
+/// The gate has teeth: the same soak with truncation off retains every
+/// instance it ever delivered, and the plateau clause itself — not the
+/// `pruned_total` guard — reports the growth.
+#[test]
+fn plateau_gate_reports_growth_when_truncation_is_off() {
+    let peaks = rolling_soak(150_000, 6, 48, Duration::MAX);
+    assert_eq!(peaks.pruned_total, 0);
+    let growth = plateau(&peaks).expect_err("history retained in full must fail the gate");
+    let (first, last) = (
+        &peaks.samples[0],
+        peaks.samples.last().expect("six windows"),
+    );
+    assert!(
+        first.instances > 0 && last.instances > first.instances,
+        "{growth}"
+    );
 }

@@ -37,7 +37,7 @@
 //! ([`at_model::codec::Encode`]/[`Decode`]) — that is what `at-node`
 //! ships over the wire for `Client::stats()` — and
 //! [`Registry::render`] (or [`Snapshot::render`]) formats it as the
-//! text block `loadgen` and `chaos_soak` dump per node.
+//! text block a chaos counterexample embeds per node.
 //!
 //! # Tracing
 //!

@@ -74,23 +74,6 @@ impl Stage {
             Stage::CatchUp => "stage_catchup_us",
         }
     }
-
-    /// A short human label for tables.
-    pub fn label(self) -> &'static str {
-        match self {
-            Stage::Gateway => "gateway",
-            Stage::Batch => "batch",
-            Stage::Broadcast => "broadcast",
-            Stage::WireEncode => "wire-enc",
-            Stage::WireDecode => "wire-dec",
-            Stage::Sign => "sign",
-            Stage::Verify => "verify",
-            Stage::Apply => "apply",
-            Stage::Ack => "ack",
-            Stage::EndToEnd => "e2e",
-            Stage::CatchUp => "catch-up",
-        }
-    }
 }
 
 /// A cheap, cloneable handle for recording stage latencies: all

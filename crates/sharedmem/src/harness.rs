@@ -1,9 +1,7 @@
 //! Concurrent workload harness: drives any [`SharedAssetTransfer`] object
 //! from multiple threads, records the [`History`], and hands it to the
-//! linearizability checker.
-//!
-//! This is the machinery behind experiment **F1** (Figure 1's correctness)
-//! and **F3** (Figure 3's correctness) in DESIGN.md.
+//! linearizability checker — the machinery behind the correctness
+//! tests of Figure 1 and Figure 3.
 
 use crate::object::SharedAssetTransfer;
 use at_model::history::{Operation, Recorder, Response};

@@ -81,7 +81,6 @@ fn main() {
         "The broadcast layer is swappable (Section 5): Bracha pays O(n²) messages \
          with zero signatures; signed echo and account-order pay O(n) sender \
          messages plus certificate signatures. Same workload, same final \
-         balances, different cost profile — run `ablation_backend` for the \
-         full T4 table."
+         balances, different cost profile."
     );
 }

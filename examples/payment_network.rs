@@ -5,7 +5,7 @@
 //! quorum intersection alone makes the double spend impossible, while
 //! honest payments keep flowing.
 //!
-//! Run with `cargo run -p at-examples --bin payment_network`.
+//! Run with `cargo run -p at-examples --example payment_network`.
 
 use at_core::byzantine::{MaliciousReplica, Participant};
 use at_core::replica::TransferEvent;

@@ -5,7 +5,7 @@
 //! 2. Message passing — the paper's Figure 4 system: Byzantine
 //!    fault-tolerant payments over secure broadcast, no consensus.
 //!
-//! Run with `cargo run -p at-examples --bin quickstart`.
+//! Run with `cargo run -p at-examples --example quickstart`.
 
 use at_core::replica::{ConsensuslessReplica, TransferEvent};
 use at_examples::banner;

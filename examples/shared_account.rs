@@ -2,7 +2,7 @@
 //! sequenced by their own BFT group — consensus only among the owners,
 //! never among all participants.
 //!
-//! Run with `cargo run -p at-examples --bin shared_account`.
+//! Run with `cargo run -p at-examples --example shared_account`.
 
 use at_broadcast::auth::NoAuth;
 use at_core::kshared::{KEvent, KSharedReplica};

@@ -253,7 +253,7 @@ proptest! {
     }
 }
 
-/// Satellite: the T5-style closed-loop loadgen still converges with
+/// Satellite: closed-loop pipelined clients still converge with
 /// every acknowledgement resolved (Committed or Rejected, none lost)
 /// under 5% wire loss on every link plus one forced disconnect.
 #[test]

@@ -4,7 +4,7 @@
 
 use at_broadcast::bracha::BrachaBroadcast;
 use at_engine::{
-    Adversary, BroadcastBackend, ConsensuslessEngine, Engine, EngineActor, EngineConfig,
+    Adversary, AuthMode, BroadcastBackend, ConsensuslessEngine, Engine, EngineActor, EngineConfig,
     EngineEvent, Fault, NetProfile, Scenario, Workload,
 };
 use at_model::{AccountId, Amount, ProcessId, Transfer};
@@ -274,6 +274,128 @@ fn completion_events_carry_transfers() {
     assert_eq!(completed.len(), 1);
     assert_eq!(completed[0].amount, Amount::new(7));
     assert_eq!(completed[0].destination, a(2));
+}
+
+/// The closed-loop workload of the count gates below: every process
+/// submits `transfers_per_wave` transfers per wave from deep pockets.
+fn closed_loop(n: usize, waves: usize, transfers_per_wave: usize) -> Scenario {
+    Scenario::new(format!("closed-loop-n{n}"), n)
+        .waves(waves)
+        .transfers_per_wave(transfers_per_wave)
+        .seed(21)
+        .initial(Amount::new(1_000_000))
+}
+
+/// The backend-ablation gate. Unsharded and unbatched with certificate
+/// forwarding off (all senders honest), so the per-transfer message
+/// count is each protocol's own cost: at n = 16 the signed backends
+/// spend at most half of Bracha's messages per transfer (`O(n)` sender
+/// cost against `O(n²)`), with every backend completing the whole
+/// closed loop in agreement.
+#[test]
+fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
+    let scenario = closed_loop(16, 2, 1);
+    let [bracha, echo, account] = [
+        BroadcastBackend::Bracha,
+        BroadcastBackend::SignedEcho {
+            auth: AuthMode::None,
+            forward_final: false,
+        },
+        BroadcastBackend::AccountOrder {
+            auth: AuthMode::None,
+            forward_final: false,
+        },
+    ]
+    .map(|backend| {
+        ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(backend)).run(&scenario)
+    });
+    for report in [&bracha, &echo, &account] {
+        assert_eq!(report.completed, 32, "{}: stalled backend", report.engine);
+        assert!(report.agreed && report.supply_ok, "{}", report.engine);
+        assert_eq!(report.conflicts, 0, "{}", report.engine);
+        assert_eq!(
+            report.balance_digest, bracha.balance_digest,
+            "{}",
+            report.engine
+        );
+    }
+    // Equal completions, so messages per transfer compare as messages.
+    for signed in [&echo, &account] {
+        assert!(
+            signed.messages_sent * 2 <= bracha.messages_sent,
+            "{} sent {} messages vs bracha's {}",
+            signed.engine,
+            signed.messages_sent,
+            bracha.messages_sent
+        );
+    }
+}
+
+/// Real Ed25519 changes the CPU a message costs, never the messages:
+/// signed echo under `EdAuth` sends exactly what it sends under
+/// `NoAuth`, in the same virtual time, to the same balances.
+#[test]
+fn ed25519_echo_matches_noauth_echo_message_for_message() {
+    let scenario = closed_loop(4, 2, 2);
+    let [modelled, real] = [AuthMode::None, AuthMode::Ed25519].map(|auth| {
+        let backend = BroadcastBackend::SignedEcho {
+            auth,
+            forward_final: false,
+        };
+        ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(backend)).run(&scenario)
+    });
+    assert_eq!(real.completed, 4 * 2 * 2);
+    assert!(real.agreed && real.supply_ok);
+    assert_eq!(real.conflicts, 0);
+    assert_eq!(real.messages_sent, modelled.messages_sent);
+    assert_eq!(real.duration_us, modelled.duration_us);
+    assert_eq!(real.balance_digest, modelled.balance_digest);
+}
+
+/// The sharding-and-batching gate: at n = 16 with four clients per
+/// process, the sharded+batched engine's throughput is at least the
+/// unsharded engine's on strictly fewer messages (batching amortizes
+/// the `O(n²)` broadcast), and the PBFT baseline completes the same
+/// closed loop.
+#[test]
+fn sharded_batched_beats_or_matches_unsharded_at_16() {
+    let scenario = closed_loop(16, 2, 4);
+    let unsharded = ConsensuslessEngine::new(EngineConfig::unsharded()).run(&scenario);
+    let sharded = ConsensuslessEngine::new(EngineConfig::sharded_batched(
+        4,
+        8,
+        VirtualTime::from_micros(500),
+    ))
+    .run(&scenario);
+    let baseline = at_engine::BaselineEngine::new(8).run(&scenario);
+    for report in [&unsharded, &sharded, &baseline] {
+        assert_eq!(report.completed, 16 * 2 * 4, "{}", report.engine);
+        assert!(report.agreed && report.supply_ok, "{}", report.engine);
+        assert_eq!(report.conflicts, 0, "{}", report.engine);
+    }
+    assert!(
+        sharded.throughput_tps >= unsharded.throughput_tps,
+        "sharded+batched {} tps < unsharded {} tps",
+        sharded.throughput_tps,
+        unsharded.throughput_tps
+    );
+    assert!(sharded.messages_sent < unsharded.messages_sent);
+}
+
+/// The paper's line-up — unsharded, sharded+batched, PBFT baseline —
+/// reruns to identical reports on a multi-client closed loop: what
+/// `examples/engine_scenarios` prints does not depend on the run.
+#[test]
+fn engine_lineup_reruns_are_identical() {
+    let scenario = closed_loop(8, 2, 2);
+    let lineup: [Box<dyn Engine>; 3] = [
+        Box::new(ConsensuslessEngine::new(EngineConfig::unsharded())),
+        Box::new(ConsensuslessEngine::new(EngineConfig::standard())),
+        Box::new(at_engine::BaselineEngine::new(8)),
+    ];
+    for engine in &lineup {
+        assert_eq!(engine.run(&scenario), engine.run(&scenario));
+    }
 }
 
 /// The three broadcast backends the engine supports, over the standard

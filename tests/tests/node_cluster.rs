@@ -11,6 +11,7 @@ use at_engine::{EngineConfig, ShardedReplica, Workload};
 use at_model::{AccountId, Amount, ProcessId};
 use at_net::{Actor, Context, VirtualTime};
 use at_node::{await_convergence, start_tcp_cluster, Client, NodeConfig, ResponseBody, TcpOptions};
+use at_obs::{merge_traces, HistogramSnapshot, Stage, TraceConfig};
 use std::time::{Duration, Instant};
 
 type EchoNode = EchoBroadcast<EnginePayload, NoAuth>;
@@ -34,16 +35,17 @@ fn node_config() -> NodeConfig {
 
 /// 4-node TCP cluster, signed-echo backend, mixed workload over real
 /// sockets: all transfers commit, every replica converges to
-/// byte-identical balances, the supply is conserved — and a
-/// double-spending client's second transfer is rejected over the wire.
+/// byte-identical balances, the supply is conserved, a double-spending
+/// client's second transfer is rejected over the wire — and the stats
+/// and trace scrapes account for exactly what the clients were told.
 #[test]
 fn tcp_cluster_converges_and_rejects_double_spend_over_the_wire() {
     let n = 4;
-    let cluster = start_tcp_cluster(n, node_config(), TcpOptions::default(), |me| {
+    let config = node_config().with_trace(TraceConfig::always());
+    let mut cluster = start_tcp_cluster(n, config, TcpOptions::default(), |me| {
         EchoNode::new(me, n, NoAuth)
     })
     .expect("cluster");
-    let mut cluster = cluster;
 
     // One real TCP client per node, driving the scenario subsystem's
     // mixed workload distribution (sink = account 2).
@@ -122,6 +124,37 @@ fn tcp_cluster_converges_and_rejects_double_spend_over_the_wire() {
     assert!(
         matches!(outcomes[1].body, ResponseBody::Rejected { .. }),
         "second spend must be rejected: {outcomes:?}"
+    );
+
+    // The scrape plane agrees with what the clients saw. Over the same
+    // wire protocol, every node's end-to-end stage histogram together
+    // counts exactly the commit acknowledgements received; the merged
+    // trace rings hold complete ingress-to-ack timelines; and a traced
+    // end-to-end time is the very sample the histogram was fed, so none
+    // exceeds its observed maximum.
+    let mut e2e = HistogramSnapshot::default();
+    let mut logs = Vec::new();
+    for addr in &cluster.client_addrs {
+        let mut scraper = Client::connect(*addr).expect("connect");
+        let stats = scraper.stats(Duration::from_secs(5)).expect("stats");
+        e2e.merge(
+            stats
+                .histogram(Stage::EndToEnd.metric_name())
+                .expect("end-to-end stage registered"),
+        );
+        logs.push(scraper.trace(Duration::from_secs(5)).expect("trace"));
+    }
+    assert_eq!(e2e.count, committed + 1, "one e2e sample per commit ack");
+    let traced: Vec<u64> = merge_traces(&logs)
+        .iter()
+        .filter(|timeline| !timeline.incomplete)
+        .filter_map(|timeline| timeline.e2e_us)
+        .collect();
+    assert!(!traced.is_empty(), "no merged timeline reached its ack");
+    assert!(
+        traced.iter().all(|&us| us <= e2e.max),
+        "traced {traced:?} vs histogram max {}",
+        e2e.max
     );
 
     cluster.stop_all();
