@@ -25,7 +25,7 @@ use crate::types::{CryptoOps, Step};
 use at_model::codec::{encode, Writer};
 use at_model::{AccountId, Encode, ProcessId, SeqNo};
 use at_obs::{TraceCtx, TraceEventKind, Tracer};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 
 /// Wire messages of the account-order broadcast.
@@ -111,9 +111,7 @@ pub struct AccountOrderBroadcast<P, A: Authenticator> {
     pending_finals: HashMap<AccountId, BTreeMap<u64, BufferedFinal<P, A::Sig>>>,
     /// Sender-side state of our own broadcasts.
     sending: HashMap<(AccountId, u64), Sending<A::Sig>>,
-    /// Deliveries ready for the caller.
-    ready: Vec<AccountDelivery<P>>,
-    /// Monotone count of deliveries — survives pruning of `ready`.
+    /// Monotone count of deliveries.
     delivered_total: usize,
     forward_final: bool,
     /// When set, a `SEND` for account `a` is only acknowledged if it comes
@@ -139,7 +137,6 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
             pending_sends: HashMap::new(),
             pending_finals: HashMap::new(),
             sending: HashMap::new(),
-            ready: Vec::new(),
             delivered_total: 0,
             forward_final: true,
             sole_owner: false,
@@ -421,13 +418,6 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         share: A::Sig,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
     ) {
-        self.ops.verifies += 1;
-        if !self
-            .auth
-            .verify(from, &ack_bytes(account, seq, digest), &share)
-        {
-            return;
-        }
         let quorum = self.quorum();
         let n = self.n;
         let me = self.me;
@@ -435,6 +425,13 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
             return;
         };
         if state.digest != digest || state.finalized {
+            return; // a late ack past the quorum costs no verification
+        }
+        self.ops.verifies += 1;
+        if !self
+            .auth
+            .verify(from, &ack_bytes(account, seq, digest), &share)
+        {
             return;
         }
         state.shares.insert(from, share);
@@ -486,6 +483,12 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
             // its certificate and park forever in `pending_finals`.
             return;
         }
+        let parked = self.pending_finals.get(&account);
+        if parked.is_some_and(|finals| finals.contains_key(&seq.value())) {
+            // A forwarded copy of a FINAL already parked behind a gap:
+            // its certificate was verified when the first copy arrived.
+            return;
+        }
         let digest = payload_digest(&payload);
         let span = self
             .trace_ctx(&payload, sender)
@@ -493,14 +496,14 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         if let Some((tracer, ctx)) = &span {
             tracer.record(*ctx, TraceEventKind::VerifyStart, certificate.len() as u64);
         }
-        let mut signers = BTreeMap::new();
+        let mut signers = BTreeSet::new();
         for (signer, share) in &certificate {
             self.ops.verifies += 1;
             if self
                 .auth
                 .verify(*signer, &ack_bytes(account, seq, digest), share)
             {
-                signers.insert(*signer, ());
+                signers.insert(*signer);
             }
         }
         if let Some((tracer, ctx)) = &span {
@@ -509,11 +512,10 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         if signers.len() < self.quorum() {
             return;
         }
-        let finals = self.pending_finals.entry(account).or_default();
-        if finals.contains_key(&seq.value()) {
-            return; // duplicate
-        }
-        finals.insert(seq.value(), (sender, payload, certificate));
+        self.pending_finals
+            .entry(account)
+            .or_default()
+            .insert(seq.value(), (sender, payload, certificate));
         self.drain_deliveries(account, step);
     }
 
@@ -556,7 +558,6 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
             };
             self.trace(&delivery.payload, sender, TraceEventKind::Deliver, expected);
             self.delivered_total += 1;
-            self.ready.push(delivery.clone());
             step.deliver(sender, SeqNo::new(expected), delivery);
             // A delivery may unblock the acknowledgement of the next SEND.
             self.try_ack(account, step);
@@ -566,11 +567,6 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
     /// The next sequence number this process will deliver for `account`.
     pub fn expected(&self, account: AccountId) -> SeqNo {
         SeqNo::new(self.next_deliver.get(&account).copied().unwrap_or(1))
-    }
-
-    /// Deliveries made so far and not yet pruned, in delivery order.
-    pub fn delivered(&self) -> &[AccountDelivery<P>] {
-        &self.ready
     }
 
     /// Total number of deliveries ever made (monotone across pruning).
@@ -586,9 +582,9 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
     }
 
     /// Drops per-instance state behind each account's delivery floor:
-    /// acknowledgement slots, finalized sender state, buffered SENDs and
-    /// FINALs, and the retained delivery log. Returns the number of
-    /// acknowledgement slots pruned (the [`Self::instance_count`] unit).
+    /// acknowledgement slots, finalized sender state, and buffered SENDs
+    /// and FINALs. Returns the number of acknowledgement slots pruned
+    /// (the [`Self::instance_count`] unit).
     /// Late messages for pruned instances are rejected by the floor
     /// checks, so delivery stays exactly-once per `(account, seq)`.
     pub fn prune_delivered(&mut self) -> usize {
@@ -609,7 +605,6 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         }
         self.pending_sends.retain(|_, slot| !slot.is_empty());
         self.pending_finals.retain(|_, slot| !slot.is_empty());
-        self.ready.clear();
         before - self.acked.len()
     }
 
@@ -634,8 +629,6 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         if let Some(slot) = self.pending_finals.get_mut(&account) {
             *slot = slot.split_off(&next);
         }
-        self.ready
-            .retain(|d| !(d.account == account && d.seq.value() < next));
     }
 }
 
@@ -674,7 +667,7 @@ fn ack_bytes(account: AccountId, seq: SeqNo, digest: [u8; 32]) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::auth::NoAuth;
+    use crate::auth::{EdAuth, NoAuth, ObservedAuth};
     use std::collections::VecDeque;
 
     fn p(i: u32) -> ProcessId {
@@ -685,14 +678,21 @@ mod tests {
         AccountId::new(i)
     }
 
-    type Endpoint = AccountOrderBroadcast<u64, NoAuth>;
-    type Wire = (ProcessId, ProcessId, AccountOrderMsg<u64, ()>);
+    type Endpoint<A = NoAuth> = AccountOrderBroadcast<u64, A>;
+    type Wire<A = NoAuth> = (
+        ProcessId,
+        ProcessId,
+        AccountOrderMsg<u64, <A as Authenticator>::Sig>,
+    );
 
-    fn run(
-        endpoints: &mut [Endpoint],
-        mut inflight: VecDeque<Wire>,
-        drop_rule: impl Fn(&Wire) -> bool,
-    ) {
+    /// Runs `inflight` to quiescence in FIFO order; returns the payloads
+    /// each process delivered, in delivery order.
+    fn run<A: Authenticator>(
+        endpoints: &mut [Endpoint<A>],
+        mut inflight: VecDeque<Wire<A>>,
+        drop_rule: impl Fn(&Wire<A>) -> bool,
+    ) -> Vec<Vec<AccountDelivery<u64>>> {
+        let mut delivered = vec![Vec::new(); endpoints.len()];
         while let Some(wire) = inflight.pop_front() {
             if drop_rule(&wire) {
                 continue;
@@ -703,16 +703,18 @@ mod tests {
             for out in step.outgoing {
                 inflight.push_back((to, out.to, out.msg));
             }
+            delivered[to.as_usize()].extend(step.deliveries.into_iter().map(|d| d.payload));
         }
+        delivered
     }
 
-    fn start(
-        endpoints: &mut [Endpoint],
+    fn start<A: Authenticator>(
+        endpoints: &mut [Endpoint<A>],
         sender: ProcessId,
         account: AccountId,
         seq: u64,
         value: u64,
-    ) -> VecDeque<Wire> {
+    ) -> VecDeque<Wire<A>> {
         let mut step = Step::new();
         endpoints[sender.as_usize()].broadcast(account, SeqNo::new(seq), value, &mut step);
         step.outgoing
@@ -721,10 +723,18 @@ mod tests {
             .collect()
     }
 
-    fn system(n: usize) -> Vec<Endpoint> {
+    fn system_with<A: Authenticator + Clone>(n: usize, auth: &A) -> Vec<Endpoint<A>> {
         (0..n)
-            .map(|i| AccountOrderBroadcast::new(p(i as u32), n, NoAuth))
+            .map(|i| AccountOrderBroadcast::new(p(i as u32), n, auth.clone()))
             .collect()
+    }
+
+    fn system(n: usize) -> Vec<Endpoint> {
+        system_with(n, &NoAuth)
+    }
+
+    fn values(delivered: &[AccountDelivery<u64>]) -> Vec<u64> {
+        delivered.iter().map(|d| d.payload).collect()
     }
 
     #[test]
@@ -732,10 +742,9 @@ mod tests {
         let mut endpoints = system(4);
         let mut wires = start(&mut endpoints, p(0), acct(0), 1, 100);
         wires.extend(start(&mut endpoints, p(1), acct(0), 2, 200));
-        run(&mut endpoints, wires, |_| false);
-        for endpoint in &endpoints {
-            let values: Vec<u64> = endpoint.delivered().iter().map(|d| d.payload).collect();
-            assert_eq!(values, vec![100, 200]);
+        let delivered = run(&mut endpoints, wires, |_| false);
+        for (endpoint, delivered) in endpoints.iter().zip(&delivered) {
+            assert_eq!(values(delivered), vec![100, 200]);
             assert_eq!(endpoint.expected(acct(0)), SeqNo::new(3));
         }
     }
@@ -745,16 +754,12 @@ mod tests {
         let mut endpoints = system(4);
         // seq 2 first: nobody acks, nothing delivers.
         let wires = start(&mut endpoints, p(0), acct(0), 2, 200);
-        run(&mut endpoints, wires, |_| false);
-        for endpoint in &endpoints {
-            assert!(endpoint.delivered().is_empty());
-        }
+        let delivered = run(&mut endpoints, wires, |_| false);
+        assert!(delivered.iter().all(Vec::is_empty));
         // seq 1 arrives: both deliver in order.
         let wires = start(&mut endpoints, p(1), acct(0), 1, 100);
-        run(&mut endpoints, wires, |_| false);
-        for endpoint in &endpoints {
-            let values: Vec<u64> = endpoint.delivered().iter().map(|d| d.payload).collect();
-            assert_eq!(values, vec![100, 200]);
+        for delivered in run(&mut endpoints, wires, |_| false) {
+            assert_eq!(values(&delivered), vec![100, 200]);
         }
     }
 
@@ -765,15 +770,13 @@ mod tests {
         // compromised-account scenario of Section 6).
         let mut wires = start(&mut endpoints, p(0), acct(0), 1, 111);
         wires.extend(start(&mut endpoints, p(1), acct(0), 1, 222));
-        run(&mut endpoints, wires, |_| false);
+        let delivered = run(&mut endpoints, wires, |_| false);
         // Every process delivered at most one value, and no two processes
         // delivered different values for seq 1.
         let mut seen = std::collections::HashSet::new();
-        for endpoint in &endpoints {
-            assert!(endpoint.delivered().len() <= 1);
-            for delivery in endpoint.delivered() {
-                seen.insert(delivery.payload);
-            }
+        for delivered in &delivered {
+            assert!(delivered.len() <= 1);
+            seen.extend(values(delivered));
         }
         assert!(seen.len() <= 1, "forked deliveries: {seen:?}");
     }
@@ -785,13 +788,9 @@ mod tests {
         wires.extend(start(&mut endpoints, p(1), acct(1), 1, 2));
         // A gap on account 2 does not block account 0/1.
         wires.extend(start(&mut endpoints, p(2), acct(2), 5, 3));
-        run(&mut endpoints, wires, |_| false);
-        for endpoint in &endpoints {
-            let mut delivered: Vec<(AccountId, u64)> = endpoint
-                .delivered()
-                .iter()
-                .map(|d| (d.account, d.payload))
-                .collect();
+        for delivered in run(&mut endpoints, wires, |_| false) {
+            let mut delivered: Vec<(AccountId, u64)> =
+                delivered.iter().map(|d| (d.account, d.payload)).collect();
             delivered.sort();
             assert_eq!(delivered, vec![(acct(0), 1), (acct(1), 2)]);
         }
@@ -804,10 +803,8 @@ mod tests {
         // ack 2 only after delivering 1 — and they eventually do.
         let mut wires = start(&mut endpoints, p(0), acct(7), 2, 20);
         wires.extend(start(&mut endpoints, p(0), acct(7), 1, 10));
-        run(&mut endpoints, wires, |_| false);
-        for endpoint in &endpoints {
-            let values: Vec<u64> = endpoint.delivered().iter().map(|d| d.payload).collect();
-            assert_eq!(values, vec![10, 20]);
+        for delivered in run(&mut endpoints, wires, |_| false) {
+            assert_eq!(values(&delivered), vec![10, 20]);
         }
     }
 
@@ -816,11 +813,11 @@ mod tests {
         let mut endpoints = system(4);
         let wires = start(&mut endpoints, p(0), acct(0), 1, 9);
         // p0's FINAL only reaches p1.
-        run(&mut endpoints, wires, |(from, to, msg)| {
+        let delivered = run(&mut endpoints, wires, |(from, to, msg)| {
             matches!(msg, AccountOrderMsg::Final { .. }) && *from == p(0) && *to != p(1)
         });
-        for (i, endpoint) in endpoints.iter().enumerate() {
-            assert_eq!(endpoint.delivered().len(), 1, "process {i}");
+        for (i, delivered) in delivered.iter().enumerate() {
+            assert_eq!(delivered.len(), 1, "process {i}");
         }
     }
 
@@ -852,7 +849,6 @@ mod tests {
             let pruned = endpoint.prune_delivered();
             assert_eq!(pruned, 2);
             assert_eq!(endpoint.instance_count(), 0);
-            assert!(endpoint.delivered().is_empty(), "ready log drained");
             assert_eq!(endpoint.delivered_count(), 2, "monotone across pruning");
         }
         // A replayed FINAL below the floor must not re-deliver or park in
@@ -874,16 +870,69 @@ mod tests {
         assert_eq!(endpoints[0].expected(acct(0)), SeqNo::new(5));
         // seq 4 is below the floor: ignored everywhere. seq 5 delivers.
         let wires = start(&mut endpoints, p(0), acct(0), 4, 40);
-        run(&mut endpoints, wires, |_| false);
-        for endpoint in &endpoints {
-            assert_eq!(endpoint.delivered_count(), 0);
-        }
+        let delivered = run(&mut endpoints, wires, |_| false);
+        assert!(delivered.iter().all(Vec::is_empty));
         let wires = start(&mut endpoints, p(0), acct(0), 5, 50);
-        run(&mut endpoints, wires, |_| false);
-        for endpoint in &endpoints {
-            let values: Vec<u64> = endpoint.delivered().iter().map(|d| d.payload).collect();
-            assert_eq!(values, vec![50]);
+        for delivered in run(&mut endpoints, wires, |_| false) {
+            assert_eq!(values(&delivered), vec![50]);
         }
+    }
+
+    /// Account-order's signature budget, as exact counts over whole
+    /// instances (all `n` endpoints metered into one registry), with
+    /// `q` the ack quorum.
+    ///
+    /// An honest instance signs the SEND plus one ack share per process,
+    /// `n + 1`; it verifies the SEND at every process, the first `q` ack
+    /// shares at the sender (an ack past the quorum finds the instance
+    /// finalized and is dropped unverified) and `q` certificate shares
+    /// at every process when the sender's FINAL arrives (the forwarded
+    /// copies arrive behind the delivery floor), `n + q + n·q`.
+    ///
+    /// An instance whose predecessor the last process never saw costs
+    /// the same `n + q + n·q` verifications: the last process acks
+    /// nothing (`n` signs), so the sender verifies `q` of `n − 1` acks,
+    /// `n − 1` processes deliver, and the last one verifies the first
+    /// FINAL it sees, parks it behind the gap, and drops the `n − 1`
+    /// forwarded copies on the parked duplicate without verifying them.
+    /// Verifying before the lookup in `on_ack`, or before the duplicate
+    /// check in `on_final`, moves a count and fails here.
+    fn assert_signature_budget(n: usize) {
+        let registry = at_obs::Registry::new("cluster");
+        let auth = ObservedAuth::new(EdAuth::deterministic(n, 31), registry.recorder());
+        let q = system(n)[0].quorum() as u64;
+        let budget = n as u64 + q + n as u64 * q;
+
+        let mut endpoints = system_with(n, &auth);
+        let wires = start(&mut endpoints, p(0), acct(0), 1, 42);
+        let delivered = run(&mut endpoints, wires, |_| false);
+        assert!(delivered.iter().all(|delivered| delivered.len() == 1));
+        assert_eq!(auth.signs(), n as u64 + 1, "signs at n = {n}");
+        assert_eq!(auth.verifies(), budget, "verifies at n = {n}, q = {q}");
+
+        let last = p(n as u32 - 1);
+        let mut endpoints = system_with(n, &auth);
+        let wires = start(&mut endpoints, p(0), acct(0), 1, 1);
+        run(&mut endpoints, wires, |(_, to, _)| *to == last);
+        let (signs, verifies) = (auth.signs(), auth.verifies());
+        let wires = start(&mut endpoints, p(0), acct(0), 2, 2);
+        let delivered = run(&mut endpoints, wires, |_| false);
+        for (i, delivered) in delivered.iter().enumerate() {
+            let expected = if p(i as u32) == last { vec![] } else { vec![2] };
+            assert_eq!(values(delivered), expected, "process {i}");
+        }
+        assert_eq!(auth.signs() - signs, n as u64, "signs behind a gap");
+        assert_eq!(auth.verifies() - verifies, budget, "verifies behind a gap");
+    }
+
+    #[test]
+    fn honest_instance_costs_5_signs_and_19_verifies_at_n4() {
+        assert_signature_budget(4);
+    }
+
+    #[test]
+    fn honest_instance_costs_8_signs_and_47_verifies_at_n7() {
+        assert_signature_budget(7);
     }
 
     #[test]

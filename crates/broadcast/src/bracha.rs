@@ -244,7 +244,7 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
             return;
         }
         let digest = digest_of(&payload);
-        let (echo_quorum, ready_deliver) = (self.echo_quorum(), self.ready_deliver());
+        let echo_quorum = self.echo_quorum();
         let n = self.n;
         let instance = self
             .instances
@@ -268,7 +268,6 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
                 },
             );
         }
-        let _ = ready_deliver;
     }
 
     fn on_ready(

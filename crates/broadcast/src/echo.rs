@@ -22,7 +22,7 @@ use at_model::codec::{encode, Writer};
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceCtx, TraceEventKind, Tracer};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 
 /// Wire messages of the signed-echo broadcast.
@@ -102,7 +102,7 @@ pub struct EchoBroadcast<P, A: Authenticator> {
     /// instance — the anti-equivocation rule).
     echoed: HashMap<(ProcessId, SeqNo), Echoed<A::Sig>>,
     /// Instances already delivered (to forward and dedup).
-    delivered: HashMap<(ProcessId, SeqNo), ()>,
+    delivered: HashSet<(ProcessId, SeqNo)>,
     /// Monotone count of deliveries — survives pruning, unlike
     /// `delivered.len()`.
     delivered_total: usize,
@@ -129,7 +129,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             sending: HashMap::new(),
             split_shadow: HashMap::new(),
             echoed: HashMap::new(),
-            delivered: HashMap::new(),
+            delivered: HashSet::new(),
             delivered_total: 0,
             order: SourceOrderBuffer::new(),
             forward_final: true,
@@ -447,7 +447,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         certificate: Vec<(ProcessId, A::Sig)>,
         step: &mut Step<EchoMsg<P, A::Sig>, P>,
     ) {
-        if self.is_stale(source, seq) || self.delivered.contains_key(&(source, seq)) {
+        if self.is_stale(source, seq) || self.delivered.contains(&(source, seq)) {
             return; // already delivered (possibly pruned since)
         }
         let digest = payload_digest(&payload);
@@ -509,10 +509,10 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
                 bad.into_iter().map(|item| checked[item]).collect()
             }
         };
-        let mut signers = BTreeMap::new();
+        let mut signers = BTreeSet::new();
         for (index, (signer, _)) in certificate.iter().enumerate() {
             if bad.binary_search(&index).is_err() {
-                signers.insert(*signer, ());
+                signers.insert(*signer);
             }
         }
         if let Some((tracer, ctx)) = &span {
@@ -521,7 +521,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         if signers.len() < self.quorum() {
             return;
         }
-        self.delivered.insert((source, seq), ());
+        self.delivered.insert((source, seq));
         self.delivered_total += 1;
         if self.forward_final {
             step.send_all(
@@ -570,7 +570,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         self.echoed
             .retain(|(source, seq), _| seq.value() >= order.expected(*source).value());
         self.delivered
-            .retain(|(source, seq), _| seq.value() >= order.expected(*source).value());
+            .retain(|(source, seq)| seq.value() >= order.expected(*source).value());
         let own_floor = order.expected(self.me).value();
         self.sending
             .retain(|seq, (_, state)| !(state.finalized && seq.value() < own_floor));
@@ -591,7 +591,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         self.echoed
             .retain(|(s, seq), _| !(*s == source && seq.value() <= floor.value()));
         self.delivered
-            .retain(|(s, seq), _| !(*s == source && seq.value() <= floor.value()));
+            .retain(|(s, seq)| !(*s == source && seq.value() <= floor.value()));
         if source == self.me {
             self.sending.retain(|seq, _| seq.value() > floor.value());
             self.split_shadow

@@ -249,11 +249,6 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBackend<P, A> {
         self.inner.set_forward_final(forward);
     }
 
-    /// The wrapped account-order endpoint.
-    pub fn inner(&self) -> &AccountOrderBroadcast<P, A> {
-        &self.inner
-    }
-
     fn convert(
         native: Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, P>,
@@ -529,7 +524,10 @@ mod tests {
         assert!(receiver_ops.verifies >= 4, "receiver ops: {receiver_ops:?}");
         // Bracha reports zero signature work.
         let bracha = BrachaBroadcast::<u64>::new(p(0), 4);
-        assert_eq!(SecureBroadcast::<u64>::crypto_ops(&bracha).total(), 0);
+        assert_eq!(
+            SecureBroadcast::<u64>::crypto_ops(&bracha),
+            CryptoOps::default()
+        );
     }
 
     #[test]

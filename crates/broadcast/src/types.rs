@@ -82,23 +82,13 @@ impl<M, P> Step<M, P> {
 ///
 /// Signature-free protocols (Bracha) report zeros; the signed protocols
 /// count every `sign`/`verify` their state machine performs, including
-/// per-share certificate checks. The engine layer uses the counters to
-/// charge modelled signature CPU ([`at_net::Context::charge`]-style) in
-/// virtual time, making the paper's "signatures vs message complexity"
-/// trade-off measurable without real cryptography on the hot path.
+/// per-share certificate checks.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CryptoOps {
     /// Signatures produced.
     pub signs: u64,
     /// Signature verifications performed.
     pub verifies: u64,
-}
-
-impl CryptoOps {
-    /// Total signature operations (signs + verifies).
-    pub fn total(&self) -> u64 {
-        self.signs + self.verifies
-    }
 }
 
 /// Per-source FIFO delivery buffer: releases `(source, seq)` payloads in

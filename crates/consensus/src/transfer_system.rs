@@ -4,8 +4,9 @@
 //! Every process is a PBFT replica; transfers are totally ordered by the
 //! replica group and then executed against a replicated [`Ledger`]
 //! (validated per `Δ` at execution time). This is the architecture the
-//! paper argues is *unnecessary* for payments — the benchmark harness
-//! runs it head-to-head against the broadcast-based system of `at-core`.
+//! paper argues is *unnecessary* for payments — `at_engine::BaselineEngine`
+//! runs it head-to-head against the broadcast-based system,
+//! `at_engine::ConsensuslessEngine`.
 
 use crate::pbft::{PbftMsg, PbftReplica};
 use at_broadcast::types::Step;

@@ -1,59 +1,62 @@
-//! # at-core — consensusless asset transfer in message passing
+//! # at-core — the paper's message-passing algorithms, as written
 //!
 //! The practical contribution of *The Consensus Number of a
-//! Cryptocurrency* (Sections 5–6): a Byzantine fault-tolerant asset
-//! transfer system built on secure broadcast instead of consensus.
+//! Cryptocurrency* (Sections 5–6), kept literal:
 //!
 //! * [`figure4`] — the paper's Figure 4 state machine (`seq`/`rec`/
 //!   `hist`/`deps`/`toValidate` and the `Valid` predicate), independent
-//!   of any particular broadcast;
-//! * [`replica`] — the state machine wired to a secure broadcast
-//!   ([`at_broadcast::bracha`] or [`at_broadcast::echo`]) as a simulator
-//!   actor;
-//! * [`byzantine`] — equivocating / overspending / dependency-forging
-//!   adversaries used by the safety tests;
+//!   of any particular broadcast. It is the **reference model**: the
+//!   runtime that ships is `at_engine::ShardedReplica`, and
+//!   `tests/tests/figure4_oracle.rs` replays every replica's delivery
+//!   sequence into a fresh [`TransferState`] and holds the two to the
+//!   same applied sets, balances and sequence numbers. The wire payload
+//!   ([`TransferMsg`]) is the one type both share;
 //! * [`kshared`] — the Section 6 extension: per-account owner-group BFT
 //!   sequencing plus account-order broadcast, giving `k`-shared accounts
 //!   whose compromise can block only themselves.
 //!
 //! # Example
 //!
+//! Three processes, each owning account `i` with 10 units. The state
+//! machine consumes *delivered* messages; here every message is handed
+//! to every process in the order it was issued, as a secure broadcast
+//! would.
+//!
 //! ```
-//! use at_core::replica::{ConsensuslessReplica, TransferEvent};
+//! use at_core::{Applied, TransferState};
 //! use at_model::{AccountId, Amount, ProcessId};
-//! use at_net::{NetConfig, Simulation, VirtualTime};
 //!
-//! // Four processes, each owning account i with 100 units.
-//! let replicas = (0..4)
-//!     .map(|i| ConsensuslessReplica::bracha(ProcessId::new(i), 4, Amount::new(100)))
+//! let mut states: Vec<TransferState> = (0..3)
+//!     .map(|i| TransferState::new(ProcessId::new(i), 3, Amount::new(10)))
 //!     .collect();
-//! let mut sim = Simulation::new(replicas, NetConfig::lan(0));
 //!
-//! // Process 0 pays 25 to account 1 — no consensus involved.
-//! sim.schedule(VirtualTime::ZERO, ProcessId::new(0), |replica, ctx| {
-//!     replica.submit(AccountId::new(1), Amount::new(25), ctx);
-//! });
-//! sim.run_until_quiet(1_000_000);
+//! // Process 0 pays its whole balance to account 1 — no consensus
+//! // involved.
+//! let first = states[0]
+//!     .submit(AccountId::new(1), Amount::new(10))
+//!     .expect("funded");
+//! for state in &mut states {
+//!     state.on_deliver(ProcessId::new(0), first.clone());
+//! }
 //!
-//! let completed = sim
-//!     .take_events()
-//!     .into_iter()
-//!     .filter(|(_, _, e)| matches!(e, TransferEvent::Completed { .. }))
-//!     .count();
-//! assert_eq!(completed, 1);
-//! let observer = sim.actor(ProcessId::new(2));
-//! assert_eq!(observer.observed_balance(AccountId::new(1)), Amount::new(125));
+//! // Process 1 can now spend 15: the incoming credit travels with the
+//! // transfer as a dependency, so every process validates it.
+//! let second = states[1]
+//!     .submit(AccountId::new(2), Amount::new(15))
+//!     .expect("funded by the credit");
+//! assert_eq!(second.deps, vec![first.transfer]);
+//! for state in &mut states {
+//!     let applied = state.on_deliver(ProcessId::new(1), second.clone());
+//!     assert!(applied.contains(&Applied::Transfer(second.transfer)));
+//! }
+//! assert_eq!(states[0].observed_balance(AccountId::new(2)), Amount::new(25));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod byzantine;
 pub mod figure4;
 pub mod kshared;
-pub mod replica;
 
-pub use byzantine::{MaliciousReplica, Participant};
 pub use figure4::{Applied, TransferMsg, TransferState};
 pub use kshared::{KEvent, KMsg, KPayload, KSharedReplica};
-pub use replica::{ConsensuslessReplica, TransferBroadcast, TransferEvent};

@@ -34,10 +34,26 @@
 //! 1. balances reflect *every* applied transfer immediately (the
 //!    "eventually included" view of Definition 1; Figure 4's `read` keeps
 //!    a remote account's incoming credits invisible until its owner folds
-//!    them into an outgoing transfer). The paper's Theorem 3 linearizes
-//!    incoming credits before the transfers they fund, so validation
-//!    against this view admits exactly the transfers Figure 4 admits —
-//!    possibly earlier, never wrongly.
+//!    them into an outgoing transfer), and validation runs against that
+//!    view. For a sender that declares the credits it spends — every
+//!    honest one: [`ShardedReplica::submit`] ships `deps_buffer` with the
+//!    transfer — this admits exactly the transfers Figure 4 admits, at
+//!    the same delivery: `tests/tests/figure4_oracle.rs` replays every
+//!    replica's delivery sequence into `at_core::figure4::TransferState`
+//!    and holds applied sets, balances, `seq[q]` and pending counts
+//!    equal, pruned and snapshot-restored replicas included. A sender
+//!    that spends a credit *without* declaring it is applied here where
+//!    Figure 4 holds it forever (pinned by
+//!    `an_undeclared_credit_is_spent_where_figure_4_would_hold_it`):
+//!    Figure 4 validates against `hist[q] ∪ deps` and never sees the
+//!    credit, the ledger already holds it. That is safe — a replica
+//!    applies the transfer only once the money is there, one that has
+//!    not applied the credit yet holds the transfer until it has, so no
+//!    balance goes negative, supply is conserved and replicas converge;
+//!    the order Theorem 3 linearizes in (a credit before the transfer it
+//!    funds) is the order every replica applied them in. It is also what
+//!    lets [`ShardedReplica::prune_through`] drop settled credits from
+//!    `deps_buffer`.
 //! 2. admission (`transfer` line 2) additionally subtracts the amounts of
 //!    this replica's own in-flight (submitted, not yet validated)
 //!    transfers, so a batch can never contain transfers that jointly
@@ -673,8 +689,8 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     /// `FLUSH_TIMER` will always fire, which the simulator guarantees
     /// but a warm restart does not — a resumed replica whose timer died
     /// with the old process would otherwise never flush (or re-arm for)
-    /// the batch it was accumulating. `at_node::Node::resume` calls this
-    /// once on startup; the simulator never needs it.
+    /// the batch it was accumulating. Every `at_node::Node` start or
+    /// resume calls this once; the simulator never needs it.
     pub fn flush_pending(&mut self, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
         self.flush_armed = false;
         if let Some(batch) = self.batcher.flush() {

@@ -25,7 +25,6 @@
 //! ```
 
 use crate::error::CodecError;
-use bytes::{Buf, BufMut, BytesMut};
 
 /// Maximum declared length of any decoded sequence, as a denial-of-service
 /// guard on untrusted input (16 MiB of elements).
@@ -34,7 +33,7 @@ pub const MAX_SEQUENCE_LEN: u64 = 16 * 1024 * 1024;
 /// An append-only encoding buffer.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -46,33 +45,33 @@ impl Writer {
     /// Creates a writer with `capacity` bytes pre-allocated.
     pub fn with_capacity(capacity: usize) -> Self {
         Writer {
-            buf: BytesMut::with_capacity(capacity),
+            buf: Vec::with_capacity(capacity),
         }
     }
 
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.put_bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.put_bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.put_bytes(&v.to_le_bytes());
     }
 
     /// Appends raw bytes without a length prefix.
     pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.put_slice(bytes);
+        self.buf.extend_from_slice(bytes);
     }
 
     /// Appends a `u64` length prefix followed by the bytes.
@@ -83,7 +82,7 @@ impl Writer {
 
     /// Finishes encoding and returns the bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf
     }
 
     /// Number of bytes written so far.
@@ -126,6 +125,11 @@ impl<'a> Reader<'a> {
         Ok(head)
     }
 
+    fn take_array<const N: usize>(&mut self) -> Result<[u8; N], CodecError> {
+        let bytes = self.take(N)?;
+        Ok(bytes.try_into().expect("take returns exactly N bytes"))
+    }
+
     /// Reads a single byte.
     pub fn take_u8(&mut self) -> Result<u8, CodecError> {
         Ok(self.take(1)?[0])
@@ -133,20 +137,17 @@ impl<'a> Reader<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn take_u16(&mut self) -> Result<u16, CodecError> {
-        let mut b = self.take(2)?;
-        Ok(b.get_u16_le())
+        Ok(u16::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u32`.
     pub fn take_u32(&mut self) -> Result<u32, CodecError> {
-        let mut b = self.take(4)?;
-        Ok(b.get_u32_le())
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn take_u64(&mut self) -> Result<u64, CodecError> {
-        let mut b = self.take(8)?;
-        Ok(b.get_u64_le())
+        Ok(u64::from_le_bytes(self.take_array()?))
     }
 
     /// Reads exactly `n` raw bytes.

@@ -52,7 +52,6 @@ pub struct Context<'a, M, E> {
     outbox: Vec<(ProcessId, M)>,
     timers: Vec<(VirtualTime, u64)>,
     events: &'a mut Vec<(VirtualTime, ProcessId, E)>,
-    extra_cost: VirtualTime,
 }
 
 /// The buffered outputs of one detached [`Context`] invocation
@@ -64,8 +63,6 @@ pub struct ContextOutputs<M> {
     pub outbox: Vec<(ProcessId, M)>,
     /// Timers armed during the invocation, as `(delay, timer_id)`.
     pub timers: Vec<(VirtualTime, u64)>,
-    /// Extra processing cost charged via [`Context::charge`].
-    pub charged: VirtualTime,
 }
 
 impl<'a, M, E> Context<'a, M, E> {
@@ -88,18 +85,16 @@ impl<'a, M, E> Context<'a, M, E> {
             outbox: Vec::new(),
             timers: Vec::new(),
             events,
-            extra_cost: VirtualTime::ZERO,
         }
     }
 
-    /// Consumes the context, returning the buffered sends, timers, and
-    /// charged cost. (The simulator never calls this — it destructures
-    /// internally; detached callers must, or the outputs are lost.)
+    /// Consumes the context, returning the buffered sends and timers.
+    /// (The simulator never calls this — it destructures internally;
+    /// detached callers must, or the outputs are lost.)
     pub fn into_outputs(self) -> ContextOutputs<M> {
         ContextOutputs {
             outbox: self.outbox,
             timers: self.timers,
-            charged: self.extra_cost,
         }
     }
 }
@@ -142,12 +137,6 @@ impl<M: Clone, E> Context<'_, M, E> {
     /// Emits an event to the harness, stamped with the current time.
     pub fn emit(&mut self, event: E) {
         self.events.push((self.now, self.me, event));
-    }
-
-    /// Charges additional processing cost for this handler invocation
-    /// (e.g. modelled signature-verification time).
-    pub fn charge(&mut self, cost: VirtualTime) {
-        self.extra_cost += cost;
     }
 }
 
@@ -570,7 +559,6 @@ impl<A: Actor> Simulation<A> {
             outbox: Vec::new(),
             timers: Vec::new(),
             events: &mut self.events,
-            extra_cost: VirtualTime::ZERO,
         };
 
         match entry {
@@ -583,18 +571,13 @@ impl<A: Actor> Simulation<A> {
             Entry::Command { run } => run(&mut self.actors[index], &mut ctx),
         }
 
-        let Context {
-            outbox,
-            timers,
-            extra_cost,
-            ..
-        } = ctx;
+        let Context { outbox, timers, .. } = ctx;
 
         // The handler completes after the configured processing cost plus
         // per-message transmission work.
         let send_work =
             VirtualTime::from_micros(self.config.send_cost.as_micros() * outbox.len() as u64);
-        let done = start + self.config.processing_cost + extra_cost + send_work;
+        let done = start + self.config.processing_cost + send_work;
         self.busy_until[index] = done;
 
         for (to, msg) in outbox {
@@ -1128,39 +1111,14 @@ mod tests {
         ctx.send(ProcessId::new(2), 7);
         ctx.send_all(11);
         ctx.set_timer(VirtualTime::from_millis(1), 0xF00);
-        ctx.charge(VirtualTime::from_micros(9));
         ctx.emit(42);
         let outputs = ctx.into_outputs();
         assert_eq!(outputs.outbox.len(), 4);
         assert_eq!(outputs.outbox[0], (ProcessId::new(2), 7));
         assert_eq!(outputs.timers, vec![(VirtualTime::from_millis(1), 0xF00)]);
-        assert_eq!(outputs.charged, VirtualTime::from_micros(9));
         assert_eq!(
             events,
             vec![(VirtualTime::from_micros(5), ProcessId::new(1), 42)]
         );
-    }
-
-    #[test]
-    fn charge_adds_cost() {
-        struct Charger;
-        impl Actor for Charger {
-            type Msg = ();
-            type Event = ();
-            fn on_start(&mut self, ctx: &mut Context<'_, (), ()>) {
-                ctx.charge(VirtualTime::from_millis(5));
-                ctx.set_timer(VirtualTime::ZERO, 0);
-            }
-            fn on_message(&mut self, _: ProcessId, _: (), _: &mut Context<'_, (), ()>) {}
-            fn on_timer(&mut self, _: u64, ctx: &mut Context<'_, (), ()>) {
-                ctx.emit(());
-            }
-        }
-        let mut sim = Simulation::new(vec![Charger], NetConfig::instant(0));
-        sim.run_until_quiet(100);
-        let events = sim.take_events();
-        assert_eq!(events.len(), 1);
-        // The timer fires only after the charged 5ms.
-        assert!(events[0].0 >= VirtualTime::from_millis(5));
     }
 }

@@ -135,44 +135,7 @@ where
     B::Msg: Encode + Decode + Send + 'static,
     F: Fn(ProcessId) -> B,
 {
-    let mut listeners = Vec::with_capacity(n);
-    let mut peer_addrs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        peer_addrs.push(listener.local_addr()?);
-        listeners.push(listener);
-    }
-    let directory = peer_directory(peer_addrs);
-    let mut handles = Vec::with_capacity(n);
-    let mut client_addrs = Vec::with_capacity(n);
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let me = ProcessId::new(i as u32);
-        let transport = TcpTransport::start_with_faults(
-            me,
-            listener,
-            std::sync::Arc::clone(&directory),
-            options.tcp,
-            options.faults.clone(),
-        )?;
-        let gateway = ClientGateway::bind("127.0.0.1:0")?;
-        client_addrs.push(gateway.local_addr()?);
-        handles.push(Some(Node::start_probed(
-            me,
-            n,
-            config,
-            make(me),
-            transport,
-            Some(gateway),
-            options.probe.clone(),
-        )));
-    }
-    Ok(TcpCluster {
-        handles,
-        directory,
-        client_addrs,
-        config,
-        options,
-    })
+    start_tcp_nodes(n, config, options, |me, _| make(me))
 }
 
 /// [`start_tcp_cluster`] where each node's backend is built against
@@ -192,7 +155,23 @@ where
     B::Msg: Encode + Decode + Send + 'static,
     F: Fn(ProcessId, &Recorder) -> B,
 {
-    let options = ClusterOptions::tcp(options);
+    start_tcp_nodes(n, config, ClusterOptions::tcp(options), make)
+}
+
+/// The one body behind every TCP cluster start: bind `n` loopback
+/// listeners, publish them in a directory, and start each node with a
+/// client gateway, its backend built against the node's own recorder.
+fn start_tcp_nodes<B, F>(
+    n: usize,
+    config: NodeConfig,
+    options: ClusterOptions,
+    make: F,
+) -> std::io::Result<TcpCluster<B>>
+where
+    B: SecureBroadcast<EnginePayload> + 'static,
+    B::Msg: Encode + Decode + Send + 'static,
+    F: Fn(ProcessId, &Recorder) -> B,
+{
     let mut listeners = Vec::with_capacity(n);
     let mut peer_addrs = Vec::with_capacity(n);
     for _ in 0..n {

@@ -318,7 +318,7 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
     /// Stops the node gracefully: drains in-flight ingest, flushes the
     /// transport outboxes (so peers verifiably hold everything this node
     /// sent), tears the transport down, and returns the replica — warm
-    /// state for a later [`Node::resume`].
+    /// state for a later [`Node::resume_probed`].
     pub fn stop(self) -> ShardedReplica<B> {
         self.stop_counted().0
     }
@@ -588,18 +588,6 @@ where
         Node::resume_with_registry(replica, config, transport, gateway, probe, obs)
     }
 
-    /// Resumes a node from a warm replica (state preserved across a
-    /// [`NodeHandle::stop`] — the restart path of a crashed-and-repaired
-    /// process).
-    pub fn resume<T: Transport + 'static>(
-        replica: ShardedReplica<B>,
-        config: NodeConfig,
-        transport: T,
-        gateway: Option<ClientGateway>,
-    ) -> NodeHandle<B> {
-        Node::resume_probed(replica, config, transport, gateway, None)
-    }
-
     /// [`Node::resume_probed`] for a replica restored from a fetched
     /// snapshot ([`ShardedReplica::from_snapshot`]): records the cold
     /// catch-up span — `catch_up_started` (when the snapshot fetch
@@ -619,8 +607,10 @@ where
         Node::resume_with_registry(replica, config, transport, gateway, probe, obs)
     }
 
-    /// [`Node::resume`] with an optional cluster [`EventProbe`] (a
-    /// restarted node keeps appending to the same recording).
+    /// Resumes a node from a warm replica (state preserved across a
+    /// [`NodeHandle::stop`] — the restart path of a crashed-and-repaired
+    /// process), with an optional cluster [`EventProbe`] (a restarted
+    /// node keeps appending to the same recording).
     pub fn resume_probed<T: Transport + 'static>(
         replica: ShardedReplica<B>,
         config: NodeConfig,

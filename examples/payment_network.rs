@@ -7,80 +7,87 @@
 //!
 //! Run with `cargo run -p at-examples --example payment_network`.
 
-use at_core::byzantine::{MaliciousReplica, Participant};
-use at_core::replica::TransferEvent;
+use at_broadcast::bracha::BrachaBroadcast;
+use at_engine::{EngineActor, EngineConfig, EngineEvent};
 use at_examples::banner;
-use at_model::{AccountId, Amount, ProcessId};
+use at_model::{AccountId, Amount, ProcessId, Transfer};
 use at_net::{NetConfig, Simulation, VirtualTime};
+use std::collections::{BTreeMap, BTreeSet};
 
 fn main() {
     const N: usize = 10;
     const EVE: u32 = 9;
 
     banner("Payment network: 9 honest processes + 1 double spender");
-    let actors: Vec<Participant> = (0..N as u32)
+    let actors: Vec<EngineActor> = (0..N as u32)
         .map(|i| {
-            if i == EVE {
-                Participant::Equivocator(MaliciousReplica::new(
-                    ProcessId::new(i),
-                    N,
-                    Amount::new(50),
-                ))
+            let make = if i == EVE {
+                EngineActor::equivocator
             } else {
-                Participant::honest(ProcessId::new(i), N, Amount::new(50))
-            }
+                EngineActor::honest
+            };
+            let me = ProcessId::new(i);
+            let backend = BrachaBroadcast::new(me, N);
+            make(me, N, Amount::new(50), EngineConfig::unsharded(), backend)
         })
         .collect();
     let mut sim = Simulation::new(actors, NetConfig::lan(2024));
 
-    // Eve tries to pay her whole balance to BOTH account 0 and account 1.
-    sim.schedule(VirtualTime::ZERO, ProcessId::new(EVE), |actor, ctx| {
-        if let Participant::Equivocator(eve) = actor {
-            println!("Eve equivocates: 50 to acct0 AND 50 to acct1, same seq");
-            eve.equivocate(
-                (AccountId::new(0), Amount::new(50)),
-                (AccountId::new(1), Amount::new(50)),
-                ctx,
-            );
-        }
+    // Eve spends the same sequence number twice: one broadcast instance
+    // that tells half the network "5 to acct0" and the other half "5 to
+    // acct1". Replicas that believed different halves would fork.
+    sim.schedule(VirtualTime::ZERO, ProcessId::new(EVE), |eve, ctx| {
+        println!("Eve equivocates: 5 to acct0 AND 5 to acct1, same seq");
+        eve.attack(0, ctx);
     });
     // Meanwhile honest processes trade normally.
     for i in 0..8u32 {
         sim.schedule(
             VirtualTime::from_millis(1),
             ProcessId::new(i),
-            move |actor, ctx| {
-                if let Participant::Honest(replica) = actor {
-                    replica.submit(AccountId::new((i + 1) % 9), Amount::new(10), ctx);
-                }
-            },
+            move |actor, ctx| actor.submit(AccountId::new((i + 1) % 9), Amount::new(10), ctx),
         );
     }
     sim.run_until_quiet(10_000_000);
 
     let mut honest_completed = 0;
-    let mut eve_applied = 0;
+    // What each honest replica applied on Eve's behalf.
+    let mut eve_applied: BTreeMap<ProcessId, Vec<Transfer>> = BTreeMap::new();
     for (_, process, event) in sim.take_events() {
         match event {
-            TransferEvent::Completed { .. } => honest_completed += 1,
-            TransferEvent::Applied { transfer } if transfer.originator.index() == EVE => {
-                eve_applied += 1;
-                let _ = process;
+            EngineEvent::Completed { .. } => honest_completed += 1,
+            EngineEvent::Applied { transfer } if transfer.originator.index() == EVE => {
+                eve_applied.entry(process).or_default().push(transfer);
             }
             _ => {}
         }
     }
+    let legs: BTreeSet<&Transfer> = eve_applied.values().flatten().collect();
     println!("honest transfers completed: {honest_completed}/8");
     println!(
-        "legs of Eve's double spend applied anywhere: {eve_applied} (2 would be a double spend)"
+        "distinct legs of Eve's double spend applied anywhere: {} (2 would be a double spend)",
+        legs.len()
     );
-    let observer = sim.actor(ProcessId::new(0));
+    let observer = sim
+        .actor(ProcessId::new(0))
+        .as_honest()
+        .expect("p0 is honest");
     println!(
         "acct0={}, acct1={}, Eve's acct9={}",
-        observer.read(AccountId::new(0)),
-        observer.read(AccountId::new(1)),
-        observer.read(AccountId::new(9)),
+        observer.balance(AccountId::new(0)),
+        observer.balance(AccountId::new(1)),
+        observer.balance(AccountId::new(9)),
     );
-    assert!(eve_applied <= N as u64 as usize); // at most one leg, seen by each honest process once
+    assert_eq!(honest_completed, 8, "honest payments keep flowing");
+    assert!(
+        legs.len() <= 1,
+        "replicas applied different legs of the double spend: {legs:?}"
+    );
+    for (replica, applied) in &eve_applied {
+        assert!(
+            applied.len() <= 1,
+            "{replica} applied Eve's sequence number twice: {applied:?}"
+        );
+    }
     println!("=> double-spend prevented without any consensus");
 }

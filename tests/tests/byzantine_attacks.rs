@@ -3,11 +3,11 @@
 //! the attack targets the signature layer.
 
 use at_broadcast::auth::{Authenticator, EdAuth};
+use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::{EchoBroadcast, EchoMsg};
 use at_broadcast::types::Step;
-use at_core::byzantine::{MaliciousReplica, Participant};
 use at_core::figure4::TransferMsg;
-use at_core::replica::TransferEvent;
+use at_engine::{DefaultEngineBroadcast, EngineActor, EngineConfig, EngineEvent};
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
 use at_net::{NetConfig, Simulation, VirtualTime};
 
@@ -23,34 +23,48 @@ fn amt(x: u64) -> Amount {
     Amount::new(x)
 }
 
+/// `n` engine participants over Bracha in the Figure 4 shape, 10 units
+/// each; `attacker` builds the ones `is_attacker` picks.
+fn mixed_system(
+    n: usize,
+    seed: u64,
+    is_attacker: impl Fn(u32) -> bool,
+    attacker: fn(ProcessId, usize, Amount, EngineConfig, DefaultEngineBroadcast) -> EngineActor,
+) -> Simulation<EngineActor> {
+    let actors = (0..n as u32)
+        .map(|i| {
+            let make = if is_attacker(i) {
+                attacker
+            } else {
+                EngineActor::honest
+            };
+            make(
+                p(i),
+                n,
+                amt(10),
+                EngineConfig::unsharded(),
+                BrachaBroadcast::new(p(i), n),
+            )
+        })
+        .collect();
+    Simulation::new(actors, NetConfig::lan(seed))
+}
+
 /// f = 2 adversaries in a system of n = 7, both equivocating
 /// concurrently with honest traffic: no double spend, honest liveness.
 #[test]
 fn two_adversaries_cannot_break_safety_or_liveness() {
     let n = 7;
-    let actors: Vec<Participant> = (0..n as u32)
-        .map(|i| {
-            if i >= 5 {
-                Participant::Equivocator(MaliciousReplica::new(p(i), n, amt(10)))
-            } else {
-                Participant::honest(p(i), n, amt(10))
-            }
-        })
-        .collect();
-    let mut sim = Simulation::new(actors, NetConfig::lan(41));
+    let mut sim = mixed_system(n, 41, |i| i >= 5, EngineActor::equivocator);
 
+    // Each attacker sends 5 to one account and 5 to another in the same
+    // broadcast instance.
     for i in [5u32, 6] {
-        sim.schedule(VirtualTime::ZERO, p(i), move |actor, ctx| {
-            if let Participant::Equivocator(inner) = actor {
-                inner.equivocate((a(0), amt(10)), (a(1), amt(10)), ctx);
-            }
-        });
+        sim.schedule(VirtualTime::ZERO, p(i), |actor, ctx| actor.attack(0, ctx));
     }
     for i in 0..5u32 {
         sim.schedule(VirtualTime::ZERO, p(i), move |actor, ctx| {
-            if let Participant::Honest(replica) = actor {
-                replica.submit(a((i + 1) % 5), amt(4), ctx);
-            }
+            actor.submit(a((i + 1) % 5), amt(4), ctx);
         });
     }
     assert!(sim.run_until_quiet(10_000_000));
@@ -58,25 +72,27 @@ fn two_adversaries_cannot_break_safety_or_liveness() {
     let events = sim.take_events();
     let completed = events
         .iter()
-        .filter(|(_, _, e)| matches!(e, TransferEvent::Completed { .. }))
+        .filter(|(_, _, e)| matches!(e, EngineEvent::Completed { .. }))
         .count();
     assert_eq!(completed, 5, "all honest transfers completed");
 
     // Across honest replicas: each adversary account debited at most once.
     for i in 0..5u32 {
+        let replica = sim.actor(p(i)).as_honest().expect("honest");
         for attacker in [5u32, 6] {
-            let balance = sim.actor(p(i)).read(a(attacker));
             assert!(
-                balance == amt(10) || balance == amt(0),
-                "partial/double spend visible at replica {i}: {balance}"
+                replica.applied_from(p(attacker)).len() <= 1,
+                "both legs of a double spend applied at replica {i}"
+            );
+            let balance = replica.balance(a(attacker));
+            assert!(
+                balance == amt(10) || balance == amt(5),
+                "double spend visible at replica {i}: {balance}"
             );
         }
-        // Conservation: honest accounts were credited by at most one leg
-        // of each equivocation.
-        let total: u64 = (0..n as u32)
-            .map(|j| sim.actor(p(i)).read(a(j)).units())
-            .sum();
-        assert!(total <= 10 * n as u64);
+        // Conservation: nobody was credited by a leg that debited nobody.
+        let total: Amount = (0..n as u32).map(|j| replica.balance(a(j))).sum();
+        assert_eq!(total, amt(10 * n as u64));
     }
 }
 
@@ -405,42 +421,31 @@ fn sequence_gap_flood_is_buffered_not_applied() {
 #[test]
 fn network_wide_overspend_is_inert() {
     let n = 4;
-    let actors: Vec<Participant> = (0..n as u32)
-        .map(|i| {
-            if i == 3 {
-                Participant::Overspender(MaliciousReplica::new(p(i), n, amt(10)))
-            } else {
-                Participant::honest(p(i), n, amt(10))
-            }
-        })
-        .collect();
-    let mut sim = Simulation::new(actors, NetConfig::lan(43));
-    sim.schedule(VirtualTime::ZERO, p(3), |actor, ctx| {
-        if let Participant::Overspender(inner) = actor {
-            inner.overspend(a(0), amt(10_000), ctx);
-        }
-    });
+    let mut sim = mixed_system(n, 43, |i| i == 3, EngineActor::overspender);
+    // Half of all the money there could be, to account 0.
+    sim.schedule(VirtualTime::ZERO, p(3), |actor, ctx| actor.attack(0, ctx));
     // Honest traffic interleaved before and after.
     sim.schedule(VirtualTime::from_millis(1), p(0), |actor, ctx| {
-        if let Participant::Honest(replica) = actor {
-            replica.submit(a(1), amt(5), ctx);
-        }
+        actor.submit(a(1), amt(5), ctx);
     });
     assert!(sim.run_until_quiet(10_000_000));
     let events = sim.take_events();
     let applied: Vec<&Transfer> = events
         .iter()
         .filter_map(|(_, _, e)| match e {
-            TransferEvent::Applied { transfer } => Some(transfer),
+            EngineEvent::Applied { transfer } => Some(transfer),
             _ => None,
         })
         .collect();
+    assert!(!applied.is_empty());
     assert!(applied.iter().all(|t| t.amount == amt(5)));
     for i in 0..3u32 {
+        let replica = sim.actor(p(i)).as_honest().expect("honest");
+        assert_eq!(replica.pending_count(), 1, "the overdraft stays buffered");
         // Account 0: initial 10, honest spend of 5, and — crucially — no
-        // 10,000-unit credit from the attacker's unfunded transfer.
-        assert_eq!(sim.actor(p(i)).read(a(0)), amt(5));
+        // credit from the attacker's unfunded transfer.
+        assert_eq!(replica.balance(a(0)), amt(5));
         // The attacker's account is untouched (its overdraft never applied).
-        assert_eq!(sim.actor(p(i)).read(a(3)), amt(10));
+        assert_eq!(replica.balance(a(3)), amt(10));
     }
 }
