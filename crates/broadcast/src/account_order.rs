@@ -20,12 +20,13 @@
 //!   never double-spend.
 
 use crate::auth::Authenticator;
+use crate::instance::{
+    payload_digest, signed_bytes, verify_certificate, Collector, Digest, InstanceTable, TraceHook,
+};
 use crate::secure::TraceExtract;
 use crate::types::{CryptoOps, Step};
-use at_model::codec::{encode, Writer};
 use at_model::{AccountId, Encode, ProcessId, SeqNo};
-use at_obs::{TraceCtx, TraceEventKind, Tracer};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use at_obs::{TraceEventKind, Tracer};
 use std::fmt;
 
 /// Wire messages of the account-order broadcast.
@@ -81,38 +82,42 @@ pub struct AccountDelivery<P> {
     pub payload: P,
 }
 
-/// A buffered FINAL: `(source, payload, certificate)`.
-type BufferedFinal<P, S> = (ProcessId, P, Vec<(ProcessId, S)>);
+/// A FINAL whose certificate checked out, waiting for its turn.
+struct ParkedFinal<P, A: Authenticator> {
+    sender: ProcessId,
+    payload: P,
+    certificate: Vec<(ProcessId, A::Sig)>,
+}
 
 struct PendingSend<P> {
     sender: ProcessId,
     payload: P,
 }
 
-struct Sending<S> {
-    digest: [u8; 32],
-    shares: BTreeMap<ProcessId, S>,
-    finalized: bool,
+struct Slot<P, A: Authenticator> {
+    /// The digest acknowledged — at most one.
+    acked: Option<Digest>,
+    /// The first SEND received, waiting for its turn to be acknowledged.
+    send: Option<PendingSend<P>>,
+    /// Acknowledgements for the message this process broadcast here.
+    acks: Option<Collector<P, A::Sig>>,
+}
+
+impl<P, A: Authenticator> Default for Slot<P, A> {
+    fn default() -> Self {
+        Slot {
+            acked: None,
+            send: None,
+            acks: None,
+        }
+    }
 }
 
 /// One process's endpoint of the account-order broadcast.
 pub struct AccountOrderBroadcast<P, A: Authenticator> {
-    me: ProcessId,
-    n: usize,
-    f: usize,
+    table: InstanceTable<AccountId, Slot<P, A>, ParkedFinal<P, A>>,
+    trace: TraceHook<P>,
     auth: A,
-    /// Next sequence number each account expects to *deliver*.
-    next_deliver: HashMap<AccountId, u64>,
-    /// The digest acknowledged per (account, seq) — at most one.
-    acked: HashMap<(AccountId, u64), [u8; 32]>,
-    /// SENDs waiting for their turn to be acknowledged.
-    pending_sends: HashMap<AccountId, BTreeMap<u64, PendingSend<P>>>,
-    /// FINALs waiting for their turn to be delivered.
-    pending_finals: HashMap<AccountId, BTreeMap<u64, BufferedFinal<P, A::Sig>>>,
-    /// Sender-side state of our own broadcasts.
-    sending: HashMap<(AccountId, u64), Sending<A::Sig>>,
-    /// Monotone count of deliveries.
-    delivered_total: usize,
     forward_final: bool,
     /// When set, a `SEND` for account `a` is only acknowledged if it comes
     /// from the process with the same index — the paper's base topology
@@ -120,34 +125,24 @@ pub struct AccountOrderBroadcast<P, A: Authenticator> {
     /// `k`-shared accounts have several legitimate senders).
     sole_owner: bool,
     ops: CryptoOps,
-    tracer: Option<(Tracer, TraceExtract<P>)>,
 }
 
 impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
     /// Creates the endpoint for process `me` of `n`.
     pub fn new(me: ProcessId, n: usize, auth: A) -> Self {
-        assert!(n >= 1, "at least one process");
         AccountOrderBroadcast {
-            me,
-            n,
-            f: (n - 1) / 3,
+            table: InstanceTable::new(me, n),
+            trace: TraceHook::new(me),
             auth,
-            next_deliver: HashMap::new(),
-            acked: HashMap::new(),
-            pending_sends: HashMap::new(),
-            pending_finals: HashMap::new(),
-            sending: HashMap::new(),
-            delivered_total: 0,
             forward_final: true,
             sole_owner: false,
             ops: CryptoOps::default(),
-            tracer: None,
         }
     }
 
     /// The fault threshold `f`.
     pub fn fault_threshold(&self) -> usize {
-        self.f
+        self.table.fault_threshold()
     }
 
     /// Enables/disables the sole-owner admission rule: acknowledge a
@@ -157,9 +152,10 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         self.sole_owner = on;
     }
 
-    /// Number of `(account, seq)` slots with acknowledgement state.
+    /// Number of `(account, seq)` slots with protocol state, plus FINALs
+    /// parked behind a sequence gap.
     pub fn instance_count(&self) -> usize {
-        self.acked.len()
+        self.table.instance_count()
     }
 
     /// Cumulative signature operations performed by this endpoint.
@@ -170,7 +166,7 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
     /// The ack quorum `⌈(n+f+1)/2⌉` ("more than two thirds" in the
     /// paper's prose).
     pub fn quorum(&self) -> usize {
-        (self.n + self.f) / 2 + 1
+        self.table.quorum()
     }
 
     /// Enables/disables FINAL forwarding (totality against Byzantine
@@ -180,24 +176,34 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
     }
 
     /// Routes causal trace events into `tracer` for payloads `extract`
-    /// maps to a [`TraceCtx`]. Untraced payloads cost one extractor call
-    /// per protocol step and nothing else.
-    pub fn set_tracer(&mut self, tracer: Tracer, extract: fn(&P) -> Option<TraceCtx>) {
-        self.tracer = Some((tracer, extract));
+    /// maps to a trace context. Untraced payloads cost one extractor
+    /// call per protocol step and nothing else.
+    pub fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {
+        self.trace.set(tracer, extract);
     }
 
-    /// The tracer handle and the payload's context, hop-adjusted: a
-    /// message from another process arrives one causal hop later.
-    fn trace_ctx(&self, payload: &P, from: ProcessId) -> Option<(&Tracer, TraceCtx)> {
-        let (tracer, extract) = self.tracer.as_ref()?;
-        let ctx = extract(payload)?;
-        let ctx = if from != self.me { ctx.hopped() } else { ctx };
-        Some((tracer, ctx))
-    }
-
-    fn trace(&self, payload: &P, from: ProcessId, kind: TraceEventKind, arg: u64) {
-        if let Some((tracer, ctx)) = self.trace_ctx(payload, from) {
-            tracer.record(ctx, kind, arg);
+    /// Signs `payload` as message `seq` of `account`; answers the SEND.
+    /// With `collect`, also starts collecting acknowledgements for it.
+    fn open(
+        &mut self,
+        account: AccountId,
+        seq: SeqNo,
+        payload: P,
+        collect: bool,
+    ) -> AccountOrderMsg<P, A::Sig> {
+        let digest = payload_digest(&payload);
+        self.ops.signs += 1;
+        let sig = self
+            .auth
+            .sign(self.table.me(), &signed_bytes(b'a', account, seq, digest));
+        if let Some(slot) = self.table.entry(account, seq).filter(|_| collect) {
+            slot.or_default().acks = Some(Collector::new(payload.clone(), digest));
+        }
+        AccountOrderMsg::Send {
+            account,
+            seq,
+            payload,
+            sig,
         }
     }
 
@@ -214,39 +220,11 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         payload: P,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
     ) {
-        let digest = payload_digest(&payload);
-        self.ops.signs += 1;
-        let sig = self.auth.sign(self.me, &send_bytes(account, seq, digest));
-        self.sending.insert(
-            (account, seq.value()),
-            Sending {
-                digest,
-                shares: BTreeMap::new(),
-                finalized: false,
-            },
-        );
-        // Retain our own payload immediately: the ack quorum can complete
-        // before our self-addressed SEND is delivered (the network orders
-        // the two independently), and certificate assembly recovers the
-        // payload from here.
-        self.pending_sends
-            .entry(account)
-            .or_default()
-            .entry(seq.value())
-            .or_insert(PendingSend {
-                sender: self.me,
-                payload: payload.clone(),
-            });
-        self.trace(&payload, self.me, TraceEventKind::Send, self.n as u64);
-        step.send_all(
-            self.n,
-            AccountOrderMsg::Send {
-                account,
-                seq,
-                payload,
-                sig,
-            },
-        );
+        let (me, n) = (self.table.me(), self.table.n());
+        self.trace
+            .record(&payload, me, TraceEventKind::Send, n as u64);
+        let send = self.open(account, seq, payload, true);
+        step.send_all(n, send);
     }
 
     /// *Byzantine harness only*: signs and sends conflicting `SEND`s for
@@ -263,46 +241,9 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         right: P,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
     ) {
-        let left_digest = payload_digest(&left);
-        self.sending.insert(
-            (account, seq.value()),
-            Sending {
-                digest: left_digest,
-                shares: BTreeMap::new(),
-                finalized: false,
-            },
-        );
-        self.pending_sends
-            .entry(account)
-            .or_default()
-            .entry(seq.value())
-            .or_insert(PendingSend {
-                sender: self.me,
-                payload: left.clone(),
-            });
-        self.ops.signs += 2;
-        let left_sig = self
-            .auth
-            .sign(self.me, &send_bytes(account, seq, left_digest));
-        let right_sig = self
-            .auth
-            .sign(self.me, &send_bytes(account, seq, payload_digest(&right)));
-        for i in 0..self.n {
-            let (payload, sig) = if i < self.n / 2 {
-                (left.clone(), left_sig.clone())
-            } else {
-                (right.clone(), right_sig.clone())
-            };
-            step.send(
-                ProcessId::new(i as u32),
-                AccountOrderMsg::Send {
-                    account,
-                    seq,
-                    payload,
-                    sig,
-                },
-            );
-        }
+        let left = self.open(account, seq, left, true);
+        let right = self.open(account, seq, right, false);
+        step.send_halves(self.table.n(), left, right);
     }
 
     /// Handles a protocol message from `from`.
@@ -322,28 +263,21 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
                 if self.sole_owner && from.index() != account.index() {
                     return; // not the account's owner: never acknowledged
                 }
-                if self.is_stale(account, seq) {
-                    // Already delivered (possibly pruned since): a stale
-                    // replay must not re-enter `pending_sends`, where it
-                    // would never drain.
-                    return;
-                }
+                let Some(slot) = self.table.entry(account, seq) else {
+                    return; // already delivered: not worth a verification
+                };
                 self.ops.verifies += 1;
                 if !self.auth.verify(
                     from,
-                    &send_bytes(account, seq, payload_digest(&payload)),
+                    &signed_bytes(b'a', account, seq, payload_digest(&payload)),
                     &sig,
                 ) {
                     return;
                 }
-                self.pending_sends
-                    .entry(account)
-                    .or_default()
-                    .entry(seq.value())
-                    .or_insert(PendingSend {
-                        sender: from,
-                        payload,
-                    });
+                slot.or_default().send.get_or_insert(PendingSend {
+                    sender: from,
+                    payload,
+                });
                 self.try_ack(account, step);
             }
             AccountOrderMsg::Ack {
@@ -369,40 +303,33 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         account: AccountId,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
     ) {
-        let expected = *self.next_deliver.entry(account).or_insert(1);
-        let Some(slot) = self.pending_sends.get_mut(&account) else {
+        let (me, expected) = (self.table.me(), self.table.expected(account));
+        let Some(slot) = self.table.get_mut(account, expected) else {
             return;
         };
-        let Some(pending) = slot.get(&expected) else {
+        let Some(pending) = &slot.send else {
             return;
         };
         let digest = payload_digest(&pending.payload);
         // At most one digest acknowledged per (account, seq).
-        let acked = self.acked.entry((account, expected)).or_insert(digest);
-        if *acked != digest {
+        if *slot.acked.get_or_insert(digest) != digest {
             return; // a conflicting message was already acknowledged
         }
         self.ops.signs += 1;
         let share = self
             .auth
-            .sign(self.me, &ack_bytes(account, SeqNo::new(expected), digest));
-        // Inline (not via `Self::trace`) so the borrow stays on the
-        // `tracer` field while `pending` still borrows `pending_sends`.
-        if let Some((tracer, extract)) = &self.tracer {
-            if let Some(ctx) = extract(&pending.payload) {
-                let ctx = if pending.sender != self.me {
-                    ctx.hopped()
-                } else {
-                    ctx
-                };
-                tracer.record(ctx, TraceEventKind::Echo, expected);
-            }
-        }
+            .sign(me, &signed_bytes(b'k', account, expected, digest));
+        self.trace.record(
+            &pending.payload,
+            pending.sender,
+            TraceEventKind::Echo,
+            expected.value(),
+        );
         step.send(
             pending.sender,
             AccountOrderMsg::Ack {
                 account,
-                seq: SeqNo::new(expected),
+                seq: expected,
                 digest,
                 share,
             },
@@ -414,59 +341,43 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         from: ProcessId,
         account: AccountId,
         seq: SeqNo,
-        digest: [u8; 32],
+        digest: Digest,
         share: A::Sig,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
     ) {
-        let quorum = self.quorum();
-        let n = self.n;
-        let me = self.me;
-        let Some(state) = self.sending.get_mut(&(account, seq.value())) else {
+        let (me, n, quorum) = (self.table.me(), self.table.n(), self.quorum());
+        let acks = self.table.get_mut(account, seq);
+        let Some(acks) = acks.and_then(|slot| slot.acks.as_mut()) else {
             return;
         };
-        if state.digest != digest || state.finalized {
-            return; // a late ack past the quorum costs no verification
-        }
-        self.ops.verifies += 1;
-        if !self
-            .auth
-            .verify(from, &ack_bytes(account, seq, digest), &share)
-        {
+        if acks.digest() != digest {
             return;
         }
-        state.shares.insert(from, share);
-        if state.shares.len() >= quorum {
-            state.finalized = true;
-            let certificate: Vec<(ProcessId, A::Sig)> = state
-                .shares
-                .iter()
-                .map(|(process, sig)| (*process, sig.clone()))
-                .collect();
-            // Recover the payload from our pending sends (we sent it to
-            // ourselves too).
-            let payload = self
-                .pending_sends
-                .get(&account)
-                .and_then(|slot| slot.get(&seq.value()))
-                .map(|pending| pending.payload.clone())
-                .expect("sender retains its own payload");
-            self.trace(
-                &payload,
-                me,
-                TraceEventKind::Ready,
-                certificate.len() as u64,
-            );
-            step.send_all(
-                n,
-                AccountOrderMsg::Final {
-                    sender: me,
-                    account,
-                    seq,
-                    payload,
-                    certificate,
-                },
-            );
-        }
+        let Some(certificate) = acks.accept(
+            (&self.auth, &mut self.ops),
+            quorum,
+            from,
+            &signed_bytes(b'k', account, seq, digest),
+            share,
+        ) else {
+            return;
+        };
+        self.trace.record(
+            acks.payload(),
+            me,
+            TraceEventKind::Ready,
+            certificate.len() as u64,
+        );
+        step.send_all(
+            n,
+            AccountOrderMsg::Final {
+                sender: me,
+                account,
+                seq,
+                payload: acks.payload().clone(),
+                certificate,
+            },
+        );
     }
 
     fn on_final(
@@ -478,87 +389,63 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         certificate: Vec<(ProcessId, A::Sig)>,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
     ) {
-        if self.is_stale(account, seq) {
-            // A replayed FINAL below the delivery floor would re-verify
-            // its certificate and park forever in `pending_finals`.
-            return;
-        }
-        let parked = self.pending_finals.get(&account);
-        if parked.is_some_and(|finals| finals.contains_key(&seq.value())) {
-            // A forwarded copy of a FINAL already parked behind a gap:
-            // its certificate was verified when the first copy arrived.
+        // A replay behind the delivery floor, or a forwarded copy of a
+        // FINAL already parked behind a gap (its certificate was verified
+        // when the first copy arrived): not worth a verification.
+        if self.table.is_stale(account, seq) || self.table.holds(account, seq) {
             return;
         }
         let digest = payload_digest(&payload);
-        let span = self
-            .trace_ctx(&payload, sender)
-            .map(|(tracer, ctx)| (tracer.clone(), ctx));
-        if let Some((tracer, ctx)) = &span {
-            tracer.record(*ctx, TraceEventKind::VerifyStart, certificate.len() as u64);
-        }
-        let mut signers = BTreeSet::new();
-        for (signer, share) in &certificate {
-            self.ops.verifies += 1;
-            if self
-                .auth
-                .verify(*signer, &ack_bytes(account, seq, digest), share)
-            {
-                signers.insert(*signer);
-            }
-        }
-        if let Some((tracer, ctx)) = &span {
-            tracer.record(*ctx, TraceEventKind::VerifyEnd, signers.len() as u64);
-        }
-        if signers.len() < self.quorum() {
+        let own = self.table.get(account, seq);
+        let own = own
+            .and_then(|slot| slot.acks.as_ref())
+            .filter(|acks| acks.digest() == digest);
+        let signers = verify_certificate(
+            (&self.auth, &mut self.ops),
+            self.trace.ctx(&payload, sender),
+            &signed_bytes(b'k', account, seq, digest),
+            &certificate,
+            own,
+        );
+        if signers < self.quorum() {
             return;
         }
-        self.pending_finals
-            .entry(account)
-            .or_default()
-            .insert(seq.value(), (sender, payload, certificate));
-        self.drain_deliveries(account, step);
-    }
-
-    fn drain_deliveries(
-        &mut self,
-        account: AccountId,
-        step: &mut Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
-    ) {
-        loop {
-            let expected = *self.next_deliver.entry(account).or_insert(1);
-            let Some((sender, payload, certificate)) = self
-                .pending_finals
-                .get_mut(&account)
-                .and_then(|finals| finals.remove(&expected))
-            else {
-                break;
-            };
-            self.next_deliver.insert(account, expected + 1);
-            // Drop the satisfied pending send.
-            if let Some(slot) = self.pending_sends.get_mut(&account) {
-                slot.remove(&expected);
-            }
+        let parked = ParkedFinal {
+            sender,
+            payload,
+            certificate,
+        };
+        self.table.hold(account, seq, parked);
+        while let Some((
+            seq,
+            ParkedFinal {
+                sender,
+                payload,
+                certificate,
+            },
+        )) = self.table.release(account)
+        {
             if self.forward_final {
                 step.send_all(
-                    self.n,
+                    self.table.n(),
                     AccountOrderMsg::Final {
                         sender,
                         account,
-                        seq: SeqNo::new(expected),
+                        seq,
                         payload: payload.clone(),
                         certificate,
                     },
                 );
             }
+            self.trace
+                .record(&payload, sender, TraceEventKind::Deliver, seq.value());
             let delivery = AccountDelivery {
                 sender,
                 account,
-                seq: SeqNo::new(expected),
+                seq,
                 payload,
             };
-            self.trace(&delivery.payload, sender, TraceEventKind::Deliver, expected);
-            self.delivered_total += 1;
-            step.deliver(sender, SeqNo::new(expected), delivery);
+            step.deliver(sender, seq, delivery);
             // A delivery may unblock the acknowledgement of the next SEND.
             self.try_ack(account, step);
         }
@@ -566,46 +453,22 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
 
     /// The next sequence number this process will deliver for `account`.
     pub fn expected(&self, account: AccountId) -> SeqNo {
-        SeqNo::new(self.next_deliver.get(&account).copied().unwrap_or(1))
+        self.table.expected(account)
     }
 
     /// Total number of deliveries ever made (monotone across pruning).
     pub fn delivered_count(&self) -> usize {
-        self.delivered_total
+        self.table.delivered_count()
     }
 
-    /// Whether `(account, seq)` is behind the account's delivery floor —
-    /// already delivered, so its state may be pruned and any message for
-    /// it is a replay.
-    fn is_stale(&self, account: AccountId, seq: SeqNo) -> bool {
-        seq.value() < self.next_deliver.get(&account).copied().unwrap_or(1)
-    }
-
-    /// Drops per-instance state behind each account's delivery floor:
-    /// acknowledgement slots, finalized sender state, and buffered SENDs
-    /// and FINALs. Returns the number of acknowledgement slots pruned
-    /// (the [`Self::instance_count`] unit).
-    /// Late messages for pruned instances are rejected by the floor
-    /// checks, so delivery stays exactly-once per `(account, seq)`.
+    /// Drops the slots behind each account's delivery floor, except those
+    /// of our own broadcasts that never certified; returns how many went
+    /// (the [`Self::instance_count`] unit). Late messages for pruned
+    /// instances are rejected by the floors, so delivery stays
+    /// exactly-once per `(account, seq)`.
     pub fn prune_delivered(&mut self) -> usize {
-        let floors = &self.next_deliver;
-        let floor_of = |account: &AccountId| floors.get(account).copied().unwrap_or(1);
-        let before = self.acked.len();
-        self.acked
-            .retain(|(account, seq), _| *seq >= floor_of(account));
-        self.sending
-            .retain(|(account, seq), state| !(state.finalized && *seq < floor_of(account)));
-        for (account, slot) in self.pending_sends.iter_mut() {
-            let floor = floor_of(account);
-            *slot = slot.split_off(&floor);
-        }
-        for (account, slot) in self.pending_finals.iter_mut() {
-            let floor = floor_of(account);
-            *slot = slot.split_off(&floor);
-        }
-        self.pending_sends.retain(|_, slot| !slot.is_empty());
-        self.pending_finals.retain(|_, slot| !slot.is_empty());
-        before - self.acked.len()
+        self.table
+            .prune(|slot| slot.acks.as_ref().is_none_or(Collector::finalized))
     }
 
     /// Raises the delivery floor of `account` so sequence numbers
@@ -614,54 +477,20 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
     /// floor. Cold-started replicas seed floors from a snapshot with
     /// this before replaying the log suffix.
     pub fn set_delivery_floor(&mut self, account: AccountId, floor: SeqNo) {
-        let next = self.next_deliver.entry(account).or_insert(1);
-        if floor.value() + 1 > *next {
-            *next = floor.value() + 1;
-        }
-        let next = *next;
-        self.acked
-            .retain(|(a, seq), _| !(*a == account && *seq < next));
-        self.sending
-            .retain(|(a, seq), _| !(*a == account && *seq < next));
-        if let Some(slot) = self.pending_sends.get_mut(&account) {
-            *slot = slot.split_off(&next);
-        }
-        if let Some(slot) = self.pending_finals.get_mut(&account) {
-            *slot = slot.split_off(&next);
-        }
+        self.table.set_floor(account, floor);
     }
 }
 
-impl<P: Clone + Encode, A: Authenticator> fmt::Debug for AccountOrderBroadcast<P, A> {
+impl<P, A: Authenticator> fmt::Debug for AccountOrderBroadcast<P, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "AccountOrderBroadcast(me={}, n={}, delivered={})",
-            self.me, self.n, self.delivered_total
+            self.table.me(),
+            self.table.n(),
+            self.table.delivered_count()
         )
     }
-}
-
-fn payload_digest<P: Encode>(payload: &P) -> [u8; 32] {
-    at_crypto::Sha256::digest(&encode(payload))
-}
-
-fn send_bytes(account: AccountId, seq: SeqNo, digest: [u8; 32]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(b'a');
-    account.encode(&mut w);
-    seq.encode(&mut w);
-    w.put_bytes(&digest);
-    w.into_bytes()
-}
-
-fn ack_bytes(account: AccountId, seq: SeqNo, digest: [u8; 32]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(b'k');
-    account.encode(&mut w);
-    seq.encode(&mut w);
-    w.put_bytes(&digest);
-    w.into_bytes()
 }
 
 #[cfg(test)]
@@ -880,28 +709,31 @@ mod tests {
 
     /// Account-order's signature budget, as exact counts over whole
     /// instances (all `n` endpoints metered into one registry), with
-    /// `q` the ack quorum.
+    /// `q` the ack quorum — the same budget as signed echo's, through
+    /// the same certificate path.
     ///
     /// An honest instance signs the SEND plus one ack share per process,
     /// `n + 1`; it verifies the SEND at every process, the first `q` ack
     /// shares at the sender (an ack past the quorum finds the instance
     /// finalized and is dropped unverified) and `q` certificate shares
-    /// at every process when the sender's FINAL arrives (the forwarded
-    /// copies arrive behind the delivery floor), `n + q + n·q`.
+    /// at each of the other `n − 1` when the sender's FINAL arrives (the
+    /// sender does not re-verify the shares it collected, and the
+    /// forwarded copies arrive behind the delivery floor), `n·(q + 1)`.
     ///
     /// An instance whose predecessor the last process never saw costs
-    /// the same `n + q + n·q` verifications: the last process acks
+    /// the same `n·(q + 1)` verifications: the last process acks
     /// nothing (`n` signs), so the sender verifies `q` of `n − 1` acks,
-    /// `n − 1` processes deliver, and the last one verifies the first
-    /// FINAL it sees, parks it behind the gap, and drops the `n − 1`
-    /// forwarded copies on the parked duplicate without verifying them.
-    /// Verifying before the lookup in `on_ack`, or before the duplicate
-    /// check in `on_final`, moves a count and fails here.
+    /// `n − 2` others verify the certificate and deliver, and the last
+    /// one verifies the first FINAL it sees, parks it behind the gap,
+    /// and drops the `n − 1` forwarded copies on the parked duplicate
+    /// without verifying them. Verifying before the lookup in `on_ack`,
+    /// or before the duplicate check in `on_final`, moves a count and
+    /// fails here.
     fn assert_signature_budget(n: usize) {
         let registry = at_obs::Registry::new("cluster");
         let auth = ObservedAuth::new(EdAuth::deterministic(n, 31), registry.recorder());
         let q = system(n)[0].quorum() as u64;
-        let budget = n as u64 + q + n as u64 * q;
+        let budget = n as u64 * (q + 1);
 
         let mut endpoints = system_with(n, &auth);
         let wires = start(&mut endpoints, p(0), acct(0), 1, 42);
@@ -926,12 +758,12 @@ mod tests {
     }
 
     #[test]
-    fn honest_instance_costs_5_signs_and_19_verifies_at_n4() {
+    fn honest_instance_costs_5_signs_and_16_verifies_at_n4() {
         assert_signature_budget(4);
     }
 
     #[test]
-    fn honest_instance_costs_8_signs_and_47_verifies_at_n7() {
+    fn honest_instance_costs_8_signs_and_42_verifies_at_n7() {
         assert_signature_budget(7);
     }
 

@@ -15,12 +15,12 @@
 //! Message complexity: `O(n²)` per broadcast, 3 message delays — the cost
 //! profile the evaluation of Section 5 measures.
 //!
-//! Deliveries are released through a [`SourceOrderBuffer`], yielding the
-//! source-order (indeed FIFO) property of Section 5.2.
+//! Deliveries are released per source in sequence order by the instance
+//! table, yielding the source-order (indeed FIFO) property of Section 5.2.
 
-use crate::secure::TraceExtract;
-use crate::types::{SourceOrderBuffer, Step};
-use at_model::codec::encode;
+use crate::instance::{payload_digest, Digest, InstanceTable, TraceHook};
+use crate::secure::{SecureBroadcast, TraceExtract};
+use crate::types::{CryptoOps, Step};
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceEventKind, Tracer};
 use std::collections::{BTreeSet, HashMap};
@@ -56,13 +56,10 @@ pub enum BrachaMsg<P> {
     },
 }
 
-type InstanceKey = (ProcessId, SeqNo);
-type Digest = [u8; 32];
-
 #[derive(Default)]
-struct Instance<P> {
-    /// The digest this process echoed (first INIT wins).
-    echoed: Option<Digest>,
+struct Instance {
+    /// Whether this process echoed (first INIT wins).
+    echoed: bool,
     /// Distinct processes that echoed each digest.
     echoes: HashMap<Digest, BTreeSet<ProcessId>>,
     /// Distinct processes that sent READY for each digest.
@@ -71,128 +68,46 @@ struct Instance<P> {
     ready_sent: bool,
     /// Whether the instance delivered.
     delivered: bool,
-    /// Payloads seen, by digest.
-    payloads: HashMap<Digest, P>,
-}
-
-impl<P> Instance<P> {
-    fn new() -> Self {
-        Instance {
-            echoed: None,
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
-            ready_sent: false,
-            delivered: false,
-            payloads: HashMap::new(),
-        }
-    }
 }
 
 /// One process's endpoint of the Bracha reliable broadcast.
 ///
-/// The struct is a pure state machine: [`BrachaBroadcast::broadcast`] and
-/// [`BrachaBroadcast::on_message`] fill a [`Step`] with messages to send
+/// The struct is a pure state machine: [`SecureBroadcast::broadcast`] and
+/// [`SecureBroadcast::on_message`] fill a [`Step`] with messages to send
 /// and payloads to deliver; the caller (an [`at_net::Actor`] or a unit
 /// test) moves them.
 pub struct BrachaBroadcast<P> {
-    me: ProcessId,
-    n: usize,
-    f: usize,
-    next_seq: SeqNo,
-    instances: HashMap<InstanceKey, Instance<P>>,
-    order: SourceOrderBuffer<P>,
-    /// Instances delivered over this endpoint's lifetime — monotone, so
-    /// it survives [`BrachaBroadcast::prune_delivered`] (a live count of
-    /// the `delivered` flags would shrink as instances are pruned).
-    delivered_total: usize,
-    tracer: Option<(Tracer, TraceExtract<P>)>,
+    table: InstanceTable<ProcessId, Instance, P>,
+    trace: TraceHook<P>,
 }
 
 impl<P: Clone + Encode> BrachaBroadcast<P> {
     /// Creates the endpoint for process `me` in a system of `n` processes
     /// tolerating `f = ⌊(n−1)/3⌋` Byzantine faults.
     pub fn new(me: ProcessId, n: usize) -> Self {
-        assert!(n >= 1, "at least one process");
         BrachaBroadcast {
-            me,
-            n,
-            f: (n - 1) / 3,
-            next_seq: SeqNo::ZERO,
-            instances: HashMap::new(),
-            order: SourceOrderBuffer::new(),
-            delivered_total: 0,
-            tracer: None,
-        }
-    }
-
-    /// Wires causal tracing: traced payloads get their INIT / ECHO /
-    /// READY / deliver steps recorded (see
-    /// [`crate::SecureBroadcast::set_tracer`]).
-    pub fn set_tracer(&mut self, tracer: Tracer, extract: fn(&P) -> Option<at_obs::TraceCtx>) {
-        self.tracer = Some((tracer, extract));
-    }
-
-    /// Records one protocol step for `payload`'s trace (no-op for
-    /// untraced payloads); a step observed on a message from another
-    /// process counts one hop.
-    fn trace(&self, payload: &P, from: ProcessId, kind: TraceEventKind, arg: u64) {
-        if let Some((tracer, extract)) = &self.tracer {
-            if let Some(ctx) = extract(payload) {
-                let ctx = if from != self.me { ctx.hopped() } else { ctx };
-                tracer.record(ctx, kind, arg);
-            }
+            table: InstanceTable::new(me, n),
+            trace: TraceHook::new(me),
         }
     }
 
     /// The fault threshold `f`.
     pub fn fault_threshold(&self) -> usize {
-        self.f
+        self.table.fault_threshold()
     }
 
     /// `⌈(n+f+1)/2⌉` matching echoes trigger READY.
     pub fn echo_quorum(&self) -> usize {
-        (self.n + self.f) / 2 + 1
+        self.table.quorum()
     }
 
     /// `f+1` READYs amplify, `2f+1` deliver.
     fn ready_amplify(&self) -> usize {
-        self.f + 1
+        self.table.fault_threshold() + 1
     }
 
     fn ready_deliver(&self) -> usize {
-        2 * self.f + 1
-    }
-
-    /// Starts broadcasting `payload` with the next sequence number;
-    /// returns the sequence number used.
-    pub fn broadcast(&mut self, payload: P, step: &mut Step<BrachaMsg<P>, P>) -> SeqNo {
-        self.next_seq = self.next_seq.next();
-        let seq = self.next_seq;
-        self.trace(&payload, self.me, TraceEventKind::Send, self.n as u64);
-        step.send_all(self.n, BrachaMsg::Init { seq, payload });
-        seq
-    }
-
-    /// Handles a protocol message from `from`.
-    pub fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: BrachaMsg<P>,
-        step: &mut Step<BrachaMsg<P>, P>,
-    ) {
-        match msg {
-            BrachaMsg::Init { seq, payload } => self.on_init(from, seq, payload, step),
-            BrachaMsg::Echo {
-                source,
-                seq,
-                payload,
-            } => self.on_echo(from, source, seq, payload, step),
-            BrachaMsg::Ready {
-                source,
-                seq,
-                payload,
-            } => self.on_ready(from, source, seq, payload, step),
-        }
+        2 * self.table.fault_threshold() + 1
     }
 
     fn on_init(
@@ -205,25 +120,19 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
         // The INIT's sender *is* the instance's source (channels are
         // authenticated): a Byzantine process cannot open instances for
         // someone else.
-        if self.is_stale(from, seq) {
-            return; // replay of an already-released (possibly pruned) instance
-        }
-        let digest = digest_of(&payload);
-        let instance = self
-            .instances
-            .entry((from, seq))
-            .or_insert_with(Instance::new);
-        instance
-            .payloads
-            .entry(digest)
-            .or_insert_with(|| payload.clone());
-        if instance.echoed.is_some() {
+        let n = self.table.n();
+        let Some(slot) = self.table.entry(from, seq) else {
+            return;
+        };
+        let instance = slot.or_default();
+        if instance.echoed {
             return; // echo only the first INIT per instance
         }
-        instance.echoed = Some(digest);
-        self.trace(&payload, from, TraceEventKind::Echo, self.n as u64);
+        instance.echoed = true;
+        self.trace
+            .record(&payload, from, TraceEventKind::Echo, n as u64);
         step.send_all(
-            self.n,
+            n,
             BrachaMsg::Echo {
                 source: from,
                 seq,
@@ -240,25 +149,17 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
         payload: P,
         step: &mut Step<BrachaMsg<P>, P>,
     ) {
-        if self.is_stale(source, seq) {
+        let (n, echo_quorum) = (self.table.n(), self.echo_quorum());
+        let Some(slot) = self.table.entry(source, seq) else {
             return;
-        }
-        let digest = digest_of(&payload);
-        let echo_quorum = self.echo_quorum();
-        let n = self.n;
-        let instance = self
-            .instances
-            .entry((source, seq))
-            .or_insert_with(Instance::new);
-        instance
-            .payloads
-            .entry(digest)
-            .or_insert_with(|| payload.clone());
-        let echoes = instance.echoes.entry(digest).or_default();
+        };
+        let instance = slot.or_default();
+        let echoes = instance.echoes.entry(payload_digest(&payload)).or_default();
         echoes.insert(from);
         if echoes.len() >= echo_quorum && !instance.ready_sent {
             instance.ready_sent = true;
-            self.trace(&payload, from, TraceEventKind::Ready, echo_quorum as u64);
+            self.trace
+                .record(&payload, from, TraceEventKind::Ready, echo_quorum as u64);
             step.send_all(
                 n,
                 BrachaMsg::Ready {
@@ -278,21 +179,16 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
         payload: P,
         step: &mut Step<BrachaMsg<P>, P>,
     ) {
-        if self.is_stale(source, seq) {
-            return;
-        }
-        let digest = digest_of(&payload);
         let (ready_amplify, ready_deliver) = (self.ready_amplify(), self.ready_deliver());
-        let n = self.n;
-        let instance = self
-            .instances
-            .entry((source, seq))
-            .or_insert_with(Instance::new);
-        instance
-            .payloads
-            .entry(digest)
-            .or_insert_with(|| payload.clone());
-        let readies = instance.readies.entry(digest).or_default();
+        let n = self.table.n();
+        let Some(slot) = self.table.entry(source, seq) else {
+            return;
+        };
+        let instance = slot.or_default();
+        let readies = instance
+            .readies
+            .entry(payload_digest(&payload))
+            .or_default();
         readies.insert(from);
         let count = readies.len();
 
@@ -309,109 +205,93 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
         }
         if count >= ready_deliver && !instance.delivered {
             instance.delivered = true;
-            self.delivered_total += 1;
-            for (released_seq, released) in self.order.offer(source, seq, payload) {
-                self.trace(
-                    &released,
-                    from,
-                    TraceEventKind::Deliver,
-                    released_seq.value(),
-                );
-                step.deliver(source, released_seq, released);
+            self.table.hold(source, seq, payload);
+            while let Some((seq, payload)) = self.table.release(source) {
+                self.trace
+                    .record(&payload, from, TraceEventKind::Deliver, seq.value());
+                step.deliver(source, seq, payload);
             }
         }
     }
+}
 
-    /// Number of broadcast instances with protocol state.
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
+impl<P: Clone + Encode + Send> SecureBroadcast<P> for BrachaBroadcast<P> {
+    type Msg = BrachaMsg<P>;
 
-    /// Number of instances this endpoint has delivered over its
-    /// lifetime (monotone; unaffected by pruning).
-    pub fn delivered_count(&self) -> usize {
-        self.delivered_total
-    }
-
-    /// Whether `(source, seq)` is behind the source's release floor —
-    /// i.e. already delivered and released in source order, so any
-    /// further message for it is a replay that must not re-create
-    /// (pruned) instance state.
-    fn is_stale(&self, source: ProcessId, seq: SeqNo) -> bool {
-        seq.value() < self.order.expected(source).value()
-    }
-
-    /// Drops the protocol state of every instance that has been both
-    /// delivered and released in source order, returning how many were
-    /// pruned. The per-source release floors (kept in `O(n)` space)
-    /// continue to suppress replays of pruned instances; instances that
-    /// delivered into a sequence gap keep their state until the gap
-    /// closes.
-    pub fn prune_delivered(&mut self) -> usize {
-        let order = &self.order;
-        let before = self.instances.len();
-        self.instances.retain(|(source, seq), instance| {
-            !(instance.delivered && seq.value() < order.expected(*source).value())
-        });
-        before - self.instances.len()
-    }
-
-    /// Raises the delivery floor of `source` to instance `floor`
-    /// (snapshot bootstrap — see
-    /// [`crate::SecureBroadcast::set_delivery_floor`]): buffered and
-    /// future messages at or below the floor are discarded, delivery
-    /// resumes at `floor + 1`, and when `source` is this endpoint its
-    /// own sequence counter is bumped past the floor.
-    pub fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
-        self.order.advance(source, floor);
-        if source == self.me && floor.value() > self.next_seq.value() {
-            self.next_seq = floor;
-        }
-        self.instances
-            .retain(|(s, seq), _| !(*s == source && seq.value() <= floor.value()));
-    }
-
-    /// *Byzantine harness only*: opens one broadcast instance but sends
-    /// `INIT(left)` to the lower half of the system and `INIT(right)` to
-    /// the upper half — the classic equivocation attempt. A correct
-    /// process never calls this; the adversarial engine actors do, and
-    /// the protocol's echo quorum ensures at most one of the two payloads
-    /// can ever be delivered.
-    pub fn broadcast_split(
-        &mut self,
-        left: P,
-        right: P,
-        step: &mut Step<BrachaMsg<P>, P>,
-    ) -> SeqNo {
-        self.next_seq = self.next_seq.next();
-        let seq = self.next_seq;
-        for i in 0..self.n {
-            let payload = if i < self.n / 2 {
-                left.clone()
-            } else {
-                right.clone()
-            };
-            step.send(ProcessId::new(i as u32), BrachaMsg::Init { seq, payload });
-        }
+    fn broadcast(&mut self, payload: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
+        let (me, n) = (self.table.me(), self.table.n());
+        let seq = self.table.next_seq();
+        self.trace
+            .record(&payload, me, TraceEventKind::Send, n as u64);
+        step.send_all(n, BrachaMsg::Init { seq, payload });
         seq
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, step: &mut Step<Self::Msg, P>) {
+        match msg {
+            BrachaMsg::Init { seq, payload } => self.on_init(from, seq, payload, step),
+            BrachaMsg::Echo {
+                source,
+                seq,
+                payload,
+            } => self.on_echo(from, source, seq, payload, step),
+            BrachaMsg::Ready {
+                source,
+                seq,
+                payload,
+            } => self.on_ready(from, source, seq, payload, step),
+        }
+    }
+
+    /// Sends `INIT(left)` to the lower half of the system and
+    /// `INIT(right)` to the upper half — the classic equivocation
+    /// attempt. The echo quorum ensures at most one of the two payloads
+    /// can ever be delivered.
+    fn broadcast_split(&mut self, left: P, right: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
+        let seq = self.table.next_seq();
+        let init = |payload| BrachaMsg::Init { seq, payload };
+        step.send_halves(self.table.n(), init(left), init(right));
+        seq
+    }
+
+    fn instance_count(&self) -> usize {
+        self.table.instance_count()
+    }
+
+    fn delivered_count(&self) -> usize {
+        self.table.delivered_count()
+    }
+
+    fn crypto_ops(&self) -> CryptoOps {
+        CryptoOps::default()
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {
+        self.trace.set(tracer, extract);
+    }
+
+    /// An instance that delivered into a sequence gap keeps its state
+    /// until the gap closes.
+    fn prune_delivered(&mut self) -> usize {
+        self.table.prune(|instance| instance.delivered)
+    }
+
+    fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
+        self.table.set_source_floor(source, floor);
     }
 }
 
-impl<P: Clone + Encode> fmt::Debug for BrachaBroadcast<P> {
+impl<P> fmt::Debug for BrachaBroadcast<P> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "BrachaBroadcast(me={}, n={}, f={}, instances={})",
-            self.me,
-            self.n,
-            self.f,
-            self.instances.len()
+            self.table.me(),
+            self.table.n(),
+            self.table.fault_threshold(),
+            self.table.instance_count()
         )
     }
-}
-
-fn digest_of<P: Encode>(payload: &P) -> Digest {
-    at_crypto::Sha256::digest(&encode(payload))
 }
 
 #[cfg(test)]

@@ -15,14 +15,14 @@
 //! *consistency* that prevents equivocation — and, one level up, double
 //! spending.
 
-use crate::auth::{Authenticator, BatchVerifyItem};
-use crate::secure::TraceExtract;
-use crate::types::{CryptoOps, SourceOrderBuffer, Step};
-use at_model::codec::{encode, Writer};
+use crate::auth::Authenticator;
+use crate::instance::{
+    payload_digest, signed_bytes, verify_certificate, Collector, Digest, InstanceTable, TraceHook,
+};
+use crate::secure::{SecureBroadcast, TraceExtract};
+use crate::types::{CryptoOps, Step};
 use at_model::{Encode, ProcessId, SeqNo};
-use at_obs::{TraceCtx, TraceEventKind, Tracer};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use at_obs::{TraceEventKind, Tracer};
 use std::fmt;
 
 /// Wire messages of the signed-echo broadcast.
@@ -63,53 +63,48 @@ pub enum EchoMsg<P, S> {
     },
 }
 
-struct SendState<S> {
-    digest: [u8; 32],
-    /// Our signature over `send_bytes(me, seq, digest)`, made once in
-    /// `broadcast` and reused for the FINAL (signing is deterministic).
+/// Sender-side state of one payload this process sent.
+struct Sending<P, S> {
+    /// Our signature over the SEND bytes, made once and reused for the
+    /// FINAL (signing is deterministic).
     sig: S,
-    /// Echo shares over `digest`, each verified on arrival.
-    shares: BTreeMap<ProcessId, S>,
-    finalized: bool,
+    echoes: Collector<P, S>,
 }
 
 /// Receiver-side record of the one SEND this process echoed for an
 /// instance: the digest (the anti-equivocation rule) and the exact SEND
 /// signature `on_send` verified for it.
 struct Echoed<S> {
-    digest: [u8; 32],
+    digest: Digest,
     send_sig: S,
+}
+
+struct Instance<P, S> {
+    echoed: Option<Echoed<S>>,
+    /// Whether the instance delivered (dedups the forwarded FINALs).
+    delivered: bool,
+    /// Our own instances only: the payload we broadcast and, after
+    /// [`SecureBroadcast::broadcast_split`], the second one behind it.
+    sending: Vec<Sending<P, S>>,
+}
+
+impl<P, S> Default for Instance<P, S> {
+    fn default() -> Self {
+        Instance {
+            echoed: None,
+            delivered: false,
+            sending: Vec::new(),
+        }
+    }
 }
 
 /// One process's endpoint of the signed-echo broadcast.
 pub struct EchoBroadcast<P, A: Authenticator> {
-    me: ProcessId,
-    n: usize,
-    f: usize,
+    table: InstanceTable<ProcessId, Instance<P, A::Sig>, P>,
+    trace: TraceHook<P>,
     auth: A,
-    next_seq: SeqNo,
-    /// Sender-side state for our own broadcasts.
-    sending: HashMap<SeqNo, (P, SendState<A::Sig>)>,
-    /// Sender-side state for the *second* payload of a split broadcast
-    /// ([`EchoBroadcast::broadcast_split`]): the strongest attacker
-    /// collects shares for both sides and would certify either the moment
-    /// a quorum formed. With the correct quorum `⌈(n+f+1)/2⌉` this state
-    /// never finalizes (quorum intersection), so keeping it live makes
-    /// the tests exercise the defense — and makes a broken quorum
-    /// (`broken` feature) actually observable as a double certificate.
-    split_shadow: HashMap<SeqNo, (P, SendState<A::Sig>)>,
-    /// Receiver-side: what we echoed per instance (one digest per
-    /// instance — the anti-equivocation rule).
-    echoed: HashMap<(ProcessId, SeqNo), Echoed<A::Sig>>,
-    /// Instances already delivered (to forward and dedup).
-    delivered: HashSet<(ProcessId, SeqNo)>,
-    /// Monotone count of deliveries — survives pruning, unlike
-    /// `delivered.len()`.
-    delivered_total: usize,
-    order: SourceOrderBuffer<P>,
     forward_final: bool,
     ops: CryptoOps,
-    tracer: Option<(Tracer, TraceExtract<P>)>,
     /// Mutation-testing hook: overrides [`EchoBroadcast::quorum`].
     #[cfg(feature = "broken")]
     quorum_override: Option<usize>,
@@ -119,22 +114,12 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
     /// Creates the endpoint for process `me` of `n`, using `auth` for
     /// signatures; tolerates `f = ⌊(n−1)/3⌋` Byzantine processes.
     pub fn new(me: ProcessId, n: usize, auth: A) -> Self {
-        assert!(n >= 1, "at least one process");
         EchoBroadcast {
-            me,
-            n,
-            f: (n - 1) / 3,
+            table: InstanceTable::new(me, n),
+            trace: TraceHook::new(me),
             auth,
-            next_seq: SeqNo::ZERO,
-            sending: HashMap::new(),
-            split_shadow: HashMap::new(),
-            echoed: HashMap::new(),
-            delivered: HashSet::new(),
-            delivered_total: 0,
-            order: SourceOrderBuffer::new(),
             forward_final: true,
             ops: CryptoOps::default(),
-            tracer: None,
             #[cfg(feature = "broken")]
             quorum_override: None,
         }
@@ -142,18 +127,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
 
     /// The fault threshold `f`.
     pub fn fault_threshold(&self) -> usize {
-        self.f
-    }
-
-    /// Number of broadcast instances with local protocol state (one entry
-    /// per `(source, seq)` this endpoint echoed).
-    pub fn instance_count(&self) -> usize {
-        self.echoed.len()
-    }
-
-    /// Cumulative signature operations performed by this endpoint.
-    pub fn crypto_ops(&self) -> CryptoOps {
-        self.ops
+        self.table.fault_threshold()
     }
 
     /// Enables/disables certificate forwarding on delivery (totality for
@@ -162,35 +136,13 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         self.forward_final = forward;
     }
 
-    /// Routes causal trace events into `tracer` for payloads `extract`
-    /// maps to a [`TraceCtx`]. Untraced payloads cost one extractor call
-    /// per protocol step and nothing else.
-    pub fn set_tracer(&mut self, tracer: Tracer, extract: fn(&P) -> Option<TraceCtx>) {
-        self.tracer = Some((tracer, extract));
-    }
-
-    /// The tracer handle and the payload's context, hop-adjusted: a
-    /// message from another process arrives one causal hop later.
-    fn trace_ctx(&self, payload: &P, from: ProcessId) -> Option<(&Tracer, TraceCtx)> {
-        let (tracer, extract) = self.tracer.as_ref()?;
-        let ctx = extract(payload)?;
-        let ctx = if from != self.me { ctx.hopped() } else { ctx };
-        Some((tracer, ctx))
-    }
-
-    fn trace(&self, payload: &P, from: ProcessId, kind: TraceEventKind, arg: u64) {
-        if let Some((tracer, ctx)) = self.trace_ctx(payload, from) {
-            tracer.record(ctx, kind, arg);
-        }
-    }
-
     /// The echo quorum `⌈(n+f+1)/2⌉`.
     pub fn quorum(&self) -> usize {
         #[cfg(feature = "broken")]
         if let Some(quorum) = self.quorum_override {
             return quorum;
         }
-        (self.n + self.f) / 2 + 1
+        self.table.quorum()
     }
 
     /// **Mutation-testing hook** (`broken` feature only): replaces the
@@ -207,107 +159,210 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         self.quorum_override = Some(quorum);
     }
 
-    /// Starts broadcasting `payload`; returns the sequence number used.
-    pub fn broadcast(&mut self, payload: P, step: &mut Step<EchoMsg<P, A::Sig>, P>) -> SeqNo {
-        self.next_seq = self.next_seq.next();
-        let seq = self.next_seq;
+    /// Signs `payload` as our instance `seq` and starts collecting echo
+    /// shares for it; answers the SEND to transmit.
+    fn open(&mut self, seq: SeqNo, payload: P) -> EchoMsg<P, A::Sig> {
+        let me = self.table.me();
         let digest = payload_digest(&payload);
         self.ops.signs += 1;
-        let sig = self.auth.sign(self.me, &send_bytes(self.me, seq, digest));
-        self.sending.insert(
-            seq,
-            (
-                payload.clone(),
-                SendState {
-                    digest,
-                    sig: sig.clone(),
-                    shares: BTreeMap::new(),
-                    finalized: false,
-                },
-            ),
-        );
-        self.trace(&payload, self.me, TraceEventKind::Send, self.n as u64);
-        step.send_all(self.n, EchoMsg::Send { seq, payload, sig });
-        seq
-    }
-
-    /// *Byzantine harness only*: signs and sends conflicting `SEND`s for
-    /// one instance — `left` to the lower half of the system, `right` to
-    /// the upper half. The attacker owns its key, so both signatures are
-    /// genuine, and it keeps live sender-side state for the instance: if
-    /// either digest ever reached the echo quorum, the attacker *would*
-    /// assemble and broadcast a certificate. The anti-equivocation rule
-    /// (a benign process echoes one digest per instance) is therefore
-    /// what actually denies the quorum — tests on this path exercise the
-    /// defense, not a dead sender.
-    pub fn broadcast_split(
-        &mut self,
-        left: P,
-        right: P,
-        step: &mut Step<EchoMsg<P, A::Sig>, P>,
-    ) -> SeqNo {
-        self.next_seq = self.next_seq.next();
-        let seq = self.next_seq;
-        let left_digest = payload_digest(&left);
-        let right_digest = payload_digest(&right);
-        self.ops.signs += 2;
-        let left_sig = self
-            .auth
-            .sign(self.me, &send_bytes(self.me, seq, left_digest));
-        let right_sig = self
-            .auth
-            .sign(self.me, &send_bytes(self.me, seq, right_digest));
-        // Collect echo shares for *both* payloads: the strongest attacker
-        // would certify whichever side ever reached a quorum. With the
-        // correct quorum ⌈(n+f+1)/2⌉ neither can (each half of the system
-        // is below it, and any two quorums intersect in a benign
-        // process), so this state is inert — unless the quorum itself is
-        // broken, which is what the mutation tests seed.
-        self.sending.insert(
-            seq,
-            (
-                left.clone(),
-                SendState {
-                    digest: left_digest,
-                    sig: left_sig.clone(),
-                    shares: BTreeMap::new(),
-                    finalized: false,
-                },
-            ),
-        );
-        self.split_shadow.insert(
-            seq,
-            (
-                right.clone(),
-                SendState {
-                    digest: right_digest,
-                    sig: right_sig.clone(),
-                    shares: BTreeMap::new(),
-                    finalized: false,
-                },
-            ),
-        );
-        for i in 0..self.n {
-            let (payload, sig) = if i < self.n / 2 {
-                (left.clone(), left_sig.clone())
-            } else {
-                (right.clone(), right_sig.clone())
-            };
-            step.send(
-                ProcessId::new(i as u32),
-                EchoMsg::Send { seq, payload, sig },
-            );
+        let sig = self.auth.sign(me, &signed_bytes(b'S', me, seq, digest));
+        if let Some(slot) = self.table.entry(me, seq) {
+            slot.or_default().sending.push(Sending {
+                sig: sig.clone(),
+                echoes: Collector::new(payload.clone(), digest),
+            });
         }
-        seq
+        EchoMsg::Send { seq, payload, sig }
     }
 
-    /// Handles a protocol message from `from`.
-    pub fn on_message(
+    fn on_send(
         &mut self,
         from: ProcessId,
-        msg: EchoMsg<P, A::Sig>,
+        seq: SeqNo,
+        payload: P,
+        sig: A::Sig,
         step: &mut Step<EchoMsg<P, A::Sig>, P>,
     ) {
+        let me = self.table.me();
+        let Some(slot) = self.table.entry(from, seq) else {
+            return; // already released: not worth a verification
+        };
+        let digest = payload_digest(&payload);
+        self.ops.verifies += 1;
+        if !self
+            .auth
+            .verify(from, &signed_bytes(b'S', from, seq, digest), &sig)
+        {
+            return; // forged SEND: no slot either
+        }
+        // Echo at most one digest per instance: the anti-equivocation rule.
+        let instance = slot.or_default();
+        match &instance.echoed {
+            Some(echoed) if echoed.digest != digest => return, // equivocation: stay silent
+            Some(_) => {} // duplicate SEND: re-echo (idempotent for the sender)
+            None => {
+                instance.echoed = Some(Echoed {
+                    digest,
+                    send_sig: sig,
+                });
+            }
+        }
+        self.ops.signs += 1;
+        let share = self.auth.sign(me, &signed_bytes(b'E', from, seq, digest));
+        self.trace
+            .record(&payload, from, TraceEventKind::Echo, seq.value());
+        step.send(
+            from,
+            EchoMsg::Echo {
+                source: from,
+                seq,
+                digest,
+                share,
+            },
+        );
+    }
+
+    fn on_echo(
+        &mut self,
+        from: ProcessId,
+        source: ProcessId,
+        seq: SeqNo,
+        digest: Digest,
+        share: A::Sig,
+        step: &mut Step<EchoMsg<P, A::Sig>, P>,
+    ) {
+        let (me, n, quorum) = (self.table.me(), self.table.n(), self.quorum());
+        if source != me {
+            return; // echoes are addressed to the instance's sender
+        }
+        // The share may be for our payload or, after a split broadcast,
+        // for the one behind it — each accumulates separately.
+        let sending = self.table.get_mut(me, seq).and_then(|instance| {
+            let mut sending = instance.sending.iter_mut();
+            sending.find(|sending| sending.echoes.digest() == digest)
+        });
+        let Some(sending) = sending else {
+            return; // echo for an unknown/finished broadcast
+        };
+        let Some(certificate) = sending.echoes.accept(
+            (&self.auth, &mut self.ops),
+            quorum,
+            from,
+            &signed_bytes(b'E', me, seq, digest),
+            share,
+        ) else {
+            return;
+        };
+        self.trace.record(
+            sending.echoes.payload(),
+            me,
+            TraceEventKind::Ready,
+            certificate.len() as u64,
+        );
+        step.send_all(
+            n,
+            EchoMsg::Final {
+                source: me,
+                seq,
+                payload: sending.echoes.payload().clone(),
+                sig: sending.sig.clone(),
+                certificate,
+            },
+        );
+    }
+
+    fn on_final(
+        &mut self,
+        source: ProcessId,
+        seq: SeqNo,
+        payload: P,
+        sig: A::Sig,
+        certificate: Vec<(ProcessId, A::Sig)>,
+        step: &mut Step<EchoMsg<P, A::Sig>, P>,
+    ) {
+        if self.table.is_stale(source, seq) {
+            return; // already released: not worth a verification
+        }
+        let instance = self.table.get(source, seq);
+        if instance.is_some_and(|instance| instance.delivered) {
+            return; // a forwarded copy of the FINAL that delivered
+        }
+        let digest = payload_digest(&payload);
+        // Signatures this process already verified for this instance —
+        // the SEND signature it echoed, and for its own broadcast the
+        // signature it made and the shares `on_echo` accepted — are not
+        // verified again. Only a byte-exact match over the same digest
+        // is skipped; anything else takes the full check below.
+        let own = instance.and_then(|instance| {
+            let mut sending = instance.sending.iter();
+            sending.find(|sending| sending.echoes.digest() == digest)
+        });
+        let send_verified = own.is_some_and(|own| own.sig == sig)
+            || instance
+                .and_then(|instance| instance.echoed.as_ref())
+                .is_some_and(|echoed| echoed.digest == digest && echoed.send_sig == sig);
+        if !send_verified {
+            self.ops.verifies += 1;
+            if !self
+                .auth
+                .verify(source, &signed_bytes(b'S', source, seq, digest), &sig)
+            {
+                return;
+            }
+        }
+        let signers = verify_certificate(
+            (&self.auth, &mut self.ops),
+            self.trace.ctx(&payload, source),
+            &signed_bytes(b'E', source, seq, digest),
+            &certificate,
+            own.map(|own| &own.echoes),
+        );
+        if signers < self.quorum() {
+            return;
+        }
+        if let Some(slot) = self.table.entry(source, seq) {
+            slot.or_default().delivered = true;
+        }
+        if self.forward_final {
+            step.send_all(
+                self.table.n(),
+                EchoMsg::Final {
+                    source,
+                    seq,
+                    payload: payload.clone(),
+                    sig,
+                    certificate,
+                },
+            );
+        }
+        self.table.hold(source, seq, payload);
+        while let Some((seq, payload)) = self.table.release(source) {
+            self.trace
+                .record(&payload, source, TraceEventKind::Deliver, seq.value());
+            step.deliver(source, seq, payload);
+        }
+    }
+}
+
+impl<P, A> SecureBroadcast<P> for EchoBroadcast<P, A>
+where
+    P: Clone + Encode + Send,
+    A: Authenticator + Send,
+    A::Sig: Send,
+{
+    type Msg = EchoMsg<P, A::Sig>;
+
+    fn broadcast(&mut self, payload: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
+        let (me, n) = (self.table.me(), self.table.n());
+        let seq = self.table.next_seq();
+        self.trace
+            .record(&payload, me, TraceEventKind::Send, n as u64);
+        let send = self.open(seq, payload);
+        step.send_all(n, send);
+        seq
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, step: &mut Step<Self::Msg, P>) {
         match msg {
             EchoMsg::Send { seq, payload, sig } => self.on_send(from, seq, payload, sig, step),
             EchoMsg::Echo {
@@ -326,312 +381,59 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         }
     }
 
-    fn on_send(
-        &mut self,
-        from: ProcessId,
-        seq: SeqNo,
-        payload: P,
-        sig: A::Sig,
-        step: &mut Step<EchoMsg<P, A::Sig>, P>,
-    ) {
-        if self.is_stale(from, seq) {
-            return; // instance already released and pruned
-        }
-        let digest = payload_digest(&payload);
-        self.ops.verifies += 1;
-        if !self.auth.verify(from, &send_bytes(from, seq, digest), &sig) {
-            return; // forged SEND
-        }
-        // Echo at most one digest per instance: the anti-equivocation rule.
-        match self.echoed.entry((from, seq)) {
-            Entry::Occupied(echoed) if echoed.get().digest != digest => return, // equivocation: stay silent
-            Entry::Occupied(_) => {} // duplicate SEND: re-echo (idempotent for the sender)
-            Entry::Vacant(slot) => {
-                slot.insert(Echoed {
-                    digest,
-                    send_sig: sig,
-                });
-            }
-        }
-        self.ops.signs += 1;
-        let share = self.auth.sign(self.me, &echo_bytes(from, seq, digest));
-        self.trace(&payload, from, TraceEventKind::Echo, seq.value());
-        step.send(
-            from,
-            EchoMsg::Echo {
-                source: from,
-                seq,
-                digest,
-                share,
-            },
-        );
+    /// Signs and sends conflicting `SEND`s for one instance. The attacker
+    /// owns its key, so both signatures are genuine, and it keeps live
+    /// sender-side state for both payloads: the strongest attacker would
+    /// certify either the moment a quorum formed. With the correct quorum
+    /// `⌈(n+f+1)/2⌉` neither can (each half of the system is below it,
+    /// and a benign process echoes one digest per instance), so tests on
+    /// this path exercise the defense, not a dead sender — and a broken
+    /// quorum (`broken` feature) shows as a double certificate.
+    fn broadcast_split(&mut self, left: P, right: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
+        let seq = self.table.next_seq();
+        let (left, right) = (self.open(seq, left), self.open(seq, right));
+        step.send_halves(self.table.n(), left, right);
+        seq
     }
 
-    fn on_echo(
-        &mut self,
-        from: ProcessId,
-        source: ProcessId,
-        seq: SeqNo,
-        digest: [u8; 32],
-        share: A::Sig,
-        step: &mut Step<EchoMsg<P, A::Sig>, P>,
-    ) {
-        if source != self.me {
-            return; // echoes are addressed to the instance's sender
-        }
-        let quorum = self.quorum();
-        let n = self.n;
-        let me = self.me;
-        // The share may be for our primary payload or, after a split
-        // broadcast, for the shadow side — each accumulates separately.
-        let primary_matches = self
-            .sending
-            .get(&seq)
-            .is_some_and(|(_, state)| state.digest == digest);
-        let slot = if primary_matches {
-            self.sending.get_mut(&seq)
-        } else {
-            self.split_shadow
-                .get_mut(&seq)
-                .filter(|(_, state)| state.digest == digest)
-        };
-        let Some((payload, state)) = slot else {
-            return; // echo for an unknown/finished broadcast
-        };
-        if state.finalized {
-            return; // a late echo past the quorum costs no verification
-        }
-        self.ops.verifies += 1;
-        if !self
-            .auth
-            .verify(from, &echo_bytes(source, seq, digest), &share)
-        {
-            return; // invalid share
-        }
-        state.shares.insert(from, share);
-        if state.shares.len() < quorum {
-            return;
-        }
-        state.finalized = true;
-        let certificate: Vec<(ProcessId, A::Sig)> = state
-            .shares
-            .iter()
-            .map(|(process, sig)| (*process, sig.clone()))
-            .collect();
-        let payload = payload.clone();
-        let sig = state.sig.clone();
-        self.trace(
-            &payload,
-            me,
-            TraceEventKind::Ready,
-            certificate.len() as u64,
-        );
-        step.send_all(
-            n,
-            EchoMsg::Final {
-                source: me,
-                seq,
-                payload,
-                sig,
-                certificate,
-            },
-        );
+    fn instance_count(&self) -> usize {
+        self.table.instance_count()
     }
 
-    fn on_final(
-        &mut self,
-        source: ProcessId,
-        seq: SeqNo,
-        payload: P,
-        sig: A::Sig,
-        certificate: Vec<(ProcessId, A::Sig)>,
-        step: &mut Step<EchoMsg<P, A::Sig>, P>,
-    ) {
-        if self.is_stale(source, seq) || self.delivered.contains(&(source, seq)) {
-            return; // already delivered (possibly pruned since)
-        }
-        let digest = payload_digest(&payload);
-        // Signatures this process already verified for this instance —
-        // the SEND signature it echoed, and for its own broadcast the
-        // signature it made and the shares `on_echo` accepted — are not
-        // verified again. Only a byte-exact match over the same digest
-        // is skipped; anything else takes the full check below.
-        let own = self
-            .sending
-            .get(&seq)
-            .map(|(_, state)| state)
-            .filter(|state| source == self.me && state.digest == digest);
-        let send_verified = own.is_some_and(|state| state.sig == sig)
-            || self
-                .echoed
-                .get(&(source, seq))
-                .is_some_and(|echoed| echoed.digest == digest && echoed.send_sig == sig);
-        if !send_verified {
-            self.ops.verifies += 1;
-            if !self
-                .auth
-                .verify(source, &send_bytes(source, seq, digest), &sig)
-            {
-                return;
-            }
-        }
-        // Validate the certificate: distinct signers, valid shares,
-        // quorum. Every share signs the same echo bytes; the ones not
-        // already verified go to the authenticator in one call, which
-        // reports the indices of the bad ones.
-        let echo = echo_bytes(source, seq, digest);
-        let unverified = |(signer, share): &(ProcessId, A::Sig)| {
-            !own.is_some_and(|state| state.shares.get(signer) == Some(share))
-        };
-        let items: Vec<BatchVerifyItem<'_, A::Sig>> = certificate
-            .iter()
-            .filter(|entry| unverified(entry))
-            .map(|(signer, share)| BatchVerifyItem {
-                signer: *signer,
-                bytes: &echo,
-                sig: share,
-            })
-            .collect();
-        self.ops.verifies += items.len() as u64;
-        let span = self
-            .trace_ctx(&payload, source)
-            .map(|(tracer, ctx)| (tracer.clone(), ctx));
-        if let Some((tracer, ctx)) = &span {
-            tracer.record(*ctx, TraceEventKind::VerifyStart, items.len() as u64);
-        }
-        // Ascending certificate indices of the shares that failed.
-        let bad: Vec<usize> = match self.auth.verify_batch(&items) {
-            Ok(()) => Vec::new(),
-            Err(bad) => {
-                let checked: Vec<usize> = (0..certificate.len())
-                    .filter(|&index| unverified(&certificate[index]))
-                    .collect();
-                bad.into_iter().map(|item| checked[item]).collect()
-            }
-        };
-        let mut signers = BTreeSet::new();
-        for (index, (signer, _)) in certificate.iter().enumerate() {
-            if bad.binary_search(&index).is_err() {
-                signers.insert(*signer);
-            }
-        }
-        if let Some((tracer, ctx)) = &span {
-            tracer.record(*ctx, TraceEventKind::VerifyEnd, signers.len() as u64);
-        }
-        if signers.len() < self.quorum() {
-            return;
-        }
-        self.delivered.insert((source, seq));
-        self.delivered_total += 1;
-        if self.forward_final {
-            step.send_all(
-                self.n,
-                EchoMsg::Final {
-                    source,
-                    seq,
-                    payload: payload.clone(),
-                    sig,
-                    certificate,
-                },
-            );
-        }
-        for (released_seq, released) in self.order.offer(source, seq, payload) {
-            self.trace(
-                &released,
-                source,
-                TraceEventKind::Deliver,
-                released_seq.value(),
-            );
-            step.deliver(source, released_seq, released);
-        }
+    fn delivered_count(&self) -> usize {
+        self.table.delivered_count()
     }
 
-    /// Number of instances delivered so far (monotone across pruning).
-    pub fn delivered_count(&self) -> usize {
-        self.delivered_total
+    fn crypto_ops(&self) -> CryptoOps {
+        self.ops
     }
 
-    /// Whether `(source, seq)` is behind the source's release floor —
-    /// i.e. the instance was already handed up in order, so any echo or
-    /// dedup state for it may have been pruned and any message for it is
-    /// a replay.
-    fn is_stale(&self, source: ProcessId, seq: SeqNo) -> bool {
-        seq.value() < self.order.expected(source).value()
+    fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {
+        self.trace.set(tracer, extract);
     }
 
-    /// Drops per-instance state (echoed digests, delivery dedup entries,
-    /// finalized sender state) for instances already released by the
-    /// source-order buffer. Returns the number of instances pruned.
     /// Late `FINAL`s for a pruned instance are rejected by the release
     /// floor, so delivery stays irrevocable and exactly-once.
-    pub fn prune_delivered(&mut self) -> usize {
-        let order = &self.order;
-        let before = self.echoed.len();
-        self.echoed
-            .retain(|(source, seq), _| seq.value() >= order.expected(*source).value());
-        self.delivered
-            .retain(|(source, seq)| seq.value() >= order.expected(*source).value());
-        let own_floor = order.expected(self.me).value();
-        self.sending
-            .retain(|seq, (_, state)| !(state.finalized && seq.value() < own_floor));
-        self.split_shadow.retain(|seq, _| seq.value() >= own_floor);
-        before - self.echoed.len()
+    fn prune_delivered(&mut self) -> usize {
+        self.table.prune(|instance| instance.delivered)
     }
 
-    /// Raises the delivery floor for `source` so instances `≤ floor` are
-    /// treated as already delivered and the stream resumes gaplessly at
-    /// `floor + 1`. When `source` is this endpoint, also fast-forwards
-    /// its own next sequence number. Used by cold-started replicas
-    /// bootstrapping from a snapshot.
-    pub fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
-        self.order.advance(source, floor);
-        if source == self.me && floor.value() > self.next_seq.value() {
-            self.next_seq = floor;
-        }
-        self.echoed
-            .retain(|(s, seq), _| !(*s == source && seq.value() <= floor.value()));
-        self.delivered
-            .retain(|(s, seq)| !(*s == source && seq.value() <= floor.value()));
-        if source == self.me {
-            self.sending.retain(|seq, _| seq.value() > floor.value());
-            self.split_shadow
-                .retain(|seq, _| seq.value() > floor.value());
-        }
+    fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
+        self.table.set_source_floor(source, floor);
     }
 }
 
-impl<P: Clone + Encode, A: Authenticator> fmt::Debug for EchoBroadcast<P, A> {
+impl<P, A: Authenticator> fmt::Debug for EchoBroadcast<P, A> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
             "EchoBroadcast(me={}, n={}, f={}, delivered={})",
-            self.me, self.n, self.f, self.delivered_total
+            self.table.me(),
+            self.table.n(),
+            self.table.fault_threshold(),
+            self.table.delivered_count()
         )
     }
-}
-
-fn payload_digest<P: Encode>(payload: &P) -> [u8; 32] {
-    at_crypto::Sha256::digest(&encode(payload))
-}
-
-/// Domain-separated bytes the sender signs.
-fn send_bytes(source: ProcessId, seq: SeqNo, digest: [u8; 32]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(b'S');
-    source.encode(&mut w);
-    seq.encode(&mut w);
-    w.put_bytes(&digest);
-    w.into_bytes()
-}
-
-/// Domain-separated bytes an echoer signs.
-fn echo_bytes(source: ProcessId, seq: SeqNo, digest: [u8; 32]) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put_u8(b'E');
-    source.encode(&mut w);
-    seq.encode(&mut w);
-    w.put_bytes(&digest);
-    w.into_bytes()
 }
 
 #[cfg(test)]
@@ -644,6 +446,14 @@ mod tests {
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    fn send_bytes(source: ProcessId, seq: SeqNo, digest: Digest) -> Vec<u8> {
+        signed_bytes(b'S', source, seq, digest)
+    }
+
+    fn echo_bytes(source: ProcessId, seq: SeqNo, digest: Digest) -> Vec<u8> {
+        signed_bytes(b'E', source, seq, digest)
     }
 
     fn run_system<A: Authenticator>(

@@ -5,7 +5,9 @@
 //! strengthens source order to *account order*. This crate implements the
 //! corresponding protocols as sans-I/O state machines, independent of the
 //! simulator (they fill a [`types::Step`] with messages to send and
-//! payloads to deliver):
+//! payloads to deliver). Each backend is a message enum, a per-instance
+//! state and phase handlers over one crate-private instance table (see
+//! [`secure`]):
 //!
 //! * [`bracha`] — Bracha's reliable broadcast, the paper's "naive
 //!   quadratic" implementation (reference [10]): 3 rounds, `O(n²)`
@@ -21,8 +23,8 @@
 //! * [`secure`] — the [`SecureBroadcast`] trait unifying the three
 //!   protocols behind one interface (the engine runtime is generic over
 //!   it), plus the [`AccountOrderBackend`] adapter;
-//! * [`types`] — delivery/step plumbing, the source-order buffer, and
-//!   the [`CryptoOps`] signature-work counters;
+//! * [`types`] — delivery/step plumbing and the [`CryptoOps`]
+//!   signature-work counters;
 //! * [`wire`] — canonical [`at_model::codec`] encodings for every
 //!   protocol message enum, so the state machines can ride a real byte
 //!   transport (`at-node`) unchanged.
@@ -32,6 +34,7 @@
 //! ```
 //! use at_broadcast::bracha::{BrachaBroadcast, BrachaMsg};
 //! use at_broadcast::types::Step;
+//! use at_broadcast::SecureBroadcast;
 //! use at_model::ProcessId;
 //!
 //! let mut sender: BrachaBroadcast<u64> = BrachaBroadcast::new(ProcessId::new(0), 4);
@@ -49,6 +52,7 @@ pub mod auth;
 pub mod batch;
 pub mod bracha;
 pub mod echo;
+mod instance;
 pub mod secure;
 pub mod types;
 pub mod wire;
@@ -59,4 +63,4 @@ pub use batch::{Batch, Batcher};
 pub use bracha::{BrachaBroadcast, BrachaMsg};
 pub use echo::{EchoBroadcast, EchoMsg};
 pub use secure::{AccountOrderBackend, SecureBroadcast, TraceExtract};
-pub use types::{CryptoOps, Delivery, Outgoing, SourceOrderBuffer, Step};
+pub use types::{CryptoOps, Delivery, Outgoing, Step};

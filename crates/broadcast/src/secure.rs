@@ -9,9 +9,10 @@
 //! everything above it: scenarios, benches, examples) is generic over the
 //! protocol actually carrying its payloads:
 //!
-//! * [`BrachaBroadcast`] — 3 one-way delays, `O(n²)` messages, no
-//!   signatures;
-//! * [`EchoBroadcast`] — 2 round trips, `O(n)` sender messages plus a
+//! * [`BrachaBroadcast`](crate::BrachaBroadcast) — 3 one-way delays,
+//!   `O(n²)` messages, no signatures;
+//! * [`EchoBroadcast`](crate::EchoBroadcast) — 2 round trips, `O(n)`
+//!   sender messages plus a
 //!   quorum certificate (an optional `O(n²)` certificate-forwarding step
 //!   buys totality against Byzantine senders);
 //! * [`AccountOrderBackend`] — the Section 6 account-order broadcast
@@ -27,12 +28,18 @@
 //! therefore rely on the backend's own instance bookkeeping for
 //! deduplication and equivocation suppression instead of keeping a
 //! parallel `seen` ledger.
+//!
+//! # What a backend is
+//!
+//! A message enum, a per-instance state and the phase handlers that move
+//! it (INIT/ECHO/READY; SEND/ECHO/FINAL; SEND/gated ACK/FINAL), written
+//! against the crate's one instance table, which owns thresholds, floors,
+//! replay suppression, FIFO release, pruning and the counts below. The
+//! signed backends share one certificate path the same way.
 
 use crate::account_order::{AccountDelivery, AccountOrderBroadcast, AccountOrderMsg};
 use crate::auth::Authenticator;
-use crate::bracha::{BrachaBroadcast, BrachaMsg};
-use crate::echo::{EchoBroadcast, EchoMsg};
-use crate::types::{CryptoOps, Delivery, Outgoing, Step};
+use crate::types::{CryptoOps, Delivery, Step};
 use at_model::{AccountId, Encode, ProcessId, SeqNo};
 use at_obs::{TraceCtx, Tracer};
 use std::fmt;
@@ -44,8 +51,8 @@ pub type TraceExtract<P> = fn(&P) -> Option<TraceCtx>;
 /// A pluggable secure-broadcast endpoint over payloads `P`.
 ///
 /// See the [module docs](self) for the delivery contract. The
-/// introspection methods expose the protocol's quorum structure and the
-/// endpoint's dedup state so upper layers never re-derive either.
+/// introspection methods expose the endpoint's retained state so upper
+/// layers never re-derive it.
 pub trait SecureBroadcast<P: Clone + Encode>: Send {
     /// The wire message type of the protocol.
     type Msg: Clone + Send;
@@ -62,13 +69,10 @@ pub trait SecureBroadcast<P: Clone + Encode>: Send {
     /// equivocation (double-spend) attempt every backend must defeat.
     fn broadcast_split(&mut self, left: P, right: P, step: &mut Step<Self::Msg, P>) -> SeqNo;
 
-    /// The protocol's delivery-enabling quorum.
-    fn quorum(&self) -> usize;
-
-    /// The tolerated number of Byzantine processes `f`.
-    fn fault_threshold(&self) -> usize;
-
-    /// Number of broadcast instances with local protocol state.
+    /// Everything retained per instance: the `(stream, seq)` slots with
+    /// protocol state — sender side, receiver side and dedup alike — plus
+    /// the completed instances held back behind a sequence gap. Back to
+    /// 0 after [`SecureBroadcast::prune_delivered`] at quiescence.
     fn instance_count(&self) -> usize;
 
     /// Number of instances this endpoint has delivered.
@@ -114,107 +118,6 @@ pub trait SecureBroadcast<P: Clone + Encode>: Send {
     }
 }
 
-impl<P: Clone + Encode + Send> SecureBroadcast<P> for BrachaBroadcast<P> {
-    type Msg = BrachaMsg<P>;
-
-    fn broadcast(&mut self, payload: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
-        BrachaBroadcast::broadcast(self, payload, step)
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, step: &mut Step<Self::Msg, P>) {
-        BrachaBroadcast::on_message(self, from, msg, step);
-    }
-
-    fn broadcast_split(&mut self, left: P, right: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
-        BrachaBroadcast::broadcast_split(self, left, right, step)
-    }
-
-    fn quorum(&self) -> usize {
-        self.echo_quorum()
-    }
-
-    fn fault_threshold(&self) -> usize {
-        BrachaBroadcast::fault_threshold(self)
-    }
-
-    fn instance_count(&self) -> usize {
-        BrachaBroadcast::instance_count(self)
-    }
-
-    fn delivered_count(&self) -> usize {
-        BrachaBroadcast::delivered_count(self)
-    }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        CryptoOps::default()
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {
-        BrachaBroadcast::set_tracer(self, tracer, extract);
-    }
-
-    fn prune_delivered(&mut self) -> usize {
-        BrachaBroadcast::prune_delivered(self)
-    }
-
-    fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
-        BrachaBroadcast::set_delivery_floor(self, source, floor);
-    }
-}
-
-impl<P, A> SecureBroadcast<P> for EchoBroadcast<P, A>
-where
-    P: Clone + Encode + Send,
-    A: Authenticator + Send,
-    A::Sig: Send,
-{
-    type Msg = EchoMsg<P, A::Sig>;
-
-    fn broadcast(&mut self, payload: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
-        EchoBroadcast::broadcast(self, payload, step)
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, step: &mut Step<Self::Msg, P>) {
-        EchoBroadcast::on_message(self, from, msg, step);
-    }
-
-    fn broadcast_split(&mut self, left: P, right: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
-        EchoBroadcast::broadcast_split(self, left, right, step)
-    }
-
-    fn quorum(&self) -> usize {
-        EchoBroadcast::quorum(self)
-    }
-
-    fn fault_threshold(&self) -> usize {
-        EchoBroadcast::fault_threshold(self)
-    }
-
-    fn instance_count(&self) -> usize {
-        EchoBroadcast::instance_count(self)
-    }
-
-    fn delivered_count(&self) -> usize {
-        EchoBroadcast::delivered_count(self)
-    }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        EchoBroadcast::crypto_ops(self)
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {
-        EchoBroadcast::set_tracer(self, tracer, extract);
-    }
-
-    fn prune_delivered(&mut self) -> usize {
-        EchoBroadcast::prune_delivered(self)
-    }
-
-    fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
-        EchoBroadcast::set_delivery_floor(self, source, floor);
-    }
-}
-
 /// The Section 6 account-order broadcast as a [`SecureBroadcast`] backend
 /// for the base topology: account `i` belongs to process `i`.
 ///
@@ -253,9 +156,7 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBackend<P, A> {
         native: Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, P>,
     ) {
-        for Outgoing { to, msg } in native.outgoing {
-            step.send(to, msg);
-        }
+        step.outgoing.extend(native.outgoing);
         for Delivery { payload, .. } in native.deliveries {
             // Attribute by account, not by the FINAL's (forgeable) sender
             // field: the certificate covers `(account, seq, digest)`, and
@@ -306,14 +207,6 @@ where
         seq
     }
 
-    fn quorum(&self) -> usize {
-        self.inner.quorum()
-    }
-
-    fn fault_threshold(&self) -> usize {
-        self.inner.fault_threshold()
-    }
-
     fn instance_count(&self) -> usize {
         self.inner.instance_count()
     }
@@ -355,6 +248,8 @@ impl<P: Clone + Encode, A: Authenticator> fmt::Debug for AccountOrderBackend<P, 
 mod tests {
     use super::*;
     use crate::auth::{EdAuth, NoAuth};
+    use crate::bracha::BrachaBroadcast;
+    use crate::echo::EchoBroadcast;
     use std::collections::VecDeque;
 
     fn p(i: u32) -> ProcessId {
@@ -366,6 +261,16 @@ mod tests {
     fn drive<B: SecureBroadcast<u64>>(
         endpoints: &mut [B],
         broadcasts: Vec<(usize, u64)>,
+    ) -> Vec<Vec<Delivery<u64>>> {
+        drive_logged(endpoints, broadcasts, &mut Vec::new())
+    }
+
+    /// [`drive`], also appending every message put on the wire, with its
+    /// sender, to `wire`.
+    fn drive_logged<B: SecureBroadcast<u64>>(
+        endpoints: &mut [B],
+        broadcasts: Vec<(usize, u64)>,
+        wire: &mut Vec<(ProcessId, B::Msg)>,
     ) -> Vec<Vec<Delivery<u64>>> {
         let n = endpoints.len();
         let mut inflight: VecDeque<(ProcessId, ProcessId, B::Msg)> = VecDeque::new();
@@ -379,6 +284,7 @@ mod tests {
             delivered[source].extend(step.deliveries);
         }
         while let Some((from, to, msg)) = inflight.pop_front() {
+            wire.push((from, msg.clone()));
             let mut step = Step::new();
             endpoints[to.as_usize()].on_message(from, msg, &mut step);
             for out in step.outgoing {
@@ -483,15 +389,19 @@ mod tests {
 
     #[test]
     fn introspection_is_consistent_across_backends() {
-        fn check<B: SecureBroadcast<u64>>(backend: &B, n: usize) {
-            assert_eq!(backend.fault_threshold(), (n - 1) / 3);
-            assert_eq!(backend.quorum(), (n + (n - 1) / 3) / 2 + 1);
+        fn check<B: SecureBroadcast<u64>>(backend: &B, (f, quorum): (usize, usize), n: usize) {
+            assert_eq!(f, (n - 1) / 3);
+            assert_eq!(quorum, (n + (n - 1) / 3) / 2 + 1);
             assert_eq!(backend.instance_count(), 0);
             assert_eq!(backend.delivered_count(), 0);
         }
-        check(&BrachaBroadcast::<u64>::new(p(0), 7), 7);
-        check(&EchoBroadcast::<u64, NoAuth>::new(p(0), 7, NoAuth), 7);
-        check(&AccountOrderBackend::<u64, NoAuth>::new(p(0), 7, NoAuth), 7);
+        let bracha = BrachaBroadcast::<u64>::new(p(0), 7);
+        check(&bracha, (bracha.fault_threshold(), bracha.echo_quorum()), 7);
+        let echo = EchoBroadcast::<u64, NoAuth>::new(p(0), 7, NoAuth);
+        check(&echo, (echo.fault_threshold(), echo.quorum()), 7);
+        let account = AccountOrderBackend::<u64, NoAuth>::new(p(0), 7, NoAuth);
+        let thresholds = (account.inner.fault_threshold(), account.inner.quorum());
+        check(&account, thresholds, 7);
     }
 
     #[test]
@@ -533,16 +443,29 @@ mod tests {
     #[test]
     fn prune_and_floor_behave_uniformly_through_the_trait() {
         fn exercise<B: SecureBroadcast<u64>>(mut endpoints: Vec<B>, mut fresh: B) {
-            // A completed broadcast is prunable everywhere; the delivered
-            // count stays monotone and replays stay suppressed (covered
-            // per-backend; here we check the shared contract).
-            drive(&mut endpoints, vec![(0, 5)]);
+            // A completed broadcast is prunable everywhere and the
+            // delivered count stays monotone.
+            let mut wire = Vec::new();
+            drive_logged(&mut endpoints, vec![(0, 5)], &mut wire);
             for endpoint in &mut endpoints {
                 assert_eq!(endpoint.delivered_count(), 1);
                 assert_eq!(endpoint.prune_delivered(), 1);
                 assert_eq!(endpoint.instance_count(), 0);
                 assert_eq!(endpoint.delivered_count(), 1);
                 assert_eq!(endpoint.prune_delivered(), 0, "idempotent");
+            }
+            // Every message the instance ever put on the wire, replayed
+            // to every endpoint: the floor drops it before it can answer,
+            // deliver or bring pruned state back.
+            assert!(wire.len() >= endpoints.len());
+            for (from, msg) in wire {
+                for (to, endpoint) in endpoints.iter_mut().enumerate() {
+                    let mut step = Step::new();
+                    endpoint.on_message(from, msg.clone(), &mut step);
+                    assert!(step.outgoing.is_empty(), "replay answered at {to}");
+                    assert!(step.deliveries.is_empty(), "replay delivered at {to}");
+                    assert_eq!(endpoint.instance_count(), 0, "replay kept at {to}");
+                }
             }
             // A cold endpoint that learns its own stream reached seq 3
             // resumes broadcasting at 4.

@@ -117,14 +117,6 @@ where
         seq
     }
 
-    fn quorum(&self) -> usize {
-        self.inner.quorum()
-    }
-
-    fn fault_threshold(&self) -> usize {
-        self.inner.fault_threshold()
-    }
-
     fn instance_count(&self) -> usize {
         self.inner.instance_count()
     }

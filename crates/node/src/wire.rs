@@ -426,7 +426,58 @@ impl Encode for Frame {
 
 impl Decode for Frame {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        FrameRef::decode_from(r).map(|frame| frame.to_owned())
+        FrameRef::decode_from(r).map(FrameRef::into_owned)
+    }
+}
+
+impl Frame {
+    /// Decodes the frame tagged `tag`, any but [`Frame::Data`] (which
+    /// [`FrameRef::decode_from`] takes without copying).
+    fn decode_other(tag: u8, r: &mut Reader<'_>) -> Result<Frame, CodecError> {
+        match tag {
+            0 => Ok(Frame::HelloNode {
+                node: ProcessId::decode(r)?,
+                epoch: u64::decode(r)?,
+            }),
+            1 => Ok(Frame::HelloAck {
+                next_seq: u64::decode(r)?,
+            }),
+            3 => Ok(Frame::DataAck {
+                through: u64::decode(r)?,
+            }),
+            4 => Ok(Frame::HelloClient),
+            5 => Ok(Frame::Request(ClientRequest::decode(r)?)),
+            6 => Ok(Frame::Response(ClientResponse::decode(r)?)),
+            7 => Ok(Frame::StatsRequest {
+                id: u64::decode(r)?,
+            }),
+            8 => Ok(Frame::StatsResponse {
+                id: u64::decode(r)?,
+                snapshot: Snapshot::decode(r)?,
+            }),
+            9 => Ok(Frame::TraceRequest {
+                id: u64::decode(r)?,
+            }),
+            10 => Ok(Frame::TraceResponse {
+                id: u64::decode(r)?,
+                log: TraceLog::decode(r)?,
+            }),
+            11 => Ok(Frame::SnapshotRequest {
+                id: u64::decode(r)?,
+                offset: u64::decode(r)?,
+            }),
+            12 => Ok(Frame::SnapshotChunk {
+                id: u64::decode(r)?,
+                offset: u64::decode(r)?,
+                total: u64::decode(r)?,
+                digest: u64::decode(r)?,
+                bytes: r.take_len_prefixed()?.to_vec(),
+            }),
+            tag => Err(CodecError::InvalidTag {
+                type_name: "Frame",
+                tag,
+            }),
+        }
     }
 }
 
@@ -439,18 +490,6 @@ impl Decode for Frame {
 /// parser.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameRef<'a> {
-    /// See [`Frame::HelloNode`].
-    HelloNode {
-        /// The dialer's process id.
-        node: ProcessId,
-        /// The dialer's transport incarnation.
-        epoch: u64,
-    },
-    /// See [`Frame::HelloAck`].
-    HelloAck {
-        /// Next expected [`Frame::Data`] sequence number.
-        next_seq: u64,
-    },
     /// See [`Frame::Data`] — the payload borrows from the receive buffer.
     Data {
         /// Per-link sequence number.
@@ -458,157 +497,33 @@ pub enum FrameRef<'a> {
         /// The versioned backend-message bytes, in place.
         payload: &'a [u8],
     },
-    /// See [`Frame::DataAck`].
-    DataAck {
-        /// Highest contiguously received sequence number.
-        through: u64,
-    },
-    /// See [`Frame::HelloClient`].
-    HelloClient,
-    /// See [`Frame::Request`].
-    Request(ClientRequest),
-    /// See [`Frame::Response`].
-    Response(ClientResponse),
-    /// See [`Frame::StatsRequest`].
-    StatsRequest {
-        /// Client-chosen request id.
-        id: u64,
-    },
-    /// See [`Frame::StatsResponse`].
-    StatsResponse {
-        /// The request id being answered.
-        id: u64,
-        /// The metric snapshot.
-        snapshot: Snapshot,
-    },
-    /// See [`Frame::TraceRequest`].
-    TraceRequest {
-        /// Client-chosen request id.
-        id: u64,
-    },
-    /// See [`Frame::TraceResponse`].
-    TraceResponse {
-        /// The request id being answered.
-        id: u64,
-        /// The trace-event log.
-        log: TraceLog,
-    },
-    /// See [`Frame::SnapshotRequest`].
-    SnapshotRequest {
-        /// Client-chosen request id.
-        id: u64,
-        /// Byte offset into the encoded snapshot, or `u64::MAX` to probe.
-        offset: u64,
-    },
-    /// See [`Frame::SnapshotChunk`] — the chunk bytes borrow from the
-    /// receive buffer.
-    SnapshotChunk {
-        /// The request id being answered.
-        id: u64,
-        /// Byte offset of `bytes` within the encoded snapshot.
-        offset: u64,
-        /// Total encoded snapshot length in bytes.
-        total: u64,
-        /// The snapshot's digest.
-        digest: u64,
-        /// The chunk payload, in place.
-        bytes: &'a [u8],
-    },
+    /// Any other frame: nothing in it is worth borrowing, so it is
+    /// decoded straight into its owned form.
+    Other(Frame),
 }
 
 impl<'a> FrameRef<'a> {
     /// Parses one frame from `r`, borrowing `Data` payload bytes.
     fn decode_from(r: &mut Reader<'a>) -> Result<FrameRef<'a>, CodecError> {
         match r.take_u8()? {
-            0 => Ok(FrameRef::HelloNode {
-                node: ProcessId::decode(r)?,
-                epoch: u64::decode(r)?,
-            }),
-            1 => Ok(FrameRef::HelloAck {
-                next_seq: u64::decode(r)?,
-            }),
             2 => Ok(FrameRef::Data {
                 seq: u64::decode(r)?,
                 // Same framing and length cap as `Vec<u8>`'s canonical
                 // decoding, without materializing the bytes.
                 payload: r.take_len_prefixed()?,
             }),
-            3 => Ok(FrameRef::DataAck {
-                through: u64::decode(r)?,
-            }),
-            4 => Ok(FrameRef::HelloClient),
-            5 => Ok(FrameRef::Request(ClientRequest::decode(r)?)),
-            6 => Ok(FrameRef::Response(ClientResponse::decode(r)?)),
-            7 => Ok(FrameRef::StatsRequest {
-                id: u64::decode(r)?,
-            }),
-            8 => Ok(FrameRef::StatsResponse {
-                id: u64::decode(r)?,
-                snapshot: Snapshot::decode(r)?,
-            }),
-            9 => Ok(FrameRef::TraceRequest {
-                id: u64::decode(r)?,
-            }),
-            10 => Ok(FrameRef::TraceResponse {
-                id: u64::decode(r)?,
-                log: TraceLog::decode(r)?,
-            }),
-            11 => Ok(FrameRef::SnapshotRequest {
-                id: u64::decode(r)?,
-                offset: u64::decode(r)?,
-            }),
-            12 => Ok(FrameRef::SnapshotChunk {
-                id: u64::decode(r)?,
-                offset: u64::decode(r)?,
-                total: u64::decode(r)?,
-                digest: u64::decode(r)?,
-                bytes: r.take_len_prefixed()?,
-            }),
-            tag => Err(CodecError::InvalidTag {
-                type_name: "Frame",
-                tag,
-            }),
+            tag => Frame::decode_other(tag, r).map(FrameRef::Other),
         }
     }
 
-    /// Materializes the borrowed view into an owned [`Frame`] (the only
-    /// point where `Data` payload bytes are copied).
-    pub fn to_owned(&self) -> Frame {
-        match *self {
-            FrameRef::HelloNode { node, epoch } => Frame::HelloNode { node, epoch },
-            FrameRef::HelloAck { next_seq } => Frame::HelloAck { next_seq },
+    /// The owned [`Frame`]: the one place `Data` payload bytes are copied.
+    pub fn into_owned(self) -> Frame {
+        match self {
             FrameRef::Data { seq, payload } => Frame::Data {
                 seq,
                 payload: payload.to_vec(),
             },
-            FrameRef::DataAck { through } => Frame::DataAck { through },
-            FrameRef::HelloClient => Frame::HelloClient,
-            FrameRef::Request(request) => Frame::Request(request),
-            FrameRef::Response(response) => Frame::Response(response),
-            FrameRef::StatsRequest { id } => Frame::StatsRequest { id },
-            FrameRef::StatsResponse { id, ref snapshot } => Frame::StatsResponse {
-                id,
-                snapshot: snapshot.clone(),
-            },
-            FrameRef::TraceRequest { id } => Frame::TraceRequest { id },
-            FrameRef::TraceResponse { id, ref log } => Frame::TraceResponse {
-                id,
-                log: log.clone(),
-            },
-            FrameRef::SnapshotRequest { id, offset } => Frame::SnapshotRequest { id, offset },
-            FrameRef::SnapshotChunk {
-                id,
-                offset,
-                total,
-                digest,
-                bytes,
-            } => Frame::SnapshotChunk {
-                id,
-                offset,
-                total,
-                digest,
-                bytes: bytes.to_vec(),
-            },
+            FrameRef::Other(frame) => frame,
         }
     }
 }
@@ -653,7 +568,7 @@ pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
 /// Decodes one frame *body* (the bytes after the length prefix):
 /// version check, then the tagged [`Frame`].
 pub fn decode_frame_body(body: &[u8]) -> Result<Frame, WireError> {
-    decode_frame_body_ref(body).map(|frame| frame.to_owned())
+    decode_frame_body_ref(body).map(FrameRef::into_owned)
 }
 
 /// Borrowing variant of [`decode_frame_body`]: the returned frame's
@@ -735,7 +650,7 @@ impl FrameBuffer {
     /// needed, or an error when the stream is unrecoverably malformed
     /// (the connection should be dropped).
     pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
-        Ok(self.next_frame_ref()?.map(|frame| frame.to_owned()))
+        Ok(self.next_frame_ref()?.map(FrameRef::into_owned))
     }
 
     /// Whether a complete frame is buffered, without decoding its body.
@@ -922,7 +837,7 @@ mod tests {
             let owned = decode_frame_body(&bytes[4..]).expect("owned decode");
             let borrowed = decode_frame_body_ref(&bytes[4..]).expect("borrowed decode");
             assert_eq!(&owned, frame);
-            assert_eq!(borrowed.to_owned(), owned);
+            assert_eq!(borrowed.into_owned(), owned);
         }
         // A Data payload genuinely borrows from the input buffer.
         let bytes = encode_frame(&frames[2]);
@@ -960,7 +875,7 @@ mod tests {
         for chunk in stream.chunks(5) {
             buffer.extend(chunk);
             while let Some(frame) = buffer.next_frame_ref().expect("well-formed stream") {
-                out.push(frame.to_owned());
+                out.push(frame.into_owned());
             }
         }
         assert_eq!(out, frames);

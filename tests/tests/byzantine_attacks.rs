@@ -5,6 +5,7 @@
 use at_broadcast::auth::{Authenticator, EdAuth};
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::{EchoBroadcast, EchoMsg};
+use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::types::Step;
 use at_core::figure4::TransferMsg;
 use at_engine::{DefaultEngineBroadcast, EngineActor, EngineConfig, EngineEvent};

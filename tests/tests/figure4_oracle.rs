@@ -85,14 +85,6 @@ impl<B: SecureBroadcast<EnginePayload>> SecureBroadcast<EnginePayload> for Recor
         seq
     }
 
-    fn quorum(&self) -> usize {
-        self.inner.quorum()
-    }
-
-    fn fault_threshold(&self) -> usize {
-        self.inner.fault_threshold()
-    }
-
     fn instance_count(&self) -> usize {
         self.inner.instance_count()
     }
@@ -133,14 +125,6 @@ impl SecureBroadcast<EnginePayload> for Replay {
         _: &mut Step<Self::Msg, EnginePayload>,
     ) -> SeqNo {
         unreachable!("a replayed replica never submits")
-    }
-
-    fn quorum(&self) -> usize {
-        0
-    }
-
-    fn fault_threshold(&self) -> usize {
-        0
     }
 
     fn instance_count(&self) -> usize {

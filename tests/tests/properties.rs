@@ -6,6 +6,7 @@
 #![allow(clippy::needless_range_loop)]
 
 use at_broadcast::bracha::{BrachaBroadcast, BrachaMsg};
+use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::types::Step;
 use at_model::codec::{decode, encode};
 use at_model::{AccountId, Amount, Ledger, OwnerMap, ProcessId, SeqNo, Transfer};
