@@ -278,7 +278,10 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
                     sender: from,
                     payload,
                 });
-                self.try_ack(account, step);
+                // A later slot's turn comes when its predecessor delivers.
+                if seq == self.table.expected(account) {
+                    self.try_ack(account, step);
+                }
             }
             AccountOrderMsg::Ack {
                 account,
@@ -765,6 +768,40 @@ mod tests {
     #[test]
     fn honest_instance_costs_8_signs_and_42_verifies_at_n7() {
         assert_signature_budget(7);
+    }
+
+    /// Two instances of one account in flight together: every process
+    /// acknowledges each slot once, when its turn comes — `2(n + 1)`
+    /// signs and `2n` acks. Acknowledging the expected slot again each
+    /// time a later SEND of the account arrives moves both counts.
+    fn assert_pipelined_pair_budget(n: usize) {
+        let registry = at_obs::Registry::new("cluster");
+        let auth = ObservedAuth::new(EdAuth::deterministic(n, 33), registry.recorder());
+        let mut endpoints = system_with(n, &auth);
+        let mut wires = start(&mut endpoints, p(0), acct(0), 1, 1);
+        wires.extend(start(&mut endpoints, p(0), acct(0), 2, 2));
+        let acks = std::cell::Cell::new(0);
+        let delivered = run(&mut endpoints, wires, |(_, _, msg)| {
+            if matches!(msg, AccountOrderMsg::Ack { .. }) {
+                acks.set(acks.get() + 1);
+            }
+            false
+        });
+        assert!(delivered
+            .iter()
+            .all(|delivered| values(delivered) == [1, 2]));
+        assert_eq!(auth.signs(), 2 * (n as u64 + 1), "signs at n = {n}");
+        assert_eq!(acks.get(), 2 * n, "acks at n = {n}");
+    }
+
+    #[test]
+    fn pipelined_pair_costs_10_signs_and_8_acks_at_n4() {
+        assert_pipelined_pair_budget(4);
+    }
+
+    #[test]
+    fn pipelined_pair_costs_16_signs_and_14_acks_at_n7() {
+        assert_pipelined_pair_budget(7);
     }
 
     #[test]
