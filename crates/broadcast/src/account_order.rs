@@ -360,7 +360,7 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
             (&self.auth, &mut self.ops),
             quorum,
             from,
-            &signed_bytes(b'k', account, seq, digest),
+            || signed_bytes(b'k', account, seq, digest),
             share,
         ) else {
             return;

@@ -237,18 +237,18 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         }
         // The share may be for our payload or, after a split broadcast,
         // for the one behind it — each accumulates separately.
-        let sending = self.table.get_mut(me, seq).and_then(|instance| {
-            let mut sending = instance.sending.iter_mut();
-            sending.find(|sending| sending.echoes.digest() == digest)
-        });
-        let Some(sending) = sending else {
+        let instance = self.table.get_mut(me, seq);
+        let mut sending = instance
+            .into_iter()
+            .flat_map(|instance| &mut instance.sending);
+        let Some(sending) = sending.find(|sending| sending.echoes.digest() == digest) else {
             return; // echo for an unknown/finished broadcast
         };
         let Some(certificate) = sending.echoes.accept(
             (&self.auth, &mut self.ops),
             quorum,
             from,
-            &signed_bytes(b'E', me, seq, digest),
+            || signed_bytes(b'E', me, seq, digest),
             share,
         ) else {
             return;
@@ -293,10 +293,8 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         // signature it made and the shares `on_echo` accepted — are not
         // verified again. Only a byte-exact match over the same digest
         // is skipped; anything else takes the full check below.
-        let own = instance.and_then(|instance| {
-            let mut sending = instance.sending.iter();
-            sending.find(|sending| sending.echoes.digest() == digest)
-        });
+        let mut sending = instance.into_iter().flat_map(|instance| &instance.sending);
+        let own = sending.find(|sending| sending.echoes.digest() == digest);
         let send_verified = own.is_some_and(|own| own.sig == sig)
             || instance
                 .and_then(|instance| instance.echoed.as_ref())

@@ -272,22 +272,22 @@ impl<P, S: Clone> Collector<P, S> {
         self.finalized
     }
 
-    /// Takes `from`'s share over `bytes`; answers the certificate, in
+    /// Takes `from`'s share over `bytes()`; answers the certificate, in
     /// signer order, when this share completes the quorum. A share past
-    /// the quorum is dropped unverified.
+    /// the quorum costs nothing: it is dropped unverified.
     pub(crate) fn accept<A: Authenticator<Sig = S>>(
         &mut self,
         (auth, ops): (&A, &mut CryptoOps),
         quorum: usize,
         from: ProcessId,
-        bytes: &[u8],
+        bytes: impl FnOnce() -> Vec<u8>,
         share: S,
     ) -> Option<Vec<(ProcessId, S)>> {
         if self.finalized {
             return None;
         }
         ops.verifies += 1;
-        if !auth.verify(from, bytes, &share) {
+        if !auth.verify(from, &bytes(), &share) {
             return None;
         }
         self.shares.insert(from, share);
