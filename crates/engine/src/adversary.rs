@@ -105,7 +105,7 @@ impl<B: SecureBroadcast<EnginePayload>> AttackerState<B> {
 /// A participant of an engine scenario: honest, or one of the attack
 /// variants.
 pub enum EngineActor<B: SecureBroadcast<EnginePayload> = crate::replica::DefaultEngineBroadcast> {
-    /// A correct sharded, batched replica.
+    /// A correct replica.
     Honest(ShardedReplica<B>),
     /// Double-spends by equivocating at the broadcast layer.
     Equivocator(AttackerState<B>),

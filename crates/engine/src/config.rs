@@ -1,5 +1,5 @@
-//! Engine runtime configuration: broadcast backend, sharding, and
-//! batching knobs.
+//! Engine runtime configuration: broadcast backend, batching and the
+//! account count.
 
 use at_net::VirtualTime;
 
@@ -142,8 +142,6 @@ impl BatchPolicy {
 /// Configuration of the engine runtime at every replica.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Number of account-state shards per replica (≥ 1).
-    pub shards: usize,
     /// Sender-side batching policy.
     pub batch: BatchPolicy,
     /// The secure-broadcast protocol carrying the batches.
@@ -157,31 +155,28 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The unsharded, unbatched engine: one shard, per-transfer broadcast.
-    /// This matches the paper's Figure 4 deployment shape and is the
-    /// comparison baseline for the T3 experiments.
+    /// The unbatched engine: per-transfer broadcast. This matches the
+    /// paper's Figure 4 deployment shape and is the comparison baseline
+    /// for the T3 experiments.
     pub fn unsharded() -> Self {
         EngineConfig {
-            shards: 1,
             batch: BatchPolicy::immediate(),
             backend: BroadcastBackend::Bracha,
             accounts: 0,
         }
     }
 
-    /// A sharded, batched engine.
-    pub fn sharded_batched(shards: usize, batch_size: usize, window: VirtualTime) -> Self {
-        assert!(shards > 0, "need at least one shard");
+    /// A batched engine. `_shards` is accepted for the benchmark's call
+    /// sites and not stored: the ledger is one dense vector.
+    pub fn sharded_batched(_shards: usize, batch_size: usize, window: VirtualTime) -> Self {
         EngineConfig {
-            shards,
             batch: BatchPolicy::windowed(batch_size, window),
-            backend: BroadcastBackend::Bracha,
-            accounts: 0,
+            ..EngineConfig::unsharded()
         }
     }
 
-    /// The default production shape used by the scenario suite: four
-    /// shards, batches of up to eight flushed within 500µs.
+    /// The default production shape used by the scenario suite: batches
+    /// of up to eight flushed within 500µs.
     pub fn standard() -> Self {
         EngineConfig::sharded_batched(4, 8, VirtualTime::from_micros(500))
     }
@@ -251,16 +246,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "shard")]
-    fn zero_shards_rejected() {
-        let _ = EngineConfig::sharded_batched(0, 1, VirtualTime::ZERO);
-    }
-
-    #[test]
     fn presets() {
-        assert_eq!(EngineConfig::unsharded().shards, 1);
+        assert!(EngineConfig::unsharded().batch.is_immediate());
         assert_eq!(EngineConfig::default(), EngineConfig::standard());
-        assert_eq!(EngineConfig::standard().shards, 4);
+        assert_eq!(EngineConfig::standard().batch.max_size, 8);
+        // The shard count is not part of a configuration.
+        assert_eq!(
+            EngineConfig::sharded_batched(1, 8, VirtualTime::from_micros(500)),
+            EngineConfig::standard()
+        );
         assert_eq!(EngineConfig::standard().backend, BroadcastBackend::Bracha);
     }
 

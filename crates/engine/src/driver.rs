@@ -5,7 +5,7 @@
 //! through this interface so their numbers are directly comparable.
 //!
 //! * [`ConsensuslessEngine`] — the paper's broadcast-based system as the
-//!   sharded, batched [`crate::replica::ShardedReplica`] runtime
+//!   batched [`crate::replica::ShardedReplica`] runtime
 //!   (configure with [`EngineConfig::unsharded`] for the Figure 4
 //!   deployment shape);
 //! * [`BaselineEngine`] — the PBFT state-machine-replication baseline.
@@ -157,7 +157,7 @@ fn tally_baseline_events(
 /// [`EngineConfig::backend`](crate::config::EngineConfig).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ConsensuslessEngine {
-    /// Backend, sharding, and batching configuration of every replica.
+    /// Backend and batching configuration of every replica.
     pub config: EngineConfig,
 }
 
@@ -318,13 +318,10 @@ impl Engine for ConsensuslessEngine {
             BroadcastBackend::Bracha => "consensusless".to_string(),
             backend => format!("consensusless-{}", backend.label()),
         };
-        if self.config.batch.is_immediate() && self.config.shards == 1 {
+        if self.config.batch.is_immediate() {
             base
         } else {
-            format!(
-                "{base}-s{}b{}",
-                self.config.shards, self.config.batch.max_size
-            )
+            format!("{base}-b{}", self.config.batch.max_size)
         }
     }
 
@@ -699,10 +696,10 @@ mod tests {
     #[test]
     fn engine_names_key_the_backend() {
         let tuned = EngineConfig::standard();
-        assert_eq!(ConsensuslessEngine::new(tuned).name(), "consensusless-s4b8");
+        assert_eq!(ConsensuslessEngine::new(tuned).name(), "consensusless-b8");
         assert_eq!(
             ConsensuslessEngine::new(tuned.with_backend(BroadcastBackend::signed_echo())).name(),
-            "consensusless-echo-s4b8"
+            "consensusless-echo-b8"
         );
         assert_eq!(
             ConsensuslessEngine::new(

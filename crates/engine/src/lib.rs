@@ -1,4 +1,4 @@
-//! # at-engine — the sharded, batched payment-engine runtime
+//! # at-engine — the batched payment-engine runtime
 //!
 //! The paper ("The Consensus Number of a Cryptocurrency", PODC 2019)
 //! proves asset transfer has consensus number 1: transfers debiting
@@ -6,11 +6,11 @@
 //! result into a production-shaped runtime above `at-broadcast`/`at-core`
 //! and below `at-node`, with three pillars:
 //!
-//! * **a sharded account-state engine over pluggable broadcast
-//!   backends** ([`shard`], [`replica`], [`config`]) — the ledger is
-//!   partitioned by account, validation is a shard-local balance lookup
-//!   instead of a history recomputation, submitted transfers ship in
-//!   [`at_broadcast::Batch`]es that amortize the secure-broadcast cost,
+//! * **a materialized account-state engine over pluggable broadcast
+//!   backends** ([`shard`], [`replica`], [`config`]) — validation is an
+//!   `O(1)` balance lookup instead of a history recomputation, broadcast
+//!   streams and replica state are kept per source, submitted transfers
+//!   ship in [`at_broadcast::Batch`]es that amortize the broadcast cost,
 //!   and the broadcast itself is selectable per Section 5's observation
 //!   that the abstraction, not the implementation, carries the result:
 //!   Bracha (`O(n²)`, signature-free), signed echo (`O(n)` sender cost,
@@ -77,6 +77,6 @@ pub use replica::{
     ShardedReplica,
 };
 pub use scenario::{Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload};
-pub use shard::{ShardError, ShardMap, ShardStats, ShardedLedger};
+pub use shard::{ShardError, ShardedLedger};
 pub use snapshot::LedgerSnapshot;
 pub use suite::{format_reports, run_suite, standard_suite};

@@ -1,14 +1,12 @@
-//! The engine replica: sharded account state over a batched, pluggable
-//! secure broadcast.
+//! The engine replica: materialized account state over a batched,
+//! pluggable secure broadcast.
 //!
-//! Semantically this is the Figure 4 protocol with three production
-//! optimisations, all justified by the paper's consensus-number-1
-//! result:
+//! Semantically this is the Figure 4 protocol with materialized
+//! balances ([`crate::shard::ShardedLedger`]: validating a transfer is
+//! an `O(1)` lookup instead of recomputing `balance(a, hist[a])` over
+//! the account's full history) and two production optimisations, both
+//! justified by the paper's consensus-number-1 result:
 //!
-//! * **sharding** — the materialized ledger is partitioned by account
-//!   ([`crate::shard::ShardedLedger`]), so validating a transfer costs a
-//!   shard-local balance lookup instead of recomputing `balance(a,
-//!   hist[a])` over the account's full history;
 //! * **batching** — submitted transfers accumulate in a
 //!   [`at_broadcast::Batcher`] and ship as one
 //!   [`at_broadcast::Batch`] per secure-broadcast instance, amortizing
@@ -61,7 +59,7 @@
 //!    clients are sequential.
 
 use crate::config::{BatchPolicy, EngineConfig};
-use crate::shard::{ShardStats, ShardedLedger};
+use crate::shard::ShardedLedger;
 use crate::snapshot::LedgerSnapshot;
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::secure::SecureBroadcast;
@@ -94,7 +92,7 @@ const FLUSH_TIMER: u64 = 0xBA7C;
 /// honest sender can only accumulate pending entries while awaiting
 /// dependencies — far fewer than this. A Byzantine sender spamming
 /// never-valid transfers hits the cap and is dropped instead of growing
-/// every correct replica's memory and `drain` scan cost without bound.
+/// every correct replica's memory without bound.
 const MAX_PENDING_PER_SOURCE: usize = 1_024;
 
 /// Cap on retained drop diagnostics ([`DropDiagnostic`]). A sustained
@@ -200,8 +198,8 @@ struct EngineObs {
     rejected: Arc<at_obs::Counter>,
 }
 
-/// One process of the sharded, batched consensusless payment engine,
-/// generic over the secure-broadcast backend `B`.
+/// One process of the batched consensusless payment engine, generic
+/// over the secure-broadcast backend `B`.
 pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
     me: ProcessId,
     n: usize,
@@ -216,17 +214,14 @@ pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroad
     /// `rec[q]` of Figure 4: last *received* (well-formed) sequence
     /// number per process.
     received_seq: Vec<SeqNo>,
-    /// Every transfer applied locally (dependency lookups).
-    applied: BTreeSet<Transfer>,
-    /// Per source: applied outgoing transfers by sequence number (used by
-    /// the scenario subsystem for cross-replica conflict detection).
+    /// Per source: applied outgoing transfers by sequence number, ahead
+    /// of `pruned_floor` — where a dependency is looked up, and what the
+    /// scenario subsystem compares across replicas for conflicts.
     applied_from: Vec<BTreeMap<u64, Transfer>>,
-    /// Delivered, well-formed, not-yet-valid transfers (`toValidate`),
-    /// each with the trace context of the batch that carried it, bounded
-    /// per source by [`MAX_PENDING_PER_SOURCE`].
-    pending: Vec<(ProcessId, TransferMsg, Option<TraceCtx>)>,
-    /// Pending entries per source (enforces the cap without scanning).
-    pending_per_source: Vec<usize>,
+    /// Per source, in receipt order: delivered, well-formed,
+    /// not-yet-valid transfers (`toValidate`), each with the trace context
+    /// of its batch; at most [`MAX_PENDING_PER_SOURCE`] per queue.
+    pending: Vec<VecDeque<(TransferMsg, Option<TraceCtx>)>>,
     /// Incoming credits applied since our last submission (`deps`).
     deps_buffer: BTreeSet<Transfer>,
     /// Our next outgoing sequence number (pre-assigned at submission).
@@ -250,7 +245,7 @@ pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroad
     backend_seen: Vec<SeqNo>,
     /// Per-source floor below which applied history has been pruned:
     /// every transfer of source `q` with `seq ≤ pruned_floor[q]` is
-    /// folded into the ledger but absent from `applied`/`applied_from`.
+    /// folded into the ledger but absent from `applied_from`.
     pruned_floor: Vec<SeqNo>,
     /// Total entries pruned from the applied history and deps buffer.
     pruned_total: u64,
@@ -296,20 +291,30 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         config: EngineConfig,
         backend: B,
     ) -> Self {
+        let ledger = ShardedLedger::uniform(config.account_count(n), initial, 1);
+        ShardedReplica::over(me, n, config, ledger, backend)
+    }
+
+    /// A replica with no history over `ledger`: the one constructor body.
+    fn over(
+        me: ProcessId,
+        n: usize,
+        config: EngineConfig,
+        ledger: ShardedLedger,
+        backend: B,
+    ) -> Self {
         ShardedReplica {
             me,
             n,
             policy: config.batch,
-            ledger: ShardedLedger::uniform(config.account_count(n), initial, config.shards),
+            ledger,
             broadcast: backend,
             batcher: Batcher::new(config.batch.max_size),
             flush_armed: false,
             validated_seq: vec![SeqNo::ZERO; n],
             received_seq: vec![SeqNo::ZERO; n],
-            applied: BTreeSet::new(),
             applied_from: vec![BTreeMap::new(); n],
-            pending: Vec::new(),
-            pending_per_source: vec![0; n],
+            pending: vec![VecDeque::new(); n],
             deps_buffer: BTreeSet::new(),
             next_own_seq: SeqNo::ZERO,
             reserved: Amount::ZERO,
@@ -347,7 +352,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         mut backend: B,
         snapshot: &LedgerSnapshot,
     ) -> Self {
-        assert!(snapshot.verify(), "snapshot digest mismatch");
+        assert!(snapshot.verify(), "snapshot does not verify");
         assert_eq!(
             snapshot.frontier.len(),
             n,
@@ -361,36 +366,15 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         for (q, floor) in snapshot.backend_floor.iter().enumerate() {
             backend.set_delivery_floor(ProcessId::new(q as u32), *floor);
         }
-        let mut replica = ShardedReplica {
-            me,
-            n,
-            policy: config.batch,
-            ledger: ShardedLedger::new(snapshot.balances.iter().copied(), config.shards),
-            broadcast: backend,
-            batcher: Batcher::new(config.batch.max_size),
-            flush_armed: false,
+        let ledger = ShardedLedger::new(snapshot.balances.iter().copied());
+        ShardedReplica {
             validated_seq: snapshot.frontier.clone(),
             received_seq: snapshot.frontier.clone(),
-            applied: BTreeSet::new(),
-            applied_from: vec![BTreeMap::new(); n],
-            pending: Vec::new(),
-            pending_per_source: vec![0; n],
-            deps_buffer: BTreeSet::new(),
-            next_own_seq: SeqNo::ZERO,
-            reserved: Amount::ZERO,
-            malformed_dropped: 0,
-            pending_overflow_dropped: 0,
-            drop_diagnostics: VecDeque::new(),
-            diagnostics_dropped: 0,
-            backend_seen: snapshot.backend_floor.clone(),
             pruned_floor: snapshot.frontier.clone(),
-            pruned_total: 0,
-            obs: None,
-            tracer: None,
-            next_trace: None,
-        };
-        replica.next_own_seq = snapshot.frontier[me.as_usize()];
-        replica
+            backend_seen: snapshot.backend_floor.clone(),
+            next_own_seq: snapshot.frontier[me.as_usize()],
+            ..ShardedReplica::over(me, n, config, ledger, backend)
+        }
     }
 
     /// Cuts a [`LedgerSnapshot`] of the current applied state: balances,
@@ -422,8 +406,8 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     ///
     /// Soundness: a dependency at or behind the frontier is necessarily
     /// applied (per-source application is gapless), so the relaxed
-    /// validity check accepts it by floor comparison instead of a set
-    /// lookup — see [`ShardedReplica::from_snapshot`] for the restart
+    /// validity check accepts it by floor comparison instead of a lookup
+    /// — see [`ShardedReplica::from_snapshot`] for the restart
     /// side of the same argument. Pruned `deps_buffer` credits are safe
     /// to omit from future submissions: every correct replica either
     /// already applied them (they're behind a *quorum* frontier) or will
@@ -432,16 +416,10 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     pub fn prune_through(&mut self, frontier: &[SeqNo]) -> u64 {
         let mut pruned = 0u64;
         for (q, &advertised) in frontier.iter().enumerate().take(self.n) {
-            let floor = advertised.min(self.validated_seq[q]);
-            if floor.value() > self.pruned_floor[q].value() {
-                self.pruned_floor[q] = floor;
-            }
-            let floor = self.pruned_floor[q];
+            let floor = self.pruned_floor[q].max(advertised.min(self.validated_seq[q]));
+            self.pruned_floor[q] = floor;
             let keep = self.applied_from[q].split_off(&(floor.value() + 1));
-            for (_, transfer) in std::mem::replace(&mut self.applied_from[q], keep) {
-                self.applied.remove(&transfer);
-                pruned += 1;
-            }
+            pruned += std::mem::replace(&mut self.applied_from[q], keep).len() as u64;
         }
         let floors = &self.pruned_floor;
         let before = self.deps_buffer.len();
@@ -512,14 +490,9 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             .saturating_sub(self.reserved)
     }
 
-    /// The sharded ledger (for end-of-run assertions).
+    /// The ledger (for end-of-run assertions).
     pub fn ledger(&self) -> &ShardedLedger {
         &self.ledger
-    }
-
-    /// Counters of shard `index`.
-    pub fn shard_stats(&self, index: usize) -> ShardStats {
-        self.ledger.shard_stats(index)
     }
 
     /// Applied outgoing transfers of process `q`, by sequence number.
@@ -529,7 +502,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
 
     /// Number of delivered-but-unvalidated transfers.
     pub fn pending_count(&self) -> usize {
-        self.pending.len()
+        self.pending.iter().map(VecDeque::len).sum()
     }
 
     /// Number of well-formedness-violating transfers dropped.
@@ -762,7 +735,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
                 continue;
             }
             self.received_seq[index] = t.seq;
-            if self.pending_per_source[index] >= MAX_PENDING_PER_SOURCE {
+            if self.pending[index].len() >= MAX_PENDING_PER_SOURCE {
                 // A source this far ahead of validation is Byzantine (an
                 // honest sender's transfers validate in receipt order
                 // once their dependencies land). Drop instead of
@@ -771,25 +744,26 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
                 self.record_drop(q, t.seq, DropReason::PendingOverflow);
                 continue;
             }
-            self.pending_per_source[index] += 1;
-            self.pending.push((q, msg, trace));
+            self.pending[index].push_back((msg, trace));
         }
         self.drain(ctx);
     }
 
     /// Validity of a pending transfer: next-in-sequence, dependencies
-    /// applied, destination known, source funded (shard-local lookup). A
-    /// dependency at or behind this replica's pruned floor is accepted
-    /// by floor comparison: per-source application is gapless, so
-    /// everything behind the floor was applied before being pruned.
+    /// applied, destination known, source funded. A dependency at or
+    /// behind this replica's pruned floor is accepted by floor
+    /// comparison: per-source application is gapless, so everything
+    /// behind the floor was applied before being pruned. Ahead of it the
+    /// dependency must equal the applied transfer whole: a forged one
+    /// that borrows a real `(originator, seq)` matches nothing.
     fn valid(&self, q: ProcessId, msg: &TransferMsg) -> bool {
         let t = &msg.transfer;
         t.seq == self.validated_seq[q.as_usize()].next()
             && msg.deps.iter().all(|dep| {
-                self.pruned_floor
-                    .get(dep.originator.as_usize())
-                    .is_some_and(|floor| dep.seq.value() <= floor.value())
-                    || self.applied.contains(dep)
+                let from = dep.originator.as_usize();
+                self.pruned_floor.get(from).is_some_and(|floor| {
+                    dep.seq <= *floor || self.applied_from[from].get(&dep.seq.value()) == Some(dep)
+                })
             })
             && self.ledger.contains(t.destination)
             && self.ledger.balance(t.source) >= t.amount
@@ -797,42 +771,41 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
 
     /// Applies every pending transfer whose validity predicate holds,
     /// repeating until a fixed point (one application can unblock
-    /// others) — Figure 4 line 13.
+    /// others) — Figure 4 line 13. Only the head of a queue can be next
+    /// in sequence, so only heads are tested, and the sources are swept
+    /// until a sweep applies nothing: a credit may fund a source already
+    /// passed.
     fn drain(&mut self, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
         let started = self.obs.as_ref().map(|_| Instant::now());
-        loop {
-            let position = self
-                .pending
-                .iter()
-                .position(|(q, msg, _)| self.valid(*q, msg));
-            let Some(position) = position else {
-                break;
-            };
-            let (q, msg, trace) = self.pending.swap_remove(position);
-            let t = msg.transfer;
-            if self.ledger.apply(&t).is_err() {
-                // Validity pre-checked funding and existence; a failure
-                // here means a concurrent pending entry raced the same
-                // balance — requeue and stop this round.
-                self.pending.push((q, msg, trace));
-                break;
-            }
-            if let (Some(tracer), Some(ctx)) = (&self.tracer, trace) {
-                let ctx = if q != self.me { ctx.hopped() } else { ctx };
-                tracer.record(ctx, TraceEventKind::Apply, t.seq.value());
-            }
-            let index = q.as_usize();
-            self.pending_per_source[index] -= 1;
-            self.validated_seq[index] = t.seq;
-            self.applied.insert(t);
-            self.applied_from[index].insert(t.seq.value(), t);
-            if t.destination == self.my_account() && t.source != self.my_account() {
-                self.deps_buffer.insert(t);
-            }
-            ctx.emit(EngineEvent::Applied { transfer: t });
-            if q == self.me {
-                self.reserved = self.reserved.saturating_sub(t.amount);
-                ctx.emit(EngineEvent::Completed { transfer: t });
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            for q in ProcessId::all(self.n) {
+                let index = q.as_usize();
+                while let Some((msg, _)) = self.pending[index].front() {
+                    let t = msg.transfer;
+                    if !self.valid(q, msg) || self.ledger.apply(&t).is_err() {
+                        // Not valid yet (or a snapshot's ledger lacks
+                        // the account): it stays the head of its queue.
+                        break;
+                    }
+                    let trace = self.pending[index].pop_front().and_then(|(_, trace)| trace);
+                    progressed = true;
+                    if let (Some(tracer), Some(ctx)) = (&self.tracer, trace) {
+                        let ctx = if q != self.me { ctx.hopped() } else { ctx };
+                        tracer.record(ctx, TraceEventKind::Apply, t.seq.value());
+                    }
+                    self.validated_seq[index] = t.seq;
+                    self.applied_from[index].insert(t.seq.value(), t);
+                    if t.destination == self.my_account() && t.source != self.my_account() {
+                        self.deps_buffer.insert(t);
+                    }
+                    ctx.emit(EngineEvent::Applied { transfer: t });
+                    if q == self.me {
+                        self.reserved = self.reserved.saturating_sub(t.amount);
+                        ctx.emit(EngineEvent::Completed { transfer: t });
+                    }
+                }
             }
         }
         if let (Some(obs), Some(started)) = (&self.obs, started) {
@@ -867,11 +840,10 @@ impl<B: SecureBroadcast<EnginePayload>> std::fmt::Debug for ShardedReplica<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ShardedReplica(me={}, shards={}, applied={}, pending={})",
+            "ShardedReplica(me={}, applied={}, pending={})",
             self.me,
-            self.ledger.shard_count(),
-            self.applied.len(),
-            self.pending.len()
+            self.applied_from.iter().map(BTreeMap::len).sum::<usize>(),
+            self.pending_count()
         )
     }
 }
@@ -898,6 +870,19 @@ mod tests {
             .map(|i| ShardedReplica::new(p(i), n, amt(initial), config))
             .collect();
         Simulation::new(replicas, NetConfig::lan(3))
+    }
+
+    /// Hands `replica` one delivered batch holding `transfer`, the way
+    /// its backend would.
+    fn deliver(
+        replica: &mut ShardedReplica,
+        transfer: Transfer,
+        deps: Vec<Transfer>,
+        events: &mut Vec<(VirtualTime, ProcessId, EngineEvent)>,
+    ) {
+        let mut ctx = Context::detached(VirtualTime::ZERO, replica.me, replica.n, events);
+        let batch = Batch::single(TransferMsg { transfer, deps });
+        replica.on_batch(transfer.originator, batch, &mut ctx);
     }
 
     fn completed(events: &[(VirtualTime, ProcessId, EngineEvent)]) -> Vec<Transfer> {
@@ -1080,24 +1065,106 @@ mod tests {
 
     #[test]
     fn forged_dependency_keeps_transfer_pending() {
-        let mut sim = system(3, 10, EngineConfig::unsharded());
-        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
-            let fake_dep = Transfer::new(a(2), a(0), amt(50), p(2), SeqNo::new(1));
-            let transfer = Transfer::new(a(0), a(1), amt(5), p(0), SeqNo::new(1));
-            replica.broadcast_batch(
-                Batch::single(TransferMsg {
-                    transfer,
-                    deps: vec![fake_dep],
-                }),
-                ctx,
-            );
-        });
-        assert!(sim.run_until_quiet(1_000_000));
-        // Funded, but the fabricated dependency never validates.
-        for i in 1..3 {
-            assert_eq!(sim.actor(p(i)).balance(a(1)), amt(10));
-            assert_eq!(sim.actor(p(i)).pending_count(), 1);
+        // The forged dependency names `(p2, 1)`: first with nothing
+        // applied under that key, then borrowing the key of a transfer
+        // p2 really made — for a different amount.
+        for borrowed in [false, true] {
+            let mut sim = system(3, 10, EngineConfig::unsharded());
+            if borrowed {
+                sim.schedule(VirtualTime::ZERO, p(2), |replica, ctx| {
+                    replica.submit(a(0), amt(5), ctx);
+                });
+                assert!(sim.run_until_quiet(1_000_000));
+            }
+            sim.schedule(sim.now(), p(0), |replica, ctx| {
+                let fake_dep = Transfer::new(a(2), a(0), amt(50), p(2), SeqNo::new(1));
+                let transfer = Transfer::new(a(0), a(1), amt(5), p(0), SeqNo::new(1));
+                replica.broadcast_batch(
+                    Batch::single(TransferMsg {
+                        transfer,
+                        deps: vec![fake_dep],
+                    }),
+                    ctx,
+                );
+            });
+            assert!(sim.run_until_quiet(1_000_000));
+            // Funded, but the fabricated dependency never validates.
+            for i in 1..3 {
+                let replica = sim.actor(p(i));
+                assert_eq!(replica.applied_from(p(2)).len(), usize::from(borrowed));
+                assert_eq!(replica.balance(a(1)), amt(10), "borrowed key: {borrowed}");
+                assert_eq!(replica.pending_count(), 1, "borrowed key: {borrowed}");
+            }
         }
+    }
+
+    #[test]
+    fn a_credit_chain_against_source_order_resolves_in_the_delivery_that_completes_it() {
+        // p2 funds p1 funds p0, and p1 and p0 each spend more than they
+        // started with, so each waits on the credit before it.
+        let t2 = Transfer::new(a(2), a(1), amt(10), p(2), SeqNo::new(1));
+        let t1 = Transfer::new(a(1), a(0), amt(15), p(1), SeqNo::new(1));
+        let t0 = Transfer::new(a(0), a(3), amt(20), p(0), SeqNo::new(1));
+        for me in 0..4 {
+            let mut replica = ShardedReplica::new(p(me), 4, amt(10), EngineConfig::unsharded());
+            let mut events = Vec::new();
+            // Delivered end of the chain first: nothing can apply until
+            // p2's batch lands, and then everything must.
+            let deliveries = [(t0, vec![t1]), (t1, vec![t2]), (t2, vec![])];
+            for (held, (transfer, deps)) in deliveries.into_iter().enumerate() {
+                assert_eq!(replica.pending_count(), held, "replica {me}");
+                deliver(&mut replica, transfer, deps, &mut events);
+            }
+            assert_eq!(replica.pending_count(), 0, "replica {me}");
+            let applied: Vec<Transfer> = events
+                .iter()
+                .filter_map(|(_, _, e)| match e {
+                    EngineEvent::Applied { transfer } => Some(*transfer),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(applied, vec![t2, t1, t0], "replica {me}");
+            let own: Vec<Transfer> = applied
+                .iter()
+                .copied()
+                .filter(|t| t.originator == p(me))
+                .collect();
+            assert_eq!(completed(&events), own, "one Completed per own transfer");
+            let balances: Vec<u64> = (0..4).map(|j| replica.balance(a(j)).units()).collect();
+            assert_eq!(balances, vec![5, 5, 0, 30]);
+        }
+    }
+
+    /// A snapshot arrives as bytes and may hold fewer accounts than there
+    /// are processes: a zero-amount transfer from a process without an
+    /// account passes `valid` (zero is funded) and is refused by the
+    /// ledger. It must wait at the head of its queue — no panic, nothing
+    /// behind it applied, other sources unaffected.
+    #[test]
+    fn a_transfer_the_ledger_refuses_stays_at_the_head_of_its_queue() {
+        let snapshot = LedgerSnapshot::new(
+            vec![(a(0), amt(10)), (a(1), amt(10))],
+            vec![SeqNo::ZERO; 4],
+            vec![SeqNo::ZERO; 4],
+        );
+        let mut replica: ShardedReplica = ShardedReplica::from_snapshot(
+            p(0),
+            4,
+            EngineConfig::unsharded(),
+            BrachaBroadcast::new(p(0), 4),
+            &snapshot,
+        );
+        let mut events = Vec::new();
+        let deliveries = [(3, 0, 0, 1), (3, 0, 0, 2), (1, 0, 4, 1)];
+        for (held, (from, to, amount, seq)) in deliveries.into_iter().enumerate() {
+            assert_eq!(replica.pending_count(), held);
+            let transfer = Transfer::new(a(from), a(to), amt(amount), p(from), SeqNo::new(seq));
+            deliver(&mut replica, transfer, vec![], &mut events);
+        }
+        assert_eq!(replica.pending_count(), 2, "both of p3's wait, in order");
+        assert_eq!(replica.applied_from(p(3)).len(), 0);
+        assert_eq!(replica.applied_from(p(1)).len(), 1);
+        assert_eq!(replica.balance(a(0)), amt(14));
     }
 
     #[test]
@@ -1366,8 +1433,10 @@ mod tests {
         assert_eq!(replica.my_account(), a(0));
         assert_eq!(replica.available(), amt(10));
         assert_eq!(replica.applied_from(p(1)).len(), 0);
-        assert_eq!(replica.ledger().shard_count(), 4);
-        assert_eq!(replica.shard_stats(0).debits, 0);
-        assert!(format!("{replica:?}").contains("shards=4"));
+        assert_eq!(replica.ledger().total_supply(), amt(30));
+        assert_eq!(
+            format!("{replica:?}"),
+            "ShardedReplica(me=p0, applied=0, pending=0)"
+        );
     }
 }

@@ -10,7 +10,7 @@
 //! gaplessly in sequence order, the pair `(balances, frontier)` is a
 //! complete, prefix-closed summary of the applied history: any
 //! dependency at or behind the frontier is necessarily applied, so the
-//! full `applied` set behind it can be pruned
+//! applied history behind it can be pruned
 //! ([`crate::replica::ShardedReplica::prune_through`]) and a cold
 //! replica can be reconstructed from the snapshot alone
 //! ([`crate::replica::ShardedReplica::from_snapshot`]).
@@ -31,7 +31,8 @@ use at_model::{AccountId, Amount, CodecError, SeqNo};
 /// backend's delivered-instance floor at the cut.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LedgerSnapshot {
-    /// Balance of every account, in account order.
+    /// Balance of every account: accounts `0..k`, in order
+    /// ([`LedgerSnapshot::verify`] refuses anything else).
     pub balances: Vec<(AccountId, Amount)>,
     /// `frontier[q]`: the highest transfer sequence number of process
     /// `q` folded into `balances` (transfers of `q` are applied
@@ -89,11 +90,14 @@ impl LedgerSnapshot {
         hash
     }
 
-    /// Whether the carried digest matches the contents — the integrity
-    /// check a bootstrap client runs before trusting a downloaded
-    /// snapshot.
+    /// Whether `balances` names accounts `0..k` in order (no gap,
+    /// duplicate or swap — the ledger is indexed by account) and the
+    /// carried digest matches the contents: the integrity check a
+    /// bootstrap client runs before trusting a downloaded snapshot.
     pub fn verify(&self) -> bool {
-        self.digest == Self::digest_of(&self.balances, &self.frontier, &self.backend_floor)
+        let accounts = self.balances.iter().map(|(account, _)| *account);
+        accounts.eq(AccountId::all(self.balances.len()))
+            && self.digest == Self::digest_of(&self.balances, &self.frontier, &self.backend_floor)
     }
 
     /// Number of accounts summarized.
@@ -150,6 +154,30 @@ mod tests {
         let mut floor = base.clone();
         floor.backend_floor[1] = SeqNo::new(6);
         assert!(!floor.verify());
+    }
+
+    /// The balances arrive as a peer's bytes and index a vector: a
+    /// snapshot whose digest is right but whose accounts are not `0..k`
+    /// in order must not verify.
+    #[test]
+    fn accounts_must_be_dense_and_in_order() {
+        let base = snapshot(4);
+        let (a, b) = (base.balances[1], base.balances[2]);
+        let gap = [base.balances[0], a, (AccountId::new(3), b.1)];
+        let duplicate = [base.balances[0], a, (a.0, b.1)];
+        let swapped = [base.balances[0], b, a];
+        for (shape, balances) in [("gap", gap), ("duplicate", duplicate), ("swapped", swapped)] {
+            // Re-digested, so the digest holds and only the order check
+            // is left to refuse it.
+            let forged = LedgerSnapshot::new(
+                balances.to_vec(),
+                base.frontier.clone(),
+                base.backend_floor.clone(),
+            );
+            let back: LedgerSnapshot = decode(&encode(&forged)).expect("roundtrip");
+            assert_eq!(back.digest, forged.digest);
+            assert!(!back.verify(), "{shape} verified");
+        }
     }
 
     #[test]

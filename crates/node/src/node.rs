@@ -1266,6 +1266,10 @@ where
         );
         fold("engine_pruned_total", self.replica.pruned_total());
         fold(
+            "engine_malformed_dropped_total",
+            self.replica.malformed_dropped(),
+        );
+        fold(
             "engine_overflow_dropped_total",
             self.replica.pending_overflow_dropped(),
         );

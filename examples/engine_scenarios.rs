@@ -1,7 +1,7 @@
 //! Scenario-driven engine demo: runs the standard scenario suite (six
-//! benign workloads, four adversarial) on the sharded+batched payment
-//! engine, contrasts the unsharded engine and the PBFT baseline on one
-//! batched workload, then swaps the secure-broadcast backend under the
+//! benign workloads, four adversarial) on the batched payment engine,
+//! contrasts the unbatched engine and the PBFT baseline on one batched
+//! workload, then swaps the secure-broadcast backend under the
 //! same scenario to show the message-complexity trade of Section 5.
 //!
 //! Run with `cargo run -p at-examples --example engine_scenarios --release`.
@@ -14,7 +14,7 @@ use at_examples::banner;
 use at_net::VirtualTime;
 
 fn main() {
-    banner("standard scenario suite · consensusless-s4b8");
+    banner("standard scenario suite · consensusless-b8");
     let engine = ConsensuslessEngine::new(EngineConfig::standard());
     let reports = run_suite(&engine, 42);
     println!("{}", format_reports(&reports));

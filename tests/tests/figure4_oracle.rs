@@ -317,7 +317,7 @@ where
     B: SecureBroadcast<EnginePayload> + 'static,
     F: Fn(ProcessId) -> B,
 {
-    let label = format!("{label} n={n} shards={} seed={seed}", config.shards);
+    let label = format!("{label} n={n} batch={} seed={seed}", config.batch.max_size);
     let replicas = (0..n)
         .map(|i| {
             let backend = Recording {

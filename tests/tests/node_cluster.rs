@@ -137,6 +137,8 @@ fn tcp_cluster_converges_and_rejects_double_spend_over_the_wire() {
     for addr in &cluster.client_addrs {
         let mut scraper = Client::connect(*addr).expect("connect");
         let stats = scraper.stats(Duration::from_secs(5)).expect("stats");
+        // Present, and 0: no honest batch fails Figure 4's well-formedness.
+        assert_eq!(stats.counter("engine_malformed_dropped_total"), Some(0));
         e2e.merge(
             stats
                 .histogram(Stage::EndToEnd.metric_name())
