@@ -2,8 +2,10 @@
 //!
 //! at-check model-checks the engine inside the deterministic simulator;
 //! this crate closes the remaining gap to the real runtime: it drives a
-//! *live* at-node cluster — OS threads, wall clocks, and (on TCP) real
-//! sockets speaking the versioned wire protocol — through seeded
+//! *live* at-node cluster — OS threads, wall clocks, clients on real
+//! sockets speaking the versioned wire protocol, and peers wired over
+//! TCP or the in-process channel mesh under one run body
+//! ([`run_chaos`]) — through seeded
 //! nemesis schedules of partitions, wire loss, duplication, delay,
 //! forced disconnects, warm crash/restarts, and batch-timer skew, while
 //! an [`at_node::EventProbe`] records the complete client-visible
@@ -43,6 +45,5 @@ pub mod runner;
 
 pub use nemesis::{format_nemesis_schedule, generate_schedule, NemesisChoice};
 pub use runner::{
-    run_chaos_mesh, run_chaos_tcp, run_seeded, run_with_schedule, ChaosConfig, ChaosReport,
-    ChaosTransport,
+    run_chaos, run_seeded, run_with_schedule, ChaosConfig, ChaosReport, ChaosTransport,
 };

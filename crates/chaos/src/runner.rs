@@ -3,14 +3,17 @@
 //!
 //! One [`run_seeded`] call is a complete Jepsen-style experiment:
 //!
-//! 1. boot an `n`-node cluster — loopback TCP with client gateways, or
-//!    the in-process channel mesh — with a seeded
-//!    [`at_net::FaultInjector`] under every link and a shared
-//!    [`at_node::EventProbe`] over every node;
+//! 1. boot an `n`-node cluster — its peers wired over loopback TCP or
+//!    over the in-process channel mesh, every node behind a client
+//!    gateway either way — with a seeded [`at_net::FaultInjector`]
+//!    under every link and a shared [`at_node::EventProbe`] over every
+//!    node;
 //! 2. hammer it with one closed-loop client per node (pipelined
-//!    transfers over the real wire protocol on TCP), while the nemesis
-//!    walks the schedule: partitions, wire loss, duplication, delay,
-//!    forced disconnects, warm crash/restarts, batch-timer skew;
+//!    transfers over the real wire protocol, each client's whole
+//!    quota), while the nemesis walks the schedule: partitions, wire
+//!    loss, duplication, delay, forced disconnects, batch-timer skew,
+//!    and warm crash/restarts (on the mesh, whose endpoints cannot be
+//!    re-wired, a crash step only sleeps through its downtime);
 //! 3. heal, drain, and wait for quiescent convergence
 //!    ([`at_node::try_await_convergence`], which names the divergent
 //!    digest pair if it fails);
@@ -41,20 +44,19 @@ use at_net::transport::FaultInjector;
 use at_net::VirtualTime;
 use at_node::{
     start_mesh_cluster_with, start_tcp_cluster_with, try_await_convergence, Client, ClusterOptions,
-    ConvergenceOptions, EventProbe, NodeConfig, NodeHandle, NodeReport, ResponseBody, TcpOptions,
+    EventProbe, NodeConfig, NodeHandle, NodeReport, ResponseBody,
 };
 use at_obs::{merge_traces, TraceConfig, TraceLog};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which transport a chaos run exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChaosTransport {
-    /// Loopback TCP with client gateways (crash/restart supported).
+    /// Peers over loopback TCP (crash/restart supported).
     Tcp,
-    /// The in-process channel mesh (no sockets; crash steps skipped).
+    /// Peers over the in-process channel mesh (crash steps skipped).
     Mesh,
 }
 
@@ -265,25 +267,23 @@ fn workload(i: usize, k: usize, n: usize) -> (AccountId, Amount) {
     (AccountId::new(dest as u32), Amount::new(1 + (k % 3) as u64))
 }
 
-/// A TCP chaos client: closed-loop pipelined submissions against the
-/// node's gateway, reconnecting (to the *current* directory address)
-/// whenever a crash or stop breaks the connection.
-fn tcp_client_loop(
+/// A chaos client: closed-loop pipelined submissions of its whole quota
+/// against node `i`'s gateway, reconnecting (to the node's *current*
+/// gateway address) whenever a crash or stop breaks the connection.
+fn client_loop(
     i: usize,
     n: usize,
     quota: usize,
     pipeline: usize,
     addrs: Arc<Mutex<Vec<SocketAddr>>>,
-    submissions_open: Arc<AtomicBool>,
     deadline: Instant,
 ) -> Tally {
     let mut tally = Tally::default();
     let mut sent = 0usize;
     let mut client: Option<Client> = None;
     loop {
-        let submitting = sent < quota && submissions_open.load(Ordering::Relaxed);
         let outstanding = client.as_ref().map_or(0, Client::outstanding);
-        if !submitting && outstanding == 0 {
+        if sent == quota && outstanding == 0 {
             return tally;
         }
         if Instant::now() >= deadline {
@@ -301,7 +301,7 @@ fn tcp_client_loop(
             continue;
         };
         let mut io_err = false;
-        while submitting && sent < quota && c.outstanding() < pipeline as u64 {
+        while sent < quota && c.outstanding() < pipeline as u64 {
             let (dest, amount) = workload(i, sent, n);
             match c.submit_transfer(dest, amount) {
                 Ok(_) => {
@@ -332,50 +332,6 @@ fn tcp_client_loop(
             client = None;
         }
     }
-}
-
-/// A mesh chaos client: the same closed loop over an in-process session.
-fn mesh_client_loop<B>(
-    handle: &NodeHandle<B>,
-    i: usize,
-    n: usize,
-    quota: usize,
-    pipeline: usize,
-    deadline: Instant,
-) -> Tally
-where
-    B: SecureBroadcast<EnginePayload>,
-{
-    let mut client = handle.local_client();
-    let mut tally = Tally::default();
-    let mut sent = 0usize;
-    let mut outstanding = 0u64;
-    while (sent < quota || outstanding > 0) && Instant::now() < deadline {
-        while sent < quota && outstanding < pipeline as u64 {
-            let (dest, amount) = workload(i, sent, n);
-            client.submit_transfer(dest, amount);
-            sent += 1;
-            outstanding += 1;
-            tally.submitted += 1;
-        }
-        if let Some(response) = client.recv_response(Duration::from_millis(20)) {
-            match response.body {
-                ResponseBody::Committed { .. } => {
-                    tally.committed += 1;
-                    outstanding -= 1;
-                }
-                ResponseBody::Rejected { .. } => {
-                    tally.rejected += 1;
-                    outstanding -= 1;
-                }
-                ResponseBody::Balance { .. } => {}
-            }
-        }
-    }
-    // A local client's channel never breaks: leftovers can only be
-    // deadline-slow acks.
-    tally.timed_out += outstanding;
-    tally
 }
 
 /// Applies one nemesis step to the fault plane (everything except
@@ -426,7 +382,6 @@ fn finalize(
     schedule: &[NemesisChoice],
     tallies: Vec<Tally>,
     reports: Vec<NodeReport>,
-    converged: bool,
     convergence_failure: Option<Failure>,
     carried_loss: LossCounters,
     pin_failure: Option<String>,
@@ -435,10 +390,8 @@ fn finalize(
     traces: Vec<String>,
 ) -> ChaosReport {
     let n = config.n;
-    let mut violations = Vec::new();
-    if let Some(failure) = convergence_failure {
-        violations.push(failure);
-    }
+    let converged = convergence_failure.is_none();
+    let mut violations = Vec::from_iter(convergence_failure);
     if let Some(detail) = pin_failure {
         // The state-pinning reads are part of the certification: a run
         // whose final state never entered the history is *unchecked*,
@@ -578,7 +531,7 @@ where
     B: SecureBroadcast<EnginePayload> + 'a,
 {
     handles
-        .filter_map(|h| h.try_metrics(Duration::from_secs(2)))
+        .filter_map(|h| h.metrics(Duration::from_secs(2)))
         .map(|snapshot| snapshot.render())
         .collect()
 }
@@ -608,7 +561,7 @@ where
     B: SecureBroadcast<EnginePayload> + 'a,
 {
     let logs: Vec<TraceLog> = handles
-        .filter_map(|h| h.try_trace(Duration::from_secs(2)))
+        .filter_map(|h| h.trace(Duration::from_secs(2)))
         .collect();
     let mut timelines = merge_traces(&logs);
     timelines.retain(|t| t.e2e_us.is_none() || t.incomplete);
@@ -631,11 +584,15 @@ fn convergence_failure(timeout: &at_node::ConvergenceTimeout) -> Failure {
     }
 }
 
-/// Runs one chaos experiment over loopback TCP (see the [module
-/// docs](self) for the phases).
-pub fn run_chaos_tcp<B, F>(
+/// Runs one chaos experiment (see the [module docs](self) for the
+/// phases) on a cluster wired over `transport`, `make` building each
+/// node's backend. On the mesh a [`NemesisChoice::CrashRestart`] step
+/// keeps the schedule's timing shape without the crash; generated mesh
+/// schedules never contain one.
+pub fn run_chaos<B, F>(
     config: &ChaosConfig,
     backend: &str,
+    transport: ChaosTransport,
     seed: u64,
     schedule: &[NemesisChoice],
     make: F,
@@ -648,23 +605,22 @@ where
     let n = config.n;
     let faults = FaultInjector::new(seed);
     let probe = EventProbe::new();
-    let options = ClusterOptions::tcp(TcpOptions::default())
+    let options = ClusterOptions::default()
         .with_faults(faults.clone())
         .with_probe(probe.clone());
-    let mut cluster =
-        start_tcp_cluster_with(n, node_config(config), options, make).expect("cluster start");
+    let mut cluster = match transport {
+        ChaosTransport::Tcp => start_tcp_cluster_with(n, node_config(config), options, make),
+        ChaosTransport::Mesh => start_mesh_cluster_with(n, node_config(config), &options, make),
+    }
+    .expect("cluster start");
 
     let addrs = Arc::new(Mutex::new(cluster.client_addrs.clone()));
-    let submissions_open = Arc::new(AtomicBool::new(true));
     let deadline = Instant::now() + schedule_wall(schedule) + config.drain_timeout;
     let clients: Vec<_> = (0..n)
         .map(|i| {
             let addrs = Arc::clone(&addrs);
-            let open = Arc::clone(&submissions_open);
             let (quota, pipeline) = (config.quota, config.pipeline);
-            std::thread::spawn(move || {
-                tcp_client_loop(i, n, quota, pipeline, addrs, open, deadline)
-            })
+            std::thread::spawn(move || client_loop(i, n, quota, pipeline, addrs, deadline))
         })
         .collect();
 
@@ -673,6 +629,12 @@ where
     for choice in schedule {
         match *choice {
             NemesisChoice::CrashRestart { node, down_ms } => {
+                let down = Duration::from_millis(u64::from(down_ms));
+                if transport == ChaosTransport::Mesh {
+                    // No re-wirable endpoints on the mesh.
+                    std::thread::sleep(down);
+                    continue;
+                }
                 let i = node as usize;
                 // Harvest the dying incarnation's loss counters — they
                 // die with its loop, and the FrameLoss gate must see
@@ -685,7 +647,7 @@ where
                 let (replica, lost_ingest, malformed) = cluster.stop_node_counted(i);
                 carried_loss.lost_ingest += lost_ingest;
                 carried_loss.malformed += malformed;
-                std::thread::sleep(Duration::from_millis(u64::from(down_ms)));
+                std::thread::sleep(down);
                 cluster.restart_node(i, replica).expect("restart");
                 addrs.lock().expect("addrs poisoned")[i] = cluster.client_addrs[i];
             }
@@ -698,7 +660,6 @@ where
         }
     }
     faults.heal_all(); // idempotent: generated schedules end healed
-    submissions_open.store(false, Ordering::Relaxed);
     let tallies: Vec<Tally> = clients
         .into_iter()
         .map(|t| t.join().expect("client thread"))
@@ -708,30 +669,24 @@ where
     // crashed-and-restarted ones included (TCP outboxes replay what
     // they missed).
     let handles: Vec<_> = cluster.running().collect();
-    let outcome = try_await_convergence(
-        &handles,
-        ConvergenceOptions {
-            timeout: config.drain_timeout,
-            poll: Duration::from_millis(25),
-        },
-    );
+    let outcome = try_await_convergence(&handles, config.drain_timeout);
     drop(handles);
-    let (reports, converged, failure) = match outcome {
-        Ok(reports) => (reports, true, None),
+    let (reports, failure) = match outcome {
+        Ok(reports) => (reports, None),
         Err(timeout) => {
             let failure = convergence_failure(&timeout);
-            (timeout.last_reports.clone(), false, Some(failure))
+            (timeout.last_reports, Some(failure))
         }
     };
 
     let mut pin_failure = None;
-    if converged {
+    if failure.is_none() {
         // Pin the converged state into the history: one read per
         // account at node 0 (recorded as ReadObserved by the probe).
         // These reads are part of the certification — a failure here
         // means the final state never entered the history, so it is
         // reported, not swallowed.
-        let pin = Client::connect(addrs.lock().expect("addrs poisoned")[0])
+        let pin = Client::connect(cluster.client_addrs[0])
             .map_err(|err| format!("state-pinning client failed to connect: {err}"))
             .and_then(|mut reader| {
                 for account in 0..n as u32 {
@@ -750,128 +705,13 @@ where
     finalize(
         config,
         backend,
-        ChaosTransport::Tcp,
+        transport,
         seed,
         schedule,
         tallies,
         reports,
-        converged,
         failure,
         carried_loss,
-        pin_failure,
-        &probe,
-        metrics,
-        traces,
-    )
-}
-
-/// Runs one chaos experiment over the in-process channel mesh.
-/// [`NemesisChoice::CrashRestart`] steps are skipped (mesh endpoints
-/// cannot be re-wired); generated mesh schedules never contain them.
-pub fn run_chaos_mesh<B, F>(
-    config: &ChaosConfig,
-    backend: &str,
-    seed: u64,
-    schedule: &[NemesisChoice],
-    make: F,
-) -> ChaosReport
-where
-    B: SecureBroadcast<EnginePayload> + 'static,
-    B::Msg: Encode + Decode + Send + 'static,
-    F: Fn(ProcessId) -> B,
-{
-    let n = config.n;
-    let faults = FaultInjector::new(seed);
-    let probe = EventProbe::new();
-    let options = ClusterOptions::default()
-        .with_faults(faults.clone())
-        .with_probe(probe.clone());
-    let handles = Arc::new(start_mesh_cluster_with(
-        n,
-        node_config(config),
-        &options,
-        make,
-    ));
-
-    let deadline = Instant::now() + schedule_wall(schedule) + config.drain_timeout;
-    let clients: Vec<_> = (0..n)
-        .map(|i| {
-            let handles = Arc::clone(&handles);
-            let (quota, pipeline) = (config.quota, config.pipeline);
-            std::thread::spawn(move || {
-                mesh_client_loop(&handles[i], i, n, quota, pipeline, deadline)
-            })
-        })
-        .collect();
-
-    for choice in schedule {
-        match *choice {
-            NemesisChoice::CrashRestart { down_ms, .. } => {
-                // No re-wirable endpoints on the mesh: keep the
-                // schedule's timing shape without the crash.
-                std::thread::sleep(Duration::from_millis(u64::from(down_ms)));
-            }
-            NemesisChoice::SkewTimers { node, pct } => handles[node as usize].set_timer_skew(pct),
-            ref fault => apply_fault_step(&faults, n, fault),
-        }
-    }
-    faults.heal_all();
-    let tallies: Vec<Tally> = clients
-        .into_iter()
-        .map(|t| t.join().expect("client thread"))
-        .collect();
-
-    let refs: Vec<&NodeHandle<B>> = handles.iter().collect();
-    let outcome = try_await_convergence(
-        &refs,
-        ConvergenceOptions {
-            timeout: config.drain_timeout,
-            poll: Duration::from_millis(25),
-        },
-    );
-    drop(refs);
-    let (reports, converged, failure) = match outcome {
-        Ok(reports) => (reports, true, None),
-        Err(timeout) => {
-            let failure = convergence_failure(&timeout);
-            (timeout.last_reports.clone(), false, Some(failure))
-        }
-    };
-
-    let mut pin_failure = None;
-    if converged {
-        // Pin the converged state: reads through node 0's local client
-        // (reported on failure — see the TCP runner).
-        let mut reader = handles[0].local_client();
-        for account in 0..n as u32 {
-            if reader
-                .read(AccountId::new(account), Duration::from_secs(5))
-                .is_none()
-            {
-                pin_failure = Some(format!("state-pinning read of account {account} timed out"));
-                break;
-            }
-        }
-    }
-    let metrics = scrape_metrics(handles.iter());
-    let traces = undelivered_traces(handles.iter());
-    let handles = Arc::try_unwrap(handles)
-        .unwrap_or_else(|_| panic!("client threads joined, no handle clones remain"));
-    for handle in handles {
-        handle.stop();
-    }
-
-    finalize(
-        config,
-        backend,
-        ChaosTransport::Mesh,
-        seed,
-        schedule,
-        tallies,
-        reports,
-        converged,
-        failure,
-        LossCounters::default(),
         pin_failure,
         &probe,
         metrics,
@@ -902,29 +742,16 @@ pub fn run_with_schedule(
     schedule: &[NemesisChoice],
 ) -> ChaosReport {
     let n = config.n;
-    match (backend, transport) {
-        ("echo", ChaosTransport::Tcp) => run_chaos_tcp(config, backend, seed, schedule, |me| {
+    match backend {
+        "echo" => run_chaos(config, backend, transport, seed, schedule, |me| {
             EchoBroadcast::<EnginePayload, NoAuth>::new(me, n, NoAuth)
         }),
-        ("echo", ChaosTransport::Mesh) => run_chaos_mesh(config, backend, seed, schedule, |me| {
-            EchoBroadcast::<EnginePayload, NoAuth>::new(me, n, NoAuth)
-        }),
-        ("bracha", ChaosTransport::Tcp) => run_chaos_tcp(config, backend, seed, schedule, |me| {
+        "bracha" => run_chaos(config, backend, transport, seed, schedule, |me| {
             BrachaBroadcast::<EnginePayload>::new(me, n)
         }),
-        ("bracha", ChaosTransport::Mesh) => run_chaos_mesh(config, backend, seed, schedule, |me| {
-            BrachaBroadcast::<EnginePayload>::new(me, n)
+        "acctorder" => run_chaos(config, backend, transport, seed, schedule, |me| {
+            AccountOrderBackend::<EnginePayload, NoAuth>::new(me, n, NoAuth)
         }),
-        ("acctorder", ChaosTransport::Tcp) => {
-            run_chaos_tcp(config, backend, seed, schedule, |me| {
-                AccountOrderBackend::<EnginePayload, NoAuth>::new(me, n, NoAuth)
-            })
-        }
-        ("acctorder", ChaosTransport::Mesh) => {
-            run_chaos_mesh(config, backend, seed, schedule, |me| {
-                AccountOrderBackend::<EnginePayload, NoAuth>::new(me, n, NoAuth)
-            })
-        }
-        (other, _) => panic!("unknown backend {other:?} (echo|bracha|acctorder)"),
+        other => panic!("unknown backend {other:?} (echo|bracha|acctorder)"),
     }
 }

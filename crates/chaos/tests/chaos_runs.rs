@@ -275,7 +275,7 @@ fn tcp_crash_restart_schedule_recovers_and_validates() {
 fn fifo_breaking_backend_is_caught_with_a_pasteable_counterexample() {
     use at_broadcast::auth::NoAuth;
     use at_broadcast::echo::EchoBroadcast;
-    use at_chaos::run_chaos_mesh;
+    use at_chaos::run_chaos;
     use at_check::broken::FifoBreaker;
     use at_check::FailureKind;
 
@@ -291,9 +291,14 @@ fn fifo_breaking_backend_is_caught_with_a_pasteable_counterexample() {
     };
     let seed = 11;
     let schedule = generate_schedule(seed, config.n, config.disruptions, false);
-    let report = run_chaos_mesh(&config, "echo", seed, &schedule, |me| {
-        FifoBreaker::new(EchoBroadcast::new(me, config.n, NoAuth))
-    });
+    let report = run_chaos(
+        &config,
+        "echo",
+        ChaosTransport::Mesh,
+        seed,
+        &schedule,
+        |me| FifoBreaker::new(EchoBroadcast::new(me, config.n, NoAuth)),
+    );
     assert!(
         report
             .violations

@@ -23,38 +23,11 @@
 //! over `hist[q] ∪ h`, which is the reading consistent with Lemma 3's
 //! liveness claim — a deliberate deviation from the letter of line 25.
 
-use at_model::codec::{Decode, Encode, Reader, Writer};
 use at_model::spec::balance_from_transfers;
-use at_model::{AccountId, Amount, CodecError, ProcessId, SeqNo, Transfer};
+pub use at_model::TransferMsg;
+use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
 use std::collections::BTreeSet;
 use std::fmt;
-
-/// The payload a process broadcasts for one transfer: the transfer plus
-/// its dependencies (`[(a,b,x,s), deps]` of Figure 4, line 4).
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct TransferMsg {
-    /// The transfer; its `seq` field carries `seq[p] + 1`.
-    pub transfer: Transfer,
-    /// Incoming transfers the sender applied since its last outgoing
-    /// transfer — they must be applied before `transfer`.
-    pub deps: Vec<Transfer>,
-}
-
-impl Encode for TransferMsg {
-    fn encode(&self, w: &mut Writer) {
-        self.transfer.encode(w);
-        self.deps.encode(w);
-    }
-}
-
-impl Decode for TransferMsg {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(TransferMsg {
-            transfer: Transfer::decode(r)?,
-            deps: Vec::<Transfer>::decode(r)?,
-        })
-    }
-}
 
 /// What happened when the state machine processed deliveries.
 #[derive(Clone, Debug, PartialEq, Eq)]

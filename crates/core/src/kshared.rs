@@ -23,39 +23,17 @@ use at_broadcast::account_order::{AccountDelivery, AccountOrderBroadcast, Accoun
 use at_broadcast::auth::Authenticator;
 use at_broadcast::types::Step;
 use at_consensus::pbft::{PbftMsg, PbftReplica};
-use at_model::codec::{Decode, Encode, Reader, Writer};
 use at_model::spec::balance_from_transfers;
-use at_model::{AccountId, Amount, CodecError, OwnerMap, ProcessId, SeqNo, Transfer};
+use at_model::{AccountId, Amount, OwnerMap, ProcessId, SeqNo, Transfer, TransferMsg};
 use at_net::{Actor, Context};
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The payload broadcast for one sequenced transfer.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct KPayload {
-    /// The transfer (its `seq` field is the originator's submission
-    /// nonce; the *account* sequence number travels in the broadcast
-    /// envelope).
-    pub transfer: Transfer,
-    /// Incoming transfers credited to the source account since its last
-    /// outgoing transfer.
-    pub deps: Vec<Transfer>,
-}
-
-impl Encode for KPayload {
-    fn encode(&self, w: &mut Writer) {
-        self.transfer.encode(w);
-        self.deps.encode(w);
-    }
-}
-
-impl Decode for KPayload {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(KPayload {
-            transfer: Transfer::decode(r)?,
-            deps: Vec::<Transfer>::decode(r)?,
-        })
-    }
-}
+/// The payload broadcast for one sequenced transfer: Figure 4's
+/// `[(a,b,x,s), deps]` message, where the transfer's `seq` field is the
+/// originator's submission nonce (the *account* sequence number travels
+/// in the broadcast envelope) and `deps` are the incoming transfers
+/// credited to the source account since its last outgoing transfer.
+pub type KPayload = TransferMsg;
 
 /// Wire messages of the `k`-shared system.
 #[derive(Clone, Debug, PartialEq)]

@@ -10,7 +10,8 @@
 //!   `tests/tests/figure4_oracle.rs` replays every replica's delivery
 //!   sequence into a fresh [`TransferState`] and holds the two to the
 //!   same applied sets, balances and sequence numbers. The wire payload
-//!   ([`TransferMsg`]) is the one type both share;
+//!   both consume ([`TransferMsg`]) lives in at-model and is re-exported
+//!   here, so the runtime does not link its own oracle;
 //! * [`kshared`] — the Section 6 extension: per-account owner-group BFT
 //!   sequencing plus account-order broadcast, giving `k`-shared accounts
 //!   whose compromise can block only themselves.

@@ -30,8 +30,7 @@ use crate::config::EngineConfig;
 use crate::replica::{EngineEvent, EnginePayload, ShardedReplica};
 use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::Batch;
-use at_core::figure4::TransferMsg;
-use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
+use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer, TransferMsg};
 use at_net::{Actor, Context};
 
 /// Internal state shared by the attacking variants.

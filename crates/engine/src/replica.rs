@@ -65,8 +65,7 @@ use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::types::{Delivery, Outgoing, Step};
 use at_broadcast::{Batch, Batcher};
-use at_core::figure4::TransferMsg;
-use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
+use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer, TransferMsg};
 use at_net::{Actor, Context};
 use at_obs::{Recorder, Stage, TraceCtx, TraceEventKind, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

@@ -38,7 +38,7 @@ pub enum ShardError {
 ///
 /// Balances reflect every applied transfer immediately (the
 /// "eventually included" view of Definition 1 — see
-/// [`at_core::figure4::TransferState::observed_balance`] for the
+/// `at_core::figure4::TransferState::observed_balance` for the
 /// correspondence with the Figure 4 reference, which
 /// `tests/tests/figure4_oracle.rs` holds account by account).
 #[derive(Clone, Debug)]

@@ -50,7 +50,6 @@ pub mod codec;
 pub mod error;
 pub mod history;
 pub mod ids;
-pub mod multi;
 pub mod owner;
 pub mod spec;
 pub mod transfer;
@@ -60,7 +59,6 @@ pub use codec::{Decode, Encode, Reader, Writer};
 pub use error::{CodecError, TransferError};
 pub use history::{Event, History, OpId, Operation, Response};
 pub use ids::{AccountId, Amount, ProcessId, Round, SeqNo};
-pub use multi::MultiTransfer;
 pub use owner::OwnerMap;
 pub use spec::Ledger;
-pub use transfer::{Transfer, TransferId};
+pub use transfer::{Transfer, TransferId, TransferMsg};

@@ -159,40 +159,6 @@ impl Ledger {
         self.transfer(tx.originator, tx.source, tx.destination, tx.amount)
     }
 
-    /// Moves funds without an ownership check — used internally by the
-    /// pre-validated multi-transfer extension (`crate::multi`), never
-    /// exposed publicly.
-    ///
-    /// # Errors
-    ///
-    /// [`TransferError::InsufficientBalance`] or
-    /// [`TransferError::UnknownAccount`] when the move is impossible.
-    pub(crate) fn force_move(
-        &mut self,
-        source: AccountId,
-        destination: AccountId,
-        amount: Amount,
-    ) -> Result<(), TransferError> {
-        if !self.balances.contains_key(&source) {
-            return Err(TransferError::UnknownAccount { account: source });
-        }
-        if !self.balances.contains_key(&destination) {
-            return Err(TransferError::UnknownAccount {
-                account: destination,
-            });
-        }
-        let balance = self.read(source);
-        if balance < amount {
-            return Err(TransferError::InsufficientBalance {
-                account: source,
-                balance,
-                requested: amount,
-            });
-        }
-        self.apply_unchecked(source, destination, amount);
-        Ok(())
-    }
-
     fn apply_unchecked(&mut self, source: AccountId, destination: AccountId, amount: Amount) {
         // Self-transfers leave q unchanged, matching Δ where
         // q'(a) = q(a) - x + x.

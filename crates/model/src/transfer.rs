@@ -191,6 +191,33 @@ impl Decode for Transfer {
     }
 }
 
+/// The payload a process broadcasts for one transfer: the transfer plus
+/// its dependencies (`[(a,b,x,s), deps]` of Figure 4, line 4).
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct TransferMsg {
+    /// The transfer; its `seq` field carries `seq[p] + 1`.
+    pub transfer: Transfer,
+    /// Incoming transfers the sender applied since its last outgoing
+    /// transfer — they must be applied before `transfer`.
+    pub deps: Vec<Transfer>,
+}
+
+impl Encode for TransferMsg {
+    fn encode(&self, w: &mut Writer) {
+        self.transfer.encode(w);
+        self.deps.encode(w);
+    }
+}
+
+impl Decode for TransferMsg {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(TransferMsg {
+            transfer: Transfer::decode(r)?,
+            deps: Vec::<Transfer>::decode(r)?,
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -24,16 +24,10 @@ pub struct Client {
     buffer: FrameBuffer,
     next_id: u64,
     outstanding: u64,
-    /// Stats responses that arrived while waiting for operation
-    /// responses (pipelining can interleave them); consumed by
-    /// [`Client::stats`].
-    pending_stats: Vec<(u64, Snapshot)>,
-    /// Trace responses that arrived while waiting for operation
-    /// responses; consumed by [`Client::trace`].
-    pending_traces: Vec<(u64, TraceLog)>,
-    /// Snapshot chunks that arrived while waiting for operation
-    /// responses; consumed by [`Client::snapshot_chunk`].
-    pending_chunks: Vec<SnapshotSlice>,
+    /// Stats, trace and snapshot frames that arrived while waiting for
+    /// operation responses (pipelining can interleave them), until the
+    /// [`Client::round_trip`] that asked claims each by its request id.
+    stash: Vec<Frame>,
 }
 
 /// One slice of a node's encoded [`at_engine::LedgerSnapshot`], as
@@ -59,8 +53,8 @@ pub struct SnapshotSlice {
 enum Incoming {
     /// An operation (transfer / read) response.
     Op(ClientResponse),
-    /// A stats, trace, or snapshot frame, stashed in the matching
-    /// pending list for its accessor to claim.
+    /// A stats, trace, or snapshot frame, stashed for the round trip
+    /// that asked for it to claim.
     Stashed,
     /// The deadline passed with nothing decoded.
     Timeout,
@@ -78,9 +72,7 @@ impl Client {
             buffer: FrameBuffer::new(),
             next_id: 0,
             outstanding: 0,
-            pending_stats: Vec::new(),
-            pending_traces: Vec::new(),
-            pending_chunks: Vec::new(),
+            stash: Vec::new(),
         })
     }
 
@@ -147,36 +139,11 @@ impl Client {
                     }
                     return Ok(Incoming::Op(response));
                 }
-                Ok(Some(Frame::StatsResponse { id, snapshot })) => {
-                    self.pending_stats.push((id, snapshot));
+                Ok(Some(frame)) if reply_id(&frame).is_some() => {
+                    self.stash.push(frame);
                     return Ok(Incoming::Stashed);
                 }
-                Ok(Some(Frame::TraceResponse { id, log })) => {
-                    self.pending_traces.push((id, log));
-                    return Ok(Incoming::Stashed);
-                }
-                Ok(Some(Frame::SnapshotChunk {
-                    id,
-                    offset,
-                    total,
-                    digest,
-                    bytes,
-                })) => {
-                    self.pending_chunks.push(SnapshotSlice {
-                        id,
-                        offset,
-                        total,
-                        digest,
-                        bytes,
-                    });
-                    return Ok(Incoming::Stashed);
-                }
-                Ok(Some(_)) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::InvalidData,
-                        "non-response frame from node",
-                    ))
-                }
+                Ok(Some(_)) => return Err(unexpected_frame()),
                 Ok(None) => {}
                 Err(err) => return Err(std::io::Error::new(std::io::ErrorKind::InvalidData, err)),
             }
@@ -202,52 +169,51 @@ impl Client {
         }
     }
 
-    /// Scrapes the node's metric snapshot (a synchronous round trip).
-    /// Pipelined transfer acknowledgements that arrive first are
-    /// consumed and counted, not lost.
-    pub fn stats(&mut self, timeout: Duration) -> std::io::Result<Snapshot> {
+    /// One synchronous non-operation round trip: sends the frame
+    /// `request` makes of a fresh request id, then reads until the
+    /// reply echoing that id is in the stash and returns it. Pipelined
+    /// transfer acknowledgements that arrive first are consumed and
+    /// counted, not lost.
+    fn round_trip(
+        &mut self,
+        request: impl FnOnce(u64) -> Frame,
+        timeout: Duration,
+    ) -> std::io::Result<Frame> {
         let id = self.next_id;
         self.next_id += 1;
-        (&self.stream).write_all(&encode_frame(&Frame::StatsRequest { id }))?;
+        (&self.stream).write_all(&encode_frame(&request(id)))?;
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(at) = self.pending_stats.iter().position(|(got, _)| *got == id) {
-                return Ok(self.pending_stats.swap_remove(at).1);
+            let claimed = |frame: &Frame| reply_id(frame) == Some(id);
+            if let Some(at) = self.stash.iter().position(claimed) {
+                return Ok(self.stash.swap_remove(at));
             }
             if Instant::now() >= deadline {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
-                    "no stats response",
+                    "no reply to a stats, trace or snapshot request",
                 ));
             }
-            // Drains interleaved operation responses; stats responses
-            // land in `pending_stats` for the check above.
+            // Drains interleaved operation responses; the reply lands
+            // in the stash for the check above.
             let _ = self.recv_incoming(deadline)?;
         }
     }
 
+    /// Scrapes the node's metric snapshot (a synchronous round trip).
+    pub fn stats(&mut self, timeout: Duration) -> std::io::Result<Snapshot> {
+        match self.round_trip(|id| Frame::StatsRequest { id }, timeout)? {
+            Frame::StatsResponse { snapshot, .. } => Ok(snapshot),
+            _ => Err(unexpected_frame()),
+        }
+    }
+
     /// Scrapes the node's trace-event ring (a synchronous round trip).
-    /// The log is empty when the node runs without tracing. Pipelined
-    /// transfer acknowledgements that arrive first are consumed and
-    /// counted, not lost.
+    /// The log is empty when the node runs without tracing.
     pub fn trace(&mut self, timeout: Duration) -> std::io::Result<TraceLog> {
-        let id = self.next_id;
-        self.next_id += 1;
-        (&self.stream).write_all(&encode_frame(&Frame::TraceRequest { id }))?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(at) = self.pending_traces.iter().position(|(got, _)| *got == id) {
-                return Ok(self.pending_traces.swap_remove(at).1);
-            }
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "no trace response",
-                ));
-            }
-            // Drains interleaved operation responses; trace responses
-            // land in `pending_traces` for the check above.
-            let _ = self.recv_incoming(deadline)?;
+        match self.round_trip(|id| Frame::TraceRequest { id }, timeout)? {
+            Frame::TraceResponse { log, .. } => Ok(log),
+            _ => Err(unexpected_frame()),
         }
     }
 
@@ -255,30 +221,26 @@ impl Client {
     /// trip): offset 0 makes the node cut a fresh snapshot, `u64::MAX`
     /// probes the header (total length + digest, no body), anything
     /// else resumes an earlier transfer from the node's cached cut.
-    /// Pipelined transfer acknowledgements that arrive first are
-    /// consumed and counted, not lost.
     pub fn snapshot_chunk(
         &mut self,
         offset: u64,
         timeout: Duration,
     ) -> std::io::Result<SnapshotSlice> {
-        let id = self.next_id;
-        self.next_id += 1;
-        (&self.stream).write_all(&encode_frame(&Frame::SnapshotRequest { id, offset }))?;
-        let deadline = Instant::now() + timeout;
-        loop {
-            if let Some(at) = self.pending_chunks.iter().position(|slice| slice.id == id) {
-                return Ok(self.pending_chunks.swap_remove(at));
-            }
-            if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    "no snapshot chunk",
-                ));
-            }
-            // Drains interleaved operation responses; snapshot chunks
-            // land in `pending_chunks` for the check above.
-            let _ = self.recv_incoming(deadline)?;
+        match self.round_trip(|id| Frame::SnapshotRequest { id, offset }, timeout)? {
+            Frame::SnapshotChunk {
+                id,
+                offset,
+                total,
+                digest,
+                bytes,
+            } => Ok(SnapshotSlice {
+                id,
+                offset,
+                total,
+                digest,
+                bytes,
+            }),
+            _ => Err(unexpected_frame()),
         }
     }
 
@@ -357,4 +319,23 @@ impl Client {
             }
         }
     }
+}
+
+/// The request id a stats, trace or snapshot reply echoes; `None` for
+/// every other frame. Ids are drawn from one counter per connection, so
+/// an id names its request whatever the kind.
+fn reply_id(frame: &Frame) -> Option<u64> {
+    match frame {
+        Frame::StatsResponse { id, .. }
+        | Frame::TraceResponse { id, .. }
+        | Frame::SnapshotChunk { id, .. } => Some(*id),
+        _ => None,
+    }
+}
+
+fn unexpected_frame() -> std::io::Error {
+    std::io::Error::new(
+        std::io::ErrorKind::InvalidData,
+        "frame from node answers no request of this client",
+    )
 }

@@ -1,5 +1,11 @@
 //! Cluster helpers: spin up N nodes in one process, over the channel
 //! mesh or real loopback TCP, and wait for convergence.
+//!
+//! Either wiring yields the same cluster value, every node behind its
+//! own [`ClientGateway`], so a driver (a test, `perf`, the at-chaos
+//! runner) talks to a mesh node exactly as to a TCP node. Only
+//! [`TcpCluster::restart_node`] and [`TcpCluster::cold_start_node`]
+//! need sockets between the *peers* and refuse a mesh-wired cluster.
 
 use crate::client::Client;
 use crate::gateway::ClientGateway;
@@ -12,8 +18,8 @@ use at_engine::replica::EnginePayload;
 use at_engine::{LedgerSnapshot, ShardedReplica};
 use at_model::codec::{Decode, Encode};
 use at_model::ProcessId;
-use at_net::transport::FaultInjector;
-use at_obs::Recorder;
+use at_net::transport::{FaultInjector, Transport};
+use at_obs::{Recorder, Stage};
 use std::fmt;
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
@@ -22,7 +28,7 @@ use std::time::{Duration, Instant};
 /// TCP knobs plus the optional chaos attachments.
 #[derive(Clone, Default)]
 pub struct ClusterOptions {
-    /// TCP transport tuning (ignored by mesh clusters).
+    /// TCP transport tuning (unused by mesh-wired clusters).
     pub tcp: TcpOptions,
     /// Nemesis fault injector shared by every node's transport.
     pub faults: Option<FaultInjector>,
@@ -52,14 +58,17 @@ impl ClusterOptions {
     }
 }
 
-/// A running TCP loopback cluster.
+/// A running loopback cluster, its peers wired over TCP
+/// ([`start_tcp_cluster`]) or over the channel mesh
+/// ([`start_mesh_cluster_with`]).
 pub struct TcpCluster<B: SecureBroadcast<EnginePayload>> {
     /// One handle per node, in process order. Entries can be taken
     /// (stopped/restarted) individually.
     pub handles: Vec<Option<NodeHandle<B>>>,
     /// The live peer-address directory (restarted nodes re-register via
     /// [`crate::tcp::Directory::announce`], which purges the superseded
-    /// entry so peers never back off against the dead port).
+    /// entry so peers never back off against the dead port). Empty on a
+    /// mesh-wired cluster, whose peers have no addresses.
     pub directory: PeerDirectory,
     /// The client gateway address of each node.
     pub client_addrs: Vec<SocketAddr>,
@@ -67,8 +76,13 @@ pub struct TcpCluster<B: SecureBroadcast<EnginePayload>> {
     options: ClusterOptions,
 }
 
-/// Starts `n` nodes over in-process channels (no sockets); `make` builds
-/// each node's broadcast backend.
+/// Starts `n` nodes over in-process channels; `make` builds each node's
+/// broadcast backend.
+///
+/// # Panics
+///
+/// Panics when a loopback port for a node's client gateway cannot be
+/// bound ([`start_mesh_cluster_with`] returns that error instead).
 pub fn start_mesh_cluster<B, F>(n: usize, config: NodeConfig, make: F) -> Vec<NodeHandle<B>>
 where
     B: SecureBroadcast<EnginePayload> + 'static,
@@ -76,16 +90,24 @@ where
     F: Fn(ProcessId) -> B,
 {
     start_mesh_cluster_with(n, config, &ClusterOptions::default(), make)
+        .expect("bind loopback client gateways")
+        .handles
+        .into_iter()
+        .flatten()
+        .collect()
 }
 
-/// [`start_mesh_cluster`] with chaos attachments: the mesh links obey
-/// `options.faults` and every node records into `options.probe`.
+/// [`start_mesh_cluster`] as a cluster value, with chaos attachments:
+/// the peers' links are in-process channels obeying `options.faults`
+/// (no sockets, `options.tcp` unused), every node records into
+/// `options.probe`, and each still serves clients on its own TCP
+/// gateway ([`TcpCluster::client_addrs`]).
 pub fn start_mesh_cluster_with<B, F>(
     n: usize,
     config: NodeConfig,
     options: &ClusterOptions,
     make: F,
-) -> Vec<NodeHandle<B>>
+) -> std::io::Result<TcpCluster<B>>
 where
     B: SecureBroadcast<EnginePayload> + 'static,
     B::Msg: Encode + Decode + Send + 'static,
@@ -95,14 +117,22 @@ where
         Some(faults) => channel_mesh_faulty(n, 65_536, faults.clone()),
         None => channel_mesh(n, 65_536),
     };
-    endpoints
-        .into_iter()
-        .enumerate()
-        .map(|(i, mesh)| {
-            let me = ProcessId::new(i as u32);
-            Node::start_probed(me, n, config, make(me), mesh, None, options.probe.clone())
-        })
-        .collect()
+    let mut cluster = TcpCluster {
+        handles: Vec::with_capacity(n),
+        directory: peer_directory(Vec::new()),
+        client_addrs: Vec::with_capacity(n),
+        config,
+        options: options.clone(),
+    };
+    for mesh in endpoints {
+        let me = mesh.me();
+        let (handle, addr) = cluster.spawn_node(mesh, |_| {
+            ShardedReplica::with_backend(me, n, config.initial, config.engine, make(me))
+        })?;
+        cluster.handles.push(Some(handle));
+        cluster.client_addrs.push(addr);
+    }
+    Ok(cluster)
 }
 
 /// Starts `n` nodes over loopback TCP, each with a client gateway;
@@ -139,11 +169,10 @@ where
 }
 
 /// [`start_tcp_cluster`] where each node's backend is built against
-/// that node's own observability [`Recorder`] (see
-/// [`Node::start_instrumented`]): `make` receives the recorder the
-/// node's stage spans feed, so backends wrapped in
-/// [`at_broadcast::auth::ObservedAuth`] meter sign/verify into the
-/// registry served over `Client::stats`.
+/// that node's own observability [`Recorder`] (see [`Node::spawn`]):
+/// `make` receives the recorder the node's stage spans feed, so
+/// backends wrapped in [`at_broadcast::auth::ObservedAuth`] meter
+/// sign/verify into the registry served over `Client::stats`.
 pub fn start_tcp_cluster_instrumented<B, F>(
     n: usize,
     config: NodeConfig,
@@ -179,36 +208,53 @@ where
         peer_addrs.push(listener.local_addr()?);
         listeners.push(listener);
     }
-    let directory = peer_directory(peer_addrs);
-    let mut handles = Vec::with_capacity(n);
-    let mut client_addrs = Vec::with_capacity(n);
-    for (i, listener) in listeners.into_iter().enumerate() {
-        let me = ProcessId::new(i as u32);
-        let transport = TcpTransport::start_with_faults(
-            me,
-            listener,
-            std::sync::Arc::clone(&directory),
-            options.tcp,
-            options.faults.clone(),
-        )?;
-        let gateway = ClientGateway::bind("127.0.0.1:0")?;
-        client_addrs.push(gateway.local_addr()?);
-        handles.push(Some(Node::start_instrumented(
-            me,
-            n,
-            config,
-            |recorder| make(me, recorder),
-            transport,
-            Some(gateway),
-            options.probe.clone(),
-        )));
-    }
-    Ok(TcpCluster {
-        handles,
-        directory,
-        client_addrs,
+    let mut cluster = TcpCluster {
+        handles: Vec::with_capacity(n),
+        directory: peer_directory(peer_addrs),
+        client_addrs: Vec::with_capacity(n),
         config,
         options,
+    };
+    for (i, listener) in listeners.into_iter().enumerate() {
+        let me = ProcessId::new(i as u32);
+        let transport = cluster.tcp_transport(me, listener)?;
+        let (handle, addr) = cluster.spawn_node(transport, |recorder| {
+            let backend = make(me, recorder);
+            ShardedReplica::with_backend(me, n, config.initial, config.engine, backend)
+        })?;
+        cluster.handles.push(Some(handle));
+        cluster.client_addrs.push(addr);
+    }
+    Ok(cluster)
+}
+
+/// Admits downloaded snapshot bytes as the state to boot an `n`-process
+/// replica from: they must decode, carry a digest that matches their
+/// contents and the `attested` one, and hold every process's account —
+/// a shorter ledger would restore, then stall at the first transfer
+/// that names a missing account.
+fn admit_snapshot(bytes: &[u8], attested: u64, n: usize) -> Option<LedgerSnapshot> {
+    let snapshot = at_model::codec::decode::<LedgerSnapshot>(bytes).ok()?;
+    (snapshot.verify() && snapshot.digest == attested && snapshot.balances.len() >= n)
+        .then_some(snapshot)
+}
+
+/// Downloads the snapshot `attested` by `voters` from the first of them
+/// that serves an admissible copy ([`admit_snapshot`]). A voter that
+/// cannot be reached, breaks off mid-transfer or serves other bytes
+/// (each re-cuts at offset 0, so traffic may have moved its state on)
+/// only passes the turn to the next; `None` when none is left.
+fn download_attested(
+    voters: &[SocketAddr],
+    attested: u64,
+    n: usize,
+    chunk_timeout: Duration,
+) -> Option<LedgerSnapshot> {
+    voters.iter().find_map(|&voter| {
+        let bytes = Client::connect(voter)
+            .and_then(|mut client| client.fetch_snapshot(chunk_timeout))
+            .ok()?;
+        admit_snapshot(&bytes, attested, n)
     })
 }
 
@@ -217,6 +263,61 @@ where
     B: SecureBroadcast<EnginePayload> + 'static,
     B::Msg: Encode + Decode + Send + 'static,
 {
+    /// Node `me`'s TCP endpoint on `listener`, dialing through the
+    /// cluster's directory under its fault injector.
+    fn tcp_transport(&self, me: ProcessId, listener: TcpListener) -> std::io::Result<TcpTransport> {
+        TcpTransport::start_with_faults(
+            me,
+            listener,
+            std::sync::Arc::clone(&self.directory),
+            self.options.tcp,
+            self.options.faults.clone(),
+        )
+    }
+
+    /// Spawns one node over `transport` behind a fresh client gateway,
+    /// with the cluster's probe attached.
+    fn spawn_node<T: Transport + 'static>(
+        &self,
+        transport: T,
+        replica: impl FnOnce(&Recorder) -> ShardedReplica<B>,
+    ) -> std::io::Result<(NodeHandle<B>, SocketAddr)> {
+        let gateway = ClientGateway::bind("127.0.0.1:0")?;
+        let addr = gateway.local_addr()?;
+        let probe = self.options.probe.clone();
+        let handle = Node::spawn(self.config, transport, Some(gateway), probe, replica);
+        Ok((handle, addr))
+    }
+
+    /// Brings the stopped node `i` back on fresh ports, its peer
+    /// address announced through the live directory.
+    fn respawn_node(
+        &mut self,
+        i: usize,
+        replica: impl FnOnce(&Recorder) -> ShardedReplica<B>,
+    ) -> std::io::Result<()> {
+        let listener = TcpListener::bind("127.0.0.1:0")?;
+        self.directory.announce(i, listener.local_addr()?);
+        let transport = self.tcp_transport(ProcessId::new(i as u32), listener)?;
+        let (handle, addr) = self.spawn_node(transport, replica)?;
+        self.handles[i] = Some(handle);
+        self.client_addrs[i] = addr;
+        Ok(())
+    }
+
+    /// Checks that node `i` is stopped and that its peers could reach a
+    /// new incarnation of it.
+    fn restartable(&self, i: usize) -> std::io::Result<()> {
+        assert!(self.handles[i].is_none(), "node {i} is still running");
+        if self.directory.is_empty() {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::Unsupported,
+                "a mesh-wired cluster's endpoints cannot be re-wired",
+            ));
+        }
+        Ok(())
+    }
+
     /// Stops node `i` gracefully and returns its warm replica state.
     ///
     /// # Panics
@@ -241,28 +342,17 @@ where
     /// (announced through the live directory; peers reconnect and
     /// replay everything it missed) with a fresh client gateway. Fault
     /// injector and probe attachments carry over.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::Unsupported`] on a mesh-wired cluster.
+    ///
+    /// # Panics
+    ///
+    /// Panics if node `i` is still running.
     pub fn restart_node(&mut self, i: usize, replica: ShardedReplica<B>) -> std::io::Result<()> {
-        assert!(self.handles[i].is_none(), "node {i} is still running");
-        let me = replica.me();
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        self.directory.announce(i, listener.local_addr()?);
-        let transport = TcpTransport::start_with_faults(
-            me,
-            listener,
-            std::sync::Arc::clone(&self.directory),
-            self.options.tcp,
-            self.options.faults.clone(),
-        )?;
-        let gateway = ClientGateway::bind("127.0.0.1:0")?;
-        self.client_addrs[i] = gateway.local_addr()?;
-        self.handles[i] = Some(Node::resume_probed(
-            replica,
-            self.config,
-            transport,
-            Some(gateway),
-            self.options.probe.clone(),
-        ));
-        Ok(())
+        self.restartable(i)?;
+        self.respawn_node(i, |_| replica)
     }
 
     /// Cold-starts node `i` from a **quorum-attested snapshot** instead
@@ -272,19 +362,28 @@ where
     /// The bootstrap probes every running peer's gateway for a snapshot
     /// header and waits until `f + 1` digests agree (`f = (n-1)/3`) —
     /// at least one honest replica then vouches for the state. It
-    /// downloads the snapshot from an attesting peer in resumable
-    /// chunks, verifies the digest over the decoded contents, restores
-    /// a replica with [`ShardedReplica::from_snapshot`], and starts it
-    /// on fresh ports (announced through the directory). Peers replay
-    /// only their unacknowledged outbox suffix — the short log tail —
-    /// and the restored backend floors discard anything behind the
-    /// snapshot, so catch-up work is O(state), not O(history).
+    /// downloads the snapshot from the attesting peers in turn, in
+    /// resumable chunks, until one serves bytes that verify against the
+    /// attested digest and cover all `n` accounts (a peer that fails or
+    /// serves anything else costs only its turn), restores a replica
+    /// with [`ShardedReplica::from_snapshot`], and starts it on fresh
+    /// ports (announced through the directory). Peers replay only their
+    /// unacknowledged outbox suffix — the short log tail — and the
+    /// restored backend floors discard anything behind the snapshot, so
+    /// catch-up work is O(state), not O(history).
     ///
     /// Attestation needs the agreeing digests to describe the same cut,
     /// so this converges once in-flight traffic settles; `timeout`
     /// bounds the wait. The previous incarnation of `i` must have
     /// stopped gracefully (its own broadcast stream quiesced), as with
     /// any restart.
+    ///
+    /// # Errors
+    ///
+    /// [`std::io::ErrorKind::TimedOut`] when no `f + 1` digests agreed
+    /// by the deadline, [`std::io::ErrorKind::InvalidData`] when they
+    /// did but no attesting peer served an admissible snapshot, and
+    /// [`std::io::ErrorKind::Unsupported`] on a mesh-wired cluster.
     ///
     /// # Panics
     ///
@@ -298,75 +397,60 @@ where
     where
         F: FnOnce(ProcessId) -> B,
     {
-        assert!(self.handles[i].is_none(), "node {i} is still running");
+        self.restartable(i)?;
         let catch_up_started = Instant::now();
         let deadline = catch_up_started + timeout;
         let n = self.handles.len();
         let f = (n - 1) / 3;
         let chunk_timeout = Duration::from_secs(10);
-        let peers: Vec<usize> = (0..n)
+        let peers: Vec<SocketAddr> = (0..n)
             .filter(|&j| j != i && self.handles[j].is_some())
+            .map(|j| self.client_addrs[j])
             .collect();
+        let mut attested_once = false;
         let snapshot = loop {
             // One round of header probes across the running peers.
-            let mut votes: Vec<(u64, Vec<usize>)> = Vec::new();
-            for &j in &peers {
-                let Ok(mut client) = Client::connect(self.client_addrs[j]) else {
+            let mut votes: Vec<(u64, Vec<SocketAddr>)> = Vec::new();
+            for &peer in &peers {
+                let Ok(mut client) = Client::connect(peer) else {
                     continue;
                 };
                 let Ok((_, digest)) = client.snapshot_header(chunk_timeout) else {
                     continue;
                 };
                 match votes.iter_mut().find(|(d, _)| *d == digest) {
-                    Some((_, voters)) => voters.push(j),
-                    None => votes.push((digest, vec![j])),
+                    Some((_, voters)) => voters.push(peer),
+                    None => votes.push((digest, vec![peer])),
                 }
             }
             // f+1 matching digests guarantee at least one correct voter.
-            let attested = votes.iter().find(|(_, voters)| voters.len() > f);
-            if let Some((digest, voters)) = attested {
-                // Download from an attesting peer and cross-check the
-                // bytes against the attested digest (the peer re-cuts
-                // at offset 0; a mismatch means traffic moved the state
-                // under us — re-attest).
-                let mut client = Client::connect(self.client_addrs[voters[0]])?;
-                let bytes = client.fetch_snapshot(chunk_timeout)?;
-                if let Ok(snapshot) = at_model::codec::decode::<LedgerSnapshot>(&bytes) {
-                    if snapshot.verify() && snapshot.digest == *digest {
-                        break snapshot;
-                    }
+            if let Some((digest, voters)) = votes.iter().find(|(_, voters)| voters.len() > f) {
+                attested_once = true;
+                if let Some(snapshot) = download_attested(voters, *digest, n, chunk_timeout) {
+                    break snapshot;
                 }
             }
             if Instant::now() >= deadline {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::TimedOut,
-                    format!("no quorum of {} matching snapshot digests", f + 1),
-                ));
+                use std::io::ErrorKind::{InvalidData, TimedOut};
+                return Err(if attested_once {
+                    let why = "no attesting peer served a verified snapshot of every account";
+                    std::io::Error::new(InvalidData, why)
+                } else {
+                    let why = format!("no quorum of {} matching snapshot digests", f + 1);
+                    std::io::Error::new(TimedOut, why)
+                });
             }
             std::thread::sleep(Duration::from_millis(50));
         };
         let me = ProcessId::new(i as u32);
-        let replica = ShardedReplica::from_snapshot(me, n, self.config.engine, make(me), &snapshot);
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        self.directory.announce(i, listener.local_addr()?);
-        let transport = TcpTransport::start_with_faults(
-            me,
-            listener,
-            std::sync::Arc::clone(&self.directory),
-            self.options.tcp,
-            self.options.faults.clone(),
-        )?;
-        let gateway = ClientGateway::bind("127.0.0.1:0")?;
-        self.client_addrs[i] = gateway.local_addr()?;
-        self.handles[i] = Some(Node::resume_bootstrapped(
-            replica,
-            self.config,
-            transport,
-            Some(gateway),
-            self.options.probe.clone(),
-            catch_up_started,
-        ));
-        Ok(())
+        let engine = self.config.engine;
+        self.respawn_node(i, |recorder| {
+            let replica = ShardedReplica::from_snapshot(me, n, engine, make(me), &snapshot);
+            // One `stage_catchup_us` sample per bootstrap: from the
+            // first header probe until the restored replica exists.
+            recorder.record(Stage::CatchUp, catch_up_started.elapsed());
+            replica
+        })
     }
 
     /// The running node handles.
@@ -381,33 +465,6 @@ where
                 handle.stop();
             }
         }
-    }
-}
-
-/// Tuning of a convergence wait (see [`try_await_convergence`]).
-#[derive(Clone, Copy, Debug)]
-pub struct ConvergenceOptions {
-    /// Total time to wait before giving up.
-    pub timeout: Duration,
-    /// Interval between report polls. Under injected delay a cluster
-    /// legitimately converges slowly; a chaos harness stretches both
-    /// knobs instead of flaking on a fixed schedule.
-    pub poll: Duration,
-}
-
-impl ConvergenceOptions {
-    /// The given timeout with the default 20ms poll.
-    pub fn with_timeout(timeout: Duration) -> Self {
-        ConvergenceOptions {
-            timeout,
-            poll: Duration::from_millis(20),
-        }
-    }
-}
-
-impl Default for ConvergenceOptions {
-    fn default() -> Self {
-        ConvergenceOptions::with_timeout(Duration::from_secs(30))
     }
 }
 
@@ -440,20 +497,21 @@ impl fmt::Display for ConvergenceTimeout {
     }
 }
 
-/// Polls `handles` until every replica reports the same ledger digest
-/// twice in a row with empty pending queues (quiescent convergence),
-/// returning the final reports — or the last observed state on timeout.
+/// Polls `handles` every 20 ms until every replica reports the same
+/// ledger digest twice in a row with empty pending queues (quiescent
+/// convergence), returning the final reports — or, after `timeout`, the
+/// last observed state.
 /// (Runtime counters like `applied` are deliberately not compared: they
 /// reset on a warm restart; the digest is the replica-state ground
 /// truth.)
 pub fn try_await_convergence<B>(
     handles: &[&NodeHandle<B>],
-    options: ConvergenceOptions,
+    timeout: Duration,
 ) -> Result<Vec<NodeReport>, ConvergenceTimeout>
 where
     B: SecureBroadcast<EnginePayload>,
 {
-    let deadline = Instant::now() + options.timeout;
+    let deadline = Instant::now() + timeout;
     let mut previous: Option<Vec<NodeReport>> = None;
     loop {
         let reports: Vec<NodeReport> = handles.iter().map(|h| h.report()).collect();
@@ -476,12 +534,11 @@ where
                 divergent,
             });
         }
-        std::thread::sleep(options.poll);
+        std::thread::sleep(Duration::from_millis(20));
     }
 }
 
-/// [`try_await_convergence`] with the default poll interval, collapsing
-/// the diagnostic to `None` — the original fixed-shape helper.
+/// [`try_await_convergence`] with the diagnostic collapsed to `None`.
 pub fn await_convergence<B>(
     handles: &[&NodeHandle<B>],
     timeout: Duration,
@@ -489,5 +546,68 @@ pub fn await_convergence<B>(
 where
     B: SecureBroadcast<EnginePayload>,
 {
-    try_await_convergence(handles, ConvergenceOptions::with_timeout(timeout)).ok()
+    try_await_convergence(handles, timeout).ok()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use at_broadcast::auth::NoAuth;
+    use at_broadcast::echo::EchoBroadcast;
+    use at_engine::EngineConfig;
+    use at_model::{AccountId, Amount, SeqNo};
+
+    #[test]
+    fn download_skips_a_dead_voter_and_takes_the_live_ones_snapshot() {
+        let n = 4;
+        let config = NodeConfig::new(EngineConfig::unsharded(), Amount::new(1_000));
+        let mut cluster = start_tcp_cluster(n, config, TcpOptions::default(), |me| {
+            EchoBroadcast::new(me, n, NoAuth)
+        })
+        .expect("cluster start");
+        let timeout = Duration::from_secs(10);
+        let live = cluster.client_addrs[0];
+        let closed = TcpListener::bind("127.0.0.1:0")
+            .and_then(|listener| listener.local_addr())
+            .expect("a port nobody listens on any more");
+        let (_, attested) = Client::connect(live)
+            .and_then(|mut client| client.snapshot_header(timeout))
+            .expect("header probe");
+
+        let snapshot = download_attested(&[closed, live], attested, n, timeout)
+            .expect("the second voter serves the attested snapshot");
+        assert_eq!(snapshot.digest, attested);
+        assert!(snapshot.verify());
+        assert!(download_attested(&[closed], attested, n, timeout).is_none());
+        assert!(
+            download_attested(&[live], attested ^ 1, n, timeout).is_none(),
+            "bytes under another digest than the attested one were admitted"
+        );
+        cluster.stop_all();
+    }
+
+    #[test]
+    fn a_snapshot_short_of_the_cluster_size_is_refused() {
+        let snapshot_of = |accounts: u32| {
+            LedgerSnapshot::new(
+                (0..accounts)
+                    .map(|i| (AccountId::new(i), Amount::new(100)))
+                    .collect(),
+                vec![SeqNo::ZERO; 4],
+                vec![SeqNo::ZERO; 4],
+            )
+        };
+        // Two accounts under a digest recomputed over them: `verify`
+        // passes and the digest is the attested one, so only the
+        // account count stands between these bytes and `from_snapshot`.
+        let short = snapshot_of(2);
+        assert!(short.verify());
+        let bytes = at_model::codec::encode(&short);
+        assert!(admit_snapshot(&bytes, short.digest, 4).is_none());
+        assert_eq!(admit_snapshot(&bytes, short.digest, 2), Some(short));
+        let full = snapshot_of(4);
+        let bytes = at_model::codec::encode(&full);
+        assert_eq!(admit_snapshot(&bytes, full.digest, 4), Some(full));
+        assert!(admit_snapshot(&bytes[..bytes.len() - 1], 0, 4).is_none());
+    }
 }

@@ -1,128 +1,32 @@
 //! The client-facing TCP listener of a node.
 //!
 //! Clients speak the same frame protocol as peers ([`crate::wire`]) on a
-//! separate listener: a `HelloClient` handshake, then pipelined
-//! `Request` frames in and `Response` frames out. Each accepted
-//! connection gets a reader thread (requests → node loop) and a writer
-//! thread (responses ← node loop, via the connection registry); client
-//! bytes are untrusted, and a malformed stream terminates only its own
+//! separate listener: a `HelloClient` handshake, then pipelined request
+//! frames in and response frames out. Each accepted connection gets a
+//! reader thread, which turns every request frame into the node loop's
+//! own `Command` and queues each socket read's worth in one delivery,
+//! and a writer thread, which encodes the response [`Frame`]s the loop
+//! sends to the connection's channel in the registry — the gateway has
+//! no vocabulary of its own in either direction. Client bytes are
+//! untrusted, and a malformed stream terminates only its own
 //! connection.
 
-use crate::wire::{encode_frame_into, ClientRequest, ClientResponse, Frame, FrameBuffer};
-use at_obs::{Snapshot, TraceLog};
-use std::collections::HashMap;
+use crate::node::{Command, CommandSender, ResponseRegistry};
+use crate::wire::{encode_frame_into, Frame, FrameBuffer};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::channel;
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// An event surfaced to the node loop by the gateway.
-pub(crate) enum GatewayEvent {
-    /// A client sent a request.
-    Request {
-        /// Connection id (routes the response).
-        conn: u64,
-        /// The request.
-        request: ClientRequest,
-        /// When the gateway read the request off the socket — the start
-        /// of the `stage_gateway_us` and `stage_e2e_us` spans.
-        received: Instant,
-    },
-    /// A client asked for the node's metric snapshot.
-    Stats {
-        /// Connection id (routes the response).
-        conn: u64,
-        /// Request id to echo.
-        id: u64,
-    },
-    /// A client asked for the node's trace-event ring.
-    Trace {
-        /// Connection id (routes the response).
-        conn: u64,
-        /// Request id to echo.
-        id: u64,
-    },
-    /// A client (typically a cold-starting peer's bootstrap client)
-    /// asked for a slice of the node's ledger snapshot.
-    Snapshot {
-        /// Connection id (routes the response).
-        conn: u64,
-        /// Request id to echo.
-        id: u64,
-        /// Requested byte offset (`u64::MAX` probes the header only).
-        offset: u64,
-    },
-    /// A client connection ended.
-    Gone {
-        /// Connection id to unregister.
-        conn: u64,
-    },
-}
-
-/// What the node loop sends back to a client connection's writer thread.
-pub(crate) enum ClientDelivery {
-    /// An operation outcome.
-    Response(ClientResponse),
-    /// A metric snapshot answering a [`Frame::StatsRequest`].
-    Stats {
-        /// The request id being answered.
-        id: u64,
-        /// The captured metrics.
-        snapshot: Snapshot,
-    },
-    /// A trace log answering a [`Frame::TraceRequest`].
-    Trace {
-        /// The request id being answered.
-        id: u64,
-        /// The captured trace ring (empty when tracing is disabled).
-        log: TraceLog,
-    },
-    /// A snapshot slice answering a [`Frame::SnapshotRequest`].
-    SnapshotChunk {
-        /// The request id being answered.
-        id: u64,
-        /// Byte offset of `bytes` within the encoded snapshot.
-        offset: u64,
-        /// Total encoded snapshot length.
-        total: u64,
-        /// Digest of the snapshot being served.
-        digest: u64,
-        /// The slice itself (empty on a header probe).
-        bytes: Vec<u8>,
-    },
-}
-
-impl ClientDelivery {
-    fn into_frame(self) -> Frame {
-        match self {
-            ClientDelivery::Response(response) => Frame::Response(response),
-            ClientDelivery::Stats { id, snapshot } => Frame::StatsResponse { id, snapshot },
-            ClientDelivery::Trace { id, log } => Frame::TraceResponse { id, log },
-            ClientDelivery::SnapshotChunk {
-                id,
-                offset,
-                total,
-                digest,
-                bytes,
-            } => Frame::SnapshotChunk {
-                id,
-                offset,
-                total,
-                digest,
-                bytes,
-            },
-        }
-    }
-}
 
 /// Largest coalesced response burst the client writer assembles before
 /// issuing a write syscall.
 const MAX_RESPONSE_BURST: usize = 64 * 1024;
 
-/// A bound-but-not-yet-serving client listener; pass to `Node::start`.
+/// A bound-but-not-yet-serving client listener; pass to
+/// [`crate::Node::spawn`].
 pub struct ClientGateway {
     listener: TcpListener,
 }
@@ -157,14 +61,13 @@ impl ClientGateway {
     }
 
     /// Starts serving: accepts client connections, registers their
-    /// response channels in `registry`, and forwards requests through
-    /// `deliver` — called with everything one socket read held, which
-    /// it takes (leaving the vector empty).
+    /// response channels in `registry`, and queues their requests on
+    /// `commands`.
     pub(crate) fn run(
         self,
         conn_counter: Arc<AtomicU64>,
-        registry: Arc<Mutex<HashMap<u64, Sender<ClientDelivery>>>>,
-        deliver: impl Fn(&mut Vec<GatewayEvent>) + Send + Clone + 'static,
+        registry: ResponseRegistry,
+        commands: CommandSender,
     ) -> GatewayStop {
         let flag = Arc::new(AtomicBool::new(false));
         let addr = self
@@ -181,7 +84,7 @@ impl ClientGateway {
                     }
                     let Ok(stream) = stream else { continue };
                     let conn = conn_counter.fetch_add(1, Ordering::Relaxed);
-                    let (tx, rx) = channel::<ClientDelivery>();
+                    let (tx, rx) = channel::<Frame>();
                     registry.lock().expect("registry poisoned").insert(conn, tx);
                     // Writer: responses out. Exits when the registry
                     // entry is removed (channel disconnects) or the
@@ -195,14 +98,12 @@ impl ClientGateway {
                                 // the same buffer — one write syscall
                                 // flushes a whole burst of responses.
                                 let mut wire = Vec::new();
-                                'conn: while let Ok(delivery) = rx.recv() {
+                                'conn: while let Ok(frame) = rx.recv() {
                                     wire.clear();
-                                    encode_frame_into(&delivery.into_frame(), &mut wire);
+                                    encode_frame_into(&frame, &mut wire);
                                     while wire.len() < MAX_RESPONSE_BURST {
                                         match rx.try_recv() {
-                                            Ok(delivery) => {
-                                                encode_frame_into(&delivery.into_frame(), &mut wire)
-                                            }
+                                            Ok(frame) => encode_frame_into(&frame, &mut wire),
                                             Err(_) => break,
                                         }
                                     }
@@ -214,13 +115,13 @@ impl ClientGateway {
                             });
                     }
                     // Reader: requests in.
-                    let deliver = deliver.clone();
+                    let commands = commands.clone();
                     let reader_flag = Arc::clone(&accept_flag);
                     let _ = std::thread::Builder::new()
                         .name("at-node-client-reader".into())
                         .spawn(move || {
-                            client_reader(stream, conn, &deliver, &reader_flag);
-                            deliver(&mut vec![GatewayEvent::Gone { conn }]);
+                            client_reader(stream, conn, &commands, &reader_flag);
+                            let _ = commands.send(Command::ClientGone { conn });
                         });
                 }
             })
@@ -231,12 +132,7 @@ impl ClientGateway {
 
 /// Reads one client connection until EOF, error, malformed input, or
 /// gateway shutdown.
-fn client_reader(
-    stream: TcpStream,
-    conn: u64,
-    deliver: &impl Fn(&mut Vec<GatewayEvent>),
-    shutdown: &AtomicBool,
-) {
+fn client_reader(stream: TcpStream, conn: u64, commands: &CommandSender, shutdown: &AtomicBool) {
     if stream.set_nodelay(true).is_err()
         || stream
             .set_read_timeout(Some(Duration::from_millis(200)))
@@ -250,31 +146,33 @@ fn client_reader(
     // Everything the last read held goes to the node loop in one
     // delivery (one wake-up), so a pipelined burst reaches the batcher
     // whole.
-    let mut events = Vec::new();
+    let mut burst = Vec::new();
     loop {
         let healthy = loop {
-            events.push(match buffer.next_frame() {
+            burst.push(match buffer.next_frame() {
                 Ok(Some(Frame::HelloClient)) if !greeted => {
                     greeted = true;
                     continue;
                 }
-                Ok(Some(Frame::Request(request))) if greeted => GatewayEvent::Request {
+                Ok(Some(Frame::Request(request))) if greeted => Command::Request {
                     conn,
                     request,
+                    // Start of the `stage_gateway_us` and
+                    // `stage_e2e_us` spans.
                     received: Instant::now(),
                 },
-                Ok(Some(Frame::StatsRequest { id })) if greeted => GatewayEvent::Stats { conn, id },
-                Ok(Some(Frame::TraceRequest { id })) if greeted => GatewayEvent::Trace { conn, id },
+                Ok(Some(Frame::StatsRequest { id })) if greeted => Command::Stats { conn, id },
+                Ok(Some(Frame::TraceRequest { id })) if greeted => Command::Trace { conn, id },
                 Ok(Some(Frame::SnapshotRequest { id, offset })) if greeted => {
-                    GatewayEvent::Snapshot { conn, id, offset }
+                    Command::Snapshot { conn, id, offset }
                 }
                 Ok(None) => break true,
                 // Protocol violation or malformed stream.
                 Ok(Some(_)) | Err(_) => break false,
             });
         };
-        if !events.is_empty() {
-            deliver(&mut events);
+        if !burst.is_empty() {
+            let _ = commands.send_all(burst.drain(..));
         }
         if !healthy || shutdown.load(Ordering::Relaxed) {
             return;

@@ -17,14 +17,19 @@
 //!   dedup — the reliable channel the protocols assume (the per-link
 //!   protocol state, including when an acknowledgement is owed, is the
 //!   private sans-I/O `link` module);
-//! * [`node`] — the [`Node`] event loop: drains transport frames,
-//!   client requests, and wall-clock batch timers into the replica
-//!   through a detached [`at_net::Context`], blocking in one place
-//!   until the next frame, command or deadline (nothing is polled);
+//! * [`node`] — the [`Node`] event loop ([`Node::spawn`]): drains
+//!   transport frames, wall-clock batch timers and one command type
+//!   (every client request, from a gateway or an in-process
+//!   [`LocalClient`] alike) into the replica through a detached
+//!   [`at_net::Context`], blocking in one place until the next frame,
+//!   command or deadline (nothing is polled); answers clients with
+//!   wire [`Frame`]s and keeps its counts in the node's metric registry;
 //! * [`gateway`] / [`client`] — the client side: a per-node TCP
-//!   gateway, and a pipelining [`Client`] library with
-//!   acknowledgement tracking;
-//! * [`cluster`] — N-node loopback clusters (mesh or TCP) and the
+//!   gateway (readers queue the loop's commands, writers encode its
+//!   frames), and a pipelining [`Client`] library with acknowledgement
+//!   tracking;
+//! * [`cluster`] — N-node loopback clusters (peers over the mesh or
+//!   TCP, every node behind a client gateway) and the
 //!   [`await_convergence`] poll used by tests and the `perf` benchmark;
 //! * [`probe`] — the shared [`EventProbe`] recorder that turns a live
 //!   cluster run into the same checkable event stream the simulator
@@ -51,7 +56,7 @@ pub use client::{Client, SnapshotSlice};
 pub use cluster::{
     await_convergence, start_mesh_cluster, start_mesh_cluster_with, start_tcp_cluster,
     start_tcp_cluster_instrumented, start_tcp_cluster_with, try_await_convergence, ClusterOptions,
-    ConvergenceOptions, ConvergenceTimeout, TcpCluster,
+    ConvergenceTimeout, TcpCluster,
 };
 pub use gateway::ClientGateway;
 pub use mesh::{channel_mesh, channel_mesh_faulty, ChannelMesh};

@@ -4,13 +4,16 @@
 //! The loop owns the replica and drives it exactly like the simulator
 //! does — through the [`at_net::Actor`] handlers with a detached
 //! [`at_net::Context`] — but with real inputs: peer frames from a
-//! [`Transport`], client requests from a [`ClientGateway`] (or an
-//! in-process [`LocalClient`]), and wall-clock timers for the batch
-//! window. Outputs flow the other way: context sends are encoded and
-//! handed to the transport (self-addressed messages loop back through
-//! the ingest queue, never re-entering the replica mid-handler), armed
-//! timers join a real timer heap, and engine events update counters and
-//! resolve client acknowledgements.
+//! [`Transport`], wall-clock timers for the batch window, and one
+//! `Command` type for everything else — a [`ClientGateway`]'s readers
+//! and an in-process [`LocalClient`] queue the same `Command` for a
+//! transfer, a read, a scrape or a snapshot slice. Outputs flow the
+//! other way: context sends are encoded and handed to the transport
+//! (self-addressed messages loop back through the ingest queue, never
+//! re-entering the replica mid-handler), armed timers join a real timer
+//! heap, engine events update the node's registry counters, and every
+//! answer to a client leaves the loop as the wire [`Frame`] it is (the
+//! gateway's writers encode it, a [`LocalClient`] matches on it).
 //!
 //! # One thread, one place to block
 //!
@@ -23,9 +26,9 @@
 //! earliest armed timer (the batch window), a prune that is due, or —
 //! while stopping — the drain window and the grace deadline. With none
 //! of those it blocks without a timeout. Peer frames end the wait by
-//! arriving; every other input (a client request from the gateway, a
-//! [`NodeHandle`] or [`LocalClient`] call) goes through one sender type
-//! that queues the command and then calls the transport's
+//! arriving; every `Command` (from the gateway, a [`NodeHandle`] or a
+//! [`LocalClient`]) goes through one sender type that queues it and
+//! then calls the transport's
 //! [`at_net::Waker`], so the wait returns at once and the loop drains
 //! its command queue. Nothing is polled: an idle node makes no timed
 //! wake-ups, and a peer frame at low load costs four thread wake-ups
@@ -37,10 +40,11 @@
 //! wait, `node_loop_idle_wakeups_total` those that found no frame, no
 //! command and no due deadline (expected ≈ 0 outside a stop's drain).
 
-use crate::gateway::{ClientDelivery, ClientGateway, GatewayEvent, GatewayStop};
+use crate::gateway::{ClientGateway, GatewayStop};
 use crate::probe::EventProbe;
 use crate::wire::{
-    decode_peer_payload, encode_peer_payload, ClientOp, ClientRequest, ClientResponse, ResponseBody,
+    decode_peer_payload, encode_peer_payload, ClientOp, ClientRequest, ClientResponse, Frame,
+    ResponseBody,
 };
 use at_engine::replica::{EngineEvent, EnginePayload};
 use at_engine::{EngineConfig, ShardedReplica};
@@ -49,7 +53,8 @@ use at_model::{Amount, ProcessId};
 use at_net::transport::{RecvOutcome, Transport};
 use at_net::{Actor, Context, VirtualTime, Waker};
 use at_obs::{
-    Recorder, Registry, Snapshot, Stage, TraceConfig, TraceCtx, TraceEventKind, TraceLog, Tracer,
+    Counter, Recorder, Registry, Snapshot, Stage, TraceConfig, TraceCtx, TraceEventKind, TraceLog,
+    Tracer,
 };
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -137,18 +142,48 @@ pub struct NodeReport {
     pub overflow_dropped: u64,
 }
 
-/// Counters shared between the loop and its handles.
-#[derive(Default)]
-struct NodeStats {
-    committed: AtomicU64,
-    applied: AtomicU64,
-    rejected: AtomicU64,
-    malformed_frames: AtomicU64,
-    lost_ingest: AtomicU64,
+/// The loop's own counts, each resolved once from the node's metric
+/// registry — their one home: the loop increments them where the event
+/// happens, a scrape captures them with the rest of the registry, and
+/// [`NodeHandle`] reads the same cells without asking the loop.
+#[derive(Clone)]
+struct Counters {
+    committed: Arc<Counter>,
+    applied: Arc<Counter>,
+    rejected: Arc<Counter>,
+    malformed_frames: Arc<Counter>,
+    lost_ingest: Arc<Counter>,
+    /// Peer protocol messages fed to the replica.
+    msgs_in: Arc<Counter>,
+    /// Peer protocol messages encoded onto the wire.
+    msgs_out: Arc<Counter>,
+    /// Returns from the loop's blocking wait.
+    wakeups: Arc<Counter>,
+    /// Of those, the ones that found nothing to do.
+    idle_wakeups: Arc<Counter>,
 }
 
-/// Commands into the event loop.
-enum Command {
+impl Counters {
+    fn resolve(obs: &Registry) -> Self {
+        Counters {
+            committed: obs.counter("node_committed_total"),
+            applied: obs.counter("node_applied_total"),
+            rejected: obs.counter("node_rejected_total"),
+            malformed_frames: obs.counter("node_malformed_frames_total"),
+            lost_ingest: obs.counter("node_lost_ingest_total"),
+            msgs_in: obs.counter("node_peer_msgs_in_total"),
+            msgs_out: obs.counter("node_peer_msgs_out_total"),
+            wakeups: obs.counter("node_loop_wakeups_total"),
+            idle_wakeups: obs.counter("node_loop_idle_wakeups_total"),
+        }
+    }
+}
+
+/// Everything but a peer frame and a timer that can make the loop act:
+/// the loop's one input alphabet. The four client kinds are answered
+/// with a [`Frame`] on connection `conn`'s channel in the registry.
+pub(crate) enum Command {
+    /// A transfer or a read.
     Request {
         conn: u64,
         request: ClientRequest,
@@ -156,25 +191,29 @@ enum Command {
         /// of the gateway and end-to-end stage spans.
         received: Instant,
     },
+    /// A scrape of the node's metric registry.
     Stats {
         conn: u64,
         id: u64,
     },
+    /// A scrape of the node's trace-event ring.
     Trace {
         conn: u64,
         id: u64,
     },
+    /// One slice of the node's ledger snapshot (typically asked by a
+    /// cold-starting peer's bootstrap client); `u64::MAX` as the offset
+    /// probes the header only.
     Snapshot {
         conn: u64,
         id: u64,
         offset: u64,
     },
+    /// A client session ended: forget its response channel.
     ClientGone {
         conn: u64,
     },
     Inspect(Sender<NodeReport>),
-    Metrics(Sender<Snapshot>),
-    TraceLog(Sender<TraceLog>),
     SetTimerSkew(u32),
     Stop,
 }
@@ -184,7 +223,7 @@ enum Command {
 /// wake-up. Dropping the last clone wakes the loop too, which then sees
 /// the queue disconnected and winds down.
 #[derive(Clone)]
-struct CommandSender {
+pub(crate) struct CommandSender {
     // Dropped before `hangup` (declaration order), so the wake-up a
     // drop sends finds the queue already disconnected.
     commands: Sender<Command>,
@@ -201,14 +240,14 @@ impl Drop for WakeOnDrop {
 }
 
 impl CommandSender {
-    fn send(&self, command: Command) -> Result<(), SendError<Command>> {
+    pub(crate) fn send(&self, command: Command) -> Result<(), SendError<Command>> {
         self.send_all([command])
     }
 
     /// Queues `commands` in order, then wakes the loop once: a burst
     /// read off one socket costs one wake-up, and the loop finds the
     /// whole burst queued instead of racing its producer.
-    fn send_all(
+    pub(crate) fn send_all(
         &self,
         commands: impl IntoIterator<Item = Command>,
     ) -> Result<(), SendError<Command>> {
@@ -220,26 +259,23 @@ impl CommandSender {
     }
 }
 
-type ResponseRegistry = Arc<Mutex<HashMap<u64, Sender<ClientDelivery>>>>;
+/// Where the loop's answers go: one channel of wire frames per client
+/// session, TCP (drained by the gateway's writer) or in-process.
+pub(crate) type ResponseRegistry = Arc<Mutex<HashMap<u64, Sender<Frame>>>>;
 
 /// A handle to a running [`Node`]: submit work, inspect state, stop it.
 pub struct NodeHandle<B: at_broadcast::SecureBroadcast<EnginePayload>> {
     commands: CommandSender,
-    stats: Arc<NodeStats>,
+    counters: Counters,
     registry: ResponseRegistry,
     conn_counter: Arc<AtomicU64>,
     join: Option<JoinHandle<ShardedReplica<B>>>,
 }
 
 impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
-    /// Own transfers committed so far.
-    pub fn committed(&self) -> u64 {
-        self.stats.committed.load(Ordering::Relaxed)
-    }
-
     /// Transfers applied locally so far (any source).
     pub fn applied(&self) -> u64 {
-        self.stats.applied.load(Ordering::Relaxed)
+        self.counters.applied.get()
     }
 
     /// Fetches a full state report from the loop thread.
@@ -255,38 +291,20 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
         rx.recv().expect("node loop gone")
     }
 
-    /// Fetches the node's [`at_obs`] metric snapshot, built on the loop
-    /// thread so it folds in backend crypto counters and transport
-    /// totals ([`crate::Client::stats`] scrapes the same numbers over
-    /// TCP).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the node loop has already terminated.
-    pub fn metrics(&self) -> Snapshot {
-        let (tx, rx) = channel();
-        self.commands
-            .send(Command::Metrics(tx))
-            .expect("node loop gone");
-        rx.recv().expect("node loop gone")
+    /// Scrapes the node's [`at_obs`] metric snapshot over an in-process
+    /// session ([`LocalClient::stats`]; [`crate::Client::stats`] scrapes
+    /// the same numbers over TCP). `None` when the loop is gone or does
+    /// not answer within `timeout` — chaos post-mortems run against
+    /// half-dead clusters.
+    pub fn metrics(&self, timeout: Duration) -> Option<Snapshot> {
+        self.local_client().stats(timeout)
     }
 
-    /// [`NodeHandle::metrics`] that returns `None` instead of panicking
-    /// when the loop is gone or unresponsive (chaos post-mortems run
-    /// against half-dead clusters).
-    pub fn try_metrics(&self, timeout: Duration) -> Option<Snapshot> {
-        let (tx, rx) = channel();
-        self.commands.send(Command::Metrics(tx)).ok()?;
-        rx.recv_timeout(timeout).ok()
-    }
-
-    /// Scrapes the node's trace-event ring, or `None` when the loop is
-    /// gone or unresponsive. A node started without tracing answers
-    /// with an empty log.
-    pub fn try_trace(&self, timeout: Duration) -> Option<TraceLog> {
-        let (tx, rx) = channel();
-        self.commands.send(Command::TraceLog(tx)).ok()?;
-        rx.recv_timeout(timeout).ok()
+    /// Scrapes the node's trace-event ring ([`LocalClient::trace`]), or
+    /// `None` when the loop is gone or unresponsive. A node started
+    /// without tracing answers with an empty log.
+    pub fn trace(&self, timeout: Duration) -> Option<TraceLog> {
+        self.local_client().trace(timeout)
     }
 
     /// Skews this node's armed timers to `pct` percent of their nominal
@@ -318,7 +336,7 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
     /// Stops the node gracefully: drains in-flight ingest, flushes the
     /// transport outboxes (so peers verifiably hold everything this node
     /// sent), tears the transport down, and returns the replica — warm
-    /// state for a later [`Node::resume_probed`].
+    /// state a later [`Node::spawn`] can resume from.
     pub fn stop(self) -> ShardedReplica<B> {
         self.stop_counted().0
     }
@@ -331,7 +349,6 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
     /// on zero loss across crash/restart cycles need these; the
     /// restarted incarnation starts fresh counters.
     pub fn stop_counted(mut self) -> (ShardedReplica<B>, u64, u64) {
-        let stats = Arc::clone(&self.stats);
         let _ = self.commands.send(Command::Stop);
         let replica = self
             .join
@@ -341,8 +358,8 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
             .expect("node loop panicked");
         (
             replica,
-            stats.lost_ingest.load(Ordering::Relaxed),
-            stats.malformed_frames.load(Ordering::Relaxed),
+            self.counters.lost_ingest.get(),
+            self.counters.malformed_frames.get(),
         )
     }
 }
@@ -352,24 +369,48 @@ pub struct LocalClient {
     conn: u64,
     next_id: u64,
     commands: CommandSender,
-    responses: Receiver<ClientDelivery>,
+    responses: Receiver<Frame>,
 }
 
 impl LocalClient {
+    /// Queues the command `build` makes of `(conn, fresh request id)`
+    /// and returns that id, or `None` when the loop is gone.
+    fn request(&mut self, build: impl FnOnce(u64, u64) -> Command) -> Option<u64> {
+        let id = self.next_id;
+        self.next_id += 1;
+        self.commands.send(build(self.conn, id)).ok().map(|()| id)
+    }
+
+    /// Waits up to `timeout` for the first frame `pick` claims; the
+    /// frames it passes over (a pipelined acknowledgement the caller
+    /// lost interest in, an interleaved scrape) are dropped. `None`
+    /// on timeout, and at once when the loop has exited.
+    fn await_frame<R>(
+        &mut self,
+        timeout: Duration,
+        mut pick: impl FnMut(Frame) -> Option<R>,
+    ) -> Option<R> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let remaining = deadline.checked_duration_since(Instant::now())?;
+            if let Some(picked) = pick(self.responses.recv_timeout(remaining).ok()?) {
+                return Some(picked);
+            }
+        }
+    }
+
     /// Submits a transfer without waiting (pipelined); returns the
     /// request id that the eventual response will echo.
     pub fn submit_transfer(&mut self, destination: at_model::AccountId, amount: Amount) -> u64 {
         let id = self.next_id;
-        self.next_id += 1;
-        let _ = self.commands.send(Command::Request {
-            conn: self.conn,
-            request: ClientRequest {
-                id,
-                op: ClientOp::Transfer {
-                    destination,
-                    amount,
-                },
-            },
+        let op = ClientOp::Transfer {
+            destination,
+            amount,
+        };
+        // A loop that is gone never answers; the caller's wait says so.
+        let _ = self.request(|conn, id| Command::Request {
+            conn,
+            request: ClientRequest { id, op },
             received: Instant::now(),
         });
         id
@@ -377,65 +418,50 @@ impl LocalClient {
 
     /// Reads an account balance (round trip).
     pub fn read(&mut self, account: at_model::AccountId, timeout: Duration) -> Option<Amount> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let _ = self.commands.send(Command::Request {
-            conn: self.conn,
+        let id = self.request(|conn, id| Command::Request {
+            conn,
             request: ClientRequest {
                 id,
                 op: ClientOp::Read { account },
             },
             received: Instant::now(),
-        });
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            match self.responses.recv_timeout(remaining) {
-                Ok(ClientDelivery::Response(ClientResponse {
-                    id: got,
-                    body: ResponseBody::Balance { amount },
-                })) if got == id => return Some(amount),
-                Ok(_) => continue, // a pipelined transfer ack; caller lost interest
-                Err(_) => return None,
-            }
-        }
+        })?;
+        self.await_frame(timeout, |frame| match frame {
+            Frame::Response(ClientResponse {
+                id: got,
+                body: ResponseBody::Balance { amount },
+            }) if got == id => Some(amount),
+            _ => None,
+        })
     }
 
-    /// Fetches the node's metric snapshot (round trip; same numbers as
-    /// [`NodeHandle::metrics`] and the TCP `StatsRequest`).
+    /// Fetches the node's metric snapshot (round trip; the numbers
+    /// behind [`NodeHandle::metrics`] and the TCP `StatsRequest`).
     pub fn stats(&mut self, timeout: Duration) -> Option<Snapshot> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let _ = self.commands.send(Command::Stats {
-            conn: self.conn,
-            id,
-        });
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            match self.responses.recv_timeout(remaining) {
-                Ok(ClientDelivery::Stats { id: got, snapshot }) if got == id => {
-                    return Some(snapshot)
-                }
-                Ok(_) => continue, // a pipelined transfer ack; caller lost interest
-                Err(_) => return None,
-            }
-        }
+        let id = self.request(|conn, id| Command::Stats { conn, id })?;
+        self.await_frame(timeout, |frame| match frame {
+            Frame::StatsResponse { id: got, snapshot } if got == id => Some(snapshot),
+            _ => None,
+        })
     }
 
-    /// Waits up to `timeout` for the next response (any request).
-    /// Interleaved stats snapshots are skipped, not lost to the caller's
-    /// response stream.
+    /// Fetches the node's trace-event ring (round trip; the log behind
+    /// [`NodeHandle::trace`] and the TCP `TraceRequest`).
+    pub fn trace(&mut self, timeout: Duration) -> Option<TraceLog> {
+        let id = self.request(|conn, id| Command::Trace { conn, id })?;
+        self.await_frame(timeout, |frame| match frame {
+            Frame::TraceResponse { id: got, log } if got == id => Some(log),
+            _ => None,
+        })
+    }
+
+    /// Waits up to `timeout` for the next operation response (any
+    /// request).
     pub fn recv_response(&mut self, timeout: Duration) -> Option<ClientResponse> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            match self.responses.recv_timeout(remaining) {
-                Ok(ClientDelivery::Response(response)) => return Some(response),
-                Ok(_) => continue, // interleaved stats/trace scrape
-                Err(_) => return None,
-            }
-        }
+        self.await_frame(timeout, |frame| match frame {
+            Frame::Response(response) => Some(response),
+            _ => None,
+        })
     }
 }
 
@@ -487,7 +513,7 @@ impl PartialOrd for TimerEntry {
 ///
 /// ```
 /// use at_broadcast::bracha::BrachaBroadcast;
-/// use at_engine::EngineConfig;
+/// use at_engine::{EngineConfig, ShardedReplica};
 /// use at_model::{AccountId, Amount, ProcessId};
 /// use at_node::{channel_mesh, Node, NodeConfig, ResponseBody};
 /// use std::time::Duration;
@@ -499,7 +525,10 @@ impl PartialOrd for TimerEntry {
 ///     .enumerate()
 ///     .map(|(i, mesh)| {
 ///         let me = ProcessId::new(i as u32);
-///         Node::start(me, n, config, BrachaBroadcast::new(me, n), mesh, None)
+///         Node::spawn(config, mesh, None, None, |_| {
+///             let backend = BrachaBroadcast::new(me, n);
+///             ShardedReplica::with_backend(me, n, config.initial, config.engine, backend)
+///         })
 ///     })
 ///     .collect();
 ///
@@ -531,117 +560,40 @@ where
     B: at_broadcast::SecureBroadcast<EnginePayload> + 'static,
     B::Msg: Encode + Decode + Send + 'static,
 {
-    /// Starts a fresh node: process `me` of `n`, `backend` carrying its
-    /// broadcasts, `transport` carrying its frames, and an optional TCP
-    /// gateway accepting clients.
-    pub fn start<T: Transport + 'static>(
-        me: ProcessId,
-        n: usize,
-        config: NodeConfig,
-        backend: B,
-        transport: T,
-        gateway: Option<ClientGateway>,
-    ) -> NodeHandle<B> {
-        Node::start_probed(me, n, config, backend, transport, gateway, None)
-    }
-
-    /// [`Node::start`] with an optional cluster [`EventProbe`]: every
-    /// engine event the loop observes is recorded against the probe's
-    /// shared epoch, yielding the history the chaos validators consume.
-    pub fn start_probed<T: Transport + 'static>(
-        me: ProcessId,
-        n: usize,
-        config: NodeConfig,
-        backend: B,
-        transport: T,
-        gateway: Option<ClientGateway>,
-        probe: Option<EventProbe>,
-    ) -> NodeHandle<B> {
-        let replica = ShardedReplica::with_backend(me, n, config.initial, config.engine, backend);
-        Node::resume_probed(replica, config, transport, gateway, probe)
-    }
-
-    /// [`Node::start_probed`] where the backend is built *against the
-    /// node's own observability registry*: `make_backend` receives the
-    /// [`Recorder`] every stage span of this node records into, so a
-    /// backend wrapped in [`at_broadcast::auth::ObservedAuth`] meters
-    /// its sign/verify operations into the same registry the node
-    /// serves over `Client::stats`. (The plain start paths create the
-    /// registry internally, after the backend already exists, which
-    /// makes this wiring impossible from the outside.)
-    pub fn start_instrumented<T, F>(
-        me: ProcessId,
-        n: usize,
-        config: NodeConfig,
-        make_backend: F,
-        transport: T,
-        gateway: Option<ClientGateway>,
-        probe: Option<EventProbe>,
-    ) -> NodeHandle<B>
-    where
-        T: Transport + 'static,
-        F: FnOnce(&Recorder) -> B,
-    {
-        let obs = Registry::new(format!("node {me}"));
-        let backend = make_backend(&obs.recorder());
-        let replica = ShardedReplica::with_backend(me, n, config.initial, config.engine, backend);
-        Node::resume_with_registry(replica, config, transport, gateway, probe, obs)
-    }
-
-    /// [`Node::resume_probed`] for a replica restored from a fetched
-    /// snapshot ([`ShardedReplica::from_snapshot`]): records the cold
-    /// catch-up span — `catch_up_started` (when the snapshot fetch
-    /// began) until now — into the node's registry before serving, so
-    /// `stage_catchup_us` carries one sample per bootstrap.
-    pub fn resume_bootstrapped<T: Transport + 'static>(
-        replica: ShardedReplica<B>,
+    /// Starts the node loop over `transport` (whose [`Transport::me`]
+    /// names the node and labels its metric registry), with an optional
+    /// TCP gateway accepting clients and an optional cluster
+    /// [`EventProbe`] recording every engine event the loop observes.
+    ///
+    /// `replica` supplies the state machine and is handed the
+    /// [`Recorder`] this node's stage spans record into, so one start
+    /// path covers the three ways a node comes up. A **fresh** node
+    /// builds its backend there — one wrapped in
+    /// [`at_broadcast::auth::ObservedAuth`] then meters sign/verify into
+    /// the registry served over `Client::stats` — and returns
+    /// [`ShardedReplica::with_backend`]; a **warm restart** returns the
+    /// replica [`NodeHandle::stop`] handed back; a **cold start**
+    /// returns [`ShardedReplica::from_snapshot`] after recording its
+    /// catch-up span as one `Stage::CatchUp` sample
+    /// ([`crate::TcpCluster::cold_start_node`]).
+    pub fn spawn<T: Transport + 'static>(
         config: NodeConfig,
         transport: T,
         gateway: Option<ClientGateway>,
         probe: Option<EventProbe>,
-        catch_up_started: Instant,
-    ) -> NodeHandle<B> {
-        let obs = Registry::new(format!("node {}", replica.me()));
-        obs.recorder()
-            .record(Stage::CatchUp, catch_up_started.elapsed());
-        Node::resume_with_registry(replica, config, transport, gateway, probe, obs)
-    }
-
-    /// Resumes a node from a warm replica (state preserved across a
-    /// [`NodeHandle::stop`] — the restart path of a crashed-and-repaired
-    /// process), with an optional cluster [`EventProbe`] (a restarted
-    /// node keeps appending to the same recording).
-    pub fn resume_probed<T: Transport + 'static>(
-        replica: ShardedReplica<B>,
-        config: NodeConfig,
-        transport: T,
-        gateway: Option<ClientGateway>,
-        probe: Option<EventProbe>,
-    ) -> NodeHandle<B> {
-        let obs = Registry::new(format!("node {}", replica.me()));
-        Node::resume_with_registry(replica, config, transport, gateway, probe, obs)
-    }
-
-    /// The shared tail of every start/resume path: spin the loop thread
-    /// over `replica`, recording into the given observability registry.
-    fn resume_with_registry<T: Transport + 'static>(
-        replica: ShardedReplica<B>,
-        config: NodeConfig,
-        transport: T,
-        gateway: Option<ClientGateway>,
-        probe: Option<EventProbe>,
-        obs: Registry,
+        replica: impl FnOnce(&Recorder) -> ShardedReplica<B>,
     ) -> NodeHandle<B> {
         let (commands, command_rx) = channel();
         let commands = CommandSender {
             commands,
             hangup: WakeOnDrop(transport.waker()),
         };
-        let stats: Arc<NodeStats> = Arc::default();
         let registry: ResponseRegistry = Arc::default();
         let conn_counter = Arc::new(AtomicU64::new(0));
+        let obs = Registry::new(format!("node {}", transport.me()));
         let recorder = obs.recorder();
-        let mut replica = replica;
+        let counters = Counters::resolve(&obs);
+        let mut replica = replica(&recorder);
         replica.set_recorder(recorder.clone());
         let tracer = config
             .trace
@@ -650,87 +602,51 @@ where
             replica.set_tracer(tracer.clone());
         }
 
-        let gateway_stop = gateway.map(|gateway| {
+        let gateway = gateway.map(|gateway| {
             gateway.run(
                 Arc::clone(&conn_counter),
                 Arc::clone(&registry),
-                commands_adapter(commands.clone()),
+                commands.clone(),
             )
         });
 
-        let loop_stats = Arc::clone(&stats);
-        let loop_registry = Arc::clone(&registry);
+        let node_loop = NodeLoop {
+            replica,
+            transport,
+            config,
+            counters: counters.clone(),
+            registry: Arc::clone(&registry),
+            commands: command_rx,
+            typed: VecDeque::new(),
+            timers: BinaryHeap::new(),
+            pending_acks: HashMap::new(),
+            events: Vec::new(),
+            started: Instant::now(),
+            current_request: None,
+            stopping: false,
+            gateway,
+            probe,
+            invocation_stamp: None,
+            timer_skew_pct: 100,
+            recorder,
+            tracer,
+            batch_pending: VecDeque::new(),
+            broadcast_pending: VecDeque::new(),
+            snapshot_cache: None,
+            next_prune: None,
+        };
         let join = std::thread::Builder::new()
-            .name(format!("at-node-{}-loop", replica.me()))
-            .spawn(move || {
-                let msgs_in = recorder.registry().counter("node_peer_msgs_in_total");
-                let msgs_out = recorder.registry().counter("node_peer_msgs_out_total");
-                let wakeups = recorder.registry().counter("node_loop_wakeups_total");
-                let idle_wakeups = recorder.registry().counter("node_loop_idle_wakeups_total");
-                NodeLoop {
-                    replica,
-                    transport,
-                    config,
-                    stats: loop_stats,
-                    registry: loop_registry,
-                    commands: command_rx,
-                    typed: VecDeque::new(),
-                    timers: BinaryHeap::new(),
-                    pending_acks: HashMap::new(),
-                    events: Vec::new(),
-                    started: Instant::now(),
-                    current_request: None,
-                    stopping: false,
-                    gateway: gateway_stop,
-                    probe,
-                    invocation_stamp: None,
-                    timer_skew_pct: 100,
-                    recorder,
-                    tracer,
-                    msgs_in,
-                    msgs_out,
-                    wakeups,
-                    idle_wakeups,
-                    batch_pending: VecDeque::new(),
-                    broadcast_pending: VecDeque::new(),
-                    snapshot_cache: None,
-                    next_prune: None,
-                }
-                .run()
-            })
+            .name(format!("at-node-{}-loop", node_loop.replica.me()))
+            .spawn(move || node_loop.run())
             .expect("spawn node loop");
 
         NodeHandle {
             commands,
-            stats,
+            counters,
             registry,
             conn_counter,
             join: Some(join),
         }
-    }
-}
-
-/// Adapts the loop's command sender into the gateway's event callback
-/// (which hands over, and empties, everything one socket read held).
-fn commands_adapter(
-    commands: CommandSender,
-) -> impl Fn(&mut Vec<GatewayEvent>) + Send + Clone + 'static {
-    move |events| {
-        let _ = commands.send_all(events.drain(..).map(|event| match event {
-            GatewayEvent::Request {
-                conn,
-                request,
-                received,
-            } => Command::Request {
-                conn,
-                request,
-                received,
-            },
-            GatewayEvent::Stats { conn, id } => Command::Stats { conn, id },
-            GatewayEvent::Trace { conn, id } => Command::Trace { conn, id },
-            GatewayEvent::Snapshot { conn, id, offset } => Command::Snapshot { conn, id, offset },
-            GatewayEvent::Gone { conn } => Command::ClientGone { conn },
-        }));
     }
 }
 
@@ -747,7 +663,7 @@ where
     replica: ShardedReplica<B>,
     transport: T,
     config: NodeConfig,
-    stats: Arc<NodeStats>,
+    counters: Counters,
     registry: ResponseRegistry,
     commands: Receiver<Command>,
     /// Decoded peer messages awaiting the replica (includes self
@@ -780,14 +696,6 @@ where
     /// Causal tracer, when [`NodeConfig::trace`] enabled one (shared
     /// with the replica and its broadcast backend).
     tracer: Option<Tracer>,
-    /// Peer protocol messages fed to the replica (pre-resolved handle).
-    msgs_in: Arc<at_obs::Counter>,
-    /// Peer protocol messages encoded onto the wire (pre-resolved).
-    msgs_out: Arc<at_obs::Counter>,
-    /// Returns from the loop's blocking wait (pre-resolved).
-    wakeups: Arc<at_obs::Counter>,
-    /// Of those, the ones that found nothing to do (pre-resolved).
-    idle_wakeups: Arc<at_obs::Counter>,
     /// Admission instants of own transfers whose batch has not flushed
     /// yet — `Submitted` pushes, `BatchBroadcast` pops its batch's worth
     /// (both events are in admission order, so FIFO matches).
@@ -862,17 +770,16 @@ where
                     } => self.handle_request(conn, request, received),
                     Command::Stats { conn, id } => {
                         let snapshot = self.metrics_snapshot();
-                        self.deliver(conn, ClientDelivery::Stats { id, snapshot });
+                        self.deliver(conn, Frame::StatsResponse { id, snapshot });
                     }
                     Command::Trace { conn, id } => {
-                        let log = self.trace_log();
-                        self.deliver(conn, ClientDelivery::Trace { id, log });
+                        // Empty when tracing is disabled: scraping
+                        // stays a valid no-op either way.
+                        let log = self.tracer.as_ref().map(Tracer::log).unwrap_or_default();
+                        self.deliver(conn, Frame::TraceResponse { id, log });
                     }
                     Command::Snapshot { conn, id, offset } => {
                         self.handle_snapshot(conn, id, offset);
-                    }
-                    Command::TraceLog(reply) => {
-                        let _ = reply.send(self.trace_log());
                     }
                     Command::ClientGone { conn } => {
                         self.registry
@@ -882,9 +789,6 @@ where
                     }
                     Command::Inspect(reply) => {
                         let _ = reply.send(self.report());
-                    }
-                    Command::Metrics(reply) => {
-                        let _ = reply.send(self.metrics_snapshot());
                     }
                     Command::SetTimerSkew(pct) => {
                         self.timer_skew_pct = pct;
@@ -902,7 +806,7 @@ where
             // consumed here too, in arrival order).
             while let Some((from, msg)) = self.typed.pop_front() {
                 last_activity = Instant::now();
-                self.msgs_in.inc();
+                self.counters.msgs_in.inc();
                 self.drive(|replica, ctx| replica.on_message(from, msg, ctx));
                 if self.next_prune.is_none() {
                     self.next_prune = last_activity.checked_add(self.config.prune_interval);
@@ -962,7 +866,7 @@ where
                     while let RecvOutcome::Frame(_) = self.transport.recv_timeout(Duration::ZERO) {
                         lost += 1;
                     }
-                    self.stats.lost_ingest.fetch_add(lost, Ordering::Relaxed);
+                    self.counters.lost_ingest.add(lost);
                     break;
                 }
                 // Not yet idle: wait out the drain window. Idle but
@@ -973,7 +877,7 @@ where
 
             // 6. Block until a frame, a wake-up, or the next deadline.
             if woke_for_nothing {
-                self.idle_wakeups.inc();
+                self.counters.idle_wakeups.inc();
             }
             let deadline = [
                 self.timers.peek().map(|TimerEntry(at, _)| *at),
@@ -987,7 +891,7 @@ where
                 at.saturating_duration_since(Instant::now())
             });
             let outcome = self.transport.recv_timeout(timeout);
-            self.wakeups.inc();
+            self.counters.wakeups.inc();
             woke_for_nothing = outcome == RecvOutcome::TimedOut;
             match outcome {
                 RecvOutcome::Frame(frame) => {
@@ -1007,6 +911,9 @@ where
         if let Some(gateway) = self.gateway.take() {
             gateway.stop();
         }
+        // Nothing is answered from here on: hang up on every session,
+        // so one still waiting for a reply learns it at once.
+        self.registry.lock().expect("registry poisoned").clear();
         self.transport.shutdown();
         self.replica
     }
@@ -1040,9 +947,7 @@ where
         self.recorder.record(Stage::WireDecode, t.elapsed());
         match result {
             Ok(msg) => self.typed.push_back((from, msg)),
-            Err(_) => {
-                self.stats.malformed_frames.fetch_add(1, Ordering::Relaxed);
-            }
+            Err(_) => self.counters.malformed_frames.inc(),
         }
     }
 
@@ -1075,7 +980,7 @@ where
                 let t = Instant::now();
                 let payload = encode_peer_payload(&msg);
                 self.recorder.record(Stage::WireEncode, t.elapsed());
-                self.msgs_out.inc();
+                self.counters.msgs_out.inc();
                 self.transport.send(to, payload);
             }
         }
@@ -1107,19 +1012,13 @@ where
                     }
                 }
                 EngineEvent::Rejected { available, .. } => {
-                    self.stats.rejected.fetch_add(1, Ordering::Relaxed);
+                    self.counters.rejected.inc();
                     if let Some((conn, id, _, _)) = self.current_request.take() {
-                        self.respond(
-                            conn,
-                            ClientResponse {
-                                id,
-                                body: ResponseBody::Rejected { available },
-                            },
-                        );
+                        self.respond(conn, id, ResponseBody::Rejected { available });
                     }
                 }
                 EngineEvent::Completed { transfer } => {
-                    self.stats.committed.fetch_add(1, Ordering::Relaxed);
+                    self.counters.committed.inc();
                     if let Some((conn, id, received, trace)) =
                         self.pending_acks.remove(&transfer.seq.value())
                     {
@@ -1133,19 +1032,11 @@ where
                             }
                         }
                         let t = Instant::now();
-                        self.respond(
-                            conn,
-                            ClientResponse {
-                                id,
-                                body: ResponseBody::Committed { seq: transfer.seq },
-                            },
-                        );
+                        self.respond(conn, id, ResponseBody::Committed { seq: transfer.seq });
                         self.recorder.record(Stage::Ack, t.elapsed());
                     }
                 }
-                EngineEvent::Applied { .. } => {
-                    self.stats.applied.fetch_add(1, Ordering::Relaxed);
-                }
+                EngineEvent::Applied { .. } => self.counters.applied.inc(),
                 EngineEvent::BatchBroadcast { size } => {
                     // Close this batch's admission spans (Submitted and
                     // BatchBroadcast both happen in admission order) and
@@ -1211,59 +1102,33 @@ where
                     // the probe before the client sees the response.
                     self.drive(|replica, ctx| replica.read_op(account, ctx));
                 }
-                self.respond(
-                    conn,
-                    ClientResponse {
-                        id: request.id,
-                        body: ResponseBody::Balance { amount },
-                    },
-                );
+                self.respond(conn, request.id, ResponseBody::Balance { amount });
             }
         }
     }
 
-    fn respond(&self, conn: u64, response: ClientResponse) {
-        self.deliver(conn, ClientDelivery::Response(response));
+    fn respond(&self, conn: u64, id: u64, body: ResponseBody) {
+        self.deliver(conn, Frame::Response(ClientResponse { id, body }));
     }
 
-    fn deliver(&self, conn: u64, delivery: ClientDelivery) {
+    fn deliver(&self, conn: u64, frame: Frame) {
         let registry = self.registry.lock().expect("registry poisoned");
         if let Some(sender) = registry.get(&conn) {
-            let _ = sender.send(delivery);
+            let _ = sender.send(frame);
         }
     }
 
     /// Builds the node's metric snapshot on the loop thread, where the
-    /// backend and transport live: externally-kept totals (backend
-    /// crypto ops, transport frame counts, loop counters) are folded
-    /// into registry counters by monotone delta, then the registry is
-    /// captured.
+    /// replica, backend and transport live: the totals *they* keep
+    /// (prune and drop counts, crypto ops, frame counts) are folded into
+    /// registry counters by monotone delta, then the registry — the
+    /// loop's own counters already in it — is captured.
     fn metrics_snapshot(&self) -> Snapshot {
         let obs = self.recorder.registry();
         let fold = |name: &str, total: u64| {
             let counter = obs.counter(name);
             counter.add(total.saturating_sub(counter.get()));
         };
-        fold(
-            "node_committed_total",
-            self.stats.committed.load(Ordering::Relaxed),
-        );
-        fold(
-            "node_applied_total",
-            self.stats.applied.load(Ordering::Relaxed),
-        );
-        fold(
-            "node_rejected_total",
-            self.stats.rejected.load(Ordering::Relaxed),
-        );
-        fold(
-            "node_malformed_frames_total",
-            self.stats.malformed_frames.load(Ordering::Relaxed),
-        );
-        fold(
-            "node_lost_ingest_total",
-            self.stats.lost_ingest.load(Ordering::Relaxed),
-        );
         fold("engine_pruned_total", self.replica.pruned_total());
         fold(
             "engine_malformed_dropped_total",
@@ -1304,12 +1169,6 @@ where
         obs.snapshot()
     }
 
-    /// Captures the node's trace-event ring (empty when tracing is
-    /// disabled — scraping stays a valid no-op either way).
-    fn trace_log(&self) -> TraceLog {
-        self.tracer.as_ref().map(Tracer::log).unwrap_or_default()
-    }
-
     /// Answers one snapshot-chunk request. Offset 0 and the `u64::MAX`
     /// header probe cut (and cache) a fresh snapshot — probes must
     /// reflect current state for quorum attestation to converge;
@@ -1338,7 +1197,7 @@ where
             .inc();
         self.deliver(
             conn,
-            ClientDelivery::SnapshotChunk {
+            Frame::SnapshotChunk {
                 id,
                 offset,
                 total,
@@ -1352,18 +1211,68 @@ where
         let n = self.transport.n();
         NodeReport {
             node: self.replica.me(),
-            committed: self.stats.committed.load(Ordering::Relaxed),
-            applied: self.stats.applied.load(Ordering::Relaxed),
-            rejected: self.stats.rejected.load(Ordering::Relaxed),
+            committed: self.counters.committed.get(),
+            applied: self.counters.applied.get(),
+            rejected: self.counters.rejected.get(),
             pending: self.replica.pending_count() as u64,
             digest: self.replica.digest(),
             balances: (0..n)
                 .map(|i| self.replica.balance(at_model::AccountId::new(i as u32)))
                 .collect(),
-            malformed_frames: self.stats.malformed_frames.load(Ordering::Relaxed),
+            malformed_frames: self.counters.malformed_frames.get(),
             dropped_frames: self.transport.dropped_frames(),
-            lost_ingest: self.stats.lost_ingest.load(Ordering::Relaxed),
+            lost_ingest: self.counters.lost_ingest.get(),
             overflow_dropped: self.replica.pending_overflow_dropped(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A session with no loop behind it, the loop's end of its command
+    /// queue, and the registry's end of its response channel.
+    fn orphan_session() -> (LocalClient, Receiver<Command>, Sender<Frame>) {
+        let transport = crate::mesh::channel_mesh(1, 1).remove(0);
+        let (commands, command_rx) = channel();
+        let (registered, responses) = channel();
+        let session = LocalClient {
+            conn: 0,
+            next_id: 0,
+            commands: CommandSender {
+                commands,
+                hangup: WakeOnDrop(transport.waker()),
+            },
+            responses,
+        };
+        (session, command_rx, registered)
+    }
+
+    const TIMEOUT: Duration = Duration::from_secs(60);
+
+    #[test]
+    fn a_session_whose_loop_is_gone_answers_none_at_once() {
+        // The registry still holds the session's response sender, so
+        // only the failed send can answer.
+        let (mut session, command_rx, _registered) = orphan_session();
+        drop(command_rx);
+        let started = Instant::now();
+        assert!(session.stats(TIMEOUT).is_none());
+        assert!(session.trace(TIMEOUT).is_none());
+        assert!(session.read(at_model::AccountId::new(0), TIMEOUT).is_none());
+        assert!(started.elapsed() < TIMEOUT / 10, "waited out the timeout");
+    }
+
+    #[test]
+    fn a_session_the_loop_hung_up_on_answers_none_at_once() {
+        // The requests are queued, but the exiting loop cleared the
+        // registry without answering.
+        let (mut session, _command_rx, registered) = orphan_session();
+        drop(registered);
+        let started = Instant::now();
+        assert!(session.stats(TIMEOUT).is_none());
+        assert!(session.trace(TIMEOUT).is_none());
+        assert!(started.elapsed() < TIMEOUT / 10, "waited out the timeout");
     }
 }

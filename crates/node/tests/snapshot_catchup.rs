@@ -15,6 +15,9 @@ use at_node::{
 };
 use std::time::Duration;
 
+/// How long a test waits for a node to answer a metric scrape.
+const SCRAPE: Duration = Duration::from_secs(10);
+
 /// Awaits `client`'s next acknowledgement and requires a commit.
 fn expect_committed(client: &mut LocalClient) {
     let ack = client
@@ -97,7 +100,11 @@ fn cold_start_converges_from_snapshot_plus_suffix() {
     );
 
     // The catch-up stage span recorded exactly one bootstrap sample.
-    let metrics = cluster.handles[3].as_ref().expect("running").metrics();
+    let metrics = cluster.handles[3]
+        .as_ref()
+        .expect("running")
+        .metrics(SCRAPE)
+        .expect("metrics scrape");
     let catch_up = metrics
         .histogram("stage_catchup_us")
         .expect("catch-up histogram registered");
@@ -297,7 +304,10 @@ fn rolling_soak(
         // Every acknowledgement is in; give every node two prune
         // cadences of quiet before reading what it still holds.
         std::thread::sleep(SETTLE);
-        let scrapes: Vec<_> = cluster.running().map(|h| h.metrics()).collect();
+        let scrapes: Vec<_> = cluster
+            .running()
+            .map(|h| h.metrics(SCRAPE).expect("metrics scrape"))
+            .collect();
         let max_of = |read: &dyn Fn(&at_obs::Snapshot) -> Option<u64>| {
             scrapes.iter().filter_map(read).max().unwrap_or(0)
         };
@@ -318,7 +328,7 @@ fn rolling_soak(
     await_convergence(&handles, Duration::from_secs(60)).expect("post-soak convergence");
     let pruned_total = handles
         .iter()
-        .filter_map(|h| h.metrics().counter("engine_pruned_total"))
+        .filter_map(|h| h.metrics(SCRAPE)?.counter("engine_pruned_total"))
         .sum();
     drop(handles);
     cluster.stop_all();

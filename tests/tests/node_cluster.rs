@@ -162,6 +162,121 @@ fn tcp_cluster_converges_and_rejects_double_spend_over_the_wire() {
     cluster.stop_all();
 }
 
+/// Every metric name a scrape carries, pinned from a scrape of a node
+/// built at the commit before the loop's own counts moved into the
+/// registry (same scenario: commits and one rejection on a TCP node).
+const SCRAPE_NAMES: [&str; 39] = [
+    "broadcast_delivered_total",
+    "broadcast_instances",
+    "broadcast_signs_total",
+    "broadcast_verifies_total",
+    "clock_anomalies",
+    "engine_batch_size",
+    "engine_diagnostics_dropped_total",
+    "engine_malformed_dropped_total",
+    "engine_overflow_dropped_total",
+    "engine_pending",
+    "engine_pruned_total",
+    "engine_rejected_total",
+    "node_applied_total",
+    "node_committed_total",
+    "node_loop_idle_wakeups_total",
+    "node_loop_wakeups_total",
+    "node_lost_ingest_total",
+    "node_malformed_frames_total",
+    "node_peer_msgs_in_total",
+    "node_peer_msgs_out_total",
+    "node_rejected_total",
+    "stage_ack_us",
+    "stage_apply_us",
+    "stage_batch_us",
+    "stage_broadcast_us",
+    "stage_catchup_us",
+    "stage_e2e_us",
+    "stage_gateway_us",
+    "stage_sign_us",
+    "stage_verify_us",
+    "stage_wire_decode_us",
+    "stage_wire_encode_us",
+    "transport_acks_out_total",
+    "transport_bytes_in_total",
+    "transport_bytes_out_total",
+    "transport_dropped_frames_total",
+    "transport_frames_in_total",
+    "transport_frames_out_total",
+    "transport_reconnects_total",
+];
+
+/// The loop's counts have one home, the node's metric registry: after
+/// three commits and one rejection the report and all three scrape
+/// routes — TCP client, handle, in-process session — read the same
+/// cells, hold what the client was told, and carry every metric name a
+/// scrape ever carried.
+#[test]
+fn report_and_every_scrape_route_read_the_same_counts() {
+    let n = 4;
+    let mut cluster = start_tcp_cluster(n, node_config(), TcpOptions::default(), |me| {
+        EchoNode::new(me, n, NoAuth)
+    })
+    .expect("cluster");
+    let mut client = Client::connect(cluster.client_addrs[0]).expect("connect");
+    for _ in 0..3 {
+        client
+            .submit_transfer(a(1), Amount::new(2))
+            .expect("submit");
+    }
+    // More than the account ever held: rejected at admission.
+    client
+        .submit_transfer(a(1), Amount::new(5_000))
+        .expect("submit");
+    let (mut committed, mut rejected) = (0, 0);
+    while client.outstanding() > 0 {
+        let response = client
+            .recv_response(Duration::from_secs(20))
+            .expect("io")
+            .expect("ack before timeout");
+        match response.body {
+            ResponseBody::Committed { .. } => committed += 1,
+            ResponseBody::Rejected { .. } => rejected += 1,
+            other => panic!("unexpected outcome: {other:?}"),
+        }
+    }
+    assert_eq!((committed, rejected), (3, 1));
+
+    let handle = cluster.handles[0].as_ref().expect("running");
+    let report = handle.report();
+    assert_eq!(
+        (report.committed, report.applied, report.rejected),
+        (3, 3, 1),
+        "the report lost a count the client saw"
+    );
+    let timeout = Duration::from_secs(5);
+    let scrapes = [
+        ("Client::stats", client.stats(timeout).ok()),
+        ("NodeHandle::metrics", handle.metrics(timeout)),
+        ("LocalClient::stats", handle.local_client().stats(timeout)),
+    ];
+    for (route, scrape) in scrapes {
+        let scrape = scrape.unwrap_or_else(|| panic!("{route} did not answer"));
+        let counters = scrape.counters.iter().map(|metric| metric.name.as_str());
+        let gauges = scrape.gauges.iter().map(|metric| metric.name.as_str());
+        let histograms = scrape.histograms.iter().map(|metric| metric.name.as_str());
+        let mut names: Vec<&str> = counters.chain(gauges).chain(histograms).collect();
+        names.sort_unstable();
+        assert_eq!(names, SCRAPE_NAMES, "{route}: metric names moved");
+        for (name, reported) in [
+            ("node_committed_total", report.committed),
+            ("node_applied_total", report.applied),
+            ("node_rejected_total", report.rejected),
+            ("node_malformed_frames_total", report.malformed_frames),
+            ("node_lost_ingest_total", report.lost_ingest),
+        ] {
+            assert_eq!(scrape.counter(name), Some(reported), "{route}: {name}");
+        }
+    }
+    cluster.stop_all();
+}
+
 /// One transfer of 2 from every running node but `skip`, to an account
 /// that rotates with `wave`. Ack consumption is not needed; commits are
 /// observed via reports.
@@ -374,7 +489,7 @@ fn tcp_restart_traces_merge_across_incarnations() {
     await_convergence(&handles, Duration::from_secs(30)).expect("post-restart convergence");
     let logs: Vec<TraceLog> = handles
         .iter()
-        .map(|h| h.try_trace(Duration::from_secs(5)).expect("trace scrape"))
+        .map(|h| h.trace(Duration::from_secs(5)).expect("trace scrape"))
         .collect();
     drop(handles);
     cluster.stop_all();

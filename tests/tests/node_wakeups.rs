@@ -34,7 +34,9 @@ fn echo(me: ProcessId) -> EchoNode {
 /// `(wake-ups, idle wake-ups, peer messages fed to the replica)`. The
 /// scrape is itself a command, so it adds one wake-up to what it reads.
 fn loop_counters(handle: &NodeHandle<EchoNode>) -> (u64, u64, u64) {
-    let snapshot = handle.metrics();
+    let snapshot = handle
+        .metrics(Duration::from_secs(10))
+        .expect("metrics scrape");
     let counter = |name: &str| {
         snapshot
             .counter(name)
@@ -141,7 +143,12 @@ fn a_delayed_mesh_frame_is_delivered_at_its_deadline_with_nothing_else_happening
     let mut config = node_config();
     config.prune_interval = Duration::MAX;
     let options = ClusterOptions::default().with_faults(faults);
-    let handles = start_mesh_cluster_with(N, config, &options, echo);
+    let handles: Vec<_> = start_mesh_cluster_with(N, config, &options, echo)
+        .expect("cluster")
+        .handles
+        .into_iter()
+        .flatten()
+        .collect();
 
     let started = Instant::now();
     let mut client = handles[0].local_client();
