@@ -7,7 +7,8 @@
 //! simulator (they fill a [`types::Step`] with messages to send and
 //! payloads to deliver). Each backend is a message enum, a per-instance
 //! state and phase handlers over one crate-private instance table (see
-//! [`secure`]):
+//! [`secure`]); the fourth is the consensus baseline the paper compares
+//! against, held to the same contract:
 //!
 //! * [`bracha`] — Bracha's reliable broadcast, the paper's "naive
 //!   quadratic" implementation (reference [10]): 3 rounds, `O(n²)`
@@ -18,9 +19,14 @@
 //! * [`account_order`] — the Section 6 modification whose
 //!   acknowledgement rule enforces per-account sequencing even for
 //!   compromised shared accounts;
+//! * [`pbft`] — a PBFT-style atomic broadcast (reference \[13\]):
+//!   [`PbftReplica`], the three-phase core over any replica group that
+//!   Section 6 reuses as its per-account sequencer, and [`PbftBroadcast`],
+//!   which releases its total order per source and so runs the
+//!   consensus baseline wherever a secure broadcast runs;
 //! * [`auth`] — pluggable signing ([`EdAuth`] real Ed25519 /
 //!   [`NoAuth`] authenticated-channels model);
-//! * [`secure`] — the [`SecureBroadcast`] trait unifying the three
+//! * [`secure`] — the [`SecureBroadcast`] trait unifying the four
 //!   protocols behind one interface (the engine runtime is generic over
 //!   it), plus the [`AccountOrderBackend`] adapter;
 //! * [`types`] — delivery/step plumbing and the [`CryptoOps`]
@@ -53,6 +59,7 @@ pub mod batch;
 pub mod bracha;
 pub mod echo;
 mod instance;
+pub mod pbft;
 pub mod secure;
 pub mod types;
 pub mod wire;
@@ -62,5 +69,6 @@ pub use auth::{Authenticator, BatchVerifyItem, EdAuth, NoAuth, ObservedAuth};
 pub use batch::{Batch, Batcher};
 pub use bracha::{BrachaBroadcast, BrachaMsg};
 pub use echo::{EchoBroadcast, EchoMsg};
+pub use pbft::{PbftBroadcast, PbftMsg, PbftReplica};
 pub use secure::{AccountOrderBackend, SecureBroadcast, TraceExtract};
 pub use types::{CryptoOps, Delivery, Outgoing, Step};

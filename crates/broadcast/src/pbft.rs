@@ -1,5 +1,6 @@
 //! A PBFT-style three-phase atomic broadcast (Castro & Liskov — the
-//! paper's reference [13]).
+//! paper's reference \[13\]), and [`PbftBroadcast`], the adapter that makes
+//! it the fourth [`SecureBroadcast`] backend.
 //!
 //! This is the *consensus-based baseline* of the evaluation in Section 5,
 //! and the per-account sequencing service of Section 6. Replicas order
@@ -19,14 +20,23 @@
 //!
 //! Scope: this baseline reproduces PBFT's *message pattern and round
 //! structure* (what the evaluation measures: 3 one-way delays, `O(n²)`
-//! messages per batch, leader bottleneck). It runs over the simulator's
-//! authenticated channels; view-change messages are not themselves
+//! messages per request, leader bottleneck). It runs over authenticated
+//! channels; view-change messages are not themselves
 //! signature-certified, which is sufficient for the crash-faulty and
 //! performance experiments the baseline participates in (the paper treats
 //! its consensus baseline as a black box).
+//!
+//! A total order is more than secure broadcast asks for: attributed to
+//! their sources, its deliveries satisfy the contract of
+//! [`crate::secure`] (which also says what this backend does *not*
+//! promise). [`PbftBroadcast`] does that attribution, and so the
+//! consensus baseline runs through the same replica, scenarios, explorer
+//! and node loop as the broadcast-based system.
 
-use at_broadcast::types::Step;
-use at_model::ProcessId;
+use crate::instance::InstanceTable;
+use crate::secure::SecureBroadcast;
+use crate::types::{CryptoOps, Step};
+use at_model::{Encode, ProcessId, SeqNo};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 use std::hash::Hash;
@@ -84,7 +94,6 @@ pub enum PbftMsg<R> {
     },
 }
 
-#[derive(Clone)]
 struct Slot<R> {
     batch: Option<Vec<R>>,
     /// View the stored pre-prepare belongs to.
@@ -127,14 +136,14 @@ pub struct PbftReplica<R> {
     slots: BTreeMap<u64, Slot<R>>,
     /// Requests this replica accepted from clients and must see executed.
     pending: Vec<R>,
-    /// Leader-side batch under construction.
-    batch: Vec<R>,
-    batch_size: usize,
     executed: HashSet<R>,
     /// View-change votes per proposed view.
     view_changes: HashMap<u64, ViewChangeVotes<R>>,
     /// Global execution counter (delivery tag).
     execution_index: u64,
+    /// Mutation-testing hook: see [`PbftBroadcast::set_forget_early_votes`].
+    #[cfg(feature = "broken")]
+    forget_early_votes: bool,
 }
 
 impl<R: Request> PbftReplica<R> {
@@ -143,7 +152,7 @@ impl<R: Request> PbftReplica<R> {
     /// # Panics
     ///
     /// Panics when `me` is not a member or the group is empty.
-    pub fn new(me: ProcessId, members: Vec<ProcessId>, batch_size: usize) -> Self {
+    pub fn new(me: ProcessId, members: Vec<ProcessId>) -> Self {
         assert!(!members.is_empty(), "replica group must be non-empty");
         assert!(members.contains(&me), "replica must belong to the group");
         let f = (members.len() - 1) / 3;
@@ -156,22 +165,12 @@ impl<R: Request> PbftReplica<R> {
             next_execute: 1,
             slots: BTreeMap::new(),
             pending: Vec::new(),
-            batch: Vec::new(),
-            batch_size: batch_size.max(1),
             executed: HashSet::new(),
             view_changes: HashMap::new(),
             execution_index: 0,
+            #[cfg(feature = "broken")]
+            forget_early_votes: false,
         }
-    }
-
-    /// The current view number.
-    pub fn view(&self) -> u64 {
-        self.view
-    }
-
-    /// The fault threshold `f`.
-    pub fn fault_threshold(&self) -> usize {
-        self.f
     }
 
     /// The leader of view `view`.
@@ -207,19 +206,14 @@ impl<R: Request> PbftReplica<R> {
         }
         self.pending.push(request.clone());
         if self.is_leader() {
-            self.enqueue_as_leader(request, step);
+            self.propose(request, step);
         } else {
             step.send(self.leader(), PbftMsg::Forward(request));
         }
     }
 
-    /// Leader-side: forces out the batch under construction (the actor
-    /// calls this from a batching timer).
-    pub fn flush(&mut self, step: &mut Step<PbftMsg<R>, (u64, R)>) {
-        if !self.is_leader() || self.batch.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.batch);
+    /// Leader-side: assigns `request` the next slot and proposes it.
+    fn propose(&mut self, request: R, step: &mut Step<PbftMsg<R>, (u64, R)>) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.send_members(
@@ -227,16 +221,9 @@ impl<R: Request> PbftReplica<R> {
             PbftMsg::PrePrepare {
                 view: self.view,
                 seq,
-                batch,
+                batch: vec![request],
             },
         );
-    }
-
-    fn enqueue_as_leader(&mut self, request: R, step: &mut Step<PbftMsg<R>, (u64, R)>) {
-        self.batch.push(request);
-        if self.batch.len() >= self.batch_size {
-            self.flush(step);
-        }
     }
 
     /// Handles a protocol message from `from`.
@@ -252,7 +239,7 @@ impl<R: Request> PbftReplica<R> {
         match msg {
             PbftMsg::Forward(request) => {
                 if self.is_leader() && !self.executed.contains(&request) {
-                    self.enqueue_as_leader(request, step);
+                    self.propose(request, step);
                 }
             }
             PbftMsg::PrePrepare { view, seq, batch } => {
@@ -284,10 +271,18 @@ impl<R: Request> PbftReplica<R> {
         if slot.batch.is_some() && slot.view == view {
             return; // duplicate pre-prepare
         }
-        slot.batch = Some(batch);
+        // A batch from an earlier view takes the votes cast for it along.
+        // With no batch stored, the votes already here are this
+        // proposal's own: `PREPARE`s (and `COMMIT`s) of faster replicas
+        // that overtook the `PRE-PREPARE` on the wire, and they count.
+        let replaced = slot.batch.replace(batch).is_some();
+        #[cfg(feature = "broken")]
+        let replaced = replaced || self.forget_early_votes;
+        if replaced {
+            slot.prepares.clear();
+            slot.commits.clear();
+        }
         slot.view = view;
-        slot.prepares.clear();
-        slot.commits.retain(|_| false);
         let msg = PbftMsg::Prepare { view, seq };
         self.send_members(step, msg);
     }
@@ -349,7 +344,7 @@ impl<R: Request> PbftReplica<R> {
                     self.execution_index += 1;
                     step.deliver(
                         self.me,
-                        at_model::SeqNo::new(self.execution_index),
+                        SeqNo::new(self.execution_index),
                         (self.execution_index, request),
                     );
                 }
@@ -415,7 +410,7 @@ impl<R: Request> PbftReplica<R> {
 
         let msg = PbftMsg::NewView {
             view: new_view,
-            preprepares: preprepares.clone(),
+            preprepares,
         };
         self.send_members(step, msg);
     }
@@ -455,32 +450,15 @@ impl<R: Request> PbftReplica<R> {
             self.send_members(step, msg);
         }
 
-        // Re-inject unexecuted client requests.
-        let pending = self.pending.clone();
-        if self.is_leader() {
-            for request in pending {
-                if !self.executed.contains(&request) {
-                    self.enqueue_as_leader(request, step);
-                }
-            }
-            self.flush(step);
-        } else {
-            for request in pending {
-                if !self.executed.contains(&request) {
-                    step.send(self.leader(), PbftMsg::Forward(request));
-                }
+        // Re-inject the client requests still waiting (`execute_ready`
+        // drops what it executes, so none of them has been).
+        for request in self.pending.clone() {
+            if self.is_leader() {
+                self.propose(request, step);
+            } else {
+                step.send(self.leader(), PbftMsg::Forward(request));
             }
         }
-    }
-
-    /// Number of requests executed so far.
-    pub fn executed_count(&self) -> u64 {
-        self.execution_index
-    }
-
-    /// Whether `request` has been executed here.
-    pub fn has_executed(&self, request: &R) -> bool {
-        self.executed.contains(request)
     }
 }
 
@@ -494,6 +472,119 @@ impl<R: Request> fmt::Debug for PbftReplica<R> {
             self.leader(),
             self.execution_index
         )
+    }
+}
+
+/// What the group orders for [`PbftBroadcast`]: a payload under the
+/// source process and sequence number it is to be delivered as.
+type Sourced<P> = (ProcessId, SeqNo, P);
+
+/// PBFT as a [`SecureBroadcast`] backend (see the [module docs](self)):
+/// one [`PbftReplica`] over all `n` processes orders
+/// `(source, seq, payload)` requests, and the crate's instance table
+/// releases what it executes per source — gaplessly, in sequence order,
+/// exactly once. `set_tracer` and `prune_delivered` stay the trait's
+/// defaults: the table keeps nothing once a stream has no gap, and the
+/// replica's own slots and executed set are not pruned.
+pub struct PbftBroadcast<P> {
+    replica: PbftReplica<Sourced<P>>,
+    table: InstanceTable<ProcessId, (), P>,
+}
+
+impl<P: Request> PbftBroadcast<P> {
+    /// Creates the endpoint for process `me` of `n`; process 0 leads.
+    pub fn new(me: ProcessId, n: usize) -> Self {
+        PbftBroadcast {
+            replica: PbftReplica::new(me, ProcessId::all(n).collect()),
+            table: InstanceTable::new(me, n),
+        }
+    }
+
+    /// **Mutation-testing hook** (`broken` feature only): a pre-prepare
+    /// discards the votes already collected for its slot, as it did
+    /// before the fix in `on_preprepare` — on a link that reorders, a
+    /// replica whose peers' `PREPARE`s overtake the leader's
+    /// `PRE-PREPARE` never prepares the slot and stops executing.
+    #[cfg(feature = "broken")]
+    pub fn set_forget_early_votes(&mut self) {
+        self.replica.forget_early_votes = true;
+    }
+
+    /// Submits every one of `payloads` under this process's next
+    /// sequence number.
+    fn submit<const N: usize>(
+        &mut self,
+        payloads: [P; N],
+        step: &mut Step<PbftMsg<Sourced<P>>, P>,
+    ) -> SeqNo {
+        let (me, seq) = (self.table.me(), self.table.next_seq());
+        let mut native = Step::new();
+        for payload in payloads {
+            self.replica.submit((me, seq, payload), &mut native);
+        }
+        self.absorb(native, step);
+        seq
+    }
+
+    /// Passes the replica's messages on and files what it executed under
+    /// its source. The first copy of a `(source, seq)` wins, at every
+    /// process the same one, because all of them see one order.
+    fn absorb(
+        &mut self,
+        native: Step<PbftMsg<Sourced<P>>, (u64, Sourced<P>)>,
+        step: &mut Step<PbftMsg<Sourced<P>>, P>,
+    ) {
+        step.outgoing.extend(native.outgoing);
+        for delivery in native.deliveries {
+            let (_, (source, seq, payload)) = delivery.payload;
+            self.table.hold(source, seq, payload);
+            while let Some((seq, payload)) = self.table.release(source) {
+                step.deliver(source, seq, payload);
+            }
+        }
+    }
+}
+
+impl<P: Request + Encode + Send> SecureBroadcast<P> for PbftBroadcast<P> {
+    type Msg = PbftMsg<Sourced<P>>;
+
+    fn broadcast(&mut self, payload: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
+        self.submit([payload], step)
+    }
+
+    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, step: &mut Step<Self::Msg, P>) {
+        // Channels are authenticated: a process submits under its own
+        // name only.
+        if matches!(&msg, PbftMsg::Forward((source, ..)) if *source != from) {
+            return;
+        }
+        let mut native = Step::new();
+        self.replica.on_message(from, msg, &mut native);
+        self.absorb(native, step);
+    }
+
+    /// There are no halves to split between: both payloads go to the
+    /// orderer under one sequence number and every process delivers
+    /// whichever the order puts first — one side, the same everywhere,
+    /// where a secure broadcast delivers neither.
+    fn broadcast_split(&mut self, left: P, right: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
+        self.submit([left, right], step)
+    }
+
+    fn instance_count(&self) -> usize {
+        self.table.instance_count()
+    }
+
+    fn delivered_count(&self) -> usize {
+        self.table.delivered_count()
+    }
+
+    fn crypto_ops(&self) -> CryptoOps {
+        CryptoOps::default()
+    }
+
+    fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
+        self.table.set_source_floor(source, floor);
     }
 }
 
@@ -518,10 +609,10 @@ mod tests {
     }
 
     impl Net {
-        fn new(n: usize, batch_size: usize) -> Net {
+        fn new(n: usize) -> Net {
             Net {
                 replicas: (0..n as u32)
-                    .map(|i| PbftReplica::new(p(i), group(n), batch_size))
+                    .map(|i| PbftReplica::new(p(i), group(n)))
                     .collect(),
                 inflight: VecDeque::new(),
                 executed: vec![Vec::new(); n],
@@ -541,12 +632,6 @@ mod tests {
         fn submit(&mut self, at: ProcessId, request: u64) {
             let mut step = Step::new();
             self.replicas[at.as_usize()].submit(request, &mut step);
-            self.absorb(at, step);
-        }
-
-        fn flush(&mut self, at: ProcessId) {
-            let mut step = Step::new();
-            self.replicas[at.as_usize()].flush(&mut step);
             self.absorb(at, step);
         }
 
@@ -570,7 +655,7 @@ mod tests {
 
     #[test]
     fn orders_requests_through_three_phases() {
-        let mut net = Net::new(4, 1);
+        let mut net = Net::new(4);
         net.submit(p(0), 100); // p0 is the leader of view 0
         net.run();
         for i in 0..4 {
@@ -580,7 +665,7 @@ mod tests {
 
     #[test]
     fn requests_submitted_at_followers_are_forwarded() {
-        let mut net = Net::new(4, 1);
+        let mut net = Net::new(4);
         net.submit(p(2), 7);
         net.run();
         for i in 0..4 {
@@ -590,7 +675,7 @@ mod tests {
 
     #[test]
     fn total_order_is_identical_everywhere() {
-        let mut net = Net::new(4, 1);
+        let mut net = Net::new(4);
         for v in [5u64, 6, 7, 8, 9] {
             net.submit(p((v % 4) as u32), v);
         }
@@ -602,28 +687,37 @@ mod tests {
         }
     }
 
+    /// Regression: a `PRE-PREPARE` used to clear its slot's votes, so a
+    /// replica whose peers' `PREPARE`s and `COMMIT`s overtook it never
+    /// prepared the slot and executed nothing from there on.
     #[test]
-    fn batching_groups_requests() {
-        let mut net = Net::new(4, 3);
-        net.submit(p(0), 1);
-        net.submit(p(0), 2);
+    fn votes_that_overtake_the_preprepare_still_count() {
+        let mut net = Net::new(4);
+        net.submit(p(0), 100);
+        // p3's link from the leader is slow: everything else runs to
+        // quiescence first, 2f + 1 PREPAREs and COMMITs reaching p3.
+        let mut late = VecDeque::new();
+        while let Some((from, to, msg)) = net.inflight.pop_front() {
+            if to == p(3) && matches!(msg, PbftMsg::PrePrepare { .. }) {
+                late.push_back((from, to, msg));
+                continue;
+            }
+            let mut step = Step::new();
+            net.replicas[to.as_usize()].on_message(from, msg, &mut step);
+            net.absorb(to, step);
+        }
+        assert_eq!(late.len(), 1);
+        assert!(net.executed[3].is_empty());
+        net.inflight = late;
         net.run();
-        // Batch not full: nothing executed yet.
-        assert!(net.executed[0].is_empty());
-        net.flush(p(0));
-        net.run();
-        assert_eq!(net.executed[0], vec![1, 2]);
-        // A full batch flushes by itself.
-        net.submit(p(0), 3);
-        net.submit(p(0), 4);
-        net.submit(p(0), 5);
-        net.run();
-        assert_eq!(net.executed[0], vec![1, 2, 3, 4, 5]);
+        for i in 0..4 {
+            assert_eq!(net.executed[i], vec![100], "replica {i}");
+        }
     }
 
     #[test]
     fn progress_with_crashed_follower() {
-        let mut net = Net::new(4, 1);
+        let mut net = Net::new(4);
         net.crashed.insert(p(3));
         net.submit(p(0), 11);
         net.run();
@@ -635,7 +729,7 @@ mod tests {
 
     #[test]
     fn leader_crash_recovers_via_view_change() {
-        let mut net = Net::new(4, 1);
+        let mut net = Net::new(4);
         net.crashed.insert(p(0)); // leader of view 0 is dead
         net.submit(p(1), 42); // forwarded to p0, lost
         net.run();
@@ -648,13 +742,13 @@ mod tests {
         // View 1's leader is p1; the pending request was re-injected.
         for i in 1..4 {
             assert_eq!(net.executed[i], vec![42], "replica {i}");
-            assert_eq!(net.replicas[i].view(), 1);
+            assert_eq!(net.replicas[i].view, 1);
         }
     }
 
     #[test]
     fn view_change_preserves_prepared_requests() {
-        let mut net = Net::new(4, 1);
+        let mut net = Net::new(4);
         net.submit(p(0), 9);
         // Run only until prepares are exchanged, then "crash" the leader
         // before commits complete: emulate by dropping all Commit messages
@@ -681,7 +775,7 @@ mod tests {
 
     #[test]
     fn duplicate_submissions_execute_once() {
-        let mut net = Net::new(4, 1);
+        let mut net = Net::new(4);
         net.submit(p(0), 3);
         net.run();
         net.submit(p(0), 3);
@@ -694,7 +788,7 @@ mod tests {
     #[test]
     fn non_member_messages_ignored() {
         let members = vec![p(0), p(1), p(2), p(3)];
-        let mut replica: PbftReplica<u64> = PbftReplica::new(p(0), members, 1);
+        let mut replica: PbftReplica<u64> = PbftReplica::new(p(0), members);
         let mut step = Step::new();
         replica.on_message(
             p(9),
@@ -710,20 +804,18 @@ mod tests {
 
     #[test]
     fn leader_rotation_and_accessors() {
-        let replica: PbftReplica<u64> = PbftReplica::new(p(1), group(4), 1);
+        let replica: PbftReplica<u64> = PbftReplica::new(p(1), group(4));
         assert_eq!(replica.leader_of(0), p(0));
         assert_eq!(replica.leader_of(1), p(1));
         assert_eq!(replica.leader_of(5), p(1));
-        assert_eq!(replica.fault_threshold(), 1);
+        assert_eq!(replica.f, 1);
         assert!(!replica.is_leader());
-        assert_eq!(replica.executed_count(), 0);
-        assert!(!replica.has_executed(&1));
-        assert!(format!("{replica:?}").contains("view=0"));
+        assert!(format!("{replica:?}").contains("view=0, leader=p0, executed=0"));
     }
 
     #[test]
     fn single_replica_group_executes_immediately() {
-        let mut replica: PbftReplica<u64> = PbftReplica::new(p(0), vec![p(0)], 1);
+        let mut replica: PbftReplica<u64> = PbftReplica::new(p(0), vec![p(0)]);
         let mut step = Step::new();
         replica.submit(77, &mut step);
         // Process self-addressed messages until quiescent.

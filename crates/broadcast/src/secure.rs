@@ -18,7 +18,13 @@
 //! * [`AccountOrderBackend`] — the Section 6 account-order broadcast
 //!   specialised to the base topology (account `i` owned by process `i`),
 //!   via a thin adapter that assigns per-account sequence numbers and
-//!   attributes deliveries to the owning process.
+//!   attributes deliveries to the owning process;
+//! * [`PbftBroadcast`](crate::PbftBroadcast) — the consensus baseline: a
+//!   PBFT total order over all processes, released per source. A hop to
+//!   the leader plus 3 one-way delays, `O(n²)` messages, no signatures.
+//!   Atomic broadcast refines secure broadcast, so the contract below
+//!   holds; what it delivers *beyond* the contract is the comparison the
+//!   paper draws.
 //!
 //! # Delivery contract
 //!
@@ -35,7 +41,28 @@
 //! it (INIT/ECHO/READY; SEND/ECHO/FINAL; SEND/gated ACK/FINAL), written
 //! against the crate's one instance table, which owns thresholds, floors,
 //! replay suppression, FIFO release, pruning and the counts below. The
-//! signed backends share one certificate path the same way.
+//! signed backends share one certificate path the same way. The fourth
+//! instance keeps its phases (PRE-PREPARE/PREPARE/COMMIT) in
+//! [`PbftReplica`](crate::PbftReplica), where Section 6 reuses them per
+//! account, and takes from the table only floors, FIFO release and the
+//! counts.
+//!
+//! # What the PBFT backend does not promise
+//!
+//! * **Liveness under loss or leader failure.** Nothing retransmits a
+//!   dropped `PRE-PREPARE`, and this trait has no timer from which to
+//!   call `PbftReplica::on_timeout`: a process that misses one stops
+//!   delivering, a silent leader stops everyone. What *is* delivered
+//!   still obeys the contract.
+//! * **Integrity against a Byzantine orderer.** A leader is trusted with
+//!   what it proposes. Byzantine processes attack through this
+//!   interface, as on every backend; a forwarded request naming another
+//!   source is refused.
+//! * **Neither side of a split.** `broadcast_split` delivers *one* of its
+//!   two payloads, the same everywhere, where the secure broadcasts
+//!   deliver neither. Both are agreement.
+//! * **Bounded state.** `prune_delivered` and `set_tracer` stay the
+//!   defaults below; the replica's slots and executed set only grow.
 
 use crate::account_order::{AccountDelivery, AccountOrderBroadcast, AccountOrderMsg};
 use crate::auth::Authenticator;
@@ -250,6 +277,7 @@ mod tests {
     use crate::auth::{EdAuth, NoAuth};
     use crate::bracha::BrachaBroadcast;
     use crate::echo::EchoBroadcast;
+    use crate::pbft::{PbftBroadcast, PbftMsg};
     use std::collections::VecDeque;
 
     fn p(i: u32) -> ProcessId {
@@ -343,6 +371,10 @@ mod tests {
             .collect()
     }
 
+    fn pbft_system(n: usize) -> Vec<PbftBroadcast<u64>> {
+        (0..n).map(|i| PbftBroadcast::new(p(i as u32), n)).collect()
+    }
+
     fn assert_fifo_everywhere(delivered: &[Vec<Delivery<u64>>], source: u32, values: &[u64]) {
         for (i, view) in delivered.iter().enumerate() {
             let got: Vec<u64> = view
@@ -368,7 +400,59 @@ mod tests {
         let mut echo = echo_system(4);
         assert_fifo_everywhere(&drive(&mut echo, broadcasts.clone()), 0, &[10, 20, 30]);
         let mut account = account_system(4);
-        assert_fifo_everywhere(&drive(&mut account, broadcasts), 0, &[10, 20, 30]);
+        assert_fifo_everywhere(&drive(&mut account, broadcasts.clone()), 0, &[10, 20, 30]);
+        let mut pbft = pbft_system(4);
+        assert_fifo_everywhere(&drive(&mut pbft, broadcasts), 0, &[10, 20, 30]);
+    }
+
+    #[test]
+    fn pbft_releases_its_total_order_per_source() {
+        // Two sources interleaved in the global order, one of them a
+        // follower: each stream still reads 1, 2, … at every process.
+        let mut pbft = pbft_system(4);
+        let delivered = drive(&mut pbft, vec![(2, 7), (0, 10), (2, 8), (0, 20), (2, 9)]);
+        assert_fifo_everywhere(&delivered, 0, &[10, 20]);
+        assert_fifo_everywhere(&delivered, 2, &[7, 8, 9]);
+        for endpoint in &pbft {
+            assert_eq!(endpoint.delivered_count(), 5);
+            assert_eq!(
+                endpoint.instance_count(),
+                0,
+                "nothing held once no gap is open"
+            );
+        }
+        // A cold endpoint told its stream reached 3 resumes at 4.
+        let mut fresh = PbftBroadcast::<u64>::new(p(1), 4);
+        fresh.set_delivery_floor(p(1), SeqNo::new(3));
+        assert_eq!(fresh.broadcast(9, &mut Step::new()), SeqNo::new(4));
+    }
+
+    #[test]
+    fn pbft_split_delivers_one_side_the_same_everywhere() {
+        for source in [0, 2] {
+            let mut pbft = pbft_system(4);
+            let delivered = drive_split(&mut pbft, source, 1, 2);
+            for view in &delivered {
+                assert_eq!(view.len(), 1, "exactly one side of the split");
+                assert_eq!(view[0], delivered[0][0]);
+                assert_eq!(view[0].source, p(source as u32));
+                assert_eq!(view[0].seq, SeqNo::new(1));
+            }
+        }
+    }
+
+    #[test]
+    fn pbft_refuses_a_request_forwarded_under_another_name() {
+        let mut pbft = pbft_system(4);
+        // p2 asks the leader to order a payload as p3's first broadcast.
+        let forged = PbftMsg::Forward((p(3), SeqNo::new(1), 666));
+        let mut step = Step::new();
+        pbft[0].on_message(p(2), forged, &mut step);
+        assert!(step.outgoing.is_empty() && step.deliveries.is_empty());
+        // Under its own name the same request is proposed.
+        let honest = PbftMsg::Forward((p(2), SeqNo::new(1), 666));
+        pbft[0].on_message(p(2), honest, &mut step);
+        assert_eq!(step.outgoing.len(), 4);
     }
 
     #[test]

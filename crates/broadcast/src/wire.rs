@@ -21,6 +21,7 @@
 use crate::account_order::AccountOrderMsg;
 use crate::bracha::BrachaMsg;
 use crate::echo::EchoMsg;
+use crate::pbft::PbftMsg;
 use at_model::codec::{Decode, Encode, Reader, Writer};
 use at_model::{AccountId, CodecError, ProcessId, SeqNo};
 
@@ -224,6 +225,76 @@ impl<P: Decode, S: Decode> Decode for AccountOrderMsg<P, S> {
     }
 }
 
+impl<R: Encode> Encode for PbftMsg<R> {
+    fn encode(&self, w: &mut Writer) {
+        match self {
+            PbftMsg::Forward(request) => {
+                w.put_u8(0);
+                request.encode(w);
+            }
+            PbftMsg::PrePrepare { view, seq, batch } => {
+                w.put_u8(1);
+                view.encode(w);
+                seq.encode(w);
+                batch.encode(w);
+            }
+            PbftMsg::Prepare { view, seq } => {
+                w.put_u8(2);
+                view.encode(w);
+                seq.encode(w);
+            }
+            PbftMsg::Commit { view, seq } => {
+                w.put_u8(3);
+                view.encode(w);
+                seq.encode(w);
+            }
+            PbftMsg::ViewChange { new_view, prepared } => {
+                w.put_u8(4);
+                new_view.encode(w);
+                prepared.encode(w);
+            }
+            PbftMsg::NewView { view, preprepares } => {
+                w.put_u8(5);
+                view.encode(w);
+                preprepares.encode(w);
+            }
+        }
+    }
+}
+
+impl<R: Decode> Decode for PbftMsg<R> {
+    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        match r.take_u8()? {
+            0 => Ok(PbftMsg::Forward(R::decode(r)?)),
+            1 => Ok(PbftMsg::PrePrepare {
+                view: u64::decode(r)?,
+                seq: u64::decode(r)?,
+                batch: Vec::<R>::decode(r)?,
+            }),
+            2 => Ok(PbftMsg::Prepare {
+                view: u64::decode(r)?,
+                seq: u64::decode(r)?,
+            }),
+            3 => Ok(PbftMsg::Commit {
+                view: u64::decode(r)?,
+                seq: u64::decode(r)?,
+            }),
+            4 => Ok(PbftMsg::ViewChange {
+                new_view: u64::decode(r)?,
+                prepared: Vec::<(u64, u64, Vec<R>)>::decode(r)?,
+            }),
+            5 => Ok(PbftMsg::NewView {
+                view: u64::decode(r)?,
+                preprepares: Vec::<(u64, Vec<R>)>::decode(r)?,
+            }),
+            tag => Err(CodecError::InvalidTag {
+                type_name: "PbftMsg",
+                tag,
+            }),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -306,6 +377,44 @@ mod tests {
     }
 
     #[test]
+    fn pbft_messages_roundtrip() {
+        type Request = (ProcessId, SeqNo, Vec<u8>);
+        let request = |byte: u8| (p(1), s(3), vec![byte; 5]);
+        let msgs: Vec<PbftMsg<Request>> = vec![
+            PbftMsg::Forward(request(1)),
+            PbftMsg::PrePrepare {
+                view: 0,
+                seq: 7,
+                batch: vec![request(2)],
+            },
+            PbftMsg::Prepare { view: 1, seq: 8 },
+            PbftMsg::Commit {
+                view: u64::MAX,
+                seq: 9,
+            },
+            PbftMsg::ViewChange {
+                new_view: 2,
+                prepared: vec![(7, 0, vec![request(3)]), (8, 1, vec![])],
+            },
+            PbftMsg::NewView {
+                view: 2,
+                preprepares: vec![(7, vec![request(4), request(5)])],
+            },
+        ];
+        for msg in msgs {
+            let bytes = encode(&msg);
+            let back: PbftMsg<Request> = decode(&bytes).expect("decode");
+            assert_eq!(back, msg);
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode::<PbftMsg<Request>>(&bytes[..cut]).is_err(),
+                    "{msg:?}: prefix of {cut} bytes decoded"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unknown_tags_error() {
         assert!(matches!(
             decode::<BrachaMsg<u64>>(&[9]),
@@ -326,6 +435,13 @@ mod tests {
             Err(CodecError::InvalidTag {
                 type_name: "AccountOrderMsg",
                 tag: 0xFE
+            })
+        ));
+        assert!(matches!(
+            decode::<PbftMsg<u64>>(&[6]),
+            Err(CodecError::InvalidTag {
+                type_name: "PbftMsg",
+                tag: 6
             })
         ));
     }

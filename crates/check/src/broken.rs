@@ -2,8 +2,8 @@
 //! the explorer must catch — the harness's proof of its own teeth.
 //!
 //! A model checker that has never failed might be exploring nothing. CI
-//! therefore runs the explorer against two known-bad backends and asserts
-//! a violation is found:
+//! therefore runs the explorer against three known-bad backends and
+//! asserts a violation is found:
 //!
 //! * [`broken_quorum_echo`] — signed echo with its quorum lowered one
 //!   below the intersection threshold. An equivocating sender can then
@@ -14,9 +14,16 @@
 //! * [`FifoBreaker`] — a wrapper that withholds the first delivery from
 //!   every source and releases it after the second, breaking the
 //!   per-source FIFO contract on any source that broadcasts twice.
+//! * [`vote_forgetting_pbft`] — PBFT as it was before its pre-prepare
+//!   stopped discarding the votes that overtook it: a replica that
+//!   hears `2f + 1` `PREPARE`s before the leader's `PRE-PREPARE` never
+//!   prepares the slot, executes nothing from there on and ends apart
+//!   from the others. LAN jitter never reorders the two; the explorer
+//!   does.
 
 use at_broadcast::auth::NoAuth;
 use at_broadcast::echo::EchoBroadcast;
+use at_broadcast::pbft::PbftBroadcast;
 use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::types::{CryptoOps, Delivery, Step};
 use at_engine::EnginePayload;
@@ -29,6 +36,14 @@ pub fn broken_quorum_echo(me: ProcessId, n: usize) -> EchoBroadcast<EnginePayloa
     let mut endpoint = EchoBroadcast::new(me, n, NoAuth);
     let quorum = endpoint.quorum();
     endpoint.set_quorum_override(quorum.saturating_sub(1));
+    endpoint
+}
+
+/// A PBFT endpoint whose pre-prepare clears its slot's votes
+/// unconditionally (the behaviour before the fix).
+pub fn vote_forgetting_pbft(me: ProcessId, n: usize) -> PbftBroadcast<EnginePayload> {
+    let mut endpoint = PbftBroadcast::new(me, n);
+    endpoint.set_forget_early_votes();
     endpoint
 }
 
@@ -174,8 +189,31 @@ mod tests {
     }
 
     #[test]
+    fn forgotten_pbft_votes_are_caught_by_exploration() {
+        // Any of the three n = 4 scenarios: what matters is a schedule
+        // that hands some replica its peers' PREPAREs first.
+        let budget = ExploreBudget::quick();
+        let violations: Vec<_> = standard_check_scenarios()[2..]
+            .iter()
+            .flat_map(|scenario| {
+                explore(scenario, CheckBackend::BrokenPbftVotes, &budget).violations
+            })
+            .collect();
+        let first = violations
+            .first()
+            .expect("the vote-forgetting mutation escaped the quick budget");
+        println!("{first}");
+        // A wedged replica is a liveness failure, seen as replicas that
+        // ended apart; nothing unsafe was applied anywhere.
+        assert!(violations
+            .iter()
+            .all(|c| c.failure.kind == FailureKind::Divergence));
+    }
+
+    #[test]
     fn broken_backends_carry_distinct_labels() {
         assert_eq!(CheckBackend::BrokenQuorum.label(), "broken-quorum");
         assert_eq!(CheckBackend::BrokenFifo.label(), "broken-fifo");
+        assert_eq!(CheckBackend::BrokenPbftVotes.label(), "broken-pbft-votes");
     }
 }

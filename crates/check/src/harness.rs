@@ -37,6 +37,7 @@ use crate::explorer::{dfs_schedules, format_schedule, random_schedule, CrashPlan
 use at_broadcast::auth::NoAuth;
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::EchoBroadcast;
+use at_broadcast::pbft::PbftBroadcast;
 use at_broadcast::secure::{AccountOrderBackend, SecureBroadcast};
 use at_engine::probe::{
     check_fifo_contract, history_from_events, rejections_locally_justified, TimedEvent,
@@ -173,6 +174,8 @@ pub enum CheckBackend {
     SignedEcho,
     /// The Section 6 account-order broadcast.
     AccountOrder,
+    /// The consensus baseline: PBFT total order released per source.
+    Pbft,
     /// Seeded mutation: signed echo with its quorum one below the
     /// intersection threshold (`broken` feature).
     #[cfg(feature = "broken")]
@@ -181,15 +184,20 @@ pub enum CheckBackend {
     /// violates per-source FIFO (`broken` feature).
     #[cfg(feature = "broken")]
     BrokenFifo,
+    /// Seeded mutation: PBFT whose pre-prepare discards the votes that
+    /// overtook it (`broken` feature).
+    #[cfg(feature = "broken")]
+    BrokenPbftVotes,
 }
 
 impl CheckBackend {
-    /// The three production backends.
+    /// The four production backends.
     pub fn all() -> Vec<CheckBackend> {
         vec![
             CheckBackend::Bracha,
             CheckBackend::SignedEcho,
             CheckBackend::AccountOrder,
+            CheckBackend::Pbft,
         ]
     }
 
@@ -199,10 +207,13 @@ impl CheckBackend {
             CheckBackend::Bracha => "bracha",
             CheckBackend::SignedEcho => "echo",
             CheckBackend::AccountOrder => "acctorder",
+            CheckBackend::Pbft => "pbft",
             #[cfg(feature = "broken")]
             CheckBackend::BrokenQuorum => "broken-quorum",
             #[cfg(feature = "broken")]
             CheckBackend::BrokenFifo => "broken-fifo",
+            #[cfg(feature = "broken")]
+            CheckBackend::BrokenPbftVotes => "broken-pbft-votes",
         }
     }
 }
@@ -226,7 +237,7 @@ pub struct ExploreBudget {
 }
 
 impl ExploreBudget {
-    /// The CI smoke budget: enough schedules that 3 scenarios × 3
+    /// The CI smoke budget: enough schedules that 5 scenarios × 4
     /// backends clear 500 distinct interleavings comfortably.
     pub fn smoke() -> Self {
         ExploreBudget {
@@ -348,6 +359,9 @@ pub fn explore(
         CheckBackend::AccountOrder => explore_with(scenario, backend.label(), budget, |me, n| {
             AccountOrderBackend::new(me, n, NoAuth)
         }),
+        CheckBackend::Pbft => explore_with(scenario, backend.label(), budget, |me, n| {
+            PbftBroadcast::new(me, n)
+        }),
         #[cfg(feature = "broken")]
         CheckBackend::BrokenQuorum => explore_with(scenario, backend.label(), budget, |me, n| {
             crate::broken::broken_quorum_echo(me, n)
@@ -356,6 +370,12 @@ pub fn explore(
         CheckBackend::BrokenFifo => explore_with(scenario, backend.label(), budget, |me, n| {
             crate::broken::FifoBreaker::new(BrachaBroadcast::new(me, n))
         }),
+        #[cfg(feature = "broken")]
+        CheckBackend::BrokenPbftVotes => {
+            explore_with(scenario, backend.label(), budget, |me, n| {
+                crate::broken::vote_forgetting_pbft(me, n)
+            })
+        }
     }
 }
 

@@ -21,8 +21,8 @@
 
 use at_broadcast::account_order::{AccountDelivery, AccountOrderBroadcast, AccountOrderMsg};
 use at_broadcast::auth::Authenticator;
+use at_broadcast::pbft::{PbftMsg, PbftReplica};
 use at_broadcast::types::Step;
-use at_consensus::pbft::{PbftMsg, PbftReplica};
 use at_model::spec::balance_from_transfers;
 use at_model::{AccountId, Amount, OwnerMap, ProcessId, SeqNo, Transfer, TransferMsg};
 use at_net::{Actor, Context};
@@ -113,7 +113,7 @@ impl<A: Authenticator> KSharedReplica<A> {
             .accounts_owned_by(me)
             .map(|account| {
                 let members: Vec<ProcessId> = owners.owners(account).collect();
-                (account, PbftReplica::new(me, members, 1))
+                (account, PbftReplica::new(me, members))
             })
             .collect();
         KSharedReplica {

@@ -13,8 +13,10 @@
 //!   both consume ([`TransferMsg`]) lives in at-model and is re-exported
 //!   here, so the runtime does not link its own oracle;
 //! * [`kshared`] — the Section 6 extension: per-account owner-group BFT
-//!   sequencing plus account-order broadcast, giving `k`-shared accounts
-//!   whose compromise can block only themselves.
+//!   sequencing (one `at_broadcast::PbftReplica` per owner group — the
+//!   same core the engine's consensus baseline runs over all processes)
+//!   plus account-order broadcast, giving `k`-shared accounts whose
+//!   compromise can block only themselves.
 //!
 //! # Example
 //!

@@ -27,6 +27,7 @@ pub enum AuthMode {
 /// | `Bracha` | 3 one-way delays | `O(n²)` | none |
 /// | `SignedEcho` | 2 round trips | `O(n)` (+`O(n²)` optional forwarding) | sender + echo quorum |
 /// | `AccountOrder` | 2 round trips | `O(n)` (+`O(n²)` optional forwarding) | sender + ack quorum |
+/// | `Pbft` | hop to the leader + 3 one-way delays | `O(n²)` | none |
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BroadcastBackend {
     /// Bracha's reliable broadcast — the paper's deployed "naive
@@ -52,6 +53,11 @@ pub enum BroadcastBackend {
         /// [`BroadcastBackend::SignedEcho::forward_final`]).
         forward_final: bool,
     },
+    /// The consensus baseline: PBFT total order over all processes
+    /// ([`at_broadcast::PbftBroadcast`]) — more than the object needs,
+    /// which is the comparison the paper draws. No liveness under loss
+    /// or a stopped leader.
+    Pbft,
 }
 
 impl BroadcastBackend {
@@ -100,6 +106,7 @@ impl BroadcastBackend {
                 auth: AuthMode::Ed25519,
                 ..
             } => "acctorder-ed25519",
+            BroadcastBackend::Pbft => "pbft",
         }
     }
 }

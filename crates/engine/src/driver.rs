@@ -1,18 +1,22 @@
-//! The engine driver API: one trait, two engines, one report format.
+//! The engine driver API: one trait, one run body, one report format.
 //!
 //! [`Engine::run`] executes a [`Scenario`] and produces a
 //! [`ScenarioReport`]; benches, examples, and tests all drive systems
 //! through this interface so their numbers are directly comparable.
 //!
-//! * [`ConsensuslessEngine`] — the paper's broadcast-based system as the
-//!   batched [`crate::replica::ShardedReplica`] runtime
-//!   (configure with [`EngineConfig::unsharded`] for the Figure 4
-//!   deployment shape);
-//! * [`BaselineEngine`] — the PBFT state-machine-replication baseline.
-//!   PBFT has no notion of a tolerated-but-active Byzantine client, so
-//!   adversarial processes degrade to crashed ones here; a crashed
-//!   *leader* stalls the baseline entirely, which is precisely the
-//!   availability contrast the paper draws.
+//! * [`ConsensuslessEngine`] — the batched
+//!   [`crate::replica::ShardedReplica`] runtime over the backend its
+//!   configuration names (configure with [`EngineConfig::unsharded`] for
+//!   the Figure 4 deployment shape);
+//! * [`BaselineEngine`] — the same engine over
+//!   [`BroadcastBackend::Pbft`]: the consensus baseline is the one
+//!   replica and the one wave loop with a total order underneath, so it
+//!   differs from the system it is compared with in the broadcast and in
+//!   nothing else. Adversaries attack it through the broadcast
+//!   interface like every other backend; a Byzantine *orderer* is not
+//!   modelled (the paper treats its consensus baseline as a black box),
+//!   and a silent *leader* stalls it entirely — there is no view-change
+//!   timer — which is the availability contrast the paper draws.
 
 use crate::adversary::EngineActor;
 use crate::config::{AuthMode, BroadcastBackend, EngineConfig};
@@ -21,9 +25,9 @@ use crate::scenario::{percentiles, Adversary, Fault, Scenario, ScenarioReport};
 use at_broadcast::auth::{EdAuth, NoAuth};
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::EchoBroadcast;
+use at_broadcast::pbft::PbftBroadcast;
 use at_broadcast::secure::{AccountOrderBackend, SecureBroadcast};
-use at_consensus::transfer_system::{BaselineEvent, BaselineReplica};
-use at_model::{AccountId, Amount, Ledger, ProcessId, SeqNo, Transfer};
+use at_model::{Amount, ProcessId, Transfer};
 use at_net::{LinkFault, Simulation, VirtualTime};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -127,34 +131,10 @@ fn tally_engine_events(
     }
 }
 
-/// [`tally_engine_events`]'s counterpart for the PBFT baseline.
-fn tally_baseline_events(
-    events: Vec<(VirtualTime, ProcessId, BaselineEvent)>,
-    scenario: &Scenario,
-    latency_anchor: Option<VirtualTime>,
-    completed: &mut usize,
-    rejected: &mut usize,
-    latencies: &mut Vec<u64>,
-) {
-    for (at, from, event) in events {
-        if !scenario.is_correct(from) {
-            continue;
-        }
-        let BaselineEvent::Completed { success, .. } = event;
-        if success {
-            *completed += 1;
-            if let Some(anchor) = latency_anchor {
-                latencies.push(at.saturating_sub(anchor).as_micros());
-            }
-        } else {
-            *rejected += 1;
-        }
-    }
-}
-
-/// The broadcast-based engine (no consensus anywhere), over the
-/// secure-broadcast backend selected by
-/// [`EngineConfig::backend`](crate::config::EngineConfig).
+/// The engine over the backend selected by
+/// [`EngineConfig::backend`](crate::config::EngineConfig): no consensus
+/// anywhere on the three secure broadcasts, the consensus baseline on
+/// [`BroadcastBackend::Pbft`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ConsensuslessEngine {
     /// Backend and batching configuration of every replica.
@@ -316,6 +296,7 @@ impl Engine for ConsensuslessEngine {
     fn name(&self) -> String {
         let base = match self.config.backend {
             BroadcastBackend::Bracha => "consensusless".to_string(),
+            BroadcastBackend::Pbft => "pbft".to_string(),
             backend => format!("consensusless-{}", backend.label()),
         };
         if self.config.batch.is_immediate() {
@@ -372,21 +353,16 @@ impl Engine for ConsensuslessEngine {
                     backend
                 })
             }
+            BroadcastBackend::Pbft => self.run_backend(scenario, |me| PbftBroadcast::new(me, n)),
         }
     }
 }
 
-/// Digest over a [`Ledger`], comparable with
-/// [`crate::shard::ShardedLedger::digest`] (both delegate to
-/// [`crate::shard::digest_balances`]).
-fn ledger_digest(ledger: &Ledger) -> u64 {
-    crate::shard::digest_balances(ledger.iter())
-}
-
-/// The consensus-based (PBFT) baseline engine.
+/// The consensus-based (PBFT) baseline: [`ConsensuslessEngine`] over
+/// [`BroadcastBackend::Pbft`], batching where that engine batches.
 #[derive(Clone, Copy, Debug)]
 pub struct BaselineEngine {
-    /// PBFT leader batch size.
+    /// Transfers per submitter batch.
     pub batch_size: usize,
 }
 
@@ -397,134 +373,27 @@ impl Default for BaselineEngine {
 }
 
 impl BaselineEngine {
-    /// A baseline engine with the given PBFT batch size.
+    /// A baseline engine with the given batch size.
     pub fn new(batch_size: usize) -> Self {
         BaselineEngine { batch_size }
+    }
+
+    fn engine(&self) -> ConsensuslessEngine {
+        let window = VirtualTime::from_millis(2);
+        ConsensuslessEngine::new(
+            EngineConfig::sharded_batched(1, self.batch_size, window)
+                .with_backend(BroadcastBackend::Pbft),
+        )
     }
 }
 
 impl Engine for BaselineEngine {
     fn name(&self) -> String {
-        format!("pbft-b{}", self.batch_size)
+        self.engine().name()
     }
 
     fn run(&self, scenario: &Scenario) -> ScenarioReport {
-        let n = scenario.n;
-        let initial = Ledger::uniform(n, scenario.initial);
-        let actors: Vec<BaselineReplica> = ProcessId::all(n)
-            .map(|me| BaselineReplica::new(me, n, initial.clone(), self.batch_size))
-            .collect();
-        let mut sim = Simulation::new(actors, scenario.net.config(scenario.seed));
-        install_link_faults(&mut sim, scenario);
-        // PBFT models Byzantine processes as crashed (see the type docs).
-        for (process, _) in &scenario.adversaries {
-            sim.crash(*process);
-        }
-
-        let mut latencies = Vec::new();
-        let mut completed = 0usize;
-        let mut rejected = 0usize;
-        let mut next_seq = vec![SeqNo::ZERO; n];
-
-        for wave in 0..scenario.waves {
-            apply_partitions(&mut sim, scenario, wave);
-            let wave_start = sim.now();
-            for (i, seq) in next_seq.iter_mut().enumerate() {
-                let process = ProcessId::new(i as u32);
-                if !scenario.is_correct(process) {
-                    continue;
-                }
-                for slot in 0..scenario.transfers_per_wave {
-                    let virtual_wave = wave * scenario.transfers_per_wave + slot;
-                    let Some(dest) =
-                        scenario
-                            .workload
-                            .destination(scenario.seed, virtual_wave, i, n)
-                    else {
-                        continue;
-                    };
-                    *seq = seq.next();
-                    let tx = Transfer::new(
-                        AccountId::new(i as u32),
-                        dest,
-                        scenario.amount,
-                        process,
-                        *seq,
-                    );
-                    sim.schedule(wave_start, process, move |replica, ctx| {
-                        replica.submit(tx, ctx);
-                    });
-                }
-            }
-            // Flush any partially filled leader batch shortly after the
-            // submissions land (mirrors the T1/T2 harness).
-            for i in 0..n {
-                let process = ProcessId::new(i as u32);
-                if scenario.is_correct(process) {
-                    sim.schedule(
-                        wave_start + VirtualTime::from_millis(2),
-                        process,
-                        |replica, ctx| replica.flush_now(ctx),
-                    );
-                }
-            }
-            sim.run_until_quiet(u64::MAX);
-            tally_baseline_events(
-                sim.take_events(),
-                scenario,
-                Some(wave_start),
-                &mut completed,
-                &mut rejected,
-                &mut latencies,
-            );
-        }
-
-        // Release any still-parked partition traffic before reporting
-        // (see the consensusless engine's end-of-run drain).
-        sim.heal_partition();
-        sim.run_until_quiet(u64::MAX);
-        tally_baseline_events(
-            sim.take_events(),
-            scenario,
-            None,
-            &mut completed,
-            &mut rejected,
-            &mut latencies,
-        );
-
-        let correct: Vec<ProcessId> = scenario.correct_processes().collect();
-        let digests: Vec<u64> = correct
-            .iter()
-            .map(|p| ledger_digest(sim.actor(*p).ledger()))
-            .collect();
-        let agreed = digests.windows(2).all(|w| w[0] == w[1]);
-        let expected_supply = Amount::new(scenario.initial.units() * n as u64);
-        let supply_ok = correct
-            .iter()
-            .all(|p| sim.actor(*p).ledger().total_supply() == expected_supply);
-        let applied_total: u64 = correct.iter().map(|p| sim.actor(*p).executed_count()).sum();
-
-        let (p50, p99) = percentiles(&mut latencies);
-        let duration = sim.now();
-        ScenarioReport {
-            scenario: scenario.name.clone(),
-            engine: self.name(),
-            n,
-            correct: correct.len(),
-            completed,
-            rejected,
-            applied_total,
-            duration_us: duration.as_micros(),
-            throughput_tps: completed as f64 / duration.as_secs_f64().max(f64::MIN_POSITIVE),
-            latency_p50_us: p50,
-            latency_p99_us: p99,
-            messages_sent: sim.stats().messages_sent,
-            messages_dropped: sim.stats().messages_dropped,
-            agreed,
-            conflicts: 0,
-            supply_ok,
-            balance_digest: digests.first().copied().unwrap_or(0),
-        }
+        self.engine().run(scenario)
     }
 }
 
@@ -532,6 +401,7 @@ impl Engine for BaselineEngine {
 mod tests {
     use super::*;
     use crate::scenario::{NetProfile, Workload};
+    use at_model::AccountId;
 
     fn uniform(name: &str, n: usize) -> Scenario {
         Scenario::new(name, n).waves(2).seed(5)
@@ -610,6 +480,7 @@ mod tests {
             BroadcastBackend::Bracha,
             BroadcastBackend::signed_echo(),
             BroadcastBackend::account_order(),
+            BroadcastBackend::Pbft,
         ] {
             let report = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend))
                 .run(&scenario);

@@ -3,8 +3,8 @@
 //! The paper ("The Consensus Number of a Cryptocurrency", PODC 2019)
 //! proves asset transfer has consensus number 1: transfers debiting
 //! different accounts need no mutual ordering. This crate turns that
-//! result into a production-shaped runtime above `at-broadcast`/`at-core`
-//! and below `at-node`, with three pillars:
+//! result into a production-shaped runtime above `at-broadcast` and below
+//! `at-node`, with three pillars:
 //!
 //! * **a materialized account-state engine over pluggable broadcast
 //!   backends** ([`shard`], [`replica`], [`config`]) — validation is an
@@ -14,17 +14,18 @@
 //!   and the broadcast itself is selectable per Section 5's observation
 //!   that the abstraction, not the implementation, carries the result:
 //!   Bracha (`O(n²)`, signature-free), signed echo (`O(n)` sender cost,
-//!   optionally with real Ed25519 certificates), or the Section 6
-//!   account-order broadcast — see [`BroadcastBackend`];
+//!   optionally with real Ed25519 certificates), the Section 6
+//!   account-order broadcast, or — the consensus baseline, through the
+//!   same seam — a PBFT total order; see [`BroadcastBackend`];
 //! * **a scenario DSL** ([`scenario`], [`suite`]) — workloads (uniform,
 //!   hot-spot, many-to-one, mixes) composed with adversaries
 //!   (equivocating double-spenders, overspenders, silent processes) and
 //!   network faults (partitions, lossy and slow links) on top of
 //!   [`at_net::Simulation`], all fully deterministic per seed;
 //! * **an engine driver API** ([`driver`]) — the [`Engine`] trait with
-//!   [`ConsensuslessEngine`] and [`BaselineEngine`] implementations, so
-//!   benches, examples, and tests drive the same code path and produce
-//!   comparable [`ScenarioReport`]s.
+//!   [`ConsensuslessEngine`], and [`BaselineEngine`] as that engine over
+//!   the PBFT backend, so benches, examples, and tests drive one code
+//!   path and produce comparable [`ScenarioReport`]s.
 //!
 //! # Example
 //!

@@ -1340,6 +1340,7 @@ mod tests {
     fn transfer_completes_on_every_backend() {
         use at_broadcast::auth::NoAuth;
         use at_broadcast::echo::EchoBroadcast;
+        use at_broadcast::pbft::PbftBroadcast;
         use at_broadcast::secure::AccountOrderBackend;
 
         fn run_one<B, F>(make: F) -> u64
@@ -1369,8 +1370,10 @@ mod tests {
         let bracha = run_one(|me| BrachaBroadcast::new(me, 4));
         let echo = run_one(|me| EchoBroadcast::new(me, 4, NoAuth));
         let account = run_one(|me| AccountOrderBackend::new(me, 4, NoAuth));
+        let pbft = run_one(|me| PbftBroadcast::new(me, 4));
         assert_eq!(bracha, echo);
         assert_eq!(bracha, account);
+        assert_eq!(bracha, pbft);
     }
 
     /// Regression (found wiring the real event loop in at-node): an

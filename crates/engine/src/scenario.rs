@@ -96,12 +96,15 @@ fn hash3(a: u64, b: u64, c: u64) -> u64 {
 /// A Byzantine behaviour assigned to one process.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Adversary {
-    /// Attempts a double spend every wave by sending conflicting batches
-    /// to different halves of the system.
+    /// Attempts a double spend every wave: two conflicting batches in
+    /// one broadcast instance (`SecureBroadcast::broadcast_split`). The
+    /// secure broadcasts deliver neither; the PBFT baseline's total order
+    /// delivers one, the same everywhere.
     Equivocate,
     /// Broadcasts an unfundable transfer every wave.
     Overspend,
-    /// Never sends anything (crash-faulty from the start).
+    /// Never sends anything (crash-faulty from the start). As process 0,
+    /// the PBFT baseline's leader, it stalls that engine entirely.
     Silent,
 }
 

@@ -4,6 +4,7 @@
 
 use at_broadcast::bracha::BrachaMsg;
 use at_broadcast::echo::EchoMsg;
+use at_broadcast::pbft::PbftMsg;
 use at_broadcast::Batch;
 use at_core::figure4::TransferMsg;
 use at_model::codec::{decode, encode};
@@ -17,6 +18,9 @@ use at_obs::{
     MetricValue, NamedHistogram, Snapshot, TraceCtx, TraceEvent, TraceEventKind, TraceLog,
 };
 use proptest::prelude::*;
+
+/// What a PBFT-backed node puts on the wire.
+type PbftWire = PbftMsg<(ProcessId, SeqNo, Batch<TransferMsg>)>;
 
 fn trace_event() -> impl Strategy<Value = TraceEvent> {
     (
@@ -218,6 +222,7 @@ proptest! {
         let _ = decode_frame_body(&bytes);
         let _ = decode_peer_payload::<BrachaMsg<Batch<TransferMsg>>>(&bytes);
         let _ = decode_peer_payload::<EchoMsg<Batch<TransferMsg>, ()>>(&bytes);
+        let _ = decode_peer_payload::<PbftWire>(&bytes);
         let _ = decode::<Frame>(&bytes);
     }
 
@@ -257,7 +262,22 @@ proptest! {
         };
         let bytes = encode_peer_payload(&msg);
         let back: BrachaMsg<Batch<TransferMsg>> = decode_peer_payload(&bytes).expect("roundtrip");
-        prop_assert_eq!(back, msg);
+        prop_assert_eq!(&back, &msg);
+        // The PBFT baseline's proposal for the same batch; any strict
+        // prefix of it is refused, and so is a tag past the last variant.
+        let BrachaMsg::Init { seq, payload } = msg else { unreachable!() };
+        let msg: PbftWire = PbftMsg::PrePrepare {
+            view: 0,
+            seq: seq.value(),
+            batch: vec![(ProcessId::new(1), seq, payload)],
+        };
+        let mut bytes = encode_peer_payload(&msg);
+        prop_assert_eq!(&decode_peer_payload::<PbftWire>(&bytes).expect("roundtrip"), &msg);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_peer_payload::<PbftWire>(&bytes[..cut]).is_err(), "prefix {}", cut);
+        }
+        bytes[1] = 6; // the variant tag follows the version byte
+        prop_assert!(decode_peer_payload::<PbftWire>(&bytes).is_err());
     }
 
     /// Rewriting the kind byte of a valid frame (stats request read as a

@@ -1,8 +1,9 @@
 //! Scenario-driven engine demo: runs the standard scenario suite (six
 //! benign workloads, four adversarial) on the batched payment engine,
 //! contrasts the unbatched engine and the PBFT baseline on one batched
-//! workload, then swaps the secure-broadcast backend under the
-//! same scenario to show the message-complexity trade of Section 5.
+//! workload, then swaps the broadcast backend — the consensus baseline
+//! last — under the same scenario to show the message-complexity trade
+//! of Section 5.
 //!
 //! Run with `cargo run -p at-examples --example engine_scenarios --release`.
 
@@ -54,8 +55,11 @@ fn main() {
     }
     println!();
     println!(
-        "Same protocol, same workload: batching transfers into shared broadcast \
-         instances is what moves the message count — no consensus anywhere."
+        "Same replica, same workload, same batching layer. Rows 1–2: batching \
+         transfers into shared broadcast instances is what moves the message \
+         count, with no consensus anywhere. Row 3 puts the same batches through \
+         PBFT's total order: about the same messages, every batch through one \
+         leader and one more hop to reach it."
     );
 
     banner("broadcast backends · same scenario, swapped secure broadcast");
@@ -66,6 +70,7 @@ fn main() {
         BroadcastBackend::Bracha,
         BroadcastBackend::signed_echo(),
         BroadcastBackend::account_order(),
+        BroadcastBackend::Pbft,
     ] {
         let engine = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend));
         let report = engine.run(&scenario);
@@ -80,7 +85,8 @@ fn main() {
     println!(
         "The broadcast layer is swappable (Section 5): Bracha pays O(n²) messages \
          with zero signatures; signed echo and account-order pay O(n) sender \
-         messages plus certificate signatures. Same workload, same final \
-         balances, different cost profile."
+         messages plus certificate signatures; PBFT buys a total order the \
+         object never uses for Bracha's message bill and a leader. Same \
+         workload, same final balances, different cost profile."
     );
 }

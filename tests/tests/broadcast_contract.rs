@@ -1,7 +1,7 @@
 //! Satellite: the secure-broadcast backends' documented delivery
 //! contract — per-source FIFO, gapless, exactly-once — holds for Bracha,
-//! signed echo, and account-order under randomized drop, delay, and
-//! partition faults.
+//! signed echo, account-order and the PBFT baseline under randomized
+//! drop, delay, and partition faults.
 //!
 //! The contract is observed at the engine layer through
 //! [`at_engine::EngineEvent::BackendDelivery`] events and checked with
@@ -14,6 +14,7 @@
 use at_broadcast::auth::NoAuth;
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::EchoBroadcast;
+use at_broadcast::pbft::PbftBroadcast;
 use at_broadcast::secure::{AccountOrderBackend, SecureBroadcast};
 use at_engine::probe::{check_fifo_contract, TimedEvent};
 use at_engine::{EngineConfig, EnginePayload, ShardedReplica};
@@ -148,6 +149,10 @@ proptest! {
         assert_contract(&events, "signed-echo", &plan);
         let events = run_under_faults(n, &plan, |me| AccountOrderBackend::new(me, n, NoAuth));
         assert_contract(&events, "account-order", &plan);
+        // PBFT may stop delivering under loss (nothing retransmits a
+        // dropped pre-prepare); what it does deliver obeys the contract.
+        let events = run_under_faults(n, &plan, |me| PbftBroadcast::new(me, n));
+        assert_contract(&events, "pbft", &plan);
     }
 }
 
@@ -174,6 +179,10 @@ fn clean_run_delivers_every_instance_in_order() {
         (
             "acctorder",
             run_under_faults(n, &plan, |me| AccountOrderBackend::new(me, n, NoAuth)),
+        ),
+        (
+            "pbft",
+            run_under_faults(n, &plan, |me| PbftBroadcast::new(me, n)),
         ),
     ] {
         assert_contract(&events, label, &plan);
@@ -209,6 +218,7 @@ fn healing_mid_equivocation_converges_on_every_backend() {
         BroadcastBackend::Bracha,
         BroadcastBackend::signed_echo(),
         BroadcastBackend::account_order(),
+        BroadcastBackend::Pbft,
     ] {
         let report =
             ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend)).run(&scenario);

@@ -398,13 +398,14 @@ fn engine_lineup_reruns_are_identical() {
     }
 }
 
-/// The three broadcast backends the engine supports, over the standard
+/// The four broadcast backends the engine supports, over the standard
 /// sharded+batched configuration.
-fn backend_lineup() -> [BroadcastBackend; 3] {
+fn backend_lineup() -> [BroadcastBackend; 4] {
     [
         BroadcastBackend::Bracha,
         BroadcastBackend::signed_echo(),
         BroadcastBackend::account_order(),
+        BroadcastBackend::Pbft,
     ]
 }
 
@@ -412,9 +413,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// The satellite requirement — backend equivalence: for the same
-    /// seeded scenario (benign uniform and equivocating alike), all three
+    /// seeded scenario (benign uniform and equivocating alike), all four
     /// backends deliver the same completions and the same final balances,
-    /// with zero conflicts and full agreement.
+    /// with zero conflicts and full agreement. The one difference: under
+    /// the equivocator PBFT is held to safety only, because a total order
+    /// delivers one side of a split where a secure broadcast delivers
+    /// neither — the attacker's one transfer lands, the same everywhere.
     #[test]
     fn backends_are_equivalent_on_seeded_scenarios(
         n in 4usize..7,
@@ -435,6 +439,9 @@ proptest! {
             prop_assert_eq!(report.conflicts, 0, "{:?}", backend);
             prop_assert!(report.agreed, "{:?} diverged", backend);
             prop_assert!(report.supply_ok, "{:?} supply", backend);
+            if backend == BroadcastBackend::Pbft && equivocate == 1 {
+                continue;
+            }
             if let Some(reference) = &reference {
                 prop_assert_eq!(
                     report.completed, reference.completed,

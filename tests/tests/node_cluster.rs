@@ -5,6 +5,7 @@
 use at_broadcast::auth::NoAuth;
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::echo::EchoBroadcast;
+use at_broadcast::pbft::PbftBroadcast;
 use at_broadcast::SecureBroadcast;
 use at_engine::replica::{EngineEvent, EnginePayload};
 use at_engine::{EngineConfig, ShardedReplica, Workload};
@@ -159,6 +160,63 @@ fn tcp_cluster_converges_and_rejects_double_spend_over_the_wire() {
         e2e.max
     );
 
+    cluster.stop_all();
+}
+
+/// The consensus baseline on real sockets: the node loop, the transport
+/// and the gateway are the ones every backend runs on; all PBFT brings
+/// is its message codec. Four TCP clients submit eight transfers each;
+/// all commit, the replicas converge, and no frame is lost or refused.
+#[test]
+fn tcp_cluster_runs_the_pbft_baseline_through_the_same_node() {
+    let n = 4;
+    let mut cluster = start_tcp_cluster(n, node_config(), TcpOptions::default(), |me| {
+        PbftBroadcast::new(me, n)
+    })
+    .expect("cluster");
+    let mut clients: Vec<Client> = cluster
+        .client_addrs
+        .iter()
+        .map(|addr| Client::connect(*addr).expect("connect"))
+        .collect();
+    for wave in 0..8 {
+        for (i, client) in clients.iter_mut().enumerate() {
+            let dest = Workload::Uniform
+                .destination(7, wave, i, n)
+                .expect("uniform never idles");
+            client
+                .submit_transfer(dest, Amount::new(3 + i as u64))
+                .expect("submit");
+        }
+    }
+    let mut committed = 0;
+    for client in &mut clients {
+        while client.outstanding() > 0 {
+            let response = client
+                .recv_response(Duration::from_secs(20))
+                .expect("io")
+                .expect("ack before timeout");
+            match response.body {
+                ResponseBody::Committed { .. } => committed += 1,
+                other => panic!("unexpected outcome: {other:?}"),
+            }
+        }
+    }
+    assert_eq!(committed, 32);
+
+    let handles: Vec<_> = cluster.running().collect();
+    let reports = await_convergence(&handles, Duration::from_secs(30)).expect("convergence");
+    for report in &reports {
+        assert_eq!(report.balances, reports[0].balances, "{:?}", report.node);
+        assert_ne!(
+            report.balances,
+            vec![Amount::new(1_000); n],
+            "nothing moved"
+        );
+        assert_eq!(report.dropped_frames, 0);
+        assert_eq!(report.malformed_frames, 0);
+    }
+    drop(handles);
     cluster.stop_all();
 }
 
