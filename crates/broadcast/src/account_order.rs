@@ -84,6 +84,10 @@ pub struct AccountDelivery<P> {
 
 /// A FINAL whose certificate checked out, waiting for its turn.
 struct ParkedFinal<P, A: Authenticator> {
+    /// The channel peer this copy came from.
+    from: ProcessId,
+    /// The claimed original sender: attribution only, no signature
+    /// covers it.
     sender: ProcessId,
     payload: P,
     certificate: Vec<(ProcessId, A::Sig)>,
@@ -169,8 +173,11 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         self.table.quorum()
     }
 
-    /// Enables/disables FINAL forwarding (totality against Byzantine
-    /// senders). On by default.
+    /// Enables/disables FINAL relaying (totality against Byzantine
+    /// senders). On by default. A process that delivers relays to every
+    /// process but itself and the channel peer its copy came from —
+    /// and, under the sole-owner rule only, the account's owner; never
+    /// on the word of the unsigned `sender` field.
     pub fn set_forward_final(&mut self, forward: bool) {
         self.forward_final = forward;
     }
@@ -295,7 +302,15 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
                 seq,
                 payload,
                 certificate,
-            } => self.on_final(sender, account, seq, payload, certificate, step),
+            } => {
+                let parked = ParkedFinal {
+                    from,
+                    sender,
+                    payload,
+                    certificate,
+                };
+                self.on_final(account, seq, parked, step);
+            }
         }
     }
 
@@ -385,11 +400,9 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
 
     fn on_final(
         &mut self,
-        sender: ProcessId,
         account: AccountId,
         seq: SeqNo,
-        payload: P,
-        certificate: Vec<(ProcessId, A::Sig)>,
+        parked: ParkedFinal<P, A>,
         step: &mut Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
     ) {
         // A replay behind the delivery floor, or a forwarded copy of a
@@ -398,30 +411,31 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         if self.table.is_stale(account, seq) || self.table.holds(account, seq) {
             return;
         }
-        let digest = payload_digest(&payload);
+        let digest = payload_digest(&parked.payload);
         let own = self.table.get(account, seq);
         let own = own
             .and_then(|slot| slot.acks.as_ref())
             .filter(|acks| acks.digest() == digest);
         let signers = verify_certificate(
             (&self.auth, &mut self.ops),
-            self.trace.ctx(&payload, sender),
+            self.trace.ctx(&parked.payload, parked.sender),
             &signed_bytes(b'k', account, seq, digest),
-            &certificate,
+            &parked.certificate,
             own,
         );
         if signers < self.quorum() {
             return;
         }
-        let parked = ParkedFinal {
-            sender,
-            payload,
-            certificate,
-        };
+        // The certificate signs `(account, seq, digest)`, not `sender`: a
+        // relayer can name anyone there, so a relay never skips on it.
+        // What is bound is the account, and under the sole-owner rule
+        // only its owner's SEND is acknowledged.
+        let owner = self.sole_owner.then(|| ProcessId::new(account.index()));
         self.table.hold(account, seq, parked);
         while let Some((
             seq,
             ParkedFinal {
+                from,
                 sender,
                 payload,
                 certificate,
@@ -429,16 +443,14 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         )) = self.table.release(account)
         {
             if self.forward_final {
-                step.send_all(
-                    self.table.n(),
-                    AccountOrderMsg::Final {
-                        sender,
-                        account,
-                        seq,
-                        payload: payload.clone(),
-                        certificate,
-                    },
-                );
+                let relay = AccountOrderMsg::Final {
+                    sender,
+                    account,
+                    seq,
+                    payload: payload.clone(),
+                    certificate,
+                };
+                self.table.relay_final(step, from, owner, relay);
             }
             self.trace
                 .record(&payload, sender, TraceEventKind::Deliver, seq.value());
@@ -642,14 +654,56 @@ mod tests {
 
     #[test]
     fn forwarding_gives_totality() {
-        let mut endpoints = system(4);
-        let wires = start(&mut endpoints, p(0), acct(0), 1, 9);
-        // p0's FINAL only reaches p1.
-        let delivered = run(&mut endpoints, wires, |(from, to, msg)| {
-            matches!(msg, AccountOrderMsg::Final { .. }) && *from == p(0) && *to != p(1)
-        });
-        for (i, delivered) in delivered.iter().enumerate() {
-            assert_eq!(delivered.len(), 1, "process {i}");
+        // p0's FINAL only reaches p1, not even p0's own loop-back: the
+        // relays complete delivery at every correct process. Without the
+        // sole-owner rule nothing binds the account to p0, so p0 gets a
+        // relay too; with it (account 0 is p0's) nobody owes the
+        // misbehaving sender its own certificate back.
+        for sole_owner in [false, true] {
+            let mut endpoints = system(4);
+            for endpoint in &mut endpoints {
+                endpoint.set_sole_owner(sole_owner);
+            }
+            let wires = start(&mut endpoints, p(0), acct(0), 1, 9);
+            let delivered = run(&mut endpoints, wires, |(from, to, msg)| {
+                matches!(msg, AccountOrderMsg::Final { .. }) && *from == p(0) && *to != p(1)
+            });
+            for (i, delivered) in delivered.iter().enumerate().skip(1) {
+                assert_eq!(delivered.len(), 1, "process {i}, sole owner: {sole_owner}");
+            }
+            assert_eq!(delivered[0].len(), usize::from(!sole_owner));
+        }
+    }
+
+    #[test]
+    fn a_forged_sender_field_does_not_cost_the_named_process_its_relay() {
+        // No signature covers `Final.sender`: Byzantine p3 relays a valid
+        // FINAL of account 0 to p2 naming correct p1 as its sender. p2
+        // must still relay to p1 — it skips itself, the channel peer p3
+        // and, only under the sole-owner rule, the account's owner p0.
+        for sole_owner in [false, true] {
+            let mut endpoint: Endpoint = AccountOrderBroadcast::new(p(2), 4, NoAuth);
+            endpoint.set_sole_owner(sole_owner);
+            let mut step = Step::new();
+            endpoint.on_message(
+                p(3),
+                AccountOrderMsg::Final {
+                    sender: p(1),
+                    account: acct(0),
+                    seq: SeqNo::new(1),
+                    payload: 9,
+                    certificate: vec![(p(0), ()), (p(1), ()), (p(3), ())],
+                },
+                &mut step,
+            );
+            assert_eq!(step.deliveries.len(), 1);
+            let relayed_to: Vec<ProcessId> = step.outgoing.iter().map(|out| out.to).collect();
+            let expected = if sole_owner {
+                vec![p(1)]
+            } else {
+                vec![p(0), p(1)]
+            };
+            assert_eq!(relayed_to, expected, "sole owner: {sole_owner}");
         }
     }
 
@@ -721,14 +775,14 @@ mod tests {
     /// finalized and is dropped unverified) and `q` certificate shares
     /// at each of the other `n − 1` when the sender's FINAL arrives (the
     /// sender does not re-verify the shares it collected, and the
-    /// forwarded copies arrive behind the delivery floor), `n·(q + 1)`.
+    /// relayed copies arrive behind the delivery floor), `n·(q + 1)`.
     ///
     /// An instance whose predecessor the last process never saw costs
     /// the same `n·(q + 1)` verifications: the last process acks
     /// nothing (`n` signs), so the sender verifies `q` of `n − 1` acks,
     /// `n − 2` others verify the certificate and deliver, and the last
     /// one verifies the first FINAL it sees, parks it behind the gap,
-    /// and drops the `n − 1` forwarded copies on the parked duplicate
+    /// and drops the `n − 2` relayed copies on the parked duplicate
     /// without verifying them. Verifying before the lookup in `on_ack`,
     /// or before the duplicate check in `on_final`, moves a count and
     /// fails here.

@@ -80,9 +80,11 @@ impl<P: Decode> Decode for Batch<P> {
 
 /// Sender-side batch accumulator with a size cap.
 ///
-/// Time-based flushing is the *caller's* concern (the engine replica arms
-/// a flush timer); the batcher only enforces the size cap, returning a
-/// full batch from [`Batcher::push`] the moment it fills.
+/// *When* a batch that is not full leaves is the caller's concern (the
+/// engine replica flushes at the end of the pass when nothing of its own
+/// is in flight, else on that batch's delivery or after its window); the
+/// batcher only enforces the size cap, returning a full batch from
+/// [`Batcher::push`] the moment it fills.
 #[derive(Clone, Debug)]
 pub struct Batcher<P> {
     pending: Vec<P>,

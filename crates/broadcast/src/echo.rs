@@ -5,10 +5,14 @@
 //! signed echo *to the sender only*; once the sender collects a quorum of
 //! `⌈(n+f+1)/2⌉` echoes it sends the payload together with the quorum
 //! certificate to all, and everyone delivers after verifying the
-//! certificate. Two round trips and `O(n)` messages on the sender path
-//! (plus an `O(n²)` certificate-forwarding step that guarantees totality
-//! when the sender is Byzantine — disable with
-//! [`EchoBroadcast::set_forward_final`] for the ablation study A1).
+//! certificate. Two round trips and `3(n−1)` messages on the sender path,
+//! plus `(n−1)(n−2)` certificate relays that guarantee totality when the
+//! sender is Byzantine (disable with
+//! [`EchoBroadcast::set_forward_final`] for the ablation study A1): a
+//! process that delivers hands the FINAL to every process that might
+//! lack it — everyone but itself, the channel peer its copy came from,
+//! and the source, whose SEND signature inside the FINAL binds it and
+//! who alone could assemble the certificate. The source relays nothing.
 //!
 //! A benign process echoes at most one payload per `(source, seq)`, so two
 //! conflicting payloads can never both obtain certificates: this is the
@@ -81,7 +85,7 @@ struct Echoed<S> {
 
 struct Instance<P, S> {
     echoed: Option<Echoed<S>>,
-    /// Whether the instance delivered (dedups the forwarded FINALs).
+    /// Whether the instance delivered (dedups the relayed FINALs).
     delivered: bool,
     /// Our own instances only: the payload we broadcast and, after
     /// [`SecureBroadcast::broadcast_split`], the second one behind it.
@@ -130,7 +134,7 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         self.table.fault_threshold()
     }
 
-    /// Enables/disables certificate forwarding on delivery (totality for
+    /// Enables/disables certificate relaying on delivery (totality for
     /// Byzantine senders). On by default.
     pub fn set_forward_final(&mut self, forward: bool) {
         self.forward_final = forward;
@@ -273,8 +277,8 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
 
     fn on_final(
         &mut self,
-        source: ProcessId,
-        seq: SeqNo,
+        from: ProcessId,
+        (source, seq): (ProcessId, SeqNo),
         payload: P,
         sig: A::Sig,
         certificate: Vec<(ProcessId, A::Sig)>,
@@ -322,16 +326,16 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             slot.or_default().delivered = true;
         }
         if self.forward_final {
-            step.send_all(
-                self.table.n(),
-                EchoMsg::Final {
-                    source,
-                    seq,
-                    payload: payload.clone(),
-                    sig,
-                    certificate,
-                },
-            );
+            // `source` is bound: this process verified its signature
+            // over the SEND, above or when it echoed.
+            let relay = EchoMsg::Final {
+                source,
+                seq,
+                payload: payload.clone(),
+                sig,
+                certificate,
+            };
+            self.table.relay_final(step, from, Some(source), relay);
         }
         self.table.hold(source, seq, payload);
         while let Some((seq, payload)) = self.table.release(source) {
@@ -375,7 +379,7 @@ where
                 payload,
                 sig,
                 certificate,
-            } => self.on_final(source, seq, payload, sig, certificate, step),
+            } => self.on_final(from, (source, seq), payload, sig, certificate, step),
         }
     }
 
@@ -942,18 +946,43 @@ mod tests {
 
     #[test]
     fn final_forwarding_gives_totality() {
-        // The sender "selectively" finalizes: its FINAL reaches only p1.
-        // With forwarding on, p1's re-broadcast completes delivery at
-        // everyone.
+        // The sender "selectively" finalizes: its FINAL reaches only p1,
+        // not even its own loop-back. With forwarding on, p1's relay
+        // completes delivery at every correct process — which is what
+        // totality promises; nobody owes the misbehaving sender its own
+        // certificate back.
         let delivered = run_system(
             4,
             |_| NoAuth,
             vec![(p(0), 8)],
             |from, to, msg| matches!(msg, EchoMsg::Final { .. }) && from == p(0) && to != p(1),
         );
-        for (i, deliveries) in delivered.iter().enumerate() {
+        for (i, deliveries) in delivered.iter().enumerate().skip(1) {
             assert_eq!(deliveries.len(), 1, "process {i}");
         }
+        assert!(delivered[0].is_empty(), "a relay went back to the source");
+    }
+
+    #[test]
+    fn a_relay_skips_the_peer_it_came_from_and_the_bound_source() {
+        // p2 delivers on a copy relayed by p3: it relays to p1 alone —
+        // p3 holds the FINAL (it sent it), p0 assembled it.
+        let mut endpoint: EchoBroadcast<u64, NoAuth> = EchoBroadcast::new(p(2), 4, NoAuth);
+        let mut step = Step::new();
+        endpoint.on_message(
+            p(3),
+            EchoMsg::Final {
+                source: p(0),
+                seq: SeqNo::new(1),
+                payload: 8,
+                sig: (),
+                certificate: vec![(p(0), ()), (p(1), ()), (p(3), ())],
+            },
+            &mut step,
+        );
+        assert_eq!(step.deliveries.len(), 1);
+        let relayed_to: Vec<ProcessId> = step.outgoing.iter().map(|out| out.to).collect();
+        assert_eq!(relayed_to, vec![p(1)]);
     }
 
     #[test]

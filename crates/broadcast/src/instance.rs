@@ -2,7 +2,8 @@
 //! [`InstanceTable`] every phase machine keeps its per-instance state in,
 //! the [`TraceHook`] beside it, and the certificate path of the two
 //! signed ones ([`payload_digest`], [`signed_bytes`], [`Collector`],
-//! [`verify_certificate`]).
+//! [`verify_certificate`], and who a delivered FINAL is relayed to,
+//! [`InstanceTable::relay_final`]).
 //!
 //! The table owns what does not depend on the protocol: identity and
 //! thresholds, one delivery floor per stream (the source process for
@@ -16,7 +17,7 @@
 
 use crate::auth::{Authenticator, BatchVerifyItem};
 use crate::secure::TraceExtract;
-use crate::types::CryptoOps;
+use crate::types::{CryptoOps, Step};
 use at_model::codec::{encode, Writer};
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceCtx, TraceEventKind, Tracer};
@@ -153,6 +154,40 @@ impl<K: Copy + Ord + Hash, S, H> InstanceTable<K, S, H> {
             !(next.get(stream).is_some_and(|next| seq < next) && settled(state))
         });
         before - self.slots.len()
+    }
+
+    /// The relay rule of the signed backends: queues `msg`, the FINAL this
+    /// process has just delivered, for every process that may lack it.
+    ///
+    /// Totality asks a correct process that delivers to hand the
+    /// certificate to every correct process that *might not hold it*.
+    /// Skipped are the processes this one has authenticated as holding
+    /// it: itself; `from`, the channel peer this copy came from (channels
+    /// are authenticated, and a correct process sends a FINAL only as
+    /// the instance's source or once it delivered it); and `source`, the
+    /// instance's source, when the caller can bind it to the certificate.
+    /// Signature shares go only to the channel peer whose SEND they
+    /// acknowledge, so a valid certificate was assembled by the source: a
+    /// correct one sent it to everyone, itself included, when the quorum
+    /// formed; a Byzantine one is owed nothing. For the same reason the
+    /// source relays nothing at all — its own `send_all` already reached
+    /// everyone over the same reliable channels. `(n − 1)(n − 2)` relays
+    /// per honest instance.
+    pub(crate) fn relay_final<M: Clone, D>(
+        &self,
+        step: &mut Step<M, D>,
+        from: ProcessId,
+        source: Option<ProcessId>,
+        msg: M,
+    ) {
+        if from == self.me || source == Some(self.me) {
+            return;
+        }
+        for to in ProcessId::all(self.n) {
+            if to != self.me && to != from && Some(to) != source {
+                step.send(to, msg.clone());
+            }
+        }
     }
 
     /// Raises the floor of `stream` so that `floor` and everything

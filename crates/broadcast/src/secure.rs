@@ -11,10 +11,12 @@
 //!
 //! * [`BrachaBroadcast`](crate::BrachaBroadcast) — 3 one-way delays,
 //!   `O(n²)` messages, no signatures;
-//! * [`EchoBroadcast`](crate::EchoBroadcast) — 2 round trips, `O(n)`
-//!   sender messages plus a
-//!   quorum certificate (an optional `O(n²)` certificate-forwarding step
-//!   buys totality against Byzantine senders);
+//! * [`EchoBroadcast`](crate::EchoBroadcast) — 2 round trips, `3(n−1)`
+//!   messages on the sender path plus a quorum certificate (an optional
+//!   `(n−1)(n−2)` certificate relays buy totality against Byzantine
+//!   senders: each process that delivers relays to every process it has
+//!   not authenticated as holding the FINAL already — see
+//!   `InstanceTable::relay_final`);
 //! * [`AccountOrderBackend`] — the Section 6 account-order broadcast
 //!   specialised to the base topology (account `i` owned by process `i`),
 //!   via a thin adapter that assigns per-account sequence numbers and
@@ -290,15 +292,17 @@ mod tests {
         endpoints: &mut [B],
         broadcasts: Vec<(usize, u64)>,
     ) -> Vec<Vec<Delivery<u64>>> {
-        drive_logged(endpoints, broadcasts, &mut Vec::new())
+        drive_logged(endpoints, broadcasts, &mut Vec::new(), |_, _, _| false)
     }
 
-    /// [`drive`], also appending every message put on the wire, with its
-    /// sender, to `wire`.
+    /// [`drive`], also appending every message that reaches its
+    /// addressee, with its sender and addressee, to `wire`; a message
+    /// `lost(from, to, msg)` claims never arrives.
     fn drive_logged<B: SecureBroadcast<u64>>(
         endpoints: &mut [B],
         broadcasts: Vec<(usize, u64)>,
-        wire: &mut Vec<(ProcessId, B::Msg)>,
+        wire: &mut Vec<(ProcessId, ProcessId, B::Msg)>,
+        lost: impl Fn(ProcessId, ProcessId, &B::Msg) -> bool,
     ) -> Vec<Vec<Delivery<u64>>> {
         let n = endpoints.len();
         let mut inflight: VecDeque<(ProcessId, ProcessId, B::Msg)> = VecDeque::new();
@@ -312,7 +316,10 @@ mod tests {
             delivered[source].extend(step.deliveries);
         }
         while let Some((from, to, msg)) = inflight.pop_front() {
-            wire.push((from, msg.clone()));
+            if lost(from, to, &msg) {
+                continue;
+            }
+            wire.push((from, to, msg.clone()));
             let mut step = Step::new();
             endpoints[to.as_usize()].on_message(from, msg, &mut step);
             for out in step.outgoing {
@@ -471,6 +478,110 @@ mod tests {
         );
     }
 
+    /// The signed backends' message budget, beside their signature
+    /// budgets: one honest instance puts `3(n − 1)` SENDs, shares and
+    /// FINALs on the wire between peers, and `(n − 1)(n − 2)` relays —
+    /// every process but the source relays to every process but itself,
+    /// the peer its copy came from (the source) and the source. 9 + 6 at
+    /// n = 4. A relay to a process that provably holds the FINAL, or a
+    /// second FINAL from the source, moves the count and fails here.
+    #[test]
+    fn honest_instance_costs_15_peer_messages_at_n4_and_48_at_n7() {
+        fn peer_messages<B: SecureBroadcast<u64>>(mut endpoints: Vec<B>) -> usize {
+            let mut wire = Vec::new();
+            let delivered = drive_logged(&mut endpoints, vec![(0, 5)], &mut wire, |_, _, _| false);
+            assert!(delivered.iter().all(|view| view.len() == 1));
+            wire.iter().filter(|(from, to, _)| from != to).count()
+        }
+        for (n, budget) in [(4, 9 + 6), (7, 18 + 30)] {
+            assert_eq!(peer_messages(echo_system(n)), budget, "echo, n = {n}");
+            assert_eq!(
+                peer_messages(account_system(n)),
+                budget,
+                "account order, n = {n}"
+            );
+        }
+    }
+
+    /// One instance whose Byzantine source p0 hands its FINAL to `chosen`
+    /// alone (not even to itself) while the `silent` processes neither
+    /// receive nor send; returns how many payloads each process
+    /// delivered.
+    fn drive_selective_final<B: SecureBroadcast<u64>>(
+        mut endpoints: Vec<B>,
+        is_final: fn(&B::Msg) -> bool,
+        chosen: usize,
+        silent: &[usize],
+    ) -> Vec<usize> {
+        let lost = |from: ProcessId, to: ProcessId, msg: &B::Msg| {
+            let withheld = from == p(0) && to.as_usize() != chosen && is_final(msg);
+            withheld || silent.contains(&to.as_usize())
+        };
+        let delivered = drive_logged(&mut endpoints, vec![(0, 7)], &mut Vec::new(), lost);
+        delivered.iter().map(Vec::len).collect()
+    }
+
+    /// Totality, exhaustively at small `n`: whichever correct process a
+    /// selective source finalises to, and whichever `≤ f − 1` others stay
+    /// silent beside it, every correct process delivers exactly once.
+    /// The same enumeration with forwarding off splits every time — only
+    /// the chosen process delivers — so the relays are what carries it.
+    #[test]
+    fn relays_give_totality_for_every_selective_final_and_silent_set() {
+        fn enumerate<B: SecureBroadcast<u64>>(
+            n: usize,
+            system: impl Fn(bool) -> Vec<B>,
+            is_final: fn(&B::Msg) -> bool,
+        ) {
+            let f = (n - 1) / 3;
+            for chosen in 1..n {
+                let others = (1..n).filter(|&i| i != chosen);
+                let silent_sets =
+                    std::iter::once(vec![]).chain(others.map(|i| vec![i]).filter(|_| f >= 2));
+                for silent in silent_sets {
+                    let correct = |i: usize| i != 0 && !silent.contains(&i);
+                    let delivered = drive_selective_final(system(true), is_final, chosen, &silent);
+                    for (i, count) in delivered.iter().enumerate().filter(|(i, _)| correct(*i)) {
+                        assert_eq!(*count, 1, "n = {n}, to p{chosen}, silent {silent:?}: p{i}");
+                    }
+                    let split = drive_selective_final(system(false), is_final, chosen, &silent);
+                    for (i, count) in split.iter().enumerate() {
+                        let expected = usize::from(i == chosen);
+                        assert_eq!(*count, expected, "unforwarded, n = {n}, to p{chosen}: p{i}");
+                    }
+                }
+            }
+        }
+        for n in [4, 7] {
+            assert!(
+                (n - 1) / 3 <= 2,
+                "the silent sets above stop at one process"
+            );
+            enumerate(
+                n,
+                |forward| {
+                    let mut endpoints = echo_system(n);
+                    for endpoint in &mut endpoints {
+                        endpoint.set_forward_final(forward);
+                    }
+                    endpoints
+                },
+                |msg| matches!(msg, crate::echo::EchoMsg::Final { .. }),
+            );
+            enumerate(
+                n,
+                |forward| {
+                    let mut endpoints = account_system(n);
+                    for endpoint in &mut endpoints {
+                        endpoint.set_forward_final(forward);
+                    }
+                    endpoints
+                },
+                |msg| matches!(msg, AccountOrderMsg::Final { .. }),
+            );
+        }
+    }
+
     #[test]
     fn introspection_is_consistent_across_backends() {
         fn check<B: SecureBroadcast<u64>>(backend: &B, (f, quorum): (usize, usize), n: usize) {
@@ -530,7 +641,7 @@ mod tests {
             // A completed broadcast is prunable everywhere and the
             // delivered count stays monotone.
             let mut wire = Vec::new();
-            drive_logged(&mut endpoints, vec![(0, 5)], &mut wire);
+            drive_logged(&mut endpoints, vec![(0, 5)], &mut wire, |_, _, _| false);
             for endpoint in &mut endpoints {
                 assert_eq!(endpoint.delivered_count(), 1);
                 assert_eq!(endpoint.prune_delivered(), 1);
@@ -542,7 +653,7 @@ mod tests {
             // to every endpoint: the floor drops it before it can answer,
             // deliver or bring pruned state back.
             assert!(wire.len() >= endpoints.len());
-            for (from, msg) in wire {
+            for (from, _, msg) in wire {
                 for (to, endpoint) in endpoints.iter_mut().enumerate() {
                     let mut step = Step::new();
                     endpoint.on_message(from, msg.clone(), &mut step);

@@ -25,9 +25,14 @@ pub enum AuthMode {
 /// | backend | rounds | messages/instance | signatures |
 /// |---|---|---|---|
 /// | `Bracha` | 3 one-way delays | `O(n²)` | none |
-/// | `SignedEcho` | 2 round trips | `O(n)` (+`O(n²)` optional forwarding) | sender + echo quorum |
-/// | `AccountOrder` | 2 round trips | `O(n)` (+`O(n²)` optional forwarding) | sender + ack quorum |
+/// | `SignedEcho` | 2 round trips | `3(n−1)` (+`(n−1)(n−2)` optional relays) | sender + echo quorum |
+/// | `AccountOrder` | 2 round trips | `3(n−1)` (+`(n−1)(n−2)` optional relays) | sender + ack quorum |
 /// | `Pbft` | hop to the leader + 3 one-way delays | `O(n²)` | none |
+///
+/// A relay is a delivered FINAL handed on for totality: every process
+/// but the source relays to every process except itself, the peer its
+/// copy came from and the source — the ones it has authenticated as
+/// holding the certificate already.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BroadcastBackend {
     /// Bracha's reliable broadcast — the paper's deployed "naive
@@ -39,9 +44,9 @@ pub enum BroadcastBackend {
     SignedEcho {
         /// Signing scheme.
         auth: AuthMode,
-        /// Forward certificates on delivery (totality against Byzantine
-        /// senders, `O(n²)` extra messages). Disable for honest-sender
-        /// cost measurements.
+        /// Relay certificates on delivery (totality against Byzantine
+        /// senders, `(n−1)(n−2)` extra messages). Disable for
+        /// honest-sender cost measurements.
         forward_final: bool,
     },
     /// The Section 6 account-order broadcast specialised to the base
@@ -113,15 +118,20 @@ impl BroadcastBackend {
 
 /// Transfer-batching policy of an engine replica.
 ///
-/// Submitted transfers accumulate in a sender-side batch; the batch is
-/// broadcast when it reaches `max_size` or when `window` elapses after
-/// the first pending transfer, whichever comes first. `max_size == 1`
-/// degenerates to per-transfer broadcast (no timer, no extra latency).
+/// Submitted transfers accumulate in a sender-side batch, and the batch
+/// leaves by Nagle's rule. While none of the replica's own batches is in
+/// flight it leaves at the end of the pass that submitted it, so a lone
+/// transfer never waits for company and a burst handed over in one pass
+/// still leaves whole. While one is in flight, submissions accumulate
+/// until it delivers locally, the batch reaches `max_size`, or `window`
+/// has passed since the first of them, whichever comes first. `max_size
+/// == 1` degenerates to per-transfer broadcast (no timer at all).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Flush when this many transfers are pending.
     pub max_size: usize,
-    /// Flush this long after the first pending transfer.
+    /// The longest a transfer is held back: the bound on the hold behind
+    /// an own batch in flight. Nothing waits for it otherwise.
     pub window: VirtualTime,
 }
 
@@ -134,7 +144,7 @@ impl BatchPolicy {
         }
     }
 
-    /// Batches of up to `max_size`, flushed after at most `window`.
+    /// Batches of up to `max_size`, held for at most `window`.
     pub fn windowed(max_size: usize, window: VirtualTime) -> Self {
         assert!(max_size > 0, "batch size must be at least 1");
         BatchPolicy { max_size, window }

@@ -66,7 +66,7 @@ use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::types::{Delivery, Outgoing, Step};
 use at_broadcast::{Batch, Batcher};
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer, TransferMsg};
-use at_net::{Actor, Context};
+use at_net::{Actor, Context, VirtualTime};
 use at_obs::{Recorder, Stage, TraceCtx, TraceEventKind, Tracer};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -83,8 +83,34 @@ pub type DefaultEngineBroadcast = BrachaBroadcast<EnginePayload>;
 /// Bracha backend's messages).
 pub type EngineMsg<B = DefaultEngineBroadcast> = <B as SecureBroadcast<EnginePayload>>::Msg;
 
-/// Timer id used for the batch-window flush.
-const FLUSH_TIMER: u64 = 0xBA7C;
+/// Base of the flush timers' ids: `FLUSH_TIMER + k` was armed while this
+/// replica's latest broadcast instance was `k`. A timer whose batch has
+/// since left — at the cap, or on the delivery it was held behind — names
+/// an older instance and fires as a no-op.
+const FLUSH_TIMER: u64 = 0xBA7C << 32;
+
+/// Why a batch left the batcher (`engine_flush_<reason>_total`).
+#[derive(Clone, Copy)]
+enum FlushReason {
+    /// Nothing of ours was in flight: it left at the end of the pass.
+    Idle,
+    /// The own batch it was held behind delivered locally.
+    Delivered,
+    /// It reached `max_size`.
+    Cap,
+    /// It was held for the whole window (or stranded by a restart).
+    Window,
+}
+
+impl FlushReason {
+    /// The counter of each reason, in discriminant order.
+    const COUNTERS: [&'static str; 4] = [
+        "engine_flush_idle_total",
+        "engine_flush_delivered_total",
+        "engine_flush_cap_total",
+        "engine_flush_window_total",
+    ];
+}
 
 /// Cap on delivered-but-unvalidated transfers buffered *per source*.
 /// Well-formedness already forces per-source sequential receipt, so an
@@ -195,6 +221,9 @@ struct EngineObs {
     batch_size: Arc<at_obs::Histogram>,
     /// `engine_rejected_total` — submissions failing admission.
     rejected: Arc<at_obs::Counter>,
+    /// `engine_flush_<reason>_total` — batches by why they left, in
+    /// [`FlushReason::COUNTERS`] order.
+    flushes: [Arc<at_obs::Counter>; 4],
 }
 
 /// One process of the batched consensusless payment engine, generic
@@ -206,7 +235,9 @@ pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroad
     ledger: ShardedLedger,
     broadcast: B,
     batcher: Batcher<TransferMsg>,
-    flush_armed: bool,
+    /// The instance sequence number of our latest broadcast. A batch of
+    /// ours is in flight while this is ahead of `backend_seen[me]`.
+    own_sent: SeqNo,
     /// `seq[q]` of Figure 4: last *validated* outgoing sequence number
     /// per process.
     validated_seq: Vec<SeqNo>,
@@ -309,7 +340,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             ledger,
             broadcast: backend,
             batcher: Batcher::new(config.batch.max_size),
-            flush_armed: false,
+            own_sent: SeqNo::ZERO,
             validated_seq: vec![SeqNo::ZERO; n],
             received_seq: vec![SeqNo::ZERO; n],
             applied_from: vec![BTreeMap::new(); n],
@@ -443,6 +474,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         self.obs = Some(EngineObs {
             batch_size: registry.histogram("engine_batch_size"),
             rejected: registry.counter("engine_rejected_total"),
+            flushes: FlushReason::COUNTERS.map(|name| registry.counter(name)),
             recorder,
         });
     }
@@ -554,6 +586,15 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     /// checks the *available* balance (see the module docs); admitted
     /// transfers join the current batch and complete when the broadcast
     /// round-trips and validates.
+    ///
+    /// When the batch leaves is Nagle's rule. With none of this replica's
+    /// batches in flight it leaves at the end of the current pass — a
+    /// zero-delay timer, so everything the runtime hands over in the same
+    /// pass (a burst read off one client socket, a wave's commands at one
+    /// virtual instant) rides along. Behind an own batch in flight it
+    /// accumulates until that batch delivers locally, the batch reaches
+    /// `max_size`, or [`BatchPolicy::window`] has passed, whichever is
+    /// first.
     pub fn submit(
         &mut self,
         destination: AccountId,
@@ -606,11 +647,39 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             }
         }
 
+        let first = self.batcher.pending() == 0;
         if let Some(batch) = self.batcher.push(TransferMsg { transfer, deps }) {
+            self.count_flush(FlushReason::Cap);
             self.broadcast_batch(batch, ctx);
-        } else if !self.flush_armed {
-            self.flush_armed = true;
-            ctx.set_timer(self.policy.window, FLUSH_TIMER);
+        } else if first {
+            let hold = if self.in_flight() {
+                self.policy.window
+            } else {
+                VirtualTime::ZERO
+            };
+            ctx.set_timer(hold, FLUSH_TIMER + self.own_sent.value());
+        }
+    }
+
+    /// Whether a batch this replica broadcast has yet to deliver locally.
+    /// Derived, not counted: a snapshot-restored replica starts with
+    /// `own_sent` behind its own floor, so it cannot wait on a batch of a
+    /// previous incarnation.
+    fn in_flight(&self) -> bool {
+        self.own_sent > self.backend_seen[self.me.as_usize()]
+    }
+
+    fn count_flush(&self, reason: FlushReason) {
+        if let Some(obs) = &self.obs {
+            obs.flushes[reason as usize].inc();
+        }
+    }
+
+    /// Broadcasts whatever the batcher holds, if anything.
+    fn flush(&mut self, reason: FlushReason, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
+        if let Some(batch) = self.batcher.flush() {
+            self.count_flush(reason);
+            self.broadcast_batch(batch, ctx);
         }
     }
 
@@ -628,7 +697,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             obs.batch_size.record(batch.len() as u64);
         }
         let mut step = Step::new();
-        self.broadcast.broadcast(batch, &mut step);
+        self.own_sent = self.broadcast.broadcast(batch, &mut step);
         self.absorb(step, ctx);
     }
 
@@ -654,20 +723,16 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         &self.broadcast
     }
 
-    /// Flushes any window-batched transfers immediately and clears the
-    /// armed-timer latch.
+    /// Flushes any accumulating transfers immediately.
     ///
-    /// Recovery hook for real runtimes: `flush_armed` assumes the armed
-    /// `FLUSH_TIMER` will always fire, which the simulator guarantees
-    /// but a warm restart does not — a resumed replica whose timer died
-    /// with the old process would otherwise never flush (or re-arm for)
-    /// the batch it was accumulating. Every `at_node::Node` start or
-    /// resume calls this once; the simulator never needs it.
+    /// Recovery hook for real runtimes: the first transfer of a batch
+    /// arms the timer that will flush it, which the simulator guarantees
+    /// to fire but a warm restart does not — a resumed replica whose
+    /// timer died with the old process would otherwise never flush (or
+    /// re-arm for) the batch it was accumulating. Every `at_node::Node`
+    /// start or resume calls this once; the simulator never needs it.
     pub fn flush_pending(&mut self, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
-        self.flush_armed = false;
-        if let Some(batch) = self.batcher.flush() {
-            self.broadcast_batch(batch, ctx);
-        }
+        self.flush(FlushReason::Window, ctx);
     }
 
     fn absorb(
@@ -695,6 +760,11 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
                 }
             }
             self.on_batch(source, payload, ctx);
+            if source == self.me && !self.in_flight() {
+                // What accumulated behind our batch leaves with its
+                // delivery.
+                self.flush(FlushReason::Delivered, ctx);
+            }
         }
     }
 
@@ -829,8 +899,15 @@ impl<B: SecureBroadcast<EnginePayload>> Actor for ShardedReplica<B> {
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Context<'_, Self::Msg, Self::Event>) {
-        if timer == FLUSH_TIMER {
-            self.flush_pending(ctx);
+        if timer == FLUSH_TIMER + self.own_sent.value() {
+            // Nothing has left since it was armed. Still in flight: the
+            // hold lasted the whole window.
+            let reason = if self.in_flight() {
+                FlushReason::Window
+            } else {
+                FlushReason::Idle
+            };
+            self.flush(reason, ctx);
         }
     }
 }
@@ -944,9 +1021,9 @@ mod tests {
             replica.submit(a(2), amt(1), ctx);
         });
         // The cap (2) is hit synchronously: both transfers complete long
-        // before the 100ms window would have flushed. (The armed timer
-        // still fires later — uncancellable in the simulator — so
-        // quiescence itself lands after the window; completion must not.)
+        // before a 100ms window would have flushed. (The first one's
+        // end-of-pass timer still fires — uncancellable in the simulator
+        // — and finds its batch gone.)
         assert!(sim.run_until_quiet(1_000_000));
         let completions: Vec<VirtualTime> = sim
             .take_events()
@@ -959,6 +1036,229 @@ mod tests {
             .iter()
             .all(|at| *at < VirtualTime::from_millis(100)));
         assert_eq!(sim.actor(p(3)).balance(a(0)), amt(98));
+    }
+
+    /// `(when, size)` of every batch `process` broadcast.
+    fn batches_of(
+        events: &[(VirtualTime, ProcessId, EngineEvent)],
+        process: ProcessId,
+    ) -> Vec<(VirtualTime, usize)> {
+        events
+            .iter()
+            .filter(|(_, at, _)| *at == process)
+            .filter_map(|(when, _, e)| match e {
+                EngineEvent::BatchBroadcast { size } => Some((*when, *size)),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// When `process` delivered its own broadcast instance `seq`.
+    fn own_delivery(
+        events: &[(VirtualTime, ProcessId, EngineEvent)],
+        process: ProcessId,
+        seq: u64,
+    ) -> VirtualTime {
+        let delivered = EngineEvent::BackendDelivery {
+            source: process,
+            seq: SeqNo::new(seq),
+        };
+        events
+            .iter()
+            .find(|(_, at, e)| *at == process && *e == delivered)
+            .map(|(when, _, _)| *when)
+            .expect("own instance delivered")
+    }
+
+    const LONG_WINDOW: VirtualTime = VirtualTime::from_millis(100);
+
+    /// When a command scheduled at time zero runs (behind `on_start`),
+    /// and when the end-of-pass timer it arms fires: one handler later.
+    const FIRST_PASS: VirtualTime = VirtualTime::from_micros(10);
+    const END_OF_FIRST_PASS: VirtualTime = VirtualTime::from_micros(20);
+
+    #[test]
+    fn an_idle_replicas_lone_submission_does_not_wait_for_the_window() {
+        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, LONG_WINDOW));
+        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
+            replica.submit(a(1), amt(5), ctx);
+        });
+        assert!(sim.run_until_quiet(1_000_000));
+        // Nothing waited out the window — no timer of that length was
+        // even armed, or quiescence would land behind it.
+        assert!(sim.now() < LONG_WINDOW, "quiet only at {:?}", sim.now());
+        let events = sim.take_events();
+        let batches = batches_of(&events, p(0));
+        assert_eq!(batches.len(), 1);
+        assert_eq!(batches[0].1, 1);
+        // It left at the end of the pass that submitted it: one handler
+        // later, not a window later.
+        assert_eq!(batches[0].0, END_OF_FIRST_PASS);
+        assert_eq!(completed(&events).len(), 1);
+    }
+
+    #[test]
+    fn commands_of_one_pass_leave_as_one_batch() {
+        // The wave driver's shape: five commands due at the same virtual
+        // instant. The end-of-pass timer sorts behind all of them.
+        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, LONG_WINDOW));
+        for i in 0..5 {
+            sim.schedule(VirtualTime::ZERO, p(0), move |replica, ctx| {
+                replica.submit(a(1 + i % 3), amt(1), ctx);
+            });
+        }
+        assert!(sim.run_until_quiet(1_000_000));
+        let events = sim.take_events();
+        let sizes: Vec<usize> = batches_of(&events, p(0)).iter().map(|b| b.1).collect();
+        assert_eq!(sizes, vec![5]);
+        assert_eq!(completed(&events).len(), 5);
+    }
+
+    #[test]
+    fn submissions_behind_an_own_batch_ride_one_batch_on_its_delivery() {
+        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, LONG_WINDOW));
+        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
+            replica.submit(a(1), amt(1), ctx);
+        });
+        // Two more while the first batch is between SEND and delivery
+        // (a LAN hop is 200–300µs, Bracha needs three).
+        for at in [50, 120] {
+            sim.schedule(VirtualTime::from_micros(at), p(0), |replica, ctx| {
+                replica.submit(a(2), amt(1), ctx);
+            });
+        }
+        assert!(sim.run_until_quiet(1_000_000));
+        assert!(sim.now() > LONG_WINDOW, "the held batch armed its window");
+        let events = sim.take_events();
+        let batches = batches_of(&events, p(0));
+        let delivered = own_delivery(&events, p(0), 1);
+        assert!(delivered > VirtualTime::from_micros(120));
+        assert_eq!(batches, vec![(END_OF_FIRST_PASS, 1), (delivered, 2)]);
+        // The window timer then fired behind the batch it was armed for:
+        // no third, empty or early broadcast.
+        assert_eq!(completed(&events).len(), 3);
+        assert_eq!(sim.actor(p(0)).batcher.pending(), 0);
+    }
+
+    #[test]
+    fn a_hold_behind_a_batch_that_never_delivers_ends_at_the_window() {
+        let window = VirtualTime::from_millis(2);
+        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, window));
+        // p0 alone in a minority: its broadcasts cannot complete.
+        sim.set_partition(&[&[p(0)], &[p(1), p(2), p(3)]]);
+        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
+            replica.submit(a(1), amt(1), ctx);
+        });
+        let held_at = VirtualTime::from_micros(300);
+        for at in [held_at, VirtualTime::from_micros(900)] {
+            sim.schedule(at, p(0), |replica, ctx| {
+                replica.submit(a(2), amt(1), ctx);
+            });
+        }
+        assert!(sim.run_until_quiet(1_000_000));
+        let events = sim.take_events();
+        assert!(completed(&events).is_empty());
+        // Exactly where the parent's always-armed window put it: one
+        // window (and the submitting handler's cost) after the first
+        // held transfer.
+        let cost = VirtualTime::from_micros(10);
+        let batches = batches_of(&events, p(0));
+        assert_eq!(
+            batches,
+            vec![(END_OF_FIRST_PASS, 1), (held_at + cost + window, 2)]
+        );
+    }
+
+    #[test]
+    fn a_stale_window_timer_does_not_take_a_later_batch_early() {
+        let window = VirtualTime::from_millis(2);
+        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, window));
+        let submit_at = |sim: &mut Simulation<ShardedReplica>, at: u64| {
+            sim.schedule(VirtualTime::from_micros(at), p(0), |replica, ctx| {
+                replica.submit(a(1), amt(1), ctx);
+            });
+        };
+        // The second is held behind the first, with a window timer due
+        // at 2310µs, and leaves when the first delivers.
+        submit_at(&mut sim, 0);
+        submit_at(&mut sim, 300);
+        sim.run_until(VirtualTime::from_millis(1));
+        let events = sim.take_events();
+        let delivered = own_delivery(&events, p(0), 1);
+        assert_eq!(
+            batches_of(&events, p(0)),
+            vec![(END_OF_FIRST_PASS, 1), (delivered, 1)]
+        );
+        // Cut p0 off so the second never delivers, and hold a third
+        // behind it: its own window runs to 3510µs. The first window
+        // timer fires in between, for a batch that has left.
+        sim.set_partition(&[&[p(0)], &[p(1), p(2), p(3)]]);
+        submit_at(&mut sim, 1_500);
+        assert!(sim.run_until_quiet(1_000_000));
+        let cost = VirtualTime::from_micros(10);
+        assert_eq!(
+            batches_of(&sim.take_events(), p(0)),
+            vec![(VirtualTime::from_micros(1_500) + cost + window, 1)]
+        );
+    }
+
+    #[test]
+    fn a_burst_past_the_cap_holds_its_tail_behind_the_full_batch() {
+        // Ten in one pass at a cap of eight: eight leave at the cap, and
+        // the end-of-pass timer the first one armed must not take the
+        // other two early — they wait for the eight to deliver.
+        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, LONG_WINDOW));
+        sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
+            for i in 0..10 {
+                replica.submit(a(1 + i % 3), amt(1), ctx);
+            }
+        });
+        assert!(sim.run_until_quiet(1_000_000));
+        let events = sim.take_events();
+        let delivered = own_delivery(&events, p(0), 1);
+        assert_eq!(
+            batches_of(&events, p(0)),
+            vec![(FIRST_PASS, 8), (delivered, 2)]
+        );
+        assert_eq!(completed(&events).len(), 10);
+    }
+
+    #[test]
+    fn restored_and_restarted_replicas_start_with_nothing_in_flight() {
+        let config = EngineConfig::sharded_batched(1, 8, LONG_WINDOW);
+        let mut sim = system(4, 100, config);
+        for wave in 0..3 {
+            sim.schedule(sim.now(), p(0), move |replica, ctx| {
+                replica.submit(a(1 + wave), amt(1), ctx);
+            });
+            assert!(sim.run_until_quiet(1_000_000));
+        }
+        // A warm restart hands the same replica to a new runtime: its
+        // three instances all delivered, so nothing is in flight.
+        assert_eq!(sim.actor(p(0)).own_sent, SeqNo::new(3));
+        assert!(!sim.actor(p(0)).in_flight());
+        // A cold start knows its stream reached 3 only from the floor.
+        let snapshot = sim.actor(p(0)).snapshot();
+        let backend = BrachaBroadcast::new(p(0), 4);
+        let mut restored: ShardedReplica =
+            ShardedReplica::from_snapshot(p(0), 4, config, backend, &snapshot);
+        assert!(!restored.in_flight());
+        let mut events = Vec::new();
+        let mut ctx = Context::detached(VirtualTime::ZERO, p(0), 4, &mut events);
+        restored.submit(a(1), amt(1), &mut ctx);
+        let outputs = ctx.into_outputs();
+        assert_eq!(
+            outputs.timers,
+            vec![(VirtualTime::ZERO, FLUSH_TIMER)],
+            "an end-of-pass flush, not a hold behind a previous incarnation's batch"
+        );
+        // Its timer dies with a restart: `flush_pending` recovers the
+        // stranded batch, as instance 4 of the stream.
+        let mut ctx = Context::detached(VirtualTime::ZERO, p(0), 4, &mut events);
+        restored.flush_pending(&mut ctx);
+        assert!(!ctx.into_outputs().outbox.is_empty());
+        assert_eq!(restored.own_sent, SeqNo::new(4));
+        assert!(restored.in_flight());
     }
 
     #[test]
@@ -1376,13 +1676,13 @@ mod tests {
         assert_eq!(bracha, pbft);
     }
 
-    /// Regression (found wiring the real event loop in at-node): an
-    /// armed flush window is replica state, but the timer itself lives
-    /// in the runtime — a warm restart loses it, and without recovery
-    /// the accumulating batch would be stranded forever (`flush_armed`
-    /// stays true, so submissions never re-arm). `flush_pending` is the
-    /// recovery hook; driven here exactly the way a real runtime drives
-    /// it, through a detached context.
+    /// Regression (found wiring the real event loop in at-node): only
+    /// the first transfer of a batch arms the timer that flushes it, and
+    /// the timer itself lives in the runtime — a warm restart loses it,
+    /// and without recovery the accumulating batch would be stranded
+    /// forever (later submissions find the batch begun and never re-arm).
+    /// `flush_pending` is the recovery hook; driven here exactly the way
+    /// a real runtime drives it, through a detached context.
     #[test]
     fn flush_pending_recovers_a_lost_window_timer() {
         let config = EngineConfig::sharded_batched(2, 8, VirtualTime::from_millis(1));
@@ -1391,7 +1691,7 @@ mod tests {
         let mut ctx = Context::detached(VirtualTime::ZERO, p(0), 4, &mut events);
         replica.submit(a(1), amt(5), &mut ctx);
         let outputs = ctx.into_outputs();
-        // The submission armed the window: nothing broadcast yet.
+        // The submission armed its flush: nothing broadcast yet.
         assert!(outputs.outbox.is_empty());
         assert_eq!(outputs.timers.len(), 1);
         assert!(!events
@@ -1408,15 +1708,15 @@ mod tests {
             .iter()
             .any(|(_, _, e)| matches!(e, EngineEvent::BatchBroadcast { size: 1 })));
 
-        // And the latch is clear: the next submission arms a fresh
-        // window instead of relying on the dead timer.
+        // And the next submission begins a batch of its own, with a
+        // fresh timer instead of relying on the dead one.
         let mut ctx = Context::detached(VirtualTime::ZERO, p(0), 4, &mut events);
         replica.submit(a(2), amt(5), &mut ctx);
         let outputs = ctx.into_outputs();
         assert_eq!(
-            outputs.timers.len(),
-            1,
-            "window not re-armed after recovery"
+            outputs.timers,
+            vec![(VirtualTime::from_millis(1), FLUSH_TIMER + 1)],
+            "not held for the window behind the recovered batch"
         );
     }
 

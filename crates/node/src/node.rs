@@ -4,7 +4,7 @@
 //! The loop owns the replica and drives it exactly like the simulator
 //! does — through the [`at_net::Actor`] handlers with a detached
 //! [`at_net::Context`] — but with real inputs: peer frames from a
-//! [`Transport`], wall-clock timers for the batch window, and one
+//! [`Transport`], wall-clock timers for the replica's batch flush, and one
 //! `Command` type for everything else — a [`ClientGateway`]'s readers
 //! and an in-process [`LocalClient`] queue the same `Command` for a
 //! transfer, a read, a scrape or a snapshot slice. Outputs flow the
@@ -23,7 +23,7 @@
 //! step, signature checks under `EdAuth` backends — runs there, inline.
 //! The loop blocks in exactly one place, the transport's
 //! [`Transport::recv_timeout`], until its next real deadline: the
-//! earliest armed timer (the batch window), a prune that is due, or —
+//! earliest armed timer (a batch flush), a prune that is due, or —
 //! while stopping — the drain window and the grace deadline. With none
 //! of those it blocks without a timeout. Peer frames end the wait by
 //! arriving; every `Command` (from the gateway, a [`NodeHandle`] or a
@@ -722,10 +722,10 @@ where
     T: Transport,
 {
     fn run(mut self) -> ShardedReplica<B> {
-        // Warm-restart recovery: a batch window armed by the previous
+        // Warm-restart recovery: a flush timer armed by the previous
         // incarnation died with its timer heap; flush anything stranded
-        // and clear the replica's armed-timer latch (a no-op on a fresh
-        // replica). See `ShardedReplica::flush_pending`.
+        // (a no-op on a fresh replica). See
+        // `ShardedReplica::flush_pending`.
         self.drive(|replica, ctx| replica.flush_pending(ctx));
         let mut stop_deadline: Option<Instant> = None;
         let mut last_activity = Instant::now();

@@ -223,7 +223,7 @@ fn tcp_cluster_runs_the_pbft_baseline_through_the_same_node() {
 /// Every metric name a scrape carries, pinned from a scrape of a node
 /// built at the commit before the loop's own counts moved into the
 /// registry (same scenario: commits and one rejection on a TCP node).
-const SCRAPE_NAMES: [&str; 39] = [
+const SCRAPE_NAMES: [&str; 43] = [
     "broadcast_delivered_total",
     "broadcast_instances",
     "broadcast_signs_total",
@@ -231,6 +231,10 @@ const SCRAPE_NAMES: [&str; 39] = [
     "clock_anomalies",
     "engine_batch_size",
     "engine_diagnostics_dropped_total",
+    "engine_flush_cap_total",
+    "engine_flush_delivered_total",
+    "engine_flush_idle_total",
+    "engine_flush_window_total",
     "engine_malformed_dropped_total",
     "engine_overflow_dropped_total",
     "engine_pending",

@@ -110,13 +110,21 @@ fn one_transfer_on_an_idle_tcp_cluster_wakes_each_loop_once_per_input() {
         let idle = after.1 - before.1;
         // Frames in (the replica's message count includes its own
         // loopback, so it bounds them from above), the scrape, the
-        // client's request at node 0, the batch window at node 0 and a
-        // prune that may come due — plus a little slack.
-        let inputs = (after.2 - before.2) + 1 + 2 * u64::from(i == 0) + 1;
+        // client's request at node 0, the end-of-pass flush timer at
+        // node 0 and a prune that may come due — plus a little slack.
+        let msgs = after.2 - before.2;
+        let inputs = msgs + 1 + 2 * u64::from(i == 0) + 1;
         assert!(wakeups >= 1, "node {i} committed without waking");
         assert!(
-            wakeups <= inputs + 4,
+            wakeups <= inputs + 2,
             "node {i}: {wakeups} wake-ups for {inputs} inputs"
+        );
+        // One instance is 18 messages, loop-backs included: SEND, four
+        // echo shares and FINAL at the source; SEND, FINAL and the two
+        // other receivers' relays at each receiver.
+        assert!(
+            msgs <= if i == 0 { 6 } else { 4 },
+            "node {i} was fed {msgs} messages for one instance"
         );
         assert!(idle <= 2, "node {i}: {idle} wake-ups found nothing to do");
     }
