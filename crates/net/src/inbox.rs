@@ -1,35 +1,26 @@
-//! The bounded frame inbox both `at-node` transports hand received
-//! frames to their consumer through — and the consumer's one wake-up
-//! source.
-//!
-//! A node loop has more inputs than peer frames (client commands, a
-//! stop request), but a thread can only block in one place. Instead of
-//! blocking on the inbox for a short tick and polling the rest, the
-//! loop blocks here until its next real deadline and everything else
-//! that wants its attention calls [`Waker::wake`]: the pending (or
-//! next) [`Inbox::recv_timeout`] then returns
-//! [`RecvOutcome::TimedOut`] at once and the loop looks at its other
-//! inputs. An idle loop therefore makes no timed wake-ups at all.
+//! The bounded frame inbox the in-process channel mesh hands frames to
+//! its consumer through. Its consumer blocks in
+//! [`Inbox::recv_timeout`], which a [`Waker`] from [`Inbox::waker`]
+//! interrupts (see [`crate::wake`]).
 
 use crate::transport::{InboundFrame, RecvOutcome};
+use crate::wake::Waker;
 use std::collections::VecDeque;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, Weak};
 use std::time::{Duration, Instant};
 
 struct InboxState {
     queue: VecDeque<InboundFrame>,
     closed: bool,
-    /// A wake-up the consumer has not yet observed.
-    woken: bool,
-    /// The consumer is parked on `not_empty`; producers that find it
-    /// running skip the condvar's system call.
+    /// The consumer is parked on `not_empty`; producers (and wakes)
+    /// that find it running skip the condvar's system call.
     receiver_parked: bool,
     /// Producers parked on `not_full`.
     senders_parked: usize,
 }
 
-/// Bounded multi-producer, single-consumer frame queue with a wake-up
-/// flag (see the [module docs](self)).
+/// Bounded multi-producer, single-consumer frame queue whose consumer
+/// a [`Waker`] can interrupt (see the [module docs](self)).
 ///
 /// A mutex and two condvars: a producer blocked on a full queue parks
 /// on `not_full` and is woken by the very pop that makes room, so
@@ -40,24 +31,42 @@ pub struct Inbox {
     not_empty: Condvar,
     not_full: Condvar,
     capacity: usize,
+    waker: Waker,
 }
 
 impl Inbox {
     /// An open, empty inbox holding up to `capacity` frames (at least
     /// one).
-    pub fn new(capacity: usize) -> Self {
-        Inbox {
-            state: Mutex::new(InboxState {
-                queue: VecDeque::new(),
-                closed: false,
-                woken: false,
-                receiver_parked: false,
-                senders_parked: 0,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-        }
+    pub fn new(capacity: usize) -> Arc<Self> {
+        Arc::new_cyclic(|inbox: &Weak<Inbox>| {
+            let inbox = Weak::clone(inbox);
+            Inbox {
+                state: Mutex::new(InboxState {
+                    queue: VecDeque::new(),
+                    closed: false,
+                    receiver_parked: false,
+                    senders_parked: 0,
+                }),
+                not_empty: Condvar::new(),
+                not_full: Condvar::new(),
+                capacity: capacity.max(1),
+                // A wake takes the lock the consumer checks the flag
+                // under before it parks, so it is never lost.
+                waker: Waker::new(move || {
+                    if let Some(inbox) = inbox.upgrade() {
+                        let parked = inbox.lock().receiver_parked;
+                        if parked {
+                            inbox.not_empty.notify_one();
+                        }
+                    }
+                }),
+            }
+        })
+    }
+
+    /// The handle that interrupts this inbox's consumer.
+    pub fn waker(&self) -> Waker {
+        self.waker.clone()
     }
 
     fn lock(&self) -> MutexGuard<'_, InboxState> {
@@ -109,7 +118,7 @@ impl Inbox {
             if state.closed {
                 break RecvOutcome::Closed;
             }
-            if state.woken {
+            if self.waker.take() {
                 break RecvOutcome::TimedOut;
             }
             state.receiver_parked = true;
@@ -129,7 +138,7 @@ impl Inbox {
             };
             state.receiver_parked = false;
         };
-        state.woken = false;
+        self.waker.take();
         let unpark = state.senders_parked > 0 && matches!(outcome, RecvOutcome::Frame(_));
         drop(state);
         if unpark {
@@ -144,36 +153,6 @@ impl Inbox {
         self.lock().closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
-    }
-}
-
-/// A handle that interrupts the consumer of one [`Inbox`]
-/// ([`crate::Transport::waker`]). Cloning shares the inbox.
-#[derive(Clone)]
-pub struct Waker {
-    inbox: Arc<Inbox>,
-}
-
-impl Waker {
-    /// A waker for `inbox`'s consumer.
-    pub fn new(inbox: Arc<Inbox>) -> Self {
-        Waker { inbox }
-    }
-
-    /// Makes the consumer's pending or next `recv_timeout` return at
-    /// once. A wake that finds an earlier one still unobserved does
-    /// nothing, so a burst of wakes costs one system call.
-    pub fn wake(&self) {
-        let mut state = self.inbox.lock();
-        if state.woken {
-            return;
-        }
-        state.woken = true;
-        let wake = state.receiver_parked;
-        drop(state);
-        if wake {
-            self.inbox.not_empty.notify_one();
-        }
     }
 }
 
@@ -218,7 +197,7 @@ mod tests {
 
     #[test]
     fn a_full_inbox_refuses_after_the_timeout_and_accepts_after_a_pop() {
-        let inbox = Arc::new(Inbox::new(1));
+        let inbox = Inbox::new(1);
         assert!(inbox.push(frame(1), Duration::ZERO));
         assert!(!inbox.push(frame(2), Duration::from_millis(5)));
         // A parked producer is released by the pop itself.
@@ -239,8 +218,8 @@ mod tests {
 
     #[test]
     fn a_wake_interrupts_an_unbounded_wait_exactly_once() {
-        let inbox = Arc::new(Inbox::new(1));
-        let waker = Waker::new(Arc::clone(&inbox));
+        let inbox = Inbox::new(1);
+        let waker = inbox.waker();
         // Before the wait: the next call returns at once.
         waker.wake();
         waker.wake(); // coalesced with the first
@@ -258,8 +237,8 @@ mod tests {
 
     #[test]
     fn a_frame_return_consumes_a_pending_wake() {
-        let inbox = Arc::new(Inbox::new(2));
-        let waker = Waker::new(Arc::clone(&inbox));
+        let inbox = Inbox::new(2);
+        let waker = inbox.waker();
         inbox.push(frame(1), Duration::ZERO);
         waker.wake();
         assert_eq!(

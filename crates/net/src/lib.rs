@@ -57,9 +57,10 @@ pub mod inbox;
 pub mod sim;
 pub mod time;
 pub mod transport;
+pub mod wake;
 
 pub use config::{LatencyModel, NetConfig};
-pub use inbox::{Inbox, Waker};
+pub use inbox::Inbox;
 pub use sim::{
     Actor, Context, ContextOutputs, EntryKind, LinkFault, PendingEntry, SimStats, Simulation,
 };
@@ -67,3 +68,4 @@ pub use time::VirtualTime;
 pub use transport::{
     FaultInjector, InboundFrame, LinkProfile, LinkVerdict, RecvOutcome, Transport, TransportStats,
 };
+pub use wake::Waker;

@@ -36,10 +36,11 @@
 //! transport trusts its network segment — see its module docs).
 //!
 //! Two implementations live in `at-node`: an in-process channel mesh for
-//! tests and a TCP transport with per-peer reader/writer threads,
-//! reconnect, and bounded outboxes.
+//! tests, and a TCP transport whose consumer's own thread moves every
+//! frame — its `recv_timeout` polls the peer sockets — with reconnect
+//! and bounded replay windows.
 
-use crate::inbox::Waker;
+use crate::wake::Waker;
 use at_model::ProcessId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,7 +49,7 @@ use std::time::Duration;
 
 /// Shared, lock-free frame/byte totals a transport keeps for
 /// observability. Cloning shares the counters; implementations note
-/// traffic from whatever threads move it, and consumers read totals at
+/// traffic from whatever thread moves it, and consumers read totals at
 /// snapshot time via [`Transport::stats`].
 #[derive(Clone, Debug, Default)]
 pub struct TransportStats {
@@ -63,6 +64,8 @@ struct TransportStatsInner {
     bytes_in: AtomicU64,
     reconnects: AtomicU64,
     acks_out: AtomicU64,
+    acks_in: AtomicU64,
+    polls: AtomicU64,
 }
 
 impl TransportStats {
@@ -97,6 +100,18 @@ impl TransportStats {
         self.inner.acks_out.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one acknowledgement received from a peer.
+    pub fn note_ack_in(&self) {
+        self.inner.acks_in.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Counts one return from the transport's blocking wait on its
+    /// sockets — the wake-ups its own housekeeping costs, beside the
+    /// ones that end in a frame for the consumer.
+    pub fn note_poll(&self) {
+        self.inner.polls.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Outbound frames accepted so far.
     pub fn frames_out(&self) -> u64 {
         self.inner.frames_out.load(Ordering::Relaxed)
@@ -126,6 +141,17 @@ impl TransportStats {
     /// own traffic, not counted in [`TransportStats::frames_out`].
     pub fn acks_out(&self) -> u64 {
         self.inner.acks_out.load(Ordering::Relaxed)
+    }
+
+    /// Acknowledgements received from peers so far.
+    pub fn acks_in(&self) -> u64 {
+        self.inner.acks_in.load(Ordering::Relaxed)
+    }
+
+    /// Returns from the blocking socket wait so far (0 for a transport
+    /// that does not poll).
+    pub fn polls(&self) -> u64 {
+        self.inner.polls.load(Ordering::Relaxed)
     }
 }
 
@@ -168,8 +194,10 @@ pub trait Transport: Send {
     /// Waits up to `timeout` for the next frame (`Duration::MAX` waits
     /// without a deadline). [`RecvOutcome::TimedOut`] may come early:
     /// at once when [`Transport::waker`]'s handle was used since the
-    /// previous return, and whenever the transport has housekeeping of
-    /// its own due (the next call performs it) — consumers loop.
+    /// previous return, once a [`Transport::is_flushed`] that answered
+    /// `false` would answer `true`, and — for a transport that leaves
+    /// its housekeeping to the next call — whenever some is due.
+    /// Consumers loop.
     fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome;
 
     /// A handle other threads use to interrupt this endpoint's
@@ -185,8 +213,12 @@ pub trait Transport: Send {
 
     /// Whether every accepted frame has verifiably reached its peer
     /// (nothing left to flush). Synchronous transports are always
-    /// flushed; buffered ones report their replay windows empty.
-    fn is_flushed(&self) -> bool {
+    /// flushed; buffered ones report their replay windows empty. A
+    /// `false` answer also asks for a wake-up: the consumer's wait in
+    /// [`Transport::recv_timeout`] ends once the answer would be `true`,
+    /// so a stopping consumer waits for the acknowledgements instead of
+    /// polling for them.
+    fn is_flushed(&mut self) -> bool {
         true
     }
 

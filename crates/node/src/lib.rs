@@ -11,12 +11,14 @@
 //!   frames, peer handshake/data/ack frames, client request/response
 //!   frames, all total on untrusted input;
 //! * [`mesh`] / [`tcp`] — the two [`at_net::Transport`] implementations:
-//!   an in-process channel mesh for tests, and TCP with per-peer
-//!   reader/writer threads, reconnect, bounded replayed outboxes
-//!   (backpressure, not silent loss), and sequence-numbered frame
-//!   dedup — the reliable channel the protocols assume (the per-link
-//!   protocol state, including when an acknowledgement is owed, is the
-//!   private sans-I/O `link` module);
+//!   an in-process channel mesh for tests, and TCP whose non-blocking
+//!   sockets the consumer's own thread moves — `recv_timeout` blocks in
+//!   one `poll(2)` over all of them, a parked helper thread only dials —
+//!   with reconnect, bounded replayed send windows (backpressure, not
+//!   silent loss), and sequence-numbered frame dedup: the reliable
+//!   channel the protocols assume (the per-link protocol state,
+//!   including when an acknowledgement is owed, is the private sans-I/O
+//!   `link` module; the crate's one `unsafe` block is the `poll` call);
 //! * [`node`] — the [`Node`] event loop ([`Node::spawn`]): drains
 //!   transport frames, wall-clock batch timers and one command type
 //!   (every client request, from a gateway or an in-process
@@ -39,7 +41,7 @@
 //! See [`Node`] for a runnable three-node cluster example, and the
 //! README's *Running a real cluster* section for the TCP story.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;

@@ -89,7 +89,7 @@ pub fn channel_mesh_faulty(n: usize, capacity: usize, faults: FaultInjector) -> 
 fn mesh_with(n: usize, capacity: usize, faults: Option<FaultInjector>) -> Vec<ChannelMesh> {
     assert!(n >= 1, "at least one endpoint");
     assert!(capacity >= 1, "capacity must be positive");
-    let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Arc::new(Inbox::new(capacity))).collect();
+    let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Inbox::new(capacity)).collect();
     (0..n)
         .map(|i| ChannelMesh {
             me: ProcessId::new(i as u32),
@@ -239,14 +239,14 @@ impl Transport for ChannelMesh {
     }
 
     fn waker(&self) -> Waker {
-        Waker::new(Arc::clone(self.inbox()))
+        self.inbox().waker()
     }
 
     fn dropped_frames(&self) -> u64 {
         self.dropped
     }
 
-    fn is_flushed(&self) -> bool {
+    fn is_flushed(&mut self) -> bool {
         self.limbo.iter().all(VecDeque::is_empty)
     }
 

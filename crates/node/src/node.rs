@@ -13,7 +13,8 @@
 //! re-entering the replica mid-handler), armed timers join a real timer
 //! heap, engine events update the node's registry counters, and every
 //! answer to a client leaves the loop as the wire [`Frame`] it is (the
-//! gateway's writers encode it, a [`LocalClient`] matches on it).
+//! gateway's writers encode it, a [`LocalClient`] matches on it) — a
+//! handler's answers together, as the handler's outputs are routed.
 //!
 //! # One thread, one place to block
 //!
@@ -31,9 +32,12 @@
 //! then calls the transport's
 //! [`at_net::Waker`], so the wait returns at once and the loop drains
 //! its command queue. Nothing is polled: an idle node makes no timed
-//! wake-ups, and a peer frame at low load costs four thread wake-ups
-//! cluster-wide (the sender's writer, the receiver's reader, the
-//! receiver's loop, the sender's ack reader).
+//! wake-ups, and a peer frame at low load costs one thread wake-up —
+//! the receiving loop's own. Over TCP the loop thread moves every
+//! frame itself: the sender's loop writes it inside `send`, and the
+//! receiver's loop reads it in the `poll` its `recv_timeout` blocks in,
+//! where it also handles acknowledgements without returning (see
+//! [`crate::tcp`]).
 //!
 //! Two at-obs counters make that a reading instead of an argument:
 //! `node_loop_wakeups_total` counts every return from the blocking
@@ -482,11 +486,6 @@ const SNAPSHOT_CHUNK: usize = 1 << 20;
 /// cluster's in-flight traffic towards it as drained.
 const DRAIN_WINDOW: Duration = Duration::from_millis(50);
 
-/// How often a stopping loop that is drained but whose outboxes are not
-/// yet acknowledged looks again (only ever used between a stop request
-/// and the loop's exit).
-const FLUSH_POLL: Duration = Duration::from_millis(1);
-
 /// Timer-heap entry ordered by deadline (earliest first).
 #[derive(PartialEq, Eq)]
 struct TimerEntry(Instant, u64);
@@ -634,6 +633,7 @@ where
             broadcast_pending: VecDeque::new(),
             snapshot_cache: None,
             next_prune: None,
+            answers: Vec::new(),
         };
         let join = std::thread::Builder::new()
             .name(format!("at-node-{}-loop", node_loop.replica.me()))
@@ -649,6 +649,10 @@ where
         }
     }
 }
+
+/// An answer for session `conn`; a commit's carries its ingress and
+/// completion instants, whose spans close when it is handed over.
+type Answer = (u64, Frame, Option<(Instant, Instant)>);
 
 type TypedMsg<B> = (
     ProcessId,
@@ -713,6 +717,10 @@ where
     /// armed by a peer message, [`NodeConfig::prune_interval`] ahead,
     /// and disarmed by the prune (an idle replica's frontier is still).
     next_prune: Option<Instant>,
+    /// Answers not yet handed to their sessions: a handler's go together
+    /// once its outputs are routed, the rest before the loop blocks
+    /// (see [`NodeLoop::hand_over`]).
+    answers: Vec<Answer>,
 }
 
 impl<B, T> NodeLoop<B, T>
@@ -839,29 +847,25 @@ where
                     // echo-style broadcasts (which never retransmit)
                     // that wedges the instance forever, a liveness hole
                     // the chaos soak caught (seed 50363: one batch's
-                    // echoes swallowed, 12 transfers never acked).
+                    // echoes swallowed, 12 transfers never acked). No
+                    // sweep follows: a frame is acknowledged only by the
+                    // call that hands it to this thread, so nothing the
+                    // transport acknowledged can be waiting for us.
                     self.transport.quiesce();
-                    // Last-chance sweep: the transport may have acked a
-                    // frame into its inbox after our final poll. An
-                    // acked-but-unprocessed frame is never replayed, so
-                    // discarding it here would silently break the warm
-                    // restart guarantee — sweep, and stay in the loop if
-                    // anything surfaced.
-                    if self.final_sweep() {
-                        last_activity = Instant::now();
-                        continue;
-                    }
                     break;
                 }
                 if now >= at {
                     // Grace expired with work possibly still in flight:
                     // bounded shutdown wins. Count what we verifiably
-                    // discard — frames still in the transport's inbox
-                    // were acked to peers and will never be replayed,
-                    // so the count taints a later warm restart.
-                    // (Unflushed *outbox* frames are additionally lost
-                    // but not countable through the Transport trait;
+                    // discard — frames the transport accepted but we
+                    // never processed (an in-process mesh's inbox; the
+                    // quiesced TCP transport leaves its unprocessed
+                    // frames unacknowledged, to be replayed), so the
+                    // count taints a later warm restart. (Unflushed
+                    // *outbox* frames are additionally lost but not
+                    // countable through the Transport trait;
                     // `is_flushed()` false at this point implies them.)
+                    self.transport.quiesce();
                     let mut lost = 0;
                     while let RecvOutcome::Frame(_) = self.transport.recv_timeout(Duration::ZERO) {
                         lost += 1;
@@ -870,12 +874,13 @@ where
                     break;
                 }
                 // Not yet idle: wait out the drain window. Idle but
-                // unflushed: acknowledgements arrive on the transport's
-                // threads without waking us, so look again shortly.
-                stop_wait = Some(at.min(idle_at.max(now + FLUSH_POLL)));
+                // unflushed: the `false` above asked the transport to
+                // end our wait once the last acknowledgement is in.
+                stop_wait = Some(if now < idle_at { at.min(idle_at) } else { at });
             }
 
             // 6. Block until a frame, a wake-up, or the next deadline.
+            self.hand_over();
             if woke_for_nothing {
                 self.counters.idle_wakeups.inc();
             }
@@ -908,6 +913,7 @@ where
                 }
             }
         }
+        self.hand_over();
         if let Some(gateway) = self.gateway.take() {
             gateway.stop();
         }
@@ -916,27 +922,6 @@ where
         self.registry.lock().expect("registry poisoned").clear();
         self.transport.shutdown();
         self.replica
-    }
-
-    /// Synchronously empties the transport inbox, giving a reader that
-    /// raced [`Transport::quiesce`] a millisecond of silence to land its
-    /// frame; returns whether anything new arrived.
-    fn final_sweep(&mut self) -> bool {
-        const SILENCE: Duration = Duration::from_millis(1);
-        let mut quiet_since = Instant::now();
-        // A wake-up or the transport's own deadline can end a wait
-        // early; only a full window of silence ends the sweep.
-        while let Some(left) = SILENCE.checked_sub(quiet_since.elapsed()) {
-            match self.transport.recv_timeout(left) {
-                RecvOutcome::Frame(frame) => {
-                    self.ingest_raw(frame.from, frame.payload);
-                    quiet_since = Instant::now();
-                }
-                RecvOutcome::TimedOut => {}
-                RecvOutcome::Closed => break,
-            }
-        }
-        !self.typed.is_empty()
     }
 
     /// Decodes one raw peer frame and queues it for the replica
@@ -1022,18 +1007,17 @@ where
                     if let Some((conn, id, received, trace)) =
                         self.pending_acks.remove(&transfer.seq.value())
                     {
-                        let e2e = received.elapsed();
-                        self.recorder.record(Stage::EndToEnd, e2e);
                         if let (Some(tracer), Some(ctx)) = (&self.tracer, trace) {
-                            let e2e_us = e2e.as_micros() as u64;
+                            let e2e_us = received.elapsed().as_micros() as u64;
                             tracer.record(ctx, TraceEventKind::Ack, e2e_us);
                             if e2e_us > tracer.slow_threshold_us() {
                                 tracer.mark_slow();
                             }
                         }
-                        let t = Instant::now();
-                        self.respond(conn, id, ResponseBody::Committed { seq: transfer.seq });
-                        self.recorder.record(Stage::Ack, t.elapsed());
+                        let body = ResponseBody::Committed { seq: transfer.seq };
+                        let response = Frame::Response(ClientResponse { id, body });
+                        let spans = Some((received, Instant::now()));
+                        self.answers.push((conn, response, spans));
                     }
                 }
                 EngineEvent::Applied { .. } => self.counters.applied.inc(),
@@ -1065,6 +1049,7 @@ where
                 EngineEvent::ReadObserved { .. } => {}
             }
         }
+        self.hand_over();
     }
 
     fn handle_request(&mut self, conn: u64, request: ClientRequest, received: Instant) {
@@ -1107,14 +1092,34 @@ where
         }
     }
 
-    fn respond(&self, conn: u64, id: u64, body: ResponseBody) {
+    fn respond(&mut self, conn: u64, id: u64, body: ResponseBody) {
         self.deliver(conn, Frame::Response(ClientResponse { id, body }));
     }
 
-    fn deliver(&self, conn: u64, frame: Frame) {
+    fn deliver(&mut self, conn: u64, frame: Frame) {
+        self.answers.push((conn, frame, None));
+    }
+
+    /// Hands the queued answers to their sessions in one burst under one
+    /// registry lock: sent as the handler produces them, a delivered
+    /// batch's 128 acknowledgements would wake the session's writer at
+    /// the first and leave in a trickle of writes (with a core free to
+    /// run it at once, it does); queued together, the writer finds them
+    /// all. A commit's ack and end-to-end spans close here, when its
+    /// answer is queued to the client.
+    fn hand_over(&mut self) {
+        if self.answers.is_empty() {
+            return;
+        }
         let registry = self.registry.lock().expect("registry poisoned");
-        if let Some(sender) = registry.get(&conn) {
-            let _ = sender.send(frame);
+        for (conn, frame, spans) in self.answers.drain(..) {
+            if let Some(sender) = registry.get(&conn) {
+                let _ = sender.send(frame);
+            }
+            if let Some((received, completed)) = spans {
+                self.recorder.record(Stage::EndToEnd, received.elapsed());
+                self.recorder.record(Stage::Ack, completed.elapsed());
+            }
         }
     }
 
@@ -1161,6 +1166,8 @@ where
         if let Some(ts) = self.transport.stats() {
             fold("transport_frames_out_total", ts.frames_out());
             fold("transport_acks_out_total", ts.acks_out());
+            fold("transport_acks_in_total", ts.acks_in());
+            fold("transport_polls_total", ts.polls());
             fold("transport_bytes_out_total", ts.bytes_out());
             fold("transport_frames_in_total", ts.frames_in());
             fold("transport_bytes_in_total", ts.bytes_in());

@@ -1,90 +1,72 @@
 //! The TCP [`Transport`]: length-prefixed frames over reconnecting
-//! sockets, with per-peer reader/writer threads and bounded, replayed
-//! outboxes.
+//! sockets with bounded, replayed send windows, all moved by one
+//! thread — the consumer's own.
 //!
-//! # Topology
+//! # One thread moves every frame
 //!
-//! Every node listens on one address and *dials* every other node; an
-//! ordered pair of nodes therefore uses one dedicated connection per
-//! direction (the dialer writes `Data`, the acceptor writes
-//! acknowledgements back on the same socket). This keeps reconnect
-//! logic trivial — the dialer owns it — at the cost of `2·(n−1)`
-//! sockets per node, irrelevant at cluster sizes.
+//! The sockets are non-blocking. `send` appends the frame to its link's
+//! window and writes it at once when nothing is queued ahead of it and
+//! the socket takes it; the rest waits for the socket to drain.
+//! `recv_timeout` writes what it can, then blocks in one `poll(2)` over
+//! the listener, every accepted and dialed connection and a wake
+//! socket, until a peer frame is ready, the consumer's [`Waker`] fires
+//! or its deadline passes. What else the transport owes — accepting
+//! and handshaking peers, acknowledgements in and out, the ack-quiet
+//! and fault-delay deadlines — it does in that call without returning,
+//! so a peer frame costs the receiving loop one wake-up and no thread
+//! hand-off. Only dialing blocks (`connect`, `HelloNode`): a helper
+//! thread per endpoint does it and hands each stream over through a
+//! channel and a byte on the wake socket. `start` makes the first
+//! attempt at every peer itself, so early frames have a socket.
 //!
-//! # Reliability layer
+//! # Topology and replay
 //!
-//! TCP guarantees ordered delivery *per connection*; a reconnect can
-//! lose frames that were written but never read. The broadcast
-//! protocols above assume reliable channels, so the transport adds a
-//! thin replay layer, the same mechanism as the simulator's buffered
-//! partitions (`at_net::Simulation::set_partition_buffered`):
+//! Every node listens on one address and dials every other node: one
+//! connection per direction of a pair, the dialer writing `Data` (and
+//! alone reconnecting), the acceptor acknowledgements. TCP orders
+//! delivery *per connection*, and a reconnect can lose what was written
+//! but never read, so the transport adds the replay layer of the
+//! simulator's buffered partitions — its state is the sans-I/O `link`
+//! module; this file moves bytes:
 //!
 //! * every `Data` frame carries a per-link sequence number; the sender
-//!   keeps frames in a bounded outbox until cumulatively acknowledged
-//!   ([`crate::wire::Frame::DataAck`]), and replays unacknowledged
-//!   frames after a reconnect (the acceptor's
-//!   [`crate::wire::Frame::HelloAck`] names the resume point);
-//! * the receiver deduplicates by sequence number, so replays deliver
-//!   each frame at most once, and one connection per peer drives the
-//!   link at a time (a newer handshake supersedes the older connection);
-//! * an acknowledgement bounds the sender's replay window, it does not
-//!   pace the data: the receiver writes one cumulative `DataAck` when
-//!   `ACK_INTERVAL` (64) delivered frames are unacknowledged, or when
-//!   the link has been quiet for `ACK_QUIET` (10 ms) with anything
-//!   unacknowledged — never per frame. The quiet period is the socket's
-//!   own read timeout, armed when the first unacknowledged frame
-//!   arrives and put back to the 200 ms liveness tick only by a timed-
-//!   out read that finds nothing owed: steady traffic makes no system
-//!   call for it, a link going quiet makes one timed wake-up;
-//! * a full outbox applies backpressure (the sending node loop blocks up
-//!   to [`TcpOptions::backpressure_timeout`]) and only then drops,
-//!   counting the loss in [`Transport::dropped_frames`] — `0` there
-//!   certifies the reliable-channel regime held for the whole run.
+//!   keeps frames in a bounded window until cumulatively acknowledged
+//!   (`DataAck`), and a reconnect replays it from the resume point the
+//!   acceptor's `HelloAck` names (a link's first connection, which has
+//!   written nothing a resume point could skip, does not wait for it);
+//! * the receiver deduplicates by sequence number, and the latest
+//!   handshake's connection alone drives the link;
+//! * an acknowledgement bounds the window, it does not pace the data:
+//!   one `DataAck` once `ACK_INTERVAL` (64) delivered frames are
+//!   unacknowledged or the link was quiet for `ACK_QUIET` (10 ms) —
+//!   a deadline in the poll timeout, never an ack per frame;
+//! * a full window applies backpressure: `send` keeps the sockets
+//!   serviced — acknowledgements above all, delivering nothing — for
+//!   up to [`TcpOptions::backpressure_timeout`], then drops the frame
+//!   and counts it in [`Transport::dropped_frames`] (`0` there
+//!   certifies the reliable-channel regime held).
 //!
-//! What is written but not yet acknowledged is what a *crash* of the
-//! receiver replays to its next incarnation: up to `ACK_INTERVAL`
-//! frames, or `ACK_QUIET` of traffic, that the dead incarnation had
-//! already processed (the delivery contract's duplicate edge — see
-//! [`at_net::transport`]). A graceful stop leaves none: it quiesces
-//! only after a drain window several times `ACK_QUIET`, and a
-//! connection that ends acknowledges what it still owes on the way out.
-//!
-//! All of this protocol state — cursor, epochs, the acknowledgement
-//! policy, the sender's window — lives in the sans-I/O `link` module;
-//! this file moves bytes and holds the locks.
-//!
-//! A node that stops and warm-restarts (see `Node::stop`) begins a new
-//! transport *epoch*: its outbox numbering restarts at 0 and peers reset
-//! their expectations on the epoch change, while the restarting node
-//! resynchronises to each peer's live numbering on the first frame of a
-//! connection.
-//!
-//! Frames from the network are untrusted: malformed bodies, wrong
-//! versions, and oversized length prefixes terminate the offending
-//! connection (the dialer will reconnect and replay) without panicking.
+//! A frame is acknowledged only by the call that returns it, so a
+//! *crash* replays to the next incarnation at most `ACK_INTERVAL`
+//! frames, or `ACK_QUIET` of traffic, the dead one processed (the
+//! duplicate edge of [`at_net::transport`]'s contract); a graceful stop
+//! quiesces after a drain window several times `ACK_QUIET` and leaves
+//! none. A warm-restarted node begins a new *epoch*: its numbering
+//! restarts at 0, and it adopts each peer's live numbering on the first
+//! frame of a connection. Peer bytes are untrusted: a malformed frame,
+//! or one the connection's side never receives, ends that connection
+//! without a panic and counts it as poisoned.
 //!
 //! # Fault injection
 //!
-//! [`TcpTransport::start_with_faults`] attaches an
-//! [`at_net::FaultInjector`] whose per-link profiles the *dialing*
-//! writer consults before every `Data` write — faults act on the wire,
-//! underneath the replay layer, so the reliability machinery above is
-//! what gets exercised:
-//!
-//! * a **blocked** link keeps the dialer from connecting (and breaks a
-//!   live connection at the next write) — a directed partition whose
-//!   heal triggers reconnect + outbox replay;
-//! * a **drop** roll breaks the connection *without* writing the frame:
-//!   the frame (and anything written-but-unacked before it) is replayed
-//!   after reconnect, driving the receiver's dedup cursor;
-//! * a **duplicate** roll writes the frame twice — the second copy lands
-//!   in the receiver's replay-overlap path;
-//! * **delay** sleeps the writer, adding per-link latency;
-//! * a **forced disconnect** ([`FaultInjector::force_disconnect`]) tears
-//!   the connection down once at the next write.
-//!
-//! None of these faults loses a frame — [`Transport::dropped_frames`]
-//! still counts only genuine outbox-capacity expiry.
+//! [`TcpTransport::start_with_faults`] attaches a [`FaultInjector`],
+//! sampled once per attempted `Data` write in send order, underneath
+//! the replay layer: a **blocked** link keeps the dialer offline (and
+//! breaks a live connection at its next write) until heal; a **drop**
+//! roll, or a one-shot **forced disconnect**, breaks the connection
+//! instead of writing the frame; a **duplicate** roll writes it twice;
+//! a **delay** holds it, and the link behind it, until a deadline in
+//! the poll timeout. None of them loses a frame.
 //!
 //! # Trust model
 //!
@@ -98,32 +80,28 @@
 //! *payloads* end-to-end — forged protocol messages are rejected above
 //! the transport — but transport framing itself is unauthenticated.
 
-use crate::link::{RecvLink, SendWindow, Verdict, ACK_QUIET};
-use crate::wire::{encode_frame, Frame, FrameBuffer, FrameRef};
+use crate::link::{RecvLink, SendWindow, Verdict};
+use crate::wire::{encode_frame, encode_frame_into, Frame, FrameBuffer, FrameRef};
 use at_model::ProcessId;
 use at_net::transport::{FaultInjector, InboundFrame, RecvOutcome, Transport, TransportStats};
-use at_net::{Inbox, Waker};
-use std::io::{Read, Write};
+use at_net::Waker;
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
-/// Tuning knobs of the TCP transport: buffer sizes and how long to wait
-/// on a peer that is full or gone. When acknowledgements are sent is
-/// not one of them — that is fixed by the replay window (see the
-/// module docs).
+/// Tuning knobs of the TCP transport: how much to buffer and how long
+/// to wait on a peer that is full or gone (never when to acknowledge).
 #[derive(Clone, Copy, Debug)]
 pub struct TcpOptions {
-    /// Unacknowledged frames kept per peer before backpressure.
+    /// Unacknowledged frames kept per peer before `send` applies
+    /// backpressure.
     pub outbox_capacity: usize,
-    /// Received frames buffered for the node loop before the reader
-    /// threads pause (end-to-end backpressure: an unacked frame is
-    /// replayed, so pausing here pushes back into peers' outboxes
-    /// instead of growing memory without bound).
-    pub inbox_capacity: usize,
-    /// How long a full outbox blocks the sender before dropping a frame.
+    /// How long a full window blocks the sender before dropping a frame.
     pub backpressure_timeout: Duration,
     /// Delay between reconnect attempts to an unreachable peer.
     pub reconnect_delay: Duration,
@@ -133,136 +111,15 @@ impl Default for TcpOptions {
     fn default() -> Self {
         TcpOptions {
             outbox_capacity: 65_536,
-            inbox_capacity: 65_536,
             backpressure_timeout: Duration::from_secs(5),
             reconnect_delay: Duration::from_millis(20),
         }
     }
 }
 
-/// Sender-side state of one directed link: the replay window and who
-/// is parked on it.
-#[derive(Default)]
-struct OutboxState {
-    window: SendWindow,
-    /// Frames dropped because the window stayed full past the timeout.
-    dropped: u64,
-    closed: bool,
-    /// The writer is parked on `work`, and `space_waiters` enqueuers on
-    /// `space`: set and cleared under the lock acquisition that decides
-    /// to wait, so an enqueue or an acknowledgement that finds nobody
-    /// parked skips the condvar's system call.
-    writer_parked: bool,
-    space_waiters: usize,
-}
-
-struct Outbox {
-    state: Mutex<OutboxState>,
-    /// Signalled on enqueue: the writer waits here for work.
-    work: Condvar,
-    /// Signalled on prune: a back-pressured `enqueue` waits here for
-    /// space. Kept apart from `work` so an acknowledgement does not
-    /// wake the writer, which has nothing to do with it.
-    space: Condvar,
-}
-
-impl Outbox {
-    fn new() -> Self {
-        Outbox {
-            state: Mutex::new(OutboxState::default()),
-            work: Condvar::new(),
-            space: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> MutexGuard<'_, OutboxState> {
-        self.state.lock().expect("outbox poisoned")
-    }
-
-    /// Queues a payload, blocking on a full window (backpressure) up to
-    /// `timeout`; drops and counts on expiry.
-    fn enqueue(&self, payload: Vec<u8>, capacity: usize, timeout: Duration) {
-        let seq = {
-            let mut state = self.lock();
-            if state.window.len() >= capacity {
-                state.space_waiters += 1;
-                let (next, result) = self
-                    .space
-                    .wait_timeout_while(state, timeout, |s| !s.closed && s.window.len() >= capacity)
-                    .expect("outbox poisoned");
-                state = next;
-                state.space_waiters -= 1;
-                if result.timed_out() && state.window.len() >= capacity {
-                    state.dropped += 1;
-                    return;
-                }
-            }
-            if state.closed {
-                return;
-            }
-            state.window.reserve()
-        };
-        // Encode off the lock: `Transport::send` takes `&mut self`, so
-        // this is the only enqueuer and the reserved seq is pushed in
-        // order even though the lock is dropped in between. The writer
-        // waiting on the reserved-but-unpushed seq simply sleeps on the
-        // condvar until the push lands.
-        let frame = encode_frame(&Frame::Data { seq, payload });
-        let mut state = self.lock();
-        if state.closed {
-            return;
-        }
-        state.window.push(seq, Arc::new(frame));
-        let wake = state.writer_parked;
-        drop(state);
-        if wake {
-            self.work.notify_one();
-        }
-    }
-
-    /// Applies a cumulative acknowledgement and releases enqueuers
-    /// waiting for the space it made.
-    fn prune(&self, through: u64) {
-        let mut state = self.lock();
-        state.window.prune(through);
-        self.release_space(state);
-    }
-
-    /// Applies a new connection's resume point (itself a cumulative
-    /// acknowledgement); returns the connection's send cursor.
-    fn resume(&self, next_seq: u64) -> u64 {
-        let mut state = self.lock();
-        let cursor = state.window.resume(next_seq);
-        self.release_space(state);
-        cursor
-    }
-
-    fn release_space(&self, state: MutexGuard<'_, OutboxState>) {
-        let wake = state.space_waiters > 0;
-        drop(state);
-        if wake {
-            self.space.notify_all();
-        }
-    }
-
-    fn close(&self) {
-        self.lock().closed = true;
-        self.work.notify_all();
-        self.space.notify_all();
-    }
-
-    fn is_flushed(&self) -> bool {
-        self.lock().window.is_empty()
-    }
-
-    fn dropped(&self) -> u64 {
-        self.lock().dropped
-    }
-}
-
 /// A cluster's live peer-address directory, shared by every endpoint.
 ///
-/// Writers re-read their peer's address on every reconnect attempt, so
+/// Dialers re-read their peer's address on every reconnect attempt, so
 /// a node that restarts on a *different* port only has to
 /// [`Directory::announce`] its new address — reusing the exact port
 /// would otherwise trip over TIME_WAIT remnants of the previous
@@ -322,47 +179,90 @@ pub fn peer_directory(addrs: Vec<SocketAddr>) -> PeerDirectory {
     })
 }
 
-struct Shared {
-    me: ProcessId,
-    n: usize,
-    options: TcpOptions,
-    epoch: u64,
-    /// Hand-off to the node loop. A reader blocked on a full inbox
-    /// parks until the loop pops (end-to-end backpressure: the frame
-    /// stays unacked, so the peer's outbox fills in turn).
-    inbox: Arc<Inbox>,
-    /// Receiver side of the link from each peer. [`Transport::quiesce`]
-    /// sets every one draining: reader connections stop delivering *and
-    /// acknowledging* new `Data` frames, so nothing can be pruned from a
-    /// peer's replay window without the node loop having a chance to
-    /// retrieve it. Unacked frames replay to the next incarnation
-    /// instead.
-    recv: Vec<Mutex<RecvLink>>,
-    outboxes: Vec<Arc<Outbox>>,
-    shutdown: AtomicBool,
-    /// Connections terminated for malformed/unexpected frames —
-    /// diagnostics only, *not* loss: a peer link that drops here
-    /// reconnects and replays, and stranger junk never carried data.
-    poisoned_conns: AtomicU64,
-    /// Nemesis hook: per-link wire faults (see the module docs).
-    faults: Option<FaultInjector>,
-    /// Traffic totals for observability ([`Transport::stats`]).
-    stats: TransportStats,
+/// Sender side of one directed link: the replay window, and the dialed
+/// connection writing it when there is one.
+#[derive(Default)]
+struct OutLink {
+    window: SendWindow,
+    conn: Option<Dialed>,
+    /// A delay fault holds the frame at the cursor until the instant;
+    /// the flag is its already-drawn duplicate coin.
+    hold: Option<(Instant, bool)>,
+    /// A connection of this link failed: the next one may have frames
+    /// to skip, so it writes nothing before its resume point.
+    resumes: bool,
+    /// Frames dropped because the window stayed full past the timeout.
+    dropped: u64,
 }
 
-impl Shared {
-    fn link(&self, peer: ProcessId) -> MutexGuard<'_, RecvLink> {
-        self.recv[peer.as_usize()]
-            .lock()
-            .expect("recv link poisoned")
+/// A connection this endpoint dialed: `Data` out, acknowledgements in.
+struct Dialed {
+    stream: TcpStream,
+    input: FrameBuffer,
+    /// Bytes the socket has not taken yet.
+    out: Vec<u8>,
+    /// Sequence number of the next frame to write: named by the
+    /// acceptor's `HelloAck`, or 0 at once on a link's first connection.
+    cursor: Option<u64>,
+    /// The `HelloAck` arrived.
+    greeted: bool,
+}
+
+/// A connection a peer dialed: handshake and `Data` in,
+/// acknowledgements out.
+struct Accepted {
+    stream: TcpStream,
+    input: FrameBuffer,
+    out: Vec<u8>,
+    /// The peer and its link token, once the handshake was accepted.
+    link: Option<(ProcessId, u64)>,
+    /// Closed or offending: removed by the next `reap`.
+    dead: bool,
+}
+
+impl Accepted {
+    /// Writes a cumulative acknowledgement (a failure ends the conn).
+    fn ack(&mut self, through: u64, stats: &TransportStats) {
+        stats.note_ack();
+        encode_frame_into(&Frame::DataAck { through }, &mut self.out);
+        self.dead |= flush(&self.stream, &mut self.out).is_err();
     }
 }
 
+/// Largest write the window is coalesced into for the socket.
+const MAX_WRITE_BURST: usize = 256 * 1024;
+
 /// The TCP transport endpoint (see the module docs).
 pub struct TcpTransport {
-    shared: Arc<Shared>,
+    me: ProcessId,
+    options: TcpOptions,
+    listener: TcpListener,
     listen_addr: SocketAddr,
-    threads: Vec<JoinHandle<()>>,
+    faults: Option<FaultInjector>,
+    stats: TransportStats,
+    /// Sender side of the link to each peer (our own slot stays idle).
+    links: Vec<OutLink>,
+    /// Receiver side of the link from each peer; [`Transport::quiesce`]
+    /// sets each draining, to deliver and acknowledge nothing more.
+    recv: Vec<RecvLink>,
+    accepted: Vec<Accepted>,
+    waker: Waker,
+    /// Read end of the wake socket (written by wakes and the dialer).
+    wake_rx: UnixStream,
+    /// Links for the dialer to (re)connect; dropped to stop it.
+    redial: Option<Sender<usize>>,
+    handed: Receiver<(usize, TcpStream)>,
+    dialer: Option<JoinHandle<()>>,
+    /// Connections ended for malformed or out-of-protocol input —
+    /// diagnostics, not loss: a peer link dropped here replays.
+    poisoned_conns: u64,
+    /// `is_flushed` said no: end the wait once it would say yes.
+    flush_wanted: bool,
+    closed: bool,
+    /// Scratch: a socket read, and the poll set (wake socket, listener,
+    /// an entry per link, then one per accepted connection).
+    chunk: Vec<u8>,
+    fds: Vec<sys::PollFd>,
 }
 
 impl TcpTransport {
@@ -391,298 +291,629 @@ impl TcpTransport {
         let n = directory.len();
         assert!(me.as_usize() < n, "process id out of range");
         let listen_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
         let epoch = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .unwrap_or(Duration::ZERO)
             .as_nanos() as u64;
-        let shared = Arc::new(Shared {
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
+        let (redial, requests) = channel();
+        let (handover, handed) = channel();
+        let stats = TransportStats::new();
+        let dialer = Dialer {
             me,
-            n,
-            options,
             epoch,
-            inbox: Arc::new(Inbox::new(options.inbox_capacity)),
-            recv: (0..n).map(|_| Mutex::new(RecvLink::default())).collect(),
-            outboxes: (0..n).map(|_| Arc::new(Outbox::new())).collect(),
-            shutdown: AtomicBool::new(false),
-            poisoned_conns: AtomicU64::new(0),
-            faults,
-            stats: TransportStats::new(),
-        });
-
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("at-node-{}-accept", me))
-                    .spawn(move || accept_loop(listener, shared))?,
-            );
-        }
-        for j in 0..n {
-            if j == me.as_usize() {
-                continue;
-            }
-            let shared = Arc::clone(&shared);
-            let directory = Arc::clone(&directory);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("at-node-{}-dial-{}", me, j))
-                    .spawn(move || writer_loop(j, directory, shared))?,
-            );
-        }
-        Ok(TcpTransport {
-            shared,
+            directory: Arc::clone(&directory),
+            reconnect_delay: options.reconnect_delay,
+            faults: faults.clone(),
+            stats: stats.clone(),
+            requests,
+            handover,
+            nudge: wake_tx.try_clone()?,
+        };
+        let dialer = std::thread::Builder::new()
+            .name(format!("at-node-{me}-dial"))
+            .spawn(move || dialer.run())?;
+        let mut transport = TcpTransport {
+            me,
+            options,
+            listener,
             listen_addr,
-            threads,
-        })
+            faults,
+            stats,
+            links: (0..n).map(|_| OutLink::default()).collect(),
+            recv: (0..n).map(|_| RecvLink::default()).collect(),
+            accepted: Vec::new(),
+            // A full wake socket holds a byte already: nothing is lost.
+            waker: Waker::new(move || drop((&wake_tx).write(&[0]))),
+            wake_rx,
+            redial: Some(redial),
+            handed,
+            dialer: Some(dialer),
+            poisoned_conns: 0,
+            flush_wanted: false,
+            closed: false,
+            chunk: vec![0; crate::wire::READ_CHUNK],
+            fds: Vec::new(),
+        };
+        // First attempts here, so that a frame sent before the first
+        // `recv_timeout` has a socket; the dialer retries the rest.
+        for j in (0..n).filter(|&j| j != me.as_usize()) {
+            let open = !blocked(transport.faults.as_ref(), me, j);
+            match open.then(|| dial(directory.get(j).0, me, epoch)) {
+                Some(Ok(stream)) => transport.install(j, stream),
+                _ => transport.lose(j),
+            }
+        }
+        Ok(transport)
     }
 
     /// The address this endpoint accepts peers on.
     pub fn listen_addr(&self) -> SocketAddr {
         self.listen_addr
     }
+
+    /// Makes `stream` (from `dial`) link `j`'s connection.
+    fn install(&mut self, j: usize, stream: TcpStream) {
+        let link = &mut self.links[j];
+        link.conn = Some(Dialed {
+            stream,
+            input: FrameBuffer::new(),
+            out: Vec::new(),
+            cursor: (!link.resumes).then_some(0),
+            greeted: false,
+        });
+    }
+
+    /// Link `j` has no connection (any more): count the repair and have
+    /// the dialer reconnect it.
+    fn lose(&mut self, j: usize) {
+        let link = &mut self.links[j];
+        link.conn = None;
+        link.hold = None;
+        link.resumes = true;
+        self.stats.note_reconnect();
+        if let Some(redial) = &self.redial {
+            let _ = redial.send(j);
+        }
+    }
+
+    /// Writes link `j`'s unsent frames until the socket pushes back, a
+    /// delay fault holds the next one or the window runs dry (bytes
+    /// already waiting go first, once the socket is `writable`). Fault
+    /// verdicts are drawn here, once per attempted frame in send order:
+    /// a frame that breaks the connection is not written, those before
+    /// it are (they were "on the wire" already).
+    fn pump(&mut self, j: usize, now: Instant, writable: bool) {
+        let peer = ProcessId::new(j as u32);
+        let link = &mut self.links[j];
+        let Some(dialed) = &mut link.conn else { return };
+        // No cursor: the resume point is not known yet.
+        let Some(cursor) = &mut dialed.cursor else {
+            return;
+        };
+        if !writable && !dialed.out.is_empty() {
+            return;
+        }
+        let broken = loop {
+            match flush(&dialed.stream, &mut dialed.out) {
+                Ok(true) => {}
+                Ok(false) => return, // the rest waits for POLLOUT
+                Err(_) => break true,
+            }
+            if link.hold.is_some_and(|(at, _)| at > now) || !link.window.has_unsent(*cursor) {
+                return;
+            }
+            let (mut at, mut taken, mut fault) = (*cursor, 0, false);
+            for frame in link.window.unsent(&mut at) {
+                let duplicate = match (link.hold.take(), &self.faults) {
+                    (Some((_, duplicate)), _) => duplicate,
+                    (None, None) => false,
+                    (None, Some(faults)) => {
+                        let verdict = faults.sample(self.me, peer);
+                        fault = verdict.disconnect || verdict.profile.blocked || verdict.drop;
+                        if fault {
+                            break;
+                        }
+                        if verdict.profile.delay_us > 0 {
+                            let delay = Duration::from_micros(verdict.profile.delay_us.into());
+                            link.hold = Some((now + delay, verdict.duplicate));
+                            break;
+                        }
+                        verdict.duplicate
+                    }
+                };
+                if duplicate {
+                    dialed.out.extend_from_slice(frame);
+                }
+                dialed.out.extend_from_slice(frame);
+                taken += 1;
+                if dialed.out.len() >= MAX_WRITE_BURST {
+                    break;
+                }
+            }
+            *cursor = at + taken;
+            if fault {
+                let _ = flush(&dialed.stream, &mut dialed.out);
+                break true;
+            }
+            if taken == 0 {
+                return;
+            }
+        };
+        if broken {
+            self.lose(j);
+        }
+    }
+
+    /// Takes what link `j`'s peer sent back: its `HelloAck`, then
+    /// `DataAck`s. Anything else poisons the connection (`false`).
+    fn take_acks(&mut self, j: usize) -> bool {
+        let link = &mut self.links[j];
+        let Some(dialed) = &mut link.conn else {
+            return true;
+        };
+        loop {
+            match dialed.input.next_frame() {
+                Ok(None) => return true,
+                Ok(Some(Frame::HelloAck { next_seq })) if !dialed.greeted => {
+                    dialed.greeted = true;
+                    let resume = link.window.resume(next_seq);
+                    dialed.cursor.get_or_insert(resume);
+                }
+                Ok(Some(Frame::DataAck { through })) if dialed.greeted => {
+                    link.window.prune(through);
+                    self.stats.note_ack_in();
+                }
+                _ => {
+                    self.poisoned_conns += 1;
+                    return false;
+                }
+            }
+        }
+    }
+
+    /// Works through what accepted connection `i` has buffered up to the
+    /// first frame to deliver — the handshake, replayed duplicates, acks
+    /// that fall due; whatever breaks the protocol marks it dead.
+    fn serve(&mut self, i: usize, now: Instant) -> Option<InboundFrame> {
+        let (me, n) = (self.me, self.links.len());
+        let conn = &mut self.accepted[i];
+        while !conn.dead {
+            let (node, token, delivered) = match (conn.link, conn.input.next_frame_ref()) {
+                (_, Ok(None)) => return None,
+                (None, Ok(Some(FrameRef::Other(Frame::HelloNode { node, epoch }))))
+                    if node.as_usize() < n && node != me =>
+                {
+                    // Quiesced: refuse even the handshake — its resume
+                    // point is itself a cumulative acknowledgement.
+                    let Some((token, next_seq)) = self.recv[node.as_usize()].on_hello(epoch) else {
+                        conn.dead = true;
+                        continue;
+                    };
+                    conn.link = Some((node, token));
+                    encode_frame_into(&Frame::HelloAck { next_seq }, &mut conn.out);
+                    conn.dead = flush(&conn.stream, &mut conn.out).is_err();
+                    continue;
+                }
+                (Some((node, token)), Ok(Some(FrameRef::Data { seq, payload }))) => {
+                    match self.recv[node.as_usize()].on_data(token, seq, now) {
+                        Verdict::Deliver => (node, token, Some(payload.to_vec())),
+                        Verdict::Duplicate => (node, token, None),
+                        Verdict::Violation => {
+                            conn.dead = true;
+                            continue;
+                        }
+                    }
+                }
+                _ => {
+                    self.poisoned_conns += 1;
+                    conn.dead = true;
+                    continue;
+                }
+            };
+            // Only now — the frame is on its way to the caller — may it
+            // be acknowledged.
+            if let Some(through) = self.recv[node.as_usize()].ack_due(token, now) {
+                conn.ack(through, &self.stats);
+            }
+            if let Some(payload) = delivered {
+                self.stats.note_recv(payload.len());
+                return Some(InboundFrame {
+                    from: node,
+                    payload,
+                });
+            }
+        }
+        None
+    }
+
+    /// The next frame to deliver from what the accepted connections
+    /// have buffered. Every buffered read drains before the next `poll`,
+    /// so taking them in order starves nobody.
+    fn next_frame(&mut self, now: Instant) -> Option<InboundFrame> {
+        let frame = (0..self.accepted.len()).find_map(|i| self.serve(i, now));
+        self.reap();
+        frame
+    }
+
+    /// Removes dead accepted connections, each acknowledging what it owes
+    /// on the way out (best effort: what is left replays to a successor).
+    fn reap(&mut self) {
+        for conn in self.accepted.iter_mut().filter(|conn| conn.dead) {
+            let owed = conn
+                .link
+                .and_then(|(node, token)| self.recv[node.as_usize()].final_ack(token));
+            if let Some(through) = owed {
+                conn.ack(through, &self.stats);
+            }
+        }
+        self.accepted.retain(|conn| !conn.dead);
+    }
+
+    /// One round of the I/O loop until `deadline`: buffered frames,
+    /// hand-overs, acknowledgements that fall due, writes, then one
+    /// `poll`. Returns what ends the caller's wait, if anything did.
+    /// With `deliver` off (a `send` waiting for window space) no frame
+    /// is taken and no wake consumed: the caller is mid-step.
+    fn turn(&mut self, deadline: Option<Instant>, deliver: bool) -> Option<RecvOutcome> {
+        if deliver {
+            // The wake's byte is drained by the `poll` it ended (or, if
+            // it came while we were busy, by the next, which it ends).
+            if self.waker.take() {
+                return Some(RecvOutcome::TimedOut);
+            }
+            if let Some(frame) = self.next_frame(Instant::now()) {
+                return Some(RecvOutcome::Frame(frame));
+            }
+        }
+        while let Ok((j, stream)) = self.handed.try_recv() {
+            self.install(j, stream);
+        }
+        let now = Instant::now();
+        for conn in &mut self.accepted {
+            let due = conn
+                .link
+                .and_then(|(node, token)| self.recv[node.as_usize()].ack_due(token, now));
+            if let Some(through) = due {
+                conn.ack(through, &self.stats);
+            }
+        }
+        for j in 0..self.links.len() {
+            self.pump(j, now, false);
+        }
+        self.reap();
+        if deliver && self.flush_wanted && self.is_flushed() {
+            return Some(RecvOutcome::TimedOut);
+        }
+        if deadline.is_some_and(|at| at <= now) {
+            return Some(RecvOutcome::TimedOut);
+        }
+        let quiet = self.recv.iter().filter_map(RecvLink::next_deadline);
+        let held = self.links.iter().filter_map(|link| Some(link.hold?.0));
+        let wake_at = deadline.into_iter().chain(quiet).chain(held).min();
+        self.poll(wake_at.map(|at| at.saturating_duration_since(now)), deliver);
+        None
+    }
+
+    /// Blocks in `poll` over every socket with something to say, then
+    /// acts on what it reported.
+    fn poll(&mut self, timeout: Option<Duration>, deliver: bool) {
+        use sys::{PollFd, POLLIN, POLLOUT};
+        let entry = |fd, events| PollFd {
+            fd,
+            events,
+            revents: 0,
+        };
+        let out = |pending: &[u8]| if pending.is_empty() { 0 } else { POLLOUT };
+        let links = self.links.iter().map(|link| match &link.conn {
+            Some(dialed) => entry(dialed.stream.as_raw_fd(), POLLIN | out(&dialed.out)),
+            None => entry(-1, 0),
+        });
+        // A connection holding a whole frame is read no further until it
+        // is delivered: a peer can make us buffer one frame and one read,
+        // and the rest backs up into its window.
+        let accepted = self.accepted.iter().map(|conn| {
+            let full = conn.input.has_complete_frame().unwrap_or(true);
+            let events = (if deliver && !full { POLLIN } else { 0 }) | out(&conn.out);
+            let fd = if events == 0 {
+                -1
+            } else {
+                conn.stream.as_raw_fd()
+            };
+            entry(fd, events)
+        });
+        let wake = entry(self.wake_rx.as_raw_fd(), POLLIN);
+        let listener = entry(self.listener.as_raw_fd(), POLLIN);
+        self.fds.clear();
+        self.fds
+            .extend([wake, listener].into_iter().chain(links).chain(accepted));
+        sys::wait(&mut self.fds, timeout);
+        self.stats.note_poll();
+        let (now, n) = (Instant::now(), self.links.len());
+        for k in 0..self.fds.len() {
+            let revents = self.fds[k].revents;
+            // Anything but POLLOUT — data, a hang-up, an error — is
+            // answered by a read, which tells them apart.
+            let readable = revents & !POLLOUT != 0;
+            match k {
+                _ if revents == 0 => {}
+                0 => self.drain_wake(),
+                1 => self.accept_all(),
+                k if k < 2 + n => {
+                    let j = k - 2;
+                    if revents & POLLOUT != 0 {
+                        self.pump(j, now, true);
+                    }
+                    let Some(dialed) = &mut self.links[j].conn else {
+                        continue;
+                    };
+                    if readable
+                        && (fill(&dialed.stream, &mut dialed.input, &mut self.chunk).is_err()
+                            || !self.take_acks(j))
+                    {
+                        self.lose(j);
+                    }
+                }
+                k => {
+                    let conn = &mut self.accepted[k - 2 - n];
+                    conn.dead |=
+                        revents & POLLOUT != 0 && flush(&conn.stream, &mut conn.out).is_err();
+                    conn.dead |=
+                        readable && fill(&conn.stream, &mut conn.input, &mut self.chunk).is_err();
+                }
+            }
+        }
+        self.reap();
+    }
+
+    fn accept_all(&mut self) {
+        while let Ok((stream, _)) = self.listener.accept() {
+            if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
+                self.accepted.push(Accepted {
+                    stream,
+                    input: FrameBuffer::new(),
+                    out: Vec::new(),
+                    link: None,
+                    dead: false,
+                });
+            }
+        }
+    }
+
+    /// Empties the wake socket (a read short of the buffer drained it).
+    fn drain_wake(&mut self) {
+        while (&self.wake_rx).read(&mut self.chunk).ok() == Some(self.chunk.len()) {}
+    }
+
+    /// Backpressure: while link `j`'s window is full, keeps the sockets
+    /// serviced — acknowledgements above all — for up to the timeout.
+    /// `false` when it stayed full.
+    fn await_space(&mut self, j: usize) -> bool {
+        let deadline = Instant::now().checked_add(self.options.backpressure_timeout);
+        while self.links[j].window.len() >= self.options.outbox_capacity {
+            if self.closed || deadline.is_some_and(|at| at <= Instant::now()) {
+                return false;
+            }
+            self.turn(deadline, false);
+        }
+        true
+    }
 }
 
 impl Transport for TcpTransport {
     fn me(&self) -> ProcessId {
-        self.shared.me
+        self.me
     }
 
     fn n(&self) -> usize {
-        self.shared.n
+        self.links.len()
     }
 
     fn send(&mut self, to: ProcessId, payload: Vec<u8>) {
         debug_assert_ne!(
-            to, self.shared.me,
+            to, self.me,
             "self frames are looped back above the transport"
         );
-        if self.shared.shutdown.load(Ordering::Relaxed) {
+        if self.closed {
             return;
         }
-        self.shared.stats.note_send(payload.len());
-        self.shared.outboxes[to.as_usize()].enqueue(
-            payload,
-            self.shared.options.outbox_capacity,
-            self.shared.options.backpressure_timeout,
-        );
+        self.stats.note_send(payload.len());
+        let j = to.as_usize();
+        if !self.await_space(j) {
+            self.links[j].dropped += 1;
+            return;
+        }
+        let link = &mut self.links[j];
+        let seq = link.window.reserve();
+        link.window
+            .push(seq, Arc::new(encode_frame(&Frame::Data { seq, payload })));
+        // Written at once when nothing is queued ahead of it.
+        self.pump(j, Instant::now(), false);
     }
 
     fn recv_timeout(&mut self, timeout: Duration) -> RecvOutcome {
-        self.shared.inbox.recv_timeout(timeout)
+        let deadline = Instant::now().checked_add(timeout);
+        while !self.closed {
+            if let Some(outcome) = self.turn(deadline, true) {
+                return outcome;
+            }
+        }
+        RecvOutcome::Closed
     }
 
     fn waker(&self) -> Waker {
-        Waker::new(Arc::clone(&self.shared.inbox))
+        self.waker.clone()
     }
 
     fn dropped_frames(&self) -> u64 {
-        // Only outbox expiry is real loss. Malformed inbound streams
-        // (see `Shared::poisoned_conns`) cost a reconnect-and-replay,
-        // never a frame.
-        self.shared.outboxes.iter().map(|o| o.dropped()).sum()
+        self.links.iter().map(|link| link.dropped).sum()
     }
 
-    /// Every outbox fully acknowledged — i.e. every frame this endpoint
+    /// Every window fully acknowledged — i.e. every frame this endpoint
     /// ever accepted has verifiably reached its peer's transport.
-    /// `Node::stop` polls this to flush before a warm restart.
-    fn is_flushed(&self) -> bool {
-        let me = self.shared.me.as_usize();
-        self.shared
-            .outboxes
-            .iter()
-            .enumerate()
-            .all(|(j, outbox)| j == me || outbox.is_flushed())
+    /// `Node::stop` waits for this before a warm restart.
+    fn is_flushed(&mut self) -> bool {
+        self.flush_wanted = !self.links.iter().all(|link| link.window.is_empty());
+        !self.flush_wanted
     }
 
-    /// See [`Transport::quiesce`]: readers stop delivering and — the
-    /// load-bearing part — stop *acknowledging*, so every frame a peer
-    /// still holds unacked replays to the node's next incarnation
-    /// instead of being silently pruned. An ack racing this is
-    /// harmless: acks are only ever sent *after* the corresponding
-    /// frames reached the inbox, so whatever it covers is retrievable.
+    /// See [`Transport::quiesce`]: nothing new is delivered or — the
+    /// load-bearing part — acknowledged, so every frame a peer holds
+    /// unacked, read here or not, replays to the next incarnation.
     fn quiesce(&mut self) {
-        for link in &self.shared.recv {
-            link.lock().expect("recv link poisoned").quiesce();
+        for link in &mut self.recv {
+            link.quiesce();
         }
     }
 
     fn stats(&self) -> Option<TransportStats> {
-        Some(self.shared.stats.clone())
+        Some(self.stats.clone())
     }
 
     fn shutdown(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.inbox.close();
-        for outbox in &self.shared.outboxes {
-            outbox.close();
+        if self.closed {
+            return;
         }
-        // Wake the accept loop with a throwaway connection.
-        let _ = TcpStream::connect_timeout(&self.listen_addr, Duration::from_millis(200));
-        for handle in self.threads.drain(..) {
-            let _ = handle.join();
+        self.closed = true;
+        // The dialer's queue disconnects: it exits at its next look.
+        self.redial = None;
+        if let Some(dialer) = self.dialer.take() {
+            let _ = dialer.join();
+        }
+        self.accepted.clear();
+        for link in &mut self.links {
+            link.conn = None;
         }
     }
 }
 
 impl Drop for TcpTransport {
     fn drop(&mut self) {
-        if !self.shared.shutdown.load(Ordering::Relaxed) {
-            self.shutdown();
-        }
+        self.shutdown();
     }
 }
 
-/// Accepts inbound connections and spawns a reader per connection.
-fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            break;
+/// Writes what `out` holds until the socket pushes back; `Ok(true)`
+/// once all of it is written.
+fn flush(mut stream: &TcpStream, out: &mut Vec<u8>) -> std::io::Result<bool> {
+    let mut written = 0;
+    while written < out.len() {
+        match stream.write(&out[written..]) {
+            Ok(0) => return Err(ErrorKind::WriteZero.into()),
+            Ok(k) => written += k,
+            Err(err) if err.kind() == ErrorKind::WouldBlock => break,
+            Err(err) if err.kind() == ErrorKind::Interrupted => {}
+            Err(err) => return Err(err),
         }
-        let Ok(stream) = stream else { continue };
-        let shared = Arc::clone(&shared);
-        if let Ok(handle) = std::thread::Builder::new()
-            .name(format!("at-node-{}-reader", shared.me))
-            .spawn(move || {
-                let _ = reader_conn(stream, shared);
-            })
-        {
-            readers.push(handle);
-        }
-        readers.retain(|h| !h.is_finished());
     }
-    for handle in readers {
-        let _ = handle.join();
+    out.drain(..written);
+    Ok(out.is_empty())
+}
+
+/// Reads one chunk of what the socket holds into `input`; an error once
+/// the peer closed it.
+fn fill(mut stream: &TcpStream, input: &mut FrameBuffer, chunk: &mut [u8]) -> std::io::Result<()> {
+    match stream.read(chunk) {
+        Ok(0) => Err(ErrorKind::UnexpectedEof.into()),
+        Ok(read) => {
+            input.extend(&chunk[..read]);
+            Ok(())
+        }
+        Err(err) if matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::Interrupted) => Ok(()),
+        Err(err) => Err(err),
     }
 }
 
-/// Read timeout of a connection with nothing to acknowledge: how often
-/// its thread looks at the shutdown flag.
-const LIVENESS: Duration = Duration::from_millis(200);
+/// Whether the nemesis partitioned the link `from → to`.
+fn blocked(faults: Option<&FaultInjector>, from: ProcessId, to: usize) -> bool {
+    faults.is_some_and(|faults| faults.link(from, ProcessId::new(to as u32)).blocked)
+}
 
-/// Handles one accepted connection: handshake, then `Data` frames in,
-/// acknowledgements out.
-fn reader_conn(stream: TcpStream, shared: Arc<Shared>) -> std::io::Result<()> {
+/// Connects to a peer (waiting up to a second), introduces this
+/// endpoint with its `HelloNode` and makes the stream non-blocking.
+fn dial(addr: SocketAddr, me: ProcessId, epoch: u64) -> std::io::Result<TcpStream> {
+    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
     stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(LIVENESS))?;
-    let mut reader = FrameReader::new(&stream);
-
-    // Handshake: the peer names itself and its epoch.
-    let Some(Frame::HelloNode { node, epoch }) = reader.next(&shared)? else {
-        return Ok(()); // shutdown, junk, or a non-peer connection
-    };
-    if node.as_usize() >= shared.n || node == shared.me {
-        return Ok(());
-    }
-    let hello = shared.link(node).on_hello(epoch);
-    let Some((conn, next_seq)) = hello else {
-        // Quiesced: refuse even the handshake — its `HelloAck` resume
-        // point is itself a cumulative acknowledgement, and it could
-        // cover a frame delivered into the dying inbox after the node
-        // loop's final sweep. Peers reconnect against the next
-        // incarnation instead.
-        return Ok(());
-    };
-    (&stream).write_all(&encode_frame(&Frame::HelloAck { next_seq }))?;
-
-    let result = data_loop(&stream, &shared, &mut reader, node, conn);
-    let owed = shared.link(node).final_ack(conn);
-    if let Some(through) = owed {
-        // Best effort: an ack that fails to send just leaves those
-        // frames to be replayed and deduplicated.
-        let _ = send_ack(&stream, &shared, through);
-    }
-    result
+    (&stream).write_all(&encode_frame(&Frame::HelloNode { node: me, epoch }))?;
+    stream.set_nonblocking(true)?;
+    Ok(stream)
 }
 
-/// Writes one cumulative `DataAck`.
-fn send_ack(mut stream: &TcpStream, shared: &Shared, through: u64) -> std::io::Result<()> {
-    stream.write_all(&encode_frame(&Frame::DataAck { through }))?;
-    shared.stats.note_ack();
-    Ok(())
+/// The dialing helper: (re)connects each link the transport names,
+/// with jittered backoff and the blocked-link wait, and hands every
+/// connected stream back. It exits when the transport drops its queue.
+struct Dialer {
+    me: ProcessId,
+    epoch: u64,
+    directory: PeerDirectory,
+    reconnect_delay: Duration,
+    faults: Option<FaultInjector>,
+    stats: TransportStats,
+    requests: Receiver<usize>,
+    handover: Sender<(usize, TcpStream)>,
+    /// The transport's wake socket: a byte ends its `poll`.
+    nudge: UnixStream,
 }
 
-/// The `Data`-frame receive loop of one accepted peer connection,
-/// holding the link under the token `conn`.
-fn data_loop(
-    stream: &TcpStream,
-    shared: &Arc<Shared>,
-    reader: &mut FrameReader<'_>,
-    node: ProcessId,
-    conn: u64,
-) -> std::io::Result<()> {
-    // Whether the socket's read timeout is `ACK_QUIET` (something may
-    // be owed) rather than `LIVENESS`.
-    let mut quiet_armed = false;
-    loop {
-        match reader.fill(shared)? {
-            Fill::Frame => {}
-            Fill::Closed => return Ok(()),
-            Fill::TimedOut => {
-                // Nothing arrived for a whole read timeout: acknowledge
-                // what the quiet period made due, and stop ticking at
-                // `ACK_QUIET` once nothing is owed.
-                let (due, owed) = {
-                    let mut link = shared.link(node);
-                    let due = link.ack_due(conn, Instant::now());
-                    (due, link.next_deadline().is_some())
-                };
-                if let Some(through) = due {
-                    send_ack(stream, shared, through)?;
-                }
-                if quiet_armed && !owed {
-                    stream.set_read_timeout(Some(LIVENESS))?;
-                    quiet_armed = false;
-                }
-                continue;
+impl Dialer {
+    fn run(self) {
+        let n = self.directory.len();
+        let mut due: Vec<Option<Instant>> = vec![None; n];
+        let mut backoff: Vec<_> = (0..n)
+            .map(|j| ReconnectBackoff::new(self.reconnect_delay, self.me, j))
+            .collect();
+        // The directory incarnation each link last connected to.
+        let mut dialed: Vec<u64> = (0..n).map(|j| self.directory.get(j).1).collect();
+        // Dial again after the next backoff step — at once if the peer
+        // re-announced since `incarnation`: the failure was the dead one's.
+        let retry = |backoff: &mut ReconnectBackoff, j: usize, incarnation: u64| {
+            if self.directory.get(j).1 == incarnation {
+                return Instant::now() + backoff.next_delay();
             }
-        }
-        let now = Instant::now();
-        // Borrow the frame straight out of the receive buffer and run
-        // the dedup decision on the borrowed payload: replay overlaps
-        // and dead-incarnation frames are discarded without ever
-        // copying their bytes out of the buffer.
-        let frame = match reader.buffer.next_frame_ref() {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return Ok(()), // unreachable after fill
-            Err(_) => {
-                shared.poisoned_conns.fetch_add(1, Ordering::Relaxed);
-                return Ok(());
-            }
+            backoff.reset();
+            Instant::now()
         };
-        let FrameRef::Data { seq, payload } = frame else {
-            return Ok(()); // protocol violation: drop the connection
-        };
-        let verdict = shared.link(node).on_data(conn, seq, now);
-        match verdict {
-            Verdict::Deliver => {
-                let payload = payload.to_vec();
-                let payload_len = payload.len();
-                // Bounded hand-off to the node loop: a full inbox parks
-                // this reader (the frame stays unacked, so the peer's
-                // outbox fills and backpressure propagates end to end)
-                // instead of growing memory without bound.
-                let frame = InboundFrame {
-                    from: node,
-                    payload,
-                };
-                if !shared.inbox.push(frame, Duration::MAX) {
-                    return Ok(()); // transport shut down; frame unacked
+        loop {
+            let next = due.iter().flatten().min();
+            let wait = next.map_or(Duration::MAX, |at| {
+                at.saturating_duration_since(Instant::now())
+            });
+            match self.requests.recv_timeout(wait) {
+                Ok(j) => due[j] = Some(retry(&mut backoff[j], j, dialed[j])),
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            let now = Instant::now();
+            for j in 0..n {
+                if due[j].is_none_or(|at| at > now) {
+                    continue;
                 }
-                shared.stats.note_recv(payload_len);
-                if !quiet_armed {
-                    stream.set_read_timeout(Some(ACK_QUIET))?;
-                    quiet_armed = true;
+                // A blocked link stays offline; a fixed re-check, not
+                // backoff, since heals come without notice.
+                if blocked(self.faults.as_ref(), self.me, j) {
+                    due[j] = Some(now + self.reconnect_delay);
+                    continue;
+                }
+                let (addr, incarnation) = self.directory.get(j);
+                match dial(addr, self.me, self.epoch) {
+                    Ok(stream) => {
+                        backoff[j].reset();
+                        due[j] = None;
+                        dialed[j] = incarnation;
+                        if self.handover.send((j, stream)).is_err() {
+                            return;
+                        }
+                        let _ = (&self.nudge).write(&[0]);
+                    }
+                    Err(_) => {
+                        self.stats.note_reconnect();
+                        due[j] = Some(retry(&mut backoff[j], j, incarnation));
+                    }
                 }
             }
-            Verdict::Duplicate => {}
-            Verdict::Violation => return Ok(()),
-        }
-        // Only now — the frame is in the inbox — may it be acknowledged.
-        let due = shared.link(node).ack_due(conn, now);
-        if let Some(through) = due {
-            send_ack(stream, shared, through)?;
         }
     }
 }
@@ -728,7 +959,7 @@ impl ReconnectBackoff {
         Duration::from_nanos(jittered)
     }
 
-    /// A successful handshake ends the outage: start the ladder over.
+    /// A successful connection ends the outage: start the ladder over.
     fn reset(&mut self) {
         self.attempt = 0;
     }
@@ -744,304 +975,118 @@ impl ReconnectBackoff {
     }
 }
 
-/// Dials `peer` at its current directory address, replays the outbox
-/// from the acknowledged point, and streams new frames; reconnects on
-/// any error with jittered exponential backoff.
-fn writer_loop(peer: usize, directory: PeerDirectory, shared: Arc<Shared>) {
-    let outbox = Arc::clone(&shared.outboxes[peer]);
-    let mut backoff = ReconnectBackoff::new(shared.options.reconnect_delay, shared.me, peer);
-    while !shared.shutdown.load(Ordering::Relaxed) {
-        if let Some(faults) = &shared.faults {
-            // A blocked link keeps the dialer offline entirely; heal
-            // triggers the reconnect-and-replay path. A fixed poll, not
-            // backoff: the injector flips the flag without a wakeup
-            // hook, and chaos timing expects prompt heals.
-            if faults.link(shared.me, ProcessId::new(peer as u32)).blocked {
-                std::thread::sleep(shared.options.reconnect_delay);
-                continue;
-            }
-        }
-        let (addr, incarnation) = directory.get(peer);
-        match writer_conn(addr, peer, &shared, &outbox, &mut backoff) {
-            Ok(()) => break, // clean shutdown
-            Err(_) => {
-                shared.stats.note_reconnect();
-                // A re-announce while we dialed (or held a connection
-                // to) the superseded address means the failure belongs
-                // to the dead incarnation: dial the fresh entry now
-                // instead of backing off against a purged port.
-                if directory.get(peer).1 != incarnation {
-                    backoff.reset();
-                    continue;
-                }
-                std::thread::sleep(backoff.next_delay());
-            }
-        }
-    }
-}
+/// `poll(2)`, declared here instead of taken from a crate.
+#[cfg(unix)]
+mod sys {
+    use std::os::raw::{c_int, c_short};
+    use std::time::Duration;
 
-/// Largest coalesced write the streaming loop assembles before issuing
-/// a syscall, and the most frames batched per outbox lock acquisition.
-const MAX_WRITE_BURST: usize = 256 * 1024;
-const MAX_WRITE_FRAMES: usize = 512;
-
-fn writer_conn(
-    addr: SocketAddr,
-    peer: usize,
-    shared: &Arc<Shared>,
-    outbox: &Arc<Outbox>,
-    backoff: &mut ReconnectBackoff,
-) -> std::io::Result<()> {
-    let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
-    stream.set_nodelay(true)?;
-    stream.set_read_timeout(Some(LIVENESS))?;
-    (&stream).write_all(&encode_frame(&Frame::HelloNode {
-        node: shared.me,
-        epoch: shared.epoch,
-    }))?;
-
-    // Read the resume point, then hand the read side to an ack thread.
-    let mut reader = FrameReader::new(&stream);
-    let resume = match reader.next(shared)? {
-        Some(Frame::HelloAck { next_seq }) => next_seq,
-        _ => return Err(std::io::Error::other("handshake failed")),
-    };
-    backoff.reset();
-    let mut cursor = outbox.resume(resume);
-
-    let ack_stream = stream.try_clone()?;
-    let ack_shared = Arc::clone(shared);
-    let ack_outbox = Arc::clone(outbox);
-    let ack_handle = std::thread::Builder::new()
-        .name("at-node-acks".into())
-        .spawn(move || {
-            // Same pump as every other frame consumer: FrameReader
-            // handles chunking, timeouts, shutdown, and malformed input.
-            let mut reader = FrameReader::new(&ack_stream);
-            loop {
-                match reader.next(&ack_shared) {
-                    Ok(Some(Frame::DataAck { through })) => ack_outbox.prune(through),
-                    Ok(Some(_)) | Ok(None) | Err(_) => return,
-                }
-            }
-        })
-        .expect("spawn ack thread");
-
-    // Stream frames from `resume` onward, waiting on the outbox when
-    // caught up. Frames are drained many-at-a-time per lock acquisition
-    // and coalesced into one buffered write per burst — one syscall
-    // moves up to `MAX_WRITE_BURST` bytes instead of one per frame.
-    let mut batch: Vec<Arc<Vec<u8>>> = Vec::new();
-    let mut wire: Vec<u8> = Vec::new();
-    let result = loop {
-        batch.clear();
-        {
-            let mut state = outbox.lock();
-            if state.closed {
-                break Ok(());
-            }
-            if !state.window.has_unsent(cursor) {
-                // Caught up: wait for an enqueue under the same lock
-                // acquisition that found nothing, so none is missed.
-                state.writer_parked = true;
-                state = outbox
-                    .work
-                    .wait_timeout(state, Duration::from_millis(100))
-                    .expect("outbox poisoned")
-                    .0;
-                state.writer_parked = false;
-                if state.closed {
-                    break Ok(());
-                }
-                // An idle connection only learns of its death on the
-                // next write — which may never come, stranding unacked
-                // frames in the replay window (e.g. against a peer that
-                // quiesced and restarted). The ack reader sees the EOF
-                // immediately: follow it into a reconnect.
-                if ack_handle.is_finished() {
-                    break Err(std::io::Error::other("peer closed the connection"));
-                }
-            }
-            let mut burst = 0;
-            for bytes in state.window.unsent(&mut cursor) {
-                burst += bytes.len();
-                batch.push(Arc::clone(bytes));
-                if burst >= MAX_WRITE_BURST || batch.len() >= MAX_WRITE_FRAMES {
-                    break;
-                }
-            }
-        }
-        if batch.is_empty() {
-            continue;
-        }
-        // Wire faults act here, underneath the replay layer: a "lost"
-        // or force-disconnected frame breaks the connection *before*
-        // its write, so the outbox replays it (and every
-        // written-but-unacked predecessor) on reconnect. Verdicts stay
-        // per-frame — one injector sample per attempted frame, in send
-        // order, exactly as the unbatched writer behaved — so a chaos
-        // seed replays the same fault schedule against this writer.
-        wire.clear();
-        let mut io_failed: Option<std::io::Error> = None;
-        let mut fault_stop: Option<&'static str> = None;
-        for bytes in &batch {
-            if let Some(faults) = &shared.faults {
-                // One verdict (profile + disconnect + both coin flips)
-                // under a single injector lock acquisition.
-                let verdict = faults.sample(shared.me, ProcessId::new(peer as u32));
-                if verdict.disconnect {
-                    fault_stop = Some("nemesis: forced disconnect");
-                    break;
-                }
-                if verdict.profile.blocked {
-                    fault_stop = Some("nemesis: link partitioned");
-                    break;
-                }
-                if verdict.drop {
-                    fault_stop = Some("nemesis: frame lost on the wire");
-                    break;
-                }
-                if verdict.profile.delay_us > 0 {
-                    // The delay applies to *this* frame: flush what is
-                    // already coalesced, then sleep before queuing it.
-                    if !wire.is_empty() {
-                        if let Err(err) = (&stream).write_all(&wire) {
-                            io_failed = Some(err);
-                            break;
-                        }
-                        wire.clear();
-                    }
-                    std::thread::sleep(Duration::from_micros(u64::from(verdict.profile.delay_us)));
-                }
-                if verdict.duplicate {
-                    wire.extend_from_slice(bytes);
-                }
-            }
-            wire.extend_from_slice(bytes);
-            cursor += 1;
-        }
-        if let Some(err) = io_failed {
-            break Err(err);
-        }
-        if !wire.is_empty() {
-            // Frames preceding a fault verdict were "on the wire"
-            // already: write them even when the verdict then breaks
-            // the connection.
-            if let Err(err) = (&stream).write_all(&wire) {
-                break Err(err);
-            }
-        }
-        if let Some(reason) = fault_stop {
-            break Err(std::io::Error::other(reason));
-        }
-    };
-    // Tear the socket down so the ack thread exits promptly.
-    let _ = stream.shutdown(std::net::Shutdown::Both);
-    let _ = ack_handle.join();
-    result
-}
-
-/// What [`FrameReader::fill`] found.
-enum Fill {
-    /// A complete frame is buffered.
-    Frame,
-    /// The socket's read timeout passed with no byte arriving.
-    TimedOut,
-    /// Shutdown, EOF, or an oversized length prefix (counted as a
-    /// poisoned connection): drop the connection.
-    Closed,
-}
-
-/// Blocking frame reader over a borrowed stream, shutdown-aware.
-struct FrameReader<'a> {
-    stream: &'a TcpStream,
-    buffer: FrameBuffer,
-    chunk: [u8; crate::wire::READ_CHUNK],
-}
-
-impl<'a> FrameReader<'a> {
-    fn new(stream: &'a TcpStream) -> Self {
-        FrameReader {
-            stream,
-            buffer: FrameBuffer::new(),
-            chunk: [0; crate::wire::READ_CHUNK],
-        }
+    /// `struct pollfd`; a negative `fd` is skipped.
+    #[repr(C)]
+    pub(super) struct PollFd {
+        pub(super) fd: c_int,
+        pub(super) events: c_short,
+        pub(super) revents: c_short,
     }
 
-    /// Blocks until a complete frame is buffered, reading from the
-    /// stream as needed, or one read times out. On [`Fill::Frame`] the
-    /// frame can be taken — borrowed or owned — from `self.buffer`.
-    fn fill(&mut self, shared: &Shared) -> std::io::Result<Fill> {
-        loop {
-            match self.buffer.has_complete_frame() {
-                Ok(true) => return Ok(Fill::Frame),
-                Ok(false) => {}
-                Err(_) => {
-                    shared.poisoned_conns.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Fill::Closed);
-                }
-            }
-            if shared.shutdown.load(Ordering::Relaxed) {
-                return Ok(Fill::Closed);
-            }
-            match self.stream.read(&mut self.chunk) {
-                Ok(0) => return Ok(Fill::Closed),
-                Ok(read) => self.buffer.extend(&self.chunk[..read]),
-                Err(err)
-                    if err.kind() == std::io::ErrorKind::WouldBlock
-                        || err.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Ok(Fill::TimedOut)
-                }
-                Err(err) => return Err(err),
-            }
-        }
+    pub(super) const POLLIN: c_short = 0x1;
+    pub(super) const POLLOUT: c_short = 0x4;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
     }
 
-    /// Next frame, owned, waiting through read timeouts; `Ok(None)` on
-    /// shutdown, EOF, or a malformed stream (the caller drops the
-    /// connection either way).
-    fn next(&mut self, shared: &Shared) -> std::io::Result<Option<Frame>> {
-        loop {
-            match self.fill(shared)? {
-                Fill::Frame => break,
-                Fill::TimedOut => continue,
-                Fill::Closed => return Ok(None),
-            }
-        }
-        match self.buffer.next_frame() {
-            Ok(frame) => Ok(frame),
-            Err(_) => {
-                shared.poisoned_conns.fetch_add(1, Ordering::Relaxed);
-                Ok(None)
-            }
-        }
+    /// Blocks until one of `fds` is ready or `timeout` passes (`None`:
+    /// no limit), rounded up to whole milliseconds so that the wait
+    /// never ends before a deadline. An error (a signal, a resource
+    /// shortage) ends it early; the caller looks again either way.
+    #[allow(unsafe_code)]
+    pub(super) fn wait(fds: &mut [PollFd], timeout: Option<Duration>) {
+        let ms = timeout.map_or(-1, |t| {
+            c_int::try_from(t.as_micros().div_ceil(1000)).unwrap_or(c_int::MAX)
+        });
+        let nfds = Nfds::try_from(fds.len()).unwrap_or(Nfds::MAX);
+        // SAFETY: `fds` is an exclusively borrowed slice of `PollFd`,
+        // which has `struct pollfd`'s layout, and `nfds` is its length
+        // (a slice this process can hold always fits); `poll` writes
+        // nothing but each entry's `revents`.
+        unsafe { poll(fds.as_mut_ptr(), nfds, ms) };
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::link::{ACK_INTERVAL, ACK_QUIET};
+    use proptest::prelude::*;
+    use std::sync::atomic::{AtomicBool, Ordering};
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
     }
 
     fn start_pair() -> (TcpTransport, TcpTransport) {
+        start_pair_with(TcpOptions::default())
+    }
+
+    fn start_pair_with(opts: TcpOptions) -> (TcpTransport, TcpTransport) {
         let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         let dir = peer_directory(vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()]);
-        let t0 = TcpTransport::start(p(0), l0, Arc::clone(&dir), TcpOptions::default()).unwrap();
-        let t1 = TcpTransport::start(p(1), l1, dir, TcpOptions::default()).unwrap();
+        let t0 = TcpTransport::start(p(0), l0, Arc::clone(&dir), opts).unwrap();
+        let t1 = TcpTransport::start(p(1), l1, dir, opts).unwrap();
         (t0, t1)
     }
 
-    fn await_flushed(t: &TcpTransport, why: &str) {
+    /// Runs `t`'s receive loop — the acknowledgements it reads and owes
+    /// included — until its windows are empty.
+    fn await_flushed(t: &mut TcpTransport, why: &str) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !t.is_flushed() {
             assert!(Instant::now() < deadline, "{why}");
-            std::thread::sleep(Duration::from_millis(1));
+            let outcome = t.recv_timeout(deadline.saturating_duration_since(Instant::now()));
+            assert!(
+                !matches!(outcome, RecvOutcome::Frame(_)),
+                "{why}: a stray frame"
+            );
         }
+    }
+
+    /// Runs `peer`'s receive loop on a thread of its own while `body`
+    /// runs — what a node loop does for its transport — and returns
+    /// `body`'s result with the frames `peer` received meanwhile. A bare
+    /// transport moves bytes only inside its owner's calls, so every
+    /// wait on the *other* endpoint's progress runs under this.
+    fn pumping<R>(peer: &mut TcpTransport, body: impl FnOnce() -> R) -> (R, Vec<InboundFrame>) {
+        struct Stop<'a>(&'a AtomicBool, Waker);
+        impl Drop for Stop<'_> {
+            fn drop(&mut self) {
+                self.0.store(true, Ordering::SeqCst);
+                self.1.wake();
+            }
+        }
+        let stop = AtomicBool::new(false);
+        let guard = Stop(&stop, peer.waker());
+        std::thread::scope(|s| {
+            let pump = s.spawn(|| {
+                let mut frames = Vec::new();
+                while !stop.load(Ordering::SeqCst) {
+                    if let RecvOutcome::Frame(frame) = peer.recv_timeout(Duration::MAX) {
+                        frames.push(frame);
+                    }
+                }
+                frames
+            });
+            // Stopped before the join even when `body` panics.
+            let result = body();
+            drop(guard);
+            (result, pump.join().expect("pump panicked"))
+        })
     }
 
     fn acks_out(t: &TcpTransport) -> u64 {
@@ -1099,9 +1144,11 @@ mod tests {
         let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
         dir.announce(1, l1.local_addr().unwrap());
         let mut t1 = TcpTransport::start(p(1), l1, dir, opts).unwrap();
-        for i in 0..10u8 {
-            assert_eq!(recv_frame(&mut t1).payload, vec![i]);
-        }
+        pumping(&mut t0, || {
+            for i in 0..10u8 {
+                assert_eq!(recv_frame(&mut t1).payload, vec![i]);
+            }
+        });
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1.shutdown();
@@ -1135,7 +1182,7 @@ mod tests {
         for _ in 0..10 {
             recv_frame(&mut t1);
         }
-        await_flushed(&t0, "outbox never drained");
+        pumping(&mut t1, || await_flushed(&mut t0, "outbox never drained"));
         t0.shutdown();
         t1.shutdown();
     }
@@ -1198,60 +1245,86 @@ mod tests {
         // after the frame, not at once.
         t0.send(p(1), vec![1]);
         assert_eq!(recv_frame(&mut t1).payload, vec![1]);
-        await_flushed(&t0, "first frame unacked");
+        pumping(&mut t1, || await_flushed(&mut t0, "first frame unacked"));
 
-        // Quiesce the receiver, then send: the frame may still slip
-        // into t1's dying inbox, but it must never be *acknowledged* —
-        // t0's replay window must keep holding it.
+        // Quiesce the receiver, then send: with both loops running, the
+        // frame must be neither delivered nor *acknowledged* — t0's
+        // replay window must keep holding it.
         t1.quiesce();
         t0.send(p(1), vec![2]);
-        std::thread::sleep(Duration::from_millis(150));
+        let (flushed, delivered) = pumping(&mut t1, || {
+            let until = Instant::now() + Duration::from_millis(150);
+            while let Some(left) = until.checked_duration_since(Instant::now()) {
+                assert!(!matches!(t0.recv_timeout(left), RecvOutcome::Frame(_)));
+            }
+            t0.is_flushed()
+        });
         assert!(
-            !t0.is_flushed(),
+            !flushed,
             "a quiesced endpoint acknowledged a frame its consumer never saw"
         );
+        assert!(delivered.is_empty(), "a quiesced endpoint delivered");
 
         // The next incarnation of node 1 receives the replay.
         t1.shutdown();
         let l1b = TcpListener::bind("127.0.0.1:0").unwrap();
         dir.announce(1, l1b.local_addr().unwrap());
         let mut t1b = TcpTransport::start(p(1), l1b, dir, opts).unwrap();
-        assert_eq!(recv_frame(&mut t1b).payload, vec![2]);
+        pumping(&mut t0, || {
+            assert_eq!(recv_frame(&mut t1b).payload, vec![2])
+        });
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1b.shutdown();
     }
 
     #[test]
-    fn full_inbox_backpressure_releases_on_wakeup_not_on_a_sleep_quantum() {
-        // A one-slot inbox forces the reader to park on every frame.
-        // The old handoff retried `try_send` on a 200µs sleep, putting
-        // a floor of frames × 200µs on this drain (≥ 200ms for 1000
-        // frames); the condvar handoff releases on the pop itself, so
-        // the whole run finishes far under that floor.
-        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
-        let dir = peer_directory(vec![l0.local_addr().unwrap(), l1.local_addr().unwrap()]);
+    fn a_full_send_window_blocks_on_acknowledgements_then_drops_and_counts() {
+        // A window of one acknowledgement interval: every 64th frame
+        // finds it full and waits, servicing its sockets, for the ack
+        // the receiver's loop writes on the 64th delivery. Released by
+        // that ack itself — not by the quiet-period ack, which would
+        // put a floor of 15 × `ACK_QUIET` on this run.
         let opts = TcpOptions {
-            inbox_capacity: 1,
+            outbox_capacity: ACK_INTERVAL as usize,
+            backpressure_timeout: Duration::from_millis(200),
             ..TcpOptions::default()
         };
-        let mut t0 = TcpTransport::start(p(0), l0, Arc::clone(&dir), opts).unwrap();
-        let mut t1 = TcpTransport::start(p(1), l1, dir, opts).unwrap();
-        for i in 0..1000u32 {
-            t0.send(p(1), i.to_le_bytes().to_vec());
+        let (mut t0, mut t1) = start_pair_with(opts);
+        let started = Instant::now();
+        let (elapsed, mut frames) = pumping(&mut t1, || {
+            for i in 0..1000u32 {
+                t0.send(p(1), i.to_le_bytes().to_vec());
+            }
+            started.elapsed()
+        });
+        while frames.len() < 1000 {
+            frames.push(recv_frame(&mut t1));
         }
-        let started = std::time::Instant::now();
-        for expected in 0..1000u32 {
-            assert_eq!(recv_frame(&mut t1).payload, expected.to_le_bytes());
+        for (expected, frame) in (0..1000u32).zip(&frames) {
+            assert_eq!(frame.payload, expected.to_le_bytes());
         }
-        let elapsed = started.elapsed();
         assert!(
             elapsed < Duration::from_millis(150),
-            "draining 1000 frames through a 1-slot inbox took {elapsed:?}; \
-             backpressure is waiting on a sleep quantum again"
+            "sending 1000 frames through a 64-frame window took {elapsed:?}"
         );
         assert_eq!(t0.dropped_frames(), 0);
+
+        // With nobody running the receiver's loop no ack can come: the
+        // frame after a full window waits out the timeout, then is
+        // dropped and counted.
+        pumping(&mut t1, || await_flushed(&mut t0, "window never drained"));
+        for _ in 0..ACK_INTERVAL {
+            t0.send(p(1), vec![1]);
+        }
+        let started = Instant::now();
+        t0.send(p(1), vec![2]);
+        let waited = started.elapsed();
+        assert!(
+            waited >= opts.backpressure_timeout && waited < Duration::from_secs(2),
+            "a full window held the sender for {waited:?}"
+        );
+        assert_eq!(t0.dropped_frames(), 1);
         t0.shutdown();
         t1.shutdown();
     }
@@ -1305,13 +1378,15 @@ mod tests {
         }
         // Every frame arrives exactly once, in order, despite 25% wire
         // loss (reconnect + replay) and 10% duplication (seq dedup).
-        for expected in 0..100u8 {
-            let frame = recv_frame(&mut t1);
-            assert_eq!(frame.payload, vec![expected]);
-        }
+        pumping(&mut t0, || {
+            for expected in 0..100u8 {
+                let frame = recv_frame(&mut t1);
+                assert_eq!(frame.payload, vec![expected]);
+            }
+        });
         faults.heal_all();
         assert_eq!(t0.dropped_frames(), 0);
-        await_flushed(&t0, "outbox never drained");
+        pumping(&mut t1, || await_flushed(&mut t0, "outbox never drained"));
         t0.shutdown();
         t1.shutdown();
     }
@@ -1333,9 +1408,11 @@ mod tests {
         assert_eq!(recv_frame(&mut t0).payload, vec![42]);
         // Heal: the outbox replays everything in order.
         faults.heal_all();
-        for expected in 0..5u8 {
-            assert_eq!(recv_frame(&mut t1).payload, vec![expected]);
-        }
+        pumping(&mut t0, || {
+            for expected in 0..5u8 {
+                assert_eq!(recv_frame(&mut t1).payload, vec![expected]);
+            }
+        });
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1.shutdown();
@@ -1350,9 +1427,11 @@ mod tests {
         for i in 1..20u8 {
             t0.send(p(1), vec![i]);
         }
-        for expected in 1..20u8 {
-            assert_eq!(recv_frame(&mut t1).payload, vec![expected]);
-        }
+        pumping(&mut t0, || {
+            for expected in 1..20u8 {
+                assert_eq!(recv_frame(&mut t1).payload, vec![expected]);
+            }
+        });
         // The one-shot disconnect was consumed by the run.
         assert!(faults.is_quiet());
         assert_eq!(t0.dropped_frames(), 0);
@@ -1372,7 +1451,7 @@ mod tests {
         for expected in 0..1000u32 {
             assert_eq!(recv_frame(&mut t1).payload, expected.to_le_bytes());
         }
-        await_flushed(&t0, "outbox never drained");
+        pumping(&mut t1, || await_flushed(&mut t0, "outbox never drained"));
         let acks = acks_out(&t1);
         assert!(
             (1..=1000 / 8).contains(&acks),
@@ -1389,7 +1468,9 @@ mod tests {
         t0.send(p(1), vec![7]);
         assert_eq!(recv_frame(&mut t1).payload, vec![7]);
         let received = Instant::now();
-        await_flushed(&t0, "lone frame never acknowledged");
+        pumping(&mut t1, || {
+            await_flushed(&mut t0, "lone frame never acknowledged")
+        });
         let waited = received.elapsed();
         assert!(
             waited <= ACK_QUIET + Duration::from_millis(50),
@@ -1405,7 +1486,6 @@ mod tests {
 
     #[test]
     fn frames_delivered_but_unacknowledged_at_a_disconnect_are_not_delivered_again() {
-        use crate::link::ACK_INTERVAL;
         let (mut t0, mut t1, faults) = start_faulty_pair(11);
         // Under one interval, sent in one go: delivered well before
         // either ack condition holds, so the sender's window still
@@ -1424,10 +1504,12 @@ mod tests {
         // The new connection's resume point (or the replay overlap it
         // deduplicates) covers the first batch: only the new frames
         // come out, each once, in order.
-        for expected in unacked..unacked + 20 {
-            assert_eq!(recv_frame(&mut t1).payload, vec![expected]);
-        }
-        await_flushed(&t0, "outbox never drained");
+        pumping(&mut t0, || {
+            for expected in unacked..unacked + 20 {
+                assert_eq!(recv_frame(&mut t1).payload, vec![expected]);
+            }
+        });
+        pumping(&mut t1, || await_flushed(&mut t0, "outbox never drained"));
         assert_eq!(
             t1.recv_timeout(Duration::from_millis(50)),
             RecvOutcome::TimedOut,
@@ -1438,5 +1520,105 @@ mod tests {
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1.shutdown();
+    }
+
+    /// What a stranger writes to a live endpoint's peer port, on a
+    /// connection of its own.
+    #[derive(Clone, Debug)]
+    enum Junk {
+        /// Arbitrary bytes.
+        Blob(Vec<u8>),
+        /// A protocol violation the endpoint must drop and count.
+        Offence(Vec<Frame>),
+        /// An oversized length prefix.
+        Oversized,
+    }
+
+    fn hello(epoch: u64) -> Frame {
+        Frame::HelloNode { node: p(2), epoch }
+    }
+
+    fn junk() -> impl Strategy<Value = Junk> {
+        let blob = prop::collection::vec(any::<u8>(), 0..64);
+        (0u8..6, blob).prop_map(|(kind, blob)| {
+            let ack = Frame::HelloAck { next_seq: 0 };
+            match kind {
+                0 => Junk::Blob(blob),
+                // `Data` before `HelloNode`.
+                1 => Junk::Offence(vec![Frame::Data {
+                    seq: 0,
+                    payload: blob,
+                }]),
+                // A `DataAck` on an accepted connection.
+                2 => Junk::Offence(vec![hello(1), Frame::DataAck { through: 0 }]),
+                // A second `HelloAck` (no acceptor reads even one).
+                3 => Junk::Offence(vec![hello(2), ack.clone(), ack]),
+                // A second `HelloNode` on one connection.
+                4 => Junk::Offence(vec![hello(3), hello(3)]),
+                _ => Junk::Oversized,
+            }
+        })
+    }
+
+    /// One short turn of `t`'s loop, keeping what it delivers.
+    fn drive(t: &mut TcpTransport, delivered: &mut Vec<InboundFrame>) {
+        if let RecvOutcome::Frame(frame) = t.recv_timeout(Duration::from_millis(1)) {
+            delivered.push(frame);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        /// Whatever strangers write to the peer port — blobs, frames out
+        /// of protocol, an oversized length prefix, a valid handshake
+        /// and `Data` frame split at every byte boundary — the endpoint
+        /// does not panic, drops and counts each offender, delivers the
+        /// split frame intact, and real traffic still flows both ways.
+        #[test]
+        fn the_peer_port_is_total_on_hostile_bytes(attacks in prop::collection::vec(junk(), 1..6)) {
+            // Three slots, the third a phantom the strangers claim to
+            // be, so that no real link is disturbed.
+            let listeners: Vec<_> = (0..3).map(|_| TcpListener::bind("127.0.0.1:0").unwrap()).collect();
+            let dir = peer_directory(listeners.iter().map(|l| l.local_addr().unwrap()).collect());
+            let mut listeners = listeners.into_iter();
+            let mut t0 = TcpTransport::start(p(0), listeners.next().unwrap(), Arc::clone(&dir), TcpOptions::default()).unwrap();
+            let mut t1 = TcpTransport::start(p(1), listeners.next().unwrap(), dir, TcpOptions::default()).unwrap();
+            let mut delivered = Vec::new();
+            let mut offences = 0;
+            for attack in &attacks {
+                let mut stranger = TcpStream::connect(t0.listen_addr()).unwrap();
+                let bytes = match attack {
+                    Junk::Blob(bytes) => bytes.clone(),
+                    Junk::Offence(frames) => frames.iter().flat_map(encode_frame).collect(),
+                    Junk::Oversized => MAX_JUNK.to_le_bytes().to_vec(),
+                };
+                offences += u64::from(!matches!(attack, Junk::Blob(_)));
+                stranger.write_all(&bytes).unwrap();
+                let _ = stranger.shutdown(std::net::Shutdown::Write);
+            }
+            let split: Vec<u8> = [hello(9), Frame::Data { seq: 0, payload: vec![5, 5] }]
+                .iter()
+                .flat_map(encode_frame)
+                .collect();
+            let mut stranger = TcpStream::connect(t0.listen_addr()).unwrap();
+            stranger.set_nodelay(true).unwrap();
+            for byte in &split {
+                stranger.write_all(&[*byte]).unwrap();
+                drive(&mut t0, &mut delivered);
+            }
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while t0.poisoned_conns < offences || delivered.is_empty() || t0.accepted.len() > 2 {
+                prop_assert!(Instant::now() < deadline, "strangers outlived their junk");
+                drive(&mut t0, &mut delivered);
+            }
+            prop_assert_eq!(&delivered[0], &InboundFrame { from: p(2), payload: vec![5, 5] });
+            t1.send(p(0), vec![42]);
+            prop_assert_eq!(recv_frame(&mut t0).payload, vec![42]);
+            t0.send(p(1), vec![43]);
+            prop_assert_eq!(recv_frame(&mut t1).payload, vec![43]);
+            prop_assert_eq!(t0.dropped_frames(), 0);
+            drop(stranger);
+        }
     }
 }

@@ -223,7 +223,7 @@ fn tcp_cluster_runs_the_pbft_baseline_through_the_same_node() {
 /// Every metric name a scrape carries, pinned from a scrape of a node
 /// built at the commit before the loop's own counts moved into the
 /// registry (same scenario: commits and one rejection on a TCP node).
-const SCRAPE_NAMES: [&str; 43] = [
+const SCRAPE_NAMES: [&str; 45] = [
     "broadcast_delivered_total",
     "broadcast_instances",
     "broadcast_signs_total",
@@ -260,12 +260,14 @@ const SCRAPE_NAMES: [&str; 43] = [
     "stage_verify_us",
     "stage_wire_decode_us",
     "stage_wire_encode_us",
+    "transport_acks_in_total",
     "transport_acks_out_total",
     "transport_bytes_in_total",
     "transport_bytes_out_total",
     "transport_dropped_frames_total",
     "transport_frames_in_total",
     "transport_frames_out_total",
+    "transport_polls_total",
     "transport_reconnects_total",
 ];
 

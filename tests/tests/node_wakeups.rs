@@ -1,7 +1,9 @@
 //! The node loop is event-driven: it blocks in one place until a frame,
 //! a command or a real deadline, and its `node_loop_wakeups_total` /
-//! `node_loop_idle_wakeups_total` counters say so. Every test here
-//! fails on a loop that polls.
+//! `node_loop_idle_wakeups_total` counters say so — and over TCP that
+//! one place is the transport's `poll`, whose every return
+//! `transport_polls_total` counts, housekeeping the loop never sees
+//! included. Every test here fails on a loop that polls.
 
 use at_broadcast::auth::NoAuth;
 use at_broadcast::echo::EchoBroadcast;
@@ -31,9 +33,21 @@ fn echo(me: ProcessId) -> EchoNode {
     EchoNode::new(me, N, NoAuth)
 }
 
-/// `(wake-ups, idle wake-ups, peer messages fed to the replica)`. The
-/// scrape is itself a command, so it adds one wake-up to what it reads.
-fn loop_counters(handle: &NodeHandle<EchoNode>) -> (u64, u64, u64) {
+/// One node's counts, from one in-process scrape — itself two commands
+/// (the request, then the session's hang-up), so it adds two wake-ups
+/// to what the next scrape reads.
+#[derive(Clone, Copy)]
+struct Counts {
+    wakeups: u64,
+    idle: u64,
+    /// Peer messages fed to the replica (loop-backs included).
+    msgs: u64,
+    polls: u64,
+    frames_in: u64,
+    acks: u64,
+}
+
+fn loop_counters(handle: &NodeHandle<EchoNode>) -> Counts {
     let snapshot = handle
         .metrics(Duration::from_secs(10))
         .expect("metrics scrape");
@@ -42,11 +56,14 @@ fn loop_counters(handle: &NodeHandle<EchoNode>) -> (u64, u64, u64) {
             .counter(name)
             .unwrap_or_else(|| panic!("{name} is not exported"))
     };
-    (
-        counter("node_loop_wakeups_total"),
-        counter("node_loop_idle_wakeups_total"),
-        counter("node_peer_msgs_in_total"),
-    )
+    Counts {
+        wakeups: counter("node_loop_wakeups_total"),
+        idle: counter("node_loop_idle_wakeups_total"),
+        msgs: counter("node_peer_msgs_in_total"),
+        polls: counter("transport_polls_total"),
+        frames_in: counter("transport_frames_in_total"),
+        acks: counter("transport_acks_in_total") + counter("transport_acks_out_total"),
+    }
 }
 
 /// Waits, without sending the loops a command, until every node has
@@ -66,13 +83,9 @@ fn an_idle_mesh_cluster_makes_no_timed_wakeups() {
     let handles = start_mesh_cluster(N, node_config(), echo);
     let before: Vec<_> = handles.iter().map(loop_counters).collect();
     std::thread::sleep(Duration::from_millis(500));
-    for (handle, (before, _, _)) in handles.iter().zip(before) {
-        let (after, _, _) = loop_counters(handle);
-        assert!(
-            after - before < 20,
-            "an idle node loop woke {} times in 500 ms",
-            after - before
-        );
+    for (handle, before) in handles.iter().zip(before) {
+        let woke = loop_counters(handle).wakeups - before.wakeups;
+        assert!(woke < 20, "an idle node loop woke {woke} times in 500 ms");
     }
     for handle in handles {
         handle.stop();
@@ -106,18 +119,33 @@ fn one_transfer_on_an_idle_tcp_cluster_wakes_each_loop_once_per_input() {
 
     for (i, (handle, before)) in cluster.running().zip(before).enumerate() {
         let after = loop_counters(handle);
-        let wakeups = after.0 - before.0;
-        let idle = after.1 - before.1;
+        let wakeups = after.wakeups - before.wakeups;
+        let idle = after.idle - before.idle;
         // Frames in (the replica's message count includes its own
         // loopback, so it bounds them from above), the scrape, the
         // client's request at node 0, the end-of-pass flush timer at
         // node 0 and a prune that may come due — plus a little slack.
-        let msgs = after.2 - before.2;
+        let msgs = after.msgs - before.msgs;
         let inputs = msgs + 1 + 2 * u64::from(i == 0) + 1;
         assert!(wakeups >= 1, "node {i} committed without waking");
         assert!(
             wakeups <= inputs + 2,
             "node {i}: {wakeups} wake-ups for {inputs} inputs"
+        );
+        // The transport's own returns from `poll`: the frames in, the
+        // acknowledgements in and out it handles without waking the
+        // loop, the scrape's two commands and node 0's request, the
+        // same timers — plus the same slack. A thread that moved
+        // frames or acks behind the loop's back would not show here,
+        // but its hand-offs would, as loop wake-ups above.
+        let polls = after.polls - before.polls;
+        let absorbed = (after.frames_in - before.frames_in) + (after.acks - before.acks);
+        let commands = 2 + u64::from(i == 0);
+        let timers = 1 + u64::from(i == 0);
+        assert!(
+            polls <= absorbed + commands + timers + 2,
+            "node {i}: {polls} polls for {absorbed} frames and acks, \
+             {commands} commands and {timers} timers"
         );
         // One instance is 18 messages, loop-backs included: SEND, four
         // echo shares and FINAL at the source; SEND, FINAL and the two
@@ -195,5 +223,26 @@ fn stopping_an_idle_node_does_not_wait_out_a_drain_window() {
     assert!(
         fastest < Duration::from_millis(50),
         "stopping an idle node took {fastest:?}"
+    );
+}
+
+#[test]
+fn stopping_an_idle_tcp_node_does_not_wait_out_a_read_timeout() {
+    let mut cluster =
+        start_tcp_cluster(N, node_config(), TcpOptions::default(), echo).expect("cluster");
+    std::thread::sleep(Duration::from_millis(100));
+    // The TCP twin of the mesh test above: no thread of the transport
+    // sits in a timed read that a stop has to wait out.
+    let fastest = (0..N)
+        .map(|i| {
+            let started = Instant::now();
+            cluster.stop_node(i);
+            started.elapsed()
+        })
+        .min()
+        .expect("four nodes");
+    assert!(
+        fastest < Duration::from_millis(50),
+        "stopping an idle TCP node took {fastest:?}"
     );
 }
