@@ -21,12 +21,13 @@
 
 use crate::auth::Authenticator;
 use crate::instance::{
-    payload_digest, signed_bytes, verify_certificate, Collector, Digest, InstanceTable, TraceHook,
+    signed_bytes, verify_certificate, Collector, Digest, DigestMemo, InstanceTable, TraceHook,
 };
 use crate::secure::TraceExtract;
 use crate::types::{CryptoOps, Step};
 use at_model::{AccountId, Encode, ProcessId, SeqNo};
 use at_obs::{TraceEventKind, Tracer};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Wire messages of the account-order broadcast.
@@ -96,6 +97,8 @@ struct ParkedFinal<P, A: Authenticator> {
 struct PendingSend<P> {
     sender: ProcessId,
     payload: P,
+    /// The digest its signature was verified over.
+    digest: Digest,
 }
 
 struct Slot<P, A: Authenticator> {
@@ -105,6 +108,9 @@ struct Slot<P, A: Authenticator> {
     send: Option<PendingSend<P>>,
     /// Acknowledgements for the message this process broadcast here.
     acks: Option<Collector<P, A::Sig>>,
+    /// The payload digests: seeded by our own SEND or the first one
+    /// received, cleared once a FINAL is certified.
+    memo: DigestMemo,
 }
 
 impl<P, A: Authenticator> Default for Slot<P, A> {
@@ -113,6 +119,7 @@ impl<P, A: Authenticator> Default for Slot<P, A> {
             acked: None,
             send: None,
             acks: None,
+            memo: DigestMemo::default(),
         }
     }
 }
@@ -198,13 +205,20 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         payload: P,
         collect: bool,
     ) -> AccountOrderMsg<P, A::Sig> {
-        let digest = payload_digest(&payload);
+        let me = self.table.me();
+        let mut slot = self
+            .table
+            .entry(account, seq)
+            .filter(|_| collect)
+            .map(|slot| slot.or_default());
+        let memo = slot.as_deref_mut().map(|slot| &mut slot.memo);
+        let digest = DigestMemo::through(memo, &payload);
         self.ops.signs += 1;
         let sig = self
             .auth
-            .sign(self.table.me(), &signed_bytes(b'a', account, seq, digest));
-        if let Some(slot) = self.table.entry(account, seq).filter(|_| collect) {
-            slot.or_default().acks = Some(Collector::new(payload.clone(), digest));
+            .sign(me, &signed_bytes(b'a', account, seq, digest));
+        if let Some(slot) = slot {
+            slot.acks = Some(Collector::new(payload.clone(), digest));
         }
         AccountOrderMsg::Send {
             account,
@@ -270,21 +284,35 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
                 if self.sole_owner && from.index() != account.index() {
                     return; // not the account's owner: never acknowledged
                 }
-                let Some(slot) = self.table.entry(account, seq) else {
+                let Some(mut slot) = self.table.entry(account, seq) else {
                     return; // already delivered: not worth a verification
                 };
+                // A new slot's digest goes through a memo of its own, kept
+                // only once the signature holds.
+                let mut memo = DigestMemo::default();
+                let digest = match &mut slot {
+                    Entry::Occupied(occupied) => occupied.get_mut().memo.digest(&payload),
+                    Entry::Vacant(_) => memo.digest(&payload),
+                };
                 self.ops.verifies += 1;
-                if !self.auth.verify(
-                    from,
-                    &signed_bytes(b'a', account, seq, payload_digest(&payload)),
-                    &sig,
-                ) {
-                    return;
+                if !self
+                    .auth
+                    .verify(from, &signed_bytes(b'a', account, seq, digest), &sig)
+                {
+                    return; // forged SEND: no slot either
                 }
-                slot.or_default().send.get_or_insert(PendingSend {
+                let slot = slot.or_insert_with(|| Slot {
+                    memo,
+                    ..Slot::default()
+                });
+                let pending = slot.send.get_or_insert(PendingSend {
                     sender: from,
                     payload,
+                    digest,
                 });
+                if pending.digest != digest {
+                    return; // conflicts with the first SEND: never acknowledged
+                }
                 // A later slot's turn comes when its predecessor delivers.
                 if seq == self.table.expected(account) {
                     self.try_ack(account, step);
@@ -328,7 +356,7 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         let Some(pending) = &slot.send else {
             return;
         };
-        let digest = payload_digest(&pending.payload);
+        let digest = pending.digest;
         // At most one digest acknowledged per (account, seq).
         if *slot.acked.get_or_insert(digest) != digest {
             return; // a conflicting message was already acknowledged
@@ -411,7 +439,8 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         if self.table.is_stale(account, seq) || self.table.holds(account, seq) {
             return;
         }
-        let digest = payload_digest(&parked.payload);
+        let memo = self.table.get_mut(account, seq).map(|slot| &mut slot.memo);
+        let digest = DigestMemo::through(memo, &parked.payload);
         let own = self.table.get(account, seq);
         let own = own
             .and_then(|slot| slot.acks.as_ref())
@@ -431,6 +460,10 @@ impl<P: Clone + Encode, A: Authenticator> AccountOrderBroadcast<P, A> {
         // What is bound is the account, and under the sole-owner rule
         // only its owner's SEND is acknowledged.
         let owner = self.sole_owner.then(|| ProcessId::new(account.index()));
+        // Certified: every later FINAL for the slot is dropped unread.
+        if let Some(slot) = self.table.get_mut(account, seq) {
+            slot.memo.clear();
+        }
         self.table.hold(account, seq, parked);
         while let Some((
             seq,
@@ -623,6 +656,53 @@ mod tests {
             seen.extend(values(delivered));
         }
         assert!(seen.len() <= 1, "forked deliveries: {seen:?}");
+    }
+
+    #[test]
+    fn a_conflicting_send_behind_an_acknowledged_one_gets_no_ack() {
+        // Co-owners p0 and p1 both send seq 1 of account 0. p2 acks p0's
+        // payload; p1's conflicting one must draw nothing — the memo
+        // holds 111's digest, and answering it for 222 would take the
+        // conflict for a duplicate and acknowledge again.
+        let mut endpoint: Endpoint = AccountOrderBroadcast::new(p(2), 4, NoAuth);
+        let send = |payload| AccountOrderMsg::Send {
+            account: acct(0),
+            seq: SeqNo::new(1),
+            payload,
+            sig: (),
+        };
+        let mut step = Step::new();
+        endpoint.on_message(p(0), send(111), &mut step);
+        assert_eq!(step.outgoing.len(), 1, "the first SEND is acknowledged");
+        let mut step = Step::new();
+        endpoint.on_message(p(1), send(222), &mut step);
+        assert!(
+            step.outgoing.is_empty(),
+            "a conflicting SEND was acknowledged"
+        );
+        // A duplicate of the acknowledged SEND is acknowledged again.
+        endpoint.on_message(p(0), send(111), &mut step);
+        assert_eq!(step.outgoing.len(), 1);
+        assert_eq!(step.outgoing[0].to, p(0));
+    }
+
+    #[test]
+    fn a_forged_send_leaves_no_state() {
+        let auth = EdAuth::deterministic(4, 4);
+        let mut endpoint = AccountOrderBroadcast::<u64, _>::new(p(1), 4, auth.clone());
+        let mut step = Step::new();
+        endpoint.on_message(
+            p(3),
+            AccountOrderMsg::Send {
+                account: acct(3),
+                seq: SeqNo::new(1),
+                payload: 666,
+                sig: auth.sign(p(3), b"garbage"),
+            },
+            &mut step,
+        );
+        assert!(step.outgoing.is_empty() && step.deliveries.is_empty());
+        assert_eq!(endpoint.instance_count(), 0, "a forged SEND left state");
     }
 
     #[test]

@@ -13,12 +13,18 @@
 //! 4. on `2f+1` matching `READY`s, the process delivers `m`.
 //!
 //! Message complexity: `O(n²)` per broadcast, 3 message delays — the cost
-//! profile the evaluation of Section 5 measures.
+//! profile the evaluation of Section 5 measures. Compute per process is
+//! one SHA-256 per instance: "matching" means equal values, counted by
+//! digest, and each process digests the payload through the instance's
+//! `DigestMemo`, which hashes only a payload it has not seen before. An
+//! ECHO after this process's READY and a READY after its delivery are
+//! dropped unread: echoes only ever trigger our READY, and delivery
+//! implies our READY went out.
 //!
 //! Deliveries are released per source in sequence order by the instance
 //! table, yielding the source-order (indeed FIFO) property of Section 5.2.
 
-use crate::instance::{payload_digest, Digest, InstanceTable, TraceHook};
+use crate::instance::{Digest, DigestMemo, InstanceTable, TraceHook};
 use crate::secure::{SecureBroadcast, TraceExtract};
 use crate::types::{CryptoOps, Step};
 use at_model::{Encode, ProcessId, SeqNo};
@@ -68,6 +74,8 @@ struct Instance {
     ready_sent: bool,
     /// Whether the instance delivered.
     delivered: bool,
+    /// The payload digests, cleared on delivery.
+    memo: DigestMemo,
 }
 
 /// One process's endpoint of the Bracha reliable broadcast.
@@ -154,9 +162,13 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
             return;
         };
         let instance = slot.or_default();
-        let echoes = instance.echoes.entry(payload_digest(&payload)).or_default();
+        if instance.ready_sent {
+            return; // echoes only ever trigger our READY
+        }
+        let digest = instance.memo.digest(&payload);
+        let echoes = instance.echoes.entry(digest).or_default();
         echoes.insert(from);
-        if echoes.len() >= echo_quorum && !instance.ready_sent {
+        if echoes.len() >= echo_quorum {
             instance.ready_sent = true;
             self.trace
                 .record(&payload, from, TraceEventKind::Ready, echo_quorum as u64);
@@ -185,10 +197,11 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
             return;
         };
         let instance = slot.or_default();
-        let readies = instance
-            .readies
-            .entry(payload_digest(&payload))
-            .or_default();
+        if instance.delivered {
+            return; // delivery implies our READY went out: nothing to count for
+        }
+        let digest = instance.memo.digest(&payload);
+        let readies = instance.readies.entry(digest).or_default();
         readies.insert(from);
         let count = readies.len();
 
@@ -203,8 +216,9 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
                 },
             );
         }
-        if count >= ready_deliver && !instance.delivered {
+        if count >= ready_deliver {
             instance.delivered = true;
+            instance.memo.clear();
             self.table.hold(source, seq, payload);
             while let Some((seq, payload)) = self.table.release(source) {
                 self.trace
@@ -433,6 +447,56 @@ mod tests {
         let all: Vec<&u64> = delivered.iter().flatten().collect();
         assert!(all.len() <= 1 || all.windows(2).all(|w| w[0] == w[1]));
         assert!(delivered[0].is_empty() && delivered[1].is_empty() && delivered[2].is_empty());
+    }
+
+    #[test]
+    fn split_echoes_and_readies_count_under_their_own_digest() {
+        // p0 splits 1 to {p0, p1} and 2 to {p2, p3}: every process sees
+        // two ECHOs of each, and each pair must count under its own
+        // payload's digest — the memo holds whichever came first, and
+        // answering it for the other payload would make a quorum of 3.
+        let n = 4;
+        let mut endpoints: Vec<BrachaBroadcast<u64>> = (0..n)
+            .map(|i| BrachaBroadcast::new(p(i as u32), n))
+            .collect();
+        let mut step = Step::new();
+        let seq = endpoints[0].broadcast_split(1, 2, &mut step);
+        let mut inflight: VecDeque<_> = step.outgoing.into_iter().map(|out| (p(0), out)).collect();
+        while let Some((from, out)) = inflight.pop_front() {
+            let mut step = Step::new();
+            endpoints[out.to.as_usize()].on_message(from, out.msg, &mut step);
+            assert!(step.deliveries.is_empty());
+            inflight.extend(step.outgoing.into_iter().map(|next| (out.to, next)));
+        }
+        let (one, two) = (at_crypto::digest_of(&1u64), at_crypto::digest_of(&2u64));
+        let voters = |set: &[u32]| set.iter().map(|&i| p(i)).collect::<BTreeSet<_>>();
+        for endpoint in &endpoints {
+            let instance = endpoint.table.get(p(0), seq).expect("instance state");
+            assert_eq!(instance.echoes[&one], voters(&[0, 1]));
+            assert_eq!(instance.echoes[&two], voters(&[2, 3]));
+            assert!(!instance.ready_sent && instance.readies.is_empty());
+        }
+        // READYs for 2 at p0, whose memo holds 1: counted under 2, and
+        // `f + 1` of them amplify into p0's own READY for 2.
+        let mut step = Step::new();
+        for from in [p(2), p(3)] {
+            let ready = BrachaMsg::Ready {
+                source: p(0),
+                seq,
+                payload: 2,
+            };
+            endpoints[0].on_message(from, ready, &mut step);
+        }
+        let instance = endpoints[0].table.get(p(0), seq).expect("instance state");
+        assert_eq!(instance.readies.len(), 1);
+        assert_eq!(instance.readies[&two], voters(&[2, 3]));
+        assert!(step.outgoing.iter().all(|out| out.msg
+            == BrachaMsg::Ready {
+                source: p(0),
+                seq,
+                payload: 2
+            }));
+        assert_eq!(step.outgoing.len(), n);
     }
 
     #[test]

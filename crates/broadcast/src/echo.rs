@@ -21,12 +21,13 @@
 
 use crate::auth::Authenticator;
 use crate::instance::{
-    payload_digest, signed_bytes, verify_certificate, Collector, Digest, InstanceTable, TraceHook,
+    signed_bytes, verify_certificate, Collector, Digest, DigestMemo, InstanceTable, TraceHook,
 };
 use crate::secure::{SecureBroadcast, TraceExtract};
 use crate::types::{CryptoOps, Step};
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceEventKind, Tracer};
+use std::collections::hash_map::Entry;
 use std::fmt;
 
 /// Wire messages of the signed-echo broadcast.
@@ -90,6 +91,9 @@ struct Instance<P, S> {
     /// Our own instances only: the payload we broadcast and, after
     /// [`SecureBroadcast::broadcast_split`], the second one behind it.
     sending: Vec<Sending<P, S>>,
+    /// The payload digests: seeded by our own SEND or by the one we
+    /// echoed, cleared on delivery.
+    memo: DigestMemo,
 }
 
 impl<P, S> Default for Instance<P, S> {
@@ -98,6 +102,7 @@ impl<P, S> Default for Instance<P, S> {
             echoed: None,
             delivered: false,
             sending: Vec::new(),
+            memo: DigestMemo::default(),
         }
     }
 }
@@ -167,11 +172,13 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
     /// shares for it; answers the SEND to transmit.
     fn open(&mut self, seq: SeqNo, payload: P) -> EchoMsg<P, A::Sig> {
         let me = self.table.me();
-        let digest = payload_digest(&payload);
+        let mut instance = self.table.entry(me, seq).map(|slot| slot.or_default());
+        let memo = instance.as_deref_mut().map(|instance| &mut instance.memo);
+        let digest = DigestMemo::through(memo, &payload);
         self.ops.signs += 1;
         let sig = self.auth.sign(me, &signed_bytes(b'S', me, seq, digest));
-        if let Some(slot) = self.table.entry(me, seq) {
-            slot.or_default().sending.push(Sending {
+        if let Some(instance) = instance {
+            instance.sending.push(Sending {
                 sig: sig.clone(),
                 echoes: Collector::new(payload.clone(), digest),
             });
@@ -188,10 +195,16 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         step: &mut Step<EchoMsg<P, A::Sig>, P>,
     ) {
         let me = self.table.me();
-        let Some(slot) = self.table.entry(from, seq) else {
+        let Some(mut slot) = self.table.entry(from, seq) else {
             return; // already released: not worth a verification
         };
-        let digest = payload_digest(&payload);
+        // A new slot's digest goes through a memo of its own, kept only
+        // once the signature holds.
+        let mut memo = DigestMemo::default();
+        let digest = match &mut slot {
+            Entry::Occupied(instance) => instance.get_mut().memo.digest(&payload),
+            Entry::Vacant(_) => memo.digest(&payload),
+        };
         self.ops.verifies += 1;
         if !self
             .auth
@@ -200,7 +213,10 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             return; // forged SEND: no slot either
         }
         // Echo at most one digest per instance: the anti-equivocation rule.
-        let instance = slot.or_default();
+        let instance = slot.or_insert_with(|| Instance {
+            memo,
+            ..Instance::default()
+        });
         match &instance.echoed {
             Some(echoed) if echoed.digest != digest => return, // equivocation: stay silent
             Some(_) => {} // duplicate SEND: re-echo (idempotent for the sender)
@@ -287,11 +303,13 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         if self.table.is_stale(source, seq) {
             return; // already released: not worth a verification
         }
+        let digest = match self.table.get_mut(source, seq) {
+            Some(instance) if instance.delivered => {
+                return; // a forwarded copy of the FINAL that delivered
+            }
+            instance => DigestMemo::through(instance.map(|instance| &mut instance.memo), &payload),
+        };
         let instance = self.table.get(source, seq);
-        if instance.is_some_and(|instance| instance.delivered) {
-            return; // a forwarded copy of the FINAL that delivered
-        }
-        let digest = payload_digest(&payload);
         // Signatures this process already verified for this instance —
         // the SEND signature it echoed, and for its own broadcast the
         // signature it made and the shares `on_echo` accepted — are not
@@ -323,7 +341,9 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
             return;
         }
         if let Some(slot) = self.table.entry(source, seq) {
-            slot.or_default().delivered = true;
+            let instance = slot.or_default();
+            instance.delivered = true;
+            instance.memo.clear();
         }
         if self.forward_final {
             // `source` is bound: this process verified its signature
@@ -443,7 +463,7 @@ mod tests {
     use super::*;
     use crate::auth::{EdAuth, NoAuth};
     use crate::types::Delivery;
-    use at_crypto::Signature;
+    use at_crypto::{digest_of, Signature};
     use std::collections::VecDeque;
 
     fn p(i: u32) -> ProcessId {
@@ -549,6 +569,7 @@ mod tests {
         );
         assert!(step.outgoing.is_empty(), "no echo for a forged SEND");
         assert!(step.deliveries.is_empty());
+        assert_eq!(endpoints[1].instance_count(), 0, "a forged SEND left state");
     }
 
     #[test]
@@ -557,7 +578,7 @@ mod tests {
         let mut endpoint: EchoBroadcast<u64, EdAuth> = EchoBroadcast::new(p(1), 4, auth.clone());
         let seq = SeqNo::new(1);
         let payload = 5u64;
-        let digest = payload_digest(&payload);
+        let digest = digest_of(&payload);
         let sig = auth.sign(p(0), &send_bytes(p(0), seq, digest));
         // Certificate signed by only one process (quorum is 3), padded
         // with duplicates.
@@ -595,7 +616,7 @@ mod tests {
 
         let seq = SeqNo::new(1);
         let payload = 11u64;
-        let digest = payload_digest(&payload);
+        let digest = digest_of(&payload);
         let sig = ed.sign(p(0), &send_bytes(p(0), seq, digest));
         let certificate: Vec<(ProcessId, _)> = (0..q as u32)
             .map(|i| (p(i), ed.sign(p(i), &echo_bytes(p(0), seq, digest))))
@@ -647,7 +668,7 @@ mod tests {
         let auth = crate::auth::ObservedAuth::new(ed.clone(), registry.recorder());
         let mut endpoint: EchoBroadcast<u64, _> = EchoBroadcast::new(p(1), 4, auth.clone());
         let seq = SeqNo::new(1);
-        let digest = payload_digest(&payload);
+        let digest = digest_of(&payload);
         let sig = ed.sign(p(0), &send_bytes(p(0), seq, digest));
         let mut step = Step::new();
         endpoint.on_message(p(0), EchoMsg::Send { seq, payload, sig }, &mut step);
@@ -721,7 +742,7 @@ mod tests {
         let ed = EdAuth::deterministic(4, 23);
         let (mut endpoint, auth, sig, _) = echoed_receiver(&ed, 5);
         let seq = SeqNo::new(1);
-        let other_digest = payload_digest(&6u64);
+        let other_digest = digest_of(&6u64);
         let certificate = (1..4)
             .map(|i| (p(i), ed.sign(p(i), &echo_bytes(p(0), seq, other_digest))))
             .collect();
@@ -747,6 +768,31 @@ mod tests {
     }
 
     #[test]
+    fn final_for_another_payload_under_the_echoed_certificate_is_rejected() {
+        // A valid SEND signature and certificate for the echoed payload
+        // 5, carried by a FINAL for payload 6. The receiver's memo holds
+        // 5's digest; answering it for 6 would skip the SEND check and
+        // pass the certificate — every signature must be checked over
+        // the digest of exactly the payload received.
+        let ed = EdAuth::deterministic(4, 25);
+        let (mut endpoint, _, sig, certificate) = echoed_receiver(&ed, 5);
+        let mut step = Step::new();
+        endpoint.on_message(
+            p(0),
+            EchoMsg::Final {
+                source: p(0),
+                seq: SeqNo::new(1),
+                payload: 6,
+                sig,
+                certificate,
+            },
+            &mut step,
+        );
+        assert!(step.deliveries.is_empty() && step.outgoing.is_empty());
+        assert_eq!(endpoint.delivered_count(), 0);
+    }
+
+    #[test]
     fn sender_reverifies_exactly_the_shares_it_did_not_collect() {
         // The sender collected and verified echoes from p1..p3. A FINAL
         // for its own instance whose certificate swaps p2's share for a
@@ -758,7 +804,7 @@ mod tests {
         let mut sender: EchoBroadcast<u64, _> = EchoBroadcast::new(p(0), 4, auth.clone());
         let mut step = Step::new();
         let seq = sender.broadcast(9, &mut step);
-        let digest = payload_digest(&9u64);
+        let digest = digest_of(&9u64);
         let signs_after_broadcast = auth.signs();
         let mut finals = Vec::new();
         for i in 1..4 {
@@ -918,7 +964,7 @@ mod tests {
         let seq = SeqNo::new(1);
         let mut echoes = Vec::new();
         for (to, value) in [(p(1), 1u64), (p(2), 1), (p(3), 2)] {
-            let digest = payload_digest(&value);
+            let digest = digest_of(&value);
             let sig = auth.sign(p(0), &send_bytes(p(0), seq, digest));
             let mut step = Step::new();
             endpoints[to.as_usize()].on_message(
@@ -935,7 +981,7 @@ mod tests {
         // 2 echoes for digest(1), 1 echo for digest(2): no quorum either
         // way, regardless of how the adversary combines the shares.
         assert_eq!(echoes.len(), 3);
-        let digest1 = payload_digest(&1u64);
+        let digest1 = digest_of(&1u64);
         let count1 = echoes
             .iter()
             .filter(|out| matches!(&out.msg, EchoMsg::Echo { digest, .. } if *digest == digest1))

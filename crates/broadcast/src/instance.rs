@@ -1,9 +1,10 @@
 //! What the three backends have in common, written once: the
 //! [`InstanceTable`] every phase machine keeps its per-instance state in,
 //! the [`TraceHook`] beside it, and the certificate path of the two
-//! signed ones ([`payload_digest`], [`signed_bytes`], [`Collector`],
-//! [`verify_certificate`], and who a delivered FINAL is relayed to,
-//! [`InstanceTable::relay_final`]).
+//! signed ones ([`signed_bytes`], [`Collector`], [`verify_certificate`],
+//! and who a delivered FINAL is relayed to,
+//! [`InstanceTable::relay_final`]), and the [`DigestMemo`] through which
+//! all three hashing backends digest a payload once per instance.
 //!
 //! The table owns what does not depend on the protocol: identity and
 //! thresholds, one delivery floor per stream (the source process for
@@ -258,9 +259,64 @@ impl<P> TraceHook<P> {
     }
 }
 
-/// What the signed backends sign in place of a payload.
-pub(crate) fn payload_digest<P: Encode>(payload: &P) -> Digest {
-    at_crypto::Sha256::digest(&encode(payload))
+#[cfg(test)]
+thread_local! {
+    /// Payload digests ([`payload_digest`]) computed on this thread.
+    pub(crate) static PAYLOAD_DIGESTS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// SHA-256 over an encoded payload: what the signed backends sign in
+/// place of it, and what Bracha counts matching values by. Reached only
+/// through a [`DigestMemo`].
+fn payload_digest(encoded: &[u8]) -> Digest {
+    #[cfg(test)]
+    PAYLOAD_DIGESTS.with(|count| count.set(count.get() + 1));
+    at_crypto::Sha256::digest(encoded)
+}
+
+/// One instance's memo of [`payload_digest`], so that a process hashes
+/// the payload it receives over and over — in every ECHO and READY, in
+/// its SEND and then its FINAL — once.
+///
+/// It keeps the first payload's encoding and digest. A lookup encodes
+/// the payload and compares bytes, hashing only on a miss: a cache of
+/// SHA-256 keyed by its exact input, so every digest it answers is the
+/// digest of exactly the payload asked about, for any `P: Encode`. A
+/// second, different payload (an equivocation) misses and is hashed on
+/// every lookup; the memo never holds more than one entry, so a
+/// Byzantine sender cannot grow it. A backend clears it when the
+/// instance delivers.
+#[derive(Default)]
+pub(crate) struct DigestMemo {
+    first: Option<(Vec<u8>, Digest)>,
+}
+
+impl DigestMemo {
+    /// The digest of `payload`, remembered if it is the first one seen.
+    pub(crate) fn digest<P: Encode>(&mut self, payload: &P) -> Digest {
+        let encoded = encode(payload);
+        match &self.first {
+            Some((seen, digest)) if *seen == encoded => *digest,
+            Some(_) => payload_digest(&encoded),
+            None => {
+                let digest = payload_digest(&encoded);
+                self.first = Some((encoded, digest));
+                digest
+            }
+        }
+    }
+
+    /// [`DigestMemo::digest`] through `memo`, or a one-off memo where
+    /// the caller holds no state for the instance (and must not create
+    /// any before checking what the digest is for).
+    pub(crate) fn through<P: Encode>(memo: Option<&mut DigestMemo>, payload: &P) -> Digest {
+        memo.unwrap_or(&mut DigestMemo::default()).digest(payload)
+    }
+
+    /// Forgets the remembered payload: the instance delivered.
+    pub(crate) fn clear(&mut self) {
+        self.first = None;
+    }
 }
 
 /// The bytes signed for `digest` in instance `(stream, seq)`, domain-

@@ -277,9 +277,12 @@ impl<P: Clone + Encode, A: Authenticator> fmt::Debug for AccountOrderBackend<P, 
 mod tests {
     use super::*;
     use crate::auth::{EdAuth, NoAuth};
+    use crate::batch::Batch;
     use crate::bracha::BrachaBroadcast;
     use crate::echo::EchoBroadcast;
+    use crate::instance::PAYLOAD_DIGESTS;
     use crate::pbft::{PbftBroadcast, PbftMsg};
+    use at_model::{Amount, Transfer};
     use std::collections::VecDeque;
 
     fn p(i: u32) -> ProcessId {
@@ -298,15 +301,15 @@ mod tests {
     /// [`drive`], also appending every message that reaches its
     /// addressee, with its sender and addressee, to `wire`; a message
     /// `lost(from, to, msg)` claims never arrives.
-    fn drive_logged<B: SecureBroadcast<u64>>(
+    fn drive_logged<P: Clone + Encode, B: SecureBroadcast<P>>(
         endpoints: &mut [B],
-        broadcasts: Vec<(usize, u64)>,
+        broadcasts: Vec<(usize, P)>,
         wire: &mut Vec<(ProcessId, ProcessId, B::Msg)>,
         lost: impl Fn(ProcessId, ProcessId, &B::Msg) -> bool,
-    ) -> Vec<Vec<Delivery<u64>>> {
+    ) -> Vec<Vec<Delivery<P>>> {
         let n = endpoints.len();
         let mut inflight: VecDeque<(ProcessId, ProcessId, B::Msg)> = VecDeque::new();
-        let mut delivered: Vec<Vec<Delivery<u64>>> = vec![Vec::new(); n];
+        let mut delivered: Vec<Vec<Delivery<P>>> = vec![Vec::new(); n];
         for (source, value) in broadcasts {
             let mut step = Step::new();
             endpoints[source].broadcast(value, &mut step);
@@ -360,19 +363,19 @@ mod tests {
         delivered
     }
 
-    fn bracha_system(n: usize) -> Vec<BrachaBroadcast<u64>> {
+    fn bracha_system<P: Clone + Encode>(n: usize) -> Vec<BrachaBroadcast<P>> {
         (0..n)
             .map(|i| BrachaBroadcast::new(p(i as u32), n))
             .collect()
     }
 
-    fn echo_system(n: usize) -> Vec<EchoBroadcast<u64, NoAuth>> {
+    fn echo_system<P: Clone + Encode>(n: usize) -> Vec<EchoBroadcast<P, NoAuth>> {
         (0..n)
             .map(|i| EchoBroadcast::new(p(i as u32), n, NoAuth))
             .collect()
     }
 
-    fn account_system(n: usize) -> Vec<AccountOrderBackend<u64, NoAuth>> {
+    fn account_system<P: Clone + Encode>(n: usize) -> Vec<AccountOrderBackend<P, NoAuth>> {
         (0..n)
             .map(|i| AccountOrderBackend::new(p(i as u32), n, NoAuth))
             .collect()
@@ -498,6 +501,56 @@ mod tests {
             assert_eq!(
                 peer_messages(account_system(n)),
                 budget,
+                "account order, n = {n}"
+            );
+        }
+    }
+
+    /// The payload digests one instance of a 128-transfer batch from p0
+    /// costs, driven to delivery at every process.
+    fn payload_digests<B: SecureBroadcast<Batch<Transfer>>>(mut endpoints: Vec<B>) -> u64 {
+        let transfer = |i: u32| {
+            let to = AccountId::new(1 + i % 7);
+            Transfer::new(
+                AccountId::new(0),
+                to,
+                Amount::new(1),
+                p(0),
+                SeqNo::new(1 + i as u64),
+            )
+        };
+        let batch = Batch::new((0..128).map(transfer).collect());
+        let digests = || PAYLOAD_DIGESTS.with(std::cell::Cell::get);
+        let before = digests();
+        let delivered = drive_logged(
+            &mut endpoints,
+            vec![(0, batch)],
+            &mut Vec::new(),
+            |_, _, _| false,
+        );
+        assert!(delivered.iter().all(|view| view.len() == 1));
+        digests() - before
+    }
+
+    /// Each process hashes an honest instance's payload once: `n`
+    /// digests, where hashing every ECHO and READY until release costs
+    /// Bracha close to `2n²` (432 at n = 16), hashing the SEND twice and
+    /// the FINAL again costs SignedEcho `2n + 1`, and re-hashing at
+    /// acknowledgement costs AccountOrder `3n + 1`. A backend that hashes what its memo already holds, or a
+    /// handler that hashes a message it is about to drop, fails here.
+    #[test]
+    fn an_instance_costs_one_payload_digest_per_process() {
+        for n in [4, 16] {
+            let digests = n as u64;
+            assert_eq!(
+                payload_digests(bracha_system(n)),
+                digests,
+                "bracha, n = {n}"
+            );
+            assert_eq!(payload_digests(echo_system(n)), digests, "echo, n = {n}");
+            assert_eq!(
+                payload_digests(account_system(n)),
+                digests,
                 "account order, n = {n}"
             );
         }
