@@ -1,5 +1,6 @@
-//! Signed-echo secure broadcast (Malkhi–Reiter 1997, references [35, 36]
-//! of the paper).
+//! The signed-echo secure broadcast (Malkhi–Reiter 1997, references
+//! [35, 36] of the paper), and Section 6's account-order broadcast, which
+//! is the same protocol under one more acknowledgement rule.
 //!
 //! The sender transmits its signed payload; receivers acknowledge with a
 //! signed echo *to the sender only*; once the sender collects a quorum of
@@ -7,17 +8,38 @@
 //! certificate to all, and everyone delivers after verifying the
 //! certificate. Two round trips and `3(n−1)` messages on the sender path,
 //! plus `(n−1)(n−2)` certificate relays that guarantee totality when the
-//! sender is Byzantine (disable with
-//! [`EchoBroadcast::set_forward_final`] for the ablation study A1): a
-//! process that delivers hands the FINAL to every process that might
-//! lack it — everyone but itself, the channel peer its copy came from,
-//! and the source, whose SEND signature inside the FINAL binds it and
-//! who alone could assemble the certificate. The source relays nothing.
+//! sender is Byzantine (disable with [`SignedEcho::set_forward_final`] for
+//! the ablation study A1): a process that delivers hands the FINAL to
+//! every process that might lack it — everyone but itself, the channel
+//! peer its copy came from, and the stream's sole sender, who alone could
+//! assemble the certificate. The source relays nothing.
 //!
-//! A benign process echoes at most one payload per `(source, seq)`, so two
-//! conflicting payloads can never both obtain certificates: this is the
-//! *consistency* that prevents equivocation — and, one level up, double
-//! spending.
+//! Every message names its *stream* and sequence number. A benign process
+//! echoes at most one payload per `(stream, seq)`, and only after
+//! verifying its sender's signature, so two conflicting payloads can
+//! never both obtain certificates: this is the *consistency* that
+//! prevents equivocation — and, one level up, double spending. It is also
+//! why a FINAL carries the certificate and nothing else: the quorum
+//! already speaks for a verified SEND.
+//!
+//! One machine, [`SignedEcho`], serves three users; each gets its rules
+//! from the type it names:
+//!
+//! * [`EchoBroadcast`] — source order. Streams are processes, only a
+//!   stream's own process may send on it, and a SEND is echoed on
+//!   arrival.
+//! * [`AccountOrderBackend`](crate::AccountOrderBackend) — Section 6's
+//!   account order in the base topology, where account `i` belongs to
+//!   process `i`: the same streams, the same sender rule, and the paper's
+//!   rule for acknowledging, `IN_ORDER`:
+//!
+//!   > "A message with a sequence number `s` associated with an account
+//!   > `a` is only acknowledged by a benign process if the last message
+//!   > associated with `a` it delivered had sequence number `s − 1`."
+//! * [`AccountOrderBroadcast`](crate::AccountOrderBroadcast) — Section 6's
+//!   `k`-shared accounts: streams are accounts, any process may send with
+//!   the sequence number its owner group's BFT service assigned, and
+//!   acknowledgement is `IN_ORDER`.
 
 use crate::auth::Authenticator;
 use crate::instance::{
@@ -25,27 +47,52 @@ use crate::instance::{
 };
 use crate::secure::{SecureBroadcast, TraceExtract};
 use crate::types::{CryptoOps, Step};
-use at_model::{Encode, ProcessId, SeqNo};
+use at_model::{AccountId, Encode, ProcessId, SeqNo};
 use at_obs::{TraceEventKind, Tracer};
 use std::collections::hash_map::Entry;
 use std::fmt;
+use std::hash::Hash;
 
-/// Wire messages of the signed-echo broadcast.
+/// What a signed-echo stream is keyed by, and so who may send on it.
+pub trait Stream: Copy + Ord + Hash + Encode {
+    /// The one process whose SENDs the stream acknowledges, or `None`
+    /// when it acknowledges any process's.
+    fn sole_sender(self) -> Option<ProcessId>;
+}
+
+/// A source-order stream: its process's broadcasts, and no one else's.
+impl Stream for ProcessId {
+    fn sole_sender(self) -> Option<ProcessId> {
+        Some(self)
+    }
+}
+
+/// A shared account's stream: whichever owner the account's BFT service
+/// sequenced sends, so the stream alone names no sender.
+impl Stream for AccountId {
+    fn sole_sender(self) -> Option<ProcessId> {
+        None
+    }
+}
+
+/// Wire messages of the signed-echo broadcast, on streams `K`.
 #[derive(Clone, Debug, PartialEq)]
-pub enum EchoMsg<P, S> {
+pub enum EchoMsg<P, S, K = ProcessId> {
     /// The sender's signed payload.
     Send {
-        /// Sender's sequence number.
+        /// The stream it is broadcast on.
+        stream: K,
+        /// The stream's sequence number.
         seq: SeqNo,
         /// The payload.
         payload: P,
-        /// Sender's signature over `(source, seq, payload)`.
+        /// Sender's signature over `(stream, seq, payload)`.
         sig: S,
     },
-    /// A receiver's signed acknowledgement, sent back to the source.
+    /// A receiver's signed acknowledgement, sent back to the sender.
     Echo {
-        /// The instance source.
-        source: ProcessId,
+        /// The instance stream.
+        stream: K,
         /// The instance sequence number.
         seq: SeqNo,
         /// The payload digest being acknowledged.
@@ -55,75 +102,71 @@ pub enum EchoMsg<P, S> {
     },
     /// The payload plus its echo-quorum certificate.
     Final {
-        /// The instance source.
-        source: ProcessId,
+        /// The instance stream.
+        stream: K,
         /// The instance sequence number.
         seq: SeqNo,
         /// The payload.
         payload: P,
-        /// Sender's original signature.
-        sig: S,
         /// `(echoer, share)` pairs forming the quorum certificate.
         certificate: Vec<(ProcessId, S)>,
     },
 }
 
-/// Sender-side state of one payload this process sent.
-struct Sending<P, S> {
-    /// Our signature over the SEND bytes, made once and reused for the
-    /// FINAL (signing is deterministic).
-    sig: S,
-    echoes: Collector<P, S>,
-}
-
-/// Receiver-side record of the one SEND this process echoed for an
-/// instance: the digest (the anti-equivocation rule) and the exact SEND
-/// signature `on_send` verified for it.
-struct Echoed<S> {
-    digest: Digest,
-    send_sig: S,
-}
-
-struct Instance<P, S> {
-    echoed: Option<Echoed<S>>,
-    /// Whether the instance delivered (dedups the relayed FINALs).
-    delivered: bool,
-    /// Our own instances only: the payload we broadcast and, after
+struct Slot<P, S> {
+    /// The digest of the first SEND verified here: the only one this
+    /// process ever echoes for the slot (the anti-equivocation rule).
+    echoed: Option<Digest>,
+    /// `IN_ORDER` only: that SEND's sender and payload, until its turn
+    /// to be echoed comes (boxed: most slots never wait, and every slot
+    /// pays for the field).
+    waiting: Option<Box<(ProcessId, P)>>,
+    /// Our own broadcasts here: the payload and, after
     /// [`SecureBroadcast::broadcast_split`], the second one behind it.
-    sending: Vec<Sending<P, S>>,
-    /// The payload digests: seeded by our own SEND or by the one we
-    /// echoed, cleared on delivery.
+    sending: Vec<Collector<P, S>>,
+    /// The payload digests: seeded by our own SEND or the first one
+    /// received, cleared once a FINAL is certified.
     memo: DigestMemo,
 }
 
-impl<P, S> Default for Instance<P, S> {
+impl<P, S> Default for Slot<P, S> {
     fn default() -> Self {
-        Instance {
+        Slot {
             echoed: None,
-            delivered: false,
+            waiting: None,
             sending: Vec::new(),
             memo: DigestMemo::default(),
         }
     }
 }
 
-/// One process's endpoint of the signed-echo broadcast.
-pub struct EchoBroadcast<P, A: Authenticator> {
-    table: InstanceTable<ProcessId, Instance<P, A::Sig>, P>,
+/// One process's endpoint of the signed-echo broadcast on streams `K`.
+/// With `IN_ORDER`, a SEND for `(stream, s)` is echoed only once
+/// `(stream, s − 1)` was delivered (Section 6); without, on arrival.
+pub struct SignedEcho<K, P, A: Authenticator, const IN_ORDER: bool> {
+    table: InstanceTable<K, Slot<P, A::Sig>, P>,
     trace: TraceHook<P>,
     auth: A,
     forward_final: bool,
     ops: CryptoOps,
-    /// Mutation-testing hook: overrides [`EchoBroadcast::quorum`].
+    /// Mutation-testing hook: overrides [`SignedEcho::quorum`].
     #[cfg(feature = "broken")]
     quorum_override: Option<usize>,
 }
 
-impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
+/// Malkhi–Reiter signed echo in source order: a SEND is echoed on
+/// arrival.
+pub type EchoBroadcast<P, A> = SignedEcho<ProcessId, P, A, false>;
+
+type Out<K, P, A> = Step<EchoMsg<P, <A as Authenticator>::Sig, K>, P, K>;
+
+impl<K: Stream, P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
+    SignedEcho<K, P, A, IN_ORDER>
+{
     /// Creates the endpoint for process `me` of `n`, using `auth` for
     /// signatures; tolerates `f = ⌊(n−1)/3⌋` Byzantine processes.
     pub fn new(me: ProcessId, n: usize, auth: A) -> Self {
-        EchoBroadcast {
+        SignedEcho {
             table: InstanceTable::new(me, n),
             trace: TraceHook::new(me),
             auth,
@@ -168,73 +211,128 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         self.quorum_override = Some(quorum);
     }
 
-    /// Signs `payload` as our instance `seq` and starts collecting echo
-    /// shares for it; answers the SEND to transmit.
-    fn open(&mut self, seq: SeqNo, payload: P) -> EchoMsg<P, A::Sig> {
+    /// Broadcasts `payload` as message `seq` of `stream`.
+    fn send_on(&mut self, stream: K, seq: SeqNo, payload: P, step: &mut Out<K, P, A>) {
+        let (me, n) = (self.table.me(), self.table.n());
+        self.trace
+            .record(&payload, me, TraceEventKind::Send, n as u64);
+        let send = self.open(stream, seq, payload);
+        step.send_all(n, send);
+    }
+
+    /// Handles a protocol message from `from`.
+    pub fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: EchoMsg<P, A::Sig, K>,
+        step: &mut Out<K, P, A>,
+    ) {
+        match msg {
+            EchoMsg::Send {
+                stream,
+                seq,
+                payload,
+                sig,
+            } => self.on_send(from, (stream, seq), payload, sig, step),
+            EchoMsg::Echo {
+                stream,
+                seq,
+                digest,
+                share,
+            } => self.on_echo(from, (stream, seq), digest, share, step),
+            EchoMsg::Final {
+                stream,
+                seq,
+                payload,
+                certificate,
+            } => self.on_final(from, (stream, seq), payload, certificate, step),
+        }
+    }
+
+    /// Signs `payload` as message `seq` of `stream` and starts collecting
+    /// echo shares for it; answers the SEND to transmit.
+    fn open(&mut self, stream: K, seq: SeqNo, payload: P) -> EchoMsg<P, A::Sig, K> {
         let me = self.table.me();
-        let mut instance = self.table.entry(me, seq).map(|slot| slot.or_default());
-        let memo = instance.as_deref_mut().map(|instance| &mut instance.memo);
+        let mut slot = self.table.entry(stream, seq).map(|slot| slot.or_default());
+        let memo = slot.as_deref_mut().map(|slot| &mut slot.memo);
         let digest = DigestMemo::through(memo, &payload);
         self.ops.signs += 1;
-        let sig = self.auth.sign(me, &signed_bytes(b'S', me, seq, digest));
-        if let Some(instance) = instance {
-            instance.sending.push(Sending {
-                sig: sig.clone(),
-                echoes: Collector::new(payload.clone(), digest),
-            });
+        let sig = self.auth.sign(me, &signed_bytes(b'S', stream, seq, digest));
+        if let Some(slot) = slot {
+            slot.sending.push(Collector::new(payload.clone(), digest));
         }
-        EchoMsg::Send { seq, payload, sig }
+        EchoMsg::Send {
+            stream,
+            seq,
+            payload,
+            sig,
+        }
     }
 
     fn on_send(
         &mut self,
         from: ProcessId,
-        seq: SeqNo,
+        (stream, seq): (K, SeqNo),
         payload: P,
         sig: A::Sig,
-        step: &mut Step<EchoMsg<P, A::Sig>, P>,
+        step: &mut Out<K, P, A>,
     ) {
-        let me = self.table.me();
-        let Some(mut slot) = self.table.entry(from, seq) else {
+        if stream.sole_sender().is_some_and(|sender| sender != from) {
+            return; // someone else's stream: never echoed, no slot
+        }
+        let turn = !IN_ORDER || seq == self.table.expected(stream);
+        let Some(mut slot) = self.table.entry(stream, seq) else {
             return; // already released: not worth a verification
         };
         // A new slot's digest goes through a memo of its own, kept only
         // once the signature holds.
         let mut memo = DigestMemo::default();
         let digest = match &mut slot {
-            Entry::Occupied(instance) => instance.get_mut().memo.digest(&payload),
+            Entry::Occupied(slot) => slot.get_mut().memo.digest(&payload),
             Entry::Vacant(_) => memo.digest(&payload),
         };
         self.ops.verifies += 1;
         if !self
             .auth
-            .verify(from, &signed_bytes(b'S', from, seq, digest), &sig)
+            .verify(from, &signed_bytes(b'S', stream, seq, digest), &sig)
         {
             return; // forged SEND: no slot either
         }
-        // Echo at most one digest per instance: the anti-equivocation rule.
-        let instance = slot.or_insert_with(|| Instance {
+        let slot = slot.or_insert_with(|| Slot {
             memo,
-            ..Instance::default()
+            ..Slot::default()
         });
-        match &instance.echoed {
-            Some(echoed) if echoed.digest != digest => return, // equivocation: stay silent
-            Some(_) => {} // duplicate SEND: re-echo (idempotent for the sender)
-            None => {
-                instance.echoed = Some(Echoed {
-                    digest,
-                    send_sig: sig,
-                });
-            }
+        // Echo at most one digest per slot; a duplicate SEND is echoed
+        // again (idempotent for the sender).
+        if *slot.echoed.get_or_insert(digest) != digest {
+            return; // equivocation: stay silent
         }
+        if turn {
+            self.echo(from, (stream, seq), digest, &payload, step);
+        } else {
+            slot.waiting.get_or_insert(Box::new((from, payload)));
+        }
+    }
+
+    /// Signs and sends the echo share for `(stream, seq)` to `sender`.
+    fn echo(
+        &mut self,
+        sender: ProcessId,
+        (stream, seq): (K, SeqNo),
+        digest: Digest,
+        payload: &P,
+        step: &mut Out<K, P, A>,
+    ) {
         self.ops.signs += 1;
-        let share = self.auth.sign(me, &signed_bytes(b'E', from, seq, digest));
+        let share = self
+            .auth
+            .sign(self.table.me(), &signed_bytes(b'E', stream, seq, digest));
         self.trace
-            .record(&payload, from, TraceEventKind::Echo, seq.value());
+            .record(payload, sender, TraceEventKind::Echo, seq.value());
         step.send(
-            from,
+            sender,
             EchoMsg::Echo {
-                source: from,
+                stream,
                 seq,
                 digest,
                 share,
@@ -245,36 +343,30 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
     fn on_echo(
         &mut self,
         from: ProcessId,
-        source: ProcessId,
-        seq: SeqNo,
+        (stream, seq): (K, SeqNo),
         digest: Digest,
         share: A::Sig,
-        step: &mut Step<EchoMsg<P, A::Sig>, P>,
+        step: &mut Out<K, P, A>,
     ) {
         let (me, n, quorum) = (self.table.me(), self.table.n(), self.quorum());
-        if source != me {
-            return; // echoes are addressed to the instance's sender
-        }
         // The share may be for our payload or, after a split broadcast,
         // for the one behind it — each accumulates separately.
-        let instance = self.table.get_mut(me, seq);
-        let mut sending = instance
-            .into_iter()
-            .flat_map(|instance| &mut instance.sending);
-        let Some(sending) = sending.find(|sending| sending.echoes.digest() == digest) else {
+        let slot = self.table.get_mut(stream, seq);
+        let mut sending = slot.into_iter().flat_map(|slot| &mut slot.sending);
+        let Some(echoes) = sending.find(|echoes| echoes.digest() == digest) else {
             return; // echo for an unknown/finished broadcast
         };
-        let Some(certificate) = sending.echoes.accept(
+        let Some(certificate) = echoes.accept(
             (&self.auth, &mut self.ops),
             quorum,
             from,
-            || signed_bytes(b'E', me, seq, digest),
+            || signed_bytes(b'E', stream, seq, digest),
             share,
         ) else {
             return;
         };
         self.trace.record(
-            sending.echoes.payload(),
+            echoes.payload(),
             me,
             TraceEventKind::Ready,
             certificate.len() as u64,
@@ -282,10 +374,9 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
         step.send_all(
             n,
             EchoMsg::Final {
-                source: me,
+                stream,
                 seq,
-                payload: sending.echoes.payload().clone(),
-                sig: sending.sig.clone(),
+                payload: echoes.payload().clone(),
                 certificate,
             },
         );
@@ -294,79 +385,93 @@ impl<P: Clone + Encode, A: Authenticator> EchoBroadcast<P, A> {
     fn on_final(
         &mut self,
         from: ProcessId,
-        (source, seq): (ProcessId, SeqNo),
+        (stream, seq): (K, SeqNo),
         payload: P,
-        sig: A::Sig,
         certificate: Vec<(ProcessId, A::Sig)>,
-        step: &mut Step<EchoMsg<P, A::Sig>, P>,
+        step: &mut Out<K, P, A>,
     ) {
-        if self.table.is_stale(source, seq) {
-            return; // already released: not worth a verification
+        // A replay of a released instance, or a relayed copy of a FINAL
+        // already certified: not worth a verification.
+        if self.table.is_stale(stream, seq) || self.table.holds(stream, seq) {
+            return;
         }
-        let digest = match self.table.get_mut(source, seq) {
-            Some(instance) if instance.delivered => {
-                return; // a forwarded copy of the FINAL that delivered
-            }
-            instance => DigestMemo::through(instance.map(|instance| &mut instance.memo), &payload),
-        };
-        let instance = self.table.get(source, seq);
-        // Signatures this process already verified for this instance —
-        // the SEND signature it echoed, and for its own broadcast the
-        // signature it made and the shares `on_echo` accepted — are not
-        // verified again. Only a byte-exact match over the same digest
-        // is skipped; anything else takes the full check below.
-        let mut sending = instance.into_iter().flat_map(|instance| &instance.sending);
-        let own = sending.find(|sending| sending.echoes.digest() == digest);
-        let send_verified = own.is_some_and(|own| own.sig == sig)
-            || instance
-                .and_then(|instance| instance.echoed.as_ref())
-                .is_some_and(|echoed| echoed.digest == digest && echoed.send_sig == sig);
-        if !send_verified {
-            self.ops.verifies += 1;
-            if !self
-                .auth
-                .verify(source, &signed_bytes(b'S', source, seq, digest), &sig)
-            {
-                return;
-            }
-        }
+        let memo = self.table.get_mut(stream, seq).map(|slot| &mut slot.memo);
+        let digest = DigestMemo::through(memo, &payload);
+        // For our own broadcast, the shares `on_echo` accepted are not
+        // verified again — only byte-exact matches over the same digest.
+        let own = self.table.get(stream, seq).and_then(|slot| {
+            let mut sending = slot.sending.iter();
+            sending.find(|echoes| echoes.digest() == digest)
+        });
+        // Hop attribution for the trace: the stream's sender if it has a
+        // sole one (the only streams that are traced).
+        let source = stream.sole_sender().unwrap_or(from);
         let signers = verify_certificate(
             (&self.auth, &mut self.ops),
             self.trace.ctx(&payload, source),
-            &signed_bytes(b'E', source, seq, digest),
+            &signed_bytes(b'E', stream, seq, digest),
             &certificate,
-            own.map(|own| &own.echoes),
+            own,
         );
         if signers < self.quorum() {
             return;
         }
-        if let Some(slot) = self.table.entry(source, seq) {
-            let instance = slot.or_default();
-            instance.delivered = true;
-            instance.memo.clear();
+        if let Some(slot) = self.table.get_mut(stream, seq) {
+            slot.memo.clear();
         }
         if self.forward_final {
-            // `source` is bound: this process verified its signature
-            // over the SEND, above or when it echoed.
             let relay = EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload: payload.clone(),
-                sig,
                 certificate,
             };
-            self.table.relay_final(step, from, Some(source), relay);
+            self.table
+                .relay_final(step, from, stream.sole_sender(), relay);
         }
-        self.table.hold(source, seq, payload);
-        while let Some((seq, payload)) = self.table.release(source) {
+        self.table.hold(stream, seq, payload);
+        while let Some((seq, payload)) = self.table.release(stream) {
             self.trace
                 .record(&payload, source, TraceEventKind::Deliver, seq.value());
-            step.deliver(source, seq, payload);
+            step.deliver(stream, seq, payload);
+            if IN_ORDER {
+                self.echo_next(stream, step);
+            }
+        }
+    }
+
+    /// `IN_ORDER`: echoes the SEND waiting for `stream`'s next delivery,
+    /// now that its predecessor delivered.
+    fn echo_next(&mut self, stream: K, step: &mut Out<K, P, A>) {
+        let seq = self.table.expected(stream);
+        let slot = self.table.get_mut(stream, seq);
+        let waiting = slot.and_then(|slot| slot.waiting.take().zip(slot.echoed));
+        if let Some((waiting, digest)) = waiting {
+            let (sender, payload) = *waiting;
+            self.echo(sender, (stream, seq), digest, &payload, step);
         }
     }
 }
 
-impl<P, A> SecureBroadcast<P> for EchoBroadcast<P, A>
+impl<P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
+    SignedEcho<AccountId, P, A, IN_ORDER>
+{
+    /// Broadcasts `payload` as message `seq` of the shared account
+    /// `account`, `seq` being the number the account's BFT service
+    /// assigned. A process's own stream is numbered by
+    /// [`SecureBroadcast::broadcast`] instead.
+    pub fn broadcast_at(
+        &mut self,
+        account: AccountId,
+        seq: SeqNo,
+        payload: P,
+        step: &mut Out<AccountId, P, A>,
+    ) {
+        self.send_on(account, seq, payload, step);
+    }
+}
+
+impl<P, A, const IN_ORDER: bool> SecureBroadcast<P> for SignedEcho<ProcessId, P, A, IN_ORDER>
 where
     P: Clone + Encode + Send,
     A: Authenticator + Send,
@@ -375,32 +480,13 @@ where
     type Msg = EchoMsg<P, A::Sig>;
 
     fn broadcast(&mut self, payload: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
-        let (me, n) = (self.table.me(), self.table.n());
         let seq = self.table.next_seq();
-        self.trace
-            .record(&payload, me, TraceEventKind::Send, n as u64);
-        let send = self.open(seq, payload);
-        step.send_all(n, send);
+        self.send_on(self.table.me(), seq, payload, step);
         seq
     }
 
     fn on_message(&mut self, from: ProcessId, msg: Self::Msg, step: &mut Step<Self::Msg, P>) {
-        match msg {
-            EchoMsg::Send { seq, payload, sig } => self.on_send(from, seq, payload, sig, step),
-            EchoMsg::Echo {
-                source,
-                seq,
-                digest,
-                share,
-            } => self.on_echo(from, source, seq, digest, share, step),
-            EchoMsg::Final {
-                source,
-                seq,
-                payload,
-                sig,
-                certificate,
-            } => self.on_final(from, (source, seq), payload, sig, certificate, step),
-        }
+        SignedEcho::on_message(self, from, msg, step);
     }
 
     /// Signs and sends conflicting `SEND`s for one instance. The attacker
@@ -412,8 +498,8 @@ where
     /// this path exercise the defense, not a dead sender — and a broken
     /// quorum (`broken` feature) shows as a double certificate.
     fn broadcast_split(&mut self, left: P, right: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
-        let seq = self.table.next_seq();
-        let (left, right) = (self.open(seq, left), self.open(seq, right));
+        let (me, seq) = (self.table.me(), self.table.next_seq());
+        let (left, right) = (self.open(me, seq, left), self.open(me, seq, right));
         step.send_halves(self.table.n(), left, right);
         seq
     }
@@ -437,7 +523,7 @@ where
     /// Late `FINAL`s for a pruned instance are rejected by the release
     /// floor, so delivery stays irrevocable and exactly-once.
     fn prune_delivered(&mut self) -> usize {
-        self.table.prune(|instance| instance.delivered)
+        self.table.prune(|_| true)
     }
 
     fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
@@ -445,11 +531,18 @@ where
     }
 }
 
-impl<P, A: Authenticator> fmt::Debug for EchoBroadcast<P, A> {
+impl<K: Stream, P, A: Authenticator, const IN_ORDER: bool> fmt::Debug
+    for SignedEcho<K, P, A, IN_ORDER>
+{
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "EchoBroadcast(me={}, n={}, f={}, delivered={})",
+            "{}(me={}, n={}, f={}, delivered={})",
+            if IN_ORDER {
+                "AccountOrder"
+            } else {
+                "SignedEcho"
+            },
             self.table.me(),
             self.table.n(),
             self.table.fault_threshold(),
@@ -561,6 +654,7 @@ mod tests {
         endpoints[1].on_message(
             p(3),
             EchoMsg::Send {
+                stream: p(3),
                 seq: SeqNo::new(1),
                 payload: 666,
                 sig: bad_sig,
@@ -579,7 +673,6 @@ mod tests {
         let seq = SeqNo::new(1);
         let payload = 5u64;
         let digest = digest_of(&payload);
-        let sig = auth.sign(p(0), &send_bytes(p(0), seq, digest));
         // Certificate signed by only one process (quorum is 3), padded
         // with duplicates.
         let share = auth.sign(p(2), &echo_bytes(p(0), seq, digest));
@@ -588,10 +681,9 @@ mod tests {
         endpoint.on_message(
             p(0),
             EchoMsg::Final {
-                source: p(0),
+                stream: p(0),
                 seq,
                 payload,
-                sig,
                 certificate: cert,
             },
             &mut step,
@@ -604,8 +696,8 @@ mod tests {
     fn final_with_q_shares_meters_exactly_q_share_verifies() {
         // Satellite check for the at-obs accounting: a fresh endpoint
         // receiving a valid FINAL with a q-share certificate performs
-        // exactly 1 sender-signature verify plus q per-share verifies,
-        // and the ObservedAuth decorator routes every one of them into
+        // exactly q per-share verifies (a FINAL carries no SEND
+        // signature), and the ObservedAuth decorator routes every one of them into
         // the registry (counter and Stage::Verify histogram agree).
         let ed = EdAuth::deterministic(4, 9);
         let registry = at_obs::Registry::new("node 3");
@@ -617,7 +709,6 @@ mod tests {
         let seq = SeqNo::new(1);
         let payload = 11u64;
         let digest = digest_of(&payload);
-        let sig = ed.sign(p(0), &send_bytes(p(0), seq, digest));
         let certificate: Vec<(ProcessId, _)> = (0..q as u32)
             .map(|i| (p(i), ed.sign(p(i), &echo_bytes(p(0), seq, digest))))
             .collect();
@@ -627,16 +718,15 @@ mod tests {
         endpoint.on_message(
             p(0),
             EchoMsg::Final {
-                source: p(0),
+                stream: p(0),
                 seq,
                 payload,
-                sig,
                 certificate,
             },
             &mut step,
         );
         assert_eq!(step.deliveries.len(), 1, "valid certificate delivers");
-        let per_share = auth.verifies() - before - 1; // minus the sender-sig check
+        let per_share = auth.verifies() - before;
         assert_eq!(per_share, q as u64, "exactly q per-share verifies");
         let snap = registry.snapshot();
         assert_eq!(
@@ -653,7 +743,7 @@ mod tests {
     }
 
     /// A receiver that has echoed `payload` for `(p0, seq 1)`, metered:
-    /// `(endpoint, auth handle, SEND signature, full certificate)`.
+    /// `(endpoint, auth handle, full certificate)`.
     #[allow(clippy::type_complexity)]
     fn echoed_receiver(
         ed: &EdAuth,
@@ -661,7 +751,6 @@ mod tests {
     ) -> (
         EchoBroadcast<u64, crate::auth::ObservedAuth<EdAuth>>,
         crate::auth::ObservedAuth<EdAuth>,
-        Signature,
         Vec<(ProcessId, Signature)>,
     ) {
         let registry = at_obs::Registry::new("node 1");
@@ -671,119 +760,58 @@ mod tests {
         let digest = digest_of(&payload);
         let sig = ed.sign(p(0), &send_bytes(p(0), seq, digest));
         let mut step = Step::new();
-        endpoint.on_message(p(0), EchoMsg::Send { seq, payload, sig }, &mut step);
+        let send = EchoMsg::Send {
+            stream: p(0),
+            seq,
+            payload,
+            sig,
+        };
+        endpoint.on_message(p(0), send, &mut step);
         assert_eq!(step.outgoing.len(), 1, "the SEND was echoed");
         let certificate = (1..4)
             .map(|i| (p(i), ed.sign(p(i), &echo_bytes(p(0), seq, digest))))
             .collect();
-        (endpoint, auth, sig, certificate)
+        (endpoint, auth, certificate)
     }
 
     #[test]
     fn final_matching_the_echoed_send_skips_only_that_verification() {
+        // The SEND's signature was verified once, when it was echoed; the
+        // FINAL carries the certificate alone and costs its shares.
         let ed = EdAuth::deterministic(4, 21);
-        let (mut endpoint, auth, sig, certificate) = echoed_receiver(&ed, 5);
+        let (mut endpoint, auth, certificate) = echoed_receiver(&ed, 5);
         let before = auth.verifies();
         let mut step = Step::new();
         endpoint.on_message(
             p(0),
             EchoMsg::Final {
-                source: p(0),
+                stream: p(0),
                 seq: SeqNo::new(1),
                 payload: 5,
-                sig,
                 certificate,
             },
             &mut step,
         );
         assert_eq!(step.deliveries.len(), 1);
-        assert_eq!(
-            auth.verifies() - before,
-            3,
-            "three shares, no second SEND check"
-        );
-    }
-
-    #[test]
-    fn final_with_a_different_send_signature_is_fully_verified() {
-        // Same digest, but not the signature bytes `on_send` verified:
-        // the skip must not apply, and a signature that does not verify
-        // must sink the FINAL even under a valid certificate.
-        let ed = EdAuth::deterministic(4, 22);
-        let (mut endpoint, auth, _, certificate) = echoed_receiver(&ed, 5);
-        let forged = ed.sign(p(0), b"not the send bytes");
-        let before = auth.verifies();
-        let mut step = Step::new();
-        endpoint.on_message(
-            p(0),
-            EchoMsg::Final {
-                source: p(0),
-                seq: SeqNo::new(1),
-                payload: 5,
-                sig: forged,
-                certificate,
-            },
-            &mut step,
-        );
-        assert!(step.deliveries.is_empty() && step.outgoing.is_empty());
-        assert_eq!(
-            auth.verifies() - before,
-            1,
-            "the SEND signature was checked"
-        );
-        assert_eq!(endpoint.delivered_count(), 0);
-    }
-
-    #[test]
-    fn final_for_a_different_payload_is_fully_verified() {
-        // The verified SEND signature replayed over another payload: the
-        // digest differs from the echoed one, so nothing is skipped and
-        // the signature fails against the new digest.
-        let ed = EdAuth::deterministic(4, 23);
-        let (mut endpoint, auth, sig, _) = echoed_receiver(&ed, 5);
-        let seq = SeqNo::new(1);
-        let other_digest = digest_of(&6u64);
-        let certificate = (1..4)
-            .map(|i| (p(i), ed.sign(p(i), &echo_bytes(p(0), seq, other_digest))))
-            .collect();
-        let before = auth.verifies();
-        let mut step = Step::new();
-        endpoint.on_message(
-            p(0),
-            EchoMsg::Final {
-                source: p(0),
-                seq,
-                payload: 6,
-                sig,
-                certificate,
-            },
-            &mut step,
-        );
-        assert!(step.deliveries.is_empty() && step.outgoing.is_empty());
-        assert_eq!(
-            auth.verifies() - before,
-            1,
-            "the SEND signature was checked"
-        );
+        assert_eq!(auth.verifies() - before, 3, "three shares and nothing else");
     }
 
     #[test]
     fn final_for_another_payload_under_the_echoed_certificate_is_rejected() {
-        // A valid SEND signature and certificate for the echoed payload
-        // 5, carried by a FINAL for payload 6. The receiver's memo holds
-        // 5's digest; answering it for 6 would skip the SEND check and
-        // pass the certificate — every signature must be checked over
-        // the digest of exactly the payload received.
+        // A valid certificate for the echoed payload 5, carried by a
+        // FINAL for payload 6. The receiver's memo holds 5's digest;
+        // answering it for 6 would pass the certificate — every share
+        // must be checked over the digest of exactly the payload
+        // received.
         let ed = EdAuth::deterministic(4, 25);
-        let (mut endpoint, _, sig, certificate) = echoed_receiver(&ed, 5);
+        let (mut endpoint, _, certificate) = echoed_receiver(&ed, 5);
         let mut step = Step::new();
         endpoint.on_message(
             p(0),
             EchoMsg::Final {
-                source: p(0),
+                stream: p(0),
                 seq: SeqNo::new(1),
                 payload: 6,
-                sig,
                 certificate,
             },
             &mut step,
@@ -813,7 +841,7 @@ mod tests {
             sender.on_message(
                 p(i),
                 EchoMsg::Echo {
-                    source: p(0),
+                    stream: p(0),
                     seq,
                     digest,
                     share,
@@ -826,12 +854,9 @@ mod tests {
         assert_eq!(
             auth.signs(),
             signs_after_broadcast,
-            "the FINAL reuses the SEND signature"
+            "the FINAL costs no signature"
         );
-        let EchoMsg::Final {
-            sig, certificate, ..
-        } = finals.swap_remove(0).msg
-        else {
+        let EchoMsg::Final { certificate, .. } = finals.swap_remove(0).msg else {
             panic!("expected a FINAL");
         };
 
@@ -841,7 +866,7 @@ mod tests {
         sender.on_message(
             p(0),
             EchoMsg::Echo {
-                source: p(0),
+                stream: p(0),
                 seq,
                 digest,
                 share: own_share,
@@ -857,10 +882,9 @@ mod tests {
         sender.on_message(
             p(0),
             EchoMsg::Final {
-                source: p(0),
+                stream: p(0),
                 seq,
                 payload: 9,
-                sig,
                 certificate: forged.clone(),
             },
             &mut step,
@@ -876,10 +900,9 @@ mod tests {
         sender.on_message(
             p(0),
             EchoMsg::Final {
-                source: p(0),
+                stream: p(0),
                 seq,
                 payload: 9,
-                sig,
                 certificate: forged,
             },
             &mut step,
@@ -895,7 +918,7 @@ mod tests {
             fresh.on_message(
                 *signer,
                 EchoMsg::Echo {
-                    source: p(0),
+                    stream: p(0),
                     seq,
                     digest,
                     share: *share,
@@ -908,10 +931,9 @@ mod tests {
         fresh.on_message(
             p(0),
             EchoMsg::Final {
-                source: p(0),
+                stream: p(0),
                 seq,
                 payload: 9,
-                sig,
                 certificate,
             },
             &mut step,
@@ -922,13 +944,14 @@ mod tests {
 
     /// SignedEcho's signature budget, as an exact count over a whole
     /// honest instance (all `n` endpoints metered into one registry).
-    /// Signs: the SEND — reused for the FINAL — plus one echo share per
-    /// process, `n + 1`. Verifies: the SEND at every process, the
-    /// first `q` shares at the sender (echoes past the quorum are
-    /// dropped unverified), and `q` certificate shares at each of the
-    /// other `n − 1` (nobody re-verifies what it already verified),
-    /// `n·(q + 1)`. Signing the FINAL afresh or re-verifying the SEND
-    /// signature inside the FINAL moves a count and fails here.
+    /// Signs: the SEND plus one echo share per process, `n + 1` — the
+    /// FINAL is the certificate, unsigned. Verifies: the SEND at every
+    /// process, the first `q` shares at the sender (echoes past the
+    /// quorum are dropped unverified), and `q` certificate shares at each
+    /// of the other `n − 1` (nobody re-verifies what it already
+    /// verified), `n·(q + 1)`. Signing the FINAL, or the sender
+    /// re-verifying the shares it collected, moves a count and fails
+    /// here.
     fn assert_signature_budget(n: usize) {
         let registry = at_obs::Registry::new("cluster");
         let auth =
@@ -970,6 +993,7 @@ mod tests {
             endpoints[to.as_usize()].on_message(
                 p(0),
                 EchoMsg::Send {
+                    stream: p(0),
                     seq,
                     payload: value,
                     sig,
@@ -1018,10 +1042,9 @@ mod tests {
         endpoint.on_message(
             p(3),
             EchoMsg::Final {
-                source: p(0),
+                stream: p(0),
                 seq: SeqNo::new(1),
                 payload: 8,
-                sig: (),
                 certificate: vec![(p(0), ()), (p(1), ()), (p(3), ())],
             },
             &mut step,
@@ -1190,10 +1213,9 @@ mod tests {
             endpoints[0].on_message(
                 p(1),
                 EchoMsg::Final {
-                    source: p(1),
+                    stream: p(1),
                     seq: SeqNo::new(inst),
                     payload: inst,
-                    sig: (),
                     certificate,
                 },
                 &mut step,

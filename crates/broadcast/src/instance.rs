@@ -1,10 +1,10 @@
-//! What the three backends have in common, written once: the
-//! [`InstanceTable`] every phase machine keeps its per-instance state in,
-//! the [`TraceHook`] beside it, and the certificate path of the two
-//! signed ones ([`signed_bytes`], [`Collector`], [`verify_certificate`],
-//! and who a delivered FINAL is relayed to,
-//! [`InstanceTable::relay_final`]), and the [`DigestMemo`] through which
-//! all three hashing backends digest a payload once per instance.
+//! What the phase machines have in common, written once: the
+//! [`InstanceTable`] Bracha and the signed echo keep their per-instance
+//! state in, the [`TraceHook`] beside it, the signed echo's certificate
+//! path ([`signed_bytes`], [`Collector`], [`verify_certificate`], and who
+//! a delivered FINAL is relayed to, [`InstanceTable::relay_final`]), and
+//! the [`DigestMemo`] through which both digest a payload once per
+//! instance.
 //!
 //! The table owns what does not depend on the protocol: identity and
 //! thresholds, one delivery floor per stream (the source process for
@@ -166,17 +166,17 @@ impl<K: Copy + Ord + Hash, S, H> InstanceTable<K, S, H> {
     /// it: itself; `from`, the channel peer this copy came from (channels
     /// are authenticated, and a correct process sends a FINAL only as
     /// the instance's source or once it delivered it); and `source`, the
-    /// instance's source, when the caller can bind it to the certificate.
-    /// Signature shares go only to the channel peer whose SEND they
-    /// acknowledge, so a valid certificate was assembled by the source: a
-    /// correct one sent it to everyone, itself included, when the quorum
-    /// formed; a Byzantine one is owed nothing. For the same reason the
-    /// source relays nothing at all — its own `send_all` already reached
-    /// everyone over the same reliable channels. `(n − 1)(n − 2)` relays
-    /// per honest instance.
+    /// stream's sole sender, when it has one. Signature shares go only to
+    /// the channel peer whose SEND they acknowledge, and on such a stream
+    /// a correct process acknowledges only its sender's SENDs, so a valid
+    /// certificate was assembled by the source: a correct one sent it to
+    /// everyone, itself included, when the quorum formed; a Byzantine one
+    /// is owed nothing. For the same reason the source relays nothing at
+    /// all — its own `send_all` already reached everyone over the same
+    /// reliable channels. `(n − 1)(n − 2)` relays per honest instance.
     pub(crate) fn relay_final<M: Clone, D>(
         &self,
-        step: &mut Step<M, D>,
+        step: &mut Step<M, D, K>,
         from: ProcessId,
         source: Option<ProcessId>,
         msg: M,
@@ -320,8 +320,8 @@ impl DigestMemo {
 }
 
 /// The bytes signed for `digest` in instance `(stream, seq)`, domain-
-/// separated by `tag`: `S` and `E` are signed echo's SEND and echo
-/// share, `a` and `k` account order's SEND and acknowledgement share.
+/// separated by `tag`: `S` and `E` are the signed echo's SEND and echo
+/// share.
 pub(crate) fn signed_bytes<K: Encode>(tag: u8, stream: K, seq: SeqNo, digest: Digest) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_u8(tag);
@@ -356,11 +356,6 @@ impl<P, S: Clone> Collector<P, S> {
 
     pub(crate) fn digest(&self) -> Digest {
         self.digest
-    }
-
-    /// Whether the quorum formed and the certificate went out.
-    pub(crate) fn finalized(&self) -> bool {
-        self.finalized
     }
 
     /// Takes `from`'s share over `bytes()`; answers the certificate, in

@@ -7,7 +7,7 @@
 //! simulator (they fill a [`types::Step`] with messages to send and
 //! payloads to deliver). Each backend is a message enum, a per-instance
 //! state and phase handlers over one crate-private instance table (see
-//! [`secure`]); the fourth is the consensus baseline the paper compares
+//! [`secure`]); the last is the consensus baseline the paper compares
 //! against, held to the same contract:
 //!
 //! * [`bracha`] — Bracha's reliable broadcast, the paper's "naive
@@ -15,10 +15,12 @@
 //!   messages, no signatures (authenticated channels);
 //! * [`echo`] — signed-echo broadcast in the Malkhi–Reiter style
 //!   (references [35, 36]): 2 round trips, `O(n)` sender messages plus
-//!   certificates;
-//! * [`account_order`] — the Section 6 modification whose
-//!   acknowledgement rule enforces per-account sequencing even for
-//!   compromised shared accounts;
+//!   certificates — one machine, [`SignedEcho`], that also carries
+//!   Section 6's account order;
+//! * [`account_order`] — the Section 6 modification, the signed echo
+//!   under the acknowledgement rule that enforces per-account sequencing
+//!   even for compromised shared accounts: [`AccountOrderBroadcast`] over
+//!   shared accounts, [`AccountOrderBackend`] over the base topology;
 //! * [`pbft`] — a PBFT-style atomic broadcast (reference \[13\]):
 //!   [`PbftReplica`], the three-phase core over any replica group that
 //!   Section 6 reuses as its per-account sequencer, and [`PbftBroadcast`],
@@ -27,8 +29,8 @@
 //! * [`auth`] — pluggable signing ([`EdAuth`] real Ed25519 /
 //!   [`NoAuth`] authenticated-channels model);
 //! * [`secure`] — the [`SecureBroadcast`] trait unifying the four
-//!   protocols behind one interface (the engine runtime is generic over
-//!   it), plus the [`AccountOrderBackend`] adapter;
+//!   backends behind one interface (the engine runtime is generic over
+//!   it);
 //! * [`types`] — delivery/step plumbing and the [`CryptoOps`]
 //!   signature-work counters;
 //! * [`wire`] — canonical [`at_model::codec`] encodings for every
@@ -64,11 +66,11 @@ pub mod secure;
 pub mod types;
 pub mod wire;
 
-pub use account_order::{AccountDelivery, AccountOrderBroadcast, AccountOrderMsg};
+pub use account_order::{AccountOrderBackend, AccountOrderBroadcast};
 pub use auth::{Authenticator, BatchVerifyItem, EdAuth, NoAuth, ObservedAuth};
 pub use batch::{Batch, Batcher};
 pub use bracha::{BrachaBroadcast, BrachaMsg};
-pub use echo::{EchoBroadcast, EchoMsg};
+pub use echo::{EchoBroadcast, EchoMsg, SignedEcho, Stream};
 pub use pbft::{PbftBroadcast, PbftMsg, PbftReplica};
-pub use secure::{AccountOrderBackend, SecureBroadcast, TraceExtract};
+pub use secure::{SecureBroadcast, TraceExtract};
 pub use types::{CryptoOps, Delivery, Outgoing, Step};

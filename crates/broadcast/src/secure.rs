@@ -17,10 +17,12 @@
 //!   senders: each process that delivers relays to every process it has
 //!   not authenticated as holding the FINAL already — see
 //!   `InstanceTable::relay_final`);
-//! * [`AccountOrderBackend`] — the Section 6 account-order broadcast
-//!   specialised to the base topology (account `i` owned by process `i`),
-//!   via a thin adapter that assigns per-account sequence numbers and
-//!   attributes deliveries to the owning process;
+//! * [`AccountOrderBackend`] — the Section 6 account-order broadcast in
+//!   the base topology (account `i` owned by process `i`): the same
+//!   signed echo, [`SignedEcho`](crate::SignedEcho), with Section 6's
+//!   rule that a SEND is acknowledged only once its predecessor on the
+//!   account delivered — same messages, same costs, a different order of
+//!   acknowledgement;
 //! * [`PbftBroadcast`](crate::PbftBroadcast) — the consensus baseline: a
 //!   PBFT total order over all processes, released per source. A hop to
 //!   the leader plus 3 one-way delays, `O(n²)` messages, no signatures.
@@ -40,11 +42,11 @@
 //! # What a backend is
 //!
 //! A message enum, a per-instance state and the phase handlers that move
-//! it (INIT/ECHO/READY; SEND/ECHO/FINAL; SEND/gated ACK/FINAL), written
-//! against the crate's one instance table, which owns thresholds, floors,
-//! replay suppression, FIFO release, pruning and the counts below. The
-//! signed backends share one certificate path the same way. The fourth
-//! instance keeps its phases (PRE-PREPARE/PREPARE/COMMIT) in
+//! it (INIT/ECHO/READY; SEND/ECHO/FINAL), written against the crate's
+//! one instance table, which owns thresholds, floors, replay suppression,
+//! FIFO release, pruning and the counts below. The two signed backends
+//! are one phase machine under two acknowledgement rules. The PBFT
+//! backend keeps its phases (PRE-PREPARE/PREPARE/COMMIT) in
 //! [`PbftReplica`](crate::PbftReplica), where Section 6 reuses them per
 //! account, and takes from the table only floors, FIFO release and the
 //! counts.
@@ -66,12 +68,10 @@
 //! * **Bounded state.** `prune_delivered` and `set_tracer` stay the
 //!   defaults below; the replica's slots and executed set only grow.
 
-use crate::account_order::{AccountDelivery, AccountOrderBroadcast, AccountOrderMsg};
-use crate::auth::Authenticator;
-use crate::types::{CryptoOps, Delivery, Step};
-use at_model::{AccountId, Encode, ProcessId, SeqNo};
+pub use crate::account_order::AccountOrderBackend;
+use crate::types::{CryptoOps, Step};
+use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceCtx, Tracer};
-use std::fmt;
 
 /// How a backend pulls the causal trace context out of an opaque
 /// payload (payload types without tracing return `None`).
@@ -147,142 +147,17 @@ pub trait SecureBroadcast<P: Clone + Encode>: Send {
     }
 }
 
-/// The Section 6 account-order broadcast as a [`SecureBroadcast`] backend
-/// for the base topology: account `i` belongs to process `i`.
-///
-/// The adapter assigns this process's per-account sequence numbers,
-/// enables the sole-owner acknowledgement rule (a `SEND` for account `a`
-/// from any process but `a` is never acknowledged, so no other process
-/// can hijack or stall the account's stream), and attributes every
-/// delivery to the owning process. Because the underlying protocol
-/// delivers each account's messages gaplessly in sequence order, the
-/// adapter satisfies the FIFO delivery contract by construction.
-pub struct AccountOrderBackend<P, A: Authenticator> {
-    inner: AccountOrderBroadcast<P, A>,
-    account: AccountId,
-    next_seq: SeqNo,
-}
-
-impl<P: Clone + Encode, A: Authenticator> AccountOrderBackend<P, A> {
-    /// Creates the endpoint for process `me` of `n`, broadcasting on its
-    /// own account.
-    pub fn new(me: ProcessId, n: usize, auth: A) -> Self {
-        let mut inner = AccountOrderBroadcast::new(me, n, auth);
-        inner.set_sole_owner(true);
-        AccountOrderBackend {
-            inner,
-            account: AccountId::new(me.index()),
-            next_seq: SeqNo::ZERO,
-        }
-    }
-
-    /// Enables/disables FINAL forwarding on the wrapped protocol.
-    pub fn set_forward_final(&mut self, forward: bool) {
-        self.inner.set_forward_final(forward);
-    }
-
-    fn convert(
-        native: Step<AccountOrderMsg<P, A::Sig>, AccountDelivery<P>>,
-        step: &mut Step<AccountOrderMsg<P, A::Sig>, P>,
-    ) {
-        step.outgoing.extend(native.outgoing);
-        for Delivery { payload, .. } in native.deliveries {
-            // Attribute by account, not by the FINAL's (forgeable) sender
-            // field: the certificate covers `(account, seq, digest)`, and
-            // under the sole-owner rule only the owner's payloads can
-            // certify.
-            let AccountDelivery {
-                account,
-                seq,
-                payload,
-                ..
-            } = payload;
-            step.deliver(ProcessId::new(account.index()), seq, payload);
-        }
-    }
-}
-
-impl<P, A> SecureBroadcast<P> for AccountOrderBackend<P, A>
-where
-    P: Clone + Encode + Send,
-    A: Authenticator + Send,
-    A::Sig: Send,
-{
-    type Msg = AccountOrderMsg<P, A::Sig>;
-
-    fn broadcast(&mut self, payload: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
-        self.next_seq = self.next_seq.next();
-        let seq = self.next_seq;
-        let mut native = Step::new();
-        self.inner
-            .broadcast(self.account, seq, payload, &mut native);
-        Self::convert(native, step);
-        seq
-    }
-
-    fn on_message(&mut self, from: ProcessId, msg: Self::Msg, step: &mut Step<Self::Msg, P>) {
-        let mut native = Step::new();
-        self.inner.on_message(from, msg, &mut native);
-        Self::convert(native, step);
-    }
-
-    fn broadcast_split(&mut self, left: P, right: P, step: &mut Step<Self::Msg, P>) -> SeqNo {
-        self.next_seq = self.next_seq.next();
-        let seq = self.next_seq;
-        let mut native = Step::new();
-        self.inner
-            .broadcast_split(self.account, seq, left, right, &mut native);
-        Self::convert(native, step);
-        seq
-    }
-
-    fn instance_count(&self) -> usize {
-        self.inner.instance_count()
-    }
-
-    fn delivered_count(&self) -> usize {
-        self.inner.delivered_count()
-    }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        self.inner.crypto_ops()
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {
-        self.inner.set_tracer(tracer, extract);
-    }
-
-    fn prune_delivered(&mut self) -> usize {
-        self.inner.prune_delivered()
-    }
-
-    fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
-        // Process `i` broadcasts on account `i` in the base topology, so
-        // the per-source floor maps 1:1 onto a per-account floor.
-        let account = AccountId::new(source.index());
-        self.inner.set_delivery_floor(account, floor);
-        if source == ProcessId::new(self.account.index()) && floor.value() > self.next_seq.value() {
-            self.next_seq = floor;
-        }
-    }
-}
-
-impl<P: Clone + Encode, A: Authenticator> fmt::Debug for AccountOrderBackend<P, A> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "AccountOrderBackend({:?})", self.inner)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::auth::{EdAuth, NoAuth};
     use crate::batch::Batch;
     use crate::bracha::BrachaBroadcast;
-    use crate::echo::EchoBroadcast;
+    use crate::echo::{EchoBroadcast, EchoMsg};
     use crate::instance::PAYLOAD_DIGESTS;
     use crate::pbft::{PbftBroadcast, PbftMsg};
-    use at_model::{Amount, Transfer};
+    use crate::types::Delivery;
+    use at_model::{AccountId, Amount, Transfer};
     use std::collections::VecDeque;
 
     fn p(i: u32) -> ProcessId {
@@ -619,7 +494,7 @@ mod tests {
                     }
                     endpoints
                 },
-                |msg| matches!(msg, crate::echo::EchoMsg::Final { .. }),
+                |msg| matches!(msg, EchoMsg::Final { .. }),
             );
             enumerate(
                 n,
@@ -630,7 +505,7 @@ mod tests {
                     }
                     endpoints
                 },
-                |msg| matches!(msg, AccountOrderMsg::Final { .. }),
+                |msg| matches!(msg, EchoMsg::Final { .. }),
             );
         }
     }
@@ -648,8 +523,7 @@ mod tests {
         let echo = EchoBroadcast::<u64, NoAuth>::new(p(0), 7, NoAuth);
         check(&echo, (echo.fault_threshold(), echo.quorum()), 7);
         let account = AccountOrderBackend::<u64, NoAuth>::new(p(0), 7, NoAuth);
-        let thresholds = (account.inner.fault_threshold(), account.inner.quorum());
-        check(&account, thresholds, 7);
+        check(&account, (account.fault_threshold(), account.quorum()), 7);
     }
 
     #[test]
@@ -728,34 +602,43 @@ mod tests {
 
     #[test]
     fn account_order_backend_rejects_non_owner_sends() {
-        let n = 4;
-        let mut endpoints = account_system(n);
-        // p2 crafts a SEND for *p0's* account stream via the raw inner
-        // protocol message; under the sole-owner rule nobody acknowledges,
-        // so the hijack attempt cannot certify.
-        let mut step = Step::new();
-        let mut rogue: AccountOrderBroadcast<u64, NoAuth> =
-            AccountOrderBroadcast::new(p(2), n, NoAuth);
-        let mut native = Step::new();
-        rogue.broadcast(AccountId::new(0), SeqNo::new(1), 666, &mut native);
-        let mut acks = 0;
-        for out in native.outgoing {
-            if out.to != p(2) {
-                let mut reply = Step::new();
-                endpoints[out.to.as_usize()].on_message(p(2), out.msg, &mut reply);
-                acks += reply.outgoing.len();
-                assert!(reply.deliveries.is_empty());
+        // p2 sends a validly signed SEND naming a stream that is not its
+        // own — p0's, or one whose index no process has — on both
+        // owner-only backends. Nobody acknowledges it, delivers it or
+        // keeps a slot for it, and p0's own stream is unaffected.
+        fn exercise<B: SecureBroadcast<u64, Msg = EchoMsg<u64, ()>>>(mut endpoints: Vec<B>) {
+            let n = endpoints.len();
+            for stream in [p(0), p(n as u32 + 3)] {
+                let send = EchoMsg::Send {
+                    stream,
+                    seq: SeqNo::new(1),
+                    payload: 666,
+                    sig: (),
+                };
+                for (i, endpoint) in endpoints.iter_mut().enumerate() {
+                    let before = endpoint.instance_count();
+                    let mut step = Step::new();
+                    endpoint.on_message(p(2), send.clone(), &mut step);
+                    assert!(step.outgoing.is_empty(), "p{i} acknowledged {stream}");
+                    assert!(step.deliveries.is_empty());
+                    assert_eq!(endpoint.instance_count(), before, "p{i} kept a slot");
+                }
             }
+            let delivered = drive(&mut endpoints, vec![(0, 1)]);
+            let honest = Delivery {
+                source: p(0),
+                seq: SeqNo::new(1),
+                payload: 1,
+            };
+            assert!(delivered.iter().all(|view| *view == [honest.clone()]));
         }
-        assert_eq!(acks, 0, "non-owner SEND must never be acknowledged");
-        // The owner's own stream is unaffected.
-        let seq = endpoints[0].broadcast(1, &mut step);
-        assert_eq!(seq, SeqNo::new(1));
+        exercise(echo_system(4));
+        exercise(account_system(4));
     }
 
     #[test]
     fn adapter_debug_renders() {
         let backend: AccountOrderBackend<u64, NoAuth> = AccountOrderBackend::new(p(3), 4, NoAuth);
-        assert!(format!("{backend:?}").contains("AccountOrderBackend"));
+        assert!(format!("{backend:?}").contains("AccountOrder(me=p3"));
     }
 }

@@ -11,12 +11,14 @@ pub struct Outgoing<M> {
     pub msg: M,
 }
 
-/// A payload delivered by a broadcast primitive, attributed to its source.
+/// A payload delivered by a broadcast primitive, attributed to the stream
+/// it was broadcast on: its source process or, for Section 6's shared
+/// accounts, the account.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Delivery<P> {
-    /// The originating (broadcasting) process.
-    pub source: ProcessId,
-    /// The source's sequence number for this broadcast.
+pub struct Delivery<P, K = ProcessId> {
+    /// The stream: the originating (broadcasting) process, or the account.
+    pub source: K,
+    /// The stream's sequence number for this broadcast.
     pub seq: SeqNo,
     /// The delivered payload.
     pub payload: P,
@@ -25,14 +27,14 @@ pub struct Delivery<P> {
 /// Sink collecting the outputs of one broadcast-layer step: messages to
 /// send and payloads to deliver to the application.
 #[derive(Debug)]
-pub struct Step<M, P> {
+pub struct Step<M, P, K = ProcessId> {
     /// Messages to transmit.
     pub outgoing: Vec<Outgoing<M>>,
     /// Payloads delivered (in delivery order).
-    pub deliveries: Vec<Delivery<P>>,
+    pub deliveries: Vec<Delivery<P, K>>,
 }
 
-impl<M, P> Default for Step<M, P> {
+impl<M, P, K> Default for Step<M, P, K> {
     fn default() -> Self {
         Step {
             outgoing: Vec::new(),
@@ -41,7 +43,7 @@ impl<M, P> Default for Step<M, P> {
     }
 }
 
-impl<M, P> Step<M, P> {
+impl<M, P, K> Step<M, P, K> {
     /// An empty step.
     pub fn new() -> Self {
         Step::default()
@@ -79,7 +81,7 @@ impl<M, P> Step<M, P> {
     }
 
     /// Queues a delivery.
-    pub fn deliver(&mut self, source: ProcessId, seq: SeqNo, payload: P) {
+    pub fn deliver(&mut self, source: K, seq: SeqNo, payload: P) {
         self.deliveries.push(Delivery {
             source,
             seq,

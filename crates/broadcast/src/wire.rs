@@ -18,12 +18,11 @@
 //! bytes on the wire) and [`crate::auth::EdAuth`]
 //! (`S = at_crypto::Signature`, 64 bytes).
 
-use crate::account_order::AccountOrderMsg;
 use crate::bracha::BrachaMsg;
 use crate::echo::EchoMsg;
 use crate::pbft::PbftMsg;
 use at_model::codec::{Decode, Encode, Reader, Writer};
-use at_model::{AccountId, CodecError, ProcessId, SeqNo};
+use at_model::{CodecError, ProcessId, SeqNo};
 
 impl<P: Encode> Encode for BrachaMsg<P> {
     fn encode(&self, w: &mut Writer) {
@@ -82,143 +81,72 @@ impl<P: Decode> Decode for BrachaMsg<P> {
     }
 }
 
-impl<P: Encode, S: Encode> Encode for EchoMsg<P, S> {
+impl<P: Encode, S: Encode, K: Encode> Encode for EchoMsg<P, S, K> {
     fn encode(&self, w: &mut Writer) {
         match self {
-            EchoMsg::Send { seq, payload, sig } => {
+            EchoMsg::Send {
+                stream,
+                seq,
+                payload,
+                sig,
+            } => {
                 w.put_u8(0);
+                stream.encode(w);
                 seq.encode(w);
                 payload.encode(w);
                 sig.encode(w);
             }
             EchoMsg::Echo {
-                source,
+                stream,
                 seq,
                 digest,
                 share,
             } => {
                 w.put_u8(1);
-                source.encode(w);
+                stream.encode(w);
                 seq.encode(w);
                 digest.encode(w);
                 share.encode(w);
             }
             EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload,
-                sig,
                 certificate,
             } => {
                 w.put_u8(2);
-                source.encode(w);
+                stream.encode(w);
                 seq.encode(w);
                 payload.encode(w);
-                sig.encode(w);
                 certificate.encode(w);
             }
         }
     }
 }
 
-impl<P: Decode, S: Decode> Decode for EchoMsg<P, S> {
+impl<P: Decode, S: Decode, K: Decode> Decode for EchoMsg<P, S, K> {
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         match r.take_u8()? {
             0 => Ok(EchoMsg::Send {
+                stream: K::decode(r)?,
                 seq: SeqNo::decode(r)?,
                 payload: P::decode(r)?,
                 sig: S::decode(r)?,
             }),
             1 => Ok(EchoMsg::Echo {
-                source: ProcessId::decode(r)?,
+                stream: K::decode(r)?,
                 seq: SeqNo::decode(r)?,
                 digest: <[u8; 32]>::decode(r)?,
                 share: S::decode(r)?,
             }),
             2 => Ok(EchoMsg::Final {
-                source: ProcessId::decode(r)?,
+                stream: K::decode(r)?,
                 seq: SeqNo::decode(r)?,
                 payload: P::decode(r)?,
-                sig: S::decode(r)?,
                 certificate: Vec::<(ProcessId, S)>::decode(r)?,
             }),
             tag => Err(CodecError::InvalidTag {
                 type_name: "EchoMsg",
-                tag,
-            }),
-        }
-    }
-}
-
-impl<P: Encode, S: Encode> Encode for AccountOrderMsg<P, S> {
-    fn encode(&self, w: &mut Writer) {
-        match self {
-            AccountOrderMsg::Send {
-                account,
-                seq,
-                payload,
-                sig,
-            } => {
-                w.put_u8(0);
-                account.encode(w);
-                seq.encode(w);
-                payload.encode(w);
-                sig.encode(w);
-            }
-            AccountOrderMsg::Ack {
-                account,
-                seq,
-                digest,
-                share,
-            } => {
-                w.put_u8(1);
-                account.encode(w);
-                seq.encode(w);
-                digest.encode(w);
-                share.encode(w);
-            }
-            AccountOrderMsg::Final {
-                sender,
-                account,
-                seq,
-                payload,
-                certificate,
-            } => {
-                w.put_u8(2);
-                sender.encode(w);
-                account.encode(w);
-                seq.encode(w);
-                payload.encode(w);
-                certificate.encode(w);
-            }
-        }
-    }
-}
-
-impl<P: Decode, S: Decode> Decode for AccountOrderMsg<P, S> {
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        match r.take_u8()? {
-            0 => Ok(AccountOrderMsg::Send {
-                account: AccountId::decode(r)?,
-                seq: SeqNo::decode(r)?,
-                payload: P::decode(r)?,
-                sig: S::decode(r)?,
-            }),
-            1 => Ok(AccountOrderMsg::Ack {
-                account: AccountId::decode(r)?,
-                seq: SeqNo::decode(r)?,
-                digest: <[u8; 32]>::decode(r)?,
-                share: S::decode(r)?,
-            }),
-            2 => Ok(AccountOrderMsg::Final {
-                sender: ProcessId::decode(r)?,
-                account: AccountId::decode(r)?,
-                seq: SeqNo::decode(r)?,
-                payload: P::decode(r)?,
-                certificate: Vec::<(ProcessId, S)>::decode(r)?,
-            }),
-            tag => Err(CodecError::InvalidTag {
-                type_name: "AccountOrderMsg",
                 tag,
             }),
         }
@@ -338,42 +266,49 @@ mod tests {
         }
     }
 
-    #[test]
-    fn echo_messages_roundtrip_with_unit_and_real_signatures() {
-        let unit: EchoMsg<u64, ()> = EchoMsg::Final {
-            source: p(1),
-            seq: s(4),
-            payload: 77,
-            sig: (),
-            certificate: vec![(p(0), ()), (p(2), ())],
-        };
-        let bytes = encode(&unit);
-        let back: EchoMsg<u64, ()> = decode(&bytes).expect("decode");
-        assert_eq!(back, unit);
+    /// Every `EchoMsg` variant, signed with `sig`.
+    fn echo_messages<S: Clone>(sig: impl Fn(u8) -> S) -> Vec<EchoMsg<Vec<u8>, S>> {
+        vec![
+            EchoMsg::Send {
+                stream: p(1),
+                seq: s(1),
+                payload: vec![1; 16],
+                sig: sig(9),
+            },
+            EchoMsg::Echo {
+                stream: p(3),
+                seq: s(2),
+                digest: [7; 32],
+                share: sig(0xAB),
+            },
+            EchoMsg::Final {
+                stream: p(1),
+                seq: s(u64::MAX),
+                payload: vec![9; 40],
+                certificate: vec![(p(0), sig(1)), (p(2), sig(2)), (p(3), sig(3))],
+            },
+        ]
+    }
 
-        let signed: EchoMsg<u64, Signature> = EchoMsg::Echo {
-            source: p(3),
-            seq: s(2),
-            digest: [7; 32],
-            share: sig(0xAB),
-        };
-        let bytes = encode(&signed);
-        let back: EchoMsg<u64, Signature> = decode(&bytes).expect("decode");
-        assert_eq!(back, signed);
+    /// Each message decodes back to itself, and none of its strict
+    /// prefixes decodes at all.
+    fn assert_total<M: Encode + Decode + PartialEq + std::fmt::Debug>(msgs: Vec<M>) {
+        for msg in msgs {
+            let bytes = encode(&msg);
+            assert_eq!(decode::<M>(&bytes).expect("decode"), msg);
+            for cut in 0..bytes.len() {
+                assert!(
+                    decode::<M>(&bytes[..cut]).is_err(),
+                    "{msg:?}: prefix of {cut} bytes decoded"
+                );
+            }
+        }
     }
 
     #[test]
-    fn account_order_messages_roundtrip() {
-        let msg: AccountOrderMsg<Vec<u8>, Signature> = AccountOrderMsg::Final {
-            sender: p(2),
-            account: AccountId::new(2),
-            seq: s(3),
-            payload: vec![9; 40],
-            certificate: vec![(p(0), sig(1)), (p(1), sig(2)), (p(3), sig(3))],
-        };
-        let bytes = encode(&msg);
-        let back: AccountOrderMsg<Vec<u8>, Signature> = decode(&bytes).expect("decode");
-        assert_eq!(back, msg);
+    fn echo_messages_roundtrip_with_unit_and_real_signatures() {
+        assert_total(echo_messages(|_| ()));
+        assert_total(echo_messages(sig));
     }
 
     #[test]
@@ -431,13 +366,6 @@ mod tests {
             })
         ));
         assert!(matches!(
-            decode::<AccountOrderMsg<u64, ()>>(&[0xFE]),
-            Err(CodecError::InvalidTag {
-                type_name: "AccountOrderMsg",
-                tag: 0xFE
-            })
-        ));
-        assert!(matches!(
             decode::<PbftMsg<u64>>(&[6]),
             Err(CodecError::InvalidTag {
                 type_name: "PbftMsg",
@@ -449,6 +377,7 @@ mod tests {
     #[test]
     fn truncated_messages_error_never_panic() {
         let msg: EchoMsg<Vec<u8>, Signature> = EchoMsg::Send {
+            stream: p(2),
             seq: s(1),
             payload: vec![1; 16],
             sig: sig(9),

@@ -9,18 +9,22 @@
 //!   in `k`, not `N`), assigning monotonically increasing sequence
 //!   numbers to the account's outgoing transfers; and
 //! * the **account-order secure broadcast** of
-//!   [`at_broadcast::account_order`], which makes benign processes apply
-//!   each account's transfers in sequence-number order and prevents even
-//!   a fully compromised account from double spending (it can only lose
-//!   its own liveness).
+//!   [`at_broadcast::account_order`] — the signed echo with the paper's
+//!   rule that message `s` of an account is acknowledged only once
+//!   `s − 1` was delivered, on streams that are accounts and that any
+//!   process may send on — which makes benign processes apply each
+//!   account's transfers in sequence-number order and prevents even a
+//!   fully compromised account from double spending (it can only lose its
+//!   own liveness).
 //!
 //! Dependencies work as in Figure 4: each broadcast carries the incoming
 //! transfers that fund it, and validators apply a transfer only after its
 //! dependencies — making the success/failure verdict deterministic across
 //! all benign processes.
 
-use at_broadcast::account_order::{AccountDelivery, AccountOrderBroadcast, AccountOrderMsg};
+use at_broadcast::account_order::AccountOrderBroadcast;
 use at_broadcast::auth::Authenticator;
+use at_broadcast::echo::EchoMsg;
 use at_broadcast::pbft::{PbftMsg, PbftReplica};
 use at_broadcast::types::Step;
 use at_model::spec::balance_from_transfers;
@@ -46,7 +50,7 @@ pub enum KMsg<S> {
         inner: PbftMsg<Transfer>,
     },
     /// System-wide account-order broadcast traffic.
-    Cast(AccountOrderMsg<KPayload, S>),
+    Cast(EchoMsg<KPayload, S, AccountId>),
 }
 
 /// Events surfaced by a [`KSharedReplica`].
@@ -90,7 +94,7 @@ pub struct KSharedReplica<A: Authenticator> {
     /// outgoing transfer we folded.
     deps_pool: BTreeMap<AccountId, BTreeSet<Transfer>>,
     /// Account-order deliveries waiting for their dependencies.
-    waiting: Vec<AccountDelivery<KPayload>>,
+    waiting: Vec<(AccountId, KPayload)>,
     /// Every successful transfer applied locally (convergence view).
     observed: BTreeSet<Transfer>,
     /// Submission nonce.
@@ -210,7 +214,7 @@ impl<A: Authenticator> KSharedReplica<A> {
                 let payload = KPayload { transfer, deps };
                 let mut cast_step = Step::new();
                 self.cast
-                    .broadcast(account, SeqNo::new(index), payload, &mut cast_step);
+                    .broadcast_at(account, SeqNo::new(index), payload, &mut cast_step);
                 self.absorb_cast(cast_step, ctx);
             }
         }
@@ -218,14 +222,14 @@ impl<A: Authenticator> KSharedReplica<A> {
 
     fn absorb_cast(
         &mut self,
-        step: Step<AccountOrderMsg<KPayload, A::Sig>, AccountDelivery<KPayload>>,
+        step: Step<EchoMsg<KPayload, A::Sig, AccountId>, KPayload, AccountId>,
         ctx: &mut Context<'_, KMsg<A::Sig>, KEvent>,
     ) {
         for out in step.outgoing {
             ctx.send(out.to, KMsg::Cast(out.msg));
         }
         for delivery in step.deliveries {
-            self.waiting.push(delivery.payload);
+            self.waiting.push((delivery.source, delivery.payload));
         }
         self.drain(ctx);
     }
@@ -233,8 +237,8 @@ impl<A: Authenticator> KSharedReplica<A> {
     /// Applies waiting deliveries whose dependencies are satisfied.
     fn drain(&mut self, ctx: &mut Context<'_, KMsg<A::Sig>, KEvent>) {
         loop {
-            let position = self.waiting.iter().position(|delivery| {
-                delivery.payload.deps.iter().all(|dep| {
+            let position = self.waiting.iter().position(|(_, payload)| {
+                payload.deps.iter().all(|dep| {
                     self.applied
                         .get(&dep.source)
                         .is_some_and(|set| set.contains(dep))
@@ -243,19 +247,17 @@ impl<A: Authenticator> KSharedReplica<A> {
             let Some(position) = position else {
                 break;
             };
-            let delivery = self.waiting.swap_remove(position);
-            self.apply(delivery, ctx);
+            let (account, payload) = self.waiting.swap_remove(position);
+            self.apply(account, payload, ctx);
         }
     }
 
     fn apply(
         &mut self,
-        delivery: AccountDelivery<KPayload>,
+        account: AccountId,
+        KPayload { transfer, deps }: KPayload,
         ctx: &mut Context<'_, KMsg<A::Sig>, KEvent>,
     ) {
-        let account = delivery.account;
-        let KPayload { transfer, deps } = delivery.payload;
-
         // Fold the dependencies first: they are incoming credits that
         // must survive even if the transfer itself fails.
         let applied = self.applied.entry(account).or_default();
@@ -519,7 +521,7 @@ mod tests {
         let tx1 = Transfer::new(a(0), a(3), amt(60), p(1), SeqNo::new(1));
         sim.schedule(VirtualTime::ZERO, p(0), move |replica, ctx| {
             let mut step = Step::new();
-            replica.cast.broadcast(
+            replica.cast.broadcast_at(
                 a(0),
                 SeqNo::new(1),
                 KPayload {
@@ -532,7 +534,7 @@ mod tests {
         });
         sim.schedule(VirtualTime::ZERO, p(1), move |replica, ctx| {
             let mut step = Step::new();
-            replica.cast.broadcast(
+            replica.cast.broadcast_at(
                 a(0),
                 SeqNo::new(1),
                 KPayload {

@@ -26,7 +26,7 @@ pub enum AuthMode {
 /// |---|---|---|---|
 /// | `Bracha` | 3 one-way delays | `O(n²)` | none |
 /// | `SignedEcho` | 2 round trips | `3(n−1)` (+`(n−1)(n−2)` optional relays) | sender + echo quorum |
-/// | `AccountOrder` | 2 round trips | `3(n−1)` (+`(n−1)(n−2)` optional relays) | sender + ack quorum |
+/// | `AccountOrder` | the same signed echo; an echo waits for the account's previous delivery | the same | the same |
 /// | `Pbft` | hop to the leader + 3 one-way delays | `O(n²)` | none |
 ///
 /// A relay is a delivered FINAL handed on for totality: every process
@@ -49,8 +49,10 @@ pub enum BroadcastBackend {
         /// honest-sender cost measurements.
         forward_final: bool,
     },
-    /// The Section 6 account-order broadcast specialised to the base
-    /// topology (account `i` owned by process `i`).
+    /// The Section 6 account-order broadcast in the base topology
+    /// (account `i` owned by process `i`): the signed echo under the
+    /// paper's rule that message `s` of an account is echoed only once
+    /// `s − 1` was delivered.
     AccountOrder {
         /// Signing scheme.
         auth: AuthMode,

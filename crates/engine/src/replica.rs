@@ -1397,6 +1397,33 @@ mod tests {
         }
     }
 
+    /// Behind the pruned floor a dependency is accepted by floor
+    /// comparison alone, so a forged `(p2, 1)` credit of any amount
+    /// passes `valid` once p2's real transfer 1 was pruned. What keeps it
+    /// harmless is the balance check against the materialized ledger: the
+    /// forged amount is credited nowhere.
+    #[test]
+    fn a_forged_dependency_behind_the_pruned_floor_buys_no_credit() {
+        let real = Transfer::new(a(2), a(0), amt(5), p(2), SeqNo::new(1));
+        let forged = Transfer::new(a(2), a(0), amt(90), p(2), SeqNo::new(1));
+        // 100 needs the forged credit; 15 is within the real balance.
+        for (amount, applies) in [(100, false), (15, true)] {
+            let mut replica = ShardedReplica::new(p(1), 4, amt(10), EngineConfig::unsharded());
+            let mut events = Vec::new();
+            deliver(&mut replica, real, vec![], &mut events);
+            assert!(
+                replica.prune_through(&[SeqNo::ZERO, SeqNo::ZERO, SeqNo::new(1), SeqNo::ZERO]) > 0
+            );
+            assert!(replica.applied_from(p(2)).is_empty(), "pruned");
+            let spend = Transfer::new(a(0), a(3), amt(amount), p(0), SeqNo::new(1));
+            deliver(&mut replica, spend, vec![forged], &mut events);
+            assert_eq!(replica.pending_count(), usize::from(!applies), "{amount}");
+            let spent = if applies { amount } else { 0 };
+            let balances: Vec<u64> = (0..4).map(|j| replica.balance(a(j)).units()).collect();
+            assert_eq!(balances, vec![15 - spent, 10, 5, 10 + spent], "{amount}");
+        }
+    }
+
     #[test]
     fn a_credit_chain_against_source_order_resolves_in_the_delivery_that_completes_it() {
         // p2 funds p1 funds p0, and p1 and p0 each spend more than they

@@ -117,6 +117,7 @@ fn signature_forgery_is_rejected() {
     victim_endpoint.on_message(
         p(3),
         EchoMsg::Send {
+            stream: p(3),
             seq: SeqNo::new(1),
             payload: forged_payload,
             sig: bogus_sig,
@@ -168,10 +169,9 @@ fn tampered_echo_quorum_certificates_are_rejected() {
     let n = 4;
     let auth = EdAuth::deterministic(n, 7);
     let EchoMsg::Final {
-        source,
+        stream,
         seq,
         payload,
-        sig,
         certificate,
     } = genuine_final(n, &auth, 424_242)
     else {
@@ -202,10 +202,9 @@ fn tampered_echo_quorum_certificates_are_rejected() {
         attempt(
             "flipped share",
             EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload,
-                sig,
                 certificate: flipped,
             }
         ),
@@ -221,10 +220,9 @@ fn tampered_echo_quorum_certificates_are_rejected() {
         attempt(
             "wrong signer",
             EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload,
-                sig,
                 certificate: reattributed,
             }
         ),
@@ -237,10 +235,9 @@ fn tampered_echo_quorum_certificates_are_rejected() {
         attempt(
             "truncated certificate",
             EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload,
-                sig,
                 certificate: truncated,
             }
         ),
@@ -254,10 +251,9 @@ fn tampered_echo_quorum_certificates_are_rejected() {
         attempt(
             "duplicate-padded certificate",
             EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload,
-                sig,
                 certificate: padded,
             }
         ),
@@ -269,10 +265,9 @@ fn tampered_echo_quorum_certificates_are_rejected() {
         attempt(
             "swapped payload",
             EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload: payload + 1,
-                sig,
                 certificate: certificate.clone(),
             }
         ),
@@ -284,10 +279,9 @@ fn tampered_echo_quorum_certificates_are_rejected() {
         attempt(
             "intact certificate",
             EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload,
-                sig,
                 certificate,
             }
         ),
@@ -304,10 +298,9 @@ fn batched_certificate_fallback_attributes_and_tolerates_corrupt_padding() {
     let n = 4;
     let auth = EdAuth::deterministic(n, 11);
     let EchoMsg::Final {
-        source,
+        stream,
         seq,
         payload,
-        sig,
         certificate,
     } = genuine_final(n, &auth, 99_999)
     else {
@@ -322,10 +315,9 @@ fn batched_certificate_fallback_attributes_and_tolerates_corrupt_padding() {
         victim.on_message(
             p(0),
             EchoMsg::Final {
-                source,
+                stream,
                 seq,
                 payload,
-                sig,
                 certificate: cert,
             },
             &mut step,
