@@ -8,8 +8,7 @@
 //! certificate to all, and everyone delivers after verifying the
 //! certificate. Two round trips and `3(n−1)` messages on the sender path,
 //! plus `(n−1)(n−2)` certificate relays that guarantee totality when the
-//! sender is Byzantine (disable with [`SignedEcho::set_forward_final`] for
-//! the ablation study A1): a process that delivers hands the FINAL to
+//! sender is Byzantine: a process that delivers hands the FINAL to
 //! every process that might lack it — everyone but itself, the channel
 //! peer its copy came from, and the stream's sole sender, who alone could
 //! assemble the certificate. The source relays nothing.
@@ -147,7 +146,6 @@ pub struct SignedEcho<K, P, A: Authenticator, const IN_ORDER: bool> {
     table: InstanceTable<K, Slot<P, A::Sig>, P>,
     trace: TraceHook<P>,
     auth: A,
-    forward_final: bool,
     ops: CryptoOps,
     /// Mutation-testing hook: overrides [`SignedEcho::quorum`].
     #[cfg(feature = "broken")]
@@ -170,7 +168,6 @@ impl<K: Stream, P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
             table: InstanceTable::new(me, n),
             trace: TraceHook::new(me),
             auth,
-            forward_final: true,
             ops: CryptoOps::default(),
             #[cfg(feature = "broken")]
             quorum_override: None,
@@ -180,12 +177,6 @@ impl<K: Stream, P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
     /// The fault threshold `f`.
     pub fn fault_threshold(&self) -> usize {
         self.table.fault_threshold()
-    }
-
-    /// Enables/disables certificate relaying on delivery (totality for
-    /// Byzantine senders). On by default.
-    pub fn set_forward_final(&mut self, forward: bool) {
-        self.forward_final = forward;
     }
 
     /// The echo quorum `⌈(n+f+1)/2⌉`.
@@ -419,16 +410,14 @@ impl<K: Stream, P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
         if let Some(slot) = self.table.get_mut(stream, seq) {
             slot.memo.clear();
         }
-        if self.forward_final {
-            let relay = EchoMsg::Final {
-                stream,
-                seq,
-                payload: payload.clone(),
-                certificate,
-            };
-            self.table
-                .relay_final(step, from, stream.sole_sender(), relay);
-        }
+        let relay = EchoMsg::Final {
+            stream,
+            seq,
+            payload: payload.clone(),
+            certificate,
+        };
+        self.table
+            .relay_final(step, from, stream.sole_sender(), relay);
         self.table.hold(stream, seq, payload);
         while let Some((seq, payload)) = self.table.release(stream) {
             self.trace
@@ -1017,7 +1006,7 @@ mod tests {
     #[test]
     fn final_forwarding_gives_totality() {
         // The sender "selectively" finalizes: its FINAL reaches only p1,
-        // not even its own loop-back. With forwarding on, p1's relay
+        // not even its own loop-back. p1's relay
         // completes delivery at every correct process — which is what
         // totality promises; nobody owes the misbehaving sender its own
         // certificate back.
@@ -1056,33 +1045,17 @@ mod tests {
 
     #[test]
     fn without_forwarding_selective_final_splits_delivery() {
-        let n = 4;
-        let mut endpoints: Vec<EchoBroadcast<u64, NoAuth>> = (0..n)
-            .map(|i| {
-                let mut endpoint = EchoBroadcast::new(p(i as u32), n, NoAuth);
-                endpoint.set_forward_final(false);
-                endpoint
-            })
-            .collect();
-        let mut inflight: VecDeque<(ProcessId, ProcessId, EchoMsg<u64, ()>)> = VecDeque::new();
-        let mut step = Step::new();
-        endpoints[0].broadcast(3, &mut step);
-        for out in step.outgoing {
-            inflight.push_back((p(0), out.to, out.msg));
-        }
-        let mut delivered = vec![0usize; n];
-        while let Some((from, to, msg)) = inflight.pop_front() {
-            if matches!(msg, EchoMsg::Final { .. }) && from == p(0) && to != p(1) {
-                continue;
-            }
-            let mut step = Step::new();
-            endpoints[to.as_usize()].on_message(from, msg, &mut step);
-            for out in step.outgoing {
-                inflight.push_back((to, out.to, out.msg));
-            }
-            delivered[to.as_usize()] += step.deliveries.len();
-        }
-        assert_eq!(delivered, vec![0, 1, 0, 0]);
+        // The same selective FINAL with every relay lost: only p1, the
+        // process the sender chose, delivers — the relays are what
+        // carries totality.
+        let delivered = run_system(
+            4,
+            |_| NoAuth,
+            vec![(p(0), 3)],
+            |from, to, msg| matches!(msg, EchoMsg::Final { .. }) && (from != p(0) || to != p(1)),
+        );
+        let counts: Vec<usize> = delivered.iter().map(Vec::len).collect();
+        assert_eq!(counts, vec![0, 1, 0, 0]);
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! * [`BrachaBroadcast`](crate::BrachaBroadcast) — 3 one-way delays,
 //!   `O(n²)` messages, no signatures;
 //! * [`EchoBroadcast`](crate::EchoBroadcast) — 2 round trips, `3(n−1)`
-//!   messages on the sender path plus a quorum certificate (an optional
-//!   `(n−1)(n−2)` certificate relays buy totality against Byzantine
+//!   messages on the sender path plus a quorum certificate, and
+//!   `(n−1)(n−2)` certificate relays that buy totality against Byzantine
 //!   senders: each process that delivers relays to every process it has
 //!   not authenticated as holding the FINAL already — see
-//!   `InstanceTable::relay_final`);
+//!   `InstanceTable::relay_final`;
 //! * [`AccountOrderBackend`] — the Section 6 account-order broadcast in
 //!   the base topology (account `i` owned by process `i`): the same
 //!   signed echo, [`SignedEcho`](crate::SignedEcho), with Section 6's
@@ -433,17 +433,19 @@ mod tests {
 
     /// One instance whose Byzantine source p0 hands its FINAL to `chosen`
     /// alone (not even to itself) while the `silent` processes neither
-    /// receive nor send; returns how many payloads each process
-    /// delivered.
+    /// receive nor send, and — unless `relays` — every relayed FINAL is
+    /// lost; returns how many payloads each process delivered.
     fn drive_selective_final<B: SecureBroadcast<u64>>(
         mut endpoints: Vec<B>,
         is_final: fn(&B::Msg) -> bool,
         chosen: usize,
         silent: &[usize],
+        relays: bool,
     ) -> Vec<usize> {
         let lost = |from: ProcessId, to: ProcessId, msg: &B::Msg| {
-            let withheld = from == p(0) && to.as_usize() != chosen && is_final(msg);
-            withheld || silent.contains(&to.as_usize())
+            let withheld = from == p(0) && to.as_usize() != chosen;
+            let relay_lost = from != p(0) && !relays;
+            (is_final(msg) && (withheld || relay_lost)) || silent.contains(&to.as_usize())
         };
         let delivered = drive_logged(&mut endpoints, vec![(0, 7)], &mut Vec::new(), lost);
         delivered.iter().map(Vec::len).collect()
@@ -452,13 +454,14 @@ mod tests {
     /// Totality, exhaustively at small `n`: whichever correct process a
     /// selective source finalises to, and whichever `≤ f − 1` others stay
     /// silent beside it, every correct process delivers exactly once.
-    /// The same enumeration with forwarding off splits every time — only
-    /// the chosen process delivers — so the relays are what carries it.
+    /// The same enumeration with every relay lost splits every time —
+    /// only the chosen process delivers — so the relays are what carries
+    /// it.
     #[test]
     fn relays_give_totality_for_every_selective_final_and_silent_set() {
         fn enumerate<B: SecureBroadcast<u64>>(
             n: usize,
-            system: impl Fn(bool) -> Vec<B>,
+            system: impl Fn() -> Vec<B>,
             is_final: fn(&B::Msg) -> bool,
         ) {
             let f = (n - 1) / 3;
@@ -468,14 +471,15 @@ mod tests {
                     std::iter::once(vec![]).chain(others.map(|i| vec![i]).filter(|_| f >= 2));
                 for silent in silent_sets {
                     let correct = |i: usize| i != 0 && !silent.contains(&i);
-                    let delivered = drive_selective_final(system(true), is_final, chosen, &silent);
+                    let delivered =
+                        drive_selective_final(system(), is_final, chosen, &silent, true);
                     for (i, count) in delivered.iter().enumerate().filter(|(i, _)| correct(*i)) {
                         assert_eq!(*count, 1, "n = {n}, to p{chosen}, silent {silent:?}: p{i}");
                     }
-                    let split = drive_selective_final(system(false), is_final, chosen, &silent);
+                    let split = drive_selective_final(system(), is_final, chosen, &silent, false);
                     for (i, count) in split.iter().enumerate() {
                         let expected = usize::from(i == chosen);
-                        assert_eq!(*count, expected, "unforwarded, n = {n}, to p{chosen}: p{i}");
+                        assert_eq!(*count, expected, "relays lost, n = {n}, to p{chosen}: p{i}");
                     }
                 }
             }
@@ -485,28 +489,9 @@ mod tests {
                 (n - 1) / 3 <= 2,
                 "the silent sets above stop at one process"
             );
-            enumerate(
-                n,
-                |forward| {
-                    let mut endpoints = echo_system(n);
-                    for endpoint in &mut endpoints {
-                        endpoint.set_forward_final(forward);
-                    }
-                    endpoints
-                },
-                |msg| matches!(msg, EchoMsg::Final { .. }),
-            );
-            enumerate(
-                n,
-                |forward| {
-                    let mut endpoints = account_system(n);
-                    for endpoint in &mut endpoints {
-                        endpoint.set_forward_final(forward);
-                    }
-                    endpoints
-                },
-                |msg| matches!(msg, EchoMsg::Final { .. }),
-            );
+            let is_final = |msg: &EchoMsg<u64, ()>| matches!(msg, EchoMsg::Final { .. });
+            enumerate(n, || echo_system(n), is_final);
+            enumerate(n, || account_system(n), is_final);
         }
     }
 

@@ -12,7 +12,7 @@
 //! history and per-replica delivery logs. After heal-and-drain, the
 //! recording goes through the **same validator battery** the schedule
 //! explorer applies to simulated executions
-//! ([`at_check::validate_recorded`]): bounded linearizability of the
+//! ([`at_engine::probe::validate_recorded`]): bounded linearizability of the
 //! client history, the per-source FIFO-exactly-once broadcast contract,
 //! conflict-freedom, digest agreement, supply conservation — plus the
 //! live-cluster obligations that every injected fault was *masked*, not
@@ -22,16 +22,18 @@
 //! Schedules are pure functions of their seed
 //! ([`generate_schedule`]), so any violation reproduces from its
 //! `(backend, transport, seed)` row: the soak in `tests/chaos_runs.rs`
-//! runs seeded schedules against all three backends, and a failing run
+//! runs seeded schedules against the three secure broadcasts (PBFT, which
+//! stalls on a crashed leader, runs a quiet one), and a failing run
 //! prints [`ChaosReport::counterexample`] — the row to pin included.
 //!
 //! # Example
 //!
 //! ```no_run
 //! use at_chaos::{run_seeded, ChaosConfig, ChaosTransport};
+//! use at_engine::BroadcastBackend;
 //!
 //! let config = ChaosConfig::default();
-//! let report = run_seeded(&config, "echo", ChaosTransport::Tcp, 42);
+//! let report = run_seeded(&config, BroadcastBackend::signed_echo(), ChaosTransport::Tcp, 42);
 //! assert!(report.violations.is_empty(), "{:?}", report.violations);
 //! assert!(report.converged);
 //! assert_eq!(report.dropped_frames, 0);

@@ -20,7 +20,7 @@
 //! 4. pin the final state with one read per account, then feed the
 //!    merged event recording plus the final reports through the *same*
 //!    validator battery the schedule explorer applies to simulated
-//!    executions ([`at_check::validate_recorded`]): bounded
+//!    executions ([`at_engine::probe::validate_recorded`]): bounded
 //!    linearizability, per-source FIFO-exactly-once, conflict-freedom,
 //!    digest agreement, supply conservation — plus the live-cluster
 //!    extras: zero real frame loss and zero lost acknowledgements when
@@ -31,13 +31,10 @@
 //! [`ChaosReport::counterexample`] prints.
 
 use crate::nemesis::{format_nemesis_schedule, generate_schedule, NemesisChoice};
-use at_broadcast::auth::NoAuth;
-use at_broadcast::bracha::BrachaBroadcast;
-use at_broadcast::echo::EchoBroadcast;
-use at_broadcast::{AccountOrderBackend, SecureBroadcast};
-use at_check::{validate_recorded, Failure, FailureKind, RecordedRun};
+use at_broadcast::SecureBroadcast;
+use at_engine::probe::{validate_recorded, Failure, FailureKind, RecordedRun};
 use at_engine::replica::EnginePayload;
-use at_engine::EngineConfig;
+use at_engine::{BackendVisitor, BroadcastBackend, EngineConfig};
 use at_model::codec::{Decode, Encode};
 use at_model::{AccountId, Amount, ProcessId};
 use at_net::transport::FaultInjector;
@@ -114,7 +111,7 @@ impl Default for ChaosConfig {
 /// The outcome of one chaos run.
 #[derive(Clone, Debug)]
 pub struct ChaosReport {
-    /// Backend label (`echo` / `bracha` / `acctorder`).
+    /// Backend label ([`BroadcastBackend::label`]).
     pub backend: String,
     /// The transport the run exercised.
     pub transport: ChaosTransport,
@@ -719,12 +716,11 @@ where
     )
 }
 
-/// Runs one experiment with the schedule generated from `seed`,
-/// dispatching on backend label and transport. Crash steps are only
-/// generated for TCP runs.
+/// Runs one experiment on `backend` with the schedule generated from
+/// `seed`. Crash steps are only generated for TCP runs.
 pub fn run_seeded(
     config: &ChaosConfig,
-    backend: &str,
+    backend: BroadcastBackend,
     transport: ChaosTransport,
     seed: u64,
 ) -> ChaosReport {
@@ -733,25 +729,35 @@ pub fn run_seeded(
     run_with_schedule(config, backend, transport, seed, &schedule)
 }
 
-/// [`run_seeded`] with an explicit schedule (the replay entry point).
+/// [`run_seeded`] with an explicit schedule (the replay entry point):
+/// [`run_chaos`] over the endpoints [`BroadcastBackend::build`] makes,
+/// reported under the backend's label.
 pub fn run_with_schedule(
     config: &ChaosConfig,
-    backend: &str,
+    backend: BroadcastBackend,
     transport: ChaosTransport,
     seed: u64,
     schedule: &[NemesisChoice],
 ) -> ChaosReport {
-    let n = config.n;
-    match backend {
-        "echo" => run_chaos(config, backend, transport, seed, schedule, |me| {
-            EchoBroadcast::<EnginePayload, NoAuth>::new(me, n, NoAuth)
-        }),
-        "bracha" => run_chaos(config, backend, transport, seed, schedule, |me| {
-            BrachaBroadcast::<EnginePayload>::new(me, n)
-        }),
-        "acctorder" => run_chaos(config, backend, transport, seed, schedule, |me| {
-            AccountOrderBackend::<EnginePayload, NoAuth>::new(me, n, NoAuth)
-        }),
-        other => panic!("unknown backend {other:?} (echo|bracha|acctorder)"),
+    struct Chaos<'a>(
+        &'a ChaosConfig,
+        &'static str,
+        ChaosTransport,
+        u64,
+        &'a [NemesisChoice],
+    );
+    impl BackendVisitor for Chaos<'_> {
+        type Output = ChaosReport;
+        fn visit<B, F>(self, make: F) -> ChaosReport
+        where
+            B: SecureBroadcast<EnginePayload> + 'static,
+            B::Msg: Encode + Decode + Send + 'static,
+            F: Fn(ProcessId) -> B,
+        {
+            let Chaos(config, label, transport, seed, schedule) = self;
+            run_chaos(config, label, transport, seed, schedule, make)
+        }
     }
+    let chaos = Chaos(config, backend.label(), transport, seed, schedule);
+    backend.build(config.n, seed, chaos)
 }

@@ -1,7 +1,9 @@
 //! The chaos gate: real clusters under real nemesis schedules, every
-//! recorded run validated by the shared at-check battery.
+//! recorded run validated by at-engine's validator battery — the one the
+//! schedule explorer applies.
 //!
-//! * three hand-picked smoke runs (one per runner path);
+//! * three hand-picked smoke runs (one per runner path), and the PBFT
+//!   baseline on a quiet TCP cluster;
 //! * the **soak** — per production backend, seeded schedules on
 //!   loopback TCP plus one on the channel mesh, 54 distinct schedules
 //!   in all; `cargo test --release -- --ignored` runs it at full size;
@@ -16,6 +18,7 @@ use at_chaos::{
     format_nemesis_schedule, generate_schedule, run_seeded, run_with_schedule, ChaosConfig,
     ChaosReport, ChaosTransport, NemesisChoice,
 };
+use at_engine::BroadcastBackend;
 use std::collections::BTreeSet;
 use std::time::Duration;
 
@@ -44,10 +47,10 @@ const FULL_TCP_RUNS: usize = 50;
 /// `(backend, TCP seed base)`; a backend's mesh run draws from 10 000
 /// above its base. Disjoint ranges, so every backend faces different
 /// fault scripts and the distinct-schedule count reflects real coverage.
-const SOAK: [(&str, u64); 3] = [
-    ("echo", 0xC4A0),
-    ("bracha", 0xC4A0 + 20_000),
-    ("acctorder", 0xC4A0 + 40_000),
+const SOAK: [(BroadcastBackend, u64); 3] = [
+    (BroadcastBackend::signed_echo(), 0xC4A0),
+    (BroadcastBackend::Bracha, 0xC4A0 + 20_000),
+    (BroadcastBackend::account_order(), 0xC4A0 + 40_000),
 ];
 
 /// The `(transport, seed)` pairs of one backend's soak.
@@ -69,7 +72,7 @@ fn assert_clean(report: &ChaosReport, config: &ChaosConfig) {
 
 /// One backend's soak: `tcp_runs` seeded schedules on TCP plus one on
 /// the mesh, every run clean and every schedule distinct.
-fn soak(config: &ChaosConfig, tcp_runs: usize, (backend, seed_base): (&str, u64)) {
+fn soak(config: &ChaosConfig, tcp_runs: usize, (backend, seed_base): (BroadcastBackend, u64)) {
     let mut distinct = BTreeSet::new();
     for (transport, seed) in soak_seeds(tcp_runs, seed_base) {
         let report = run_seeded(config, backend, transport, seed);
@@ -79,7 +82,8 @@ fn soak(config: &ChaosConfig, tcp_runs: usize, (backend, seed_base): (&str, u64)
     assert_eq!(
         distinct.len(),
         tcp_runs + 1,
-        "{backend}: repeated schedules"
+        "{}: repeated schedules",
+        backend.label()
     );
 }
 
@@ -140,10 +144,10 @@ fn full_soak_seed_ranges_yield_153_distinct_schedules() {
     assert_eq!(distinct_soak_schedules(&full, FULL_TCP_RUNS), 153);
 }
 
-/// Counterexamples past soaks found, as `(backend, transport, seed,
-/// quota, disruptions)` — each replayed at the shape that found it, so
-/// a fixed bug stays fixed. Paste the `pinned row:` line of a failing
-/// run's output here.
+/// Counterexamples past soaks found, as `(backend label, transport,
+/// seed, quota, disruptions)` — each replayed at the shape that found
+/// it, so a fixed bug stays fixed. Paste the `pinned row:` line of a
+/// failing run's output here.
 const PINNED: &[(&str, ChaosTransport, u64, usize, usize)] = &[
     // A stopping node's TCP readers kept acking frames no incarnation
     // would ever process; acked frames leave the peer's replay window,
@@ -154,12 +158,16 @@ const PINNED: &[(&str, ChaosTransport, u64, usize, usize)] = &[
 
 #[test]
 fn pinned_counterexamples_stay_fixed() {
-    for &(backend, transport, seed, quota, disruptions) in PINNED {
+    for &(label, transport, seed, quota, disruptions) in PINNED {
         let config = ChaosConfig {
             quota,
             disruptions,
             ..ChaosConfig::default()
         };
+        let backend = BroadcastBackend::ALL
+            .into_iter()
+            .find(|backend| backend.label() == label)
+            .expect("a pinned row names a backend by its label");
         assert_clean(&run_seeded(&config, backend, transport, seed), &config);
     }
 }
@@ -176,10 +184,11 @@ fn pinned_counterexamples_stay_fixed() {
 )]
 fn a_violation_fails_with_the_whole_counterexample() {
     let config = smoke_config();
-    let mut report = run_with_schedule(&config, "bracha", ChaosTransport::Mesh, 9, &[]);
+    let backend = BroadcastBackend::Bracha;
+    let mut report = run_with_schedule(&config, backend, ChaosTransport::Mesh, 9, &[]);
     assert_clean(&report, &config);
-    report.violations.push(at_check::Failure {
-        kind: at_check::FailureKind::Divergence,
+    report.violations.push(at_engine::Failure {
+        kind: at_engine::FailureKind::Divergence,
         detail: "digests differ".into(),
     });
     report.metrics = vec!["node 0\ncounter a 1\n".into()];
@@ -190,7 +199,12 @@ fn a_violation_fails_with_the_whole_counterexample() {
 #[test]
 fn tcp_cluster_survives_a_seeded_nemesis_schedule() {
     let config = quick_config();
-    let report = run_seeded(&config, "echo", ChaosTransport::Tcp, 7);
+    let report = run_seeded(
+        &config,
+        BroadcastBackend::signed_echo(),
+        ChaosTransport::Tcp,
+        7,
+    );
     assert!(
         report.violations.is_empty(),
         "schedule {}: {:?}",
@@ -225,7 +239,7 @@ fn tcp_cluster_survives_a_seeded_nemesis_schedule() {
 #[test]
 fn mesh_cluster_survives_a_seeded_nemesis_schedule() {
     let config = quick_config();
-    let report = run_seeded(&config, "bracha", ChaosTransport::Mesh, 3);
+    let report = run_seeded(&config, BroadcastBackend::Bracha, ChaosTransport::Mesh, 3);
     assert!(
         report.violations.is_empty(),
         "schedule {}: {:?}",
@@ -254,7 +268,8 @@ fn tcp_crash_restart_schedule_recovers_and_validates() {
         NemesisChoice::Heal,
         NemesisChoice::Run { ms: 50 },
     ];
-    let report = run_with_schedule(&config, "acctorder", ChaosTransport::Tcp, 5, &schedule);
+    let backend = BroadcastBackend::account_order();
+    let report = run_with_schedule(&config, backend, ChaosTransport::Tcp, 5, &schedule);
     assert!(
         report.violations.is_empty(),
         "schedule {}: {:?}",
@@ -263,6 +278,26 @@ fn tcp_crash_restart_schedule_recovers_and_validates() {
     );
     assert!(report.converged, "restarted node must catch up");
     assert_eq!(report.dropped_frames, 0);
+}
+
+/// The PBFT baseline on a live TCP cluster, held to the same validators
+/// as the secure broadcasts. The schedule is quiet: PBFT has no view
+/// change, so a crashed or cut-off leader would stall it by design.
+#[test]
+fn pbft_on_a_quiet_tcp_cluster_certifies_clean() {
+    let config = quick_config();
+    let report = run_with_schedule(
+        &config,
+        BroadcastBackend::Pbft,
+        ChaosTransport::Tcp,
+        13,
+        &[],
+    );
+    assert_clean(&report, &config);
+    assert_eq!(report.backend, "pbft");
+    assert!(report.converged);
+    assert_eq!(report.submitted, (config.n * config.quota) as u64);
+    assert_eq!(report.submitted, report.committed + report.rejected);
 }
 
 /// The proof the chaos gate can fail: signed echo behind at-check's
@@ -277,7 +312,7 @@ fn fifo_breaking_backend_is_caught_with_a_pasteable_counterexample() {
     use at_broadcast::echo::EchoBroadcast;
     use at_chaos::run_chaos;
     use at_check::broken::FifoBreaker;
-    use at_check::FailureKind;
+    use at_engine::FailureKind;
 
     // Batches smaller than the client pipeline: every source broadcasts
     // twice up front, so its withheld first delivery is released (out

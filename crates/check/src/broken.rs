@@ -147,9 +147,10 @@ where
 
 #[cfg(test)]
 mod tests {
-    use crate::harness::{
-        explore, standard_check_scenarios, CheckBackend, CheckScenario, ExploreBudget, FailureKind,
-    };
+    use super::{broken_quorum_echo, vote_forgetting_pbft, FifoBreaker};
+    use crate::harness::{explore_with, standard_check_scenarios, CheckScenario, ExploreBudget};
+    use crate::FailureKind;
+    use at_broadcast::bracha::BrachaBroadcast;
 
     #[test]
     fn broken_quorum_is_caught_by_exploration() {
@@ -158,11 +159,10 @@ mod tests {
         // The divergence only shows on schedules where two replicas
         // process the two FINALs in opposite orders — a minority of
         // random walks — so this check runs the full smoke budget.
-        let report = explore(
-            scenario,
-            CheckBackend::BrokenQuorum,
-            &ExploreBudget::smoke(),
-        );
+        let n = scenario.n;
+        let report = explore_with(scenario, "broken-quorum", &ExploreBudget::smoke(), |me| {
+            broken_quorum_echo(me, n)
+        });
         assert!(
             !report.violations.is_empty(),
             "the quorum off-by-one mutation escaped {} schedules",
@@ -180,7 +180,9 @@ mod tests {
         // p0 broadcasts twice: the wrapper swaps its first two deliveries
         // at every replica.
         let scenario = CheckScenario::new("double-sender", 3, 10, vec![(0, 1, 1), (0, 2, 1)]);
-        let report = explore(&scenario, CheckBackend::BrokenFifo, &ExploreBudget::quick());
+        let report = explore_with(&scenario, "broken-fifo", &ExploreBudget::quick(), |me| {
+            FifoBreaker::new(BrachaBroadcast::new(me, 3))
+        });
         assert!(!report.violations.is_empty(), "FIFO mutation escaped");
         assert!(report
             .violations
@@ -196,7 +198,9 @@ mod tests {
         let violations: Vec<_> = standard_check_scenarios()[2..]
             .iter()
             .flat_map(|scenario| {
-                explore(scenario, CheckBackend::BrokenPbftVotes, &budget).violations
+                let n = scenario.n;
+                let make = |me| vote_forgetting_pbft(me, n);
+                explore_with(scenario, "broken-pbft-votes", &budget, make).violations
             })
             .collect();
         let first = violations
@@ -208,12 +212,5 @@ mod tests {
         assert!(violations
             .iter()
             .all(|c| c.failure.kind == FailureKind::Divergence));
-    }
-
-    #[test]
-    fn broken_backends_carry_distinct_labels() {
-        assert_eq!(CheckBackend::BrokenQuorum.label(), "broken-quorum");
-        assert_eq!(CheckBackend::BrokenFifo.label(), "broken-fifo");
-        assert_eq!(CheckBackend::BrokenPbftVotes.label(), "broken-pbft-votes");
     }
 }

@@ -9,56 +9,30 @@
 //!
 //! After every explored schedule the harness drains the simulation to
 //! quiescence, injects one sequential read of every account at a correct
-//! replica, and checks four invariants:
-//!
-//! 1. **Linearizability** — the reconstructed history
-//!    ([`at_engine::probe::history_from_events`]) linearizes against the
-//!    sequential asset-transfer specification
-//!    ([`at_model::linearizable_bounded`]). Negative admission responses
-//!    are justified by the replica's *local* prefix (Figure 4 line 2)
-//!    rather than the real-time order — the explorer reaches executions
-//!    proving the distinction — so they are checked separately
-//!    ([`at_engine::probe::rejections_locally_justified`]) instead of
-//!    being forced into the history;
-//! 2. **Broadcast contract** — every backend delivery stream is
-//!    per-source FIFO-exactly-once
-//!    ([`at_engine::probe::check_fifo_contract`]);
-//! 3. **Convergence** — correct replicas (minus a crash/restart victim,
-//!    which may have missed in-flight messages for good) agree on the
-//!    ledger digest, and no `(source, seq)` resolves to two different
-//!    transfers anywhere;
-//! 4. **Conservation** — every correct replica preserves the total
-//!    supply.
-//!
-//! Any violation is reported as a [`Counterexample`] carrying the
-//! scenario, backend, failure detail, and the replayable [`Schedule`].
+//! replica, reduces the run to a [`RecordedRun`] and applies
+//! [`validate_recorded`] — at-engine's one validator battery, which the
+//! chaos runner applies to live clusters and whose conflict, digest and
+//! supply checks fill the scenario driver's reports: linearizability of
+//! the reconstructed history (negative admission responses are justified
+//! by the replica's *local* prefix, Figure 4 line 2, and checked apart —
+//! the explorer reaches executions proving the distinction), per-source
+//! FIFO-exactly-once delivery, no conflicting `(source, seq)`, digest
+//! agreement and supply conservation. The agreement set leaves out a
+//! crash/restart victim, which may have missed in-flight messages for
+//! good. Any violation is reported as a [`Counterexample`] carrying the
+//! scenario, backend label, failure detail, and the replayable
+//! [`Schedule`].
 
 use crate::explorer::{dfs_schedules, format_schedule, random_schedule, CrashPlan, Schedule};
-use at_broadcast::auth::NoAuth;
-use at_broadcast::bracha::BrachaBroadcast;
-use at_broadcast::echo::EchoBroadcast;
-use at_broadcast::pbft::PbftBroadcast;
-use at_broadcast::secure::{AccountOrderBackend, SecureBroadcast};
-use at_engine::probe::{
-    check_fifo_contract, history_from_events, rejections_locally_justified, TimedEvent,
+use at_broadcast::secure::SecureBroadcast;
+use at_engine::probe::{validate_recorded, Failure, FailureKind, RecordedRun};
+use at_engine::{
+    Adversary, BackendVisitor, BroadcastBackend, EngineActor, EngineConfig, EnginePayload,
 };
-use at_engine::{EngineActor, EngineConfig, EnginePayload};
-use at_model::{
-    linearizable_bounded, AccountId, Amount, BoundedOutcome, CheckBudget, Ledger, ProcessId,
-    Transfer,
-};
+use at_model::{AccountId, Amount, Decode, Encode, ProcessId};
 use at_net::{NetConfig, Simulation, VirtualTime};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
-
-/// The Byzantine behaviour a scenario assigns to one process.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckAdversary {
-    /// Split-broadcasts conflicting batches (double-spend attempts).
-    Equivocate,
-    /// Broadcasts transfers it cannot fund.
-    Overspend,
-}
 
 /// A small closed system for the explorer to model-check.
 #[derive(Clone, Debug)]
@@ -73,7 +47,7 @@ pub struct CheckScenario {
     /// amount)`, all scheduled at time zero.
     pub transfers: Vec<(u32, u32, u64)>,
     /// At most one Byzantine process (it launches two attacks).
-    pub adversary: Option<(u32, CheckAdversary)>,
+    pub adversary: Option<(u32, Adversary)>,
     /// A process the random walk crashes and later restarts at
     /// rng-chosen points.
     pub crash_restart: Option<u32>,
@@ -99,7 +73,7 @@ impl CheckScenario {
     }
 
     /// Assigns a Byzantine behaviour to `process`.
-    pub fn with_adversary(mut self, process: u32, adversary: CheckAdversary) -> Self {
+    pub fn with_adversary(mut self, process: u32, adversary: Adversary) -> Self {
         assert!((process as usize) < self.n, "adversary out of range");
         self.adversary = Some((process, adversary));
         self
@@ -112,11 +86,16 @@ impl CheckScenario {
         self
     }
 
+    /// The adversary role of `process`, if any.
+    pub fn role_of(&self, process: ProcessId) -> Option<Adversary> {
+        let (byzantine, role) = self.adversary?;
+        (byzantine == process.index()).then_some(role)
+    }
+
     /// Whether `process` follows the protocol (crash/restart victims
     /// do — they are faulty, not Byzantine).
     pub fn is_correct(&self, process: ProcessId) -> bool {
-        self.adversary != Some((process.index(), CheckAdversary::Equivocate))
-            && self.adversary != Some((process.index(), CheckAdversary::Overspend))
+        self.role_of(process).is_none()
     }
 
     /// Whether `process` participates in the convergence (digest)
@@ -150,10 +129,10 @@ pub fn standard_check_scenarios() -> Vec<CheckScenario> {
         ),
         // A double-spending equivocator among three correct processes.
         CheckScenario::new("equivocator", 4, 20, vec![(1, 2, 5), (2, 3, 5), (3, 1, 5)])
-            .with_adversary(0, CheckAdversary::Equivocate),
+            .with_adversary(0, Adversary::Equivocate),
         // An overspender: delivered everywhere, must validate nowhere.
         CheckScenario::new("overspender", 4, 10, vec![(0, 1, 2), (1, 2, 3), (2, 0, 4)])
-            .with_adversary(3, CheckAdversary::Overspend),
+            .with_adversary(3, Adversary::Overspend),
         // One process crashes mid-protocol and restarts with its state.
         CheckScenario::new(
             "crash-restart",
@@ -163,59 +142,6 @@ pub fn standard_check_scenarios() -> Vec<CheckScenario> {
         )
         .with_crash_restart(2),
     ]
-}
-
-/// The secure-broadcast backend an exploration runs against.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckBackend {
-    /// Bracha reliable broadcast (signature-free `O(n²)`).
-    Bracha,
-    /// Signed-echo broadcast under authenticated channels.
-    SignedEcho,
-    /// The Section 6 account-order broadcast.
-    AccountOrder,
-    /// The consensus baseline: PBFT total order released per source.
-    Pbft,
-    /// Seeded mutation: signed echo with its quorum one below the
-    /// intersection threshold (`broken` feature).
-    #[cfg(feature = "broken")]
-    BrokenQuorum,
-    /// Seeded mutation: Bracha behind a delivery-reordering wrapper that
-    /// violates per-source FIFO (`broken` feature).
-    #[cfg(feature = "broken")]
-    BrokenFifo,
-    /// Seeded mutation: PBFT whose pre-prepare discards the votes that
-    /// overtook it (`broken` feature).
-    #[cfg(feature = "broken")]
-    BrokenPbftVotes,
-}
-
-impl CheckBackend {
-    /// The four production backends.
-    pub fn all() -> Vec<CheckBackend> {
-        vec![
-            CheckBackend::Bracha,
-            CheckBackend::SignedEcho,
-            CheckBackend::AccountOrder,
-            CheckBackend::Pbft,
-        ]
-    }
-
-    /// A short label for report keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            CheckBackend::Bracha => "bracha",
-            CheckBackend::SignedEcho => "echo",
-            CheckBackend::AccountOrder => "acctorder",
-            CheckBackend::Pbft => "pbft",
-            #[cfg(feature = "broken")]
-            CheckBackend::BrokenQuorum => "broken-quorum",
-            #[cfg(feature = "broken")]
-            CheckBackend::BrokenFifo => "broken-fifo",
-            #[cfg(feature = "broken")]
-            CheckBackend::BrokenPbftVotes => "broken-pbft-votes",
-        }
-    }
 }
 
 /// How much schedule space one [`explore`] call covers.
@@ -261,40 +187,6 @@ impl ExploreBudget {
             check_nodes: 200_000,
         }
     }
-}
-
-/// The invariant class a counterexample violated.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FailureKind {
-    /// The reconstructed history admits no legal linearization.
-    NotLinearizable,
-    /// Correct replicas ended in different ledger states.
-    Divergence,
-    /// One `(source, seq)` resolved to two different transfers.
-    Conflict,
-    /// A backend broke the FIFO-exactly-once delivery contract.
-    Contract,
-    /// A replica rejected a submission it could actually fund (negative
-    /// responses must be justified by the local balance).
-    UnjustifiedRejection,
-    /// A correct replica's total supply changed.
-    Supply,
-    /// The execution failed to quiesce within the step cap.
-    Incomplete,
-    /// A transport gave up on frames (`dropped_frames() > 0` or
-    /// discarded ingest), so the reliable-channel regime the protocols
-    /// assume did not hold — live-cluster runs (`at-chaos`) must end
-    /// with every injected fault healed *and* zero real loss.
-    FrameLoss,
-}
-
-/// One invariant violation with its human-readable evidence.
-#[derive(Clone, Debug)]
-pub struct Failure {
-    /// The invariant class.
-    pub kind: FailureKind,
-    /// Evidence (history dump, digests, the offending delivery, …).
-    pub detail: String,
 }
 
 /// A replayable counterexample: everything needed to reproduce one
@@ -346,37 +238,23 @@ pub struct ExplorationReport {
 /// [module docs](self) for the invariants checked per execution).
 pub fn explore(
     scenario: &CheckScenario,
-    backend: CheckBackend,
+    backend: BroadcastBackend,
     budget: &ExploreBudget,
 ) -> ExplorationReport {
-    match backend {
-        CheckBackend::Bracha => explore_with(scenario, backend.label(), budget, |me, n| {
-            BrachaBroadcast::new(me, n)
-        }),
-        CheckBackend::SignedEcho => explore_with(scenario, backend.label(), budget, |me, n| {
-            EchoBroadcast::new(me, n, NoAuth)
-        }),
-        CheckBackend::AccountOrder => explore_with(scenario, backend.label(), budget, |me, n| {
-            AccountOrderBackend::new(me, n, NoAuth)
-        }),
-        CheckBackend::Pbft => explore_with(scenario, backend.label(), budget, |me, n| {
-            PbftBroadcast::new(me, n)
-        }),
-        #[cfg(feature = "broken")]
-        CheckBackend::BrokenQuorum => explore_with(scenario, backend.label(), budget, |me, n| {
-            crate::broken::broken_quorum_echo(me, n)
-        }),
-        #[cfg(feature = "broken")]
-        CheckBackend::BrokenFifo => explore_with(scenario, backend.label(), budget, |me, n| {
-            crate::broken::FifoBreaker::new(BrachaBroadcast::new(me, n))
-        }),
-        #[cfg(feature = "broken")]
-        CheckBackend::BrokenPbftVotes => {
-            explore_with(scenario, backend.label(), budget, |me, n| {
-                crate::broken::vote_forgetting_pbft(me, n)
-            })
+    struct Exploration<'a>(&'a CheckScenario, &'static str, &'a ExploreBudget);
+    impl BackendVisitor for Exploration<'_> {
+        type Output = ExplorationReport;
+        fn visit<B, F>(self, make: F) -> ExplorationReport
+        where
+            B: SecureBroadcast<EnginePayload> + 'static,
+            B::Msg: Encode + Decode + Send + 'static,
+            F: Fn(ProcessId) -> B,
+        {
+            explore_with(self.0, self.1, self.2, make)
         }
     }
+    let exploration = Exploration(scenario, backend.label(), budget);
+    backend.build(scenario.n, budget.random_seed, exploration)
 }
 
 /// Builds the scenario's simulation over backend endpoints from `make`.
@@ -384,21 +262,13 @@ pub fn explore(
 fn build_sim<B, F>(scenario: &CheckScenario, make: &F) -> Simulation<EngineActor<B>>
 where
     B: SecureBroadcast<EnginePayload> + 'static,
-    F: Fn(ProcessId, usize) -> B,
+    F: Fn(ProcessId) -> B,
 {
     let n = scenario.n;
     let initial = Amount::new(scenario.initial);
     let config = EngineConfig::unsharded();
     let actors: Vec<EngineActor<B>> = ProcessId::all(n)
-        .map(|p| match scenario.adversary {
-            Some((process, CheckAdversary::Equivocate)) if process == p.index() => {
-                EngineActor::equivocator(p, n, initial, config, make(p, n))
-            }
-            Some((process, CheckAdversary::Overspend)) if process == p.index() => {
-                EngineActor::overspender(p, n, initial, config, make(p, n))
-            }
-            _ => EngineActor::honest(p, n, initial, config, make(p, n)),
-        })
+        .map(|p| EngineActor::new(scenario.role_of(p), p, n, initial, config, make(p)))
         .collect();
     let mut sim = Simulation::new(actors, NetConfig::instant(0));
     for &(from, to, amount) in &scenario.transfers {
@@ -422,143 +292,6 @@ where
         }
     }
     sim
-}
-
-/// One finished execution reduced to what the invariants need — the
-/// common denominator of a simulator run and a recorded live-cluster
-/// run (`at-chaos` builds one from an `at_node::EventProbe` recording
-/// plus the cluster's final reports; [`evaluate`] builds one from a
-/// drained simulation).
-#[derive(Clone, Debug)]
-pub struct RecordedRun {
-    /// System size (processes == accounts).
-    pub n: usize,
-    /// Initial balance of every account.
-    pub initial: u64,
-    /// The merged engine event stream, in a real-time-consistent order.
-    pub events: Vec<TimedEvent>,
-    /// Final ledger digest of every replica in the agreement set.
-    pub digests: Vec<(ProcessId, u64)>,
-    /// Final total supply of every correct replica.
-    pub supplies: Vec<(ProcessId, u64)>,
-}
-
-/// Checks every safety invariant of one [`RecordedRun`] — the same
-/// battery [`explore`] applies per simulated schedule, over artifacts
-/// any runtime can produce. Returns `(failure, unknown)` where
-/// `unknown` marks a linearizability check that exhausted its node
-/// budget (neither verdict).
-///
-/// The battery, in order: negative admission responses are justified by
-/// the rejecting replica's local balance
-/// ([`at_engine::probe::rejections_locally_justified`]); every backend
-/// delivery stream is per-source FIFO-exactly-once
-/// ([`at_engine::probe::check_fifo_contract`]); no `(source, seq)`
-/// resolves to two different transfers at correct observers (from the
-/// `Applied` event streams); agreement-set digests agree; every correct
-/// replica conserves the supply; and the reconstructed client history
-/// linearizes ([`at_model::linearizable_bounded`]).
-pub fn validate_recorded(
-    run: &RecordedRun,
-    is_correct: impl Fn(ProcessId) -> bool,
-    check_nodes: usize,
-) -> (Option<Failure>, bool) {
-    let n = run.n;
-    // Negative responses stay out of the real-time history (see
-    // `at_engine::probe`) but must each be justified by the rejecting
-    // replica's local balance.
-    if let Err((_, observer, event)) =
-        rejections_locally_justified(&run.events, &is_correct, |account| {
-            (account.index() as usize) < n
-        })
-    {
-        return (
-            Some(Failure {
-                kind: FailureKind::UnjustifiedRejection,
-                detail: format!("replica {observer} rejected a fundable submission: {event:?}"),
-            }),
-            false,
-        );
-    }
-
-    // The backend delivery contract, observed at every correct replica
-    // (including a crash/restart victim: loss shortens its delivered
-    // prefix but never reorders it).
-    if let Err(violation) = check_fifo_contract(&run.events, &is_correct) {
-        return (
-            Some(Failure {
-                kind: FailureKind::Contract,
-                detail: violation.to_string(),
-            }),
-            false,
-        );
-    }
-
-    // Agreement: conflicting applications anywhere, digest divergence
-    // within the agreement set.
-    let mut by_seq: BTreeMap<(ProcessId, u64), BTreeSet<Transfer>> = BTreeMap::new();
-    for (_, observer, event) in &run.events {
-        if let at_engine::replica::EngineEvent::Applied { transfer } = event {
-            if is_correct(*observer) {
-                by_seq
-                    .entry((transfer.originator, transfer.seq.value()))
-                    .or_default()
-                    .insert(*transfer);
-            }
-        }
-    }
-    if let Some(((source, seq), transfers)) = by_seq.iter().find(|(_, set)| set.len() > 1) {
-        return (
-            Some(Failure {
-                kind: FailureKind::Conflict,
-                detail: format!(
-                    "({source}, seq {seq}) resolved to {} different transfers: {transfers:?}",
-                    transfers.len()
-                ),
-            }),
-            false,
-        );
-    }
-    if run.digests.windows(2).any(|w| w[0].1 != w[1].1) {
-        return (
-            Some(Failure {
-                kind: FailureKind::Divergence,
-                detail: format!("correct replicas diverged: digests {:?}", run.digests),
-            }),
-            false,
-        );
-    }
-
-    // Conservation at every correct replica.
-    let expected_supply = run.initial * n as u64;
-    for (p, supply) in &run.supplies {
-        if *supply != expected_supply {
-            return (
-                Some(Failure {
-                    kind: FailureKind::Supply,
-                    detail: format!("replica {p}: supply {supply} != {expected_supply}"),
-                }),
-                false,
-            );
-        }
-    }
-
-    // Linearizability of the reconstructed history.
-    let history = history_from_events(&run.events, &is_correct);
-    let initial = Ledger::uniform(n, Amount::new(run.initial));
-    match linearizable_bounded(&history, &initial, CheckBudget::nodes(check_nodes)) {
-        BoundedOutcome::Linearizable { .. } => (None, false),
-        BoundedOutcome::NotLinearizable => (
-            Some(Failure {
-                kind: FailureKind::NotLinearizable,
-                detail: format!("history:\n{history}"),
-            }),
-            false,
-        ),
-        // Exhaustion is always "unchecked", even at explored == 0 (a
-        // zero-node budget must not silently certify executions).
-        BoundedOutcome::BudgetExhausted { .. } => (None, true),
-    }
 }
 
 /// Drains the execution, injects the final reads, reduces the simulation
@@ -603,11 +336,8 @@ fn evaluate<B: SecureBroadcast<EnginePayload>>(
     assert!(sim.run_until_quiet(100_000), "reads must not enqueue work");
     let events = sim.take_events();
 
-    // Reduce the finished simulation to runtime-agnostic artifacts and
-    // hand them to the shared validator battery. The per-(source, seq)
-    // conflict check reads the correct observers' `Applied` event
-    // streams — the applications themselves, as any runtime records
-    // them — instead of reaching into simulator replica internals.
+    // Reduce the finished simulation to the battery's runtime-agnostic
+    // artifacts: events, final digests and supplies.
     let honest: Vec<(ProcessId, &at_engine::ShardedReplica<B>)> = ProcessId::all(n)
         .filter(|p| scenario.is_correct(*p))
         .map(|p| (p, sim.actor(p).as_honest().expect("correct actor")))
@@ -629,8 +359,11 @@ fn evaluate<B: SecureBroadcast<EnginePayload>>(
     validate_recorded(&run, |p| scenario.is_correct(p), check_nodes)
 }
 
-/// The generic exploration loop: random walks, then the bounded DFS.
-fn explore_with<B, F>(
+/// The generic exploration loop over the endpoints `make` builds: random
+/// walks, then the bounded DFS. `backend` labels the report and its
+/// counterexamples. [`explore`] runs it over a [`BroadcastBackend`]; the
+/// seeded mutations (`broken` feature) call it directly.
+pub(crate) fn explore_with<B, F>(
     scenario: &CheckScenario,
     backend: &'static str,
     budget: &ExploreBudget,
@@ -638,7 +371,7 @@ fn explore_with<B, F>(
 ) -> ExplorationReport
 where
     B: SecureBroadcast<EnginePayload> + 'static,
-    F: Fn(ProcessId, usize) -> B,
+    F: Fn(ProcessId) -> B,
 {
     let build = || build_sim(scenario, &make);
     let mut distinct: BTreeSet<Schedule> = BTreeSet::new();
@@ -724,7 +457,7 @@ mod tests {
     fn clean_backends_survive_a_quick_exploration() {
         let budget = ExploreBudget::quick();
         for scenario in &standard_check_scenarios()[..2] {
-            for backend in CheckBackend::all() {
+            for backend in BroadcastBackend::ALL {
                 let report = explore(scenario, backend, &budget);
                 assert!(
                     report.violations.is_empty(),
@@ -749,7 +482,7 @@ mod tests {
         let scenario = &standard_check_scenarios()[2];
         assert_eq!(scenario.name, "equivocator");
         let budget = ExploreBudget::quick();
-        for backend in CheckBackend::all() {
+        for backend in BroadcastBackend::ALL {
             let report = explore(scenario, backend, &budget);
             assert!(
                 report.violations.is_empty(),
@@ -766,7 +499,7 @@ mod tests {
             .into_iter()
             .find(|s| s.crash_restart.is_some())
             .expect("crash scenario");
-        let report = explore(&scenario, CheckBackend::Bracha, &ExploreBudget::quick());
+        let report = explore(&scenario, BroadcastBackend::Bracha, &ExploreBudget::quick());
         assert!(report.violations.is_empty(), "{}", report.violations[0]);
         // Crash choices actually entered the schedules.
         assert!(report.executions > 0);
@@ -775,8 +508,7 @@ mod tests {
     #[test]
     fn validate_recorded_flags_synthetic_violations() {
         use at_engine::replica::EngineEvent;
-        use at_model::{AccountId, SeqNo};
-        use at_net::VirtualTime;
+        use at_model::{SeqNo, Transfer};
         let p = ProcessId::new;
         let a = AccountId::new;
         let clean = RecordedRun {

@@ -14,6 +14,12 @@
 //! 3. correct replicas converged (digest agreement, no conflicting
 //!    `(source, seq)` applications, conserved supply).
 //!
+//! The checks are at-engine's one validator battery
+//! ([`validate_recorded`], re-exported here with its [`RecordedRun`] and
+//! [`Failure`]), the same one the live-cluster chaos runner applies, and
+//! a backend is named the one way the engine names it: [`explore`] takes
+//! an [`at_engine::BroadcastBackend`].
+//!
 //! The explorer drives [`at_net::Simulation`] through its
 //! schedule-controller hook ([`at_net::Simulation::pending`] /
 //! [`at_net::Simulation::step_entry`]): a seeded random-walk sampler plus
@@ -21,18 +27,21 @@
 //! Schedules are recorded as replayable [`Choice`] lists, so every
 //! [`Counterexample`] reproduces bit-for-bit.
 //!
-//! The `broken` feature adds seeded mutations (a quorum off-by-one, a
-//! FIFO-violating delivery wrapper) that CI runs to prove the harness
-//! actually catches bugs — see [`broken`].
+//! The `broken` feature adds three seeded mutations (a quorum
+//! off-by-one, a FIFO-violating delivery wrapper, PBFT forgetting the
+//! votes that overtake a pre-prepare) that CI runs through the generic
+//! `explore_with` to prove the harness actually catches bugs — see
+//! [`broken`].
 //!
 //! # Example
 //!
 //! ```
-//! use at_check::{explore, standard_check_scenarios, CheckBackend, ExploreBudget};
+//! use at_check::{explore, standard_check_scenarios, ExploreBudget};
+//! use at_engine::BroadcastBackend;
 //!
 //! let scenarios = standard_check_scenarios();
 //! let budget = ExploreBudget::quick();
-//! let report = explore(&scenarios[0], CheckBackend::Bracha, &budget);
+//! let report = explore(&scenarios[0], BroadcastBackend::Bracha, &budget);
 //! // Many distinct interleavings, zero violations of the AT spec.
 //! assert!(report.distinct_schedules >= 4);
 //! assert!(report.violations.is_empty());
@@ -47,12 +56,12 @@ pub mod broken;
 pub mod explorer;
 pub mod harness;
 
+pub use at_engine::probe::{validate_recorded, Failure, FailureKind, RecordedRun};
 pub use explorer::{
     apply_choice, dfs_schedules, format_schedule, random_schedule, replay, Choice, CrashPlan,
     Schedule,
 };
 pub use harness::{
-    explore, standard_check_scenarios, validate_recorded, CheckAdversary, CheckBackend,
-    CheckScenario, Counterexample, ExplorationReport, ExploreBudget, Failure, FailureKind,
-    RecordedRun,
+    explore, standard_check_scenarios, CheckScenario, Counterexample, ExplorationReport,
+    ExploreBudget,
 };

@@ -28,6 +28,7 @@
 
 use crate::config::EngineConfig;
 use crate::replica::{EngineEvent, EnginePayload, ShardedReplica};
+use crate::scenario::Adversary;
 use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::Batch;
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer, TransferMsg};
@@ -115,44 +116,24 @@ pub enum EngineActor<B: SecureBroadcast<EnginePayload> = crate::replica::Default
 }
 
 impl<B: SecureBroadcast<EnginePayload>> EngineActor<B> {
-    /// A correct participant over `backend`.
-    pub fn honest(
+    /// The participant `role` names over `backend`: honest for `None`.
+    pub fn new(
+        role: Option<Adversary>,
         me: ProcessId,
         n: usize,
         initial: Amount,
         config: EngineConfig,
         backend: B,
     ) -> Self {
-        EngineActor::Honest(ShardedReplica::with_backend(
-            me, n, initial, config, backend,
-        ))
-    }
-
-    /// An equivocating participant over `backend`.
-    pub fn equivocator(
-        me: ProcessId,
-        n: usize,
-        initial: Amount,
-        config: EngineConfig,
-        backend: B,
-    ) -> Self {
-        EngineActor::Equivocator(AttackerState::new(me, n, initial, config, backend))
-    }
-
-    /// An overspending participant over `backend`.
-    pub fn overspender(
-        me: ProcessId,
-        n: usize,
-        initial: Amount,
-        config: EngineConfig,
-        backend: B,
-    ) -> Self {
-        EngineActor::Overspender(AttackerState::new(me, n, initial, config, backend))
-    }
-
-    /// Whether this participant follows the protocol.
-    pub fn is_honest(&self) -> bool {
-        matches!(self, EngineActor::Honest(_))
+        let attacker = |backend| AttackerState::new(me, n, initial, config, backend);
+        match role {
+            None => EngineActor::Honest(ShardedReplica::with_backend(
+                me, n, initial, config, backend,
+            )),
+            Some(Adversary::Equivocate) => EngineActor::Equivocator(attacker(backend)),
+            Some(Adversary::Overspend) => EngineActor::Overspender(attacker(backend)),
+            Some(Adversary::Silent) => EngineActor::Silent,
+        }
     }
 
     /// The honest replica inside, when this participant is honest.
@@ -262,7 +243,7 @@ mod tests {
         n: usize,
         byzantine: u32,
         make_backend: F,
-        make_attacker: fn(ProcessId, usize, Amount, EngineConfig, B) -> EngineActor<B>,
+        role: Adversary,
     ) -> Simulation<EngineActor<B>>
     where
         B: SecureBroadcast<EnginePayload> + 'static,
@@ -270,23 +251,9 @@ mod tests {
     {
         let actors = (0..n as u32)
             .map(|i| {
-                if i == byzantine {
-                    make_attacker(
-                        p(i),
-                        n,
-                        amt(100),
-                        EngineConfig::unsharded(),
-                        make_backend(p(i)),
-                    )
-                } else {
-                    EngineActor::honest(
-                        p(i),
-                        n,
-                        amt(100),
-                        EngineConfig::unsharded(),
-                        make_backend(p(i)),
-                    )
-                }
+                let role = (i == byzantine).then_some(role);
+                let config = EngineConfig::unsharded();
+                EngineActor::new(role, p(i), n, amt(100), config, make_backend(p(i)))
             })
             .collect();
         Simulation::new(actors, NetConfig::lan(9))
@@ -321,21 +288,21 @@ mod tests {
             n,
             0,
             |me| BrachaBroadcast::new(me, n),
-            EngineActor::equivocator,
+            Adversary::Equivocate,
         );
         assert_no_double_spend(&mut sim, 0, n);
         let mut sim = mixed_system(
             n,
             0,
             |me| EchoBroadcast::new(me, n, NoAuth),
-            EngineActor::equivocator,
+            Adversary::Equivocate,
         );
         assert_no_double_spend(&mut sim, 0, n);
         let mut sim = mixed_system(
             n,
             0,
             |me| AccountOrderBackend::new(me, n, NoAuth),
-            EngineActor::equivocator,
+            Adversary::Equivocate,
         );
         assert_no_double_spend(&mut sim, 0, n);
     }
@@ -343,12 +310,7 @@ mod tests {
     #[test]
     fn overspend_is_delivered_but_never_validates() {
         let n = 4;
-        let mut sim = mixed_system(
-            n,
-            1,
-            |me| BrachaBroadcast::new(me, n),
-            EngineActor::overspender,
-        );
+        let mut sim = mixed_system(n, 1, |me| BrachaBroadcast::new(me, n), Adversary::Overspend);
         sim.schedule(VirtualTime::ZERO, p(1), |actor, ctx| actor.attack(0, ctx));
         assert!(sim.run_until_quiet(1_000_000));
         for i in [0usize, 2, 3] {
@@ -363,17 +325,9 @@ mod tests {
         let n = 4;
         let actors = (0..n as u32)
             .map(|i| {
-                if i == 3 {
-                    EngineActor::Silent
-                } else {
-                    EngineActor::honest(
-                        p(i),
-                        n,
-                        amt(100),
-                        EngineConfig::unsharded(),
-                        BrachaBroadcast::new(p(i), n),
-                    )
-                }
+                let role = (i == 3).then_some(Adversary::Silent);
+                let backend = BrachaBroadcast::new(p(i), n);
+                EngineActor::new(role, p(i), n, amt(100), EngineConfig::unsharded(), backend)
             })
             .collect();
         let mut sim = Simulation::new(actors, NetConfig::lan(4));
@@ -394,17 +348,23 @@ mod tests {
 
     #[test]
     fn attack_on_honest_actor_is_a_no_op() {
-        let mut actor = EngineActor::honest(
+        let mut actor = EngineActor::new(
+            None,
             p(0),
             3,
             amt(10),
             EngineConfig::unsharded(),
             BrachaBroadcast::new(p(0), 3),
         );
-        assert!(actor.is_honest());
         assert!(actor.as_honest().is_some());
-        let silent = EngineActor::<BrachaBroadcast<EnginePayload>>::Silent;
-        assert!(!silent.is_honest());
+        let silent = EngineActor::new(
+            Some(Adversary::Silent),
+            p(1),
+            3,
+            amt(10),
+            EngineConfig::unsharded(),
+            BrachaBroadcast::<EnginePayload>::new(p(1), 3),
+        );
         assert!(silent.as_honest().is_none());
         // Submitting on a silent actor does nothing (and must not panic).
         let actors: Vec<EngineActor> = vec![EngineActor::Silent, EngineActor::Silent];

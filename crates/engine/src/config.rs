@@ -1,6 +1,13 @@
 //! Engine runtime configuration: broadcast backend, batching and the
-//! account count.
+//! account count — and the one dispatch from a [`BroadcastBackend`] to
+//! the endpoints it names.
 
+use crate::replica::EnginePayload;
+use at_broadcast::{
+    AccountOrderBackend, BrachaBroadcast, EchoBroadcast, EdAuth, NoAuth, PbftBroadcast,
+    SecureBroadcast,
+};
+use at_model::{Decode, Encode, ProcessId};
 use at_net::VirtualTime;
 
 /// How the signed broadcast backends authenticate messages.
@@ -20,19 +27,20 @@ pub enum AuthMode {
 
 /// The secure-broadcast protocol carrying the engine's batches — the
 /// paper's Section 5 observation that the broadcast layer is swappable,
-/// as a runtime knob.
+/// as a runtime knob. [`BroadcastBackend::build`] is the one place a
+/// value of this type becomes endpoints.
 ///
 /// | backend | rounds | messages/instance | signatures |
 /// |---|---|---|---|
 /// | `Bracha` | 3 one-way delays | `O(n²)` | none |
-/// | `SignedEcho` | 2 round trips | `3(n−1)` (+`(n−1)(n−2)` optional relays) | sender + echo quorum |
+/// | `SignedEcho` | 2 round trips | `3(n−1)` + `(n−1)(n−2)` relays | sender + echo quorum |
 /// | `AccountOrder` | the same signed echo; an echo waits for the account's previous delivery | the same | the same |
 /// | `Pbft` | hop to the leader + 3 one-way delays | `O(n²)` | none |
 ///
-/// A relay is a delivered FINAL handed on for totality: every process
-/// but the source relays to every process except itself, the peer its
-/// copy came from and the source — the ones it has authenticated as
-/// holding the certificate already.
+/// A relay is a delivered FINAL handed on for totality against a
+/// Byzantine sender: every process but the source relays to every
+/// process except itself, the peer its copy came from and the source —
+/// the ones it has authenticated as holding the certificate already.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BroadcastBackend {
     /// Bracha's reliable broadcast — the paper's deployed "naive
@@ -44,10 +52,6 @@ pub enum BroadcastBackend {
     SignedEcho {
         /// Signing scheme.
         auth: AuthMode,
-        /// Relay certificates on delivery (totality against Byzantine
-        /// senders, `(n−1)(n−2)` extra messages). Disable for
-        /// honest-sender cost measurements.
-        forward_final: bool,
     },
     /// The Section 6 account-order broadcast in the base topology
     /// (account `i` owned by process `i`): the signed echo under the
@@ -56,9 +60,6 @@ pub enum BroadcastBackend {
     AccountOrder {
         /// Signing scheme.
         auth: AuthMode,
-        /// Forward certificates on delivery (see
-        /// [`BroadcastBackend::SignedEcho::forward_final`]).
-        forward_final: bool,
     },
     /// The consensus baseline: PBFT total order over all processes
     /// ([`at_broadcast::PbftBroadcast`]) — more than the object needs,
@@ -67,53 +68,79 @@ pub enum BroadcastBackend {
     Pbft,
 }
 
+/// What a caller runs over the backend [`BroadcastBackend::build`]
+/// chose: one method, generic in the endpoint type, handed the
+/// constructor of each process's endpoint.
+pub trait BackendVisitor {
+    /// What the run produces.
+    type Output;
+
+    /// Runs over the endpoints `make` builds, one per process.
+    fn visit<B, F>(self, make: F) -> Self::Output
+    where
+        B: SecureBroadcast<EnginePayload> + 'static,
+        B::Msg: Encode + Decode + Send + 'static,
+        F: Fn(ProcessId) -> B;
+}
+
 impl BroadcastBackend {
-    /// Signed echo under authenticated channels, forwarding on.
-    pub fn signed_echo() -> Self {
+    /// Every protocol once, under authenticated channels: the line-up
+    /// the gates, the explorer and the demos run.
+    pub const ALL: [BroadcastBackend; 4] = [
+        BroadcastBackend::Bracha,
+        BroadcastBackend::signed_echo(),
+        BroadcastBackend::account_order(),
+        BroadcastBackend::Pbft,
+    ];
+
+    /// Signed echo under authenticated channels.
+    pub const fn signed_echo() -> Self {
         BroadcastBackend::SignedEcho {
             auth: AuthMode::None,
-            forward_final: true,
         }
     }
 
-    /// Signed echo with real Ed25519 signatures, forwarding on.
-    pub fn signed_echo_ed() -> Self {
-        BroadcastBackend::SignedEcho {
-            auth: AuthMode::Ed25519,
-            forward_final: true,
-        }
-    }
-
-    /// Account-order broadcast under authenticated channels, forwarding
-    /// on.
-    pub fn account_order() -> Self {
+    /// Account-order broadcast under authenticated channels.
+    pub const fn account_order() -> Self {
         BroadcastBackend::AccountOrder {
             auth: AuthMode::None,
-            forward_final: true,
         }
     }
 
     /// A short label for report keys and bench tables.
     pub fn label(&self) -> &'static str {
+        use AuthMode::Ed25519;
         match self {
-            BroadcastBackend::Bracha => "bracha",
-            BroadcastBackend::SignedEcho {
-                auth: AuthMode::None,
-                ..
-            } => "echo",
-            BroadcastBackend::SignedEcho {
-                auth: AuthMode::Ed25519,
-                ..
-            } => "echo-ed25519",
-            BroadcastBackend::AccountOrder {
-                auth: AuthMode::None,
-                ..
-            } => "acctorder",
-            BroadcastBackend::AccountOrder {
-                auth: AuthMode::Ed25519,
-                ..
-            } => "acctorder-ed25519",
-            BroadcastBackend::Pbft => "pbft",
+            Self::Bracha => "bracha",
+            Self::SignedEcho { auth: Ed25519 } => "echo-ed25519",
+            Self::SignedEcho { .. } => "echo",
+            Self::AccountOrder { auth: Ed25519 } => "acctorder-ed25519",
+            Self::AccountOrder { .. } => "acctorder",
+            Self::Pbft => "pbft",
+        }
+    }
+
+    /// Hands `visitor` the constructor of this backend's endpoints in an
+    /// `n`-process system. The Ed25519 modes share one deterministic key
+    /// store per call, derived from `seed`: each process signs with its
+    /// own key and verifies with everyone's public keys.
+    pub fn build<V: BackendVisitor>(self, n: usize, seed: u64, visitor: V) -> V::Output {
+        use AuthMode::Ed25519;
+        match self {
+            Self::Bracha => visitor.visit(|me| BrachaBroadcast::new(me, n)),
+            Self::SignedEcho { auth: Ed25519 } => {
+                let auth = EdAuth::deterministic(n, seed);
+                visitor.visit(move |me| EchoBroadcast::new(me, n, auth.clone()))
+            }
+            Self::SignedEcho { .. } => visitor.visit(|me| EchoBroadcast::new(me, n, NoAuth)),
+            Self::AccountOrder { auth: Ed25519 } => {
+                let auth = EdAuth::deterministic(n, seed);
+                visitor.visit(move |me| AccountOrderBackend::new(me, n, auth.clone()))
+            }
+            Self::AccountOrder { .. } => {
+                visitor.visit(|me| AccountOrderBackend::new(me, n, NoAuth))
+            }
+            Self::Pbft => visitor.visit(|me| PbftBroadcast::new(me, n)),
         }
     }
 }
@@ -295,16 +322,14 @@ mod tests {
     fn backend_builders_and_labels() {
         assert_eq!(BroadcastBackend::default().label(), "bracha");
         assert_eq!(BroadcastBackend::signed_echo().label(), "echo");
-        assert_eq!(BroadcastBackend::signed_echo_ed().label(), "echo-ed25519");
+        let signed_echo_ed = BroadcastBackend::SignedEcho {
+            auth: AuthMode::Ed25519,
+        };
+        assert_eq!(signed_echo_ed.label(), "echo-ed25519");
         assert_eq!(BroadcastBackend::account_order().label(), "acctorder");
         let config = EngineConfig::standard().with_backend(BroadcastBackend::signed_echo());
         assert_eq!(config.backend, BroadcastBackend::signed_echo());
-        assert!(matches!(
-            BroadcastBackend::signed_echo_ed(),
-            BroadcastBackend::SignedEcho {
-                auth: AuthMode::Ed25519,
-                forward_final: true,
-            }
-        ));
+        let labels = BroadcastBackend::ALL.map(|backend| backend.label());
+        assert_eq!(labels, ["bracha", "echo", "acctorder", "pbft"]);
     }
 }

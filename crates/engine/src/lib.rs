@@ -16,16 +16,20 @@
 //!   Bracha (`O(n²)`, signature-free), signed echo (`O(n)` sender cost,
 //!   optionally with real Ed25519 certificates), the Section 6
 //!   account-order broadcast, or — the consensus baseline, through the
-//!   same seam — a PBFT total order; see [`BroadcastBackend`];
+//!   same seam — a PBFT total order. [`BroadcastBackend`] is the only
+//!   name for a backend: [`BroadcastBackend::build`] turns one into
+//!   endpoints for the driver, the explorer and the chaos runner alike;
 //! * **a scenario DSL** ([`scenario`], [`suite`]) — workloads (uniform,
 //!   hot-spot, many-to-one, mixes) composed with adversaries
 //!   (equivocating double-spenders, overspenders, silent processes) and
 //!   network faults (partitions, lossy and slow links) on top of
 //!   [`at_net::Simulation`], all fully deterministic per seed;
 //! * **an engine driver API** ([`driver`]) — the [`Engine`] trait with
-//!   [`ConsensuslessEngine`], and [`BaselineEngine`] as that engine over
-//!   the PBFT backend, so benches, examples, and tests drive one code
-//!   path and produce comparable [`ScenarioReport`]s.
+//!   [`ConsensuslessEngine`] (the PBFT baseline is that engine over
+//!   [`BroadcastBackend::Pbft`]), so benches, examples, and tests drive
+//!   one code path and produce comparable [`ScenarioReport`]s, whose
+//!   safety fields come from the one validator battery ([`probe`]) the
+//!   explorer and the chaos runner apply to their runs too.
 //!
 //! # Example
 //!
@@ -67,11 +71,11 @@ pub mod snapshot;
 pub mod suite;
 
 pub use adversary::EngineActor;
-pub use config::{AuthMode, BatchPolicy, BroadcastBackend, EngineConfig};
-pub use driver::{BaselineEngine, ConsensuslessEngine, Engine};
+pub use config::{AuthMode, BackendVisitor, BatchPolicy, BroadcastBackend, EngineConfig};
+pub use driver::{ConsensuslessEngine, Engine};
 pub use probe::{
-    check_fifo_contract, history_from_events, rejections_locally_justified, ContractViolation,
-    TimedEvent,
+    check_fifo_contract, history_from_events, rejections_locally_justified, validate_recorded,
+    Failure, FailureKind, RecordedRun, TimedEvent,
 };
 pub use replica::{
     DefaultEngineBroadcast, DropDiagnostic, DropReason, EngineEvent, EngineMsg, EnginePayload,

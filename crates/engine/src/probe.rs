@@ -1,14 +1,13 @@
-//! Explorer-visible invariant probes: turning an engine event stream
-//! into checkable artifacts.
+//! Invariant probes, and the one validator battery built from them:
+//! turning an engine event stream into checkable artifacts.
 //!
-//! The schedule-exploration harness (`at-check`) runs many executions of
-//! the engine and needs, per execution: (a) an [`at_model::History`] of
-//! client invocations and responses to feed the linearizability checker,
-//! and (b) a verdict on whether the secure-broadcast backend upheld its
-//! per-source FIFO-exactly-once delivery contract. Both are derived
-//! purely from the `(time, process, event)` stream a simulation emits —
-//! the probes never reach into replica internals, so they observe the
-//! same executions any other harness does.
+//! The schedule explorer (`at-check`) and the chaos runner (`at-chaos`)
+//! reduce a run to a [`RecordedRun`] and apply [`validate_recorded`]; the
+//! scenario driver folds its conflict, digest and supply checks into a
+//! [`crate::ScenarioReport`] as the events stream past. Every check reads
+//! the `(time, process, event)` stream a runtime emits, or the final
+//! digests and supplies — never replica internals — so all three judge
+//! the same executions the same way.
 //!
 //! # History reconstruction
 //!
@@ -41,10 +40,11 @@
 
 use crate::replica::EngineEvent;
 use at_model::history::{History, OpId, Operation, Response};
-use at_model::{ProcessId, Transfer};
+use at_model::{
+    linearizable_bounded, Amount, BoundedOutcome, CheckBudget, Ledger, ProcessId, Transfer,
+};
 use at_net::VirtualTime;
 use std::collections::BTreeMap;
-use std::fmt;
 
 /// One engine event as a simulation surfaces it.
 pub type TimedEvent = (VirtualTime, ProcessId, EngineEvent);
@@ -104,6 +104,40 @@ pub fn history_from_events(
     history
 }
 
+/// The invariant class a [`Failure`] violated.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum FailureKind {
+    /// The reconstructed history admits no legal linearization.
+    NotLinearizable,
+    /// Correct replicas ended in different ledger states.
+    Divergence,
+    /// One `(source, seq)` resolved to two different transfers.
+    Conflict,
+    /// A backend broke the FIFO-exactly-once delivery contract.
+    Contract,
+    /// A replica rejected a submission it could actually fund (negative
+    /// responses must be justified by the local balance).
+    UnjustifiedRejection,
+    /// A correct replica's total supply changed.
+    Supply,
+    /// The execution failed to quiesce within the step cap.
+    Incomplete,
+    /// A transport gave up on frames (`dropped_frames() > 0` or
+    /// discarded ingest), so the reliable-channel regime the protocols
+    /// assume did not hold — live-cluster runs (`at-chaos`) must end
+    /// with every injected fault healed *and* zero real loss.
+    FrameLoss,
+}
+
+/// One invariant violation with its human-readable evidence.
+#[derive(Clone, Debug)]
+pub struct Failure {
+    /// The invariant class.
+    pub kind: FailureKind,
+    /// Evidence (history dump, digests, the offending delivery, …).
+    pub detail: String,
+}
+
 /// Checks every [`EngineEvent::Rejected`] of an accepted observer for
 /// local justification, mirroring both admission conditions of
 /// [`crate::replica::ShardedReplica::submit`]: the requested amount
@@ -112,53 +146,28 @@ pub fn history_from_events(
 /// harness's knowledge of the ledger topology). This is the
 /// rejection-side probe complementing [`history_from_events`] (which
 /// keeps negative responses *out* of the real-time history — see the
-/// [module docs](self)). Returns the offending event on failure.
+/// [module docs](self)). Names the offending event on failure.
 pub fn rejections_locally_justified(
     events: &[TimedEvent],
     include_observer: impl Fn(ProcessId) -> bool,
     account_exists: impl Fn(at_model::AccountId) -> bool,
-) -> Result<(), TimedEvent> {
-    for event in events {
-        if let (
-            _,
-            observer,
-            EngineEvent::Rejected {
-                destination,
-                amount,
-                available,
-            },
-        ) = event
+) -> Result<(), Failure> {
+    for (_, observer, event) in events {
+        if let EngineEvent::Rejected {
+            destination,
+            amount,
+            available,
+        } = event
         {
             if include_observer(*observer) && amount <= available && account_exists(*destination) {
-                return Err(event.clone());
+                return Err(Failure {
+                    kind: FailureKind::UnjustifiedRejection,
+                    detail: format!("replica {observer} rejected a fundable submission: {event:?}"),
+                });
             }
         }
     }
     Ok(())
-}
-
-/// A violation of the secure-broadcast delivery contract, as observed at
-/// one replica.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ContractViolation {
-    /// The replica that observed the bad delivery.
-    pub observer: ProcessId,
-    /// The broadcast source whose stream broke.
-    pub source: ProcessId,
-    /// The sequence number the contract required next.
-    pub expected: u64,
-    /// The sequence number actually delivered.
-    pub got: u64,
-}
-
-impl fmt::Display for ContractViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "replica {} saw seq {} from {} where the FIFO-exactly-once contract requires {}",
-            self.observer, self.got, self.source, self.expected
-        )
-    }
 }
 
 /// Checks the per-source FIFO-exactly-once delivery contract
@@ -170,7 +179,7 @@ impl fmt::Display for ContractViolation {
 pub fn check_fifo_contract(
     events: &[TimedEvent],
     include_observer: impl Fn(ProcessId) -> bool,
-) -> Result<(), ContractViolation> {
+) -> Result<(), Failure> {
     let mut next: BTreeMap<(ProcessId, ProcessId), u64> = BTreeMap::new();
     for (_, observer, event) in events {
         if let EngineEvent::BackendDelivery { source, seq } = event {
@@ -179,17 +188,175 @@ pub fn check_fifo_contract(
             }
             let slot = next.entry((*observer, *source)).or_insert(1);
             if seq.value() != *slot {
-                return Err(ContractViolation {
-                    observer: *observer,
-                    source: *source,
-                    expected: *slot,
-                    got: seq.value(),
+                return Err(Failure {
+                    kind: FailureKind::Contract,
+                    detail: format!(
+                        "replica {observer} saw seq {seq} from {source} where the \
+                         FIFO-exactly-once contract requires {slot}"
+                    ),
                 });
             }
             *slot += 1;
         }
     }
     Ok(())
+}
+
+/// The transfers correct replicas applied under each `(source, seq)`,
+/// folded one [`EngineEvent::Applied`] at a time — so a run is checked
+/// for conflicts without keeping its event stream.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct AppliedBySeq {
+    /// The transfer first applied under a `(source, seq)`, and how often.
+    first: BTreeMap<(ProcessId, u64), (Transfer, usize)>,
+    /// Every transfer applied under a `(source, seq)` that has several.
+    conflicting: BTreeMap<(ProcessId, u64), Vec<Transfer>>,
+}
+
+impl AppliedBySeq {
+    /// Records `transfer` as applied at a correct replica.
+    pub(crate) fn record(&mut self, transfer: Transfer) {
+        let key = (transfer.originator, transfer.seq.value());
+        let (first, count) = self.first.entry(key).or_insert((transfer, 0));
+        if *first == transfer {
+            *count += 1;
+            return;
+        }
+        let seen = self.conflicting.entry(key).or_insert_with(|| vec![*first]);
+        if !seen.contains(&transfer) {
+            seen.push(transfer);
+        }
+    }
+
+    /// Forgets every `(source, seq)` whose one transfer all `replicas`
+    /// correct replicas have applied: a replica applies at most one
+    /// transfer per `(source, seq)`, so its verdict is final.
+    pub(crate) fn settle(&mut self, replicas: usize) {
+        self.first.retain(|_, (_, count)| *count < replicas);
+    }
+
+    /// How many `(source, seq)` resolved to more than one transfer.
+    pub(crate) fn conflicts(&self) -> usize {
+        self.conflicting.len()
+    }
+
+    /// The first conflicting `(source, seq)`, as a failure.
+    pub(crate) fn check(&self) -> Result<(), Failure> {
+        match self.conflicting.iter().next() {
+            None => Ok(()),
+            Some(((source, seq), seen)) => Err(Failure {
+                kind: FailureKind::Conflict,
+                detail: format!(
+                    "({source}, seq {seq}) resolved to {} different transfers: {seen:?}",
+                    seen.len()
+                ),
+            }),
+        }
+    }
+}
+
+/// Agreement: every `(replica, ledger digest)` names the same digest.
+pub(crate) fn check_digests(digests: &[(ProcessId, u64)]) -> Result<(), Failure> {
+    if digests.windows(2).all(|w| w[0].1 == w[1].1) {
+        return Ok(());
+    }
+    Err(Failure {
+        kind: FailureKind::Divergence,
+        detail: format!("correct replicas diverged: digests {digests:?}"),
+    })
+}
+
+/// Conservation: every `(replica, total supply)` is `expected`.
+pub(crate) fn check_supply(supplies: &[(ProcessId, u64)], expected: u64) -> Result<(), Failure> {
+    match supplies.iter().find(|(_, supply)| *supply != expected) {
+        None => Ok(()),
+        Some((p, supply)) => Err(Failure {
+            kind: FailureKind::Supply,
+            detail: format!("replica {p}: supply {supply} != {expected}"),
+        }),
+    }
+}
+
+/// One finished execution reduced to what the invariants need — the
+/// common denominator of a simulated run (at-check builds one from a
+/// drained simulation) and a recorded live-cluster run (at-chaos builds
+/// one from an `at_node::EventProbe` recording plus the cluster's final
+/// reports).
+#[derive(Clone, Debug)]
+pub struct RecordedRun {
+    /// System size (processes == accounts).
+    pub n: usize,
+    /// Initial balance of every account.
+    pub initial: u64,
+    /// The merged engine event stream, in a real-time-consistent order.
+    pub events: Vec<TimedEvent>,
+    /// Final ledger digest of every replica in the agreement set.
+    pub digests: Vec<(ProcessId, u64)>,
+    /// Final total supply of every correct replica.
+    pub supplies: Vec<(ProcessId, u64)>,
+}
+
+/// Checks every safety invariant of one [`RecordedRun`] — the battery
+/// at-check applies per explored schedule and at-chaos per live run.
+/// Returns `(failure, unknown)` where `unknown` marks a linearizability
+/// check that exhausted its node budget (neither verdict).
+///
+/// The battery, in order: negative admission responses are justified by
+/// the rejecting replica's local balance
+/// ([`rejections_locally_justified`]); every backend delivery stream is
+/// per-source FIFO-exactly-once ([`check_fifo_contract`]); no
+/// `(source, seq)` resolves to two different transfers at correct
+/// observers (`AppliedBySeq`); agreement-set digests agree
+/// (`check_digests`); every correct replica conserves the supply
+/// (`check_supply`); and the reconstructed client history linearizes
+/// ([`at_model::linearizable_bounded`]).
+pub fn validate_recorded(
+    run: &RecordedRun,
+    is_correct: impl Fn(ProcessId) -> bool,
+    check_nodes: usize,
+) -> (Option<Failure>, bool) {
+    if let Err(failure) = check_safety(run, &is_correct) {
+        return (Some(failure), false);
+    }
+    let history = history_from_events(&run.events, &is_correct);
+    let initial = Ledger::uniform(run.n, Amount::new(run.initial));
+    match linearizable_bounded(&history, &initial, CheckBudget::nodes(check_nodes)) {
+        BoundedOutcome::Linearizable { .. } => (None, false),
+        BoundedOutcome::NotLinearizable => (
+            Some(Failure {
+                kind: FailureKind::NotLinearizable,
+                detail: format!("history:\n{history}"),
+            }),
+            false,
+        ),
+        // Exhaustion is always "unchecked", even at explored == 0 (a
+        // zero-node budget must not silently certify executions).
+        BoundedOutcome::BudgetExhausted { .. } => (None, true),
+    }
+}
+
+/// Every check of [`validate_recorded`] but linearizability.
+fn check_safety(run: &RecordedRun, is_correct: &impl Fn(ProcessId) -> bool) -> Result<(), Failure> {
+    // Negative responses stay out of the real-time history (see the
+    // module docs) but must each be justified by the rejecting replica's
+    // local balance.
+    let exists = |account: at_model::AccountId| (account.index() as usize) < run.n;
+    rejections_locally_justified(&run.events, is_correct, exists)?;
+    // The backend delivery contract, observed at every correct replica
+    // (including a crash/restart victim: loss shortens its delivered
+    // prefix but never reorders it).
+    check_fifo_contract(&run.events, is_correct)?;
+    let mut applied = AppliedBySeq::default();
+    for (_, observer, event) in &run.events {
+        if let EngineEvent::Applied { transfer } = event {
+            if is_correct(*observer) {
+                applied.record(*transfer);
+            }
+        }
+    }
+    applied.check()?;
+    check_digests(&run.digests)?;
+    check_supply(&run.supplies, run.initial * run.n as u64)
 }
 
 #[cfg(test)]
@@ -309,9 +476,32 @@ mod tests {
     }
 
     #[test]
+    fn settling_forgets_agreed_transfers_and_keeps_conflicts() {
+        let t = |to: u32, seq: u64| Transfer::new(a(0), a(to), amt(5), p(0), SeqNo::new(seq));
+        let mut applied = AppliedBySeq::default();
+        // Seq 1: all three replicas agree. Seq 2: two of them disagree.
+        for transfer in [t(1, 1), t(1, 1), t(1, 1), t(1, 2), t(2, 2)] {
+            applied.record(transfer);
+        }
+        applied.settle(3);
+        assert_eq!(applied.first.len(), 1, "only the undecided seq 2 is kept");
+        assert_eq!(applied.conflicts(), 1);
+        let failure = applied.check().unwrap_err();
+        assert_eq!(failure.kind, FailureKind::Conflict);
+        assert!(
+            failure.detail.contains("seq 2) resolved to 2"),
+            "{}",
+            failure.detail
+        );
+        // The third replica's application changes nothing settled.
+        applied.record(t(2, 2));
+        assert_eq!(applied.conflicts(), 1);
+    }
+
+    #[test]
     fn fifo_contract_holds_on_a_clean_run() {
         let events = run_events(3, vec![(0, 1, 1), (0, 2, 1), (1, 0, 1)]);
-        assert_eq!(check_fifo_contract(&events, |_| true), Ok(()));
+        assert!(check_fifo_contract(&events, |_| true).is_ok());
         // Deliveries actually happened (the probe is not vacuous).
         let deliveries = events
             .iter()
@@ -335,9 +525,13 @@ mod tests {
         // Gap: 1 then 3.
         let events = vec![delivery(0, 1, 1), delivery(0, 1, 3)];
         let violation = check_fifo_contract(&events, |_| true).unwrap_err();
-        assert_eq!(violation.expected, 2);
-        assert_eq!(violation.got, 3);
-        assert!(violation.to_string().contains("FIFO-exactly-once"));
+        assert_eq!(violation.kind, FailureKind::Contract);
+        assert!(
+            violation.detail.contains("saw seq 3"),
+            "{}",
+            violation.detail
+        );
+        assert!(violation.detail.contains("contract requires 2"));
         // Duplicate: 1 then 1.
         let events = vec![delivery(0, 1, 1), delivery(0, 1, 1)];
         assert!(check_fifo_contract(&events, |_| true).is_err());

@@ -112,8 +112,11 @@ pub enum Adversary {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Fault {
     /// Split the system into groups for waves `[from_wave, heal_wave)`;
-    /// cross-group messages in that window are dropped (no
-    /// retransmission — the reliable-channel assumption is suspended).
+    /// cross-group messages in that window are held back, not dropped,
+    /// and re-injected when the partition heals (or at the end of the
+    /// run, for a heal wave past the last) — the paper's reliable
+    /// channels delay a message, never lose it. Only
+    /// [`Fault::DropLink`] loses messages.
     Partition {
         /// The isolated groups.
         groups: Vec<Vec<ProcessId>>,

@@ -8,8 +8,8 @@
 //! Run with `cargo run -p at-examples --example engine_scenarios --release`.
 
 use at_engine::{
-    format_reports, run_suite, BaselineEngine, BroadcastBackend, ConsensuslessEngine, Engine,
-    EngineConfig, Scenario, ScenarioReport,
+    format_reports, run_suite, BroadcastBackend, ConsensuslessEngine, Engine, EngineConfig,
+    Scenario, ScenarioReport,
 };
 use at_examples::banner;
 use at_net::VirtualTime;
@@ -47,7 +47,10 @@ fn main() {
             8,
             VirtualTime::from_micros(500),
         ))),
-        Box::new(BaselineEngine::new(8)),
+        Box::new(ConsensuslessEngine::new(
+            EngineConfig::sharded_batched(1, 8, VirtualTime::from_millis(2))
+                .with_backend(BroadcastBackend::Pbft),
+        )),
     ];
     println!("{}", ScenarioReport::table_header());
     for engine in &engines {
@@ -66,12 +69,7 @@ fn main() {
     let scenario = Scenario::new("backends-12", 12).waves(3).seed(42);
     println!("{}", ScenarioReport::table_header());
     let mut digests = Vec::new();
-    for backend in [
-        BroadcastBackend::Bracha,
-        BroadcastBackend::signed_echo(),
-        BroadcastBackend::account_order(),
-        BroadcastBackend::Pbft,
-    ] {
+    for backend in BroadcastBackend::ALL {
         let engine = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend));
         let report = engine.run(&scenario);
         digests.push(report.balance_digest);

@@ -8,7 +8,7 @@
 //! Run with `cargo run -p at-examples --example payment_network`.
 
 use at_broadcast::bracha::BrachaBroadcast;
-use at_engine::{EngineActor, EngineConfig, EngineEvent};
+use at_engine::{Adversary, EngineActor, EngineConfig, EngineEvent};
 use at_examples::banner;
 use at_model::{AccountId, Amount, ProcessId, Transfer};
 use at_net::{NetConfig, Simulation, VirtualTime};
@@ -21,14 +21,17 @@ fn main() {
     banner("Payment network: 9 honest processes + 1 double spender");
     let actors: Vec<EngineActor> = (0..N as u32)
         .map(|i| {
-            let make = if i == EVE {
-                EngineActor::equivocator
-            } else {
-                EngineActor::honest
-            };
+            let role = (i == EVE).then_some(Adversary::Equivocate);
             let me = ProcessId::new(i);
             let backend = BrachaBroadcast::new(me, N);
-            make(me, N, Amount::new(50), EngineConfig::unsharded(), backend)
+            EngineActor::new(
+                role,
+                me,
+                N,
+                Amount::new(50),
+                EngineConfig::unsharded(),
+                backend,
+            )
         })
         .collect();
     let mut sim = Simulation::new(actors, NetConfig::lan(2024));

@@ -111,7 +111,10 @@ where
 
 fn assert_contract(events: &[TimedEvent], label: &str, plan: &FaultPlan) {
     if let Err(violation) = check_fifo_contract(events, |_| true) {
-        panic!("{label} broke the delivery contract under {plan:?}: {violation}");
+        panic!(
+            "{label} broke the delivery contract under {plan:?}: {}",
+            violation.detail
+        );
     }
 }
 

@@ -8,7 +8,7 @@ use at_broadcast::echo::{EchoBroadcast, EchoMsg};
 use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::types::Step;
 use at_core::figure4::TransferMsg;
-use at_engine::{DefaultEngineBroadcast, EngineActor, EngineConfig, EngineEvent};
+use at_engine::{Adversary, EngineActor, EngineConfig, EngineEvent};
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
 use at_net::{NetConfig, Simulation, VirtualTime};
 
@@ -25,27 +25,18 @@ fn amt(x: u64) -> Amount {
 }
 
 /// `n` engine participants over Bracha in the Figure 4 shape, 10 units
-/// each; `attacker` builds the ones `is_attacker` picks.
+/// each; the ones `is_attacker` picks play `role`.
 fn mixed_system(
     n: usize,
     seed: u64,
     is_attacker: impl Fn(u32) -> bool,
-    attacker: fn(ProcessId, usize, Amount, EngineConfig, DefaultEngineBroadcast) -> EngineActor,
+    role: Adversary,
 ) -> Simulation<EngineActor> {
     let actors = (0..n as u32)
         .map(|i| {
-            let make = if is_attacker(i) {
-                attacker
-            } else {
-                EngineActor::honest
-            };
-            make(
-                p(i),
-                n,
-                amt(10),
-                EngineConfig::unsharded(),
-                BrachaBroadcast::new(p(i), n),
-            )
+            let role = is_attacker(i).then_some(role);
+            let backend = BrachaBroadcast::new(p(i), n);
+            EngineActor::new(role, p(i), n, amt(10), EngineConfig::unsharded(), backend)
         })
         .collect();
     Simulation::new(actors, NetConfig::lan(seed))
@@ -56,7 +47,7 @@ fn mixed_system(
 #[test]
 fn two_adversaries_cannot_break_safety_or_liveness() {
     let n = 7;
-    let mut sim = mixed_system(n, 41, |i| i >= 5, EngineActor::equivocator);
+    let mut sim = mixed_system(n, 41, |i| i >= 5, Adversary::Equivocate);
 
     // Each attacker sends 5 to one account and 5 to another in the same
     // broadcast instance.
@@ -414,7 +405,7 @@ fn sequence_gap_flood_is_buffered_not_applied() {
 #[test]
 fn network_wide_overspend_is_inert() {
     let n = 4;
-    let mut sim = mixed_system(n, 43, |i| i == 3, EngineActor::overspender);
+    let mut sim = mixed_system(n, 43, |i| i == 3, Adversary::Overspend);
     // Half of all the money there could be, to account 0.
     sim.schedule(VirtualTime::ZERO, p(3), |actor, ctx| actor.attack(0, ctx));
     // Honest traffic interleaved before and after.

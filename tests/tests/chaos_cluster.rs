@@ -10,7 +10,7 @@ use at_chaos::{
     ChaosTransport, NemesisChoice,
 };
 use at_engine::replica::EnginePayload;
-use at_engine::EngineConfig;
+use at_engine::{BroadcastBackend, EngineConfig};
 use at_model::{AccountId, Amount};
 use at_net::VirtualTime;
 use at_node::wire::{encode_frame, Frame, MAX_FRAME_LEN, WIRE_VERSION};
@@ -223,7 +223,12 @@ fn mesh_run(seed: u64) -> ChaosReport {
         drain_timeout: Duration::from_secs(20),
         ..ChaosConfig::default()
     };
-    run_seeded(&config, "echo", ChaosTransport::Mesh, seed)
+    run_seeded(
+        &config,
+        BroadcastBackend::signed_echo(),
+        ChaosTransport::Mesh,
+        seed,
+    )
 }
 
 proptest! {
@@ -285,7 +290,8 @@ fn loadgen_under_loss_resolves_every_ack() {
         drain_timeout: Duration::from_secs(30),
         ..ChaosConfig::default()
     };
-    let report = run_with_schedule(&config, "echo", ChaosTransport::Tcp, 0xBEEF, &schedule);
+    let backend = BroadcastBackend::signed_echo();
+    let report = run_with_schedule(&config, backend, ChaosTransport::Tcp, 0xBEEF, &schedule);
     assert!(
         report.violations.is_empty(),
         "violations under loss: {:?}",

@@ -20,6 +20,13 @@ fn a(i: u32) -> AccountId {
     AccountId::new(i)
 }
 
+/// The consensus baseline as the demos run it: the engine over PBFT,
+/// batching per submitter like the engine it is compared with.
+fn pbft_baseline() -> ConsensuslessEngine {
+    let config = EngineConfig::sharded_batched(1, 8, VirtualTime::from_millis(2));
+    ConsensuslessEngine::new(config.with_backend(BroadcastBackend::Pbft))
+}
+
 /// The satellite requirement: an equivocating sender scenario, built with
 /// the DSL, in which no correct replica applies both conflicting
 /// transfers — on the unsharded and the sharded+batched engine alike.
@@ -55,21 +62,10 @@ fn equivocation_applied_sets_are_conflict_free() {
         .adversary(p(0), Adversary::Equivocate);
 
     let actors: Vec<EngineActor> = (0..n as u32)
-        .map(|i| match scenario.adversary_of(p(i)) {
-            Some(Adversary::Equivocate) => EngineActor::equivocator(
-                p(i),
-                n,
-                initial,
-                EngineConfig::unsharded(),
-                BrachaBroadcast::new(p(i), n),
-            ),
-            _ => EngineActor::honest(
-                p(i),
-                n,
-                initial,
-                EngineConfig::unsharded(),
-                BrachaBroadcast::new(p(i), n),
-            ),
+        .map(|i| {
+            let role = scenario.adversary_of(p(i));
+            let backend = BrachaBroadcast::new(p(i), n);
+            EngineActor::new(role, p(i), n, initial, EngineConfig::unsharded(), backend)
         })
         .collect();
     let mut sim = Simulation::new(actors, scenario.net.config(scenario.seed));
@@ -117,7 +113,7 @@ fn overspender_scenario_rejected_by_every_replica() {
 /// replayed counterexample.
 #[test]
 fn standard_suite_reruns_are_byte_identical() {
-    use at_engine::{format_reports, run_suite, BaselineEngine};
+    use at_engine::{format_reports, run_suite};
     for backend in [
         BroadcastBackend::Bracha,
         BroadcastBackend::signed_echo(),
@@ -136,7 +132,7 @@ fn standard_suite_reruns_are_byte_identical() {
             "{backend:?}: rendered suite tables differ across reruns"
         );
     }
-    let baseline = BaselineEngine::default();
+    let baseline = pbft_baseline();
     assert_eq!(run_suite(&baseline, 19), run_suite(&baseline, 19));
 }
 
@@ -218,7 +214,7 @@ fn engines_agree_on_benign_workload_counts() {
             percent_hot: 50,
         });
     let consensusless = ConsensuslessEngine::new(EngineConfig::standard()).run(&scenario);
-    let baseline = at_engine::BaselineEngine::new(8).run(&scenario);
+    let baseline = pbft_baseline().run(&scenario);
     assert_eq!(consensusless.completed, 6 * scenario.waves);
     assert_eq!(baseline.completed, 6 * scenario.waves);
     assert!(consensusless.agreed && baseline.agreed);
@@ -249,7 +245,8 @@ fn completion_events_carry_transfers() {
     let n = 3;
     let actors: Vec<EngineActor> = (0..n as u32)
         .map(|i| {
-            EngineActor::honest(
+            EngineActor::new(
+                None,
                 p(i),
                 n,
                 Amount::new(50),
@@ -286,25 +283,20 @@ fn closed_loop(n: usize, waves: usize, transfers_per_wave: usize) -> Scenario {
         .initial(Amount::new(1_000_000))
 }
 
-/// The backend-ablation gate. Unsharded and unbatched with certificate
-/// forwarding off (all senders honest), so the per-transfer message
-/// count is each protocol's own cost: at n = 16 the signed backends
-/// spend at most half of Bracha's messages per transfer (`O(n)` sender
-/// cost against `O(n²)`), with every backend completing the whole
-/// closed loop in agreement.
+/// The backend-ablation gate. Unsharded and unbatched, so the
+/// per-transfer message count is each protocol's own cost: at n = 16 the
+/// signed backends spend at most half of Bracha's messages per transfer
+/// — `O(n)` sender cost plus the `(n−1)(n−2)` certificate relays that
+/// give totality, against Bracha's `O(n²)` — with every backend
+/// completing the whole closed loop in agreement. The counts are exact:
+/// 528 messages per Bracha instance, 258 per signed one.
 #[test]
 fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
     let scenario = closed_loop(16, 2, 1);
     let [bracha, echo, account] = [
         BroadcastBackend::Bracha,
-        BroadcastBackend::SignedEcho {
-            auth: AuthMode::None,
-            forward_final: false,
-        },
-        BroadcastBackend::AccountOrder {
-            auth: AuthMode::None,
-            forward_final: false,
-        },
+        BroadcastBackend::signed_echo(),
+        BroadcastBackend::account_order(),
     ]
     .map(|backend| {
         ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(backend)).run(&scenario)
@@ -320,7 +312,9 @@ fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
         );
     }
     // Equal completions, so messages per transfer compare as messages.
+    assert_eq!(bracha.messages_sent, 32 * 528);
     for signed in [&echo, &account] {
+        assert_eq!(signed.messages_sent, 32 * 258, "{}", signed.engine);
         assert!(
             signed.messages_sent * 2 <= bracha.messages_sent,
             "{} sent {} messages vs bracha's {}",
@@ -333,17 +327,16 @@ fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
 
 /// Real Ed25519 changes the CPU a message costs, never the messages:
 /// signed echo under `EdAuth` sends exactly what it sends under
-/// `NoAuth`, in the same virtual time, to the same balances.
+/// `NoAuth` — 18 per instance at n = 4, relays included — in the same
+/// virtual time, to the same balances.
 #[test]
 fn ed25519_echo_matches_noauth_echo_message_for_message() {
     let scenario = closed_loop(4, 2, 2);
     let [modelled, real] = [AuthMode::None, AuthMode::Ed25519].map(|auth| {
-        let backend = BroadcastBackend::SignedEcho {
-            auth,
-            forward_final: false,
-        };
+        let backend = BroadcastBackend::SignedEcho { auth };
         ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(backend)).run(&scenario)
     });
+    assert_eq!(modelled.messages_sent, 16 * 18);
     assert_eq!(real.completed, 4 * 2 * 2);
     assert!(real.agreed && real.supply_ok);
     assert_eq!(real.conflicts, 0);
@@ -367,7 +360,7 @@ fn sharded_batched_beats_or_matches_unsharded_at_16() {
         VirtualTime::from_micros(500),
     ))
     .run(&scenario);
-    let baseline = at_engine::BaselineEngine::new(8).run(&scenario);
+    let baseline = pbft_baseline().run(&scenario);
     for report in [&unsharded, &sharded, &baseline] {
         assert_eq!(report.completed, 16 * 2 * 4, "{}", report.engine);
         assert!(report.agreed && report.supply_ok, "{}", report.engine);
@@ -391,22 +384,11 @@ fn engine_lineup_reruns_are_identical() {
     let lineup: [Box<dyn Engine>; 3] = [
         Box::new(ConsensuslessEngine::new(EngineConfig::unsharded())),
         Box::new(ConsensuslessEngine::new(EngineConfig::standard())),
-        Box::new(at_engine::BaselineEngine::new(8)),
+        Box::new(pbft_baseline()),
     ];
     for engine in &lineup {
         assert_eq!(engine.run(&scenario), engine.run(&scenario));
     }
-}
-
-/// The four broadcast backends the engine supports, over the standard
-/// sharded+batched configuration.
-fn backend_lineup() -> [BroadcastBackend; 4] {
-    [
-        BroadcastBackend::Bracha,
-        BroadcastBackend::signed_echo(),
-        BroadcastBackend::account_order(),
-        BroadcastBackend::Pbft,
-    ]
 }
 
 proptest! {
@@ -431,7 +413,7 @@ proptest! {
             scenario = scenario.adversary(p(0), Adversary::Equivocate);
         }
         let mut reference: Option<at_engine::ScenarioReport> = None;
-        for backend in backend_lineup() {
+        for backend in BroadcastBackend::ALL {
             let report = ConsensuslessEngine::new(
                 EngineConfig::standard().with_backend(backend),
             )

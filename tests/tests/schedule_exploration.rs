@@ -5,7 +5,8 @@
 //! `cargo test -p at-check --features broken` — so the deliberately
 //! broken hooks stay out of default workspace builds.)
 
-use at_check::{explore, standard_check_scenarios, CheckBackend, ExploreBudget};
+use at_check::{explore, standard_check_scenarios, ExploreBudget};
+use at_engine::BroadcastBackend;
 
 /// The model-checking gate: every standard scenario × every production
 /// backend under `budget` — zero violations, zero budget-exhausted
@@ -15,7 +16,7 @@ use at_check::{explore, standard_check_scenarios, CheckBackend, ExploreBudget};
 fn exploration_gate(budget: &ExploreBudget) {
     let mut distinct = 0;
     for scenario in &standard_check_scenarios() {
-        for backend in CheckBackend::all() {
+        for backend in BroadcastBackend::ALL {
             let report = explore(scenario, backend, budget);
             if let Some(counterexample) = report.violations.first() {
                 panic!(
@@ -59,7 +60,7 @@ fn full_budget_explores_without_a_violation() {
 fn standard_scenarios_survive_exploration_on_every_backend() {
     let budget = ExploreBudget::quick();
     for scenario in &standard_check_scenarios() {
-        for backend in CheckBackend::all() {
+        for backend in BroadcastBackend::ALL {
             let report = explore(scenario, backend, &budget);
             assert!(
                 report.violations.is_empty(),
@@ -86,8 +87,8 @@ fn standard_scenarios_survive_exploration_on_every_backend() {
 fn exploration_is_deterministic() {
     let scenario = &standard_check_scenarios()[0];
     let budget = ExploreBudget::quick();
-    let first = explore(scenario, CheckBackend::Bracha, &budget);
-    let second = explore(scenario, CheckBackend::Bracha, &budget);
+    let first = explore(scenario, BroadcastBackend::Bracha, &budget);
+    let second = explore(scenario, BroadcastBackend::Bracha, &budget);
     assert_eq!(first.executions, second.executions);
     assert_eq!(first.distinct_schedules, second.distinct_schedules);
     assert_eq!(first.violations.len(), second.violations.len());
