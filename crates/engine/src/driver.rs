@@ -106,9 +106,7 @@ impl Tally {
     /// where the submitting wave is no longer known — those completions
     /// are counted but contribute no latency sample (anchoring them to
     /// the last wave would understate the very delays the
-    /// buffered-partition model introduces). Transfers every correct
-    /// replica applied are settled, so the conflict check holds only
-    /// what is still in flight.
+    /// buffered-partition model introduces).
     fn fold(
         &mut self,
         events: Vec<TimedEvent>,
@@ -137,7 +135,6 @@ impl Tally {
                 | EngineEvent::ReadObserved { .. } => {}
             }
         }
-        self.applied.settle(scenario.correct_processes().count());
     }
 }
 

@@ -202,13 +202,18 @@ pub fn check_fifo_contract(
     Ok(())
 }
 
-/// The transfers correct replicas applied under each `(source, seq)`,
-/// folded one [`EngineEvent::Applied`] at a time — so a run is checked
-/// for conflicts without keeping its event stream.
+/// The first transfer correct replicas applied under each `(source,
+/// seq)`, folded one [`EngineEvent::Applied`] at a time — so a run is
+/// checked for conflicts without keeping its event stream. Every later
+/// application is compared with that first one, however many replicas
+/// applied it and however often.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct AppliedBySeq {
-    /// The transfer first applied under a `(source, seq)`, and how often.
-    first: BTreeMap<(ProcessId, u64), (Transfer, usize)>,
+    /// Per source, the first transfer under seq `1, 2, …`: a dense
+    /// vector, since a replica applies a source's transfers in seq order.
+    first: BTreeMap<ProcessId, Vec<Transfer>>,
+    /// The first transfer under a seq first seen past its source's vector.
+    out_of_order: BTreeMap<(ProcessId, u64), Transfer>,
     /// Every transfer applied under a `(source, seq)` that has several.
     conflicting: BTreeMap<(ProcessId, u64), Vec<Transfer>>,
 }
@@ -216,23 +221,30 @@ pub(crate) struct AppliedBySeq {
 impl AppliedBySeq {
     /// Records `transfer` as applied at a correct replica.
     pub(crate) fn record(&mut self, transfer: Transfer) {
-        let key = (transfer.originator, transfer.seq.value());
-        let (first, count) = self.first.entry(key).or_insert((transfer, 0));
-        if *first == transfer {
-            *count += 1;
+        let (source, seq) = (transfer.originator, transfer.seq.value());
+        let dense = self.first.entry(source).or_default();
+        let len = dense.len() as u64;
+        let first = if (1..=len).contains(&seq) {
+            dense[seq as usize - 1]
+        } else if let Some(first) = self.out_of_order.get(&(source, seq)) {
+            *first
+        } else {
+            if seq == len + 1 {
+                dense.push(transfer);
+            } else {
+                self.out_of_order.insert((source, seq), transfer);
+            }
             return;
+        };
+        if first != transfer {
+            let seen = self
+                .conflicting
+                .entry((source, seq))
+                .or_insert_with(|| vec![first]);
+            if !seen.contains(&transfer) {
+                seen.push(transfer);
+            }
         }
-        let seen = self.conflicting.entry(key).or_insert_with(|| vec![*first]);
-        if !seen.contains(&transfer) {
-            seen.push(transfer);
-        }
-    }
-
-    /// Forgets every `(source, seq)` whose one transfer all `replicas`
-    /// correct replicas have applied: a replica applies at most one
-    /// transfer per `(source, seq)`, so its verdict is final.
-    pub(crate) fn settle(&mut self, replicas: usize) {
-        self.first.retain(|_, (_, count)| *count < replicas);
     }
 
     /// How many `(source, seq)` resolved to more than one transfer.
@@ -476,15 +488,14 @@ mod tests {
     }
 
     #[test]
-    fn settling_forgets_agreed_transfers_and_keeps_conflicts() {
+    fn every_application_is_judged_against_the_first_under_its_seq() {
         let t = |to: u32, seq: u64| Transfer::new(a(0), a(to), amt(5), p(0), SeqNo::new(seq));
         let mut applied = AppliedBySeq::default();
-        // Seq 1: all three replicas agree. Seq 2: two of them disagree.
+        // Seq 1: three applications agree. Seq 2: two disagree.
         for transfer in [t(1, 1), t(1, 1), t(1, 1), t(1, 2), t(2, 2)] {
             applied.record(transfer);
         }
-        applied.settle(3);
-        assert_eq!(applied.first.len(), 1, "only the undecided seq 2 is kept");
+        assert_eq!(applied.first[&p(0)], vec![t(1, 1), t(1, 2)]);
         assert_eq!(applied.conflicts(), 1);
         let failure = applied.check().unwrap_err();
         assert_eq!(failure.kind, FailureKind::Conflict);
@@ -493,9 +504,21 @@ mod tests {
             "{}",
             failure.detail
         );
-        // The third replica's application changes nothing settled.
         applied.record(t(2, 2));
-        assert_eq!(applied.conflicts(), 1);
+        assert_eq!(applied.conflicts(), 1, "a repeat adds nothing");
+        // However often seq 1 was applied, a different transfer under it
+        // is a conflict.
+        applied.record(t(2, 1));
+        assert_eq!(applied.conflicts(), 2);
+        // A seq first seen past the vector's end is judged the same way,
+        // also once the vector has caught up with it.
+        applied.record(t(1, 4));
+        applied.record(t(1, 3));
+        assert_eq!(applied.first[&p(0)].len(), 3);
+        applied.record(t(2, 4));
+        assert_eq!(applied.conflicts(), 3);
+        applied.record(t(1, 4));
+        assert_eq!(applied.conflicts(), 3);
     }
 
     #[test]

@@ -110,12 +110,7 @@ mod tests {
         // PRE-PREPARE is never retransmitted, p1 executes nothing from
         // there on (48 of 54 completions), and `agreed` holds because
         // the uniform rotation returns every balance to where it began.
-        for backend in [
-            BroadcastBackend::Bracha,
-            BroadcastBackend::signed_echo(),
-            BroadcastBackend::account_order(),
-            BroadcastBackend::Pbft,
-        ] {
+        for backend in BroadcastBackend::ALL {
             let engine = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend));
             let reports = run_suite(&engine, 11);
             for report in &reports {

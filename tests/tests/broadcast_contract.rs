@@ -11,14 +11,10 @@
 //! everywhere), but nothing may ever be delivered out of order, twice,
 //! or past a gap.
 
-use at_broadcast::auth::NoAuth;
-use at_broadcast::bracha::BrachaBroadcast;
-use at_broadcast::echo::EchoBroadcast;
-use at_broadcast::pbft::PbftBroadcast;
-use at_broadcast::secure::{AccountOrderBackend, SecureBroadcast};
+use at_broadcast::secure::SecureBroadcast;
 use at_engine::probe::{check_fifo_contract, TimedEvent};
-use at_engine::{EngineConfig, EnginePayload, ShardedReplica};
-use at_model::{AccountId, Amount, ProcessId};
+use at_engine::{BackendVisitor, BroadcastBackend, EngineConfig, EnginePayload, ShardedReplica};
+use at_model::{AccountId, Amount, Decode, Encode, ProcessId};
 use at_net::{LinkFault, NetConfig, Simulation, VirtualTime};
 use proptest::prelude::*;
 
@@ -43,70 +39,86 @@ struct FaultPlan {
     buffered: bool,
 }
 
-/// Runs two submission waves over backend endpoints from `make` under
-/// `plan`, returning the engine event stream.
-fn run_under_faults<B, F>(n: usize, plan: &FaultPlan, make: F) -> Vec<TimedEvent>
-where
-    B: SecureBroadcast<EnginePayload> + 'static,
-    F: Fn(ProcessId) -> B,
-{
-    let replicas: Vec<ShardedReplica<B>> = (0..n as u32)
-        .map(|i| {
-            ShardedReplica::with_backend(
-                p(i),
-                n,
-                Amount::new(100),
-                EngineConfig::unsharded(),
-                make(p(i)),
-            )
-        })
-        .collect();
-    let mut sim = Simulation::new(replicas, NetConfig::lan(plan.seed));
-    for &(from, to, drops, delay_us) in &plan.links {
-        if from != to {
-            sim.inject_link_fault(
-                p(from),
-                p(to),
-                LinkFault {
-                    drop_next: drops,
-                    extra_delay: VirtualTime::from_micros(delay_us),
-                },
-            );
-        }
-    }
+/// Runs two submission waves of an `n`-process system over `backend`
+/// under `plan`, returning the engine event stream.
+fn run_under_faults(backend: BroadcastBackend, n: usize, plan: &FaultPlan) -> Vec<TimedEvent> {
+    backend.build(n, plan.seed, UnderFaults { n, plan })
+}
 
-    // Wave 1: everyone pays their neighbour.
-    let n_u32 = n as u32;
-    for i in 0..n_u32 {
-        sim.schedule(VirtualTime::ZERO, p(i), move |replica, ctx| {
-            replica.submit(a((i + 1) % n_u32), Amount::new(1), ctx);
-        });
-    }
-    sim.run_until_quiet(10_000_000);
+/// [`run_under_faults`], waiting for its backend.
+struct UnderFaults<'a> {
+    n: usize,
+    plan: &'a FaultPlan,
+}
 
-    // Wave 2, optionally under a partition that isolates the last
-    // process.
-    if plan.partition {
-        let isolated = [p(n as u32 - 1)];
-        let rest: Vec<ProcessId> = (0..n as u32 - 1).map(p).collect();
-        if plan.buffered {
-            sim.set_partition_buffered(&[&isolated, &rest]);
-        } else {
-            sim.set_partition(&[&isolated, &rest]);
+impl BackendVisitor for UnderFaults<'_> {
+    type Output = Vec<TimedEvent>;
+
+    fn visit<B, F>(self, make: F) -> Vec<TimedEvent>
+    where
+        B: SecureBroadcast<EnginePayload> + 'static,
+        B::Msg: Encode + Decode + Send + 'static,
+        F: Fn(ProcessId) -> B,
+    {
+        let UnderFaults { n, plan } = self;
+        let replicas: Vec<ShardedReplica<B>> = (0..n as u32)
+            .map(|i| {
+                ShardedReplica::with_backend(
+                    p(i),
+                    n,
+                    Amount::new(100),
+                    EngineConfig::unsharded(),
+                    make(p(i)),
+                )
+            })
+            .collect();
+        let mut sim = Simulation::new(replicas, NetConfig::lan(plan.seed));
+        for &(from, to, drops, delay_us) in &plan.links {
+            if from != to {
+                sim.inject_link_fault(
+                    p(from),
+                    p(to),
+                    LinkFault {
+                        drop_next: drops,
+                        extra_delay: VirtualTime::from_micros(delay_us),
+                    },
+                );
+            }
         }
+
+        // Wave 1: everyone pays their neighbour.
+        let n_u32 = n as u32;
+        for i in 0..n_u32 {
+            sim.schedule(VirtualTime::ZERO, p(i), move |replica, ctx| {
+                replica.submit(a((i + 1) % n_u32), Amount::new(1), ctx);
+            });
+        }
+        sim.run_until_quiet(10_000_000);
+
+        // Wave 2, optionally under a partition that isolates the last
+        // process.
+        if plan.partition {
+            let isolated = [p(n as u32 - 1)];
+            let rest: Vec<ProcessId> = (0..n as u32 - 1).map(p).collect();
+            if plan.buffered {
+                sim.set_partition_buffered(&[&isolated, &rest]);
+            } else {
+                sim.set_partition(&[&isolated, &rest]);
+            }
+        }
+        let now = sim.now();
+        for i in 0..n_u32 {
+            sim.schedule(now, p(i), move |replica, ctx| {
+                replica.submit(a((i + 2) % n_u32), Amount::new(1), ctx);
+            });
+        }
+        sim.run_until_quiet(10_000_000);
+        // Reliable channels resume; a buffered partition releases its parked
+        // messages through the (still installed) link faults.
+        sim.heal_partition();
+        assert!(sim.run_until_quiet(10_000_000), "run did not quiesce");
+        sim.take_events()
     }
-    let now = sim.now();
-    for i in 0..n_u32 {
-        sim.schedule(now, p(i), move |replica, ctx| {
-            replica.submit(a((i + 2) % n_u32), Amount::new(1), ctx);
-        });
-    }
-    sim.run_until_quiet(10_000_000);
-    // Reliable channels resume; a buffered partition releases its parked
-    // messages through the (still installed) link faults.
-    sim.heal_partition();
-    assert!(sim.run_until_quiet(10_000_000), "run did not quiesce");
-    sim.take_events()
 }
 
 fn assert_contract(events: &[TimedEvent], label: &str, plan: &FaultPlan) {
@@ -146,16 +158,12 @@ proptest! {
             partition: partition == 1,
             buffered: buffered == 1,
         };
-        let events = run_under_faults(n, &plan, |me| BrachaBroadcast::new(me, n));
-        assert_contract(&events, "bracha", &plan);
-        let events = run_under_faults(n, &plan, |me| EchoBroadcast::new(me, n, NoAuth));
-        assert_contract(&events, "signed-echo", &plan);
-        let events = run_under_faults(n, &plan, |me| AccountOrderBackend::new(me, n, NoAuth));
-        assert_contract(&events, "account-order", &plan);
         // PBFT may stop delivering under loss (nothing retransmits a
         // dropped pre-prepare); what it does deliver obeys the contract.
-        let events = run_under_faults(n, &plan, |me| PbftBroadcast::new(me, n));
-        assert_contract(&events, "pbft", &plan);
+        for backend in BroadcastBackend::ALL {
+            let events = run_under_faults(backend, n, &plan);
+            assert_contract(&events, backend.label(), &plan);
+        }
     }
 }
 
@@ -170,24 +178,9 @@ fn clean_run_delivers_every_instance_in_order() {
         partition: false,
         buffered: false,
     };
-    for (label, events) in [
-        (
-            "bracha",
-            run_under_faults(n, &plan, |me| BrachaBroadcast::new(me, n)),
-        ),
-        (
-            "echo",
-            run_under_faults(n, &plan, |me| EchoBroadcast::new(me, n, NoAuth)),
-        ),
-        (
-            "acctorder",
-            run_under_faults(n, &plan, |me| AccountOrderBackend::new(me, n, NoAuth)),
-        ),
-        (
-            "pbft",
-            run_under_faults(n, &plan, |me| PbftBroadcast::new(me, n)),
-        ),
-    ] {
+    for backend in BroadcastBackend::ALL {
+        let label = backend.label();
+        let events = run_under_faults(backend, n, &plan);
         assert_contract(&events, label, &plan);
         let deliveries = events
             .iter()
@@ -204,7 +197,7 @@ fn clean_run_delivers_every_instance_in_order() {
 /// during the partition stays consistent.
 #[test]
 fn healing_mid_equivocation_converges_on_every_backend() {
-    use at_engine::{Adversary, BroadcastBackend, ConsensuslessEngine, Engine, Fault, Scenario};
+    use at_engine::{Adversary, ConsensuslessEngine, Engine, Fault, Scenario};
     let scenario = Scenario::new("heal-mid-equivocation", 8)
         .waves(5)
         .seed(29)
@@ -217,12 +210,7 @@ fn healing_mid_equivocation_converges_on_every_backend() {
             from_wave: 1,
             heal_wave: 3,
         });
-    for backend in [
-        BroadcastBackend::Bracha,
-        BroadcastBackend::signed_echo(),
-        BroadcastBackend::account_order(),
-        BroadcastBackend::Pbft,
-    ] {
+    for backend in BroadcastBackend::ALL {
         let report =
             ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend)).run(&scenario);
         assert_eq!(report.conflicts, 0, "{backend:?}: double spend landed");
