@@ -1,5 +1,5 @@
 //! Bracha's asynchronous reliable broadcast (Bracha & Toueg, JACM 1985) —
-//! reference [10] of the paper, and the protocol behind its "naive
+//! reference \[10\] of the paper, and the protocol behind its "naive
 //! quadratic secure broadcast implementation".
 //!
 //! For each broadcast instance `(source, seq)` over authenticated
@@ -16,10 +16,13 @@
 //! profile the evaluation of Section 5 measures. Compute per process is
 //! one SHA-256 per instance: "matching" means equal values, counted by
 //! digest, and each process digests the payload through the instance's
-//! `DigestMemo`, which hashes only a payload it has not seen before. An
-//! ECHO after this process's READY and a READY after its delivery are
-//! dropped unread: echoes only ever trigger our READY, and delivery
-//! implies our READY went out.
+//! `DigestMemo`, which hashes only a payload not `==` the first it saw.
+//! Every INIT, ECHO and READY carries the value, but not a copy of it: a
+//! [`Batch`](crate::Batch) shares its items, so the messages of one
+//! instance hold one allocation and the memo recognises it with a
+//! pointer test. An ECHO after this process's READY and a READY after
+//! its delivery are dropped unread: echoes only ever trigger our READY,
+//! and delivery implies our READY went out.
 //!
 //! Deliveries are released per source in sequence order by the instance
 //! table, yielding the source-order (indeed FIFO) property of Section 5.2.
@@ -62,8 +65,7 @@ pub enum BrachaMsg<P> {
     },
 }
 
-#[derive(Default)]
-struct Instance {
+struct Instance<P> {
     /// Whether this process echoed (first INIT wins).
     echoed: bool,
     /// Distinct processes that echoed each digest.
@@ -75,21 +77,34 @@ struct Instance {
     /// Whether the instance delivered.
     delivered: bool,
     /// The payload digests, cleared on delivery.
-    memo: DigestMemo,
+    memo: DigestMemo<P>,
+}
+
+impl<P> Default for Instance<P> {
+    fn default() -> Self {
+        Instance {
+            echoed: false,
+            echoes: HashMap::new(),
+            readies: HashMap::new(),
+            ready_sent: false,
+            delivered: false,
+            memo: DigestMemo::default(),
+        }
+    }
 }
 
 /// One process's endpoint of the Bracha reliable broadcast.
 ///
 /// The struct is a pure state machine: [`SecureBroadcast::broadcast`] and
 /// [`SecureBroadcast::on_message`] fill a [`Step`] with messages to send
-/// and payloads to deliver; the caller (an [`at_net::Actor`] or a unit
+/// and payloads to deliver; the caller (an `at_net::Actor` or a unit
 /// test) moves them.
 pub struct BrachaBroadcast<P> {
-    table: InstanceTable<ProcessId, Instance, P>,
+    table: InstanceTable<ProcessId, Instance<P>, P>,
     trace: TraceHook<P>,
 }
 
-impl<P: Clone + Encode> BrachaBroadcast<P> {
+impl<P: Clone + Eq + Encode> BrachaBroadcast<P> {
     /// Creates the endpoint for process `me` in a system of `n` processes
     /// tolerating `f = ⌊(n−1)/3⌋` Byzantine faults.
     pub fn new(me: ProcessId, n: usize) -> Self {
@@ -229,7 +244,7 @@ impl<P: Clone + Encode> BrachaBroadcast<P> {
     }
 }
 
-impl<P: Clone + Encode + Send> SecureBroadcast<P> for BrachaBroadcast<P> {
+impl<P: Clone + Eq + Encode + Send> SecureBroadcast<P> for BrachaBroadcast<P> {
     type Msg = BrachaMsg<P>;
 
     fn broadcast(&mut self, payload: P, step: &mut Step<Self::Msg, P>) -> SeqNo {

@@ -125,7 +125,7 @@ struct Slot<P, S> {
     sending: Vec<Collector<P, S>>,
     /// The payload digests: seeded by our own SEND or the first one
     /// received, cleared once a FINAL is certified.
-    memo: DigestMemo,
+    memo: DigestMemo<P>,
 }
 
 impl<P, S> Default for Slot<P, S> {
@@ -158,7 +158,7 @@ pub type EchoBroadcast<P, A> = SignedEcho<ProcessId, P, A, false>;
 
 type Out<K, P, A> = Step<EchoMsg<P, <A as Authenticator>::Sig, K>, P, K>;
 
-impl<K: Stream, P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
+impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
     SignedEcho<K, P, A, IN_ORDER>
 {
     /// Creates the endpoint for process `me` of `n`, using `auth` for
@@ -442,7 +442,7 @@ impl<K: Stream, P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
     }
 }
 
-impl<P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
+impl<P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
     SignedEcho<AccountId, P, A, IN_ORDER>
 {
     /// Broadcasts `payload` as message `seq` of the shared account
@@ -462,7 +462,7 @@ impl<P: Clone + Encode, A: Authenticator, const IN_ORDER: bool>
 
 impl<P, A, const IN_ORDER: bool> SecureBroadcast<P> for SignedEcho<ProcessId, P, A, IN_ORDER>
 where
-    P: Clone + Encode + Send,
+    P: Clone + Eq + Encode + Send,
     A: Authenticator + Send,
     A::Sig: Send,
 {

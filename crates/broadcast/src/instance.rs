@@ -278,29 +278,38 @@ fn payload_digest(encoded: &[u8]) -> Digest {
 /// the payload it receives over and over — in every ECHO and READY, in
 /// its SEND and then its FINAL — once.
 ///
-/// It keeps the first payload's encoding and digest. A lookup encodes
-/// the payload and compares bytes, hashing only on a miss: a cache of
-/// SHA-256 keyed by its exact input, so every digest it answers is the
-/// digest of exactly the payload asked about, for any `P: Encode`. A
-/// second, different payload (an equivocation) misses and is hashed on
-/// every lookup; the memo never holds more than one entry, so a
-/// Byzantine sender cannot grow it. A backend clears it when the
-/// instance delivers.
-#[derive(Default)]
-pub(crate) struct DigestMemo {
-    first: Option<(Vec<u8>, Digest)>,
+/// It keeps the first payload (for a [`Batch`](crate::Batch), a
+/// reference count) and its digest. A lookup answers from the memo when
+/// the payload asked about `==` the one remembered, and otherwise
+/// encodes and hashes it. That is sound for every `P` whose `==` is
+/// equality of encodings: `encode` is a function, so equal payloads
+/// encode — and hash — alike, and a payload whose bytes differ is never
+/// `==` the one remembered. Copies of one broadcast share their batch,
+/// so in the simulator and on loop-back the lookup is one pointer test;
+/// a batch decoded from the wire is compared item by item, which
+/// allocates nothing. A second, different payload (an equivocation)
+/// misses and is hashed on every lookup; the memo never holds more than
+/// one entry, so a Byzantine sender cannot grow it. A backend clears it
+/// when the instance delivers.
+pub(crate) struct DigestMemo<P> {
+    first: Option<(P, Digest)>,
 }
 
-impl DigestMemo {
+impl<P> Default for DigestMemo<P> {
+    fn default() -> Self {
+        DigestMemo { first: None }
+    }
+}
+
+impl<P: Clone + Eq + Encode> DigestMemo<P> {
     /// The digest of `payload`, remembered if it is the first one seen.
-    pub(crate) fn digest<P: Encode>(&mut self, payload: &P) -> Digest {
-        let encoded = encode(payload);
+    pub(crate) fn digest(&mut self, payload: &P) -> Digest {
         match &self.first {
-            Some((seen, digest)) if *seen == encoded => *digest,
-            Some(_) => payload_digest(&encoded),
+            Some((seen, digest)) if seen == payload => *digest,
+            Some(_) => payload_digest(&encode(payload)),
             None => {
-                let digest = payload_digest(&encoded);
-                self.first = Some((encoded, digest));
+                let digest = payload_digest(&encode(payload));
+                self.first = Some((payload.clone(), digest));
                 digest
             }
         }
@@ -309,8 +318,11 @@ impl DigestMemo {
     /// [`DigestMemo::digest`] through `memo`, or a one-off memo where
     /// the caller holds no state for the instance (and must not create
     /// any before checking what the digest is for).
-    pub(crate) fn through<P: Encode>(memo: Option<&mut DigestMemo>, payload: &P) -> Digest {
-        memo.unwrap_or(&mut DigestMemo::default()).digest(payload)
+    pub(crate) fn through(memo: Option<&mut DigestMemo<P>>, payload: &P) -> Digest {
+        match memo {
+            Some(memo) => memo.digest(payload),
+            None => payload_digest(&encode(payload)),
+        }
     }
 
     /// Forgets the remembered payload: the instance delivered.

@@ -11,7 +11,7 @@
 //! against, held to the same contract:
 //!
 //! * [`bracha`] — Bracha's reliable broadcast, the paper's "naive
-//!   quadratic" implementation (reference [10]): 3 rounds, `O(n²)`
+//!   quadratic" implementation (reference \[10\]): 3 rounds, `O(n²)`
 //!   messages, no signatures (authenticated channels);
 //! * [`echo`] — signed-echo broadcast in the Malkhi–Reiter style
 //!   (references [35, 36]): 2 round trips, `O(n)` sender messages plus

@@ -82,7 +82,7 @@ pub type TraceExtract<P> = fn(&P) -> Option<TraceCtx>;
 /// See the [module docs](self) for the delivery contract. The
 /// introspection methods expose the endpoint's retained state so upper
 /// layers never re-derive it.
-pub trait SecureBroadcast<P: Clone + Encode>: Send {
+pub trait SecureBroadcast<P: Clone + Eq + Encode>: Send {
     /// The wire message type of the protocol.
     type Msg: Clone + Send;
 
@@ -152,13 +152,15 @@ mod tests {
     use super::*;
     use crate::auth::{EdAuth, NoAuth};
     use crate::batch::Batch;
-    use crate::bracha::BrachaBroadcast;
+    use crate::bracha::{BrachaBroadcast, BrachaMsg};
     use crate::echo::{EchoBroadcast, EchoMsg};
     use crate::instance::PAYLOAD_DIGESTS;
     use crate::pbft::{PbftBroadcast, PbftMsg};
     use crate::types::Delivery;
-    use at_model::{AccountId, Amount, Transfer};
+    use at_model::codec::{decode, encode};
+    use at_model::{AccountId, Amount, Decode, Transfer};
     use std::collections::VecDeque;
+    use std::sync::Arc;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -170,17 +172,30 @@ mod tests {
         endpoints: &mut [B],
         broadcasts: Vec<(usize, u64)>,
     ) -> Vec<Vec<Delivery<u64>>> {
-        drive_logged(endpoints, broadcasts, &mut Vec::new(), |_, _, _| false)
+        drive_logged(endpoints, broadcasts, &mut Vec::new(), reliable)
     }
 
-    /// [`drive`], also appending every message that reaches its
-    /// addressee, with its sender and addressee, to `wire`; a message
-    /// `lost(from, to, msg)` claims never arrives.
-    fn drive_logged<P: Clone + Encode, B: SecureBroadcast<P>>(
+    /// A channel that hands every message over as it was sent.
+    fn reliable<M>(_: ProcessId, _: ProcessId, msg: M) -> Option<M> {
+        Some(msg)
+    }
+
+    /// A channel that hands every message over as a TCP link does: its
+    /// addressee gets what decoding the encoded bytes yields, in an
+    /// allocation of its own.
+    fn over_tcp<M: Encode + Decode>(_: ProcessId, _: ProcessId, msg: M) -> Option<M> {
+        Some(decode(&encode(&msg)).expect("a message decodes from its own encoding"))
+    }
+
+    /// [`drive`] over `channel`, also appending every message that
+    /// reaches its addressee, with its sender and addressee, to `wire`.
+    /// `channel(from, to, msg)` is what arrives, or `None` when the
+    /// message is lost.
+    fn drive_logged<P: Clone + Eq + Encode, B: SecureBroadcast<P>>(
         endpoints: &mut [B],
         broadcasts: Vec<(usize, P)>,
         wire: &mut Vec<(ProcessId, ProcessId, B::Msg)>,
-        lost: impl Fn(ProcessId, ProcessId, &B::Msg) -> bool,
+        channel: impl Fn(ProcessId, ProcessId, B::Msg) -> Option<B::Msg>,
     ) -> Vec<Vec<Delivery<P>>> {
         let n = endpoints.len();
         let mut inflight: VecDeque<(ProcessId, ProcessId, B::Msg)> = VecDeque::new();
@@ -194,9 +209,9 @@ mod tests {
             delivered[source].extend(step.deliveries);
         }
         while let Some((from, to, msg)) = inflight.pop_front() {
-            if lost(from, to, &msg) {
+            let Some(msg) = channel(from, to, msg) else {
                 continue;
-            }
+            };
             wire.push((from, to, msg.clone()));
             let mut step = Step::new();
             endpoints[to.as_usize()].on_message(from, msg, &mut step);
@@ -238,19 +253,19 @@ mod tests {
         delivered
     }
 
-    fn bracha_system<P: Clone + Encode>(n: usize) -> Vec<BrachaBroadcast<P>> {
+    fn bracha_system<P: Clone + Eq + Encode>(n: usize) -> Vec<BrachaBroadcast<P>> {
         (0..n)
             .map(|i| BrachaBroadcast::new(p(i as u32), n))
             .collect()
     }
 
-    fn echo_system<P: Clone + Encode>(n: usize) -> Vec<EchoBroadcast<P, NoAuth>> {
+    fn echo_system<P: Clone + Eq + Encode>(n: usize) -> Vec<EchoBroadcast<P, NoAuth>> {
         (0..n)
             .map(|i| EchoBroadcast::new(p(i as u32), n, NoAuth))
             .collect()
     }
 
-    fn account_system<P: Clone + Encode>(n: usize) -> Vec<AccountOrderBackend<P, NoAuth>> {
+    fn account_system<P: Clone + Eq + Encode>(n: usize) -> Vec<AccountOrderBackend<P, NoAuth>> {
         (0..n)
             .map(|i| AccountOrderBackend::new(p(i as u32), n, NoAuth))
             .collect()
@@ -367,7 +382,7 @@ mod tests {
     fn honest_instance_costs_15_peer_messages_at_n4_and_48_at_n7() {
         fn peer_messages<B: SecureBroadcast<u64>>(mut endpoints: Vec<B>) -> usize {
             let mut wire = Vec::new();
-            let delivered = drive_logged(&mut endpoints, vec![(0, 5)], &mut wire, |_, _, _| false);
+            let delivered = drive_logged(&mut endpoints, vec![(0, 5)], &mut wire, reliable);
             assert!(delivered.iter().all(|view| view.len() == 1));
             wire.iter().filter(|(from, to, _)| from != to).count()
         }
@@ -381,9 +396,8 @@ mod tests {
         }
     }
 
-    /// The payload digests one instance of a 128-transfer batch from p0
-    /// costs, driven to delivery at every process.
-    fn payload_digests<B: SecureBroadcast<Batch<Transfer>>>(mut endpoints: Vec<B>) -> u64 {
+    /// A 128-transfer batch from p0, as a replica would broadcast it.
+    fn batch() -> Batch<Transfer> {
         let transfer = |i: u32| {
             let to = AccountId::new(1 + i % 7);
             Transfer::new(
@@ -394,15 +408,19 @@ mod tests {
                 SeqNo::new(1 + i as u64),
             )
         };
-        let batch = Batch::new((0..128).map(transfer).collect());
+        Batch::new((0..128).map(transfer).collect())
+    }
+
+    /// The payload digests one instance of [`batch`] from p0 costs,
+    /// driven over `channel` to delivery at every process.
+    fn payload_digests<B: SecureBroadcast<Batch<Transfer>>>(
+        mut endpoints: Vec<B>,
+        channel: fn(ProcessId, ProcessId, B::Msg) -> Option<B::Msg>,
+    ) -> u64 {
         let digests = || PAYLOAD_DIGESTS.with(std::cell::Cell::get);
         let before = digests();
-        let delivered = drive_logged(
-            &mut endpoints,
-            vec![(0, batch)],
-            &mut Vec::new(),
-            |_, _, _| false,
-        );
+        let broadcasts = vec![(0, batch())];
+        let delivered = drive_logged(&mut endpoints, broadcasts, &mut Vec::new(), channel);
         assert!(delivered.iter().all(|view| view.len() == 1));
         digests() - before
     }
@@ -411,24 +429,76 @@ mod tests {
     /// digests, where hashing every ECHO and READY until release costs
     /// Bracha close to `2n²` (432 at n = 16), hashing the SEND twice and
     /// the FINAL again costs SignedEcho `2n + 1`, and re-hashing at
-    /// acknowledgement costs AccountOrder `3n + 1`. A backend that hashes what its memo already holds, or a
-    /// handler that hashes a message it is about to drop, fails here.
+    /// acknowledgement costs AccountOrder `3n + 1`. The count holds
+    /// whether the copies share the sender's batch (the simulator) or
+    /// each arrives decoded from its own bytes (TCP): the memo answers
+    /// by value, not by pointer. A backend that hashes what its memo
+    /// already holds, a handler that hashes a message it is about to
+    /// drop, or a memo that only recognises its own allocation fails
+    /// here.
     #[test]
     fn an_instance_costs_one_payload_digest_per_process() {
-        for n in [4, 16] {
-            let digests = n as u64;
-            assert_eq!(
-                payload_digests(bracha_system(n)),
-                digests,
-                "bracha, n = {n}"
-            );
-            assert_eq!(payload_digests(echo_system(n)), digests, "echo, n = {n}");
-            assert_eq!(
-                payload_digests(account_system(n)),
-                digests,
-                "account order, n = {n}"
-            );
+        fn per_process<B>(system: impl Fn() -> Vec<B>, label: &str)
+        where
+            B: SecureBroadcast<Batch<Transfer>>,
+            B::Msg: Encode + Decode,
+        {
+            let n = system().len() as u64;
+            assert_eq!(payload_digests(system(), reliable), n, "{label}");
+            assert_eq!(payload_digests(system(), over_tcp), n, "{label}, over TCP");
         }
+        for n in [4, 16] {
+            per_process(|| bracha_system(n), &format!("bracha, n = {n}"));
+            per_process(|| echo_system(n), &format!("echo, n = {n}"));
+            per_process(|| account_system(n), &format!("account order, n = {n}"));
+        }
+    }
+
+    /// One honest instance at n = 16 allocates its payload once: every
+    /// message that carries it — each INIT, ECHO and READY; each SEND,
+    /// FINAL and relay — and every delivery shares the batch the source
+    /// broadcast. A handler that rebuilds the payload, or a batch whose
+    /// copies copy their items, fails here.
+    #[test]
+    fn an_instance_shares_one_payload_allocation() {
+        type Payload = Batch<Transfer>;
+        fn shares<B: SecureBroadcast<Payload>>(
+            mut endpoints: Vec<B>,
+            payload: fn(&B::Msg) -> Option<&Payload>,
+            label: &str,
+        ) {
+            let (n, sent) = (endpoints.len(), batch());
+            let mut wire = Vec::new();
+            let broadcasts = vec![(0, sent.clone())];
+            let delivered = drive_logged(&mut endpoints, broadcasts, &mut wire, reliable);
+            let carried: Vec<&Payload> =
+                wire.iter().filter_map(|(_, _, msg)| payload(msg)).collect();
+            assert!(carried.len() > 2 * n, "{label}: {} copies", carried.len());
+            let deliveries: Vec<&Payload> =
+                delivered.iter().flatten().map(|d| &d.payload).collect();
+            assert_eq!(deliveries.len(), n, "{label}");
+            for copy in carried.into_iter().chain(deliveries) {
+                assert!(Arc::ptr_eq(&copy.items, &sent.items), "{label}: a copy");
+            }
+        }
+        let n = 16;
+        shares(
+            bracha_system(n),
+            |msg| match msg {
+                BrachaMsg::Init { payload, .. }
+                | BrachaMsg::Echo { payload, .. }
+                | BrachaMsg::Ready { payload, .. } => Some(payload),
+            },
+            "bracha",
+        );
+        fn signed(msg: &EchoMsg<Payload, ()>) -> Option<&Payload> {
+            match msg {
+                EchoMsg::Send { payload, .. } | EchoMsg::Final { payload, .. } => Some(payload),
+                EchoMsg::Echo { .. } => None,
+            }
+        }
+        shares(echo_system(n), signed, "echo");
+        shares(account_system(n), signed, "account order");
     }
 
     /// One instance whose Byzantine source p0 hands its FINAL to `chosen`
@@ -442,12 +512,14 @@ mod tests {
         silent: &[usize],
         relays: bool,
     ) -> Vec<usize> {
-        let lost = |from: ProcessId, to: ProcessId, msg: &B::Msg| {
+        let channel = |from: ProcessId, to: ProcessId, msg: B::Msg| {
             let withheld = from == p(0) && to.as_usize() != chosen;
             let relay_lost = from != p(0) && !relays;
-            (is_final(msg) && (withheld || relay_lost)) || silent.contains(&to.as_usize())
+            let lost =
+                (is_final(&msg) && (withheld || relay_lost)) || silent.contains(&to.as_usize());
+            (!lost).then_some(msg)
         };
-        let delivered = drive_logged(&mut endpoints, vec![(0, 7)], &mut Vec::new(), lost);
+        let delivered = drive_logged(&mut endpoints, vec![(0, 7)], &mut Vec::new(), channel);
         delivered.iter().map(Vec::len).collect()
     }
 
@@ -553,7 +625,7 @@ mod tests {
             // A completed broadcast is prunable everywhere and the
             // delivered count stays monotone.
             let mut wire = Vec::new();
-            drive_logged(&mut endpoints, vec![(0, 5)], &mut wire, |_, _, _| false);
+            drive_logged(&mut endpoints, vec![(0, 5)], &mut wire, reliable);
             for endpoint in &mut endpoints {
                 assert_eq!(endpoint.delivered_count(), 1);
                 assert_eq!(endpoint.prune_delivered(), 1);

@@ -31,7 +31,7 @@
 //! off-by-one, a FIFO-violating delivery wrapper, PBFT forgetting the
 //! votes that overtake a pre-prepare) that CI runs through the generic
 //! `explore_with` to prove the harness actually catches bugs — see
-//! [`broken`].
+//! the `broken` module.
 //!
 //! # Example
 //!

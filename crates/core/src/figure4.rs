@@ -18,7 +18,7 @@
 //! admission check (line 2) counts them (`balance(a, hist[p] ∪ deps)`),
 //! and the proof of Theorem 3 explicitly linearizes those incoming
 //! transfers *before* the transfer they fund ("S may order some incoming
-//! transfer to q that did not appear at hist[q] before the corresponding
+//! transfer to q that did not appear at hist\[q\] before the corresponding
 //! (q,d,y,s) has been added to it"). We therefore evaluate the balance
 //! over `hist[q] ∪ h`, which is the reading consistent with Lemma 3's
 //! liveness claim — a deliberate deviation from the letter of line 25.

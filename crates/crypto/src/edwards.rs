@@ -321,7 +321,7 @@ const COMB_DIGITS: usize = 255;
 /// 256): row `i` holds `[j·256^i]P` for `j = 1..=255`, so `[n]P` is at
 /// most 32 mixed additions and **zero doublings**. Build once per
 /// long-lived point (the base point, a session's public keys). Entries
-/// are stored normalized in [`AffineNiels`] form in one flat
+/// are stored normalized in `AffineNiels` form in one flat
 /// allocation: 32 × 255 × 96 B = 765 KiB. Building costs ~8k point
 /// additions and one field inversion per row (~3 ms), which a point
 /// that verifies more than a handful of signatures amortizes

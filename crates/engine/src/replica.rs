@@ -133,7 +133,7 @@ pub enum DropReason {
     /// non-consecutive sequence number (Figure 4 lines 9–12).
     Malformed,
     /// The per-source delivered-but-unvalidated buffer was full
-    /// ([`MAX_PENDING_PER_SOURCE`]); the source is too far ahead of
+    /// (`MAX_PENDING_PER_SOURCE`); the source is too far ahead of
     /// validation to be honest.
     PendingOverflow,
 }
@@ -542,7 +542,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     }
 
     /// Number of well-formed transfers dropped because the per-source
-    /// pending buffer overflowed ([`MAX_PENDING_PER_SOURCE`]).
+    /// pending buffer overflowed (`MAX_PENDING_PER_SOURCE`).
     pub fn pending_overflow_dropped(&self) -> u64 {
         self.pending_overflow_dropped
     }
@@ -793,7 +793,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             return;
         }
         let trace = batch.trace;
-        for msg in batch.items {
+        for msg in batch.into_items() {
             let t = &msg.transfer;
             let well_formed = t.originator == q
                 && t.source.index() == q.index()

@@ -34,8 +34,9 @@
 //!
 //! [`Registry::snapshot`] captures every metric into a plain
 //! [`Snapshot`] value that implements the workspace codec
-//! ([`at_model::codec::Encode`]/[`Decode`]) — that is what `at-node`
-//! ships over the wire for `Client::stats()` — and
+//! ([`at_model::codec::Encode`]/[`Decode`](at_model::codec::Decode))
+//! — that is what `at-node` ships over the wire for `Client::stats()` —
+//! and
 //! [`Registry::render`] (or [`Snapshot::render`]) formats it as the
 //! text block a chaos counterexample embeds per node.
 //!

@@ -393,7 +393,7 @@ impl Tracer {
         })
     }
 
-    /// Arms [`SLOW_CREDITS`] always-on ingresses; the gateway calls this
+    /// Arms `SLOW_CREDITS` always-on ingresses; the gateway calls this
     /// when a completed transfer's end-to-end time exceeded
     /// [`TraceConfig::slow_threshold_us`], so the regime that produced
     /// the outlier is captured in full.

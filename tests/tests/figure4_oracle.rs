@@ -188,7 +188,7 @@ fn hold_to_figure4<B: SecureBroadcast<EnginePayload>>(
     let mut by_oracle = BTreeSet::new();
     let mut by_engine = BTreeSet::new();
     for (k, (delivery, step)) in log.iter().zip(steps).enumerate() {
-        for item in &delivery.payload.items {
+        for item in delivery.payload.items.iter() {
             for applied in oracle.on_deliver(delivery.source, item.clone()) {
                 if let Applied::Transfer(transfer) = applied {
                     by_oracle.insert(transfer);
