@@ -83,8 +83,10 @@ pub type TraceExtract<P> = fn(&P) -> Option<TraceCtx>;
 /// introspection methods expose the endpoint's retained state so upper
 /// layers never re-derive it.
 pub trait SecureBroadcast<P: Clone + Eq + Encode>: Send {
-    /// The wire message type of the protocol.
-    type Msg: Clone + Send;
+    /// The wire message type of the protocol. `==` lets a runtime encode
+    /// a message sent to several peers once (payloads compare as their
+    /// encodings do).
+    type Msg: Clone + PartialEq + Send;
 
     /// Broadcasts `payload` with this endpoint's next sequence number;
     /// returns the sequence number used.

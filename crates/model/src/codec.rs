@@ -49,6 +49,12 @@ impl Writer {
         }
     }
 
+    /// A writer that appends to `buf`, keeping what it already holds
+    /// ([`Writer::into_bytes`] hands the grown buffer back).
+    pub fn appending_to(buf: Vec<u8>) -> Self {
+        Writer { buf }
+    }
+
     /// Appends a single byte.
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
@@ -515,5 +521,13 @@ mod tests {
         w.put_u8(1);
         assert_eq!(w.len(), 1);
         assert!(!w.is_empty());
+    }
+
+    #[test]
+    fn an_appending_writer_keeps_what_the_buffer_held() {
+        let mut w = Writer::appending_to(vec![9, 8]);
+        assert_eq!(w.len(), 2);
+        w.put_len_prefixed(&[7]);
+        assert_eq!(w.into_bytes(), [9, 8, 1, 0, 0, 0, 0, 0, 0, 0, 7]);
     }
 }

@@ -2,14 +2,16 @@
 //!
 //! Clients speak the same frame protocol as peers ([`crate::wire`]) on a
 //! separate listener: a `HelloClient` handshake, then pipelined request
-//! frames in and response frames out. Each accepted connection gets a
-//! reader thread, which turns every request frame into the node loop's
-//! own `Command` and queues each socket read's worth in one delivery,
-//! and a writer thread, which encodes the response [`Frame`]s the loop
-//! sends to the connection's channel in the registry — the gateway has
-//! no vocabulary of its own in either direction. Client bytes are
-//! untrusted, and a malformed stream terminates only its own
-//! connection.
+//! frames in and response frames out. Both directions move bursts, not
+//! items. Each accepted connection gets a reader thread, which turns
+//! every request frame of one socket read into the node loop's own
+//! `Command` and queues them as one channel message with one wake-up,
+//! and a writer thread, which takes the bursts of response [`Frame`]s
+//! the loop hands the connection's channel in the registry — one per
+//! hand-over — and encodes each burst, and whatever else is queued
+//! behind it, into one write. The gateway has no vocabulary of its own
+//! in either direction. Client bytes are untrusted, and a malformed
+//! stream terminates only its own connection.
 
 use crate::node::{Command, CommandSender, ResponseRegistry};
 use crate::wire::{encode_frame_into, Frame, FrameBuffer};
@@ -84,7 +86,7 @@ impl ClientGateway {
                     }
                     let Ok(stream) = stream else { continue };
                     let conn = conn_counter.fetch_add(1, Ordering::Relaxed);
-                    let (tx, rx) = channel::<Frame>();
+                    let (tx, rx) = channel::<Vec<Frame>>();
                     registry.lock().expect("registry poisoned").insert(conn, tx);
                     // Writer: responses out. Exits when the registry
                     // entry is removed (channel disconnects) or the
@@ -96,14 +98,19 @@ impl ClientGateway {
                                 // Coalesce: one blocking recv, then
                                 // drain whatever else is queued into
                                 // the same buffer — one write syscall
-                                // flushes a whole burst of responses.
+                                // flushes every burst waiting.
                                 let mut wire = Vec::new();
-                                'conn: while let Ok(frame) = rx.recv() {
+                                'conn: while let Ok(mut burst) = rx.recv() {
                                     wire.clear();
-                                    encode_frame_into(&frame, &mut wire);
-                                    while wire.len() < MAX_RESPONSE_BURST {
+                                    loop {
+                                        for frame in &burst {
+                                            encode_frame_into(frame, &mut wire);
+                                        }
+                                        if wire.len() >= MAX_RESPONSE_BURST {
+                                            break;
+                                        }
                                         match rx.try_recv() {
-                                            Ok(frame) => encode_frame_into(&frame, &mut wire),
+                                            Ok(next) => burst = next,
                                             Err(_) => break,
                                         }
                                     }
@@ -143,9 +150,9 @@ fn client_reader(stream: TcpStream, conn: u64, commands: &CommandSender, shutdow
     let mut buffer = FrameBuffer::new();
     let mut chunk = [0u8; crate::wire::READ_CHUNK];
     let mut greeted = false;
-    // Everything the last read held goes to the node loop in one
-    // delivery (one wake-up), so a pipelined burst reaches the batcher
-    // whole.
+    // Everything the last read held goes to the node loop as one channel
+    // message (one send, one wake-up), so a pipelined burst reaches the
+    // batcher whole.
     let mut burst = Vec::new();
     loop {
         let healthy = loop {
@@ -172,7 +179,7 @@ fn client_reader(stream: TcpStream, conn: u64, commands: &CommandSender, shutdow
             });
         };
         if !burst.is_empty() {
-            let _ = commands.send_all(burst.drain(..));
+            let _ = commands.send_all(std::mem::take(&mut burst));
         }
         if !healthy || shutdown.load(Ordering::Relaxed) {
             return;
@@ -188,5 +195,45 @@ fn client_reader(stream: TcpStream, conn: u64, commands: &CommandSender, shutdow
             }
             Err(_) => return,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::node::command_channel;
+    use crate::wire::{ClientOp, ClientRequest};
+    use at_model::{AccountId, Amount};
+
+    #[test]
+    fn a_pipelined_burst_reaches_the_loop_as_one_channel_message() {
+        let gateway = ClientGateway::bind("127.0.0.1:0").expect("bind");
+        let addr = gateway.local_addr().expect("bound");
+        let (commands, queue) = command_channel(at_net::Waker::new(|| {}));
+        let stop = gateway.run(Arc::default(), Arc::default(), commands);
+        // The handshake and 128 requests in one write, so one read.
+        let mut wire = Vec::new();
+        encode_frame_into(&Frame::HelloClient, &mut wire);
+        for id in 0..128 {
+            let op = ClientOp::Transfer {
+                destination: AccountId::new(1),
+                amount: Amount::new(1),
+            };
+            encode_frame_into(&Frame::Request(ClientRequest { id, op }), &mut wire);
+        }
+        let mut client = TcpStream::connect(addr).expect("connect");
+        client.write_all(&wire).expect("write");
+        let first = queue
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a burst");
+        assert_eq!(first.len(), 128, "the burst reached the loop in pieces");
+        for (id, command) in (0..).zip(&first) {
+            assert!(matches!(
+                command,
+                Command::Request { request, .. } if request.id == id
+            ));
+        }
+        drop(client);
+        stop.stop();
     }
 }

@@ -8,13 +8,16 @@
 //! `Command` type for everything else — a [`ClientGateway`]'s readers
 //! and an in-process [`LocalClient`] queue the same `Command` for a
 //! transfer, a read, a scrape or a snapshot slice. Outputs flow the
-//! other way: context sends are encoded and handed to the transport
+//! other way: context sends are encoded — once per distinct message,
+//! however many peers it goes to — and handed to the transport
 //! (self-addressed messages loop back through the ingest queue, never
 //! re-entering the replica mid-handler), armed timers join a real timer
 //! heap, engine events update the node's registry counters, and every
 //! answer to a client leaves the loop as the wire [`Frame`] it is (the
-//! gateway's writers encode it, a [`LocalClient`] matches on it) — a
-//! handler's answers together, as the handler's outputs are routed.
+//! gateway's writers encode it, a [`LocalClient`] matches on it). Every
+//! hand-off between the loop and a session carries a burst, not an
+//! item: a socket read's commands arrive as one channel message, and a
+//! handler's answers leave as one per session.
 //!
 //! # One thread, one place to block
 //!
@@ -224,13 +227,15 @@ pub(crate) enum Command {
 
 /// The only way a [`Command`] reaches the loop: queue it, then
 /// interrupt the loop's one blocking wait — so no sender can forget the
-/// wake-up. Dropping the last clone wakes the loop too, which then sees
-/// the queue disconnected and winds down.
+/// wake-up. The queue carries bursts, not items: everything one socket
+/// read held is one channel message and one wake-up. Dropping the last
+/// clone wakes the loop too, which then sees the queue disconnected and
+/// winds down.
 #[derive(Clone)]
 pub(crate) struct CommandSender {
     // Dropped before `hangup` (declaration order), so the wake-up a
     // drop sends finds the queue already disconnected.
-    commands: Sender<Command>,
+    commands: Sender<Vec<Command>>,
     hangup: WakeOnDrop,
 }
 
@@ -243,29 +248,33 @@ impl Drop for WakeOnDrop {
     }
 }
 
+/// A [`CommandSender`] and the loop's end of its queue.
+pub(crate) fn command_channel(waker: Waker) -> (CommandSender, Receiver<Vec<Command>>) {
+    let (commands, queue) = channel();
+    let hangup = WakeOnDrop(waker);
+    (CommandSender { commands, hangup }, queue)
+}
+
 impl CommandSender {
-    pub(crate) fn send(&self, command: Command) -> Result<(), SendError<Command>> {
-        self.send_all([command])
+    pub(crate) fn send(&self, command: Command) -> Result<(), SendError<Vec<Command>>> {
+        self.send_all(vec![command])
     }
 
-    /// Queues `commands` in order, then wakes the loop once: a burst
-    /// read off one socket costs one wake-up, and the loop finds the
-    /// whole burst queued instead of racing its producer.
-    pub(crate) fn send_all(
-        &self,
-        commands: impl IntoIterator<Item = Command>,
-    ) -> Result<(), SendError<Command>> {
-        for command in commands {
-            self.commands.send(command)?;
-        }
+    /// Queues `commands` as one channel message, then wakes the loop
+    /// once: a burst read off one socket costs one send and one
+    /// wake-up, and the loop takes the whole burst in order instead of
+    /// racing its producer item by item.
+    pub(crate) fn send_all(&self, commands: Vec<Command>) -> Result<(), SendError<Vec<Command>>> {
+        self.commands.send(commands)?;
         self.hangup.0.wake();
         Ok(())
     }
 }
 
-/// Where the loop's answers go: one channel of wire frames per client
-/// session, TCP (drained by the gateway's writer) or in-process.
-pub(crate) type ResponseRegistry = Arc<Mutex<HashMap<u64, Sender<Frame>>>>;
+/// Where the loop's answers go: one channel per client session, TCP
+/// (drained by the gateway's writer) or in-process, carrying each
+/// hand-over's answers to that session as one burst of wire frames.
+pub(crate) type ResponseRegistry = Arc<Mutex<HashMap<u64, Sender<Vec<Frame>>>>>;
 
 /// A handle to a running [`Node`]: submit work, inspect state, stop it.
 pub struct NodeHandle<B: at_broadcast::SecureBroadcast<EnginePayload>> {
@@ -334,6 +343,7 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
             next_id: 0,
             commands: self.commands.clone(),
             responses: rx,
+            unread: VecDeque::new(),
         }
     }
 
@@ -373,7 +383,9 @@ pub struct LocalClient {
     conn: u64,
     next_id: u64,
     commands: CommandSender,
-    responses: Receiver<Frame>,
+    responses: Receiver<Vec<Frame>>,
+    /// The rest of the last burst received, not yet looked at.
+    unread: VecDeque<Frame>,
 }
 
 impl LocalClient {
@@ -396,10 +408,13 @@ impl LocalClient {
     ) -> Option<R> {
         let deadline = Instant::now() + timeout;
         loop {
-            let remaining = deadline.checked_duration_since(Instant::now())?;
-            if let Some(picked) = pick(self.responses.recv_timeout(remaining).ok()?) {
-                return Some(picked);
+            while let Some(frame) = self.unread.pop_front() {
+                if let Some(picked) = pick(frame) {
+                    return Some(picked);
+                }
             }
+            let remaining = deadline.checked_duration_since(Instant::now())?;
+            self.unread = self.responses.recv_timeout(remaining).ok()?.into();
         }
     }
 
@@ -582,11 +597,7 @@ where
         probe: Option<EventProbe>,
         replica: impl FnOnce(&Recorder) -> ShardedReplica<B>,
     ) -> NodeHandle<B> {
-        let (commands, command_rx) = channel();
-        let commands = CommandSender {
-            commands,
-            hangup: WakeOnDrop(transport.waker()),
-        };
+        let (commands, command_rx) = command_channel(transport.waker());
         let registry: ResponseRegistry = Arc::default();
         let conn_counter = Arc::new(AtomicU64::new(0));
         let obs = Registry::new(format!("node {}", transport.me()));
@@ -669,7 +680,7 @@ where
     config: NodeConfig,
     counters: Counters,
     registry: ResponseRegistry,
-    commands: Receiver<Command>,
+    commands: Receiver<Vec<Command>>,
     /// Decoded peer messages awaiting the replica (includes self
     /// loopback), per-source FIFO.
     typed: VecDeque<TypedMsg<B>>,
@@ -753,10 +764,10 @@ where
                 self.drive(|replica, ctx| replica.on_timer(timer, ctx));
             }
 
-            // 2. Drain loop commands.
+            // 2. Drain loop commands, a burst at a time, each in order.
             loop {
-                let command = match self.commands.try_recv() {
-                    Ok(command) => command,
+                let burst = match self.commands.try_recv() {
+                    Ok(burst) => burst,
                     Err(TryRecvError::Empty) => break,
                     Err(TryRecvError::Disconnected) => {
                         // Every handle and gateway is gone: nobody can
@@ -770,41 +781,43 @@ where
                     }
                 };
                 woke_for_nothing = false;
-                match command {
-                    Command::Request {
-                        conn,
-                        request,
-                        received,
-                    } => self.handle_request(conn, request, received),
-                    Command::Stats { conn, id } => {
-                        let snapshot = self.metrics_snapshot();
-                        self.deliver(conn, Frame::StatsResponse { id, snapshot });
-                    }
-                    Command::Trace { conn, id } => {
-                        // Empty when tracing is disabled: scraping
-                        // stays a valid no-op either way.
-                        let log = self.tracer.as_ref().map(Tracer::log).unwrap_or_default();
-                        self.deliver(conn, Frame::TraceResponse { id, log });
-                    }
-                    Command::Snapshot { conn, id, offset } => {
-                        self.handle_snapshot(conn, id, offset);
-                    }
-                    Command::ClientGone { conn } => {
-                        self.registry
-                            .lock()
-                            .expect("registry poisoned")
-                            .remove(&conn);
-                    }
-                    Command::Inspect(reply) => {
-                        let _ = reply.send(self.report());
-                    }
-                    Command::SetTimerSkew(pct) => {
-                        self.timer_skew_pct = pct;
-                    }
-                    Command::Stop => {
-                        if stop_deadline.is_none() {
-                            stop_deadline = Some(Instant::now() + self.config.stop_grace);
-                            self.stopping = true;
+                for command in burst {
+                    match command {
+                        Command::Request {
+                            conn,
+                            request,
+                            received,
+                        } => self.handle_request(conn, request, received),
+                        Command::Stats { conn, id } => {
+                            let snapshot = self.metrics_snapshot();
+                            self.deliver(conn, Frame::StatsResponse { id, snapshot });
+                        }
+                        Command::Trace { conn, id } => {
+                            // Empty when tracing is disabled: scraping
+                            // stays a valid no-op either way.
+                            let log = self.tracer.as_ref().map(Tracer::log).unwrap_or_default();
+                            self.deliver(conn, Frame::TraceResponse { id, log });
+                        }
+                        Command::Snapshot { conn, id, offset } => {
+                            self.handle_snapshot(conn, id, offset);
+                        }
+                        Command::ClientGone { conn } => {
+                            self.registry
+                                .lock()
+                                .expect("registry poisoned")
+                                .remove(&conn);
+                        }
+                        Command::Inspect(reply) => {
+                            let _ = reply.send(self.report());
+                        }
+                        Command::SetTimerSkew(pct) => {
+                            self.timer_skew_pct = pct;
+                        }
+                        Command::Stop => {
+                            if stop_deadline.is_none() {
+                                stop_deadline = Some(Instant::now() + self.config.stop_grace);
+                                self.stopping = true;
+                            }
                         }
                     }
                 }
@@ -956,18 +969,32 @@ where
     /// sends (looping self-addressed messages back through the ingest
     /// queue), arms timers, and folds emitted events into counters and
     /// client acknowledgements.
+    ///
+    /// A message is encoded once however many peers it goes to: a
+    /// `send_all` (or a relay to several peers) queues equal messages
+    /// back to back, and each repeat of the last one encoded reuses its
+    /// bytes. Equality, not identity, decides — a shared payload makes
+    /// the comparison a pointer check, and `Batch`'s `==` is equality of
+    /// encodings, so reused bytes are the bytes an encode would make.
     fn flush(&mut self, outputs: at_net::ContextOutputs<B::Msg>) {
         let me = self.replica.me();
+        let mut last: Option<(B::Msg, Vec<u8>)> = None;
         for (to, msg) in outputs.outbox {
             if to == me {
                 self.typed.push_back((me, msg));
-            } else {
-                let t = Instant::now();
-                let payload = encode_peer_payload(&msg);
-                self.recorder.record(Stage::WireEncode, t.elapsed());
-                self.counters.msgs_out.inc();
-                self.transport.send(to, payload);
+                continue;
             }
+            let payload = match &last {
+                Some((encoded, bytes)) if *encoded == msg => bytes.clone(),
+                _ => {
+                    let t = Instant::now();
+                    let bytes = encode_peer_payload(&msg);
+                    self.recorder.record(Stage::WireEncode, t.elapsed());
+                    last.insert((msg, bytes)).1.clone()
+                }
+            };
+            self.counters.msgs_out.inc();
+            self.transport.send(to, payload);
         }
         let now = Instant::now();
         for (delay, timer) in outputs.timers {
@@ -1100,25 +1127,41 @@ where
         self.answers.push((conn, frame, None));
     }
 
-    /// Hands the queued answers to their sessions in one burst under one
-    /// registry lock: sent as the handler produces them, a delivered
-    /// batch's 128 acknowledgements would wake the session's writer at
-    /// the first and leave in a trickle of writes (with a core free to
-    /// run it at once, it does); queued together, the writer finds them
-    /// all. A commit's ack and end-to-end spans close here, when its
-    /// answer is queued to the client.
+    /// Hands the queued answers over under one registry lock, each
+    /// session's as one burst: one channel message, in the order they
+    /// were queued. Sent one by one, a delivered batch's 128
+    /// acknowledgements would cost 128 channel sends and wake the
+    /// session's writer at the first, to leave in a trickle of writes
+    /// (with a core free to run it at once, it does); as one burst, the
+    /// writer wakes once and encodes them all into one write. A
+    /// commit's ack and end-to-end spans close here, when its answer is
+    /// queued to the client.
     fn hand_over(&mut self) {
         if self.answers.is_empty() {
             return;
         }
-        let registry = self.registry.lock().expect("registry poisoned");
-        for (conn, frame, spans) in self.answers.drain(..) {
-            if let Some(sender) = registry.get(&conn) {
-                let _ = sender.send(frame);
-            }
+        // Typically one session per hand-over: a delivered batch answers
+        // the connection its transfers came in on.
+        let mut bursts: Vec<(u64, Vec<Frame>)> = Vec::new();
+        let mut answers = self.answers.drain(..);
+        while let Some((conn, frame, spans)) = answers.next() {
             if let Some((received, completed)) = spans {
                 self.recorder.record(Stage::EndToEnd, received.elapsed());
                 self.recorder.record(Stage::Ack, completed.elapsed());
+            }
+            match bursts.iter_mut().find(|(session, _)| *session == conn) {
+                Some((_, burst)) => burst.push(frame),
+                None => {
+                    let mut burst = Vec::with_capacity(answers.len() + 1);
+                    burst.push(frame);
+                    bursts.push((conn, burst));
+                }
+            }
+        }
+        let registry = self.registry.lock().expect("registry poisoned");
+        for (conn, burst) in bursts {
+            if let Some(sender) = registry.get(&conn) {
+                let _ = sender.send(burst);
             }
         }
     }
@@ -1240,18 +1283,16 @@ mod tests {
 
     /// A session with no loop behind it, the loop's end of its command
     /// queue, and the registry's end of its response channel.
-    fn orphan_session() -> (LocalClient, Receiver<Command>, Sender<Frame>) {
+    fn orphan_session() -> (LocalClient, Receiver<Vec<Command>>, Sender<Vec<Frame>>) {
         let transport = crate::mesh::channel_mesh(1, 1).remove(0);
-        let (commands, command_rx) = channel();
+        let (commands, command_rx) = command_channel(transport.waker());
         let (registered, responses) = channel();
         let session = LocalClient {
             conn: 0,
             next_id: 0,
-            commands: CommandSender {
-                commands,
-                hangup: WakeOnDrop(transport.waker()),
-            },
+            commands,
             responses,
+            unread: VecDeque::new(),
         };
         (session, command_rx, registered)
     }
@@ -1281,5 +1322,94 @@ mod tests {
         assert!(session.stats(TIMEOUT).is_none());
         assert!(session.trace(TIMEOUT).is_none());
         assert!(started.elapsed() < TIMEOUT / 10, "waited out the timeout");
+    }
+
+    type EchoNode = at_broadcast::echo::EchoBroadcast<EnginePayload, at_broadcast::auth::NoAuth>;
+
+    /// A 4-node in-process cluster over SignedEcho, batching up to 128
+    /// transfers.
+    fn echo_cluster() -> Vec<NodeHandle<EchoNode>> {
+        let engine = EngineConfig::sharded_batched(1, 128, at_net::VirtualTime::from_micros(1_000));
+        let config = NodeConfig::new(engine, Amount::new(1_000_000));
+        crate::start_mesh_cluster(4, config, |me| {
+            EchoNode::new(me, 4, at_broadcast::auth::NoAuth)
+        })
+    }
+
+    #[test]
+    fn a_commit_burst_leaves_as_one_channel_message() {
+        // 128 transfers queued as one burst — what the gateway makes of
+        // one socket read — ride one batch, commit in one handler, and
+        // reach their session as one message of 128 answers.
+        let handles = echo_cluster();
+        let node = &handles[0];
+        let conn = node.conn_counter.fetch_add(1, Ordering::Relaxed);
+        let (session, answers) = channel();
+        node.registry.lock().unwrap().insert(conn, session);
+        let op = ClientOp::Transfer {
+            destination: at_model::AccountId::new(1),
+            amount: Amount::new(1),
+        };
+        let burst = (0..128)
+            .map(|id| Command::Request {
+                conn,
+                request: ClientRequest { id, op },
+                received: Instant::now(),
+            })
+            .collect();
+        node.commands.send_all(burst).expect("loop running");
+        let first = answers.recv_timeout(TIMEOUT).expect("answers");
+        assert_eq!(first.len(), 128, "the answers left in several messages");
+        for (id, frame) in (0..).zip(&first) {
+            assert!(matches!(
+                frame,
+                Frame::Response(ClientResponse { id: got, body: ResponseBody::Committed { .. } })
+                    if *got == id
+            ));
+        }
+        for handle in handles {
+            handle.stop();
+        }
+    }
+
+    #[test]
+    fn a_message_to_several_peers_is_encoded_once() {
+        // One honest SignedEcho instance at n = 4 sends 4 distinct
+        // messages to peers at the source (SEND, FINAL) and 2 at each
+        // other node (its ECHO, the FINAL it relays): 2 encodes per
+        // node. The SEND and FINAL go to 3 peers, and a relay to 1 or 2
+        // (2 when the node delivers on the source's own copy), so the
+        // same instance counts 12 to 15 peer messages out.
+        let handles = echo_cluster();
+        let mut client = handles[0].local_client();
+        client.submit_transfer(at_model::AccountId::new(1), Amount::new(5));
+        let deadline = Instant::now() + TIMEOUT;
+        for handle in &handles {
+            while handle.applied() < 1 {
+                assert!(Instant::now() < deadline, "the transfer never applied");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let mut msgs_out = 0;
+        for handle in &handles {
+            let scrape = handle.metrics(TIMEOUT).expect("scrape");
+            let encodes = scrape
+                .histogram("stage_wire_encode_us")
+                .map_or(0, |h| h.count);
+            assert_eq!(
+                encodes, 2,
+                "{}: one encode per distinct message",
+                scrape.label
+            );
+            msgs_out += scrape.counter("node_peer_msgs_out_total").unwrap_or(0);
+        }
+        assert!(
+            (12..=15).contains(&msgs_out),
+            "{msgs_out} peer messages out"
+        );
+        drop(client);
+        for handle in handles {
+            handle.stop();
+        }
     }
 }

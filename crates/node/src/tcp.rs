@@ -236,7 +236,9 @@ const MAX_WRITE_BURST: usize = 256 * 1024;
 pub struct TcpTransport {
     me: ProcessId,
     options: TcpOptions,
-    listener: TcpListener,
+    /// Closed by `shutdown`, so a dial aimed at a stopped endpoint is
+    /// refused instead of waiting in a backlog nothing accepts.
+    listener: Option<TcpListener>,
     listen_addr: SocketAddr,
     faults: Option<FaultInjector>,
     stats: TransportStats,
@@ -319,7 +321,7 @@ impl TcpTransport {
         let mut transport = TcpTransport {
             me,
             options,
-            listener,
+            listener: Some(listener),
             listen_addr,
             faults,
             stats,
@@ -626,7 +628,7 @@ impl TcpTransport {
             entry(fd, events)
         });
         let wake = entry(self.wake_rx.as_raw_fd(), POLLIN);
-        let listener = entry(self.listener.as_raw_fd(), POLLIN);
+        let listener = entry(self.listener.as_ref().map_or(-1, |l| l.as_raw_fd()), POLLIN);
         self.fds.clear();
         self.fds
             .extend([wake, listener].into_iter().chain(links).chain(accepted));
@@ -670,7 +672,10 @@ impl TcpTransport {
     }
 
     fn accept_all(&mut self) {
-        while let Ok((stream, _)) = self.listener.accept() {
+        let Some(listener) = &self.listener else {
+            return;
+        };
+        while let Ok((stream, _)) = listener.accept() {
             if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
                 self.accepted.push(Accepted {
                     stream,
@@ -778,6 +783,11 @@ impl Transport for TcpTransport {
             return;
         }
         self.closed = true;
+        // A peer still dialing this address is refused and retries
+        // against whatever the directory announces next: left bound,
+        // the listener would take its connection into a backlog nothing
+        // accepts, and the peer would wait for a `HelloAck` forever.
+        self.listener = None;
         // The dialer's queue disconnects: it exits at its next look.
         self.redial = None;
         if let Some(dialer) = self.dialer.take() {
@@ -1276,6 +1286,20 @@ mod tests {
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1b.shutdown();
+    }
+
+    #[test]
+    fn a_shut_down_endpoint_refuses_connections() {
+        // A peer's redial that read the address before the next
+        // incarnation was announced must be refused and retried, not
+        // parked in the backlog of a listener nobody accepts on.
+        let (mut t0, mut t1) = start_pair();
+        let addr = t1.listen_addr();
+        t1.shutdown();
+        let refused = TcpStream::connect_timeout(&addr, Duration::from_secs(1))
+            .expect_err("a shut-down endpoint accepted a connection");
+        assert_eq!(refused.kind(), ErrorKind::ConnectionRefused);
+        t0.shutdown();
     }
 
     #[test]

@@ -368,7 +368,8 @@ impl Encode for Frame {
             Frame::Data { seq, payload } => {
                 w.put_u8(2);
                 seq.encode(w);
-                payload.encode(w);
+                // `Vec<u8>`'s canonical bytes, copied in one go.
+                w.put_len_prefixed(payload);
             }
             Frame::DataAck { through } => {
                 w.put_u8(3);
@@ -418,7 +419,7 @@ impl Encode for Frame {
                 offset.encode(w);
                 total.encode(w);
                 digest.encode(w);
-                bytes.encode(w);
+                w.put_len_prefixed(bytes);
             }
         }
     }
@@ -544,25 +545,34 @@ pub fn encode_frame(frame: &Frame) -> Vec<u8> {
 /// Appends the full stream encoding of `frame` (length prefix, version
 /// byte, body) to `out`. Writers coalescing several frames into one
 /// socket write use this to build the combined buffer without
-/// per-frame allocations.
+/// per-frame allocations. The frame is written in place, in one pass:
+/// the length prefix is filled in once the body is behind it.
 ///
 /// # Panics
 ///
 /// Panics if the body would exceed [`MAX_FRAME_LEN`], like
 /// [`encode_frame`].
 pub fn encode_frame_into(frame: &Frame, out: &mut Vec<u8>) {
-    let mut body = Writer::new();
-    body.put_u8(WIRE_VERSION);
-    frame.encode(&mut body);
-    let body = body.into_bytes();
+    let start = out.len();
+    // A byte payload is most of a frame that carries one: room for it
+    // and the fixed fields up front, so the copy lands without regrowth.
+    let payload = match frame {
+        Frame::Data { payload, .. } => payload.len(),
+        Frame::SnapshotChunk { bytes, .. } => bytes.len(),
+        _ => 0,
+    };
+    out.reserve(64 + payload);
+    let mut w = Writer::appending_to(std::mem::take(out));
+    w.put_u32(0);
+    w.put_u8(WIRE_VERSION);
+    frame.encode(&mut w);
+    *out = w.into_bytes();
+    let body = out.len() - start - 4;
     assert!(
-        body.len() <= MAX_FRAME_LEN as usize,
-        "outgoing frame body of {} bytes exceeds MAX_FRAME_LEN",
-        body.len()
+        body <= MAX_FRAME_LEN as usize,
+        "outgoing frame body of {body} bytes exceeds MAX_FRAME_LEN"
     );
-    out.reserve(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&body);
+    out[start..start + 4].copy_from_slice(&(body as u32).to_le_bytes());
 }
 
 /// Decodes one frame *body* (the bytes after the length prefix):

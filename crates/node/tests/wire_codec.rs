@@ -202,6 +202,37 @@ proptest! {
         prop_assert_eq!(buffer.buffered(), 0);
     }
 
+    /// The byte-payload frames keep their wire bytes: `encode_frame`
+    /// equals a field-by-field reference (length prefix, version, kind
+    /// tag, the `u64` fields, the payload's `u64` length, the payload)
+    /// and decodes back to the frame.
+    #[test]
+    fn byte_payload_frames_match_their_reference_encoding(
+        a in any::<u64>(),
+        b in any::<u64>(),
+        c in any::<u64>(),
+        d in any::<u64>(),
+        payload in prop::collection::vec(any::<u8>(), 0..2048),
+    ) {
+        let reference = |tag: u8, fields: &[u64]| {
+            let mut body = vec![WIRE_VERSION, tag];
+            for field in fields.iter().chain([&(payload.len() as u64)]) {
+                body.extend_from_slice(&field.to_le_bytes());
+            }
+            body.extend_from_slice(&payload);
+            let mut framed = (body.len() as u32).to_le_bytes().to_vec();
+            framed.extend_from_slice(&body);
+            framed
+        };
+        let data = Frame::Data { seq: a, payload: payload.clone() };
+        let chunk = Frame::SnapshotChunk { id: a, offset: b, total: c, digest: d, bytes: payload.clone() };
+        for (frame, expected) in [(data, reference(2, &[a])), (chunk, reference(12, &[a, b, c, d]))] {
+            let bytes = encode_frame(&frame);
+            prop_assert_eq!(&bytes, &expected);
+            prop_assert_eq!(decode_frame_body(&bytes[4..]).expect("decodes"), frame);
+        }
+    }
+
     /// Truncating a valid frame at any point yields "need more bytes"
     /// or an error — never a bogus frame, never a panic.
     #[test]

@@ -21,7 +21,9 @@ pub enum Stage {
     /// Own batch broadcast until the backend delivers it back locally
     /// (the full broadcast round-trip, quorum included).
     Broadcast,
-    /// Encoding outgoing backend messages into wire payloads.
+    /// Encoding one outgoing backend message into a wire payload: one
+    /// sample per encode, not per destination — a message sent to
+    /// several peers is encoded once and its bytes shared.
     WireEncode,
     /// Decoding inbound wire payloads into backend messages.
     WireDecode,
