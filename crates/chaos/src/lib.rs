@@ -3,11 +3,12 @@
 //! at-check model-checks the engine inside the deterministic simulator;
 //! this crate closes the remaining gap to the real runtime: it drives a
 //! *live* at-node cluster — OS threads, wall clocks, clients on real
-//! sockets speaking the versioned wire protocol, and peers wired over
-//! TCP or the in-process channel mesh under one run body
-//! ([`run_chaos`]) — through seeded
-//! nemesis schedules of partitions, wire loss, duplication, delay,
-//! forced disconnects, warm crash/restarts, and batch-timer skew, while
+//! sockets speaking the versioned wire protocol, peers wired over TCP
+//! ([`run_chaos`]) — through seeded nemesis schedules of partitions,
+//! wire loss, duplication, delay, forced disconnects, warm
+//! crash/restarts, and batch-timer skew, injected beneath TCP's replay
+//! layer so that every fault that loses a frame reaches the recovery
+//! code (reconnect, replay, dedup), while
 //! an [`at_node::EventProbe`] records the complete client-visible
 //! history and per-replica delivery logs. After heal-and-drain, the
 //! recording goes through the **same validator battery** the schedule
@@ -21,7 +22,7 @@
 //!
 //! Schedules are pure functions of their seed
 //! ([`generate_schedule`]), so any violation reproduces from its
-//! `(backend, transport, seed)` row: the soak in `tests/chaos_runs.rs`
+//! `(backend, seed)` row: the soak in `tests/chaos_runs.rs`
 //! runs seeded schedules against the three secure broadcasts (PBFT, which
 //! stalls on a crashed leader, runs a quiet one), and a failing run
 //! prints [`ChaosReport::counterexample`] — the row to pin included.
@@ -29,11 +30,11 @@
 //! # Example
 //!
 //! ```no_run
-//! use at_chaos::{run_seeded, ChaosConfig, ChaosTransport};
+//! use at_chaos::{run_seeded, ChaosConfig};
 //! use at_engine::BroadcastBackend;
 //!
 //! let config = ChaosConfig::default();
-//! let report = run_seeded(&config, BroadcastBackend::signed_echo(), ChaosTransport::Tcp, 42);
+//! let report = run_seeded(&config, BroadcastBackend::signed_echo(), 42);
 //! assert!(report.violations.is_empty(), "{:?}", report.violations);
 //! assert!(report.converged);
 //! assert_eq!(report.dropped_frames, 0);
@@ -46,6 +47,4 @@ pub mod nemesis;
 pub mod runner;
 
 pub use nemesis::{format_nemesis_schedule, generate_schedule, NemesisChoice};
-pub use runner::{
-    run_chaos, run_seeded, run_with_schedule, ChaosConfig, ChaosReport, ChaosTransport,
-};
+pub use runner::{run_chaos, run_seeded, run_with_schedule, ChaosConfig, ChaosReport};

@@ -4,7 +4,7 @@
 //! step against a live cluster — the chaos counterpart of at-check's
 //! `Schedule` of delivery `Choice`s. Schedules are *generated* from a
 //! seed ([`generate_schedule`] is a pure function of `(seed, n,
-//! disruptions, allow_crash)`), so a failing run's fault script
+//! disruptions)`), so a failing run's fault script
 //! regenerates bit-for-bit from its seed alone, and a failing run
 //! prints exactly that seed as the row to replay. (The *execution* is
 //! wall-clock: a tight race may need a few replays of the same schedule
@@ -57,8 +57,7 @@ pub enum NemesisChoice {
         to: u32,
     },
     /// Warm-crash `node`: graceful stop, `down_ms` offline, restart from
-    /// the same replica state on a fresh port. TCP clusters only — the
-    /// mesh runner skips this step (its endpoints cannot be re-wired).
+    /// the same replica state on a fresh port.
     CrashRestart {
         /// The victim.
         node: u32,
@@ -137,15 +136,9 @@ impl Rng {
 
 /// Generates the seeded nemesis schedule for an `n`-process cluster:
 /// `disruptions` fault steps interleaved with run windows, ending in a
-/// final heal-and-drain window. `allow_crash` gates
-/// [`NemesisChoice::CrashRestart`] steps (off for mesh clusters). Pure
-/// in `(seed, n, disruptions, allow_crash)` — the whole repro story.
-pub fn generate_schedule(
-    seed: u64,
-    n: usize,
-    disruptions: usize,
-    allow_crash: bool,
-) -> Vec<NemesisChoice> {
+/// final heal-and-drain window. Pure in `(seed, n, disruptions)` — the
+/// whole repro story.
+pub fn generate_schedule(seed: u64, n: usize, disruptions: usize) -> Vec<NemesisChoice> {
     assert!(n >= 2, "need at least two processes");
     let mut rng = Rng::new(seed);
     let mut schedule = Vec::with_capacity(disruptions * 3 + 3);
@@ -183,7 +176,7 @@ pub fn generate_schedule(
                 let (from, to) = link(&mut rng);
                 schedule.push(NemesisChoice::Disconnect { from, to });
             }
-            7 if allow_crash => {
+            7 => {
                 // Heal first: crashing into an active partition would
                 // strand the victim's graceful flush on its blocked
                 // outboxes (loss, not a safety counterexample).
@@ -192,10 +185,6 @@ pub fn generate_schedule(
                     node: rng.below(n as u64) as u32,
                     down_ms: 20 + rng.below(40) as u32,
                 });
-            }
-            7 => {
-                let (from, to) = link(&mut rng);
-                schedule.push(NemesisChoice::Disconnect { from, to });
             }
             _ => {
                 schedule.push(NemesisChoice::SkewTimers {
@@ -225,16 +214,16 @@ mod tests {
 
     #[test]
     fn generation_is_pure_in_the_seed() {
-        let a = generate_schedule(42, 4, 6, true);
-        let b = generate_schedule(42, 4, 6, true);
+        let a = generate_schedule(42, 4, 6);
+        let b = generate_schedule(42, 4, 6);
         assert_eq!(a, b);
-        assert_ne!(a, generate_schedule(43, 4, 6, true));
+        assert_ne!(a, generate_schedule(43, 4, 6));
     }
 
     #[test]
     fn schedules_end_healed_and_draining() {
         for seed in 0..20 {
-            let schedule = generate_schedule(seed, 4, 5, true);
+            let schedule = generate_schedule(seed, 4, 5);
             let tail = &schedule[schedule.len() - 2..];
             assert_eq!(tail[0], NemesisChoice::Heal);
             assert!(matches!(tail[1], NemesisChoice::Run { .. }));
@@ -242,30 +231,25 @@ mod tests {
     }
 
     #[test]
-    fn crashes_are_gated_and_preceded_by_heal() {
+    fn every_crash_is_preceded_by_a_heal() {
+        let mut crashes = 0;
         for seed in 0..50u64 {
-            let schedule = generate_schedule(seed, 4, 8, false);
-            assert!(!schedule
-                .iter()
-                .any(|c| matches!(c, NemesisChoice::CrashRestart { .. })));
-            let with_crash = generate_schedule(seed, 4, 8, true);
-            for (i, step) in with_crash.iter().enumerate() {
+            let schedule = generate_schedule(seed, 4, 8);
+            for (i, step) in schedule.iter().enumerate() {
                 if matches!(step, NemesisChoice::CrashRestart { .. }) {
-                    assert_eq!(
-                        with_crash[i - 1],
-                        NemesisChoice::Heal,
-                        "seed {seed} step {i}"
-                    );
+                    assert_eq!(schedule[i - 1], NemesisChoice::Heal, "seed {seed} step {i}");
+                    crashes += 1;
                 }
             }
         }
+        assert!(crashes > 0, "50 seeds generated no crash to check");
     }
 
     #[test]
     fn seeds_yield_mostly_distinct_schedules() {
         let mut distinct = std::collections::BTreeSet::new();
         for seed in 0..100u64 {
-            distinct.insert(generate_schedule(seed, 4, 5, true));
+            distinct.insert(generate_schedule(seed, 4, 5));
         }
         assert!(distinct.len() >= 95, "only {} distinct", distinct.len());
     }
@@ -273,7 +257,7 @@ mod tests {
     #[test]
     fn links_are_never_self_loops_and_stay_in_range() {
         for seed in 0..30u64 {
-            for choice in generate_schedule(seed, 3, 10, true) {
+            for choice in generate_schedule(seed, 3, 10) {
                 match choice {
                     NemesisChoice::PartitionLink { from, to }
                     | NemesisChoice::Degrade { from, to, .. }

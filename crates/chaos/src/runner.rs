@@ -3,17 +3,15 @@
 //!
 //! One [`run_seeded`] call is a complete Jepsen-style experiment:
 //!
-//! 1. boot an `n`-node cluster — its peers wired over loopback TCP or
-//!    over the in-process channel mesh, every node behind a client
-//!    gateway either way — with a seeded [`at_net::FaultInjector`]
-//!    under every link and a shared [`at_node::EventProbe`] over every
-//!    node;
+//! 1. boot an `n`-node cluster — its peers wired over loopback TCP,
+//!    every node behind a client gateway — with a seeded
+//!    [`at_net::FaultInjector`] under every link, beneath the replay
+//!    layer, and a shared [`at_node::EventProbe`] over every node;
 //! 2. hammer it with one closed-loop client per node (pipelined
 //!    transfers over the real wire protocol, each client's whole
 //!    quota), while the nemesis walks the schedule: partitions, wire
 //!    loss, duplication, delay, forced disconnects, batch-timer skew,
-//!    and warm crash/restarts (on the mesh, whose endpoints cannot be
-//!    re-wired, a crash step only sleeps through its downtime);
+//!    and warm crash/restarts;
 //! 3. heal, drain, and wait for quiescent convergence
 //!    ([`at_node::try_await_convergence`], which names the divergent
 //!    digest pair if it fails);
@@ -40,32 +38,13 @@ use at_model::{AccountId, Amount, ProcessId};
 use at_net::transport::FaultInjector;
 use at_net::VirtualTime;
 use at_node::{
-    start_mesh_cluster_with, start_tcp_cluster_with, try_await_convergence, Client, ClusterOptions,
-    EventProbe, NodeConfig, NodeHandle, NodeReport, ResponseBody,
+    start_tcp_cluster_with, try_await_convergence, Client, ClusterOptions, EventProbe, NodeConfig,
+    NodeHandle, NodeReport, ResponseBody,
 };
 use at_obs::{merge_traces, TraceConfig, TraceLog};
 use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-
-/// Which transport a chaos run exercises.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ChaosTransport {
-    /// Peers over loopback TCP (crash/restart supported).
-    Tcp,
-    /// Peers over the in-process channel mesh (crash steps skipped).
-    Mesh,
-}
-
-impl ChaosTransport {
-    /// Report label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ChaosTransport::Tcp => "tcp",
-            ChaosTransport::Mesh => "mesh",
-        }
-    }
-}
 
 /// Shape of one chaos experiment (everything except the seed).
 #[derive(Clone, Copy, Debug)]
@@ -113,8 +92,6 @@ impl Default for ChaosConfig {
 pub struct ChaosReport {
     /// Backend label ([`BroadcastBackend::label`]).
     pub backend: String,
-    /// The transport the run exercised.
-    pub transport: ChaosTransport,
     /// Cluster size.
     pub n: usize,
     /// The schedule seed (full repro key together with the config).
@@ -171,7 +148,7 @@ pub struct ChaosReport {
 impl ChaosReport {
     /// Everything a failed run leaves behind, as one text: the tallies,
     /// the schedule, the row to paste into the pinned regression table
-    /// of `tests/chaos_runs.rs` (this run's `(backend, transport, seed)`
+    /// of `tests/chaos_runs.rs` (this run's `(backend, seed)`
     /// at `config`'s quota and disruption count — the shape that found
     /// it), every violation, each still-reachable node's final metrics,
     /// and the merged timeline of every transfer that never reached its
@@ -180,12 +157,11 @@ impl ChaosReport {
     /// replays.
     pub fn counterexample(&self, config: &ChaosConfig) -> String {
         let mut text = format!(
-            "counterexample: {}/{} seed {} (n = {}): {} submitted, {} committed, {} rejected, \
+            "counterexample: {} seed {} (n = {}): {} submitted, {} committed, {} rejected, \
              {} unresolved, {} timed out, {} events, converged={}, dropped={}, overflow={}{}\n\
              schedule: {}\n\
-             pinned row: (\"{}\", ChaosTransport::{:?}, {}, {}, {}),\n",
+             pinned row: (\"{}\", {}, {}, {}),\n",
             self.backend,
-            self.transport.label(),
             self.seed,
             self.n,
             self.submitted,
@@ -200,7 +176,6 @@ impl ChaosReport {
             if self.unknown { " (unknown)" } else { "" },
             format_nemesis_schedule(&self.schedule),
             self.backend,
-            self.transport,
             self.seed,
             config.quota,
             config.disruptions,
@@ -374,7 +349,6 @@ fn apply_fault_step(faults: &FaultInjector, n: usize, choice: &NemesisChoice) {
 fn finalize(
     config: &ChaosConfig,
     backend: &str,
-    transport: ChaosTransport,
     seed: u64,
     schedule: &[NemesisChoice],
     tallies: Vec<Tally>,
@@ -496,7 +470,6 @@ fn finalize(
 
     ChaosReport {
         backend: backend.to_string(),
-        transport,
         n,
         seed,
         schedule: schedule.to_vec(),
@@ -582,14 +555,10 @@ fn convergence_failure(timeout: &at_node::ConvergenceTimeout) -> Failure {
 }
 
 /// Runs one chaos experiment (see the [module docs](self) for the
-/// phases) on a cluster wired over `transport`, `make` building each
-/// node's backend. On the mesh a [`NemesisChoice::CrashRestart`] step
-/// keeps the schedule's timing shape without the crash; generated mesh
-/// schedules never contain one.
+/// phases) on a TCP cluster, `make` building each node's backend.
 pub fn run_chaos<B, F>(
     config: &ChaosConfig,
     backend: &str,
-    transport: ChaosTransport,
     seed: u64,
     schedule: &[NemesisChoice],
     make: F,
@@ -605,11 +574,8 @@ where
     let options = ClusterOptions::default()
         .with_faults(faults.clone())
         .with_probe(probe.clone());
-    let mut cluster = match transport {
-        ChaosTransport::Tcp => start_tcp_cluster_with(n, node_config(config), options, make),
-        ChaosTransport::Mesh => start_mesh_cluster_with(n, node_config(config), &options, make),
-    }
-    .expect("cluster start");
+    let mut cluster =
+        start_tcp_cluster_with(n, node_config(config), options, make).expect("cluster start");
 
     let addrs = Arc::new(Mutex::new(cluster.client_addrs.clone()));
     let deadline = Instant::now() + schedule_wall(schedule) + config.drain_timeout;
@@ -626,12 +592,6 @@ where
     for choice in schedule {
         match *choice {
             NemesisChoice::CrashRestart { node, down_ms } => {
-                let down = Duration::from_millis(u64::from(down_ms));
-                if transport == ChaosTransport::Mesh {
-                    // No re-wirable endpoints on the mesh.
-                    std::thread::sleep(down);
-                    continue;
-                }
                 let i = node as usize;
                 // Harvest the dying incarnation's loss counters — they
                 // die with its loop, and the FrameLoss gate must see
@@ -644,7 +604,7 @@ where
                 let (replica, lost_ingest, malformed) = cluster.stop_node_counted(i);
                 carried_loss.lost_ingest += lost_ingest;
                 carried_loss.malformed += malformed;
-                std::thread::sleep(down);
+                std::thread::sleep(Duration::from_millis(u64::from(down_ms)));
                 cluster.restart_node(i, replica).expect("restart");
                 addrs.lock().expect("addrs poisoned")[i] = cluster.client_addrs[i];
             }
@@ -702,7 +662,6 @@ where
     finalize(
         config,
         backend,
-        transport,
         seed,
         schedule,
         tallies,
@@ -717,16 +676,10 @@ where
 }
 
 /// Runs one experiment on `backend` with the schedule generated from
-/// `seed`. Crash steps are only generated for TCP runs.
-pub fn run_seeded(
-    config: &ChaosConfig,
-    backend: BroadcastBackend,
-    transport: ChaosTransport,
-    seed: u64,
-) -> ChaosReport {
-    let allow_crash = transport == ChaosTransport::Tcp;
-    let schedule = generate_schedule(seed, config.n, config.disruptions, allow_crash);
-    run_with_schedule(config, backend, transport, seed, &schedule)
+/// `seed`.
+pub fn run_seeded(config: &ChaosConfig, backend: BroadcastBackend, seed: u64) -> ChaosReport {
+    let schedule = generate_schedule(seed, config.n, config.disruptions);
+    run_with_schedule(config, backend, seed, &schedule)
 }
 
 /// [`run_seeded`] with an explicit schedule (the replay entry point):
@@ -735,17 +688,10 @@ pub fn run_seeded(
 pub fn run_with_schedule(
     config: &ChaosConfig,
     backend: BroadcastBackend,
-    transport: ChaosTransport,
     seed: u64,
     schedule: &[NemesisChoice],
 ) -> ChaosReport {
-    struct Chaos<'a>(
-        &'a ChaosConfig,
-        &'static str,
-        ChaosTransport,
-        u64,
-        &'a [NemesisChoice],
-    );
+    struct Chaos<'a>(&'a ChaosConfig, &'static str, u64, &'a [NemesisChoice]);
     impl BackendVisitor for Chaos<'_> {
         type Output = ChaosReport;
         fn visit<B, F>(self, make: F) -> ChaosReport
@@ -754,10 +700,10 @@ pub fn run_with_schedule(
             B::Msg: Encode + Decode + Send + 'static,
             F: Fn(ProcessId) -> B,
         {
-            let Chaos(config, label, transport, seed, schedule) = self;
-            run_chaos(config, label, transport, seed, schedule, make)
+            let Chaos(config, label, seed, schedule) = self;
+            run_chaos(config, label, seed, schedule, make)
         }
     }
-    let chaos = Chaos(config, backend.label(), transport, seed, schedule);
+    let chaos = Chaos(config, backend.label(), seed, schedule);
     backend.build(config.n, seed, chaos)
 }

@@ -2,11 +2,11 @@
 //! recorded run validated by at-engine's validator battery — the one the
 //! schedule explorer applies.
 //!
-//! * three hand-picked smoke runs (one per runner path), and the PBFT
-//!   baseline on a quiet TCP cluster;
+//! * two hand-picked smoke runs (a seeded schedule and a crash/restart),
+//!   and the PBFT baseline on a quiet cluster;
 //! * the **soak** — per production backend, seeded schedules on
-//!   loopback TCP plus one on the channel mesh, 54 distinct schedules
-//!   in all; `cargo test --release -- --ignored` runs it at full size;
+//!   loopback TCP, 54 distinct schedules in all;
+//!   `cargo test --release -- --ignored` runs it at full size;
 //! * the **pinned table** — every counterexample a soak ever found,
 //!   replayed at the shape that found it. A failing run prints
 //!   [`ChaosReport::counterexample`], whose `pinned row:` line is the
@@ -16,7 +16,7 @@
 
 use at_chaos::{
     format_nemesis_schedule, generate_schedule, run_seeded, run_with_schedule, ChaosConfig,
-    ChaosReport, ChaosTransport, NemesisChoice,
+    ChaosReport, NemesisChoice,
 };
 use at_engine::BroadcastBackend;
 use std::collections::BTreeSet;
@@ -40,24 +40,22 @@ fn smoke_config() -> ChaosConfig {
     }
 }
 
-/// Seeded schedules per backend on TCP: tier-1, and `--ignored`.
-const SMOKE_TCP_RUNS: usize = 17;
-const FULL_TCP_RUNS: usize = 50;
+/// Seeded schedules per backend: tier-1, and `--ignored`.
+const SMOKE_TCP_RUNS: usize = 18;
+const FULL_TCP_RUNS: usize = 51;
 
-/// `(backend, TCP seed base)`; a backend's mesh run draws from 10 000
-/// above its base. Disjoint ranges, so every backend faces different
-/// fault scripts and the distinct-schedule count reflects real coverage.
+/// `(backend, seed base)`. Disjoint ranges, so every backend faces
+/// different fault scripts and the distinct-schedule count reflects
+/// real coverage.
 const SOAK: [(BroadcastBackend, u64); 3] = [
     (BroadcastBackend::signed_echo(), 0xC4A0),
     (BroadcastBackend::Bracha, 0xC4A0 + 20_000),
     (BroadcastBackend::account_order(), 0xC4A0 + 40_000),
 ];
 
-/// The `(transport, seed)` pairs of one backend's soak.
-fn soak_seeds(tcp_runs: usize, seed_base: u64) -> impl Iterator<Item = (ChaosTransport, u64)> {
-    (0..tcp_runs as u64)
-        .map(move |i| (ChaosTransport::Tcp, seed_base + i))
-        .chain([(ChaosTransport::Mesh, seed_base + 10_000)])
+/// The seeds of one backend's soak.
+fn soak_seeds(tcp_runs: usize, seed_base: u64) -> impl Iterator<Item = u64> {
+    (0..tcp_runs as u64).map(move |i| seed_base + i)
 }
 
 /// One clean certification: no violation, no budget-exhausted check.
@@ -70,18 +68,18 @@ fn assert_clean(report: &ChaosReport, config: &ChaosConfig) {
     );
 }
 
-/// One backend's soak: `tcp_runs` seeded schedules on TCP plus one on
-/// the mesh, every run clean and every schedule distinct.
+/// One backend's soak: `tcp_runs` seeded schedules, every run clean
+/// and every schedule distinct.
 fn soak(config: &ChaosConfig, tcp_runs: usize, (backend, seed_base): (BroadcastBackend, u64)) {
     let mut distinct = BTreeSet::new();
-    for (transport, seed) in soak_seeds(tcp_runs, seed_base) {
-        let report = run_seeded(config, backend, transport, seed);
+    for seed in soak_seeds(tcp_runs, seed_base) {
+        let report = run_seeded(config, backend, seed);
         assert_clean(&report, config);
         distinct.insert(report.schedule);
     }
     assert_eq!(
         distinct.len(),
-        tcp_runs + 1,
+        tcp_runs,
         "{}: repeated schedules",
         backend.label()
     );
@@ -125,10 +123,7 @@ fn full_soak_acctorder() {
 fn distinct_soak_schedules(config: &ChaosConfig, tcp_runs: usize) -> usize {
     SOAK.iter()
         .flat_map(|&(_, seed_base)| soak_seeds(tcp_runs, seed_base))
-        .map(|(transport, seed)| {
-            let allow_crash = transport == ChaosTransport::Tcp;
-            generate_schedule(seed, config.n, config.disruptions, allow_crash)
-        })
+        .map(|seed| generate_schedule(seed, config.n, config.disruptions))
         .collect::<BTreeSet<Vec<NemesisChoice>>>()
         .len()
 }
@@ -144,21 +139,21 @@ fn full_soak_seed_ranges_yield_153_distinct_schedules() {
     assert_eq!(distinct_soak_schedules(&full, FULL_TCP_RUNS), 153);
 }
 
-/// Counterexamples past soaks found, as `(backend label, transport,
-/// seed, quota, disruptions)` — each replayed at the shape that found
-/// it, so a fixed bug stays fixed. Paste the `pinned row:` line of a
-/// failing run's output here.
-const PINNED: &[(&str, ChaosTransport, u64, usize, usize)] = &[
+/// Counterexamples past soaks found, as `(backend label, seed, quota,
+/// disruptions)` — each replayed at the shape that found it, so a fixed
+/// bug stays fixed. Paste the `pinned row:` line of a failing run's
+/// output here.
+const PINNED: &[(&str, u64, usize, usize)] = &[
     // A stopping node's TCP readers kept acking frames no incarnation
     // would ever process; acked frames leave the peer's replay window,
     // so one swallowed echo batch wedged 12 transfers for good. Fixed
     // by `Transport::quiesce` (stop acking before the final sweep).
-    ("echo", ChaosTransport::Tcp, 50363, 60, 5),
+    ("echo", 50363, 60, 5),
 ];
 
 #[test]
 fn pinned_counterexamples_stay_fixed() {
-    for &(label, transport, seed, quota, disruptions) in PINNED {
+    for &(label, seed, quota, disruptions) in PINNED {
         let config = ChaosConfig {
             quota,
             disruptions,
@@ -168,7 +163,7 @@ fn pinned_counterexamples_stay_fixed() {
             .into_iter()
             .find(|backend| backend.label() == label)
             .expect("a pinned row names a backend by its label");
-        assert_clean(&run_seeded(&config, backend, transport, seed), &config);
+        assert_clean(&run_seeded(&config, backend, seed), &config);
     }
 }
 
@@ -176,16 +171,14 @@ fn pinned_counterexamples_stay_fixed() {
 /// given: the row to pin, each violation, and the per-node forensics
 /// indented under their headings.
 #[test]
-#[should_panic(
-    expected = "pinned row: (\"bracha\", ChaosTransport::Mesh, 9, 25, 3),\n  \
+#[should_panic(expected = "pinned row: (\"bracha\", 9, 25, 3),\n  \
                            Divergence: digests differ\n\
                            metrics:\n  node 0\n  counter a 1\n\
-                           undelivered trace:\n  trace 0x7 origin n2 events 1\n"
-)]
+                           undelivered trace:\n  trace 0x7 origin n2 events 1\n")]
 fn a_violation_fails_with_the_whole_counterexample() {
     let config = smoke_config();
     let backend = BroadcastBackend::Bracha;
-    let mut report = run_with_schedule(&config, backend, ChaosTransport::Mesh, 9, &[]);
+    let mut report = run_with_schedule(&config, backend, 9, &[]);
     assert_clean(&report, &config);
     report.violations.push(at_engine::Failure {
         kind: at_engine::FailureKind::Divergence,
@@ -199,12 +192,7 @@ fn a_violation_fails_with_the_whole_counterexample() {
 #[test]
 fn tcp_cluster_survives_a_seeded_nemesis_schedule() {
     let config = quick_config();
-    let report = run_seeded(
-        &config,
-        BroadcastBackend::signed_echo(),
-        ChaosTransport::Tcp,
-        7,
-    );
+    let report = run_seeded(&config, BroadcastBackend::signed_echo(), 7);
     assert!(
         report.violations.is_empty(),
         "schedule {}: {:?}",
@@ -229,28 +217,8 @@ fn tcp_cluster_survives_a_seeded_nemesis_schedule() {
         )),
         "{text}"
     );
-    assert!(
-        text.contains("pinned row: (\"echo\", ChaosTransport::Tcp, 7, 30, 3),"),
-        "{text}"
-    );
+    assert!(text.contains("pinned row: (\"echo\", 7, 30, 3),"), "{text}");
     assert_eq!(text.matches("\nmetrics:\n").count(), config.n, "{text}");
-}
-
-#[test]
-fn mesh_cluster_survives_a_seeded_nemesis_schedule() {
-    let config = quick_config();
-    let report = run_seeded(&config, BroadcastBackend::Bracha, ChaosTransport::Mesh, 3);
-    assert!(
-        report.violations.is_empty(),
-        "schedule {}: {:?}",
-        format_nemesis_schedule(&report.schedule),
-        report.violations
-    );
-    assert!(report.converged);
-    assert_eq!(report.dropped_frames, 0);
-    // No crash on the mesh, so every acknowledgement must resolve.
-    assert_eq!(report.unresolved, 0);
-    assert_eq!(report.submitted, report.committed + report.rejected);
 }
 
 #[test]
@@ -269,7 +237,7 @@ fn tcp_crash_restart_schedule_recovers_and_validates() {
         NemesisChoice::Run { ms: 50 },
     ];
     let backend = BroadcastBackend::account_order();
-    let report = run_with_schedule(&config, backend, ChaosTransport::Tcp, 5, &schedule);
+    let report = run_with_schedule(&config, backend, 5, &schedule);
     assert!(
         report.violations.is_empty(),
         "schedule {}: {:?}",
@@ -286,13 +254,7 @@ fn tcp_crash_restart_schedule_recovers_and_validates() {
 #[test]
 fn pbft_on_a_quiet_tcp_cluster_certifies_clean() {
     let config = quick_config();
-    let report = run_with_schedule(
-        &config,
-        BroadcastBackend::Pbft,
-        ChaosTransport::Tcp,
-        13,
-        &[],
-    );
+    let report = run_with_schedule(&config, BroadcastBackend::Pbft, 13, &[]);
     assert_clean(&report, &config);
     assert_eq!(report.backend, "pbft");
     assert!(report.converged);
@@ -325,15 +287,10 @@ fn fifo_breaking_backend_is_caught_with_a_pasteable_counterexample() {
         ..quick_config()
     };
     let seed = 11;
-    let schedule = generate_schedule(seed, config.n, config.disruptions, false);
-    let report = run_chaos(
-        &config,
-        "echo",
-        ChaosTransport::Mesh,
-        seed,
-        &schedule,
-        |me| FifoBreaker::new(EchoBroadcast::new(me, config.n, NoAuth)),
-    );
+    let schedule = generate_schedule(seed, config.n, config.disruptions);
+    let report = run_chaos(&config, "echo", seed, &schedule, |me| {
+        FifoBreaker::new(EchoBroadcast::new(me, config.n, NoAuth))
+    });
     assert!(
         report
             .violations
@@ -349,7 +306,7 @@ fn fifo_breaking_backend_is_caught_with_a_pasteable_counterexample() {
         "{text}"
     );
     assert!(
-        text.contains("pinned row: (\"echo\", ChaosTransport::Mesh, 11, 30, 3),"),
+        text.contains("pinned row: (\"echo\", 11, 30, 3),"),
         "{text}"
     );
 }

@@ -35,10 +35,12 @@
 //! model (the in-process mesh enforces it by construction; the TCP
 //! transport trusts its network segment — see its module docs).
 //!
-//! Two implementations live in `at-node`: an in-process channel mesh for
-//! tests, and a TCP transport whose consumer's own thread moves every
-//! frame — its `recv_timeout` polls the peer sockets — with reconnect
-//! and bounded replay windows.
+//! Two implementations live in `at-node`: a lossless in-process channel
+//! mesh for tests, and a TCP transport whose consumer's own thread
+//! moves every frame — its `recv_timeout` polls the peer sockets — with
+//! reconnect and bounded replay windows. Only the TCP transport takes a
+//! [`FaultInjector`]: its faults lose real frames, and its replay layer
+//! must repair them.
 
 use crate::wake::Waker;
 use at_model::ProcessId;
@@ -246,14 +248,14 @@ pub trait Transport: Send {
     }
 }
 
-/// Per-directed-link fault profile consulted by fault-aware transports
-/// (see [`FaultInjector`]).
+/// Per-directed-link fault profile the TCP transport consults (see
+/// [`FaultInjector`]).
 ///
 /// All faults model a *misbehaving network under the link*, not a broken
-/// transport: an implementation must still uphold the module-level
-/// delivery contract while any of these are active — frames are delayed,
-/// forced through the reconnect/replay path, or duplicated into the
-/// receiver's dedup window, but never silently lost. After
+/// transport: the transport must still uphold the module-level delivery
+/// contract while any of these are active — frames are delayed, lost on
+/// the wire and replayed after a reconnect, or duplicated into the
+/// receiver's dedup window, but never lost for good. After
 /// [`FaultInjector::heal_all`] and a drain, `dropped_frames() == 0`
 /// certifies exactly that.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -263,10 +265,9 @@ pub struct LinkProfile {
     /// partition (`b→a` still flows).
     pub blocked: bool,
     /// Percent chance (0–100) per frame that the frame is "lost on the
-    /// wire". A reliable transport repairs the loss: TCP breaks the
-    /// connection and replays from the last acknowledgement; the channel
-    /// mesh parks the frame (and, to preserve per-link FIFO, everything
-    /// behind it) for a bounded repair delay.
+    /// wire": the TCP transport breaks the connection instead of
+    /// writing it, and repairs the loss by replaying from the last
+    /// acknowledgement.
     pub drop_pct: u8,
     /// Percent chance (0–100) per frame that the frame is transmitted
     /// twice — exercising the receiver's sequence-number dedup.
@@ -343,9 +344,8 @@ fn roll_locked(state: &mut FaultState, from: ProcessId, to: ProcessId, pct: u8) 
 /// thread-safe registry of per-link fault profiles plus one-shot forced
 /// disconnects.
 ///
-/// Transports that accept an injector (`at-node`'s channel mesh and TCP
-/// transport) consult it on their send paths; a chaos harness mutates it
-/// while the cluster runs. Cloning shares the underlying state. The
+/// `at-node`'s TCP transport consults it on its send path; a chaos
+/// harness mutates it while the cluster runs. Cloning shares the underlying state. The
 /// injected faults stay *below* the delivery contract — see
 /// [`LinkProfile`] — so the protocols' reliable-channel assumption is
 /// stressed, not broken, and every safety validator must still pass
@@ -395,15 +395,10 @@ impl FaultInjector {
 
     /// Queues a one-shot forced disconnect of `from → to`: the next
     /// frame the sender pushes on that link tears the underlying
-    /// connection down (TCP replays from the last acknowledgement; the
-    /// mesh treats it as a momentary drop).
+    /// connection down, and the transport replays from the last
+    /// acknowledgement.
     pub fn force_disconnect(&self, from: ProcessId, to: ProcessId) {
         self.lock().disconnects.insert((from.index(), to.index()));
-    }
-
-    /// Consumes a pending forced disconnect of `from → to`, if any.
-    pub fn take_disconnect(&self, from: ProcessId, to: ProcessId) -> bool {
-        self.lock().disconnects.remove(&(from.index(), to.index()))
     }
 
     /// The current profile of the directed link `from → to`.
@@ -415,18 +410,12 @@ impl FaultInjector {
             .unwrap_or_default()
     }
 
-    /// Rolls the link's deterministic coin: true with `pct` percent
-    /// probability. Each directed link advances its own RNG stream, so
-    /// outcomes are a pure function of `(seed, link, flip index)`.
-    pub fn roll(&self, from: ProcessId, to: ProcessId, pct: u8) -> bool {
-        roll_locked(&mut self.lock(), from, to, pct)
-    }
-
     /// Everything a sender needs for one frame on `from → to`, under a
     /// single lock acquisition: the link profile, a consumed pending
     /// forced disconnect, and the drop/duplicate coin flips (rolled only
-    /// when their percentages are nonzero, preserving each link's
-    /// deterministic flip stream).
+    /// when their percentages are nonzero). Each directed link advances
+    /// its own RNG stream, so the flips are a pure function of
+    /// `(seed, link, flip index)`.
     pub fn sample(&self, from: ProcessId, to: ProcessId) -> LinkVerdict {
         let mut state = self.lock();
         let profile = state
@@ -446,7 +435,7 @@ impl FaultInjector {
     }
 
     /// Clears every fault: partitions lift, degradation stops, pending
-    /// disconnects are forgotten. Parked frames become releasable, so a
+    /// disconnects are forgotten. Dialers reconnect and replay, so a
     /// subsequent drain restores the reliable regime.
     pub fn heal_all(&self) {
         let mut state = self.lock();
@@ -500,32 +489,49 @@ mod tests {
         assert!(faults.is_quiet());
     }
 
+    /// An injector whose every directed link drops `pct` percent of
+    /// frames.
+    fn lossy(seed: u64, pct: u8) -> FaultInjector {
+        let faults = FaultInjector::new(seed);
+        for (from, to) in [(0, 1), (1, 0), (2, 3)] {
+            let profile = LinkProfile {
+                drop_pct: pct,
+                ..LinkProfile::default()
+            };
+            faults.set_link(p(from), p(to), profile);
+        }
+        faults
+    }
+
     #[test]
     fn forced_disconnects_are_one_shot() {
         let faults = FaultInjector::new(1);
-        assert!(!faults.take_disconnect(p(0), p(1)));
+        assert!(!faults.sample(p(0), p(1)).disconnect);
         faults.force_disconnect(p(0), p(1));
         assert!(!faults.is_quiet());
-        assert!(faults.take_disconnect(p(0), p(1)));
-        assert!(!faults.take_disconnect(p(0), p(1)));
+        assert!(faults.sample(p(0), p(1)).disconnect);
+        assert!(!faults.sample(p(0), p(1)).disconnect);
+        assert!(faults.is_quiet());
     }
 
     #[test]
     fn rolls_are_deterministic_per_seed_and_link() {
         let observe = |seed: u64, from: u32, to: u32| -> Vec<bool> {
-            let faults = FaultInjector::new(seed);
-            (0..64).map(|_| faults.roll(p(from), p(to), 30)).collect()
+            let faults = lossy(seed, 30);
+            (0..64)
+                .map(|_| faults.sample(p(from), p(to)).drop)
+                .collect()
         };
         assert_eq!(observe(42, 0, 1), observe(42, 0, 1));
         assert_ne!(observe(42, 0, 1), observe(43, 0, 1));
         assert_ne!(observe(42, 0, 1), observe(42, 1, 0));
         // Interleaving traffic on another link must not perturb a
         // link's stream.
-        let faults = FaultInjector::new(42);
+        let faults = lossy(42, 30);
         let interleaved: Vec<bool> = (0..64)
             .map(|_| {
-                faults.roll(p(2), p(3), 50);
-                faults.roll(p(0), p(1), 30)
+                faults.sample(p(2), p(3));
+                faults.sample(p(0), p(1)).drop
             })
             .collect();
         assert_eq!(interleaved, observe(42, 0, 1));
@@ -555,11 +561,11 @@ mod tests {
 
     #[test]
     fn roll_extremes_shortcut() {
-        let faults = FaultInjector::new(5);
-        assert!(!faults.roll(p(0), p(1), 0));
-        assert!(faults.roll(p(0), p(1), 100));
+        assert!(!lossy(5, 0).sample(p(0), p(1)).drop);
+        assert!(lossy(5, 100).sample(p(0), p(1)).drop);
         // The frequency of a 30% coin lands near 30%.
-        let hits = (0..1000).filter(|_| faults.roll(p(0), p(1), 30)).count();
+        let faults = lossy(5, 30);
+        let hits = (0..1000).filter(|_| faults.sample(p(0), p(1)).drop).count();
         assert!((200..400).contains(&hits), "hits: {hits}");
     }
 }

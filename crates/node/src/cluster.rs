@@ -1,15 +1,15 @@
 //! Cluster helpers: spin up N nodes in one process, over the channel
 //! mesh or real loopback TCP, and wait for convergence.
 //!
-//! Either wiring yields the same cluster value, every node behind its
-//! own [`ClientGateway`], so a driver (a test, `perf`, the at-chaos
-//! runner) talks to a mesh node exactly as to a TCP node. Only
-//! [`TcpCluster::restart_node`] and [`TcpCluster::cold_start_node`]
-//! need sockets between the *peers* and refuse a mesh-wired cluster.
+//! Either wiring puts every node behind its own [`ClientGateway`], so a
+//! driver (a test, `perf`) talks to a mesh node exactly as to a TCP
+//! node. The mesh is lossless and takes no faults: fault injection,
+//! restarts and cold starts ([`TcpCluster`], which the at-chaos runner
+//! drives) need TCP.
 
 use crate::client::Client;
 use crate::gateway::ClientGateway;
-use crate::mesh::{channel_mesh, channel_mesh_faulty};
+use crate::mesh::channel_mesh;
 use crate::node::{Node, NodeConfig, NodeHandle, NodeReport};
 use crate::probe::EventProbe;
 use crate::tcp::{peer_directory, PeerDirectory, TcpOptions, TcpTransport};
@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 /// TCP knobs plus the optional chaos attachments.
 #[derive(Clone, Default)]
 pub struct ClusterOptions {
-    /// TCP transport tuning (unused by mesh-wired clusters).
+    /// TCP transport tuning.
     pub tcp: TcpOptions,
     /// Nemesis fault injector shared by every node's transport.
     pub faults: Option<FaultInjector>,
@@ -59,16 +59,14 @@ impl ClusterOptions {
 }
 
 /// A running loopback cluster, its peers wired over TCP
-/// ([`start_tcp_cluster`]) or over the channel mesh
-/// ([`start_mesh_cluster_with`]).
+/// ([`start_tcp_cluster`]).
 pub struct TcpCluster<B: SecureBroadcast<EnginePayload>> {
     /// One handle per node, in process order. Entries can be taken
     /// (stopped/restarted) individually.
     pub handles: Vec<Option<NodeHandle<B>>>,
     /// The live peer-address directory (restarted nodes re-register via
     /// [`crate::tcp::Directory::announce`], which purges the superseded
-    /// entry so peers never back off against the dead port). Empty on a
-    /// mesh-wired cluster, whose peers have no addresses.
+    /// entry so peers never back off against the dead port).
     pub directory: PeerDirectory,
     /// The client gateway address of each node.
     pub client_addrs: Vec<SocketAddr>,
@@ -76,63 +74,30 @@ pub struct TcpCluster<B: SecureBroadcast<EnginePayload>> {
     options: ClusterOptions,
 }
 
-/// Starts `n` nodes over in-process channels; `make` builds each node's
-/// broadcast backend.
+/// Starts `n` nodes over in-process channels, each behind its own
+/// client gateway; `make` builds each node's broadcast backend.
 ///
 /// # Panics
 ///
 /// Panics when a loopback port for a node's client gateway cannot be
-/// bound ([`start_mesh_cluster_with`] returns that error instead).
+/// bound.
 pub fn start_mesh_cluster<B, F>(n: usize, config: NodeConfig, make: F) -> Vec<NodeHandle<B>>
 where
     B: SecureBroadcast<EnginePayload> + 'static,
     B::Msg: Encode + Decode + Send + 'static,
     F: Fn(ProcessId) -> B,
 {
-    start_mesh_cluster_with(n, config, &ClusterOptions::default(), make)
-        .expect("bind loopback client gateways")
-        .handles
+    channel_mesh(n, 65_536)
         .into_iter()
-        .flatten()
+        .map(|mesh| {
+            let me = mesh.me();
+            let gateway =
+                ClientGateway::bind("127.0.0.1:0").expect("bind a loopback client gateway");
+            Node::spawn(config, mesh, Some(gateway), None, |_| {
+                ShardedReplica::with_backend(me, n, config.initial, config.engine, make(me))
+            })
+        })
         .collect()
-}
-
-/// [`start_mesh_cluster`] as a cluster value, with chaos attachments:
-/// the peers' links are in-process channels obeying `options.faults`
-/// (no sockets, `options.tcp` unused), every node records into
-/// `options.probe`, and each still serves clients on its own TCP
-/// gateway ([`TcpCluster::client_addrs`]).
-pub fn start_mesh_cluster_with<B, F>(
-    n: usize,
-    config: NodeConfig,
-    options: &ClusterOptions,
-    make: F,
-) -> std::io::Result<TcpCluster<B>>
-where
-    B: SecureBroadcast<EnginePayload> + 'static,
-    B::Msg: Encode + Decode + Send + 'static,
-    F: Fn(ProcessId) -> B,
-{
-    let endpoints = match &options.faults {
-        Some(faults) => channel_mesh_faulty(n, 65_536, faults.clone()),
-        None => channel_mesh(n, 65_536),
-    };
-    let mut cluster = TcpCluster {
-        handles: Vec::with_capacity(n),
-        directory: peer_directory(Vec::new()),
-        client_addrs: Vec::with_capacity(n),
-        config,
-        options: options.clone(),
-    };
-    for mesh in endpoints {
-        let me = mesh.me();
-        let (handle, addr) = cluster.spawn_node(mesh, |_| {
-            ShardedReplica::with_backend(me, n, config.initial, config.engine, make(me))
-        })?;
-        cluster.handles.push(Some(handle));
-        cluster.client_addrs.push(addr);
-    }
-    Ok(cluster)
 }
 
 /// Starts `n` nodes over loopback TCP, each with a client gateway;
@@ -305,19 +270,6 @@ where
         Ok(())
     }
 
-    /// Checks that node `i` is stopped and that its peers could reach a
-    /// new incarnation of it.
-    fn restartable(&self, i: usize) -> std::io::Result<()> {
-        assert!(self.handles[i].is_none(), "node {i} is still running");
-        if self.directory.is_empty() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::Unsupported,
-                "a mesh-wired cluster's endpoints cannot be re-wired",
-            ));
-        }
-        Ok(())
-    }
-
     /// Stops node `i` gracefully and returns its warm replica state.
     ///
     /// # Panics
@@ -343,15 +295,11 @@ where
     /// replay everything it missed) with a fresh client gateway. Fault
     /// injector and probe attachments carry over.
     ///
-    /// # Errors
-    ///
-    /// [`std::io::ErrorKind::Unsupported`] on a mesh-wired cluster.
-    ///
     /// # Panics
     ///
     /// Panics if node `i` is still running.
     pub fn restart_node(&mut self, i: usize, replica: ShardedReplica<B>) -> std::io::Result<()> {
-        self.restartable(i)?;
+        assert!(self.handles[i].is_none(), "node {i} is still running");
         self.respawn_node(i, |_| replica)
     }
 
@@ -381,9 +329,8 @@ where
     /// # Errors
     ///
     /// [`std::io::ErrorKind::TimedOut`] when no `f + 1` digests agreed
-    /// by the deadline, [`std::io::ErrorKind::InvalidData`] when they
-    /// did but no attesting peer served an admissible snapshot, and
-    /// [`std::io::ErrorKind::Unsupported`] on a mesh-wired cluster.
+    /// by the deadline, and [`std::io::ErrorKind::InvalidData`] when
+    /// they did but no attesting peer served an admissible snapshot.
     ///
     /// # Panics
     ///
@@ -397,7 +344,7 @@ where
     where
         F: FnOnce(ProcessId) -> B,
     {
-        self.restartable(i)?;
+        assert!(self.handles[i].is_none(), "node {i} is still running");
         let catch_up_started = Instant::now();
         let deadline = catch_up_started + timeout;
         let n = self.handles.len();

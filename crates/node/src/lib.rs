@@ -11,14 +11,16 @@
 //!   frames, peer handshake/data/ack frames, client request/response
 //!   frames, all total on untrusted input;
 //! * [`mesh`] / [`tcp`] — the two [`at_net::Transport`] implementations:
-//!   an in-process channel mesh for tests, and TCP whose non-blocking
-//!   sockets the consumer's own thread moves — `recv_timeout` blocks in
-//!   one `poll(2)` over all of them, a parked helper thread only dials —
-//!   with reconnect, bounded replayed send windows (backpressure, not
-//!   silent loss), and sequence-numbered frame dedup: the reliable
-//!   channel the protocols assume (the per-link protocol state,
-//!   including when an acknowledgement is owed, is the private sans-I/O
-//!   `link` module; the crate's one `unsafe` block is the `poll` call);
+//!   a lossless in-process channel mesh for tests and `perf`, and TCP
+//!   whose non-blocking sockets the consumer's own thread moves —
+//!   `recv_timeout` blocks in one `poll(2)` over all of them, a parked
+//!   helper thread only dials — with reconnect, bounded replayed send
+//!   windows (backpressure, not silent loss), and sequence-numbered
+//!   frame dedup: the reliable channel the protocols assume, and the
+//!   only transport that takes injected faults (the per-link protocol
+//!   state, including when an acknowledgement is owed, is the private
+//!   sans-I/O `link` module; the crate's one `unsafe` block is the
+//!   `poll` call);
 //! * [`node`] — the [`Node`] event loop ([`Node::spawn`]): drains
 //!   transport frames, wall-clock batch timers and one command type
 //!   (every client request, from a gateway or an in-process
@@ -31,7 +33,8 @@
 //!   frames), and a pipelining [`Client`] library with acknowledgement
 //!   tracking;
 //! * [`cluster`] — N-node loopback clusters (peers over the mesh or
-//!   TCP, every node behind a client gateway) and the
+//!   TCP, every node behind a client gateway; faults, restarts and cold
+//!   starts on TCP) and the
 //!   [`await_convergence`] poll used by tests and the `perf` benchmark;
 //! * [`probe`] — the shared [`EventProbe`] recorder that turns a live
 //!   cluster run into the same checkable event stream the simulator
@@ -56,12 +59,11 @@ pub mod wire;
 
 pub use client::{Client, SnapshotSlice};
 pub use cluster::{
-    await_convergence, start_mesh_cluster, start_mesh_cluster_with, start_tcp_cluster,
-    start_tcp_cluster_instrumented, start_tcp_cluster_with, try_await_convergence, ClusterOptions,
-    ConvergenceTimeout, TcpCluster,
+    await_convergence, start_mesh_cluster, start_tcp_cluster, start_tcp_cluster_instrumented,
+    start_tcp_cluster_with, try_await_convergence, ClusterOptions, ConvergenceTimeout, TcpCluster,
 };
 pub use gateway::ClientGateway;
-pub use mesh::{channel_mesh, channel_mesh_faulty, ChannelMesh};
+pub use mesh::{channel_mesh, ChannelMesh};
 pub use node::{LocalClient, Node, NodeConfig, NodeHandle, NodeReport};
 pub use probe::EventProbe;
 pub use tcp::{peer_directory, Directory, PeerDirectory, TcpOptions, TcpTransport};

@@ -11,13 +11,13 @@
 //! the listener, every accepted and dialed connection and a wake
 //! socket, until a peer frame is ready, the consumer's [`Waker`] fires
 //! or its deadline passes. What else the transport owes — accepting
-//! and handshaking peers, acknowledgements in and out, the ack-quiet
-//! and fault-delay deadlines — it does in that call without returning,
-//! so a peer frame costs the receiving loop one wake-up and no thread
-//! hand-off. Only dialing blocks (`connect`, `HelloNode`): a helper
-//! thread per endpoint does it and hands each stream over through a
-//! channel and a byte on the wake socket. `start` makes the first
-//! attempt at every peer itself, so early frames have a socket.
+//! and handshaking peers, acknowledgements in and out, the ack-quiet,
+//! fault-delay and handshake deadlines — it does in that call without
+//! returning, so a peer frame costs the receiving loop one wake-up and
+//! no thread hand-off. Only dialing blocks (`connect`, `HelloNode`): a
+//! helper thread per endpoint does it and hands each stream over
+//! through a channel and a byte on the wake socket. `start` makes the
+//! first attempt at every peer itself, so early frames have a socket.
 //!
 //! # Topology and replay
 //!
@@ -34,6 +34,9 @@
 //!   (`DataAck`), and a reconnect replays it from the resume point the
 //!   acceptor's `HelloAck` names (a link's first connection, which has
 //!   written nothing a resume point could skip, does not wait for it);
+//!   a connection whose `HelloAck` has not come a second after it was
+//!   dialed is lost and redialed — a connect can land in the backlog of
+//!   a listener that never accepts;
 //! * the receiver deduplicates by sequence number, and the latest
 //!   handshake's connection alone drives the link;
 //! * an acknowledgement bounds the window, it does not pace the data:
@@ -204,8 +207,9 @@ struct Dialed {
     /// Sequence number of the next frame to write: named by the
     /// acceptor's `HelloAck`, or 0 at once on a link's first connection.
     cursor: Option<u64>,
-    /// The `HelloAck` arrived.
-    greeted: bool,
+    /// Until the `HelloAck` arrives, when the connection is abandoned
+    /// and redialed without it (`HELLO_ACK_DEADLINE` after install).
+    hello_due: Option<Instant>,
 }
 
 /// A connection a peer dialed: handshake and `Data` in,
@@ -231,6 +235,12 @@ impl Accepted {
 
 /// Largest write the window is coalesced into for the socket.
 const MAX_WRITE_BURST: usize = 256 * 1024;
+
+/// How long a dialed connection may wait for its `HelloAck`. A connect
+/// can succeed into the backlog of a listener that never accepts it (a
+/// stale address, a peer that stopped without closing); past this the
+/// link is lost and redialed at whatever the directory names now.
+const HELLO_ACK_DEADLINE: Duration = Duration::from_secs(1);
 
 /// The TCP transport endpoint (see the module docs).
 pub struct TcpTransport {
@@ -365,7 +375,7 @@ impl TcpTransport {
             input: FrameBuffer::new(),
             out: Vec::new(),
             cursor: (!link.resumes).then_some(0),
-            greeted: false,
+            hello_due: Some(Instant::now() + HELLO_ACK_DEADLINE),
         });
     }
 
@@ -460,12 +470,12 @@ impl TcpTransport {
         loop {
             match dialed.input.next_frame() {
                 Ok(None) => return true,
-                Ok(Some(Frame::HelloAck { next_seq })) if !dialed.greeted => {
-                    dialed.greeted = true;
+                Ok(Some(Frame::HelloAck { next_seq })) if dialed.hello_due.is_some() => {
+                    dialed.hello_due = None;
                     let resume = link.window.resume(next_seq);
                     dialed.cursor.get_or_insert(resume);
                 }
-                Ok(Some(Frame::DataAck { through })) if dialed.greeted => {
+                Ok(Some(Frame::DataAck { through })) if dialed.hello_due.is_none() => {
                     link.window.prune(through);
                     self.stats.note_ack_in();
                 }
@@ -595,7 +605,16 @@ impl TcpTransport {
         }
         let quiet = self.recv.iter().filter_map(RecvLink::next_deadline);
         let held = self.links.iter().filter_map(|link| Some(link.hold?.0));
-        let wake_at = deadline.into_iter().chain(quiet).chain(held).min();
+        let ungreeted = self
+            .links
+            .iter()
+            .filter_map(|link| link.conn.as_ref()?.hello_due);
+        let wake_at = deadline
+            .into_iter()
+            .chain(quiet)
+            .chain(held)
+            .chain(ungreeted)
+            .min();
         self.poll(wake_at.map(|at| at.saturating_duration_since(now)), deliver);
         None
     }
@@ -666,6 +685,17 @@ impl TcpTransport {
                     conn.dead |=
                         readable && fill(&conn.stream, &mut conn.input, &mut self.chunk).is_err();
                 }
+            }
+        }
+        // Judged after the reads, so a `HelloAck` that sat unread while
+        // the consumer was away still counts.
+        for j in 0..n {
+            let due = self.links[j]
+                .conn
+                .as_ref()
+                .and_then(|dialed| dialed.hello_due);
+            if due.is_some_and(|at| at <= now) {
+                self.lose(j);
             }
         }
         self.reap();
@@ -1160,6 +1190,36 @@ mod tests {
             }
         });
         assert_eq!(t0.dropped_frames(), 0);
+        t0.shutdown();
+        t1.shutdown();
+    }
+
+    #[test]
+    fn a_dial_whose_hello_ack_never_comes_is_abandoned_by_the_deadline() {
+        // A listener nobody accepts on: the kernel completes the connect
+        // into its backlog, so the dial succeeds, the frame is written
+        // into the void, and no `HelloAck` ever comes back.
+        let silent = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dir = peer_directory(vec![l0.local_addr().unwrap(), silent.local_addr().unwrap()]);
+        let started = Instant::now();
+        let mut t0 =
+            TcpTransport::start(p(0), l0, Arc::clone(&dir), TcpOptions::default()).unwrap();
+        t0.send(p(1), vec![7]);
+        // The real peer comes up elsewhere. Nothing breaks the silent
+        // connection: only the handshake deadline sends the dialer there.
+        dir.announce(1, l1.local_addr().unwrap());
+        let mut t1 = TcpTransport::start(p(1), l1, dir, TcpOptions::default()).unwrap();
+        let (frame, _) = pumping(&mut t0, || recv_frame(&mut t1));
+        let waited = started.elapsed();
+        assert_eq!(frame.payload, vec![7]);
+        assert!(
+            waited < HELLO_ACK_DEADLINE + Duration::from_millis(500),
+            "the frame came {waited:?} after its dial into a silent backlog"
+        );
+        assert_eq!(t0.dropped_frames(), 0);
+        drop(silent);
         t0.shutdown();
         t1.shutdown();
     }

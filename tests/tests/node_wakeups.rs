@@ -13,7 +13,7 @@ use at_model::{AccountId, Amount, ProcessId};
 use at_net::transport::{FaultInjector, LinkProfile};
 use at_net::VirtualTime;
 use at_node::{
-    start_mesh_cluster, start_mesh_cluster_with, start_tcp_cluster, Client, ClusterOptions,
+    start_mesh_cluster, start_tcp_cluster, start_tcp_cluster_with, Client, ClusterOptions,
     NodeConfig, NodeHandle, ResponseBody, TcpOptions,
 };
 use std::time::{Duration, Instant};
@@ -160,7 +160,7 @@ fn one_transfer_on_an_idle_tcp_cluster_wakes_each_loop_once_per_input() {
 }
 
 #[test]
-fn a_delayed_mesh_frame_is_delivered_at_its_deadline_with_nothing_else_happening() {
+fn a_delayed_tcp_frame_is_delivered_at_its_deadline_with_nothing_else_happening() {
     let delay = Duration::from_millis(40);
     let faults = FaultInjector::new(1);
     for from in [0, 2, 3] {
@@ -174,22 +174,19 @@ fn a_delayed_mesh_frame_is_delivered_at_its_deadline_with_nothing_else_happening
         );
     }
     // No prune timer: once the other three have committed among
-    // themselves, nothing but the parked frames' own deadlines can
-    // bring their loops back to their transports.
+    // themselves and their acknowledgements are out, nothing but the
+    // held frames' own deadlines can bring their loops back to their
+    // transports.
     let mut config = node_config();
     config.prune_interval = Duration::MAX;
     let options = ClusterOptions::default().with_faults(faults);
-    let handles: Vec<_> = start_mesh_cluster_with(N, config, &options, echo)
-        .expect("cluster")
-        .handles
-        .into_iter()
-        .flatten()
-        .collect();
+    let mut cluster = start_tcp_cluster_with(N, config, options, echo).expect("cluster");
 
     let started = Instant::now();
+    let handles: Vec<_> = cluster.running().collect();
     let mut client = handles[0].local_client();
     client.submit_transfer(AccountId::new(2), Amount::new(1));
-    await_applied([&handles[1]], 1);
+    await_applied([handles[1]], 1);
     let elapsed = started.elapsed();
     assert!(
         elapsed >= delay,
@@ -197,12 +194,11 @@ fn a_delayed_mesh_frame_is_delivered_at_its_deadline_with_nothing_else_happening
     );
     assert!(
         elapsed < delay + Duration::from_millis(500),
-        "the parked frame waited {elapsed:?} for an unrelated wake-up"
+        "the held frame waited {elapsed:?} for an unrelated wake-up"
     );
     drop(client);
-    for handle in handles {
-        handle.stop();
-    }
+    drop(handles);
+    cluster.stop_all();
 }
 
 #[test]
