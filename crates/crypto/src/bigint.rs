@@ -1,23 +1,23 @@
-//! Minimal fixed-width big-integer arithmetic.
+//! Minimal fixed-width big-integer arithmetic: the crate's test-only
+//! oracle.
 //!
 //! [`U256`] and [`U512`] are the *reference implementation* against which
-//! the field and scalar kernels are property-tested, the 256-bit integer
-//! type scalar multiplication takes, and the means of deriving the SHA-2
-//! round constants from first principles (integer cube/square roots of
-//! the first primes) instead of trusting transcribed magic tables.
+//! the field and scalar kernels are property-tested, the integers the
+//! tests multiply points by when a value may exceed `ℓ`, and the means
+//! of re-deriving the SHA-2 constant tables from first principles
+//! (integer cube/square roots of the first primes).
 //!
 //! The implementation favours obviousness over speed: schoolbook
 //! multiplication and binary long division (256–512 shift-and-subtract
-//! rounds per `rem`). Nothing on the sign / verify path calls it: the
-//! field and scalar kernels carry their own division-free reductions and
-//! use these types only as the integer container in their signatures and
-//! for canonical-range checks. A test-only counter in [`U512::rem`] and
-//! the `sign_and_verify_paths_never_divide` test hold that line.
+//! rounds per `rem`). The module is compiled only under `cfg(test)`, so
+//! a release build proves that nothing on the sign / verify path calls
+//! it; the counter in [`U512::rem`] and the
+//! `sign_and_verify_paths_never_divide` test hold the same line for the
+//! test build.
 
 use std::cmp::Ordering;
 use std::fmt;
 
-#[cfg(test)]
 thread_local! {
     /// Long divisions ([`U256::rem`] / [`U512::rem`]) run on this thread.
     pub(crate) static LONG_DIVISIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -241,11 +241,6 @@ impl U512 {
         U512(limbs)
     }
 
-    /// Whether the value is zero.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0; 8]
-    }
-
     /// Returns bit `i`.
     pub fn bit(&self, i: usize) -> bool {
         debug_assert!(i < 512);
@@ -290,7 +285,6 @@ impl U512 {
     /// Panics when `m` is zero.
     pub fn rem(self, m: U256) -> U256 {
         assert!(!m.is_zero(), "division by zero");
-        #[cfg(test)]
         LONG_DIVISIONS.with(|count| count.set(count.get() + 1));
         let bits = self.bits();
         let mut remainder = U256::ZERO;
@@ -552,5 +546,53 @@ mod tests {
         assert!(format!("{v:?}").contains("dead"));
         let w = U512::from_u256(v);
         assert!(format!("{w:?}").contains("dead"));
+    }
+
+    fn any_u256() -> impl proptest::prelude::Strategy<Value = U256> {
+        use proptest::prelude::*;
+        prop::array::uniform4(any::<u64>()).prop_map(U256)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Subtraction undoes addition, with matching carry/borrow flags.
+        #[test]
+        fn bigint_add_sub_inverse(a in any_u256(), b in any_u256()) {
+            let (sum, carry) = a.overflowing_add(b);
+            let (diff, borrow) = sum.overflowing_sub(b);
+            proptest::prop_assert_eq!(diff, a);
+            proptest::prop_assert_eq!(carry, borrow);
+        }
+
+        /// `rem` is a true Euclidean remainder: below `m`, and when the
+        /// quotient fits (`m` of at least 128 bits), `a = q·m + r` for
+        /// the `q` an independent long division recovers.
+        #[test]
+        fn bigint_rem_is_smaller_and_congruent(a in any_u256(), m in any_u256()) {
+            proptest::prop_assume!(!m.is_zero());
+            let r = a.rem(m);
+            proptest::prop_assert!(r < m);
+            if m.bits() >= 128 {
+                let mut q = U256::ZERO;
+                let mut rem = U256::ZERO;
+                for i in (0..256).rev() {
+                    // rem = rem·2 + bit i of a
+                    let mut next = rem.overflowing_add(rem).0;
+                    if a.bit(i) {
+                        next = next.overflowing_add(U256::ONE).0;
+                    }
+                    if next >= m {
+                        next = next.overflowing_sub(m).0;
+                        q.0[i / 64] |= 1 << (i % 64);
+                    }
+                    rem = next;
+                }
+                proptest::prop_assert_eq!(rem, r);
+                let product = q.widening_mul(m);
+                proptest::prop_assert_eq!(product.high_u256(), U256::ZERO);
+                proptest::prop_assert_eq!(product.low_u256().overflowing_add(r).0, a);
+            }
+        }
     }
 }

@@ -9,16 +9,16 @@
 //! test re-derives both from the defining equation); the base point is
 //! derived from `y = 4/5` at first use rather than transcribed.
 //!
-//! Scalar multiplication is variable time, which is acceptable for a
-//! research reproduction: a generic point goes through Straus's
-//! interleaved method over width-5 non-adjacent forms
-//! ([`EdwardsPoint::vartime_multiscalar_mul`]), a long-lived point (the
-//! base point, a peer's public key) through a precomputed [`CombTable`]
-//! of affine Niels entries — additions only, seven field
-//! multiplications each.
+//! Scalar multiplication takes a [`Scalar`] and is variable time, which
+//! is acceptable for a research reproduction: a generic point goes
+//! through Straus's interleaved method over width-5 non-adjacent forms,
+//! a long-lived point (the base point, a peer's public key) through a
+//! precomputed [`CombTable`] of affine Niels entries — additions only,
+//! seven field multiplications each.
 
-use crate::bigint::U256;
 use crate::field::FieldElement;
+use crate::limbs::store_le;
+use crate::scalar::Scalar;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -168,30 +168,28 @@ impl EdwardsPoint {
         }
     }
 
-    /// Scalar multiplication `[n]P` by a 256-bit integer: the one-term
-    /// case of [`EdwardsPoint::vartime_multiscalar_mul`] (width-5 NAF,
-    /// ~256 doublings and ~43 additions).
-    pub fn mul(self, n: U256) -> EdwardsPoint {
-        EdwardsPoint::vartime_multiscalar_mul(&[(n, self)])
+    /// Scalar multiplication `[n]P`: the one-term case of the Straus
+    /// multiplication (width-5 NAF, ~253 doublings and ~43 additions).
+    pub fn mul(self, n: Scalar) -> EdwardsPoint {
+        EdwardsPoint::vartime_multiscalar_mul(&[(*n.limbs(), self)])
     }
 
     /// Fixed-base scalar multiplication `[n]B` via the shared
     /// precomputed [`CombTable`] of the base point — roughly an order of
     /// magnitude faster than [`EdwardsPoint::mul`] on the base point
     /// (additions only, no doublings).
-    pub fn mul_base(n: U256) -> EdwardsPoint {
+    pub fn mul_base(n: Scalar) -> EdwardsPoint {
         basepoint_table().mul(n)
     }
 
-    /// Simultaneous multi-scalar multiplication `Σ [nᵢ]Pᵢ` (Straus's
-    /// interleaved method over width-5 non-adjacent forms): one shared
-    /// doubling chain for all terms, and signed odd digits mean only
-    /// ~1 in 6 chain positions costs an addition per term — so `k`
-    /// terms cost far less than `k` separate multiplications, and the
-    /// chain length tracks the *largest* scalar. Variable time, like
-    /// the rest of the arithmetic.
-    pub fn vartime_multiscalar_mul(terms: &[(U256, EdwardsPoint)]) -> EdwardsPoint {
-        let nafs: Vec<[i8; 257]> = terms.iter().map(|(n, _)| naf5(*n)).collect();
+    /// Simultaneous multi-scalar multiplication `Σ [nᵢ]Pᵢ` by 256-bit
+    /// integers given as little-endian limbs (Straus's interleaved method
+    /// over width-5 non-adjacent forms): all terms share one doubling
+    /// chain as long as the *largest* integer, and signed odd digits put
+    /// an addition per term at only ~1 in 6 chain positions. The tests
+    /// reach integers `≥ ℓ` through it.
+    pub(crate) fn vartime_multiscalar_mul(terms: &[([u64; 4], EdwardsPoint)]) -> EdwardsPoint {
+        let nafs: Vec<[i8; 257]> = terms.iter().map(|(n, _)| naf5(n)).collect();
         let top = nafs
             .iter()
             .flat_map(|naf| naf.iter().rposition(|&d| d != 0))
@@ -235,10 +233,7 @@ impl EdwardsPoint {
         let mut y_bytes = *bytes;
         y_bytes[31] &= 0x7F;
         // Reject non-canonical y (≥ p) to make encodings unique.
-        if U256::from_le_bytes(&y_bytes) >= crate::field::prime() {
-            return None;
-        }
-        let y = FieldElement::from_le_bytes(&y_bytes);
+        let y = FieldElement::from_canonical_bytes(&y_bytes)?;
         // x² = (y² - 1) / (d·y² + 1)
         let y2 = y.square();
         let u = y2.sub(FieldElement::ONE);
@@ -268,12 +263,8 @@ fn odd_table(point: EdwardsPoint) -> [EdwardsPoint; 8] {
 /// Width-5 non-adjacent form: signed odd digits in `[-15, 15]` with at
 /// most one nonzero digit in any 5 consecutive positions, so on average
 /// only 1 in 6 positions is nonzero. Index 256 absorbs a final carry.
-fn naf5(n: U256) -> [i8; 257] {
-    let bytes = n.to_le_bytes();
-    let mut limbs = [0u64; 5];
-    for (i, limb) in limbs.iter_mut().take(4).enumerate() {
-        *limb = u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8 bytes"));
-    }
+fn naf5(n: &[u64; 4]) -> [i8; 257] {
+    let limbs = [n[0], n[1], n[2], n[3], 0];
     let mut naf = [0i8; 257];
     let mut pos = 0usize;
     let mut carry = 0u64;
@@ -353,9 +344,15 @@ impl CombTable {
     }
 
     /// Fixed-base multiplication `[n]P` (additions only).
-    pub fn mul(&self, n: U256) -> EdwardsPoint {
+    pub fn mul(&self, n: Scalar) -> EdwardsPoint {
+        self.mul_limbs(n.limbs())
+    }
+
+    /// `[n]P` for any 256-bit integer `n` given as little-endian limbs:
+    /// one mixed addition per nonzero byte.
+    pub(crate) fn mul_limbs(&self, n: &[u64; 4]) -> EdwardsPoint {
         let mut acc = EdwardsPoint::identity();
-        for (row, byte) in n.to_le_bytes().into_iter().enumerate() {
+        for (row, byte) in store_le(n).into_iter().enumerate() {
             if byte != 0 {
                 acc = acc.add_niels(&self.entries[row * COMB_DIGITS + byte as usize - 1]);
             }
@@ -416,10 +413,22 @@ impl Eq for EdwardsPoint {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::U256;
     use crate::scalar::order;
+    use proptest::prelude::*;
 
     fn b() -> EdwardsPoint {
         EdwardsPoint::basepoint()
+    }
+
+    /// `[n]P` for an oracle integer, which may exceed `ℓ`.
+    fn mul_int(point: EdwardsPoint, n: U256) -> EdwardsPoint {
+        EdwardsPoint::vartime_multiscalar_mul(&[(n.0, point)])
+    }
+
+    /// `ℓ − 1`, the largest scalar.
+    fn minus_one() -> Scalar {
+        Scalar::ONE.neg()
     }
 
     #[test]
@@ -475,20 +484,20 @@ mod tests {
     #[test]
     fn scalar_multiplication_consistency() {
         // [5]B == B+B+B+B+B
-        let five = b().mul(U256::from_u64(5));
+        let five = b().mul(Scalar::from_u64(5));
         let sum = b().add(b()).add(b()).add(b()).add(b());
         assert!(five.equals(sum));
         // [0]P = identity, [1]P = P
-        assert!(b().mul(U256::ZERO).is_identity());
-        assert!(b().mul(U256::ONE).equals(b()));
+        assert!(b().mul(Scalar::ZERO).is_identity());
+        assert!(b().mul(Scalar::ONE).equals(b()));
     }
 
     #[test]
     fn scalar_multiplication_distributes() {
         // [a+b]B == [a]B + [b]B for small a, b.
-        let a = U256::from_u64(123);
-        let c = U256::from_u64(456);
-        let lhs = b().mul(U256::from_u64(579));
+        let a = Scalar::from_u64(123);
+        let c = Scalar::from_u64(456);
+        let lhs = b().mul(Scalar::from_u64(579));
         let rhs = b().mul(a).add(b().mul(c));
         assert!(lhs.equals(rhs));
     }
@@ -497,10 +506,11 @@ mod tests {
     fn basepoint_has_order_l() {
         // [ℓ]B = identity — the strongest validation of the whole group
         // arithmetic stack (field, formulas, constants).
-        assert!(b().mul(order()).is_identity());
+        assert!(mul_int(b(), order()).is_identity());
         // [ℓ-1]B = -B
+        assert!(b().mul(minus_one()).equals(b().neg()));
         let (lm1, _) = order().overflowing_sub(U256::ONE);
-        assert!(b().mul(lm1).equals(b().neg()));
+        assert!(mul_int(b(), lm1).equals(b().neg()));
     }
 
     #[test]
@@ -547,26 +557,32 @@ mod tests {
         let q = b().double().add(b());
         let r = q.double();
         let (a, c, d) = (
-            U256::from_u64(0xDEAD_BEEF_0042),
-            U256::from_u64(7),
-            U256::from_u64(0xFFFF_FFFF_FFFF_FFFF),
+            Scalar::from_u64(0xDEAD_BEEF_0042),
+            Scalar::from_u64(7),
+            Scalar::from_u64(0xFFFF_FFFF_FFFF_FFFF),
         );
-        let batched = EdwardsPoint::vartime_multiscalar_mul(&[(a, p), (c, q), (d, r)]);
+        let batched = EdwardsPoint::vartime_multiscalar_mul(&[
+            (*a.limbs(), p),
+            (*c.limbs(), q),
+            (*d.limbs(), r),
+        ]);
         let serial = p.mul(a).add(q.mul(c)).add(r.mul(d));
         assert!(batched.equals(serial));
         // Degenerate shapes.
         assert!(EdwardsPoint::vartime_multiscalar_mul(&[]).is_identity());
-        assert!(EdwardsPoint::vartime_multiscalar_mul(&[(U256::ZERO, p)]).is_identity());
-        assert!(EdwardsPoint::vartime_multiscalar_mul(&[(U256::ONE, p)]).equals(p));
+        assert!(mul_int(p, U256::ZERO).is_identity());
+        assert!(mul_int(p, U256::ONE).equals(p));
     }
 
     #[test]
     fn multiscalar_handles_full_width_scalars() {
         // ℓ-1 is 253 bits; mixing widths shares one doubling chain.
-        let (lm1, _) = order().overflowing_sub(U256::ONE);
-        let batched =
-            EdwardsPoint::vartime_multiscalar_mul(&[(lm1, b()), (U256::from_u64(3), b().double())]);
-        let serial = b().mul(lm1).add(b().double().mul(U256::from_u64(3)));
+        let (lm1, three) = (minus_one(), Scalar::from_u64(3));
+        let batched = EdwardsPoint::vartime_multiscalar_mul(&[
+            (*lm1.limbs(), b()),
+            (*three.limbs(), b().double()),
+        ]);
+        let serial = b().mul(lm1).add(b().double().mul(three));
         assert!(batched.equals(serial));
     }
 
@@ -575,18 +591,19 @@ mod tests {
         let table = CombTable::new(b());
         for v in [0u64, 1, 2, 15, 16, 17, 0xABCD_EF12_3456] {
             assert!(table
-                .mul(U256::from_u64(v))
-                .equals(b().mul(U256::from_u64(v))));
+                .mul(Scalar::from_u64(v))
+                .equals(b().mul(Scalar::from_u64(v))));
         }
-        let (lm1, _) = order().overflowing_sub(U256::ONE);
-        assert!(table.mul(lm1).equals(b().neg()));
-        assert!(table.mul(order()).is_identity());
+        assert!(table.mul(minus_one()).equals(b().neg()));
+        assert!(table.mul_limbs(&order().0).is_identity());
         // The shared base-point table agrees.
-        assert!(EdwardsPoint::mul_base(lm1).equals(b().neg()));
+        assert!(EdwardsPoint::mul_base(minus_one()).equals(b().neg()));
         // Comb tables work for arbitrary points, not just B.
         let p = b().double().add(b());
         let tp = CombTable::new(p);
-        assert!(tp.mul(U256::from_u64(99)).equals(p.mul(U256::from_u64(99))));
+        assert!(tp
+            .mul(Scalar::from_u64(99))
+            .equals(p.mul(Scalar::from_u64(99))));
     }
 
     #[test]
@@ -596,5 +613,38 @@ mod tests {
         encoded[31] ^= 0x80;
         let flipped = EdwardsPoint::decompress(&encoded).expect("valid");
         assert!(flipped.equals(p.neg()));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The affine-Niels comb table against the independent Straus/wNAF
+        /// multiplication, on a non-base point and on integers with zero
+        /// bytes (rows the comb skips) and full-width values (≥ ℓ, up to
+        /// 2^256 − 1); and, on the base point, `[n mod ℓ]B = [n]B`.
+        #[test]
+        fn comb_table_matches_multiscalar_mul(
+            n in prop::array::uniform4(any::<u64>()).prop_map(U256),
+            zero_mask in any::<u32>(),
+        ) {
+            static TABLE: OnceLock<(EdwardsPoint, CombTable)> = OnceLock::new();
+            let (point, table) = TABLE.get_or_init(|| {
+                let point = EdwardsPoint::basepoint().mul(Scalar::from_u64(0xC0FFEE));
+                (point, CombTable::new(point))
+            });
+            let mut bytes = n.to_le_bytes();
+            for (i, byte) in bytes.iter_mut().enumerate() {
+                if zero_mask >> i & 1 == 1 {
+                    *byte = 0;
+                }
+            }
+            let n = U256::from_le_bytes(&bytes);
+            prop_assert!(table.mul_limbs(&n.0).equals(mul_int(*point, n)));
+            let reduced = Scalar::from_le_bytes_reduced(&bytes);
+            let expected = mul_int(b(), n);
+            prop_assert!(basepoint_table().mul_limbs(&n.0).equals(expected));
+            prop_assert!(EdwardsPoint::mul_base(reduced).equals(expected));
+            prop_assert!(b().mul(reduced).equals(expected));
+        }
     }
 }

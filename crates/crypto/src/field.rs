@@ -11,8 +11,8 @@
 //!   difference is corrected by subtracting 38 (for `neg` this is the
 //!   biased subtraction `2p − x`, extended to representatives above
 //!   `2p`);
-//! * the canonical residue (`reduce`, `equals`, `is_zero`, `is_odd`,
-//!   encoding) is at most two conditional subtractions of `p`, because
+//! * the canonical residue (`equals`, `is_zero`, `is_odd`, encoding) is
+//!   at most two conditional subtractions of `p`, because
 //!   `2^256 = 2p + 38`;
 //! * `invert` and the `(p−5)/8` power inside `sqrt_ratio` run the fixed
 //!   addition chain of the reference implementations (254 squarings and
@@ -20,11 +20,10 @@
 //!
 //! The implementation is **not constant-time** — this library is a research
 //! reproduction of a PODC paper, not a production wallet — and is
-//! property-tested against the generic big-integer reference in
-//! [`crate::bigint`], which it does not call.
+//! property-tested against the generic big-integer reference of the
+//! test-only `bigint` module, which it does not call.
 
-use crate::bigint::U256;
-use crate::limbs::{add4, add_small, load_le, mul4, square4, sub4};
+use crate::limbs::{add4, add_small, ge4, load_le, mul4, square4, store_le, sub4};
 use std::fmt;
 
 /// An element of GF(2^255 − 19).
@@ -47,9 +46,10 @@ const SQRT_MINUS_ONE: FieldElement = FieldElement([
     0x2B83_2480_4FC1_DF0B,
 ]);
 
-/// The prime modulus `p = 2^255 − 19` as a `U256`.
-pub fn prime() -> U256 {
-    U256(P)
+/// The prime modulus `p = 2^255 − 19`, for the oracle tests.
+#[cfg(test)]
+pub(crate) fn prime() -> crate::bigint::U256 {
+    crate::bigint::U256(P)
 }
 
 impl FieldElement {
@@ -77,14 +77,22 @@ impl FieldElement {
         FieldElement(FieldElement(load_le(bytes)).canonical())
     }
 
-    /// Canonical 32-byte little-endian encoding (fully reduced).
-    pub fn to_le_bytes(self) -> [u8; 32] {
-        self.reduce().to_le_bytes()
+    /// Parses 32 little-endian bytes, rejecting non-canonical values
+    /// (`≥ p`), as point decompression requires for `y`.
+    pub(crate) fn from_canonical_bytes(bytes: &[u8; 32]) -> Option<FieldElement> {
+        let limbs = load_le(bytes);
+        (!ge4(&limbs, &P)).then_some(FieldElement(limbs))
     }
 
-    /// The canonical residue in `[0, p)`.
-    pub fn reduce(self) -> U256 {
-        U256(self.canonical())
+    /// Canonical 32-byte little-endian encoding (fully reduced).
+    pub fn to_le_bytes(self) -> [u8; 32] {
+        store_le(&self.canonical())
+    }
+
+    /// The canonical residue in `[0, p)`, for the oracle tests.
+    #[cfg(test)]
+    fn reduce(self) -> crate::bigint::U256 {
+        crate::bigint::U256(self.canonical())
     }
 
     /// The limbs of the canonical residue: `2^256 = 2p + 38`, so two
@@ -169,10 +177,10 @@ impl FieldElement {
         out
     }
 
-    /// Exponentiation by a 256-bit exponent (generic square-and-multiply;
-    /// the reference the addition chains are tested against, not used on
-    /// the sign / verify path).
-    pub fn pow(self, exponent: U256) -> FieldElement {
+    /// Exponentiation by a 256-bit exponent: generic square-and-multiply,
+    /// the reference the fixed addition chains are tested against.
+    #[cfg(test)]
+    fn pow(self, exponent: crate::bigint::U256) -> FieldElement {
         let mut result = FieldElement::ONE;
         let mut base = self;
         for i in 0..exponent.bits() {
@@ -253,7 +261,8 @@ impl Eq for FieldElement {}
 
 impl fmt::Debug for FieldElement {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Fe({:?})", self.reduce())
+        let [l0, l1, l2, l3] = self.canonical();
+        write!(f, "Fe(0x{l3:016x}{l2:016x}{l1:016x}{l0:016x})")
     }
 }
 
@@ -282,6 +291,7 @@ fn fold_512(product: &[u64; 8]) -> [u64; 4] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::U256;
 
     fn fe(v: u64) -> FieldElement {
         FieldElement::from_u64(v)
@@ -451,6 +461,12 @@ mod tests {
         assert_eq!(fa.equals(fb), ra == rb, "equals {a:?} {b:?}");
         assert_eq!(fa == fb, ra == rb, "== {a:?} {b:?}");
         assert_eq!(FieldElement::from_le_bytes(&a.to_le_bytes()).0, ra.0);
+        let canonical = FieldElement::from_canonical_bytes(&a.to_le_bytes());
+        assert_eq!(
+            canonical.map(|x| x.0),
+            (a < p).then_some(a.0),
+            "canonical {a:?}"
+        );
         assert_eq!(fa.to_le_bytes(), ra.to_le_bytes());
         assert_eq!(fa.add(fb).reduce(), ra.add_mod(rb, p), "add {a:?} {b:?}");
         assert_eq!(fa.sub(fb).reduce(), ra.sub_mod(rb, p), "sub {a:?} {b:?}");
@@ -505,6 +521,24 @@ mod tests {
             b in proptest::array::uniform4(proptest::prelude::any::<u64>()),
         ) {
             check_against_oracle(U256(a), U256(b));
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Field add matches the bigint reference.
+        #[test]
+        fn field_add_matches_reference(
+            a in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+            b in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+        ) {
+            let (a, b) = (U256(a), U256(b));
+            let fast = FieldElement::from_le_bytes(&a.to_le_bytes())
+                .add(FieldElement::from_le_bytes(&b.to_le_bytes()))
+                .reduce();
+            let reference = a.rem(prime()).add_mod(b.rem(prime()), prime());
+            proptest::prop_assert_eq!(fast, reference);
         }
     }
 

@@ -72,20 +72,26 @@ impl PublicKey {
     ///
     /// Returns a [`SignatureError`] describing which check failed.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
-        let r_point = EdwardsPoint::decompress(&signature.r).ok_or(SignatureError::InvalidPoint)?;
-        let s =
-            Scalar::from_canonical_bytes(&signature.s).ok_or(SignatureError::NonCanonicalScalar)?;
+        verify_with(&self.encoded, message, signature, |k| self.point.mul(k))
+    }
+}
 
-        let k = challenge_scalar(&signature.r, &self.encoded, message);
-
-        // [S]B == R + [k]A
-        let lhs = EdwardsPoint::mul_base(s.to_u256());
-        let rhs = r_point.add(self.point.mul(k.to_u256()));
-        if lhs.equals(rhs) {
-            Ok(())
-        } else {
-            Err(SignatureError::EquationFailed)
-        }
+/// Checks `[S]B = R + [k]A` for `signature` over `message` under the
+/// public key encoded as `public`, with `times_a` computing `[k]A`. `R`
+/// is parsed before `S`, so a bad `R` wins.
+fn verify_with(
+    public: &[u8; PUBLIC_KEY_LEN],
+    message: &[u8],
+    signature: &Signature,
+    times_a: impl FnOnce(Scalar) -> EdwardsPoint,
+) -> Result<(), SignatureError> {
+    let r_point = EdwardsPoint::decompress(&signature.r).ok_or(SignatureError::InvalidPoint)?;
+    let s = Scalar::from_canonical_bytes(&signature.s).ok_or(SignatureError::NonCanonicalScalar)?;
+    let k = challenge_scalar(&signature.r, public, message);
+    if EdwardsPoint::mul_base(s).equals(r_point.add(times_a(k))) {
+        Ok(())
+    } else {
+        Err(SignatureError::EquationFailed)
     }
 }
 
@@ -141,23 +147,10 @@ impl PrecomputedKey {
     ///
     /// Returns a [`SignatureError`] describing which check failed.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
-        let (r_point, s) = parse_signature(signature)?;
-        let k = challenge_scalar(&signature.r, &self.public.encoded, message);
-        let lhs = EdwardsPoint::mul_base(s.to_u256());
-        let rhs = r_point.add(self.table.mul(k.to_u256()));
-        if lhs.equals(rhs) {
-            Ok(())
-        } else {
-            Err(SignatureError::EquationFailed)
-        }
+        verify_with(&self.public.encoded, message, signature, |k| {
+            self.table.mul(k)
+        })
     }
-}
-
-/// Structurally parses a signature into its `R` point and `S` scalar.
-fn parse_signature(signature: &Signature) -> Result<(EdwardsPoint, Scalar), SignatureError> {
-    let r_point = EdwardsPoint::decompress(&signature.r).ok_or(SignatureError::InvalidPoint)?;
-    let s = Scalar::from_canonical_bytes(&signature.s).ok_or(SignatureError::NonCanonicalScalar)?;
-    Ok((r_point, s))
 }
 
 /// Verifies a batch of signatures, each against its signer's
@@ -245,7 +238,7 @@ impl fmt::Debug for Signature {
 /// An Ed25519 key pair.
 #[derive(Clone)]
 pub struct Keypair {
-    /// Secret scalar reduced mod ℓ (for the response computation).
+    /// Secret scalar reduced mod ℓ.
     ///
     /// The clamped secret is a multiple-of-8 integer below 2^255; since the
     /// public key is `[s]B` and `B` has prime order ℓ, reducing mod ℓ
@@ -266,9 +259,8 @@ impl Keypair {
         let mut prefix = [0u8; 32];
         prefix.copy_from_slice(&digest[32..]);
 
-        let secret_scalar = Scalar::clamp_integer(scalar_bytes);
-        let secret_mod_l = Scalar::from_le_bytes_reduced(&secret_scalar.to_le_bytes());
-        let point = EdwardsPoint::mul_base(secret_scalar);
+        let secret_mod_l = Scalar::from_le_bytes_reduced(&Scalar::clamp_integer(scalar_bytes));
+        let point = EdwardsPoint::mul_base(secret_mod_l);
         let encoded = point.compress();
         Keypair {
             secret_mod_l,
@@ -298,7 +290,7 @@ impl Keypair {
         let r = Scalar::from_wide_bytes(&hasher.finalize());
 
         // R = [r]B
-        let r_point = EdwardsPoint::mul_base(r.to_u256());
+        let r_point = EdwardsPoint::mul_base(r);
         let r_encoded = r_point.compress();
 
         let k = challenge_scalar(&r_encoded, &self.public.encoded, message);
@@ -656,7 +648,7 @@ mod tests {
         let (keypairs, keys, messages, sigs) = batch_fixture(3);
         let table = CombTable::new(EdwardsPoint::basepoint());
         let point = EdwardsPoint::basepoint().double();
-        let scalar = U256::from_le_bytes(&[0xA7; 32]);
+        let scalar = Scalar::from_le_bytes_reduced(&[0xA7; 32]);
         EdwardsPoint::mul_base(scalar); // builds the shared base-point table
 
         let divisions = |what: &str, run: &dyn Fn()| {
@@ -665,6 +657,9 @@ mod tests {
             let after = LONG_DIVISIONS.with(|count| count.get());
             assert_eq!(after - before, 0, "{what} ran a long division");
         };
+        divisions("Keypair::from_seed", &|| {
+            Keypair::from_seed(&[0xA7; 32]);
+        });
         divisions("Keypair::sign", &|| {
             keypairs[0].sign(&messages[0]);
         });
@@ -689,12 +684,39 @@ mod tests {
         divisions("CombTable::mul", &|| {
             let _ = table.mul(scalar);
         });
+        divisions("EdwardsPoint::mul", &|| {
+            let _ = point.mul(scalar);
+        });
         divisions("CombTable::new", &|| {
             let _ = CombTable::new(point);
         });
         // The counter itself is live.
         let before = LONG_DIVISIONS.with(|count| count.get());
-        let _ = scalar.rem(crate::scalar::order());
+        let _ = U256::from_le_bytes(&[0xA7; 32]).rem(crate::scalar::order());
         assert_eq!(LONG_DIVISIONS.with(|count| count.get()), before + 1);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// Key generation multiplies by the clamped secret reduced mod ℓ;
+        /// the base point has prime order ℓ, so that is the RFC 8032
+        /// public key `[clamp(h)]B` of the unreduced clamped integer.
+        #[test]
+        fn keygen_through_the_reduced_scalar(
+            seed in proptest::array::uniform32(proptest::prelude::any::<u8>()),
+        ) {
+            let digest = Sha512::digest(&seed);
+            let clamped = Scalar::clamp_integer(digest[..32].try_into().expect("32 bytes"));
+            let reduced = EdwardsPoint::mul_base(Scalar::from_le_bytes_reduced(&clamped));
+            let unreduced = EdwardsPoint::vartime_multiscalar_mul(&[(
+                crate::bigint::U256::from_le_bytes(&clamped).0,
+                EdwardsPoint::basepoint(),
+            )]);
+            proptest::prop_assert!(reduced.equals(unreduced));
+            let public = Keypair::from_seed(&seed).public().encoded;
+            proptest::prop_assert_eq!(reduced.compress(), public);
+            proptest::prop_assert_eq!(unreduced.compress(), public);
+        }
     }
 }

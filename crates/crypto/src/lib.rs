@@ -6,16 +6,18 @@
 //! reproduction contains no cryptography crates, so this crate implements
 //! the required primitives from the specifications:
 //!
-//! * [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4), round constants *derived*
-//!   from integer square/cube roots of primes rather than transcribed;
-//! * [`bigint`] — fixed-width 256/512-bit integers: the long-division
-//!   reference the kernels are tested against, and constant derivation;
+//! * [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4), with constant tables a
+//!   test re-derives from integer square/cube roots of primes;
 //! * [`field`] — GF(2^255 − 19) arithmetic, division-free;
 //! * [`scalar`] — arithmetic modulo the group order ℓ, division-free;
 //! * [`edwards`] — the edwards25519 group in extended coordinates, with
 //!   precomputed comb tables for long-lived points;
 //! * [`keys`] — Ed25519 (RFC 8032) key pairs, signing, verification, and
-//!   the deterministic per-process [`KeyStore`].
+//!   the deterministic per-process [`KeyStore`];
+//! * `bigint` — fixed-width 256/512-bit integers with long division: the
+//!   test-only oracle the kernels and the SHA-2 tables are checked
+//!   against. It is compiled only under `cfg(test)`, so no build of a
+//!   node can reach it.
 //!
 //! ## Security posture
 //!
@@ -24,7 +26,7 @@
 //! is established by standard test vectors (SHA-2; RFC 8032 §7.1 TEST 1,
 //! 2, 3 and 1024 from seed to signature), a pinned accept/reject table
 //! for malformed inputs, algebraic laws (`[ℓ]B = 𝟘`), and property tests
-//! of every kernel against the big-integer reference implementation.
+//! of every kernel against the test-only big-integer oracle.
 //!
 //! # Example
 //!
@@ -46,7 +48,8 @@
 // traits, and limb loops index explicitly like the specifications do.
 #![allow(clippy::should_implement_trait, clippy::needless_range_loop)]
 
-pub mod bigint;
+#[cfg(test)]
+mod bigint;
 pub mod edwards;
 pub mod field;
 pub mod keys;

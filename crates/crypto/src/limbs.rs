@@ -1,9 +1,9 @@
 //! Carry-chain primitives over little-endian `u64` limbs, shared by the
 //! field ([`crate::field`]) and scalar ([`crate::scalar`]) kernels.
 //!
-//! Deliberately independent of [`crate::bigint`]: that module is the
-//! oracle the kernels are property-tested against, so the two must not
-//! share a multiplication or a carry loop.
+//! Deliberately independent of the test-only `bigint` module: that is
+//! the oracle the kernels are property-tested against, so the two must
+//! not share a multiplication or a carry loop.
 
 /// Parses `8·N` little-endian bytes into `N` limbs.
 pub(crate) fn load_le<const N: usize>(bytes: &[u8]) -> [u64; N] {
@@ -13,6 +13,15 @@ pub(crate) fn load_le<const N: usize>(bytes: &[u8]) -> [u64; N] {
         *limb = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
     }
     limbs
+}
+
+/// Serialises four limbs to 32 little-endian bytes.
+pub(crate) fn store_le(limbs: &[u64; 4]) -> [u8; 32] {
+    let mut bytes = [0u8; 32];
+    for (chunk, limb) in bytes.chunks_exact_mut(8).zip(limbs) {
+        chunk.copy_from_slice(&limb.to_le_bytes());
+    }
+    bytes
 }
 
 /// `a + b`, with the carry out of bit 255.
@@ -128,6 +137,8 @@ mod tests {
                 assert_eq!(ge4(a, b), U256(*a) >= U256(*b));
                 assert_eq!(mul4(a, b), U256(*a).widening_mul(U256(*b)).0);
             }
+            assert_eq!(store_le(a), U256(*a).to_le_bytes());
+            assert_eq!(load_le::<4>(&store_le(a)), *a);
             assert_eq!(square4(a), U256(*a).widening_mul(U256(*a)).0);
         }
     }

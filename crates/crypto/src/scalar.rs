@@ -8,21 +8,21 @@
 //! `2^252 ≡ −c (mod ℓ)`, hence `lo + 2^252·hi ≡ lo − c·hi`. Folding the
 //! part above bit 252 this way shrinks a 512-bit input to 385, 258 and
 //! 131 bits, and the low parts — each below `2^252 < ℓ`, so already
-//! canonical — are combined with alternating sign. The generic
-//! long division in [`crate::bigint`] is the oracle the tests compare
-//! against, not something this module calls.
+//! canonical — are combined with alternating sign. The generic long
+//! division of the test-only `bigint` module is the oracle the tests
+//! compare against, not something this module calls.
 
-use crate::bigint::U256;
-use crate::limbs::{add4, ge4, load_le, mul4, sub4};
+use crate::limbs::{add4, ge4, load_le, mul4, store_le, sub4};
 use std::fmt;
 
 /// `ℓ`: the low 125 bits `27742317777372353535851937790883648493 =
 /// 0x14DEF9DEA2F79CD6_5812631A5CF5D3ED`, plus `2^252`.
 const L: [u64; 4] = [0x5812_631A_5CF5_D3ED, 0x14DE_F9DE_A2F7_9CD6, 0, 1 << 60];
 
-/// The group order `ℓ`.
-pub fn order() -> U256 {
-    U256(L)
+/// The group order `ℓ`, for the oracle tests.
+#[cfg(test)]
+pub(crate) fn order() -> crate::bigint::U256 {
+    crate::bigint::U256(L)
 }
 
 /// A scalar modulo `ℓ`.
@@ -50,8 +50,8 @@ impl Scalar {
     /// Parses 32 little-endian bytes, rejecting non-canonical values
     /// (`≥ ℓ`), as RFC 8032 verification requires for `S`.
     pub fn from_canonical_bytes(bytes: &[u8; 32]) -> Option<Scalar> {
-        let value = U256::from_le_bytes(bytes);
-        (value < order()).then_some(Scalar(value.0))
+        let limbs = load_le(bytes);
+        (!ge4(&limbs, &L)).then_some(Scalar(limbs))
     }
 
     /// Reduces 64 little-endian bytes (a SHA-512 output) modulo `ℓ`.
@@ -59,27 +59,28 @@ impl Scalar {
         reduce_wide(load_le(bytes))
     }
 
-    /// The "clamped" secret scalar of RFC 8032 §5.1.5: clears the low 3
-    /// bits, clears bit 255, sets bit 254.
+    /// The "clamped" secret integer of RFC 8032 §5.1.5, as 32
+    /// little-endian bytes: clears the low 3 bits, clears bit 255, sets
+    /// bit 254.
     ///
-    /// Note: the clamped value is used *as an integer* in scalar
-    /// multiplication, not reduced mod ℓ first; it is below 2^255 and the
-    /// multiplication routine accepts the full range.
-    pub fn clamp_integer(mut bytes: [u8; 32]) -> U256 {
+    /// The integer is at least 2^254 > ℓ. Key generation reduces it mod ℓ
+    /// before multiplying: the base point has prime order ℓ, so the
+    /// public key `[s]B` is unchanged.
+    pub(crate) fn clamp_integer(mut bytes: [u8; 32]) -> [u8; 32] {
         bytes[0] &= 0b1111_1000;
         bytes[31] &= 0b0111_1111;
         bytes[31] |= 0b0100_0000;
-        U256::from_le_bytes(&bytes)
+        bytes
     }
 
     /// Canonical 32-byte little-endian encoding.
     pub fn to_le_bytes(self) -> [u8; 32] {
-        U256(self.0).to_le_bytes()
+        store_le(&self.0)
     }
 
-    /// The canonical residue as a 256-bit integer.
-    pub fn to_u256(self) -> U256 {
-        U256(self.0)
+    /// The limbs of the canonical residue.
+    pub(crate) fn limbs(&self) -> &[u64; 4] {
+        &self.0
     }
 
     /// Whether the scalar is zero.
@@ -177,13 +178,21 @@ fn mul_c(x: &[u64; 8]) -> [u64; 8] {
 
 impl fmt::Debug for Scalar {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Scalar({:?})", self.to_u256())
+        let [l0, l1, l2, l3] = self.0;
+        write!(f, "Scalar(0x{l3:016x}{l2:016x}{l1:016x}{l0:016x})")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::{U256, U512};
+    use proptest::prelude::*;
+
+    /// The canonical residue as an oracle integer.
+    fn int(s: Scalar) -> U256 {
+        U256(s.0)
+    }
 
     #[test]
     fn order_magnitude() {
@@ -255,14 +264,14 @@ mod tests {
 
     #[test]
     fn clamping_sets_expected_bits() {
-        let clamped = Scalar::clamp_integer([0xFFu8; 32]);
+        let clamped = U256::from_le_bytes(&Scalar::clamp_integer([0xFFu8; 32]));
         assert!(!clamped.bit(0));
         assert!(!clamped.bit(1));
         assert!(!clamped.bit(2));
         assert!(clamped.bit(254));
         assert!(!clamped.bit(255));
 
-        let clamped_zero = Scalar::clamp_integer([0u8; 32]);
+        let clamped_zero = U256::from_le_bytes(&Scalar::clamp_integer([0u8; 32]));
         assert!(clamped_zero.bit(254));
         assert_eq!(clamped_zero.bits(), 255);
     }
@@ -300,11 +309,10 @@ mod tests {
 
     /// Every rewritten kernel against the long-division oracle.
     fn check_against_oracle(wide: [u64; 8]) {
-        use crate::bigint::U512;
         let l = order();
         let want = U512(wide).rem(l);
         assert_eq!(
-            Scalar::from_wide_bytes(&wide_bytes(wide)).to_u256(),
+            int(Scalar::from_wide_bytes(&wide_bytes(wide))),
             want,
             "from_wide_bytes {wide:?}"
         );
@@ -313,11 +321,14 @@ mod tests {
         let sa = Scalar::from_le_bytes_reduced(&a.to_le_bytes());
         let sb = Scalar::from_le_bytes_reduced(&b.to_le_bytes());
         let (ra, rb) = (a.rem(l), b.rem(l));
-        assert_eq!(sa.to_u256(), ra, "from_le_bytes_reduced {a:?}");
-        assert_eq!(sa.mul(sb).to_u256(), ra.mul_mod(rb, l), "mul {a:?} {b:?}");
-        assert_eq!(sa.add(sb).to_u256(), ra.add_mod(rb, l), "add {a:?} {b:?}");
-        assert_eq!(sa.sub(sb).to_u256(), ra.sub_mod(rb, l), "sub {a:?} {b:?}");
-        assert_eq!(sa.neg().to_u256(), U256::ZERO.sub_mod(ra, l), "neg {a:?}");
+        assert_eq!(int(sa), ra, "from_le_bytes_reduced {a:?}");
+        assert_eq!(int(sa.mul(sb)), ra.mul_mod(rb, l), "mul {a:?} {b:?}");
+        assert_eq!(int(sa.add(sb)), ra.add_mod(rb, l), "add {a:?} {b:?}");
+        assert_eq!(int(sa.sub(sb)), ra.sub_mod(rb, l), "sub {a:?} {b:?}");
+        assert_eq!(int(sa.neg()), U256::ZERO.sub_mod(ra, l), "neg {a:?}");
+        assert_eq!(sa.to_le_bytes(), ra.to_le_bytes(), "to_le_bytes {a:?}");
+        let canonical = Scalar::from_canonical_bytes(&a.to_le_bytes());
+        assert_eq!(canonical.map(int), (a < l).then_some(a), "canonical {a:?}");
     }
 
     #[test]
@@ -342,18 +353,37 @@ mod tests {
         }
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
 
         #[test]
         fn kernels_match_oracle(
-            lo in proptest::array::uniform4(proptest::prelude::any::<u64>()),
-            hi in proptest::array::uniform4(proptest::prelude::any::<u64>()),
+            lo in prop::array::uniform4(any::<u64>()),
+            hi in prop::array::uniform4(any::<u64>()),
         ) {
             let mut wide = [0u64; 8];
             wide[..4].copy_from_slice(&lo);
             wide[4..].copy_from_slice(&hi);
             check_against_oracle(wide);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Scalar ring laws mod ℓ, against the bigint reference.
+        #[test]
+        fn scalar_laws(
+            a in prop::array::uniform4(any::<u64>()).prop_map(U256),
+            b in prop::array::uniform4(any::<u64>()).prop_map(U256),
+        ) {
+            let sa = Scalar::from_le_bytes_reduced(&a.to_le_bytes());
+            let sb = Scalar::from_le_bytes_reduced(&b.to_le_bytes());
+            prop_assert_eq!(sa.add(sb), sb.add(sa));
+            prop_assert_eq!(sa.mul(sb), sb.mul(sa));
+            prop_assert_eq!(sa.sub(sa), Scalar::ZERO);
+            let reference = a.rem(order()).mul_mod(b.rem(order()), order());
+            prop_assert_eq!(int(sa.mul(sb)), reference);
         }
     }
 }

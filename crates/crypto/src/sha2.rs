@@ -1,13 +1,11 @@
 //! SHA-256 and SHA-512, implemented from the FIPS 180-4 specification.
 //!
-//! The round constants and initial hash values are *derived at first use*
-//! — fractional parts of square/cube roots of the first primes, computed
-//! with exact integer arithmetic from [`crate::bigint`] — rather than
-//! transcribed from tables, and the implementation is validated against the
-//! standard test vectors.
-
-use crate::bigint::{icbrt_u512, isqrt_u512, U512};
-use std::sync::OnceLock;
+//! The round constants and initial hash values are the tables of FIPS
+//! 180-4 §4.2.2, §4.2.3, §5.3.3 and §5.3.5: the first 32 or 64 bits of
+//! the fractional parts of the cube and square roots of the first
+//! primes. A test re-derives all 160 entries with exact integer roots
+//! from the crate's test-only big-integer oracle, and the implementation
+//! is validated against the standard test vectors.
 
 /// A 32-byte SHA-256 digest.
 pub type Digest256 = [u8; 32];
@@ -15,80 +13,55 @@ pub type Digest256 = [u8; 32];
 /// A 64-byte SHA-512 digest.
 pub type Digest512 = [u8; 64];
 
-/// Returns the first `n` prime numbers.
-fn primes(n: usize) -> Vec<u64> {
-    let mut out = Vec::with_capacity(n);
-    let mut candidate = 2u64;
-    while out.len() < n {
-        if out.iter().all(|p| !candidate.is_multiple_of(*p)) {
-            out.push(candidate);
-        }
-        candidate += 1;
-    }
-    out
-}
+/// SHA-256 round constants: cube roots of the first 64 primes.
+const K256: [u32; 64] = [
+    0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
+    0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174,
+    0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f, 0x4a7484aa, 0x5cb0a9dc, 0x76f988da,
+    0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7, 0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967,
+    0x27b70a85, 0x2e1b2138, 0x4d2c6dfc, 0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85,
+    0xa2bfe8a1, 0xa81a664b, 0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070,
+    0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+    0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
+];
 
-/// First 64 bits of the fractional part of the cube root of `p`.
-fn cbrt_frac64(p: u64) -> u64 {
-    // floor(cbrt(p * 2^192)) = floor(p^(1/3) * 2^64); subtracting the
-    // integer part (shifted) leaves the fractional bits.
-    let mut shifted = U512::ZERO;
-    shifted.0[3] = p; // p << 192
-    let root = icbrt_u512(shifted); // ≈ p^(1/3) * 2^64, fits in 128 bits
-    root.0[0] // low 64 bits = fractional part (integer part is in limb 1)
-}
+/// SHA-256 initial hash value: square roots of the first 8 primes.
+const H256: [u32; 8] = [
+    0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
+];
 
-/// First 64 bits of the fractional part of the square root of `p`.
-fn sqrt_frac64(p: u64) -> u64 {
-    let mut shifted = U512::ZERO;
-    shifted.0[2] = p; // p << 128
-    let root = isqrt_u512(shifted); // ≈ sqrt(p) * 2^64
-    root.0[0]
-}
+/// SHA-512 round constants: cube roots of the first 80 primes (four to
+/// a row, as FIPS 180-4 prints them).
+#[rustfmt::skip]
+const K512: [u64; 80] = [
+    0x428a2f98d728ae22, 0x7137449123ef65cd, 0xb5c0fbcfec4d3b2f, 0xe9b5dba58189dbbc,
+    0x3956c25bf348b538, 0x59f111f1b605d019, 0x923f82a4af194f9b, 0xab1c5ed5da6d8118,
+    0xd807aa98a3030242, 0x12835b0145706fbe, 0x243185be4ee4b28c, 0x550c7dc3d5ffb4e2,
+    0x72be5d74f27b896f, 0x80deb1fe3b1696b1, 0x9bdc06a725c71235, 0xc19bf174cf692694,
+    0xe49b69c19ef14ad2, 0xefbe4786384f25e3, 0x0fc19dc68b8cd5b5, 0x240ca1cc77ac9c65,
+    0x2de92c6f592b0275, 0x4a7484aa6ea6e483, 0x5cb0a9dcbd41fbd4, 0x76f988da831153b5,
+    0x983e5152ee66dfab, 0xa831c66d2db43210, 0xb00327c898fb213f, 0xbf597fc7beef0ee4,
+    0xc6e00bf33da88fc2, 0xd5a79147930aa725, 0x06ca6351e003826f, 0x142929670a0e6e70,
+    0x27b70a8546d22ffc, 0x2e1b21385c26c926, 0x4d2c6dfc5ac42aed, 0x53380d139d95b3df,
+    0x650a73548baf63de, 0x766a0abb3c77b2a8, 0x81c2c92e47edaee6, 0x92722c851482353b,
+    0xa2bfe8a14cf10364, 0xa81a664bbc423001, 0xc24b8b70d0f89791, 0xc76c51a30654be30,
+    0xd192e819d6ef5218, 0xd69906245565a910, 0xf40e35855771202a, 0x106aa07032bbd1b8,
+    0x19a4c116b8d2d0c8, 0x1e376c085141ab53, 0x2748774cdf8eeb99, 0x34b0bcb5e19b48a8,
+    0x391c0cb3c5c95a63, 0x4ed8aa4ae3418acb, 0x5b9cca4f7763e373, 0x682e6ff3d6b2b8a3,
+    0x748f82ee5defb2fc, 0x78a5636f43172f60, 0x84c87814a1f0ab72, 0x8cc702081a6439ec,
+    0x90befffa23631e28, 0xa4506cebde82bde9, 0xbef9a3f7b2c67915, 0xc67178f2e372532b,
+    0xca273eceea26619c, 0xd186b8c721c0c207, 0xeada7dd6cde0eb1e, 0xf57d4f7fee6ed178,
+    0x06f067aa72176fba, 0x0a637dc5a2c898a6, 0x113f9804bef90dae, 0x1b710b35131c471b,
+    0x28db77f523047d84, 0x32caab7b40c72493, 0x3c9ebe0a15c9bebc, 0x431d67c49c100d4c,
+    0x4cc5d4becb3e42b6, 0x597f299cfc657e2a, 0x5fcb6fab3ad6faec, 0x6c44198c4a475817,
+];
 
-fn k256() -> &'static [u32; 64] {
-    static K: OnceLock<[u32; 64]> = OnceLock::new();
-    K.get_or_init(|| {
-        let mut out = [0u32; 64];
-        for (k, p) in out.iter_mut().zip(primes(64)) {
-            *k = (cbrt_frac64(p) >> 32) as u32;
-        }
-        out
-    })
-}
-
-fn h256() -> &'static [u32; 8] {
-    static H: OnceLock<[u32; 8]> = OnceLock::new();
-    H.get_or_init(|| {
-        let mut out = [0u32; 8];
-        for (h, p) in out.iter_mut().zip(primes(8)) {
-            *h = (sqrt_frac64(p) >> 32) as u32;
-        }
-        out
-    })
-}
-
-fn k512() -> &'static [u64; 80] {
-    static K: OnceLock<[u64; 80]> = OnceLock::new();
-    K.get_or_init(|| {
-        let mut out = [0u64; 80];
-        for (k, p) in out.iter_mut().zip(primes(80)) {
-            *k = cbrt_frac64(p);
-        }
-        out
-    })
-}
-
-fn h512() -> &'static [u64; 8] {
-    static H: OnceLock<[u64; 8]> = OnceLock::new();
-    H.get_or_init(|| {
-        let mut out = [0u64; 8];
-        for (h, p) in out.iter_mut().zip(primes(8)) {
-            *h = sqrt_frac64(p);
-        }
-        out
-    })
-}
+/// SHA-512 initial hash value: square roots of the first 8 primes.
+#[rustfmt::skip]
+const H512: [u64; 8] = [
+    0x6a09e667f3bcc908, 0xbb67ae8584caa73b, 0x3c6ef372fe94f82b, 0xa54ff53a5f1d36f1,
+    0x510e527fade682d1, 0x9b05688c2b3e6c1f, 0x1f83d9abfb41bd6b, 0x5be0cd19137e2179,
+];
 
 /// Incremental SHA-256.
 ///
@@ -120,7 +93,7 @@ impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
         Sha256 {
-            state: *h256(),
+            state: H256,
             buffer: [0; 64],
             buffered: 0,
             length: 0,
@@ -180,7 +153,6 @@ impl Sha256 {
     }
 
     fn compress(&mut self, block: &[u8; 64]) {
-        let k = k256();
         let mut w = [0u32; 64];
         for (i, chunk) in block.chunks_exact(4).enumerate() {
             w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
@@ -200,7 +172,7 @@ impl Sha256 {
             let temp1 = h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(k[i])
+                .wrapping_add(K256[i])
                 .wrapping_add(w[i]);
             let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
             let maj = (a & b) ^ (a & c) ^ (b & c);
@@ -248,7 +220,7 @@ impl Sha512 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
         Sha512 {
-            state: *h512(),
+            state: H512,
             buffer: [0; 128],
             buffered: 0,
             length: 0,
@@ -307,7 +279,6 @@ impl Sha512 {
     }
 
     fn compress(&mut self, block: &[u8; 128]) {
-        let k = k512();
         let mut w = [0u64; 80];
         for (i, chunk) in block.chunks_exact(8).enumerate() {
             w[i] = u64::from_be_bytes(chunk.try_into().expect("8-byte chunk"));
@@ -327,7 +298,7 @@ impl Sha512 {
             let temp1 = h
                 .wrapping_add(s1)
                 .wrapping_add(ch)
-                .wrapping_add(k[i])
+                .wrapping_add(K512[i])
                 .wrapping_add(w[i]);
             let s0 = a.rotate_right(28) ^ a.rotate_right(34) ^ a.rotate_right(39);
             let maj = (a & b) ^ (a & c) ^ (b & c);
@@ -350,26 +321,56 @@ impl Sha512 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bigint::{icbrt_u512, isqrt_u512, U512};
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// Returns the first `n` prime numbers.
+    fn primes(n: usize) -> Vec<u64> {
+        let mut out = Vec::with_capacity(n);
+        let mut candidate = 2u64;
+        while out.len() < n {
+            if out.iter().all(|p| !candidate.is_multiple_of(*p)) {
+                out.push(candidate);
+            }
+            candidate += 1;
+        }
+        out
+    }
+
+    /// First 64 bits of the fractional part of the cube root of `p`.
+    fn cbrt_frac64(p: u64) -> u64 {
+        // floor(cbrt(p * 2^192)) = floor(p^(1/3) * 2^64); its low limb is
+        // the fractional part (the integer part is in limb 1).
+        let mut shifted = U512::ZERO;
+        shifted.0[3] = p; // p << 192
+        icbrt_u512(shifted).0[0]
+    }
+
+    /// First 64 bits of the fractional part of the square root of `p`.
+    fn sqrt_frac64(p: u64) -> u64 {
+        let mut shifted = U512::ZERO;
+        shifted.0[2] = p; // p << 128
+        isqrt_u512(shifted).0[0] // ≈ sqrt(p) * 2^64
+    }
+
     #[test]
     fn derived_constants_match_fips_180_4() {
-        // Spot-check derived constants against the specification tables.
-        let k = k256();
-        assert_eq!(k[0], 0x428a2f98);
-        assert_eq!(k[1], 0x71374491);
-        assert_eq!(k[63], 0xc67178f2);
-        let h = h256();
-        assert_eq!(h[0], 0x6a09e667);
-        assert_eq!(h[7], 0x5be0cd19);
-        let k5 = k512();
-        assert_eq!(k5[0], 0x428a2f98d728ae22);
-        assert_eq!(k5[79], 0x6c44198c4a475817);
-        let h5 = h512();
-        assert_eq!(h5[0], 0x6a09e667f3bcc908);
+        // Every table entry against its derivation (160 in all).
+        for (i, p) in primes(80).into_iter().enumerate() {
+            let cbrt = cbrt_frac64(p);
+            assert_eq!(K512[i], cbrt, "K512[{i}]");
+            if i < 64 {
+                assert_eq!(K256[i], (cbrt >> 32) as u32, "K256[{i}]");
+            }
+            if i < 8 {
+                let sqrt = sqrt_frac64(p);
+                assert_eq!(H512[i], sqrt, "H512[{i}]");
+                assert_eq!(H256[i], (sqrt >> 32) as u32, "H256[{i}]");
+            }
+        }
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! file runs unchanged against an older checkout — which is how the
 //! recorded values were taken and the outcome table was confirmed.
 
-use at_crypto::scalar::order;
 use at_crypto::{
     verify_batch, KeyStore, Keypair, PrecomputedKey, PublicKey, Signature, SignatureError,
 };
@@ -146,27 +145,26 @@ fn pinned_outcomes_for_malformed_and_adversarial_inputs() {
     );
 
     // Non-canonical S: ℓ itself, S + ℓ (the same residue), all ones.
-    let l = order();
-    let s_plus_l = at_crypto::bigint::U256::from_le_bytes(s.try_into().expect("32 bytes"))
-        .overflowing_add(l)
-        .0;
-    for bad_s in [l.to_le_bytes(), s_plus_l.to_le_bytes(), [0xFF; 32]] {
+    let l = le_bytes(ORDER);
+    let s_plus_l = add_le(s.try_into().expect("32 bytes"), &l);
+    for bad_s in [l, s_plus_l, [0xFF; 32]] {
         assert_eq!(
             outcome(key, message, &signature(r, &bad_s)),
             Err(NonCanonicalScalar)
         );
     }
     // ℓ − 1 is canonical: the equation is evaluated, and fails.
-    let l_minus_1 = l.overflowing_sub(at_crypto::bigint::U256::ONE).0;
+    let mut l_minus_1 = l;
+    l_minus_1[0] -= 1;
     assert_eq!(
-        outcome(key, message, &signature(r, &l_minus_1.to_le_bytes())),
+        outcome(key, message, &signature(r, &l_minus_1)),
         Err(EquationFailed)
     );
 
     // R that does not decode: y ≥ p (p itself, p + 1 aliasing y = 1,
     // 2^255 − 1), the −0 encoding (y = 1, x = 0, sign bit set), a y
     // with no x on the curve. R is parsed before S, so a bad R wins.
-    let p = at_crypto::field::prime().to_le_bytes();
+    let p = le_bytes(PRIME);
     let mut p_plus_1 = p;
     p_plus_1[0] += 1;
     let mut all_ones = [0xFF; 32];
@@ -218,6 +216,31 @@ fn pinned_outcomes_for_malformed_and_adversarial_inputs() {
         ),
         Ok(())
     );
+}
+
+/// The group order `ℓ = 2^252 + 27742317777372353535851937790883648493`
+/// and the field prime `p = 2^255 − 19`, big-endian hex.
+const ORDER: &str = "1000000000000000000000000000000014def9dea2f79cd65812631a5cf5d3ed";
+const PRIME: &str = "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed";
+
+/// The 32 little-endian bytes of a big-endian hex integer.
+fn le_bytes(big_endian_hex: &str) -> [u8; 32] {
+    let mut bytes: [u8; 32] = unhex(big_endian_hex).try_into().expect("32 bytes");
+    bytes.reverse();
+    bytes
+}
+
+/// `a + b` on little-endian bytes (the operands here never carry out).
+fn add_le(a: &[u8; 32], b: &[u8; 32]) -> [u8; 32] {
+    let mut sum = [0u8; 32];
+    let mut carry = 0u16;
+    for i in 0..32 {
+        let digit = a[i] as u16 + b[i] as u16 + carry;
+        sum[i] = digit as u8;
+        carry = digit >> 8;
+    }
+    assert_eq!(carry, 0, "sum overflows 256 bits");
+    sum
 }
 
 fn identity_encoding() -> [u8; 32] {

@@ -77,10 +77,7 @@ pub use probe::{
     check_fifo_contract, history_from_events, rejections_locally_justified, validate_recorded,
     Failure, FailureKind, RecordedRun, TimedEvent,
 };
-pub use replica::{
-    DefaultEngineBroadcast, DropDiagnostic, DropReason, EngineEvent, EngineMsg, EnginePayload,
-    ShardedReplica,
-};
+pub use replica::{DefaultEngineBroadcast, EngineEvent, EngineMsg, EnginePayload, ShardedReplica};
 pub use scenario::{Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload};
 pub use shard::{ShardError, ShardedLedger};
 pub use snapshot::LedgerSnapshot;

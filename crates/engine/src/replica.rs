@@ -120,36 +120,6 @@ impl FlushReason {
 /// every correct replica's memory without bound.
 const MAX_PENDING_PER_SOURCE: usize = 1_024;
 
-/// Cap on retained drop diagnostics ([`DropDiagnostic`]). A sustained
-/// Byzantine sender produces one diagnostic per dropped item; retaining
-/// them all would be exactly the unbounded growth the cap on `pending`
-/// prevents. Oldest entries are evicted first and counted.
-const MAX_DROP_DIAGNOSTICS: usize = 256;
-
-/// Why a delivered transfer was dropped instead of buffered.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum DropReason {
-    /// Well-formedness violation: wrong originator/source binding or a
-    /// non-consecutive sequence number (Figure 4 lines 9–12).
-    Malformed,
-    /// The per-source delivered-but-unvalidated buffer was full
-    /// (`MAX_PENDING_PER_SOURCE`); the source is too far ahead of
-    /// validation to be honest.
-    PendingOverflow,
-}
-
-/// A retained diagnostic for one dropped transfer, kept in a bounded
-/// ring for operators (see [`ShardedReplica::drop_diagnostics`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DropDiagnostic {
-    /// The process whose batch carried the dropped item.
-    pub source: ProcessId,
-    /// The transfer sequence number the item claimed.
-    pub seq: SeqNo,
-    /// Why it was dropped.
-    pub reason: DropReason,
-}
-
 /// Events surfaced by the engine replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum EngineEvent {
@@ -265,11 +235,6 @@ pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroad
     /// a wedged validation pipeline is diagnosable instead of looking
     /// like frame loss.
     pending_overflow_dropped: u64,
-    /// Bounded ring of per-drop diagnostics (evict-oldest).
-    drop_diagnostics: VecDeque<DropDiagnostic>,
-    /// Diagnostics evicted from the ring to stay within
-    /// [`MAX_DROP_DIAGNOSTICS`].
-    diagnostics_dropped: u64,
     /// Highest broadcast-*instance* sequence number delivered per source
     /// (the backend floor a snapshot cut carries).
     backend_seen: Vec<SeqNo>,
@@ -350,8 +315,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
             reserved: Amount::ZERO,
             malformed_dropped: 0,
             pending_overflow_dropped: 0,
-            drop_diagnostics: VecDeque::new(),
-            diagnostics_dropped: 0,
             backend_seen: vec![SeqNo::ZERO; n],
             pruned_floor: vec![SeqNo::ZERO; n],
             pruned_total: 0,
@@ -547,33 +510,9 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         self.pending_overflow_dropped
     }
 
-    /// The retained drop diagnostics, oldest first (bounded ring; see
-    /// [`ShardedReplica::diagnostics_dropped`] for evictions).
-    pub fn drop_diagnostics(&self) -> impl Iterator<Item = &DropDiagnostic> {
-        self.drop_diagnostics.iter()
-    }
-
-    /// Number of diagnostics evicted from the bounded ring.
-    pub fn diagnostics_dropped(&self) -> u64 {
-        self.diagnostics_dropped
-    }
-
     /// Total entries pruned so far by [`ShardedReplica::prune_through`].
     pub fn pruned_total(&self) -> u64 {
         self.pruned_total
-    }
-
-    /// Records a drop diagnostic, evicting the oldest past the cap.
-    fn record_drop(&mut self, source: ProcessId, seq: SeqNo, reason: DropReason) {
-        self.drop_diagnostics.push_back(DropDiagnostic {
-            source,
-            seq,
-            reason,
-        });
-        if self.drop_diagnostics.len() > MAX_DROP_DIAGNOSTICS {
-            self.drop_diagnostics.pop_front();
-            self.diagnostics_dropped += 1;
-        }
     }
 
     /// A deterministic digest of the ledger state (see
@@ -800,7 +739,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
                 && t.seq == self.received_seq[index].next();
             if !well_formed {
                 self.malformed_dropped += 1;
-                self.record_drop(q, t.seq, DropReason::Malformed);
                 continue;
             }
             self.received_seq[index] = t.seq;
@@ -810,7 +748,6 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
                 // once their dependencies land). Drop instead of
                 // buffering without bound.
                 self.pending_overflow_dropped += 1;
-                self.record_drop(q, t.seq, DropReason::PendingOverflow);
                 continue;
             }
             self.pending[index].push_back((msg, trace));
@@ -1521,24 +1458,15 @@ mod tests {
                 "replica {i}"
             );
             assert_eq!(replica.malformed_dropped(), 0, "overflow is not malformed");
-            assert_eq!(
-                replica.drop_diagnostics().count() as u64,
-                replica.pending_overflow_dropped(),
-                "each overflow leaves a diagnostic (under the ring cap)"
-            );
-            assert!(replica
-                .drop_diagnostics()
-                .all(|d| d.reason == DropReason::PendingOverflow && d.source == p(0)));
             assert_eq!(replica.balance(a(1)), amt(10));
         }
     }
 
     #[test]
-    fn drop_diagnostics_ring_is_bounded() {
+    fn malformed_items_of_a_batch_are_each_counted() {
         let mut sim = system(3, 10, EngineConfig::unsharded());
-        // 300 malformed items (claiming to debit someone else's account):
-        // every one is dropped and diagnosed, but only the latest
-        // MAX_DROP_DIAGNOSTICS survive in the ring.
+        // 300 malformed items (claiming to debit someone else's account)
+        // in one batch: every one is dropped and counted.
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             let items = (1..=300u64)
                 .map(|s| TransferMsg {
@@ -1552,14 +1480,8 @@ mod tests {
         for i in 1..3 {
             let replica = sim.actor(p(i));
             assert_eq!(replica.malformed_dropped(), 300, "replica {i}");
-            assert_eq!(replica.drop_diagnostics().count(), MAX_DROP_DIAGNOSTICS);
-            assert_eq!(
-                replica.diagnostics_dropped(),
-                300 - MAX_DROP_DIAGNOSTICS as u64
-            );
-            // Evict-oldest: the survivors are the most recent seqs.
-            let first = replica.drop_diagnostics().next().expect("non-empty ring");
-            assert_eq!(first.seq.value(), 300 - MAX_DROP_DIAGNOSTICS as u64 + 1);
+            assert_eq!(replica.pending_count(), 0, "replica {i}");
+            assert_eq!(replica.balance(a(2)), amt(10), "replica {i}");
         }
     }
 

@@ -1186,10 +1186,6 @@ where
             "engine_overflow_dropped_total",
             self.replica.pending_overflow_dropped(),
         );
-        fold(
-            "engine_diagnostics_dropped_total",
-            self.replica.diagnostics_dropped(),
-        );
         let backend = self.replica.backend();
         let ops = backend.crypto_ops();
         fold("broadcast_signs_total", ops.signs);

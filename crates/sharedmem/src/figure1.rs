@@ -23,10 +23,10 @@ use crate::object::SharedAssetTransfer;
 use crate::snapshot::{AfekSnapshot, AtomicSnapshot, LockSnapshot};
 use at_model::spec::balance_from_transfers;
 use at_model::{AccountId, Amount, OwnerMap, ProcessId, SeqNo, Transfer};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// The per-slot value: an immutable set of the owner's successful
 /// transfers. `Arc` keeps `update` cheap to publish and `snapshot` cheap
@@ -158,7 +158,9 @@ impl<S: AtomicSnapshot<Ops>> SharedAssetTransfer for SnapshotAssetTransfer<S> {
         // The model assumes sequential processes; holding the local lock
         // across the whole operation keeps the object safe even if a
         // caller violates that assumption.
-        let mut local = self.locals[process.as_usize()].lock();
+        let mut local = self.locals[process.as_usize()]
+            .lock()
+            .expect("local state poisoned");
         // Line 1: take a snapshot.
         let view = self.snapshot.snapshot();
         // Line 2: owner and balance validation. Unknown accounts have no

@@ -16,10 +16,10 @@ use crate::register::RegisterArray;
 use crate::snapshot::{AtomicSnapshot, LockSnapshot};
 use at_model::spec::balance_from_transfers;
 use at_model::{AccountId, Amount, OwnerMap, ProcessId, Round, SeqNo, Transfer, TransferId};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
+use std::sync::Mutex;
 
 /// A transfer–result pair `((a,b,x,s,r), result)` as decided by a round of
 /// `k`-consensus.
@@ -181,7 +181,9 @@ impl SharedAssetTransfer for KSharedAssetTransfer {
         if !self.owners.is_owner(process, source) || !self.initial.contains_key(&destination) {
             return false;
         }
-        let mut local = self.locals[process.as_usize()].lock();
+        let mut local = self.locals[process.as_usize()]
+            .lock()
+            .expect("local state poisoned");
         let local = &mut *local;
         let account_local = local.accounts.entry(source).or_default();
         let shared = &self.accounts[&source];

@@ -10,8 +10,8 @@
 //! implementation realises the *oracle* with a mutex-protected cell — the
 //! algorithms layered on top use only its `propose` interface.
 
-use parking_lot::Mutex;
 use std::fmt;
+use std::sync::Mutex;
 
 /// A `k`-consensus object.
 pub struct KConsensus<V> {
@@ -49,7 +49,7 @@ impl<V: Clone + Send> KConsensus<V> {
     /// Proposes `value`; returns the decided value, or `None` (`⊥`) when
     /// invoked more than `k` times.
     pub fn propose(&self, value: V) -> Option<V> {
-        let mut state = self.state.lock();
+        let mut state = self.state.lock().expect("consensus state poisoned");
         state.invocations += 1;
         if state.invocations > self.k {
             return None;
@@ -59,13 +59,17 @@ impl<V: Clone + Send> KConsensus<V> {
 
     /// The decided value, if any invocation happened yet.
     pub fn decision(&self) -> Option<V> {
-        self.state.lock().decided.clone()
+        self.state
+            .lock()
+            .expect("consensus state poisoned")
+            .decided
+            .clone()
     }
 }
 
 impl<V: Clone + Send + fmt::Debug> fmt::Debug for KConsensus<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let state = self.state.lock();
+        let state = self.state.lock().expect("consensus state poisoned");
         write!(
             f,
             "KConsensus(k={}, decided={:?}, invocations={})",
@@ -93,7 +97,7 @@ impl<V: Clone + Send> KConsensusList<V> {
 
     /// The shared object for round `round`, allocating as needed.
     pub fn round(&self, round: u64) -> std::sync::Arc<KConsensus<V>> {
-        let mut objects = self.objects.lock();
+        let mut objects = self.objects.lock().expect("object list poisoned");
         let index = round as usize;
         while objects.len() <= index {
             objects.push(std::sync::Arc::new(KConsensus::new(self.k)));
@@ -103,7 +107,7 @@ impl<V: Clone + Send> KConsensusList<V> {
 
     /// How many rounds have been allocated.
     pub fn allocated(&self) -> usize {
-        self.objects.lock().len()
+        self.objects.lock().expect("object list poisoned").len()
     }
 }
 

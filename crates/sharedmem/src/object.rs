@@ -2,8 +2,8 @@
 //! linearizable reference implementation.
 
 use at_model::{AccountId, Amount, Ledger, OwnerMap, ProcessId};
-use parking_lot::Mutex;
 use std::fmt;
+use std::sync::Mutex;
 
 /// A linearizable shared-memory asset-transfer object (the type of
 /// Section 2.2).
@@ -65,7 +65,7 @@ impl MutexAssetTransfer {
 
     /// A copy of the current sequential state (for assertions).
     pub fn state(&self) -> Ledger {
-        self.ledger.lock().clone()
+        self.ledger.lock().expect("ledger poisoned").clone()
     }
 }
 
@@ -79,12 +79,13 @@ impl SharedAssetTransfer for MutexAssetTransfer {
     ) -> bool {
         self.ledger
             .lock()
+            .expect("ledger poisoned")
             .transfer(process, source, destination, amount)
             .is_ok()
     }
 
     fn read(&self, account: AccountId) -> Amount {
-        self.ledger.lock().read(account)
+        self.ledger.lock().expect("ledger poisoned").read(account)
     }
 }
 

@@ -6,9 +6,8 @@
 //! register operation — the *algorithms* built on top perform only
 //! wait-free register operations).
 
-use parking_lot::Mutex;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// An atomic single-value register shared between processes.
 pub trait Register<T: Clone>: Send + Sync {
@@ -45,11 +44,11 @@ impl<T: Clone + Send> MutexRegister<T> {
 
 impl<T: Clone + Send> Register<T> for MutexRegister<T> {
     fn read(&self) -> T {
-        self.slot.lock().clone()
+        self.slot.lock().expect("register poisoned").clone()
     }
 
     fn write(&self, value: T) {
-        *self.slot.lock() = value;
+        *self.slot.lock().expect("register poisoned") = value;
     }
 }
 

@@ -16,9 +16,8 @@
 //!   embedded snapshot of a writer observed to move twice.
 
 use crate::register::{MutexRegister, Register};
-use parking_lot::RwLock;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// An `N`-slot atomic snapshot object.
 pub trait AtomicSnapshot<T: Clone>: Send + Sync {
@@ -55,15 +54,15 @@ impl<T: Clone + Send + Sync> LockSnapshot<T> {
 
 impl<T: Clone + Send + Sync> AtomicSnapshot<T> for LockSnapshot<T> {
     fn len(&self) -> usize {
-        self.slots.read().len()
+        self.slots.read().expect("snapshot poisoned").len()
     }
 
     fn update(&self, i: usize, value: T) {
-        self.slots.write()[i] = value;
+        self.slots.write().expect("snapshot poisoned")[i] = value;
     }
 
     fn snapshot(&self) -> Vec<T> {
-        self.slots.read().clone()
+        self.slots.read().expect("snapshot poisoned").clone()
     }
 }
 

@@ -167,22 +167,6 @@ proptest! {
         prop_assert!(keypair.public().verify(&tampered, &signature).is_err());
     }
 
-    /// The fast curve field multiplication agrees with the generic
-    /// big-integer reference on random inputs.
-    #[test]
-    fn field_mul_matches_reference(
-        a in prop::array::uniform4(any::<u64>()),
-        b in prop::array::uniform4(any::<u64>()),
-    ) {
-        use at_crypto::bigint::U256;
-        use at_crypto::field::{prime, FieldElement};
-        let fast = FieldElement::from_le_bytes(&U256(a).to_le_bytes())
-            .mul(FieldElement::from_le_bytes(&U256(b).to_le_bytes()))
-            .reduce();
-        let reference = U256(a).rem(prime()).mul_mod(U256(b).rem(prime()), prime());
-        prop_assert_eq!(fast, reference);
-    }
-
     /// Figure 4 state machine: a random interleaving of deliveries across
     /// processes never violates conservation or negative balances.
     #[test]
