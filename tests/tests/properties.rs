@@ -29,6 +29,72 @@ fn transfer_strategy(n: u32) -> impl Strategy<Value = Transfer> {
     })
 }
 
+/// `p = 2^255 - 19` as little-endian limbs, for the field reference below.
+const FIELD_P: [u64; 4] = [
+    0xFFFF_FFFF_FFFF_FFED,
+    u64::MAX,
+    u64::MAX,
+    0x7FFF_FFFF_FFFF_FFFF,
+];
+
+/// `a - b` on 256-bit little-endian limbs, with the final borrow.
+fn ref_sub(a: [u64; 4], b: [u64; 4]) -> ([u64; 4], bool) {
+    let mut out = [0u64; 4];
+    let mut borrow = false;
+    for i in 0..4 {
+        let (d, b1) = a[i].overflowing_sub(b[i]);
+        let (d, b2) = d.overflowing_sub(borrow as u64);
+        out[i] = d;
+        borrow = b1 || b2;
+    }
+    (out, borrow)
+}
+
+/// The residue of any 256-bit value modulo `p` (`2^256 < 3p`).
+fn ref_reduce(mut x: [u64; 4]) -> [u64; 4] {
+    loop {
+        let (diff, borrow) = ref_sub(x, FIELD_P);
+        if borrow {
+            return x;
+        }
+        x = diff;
+    }
+}
+
+/// `a + b mod p` for residues `a, b < p` (the sum stays below 2^256).
+fn ref_add_mod(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
+    let mut out = [0u64; 4];
+    let mut carry = 0u128;
+    for i in 0..4 {
+        let sum = a[i] as u128 + b[i] as u128 + carry;
+        out[i] = sum as u64;
+        carry = sum >> 64;
+    }
+    ref_reduce(out)
+}
+
+/// `a * b mod p` by double-and-add over the bits of `b`: a reference that
+/// shares no code or technique with the field's multiplication kernel.
+fn ref_mul_mod(a: [u64; 4], b: [u64; 4]) -> [u64; 4] {
+    let (a, b) = (ref_reduce(a), ref_reduce(b));
+    let mut acc = [0u64; 4];
+    for bit in (0..256).rev() {
+        acc = ref_add_mod(acc, acc);
+        if (b[bit / 64] >> (bit % 64)) & 1 == 1 {
+            acc = ref_add_mod(acc, a);
+        }
+    }
+    acc
+}
+
+fn limbs_to_le_bytes(limbs: [u64; 4]) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    for (chunk, limb) in out.chunks_exact_mut(8).zip(limbs) {
+        chunk.copy_from_slice(&limb.to_le_bytes());
+    }
+    out
+}
+
 proptest! {
     /// Codec: every transfer round-trips bit-exactly.
     #[test]
@@ -165,6 +231,20 @@ proptest! {
         let index = (flip as usize) % tampered.len();
         tampered[index] ^= 1;
         prop_assert!(keypair.public().verify(&tampered, &signature).is_err());
+    }
+
+    /// The fast curve field multiplication agrees with a schoolbook
+    /// double-and-add reference on random 256-bit inputs.
+    #[test]
+    fn field_mul_matches_reference(
+        a in prop::array::uniform4(any::<u64>()),
+        b in prop::array::uniform4(any::<u64>()),
+    ) {
+        use at_crypto::field::FieldElement;
+        let fast = FieldElement::from_le_bytes(&limbs_to_le_bytes(a))
+            .mul(FieldElement::from_le_bytes(&limbs_to_le_bytes(b)))
+            .to_le_bytes();
+        prop_assert_eq!(fast, limbs_to_le_bytes(ref_mul_mod(a, b)));
     }
 
     /// Figure 4 state machine: a random interleaving of deliveries across
