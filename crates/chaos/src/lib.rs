@@ -47,4 +47,6 @@ pub mod nemesis;
 pub mod runner;
 
 pub use nemesis::{format_nemesis_schedule, generate_schedule, NemesisChoice};
-pub use runner::{run_chaos, run_seeded, run_with_schedule, ChaosConfig, ChaosReport};
+pub use runner::{
+    run_chaos, run_seeded, run_with_schedule, ChaosConfig, ChaosReport, CLUSTER_SIZE,
+};

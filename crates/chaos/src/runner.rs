@@ -3,7 +3,7 @@
 //!
 //! One [`run_seeded`] call is a complete Jepsen-style experiment:
 //!
-//! 1. boot an `n`-node cluster — its peers wired over loopback TCP,
+//! 1. boot a [`CLUSTER_SIZE`]-node cluster — its peers wired over loopback TCP,
 //!    every node behind a client gateway — with a seeded
 //!    [`at_net::FaultInjector`] under every link, beneath the replay
 //!    layer, and a shared [`at_node::EventProbe`] over every node;
@@ -46,26 +46,32 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-/// Shape of one chaos experiment (everything except the seed).
+/// Processes (and accounts) in every chaos cluster.
+pub const CLUSTER_SIZE: usize = 4;
+
+/// Initial balance of every account (deep, so admission noise never
+/// obscures a real violation).
+const INITIAL_BALANCE: u64 = 1_000_000;
+
+/// Max transfers a client keeps in flight (closed loop).
+const PIPELINE: usize = 16;
+
+/// Replica batch window (µs).
+const BATCH_WINDOW_US: u64 = 500;
+
+/// Node budget of the final linearizability check.
+const CHECK_NODES: usize = 500_000;
+
+/// The knobs of one chaos experiment: everything but the seed and the
+/// constants above.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
-    /// Cluster size (processes == accounts).
-    pub n: usize,
-    /// Initial balance of every account (deep, so admission noise never
-    /// obscures a real violation).
-    pub initial: u64,
     /// Transfers each node's client submits over the run.
     pub quota: usize,
-    /// Max transfers a client keeps in flight (closed loop).
-    pub pipeline: usize,
     /// Nemesis disruptions per generated schedule.
     pub disruptions: usize,
     /// Replica batch size cap.
     pub batch: usize,
-    /// Replica batch window (µs).
-    pub window_us: u64,
-    /// Node budget of the final linearizability check.
-    pub check_nodes: usize,
     /// How long the post-heal drain may take before the run is declared
     /// non-convergent.
     pub drain_timeout: Duration,
@@ -74,14 +80,9 @@ pub struct ChaosConfig {
 impl Default for ChaosConfig {
     fn default() -> Self {
         ChaosConfig {
-            n: 4,
-            initial: 1_000_000,
             quota: 60,
-            pipeline: 16,
             disruptions: 5,
             batch: 32,
-            window_us: 500,
-            check_nodes: 500_000,
             drain_timeout: Duration::from_secs(30),
         }
     }
@@ -246,7 +247,6 @@ fn client_loop(
     i: usize,
     n: usize,
     quota: usize,
-    pipeline: usize,
     addrs: Arc<Mutex<Vec<SocketAddr>>>,
     deadline: Instant,
 ) -> Tally {
@@ -273,7 +273,7 @@ fn client_loop(
             continue;
         };
         let mut io_err = false;
-        while sent < quota && c.outstanding() < pipeline as u64 {
+        while sent < quota && c.outstanding() < PIPELINE as u64 {
             let (dest, amount) = workload(i, sent, n);
             match c.submit_transfer(dest, amount) {
                 Ok(_) => {
@@ -347,7 +347,6 @@ fn apply_fault_step(faults: &FaultInjector, n: usize, choice: &NemesisChoice) {
 /// the shared validator battery.
 #[allow(clippy::too_many_arguments)]
 fn finalize(
-    config: &ChaosConfig,
     backend: &str,
     seed: u64,
     schedule: &[NemesisChoice],
@@ -360,7 +359,7 @@ fn finalize(
     metrics: Vec<String>,
     traces: Vec<String>,
 ) -> ChaosReport {
-    let n = config.n;
+    let n = CLUSTER_SIZE;
     let converged = convergence_failure.is_none();
     let mut violations = Vec::from_iter(convergence_failure);
     if let Some(detail) = pin_failure {
@@ -448,7 +447,7 @@ fn finalize(
     let events_recorded = events.len();
     let run = RecordedRun {
         n,
-        initial: config.initial,
+        initial: INITIAL_BALANCE,
         events,
         digests: reports.iter().map(|r| (r.node, r.digest)).collect(),
         supplies: reports
@@ -456,7 +455,7 @@ fn finalize(
             .map(|r| (r.node, r.balances.iter().map(|b| b.units()).sum()))
             .collect(),
     };
-    let (failure, unknown) = validate_recorded(&run, |_| true, config.check_nodes);
+    let (failure, unknown) = validate_recorded(&run, |_| true, CHECK_NODES);
     if let Some(failure) = failure {
         // A timed-out convergence wait already reported this divergence
         // (with the offending digest pair named): don't double-count
@@ -512,8 +511,8 @@ pub const MAX_EMBEDDED_TRACES: usize = 16;
 
 fn node_config(config: &ChaosConfig) -> NodeConfig {
     NodeConfig::new(
-        EngineConfig::sharded_batched(4, config.batch, VirtualTime::from_micros(config.window_us)),
-        Amount::new(config.initial),
+        EngineConfig::sharded_batched(4, config.batch, VirtualTime::from_micros(BATCH_WINDOW_US)),
+        Amount::new(INITIAL_BALANCE),
     )
     // Always-on tracing: chaos workloads are small, and a counterexample
     // without the victim transfer's timeline is half a counterexample.
@@ -568,7 +567,7 @@ where
     B::Msg: Encode + Decode + Send + 'static,
     F: Fn(ProcessId) -> B,
 {
-    let n = config.n;
+    let n = CLUSTER_SIZE;
     let faults = FaultInjector::new(seed);
     let probe = EventProbe::new();
     let options = ClusterOptions::default()
@@ -582,8 +581,8 @@ where
     let clients: Vec<_> = (0..n)
         .map(|i| {
             let addrs = Arc::clone(&addrs);
-            let (quota, pipeline) = (config.quota, config.pipeline);
-            std::thread::spawn(move || client_loop(i, n, quota, pipeline, addrs, deadline))
+            let quota = config.quota;
+            std::thread::spawn(move || client_loop(i, n, quota, addrs, deadline))
         })
         .collect();
 
@@ -660,7 +659,6 @@ where
     cluster.stop_all();
 
     finalize(
-        config,
         backend,
         seed,
         schedule,
@@ -678,7 +676,7 @@ where
 /// Runs one experiment on `backend` with the schedule generated from
 /// `seed`.
 pub fn run_seeded(config: &ChaosConfig, backend: BroadcastBackend, seed: u64) -> ChaosReport {
-    let schedule = generate_schedule(seed, config.n, config.disruptions);
+    let schedule = generate_schedule(seed, CLUSTER_SIZE, config.disruptions);
     run_with_schedule(config, backend, seed, &schedule)
 }
 
@@ -705,5 +703,5 @@ pub fn run_with_schedule(
         }
     }
     let chaos = Chaos(config, backend.label(), seed, schedule);
-    backend.build(config.n, seed, chaos)
+    backend.build(CLUSTER_SIZE, seed, chaos)
 }

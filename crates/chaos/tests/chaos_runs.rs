@@ -16,7 +16,7 @@
 
 use at_chaos::{
     format_nemesis_schedule, generate_schedule, run_seeded, run_with_schedule, ChaosConfig,
-    ChaosReport, NemesisChoice,
+    ChaosReport, NemesisChoice, CLUSTER_SIZE,
 };
 use at_engine::BroadcastBackend;
 use std::collections::BTreeSet;
@@ -123,7 +123,7 @@ fn full_soak_acctorder() {
 fn distinct_soak_schedules(config: &ChaosConfig, tcp_runs: usize) -> usize {
     SOAK.iter()
         .flat_map(|&(_, seed_base)| soak_seeds(tcp_runs, seed_base))
-        .map(|seed| generate_schedule(seed, config.n, config.disruptions))
+        .map(|seed| generate_schedule(seed, CLUSTER_SIZE, config.disruptions))
         .collect::<BTreeSet<Vec<NemesisChoice>>>()
         .len()
 }
@@ -218,7 +218,7 @@ fn tcp_cluster_survives_a_seeded_nemesis_schedule() {
         "{text}"
     );
     assert!(text.contains("pinned row: (\"echo\", 7, 30, 3),"), "{text}");
-    assert_eq!(text.matches("\nmetrics:\n").count(), config.n, "{text}");
+    assert_eq!(text.matches("\nmetrics:\n").count(), CLUSTER_SIZE, "{text}");
 }
 
 #[test]
@@ -258,7 +258,7 @@ fn pbft_on_a_quiet_tcp_cluster_certifies_clean() {
     assert_clean(&report, &config);
     assert_eq!(report.backend, "pbft");
     assert!(report.converged);
-    assert_eq!(report.submitted, (config.n * config.quota) as u64);
+    assert_eq!(report.submitted, (CLUSTER_SIZE * config.quota) as u64);
     assert_eq!(report.submitted, report.committed + report.rejected);
 }
 
@@ -287,9 +287,9 @@ fn fifo_breaking_backend_is_caught_with_a_pasteable_counterexample() {
         ..quick_config()
     };
     let seed = 11;
-    let schedule = generate_schedule(seed, config.n, config.disruptions);
+    let schedule = generate_schedule(seed, CLUSTER_SIZE, config.disruptions);
     let report = run_chaos(&config, "echo", seed, &schedule, |me| {
-        FifoBreaker::new(EchoBroadcast::new(me, config.n, NoAuth))
+        FifoBreaker::new(EchoBroadcast::new(me, CLUSTER_SIZE, NoAuth))
     });
     assert!(
         report

@@ -92,7 +92,8 @@ impl TransportStats {
             .fetch_add(bytes as u64, Ordering::Relaxed);
     }
 
-    /// Counts one link repair (reconnect or replay-window recovery).
+    /// Counts one lost link (repaired by a reconnect and replay); the
+    /// failed dial attempts of its outage do not count.
     pub fn note_reconnect(&self) {
         self.inner.reconnects.fetch_add(1, Ordering::Relaxed);
     }
@@ -134,7 +135,7 @@ impl TransportStats {
         self.inner.bytes_in.load(Ordering::Relaxed)
     }
 
-    /// Link repairs performed so far.
+    /// Links lost so far.
     pub fn reconnects(&self) -> u64 {
         self.inner.reconnects.load(Ordering::Relaxed)
     }
@@ -241,11 +242,8 @@ pub trait Transport: Send {
     /// are silently discarded.
     fn shutdown(&mut self) {}
 
-    /// The transport's traffic totals, when it keeps them (`None` for
-    /// implementations without instrumentation).
-    fn stats(&self) -> Option<TransportStats> {
-        None
-    }
+    /// The transport's traffic totals.
+    fn stats(&self) -> TransportStats;
 }
 
 /// Per-directed-link fault profile the TCP transport consults (see

@@ -65,8 +65,8 @@ pub struct TcpCluster<B: SecureBroadcast<EnginePayload>> {
     /// (stopped/restarted) individually.
     pub handles: Vec<Option<NodeHandle<B>>>,
     /// The live peer-address directory (restarted nodes re-register via
-    /// [`crate::tcp::Directory::announce`], which purges the superseded
-    /// entry so peers never back off against the dead port).
+    /// [`crate::tcp::Directory::announce`]; peers dial the new address
+    /// on their next attempt).
     pub directory: PeerDirectory,
     /// The client gateway address of each node.
     pub client_addrs: Vec<SocketAddr>,

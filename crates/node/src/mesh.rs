@@ -113,8 +113,8 @@ impl Transport for ChannelMesh {
         self.dropped
     }
 
-    fn stats(&self) -> Option<TransportStats> {
-        Some(self.stats.clone())
+    fn stats(&self) -> TransportStats {
+        self.stats.clone()
     }
 
     fn shutdown(&mut self) {

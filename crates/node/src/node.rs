@@ -633,7 +633,7 @@ where
             events: Vec::new(),
             started: Instant::now(),
             current_request: None,
-            stopping: false,
+            stop_deadline: None,
             gateway,
             probe,
             invocation_stamp: None,
@@ -694,7 +694,10 @@ where
     /// The client request currently being submitted (associates the
     /// synchronous Submitted/Rejected event with its requester).
     current_request: Option<(u64, u64, Instant, Option<TraceCtx>)>,
-    stopping: bool,
+    /// Set by the first stop trigger (a `Stop` command, a disconnected
+    /// command queue, a closed transport): from then on the loop takes
+    /// no new work and leaves once drained, or at this instant.
+    stop_deadline: Option<Instant>,
     gateway: Option<GatewayStop>,
     /// The cluster's shared history recorder, when attached.
     probe: Option<EventProbe>,
@@ -746,7 +749,6 @@ where
         // (a no-op on a fresh replica). See
         // `ShardedReplica::flush_pending`.
         self.drive(|replica, ctx| replica.flush_pending(ctx));
-        let mut stop_deadline: Option<Instant> = None;
         let mut last_activity = Instant::now();
         // Whether the last return from the blocking wait has yet to be
         // explained by a frame, a command or a due deadline.
@@ -772,10 +774,8 @@ where
                     Err(TryRecvError::Disconnected) => {
                         // Every handle and gateway is gone: nobody can
                         // stop us explicitly, so wind down.
-                        if stop_deadline.is_none() {
+                        if self.stop_by(Instant::now() + self.config.stop_grace) {
                             woke_for_nothing = false;
-                            stop_deadline = Some(Instant::now() + self.config.stop_grace);
-                            self.stopping = true;
                         }
                         break;
                     }
@@ -814,10 +814,7 @@ where
                             self.timer_skew_pct = pct;
                         }
                         Command::Stop => {
-                            if stop_deadline.is_none() {
-                                stop_deadline = Some(Instant::now() + self.config.stop_grace);
-                                self.stopping = true;
-                            }
+                            self.stop_by(Instant::now() + self.config.stop_grace);
                         }
                     }
                 }
@@ -846,7 +843,7 @@ where
 
             // 5. While stopping: leave once drained, or at the deadline.
             let mut stop_wait = None;
-            if let Some(at) = stop_deadline {
+            if let Some(at) = self.stop_deadline {
                 let idle_at = last_activity + DRAIN_WINDOW;
                 let now = Instant::now();
                 if now >= idle_at && self.transport.is_flushed() {
@@ -919,10 +916,7 @@ where
                 RecvOutcome::TimedOut => {}
                 RecvOutcome::Closed => {
                     // Transport gone: nothing further can arrive.
-                    if stop_deadline.is_none() {
-                        stop_deadline = Some(Instant::now());
-                        self.stopping = true;
-                    }
+                    self.stop_by(Instant::now());
                 }
             }
         }
@@ -935,6 +929,14 @@ where
         self.registry.lock().expect("registry poisoned").clear();
         self.transport.shutdown();
         self.replica
+    }
+
+    /// Starts stopping, leaving by `deadline` at the latest, unless a
+    /// stop already began (its deadline stands). `true` if this began it.
+    fn stop_by(&mut self, deadline: Instant) -> bool {
+        let began = self.stop_deadline.is_none();
+        self.stop_deadline.get_or_insert(deadline);
+        began
     }
 
     /// Decodes one raw peer frame and queues it for the replica
@@ -1080,7 +1082,7 @@ where
     }
 
     fn handle_request(&mut self, conn: u64, request: ClientRequest, received: Instant) {
-        if self.stopping {
+        if self.stop_deadline.is_some() {
             return; // no new work while draining
         }
         // Gateway span: socket read (or local submit) to loop pickup.
@@ -1202,16 +1204,15 @@ where
             "transport_dropped_frames_total",
             self.transport.dropped_frames(),
         );
-        if let Some(ts) = self.transport.stats() {
-            fold("transport_frames_out_total", ts.frames_out());
-            fold("transport_acks_out_total", ts.acks_out());
-            fold("transport_acks_in_total", ts.acks_in());
-            fold("transport_polls_total", ts.polls());
-            fold("transport_bytes_out_total", ts.bytes_out());
-            fold("transport_frames_in_total", ts.frames_in());
-            fold("transport_bytes_in_total", ts.bytes_in());
-            fold("transport_reconnects_total", ts.reconnects());
-        }
+        let ts = self.transport.stats();
+        fold("transport_frames_out_total", ts.frames_out());
+        fold("transport_acks_out_total", ts.acks_out());
+        fold("transport_acks_in_total", ts.acks_in());
+        fold("transport_polls_total", ts.polls());
+        fold("transport_bytes_out_total", ts.bytes_out());
+        fold("transport_frames_in_total", ts.frames_in());
+        fold("transport_bytes_in_total", ts.bytes_in());
+        fold("transport_reconnects_total", ts.reconnects());
         obs.snapshot()
     }
 

@@ -17,7 +17,10 @@
 //! no thread hand-off. Only dialing blocks (`connect`, `HelloNode`): a
 //! helper thread per endpoint does it and hands each stream over
 //! through a channel and a byte on the wake socket. `start` makes the
-//! first attempt at every peer itself, so early frames have a socket.
+//! first attempt at every peer itself, so early frames have a socket;
+//! a link without a connection is dialed again one
+//! [`TcpOptions::reconnect_delay`] after it was lost and after every
+//! failed attempt, at the address the [`PeerDirectory`] names then.
 //!
 //! # Topology and replay
 //!
@@ -122,27 +125,22 @@ impl Default for TcpOptions {
 
 /// A cluster's live peer-address directory, shared by every endpoint.
 ///
-/// Dialers re-read their peer's address on every reconnect attempt, so
-/// a node that restarts on a *different* port only has to
-/// [`Directory::announce`] its new address — reusing the exact port
-/// would otherwise trip over TIME_WAIT remnants of the previous
-/// incarnation's connections (`std::net` sets no `SO_REUSEADDR`). An
-/// announce *purges* the superseded entry by bumping the slot's
-/// incarnation number: a dialer whose connection attempt fails against
-/// an address read before the announce sees the bump, resets its
-/// backoff, and dials the fresh address immediately — instead of
-/// sleeping through an exponential delay aimed at a dead port, which
-/// inflated a restarted node's catch-up latency. In a multi-process
-/// deployment the directory is simply each process's static view of
-/// the cluster's listen addresses.
+/// Dialers read their peer's address afresh on every attempt, so a node
+/// that restarts only has to [`Directory::announce`] its new address;
+/// its peers reach it on their next attempt, at most one
+/// [`TcpOptions::reconnect_delay`] later. Restarts take a *fresh* port
+/// rather than the old one: a stopped listener's ephemeral port is free
+/// for the kernel to hand to any other socket's `connect` before the
+/// restart could bind it again. In a multi-process deployment the
+/// directory is simply each process's static view of the cluster's
+/// listen addresses.
 pub type PeerDirectory = Arc<Directory>;
 
-/// The slot table behind [`PeerDirectory`]: one current address and
-/// incarnation number per node. There is never more than one entry per
-/// slot — announcing replaces (purges) the superseded address outright.
+/// The slot table behind [`PeerDirectory`]: one current address per
+/// node. Announcing replaces the superseded address outright.
 #[derive(Debug)]
 pub struct Directory {
-    slots: Mutex<Vec<(SocketAddr, u64)>>,
+    slots: Mutex<Vec<SocketAddr>>,
 }
 
 impl Directory {
@@ -156,29 +154,21 @@ impl Directory {
         self.len() == 0
     }
 
-    /// Slot `i`'s current address and incarnation number.
-    pub fn get(&self, i: usize) -> (SocketAddr, u64) {
+    /// Slot `i`'s current address.
+    pub fn get(&self, i: usize) -> SocketAddr {
         self.slots.lock().expect("directory poisoned")[i]
     }
 
-    /// Announces a new incarnation of node `i` at `addr`: the
-    /// superseded entry is purged and the slot's incarnation number
-    /// bumped (returned), so reconnecting dialers stop treating
-    /// failures against the dead address as grounds for more backoff.
-    pub fn announce(&self, i: usize, addr: SocketAddr) -> u64 {
-        let mut slots = self.slots.lock().expect("directory poisoned");
-        let slot = &mut slots[i];
-        slot.0 = addr;
-        slot.1 += 1;
-        slot.1
+    /// Announces node `i` at `addr`, replacing its previous address.
+    pub fn announce(&self, i: usize, addr: SocketAddr) {
+        self.slots.lock().expect("directory poisoned")[i] = addr;
     }
 }
 
-/// Builds a directory from the given listen addresses (incarnation 0
-/// each).
+/// Builds a directory from the given listen addresses.
 pub fn peer_directory(addrs: Vec<SocketAddr>) -> PeerDirectory {
     Arc::new(Directory {
-        slots: Mutex::new(addrs.into_iter().map(|addr| (addr, 0)).collect()),
+        slots: Mutex::new(addrs),
     })
 }
 
@@ -313,14 +303,12 @@ impl TcpTransport {
         wake_rx.set_nonblocking(true)?;
         let (redial, requests) = channel();
         let (handover, handed) = channel();
-        let stats = TransportStats::new();
         let dialer = Dialer {
             me,
             epoch,
             directory: Arc::clone(&directory),
             reconnect_delay: options.reconnect_delay,
             faults: faults.clone(),
-            stats: stats.clone(),
             requests,
             handover,
             nudge: wake_tx.try_clone()?,
@@ -334,7 +322,7 @@ impl TcpTransport {
             listener: Some(listener),
             listen_addr,
             faults,
-            stats,
+            stats: TransportStats::new(),
             links: (0..n).map(|_| OutLink::default()).collect(),
             recv: (0..n).map(|_| RecvLink::default()).collect(),
             accepted: Vec::new(),
@@ -354,7 +342,7 @@ impl TcpTransport {
         // `recv_timeout` has a socket; the dialer retries the rest.
         for j in (0..n).filter(|&j| j != me.as_usize()) {
             let open = !blocked(transport.faults.as_ref(), me, j);
-            match open.then(|| dial(directory.get(j).0, me, epoch)) {
+            match open.then(|| dial(directory.get(j), me, epoch)) {
                 Some(Ok(stream)) => transport.install(j, stream),
                 _ => transport.lose(j),
             }
@@ -379,7 +367,7 @@ impl TcpTransport {
         });
     }
 
-    /// Link `j` has no connection (any more): count the repair and have
+    /// Link `j` has no connection (any more): count it as lost and have
     /// the dialer reconnect it.
     fn lose(&mut self, j: usize) {
         let link = &mut self.links[j];
@@ -804,8 +792,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn stats(&self) -> Option<TransportStats> {
-        Some(self.stats.clone())
+    fn stats(&self) -> TransportStats {
+        self.stats.clone()
     }
 
     fn shutdown(&mut self) {
@@ -882,16 +870,17 @@ fn dial(addr: SocketAddr, me: ProcessId, epoch: u64) -> std::io::Result<TcpStrea
     Ok(stream)
 }
 
-/// The dialing helper: (re)connects each link the transport names,
-/// with jittered backoff and the blocked-link wait, and hands every
-/// connected stream back. It exits when the transport drops its queue.
+/// The dialing helper: (re)connects each link the transport names, one
+/// `reconnect_delay` after it was lost and after every failed attempt
+/// (refused or blocked alike), at the address the directory names at
+/// that attempt, and hands every connected stream back. It exits when
+/// the transport drops its queue.
 struct Dialer {
     me: ProcessId,
     epoch: u64,
     directory: PeerDirectory,
     reconnect_delay: Duration,
     faults: Option<FaultInjector>,
-    stats: TransportStats,
     requests: Receiver<usize>,
     handover: Sender<(usize, TcpStream)>,
     /// The transport's wake socket: a byte ends its `poll`.
@@ -900,118 +889,38 @@ struct Dialer {
 
 impl Dialer {
     fn run(self) {
-        let n = self.directory.len();
-        let mut due: Vec<Option<Instant>> = vec![None; n];
-        let mut backoff: Vec<_> = (0..n)
-            .map(|j| ReconnectBackoff::new(self.reconnect_delay, self.me, j))
-            .collect();
-        // The directory incarnation each link last connected to.
-        let mut dialed: Vec<u64> = (0..n).map(|j| self.directory.get(j).1).collect();
-        // Dial again after the next backoff step — at once if the peer
-        // re-announced since `incarnation`: the failure was the dead one's.
-        let retry = |backoff: &mut ReconnectBackoff, j: usize, incarnation: u64| {
-            if self.directory.get(j).1 == incarnation {
-                return Instant::now() + backoff.next_delay();
-            }
-            backoff.reset();
-            Instant::now()
-        };
+        // When each link without a connection is dialed next.
+        let mut due: Vec<Option<Instant>> = vec![None; self.directory.len()];
         loop {
             let next = due.iter().flatten().min();
             let wait = next.map_or(Duration::MAX, |at| {
                 at.saturating_duration_since(Instant::now())
             });
             match self.requests.recv_timeout(wait) {
-                Ok(j) => due[j] = Some(retry(&mut backoff[j], j, dialed[j])),
+                Ok(j) => due[j] = Some(Instant::now() + self.reconnect_delay),
                 Err(RecvTimeoutError::Timeout) => {}
                 Err(RecvTimeoutError::Disconnected) => return,
             }
             let now = Instant::now();
-            for j in 0..n {
-                if due[j].is_none_or(|at| at > now) {
+            for (j, due) in due.iter_mut().enumerate() {
+                if due.is_none_or(|at| at > now) {
                     continue;
                 }
-                // A blocked link stays offline; a fixed re-check, not
-                // backoff, since heals come without notice.
-                if blocked(self.faults.as_ref(), self.me, j) {
-                    due[j] = Some(now + self.reconnect_delay);
-                    continue;
-                }
-                let (addr, incarnation) = self.directory.get(j);
-                match dial(addr, self.me, self.epoch) {
-                    Ok(stream) => {
-                        backoff[j].reset();
-                        due[j] = None;
-                        dialed[j] = incarnation;
+                // A blocked link stays offline until a heal, which
+                // comes without notice: it is tried like a refused one.
+                let open = !blocked(self.faults.as_ref(), self.me, j);
+                match open.then(|| dial(self.directory.get(j), self.me, self.epoch)) {
+                    Some(Ok(stream)) => {
+                        *due = None;
                         if self.handover.send((j, stream)).is_err() {
                             return;
                         }
                         let _ = (&self.nudge).write(&[0]);
                     }
-                    Err(_) => {
-                        self.stats.note_reconnect();
-                        due[j] = Some(retry(&mut backoff[j], j, incarnation));
-                    }
+                    _ => *due = Some(Instant::now() + self.reconnect_delay),
                 }
             }
         }
-    }
-}
-
-/// Jittered exponential backoff between reconnect attempts, with a
-/// deterministic per-link RNG stream (xorshift64* seeded from the link
-/// identity). Determinism matters for chaos seed-replay: the fault
-/// injector's own per-link streams are untouched, and for a given
-/// cluster layout the backoff sequence is bit-for-bit reproducible.
-/// The jitter de-synchronises dialers that lost the same peer at the
-/// same instant; the exponent caps at 32× base so a long outage never
-/// pushes recovery latency past ~1s of the directory being updated.
-struct ReconnectBackoff {
-    base: Duration,
-    attempt: u32,
-    rng: u64,
-}
-
-impl ReconnectBackoff {
-    const MAX_EXPONENT: u32 = 5;
-
-    fn new(base: Duration, me: ProcessId, peer: usize) -> Self {
-        // SplitMix64 finalizer over the link identity: well-mixed,
-        // deterministic, distinct per directed link.
-        let mut seed = ((me.as_usize() as u64) << 32) ^ peer as u64 ^ 0x9E37_79B9_7F4A_7C15;
-        seed = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        seed = (seed ^ (seed >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        ReconnectBackoff {
-            base: base.max(Duration::from_micros(1)),
-            attempt: 0,
-            rng: (seed ^ (seed >> 31)) | 1,
-        }
-    }
-
-    /// The delay before the next attempt: `base·2^attempt` capped at
-    /// 32× base (and at 1s), jittered uniformly into its upper half.
-    fn next_delay(&mut self) -> Duration {
-        let exponent = self.attempt.min(Self::MAX_EXPONENT);
-        self.attempt = self.attempt.saturating_add(1);
-        let full = (self.base * 2u32.pow(exponent)).min(Duration::from_secs(1));
-        let nanos = full.as_nanos() as u64;
-        let jittered = nanos / 2 + self.next_rand() % (nanos / 2).max(1);
-        Duration::from_nanos(jittered)
-    }
-
-    /// A successful connection ends the outage: start the ladder over.
-    fn reset(&mut self) {
-        self.attempt = 0;
-    }
-
-    fn next_rand(&mut self) -> u64 {
-        // xorshift64*.
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        x.wrapping_mul(0x2545_F491_4F6C_DD1D)
     }
 }
 
@@ -1130,7 +1039,7 @@ mod tests {
     }
 
     fn acks_out(t: &TcpTransport) -> u64 {
-        t.stats().expect("tcp keeps stats").acks_out()
+        t.stats().acks_out()
     }
 
     fn recv_frame(t: &mut TcpTransport) -> InboundFrame {
@@ -1225,22 +1134,58 @@ mod tests {
     }
 
     #[test]
-    fn announce_purges_the_superseded_entry_and_bumps_the_incarnation() {
+    fn announce_purges_the_superseded_address() {
         let a: SocketAddr = "127.0.0.1:1000".parse().unwrap();
         let b: SocketAddr = "127.0.0.1:2000".parse().unwrap();
         let c: SocketAddr = "127.0.0.1:3000".parse().unwrap();
         let dir = peer_directory(vec![a, b]);
         assert_eq!(dir.len(), 2);
         assert!(!dir.is_empty());
-        assert_eq!(dir.get(0), (a, 0));
-        assert_eq!(dir.announce(0, c), 1);
-        // Exactly one entry per slot: the old address is gone, and the
-        // bumped incarnation tells dialers their failure was against
-        // the purged port.
-        assert_eq!(dir.get(0), (c, 1));
-        assert_eq!(dir.get(1), (b, 0));
-        assert_eq!(dir.announce(0, a), 2);
-        assert_eq!(dir.get(0), (a, 2));
+        assert_eq!(dir.get(0), a);
+        dir.announce(0, c);
+        // Exactly one entry per slot: the old address is gone.
+        assert_eq!(dir.get(0), c);
+        assert_eq!(dir.get(1), b);
+        dir.announce(0, a);
+        assert_eq!(dir.get(0), a);
+    }
+
+    #[test]
+    fn a_reannounced_peer_is_reached_within_one_retry() {
+        // Peer 1's slot names a port nobody listens on: every dial of
+        // the next second is refused while frames queue for it.
+        let dead = TcpListener::bind("127.0.0.1:0")
+            .unwrap()
+            .local_addr()
+            .unwrap();
+        let l0 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let dir = peer_directory(vec![l0.local_addr().unwrap(), dead]);
+        let opts = TcpOptions::default();
+        let mut t0 = TcpTransport::start(p(0), l0, Arc::clone(&dir), opts).unwrap();
+        for i in 0..10u8 {
+            t0.send(p(1), vec![i]);
+            std::thread::sleep(Duration::from_millis(100));
+        }
+        // The peer comes up on a fresh port: the next attempt reads it.
+        let l1 = TcpListener::bind("127.0.0.1:0").unwrap();
+        let announced = Instant::now();
+        dir.announce(1, l1.local_addr().unwrap());
+        let mut t1 = TcpTransport::start(p(1), l1, dir, opts).unwrap();
+        let (waited, _) = pumping(&mut t0, || {
+            for i in 0..10u8 {
+                assert_eq!(recv_frame(&mut t1).payload, vec![i]);
+            }
+            announced.elapsed()
+        });
+        assert!(
+            waited < Duration::from_millis(250),
+            "the queued frames came {waited:?} after the announce"
+        );
+        // One lost link, however many dials its outage refused.
+        assert_eq!(t0.stats().reconnects(), 1);
+        assert_eq!(t0.dropped_frames(), 0);
+        t0.shutdown();
+        t1.shutdown();
     }
 
     #[test]
@@ -1414,38 +1359,6 @@ mod tests {
     }
 
     #[test]
-    fn reconnect_backoff_is_deterministic_jittered_and_capped() {
-        let base = Duration::from_millis(20);
-        let delays = |mut b: ReconnectBackoff| -> Vec<Duration> {
-            (0..10).map(|_| b.next_delay()).collect()
-        };
-        let a = delays(ReconnectBackoff::new(base, p(0), 1));
-        let b = delays(ReconnectBackoff::new(base, p(0), 1));
-        assert_eq!(a, b, "same link must replay the same backoff sequence");
-        let other = delays(ReconnectBackoff::new(base, p(0), 2));
-        assert_ne!(a, other, "links must not share a jitter stream");
-        let cap = base * 2u32.pow(ReconnectBackoff::MAX_EXPONENT);
-        for (i, delay) in a.iter().enumerate() {
-            let full = (base * 2u32.pow((i as u32).min(ReconnectBackoff::MAX_EXPONENT))).min(cap);
-            assert!(
-                *delay >= full / 2 && *delay < full,
-                "attempt {i}: {delay:?} outside the jitter window of {full:?}"
-            );
-        }
-        // A successful handshake restarts the ladder (the jitter stream
-        // keeps advancing — only the exponent rewinds).
-        let mut c = ReconnectBackoff::new(base, p(0), 1);
-        c.next_delay();
-        c.next_delay();
-        c.reset();
-        let after_reset = c.next_delay();
-        assert!(
-            after_reset >= base / 2 && after_reset < base,
-            "reset must fall back to the first window, got {after_reset:?}"
-        );
-    }
-
-    #[test]
     fn wire_loss_is_repaired_by_reconnect_and_replay() {
         let (mut t0, mut t1, faults) = start_faulty_pair(17);
         faults.set_link(
@@ -1600,7 +1513,7 @@ mod tests {
             "a frame was delivered twice"
         );
         assert!(faults.is_quiet());
-        assert_eq!(t0.stats().expect("stats").reconnects(), 1);
+        assert_eq!(t0.stats().reconnects(), 1);
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1.shutdown();

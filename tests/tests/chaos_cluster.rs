@@ -6,7 +6,7 @@ use at_broadcast::auth::NoAuth;
 use at_broadcast::echo::EchoBroadcast;
 use at_chaos::{
     format_nemesis_schedule, generate_schedule, run_seeded, run_with_schedule, ChaosConfig,
-    NemesisChoice,
+    NemesisChoice, CLUSTER_SIZE,
 };
 use at_engine::replica::EnginePayload;
 use at_engine::{BroadcastBackend, EngineConfig};
@@ -232,7 +232,7 @@ proptest! {
             drain_timeout: Duration::from_secs(20),
             ..ChaosConfig::default()
         };
-        let schedule = generate_schedule(seed, config.n, config.disruptions);
+        let schedule = generate_schedule(seed, CLUSTER_SIZE, config.disruptions);
         prop_assume!(!schedule.iter().any(|c| matches!(c, NemesisChoice::CrashRestart { .. })));
         let run = || run_seeded(&config, BroadcastBackend::signed_echo(), seed);
         let (first, second) = (run(), run());
@@ -257,7 +257,7 @@ proptest! {
 /// under 5% wire loss on every link plus one forced disconnect.
 #[test]
 fn loadgen_under_loss_resolves_every_ack() {
-    let n = 4;
+    let n = CLUSTER_SIZE;
     let mut schedule = Vec::new();
     for from in 0..n as u32 {
         for to in 0..n as u32 {
@@ -279,7 +279,6 @@ fn loadgen_under_loss_resolves_every_ack() {
     schedule.push(NemesisChoice::Run { ms: 100 });
 
     let config = ChaosConfig {
-        n,
         quota: 80,
         drain_timeout: Duration::from_secs(30),
         ..ChaosConfig::default()
