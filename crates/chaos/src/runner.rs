@@ -511,7 +511,7 @@ pub const MAX_EMBEDDED_TRACES: usize = 16;
 
 fn node_config(config: &ChaosConfig) -> NodeConfig {
     NodeConfig::new(
-        EngineConfig::sharded_batched(4, config.batch, VirtualTime::from_micros(BATCH_WINDOW_US)),
+        EngineConfig::batched(config.batch, VirtualTime::from_micros(BATCH_WINDOW_US)),
         Amount::new(INITIAL_BALANCE),
     )
     // Always-on tracing: chaos workloads are small, and a counterexample

@@ -266,7 +266,7 @@ where
 {
     let n = scenario.n;
     let initial = Amount::new(scenario.initial);
-    let config = EngineConfig::unsharded();
+    let config = EngineConfig::unbatched();
     let actors: Vec<EngineActor<B>> = ProcessId::all(n)
         .map(|p| EngineActor::new(scenario.role_of(p), p, n, initial, config, make(p)))
         .collect();
@@ -338,7 +338,7 @@ fn evaluate<B: SecureBroadcast<EnginePayload>>(
 
     // Reduce the finished simulation to the battery's runtime-agnostic
     // artifacts: events, final digests and supplies.
-    let honest: Vec<(ProcessId, &at_engine::ShardedReplica<B>)> = ProcessId::all(n)
+    let honest: Vec<(ProcessId, &at_engine::Replica<B>)> = ProcessId::all(n)
         .filter(|p| scenario.is_correct(*p))
         .map(|p| (p, sim.actor(p).as_honest().expect("correct actor")))
         .collect();

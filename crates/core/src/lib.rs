@@ -6,7 +6,7 @@
 //! * [`figure4`] — the paper's Figure 4 state machine (`seq`/`rec`/
 //!   `hist`/`deps`/`toValidate` and the `Valid` predicate), independent
 //!   of any particular broadcast. It is the **reference model**: the
-//!   runtime that ships is `at_engine::ShardedReplica`, and
+//!   runtime that ships is `at_engine::Replica`, and
 //!   `tests/tests/figure4_oracle.rs` replays every replica's delivery
 //!   sequence into a fresh [`TransferState`] and holds the two to the
 //!   same applied sets, balances and sequence numbers. The wire payload

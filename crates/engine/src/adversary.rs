@@ -18,7 +18,7 @@
 //! * [`EngineActor::Silent`] — a process that never sends anything, the
 //!   crash-faulty extreme (the broadcast tolerates `f < n/3` of these).
 //!
-//! The equivocator and overspender embed an honest [`ShardedReplica`]
+//! The equivocator and overspender embed an honest [`Replica`]
 //! and relay everyone *else's* traffic through it — keeping the honest
 //! quorums intact makes the attacks maximally sharp. Both attacks go
 //! through the embedded replica's backend, so broadcast-instance
@@ -27,7 +27,7 @@
 //! counter, which is application state the broadcast layer never sees.
 
 use crate::config::EngineConfig;
-use crate::replica::{EngineEvent, EnginePayload, ShardedReplica};
+use crate::replica::{EngineEvent, EnginePayload, Replica};
 use crate::scenario::Adversary;
 use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::Batch;
@@ -38,7 +38,7 @@ use at_net::{Actor, Context};
 pub struct AttackerState<B: SecureBroadcast<EnginePayload>> {
     /// The honest engine used to relay other processes' traffic and to
     /// reach the backend's broadcast state machine.
-    inner: ShardedReplica<B>,
+    inner: Replica<B>,
     /// Transfer sequence counter for crafted transfers (application
     /// state; broadcast sequencing belongs to the backend).
     attack_transfer_seq: SeqNo,
@@ -47,7 +47,7 @@ pub struct AttackerState<B: SecureBroadcast<EnginePayload>> {
 impl<B: SecureBroadcast<EnginePayload>> AttackerState<B> {
     fn new(me: ProcessId, n: usize, initial: Amount, config: EngineConfig, backend: B) -> Self {
         AttackerState {
-            inner: ShardedReplica::with_backend(me, n, initial, config, backend),
+            inner: Replica::with_backend(me, n, initial, config, backend),
             attack_transfer_seq: SeqNo::ZERO,
         }
     }
@@ -106,7 +106,7 @@ impl<B: SecureBroadcast<EnginePayload>> AttackerState<B> {
 /// variants.
 pub enum EngineActor<B: SecureBroadcast<EnginePayload> = crate::replica::DefaultEngineBroadcast> {
     /// A correct replica.
-    Honest(ShardedReplica<B>),
+    Honest(Replica<B>),
     /// Double-spends by equivocating at the broadcast layer.
     Equivocator(AttackerState<B>),
     /// Broadcasts transfers it cannot fund.
@@ -127,9 +127,7 @@ impl<B: SecureBroadcast<EnginePayload>> EngineActor<B> {
     ) -> Self {
         let attacker = |backend| AttackerState::new(me, n, initial, config, backend);
         match role {
-            None => EngineActor::Honest(ShardedReplica::with_backend(
-                me, n, initial, config, backend,
-            )),
+            None => EngineActor::Honest(Replica::with_backend(me, n, initial, config, backend)),
             Some(Adversary::Equivocate) => EngineActor::Equivocator(attacker(backend)),
             Some(Adversary::Overspend) => EngineActor::Overspender(attacker(backend)),
             Some(Adversary::Silent) => EngineActor::Silent,
@@ -137,7 +135,7 @@ impl<B: SecureBroadcast<EnginePayload>> EngineActor<B> {
     }
 
     /// The honest replica inside, when this participant is honest.
-    pub fn as_honest(&self) -> Option<&ShardedReplica<B>> {
+    pub fn as_honest(&self) -> Option<&Replica<B>> {
         match self {
             EngineActor::Honest(replica) => Some(replica),
             _ => None,
@@ -159,7 +157,7 @@ impl<B: SecureBroadcast<EnginePayload>> EngineActor<B> {
 
     /// Records a local balance read on an honest participant (no-op on
     /// the others — attackers and silent processes have no meaningful
-    /// local view to observe). See [`ShardedReplica::read_op`].
+    /// local view to observe). See [`Replica::read_op`].
     pub fn read_op(&self, account: AccountId, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
         if let EngineActor::Honest(replica) = self {
             replica.read_op(account, ctx);
@@ -252,7 +250,7 @@ mod tests {
         let actors = (0..n as u32)
             .map(|i| {
                 let role = (i == byzantine).then_some(role);
-                let config = EngineConfig::unsharded();
+                let config = EngineConfig::unbatched();
                 EngineActor::new(role, p(i), n, amt(100), config, make_backend(p(i)))
             })
             .collect();
@@ -327,7 +325,7 @@ mod tests {
             .map(|i| {
                 let role = (i == 3).then_some(Adversary::Silent);
                 let backend = BrachaBroadcast::new(p(i), n);
-                EngineActor::new(role, p(i), n, amt(100), EngineConfig::unsharded(), backend)
+                EngineActor::new(role, p(i), n, amt(100), EngineConfig::unbatched(), backend)
             })
             .collect();
         let mut sim = Simulation::new(actors, NetConfig::lan(4));
@@ -353,7 +351,7 @@ mod tests {
             p(0),
             3,
             amt(10),
-            EngineConfig::unsharded(),
+            EngineConfig::unbatched(),
             BrachaBroadcast::new(p(0), 3),
         );
         assert!(actor.as_honest().is_some());
@@ -362,7 +360,7 @@ mod tests {
             p(1),
             3,
             amt(10),
-            EngineConfig::unsharded(),
+            EngineConfig::unbatched(),
             BrachaBroadcast::<EnginePayload>::new(p(1), 3),
         );
         assert!(silent.as_honest().is_none());

@@ -201,10 +201,9 @@ pub struct EngineConfig {
 }
 
 impl EngineConfig {
-    /// The unbatched engine: per-transfer broadcast. This matches the
-    /// paper's Figure 4 deployment shape and is the comparison baseline
-    /// for the T3 experiments.
-    pub fn unsharded() -> Self {
+    /// The unbatched engine: per-transfer broadcast, the paper's
+    /// Figure 4 deployment shape.
+    pub fn unbatched() -> Self {
         EngineConfig {
             batch: BatchPolicy::immediate(),
             backend: BroadcastBackend::Bracha,
@@ -212,19 +211,19 @@ impl EngineConfig {
         }
     }
 
-    /// A batched engine. `_shards` is accepted for the benchmark's call
-    /// sites and not stored: the ledger is one dense vector.
-    pub fn sharded_batched(_shards: usize, batch_size: usize, window: VirtualTime) -> Self {
+    /// A batched engine: batches of up to `batch_size`, held for at most
+    /// `window` ([`BatchPolicy::windowed`]).
+    pub fn batched(batch_size: usize, window: VirtualTime) -> Self {
         EngineConfig {
             batch: BatchPolicy::windowed(batch_size, window),
-            ..EngineConfig::unsharded()
+            ..EngineConfig::unbatched()
         }
     }
 
     /// The default production shape used by the scenario suite: batches
     /// of up to eight flushed within 500µs.
     pub fn standard() -> Self {
-        EngineConfig::sharded_batched(4, 8, VirtualTime::from_micros(500))
+        EngineConfig::batched(8, VirtualTime::from_micros(500))
     }
 
     /// Replaces the broadcast backend.
@@ -293,12 +292,12 @@ mod tests {
 
     #[test]
     fn presets() {
-        assert!(EngineConfig::unsharded().batch.is_immediate());
+        assert!(EngineConfig::unbatched().batch.is_immediate());
         assert_eq!(EngineConfig::default(), EngineConfig::standard());
         assert_eq!(EngineConfig::standard().batch.max_size, 8);
-        // The shard count is not part of a configuration.
+        // Batches of eight within 500 µs, on Bracha.
         assert_eq!(
-            EngineConfig::sharded_batched(1, 8, VirtualTime::from_micros(500)),
+            EngineConfig::batched(8, VirtualTime::from_micros(500)),
             EngineConfig::standard()
         );
         assert_eq!(EngineConfig::standard().backend, BroadcastBackend::Bracha);

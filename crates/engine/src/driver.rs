@@ -1,13 +1,10 @@
-//! The engine driver API: one trait, one run body, one report format.
+//! The engine driver: one run body, one report format.
 //!
-//! [`Engine::run`] executes a [`Scenario`] and produces a
-//! [`ScenarioReport`]; benches, examples, and tests all drive systems
-//! through this interface so their numbers are directly comparable.
-//!
-//! [`ConsensuslessEngine`] is the one implementation: the batched
-//! [`crate::replica::ShardedReplica`] runtime over the backend
-//! [`BroadcastBackend::build`] makes of its configuration. The consensus
-//! baseline is the same engine over [`BroadcastBackend::Pbft`], so it
+//! [`EngineConfig::run`] executes a [`Scenario`] on the batched
+//! [`crate::replica::Replica`] runtime over the backend
+//! [`BroadcastBackend::build`] makes of the configuration, and produces a
+//! [`ScenarioReport`] keyed by [`EngineConfig::name`]. The consensus
+//! baseline is the same run over [`BroadcastBackend::Pbft`], so it
 //! differs from the system it is compared with in the broadcast and in
 //! nothing else; a Byzantine *orderer* is not modelled (the paper treats
 //! its consensus baseline as a black box), and a silent *leader* stalls
@@ -25,15 +22,6 @@ use at_broadcast::secure::SecureBroadcast;
 use at_model::{Decode, Encode, ProcessId};
 use at_net::{LinkFault, Simulation, VirtualTime};
 use std::collections::BTreeMap;
-
-/// A payment system that can execute scenarios.
-pub trait Engine {
-    /// The engine's display name (report key).
-    fn name(&self) -> String;
-
-    /// Runs `scenario` to quiescence and reports the outcome.
-    fn run(&self, scenario: &Scenario) -> ScenarioReport;
-}
 
 /// Installs a scenario's static link faults on a simulation. Multiple
 /// faults on the same directed link compose (drops and delay merge into
@@ -138,49 +126,37 @@ impl Tally {
     }
 }
 
-/// The engine over the backend selected by
-/// [`EngineConfig::backend`](crate::config::EngineConfig): no consensus
-/// anywhere on the three secure broadcasts, the consensus baseline on
-/// [`BroadcastBackend::Pbft`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ConsensuslessEngine {
-    /// Backend and batching configuration of every replica.
-    pub config: EngineConfig,
-}
-
-impl ConsensuslessEngine {
-    /// An engine with the given runtime configuration.
-    pub fn new(config: EngineConfig) -> Self {
-        ConsensuslessEngine { config }
-    }
-}
-
-impl Engine for ConsensuslessEngine {
-    fn name(&self) -> String {
-        let base = match self.config.backend {
+impl EngineConfig {
+    /// The engine's display name (report key): `consensusless` on the
+    /// three secure broadcasts, `pbft` on the consensus baseline, with
+    /// the backend's label and a `-b<max_size>` suffix when batched.
+    pub fn name(&self) -> String {
+        let base = match self.backend {
             BroadcastBackend::Bracha => "consensusless".to_string(),
             BroadcastBackend::Pbft => "pbft".to_string(),
             backend => format!("consensusless-{}", backend.label()),
         };
-        if self.config.batch.is_immediate() {
+        if self.batch.is_immediate() {
             base
         } else {
-            format!("{base}-b{}", self.config.batch.max_size)
+            format!("{base}-b{}", self.batch.max_size)
         }
     }
 
-    fn run(&self, scenario: &Scenario) -> ScenarioReport {
+    /// Runs `scenario` to quiescence with every replica configured by
+    /// `self`, and reports the outcome.
+    pub fn run(&self, scenario: &Scenario) -> ScenarioReport {
         let run = ScenarioRun {
-            engine: self,
+            config: *self,
             scenario,
         };
-        self.config.backend.build(scenario.n, scenario.seed, run)
+        self.backend.build(scenario.n, scenario.seed, run)
     }
 }
 
-/// One [`ConsensuslessEngine::run`], waiting for its backend.
+/// One [`EngineConfig::run`], waiting for its backend.
 struct ScenarioRun<'a> {
-    engine: &'a ConsensuslessEngine,
+    config: EngineConfig,
     scenario: &'a Scenario,
 }
 
@@ -194,12 +170,12 @@ impl BackendVisitor for ScenarioRun<'_> {
         B::Msg: Encode + Decode + Send + 'static,
         F: Fn(ProcessId) -> B,
     {
-        let ScenarioRun { engine, scenario } = self;
+        let ScenarioRun { config, scenario } = self;
         let n = scenario.n;
         let actors: Vec<EngineActor<B>> = ProcessId::all(n)
             .map(|p| {
                 let role = scenario.adversary_of(p);
-                EngineActor::new(role, p, n, scenario.initial, engine.config, make(p))
+                EngineActor::new(role, p, n, scenario.initial, config, make(p))
             })
             .collect();
         let mut sim = Simulation::new(actors, scenario.net.config(scenario.seed));
@@ -265,13 +241,13 @@ impl BackendVisitor for ScenarioRun<'_> {
             .iter()
             .map(|(p, replica)| (*p, replica.ledger().total_supply().units()))
             .collect();
-        let expected_supply = scenario.initial.units() * n as u64;
+        let expected_supply = scenario.initial.units() * config.account_count(n) as u64;
 
         let (p50, p99) = percentiles(&mut tally.latencies);
         let duration = sim.now();
         ScenarioReport {
             scenario: scenario.name.clone(),
-            engine: engine.name(),
+            engine: config.name(),
             n,
             correct: honest.len(),
             completed: tally.completed,
@@ -302,15 +278,13 @@ mod tests {
     }
 
     /// The consensus baseline as the demos run it.
-    fn pbft_baseline() -> ConsensuslessEngine {
-        let config = EngineConfig::sharded_batched(1, 8, VirtualTime::from_millis(2));
-        ConsensuslessEngine::new(config.with_backend(BroadcastBackend::Pbft))
+    fn pbft_baseline() -> EngineConfig {
+        EngineConfig::batched(8, VirtualTime::from_millis(2)).with_backend(BroadcastBackend::Pbft)
     }
 
     #[test]
     fn consensusless_engine_completes_uniform_waves() {
-        let engine = ConsensuslessEngine::new(EngineConfig::unsharded());
-        let report = engine.run(&uniform("uniform", 4));
+        let report = EngineConfig::unbatched().run(&uniform("uniform", 4));
         assert_eq!(report.engine, "consensusless");
         assert_eq!(report.completed, 8);
         assert_eq!(report.rejected, 0);
@@ -321,16 +295,11 @@ mod tests {
     }
 
     #[test]
-    fn sharded_batched_engine_uses_fewer_messages() {
+    fn batched_engine_uses_fewer_messages() {
         // Four transfers per process per wave: batches actually fill.
         let scenario = uniform("uniform", 8).transfers_per_wave(4);
-        let plain = ConsensuslessEngine::new(EngineConfig::unsharded()).run(&scenario);
-        let tuned = ConsensuslessEngine::new(EngineConfig::sharded_batched(
-            4,
-            8,
-            VirtualTime::from_micros(300),
-        ))
-        .run(&scenario);
+        let plain = EngineConfig::unbatched().run(&scenario);
+        let tuned = EngineConfig::batched(8, VirtualTime::from_micros(300)).run(&scenario);
         assert_eq!(plain.completed, tuned.completed);
         assert!(
             tuned.messages_sent < plain.messages_sent,
@@ -347,14 +316,13 @@ mod tests {
             hot: AccountId::new(0),
             percent_hot: 50,
         });
-        let engine = ConsensuslessEngine::new(EngineConfig::standard());
-        assert_eq!(engine.run(&scenario), engine.run(&scenario));
+        let config = EngineConfig::standard();
+        assert_eq!(config.run(&scenario), config.run(&scenario));
     }
 
     #[test]
     fn baseline_engine_completes_and_agrees() {
-        let engine = pbft_baseline();
-        let report = engine.run(&uniform("uniform", 4));
+        let report = pbft_baseline().run(&uniform("uniform", 4));
         assert_eq!(report.engine, "pbft-b8");
         assert_eq!(report.completed, 8);
         assert!(report.agreed);
@@ -374,10 +342,22 @@ mod tests {
     }
 
     #[test]
+    fn supply_counts_every_account_when_accounts_outnumber_processes() {
+        // Every one of the 16 accounts starts with `initial`, not only
+        // the four the processes own.
+        let report = EngineConfig::unbatched()
+            .with_accounts(16)
+            .run(&uniform("accounts", 4));
+        assert_eq!(report.completed, 8);
+        assert!(report.supply_ok && report.agreed);
+    }
+
+    #[test]
     fn equivocation_scenario_yields_zero_conflicts_on_every_backend() {
         let scenario = uniform("equivocate", 4).adversary(ProcessId::new(0), Adversary::Equivocate);
         for backend in BroadcastBackend::ALL {
-            let report = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend))
+            let report = EngineConfig::standard()
+                .with_backend(backend)
                 .run(&scenario);
             assert_eq!(report.conflicts, 0, "{backend:?}");
             assert!(report.supply_ok, "{backend:?}");
@@ -400,7 +380,7 @@ mod tests {
             from_wave: 1,
             heal_wave: 99,
         });
-        let report = ConsensuslessEngine::new(EngineConfig::unsharded()).run(&scenario);
+        let report = EngineConfig::unbatched().run(&scenario);
         assert_eq!(report.completed, 5 * scenario.waves);
         assert!(report.agreed, "diverged despite end-of-run drain");
         assert_eq!(report.messages_dropped, 0);
@@ -410,12 +390,13 @@ mod tests {
     #[test]
     fn signed_backends_match_bracha_balances() {
         let scenario = uniform("uniform", 5);
-        let reference = ConsensuslessEngine::new(EngineConfig::unsharded()).run(&scenario);
+        let reference = EngineConfig::unbatched().run(&scenario);
         for backend in [
             BroadcastBackend::signed_echo(),
             BroadcastBackend::account_order(),
         ] {
-            let report = ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(backend))
+            let report = EngineConfig::unbatched()
+                .with_backend(backend)
                 .run(&scenario);
             assert_eq!(report.completed, reference.completed, "{backend:?}");
             assert_eq!(
@@ -431,13 +412,11 @@ mod tests {
     fn ed25519_backend_round_trips_certificates() {
         // Small on purpose: the vendored Ed25519 is slow in debug builds.
         let scenario = Scenario::new("ed", 3).waves(1).seed(2);
-        let engine = ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(
-            BroadcastBackend::SignedEcho {
-                auth: crate::AuthMode::Ed25519,
-            },
-        ));
-        assert_eq!(engine.name(), "consensusless-echo-ed25519");
-        let report = engine.run(&scenario);
+        let config = EngineConfig::unbatched().with_backend(BroadcastBackend::SignedEcho {
+            auth: crate::AuthMode::Ed25519,
+        });
+        assert_eq!(config.name(), "consensusless-echo-ed25519");
+        let report = config.run(&scenario);
         assert_eq!(report.completed, 3);
         assert!(report.agreed && report.supply_ok);
         assert_eq!(report.conflicts, 0);
@@ -446,16 +425,15 @@ mod tests {
     #[test]
     fn engine_names_key_the_backend() {
         let tuned = EngineConfig::standard();
-        assert_eq!(ConsensuslessEngine::new(tuned).name(), "consensusless-b8");
+        assert_eq!(tuned.name(), "consensusless-b8");
         assert_eq!(
-            ConsensuslessEngine::new(tuned.with_backend(BroadcastBackend::signed_echo())).name(),
+            tuned.with_backend(BroadcastBackend::signed_echo()).name(),
             "consensusless-echo-b8"
         );
         assert_eq!(
-            ConsensuslessEngine::new(
-                EngineConfig::unsharded().with_backend(BroadcastBackend::account_order())
-            )
-            .name(),
+            EngineConfig::unbatched()
+                .with_backend(BroadcastBackend::account_order())
+                .name(),
             "consensusless-acctorder"
         );
     }

@@ -9,15 +9,13 @@
 //! The paper's consensus-number-1 result — transfers debiting
 //! *different* accounts never need ordering against each other — is
 //! realised one layer up, by per-source broadcast streams and
-//! per-source replica state ([`crate::replica`]). Nothing here is
-//! partitioned: the `Sharded…` names and the ignored `shards` arguments
-//! are what the benchmark's call sites link.
+//! per-source replica state ([`crate::replica`]).
 
 use at_model::{AccountId, Amount, Transfer};
 
 /// Why a transfer could not be applied to the ledger.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShardError {
+pub enum LedgerError {
     /// The debited account is not part of the ledger.
     UnknownSource(AccountId),
     /// The credited account is not part of the ledger.
@@ -42,24 +40,23 @@ pub enum ShardError {
 /// correspondence with the Figure 4 reference, which
 /// `tests/tests/figure4_oracle.rs` holds account by account).
 #[derive(Clone, Debug)]
-pub struct ShardedLedger {
+pub struct Ledger {
     /// `balances[i]` is the balance of account `i`.
     balances: Vec<Amount>,
 }
 
-impl ShardedLedger {
+impl Ledger {
     /// A ledger over `(account, balance)` pairs that name accounts
     /// `0..k` in order — what [`crate::LedgerSnapshot::verify`] checks
     /// of a snapshot before it gets here.
     pub fn new(initial: impl IntoIterator<Item = (AccountId, Amount)>) -> Self {
         let balances = initial.into_iter().map(|(_, balance)| balance).collect();
-        ShardedLedger { balances }
+        Ledger { balances }
     }
 
-    /// A ledger with accounts `0..n`, each holding `amount`. `_shards`
-    /// is accepted for the benchmark's call sites and not stored.
-    pub fn uniform(n: usize, amount: Amount, _shards: usize) -> Self {
-        ShardedLedger::new(AccountId::all(n).map(|account| (account, amount)))
+    /// A ledger with accounts `0..n`, each holding `amount`.
+    pub fn uniform(n: usize, amount: Amount) -> Self {
+        Ledger::new(AccountId::all(n).map(|account| (account, amount)))
     }
 
     /// The balance of `account` (zero when unknown).
@@ -75,7 +72,7 @@ impl ShardedLedger {
         account.as_usize() < self.balances.len()
     }
 
-    /// Sum of all balances (conserved by [`ShardedLedger::apply`]).
+    /// Sum of all balances (conserved by [`Ledger::apply`]).
     pub fn total_supply(&self) -> Amount {
         self.balances.iter().copied().sum()
     }
@@ -85,18 +82,18 @@ impl ShardedLedger {
     ///
     /// # Errors
     ///
-    /// Returns a [`ShardError`] (and leaves every balance unchanged) when
+    /// Returns a [`LedgerError`] (and leaves every balance unchanged) when
     /// an account is unknown or the source is underfunded.
-    pub fn apply(&mut self, transfer: &Transfer) -> Result<(), ShardError> {
+    pub fn apply(&mut self, transfer: &Transfer) -> Result<(), LedgerError> {
         if !self.contains(transfer.destination) {
-            return Err(ShardError::UnknownDestination(transfer.destination));
+            return Err(LedgerError::UnknownDestination(transfer.destination));
         }
         let Some(&balance) = self.balances.get(transfer.source.as_usize()) else {
-            return Err(ShardError::UnknownSource(transfer.source));
+            return Err(LedgerError::UnknownSource(transfer.source));
         };
         let debited = balance
             .checked_sub(transfer.amount)
-            .ok_or(ShardError::Insufficient {
+            .ok_or(LedgerError::Insufficient {
                 account: transfer.source,
                 balance,
                 requested: transfer.amount,
@@ -124,9 +121,9 @@ impl ShardedLedger {
 }
 
 /// FNV-1a digest over `(account, balance)` pairs. The pairs must arrive
-/// in account order for digests to be comparable; both the engine's and
-/// the baseline ledger digests are built from this one function so
-/// cross-engine report comparisons cannot drift.
+/// in account order for digests to be comparable; the ledger's digest
+/// and a snapshot's ([`crate::LedgerSnapshot`]) are built from this one
+/// function, so a restored replica attests the state it was cut from.
 pub fn digest_balances(pairs: impl Iterator<Item = (AccountId, Amount)>) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
     let mut mix = |value: u64| {
@@ -162,7 +159,7 @@ mod tests {
 
     #[test]
     fn apply_moves_balance_and_conserves_supply() {
-        let mut ledger = ShardedLedger::uniform(8, amt(100), 4);
+        let mut ledger = Ledger::uniform(8, amt(100));
         let supply = ledger.total_supply();
         ledger.apply(&tx(0, 5, 30, 1)).unwrap();
         assert_eq!(ledger.balance(a(0)), amt(70));
@@ -172,11 +169,11 @@ mod tests {
 
     #[test]
     fn overdraft_is_rejected_without_mutation() {
-        let mut ledger = ShardedLedger::uniform(4, amt(10), 2);
+        let mut ledger = Ledger::uniform(4, amt(10));
         let err = ledger.apply(&tx(1, 2, 11, 1)).unwrap_err();
         assert_eq!(
             err,
-            ShardError::Insufficient {
+            LedgerError::Insufficient {
                 account: a(1),
                 balance: amt(10),
                 requested: amt(11),
@@ -188,27 +185,27 @@ mod tests {
 
     #[test]
     fn unknown_accounts_are_rejected() {
-        let mut ledger = ShardedLedger::uniform(4, amt(10), 2);
+        let mut ledger = Ledger::uniform(4, amt(10));
         assert_eq!(
             ledger.apply(&tx(9, 1, 1, 1)).unwrap_err(),
-            ShardError::UnknownSource(a(9))
+            LedgerError::UnknownSource(a(9))
         );
         assert_eq!(
             ledger.apply(&tx(1, 9, 1, 1)).unwrap_err(),
-            ShardError::UnknownDestination(a(9))
+            LedgerError::UnknownDestination(a(9))
         );
     }
 
     #[test]
     fn self_transfer_counts_but_does_not_move_funds() {
-        let mut ledger = ShardedLedger::uniform(2, amt(10), 2);
+        let mut ledger = Ledger::uniform(2, amt(10));
         ledger.apply(&tx(0, 0, 4, 1)).unwrap();
         assert_eq!(ledger.balance(a(0)), amt(10));
         assert_eq!(ledger.total_supply(), amt(20));
         // Applied or not, it has to be funded.
         assert_eq!(
             ledger.apply(&tx(0, 0, 11, 2)).unwrap_err(),
-            ShardError::Insufficient {
+            LedgerError::Insufficient {
                 account: a(0),
                 balance: amt(10),
                 requested: amt(11),
@@ -217,26 +214,26 @@ mod tests {
     }
 
     #[test]
-    fn digest_tracks_state_not_sharding() {
-        let mut two = ShardedLedger::uniform(8, amt(50), 2);
-        let mut four = ShardedLedger::uniform(8, amt(50), 4);
-        assert_eq!(two.digest(), four.digest());
-        two.apply(&tx(0, 3, 7, 1)).unwrap();
-        assert_ne!(two.digest(), four.digest());
-        four.apply(&tx(0, 3, 7, 1)).unwrap();
-        assert_eq!(two.digest(), four.digest());
-        assert_eq!(two.iter().count(), 8);
-        assert!(two.contains(a(7)));
-        assert!(!two.contains(a(8)));
+    fn digest_tracks_state() {
+        let mut left = Ledger::uniform(8, amt(50));
+        let mut right = Ledger::uniform(8, amt(50));
+        assert_eq!(left.digest(), right.digest());
+        left.apply(&tx(0, 3, 7, 1)).unwrap();
+        assert_ne!(left.digest(), right.digest());
+        right.apply(&tx(0, 3, 7, 1)).unwrap();
+        assert_eq!(left.digest(), right.digest());
+        assert_eq!(left.iter().count(), 8);
+        assert!(left.contains(a(7)));
+        assert!(!left.contains(a(8)));
 
         // Both numbers were printed by the build that kept the balances
         // in `shards` × `BTreeMap`: the dense layout attests the same
         // state with the same digest a node of that build would.
-        assert_eq!(two.digest(), 0xd540_a5dd_f82c_a4b7);
+        assert_eq!(left.digest(), 0xd540_a5dd_f82c_a4b7);
         let frontier = vec![SeqNo::new(1), SeqNo::ZERO];
-        let snapshot = LedgerSnapshot::new(two.iter().collect(), frontier.clone(), frontier);
+        let snapshot = LedgerSnapshot::new(left.iter().collect(), frontier.clone(), frontier);
         assert_eq!(snapshot.digest, 0xe63e_0091_9d86_56d7);
-        let rebuilt = ShardedLedger::new(snapshot.balances.iter().copied());
-        assert_eq!(rebuilt.digest(), two.digest());
+        let rebuilt = Ledger::new(snapshot.balances.iter().copied());
+        assert_eq!(rebuilt.digest(), left.digest());
     }
 }

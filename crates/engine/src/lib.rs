@@ -7,7 +7,7 @@
 //! `at-node`, with three pillars:
 //!
 //! * **a materialized account-state engine over pluggable broadcast
-//!   backends** ([`shard`], [`replica`], [`config`]) — validation is an
+//!   backends** ([`ledger`], [`replica`], [`config`]) — validation is an
 //!   `O(1)` balance lookup instead of a history recomputation, broadcast
 //!   streams and replica state are kept per source, submitted transfers
 //!   ship in [`at_broadcast::Batch`]es that amortize the broadcast cost,
@@ -24,12 +24,12 @@
 //!   (equivocating double-spenders, overspenders, silent processes) and
 //!   network faults (partitions, lossy and slow links) on top of
 //!   [`at_net::Simulation`], all fully deterministic per seed;
-//! * **an engine driver API** ([`driver`]) — the [`Engine`] trait with
-//!   [`ConsensuslessEngine`] (the PBFT baseline is that engine over
-//!   [`BroadcastBackend::Pbft`]), so benches, examples, and tests drive
-//!   one code path and produce comparable [`ScenarioReport`]s, whose
-//!   safety fields come from the one validator battery ([`probe`]) the
-//!   explorer and the chaos runner apply to their runs too.
+//! * **an engine driver** ([`driver`]) — [`EngineConfig::run`] (the
+//!   PBFT baseline is the same run over [`BroadcastBackend::Pbft`]), so
+//!   every configuration drives one code path and produces comparable
+//!   [`ScenarioReport`]s, whose safety fields come from the one
+//!   validator battery ([`probe`]) the explorer and the chaos runner
+//!   apply to their runs too.
 //!
 //! # Example
 //!
@@ -37,7 +37,7 @@
 //! cost profile moves:
 //!
 //! ```
-//! use at_engine::{BroadcastBackend, ConsensuslessEngine, Engine, EngineConfig, Scenario};
+//! use at_engine::{BroadcastBackend, EngineConfig, Scenario};
 //!
 //! let scenario = Scenario::new("quick", 4).waves(2).seed(1);
 //! let mut digests = Vec::new();
@@ -46,8 +46,7 @@
 //!     BroadcastBackend::signed_echo(),   // 2 round trips, O(n) sender msgs
 //!     BroadcastBackend::account_order(), // Section 6, per-account sequencing
 //! ] {
-//!     let engine = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend));
-//!     let report = engine.run(&scenario);
+//!     let report = EngineConfig::standard().with_backend(backend).run(&scenario);
 //!     assert_eq!(report.completed, 8); // 4 processes × 2 waves
 //!     assert_eq!(report.conflicts, 0);
 //!     assert!(report.agreed);
@@ -61,24 +60,27 @@
 #![warn(missing_docs)]
 
 pub mod adversary;
+mod compat;
 pub mod config;
 pub mod driver;
+pub mod ledger;
 pub mod probe;
 pub mod replica;
 pub mod scenario;
-pub mod shard;
 pub mod snapshot;
 pub mod suite;
 
 pub use adversary::EngineActor;
 pub use config::{AuthMode, BackendVisitor, BatchPolicy, BroadcastBackend, EngineConfig};
-pub use driver::{ConsensuslessEngine, Engine};
+pub use ledger::{Ledger, LedgerError};
 pub use probe::{
     check_fifo_contract, history_from_events, rejections_locally_justified, validate_recorded,
     Failure, FailureKind, RecordedRun, TimedEvent,
 };
-pub use replica::{DefaultEngineBroadcast, EngineEvent, EngineMsg, EnginePayload, ShardedReplica};
+pub use replica::{DefaultEngineBroadcast, EngineEvent, EnginePayload, Replica};
 pub use scenario::{Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload};
-pub use shard::{ShardError, ShardedLedger};
 pub use snapshot::LedgerSnapshot;
 pub use suite::{format_reports, run_suite, standard_suite};
+
+#[doc(hidden)]
+pub use compat::*;

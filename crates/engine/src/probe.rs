@@ -140,7 +140,7 @@ pub struct Failure {
 
 /// Checks every [`EngineEvent::Rejected`] of an accepted observer for
 /// local justification, mirroring both admission conditions of
-/// [`crate::replica::ShardedReplica::submit`]: the requested amount
+/// [`crate::replica::Replica::submit`]: the requested amount
 /// exceeded the available balance the replica reported at rejection
 /// time, *or* the destination does not exist per `account_exists` (the
 /// harness's knowledge of the ledger topology). This is the
@@ -375,7 +375,7 @@ fn check_safety(run: &RecordedRun, is_correct: &impl Fn(ProcessId) -> bool) -> R
 mod tests {
     use super::*;
     use crate::config::EngineConfig;
-    use crate::replica::ShardedReplica;
+    use crate::replica::Replica;
     use at_model::{linearizable, AccountId, Amount, Ledger, SeqNo};
     use at_net::{NetConfig, Simulation};
 
@@ -393,7 +393,7 @@ mod tests {
 
     fn run_events(n: usize, submit: Vec<(u32, u32, u64)>) -> Vec<TimedEvent> {
         let replicas = (0..n as u32)
-            .map(|i| ShardedReplica::new(p(i), n, amt(100), EngineConfig::unsharded()))
+            .map(|i| Replica::new(p(i), n, amt(100), EngineConfig::unbatched()))
             .collect();
         let mut sim = Simulation::new(replicas, NetConfig::instant(1));
         for (from, to, amount) in submit {

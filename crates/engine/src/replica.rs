@@ -2,7 +2,7 @@
 //! pluggable secure broadcast.
 //!
 //! Semantically this is the Figure 4 protocol with materialized
-//! balances ([`crate::shard::ShardedLedger`]: validating a transfer is
+//! balances ([`crate::ledger::Ledger`]: validating a transfer is
 //! an `O(1)` lookup instead of recomputing `balance(a, hist[a])` over
 //! the account's full history) and two production optimisations, both
 //! justified by the paper's consensus-number-1 result:
@@ -34,7 +34,7 @@
 //!    a remote account's incoming credits invisible until its owner folds
 //!    them into an outgoing transfer), and validation runs against that
 //!    view. For a sender that declares the credits it spends — every
-//!    honest one: [`ShardedReplica::submit`] ships `deps_buffer` with the
+//!    honest one: [`Replica::submit`] ships `deps_buffer` with the
 //!    transfer — this admits exactly the transfers Figure 4 admits, at
 //!    the same delivery: `tests/tests/figure4_oracle.rs` replays every
 //!    replica's delivery sequence into `at_core::figure4::TransferState`
@@ -50,7 +50,7 @@
 //!    balance goes negative, supply is conserved and replicas converge;
 //!    the order Theorem 3 linearizes in (a credit before the transfer it
 //!    funds) is the order every replica applied them in. It is also what
-//!    lets [`ShardedReplica::prune_through`] drop settled credits from
+//!    lets [`Replica::prune_through`] drop settled credits from
 //!    `deps_buffer`.
 //! 2. admission (`transfer` line 2) additionally subtracts the amounts of
 //!    this replica's own in-flight (submitted, not yet validated)
@@ -59,7 +59,7 @@
 //!    clients are sequential.
 
 use crate::config::{BatchPolicy, EngineConfig};
-use crate::shard::ShardedLedger;
+use crate::ledger::Ledger;
 use crate::snapshot::LedgerSnapshot;
 use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::secure::SecureBroadcast;
@@ -78,10 +78,6 @@ pub type EnginePayload = Batch<TransferMsg>;
 /// The default backend — Bracha reliable broadcast over transfer
 /// batches, the paper's deployed configuration.
 pub type DefaultEngineBroadcast = BrachaBroadcast<EnginePayload>;
-
-/// The wire message of the engine over backend `B` (defaults to the
-/// Bracha backend's messages).
-pub type EngineMsg<B = DefaultEngineBroadcast> = <B as SecureBroadcast<EnginePayload>>::Msg;
 
 /// Base of the flush timers' ids: `FLUSH_TIMER + k` was armed while this
 /// replica's latest broadcast instance was `k`. A timer whose batch has
@@ -172,7 +168,7 @@ pub enum EngineEvent {
         seq: SeqNo,
     },
     /// A harness-injected read observed a balance
-    /// ([`ShardedReplica::read_op`]) — an instantaneous read operation
+    /// ([`Replica::read_op`]) — an instantaneous read operation
     /// for history reconstruction.
     ReadObserved {
         /// The account read.
@@ -183,7 +179,7 @@ pub enum EngineEvent {
 }
 
 /// Pre-resolved observability handles (attached by real runtimes via
-/// [`ShardedReplica::set_recorder`]; absent under the simulator, so the
+/// [`Replica::set_recorder`]; absent under the simulator, so the
 /// simulated hot loop never reads the wall clock).
 struct EngineObs {
     recorder: Recorder,
@@ -198,11 +194,11 @@ struct EngineObs {
 
 /// One process of the batched consensusless payment engine, generic
 /// over the secure-broadcast backend `B`.
-pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
+pub struct Replica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
     me: ProcessId,
     n: usize,
     policy: BatchPolicy,
-    ledger: ShardedLedger,
+    ledger: Ledger,
     broadcast: B,
     batcher: Batcher<TransferMsg>,
     /// The instance sequence number of our latest broadcast. A batch of
@@ -249,11 +245,11 @@ pub struct ShardedReplica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroad
     /// Causal tracer, when a runtime attached one.
     tracer: Option<Tracer>,
     /// Trace context for the *next* submission (set by the runtime's
-    /// ingress path, consumed by [`ShardedReplica::submit`]).
+    /// ingress path, consumed by [`Replica::submit`]).
     next_trace: Option<TraceCtx>,
 }
 
-impl ShardedReplica<DefaultEngineBroadcast> {
+impl Replica<DefaultEngineBroadcast> {
     /// A replica for process `me` of `n` over the default Bracha backend,
     /// each account starting with `initial`, configured by `config`.
     ///
@@ -262,21 +258,20 @@ impl ShardedReplica<DefaultEngineBroadcast> {
     /// Panics when `config.backend` selects anything but
     /// [`BroadcastBackend::Bracha`](crate::config::BroadcastBackend) —
     /// this constructor builds the Bracha endpoint itself; other backends
-    /// need [`ShardedReplica::with_backend`] (the driver-level factory,
-    /// [`crate::driver::ConsensuslessEngine`], does this per
-    /// `config.backend`).
+    /// need [`Replica::with_backend`] (the driver,
+    /// [`EngineConfig::run`], does this per `config.backend`).
     pub fn new(me: ProcessId, n: usize, initial: Amount, config: EngineConfig) -> Self {
         assert!(
             matches!(config.backend, crate::config::BroadcastBackend::Bracha),
-            "ShardedReplica::new builds the Bracha backend; use with_backend (or the \
-             ConsensuslessEngine driver) for {:?}",
+            "Replica::new builds the Bracha backend; use with_backend (or \
+             EngineConfig::run) for {:?}",
             config.backend
         );
-        ShardedReplica::with_backend(me, n, initial, config, BrachaBroadcast::new(me, n))
+        Replica::with_backend(me, n, initial, config, BrachaBroadcast::new(me, n))
     }
 }
 
-impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
+impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     /// A replica for process `me` of `n` over an explicit broadcast
     /// backend.
     pub fn with_backend(
@@ -286,19 +281,13 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         config: EngineConfig,
         backend: B,
     ) -> Self {
-        let ledger = ShardedLedger::uniform(config.account_count(n), initial, 1);
-        ShardedReplica::over(me, n, config, ledger, backend)
+        let ledger = Ledger::uniform(config.account_count(n), initial);
+        Replica::over(me, n, config, ledger, backend)
     }
 
     /// A replica with no history over `ledger`: the one constructor body.
-    fn over(
-        me: ProcessId,
-        n: usize,
-        config: EngineConfig,
-        ledger: ShardedLedger,
-        backend: B,
-    ) -> Self {
-        ShardedReplica {
+    fn over(me: ProcessId, n: usize, config: EngineConfig, ledger: Ledger, backend: B) -> Self {
+        Replica {
             me,
             n,
             policy: config.batch,
@@ -359,14 +348,14 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         for (q, floor) in snapshot.backend_floor.iter().enumerate() {
             backend.set_delivery_floor(ProcessId::new(q as u32), *floor);
         }
-        let ledger = ShardedLedger::new(snapshot.balances.iter().copied());
-        ShardedReplica {
+        let ledger = Ledger::new(snapshot.balances.iter().copied());
+        Replica {
             validated_seq: snapshot.frontier.clone(),
             received_seq: snapshot.frontier.clone(),
             pruned_floor: snapshot.frontier.clone(),
             backend_seen: snapshot.backend_floor.clone(),
             next_own_seq: snapshot.frontier[me.as_usize()],
-            ..ShardedReplica::over(me, n, config, ledger, backend)
+            ..Replica::over(me, n, config, ledger, backend)
         }
     }
 
@@ -400,7 +389,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     /// Soundness: a dependency at or behind the frontier is necessarily
     /// applied (per-source application is gapless), so the relaxed
     /// validity check accepts it by floor comparison instead of a lookup
-    /// — see [`ShardedReplica::from_snapshot`] for the restart
+    /// — see [`Replica::from_snapshot`] for the restart
     /// side of the same argument. Pruned `deps_buffer` credits are safe
     /// to omit from future submissions: every correct replica either
     /// already applied them (they're behind a *quorum* frontier) or will
@@ -445,7 +434,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     /// Attaches a causal [`Tracer`]: the replica records batch joins and
     /// applies for traced transfers, and the broadcast backend records
     /// its protocol steps (send/echo/ready/deliver, verify spans) for
-    /// batches carrying a [`TraceCtx`]. Like [`ShardedReplica::set_recorder`],
+    /// batches carrying a [`TraceCtx`]. Like [`Replica::set_recorder`],
     /// only real runtimes call this.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         self.broadcast
@@ -453,7 +442,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         self.tracer = Some(tracer);
     }
 
-    /// Arms `ctx` as the trace context of the next [`ShardedReplica::submit`]
+    /// Arms `ctx` as the trace context of the next [`Replica::submit`]
     /// (the runtime mints it at gateway ingress). Consumed — or discarded,
     /// when the submission is rejected — by that one submission.
     pub fn set_next_trace(&mut self, ctx: Option<TraceCtx>) {
@@ -485,7 +474,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     }
 
     /// The ledger (for end-of-run assertions).
-    pub fn ledger(&self) -> &ShardedLedger {
+    pub fn ledger(&self) -> &Ledger {
         &self.ledger
     }
 
@@ -510,13 +499,13 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
         self.pending_overflow_dropped
     }
 
-    /// Total entries pruned so far by [`ShardedReplica::prune_through`].
+    /// Total entries pruned so far by [`Replica::prune_through`].
     pub fn pruned_total(&self) -> u64 {
         self.pruned_total
     }
 
     /// A deterministic digest of the ledger state (see
-    /// [`ShardedLedger::digest`]).
+    /// [`Ledger::digest`]).
     pub fn digest(&self) -> u64 {
         self.ledger.digest()
     }
@@ -625,7 +614,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     /// Hands a batch to the secure broadcast, bypassing admission. Public
     /// for the adversarial actors ([`crate::adversary`]), which broadcast
     /// protocol-conformant but *invalid* payloads; honest code paths go
-    /// through [`ShardedReplica::submit`].
+    /// through [`Replica::submit`].
     pub fn broadcast_batch(
         &mut self,
         batch: Batch<TransferMsg>,
@@ -820,7 +809,7 @@ impl<B: SecureBroadcast<EnginePayload>> ShardedReplica<B> {
     }
 }
 
-impl<B: SecureBroadcast<EnginePayload>> Actor for ShardedReplica<B> {
+impl<B: SecureBroadcast<EnginePayload>> Actor for Replica<B> {
     type Msg = B::Msg;
     type Event = EngineEvent;
 
@@ -849,11 +838,11 @@ impl<B: SecureBroadcast<EnginePayload>> Actor for ShardedReplica<B> {
     }
 }
 
-impl<B: SecureBroadcast<EnginePayload>> std::fmt::Debug for ShardedReplica<B> {
+impl<B: SecureBroadcast<EnginePayload>> std::fmt::Debug for Replica<B> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "ShardedReplica(me={}, applied={}, pending={})",
+            "Replica(me={}, applied={}, pending={})",
             self.me,
             self.applied_from.iter().map(BTreeMap::len).sum::<usize>(),
             self.pending_count()
@@ -878,9 +867,9 @@ mod tests {
         Amount::new(x)
     }
 
-    fn system(n: usize, initial: u64, config: EngineConfig) -> Simulation<ShardedReplica> {
+    fn system(n: usize, initial: u64, config: EngineConfig) -> Simulation<Replica> {
         let replicas = (0..n as u32)
-            .map(|i| ShardedReplica::new(p(i), n, amt(initial), config))
+            .map(|i| Replica::new(p(i), n, amt(initial), config))
             .collect();
         Simulation::new(replicas, NetConfig::lan(3))
     }
@@ -888,7 +877,7 @@ mod tests {
     /// Hands `replica` one delivered batch holding `transfer`, the way
     /// its backend would.
     fn deliver(
-        replica: &mut ShardedReplica,
+        replica: &mut Replica,
         transfer: Transfer,
         deps: Vec<Transfer>,
         events: &mut Vec<(VirtualTime, ProcessId, EngineEvent)>,
@@ -909,8 +898,8 @@ mod tests {
     }
 
     #[test]
-    fn transfer_completes_unsharded_unbatched() {
-        let mut sim = system(4, 100, EngineConfig::unsharded());
+    fn transfer_completes_unbatched() {
+        let mut sim = system(4, 100, EngineConfig::unbatched());
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             replica.submit(a(1), amt(25), ctx);
         });
@@ -925,7 +914,7 @@ mod tests {
 
     #[test]
     fn batched_submissions_share_one_broadcast() {
-        let config = EngineConfig::sharded_batched(2, 4, VirtualTime::from_micros(400));
+        let config = EngineConfig::batched(4, VirtualTime::from_micros(400));
         let mut sim = system(4, 100, config);
         // Three quick submissions at p0 inside one window.
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
@@ -951,7 +940,7 @@ mod tests {
 
     #[test]
     fn batch_size_cap_flushes_without_timer() {
-        let config = EngineConfig::sharded_batched(2, 2, VirtualTime::from_millis(100));
+        let config = EngineConfig::batched(2, VirtualTime::from_millis(100));
         let mut sim = system(4, 100, config);
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             replica.submit(a(1), amt(1), ctx);
@@ -1016,7 +1005,7 @@ mod tests {
 
     #[test]
     fn an_idle_replicas_lone_submission_does_not_wait_for_the_window() {
-        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, LONG_WINDOW));
+        let mut sim = system(4, 100, EngineConfig::batched(8, LONG_WINDOW));
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             replica.submit(a(1), amt(5), ctx);
         });
@@ -1038,7 +1027,7 @@ mod tests {
     fn commands_of_one_pass_leave_as_one_batch() {
         // The wave driver's shape: five commands due at the same virtual
         // instant. The end-of-pass timer sorts behind all of them.
-        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, LONG_WINDOW));
+        let mut sim = system(4, 100, EngineConfig::batched(8, LONG_WINDOW));
         for i in 0..5 {
             sim.schedule(VirtualTime::ZERO, p(0), move |replica, ctx| {
                 replica.submit(a(1 + i % 3), amt(1), ctx);
@@ -1053,7 +1042,7 @@ mod tests {
 
     #[test]
     fn submissions_behind_an_own_batch_ride_one_batch_on_its_delivery() {
-        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, LONG_WINDOW));
+        let mut sim = system(4, 100, EngineConfig::batched(8, LONG_WINDOW));
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             replica.submit(a(1), amt(1), ctx);
         });
@@ -1080,7 +1069,7 @@ mod tests {
     #[test]
     fn a_hold_behind_a_batch_that_never_delivers_ends_at_the_window() {
         let window = VirtualTime::from_millis(2);
-        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, window));
+        let mut sim = system(4, 100, EngineConfig::batched(8, window));
         // p0 alone in a minority: its broadcasts cannot complete.
         sim.set_partition(&[&[p(0)], &[p(1), p(2), p(3)]]);
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
@@ -1109,8 +1098,8 @@ mod tests {
     #[test]
     fn a_stale_window_timer_does_not_take_a_later_batch_early() {
         let window = VirtualTime::from_millis(2);
-        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, window));
-        let submit_at = |sim: &mut Simulation<ShardedReplica>, at: u64| {
+        let mut sim = system(4, 100, EngineConfig::batched(8, window));
+        let submit_at = |sim: &mut Simulation<Replica>, at: u64| {
             sim.schedule(VirtualTime::from_micros(at), p(0), |replica, ctx| {
                 replica.submit(a(1), amt(1), ctx);
             });
@@ -1144,7 +1133,7 @@ mod tests {
         // Ten in one pass at a cap of eight: eight leave at the cap, and
         // the end-of-pass timer the first one armed must not take the
         // other two early — they wait for the eight to deliver.
-        let mut sim = system(4, 100, EngineConfig::sharded_batched(1, 8, LONG_WINDOW));
+        let mut sim = system(4, 100, EngineConfig::batched(8, LONG_WINDOW));
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             for i in 0..10 {
                 replica.submit(a(1 + i % 3), amt(1), ctx);
@@ -1162,7 +1151,7 @@ mod tests {
 
     #[test]
     fn restored_and_restarted_replicas_start_with_nothing_in_flight() {
-        let config = EngineConfig::sharded_batched(1, 8, LONG_WINDOW);
+        let config = EngineConfig::batched(8, LONG_WINDOW);
         let mut sim = system(4, 100, config);
         for wave in 0..3 {
             sim.schedule(sim.now(), p(0), move |replica, ctx| {
@@ -1177,8 +1166,7 @@ mod tests {
         // A cold start knows its stream reached 3 only from the floor.
         let snapshot = sim.actor(p(0)).snapshot();
         let backend = BrachaBroadcast::new(p(0), 4);
-        let mut restored: ShardedReplica =
-            ShardedReplica::from_snapshot(p(0), 4, config, backend, &snapshot);
+        let mut restored: Replica = Replica::from_snapshot(p(0), 4, config, backend, &snapshot);
         assert!(!restored.in_flight());
         let mut events = Vec::new();
         let mut ctx = Context::detached(VirtualTime::ZERO, p(0), 4, &mut events);
@@ -1200,7 +1188,7 @@ mod tests {
 
     #[test]
     fn admission_reserves_in_flight_amounts() {
-        let config = EngineConfig::sharded_batched(1, 8, VirtualTime::from_micros(200));
+        let config = EngineConfig::batched(8, VirtualTime::from_micros(200));
         let mut sim = system(3, 10, config);
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             replica.submit(a(1), amt(7), ctx);
@@ -1257,7 +1245,7 @@ mod tests {
 
     #[test]
     fn overdraft_broadcast_never_validates() {
-        let mut sim = system(3, 10, EngineConfig::unsharded());
+        let mut sim = system(3, 10, EngineConfig::unbatched());
         // Bypass admission via broadcast_batch (a Byzantine submitter).
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             let transfer = Transfer::new(a(0), a(1), amt(99), p(0), SeqNo::new(1));
@@ -1279,7 +1267,7 @@ mod tests {
 
     #[test]
     fn malformed_transfers_are_dropped() {
-        let mut sim = system(3, 10, EngineConfig::unsharded());
+        let mut sim = system(3, 10, EngineConfig::unbatched());
         // p0 broadcasts a transfer claiming to debit account 2.
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
             let transfer = Transfer::new(a(2), a(1), amt(5), p(0), SeqNo::new(1));
@@ -1305,7 +1293,7 @@ mod tests {
         // applied under that key, then borrowing the key of a transfer
         // p2 really made — for a different amount.
         for borrowed in [false, true] {
-            let mut sim = system(3, 10, EngineConfig::unsharded());
+            let mut sim = system(3, 10, EngineConfig::unbatched());
             if borrowed {
                 sim.schedule(VirtualTime::ZERO, p(2), |replica, ctx| {
                     replica.submit(a(0), amt(5), ctx);
@@ -1345,7 +1333,7 @@ mod tests {
         let forged = Transfer::new(a(2), a(0), amt(90), p(2), SeqNo::new(1));
         // 100 needs the forged credit; 15 is within the real balance.
         for (amount, applies) in [(100, false), (15, true)] {
-            let mut replica = ShardedReplica::new(p(1), 4, amt(10), EngineConfig::unsharded());
+            let mut replica = Replica::new(p(1), 4, amt(10), EngineConfig::unbatched());
             let mut events = Vec::new();
             deliver(&mut replica, real, vec![], &mut events);
             assert!(
@@ -1369,7 +1357,7 @@ mod tests {
         let t1 = Transfer::new(a(1), a(0), amt(15), p(1), SeqNo::new(1));
         let t0 = Transfer::new(a(0), a(3), amt(20), p(0), SeqNo::new(1));
         for me in 0..4 {
-            let mut replica = ShardedReplica::new(p(me), 4, amt(10), EngineConfig::unsharded());
+            let mut replica = Replica::new(p(me), 4, amt(10), EngineConfig::unbatched());
             let mut events = Vec::new();
             // Delivered end of the chain first: nothing can apply until
             // p2's batch lands, and then everything must.
@@ -1410,10 +1398,10 @@ mod tests {
             vec![SeqNo::ZERO; 4],
             vec![SeqNo::ZERO; 4],
         );
-        let mut replica: ShardedReplica = ShardedReplica::from_snapshot(
+        let mut replica: Replica = Replica::from_snapshot(
             p(0),
             4,
-            EngineConfig::unsharded(),
+            EngineConfig::unbatched(),
             BrachaBroadcast::new(p(0), 4),
             &snapshot,
         );
@@ -1432,7 +1420,7 @@ mod tests {
 
     #[test]
     fn pending_queue_is_bounded_per_source() {
-        let mut sim = system(3, 10, EngineConfig::unsharded());
+        let mut sim = system(3, 10, EngineConfig::unbatched());
         // A Byzantine p0 floods one well-formed batch of 1100 overdrafts
         // (consecutive seqs, none can ever validate).
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
@@ -1464,7 +1452,7 @@ mod tests {
 
     #[test]
     fn malformed_items_of_a_batch_are_each_counted() {
-        let mut sim = system(3, 10, EngineConfig::unsharded());
+        let mut sim = system(3, 10, EngineConfig::unbatched());
         // 300 malformed items (claiming to debit someone else's account)
         // in one batch: every one is dropped and counted.
         sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
@@ -1498,7 +1486,7 @@ mod tests {
         assert!(snap.verify());
         assert_eq!(snap.frontier, vec![SeqNo::new(1); 4]);
 
-        let restored: ShardedReplica = ShardedReplica::from_snapshot(
+        let restored: Replica = Replica::from_snapshot(
             p(0),
             4,
             EngineConfig::standard(),
@@ -1566,8 +1554,8 @@ mod tests {
     #[test]
     fn more_accounts_than_processes() {
         let config = EngineConfig::standard().with_accounts(16);
-        let replicas: Vec<ShardedReplica> = (0..3u32)
-            .map(|i| ShardedReplica::new(p(i), 3, amt(50), config))
+        let replicas: Vec<Replica> = (0..3u32)
+            .map(|i| Replica::new(p(i), 3, amt(50), config))
             .collect();
         let mut sim = Simulation::new(replicas, NetConfig::lan(3));
         // Transfers into accounts beyond the process range work; the
@@ -1598,9 +1586,9 @@ mod tests {
             F: Fn(ProcessId) -> B,
         {
             let n = 4;
-            let config = EngineConfig::unsharded();
-            let replicas: Vec<ShardedReplica<B>> = (0..n as u32)
-                .map(|i| ShardedReplica::with_backend(p(i), n, amt(100), config, make(p(i))))
+            let config = EngineConfig::unbatched();
+            let replicas: Vec<Replica<B>> = (0..n as u32)
+                .map(|i| Replica::with_backend(p(i), n, amt(100), config, make(p(i))))
                 .collect();
             let mut sim = Simulation::new(replicas, NetConfig::lan(3));
             sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
@@ -1634,8 +1622,8 @@ mod tests {
     /// a real runtime drives it, through a detached context.
     #[test]
     fn flush_pending_recovers_a_lost_window_timer() {
-        let config = EngineConfig::sharded_batched(2, 8, VirtualTime::from_millis(1));
-        let mut replica = ShardedReplica::new(p(0), 4, amt(100), config);
+        let config = EngineConfig::batched(8, VirtualTime::from_millis(1));
+        let mut replica = Replica::new(p(0), 4, amt(100), config);
         let mut events = Vec::new();
         let mut ctx = Context::detached(VirtualTime::ZERO, p(0), 4, &mut events);
         replica.submit(a(1), amt(5), &mut ctx);
@@ -1673,13 +1661,13 @@ mod tests {
     #[should_panic(expected = "use with_backend")]
     fn new_rejects_non_bracha_backend_selection() {
         use crate::config::BroadcastBackend;
-        let config = EngineConfig::unsharded().with_backend(BroadcastBackend::signed_echo());
-        let _ = ShardedReplica::new(p(0), 3, amt(10), config);
+        let config = EngineConfig::unbatched().with_backend(BroadcastBackend::signed_echo());
+        let _ = Replica::new(p(0), 3, amt(10), config);
     }
 
     #[test]
     fn accessors_render() {
-        let replica = ShardedReplica::new(p(0), 3, amt(10), EngineConfig::standard());
+        let replica = Replica::new(p(0), 3, amt(10), EngineConfig::standard());
         assert_eq!(replica.me(), p(0));
         assert_eq!(replica.my_account(), a(0));
         assert_eq!(replica.available(), amt(10));
@@ -1687,7 +1675,7 @@ mod tests {
         assert_eq!(replica.ledger().total_supply(), amt(30));
         assert_eq!(
             format!("{replica:?}"),
-            "ShardedReplica(me=p0, applied=0, pending=0)"
+            "Replica(me=p0, applied=0, pending=0)"
         );
     }
 }

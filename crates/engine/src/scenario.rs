@@ -3,7 +3,7 @@
 //!
 //! A [`Scenario`] is a pure description — workload shape, system size,
 //! seed, adversary placement, fault schedule — built with a fluent
-//! builder and executed by an [`crate::driver::Engine`] implementation.
+//! builder and executed by [`crate::EngineConfig::run`].
 //! The same scenario value drives the consensusless engine, the
 //! consensus baseline, benches, examples, and tests, which is what makes
 //! the reported numbers comparable.
@@ -315,7 +315,7 @@ impl Scenario {
 pub struct ScenarioReport {
     /// Scenario name.
     pub scenario: String,
-    /// Engine name.
+    /// Engine name ([`crate::EngineConfig::name`]).
     pub engine: String,
     /// System size.
     pub n: usize,

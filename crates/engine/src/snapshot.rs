@@ -11,18 +11,18 @@
 //! complete, prefix-closed summary of the applied history: any
 //! dependency at or behind the frontier is necessarily applied, so the
 //! applied history behind it can be pruned
-//! ([`crate::replica::ShardedReplica::prune_through`]) and a cold
+//! ([`crate::replica::Replica::prune_through`]) and a cold
 //! replica can be reconstructed from the snapshot alone
-//! ([`crate::replica::ShardedReplica::from_snapshot`]).
+//! ([`crate::replica::Replica::from_snapshot`]).
 //!
 //! The digest binds balances, frontier, and backend floor into one
-//! `u64` (FNV-1a, the same scheme as [`crate::shard::digest_balances`]),
+//! `u64` (FNV-1a, the same scheme as [`crate::ledger::digest_balances`]),
 //! so a bootstrap client can cross-check snapshots offered by different
 //! peers: `f + 1` matching digests mean at least one honest replica
 //! vouches for the state — the quorum attestation of the catch-up
 //! protocol.
 
-use crate::shard::digest_balances;
+use crate::ledger::digest_balances;
 use at_model::codec::{Decode, Encode, Reader, Writer};
 use at_model::{AccountId, Amount, CodecError, SeqNo};
 

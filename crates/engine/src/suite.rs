@@ -7,7 +7,7 @@
 //! ([`run_suite`] reports) and determinism (same seed ⇒ identical
 //! reports).
 
-use crate::driver::Engine;
+use crate::config::EngineConfig;
 use crate::scenario::{Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload};
 use at_model::{AccountId, ProcessId};
 
@@ -64,11 +64,11 @@ pub fn standard_suite(seed: u64) -> Vec<Scenario> {
     ]
 }
 
-/// Runs every scenario of [`standard_suite`] on `engine`.
-pub fn run_suite(engine: &dyn Engine, seed: u64) -> Vec<ScenarioReport> {
+/// Runs every scenario of [`standard_suite`] on `config`.
+pub fn run_suite(config: EngineConfig, seed: u64) -> Vec<ScenarioReport> {
     standard_suite(seed)
         .iter()
-        .map(|scenario| engine.run(scenario))
+        .map(|scenario| config.run(scenario))
         .collect()
 }
 
@@ -85,8 +85,7 @@ pub fn format_reports(reports: &[ScenarioReport]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{BroadcastBackend, EngineConfig};
-    use crate::driver::ConsensuslessEngine;
+    use crate::config::BroadcastBackend;
 
     #[test]
     fn suite_has_the_required_shape() {
@@ -111,8 +110,7 @@ mod tests {
         // there on (48 of 54 completions), and `agreed` holds because
         // the uniform rotation returns every balance to where it began.
         for backend in BroadcastBackend::ALL {
-            let engine = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend));
-            let reports = run_suite(&engine, 11);
+            let reports = run_suite(EngineConfig::standard().with_backend(backend), 11);
             for report in &reports {
                 assert_eq!(
                     report.conflicts, 0,
@@ -144,7 +142,7 @@ mod tests {
 
     #[test]
     fn suite_is_deterministic() {
-        let engine = ConsensuslessEngine::new(EngineConfig::standard());
-        assert_eq!(run_suite(&engine, 3), run_suite(&engine, 3));
+        let config = EngineConfig::standard();
+        assert_eq!(run_suite(config, 3), run_suite(config, 3));
     }
 }

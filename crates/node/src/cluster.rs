@@ -15,7 +15,7 @@ use crate::probe::EventProbe;
 use crate::tcp::{peer_directory, PeerDirectory, TcpOptions, TcpTransport};
 use at_broadcast::SecureBroadcast;
 use at_engine::replica::EnginePayload;
-use at_engine::{LedgerSnapshot, ShardedReplica};
+use at_engine::{LedgerSnapshot, Replica};
 use at_model::codec::{Decode, Encode};
 use at_model::ProcessId;
 use at_net::transport::{FaultInjector, Transport};
@@ -94,7 +94,7 @@ where
             let gateway =
                 ClientGateway::bind("127.0.0.1:0").expect("bind a loopback client gateway");
             Node::spawn(config, mesh, Some(gateway), None, |_| {
-                ShardedReplica::with_backend(me, n, config.initial, config.engine, make(me))
+                Replica::with_backend(me, n, config.initial, config.engine, make(me))
             })
         })
         .collect()
@@ -185,7 +185,7 @@ where
         let transport = cluster.tcp_transport(me, listener)?;
         let (handle, addr) = cluster.spawn_node(transport, |recorder| {
             let backend = make(me, recorder);
-            ShardedReplica::with_backend(me, n, config.initial, config.engine, backend)
+            Replica::with_backend(me, n, config.initial, config.engine, backend)
         })?;
         cluster.handles.push(Some(handle));
         cluster.client_addrs.push(addr);
@@ -245,7 +245,7 @@ where
     fn spawn_node<T: Transport + 'static>(
         &self,
         transport: T,
-        replica: impl FnOnce(&Recorder) -> ShardedReplica<B>,
+        replica: impl FnOnce(&Recorder) -> Replica<B>,
     ) -> std::io::Result<(NodeHandle<B>, SocketAddr)> {
         let gateway = ClientGateway::bind("127.0.0.1:0")?;
         let addr = gateway.local_addr()?;
@@ -259,7 +259,7 @@ where
     fn respawn_node(
         &mut self,
         i: usize,
-        replica: impl FnOnce(&Recorder) -> ShardedReplica<B>,
+        replica: impl FnOnce(&Recorder) -> Replica<B>,
     ) -> std::io::Result<()> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         self.directory.announce(i, listener.local_addr()?);
@@ -275,7 +275,7 @@ where
     /// # Panics
     ///
     /// Panics if node `i` is already stopped.
-    pub fn stop_node(&mut self, i: usize) -> ShardedReplica<B> {
+    pub fn stop_node(&mut self, i: usize) -> Replica<B> {
         self.handles[i].take().expect("node already stopped").stop()
     }
 
@@ -283,7 +283,7 @@ where
     /// final `(lost_ingest, malformed_frames)` counters (see
     /// [`NodeHandle::stop_counted`]) — they die with the node loop, and
     /// a loss-gating harness must fold them into its run totals.
-    pub fn stop_node_counted(&mut self, i: usize) -> (ShardedReplica<B>, u64, u64) {
+    pub fn stop_node_counted(&mut self, i: usize) -> (Replica<B>, u64, u64) {
         self.handles[i]
             .take()
             .expect("node already stopped")
@@ -298,7 +298,7 @@ where
     /// # Panics
     ///
     /// Panics if node `i` is still running.
-    pub fn restart_node(&mut self, i: usize, replica: ShardedReplica<B>) -> std::io::Result<()> {
+    pub fn restart_node(&mut self, i: usize, replica: Replica<B>) -> std::io::Result<()> {
         assert!(self.handles[i].is_none(), "node {i} is still running");
         self.respawn_node(i, |_| replica)
     }
@@ -314,7 +314,7 @@ where
     /// resumable chunks, until one serves bytes that verify against the
     /// attested digest and cover all `n` accounts (a peer that fails or
     /// serves anything else costs only its turn), restores a replica
-    /// with [`ShardedReplica::from_snapshot`], and starts it on fresh
+    /// with [`Replica::from_snapshot`], and starts it on fresh
     /// ports (announced through the directory). Peers replay only their
     /// unacknowledged outbox suffix — the short log tail — and the
     /// restored backend floors discard anything behind the snapshot, so
@@ -392,7 +392,7 @@ where
         let me = ProcessId::new(i as u32);
         let engine = self.config.engine;
         self.respawn_node(i, |recorder| {
-            let replica = ShardedReplica::from_snapshot(me, n, engine, make(me), &snapshot);
+            let replica = Replica::from_snapshot(me, n, engine, make(me), &snapshot);
             // One `stage_catchup_us` sample per bootstrap: from the
             // first header probe until the restored replica exists.
             recorder.record(Stage::CatchUp, catch_up_started.elapsed());
@@ -507,7 +507,7 @@ mod tests {
     #[test]
     fn download_skips_a_dead_voter_and_takes_the_live_ones_snapshot() {
         let n = 4;
-        let config = NodeConfig::new(EngineConfig::unsharded(), Amount::new(1_000));
+        let config = NodeConfig::new(EngineConfig::unbatched(), Amount::new(1_000));
         let mut cluster = start_tcp_cluster(n, config, TcpOptions::default(), |me| {
             EchoBroadcast::new(me, n, NoAuth)
         })

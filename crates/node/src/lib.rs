@@ -1,7 +1,7 @@
 //! # at-node — the deployable replica runtime
 //!
 //! Everything below `at-engine` is sans-I/O by design: the broadcast
-//! protocols and the sharded replica fill [`at_broadcast::Step`]s and
+//! protocols and the engine replica fill [`at_broadcast::Step`]s and
 //! run equally under the deterministic simulator or — this crate — on
 //! real OS threads and TCP sockets. `at-node` is that second runtime:
 //! the paper's claim that asset transfer needs only secure broadcast,

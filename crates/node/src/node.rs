@@ -1,5 +1,5 @@
 //! The node runtime: one OS process's event loop around a sans-I/O
-//! [`ShardedReplica`].
+//! [`Replica`].
 //!
 //! The loop owns the replica and drives it exactly like the simulator
 //! does — through the [`at_net::Actor`] handlers with a detached
@@ -54,7 +54,7 @@ use crate::wire::{
     ResponseBody,
 };
 use at_engine::replica::{EngineEvent, EnginePayload};
-use at_engine::{EngineConfig, ShardedReplica};
+use at_engine::{EngineConfig, Replica};
 use at_model::codec::{Decode, Encode};
 use at_model::{Amount, ProcessId};
 use at_net::transport::{RecvOutcome, Transport};
@@ -73,7 +73,7 @@ use std::time::{Duration, Instant};
 /// Runtime configuration of a [`Node`].
 #[derive(Clone, Copy, Debug)]
 pub struct NodeConfig {
-    /// The replica's engine configuration (sharding, batching; the
+    /// The replica's engine configuration (batching, account count; the
     /// broadcast backend itself is passed as a value).
     pub engine: EngineConfig,
     /// Initial balance of every account.
@@ -85,7 +85,7 @@ pub struct NodeConfig {
     /// no tracer at all, so the hot path pays nothing.
     pub trace: Option<TraceConfig>,
     /// How long after a peer message the loop prunes replica state
-    /// behind the stability frontier ([`ShardedReplica::prune_through`])
+    /// behind the stability frontier ([`Replica::prune_through`])
     /// — under traffic, the log-truncation cadence that keeps
     /// steady-state memory flat; without traffic the frontier cannot
     /// move and no prune is scheduled. `Duration::MAX` disables pruning
@@ -127,7 +127,7 @@ pub struct NodeReport {
     pub rejected: u64,
     /// Delivered-but-unvalidated transfers currently pending.
     pub pending: u64,
-    /// Deterministic digest of the ledger ([`ShardedReplica::digest`]).
+    /// Deterministic digest of the ledger ([`Replica::digest`]).
     pub digest: u64,
     /// Balance per account, in account order — byte-identical across
     /// converged replicas.
@@ -143,7 +143,7 @@ pub struct NodeReport {
     pub lost_ingest: u64,
     /// Delivered-but-unvalidated transfers evicted when a source's
     /// bounded pending buffer overflowed
-    /// ([`ShardedReplica::pending_overflow_dropped`]). Expected 0 under
+    /// ([`Replica::pending_overflow_dropped`]). Expected 0 under
     /// honest load; nonzero flags a flooding source (or an undersized
     /// cap) whose evicted transfers can never apply on this replica.
     pub overflow_dropped: u64,
@@ -282,7 +282,7 @@ pub struct NodeHandle<B: at_broadcast::SecureBroadcast<EnginePayload>> {
     counters: Counters,
     registry: ResponseRegistry,
     conn_counter: Arc<AtomicU64>,
-    join: Option<JoinHandle<ShardedReplica<B>>>,
+    join: Option<JoinHandle<Replica<B>>>,
 }
 
 impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
@@ -351,7 +351,7 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
     /// transport outboxes (so peers verifiably hold everything this node
     /// sent), tears the transport down, and returns the replica — warm
     /// state a later [`Node::spawn`] can resume from.
-    pub fn stop(self) -> ShardedReplica<B> {
+    pub fn stop(self) -> Replica<B> {
         self.stop_counted().0
     }
 
@@ -362,7 +362,7 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
     /// [`NodeHandle::report`] could have seen it). Harnesses that gate
     /// on zero loss across crash/restart cycles need these; the
     /// restarted incarnation starts fresh counters.
-    pub fn stop_counted(mut self) -> (ShardedReplica<B>, u64, u64) {
+    pub fn stop_counted(mut self) -> (Replica<B>, u64, u64) {
         let _ = self.commands.send(Command::Stop);
         let replica = self
             .join
@@ -527,13 +527,13 @@ impl PartialOrd for TimerEntry {
 ///
 /// ```
 /// use at_broadcast::bracha::BrachaBroadcast;
-/// use at_engine::{EngineConfig, ShardedReplica};
+/// use at_engine::{EngineConfig, Replica};
 /// use at_model::{AccountId, Amount, ProcessId};
 /// use at_node::{channel_mesh, Node, NodeConfig, ResponseBody};
 /// use std::time::Duration;
 ///
 /// let n = 3;
-/// let config = NodeConfig::new(EngineConfig::unsharded(), Amount::new(100));
+/// let config = NodeConfig::new(EngineConfig::unbatched(), Amount::new(100));
 /// let mut handles: Vec<_> = channel_mesh(n, 4096)
 ///     .into_iter()
 ///     .enumerate()
@@ -541,7 +541,7 @@ impl PartialOrd for TimerEntry {
 ///         let me = ProcessId::new(i as u32);
 ///         Node::spawn(config, mesh, None, None, |_| {
 ///             let backend = BrachaBroadcast::new(me, n);
-///             ShardedReplica::with_backend(me, n, config.initial, config.engine, backend)
+///             Replica::with_backend(me, n, config.initial, config.engine, backend)
 ///         })
 ///     })
 ///     .collect();
@@ -585,9 +585,9 @@ where
     /// builds its backend there — one wrapped in
     /// [`at_broadcast::auth::ObservedAuth`] then meters sign/verify into
     /// the registry served over `Client::stats` — and returns
-    /// [`ShardedReplica::with_backend`]; a **warm restart** returns the
+    /// [`Replica::with_backend`]; a **warm restart** returns the
     /// replica [`NodeHandle::stop`] handed back; a **cold start**
-    /// returns [`ShardedReplica::from_snapshot`] after recording its
+    /// returns [`Replica::from_snapshot`] after recording its
     /// catch-up span as one `Stage::CatchUp` sample
     /// ([`crate::TcpCluster::cold_start_node`]).
     pub fn spawn<T: Transport + 'static>(
@@ -595,7 +595,7 @@ where
         transport: T,
         gateway: Option<ClientGateway>,
         probe: Option<EventProbe>,
-        replica: impl FnOnce(&Recorder) -> ShardedReplica<B>,
+        replica: impl FnOnce(&Recorder) -> Replica<B>,
     ) -> NodeHandle<B> {
         let (commands, command_rx) = command_channel(transport.waker());
         let registry: ResponseRegistry = Arc::default();
@@ -675,7 +675,7 @@ where
     B: at_broadcast::SecureBroadcast<EnginePayload>,
     T: Transport,
 {
-    replica: ShardedReplica<B>,
+    replica: Replica<B>,
     transport: T,
     config: NodeConfig,
     counters: Counters,
@@ -743,11 +743,11 @@ where
     B::Msg: Encode + Decode + Send + 'static,
     T: Transport,
 {
-    fn run(mut self) -> ShardedReplica<B> {
+    fn run(mut self) -> Replica<B> {
         // Warm-restart recovery: a flush timer armed by the previous
         // incarnation died with its timer heap; flush anything stranded
         // (a no-op on a fresh replica). See
-        // `ShardedReplica::flush_pending`.
+        // `Replica::flush_pending`.
         self.drive(|replica, ctx| replica.flush_pending(ctx));
         let mut last_activity = Instant::now();
         // Whether the last return from the blocking wait has yet to be
@@ -956,7 +956,7 @@ where
     /// gets the replica mutably at the same time.
     fn drive<F>(&mut self, f: F)
     where
-        F: for<'a, 'b> FnOnce(&mut ShardedReplica<B>, &mut Context<'a, B::Msg, EngineEvent>),
+        F: for<'a, 'b> FnOnce(&mut Replica<B>, &mut Context<'a, B::Msg, EngineEvent>),
     {
         let now = VirtualTime::from_micros(self.started.elapsed().as_micros() as u64);
         let me = self.replica.me();
@@ -1326,7 +1326,7 @@ mod tests {
     /// A 4-node in-process cluster over SignedEcho, batching up to 128
     /// transfers.
     fn echo_cluster() -> Vec<NodeHandle<EchoNode>> {
-        let engine = EngineConfig::sharded_batched(1, 128, at_net::VirtualTime::from_micros(1_000));
+        let engine = EngineConfig::batched(128, at_net::VirtualTime::from_micros(1_000));
         let config = NodeConfig::new(engine, Amount::new(1_000_000));
         crate::start_mesh_cluster(4, config, |me| {
             EchoNode::new(me, 4, at_broadcast::auth::NoAuth)

@@ -50,7 +50,7 @@ fn tasks() -> Vec<(String, u64)> {
 fn a_tcp_node_runs_its_loop_and_one_dialer_beside_its_gateway() {
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let n = 4;
-    let config = NodeConfig::new(EngineConfig::unsharded(), Amount::new(1_000));
+    let config = NodeConfig::new(EngineConfig::unbatched(), Amount::new(1_000));
     let mut cluster = start_tcp_cluster(n, config, TcpOptions::default(), |me| {
         EchoBroadcast::new(me, n, NoAuth)
     })

@@ -41,7 +41,7 @@ where
 #[test]
 fn cold_start_converges_from_snapshot_plus_suffix() {
     let n = 4;
-    let config = NodeConfig::new(EngineConfig::unsharded(), Amount::new(1_000));
+    let config = NodeConfig::new(EngineConfig::unbatched(), Amount::new(1_000));
     let mut cluster = start_tcp_cluster(n, config, TcpOptions::default(), |me| {
         EchoBroadcast::new(me, n, NoAuth)
     })
@@ -171,7 +171,7 @@ fn chunked_snapshot_download_resumes_after_a_client_crash() {
     assert_eq!(fetched, bytes);
 
     // The snapshot is enough to restore a working replica offline.
-    let restored = at_engine::ShardedReplica::from_snapshot(
+    let restored = at_engine::Replica::from_snapshot(
         ProcessId::new(3),
         n,
         EngineConfig::standard().with_accounts(150_000),
@@ -196,7 +196,7 @@ fn chunked_snapshot_download_resumes_after_a_client_crash() {
 #[test]
 fn warm_restart_still_converges_with_pruning_enabled() {
     let n = 4;
-    let mut config = NodeConfig::new(EngineConfig::unsharded(), Amount::new(500));
+    let mut config = NodeConfig::new(EngineConfig::unbatched(), Amount::new(500));
     config.prune_interval = Duration::from_millis(50);
     let mut cluster = start_tcp_cluster(n, config, TcpOptions::default(), |me| {
         EchoBroadcast::new(me, n, NoAuth)

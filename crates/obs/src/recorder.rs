@@ -31,7 +31,7 @@ pub enum Stage {
     Sign,
     /// One authenticator verification (per-share on the echo path).
     Verify,
-    /// Draining delivered batches through the sharded replica.
+    /// Draining delivered batches through the engine replica.
     Apply,
     /// Replica completion until the acknowledgement is queued to the
     /// client.

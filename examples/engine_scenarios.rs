@@ -8,16 +8,14 @@
 //! Run with `cargo run -p at-examples --example engine_scenarios --release`.
 
 use at_engine::{
-    format_reports, run_suite, BroadcastBackend, ConsensuslessEngine, Engine, EngineConfig,
-    Scenario, ScenarioReport,
+    format_reports, run_suite, BroadcastBackend, EngineConfig, Scenario, ScenarioReport,
 };
 use at_examples::banner;
 use at_net::VirtualTime;
 
 fn main() {
     banner("standard scenario suite · consensusless-b8");
-    let engine = ConsensuslessEngine::new(EngineConfig::standard());
-    let reports = run_suite(&engine, 42);
+    let reports = run_suite(EngineConfig::standard(), 42);
     println!("{}", format_reports(&reports));
     let conflicts: usize = reports.iter().map(|r| r.conflicts).sum();
     println!();
@@ -40,21 +38,14 @@ fn main() {
         .transfers_per_wave(4)
         .seed(42)
         .initial(at_model::Amount::new(1_000_000));
-    let engines: Vec<Box<dyn Engine>> = vec![
-        Box::new(ConsensuslessEngine::new(EngineConfig::unsharded())),
-        Box::new(ConsensuslessEngine::new(EngineConfig::sharded_batched(
-            4,
-            8,
-            VirtualTime::from_micros(500),
-        ))),
-        Box::new(ConsensuslessEngine::new(
-            EngineConfig::sharded_batched(1, 8, VirtualTime::from_millis(2))
-                .with_backend(BroadcastBackend::Pbft),
-        )),
+    let lineup = [
+        EngineConfig::unbatched(),
+        EngineConfig::batched(8, VirtualTime::from_micros(500)),
+        EngineConfig::batched(8, VirtualTime::from_millis(2)).with_backend(BroadcastBackend::Pbft),
     ];
     println!("{}", ScenarioReport::table_header());
-    for engine in &engines {
-        println!("{}", engine.run(&scenario).table_row());
+    for config in lineup {
+        println!("{}", config.run(&scenario).table_row());
     }
     println!();
     println!(
@@ -70,8 +61,9 @@ fn main() {
     println!("{}", ScenarioReport::table_header());
     let mut digests = Vec::new();
     for backend in BroadcastBackend::ALL {
-        let engine = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend));
-        let report = engine.run(&scenario);
+        let report = EngineConfig::standard()
+            .with_backend(backend)
+            .run(&scenario);
         digests.push(report.balance_digest);
         println!("{}", report.table_row());
     }

@@ -22,7 +22,7 @@ fn main() {
     let n = 4;
     let initial = Amount::new(1_000);
     let config = NodeConfig::new(
-        EngineConfig::sharded_batched(4, 16, VirtualTime::from_micros(500)),
+        EngineConfig::batched(16, VirtualTime::from_micros(500)),
         initial,
     );
     println!("starting {n} nodes on loopback TCP (signed-echo backend)...");

@@ -29,7 +29,7 @@ fn main() {
                 me,
                 N,
                 Amount::new(50),
-                EngineConfig::unsharded(),
+                EngineConfig::unbatched(),
                 backend,
             )
         })

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run -p at-examples --example quickstart`.
 
-use at_engine::{EngineConfig, EngineEvent, ShardedReplica};
+use at_engine::{EngineConfig, EngineEvent, Replica};
 use at_examples::banner;
 use at_model::{AccountId, Amount, ProcessId};
 use at_net::{NetConfig, Simulation, VirtualTime};
@@ -39,10 +39,10 @@ fn main() {
     let replicas = (0..n as u32)
         .map(|i| {
             let me = ProcessId::new(i);
-            ShardedReplica::new(me, n, Amount::new(100), EngineConfig::unsharded())
+            Replica::new(me, n, Amount::new(100), EngineConfig::unbatched())
         })
         .collect();
-    let mut sim: Simulation<ShardedReplica> = Simulation::new(replicas, NetConfig::lan(1));
+    let mut sim: Simulation<Replica> = Simulation::new(replicas, NetConfig::lan(1));
 
     // Process 0 pays 25 to account 1; process 1 then forwards 110 to
     // account 2 (which needs the incoming credit).

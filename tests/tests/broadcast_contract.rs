@@ -13,7 +13,7 @@
 
 use at_broadcast::secure::SecureBroadcast;
 use at_engine::probe::{check_fifo_contract, TimedEvent};
-use at_engine::{BackendVisitor, BroadcastBackend, EngineConfig, EnginePayload, ShardedReplica};
+use at_engine::{BackendVisitor, BroadcastBackend, EngineConfig, EnginePayload, Replica};
 use at_model::{AccountId, Amount, Decode, Encode, ProcessId};
 use at_net::{LinkFault, NetConfig, Simulation, VirtualTime};
 use proptest::prelude::*;
@@ -61,13 +61,13 @@ impl BackendVisitor for UnderFaults<'_> {
         F: Fn(ProcessId) -> B,
     {
         let UnderFaults { n, plan } = self;
-        let replicas: Vec<ShardedReplica<B>> = (0..n as u32)
+        let replicas: Vec<Replica<B>> = (0..n as u32)
             .map(|i| {
-                ShardedReplica::with_backend(
+                Replica::with_backend(
                     p(i),
                     n,
                     Amount::new(100),
-                    EngineConfig::unsharded(),
+                    EngineConfig::unbatched(),
                     make(p(i)),
                 )
             })
@@ -197,7 +197,7 @@ fn clean_run_delivers_every_instance_in_order() {
 /// during the partition stays consistent.
 #[test]
 fn healing_mid_equivocation_converges_on_every_backend() {
-    use at_engine::{Adversary, ConsensuslessEngine, Engine, Fault, Scenario};
+    use at_engine::{Adversary, Fault, Scenario};
     let scenario = Scenario::new("heal-mid-equivocation", 8)
         .waves(5)
         .seed(29)
@@ -211,8 +211,9 @@ fn healing_mid_equivocation_converges_on_every_backend() {
             heal_wave: 3,
         });
     for backend in BroadcastBackend::ALL {
-        let report =
-            ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend)).run(&scenario);
+        let report = EngineConfig::standard()
+            .with_backend(backend)
+            .run(&scenario);
         assert_eq!(report.conflicts, 0, "{backend:?}: double spend landed");
         assert!(report.agreed, "{backend:?}: replicas diverged after heal");
         assert!(report.supply_ok, "{backend:?}: supply violated");

@@ -36,7 +36,7 @@ fn mixed_system(
         .map(|i| {
             let role = is_attacker(i).then_some(role);
             let backend = BrachaBroadcast::new(p(i), n);
-            EngineActor::new(role, p(i), n, amt(10), EngineConfig::unsharded(), backend)
+            EngineActor::new(role, p(i), n, amt(10), EngineConfig::unbatched(), backend)
         })
         .collect();
     Simulation::new(actors, NetConfig::lan(seed))

@@ -23,7 +23,7 @@ type Echo = EchoBroadcast<EnginePayload, NoAuth>;
 
 fn node_config() -> NodeConfig {
     NodeConfig::new(
-        EngineConfig::sharded_batched(4, 16, VirtualTime::from_micros(500)),
+        EngineConfig::batched(16, VirtualTime::from_micros(500)),
         Amount::new(1_000),
     )
     // Always-on tracing, so the trace leg of the serving oracle has

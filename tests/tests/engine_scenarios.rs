@@ -4,8 +4,8 @@
 
 use at_broadcast::bracha::BrachaBroadcast;
 use at_engine::{
-    Adversary, AuthMode, BroadcastBackend, ConsensuslessEngine, Engine, EngineActor, EngineConfig,
-    EngineEvent, Fault, NetProfile, Scenario, Workload,
+    Adversary, AuthMode, BroadcastBackend, EngineActor, EngineConfig, EngineEvent, Fault,
+    NetProfile, Scenario, Workload,
 };
 use at_model::{AccountId, Amount, ProcessId, Transfer};
 use at_net::{NetConfig, Simulation, VirtualTime};
@@ -22,14 +22,13 @@ fn a(i: u32) -> AccountId {
 
 /// The consensus baseline as the demos run it: the engine over PBFT,
 /// batching per submitter like the engine it is compared with.
-fn pbft_baseline() -> ConsensuslessEngine {
-    let config = EngineConfig::sharded_batched(1, 8, VirtualTime::from_millis(2));
-    ConsensuslessEngine::new(config.with_backend(BroadcastBackend::Pbft))
+fn pbft_baseline() -> EngineConfig {
+    EngineConfig::batched(8, VirtualTime::from_millis(2)).with_backend(BroadcastBackend::Pbft)
 }
 
 /// The satellite requirement: an equivocating sender scenario, built with
 /// the DSL, in which no correct replica applies both conflicting
-/// transfers — on the unsharded and the sharded+batched engine alike.
+/// transfers — on the unbatched and the batched engine alike.
 #[test]
 fn equivocating_sender_cannot_double_spend() {
     let scenario = Scenario::new("double-spend", 8)
@@ -37,8 +36,8 @@ fn equivocating_sender_cannot_double_spend() {
         .seed(33)
         .adversary(p(0), Adversary::Equivocate);
 
-    for config in [EngineConfig::unsharded(), EngineConfig::standard()] {
-        let report = ConsensuslessEngine::new(config).run(&scenario);
+    for config in [EngineConfig::unbatched(), EngineConfig::standard()] {
+        let report = config.run(&scenario);
         // No (source, seq) pair resolved to two different transfers at
         // two correct replicas — the double spend never lands.
         assert_eq!(report.conflicts, 0, "{config:?}");
@@ -65,7 +64,7 @@ fn equivocation_applied_sets_are_conflict_free() {
         .map(|i| {
             let role = scenario.adversary_of(p(i));
             let backend = BrachaBroadcast::new(p(i), n);
-            EngineActor::new(role, p(i), n, initial, EngineConfig::unsharded(), backend)
+            EngineActor::new(role, p(i), n, initial, EngineConfig::unbatched(), backend)
         })
         .collect();
     let mut sim = Simulation::new(actors, scenario.net.config(scenario.seed));
@@ -98,7 +97,7 @@ fn overspender_scenario_rejected_by_every_replica() {
         .waves(3)
         .seed(8)
         .adversary(p(2), Adversary::Overspend);
-    let report = ConsensuslessEngine::new(EngineConfig::standard()).run(&scenario);
+    let report = EngineConfig::standard().run(&scenario);
     assert_eq!(report.conflicts, 0);
     assert!(report.agreed && report.supply_ok);
     assert_eq!(report.completed, 5 * scenario.waves);
@@ -119,9 +118,9 @@ fn standard_suite_reruns_are_byte_identical() {
         BroadcastBackend::signed_echo(),
         BroadcastBackend::account_order(),
     ] {
-        let engine = ConsensuslessEngine::new(EngineConfig::standard().with_backend(backend));
-        let first = run_suite(&engine, 19);
-        let second = run_suite(&engine, 19);
+        let config = EngineConfig::standard().with_backend(backend);
+        let first = run_suite(config, 19);
+        let second = run_suite(config, 19);
         assert_eq!(
             first, second,
             "{backend:?}: suite reports differ across reruns"
@@ -132,8 +131,10 @@ fn standard_suite_reruns_are_byte_identical() {
             "{backend:?}: rendered suite tables differ across reruns"
         );
     }
-    let baseline = pbft_baseline();
-    assert_eq!(run_suite(&baseline, 19), run_suite(&baseline, 19));
+    assert_eq!(
+        run_suite(pbft_baseline(), 19),
+        run_suite(pbft_baseline(), 19)
+    );
 }
 
 /// Link faults from the DSL reach the simulator: dropped messages are
@@ -164,9 +165,9 @@ fn link_faults_shape_the_run() {
             extra_micros: 40_000,
         });
 
-    let engine = ConsensuslessEngine::new(EngineConfig::unsharded());
-    let clean = engine.run(&benign);
-    let faulted = engine.run(&lossy);
+    let config = EngineConfig::unbatched();
+    let clean = config.run(&benign);
+    let faulted = config.run(&lossy);
     assert_eq!(clean.messages_dropped, 0);
     assert_eq!(faulted.messages_dropped, 2);
     assert!(faulted.duration_us > clean.duration_us);
@@ -189,7 +190,8 @@ fn partitioned_minority_catches_up_after_heal() {
             heal_wave: 3,
         });
     for backend in [BroadcastBackend::Bracha, BroadcastBackend::signed_echo()] {
-        let report = ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(backend))
+        let report = EngineConfig::unbatched()
+            .with_backend(backend)
             .run(&scenario);
         assert_eq!(report.messages_dropped, 0, "{backend:?}");
         assert_eq!(report.conflicts, 0, "{backend:?}");
@@ -213,15 +215,12 @@ fn engines_agree_on_benign_workload_counts() {
             hot: a(1),
             percent_hot: 50,
         });
-    let consensusless = ConsensuslessEngine::new(EngineConfig::standard()).run(&scenario);
+    let consensusless = EngineConfig::standard().run(&scenario);
     let baseline = pbft_baseline().run(&scenario);
     assert_eq!(consensusless.completed, 6 * scenario.waves);
     assert_eq!(baseline.completed, 6 * scenario.waves);
     assert!(consensusless.agreed && baseline.agreed);
-    assert_eq!(
-        ConsensuslessEngine::new(EngineConfig::standard()).run(&scenario),
-        consensusless
-    );
+    assert_eq!(EngineConfig::standard().run(&scenario), consensusless);
 }
 
 /// Batch windows interact correctly with wave boundaries: a window wider
@@ -232,8 +231,8 @@ fn wide_batch_window_still_drains() {
         .waves(2)
         .transfers_per_wave(3)
         .seed(2);
-    let config = EngineConfig::sharded_batched(2, 64, VirtualTime::from_millis(5));
-    let report = ConsensuslessEngine::new(config).run(&scenario);
+    let config = EngineConfig::batched(64, VirtualTime::from_millis(5));
+    let report = config.run(&scenario);
     assert_eq!(report.completed, 4 * 2 * 3);
     assert!(report.agreed && report.supply_ok);
 }
@@ -250,7 +249,7 @@ fn completion_events_carry_transfers() {
                 p(i),
                 n,
                 Amount::new(50),
-                EngineConfig::unsharded(),
+                EngineConfig::unbatched(),
                 BrachaBroadcast::new(p(i), n),
             )
         })
@@ -283,7 +282,7 @@ fn closed_loop(n: usize, waves: usize, transfers_per_wave: usize) -> Scenario {
         .initial(Amount::new(1_000_000))
 }
 
-/// The backend-ablation gate. Unsharded and unbatched, so the
+/// The backend-ablation gate. Unbatched, so the
 /// per-transfer message count is each protocol's own cost: at n = 16 the
 /// signed backends spend at most half of Bracha's messages per transfer
 /// — `O(n)` sender cost plus the `(n−1)(n−2)` certificate relays that
@@ -299,7 +298,9 @@ fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
         BroadcastBackend::account_order(),
     ]
     .map(|backend| {
-        ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(backend)).run(&scenario)
+        EngineConfig::unbatched()
+            .with_backend(backend)
+            .run(&scenario)
     });
     for report in [&bracha, &echo, &account] {
         assert_eq!(report.completed, 32, "{}: stalled backend", report.engine);
@@ -334,7 +335,9 @@ fn ed25519_echo_matches_noauth_echo_message_for_message() {
     let scenario = closed_loop(4, 2, 2);
     let [modelled, real] = [AuthMode::None, AuthMode::Ed25519].map(|auth| {
         let backend = BroadcastBackend::SignedEcho { auth };
-        ConsensuslessEngine::new(EngineConfig::unsharded().with_backend(backend)).run(&scenario)
+        EngineConfig::unbatched()
+            .with_backend(backend)
+            .run(&scenario)
     });
     assert_eq!(modelled.messages_sent, 16 * 18);
     assert_eq!(real.completed, 4 * 2 * 2);
@@ -345,49 +348,42 @@ fn ed25519_echo_matches_noauth_echo_message_for_message() {
     assert_eq!(real.balance_digest, modelled.balance_digest);
 }
 
-/// The sharding-and-batching gate: at n = 16 with four clients per
-/// process, the sharded+batched engine's throughput is at least the
-/// unsharded engine's on strictly fewer messages (batching amortizes
-/// the `O(n²)` broadcast), and the PBFT baseline completes the same
-/// closed loop.
+/// The batching gate: at n = 16 with four clients per process, the
+/// batched engine's throughput is at least the unbatched engine's on
+/// strictly fewer messages (batching amortizes the `O(n²)` broadcast),
+/// and the PBFT baseline completes the same closed loop.
 #[test]
-fn sharded_batched_beats_or_matches_unsharded_at_16() {
+fn batched_beats_or_matches_unbatched_at_16() {
     let scenario = closed_loop(16, 2, 4);
-    let unsharded = ConsensuslessEngine::new(EngineConfig::unsharded()).run(&scenario);
-    let sharded = ConsensuslessEngine::new(EngineConfig::sharded_batched(
-        4,
-        8,
-        VirtualTime::from_micros(500),
-    ))
-    .run(&scenario);
+    let unbatched = EngineConfig::unbatched().run(&scenario);
+    let batched = EngineConfig::batched(8, VirtualTime::from_micros(500)).run(&scenario);
     let baseline = pbft_baseline().run(&scenario);
-    for report in [&unsharded, &sharded, &baseline] {
+    for report in [&unbatched, &batched, &baseline] {
         assert_eq!(report.completed, 16 * 2 * 4, "{}", report.engine);
         assert!(report.agreed && report.supply_ok, "{}", report.engine);
         assert_eq!(report.conflicts, 0, "{}", report.engine);
     }
     assert!(
-        sharded.throughput_tps >= unsharded.throughput_tps,
-        "sharded+batched {} tps < unsharded {} tps",
-        sharded.throughput_tps,
-        unsharded.throughput_tps
+        batched.throughput_tps >= unbatched.throughput_tps,
+        "batched {} tps < unbatched {} tps",
+        batched.throughput_tps,
+        unbatched.throughput_tps
     );
-    assert!(sharded.messages_sent < unsharded.messages_sent);
+    assert!(batched.messages_sent < unbatched.messages_sent);
 }
 
-/// The paper's line-up — unsharded, sharded+batched, PBFT baseline —
+/// The paper's line-up — unbatched, batched, PBFT baseline —
 /// reruns to identical reports on a multi-client closed loop: what
 /// `examples/engine_scenarios` prints does not depend on the run.
 #[test]
 fn engine_lineup_reruns_are_identical() {
     let scenario = closed_loop(8, 2, 2);
-    let lineup: [Box<dyn Engine>; 3] = [
-        Box::new(ConsensuslessEngine::new(EngineConfig::unsharded())),
-        Box::new(ConsensuslessEngine::new(EngineConfig::standard())),
-        Box::new(pbft_baseline()),
-    ];
-    for engine in &lineup {
-        assert_eq!(engine.run(&scenario), engine.run(&scenario));
+    for config in [
+        EngineConfig::unbatched(),
+        EngineConfig::standard(),
+        pbft_baseline(),
+    ] {
+        assert_eq!(config.run(&scenario), config.run(&scenario));
     }
 }
 
@@ -414,9 +410,7 @@ proptest! {
         }
         let mut reference: Option<at_engine::ScenarioReport> = None;
         for backend in BroadcastBackend::ALL {
-            let report = ConsensuslessEngine::new(
-                EngineConfig::standard().with_backend(backend),
-            )
+            let report = EngineConfig::standard().with_backend(backend)
             .run(&scenario);
             prop_assert_eq!(report.conflicts, 0, "{:?}", backend);
             prop_assert!(report.agreed, "{:?} diverged", backend);

@@ -1,6 +1,6 @@
 //! Figure 4 as the oracle of the runtime that ships.
 //!
-//! `at_engine::ShardedReplica` claims to be the paper's Figure 4 with a
+//! `at_engine::Replica` claims to be the paper's Figure 4 with a
 //! materialized ledger, batching and a pluggable broadcast. This file
 //! holds it to that: a recording [`SecureBroadcast`] decorator captures
 //! what each replica's backend delivered, the batches are flattened and
@@ -24,7 +24,7 @@ use at_broadcast::secure::{AccountOrderBackend, SecureBroadcast};
 use at_broadcast::types::{CryptoOps, Delivery, Step};
 use at_broadcast::{Batch, BrachaBroadcast, EchoBroadcast};
 use at_core::figure4::{Applied, TransferMsg, TransferState};
-use at_engine::{EngineConfig, EngineEvent, EnginePayload, ShardedReplica};
+use at_engine::{EngineConfig, EngineEvent, EnginePayload, Replica};
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
 use at_net::{Actor, Context, NetConfig, Simulation, VirtualTime};
 use rand::rngs::StdRng;
@@ -143,7 +143,7 @@ impl SecureBroadcast<EnginePayload> for Replay {
 /// Hands one recorded delivery to a replayed replica; returns what it
 /// applied in response.
 fn feed(
-    replica: &mut ShardedReplica<Replay>,
+    replica: &mut Replica<Replay>,
     n: usize,
     delivery: &Delivery<EnginePayload>,
 ) -> Vec<Transfer> {
@@ -181,7 +181,7 @@ fn hold_to_figure4<B: SecureBroadcast<EnginePayload>>(
     n: usize,
     log: &[Delivery<EnginePayload>],
     steps: &[Vec<Transfer>],
-    replica: &ShardedReplica<B>,
+    replica: &Replica<B>,
 ) {
     assert_eq!(log.len(), steps.len(), "{label}: one step per delivery");
     let mut oracle = TransferState::new(replica.me(), n, INITIAL);
@@ -253,8 +253,8 @@ fn replay_pruned_and_restored(
         }
     }
     let log = &noisy[..];
-    let mut pruned = ShardedReplica::with_backend(me, n, INITIAL, config, Replay);
-    let mut restored: Option<ShardedReplica<Replay>> = None;
+    let mut pruned = Replica::with_backend(me, n, INITIAL, config, Replay);
+    let mut restored: Option<Replica<Replay>> = None;
     let mut pruned_steps = Vec::with_capacity(log.len());
     let mut restored_steps = Vec::with_capacity(log.len());
     let cut = rng.gen_range(0..log.len());
@@ -270,7 +270,7 @@ fn replay_pruned_and_restored(
             pruned.prune_through(&frontier);
         }
         if restored.is_none() && k >= cut && pruned.pending_count() == 0 {
-            restored = Some(ShardedReplica::from_snapshot(
+            restored = Some(Replica::from_snapshot(
                 me,
                 n,
                 config,
@@ -324,7 +324,7 @@ where
                 inner: make(p(i)),
                 log: Vec::new(),
             };
-            ShardedReplica::with_backend(p(i), n, INITIAL, config, backend)
+            Replica::with_backend(p(i), n, INITIAL, config, backend)
         })
         .collect();
     let mut sim = Simulation::new(replicas, NetConfig::wan(seed));
@@ -374,14 +374,14 @@ where
     exercised
 }
 
-/// The gate: every backend × n ∈ {4, 7} × {`unsharded()`, `standard()`}
+/// The gate: every backend × n ∈ {4, 7} × {`unbatched()`, `standard()`}
 /// on each seed.
 fn oracle_gate(seeds: std::ops::Range<u64>, rounds: u64) {
     let mut exercised = Exercised::default();
     let runs = (seeds.end - seeds.start) * 12;
     for seed in seeds {
         for n in [4, 7] {
-            for config in [EngineConfig::unsharded(), EngineConfig::standard()] {
+            for config in [EngineConfig::unbatched(), EngineConfig::standard()] {
                 for case in [
                     run_case("bracha", n, config, seed, rounds, |me| {
                         BrachaBroadcast::new(me, n)
@@ -447,9 +447,9 @@ fn an_undeclared_credit_is_spent_where_figure_4_would_hold_it() {
     };
 
     let replicas = (0..n)
-        .map(|i| ShardedReplica::new(p(i), n, initial, EngineConfig::unsharded()))
+        .map(|i| Replica::new(p(i), n, initial, EngineConfig::unbatched()))
         .collect();
-    let mut sim: Simulation<ShardedReplica> = Simulation::new(replicas, NetConfig::lan(7));
+    let mut sim: Simulation<Replica> = Simulation::new(replicas, NetConfig::lan(7));
     sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
         replica.submit(a(1), Amount::new(10), ctx);
     });

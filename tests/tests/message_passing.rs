@@ -1,6 +1,6 @@
 //! Integration tests for the message-passing system (experiment F4) on
-//! the runtime that ships — `at_engine::ShardedReplica` in its Figure 4
-//! shape, `EngineConfig::unsharded()`: convergence, crash tolerance,
+//! the runtime that ships — `at_engine::Replica` in its Figure 4
+//! shape, `EngineConfig::unbatched()`: convergence, crash tolerance,
 //! causality, and linearizability of the successful sub-history
 //! (property 1 of Definition 1).
 //!
@@ -12,7 +12,7 @@
 //! `standard_suite_reruns_are_byte_identical` in `engine_scenarios.rs`.
 
 use at_core::figure4::TransferState;
-use at_engine::{history_from_events, EngineConfig, EngineEvent, ShardedReplica};
+use at_engine::{history_from_events, EngineConfig, EngineEvent, Replica};
 use at_model::{AccountId, Amount, Ledger, OwnerMap, ProcessId};
 use at_net::{NetConfig, Simulation, VirtualTime};
 
@@ -28,14 +28,14 @@ fn amt(x: u64) -> Amount {
     Amount::new(x)
 }
 
-fn system(n: usize, initial: u64, seed: u64) -> Simulation<ShardedReplica> {
+fn system(n: usize, initial: u64, seed: u64) -> Simulation<Replica> {
     let replicas = (0..n as u32)
-        .map(|i| ShardedReplica::new(p(i), n, amt(initial), EngineConfig::unsharded()))
+        .map(|i| Replica::new(p(i), n, amt(initial), EngineConfig::unbatched()))
         .collect();
     Simulation::new(replicas, NetConfig::lan(seed))
 }
 
-fn completed(sim: &mut Simulation<ShardedReplica>) -> usize {
+fn completed(sim: &mut Simulation<Replica>) -> usize {
     sim.take_events()
         .iter()
         .filter(|(_, _, e)| matches!(e, EngineEvent::Completed { .. }))

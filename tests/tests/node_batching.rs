@@ -93,7 +93,7 @@ fn burst(addr: std::net::SocketAddr, handle: &NodeHandle<EchoNode>, k: usize) {
 #[test]
 fn a_lone_transfer_leaves_idle_and_a_burst_leaves_whole() {
     let config = NodeConfig::new(
-        EngineConfig::sharded_batched(4, MAX_SIZE, VirtualTime::from_millis(1)),
+        EngineConfig::batched(MAX_SIZE, VirtualTime::from_millis(1)),
         Amount::new(10_000),
     );
     let mut cluster = start_tcp_cluster(N, config, TcpOptions::default(), |me| {
@@ -167,7 +167,7 @@ fn pipelined_transfers_ride_the_batch_behind_the_one_in_flight() {
     // A window no test run outlasts: a batch that leaves at all did not
     // leave through it.
     let config = NodeConfig::new(
-        EngineConfig::sharded_batched(4, MAX_SIZE, VirtualTime::from_millis(60_000)),
+        EngineConfig::batched(MAX_SIZE, VirtualTime::from_millis(60_000)),
         Amount::new(10_000),
     );
     let mut cluster = start_tcp_cluster(N, config, TcpOptions::default(), |me| {

@@ -8,7 +8,7 @@ use at_broadcast::echo::EchoBroadcast;
 use at_broadcast::pbft::PbftBroadcast;
 use at_broadcast::SecureBroadcast;
 use at_engine::replica::{EngineEvent, EnginePayload};
-use at_engine::{EngineConfig, ShardedReplica, Workload};
+use at_engine::{EngineConfig, Replica, Workload};
 use at_model::{AccountId, Amount, ProcessId};
 use at_net::{Actor, Context, VirtualTime};
 use at_node::{await_convergence, start_tcp_cluster, Client, NodeConfig, ResponseBody, TcpOptions};
@@ -26,10 +26,10 @@ fn a(i: u32) -> AccountId {
 }
 
 fn node_config() -> NodeConfig {
-    // Sharded + window-batched: the production shape, with a short real
+    // Window-batched: the production shape, with a short real
     // window so tests stay fast.
     NodeConfig::new(
-        EngineConfig::sharded_batched(4, 16, VirtualTime::from_micros(500)),
+        EngineConfig::batched(16, VirtualTime::from_micros(500)),
         Amount::new(1_000),
     )
 }
@@ -597,9 +597,9 @@ fn remote_responses_may_overtake_self_loopback() {
         F: Fn(ProcessId) -> B,
     {
         let n = 4;
-        let config = EngineConfig::unsharded();
-        let mut replicas: Vec<ShardedReplica<B>> = (0..n as u32)
-            .map(|i| ShardedReplica::with_backend(p(i), n, Amount::new(100), config, make(p(i))))
+        let config = EngineConfig::unbatched();
+        let mut replicas: Vec<Replica<B>> = (0..n as u32)
+            .map(|i| Replica::with_backend(p(i), n, Amount::new(100), config, make(p(i))))
             .collect();
         let mut events = Vec::new();
 

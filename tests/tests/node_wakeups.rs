@@ -24,7 +24,7 @@ const N: usize = 4;
 
 fn node_config() -> NodeConfig {
     NodeConfig::new(
-        EngineConfig::sharded_batched(4, 16, VirtualTime::from_micros(500)),
+        EngineConfig::batched(16, VirtualTime::from_micros(500)),
         Amount::new(1_000),
     )
 }
