@@ -389,27 +389,30 @@ mod tests {
     /// machine.
     ///
     /// An honest instance signs the SEND plus one ack share per process,
-    /// `n + 1`; it verifies the SEND at every process, the first `q` ack
-    /// shares at the sender (an ack past the quorum finds the instance
-    /// finalized and is dropped unverified) and `q` certificate shares
-    /// at each of the other `n − 1` when the sender's FINAL arrives (the
-    /// sender does not re-verify the shares it collected, and the
-    /// relayed copies arrive behind the delivery floor), `n·(q + 1)`.
+    /// `n + 1`. Nobody verifies what it signed itself: the SEND is
+    /// verified at every process but its sender, and each of the `q`
+    /// certificate shares at every process but its signer — at the
+    /// sender as acks arrive (an ack past the quorum finds the instance
+    /// finalized and is dropped unverified), elsewhere in the sender's
+    /// FINAL (the sender does not re-verify the shares it collected, and
+    /// the relayed copies arrive behind the delivery floor):
+    /// `(n − 1)(q + 1)`.
     ///
     /// An instance whose predecessor the last process never saw costs
-    /// the same `n·(q + 1)` verifications: the last process acks
-    /// nothing (`n` signs), so the sender verifies `q` of `n − 1` acks,
-    /// `n − 2` others verify the certificate and deliver, and the last
-    /// one verifies the first FINAL it sees, parks it behind the gap,
-    /// and drops the relayed copies on the parked duplicate without
-    /// verifying them. Verifying before the lookup in `on_echo`, or
-    /// before the duplicate check in `on_final`, moves a count and fails
-    /// here.
+    /// the same `(n − 1)(q + 1)` verifications: the last process acks
+    /// nothing (`n` signs), so the sender takes `q` of `n − 1` acks, its
+    /// own unverified; `n − 2` others verify the certificate but for
+    /// their own share and deliver; and the last one, whose share the
+    /// certificate lacks, verifies all `q` of the first FINAL it sees,
+    /// parks it behind the gap, and drops the relayed copies on the
+    /// parked duplicate without verifying them. Verifying before the
+    /// lookup in `on_echo`, or before the duplicate check in `on_final`,
+    /// moves a count and fails here.
     fn assert_signature_budget(n: usize) {
         let registry = at_obs::Registry::new("cluster");
         let auth = ObservedAuth::new(EdAuth::deterministic(n, 31), registry.recorder());
         let q = system(n)[0].quorum() as u64;
-        let budget = n as u64 * (q + 1);
+        let budget = (n as u64 - 1) * (q + 1);
 
         let mut endpoints = system_with(n, &auth);
         let wires = start(&mut endpoints, p(0), acct(0), 1, 42);
@@ -434,12 +437,12 @@ mod tests {
     }
 
     #[test]
-    fn honest_instance_costs_5_signs_and_16_verifies_at_n4() {
+    fn honest_instance_costs_5_signs_and_12_verifies_at_n4() {
         assert_signature_budget(4);
     }
 
     #[test]
-    fn honest_instance_costs_8_signs_and_42_verifies_at_n7() {
+    fn honest_instance_costs_8_signs_and_36_verifies_at_n7() {
         assert_signature_budget(7);
     }
 

@@ -116,6 +116,9 @@ struct Slot<P, S> {
     /// The digest of the first SEND verified here: the only one this
     /// process ever echoes for the slot (the anti-equivocation rule).
     echoed: Option<Digest>,
+    /// The echo share this process signed over `echoed`, once it has:
+    /// a certificate entry equal to it needs no verification here.
+    share: Option<S>,
     /// `IN_ORDER` only: that SEND's sender and payload, until its turn
     /// to be echoed comes (boxed: most slots never wait, and every slot
     /// pays for the field).
@@ -132,6 +135,7 @@ impl<P, S> Default for Slot<P, S> {
     fn default() -> Self {
         Slot {
             echoed: None,
+            share: None,
             waiting: None,
             sending: Vec::new(),
             memo: DigestMemo::default(),
@@ -272,6 +276,7 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
             return; // someone else's stream: never echoed, no slot
         }
         let turn = !IN_ORDER || seq == self.table.expected(stream);
+        let me = self.table.me();
         let Some(mut slot) = self.table.entry(stream, seq) else {
             return; // already released: not worth a verification
         };
@@ -282,12 +287,14 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
             Entry::Occupied(slot) => slot.get_mut().memo.digest(&payload),
             Entry::Vacant(_) => memo.digest(&payload),
         };
-        self.ops.verifies += 1;
-        if !self
-            .auth
-            .verify(from, &signed_bytes(b'S', stream, seq, digest), &sig)
-        {
-            return; // forged SEND: no slot either
+        // Only our own SEND, looped back, comes from `me`: signed here,
+        // so there is nothing to check.
+        if from != me {
+            self.ops.verifies += 1;
+            let bytes = signed_bytes(b'S', stream, seq, digest);
+            if !self.auth.verify(from, &bytes, &sig) {
+                return; // forged SEND: no slot either
+            }
         }
         let slot = slot.or_insert_with(|| Slot {
             memo,
@@ -305,7 +312,8 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         }
     }
 
-    /// Signs and sends the echo share for `(stream, seq)` to `sender`.
+    /// Signs and sends the echo share for `(stream, seq)` to `sender`,
+    /// and keeps it in the slot.
     fn echo(
         &mut self,
         sender: ProcessId,
@@ -318,6 +326,9 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         let share = self
             .auth
             .sign(self.table.me(), &signed_bytes(b'E', stream, seq, digest));
+        if let Some(slot) = self.table.get_mut(stream, seq) {
+            slot.share = Some(share.clone());
+        }
         self.trace
             .record(payload, sender, TraceEventKind::Echo, seq.value());
         step.send(
@@ -350,7 +361,7 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         let Some(certificate) = echoes.accept(
             (&self.auth, &mut self.ops),
             quorum,
-            from,
+            (me, from),
             || signed_bytes(b'E', stream, seq, digest),
             share,
         ) else {
@@ -388,12 +399,22 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         }
         let memo = self.table.get_mut(stream, seq).map(|slot| &mut slot.memo);
         let digest = DigestMemo::through(memo, &payload);
-        // For our own broadcast, the shares `on_echo` accepted are not
-        // verified again — only byte-exact matches over the same digest.
-        let own = self.table.get(stream, seq).and_then(|slot| {
+        // Trusted without a check, byte for byte and over this digest
+        // only: the shares `on_echo` accepted for our own broadcast, and
+        // the share we signed when we echoed this payload.
+        let me = self.table.me();
+        let slot = self.table.get(stream, seq);
+        let own = slot.and_then(|slot| {
             let mut sending = slot.sending.iter();
             sending.find(|echoes| echoes.digest() == digest)
         });
+        let echoed = slot
+            .filter(|slot| slot.echoed == Some(digest))
+            .and_then(|slot| slot.share.as_ref());
+        let trusted = |signer: ProcessId, share: &A::Sig| {
+            own.is_some_and(|own| own.collected(signer, share))
+                || (signer == me && echoed == Some(share))
+        };
         // Hop attribution for the trace: the stream's sender if it has a
         // sole one (the only streams that are traced).
         let source = stream.sole_sender().unwrap_or(from);
@@ -402,7 +423,7 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
             self.trace.ctx(&payload, source),
             &signed_bytes(b'E', stream, seq, digest),
             &certificate,
-            own,
+            trusted,
         );
         if signers < self.quorum() {
             return;
@@ -766,7 +787,8 @@ mod tests {
     #[test]
     fn final_matching_the_echoed_send_skips_only_that_verification() {
         // The SEND's signature was verified once, when it was echoed; the
-        // FINAL carries the certificate alone and costs its shares.
+        // FINAL carries the certificate alone and costs its shares, but
+        // for p1's own: the very share it signed when it echoed.
         let ed = EdAuth::deterministic(4, 21);
         let (mut endpoint, auth, certificate) = echoed_receiver(&ed, 5);
         let before = auth.verifies();
@@ -782,7 +804,45 @@ mod tests {
             &mut step,
         );
         assert_eq!(step.deliveries.len(), 1);
-        assert_eq!(auth.verifies() - before, 3, "three shares and nothing else");
+        assert_eq!(
+            auth.verifies() - before,
+            2,
+            "two peers' shares and nothing else"
+        );
+    }
+
+    #[test]
+    fn a_garbage_share_under_the_receivers_own_id_is_verified() {
+        // Only a byte-identical copy of the share p1 signed when it
+        // echoed goes unchecked. Here p1's entry is p1's signature over
+        // another digest: it is verified and fails, which leaves two
+        // valid shares, below the quorum, so the FINAL is neither
+        // delivered nor relayed. Trusting the entry for its signer alone
+        // would deliver it and relay a certificate every peer rejects.
+        let ed = EdAuth::deterministic(4, 26);
+        let (mut endpoint, auth, mut certificate) = echoed_receiver(&ed, 5);
+        let seq = SeqNo::new(1);
+        assert_eq!(certificate[0].0, p(1));
+        certificate[0].1 = ed.sign(p(1), &echo_bytes(p(0), seq, digest_of(&6u64)));
+        let before = auth.verifies();
+        let mut step = Step::new();
+        endpoint.on_message(
+            p(0),
+            EchoMsg::Final {
+                stream: p(0),
+                seq,
+                payload: 5,
+                certificate,
+            },
+            &mut step,
+        );
+        assert_eq!(auth.verifies() - before, 3, "p1's own entry went unchecked");
+        assert!(step.deliveries.is_empty(), "delivered on a garbage share");
+        assert!(
+            step.outgoing.is_empty(),
+            "relayed a certificate peers reject"
+        );
+        assert_eq!(endpoint.delivered_count(), 0);
     }
 
     #[test]
@@ -934,13 +994,15 @@ mod tests {
     /// SignedEcho's signature budget, as an exact count over a whole
     /// honest instance (all `n` endpoints metered into one registry).
     /// Signs: the SEND plus one echo share per process, `n + 1` — the
-    /// FINAL is the certificate, unsigned. Verifies: the SEND at every
-    /// process, the first `q` shares at the sender (echoes past the
-    /// quorum are dropped unverified), and `q` certificate shares at each
-    /// of the other `n − 1` (nobody re-verifies what it already
-    /// verified), `n·(q + 1)`. Signing the FINAL, or the sender
-    /// re-verifying the shares it collected, moves a count and fails
-    /// here.
+    /// FINAL is the certificate, unsigned. Verifies: nobody checks what
+    /// it signed itself or already checked. The SEND is verified at every
+    /// process but its sender, `n − 1`. Each of the `q` certificate
+    /// shares is verified once at every process but its signer, `q` of
+    /// them at the sender as echoes arrive (echoes past the quorum are
+    /// dropped unverified) and the rest in the FINAL, `q·(n − 1)`. In
+    /// all `(n − 1)(q + 1)`. Signing the FINAL, the sender re-verifying
+    /// the shares it collected, or anyone verifying its own SEND or
+    /// share, moves a count and fails here.
     fn assert_signature_budget(n: usize) {
         let registry = at_obs::Registry::new("cluster");
         let auth =
@@ -950,16 +1012,17 @@ mod tests {
         assert!(delivered.iter().all(|deliveries| deliveries.len() == 1));
         let n = n as u64;
         assert_eq!(auth.signs(), n + 1, "signs at n = {n}");
-        assert_eq!(auth.verifies(), n * (q + 1), "verifies at n = {n}, q = {q}");
+        let verifies = (n - 1) * (q + 1);
+        assert_eq!(auth.verifies(), verifies, "verifies at n = {n}, q = {q}");
     }
 
     #[test]
-    fn honest_instance_costs_5_signs_and_16_verifies_at_n4() {
+    fn honest_instance_costs_5_signs_and_12_verifies_at_n4() {
         assert_signature_budget(4);
     }
 
     #[test]
-    fn honest_instance_costs_8_signs_and_42_verifies_at_n7() {
+    fn honest_instance_costs_8_signs_and_36_verifies_at_n7() {
         assert_signature_budget(7);
     }
 

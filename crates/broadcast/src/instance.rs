@@ -370,23 +370,35 @@ impl<P, S: Clone> Collector<P, S> {
         self.digest
     }
 
-    /// Takes `from`'s share over `bytes()`; answers the certificate, in
-    /// signer order, when this share completes the quorum. A share past
-    /// the quorum costs nothing: it is dropped unverified.
+    /// Whether `share` is, byte for byte, the one `signer` gave here.
+    pub(crate) fn collected(&self, signer: ProcessId, share: &S) -> bool
+    where
+        S: PartialEq,
+    {
+        self.shares.get(&signer) == Some(share)
+    }
+
+    /// Takes `from`'s share over `bytes()` at process `me`; answers the
+    /// certificate, in signer order, when this share completes the
+    /// quorum. A share past the quorum costs nothing: it is dropped
+    /// unverified. So does our own, looped back: only it comes from
+    /// `me`, and it was signed here.
     pub(crate) fn accept<A: Authenticator<Sig = S>>(
         &mut self,
         (auth, ops): (&A, &mut CryptoOps),
         quorum: usize,
-        from: ProcessId,
+        (me, from): (ProcessId, ProcessId),
         bytes: impl FnOnce() -> Vec<u8>,
         share: S,
     ) -> Option<Vec<(ProcessId, S)>> {
         if self.finalized {
             return None;
         }
-        ops.verifies += 1;
-        if !auth.verify(from, &bytes(), &share) {
-            return None;
+        if from != me {
+            ops.verifies += 1;
+            if !auth.verify(from, &bytes(), &share) {
+                return None;
+            }
         }
         self.shares.insert(from, share);
         if self.shares.len() < quorum {
@@ -398,19 +410,26 @@ impl<P, S: Clone> Collector<P, S> {
 }
 
 /// Counts the distinct signers of `certificate` whose share over `bytes`
-/// is valid. A share this process verified itself — byte for byte one
-/// that `own` collected — is not verified again; the rest go to the
-/// authenticator in one call. `span` gets the verify span.
-pub(crate) fn verify_certificate<P, A: Authenticator>(
+/// is valid. An entry `trusted` vouches for is counted without a check;
+/// the rest go to the authenticator in one call. `span` gets the verify
+/// span.
+///
+/// The signed echo trusts exactly two kinds of entry, each only when
+/// the share is byte-identical to one this process holds for the same
+/// `(stream, seq)` and digest: a share its own broadcast collected
+/// (verified on arrival, or its own), and, at a receiver, the share it
+/// signed itself when it echoed that digest. Matching on the signer
+/// alone would be unsound: a garbage share under our id would count
+/// toward our delivery, and the FINAL we relay would then fail at every
+/// peer, which breaks totality.
+pub(crate) fn verify_certificate<A: Authenticator>(
     (auth, ops): (&A, &mut CryptoOps),
     span: Option<(&Tracer, TraceCtx)>,
     bytes: &[u8],
     certificate: &[(ProcessId, A::Sig)],
-    own: Option<&Collector<P, A::Sig>>,
+    trusted: impl Fn(ProcessId, &A::Sig) -> bool,
 ) -> usize {
-    let unverified = |(signer, share): &(ProcessId, A::Sig)| {
-        !own.is_some_and(|own| own.shares.get(signer) == Some(share))
-    };
+    let unverified = |(signer, share): &(ProcessId, A::Sig)| !trusted(*signer, share);
     let items: Vec<BatchVerifyItem<'_, A::Sig>> = certificate
         .iter()
         .filter(|entry| unverified(entry))

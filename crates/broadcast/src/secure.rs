@@ -607,12 +607,22 @@ mod tests {
             .collect();
         let delivered = drive(&mut endpoints, vec![(0, 9)]);
         assert!(delivered.iter().all(|d| d.len() == 1));
-        // The sender signed its SEND; every receiver verified it and
-        // signed an echo share; certificates were verified on delivery.
+        // The sender signed its SEND and its own echo share, and
+        // verified the two peer shares that completed its quorum
+        // {p0, p1, p2}. Receiver p1 verified the SEND, signed an echo
+        // share, and verified the certificate but for its own share.
         let sender_ops = SecureBroadcast::<u64>::crypto_ops(&endpoints[0]);
-        assert!(sender_ops.signs >= 2, "sender ops: {sender_ops:?}");
+        let expected = CryptoOps {
+            signs: 2,
+            verifies: 2,
+        };
+        assert_eq!(sender_ops, expected, "sender ops");
         let receiver_ops = SecureBroadcast::<u64>::crypto_ops(&endpoints[1]);
-        assert!(receiver_ops.verifies >= 4, "receiver ops: {receiver_ops:?}");
+        let expected = CryptoOps {
+            signs: 1,
+            verifies: 3,
+        };
+        assert_eq!(receiver_ops, expected, "receiver ops");
         // Bracha reports zero signature work.
         let bracha = BrachaBroadcast::<u64>::new(p(0), 4);
         assert_eq!(

@@ -6,7 +6,7 @@
 //! challenge `k = H(R ‖ A ‖ M)`, response `S = r + k·s mod ℓ`.
 //! Verification is cofactorless: `[S]B = R + [k]A`.
 
-use crate::edwards::{CombTable, EdwardsPoint};
+use crate::edwards::{basepoint_table, CombTable, EdwardsPoint};
 use crate::scalar::Scalar;
 use crate::sha2::Sha512;
 use at_model::codec::{Decode, Encode, Reader, Writer};
@@ -72,23 +72,26 @@ impl PublicKey {
     ///
     /// Returns a [`SignatureError`] describing which check failed.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
-        verify_with(&self.encoded, message, signature, |k| self.point.mul(k))
+        verify_with(&self.encoded, message, signature, |s, k| {
+            EdwardsPoint::mul_base(s).add(self.point.mul(k).neg())
+        })
     }
 }
 
-/// Checks `[S]B = R + [k]A` for `signature` over `message` under the
-/// public key encoded as `public`, with `times_a` computing `[k]A`. `R`
-/// is parsed before `S`, so a bad `R` wins.
+/// Checks `[S]B − [k]A = R` (that is, `[S]B = R + [k]A`) for
+/// `signature` over `message` under the public key encoded as `public`,
+/// with `lhs(S, k)` computing `[S]B − [k]A`. `R` is parsed before `S`,
+/// so a bad `R` wins.
 fn verify_with(
     public: &[u8; PUBLIC_KEY_LEN],
     message: &[u8],
     signature: &Signature,
-    times_a: impl FnOnce(Scalar) -> EdwardsPoint,
+    lhs: impl FnOnce(Scalar, Scalar) -> EdwardsPoint,
 ) -> Result<(), SignatureError> {
     let r_point = EdwardsPoint::decompress(&signature.r).ok_or(SignatureError::InvalidPoint)?;
     let s = Scalar::from_canonical_bytes(&signature.s).ok_or(SignatureError::NonCanonicalScalar)?;
     let k = challenge_scalar(&signature.r, public, message);
-    if EdwardsPoint::mul_base(s).equals(r_point.add(times_a(k))) {
+    if lhs(s, k).equals(r_point) {
         Ok(())
     } else {
         Err(SignatureError::EquationFailed)
@@ -115,7 +118,8 @@ impl fmt::Debug for PublicKey {
 }
 
 /// A public key with a precomputed fixed-base multiplication table for
-/// its point, making the `[k]A` half of verification additions-only.
+/// its point, making verification additions-only: `[S]B − [k]A` is one
+/// chain over the entries both tables select, gathered first.
 /// Build once per long-lived signer (a cluster peer);
 /// [`PrecomputedKey::verify`] then runs several times faster than
 /// [`PublicKey::verify`].
@@ -147,8 +151,8 @@ impl PrecomputedKey {
     ///
     /// Returns a [`SignatureError`] describing which check failed.
     pub fn verify(&self, message: &[u8], signature: &Signature) -> Result<(), SignatureError> {
-        verify_with(&self.public.encoded, message, signature, |k| {
-            self.table.mul(k)
+        verify_with(&self.public.encoded, message, signature, |s, k| {
+            basepoint_table().mul_sub(s, &self.table, k)
         })
     }
 }

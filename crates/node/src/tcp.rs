@@ -1226,6 +1226,57 @@ mod tests {
         t1.shutdown();
     }
 
+    #[test]
+    fn a_hello_naming_the_acceptor_is_refused() {
+        // Only loop-back may speak as this node: the signed broadcast
+        // checks no signature on a message from itself. A stranger that
+        // introduces itself to node 0 as node 0 is dropped and counted,
+        // gets no `HelloAck`, and its `Data` frame is never delivered.
+        let (mut t0, mut t1) = start_pair();
+        let impostor: Vec<u8> = [
+            Frame::HelloNode {
+                node: p(0),
+                epoch: 1,
+            },
+            Frame::Data {
+                seq: 0,
+                payload: vec![6, 6],
+            },
+        ]
+        .iter()
+        .flat_map(encode_frame)
+        .collect();
+        let mut stranger = TcpStream::connect(t0.listen_addr()).unwrap();
+        stranger.write_all(&impostor).unwrap();
+        let mut delivered = Vec::new();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while t0.poisoned_conns == 0 && delivered.is_empty() {
+            assert!(Instant::now() < deadline, "the impostor was never refused");
+            drive(&mut t0, &mut delivered);
+        }
+        assert_eq!(delivered, vec![], "the impostor was heard");
+        stranger
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        match stranger.read(&mut [0u8; 64]) {
+            Ok(0) => {}
+            Ok(_) => panic!("the impostor was answered"),
+            Err(e) => assert_eq!(e.kind(), ErrorKind::ConnectionReset),
+        }
+        // Real traffic still flows, and is all that is delivered.
+        t1.send(p(0), vec![42]);
+        assert_eq!(
+            recv_frame(&mut t0),
+            InboundFrame {
+                from: p(1),
+                payload: vec![42]
+            }
+        );
+        assert_eq!(t0.poisoned_conns, 1);
+        t0.shutdown();
+        t1.shutdown();
+    }
+
     const MAX_JUNK: u32 = crate::wire::MAX_FRAME_LEN + 7;
 
     fn start_faulty_pair(seed: u64) -> (TcpTransport, TcpTransport, FaultInjector) {
