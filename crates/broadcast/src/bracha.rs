@@ -29,7 +29,7 @@
 
 use crate::instance::{Digest, DigestMemo, InstanceTable, TraceHook};
 use crate::secure::{SecureBroadcast, TraceExtract};
-use crate::types::{CryptoOps, Step};
+use crate::types::Step;
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceEventKind, Tracer};
 use std::collections::{BTreeSet, HashMap};
@@ -289,10 +289,6 @@ impl<P: Clone + Eq + Encode + Send> SecureBroadcast<P> for BrachaBroadcast<P> {
 
     fn delivered_count(&self) -> usize {
         self.table.delivered_count()
-    }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        CryptoOps::default()
     }
 
     fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {

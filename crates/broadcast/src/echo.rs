@@ -45,7 +45,7 @@ use crate::instance::{
     signed_bytes, verify_certificate, Collector, Digest, DigestMemo, InstanceTable, TraceHook,
 };
 use crate::secure::{SecureBroadcast, TraceExtract};
-use crate::types::{CryptoOps, Step};
+use crate::types::Step;
 use at_model::{AccountId, Encode, ProcessId, SeqNo};
 use at_obs::{TraceEventKind, Tracer};
 use std::collections::hash_map::Entry;
@@ -150,7 +150,6 @@ pub struct SignedEcho<K, P, A: Authenticator, const IN_ORDER: bool> {
     table: InstanceTable<K, Slot<P, A::Sig>, P>,
     trace: TraceHook<P>,
     auth: A,
-    ops: CryptoOps,
     /// Mutation-testing hook: overrides [`SignedEcho::quorum`].
     #[cfg(feature = "broken")]
     quorum_override: Option<usize>,
@@ -172,7 +171,6 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
             table: InstanceTable::new(me, n),
             trace: TraceHook::new(me),
             auth,
-            ops: CryptoOps::default(),
             #[cfg(feature = "broken")]
             quorum_override: None,
         }
@@ -251,7 +249,6 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         let mut slot = self.table.entry(stream, seq).map(|slot| slot.or_default());
         let memo = slot.as_deref_mut().map(|slot| &mut slot.memo);
         let digest = DigestMemo::through(memo, &payload);
-        self.ops.signs += 1;
         let sig = self.auth.sign(me, &signed_bytes(b'S', stream, seq, digest));
         if let Some(slot) = slot {
             slot.sending.push(Collector::new(payload.clone(), digest));
@@ -289,12 +286,9 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         };
         // Only our own SEND, looped back, comes from `me`: signed here,
         // so there is nothing to check.
-        if from != me {
-            self.ops.verifies += 1;
-            let bytes = signed_bytes(b'S', stream, seq, digest);
-            if !self.auth.verify(from, &bytes, &sig) {
-                return; // forged SEND: no slot either
-            }
+        let bytes = || signed_bytes(b'S', stream, seq, digest);
+        if from != me && !self.auth.verify(from, &bytes(), &sig) {
+            return; // forged SEND: no slot either
         }
         let slot = slot.or_insert_with(|| Slot {
             memo,
@@ -322,7 +316,6 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         payload: &P,
         step: &mut Out<K, P, A>,
     ) {
-        self.ops.signs += 1;
         let share = self
             .auth
             .sign(self.table.me(), &signed_bytes(b'E', stream, seq, digest));
@@ -359,7 +352,7 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
             return; // echo for an unknown/finished broadcast
         };
         let Some(certificate) = echoes.accept(
-            (&self.auth, &mut self.ops),
+            &self.auth,
             quorum,
             (me, from),
             || signed_bytes(b'E', stream, seq, digest),
@@ -419,7 +412,7 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         // sole one (the only streams that are traced).
         let source = stream.sole_sender().unwrap_or(from);
         let signers = verify_certificate(
-            (&self.auth, &mut self.ops),
+            &self.auth,
             self.trace.ctx(&payload, source),
             &signed_bytes(b'E', stream, seq, digest),
             &certificate,
@@ -520,10 +513,6 @@ where
 
     fn delivered_count(&self) -> usize {
         self.table.delivered_count()
-    }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        self.ops
     }
 
     fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {

@@ -18,7 +18,7 @@
 
 use crate::auth::{Authenticator, BatchVerifyItem};
 use crate::secure::TraceExtract;
-use crate::types::{CryptoOps, Step};
+use crate::types::Step;
 use at_model::codec::{encode, Writer};
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceCtx, TraceEventKind, Tracer};
@@ -385,7 +385,7 @@ impl<P, S: Clone> Collector<P, S> {
     /// `me`, and it was signed here.
     pub(crate) fn accept<A: Authenticator<Sig = S>>(
         &mut self,
-        (auth, ops): (&A, &mut CryptoOps),
+        auth: &A,
         quorum: usize,
         (me, from): (ProcessId, ProcessId),
         bytes: impl FnOnce() -> Vec<u8>,
@@ -394,11 +394,8 @@ impl<P, S: Clone> Collector<P, S> {
         if self.finalized {
             return None;
         }
-        if from != me {
-            ops.verifies += 1;
-            if !auth.verify(from, &bytes(), &share) {
-                return None;
-            }
+        if from != me && !auth.verify(from, &bytes(), &share) {
+            return None;
         }
         self.shares.insert(from, share);
         if self.shares.len() < quorum {
@@ -423,7 +420,7 @@ impl<P, S: Clone> Collector<P, S> {
 /// toward our delivery, and the FINAL we relay would then fail at every
 /// peer, which breaks totality.
 pub(crate) fn verify_certificate<A: Authenticator>(
-    (auth, ops): (&A, &mut CryptoOps),
+    auth: &A,
     span: Option<(&Tracer, TraceCtx)>,
     bytes: &[u8],
     certificate: &[(ProcessId, A::Sig)],
@@ -439,7 +436,6 @@ pub(crate) fn verify_certificate<A: Authenticator>(
             sig: share,
         })
         .collect();
-    ops.verifies += items.len() as u64;
     if let Some((tracer, ctx)) = span {
         tracer.record(ctx, TraceEventKind::VerifyStart, items.len() as u64);
     }

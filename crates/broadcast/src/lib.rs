@@ -27,12 +27,13 @@
 //!   which releases its total order per source and so runs the
 //!   consensus baseline wherever a secure broadcast runs;
 //! * [`auth`] — pluggable signing ([`EdAuth`] real Ed25519 /
-//!   [`NoAuth`] authenticated-channels model);
+//!   [`NoAuth`] authenticated-channels model), and [`ObservedAuth`],
+//!   which counts every sign and verify in a node's metric registry —
+//!   the one count of signature work;
 //! * [`secure`] — the [`SecureBroadcast`] trait unifying the four
 //!   backends behind one interface (the engine runtime is generic over
 //!   it);
-//! * [`types`] — delivery/step plumbing and the [`CryptoOps`]
-//!   signature-work counters;
+//! * [`types`] — delivery/step plumbing;
 //! * [`wire`] — canonical [`at_model::codec`] encodings for every
 //!   protocol message enum, so the state machines can ride a real byte
 //!   transport (`at-node`) unchanged.
@@ -73,4 +74,4 @@ pub use bracha::{BrachaBroadcast, BrachaMsg};
 pub use echo::{EchoBroadcast, EchoMsg, SignedEcho, Stream};
 pub use pbft::{PbftBroadcast, PbftMsg, PbftReplica};
 pub use secure::{SecureBroadcast, TraceExtract};
-pub use types::{CryptoOps, Delivery, Outgoing, Step};
+pub use types::{Delivery, Outgoing, Step};

@@ -35,7 +35,7 @@
 
 use crate::instance::InstanceTable;
 use crate::secure::SecureBroadcast;
-use crate::types::{CryptoOps, Step};
+use crate::types::Step;
 use at_model::{Encode, ProcessId, SeqNo};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -577,10 +577,6 @@ impl<P: Request + Encode + Send> SecureBroadcast<P> for PbftBroadcast<P> {
 
     fn delivered_count(&self) -> usize {
         self.table.delivered_count()
-    }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        CryptoOps::default()
     }
 
     fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {

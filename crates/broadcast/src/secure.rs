@@ -69,7 +69,7 @@
 //!   defaults below; the replica's slots and executed set only grow.
 
 pub use crate::account_order::AccountOrderBackend;
-use crate::types::{CryptoOps, Step};
+use crate::types::Step;
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceCtx, Tracer};
 
@@ -108,10 +108,6 @@ pub trait SecureBroadcast<P: Clone + Eq + Encode>: Send {
 
     /// Number of instances this endpoint has delivered.
     fn delivered_count(&self) -> usize;
-
-    /// Cumulative signature operations (zeros for signature-free
-    /// protocols).
-    fn crypto_ops(&self) -> CryptoOps;
 
     /// Wires causal tracing into the protocol: payloads whose `extract`
     /// yields a [`TraceCtx`] get their protocol steps (send, echo,
@@ -152,7 +148,7 @@ pub trait SecureBroadcast<P: Clone + Eq + Encode>: Send {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::auth::{EdAuth, NoAuth};
+    use crate::auth::{EdAuth, NoAuth, ObservedAuth};
     use crate::batch::Batch;
     use crate::bracha::{BrachaBroadcast, BrachaMsg};
     use crate::echo::{EchoBroadcast, EchoMsg};
@@ -601,9 +597,16 @@ mod tests {
 
     #[test]
     fn crypto_ops_count_real_signature_work() {
-        let auth = EdAuth::deterministic(4, 5);
-        let mut endpoints: Vec<EchoBroadcast<u64, EdAuth>> = (0..4)
-            .map(|i| EchoBroadcast::new(p(i as u32), 4, auth.clone()))
+        // Each endpoint meters its own node's registry, as on a node.
+        let ed = EdAuth::deterministic(4, 5);
+        let auths: Vec<ObservedAuth<EdAuth>> = (0..4)
+            .map(|i| {
+                let registry = at_obs::Registry::new(format!("node p{i}"));
+                ObservedAuth::new(ed.clone(), registry.recorder())
+            })
+            .collect();
+        let mut endpoints: Vec<EchoBroadcast<u64, _>> = (0..4)
+            .map(|i| EchoBroadcast::new(p(i as u32), 4, auths[i].clone()))
             .collect();
         let delivered = drive(&mut endpoints, vec![(0, 9)]);
         assert!(delivered.iter().all(|d| d.len() == 1));
@@ -611,24 +614,9 @@ mod tests {
         // verified the two peer shares that completed its quorum
         // {p0, p1, p2}. Receiver p1 verified the SEND, signed an echo
         // share, and verified the certificate but for its own share.
-        let sender_ops = SecureBroadcast::<u64>::crypto_ops(&endpoints[0]);
-        let expected = CryptoOps {
-            signs: 2,
-            verifies: 2,
-        };
-        assert_eq!(sender_ops, expected, "sender ops");
-        let receiver_ops = SecureBroadcast::<u64>::crypto_ops(&endpoints[1]);
-        let expected = CryptoOps {
-            signs: 1,
-            verifies: 3,
-        };
-        assert_eq!(receiver_ops, expected, "receiver ops");
-        // Bracha reports zero signature work.
-        let bracha = BrachaBroadcast::<u64>::new(p(0), 4);
-        assert_eq!(
-            SecureBroadcast::<u64>::crypto_ops(&bracha),
-            CryptoOps::default()
-        );
+        let ops = |i: usize| (auths[i].signs(), auths[i].verifies());
+        assert_eq!(ops(0), (2, 2), "sender signs/verifies");
+        assert_eq!(ops(1), (1, 3), "receiver signs/verifies");
     }
 
     #[test]

@@ -90,19 +90,6 @@ impl<M, P, K> Step<M, P, K> {
     }
 }
 
-/// Cumulative signature-operation counters of a broadcast endpoint.
-///
-/// Signature-free protocols (Bracha) report zeros; the signed protocols
-/// count every `sign`/`verify` their state machine performs, including
-/// per-share certificate checks.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CryptoOps {
-    /// Signatures produced.
-    pub signs: u64,
-    /// Signature verifications performed.
-    pub verifies: u64,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -594,13 +594,11 @@ where
                 let i = node as usize;
                 // Harvest the dying incarnation's loss counters — they
                 // die with its loop, and the FrameLoss gate must see
-                // loss from *before* the crash too. Transport drops are
-                // read just before the stop; ingest/decode losses come
-                // from `stop_counted`, which includes anything the stop
-                // itself discarded at grace expiry.
-                let handle = cluster.handles[i].as_ref().expect("victim running");
-                carried_loss.dropped += handle.report().dropped_frames;
-                let (replica, lost_ingest, malformed) = cluster.stop_node_counted(i);
+                // loss from *before* the crash too. `stop_counted` reads
+                // them after the loop exits, so they include anything
+                // the stop itself dropped or discarded.
+                let (replica, dropped, lost_ingest, malformed) = cluster.stop_node_counted(i);
+                carried_loss.dropped += dropped;
                 carried_loss.lost_ingest += lost_ingest;
                 carried_loss.malformed += malformed;
                 std::thread::sleep(Duration::from_millis(u64::from(down_ms)));

@@ -25,7 +25,7 @@ use at_broadcast::auth::NoAuth;
 use at_broadcast::echo::EchoBroadcast;
 use at_broadcast::pbft::PbftBroadcast;
 use at_broadcast::secure::SecureBroadcast;
-use at_broadcast::types::{CryptoOps, Delivery, Step};
+use at_broadcast::types::{Delivery, Step};
 use at_engine::EnginePayload;
 use at_model::{Encode, ProcessId, SeqNo};
 use std::collections::BTreeMap;
@@ -138,10 +138,6 @@ where
 
     fn delivered_count(&self) -> usize {
         self.inner.delivered_count()
-    }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        self.inner.crypto_ops()
     }
 }
 

@@ -16,7 +16,8 @@
 //!   runtime implements to carry the same actors over OS threads and
 //!   sockets (implementations live in `at-node`; [`Context::detached`]
 //!   is the matching hook for driving an [`Actor`] outside the
-//!   simulator).
+//!   simulator). An endpoint counts its traffic in its node's at-obs
+//!   registry ([`TransportCounters`]), the one place a count lives.
 //!
 //! Byzantine behaviour is modelled *in the actors* (an equivocating
 //! process simply is a different actor implementation); the network is
@@ -66,6 +67,7 @@ pub use sim::{
 };
 pub use time::VirtualTime;
 pub use transport::{
-    FaultInjector, InboundFrame, LinkProfile, LinkVerdict, RecvOutcome, Transport, TransportStats,
+    FaultInjector, InboundFrame, LinkProfile, LinkVerdict, RecvOutcome, Transport,
+    TransportCounters,
 };
 pub use wake::Waker;

@@ -35,6 +35,15 @@
 //! model (the in-process mesh enforces it by construction; the TCP
 //! transport trusts its network segment — see its module docs).
 //!
+//! # Counts
+//!
+//! An endpoint is born with its node's at-obs [`Registry`]
+//! ([`Transport::registry`]) and counts its traffic there, through
+//! [`TransportCounters`] resolved once at birth: frames and bytes each
+//! way, drops, lost links, acknowledgements, polls and poisoned
+//! connections. The node serves that registry to every scrape, so a
+//! count has one home and nothing copies it.
+//!
 //! Two implementations live in `at-node`: a lossless in-process channel
 //! mesh for tests, and a TCP transport whose consumer's own thread
 //! moves every frame — its `recv_timeout` polls the peer sockets — with
@@ -44,119 +53,79 @@
 
 use crate::wake::Waker;
 use at_model::ProcessId;
+use at_obs::{Counter, Registry};
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Shared, lock-free frame/byte totals a transport keeps for
-/// observability. Cloning shares the counters; implementations note
-/// traffic from whatever thread moves it, and consumers read totals at
-/// snapshot time via [`Transport::stats`].
-#[derive(Clone, Debug, Default)]
-pub struct TransportStats {
-    inner: Arc<TransportStatsInner>,
+/// The counts every transport endpoint keeps, resolved once from the
+/// node's metric registry ([`Transport::registry`]) and incremented
+/// where the event happens. A scrape of the registry reads them; no
+/// copy of them exists anywhere else.
+#[derive(Debug)]
+pub struct TransportCounters {
+    /// `transport_frames_out_total`: outbound frames accepted (a frame
+    /// dropped by backpressure is not).
+    pub frames_out: Arc<Counter>,
+    /// `transport_bytes_out_total`: their payload bytes.
+    pub bytes_out: Arc<Counter>,
+    /// `transport_frames_in_total`: inbound frames delivered.
+    pub frames_in: Arc<Counter>,
+    /// `transport_bytes_in_total`: their payload bytes.
+    pub bytes_in: Arc<Counter>,
+    /// `transport_dropped_frames_total`: frames given up on for want of
+    /// buffering capacity ([`Transport::dropped_frames`]).
+    pub dropped: Arc<Counter>,
+    /// `transport_reconnects_total`: links lost (repaired by a reconnect
+    /// and replay); the failed dial attempts of an outage do not count.
+    pub reconnects: Arc<Counter>,
+    /// `transport_acks_out_total`: acknowledgements written to peers —
+    /// the receive side's own traffic, not in `frames_out`.
+    pub acks_out: Arc<Counter>,
+    /// `transport_acks_in_total`: acknowledgements received from peers.
+    pub acks_in: Arc<Counter>,
+    /// `transport_polls_total`: returns from the blocking wait on the
+    /// sockets — the wake-ups the transport's own housekeeping costs.
+    pub polls: Arc<Counter>,
+    /// `transport_poisoned_conns_total`: peer connections ended for
+    /// malformed or out-of-protocol input (diagnostics, not loss: the
+    /// link replays).
+    pub poisoned_conns: Arc<Counter>,
 }
 
-#[derive(Debug, Default)]
-struct TransportStatsInner {
-    frames_out: AtomicU64,
-    bytes_out: AtomicU64,
-    frames_in: AtomicU64,
-    bytes_in: AtomicU64,
-    reconnects: AtomicU64,
-    acks_out: AtomicU64,
-    acks_in: AtomicU64,
-    polls: AtomicU64,
-}
-
-impl TransportStats {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        TransportStats::default()
+impl TransportCounters {
+    /// Resolves every transport counter in `obs`, so a scrape carries
+    /// each name from the endpoint's birth on, zero or not.
+    pub fn resolve(obs: &Registry) -> Self {
+        TransportCounters {
+            frames_out: obs.counter("transport_frames_out_total"),
+            bytes_out: obs.counter("transport_bytes_out_total"),
+            frames_in: obs.counter("transport_frames_in_total"),
+            bytes_in: obs.counter("transport_bytes_in_total"),
+            dropped: obs.counter(DROPPED_FRAMES),
+            reconnects: obs.counter("transport_reconnects_total"),
+            acks_out: obs.counter("transport_acks_out_total"),
+            acks_in: obs.counter("transport_acks_in_total"),
+            polls: obs.counter("transport_polls_total"),
+            poisoned_conns: obs.counter("transport_poisoned_conns_total"),
+        }
     }
 
     /// Counts one accepted outbound frame of `bytes` payload bytes.
-    pub fn note_send(&self, bytes: usize) {
-        self.inner.frames_out.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .bytes_out
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+    pub fn sent(&self, bytes: usize) {
+        self.frames_out.inc();
+        self.bytes_out.add(bytes as u64);
     }
 
     /// Counts one delivered inbound frame of `bytes` payload bytes.
-    pub fn note_recv(&self, bytes: usize) {
-        self.inner.frames_in.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .bytes_in
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Counts one lost link (repaired by a reconnect and replay); the
-    /// failed dial attempts of its outage do not count.
-    pub fn note_reconnect(&self) {
-        self.inner.reconnects.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one acknowledgement written to a peer.
-    pub fn note_ack(&self) {
-        self.inner.acks_out.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one acknowledgement received from a peer.
-    pub fn note_ack_in(&self) {
-        self.inner.acks_in.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one return from the transport's blocking wait on its
-    /// sockets — the wake-ups its own housekeeping costs, beside the
-    /// ones that end in a frame for the consumer.
-    pub fn note_poll(&self) {
-        self.inner.polls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Outbound frames accepted so far.
-    pub fn frames_out(&self) -> u64 {
-        self.inner.frames_out.load(Ordering::Relaxed)
-    }
-
-    /// Outbound payload bytes accepted so far.
-    pub fn bytes_out(&self) -> u64 {
-        self.inner.bytes_out.load(Ordering::Relaxed)
-    }
-
-    /// Inbound frames delivered so far.
-    pub fn frames_in(&self) -> u64 {
-        self.inner.frames_in.load(Ordering::Relaxed)
-    }
-
-    /// Inbound payload bytes delivered so far.
-    pub fn bytes_in(&self) -> u64 {
-        self.inner.bytes_in.load(Ordering::Relaxed)
-    }
-
-    /// Links lost so far.
-    pub fn reconnects(&self) -> u64 {
-        self.inner.reconnects.load(Ordering::Relaxed)
-    }
-
-    /// Acknowledgements written to peers so far — the receive side's
-    /// own traffic, not counted in [`TransportStats::frames_out`].
-    pub fn acks_out(&self) -> u64 {
-        self.inner.acks_out.load(Ordering::Relaxed)
-    }
-
-    /// Acknowledgements received from peers so far.
-    pub fn acks_in(&self) -> u64 {
-        self.inner.acks_in.load(Ordering::Relaxed)
-    }
-
-    /// Returns from the blocking socket wait so far (0 for a transport
-    /// that does not poll).
-    pub fn polls(&self) -> u64 {
-        self.inner.polls.load(Ordering::Relaxed)
+    pub fn received(&self, bytes: usize) {
+        self.frames_in.inc();
+        self.bytes_in.add(bytes as u64);
     }
 }
+
+/// The registry name of [`TransportCounters::dropped`].
+const DROPPED_FRAMES: &str = "transport_dropped_frames_total";
 
 /// One frame received from the mesh.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -208,10 +177,17 @@ pub trait Transport: Send {
     /// frames blocks in one place (see [`crate::inbox`]).
     fn waker(&self) -> Waker;
 
+    /// The node's metric registry, labelled `node <id>`: the endpoint
+    /// is born with it and counts its traffic there
+    /// ([`TransportCounters`]); the node loop counts its own events in
+    /// the same registry and serves it to every scrape.
+    fn registry(&self) -> &Registry;
+
     /// Frames dropped by this endpoint because buffering capacity was
-    /// exhausted (0 in the reliable regime).
+    /// exhausted (0 in the reliable regime): its
+    /// `transport_dropped_frames_total`.
     fn dropped_frames(&self) -> u64 {
-        0
+        self.registry().counter(DROPPED_FRAMES).get()
     }
 
     /// Whether every accepted frame has verifiably reached its peer
@@ -241,9 +217,6 @@ pub trait Transport: Send {
     /// Releases transport resources (threads, sockets). Further `send`s
     /// are silently discarded.
     fn shutdown(&mut self) {}
-
-    /// The transport's traffic totals.
-    fn stats(&self) -> TransportStats;
 }
 
 /// Per-directed-link fault profile the TCP transport consults (see

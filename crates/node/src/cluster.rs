@@ -280,10 +280,10 @@ where
     }
 
     /// [`TcpCluster::stop_node`] that also returns the incarnation's
-    /// final `(lost_ingest, malformed_frames)` counters (see
-    /// [`NodeHandle::stop_counted`]) — they die with the node loop, and
-    /// a loss-gating harness must fold them into its run totals.
-    pub fn stop_node_counted(&mut self, i: usize) -> (Replica<B>, u64, u64) {
+    /// final `(dropped_frames, lost_ingest, malformed_frames)` counters
+    /// (see [`NodeHandle::stop_counted`]) — they die with the node loop,
+    /// and a loss-gating harness must fold them into its run totals.
+    pub fn stop_node_counted(&mut self, i: usize) -> (Replica<B>, u64, u64, u64) {
         self.handles[i]
             .take()
             .expect("node already stopped")

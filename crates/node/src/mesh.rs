@@ -6,11 +6,14 @@
 //! lives and keeps draining; a full queue applies *bounded*
 //! backpressure and then drops with a count, and sending to a dropped
 //! endpoint counts the frame as dropped — the same observable contract
-//! as the TCP transport, without sockets.
+//! as the TCP transport, without sockets. Each endpoint counts in a
+//! registry of its own, labelled `node <id>`, which the node built on
+//! it serves.
 
 use at_model::ProcessId;
-use at_net::transport::{InboundFrame, RecvOutcome, Transport, TransportStats};
+use at_net::transport::{InboundFrame, RecvOutcome, Transport, TransportCounters};
 use at_net::{Inbox, Waker};
+use at_obs::Registry;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,10 +29,9 @@ pub struct ChannelMesh {
     me: ProcessId,
     /// Every endpoint's inbox, indexed by process (ours included).
     peers: Vec<Arc<Inbox>>,
-    dropped: u64,
     closed: bool,
-    /// Traffic totals for observability ([`Transport::stats`]).
-    stats: TransportStats,
+    registry: Registry,
+    counters: TransportCounters,
 }
 
 /// Builds a fully connected mesh of `n` endpoints whose inboxes hold up
@@ -39,12 +41,16 @@ pub fn channel_mesh(n: usize, capacity: usize) -> Vec<ChannelMesh> {
     assert!(capacity >= 1, "capacity must be positive");
     let inboxes: Vec<Arc<Inbox>> = (0..n).map(|_| Inbox::new(capacity)).collect();
     (0..n)
-        .map(|i| ChannelMesh {
-            me: ProcessId::new(i as u32),
-            peers: inboxes.clone(),
-            dropped: 0,
-            closed: false,
-            stats: TransportStats::new(),
+        .map(|i| {
+            let me = ProcessId::new(i as u32);
+            let registry = Registry::new(format!("node {me}"));
+            ChannelMesh {
+                me,
+                peers: inboxes.clone(),
+                closed: false,
+                counters: TransportCounters::resolve(&registry),
+                registry,
+            }
         })
         .collect()
 }
@@ -80,7 +86,7 @@ impl Transport for ChannelMesh {
         if self.closed {
             return;
         }
-        self.stats.note_send(payload.len());
+        let bytes = payload.len();
         let frame = InboundFrame {
             from: self.me,
             payload,
@@ -89,8 +95,10 @@ impl Transport for ChannelMesh {
         // makes room, up to the deadline, then drop and count — never
         // block the node loop unboundedly. A closed (shut down or
         // dropped) endpoint counts the frame as dropped at once.
-        if !self.peers[to.as_usize()].push(frame, BACKPRESSURE_TIMEOUT) {
-            self.dropped += 1;
+        if self.peers[to.as_usize()].push(frame, BACKPRESSURE_TIMEOUT) {
+            self.counters.sent(bytes);
+        } else {
+            self.counters.dropped.inc();
         }
     }
 
@@ -100,7 +108,7 @@ impl Transport for ChannelMesh {
         }
         let outcome = self.inbox().recv_timeout(timeout);
         if let RecvOutcome::Frame(frame) = &outcome {
-            self.stats.note_recv(frame.payload.len());
+            self.counters.received(frame.payload.len());
         }
         outcome
     }
@@ -109,12 +117,8 @@ impl Transport for ChannelMesh {
         self.inbox().waker()
     }
 
-    fn dropped_frames(&self) -> u64 {
-        self.dropped
-    }
-
-    fn stats(&self) -> TransportStats {
-        self.stats.clone()
+    fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     fn shutdown(&mut self) {
@@ -176,6 +180,12 @@ mod tests {
         let mut a = mesh.remove(0);
         a.send(p(1), vec![9]);
         assert_eq!(a.dropped_frames(), 1);
+        // Counted in the endpoint's own registry, and not as sent.
+        let scrape = a.registry().snapshot();
+        assert_eq!(scrape.label, "node p0");
+        assert_eq!(scrape.counter("transport_dropped_frames_total"), Some(1));
+        assert_eq!(scrape.counter("transport_frames_out_total"), Some(0));
+        assert_eq!(scrape.counter("transport_bytes_out_total"), Some(0));
     }
 
     #[test]

@@ -160,6 +160,8 @@ struct Counters {
     rejected: Arc<Counter>,
     malformed_frames: Arc<Counter>,
     lost_ingest: Arc<Counter>,
+    /// The transport's drops, counted where it gives up on a frame.
+    dropped_frames: Arc<Counter>,
     /// Peer protocol messages fed to the replica.
     msgs_in: Arc<Counter>,
     /// Peer protocol messages encoded onto the wire.
@@ -178,6 +180,7 @@ impl Counters {
             rejected: obs.counter("node_rejected_total"),
             malformed_frames: obs.counter("node_malformed_frames_total"),
             lost_ingest: obs.counter("node_lost_ingest_total"),
+            dropped_frames: obs.counter("transport_dropped_frames_total"),
             msgs_in: obs.counter("node_peer_msgs_in_total"),
             msgs_out: obs.counter("node_peer_msgs_out_total"),
             wakeups: obs.counter("node_loop_wakeups_total"),
@@ -356,13 +359,14 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
     }
 
     /// [`NodeHandle::stop`] that also returns this incarnation's final
-    /// `(lost_ingest, malformed_frames)` counters — read *after* the
-    /// loop exits, so they include losses the stop itself incurred (a
-    /// grace-expired stop counts its discarded ingest after any earlier
-    /// [`NodeHandle::report`] could have seen it). Harnesses that gate
+    /// `(dropped_frames, lost_ingest, malformed_frames)` counters — read
+    /// *after* the loop exits, so they include losses the stop itself
+    /// incurred (a frame the transport dropped during the drain, ingest
+    /// a grace-expired stop discarded) after any earlier
+    /// [`NodeHandle::report`] could have seen them. Harnesses that gate
     /// on zero loss across crash/restart cycles need these; the
     /// restarted incarnation starts fresh counters.
-    pub fn stop_counted(mut self) -> (Replica<B>, u64, u64) {
+    pub fn stop_counted(mut self) -> (Replica<B>, u64, u64, u64) {
         let _ = self.commands.send(Command::Stop);
         let replica = self
             .join
@@ -372,6 +376,7 @@ impl<B: at_broadcast::SecureBroadcast<EnginePayload>> NodeHandle<B> {
             .expect("node loop panicked");
         (
             replica,
+            self.counters.dropped_frames.get(),
             self.counters.lost_ingest.get(),
             self.counters.malformed_frames.get(),
         )
@@ -575,7 +580,8 @@ where
     B::Msg: Encode + Decode + Send + 'static,
 {
     /// Starts the node loop over `transport` (whose [`Transport::me`]
-    /// names the node and labels its metric registry), with an optional
+    /// names the node, and whose [`Transport::registry`] is the node's
+    /// metric registry: the loop counts there too), with an optional
     /// TCP gateway accepting clients and an optional cluster
     /// [`EventProbe`] recording every engine event the loop observes.
     ///
@@ -600,7 +606,7 @@ where
         let (commands, command_rx) = command_channel(transport.waker());
         let registry: ResponseRegistry = Arc::default();
         let conn_counter = Arc::new(AtomicU64::new(0));
-        let obs = Registry::new(format!("node {}", transport.me()));
+        let obs = transport.registry().clone();
         let recorder = obs.recorder();
         let counters = Counters::resolve(&obs);
         let mut replica = replica(&recorder);
@@ -1169,10 +1175,11 @@ where
     }
 
     /// Builds the node's metric snapshot on the loop thread, where the
-    /// replica, backend and transport live: the totals *they* keep
-    /// (prune and drop counts, crypto ops, frame counts) are folded into
-    /// registry counters by monotone delta, then the registry — the
-    /// loop's own counters already in it — is captured.
+    /// replica lives. Every other count is already in the registry; the
+    /// replica's and its backend's totals are folded in by monotone
+    /// delta, because the replica runs without a registry in the
+    /// simulator and carries its totals across a warm restart into a
+    /// fresh one. The two gauges are set, then the registry is captured.
     fn metrics_snapshot(&self) -> Snapshot {
         let obs = self.recorder.registry();
         let fold = |name: &str, total: u64| {
@@ -1189,9 +1196,6 @@ where
             self.replica.pending_overflow_dropped(),
         );
         let backend = self.replica.backend();
-        let ops = backend.crypto_ops();
-        fold("broadcast_signs_total", ops.signs);
-        fold("broadcast_verifies_total", ops.verifies);
         fold(
             "broadcast_delivered_total",
             backend.delivered_count() as u64,
@@ -1200,19 +1204,6 @@ where
             .set(backend.instance_count() as u64);
         obs.gauge("engine_pending")
             .set(self.replica.pending_count() as u64);
-        fold(
-            "transport_dropped_frames_total",
-            self.transport.dropped_frames(),
-        );
-        let ts = self.transport.stats();
-        fold("transport_frames_out_total", ts.frames_out());
-        fold("transport_acks_out_total", ts.acks_out());
-        fold("transport_acks_in_total", ts.acks_in());
-        fold("transport_polls_total", ts.polls());
-        fold("transport_bytes_out_total", ts.bytes_out());
-        fold("transport_frames_in_total", ts.frames_in());
-        fold("transport_bytes_in_total", ts.bytes_in());
-        fold("transport_reconnects_total", ts.reconnects());
         obs.snapshot()
     }
 
@@ -1267,7 +1258,7 @@ where
                 .map(|i| self.replica.balance(at_model::AccountId::new(i as u32)))
                 .collect(),
             malformed_frames: self.counters.malformed_frames.get(),
-            dropped_frames: self.transport.dropped_frames(),
+            dropped_frames: self.counters.dropped_frames.get(),
             lost_ingest: self.counters.lost_ingest.get(),
             overflow_dropped: self.replica.pending_overflow_dropped(),
         }
@@ -1408,5 +1399,29 @@ mod tests {
         for handle in handles {
             handle.stop();
         }
+    }
+
+    #[test]
+    fn a_stop_reports_the_frames_its_transport_dropped() {
+        // Node 1 is gone, so node 0's SEND to it is dropped — queued
+        // right before the stop, and read by `stop_counted` only after
+        // node 0's loop exited.
+        let config = NodeConfig::new(EngineConfig::unbatched(), Amount::new(100));
+        let mut handles: Vec<NodeHandle<EchoNode>> = crate::mesh::channel_mesh(2, 16)
+            .into_iter()
+            .map(|mesh| {
+                let me = mesh.me();
+                Node::spawn(config, mesh, None, None, |_| {
+                    let backend = EchoNode::new(me, 2, at_broadcast::auth::NoAuth);
+                    Replica::with_backend(me, 2, config.initial, config.engine, backend)
+                })
+            })
+            .collect();
+        handles.pop().expect("node 1").stop();
+        let node = handles.pop().expect("node 0");
+        node.local_client()
+            .submit_transfer(at_model::AccountId::new(1), Amount::new(5));
+        let (_, dropped, lost_ingest, malformed) = node.stop_counted();
+        assert_eq!((dropped, lost_ingest, malformed), (1, 0, 0));
     }
 }

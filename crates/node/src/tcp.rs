@@ -49,8 +49,10 @@
 //! * a full window applies backpressure: `send` keeps the sockets
 //!   serviced — acknowledgements above all, delivering nothing — for
 //!   up to [`TcpOptions::backpressure_timeout`], then drops the frame
-//!   and counts it in [`Transport::dropped_frames`] (`0` there
-//!   certifies the reliable-channel regime held).
+//!   and counts it in `transport_dropped_frames_total`
+//!   ([`Transport::dropped_frames`]; `0` there certifies the
+//!   reliable-channel regime held). Only a frame that enters the
+//!   window counts in `transport_frames_out_total`.
 //!
 //! A frame is acknowledged only by the call that returns it, so a
 //! *crash* replays to the next incarnation at most `ACK_INTERVAL`
@@ -61,7 +63,12 @@
 //! restarts at 0, and it adopts each peer's live numbering on the first
 //! frame of a connection. Peer bytes are untrusted: a malformed frame,
 //! or one the connection's side never receives, ends that connection
-//! without a panic and counts it as poisoned.
+//! without a panic and counts it in `transport_poisoned_conns_total`.
+//!
+//! Every count lives in the endpoint's registry (labelled `node <id>`,
+//! [`Transport::registry`]), resolved once at `start` and incremented
+//! where the event happens; the node built on the endpoint serves that
+//! registry to its scrapes.
 //!
 //! # Fault injection
 //!
@@ -89,8 +96,9 @@
 use crate::link::{RecvLink, SendWindow, Verdict};
 use crate::wire::{encode_frame, encode_frame_into, Frame, FrameBuffer, FrameRef};
 use at_model::ProcessId;
-use at_net::transport::{FaultInjector, InboundFrame, RecvOutcome, Transport, TransportStats};
+use at_net::transport::{FaultInjector, InboundFrame, RecvOutcome, Transport, TransportCounters};
 use at_net::Waker;
+use at_obs::Registry;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
@@ -184,8 +192,6 @@ struct OutLink {
     /// A connection of this link failed: the next one may have frames
     /// to skip, so it writes nothing before its resume point.
     resumes: bool,
-    /// Frames dropped because the window stayed full past the timeout.
-    dropped: u64,
 }
 
 /// A connection this endpoint dialed: `Data` out, acknowledgements in.
@@ -216,8 +222,8 @@ struct Accepted {
 
 impl Accepted {
     /// Writes a cumulative acknowledgement (a failure ends the conn).
-    fn ack(&mut self, through: u64, stats: &TransportStats) {
-        stats.note_ack();
+    fn ack(&mut self, through: u64, counters: &TransportCounters) {
+        counters.acks_out.inc();
         encode_frame_into(&Frame::DataAck { through }, &mut self.out);
         self.dead |= flush(&self.stream, &mut self.out).is_err();
     }
@@ -241,7 +247,8 @@ pub struct TcpTransport {
     listener: Option<TcpListener>,
     listen_addr: SocketAddr,
     faults: Option<FaultInjector>,
-    stats: TransportStats,
+    registry: Registry,
+    counters: TransportCounters,
     /// Sender side of the link to each peer (our own slot stays idle).
     links: Vec<OutLink>,
     /// Receiver side of the link from each peer; [`Transport::quiesce`]
@@ -255,9 +262,6 @@ pub struct TcpTransport {
     redial: Option<Sender<usize>>,
     handed: Receiver<(usize, TcpStream)>,
     dialer: Option<JoinHandle<()>>,
-    /// Connections ended for malformed or out-of-protocol input —
-    /// diagnostics, not loss: a peer link dropped here replays.
-    poisoned_conns: u64,
     /// `is_flushed` said no: end the wait once it would say yes.
     flush_wanted: bool,
     closed: bool,
@@ -316,13 +320,15 @@ impl TcpTransport {
         let dialer = std::thread::Builder::new()
             .name(format!("at-node-{me}-dial"))
             .spawn(move || dialer.run())?;
+        let registry = Registry::new(format!("node {me}"));
         let mut transport = TcpTransport {
             me,
             options,
             listener: Some(listener),
             listen_addr,
             faults,
-            stats: TransportStats::new(),
+            counters: TransportCounters::resolve(&registry),
+            registry,
             links: (0..n).map(|_| OutLink::default()).collect(),
             recv: (0..n).map(|_| RecvLink::default()).collect(),
             accepted: Vec::new(),
@@ -332,7 +338,6 @@ impl TcpTransport {
             redial: Some(redial),
             handed,
             dialer: Some(dialer),
-            poisoned_conns: 0,
             flush_wanted: false,
             closed: false,
             chunk: vec![0; crate::wire::READ_CHUNK],
@@ -374,7 +379,7 @@ impl TcpTransport {
         link.conn = None;
         link.hold = None;
         link.resumes = true;
-        self.stats.note_reconnect();
+        self.counters.reconnects.inc();
         if let Some(redial) = &self.redial {
             let _ = redial.send(j);
         }
@@ -465,10 +470,10 @@ impl TcpTransport {
                 }
                 Ok(Some(Frame::DataAck { through })) if dialed.hello_due.is_none() => {
                     link.window.prune(through);
-                    self.stats.note_ack_in();
+                    self.counters.acks_in.inc();
                 }
                 _ => {
-                    self.poisoned_conns += 1;
+                    self.counters.poisoned_conns.inc();
                     return false;
                 }
             }
@@ -509,7 +514,7 @@ impl TcpTransport {
                     }
                 }
                 _ => {
-                    self.poisoned_conns += 1;
+                    self.counters.poisoned_conns.inc();
                     conn.dead = true;
                     continue;
                 }
@@ -517,10 +522,10 @@ impl TcpTransport {
             // Only now — the frame is on its way to the caller — may it
             // be acknowledged.
             if let Some(through) = self.recv[node.as_usize()].ack_due(token, now) {
-                conn.ack(through, &self.stats);
+                conn.ack(through, &self.counters);
             }
             if let Some(payload) = delivered {
-                self.stats.note_recv(payload.len());
+                self.counters.received(payload.len());
                 return Some(InboundFrame {
                     from: node,
                     payload,
@@ -547,7 +552,7 @@ impl TcpTransport {
                 .link
                 .and_then(|(node, token)| self.recv[node.as_usize()].final_ack(token));
             if let Some(through) = owed {
-                conn.ack(through, &self.stats);
+                conn.ack(through, &self.counters);
             }
         }
         self.accepted.retain(|conn| !conn.dead);
@@ -578,7 +583,7 @@ impl TcpTransport {
                 .link
                 .and_then(|(node, token)| self.recv[node.as_usize()].ack_due(token, now));
             if let Some(through) = due {
-                conn.ack(through, &self.stats);
+                conn.ack(through, &self.counters);
             }
         }
         for j in 0..self.links.len() {
@@ -640,7 +645,7 @@ impl TcpTransport {
         self.fds
             .extend([wake, listener].into_iter().chain(links).chain(accepted));
         sys::wait(&mut self.fds, timeout);
-        self.stats.note_poll();
+        self.counters.polls.inc();
         let (now, n) = (Instant::now(), self.links.len());
         for k in 0..self.fds.len() {
             let revents = self.fds[k].revents;
@@ -743,12 +748,12 @@ impl Transport for TcpTransport {
         if self.closed {
             return;
         }
-        self.stats.note_send(payload.len());
         let j = to.as_usize();
         if !self.await_space(j) {
-            self.links[j].dropped += 1;
+            self.counters.dropped.inc();
             return;
         }
+        self.counters.sent(payload.len());
         let link = &mut self.links[j];
         let seq = link.window.reserve();
         link.window
@@ -771,10 +776,6 @@ impl Transport for TcpTransport {
         self.waker.clone()
     }
 
-    fn dropped_frames(&self) -> u64 {
-        self.links.iter().map(|link| link.dropped).sum()
-    }
-
     /// Every window fully acknowledged — i.e. every frame this endpoint
     /// ever accepted has verifiably reached its peer's transport.
     /// `Node::stop` waits for this before a warm restart.
@@ -792,8 +793,8 @@ impl Transport for TcpTransport {
         }
     }
 
-    fn stats(&self) -> TransportStats {
-        self.stats.clone()
+    fn registry(&self) -> &Registry {
+        &self.registry
     }
 
     fn shutdown(&mut self) {
@@ -1038,8 +1039,11 @@ mod tests {
         })
     }
 
-    fn acks_out(t: &TcpTransport) -> u64 {
-        t.stats().acks_out()
+    /// `t`'s `transport_<what>_total`, read from its registry.
+    fn count(t: &TcpTransport, what: &str) -> u64 {
+        t.registry()
+            .counter(&format!("transport_{what}_total"))
+            .get()
     }
 
     fn recv_frame(t: &mut TcpTransport) -> InboundFrame {
@@ -1182,7 +1186,7 @@ mod tests {
             "the queued frames came {waited:?} after the announce"
         );
         // One lost link, however many dials its outage refused.
-        assert_eq!(t0.stats().reconnects(), 1);
+        assert_eq!(count(&t0, "reconnects"), 1);
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1.shutdown();
@@ -1250,7 +1254,7 @@ mod tests {
         stranger.write_all(&impostor).unwrap();
         let mut delivered = Vec::new();
         let deadline = Instant::now() + Duration::from_secs(10);
-        while t0.poisoned_conns == 0 && delivered.is_empty() {
+        while count(&t0, "poisoned_conns") == 0 && delivered.is_empty() {
             assert!(Instant::now() < deadline, "the impostor was never refused");
             drive(&mut t0, &mut delivered);
         }
@@ -1272,7 +1276,7 @@ mod tests {
                 payload: vec![42]
             }
         );
-        assert_eq!(t0.poisoned_conns, 1);
+        assert_eq!(count(&t0, "poisoned_conns"), 1);
         t0.shutdown();
         t1.shutdown();
     }
@@ -1405,6 +1409,9 @@ mod tests {
             "a full window held the sender for {waited:?}"
         );
         assert_eq!(t0.dropped_frames(), 1);
+        // The dropped frame was never accepted, so it is not counted as
+        // sent: 1000 + 64 frames out, the 65th of the last burst not.
+        assert_eq!(count(&t0, "frames_out"), 1000 + ACK_INTERVAL);
         t0.shutdown();
         t1.shutdown();
     }
@@ -1500,12 +1507,16 @@ mod tests {
             assert_eq!(recv_frame(&mut t1).payload, expected.to_le_bytes());
         }
         pumping(&mut t1, || await_flushed(&mut t0, "outbox never drained"));
-        let acks = acks_out(&t1);
+        let acks = count(&t1, "acks_out");
         assert!(
             (1..=1000 / 8).contains(&acks),
             "1000 paced frames were answered by {acks} acks"
         );
-        assert_eq!(acks_out(&t0), 0, "the reverse link carried nothing");
+        assert_eq!(
+            count(&t0, "acks_out"),
+            0,
+            "the reverse link carried nothing"
+        );
         t0.shutdown();
         t1.shutdown();
     }
@@ -1527,7 +1538,7 @@ mod tests {
         // The link stays quiet: nothing more is owed, nothing more is
         // sent.
         std::thread::sleep(ACK_QUIET * 5);
-        assert_eq!(acks_out(&t1), 1);
+        assert_eq!(count(&t1, "acks_out"), 1);
         t0.shutdown();
         t1.shutdown();
     }
@@ -1564,7 +1575,7 @@ mod tests {
             "a frame was delivered twice"
         );
         assert!(faults.is_quiet());
-        assert_eq!(t0.stats().reconnects(), 1);
+        assert_eq!(count(&t0, "reconnects"), 1);
         assert_eq!(t0.dropped_frames(), 0);
         t0.shutdown();
         t1.shutdown();
@@ -1656,7 +1667,7 @@ mod tests {
                 drive(&mut t0, &mut delivered);
             }
             let deadline = Instant::now() + Duration::from_secs(10);
-            while t0.poisoned_conns < offences || delivered.is_empty() || t0.accepted.len() > 2 {
+            while count(&t0, "poisoned_conns") < offences || delivered.is_empty() || t0.accepted.len() > 2 {
                 prop_assert!(Instant::now() < deadline, "strangers outlived their junk");
                 drive(&mut t0, &mut delivered);
             }

@@ -46,7 +46,7 @@
 //! histograms with causal per-transfer forensics: a sampling-gated
 //! [`TraceCtx`] minted at gateway ingress rides the broadcast payload
 //! across the cluster, every node records protocol-step
-//! [`TraceEvent`]s into a lock-free ring, and [`merge_traces`] aligns
+//! [`TraceEvent`]s into a bounded ring, and [`merge_traces`] aligns
 //! the scraped per-node [`TraceLog`]s on a shared epoch clock into
 //! renderable per-transfer [`TraceTimeline`]s.
 

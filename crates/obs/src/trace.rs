@@ -8,24 +8,24 @@
 //! and carried through the broadcast payload on the wire. Every node
 //! that touches a traced transfer records [`TraceEvent`]s (ingress,
 //! batch-join, the protocol's send/echo/ready/deliver steps, the
-//! certificate verify span, apply, ack) into a fixed-size lock-free
-//! ring buffer ([`Tracer`]), each stamped in microseconds against a
+//! certificate verify span, apply, ack) into a fixed-size ring buffer
+//! ([`Tracer`]), each stamped in microseconds against a
 //! cluster-shared epoch. Scraping every node's ring yields per-node
 //! [`TraceLog`]s; [`merge_traces`] aligns them on that common clock and
 //! reconstructs each transfer's message DAG as a renderable
 //! [`TraceTimeline`].
 //!
-//! The ring is a per-slot seqlock built entirely from `AtomicU64`s (no
-//! unsafe, no locks): writers claim a ticket with one `fetch_add`,
-//! publish the slot odd/even, and never wait; readers retry torn slots.
-//! A full ring evicts the oldest events and counts them in
+//! The ring is a locked `VecDeque`: on a node every writer and the one
+//! reader run on the loop thread, so the lock is uncontended. A full
+//! ring evicts the oldest events and counts them in
 //! [`TraceLog::dropped`] — tracing degrades by forgetting history, never
 //! by blocking the protocol.
 
 use at_model::codec::{Decode, Encode, Reader, Writer};
 use at_model::CodecError;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// How many low bits of a trace id hold the per-origin mint counter
@@ -286,27 +286,10 @@ impl TraceConfig {
     }
 }
 
-/// One seqlock-guarded ring slot. `seq` is odd while a writer owns the
-/// slot and `2 * ticket + 2` once the event at `ticket` is published;
-/// readers accept a slot only when `seq` reads even, nonzero, and
-/// identical before and after the payload words.
-struct Slot {
-    seq: AtomicU64,
-    words: [AtomicU64; 4],
-}
-
-impl Slot {
-    fn empty() -> Slot {
-        Slot {
-            seq: AtomicU64::new(0),
-            words: [
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-                AtomicU64::new(0),
-            ],
-        }
-    }
+/// The resident events, oldest first, and how many the ring evicted.
+struct Ring {
+    events: VecDeque<TraceEvent>,
+    evicted: u64,
 }
 
 struct TracerInner {
@@ -314,19 +297,18 @@ struct TracerInner {
     epoch: Instant,
     sample_every: u32,
     slow_threshold_us: u64,
-    /// Next write ticket; `ticket % slots.len()` is the slot index.
-    head: AtomicU64,
-    slots: Vec<Slot>,
+    /// Events the ring holds before it evicts the oldest.
+    capacity: usize,
+    ring: Mutex<Ring>,
     /// Gateway mint counter (also the low bits of minted ids).
     minted: AtomicU64,
     /// Remaining always-on ingresses armed by a slow transfer.
     slow_credits: AtomicU64,
 }
 
-/// The per-node trace recorder: a cloneable handle over the lock-free
-/// event ring. Recording is wait-free for writers (one `fetch_add` plus
-/// six relaxed stores); [`Tracer::log`] snapshots the resident events
-/// without stopping them.
+/// The per-node trace recorder: a cloneable handle over the event ring.
+/// Every writer and the scrape ([`Tracer::log`]) run on the node loop
+/// thread, so the ring's lock is uncontended.
 #[derive(Clone)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -342,8 +324,11 @@ impl Tracer {
                 epoch: config.epoch,
                 sample_every: config.sample_every,
                 slow_threshold_us: config.slow_threshold_us,
-                head: AtomicU64::new(0),
-                slots: (0..capacity).map(|_| Slot::empty()).collect(),
+                capacity,
+                ring: Mutex::new(Ring {
+                    events: VecDeque::with_capacity(capacity),
+                    evicted: 0,
+                }),
                 minted: AtomicU64::new(0),
                 slow_credits: AtomicU64::new(0),
             }),
@@ -403,8 +388,8 @@ impl Tracer {
             .store(SLOW_CREDITS, Ordering::Relaxed);
     }
 
-    /// Records one protocol-step event for `ctx` (wait-free; evicts the
-    /// oldest event when the ring is full).
+    /// Records one protocol-step event for `ctx` (evicts the oldest
+    /// event when the ring is full).
     pub fn record(&self, ctx: TraceCtx, kind: TraceEventKind, arg: u64) {
         self.record_at(ctx, kind, arg, self.now_us());
     }
@@ -413,66 +398,34 @@ impl Tracer {
     /// whose start was stamped earlier).
     pub fn record_at(&self, ctx: TraceCtx, kind: TraceEventKind, arg: u64, at_us: u64) {
         let inner = &self.inner;
-        let ticket = inner.head.fetch_add(1, Ordering::Relaxed);
-        let slot = &inner.slots[(ticket as usize) & (inner.slots.len() - 1)];
-        // Seqlock write: odd while in flight, even (and ticket-tagged)
-        // once published. A reader that raced us sees a seq mismatch
-        // and discards the slot.
-        slot.seq.store(ticket * 2 + 1, Ordering::Release);
-        slot.words[0].store(ctx.id, Ordering::Relaxed);
-        slot.words[1].store(at_us, Ordering::Relaxed);
-        slot.words[2].store(
-            u64::from(inner.node) | (u64::from(kind as u8) << 32) | (u64::from(ctx.hops) << 40),
-            Ordering::Relaxed,
-        );
-        slot.words[3].store(arg, Ordering::Relaxed);
-        slot.seq.store(ticket * 2 + 2, Ordering::Release);
+        let event = TraceEvent {
+            trace_id: ctx.id,
+            at_us,
+            node: inner.node,
+            kind,
+            hops: ctx.hops,
+            arg,
+        };
+        let mut ring = inner.ring.lock().expect("trace ring poisoned");
+        if ring.events.len() == inner.capacity {
+            ring.events.pop_front();
+            ring.evicted += 1;
+        }
+        ring.events.push_back(event);
     }
 
     /// Snapshots the resident events as a wire-codable [`TraceLog`]
     /// (sorted by timestamp), counting ring-evicted events as dropped.
     pub fn log(&self) -> TraceLog {
-        let inner = &self.inner;
-        let head = inner.head.load(Ordering::Acquire);
-        let capacity = inner.slots.len() as u64;
-        let mut events = Vec::new();
-        for slot in &inner.slots {
-            // Retry torn reads a few times; a slot rewritten mid-read
-            // more times than that is being overwritten so fast its
-            // event is effectively evicted anyway.
-            for _ in 0..4 {
-                let seq1 = slot.seq.load(Ordering::Acquire);
-                if seq1 == 0 || seq1 % 2 == 1 {
-                    break; // never written, or write in flight
-                }
-                let words = [
-                    slot.words[0].load(Ordering::Relaxed),
-                    slot.words[1].load(Ordering::Relaxed),
-                    slot.words[2].load(Ordering::Relaxed),
-                    slot.words[3].load(Ordering::Relaxed),
-                ];
-                let seq2 = slot.seq.load(Ordering::Acquire);
-                if seq1 != seq2 {
-                    continue; // torn: a writer landed mid-read
-                }
-                let kind = TraceEventKind::from_u8(((words[2] >> 32) & 0xFF) as u8)
-                    .expect("ring slots only ever hold valid kinds");
-                events.push(TraceEvent {
-                    trace_id: words[0],
-                    at_us: words[1],
-                    node: (words[2] & 0xFFFF_FFFF) as u32,
-                    kind,
-                    hops: ((words[2] >> 40) & 0xFF) as u8,
-                    arg: words[3],
-                });
-                break;
-            }
-        }
+        let ring = self.inner.ring.lock().expect("trace ring poisoned");
+        let mut events = Vec::from_iter(ring.events.iter().copied());
+        let dropped = ring.evicted;
+        drop(ring);
         events.sort_by_key(|e| (e.at_us, e.kind));
         TraceLog {
-            node: inner.node,
+            node: self.inner.node,
             events,
-            dropped: head.saturating_sub(capacity),
+            dropped,
         }
     }
 }

@@ -21,7 +21,7 @@
 
 use at_broadcast::auth::NoAuth;
 use at_broadcast::secure::{AccountOrderBackend, SecureBroadcast};
-use at_broadcast::types::{CryptoOps, Delivery, Step};
+use at_broadcast::types::{Delivery, Step};
 use at_broadcast::{Batch, BrachaBroadcast, EchoBroadcast};
 use at_core::figure4::{Applied, TransferMsg, TransferState};
 use at_engine::{EngineConfig, EngineEvent, EnginePayload, Replica};
@@ -92,10 +92,6 @@ impl<B: SecureBroadcast<EnginePayload>> SecureBroadcast<EnginePayload> for Recor
     fn delivered_count(&self) -> usize {
         self.inner.delivered_count()
     }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        self.inner.crypto_ops()
-    }
 }
 
 /// A backend with no protocol: its "message" is a recorded delivery,
@@ -133,10 +129,6 @@ impl SecureBroadcast<EnginePayload> for Replay {
 
     fn delivered_count(&self) -> usize {
         0
-    }
-
-    fn crypto_ops(&self) -> CryptoOps {
-        CryptoOps::default()
     }
 }
 

@@ -11,8 +11,13 @@ use at_engine::replica::{EngineEvent, EnginePayload};
 use at_engine::{EngineConfig, Replica, Workload};
 use at_model::{AccountId, Amount, ProcessId};
 use at_net::{Actor, Context, VirtualTime};
-use at_node::{await_convergence, start_tcp_cluster, Client, NodeConfig, ResponseBody, TcpOptions};
+use at_node::{
+    await_convergence, start_tcp_cluster, Client, NodeConfig, ResponseBody, TcpOptions,
+    MAX_FRAME_LEN,
+};
 use at_obs::{merge_traces, HistogramSnapshot, Stage, TraceConfig};
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 type EchoNode = EchoBroadcast<EnginePayload, NoAuth>;
@@ -224,12 +229,15 @@ fn tcp_cluster_runs_the_pbft_baseline_through_the_same_node() {
 /// built at the commit before the loop's own counts moved into the
 /// registry (same scenario: commits and one rejection on a TCP node),
 /// less `engine_diagnostics_dropped_total`, which counted evictions from
-/// a replica drop record that nothing read and that no longer exists.
-const SCRAPE_NAMES: [&str; 44] = [
+/// a replica drop record that nothing read and that no longer exists;
+/// less `broadcast_signs_total` and `broadcast_verifies_total`, which
+/// copied what `auth_signs_total` and `auth_verifies_total` count where
+/// a backend signs through `ObservedAuth`; plus
+/// `transport_poisoned_conns_total`, which the TCP transport counted
+/// where no scrape reached.
+const SCRAPE_NAMES: [&str; 43] = [
     "broadcast_delivered_total",
     "broadcast_instances",
-    "broadcast_signs_total",
-    "broadcast_verifies_total",
     "clock_anomalies",
     "engine_batch_size",
     "engine_flush_cap_total",
@@ -268,6 +276,7 @@ const SCRAPE_NAMES: [&str; 44] = [
     "transport_dropped_frames_total",
     "transport_frames_in_total",
     "transport_frames_out_total",
+    "transport_poisoned_conns_total",
     "transport_polls_total",
     "transport_reconnects_total",
 ];
@@ -339,6 +348,50 @@ fn report_and_every_scrape_route_read_the_same_counts() {
             assert_eq!(scrape.counter(name), Some(reported), "{route}: {name}");
         }
     }
+    cluster.stop_all();
+}
+
+/// A stranger's garbage on a node's peer port ends that connection,
+/// and the node's own scrape counts it, while honest transfers keep
+/// committing.
+#[test]
+fn garbage_on_a_peer_port_is_scraped_as_a_poisoned_connection() {
+    let n = 4;
+    let mut cluster = start_tcp_cluster(n, node_config(), TcpOptions::default(), |me| {
+        EchoNode::new(me, n, NoAuth)
+    })
+    .expect("cluster");
+    let mut client = Client::connect(cluster.client_addrs[0]).expect("connect");
+    let timeout = Duration::from_secs(5);
+    let poisoned = |client: &mut Client| {
+        let scrape = client.stats(timeout).expect("scrape");
+        scrape.counter("transport_poisoned_conns_total")
+    };
+    assert_eq!(poisoned(&mut client), Some(0));
+    // A length prefix past the frame limit, then noise: no frame at all.
+    let mut stranger = TcpStream::connect(cluster.directory.get(0)).expect("peer port");
+    let mut garbage = (MAX_FRAME_LEN + 7).to_le_bytes().to_vec();
+    garbage.extend((0..64u8).map(|i| i.wrapping_mul(37)));
+    stranger.write_all(&garbage).expect("write");
+    for _ in 0..8 {
+        client
+            .submit_transfer(a(1), Amount::new(1))
+            .expect("submit");
+    }
+    while client.outstanding() > 0 {
+        let response = client.recv_response(timeout).expect("io").expect("ack");
+        assert!(
+            matches!(response.body, ResponseBody::Committed { .. }),
+            "{response:?}"
+        );
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while poisoned(&mut client) == Some(0) {
+        assert!(Instant::now() < deadline, "the garbage was never counted");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(poisoned(&mut client), Some(1));
+    drop(stranger);
     cluster.stop_all();
 }
 
