@@ -8,7 +8,7 @@
 //! of the same small system and checking, after each one, that
 //!
 //! 1. the recorded client history is linearizable
-//!    ([`at_model::linearizable_bounded`]),
+//!    ([`at_model::linearizable`], under a search budget),
 //! 2. every secure-broadcast backend upheld its per-source
 //!    FIFO-exactly-once delivery contract, and
 //! 3. correct replicas converged (digest agreement, no conflicting

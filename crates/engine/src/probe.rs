@@ -40,9 +40,7 @@
 
 use crate::replica::EngineEvent;
 use at_model::history::{History, OpId, Operation, Response};
-use at_model::{
-    linearizable_bounded, Amount, BoundedOutcome, CheckBudget, Ledger, ProcessId, Transfer,
-};
+use at_model::{linearizable, Amount, CheckBudget, CheckOutcome, Ledger, ProcessId, Transfer};
 use at_net::VirtualTime;
 use std::collections::BTreeMap;
 
@@ -321,7 +319,7 @@ pub struct RecordedRun {
 /// observers (`AppliedBySeq`); agreement-set digests agree
 /// (`check_digests`); every correct replica conserves the supply
 /// (`check_supply`); and the reconstructed client history linearizes
-/// ([`at_model::linearizable_bounded`]).
+/// ([`at_model::linearizable`]).
 pub fn validate_recorded(
     run: &RecordedRun,
     is_correct: impl Fn(ProcessId) -> bool,
@@ -332,9 +330,9 @@ pub fn validate_recorded(
     }
     let history = history_from_events(&run.events, &is_correct);
     let initial = Ledger::uniform(run.n, Amount::new(run.initial));
-    match linearizable_bounded(&history, &initial, CheckBudget::nodes(check_nodes)) {
-        BoundedOutcome::Linearizable { .. } => (None, false),
-        BoundedOutcome::NotLinearizable => (
+    match linearizable(&history, &initial, CheckBudget::nodes(check_nodes)) {
+        CheckOutcome::Linearizable { .. } => (None, false),
+        CheckOutcome::NotLinearizable => (
             Some(Failure {
                 kind: FailureKind::NotLinearizable,
                 detail: format!("history:\n{history}"),
@@ -343,7 +341,7 @@ pub fn validate_recorded(
         ),
         // Exhaustion is always "unchecked", even at explored == 0 (a
         // zero-node budget must not silently certify executions).
-        BoundedOutcome::BudgetExhausted { .. } => (None, true),
+        CheckOutcome::BudgetExhausted { .. } => (None, true),
     }
 }
 
@@ -376,7 +374,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::replica::Replica;
-    use at_model::{linearizable, AccountId, Amount, Ledger, SeqNo};
+    use at_model::{AccountId, Amount, Ledger, SeqNo};
     use at_net::{NetConfig, Simulation};
 
     fn p(i: u32) -> ProcessId {
@@ -419,7 +417,7 @@ mod tests {
         assert_eq!(history.op_count(), 6);
         assert!(history.is_complete());
         let initial = Ledger::uniform(3, amt(100));
-        assert!(linearizable(&history, &initial).is_linearizable());
+        assert!(linearizable(&history, &initial, CheckBudget::UNLIMITED).is_linearizable());
     }
 
     #[test]
@@ -438,7 +436,7 @@ mod tests {
             .any(|(_, _, e)| matches!(e, EngineEvent::Rejected { .. })));
         assert!(rejections_locally_justified(&events, |_| true, |a| a.index() < 2).is_ok());
         let initial = Ledger::uniform(2, amt(100));
-        assert!(linearizable(&history, &initial).is_linearizable());
+        assert!(linearizable(&history, &initial, CheckBudget::UNLIMITED).is_linearizable());
     }
 
     #[test]
@@ -484,7 +482,7 @@ mod tests {
         assert_eq!(history.op_count(), 1);
         assert!(!history.is_complete());
         let initial = Ledger::uniform(3, amt(100));
-        assert!(linearizable(&history, &initial).is_linearizable());
+        assert!(linearizable(&history, &initial, CheckBudget::UNLIMITED).is_linearizable());
     }
 
     #[test]

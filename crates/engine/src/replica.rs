@@ -185,8 +185,6 @@ struct EngineObs {
     recorder: Recorder,
     /// `engine_batch_size` — occupancy of each broadcast batch.
     batch_size: Arc<at_obs::Histogram>,
-    /// `engine_rejected_total` — submissions failing admission.
-    rejected: Arc<at_obs::Counter>,
     /// `engine_flush_<reason>_total` — batches by why they left, in
     /// [`FlushReason::COUNTERS`] order.
     flushes: [Arc<at_obs::Counter>; 4],
@@ -416,8 +414,8 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         pruned
     }
 
-    /// Attaches an [`at_obs`] recorder: batch occupancy, admission
-    /// rejections, and [`Stage::Apply`] drain latency feed its registry
+    /// Attaches an [`at_obs`] recorder: batch occupancy, flush reasons
+    /// and [`Stage::Apply`] drain latency feed its registry
     /// from here on. Real runtimes (`at_node`) call this once before
     /// driving the replica; the simulator leaves it unset, keeping the
     /// simulated hot loop free of wall-clock reads.
@@ -425,7 +423,6 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         let registry = recorder.registry();
         self.obs = Some(EngineObs {
             batch_size: registry.histogram("engine_batch_size"),
-            rejected: registry.counter("engine_rejected_total"),
             flushes: FlushReason::COUNTERS.map(|name| registry.counter(name)),
             recorder,
         });
@@ -532,9 +529,6 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         let trace = self.next_trace.take();
         let available = self.available();
         if amount > available || !self.ledger.contains(destination) {
-            if let Some(obs) = &self.obs {
-                obs.rejected.inc();
-            }
             ctx.emit(EngineEvent::Rejected {
                 destination,
                 amount,

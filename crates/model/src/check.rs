@@ -1,9 +1,16 @@
 //! Linearizability checking.
 //!
-//! [`linearizable`] implements a Wing–Gong style search: it looks for a
-//! legal sequential ordering of a concurrent [`History`] that respects
-//! real-time precedence (`≺_H ⊆ ≺_S`) and the sequential specification `Δ`
-//! embodied by [`Ledger`].
+//! [`linearizable`] is the one entry point. It looks for a legal sequential
+//! ordering of a concurrent [`History`] that respects real-time precedence
+//! (`≺_H ⊆ ≺_S`) and the sequential specification `Δ` embodied by
+//! [`Ledger`], in two passes:
+//!
+//! 1. a *greedy* pass linearizes one eligible operation at a time,
+//!    completed operations in response order first. Without backtracking
+//!    it certifies every history whose response order is legal, and most
+//!    others, but it never reports a violation;
+//! 2. when it gives no verdict, a Wing–Gong style search explores every
+//!    order, bounded by a [`CheckBudget`].
 //!
 //! Pending (incomplete) invocations are handled as the paper's completion
 //! construction prescribes: each may either be dropped or completed with the
@@ -11,9 +18,10 @@
 //!
 //! The search memoizes visited configurations `(linearized-set, state)` and
 //! is exhaustive, so a [`CheckOutcome::NotLinearizable`] verdict is a proof
-//! of violation for the given history. Intended for histories of up to a
-//! few dozen concurrent operations, which is what the test harnesses
-//! produce.
+//! of violation for the given history. A search that runs out of budget,
+//! or a history past the search's 128 operations that the greedy pass
+//! cannot certify, is [`CheckOutcome::BudgetExhausted`]: undecided, never a
+//! false violation.
 
 use crate::history::{History, OpId, OpRecord, Operation, Response};
 use crate::spec::Ledger;
@@ -28,8 +36,15 @@ pub enum CheckOutcome {
         /// A legal sequential order of the operations.
         witness: Vec<OpId>,
     },
-    /// No legal linearization exists.
+    /// No legal linearization exists — a proof of violation, never
+    /// returned merely because the budget ran out.
     NotLinearizable,
+    /// The search hit the node budget (or the history is too large to
+    /// search) before reaching a verdict.
+    BudgetExhausted {
+        /// Nodes expanded before giving up.
+        explored: usize,
+    },
 }
 
 impl CheckOutcome {
@@ -39,7 +54,7 @@ impl CheckOutcome {
     }
 }
 
-/// A node budget for [`linearizable_bounded`].
+/// A node budget for the search of [`linearizable`].
 ///
 /// The exhaustive search is exponential in the worst case; harnesses that
 /// check thousands of machine-generated histories (the `at-check`
@@ -65,45 +80,19 @@ impl CheckBudget {
     }
 }
 
-/// The verdict of a budgeted linearizability check.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum BoundedOutcome {
-    /// The history is linearizable (witness as in
-    /// [`CheckOutcome::Linearizable`]).
-    Linearizable {
-        /// A legal sequential order of the operations.
-        witness: Vec<OpId>,
-    },
-    /// No legal linearization exists — a proof of violation, never
-    /// returned merely because the budget ran out.
-    NotLinearizable,
-    /// The search hit the node budget before reaching a verdict.
-    BudgetExhausted {
-        /// Nodes expanded before giving up.
-        explored: usize,
-    },
-}
-
-impl BoundedOutcome {
-    /// Whether the verdict is positive.
-    pub fn is_linearizable(&self) -> bool {
-        matches!(self, BoundedOutcome::Linearizable { .. })
-    }
-
-    /// Whether the verdict is a *proven* violation.
-    pub fn is_violation(&self) -> bool {
-        matches!(self, BoundedOutcome::NotLinearizable)
-    }
-}
-
 /// Checks whether `history` is linearizable with respect to the sequential
 /// asset-transfer specification starting from `initial`.
+///
+/// The greedy pass runs first and needs no budget; the search runs only
+/// when it gives no verdict, expanding at most `budget` nodes over at
+/// most 128 operations (its visited set is a `u128` bitmask). A history
+/// the search cannot finish is [`CheckOutcome::BudgetExhausted`].
 ///
 /// # Example
 ///
 /// ```
 /// use at_model::history::{History, Operation, Response};
-/// use at_model::{AccountId, Amount, Ledger, OwnerMap, ProcessId};
+/// use at_model::{AccountId, Amount, CheckBudget, Ledger, OwnerMap, ProcessId};
 ///
 /// let a = AccountId::new(0);
 /// let b = AccountId::new(1);
@@ -119,60 +108,21 @@ impl BoundedOutcome {
 /// let r = h.invoke(p0, Operation::Read { account: b });
 /// h.respond(r, Response::Read(Amount::new(3)));
 ///
-/// assert!(at_model::linearizable(&h, &ledger).is_linearizable());
+/// assert!(at_model::linearizable(&h, &ledger, CheckBudget::UNLIMITED).is_linearizable());
 /// ```
-pub fn linearizable(history: &History, initial: &Ledger) -> CheckOutcome {
-    match linearizable_bounded(history, initial, CheckBudget::UNLIMITED) {
-        BoundedOutcome::Linearizable { witness } => CheckOutcome::Linearizable { witness },
-        BoundedOutcome::NotLinearizable => CheckOutcome::NotLinearizable,
-        // Only reachable past 128 operations, where the exhaustive
-        // search is structurally unavailable (see `linearizable_bounded`).
-        BoundedOutcome::BudgetExhausted { .. } => {
-            panic!("history too large for the exhaustive checker")
-        }
-    }
-}
-
-/// [`linearizable`] with a node budget and two sequential fast paths.
-///
-/// Before launching the exhaustive Wing–Gong search, the checker tries
-/// the *response-order* linearization: completed operations applied in
-/// the order their responses appear in the history (pending operations
-/// dropped). Response order always respects real-time precedence, so when
-/// it is legal — which covers the overwhelmingly common case of a benign
-/// execution — the history is linearizable without any search. When it
-/// is not (e.g. a credit's completion was observed late but its interval
-/// overlaps the spend, which live-cluster recordings under partitions
-/// produce routinely), a *greedy* pass retries: one eligible operation
-/// at a time, preferring response order, falling back to completing a
-/// pending operation per the completion construction. Both passes only
-/// ever return verified witnesses.
-///
-/// The exhaustive search itself tops out at 128 operations (its visited
-/// set is a `u128` bitmask); larger histories that defeat both fast
-/// paths yield [`BoundedOutcome::BudgetExhausted`] rather than a
-/// verdict — never a false `NotLinearizable`.
-pub fn linearizable_bounded(
-    history: &History,
-    initial: &Ledger,
-    budget: CheckBudget,
-) -> BoundedOutcome {
+pub fn linearizable(history: &History, initial: &Ledger, budget: CheckBudget) -> CheckOutcome {
     let records = history.records();
     let n = records.len();
 
-    if let Some(witness) = response_order_witness(&records, initial) {
-        return BoundedOutcome::Linearizable { witness };
-    }
     if let Some(witness) = greedy_witness(&records, initial) {
-        return BoundedOutcome::Linearizable { witness };
+        return CheckOutcome::Linearizable { witness };
     }
     if n > 128 {
-        return BoundedOutcome::BudgetExhausted { explored: 0 };
+        return CheckOutcome::BudgetExhausted { explored: 0 };
     }
 
     let mut checker = Checker {
         records: &records,
-        initial,
         visited: HashSet::new(),
         witness: Vec::with_capacity(n),
         nodes: 0,
@@ -186,42 +136,27 @@ pub fn linearizable_bounded(
         .fold(0, |mask, (i, _)| mask | (1u128 << i));
 
     if checker.search(0, initial.clone(), complete_mask) {
-        BoundedOutcome::Linearizable {
+        CheckOutcome::Linearizable {
             witness: checker.witness,
         }
     } else if checker.exhausted {
-        BoundedOutcome::BudgetExhausted {
+        CheckOutcome::BudgetExhausted {
             explored: checker.nodes,
         }
     } else {
-        BoundedOutcome::NotLinearizable
+        CheckOutcome::NotLinearizable
     }
 }
 
-/// The fast path: completed operations in response order, pending ones
-/// dropped. Returns the witness when that order is legal under `Δ`.
-fn response_order_witness(records: &[OpRecord], initial: &Ledger) -> Option<Vec<OpId>> {
-    let mut complete: Vec<&OpRecord> = records.iter().filter(|r| r.is_complete()).collect();
-    complete.sort_by_key(|r| r.returned_at.expect("complete"));
-    let mut state = initial.clone();
-    let mut witness = Vec::with_capacity(complete.len());
-    for record in complete {
-        if !Checker::apply(record, &mut state) {
-            return None;
-        }
-        witness.push(record.id);
-    }
-    Some(witness)
-}
-
-/// The scalable greedy pass: linearize one eligible operation at a time
-/// under the Wing–Gong frontier rule (an operation is eligible while its
-/// invocation does not follow the earliest response among unlinearized
-/// completed operations). Completed operations are tried in response
-/// order; when none applies, a pending operation is completed with the
-/// response `Δ` determines (the completion construction). Sound — every
-/// returned witness respects real-time precedence and the spec — but not
-/// complete: a `None` is "no verdict", not a violation.
+/// The greedy pass: linearize one eligible operation at a time under the
+/// Wing–Gong frontier rule (an operation is eligible while its invocation
+/// does not follow the earliest response among unlinearized completed
+/// operations). Completed operations are tried in response order, so when
+/// response order is legal it is the witness; when none applies, a
+/// pending operation is completed with the response `Δ` determines (the
+/// completion construction). Sound — every returned witness respects
+/// real-time precedence and the spec — but not complete: a `None` is "no
+/// verdict", not a violation.
 fn greedy_witness(records: &[OpRecord], initial: &Ledger) -> Option<Vec<OpId>> {
     let n = records.len();
     let mut done = vec![false; n];
@@ -243,48 +178,26 @@ fn greedy_witness(records: &[OpRecord], initial: &Ledger) -> Option<Vec<OpId>> {
         let min_return = records[completed[next_completed]]
             .returned_at
             .expect("complete");
-        let mut progressed = false;
-        for &i in &completed[next_completed..] {
-            if done[i] || records[i].invoked_at > min_return {
-                continue;
-            }
-            let mut next_state = state.clone();
-            if Checker::apply(&records[i], &mut next_state) {
-                state = next_state;
-                done[i] = true;
-                witness.push(records[i].id);
-                progressed = true;
-                break;
-            }
-        }
-        if progressed {
-            continue;
-        }
-        // No completed operation applies: complete one pending operation
-        // (its Δ-determined response can unblock a later observation).
-        for &i in &pending {
-            if done[i] || records[i].invoked_at > min_return {
-                continue;
-            }
-            let mut next_state = state.clone();
-            if Checker::apply(&records[i], &mut next_state) {
-                state = next_state;
-                done[i] = true;
-                witness.push(records[i].id);
-                progressed = true;
-                break;
-            }
-        }
-        if !progressed {
-            return None;
-        }
+        // The first eligible operation that applies (`apply` changes
+        // `state` only then): a completed one if any, else a pending one,
+        // whose Δ-determined response can unblock a later observation.
+        let next = completed[next_completed..]
+            .iter()
+            .chain(&pending)
+            .copied()
+            .find(|&i| {
+                !done[i]
+                    && records[i].invoked_at <= min_return
+                    && Checker::apply(&records[i], &mut state)
+            })?;
+        done[next] = true;
+        witness.push(records[next].id);
     }
     Some(witness)
 }
 
 struct Checker<'a> {
     records: &'a [OpRecord],
-    initial: &'a Ledger,
     /// Visited `(linearized-set, state-fingerprint)` configurations.
     visited: HashSet<(u128, Vec<u64>)>,
     witness: Vec<OpId>,
@@ -350,8 +263,10 @@ impl Checker<'_> {
         false
     }
 
-    /// Applies `record` to `state` per `Δ`; returns `false` when the
-    /// recorded response contradicts the specification at this point.
+    /// Applies `record` to `state` per `Δ`; returns `false`, leaving
+    /// `state` untouched, when the recorded response contradicts the
+    /// specification at this point. A pending operation takes the
+    /// response `Δ` determines.
     fn apply(record: &OpRecord, state: &mut Ledger) -> bool {
         match record.op {
             Operation::Transfer {
@@ -359,30 +274,22 @@ impl Checker<'_> {
                 destination,
                 amount,
             } => {
-                let outcome = state
-                    .transfer(record.process, source, destination, amount)
+                let process = record.process;
+                let ok = state
+                    .check_transfer(process, source, destination, amount)
                     .is_ok();
-                match record.response {
-                    Some(Response::Transfer(recorded)) => outcome == recorded,
-                    Some(_) => false,
-                    // Pending transfer: Δ determines the response.
-                    None => true,
+                let legal = record.response.is_none_or(|r| r == Response::Transfer(ok));
+                if legal && ok {
+                    state
+                        .transfer(process, source, destination, amount)
+                        .expect("checked above");
                 }
+                legal
             }
-            Operation::Read { account } => {
-                let balance = state.read(account);
-                match record.response {
-                    Some(Response::Read(recorded)) => balance == recorded,
-                    Some(_) => false,
-                    None => true,
-                }
-            }
+            Operation::Read { account } => record
+                .response
+                .is_none_or(|r| r == Response::Read(state.read(account))),
         }
-    }
-
-    #[allow(dead_code)]
-    fn initial(&self) -> &Ledger {
-        self.initial
     }
 }
 
@@ -420,10 +327,14 @@ mod tests {
         Ledger::uniform(2, amt(10))
     }
 
+    fn check(h: &History) -> CheckOutcome {
+        linearizable(h, &ledger(), CheckBudget::UNLIMITED)
+    }
+
     #[test]
     fn empty_history_is_linearizable() {
         let h = History::new();
-        assert!(linearizable(&h, &ledger()).is_linearizable());
+        assert!(check(&h).is_linearizable());
     }
 
     #[test]
@@ -433,7 +344,7 @@ mod tests {
         h.respond(t, Response::Transfer(true));
         let r = h.invoke(p(1), read(1));
         h.respond(r, Response::Read(amt(14)));
-        let outcome = linearizable(&h, &ledger());
+        let outcome = check(&h);
         assert!(outcome.is_linearizable());
         if let CheckOutcome::Linearizable { witness } = outcome {
             assert_eq!(witness.len(), 2);
@@ -447,7 +358,7 @@ mod tests {
         h.respond(t, Response::Transfer(true));
         let r = h.invoke(p(1), read(1));
         h.respond(r, Response::Read(amt(99)));
-        assert_eq!(linearizable(&h, &ledger()), CheckOutcome::NotLinearizable);
+        assert_eq!(check(&h), CheckOutcome::NotLinearizable);
     }
 
     #[test]
@@ -459,7 +370,7 @@ mod tests {
         h.respond(t1, Response::Transfer(true));
         let t2 = h.invoke(p(0), transfer(0, 1, 8));
         h.respond(t2, Response::Transfer(true));
-        assert_eq!(linearizable(&h, &ledger()), CheckOutcome::NotLinearizable);
+        assert_eq!(check(&h), CheckOutcome::NotLinearizable);
     }
 
     #[test]
@@ -471,10 +382,7 @@ mod tests {
             let r = h.invoke(p(1), read(0));
             h.respond(r, Response::Read(amt(observed)));
             h.respond(t, Response::Transfer(true));
-            assert!(
-                linearizable(&h, &ledger()).is_linearizable(),
-                "observed {observed}"
-            );
+            assert!(check(&h).is_linearizable(), "observed {observed}");
         }
     }
 
@@ -487,7 +395,7 @@ mod tests {
         h.respond(t, Response::Transfer(true));
         let r = h.invoke(p(1), read(0));
         h.respond(r, Response::Read(amt(10))); // stale!
-        assert_eq!(linearizable(&h, &ledger()), CheckOutcome::NotLinearizable);
+        assert_eq!(check(&h), CheckOutcome::NotLinearizable);
     }
 
     #[test]
@@ -496,7 +404,7 @@ mod tests {
         let mut h = History::new();
         let t = h.invoke(p(0), transfer(0, 1, 5));
         h.respond(t, Response::Transfer(false));
-        assert_eq!(linearizable(&h, &ledger()), CheckOutcome::NotLinearizable);
+        assert_eq!(check(&h), CheckOutcome::NotLinearizable);
     }
 
     #[test]
@@ -506,7 +414,7 @@ mod tests {
         h.respond(t1, Response::Transfer(true));
         let t2 = h.invoke(p(0), transfer(0, 1, 5));
         h.respond(t2, Response::Transfer(false));
-        assert!(linearizable(&h, &ledger()).is_linearizable());
+        assert!(check(&h).is_linearizable());
     }
 
     #[test]
@@ -515,13 +423,13 @@ mod tests {
         // p1 debiting account 0 succeeds — violates Δ.
         let t = h.invoke(p(1), transfer(0, 1, 1));
         h.respond(t, Response::Transfer(true));
-        assert_eq!(linearizable(&h, &ledger()), CheckOutcome::NotLinearizable);
+        assert_eq!(check(&h), CheckOutcome::NotLinearizable);
 
         // The failing version is legal.
         let mut h = History::new();
         let t = h.invoke(p(1), transfer(0, 1, 1));
         h.respond(t, Response::Transfer(false));
-        assert!(linearizable(&h, &ledger()).is_linearizable());
+        assert!(check(&h).is_linearizable());
     }
 
     #[test]
@@ -530,7 +438,7 @@ mod tests {
         let _pending = h.invoke(p(0), transfer(0, 1, 4));
         let r = h.invoke(p(1), read(0));
         h.respond(r, Response::Read(amt(10)));
-        assert!(linearizable(&h, &ledger()).is_linearizable());
+        assert!(check(&h).is_linearizable());
     }
 
     #[test]
@@ -541,7 +449,7 @@ mod tests {
         let _pending = h.invoke(p(0), transfer(0, 1, 4));
         let r = h.invoke(p(1), read(0));
         h.respond(r, Response::Read(amt(6)));
-        assert!(linearizable(&h, &ledger()).is_linearizable());
+        assert!(check(&h).is_linearizable());
     }
 
     #[test]
@@ -553,7 +461,7 @@ mod tests {
         let t1 = h.invoke(p(1), transfer(1, 0, 15));
         h.respond(t0, Response::Transfer(true));
         h.respond(t1, Response::Transfer(true));
-        assert!(linearizable(&h, &ledger()).is_linearizable());
+        assert!(check(&h).is_linearizable());
     }
 
     #[test]
@@ -564,7 +472,7 @@ mod tests {
         h.respond(t1, Response::Transfer(true));
         let t0 = h.invoke(p(0), transfer(0, 1, 10));
         h.respond(t0, Response::Transfer(true));
-        assert_eq!(linearizable(&h, &ledger()), CheckOutcome::NotLinearizable);
+        assert_eq!(check(&h), CheckOutcome::NotLinearizable);
     }
 
     #[test]
@@ -574,27 +482,27 @@ mod tests {
         let t1 = h.invoke(p(1), transfer(1, 0, 15));
         h.respond(t0, Response::Transfer(true));
         h.respond(t1, Response::Transfer(true));
-        match linearizable(&h, &ledger()) {
+        match check(&h) {
             CheckOutcome::Linearizable { witness } => {
                 // t0 must come first: t1 needs the incoming 10.
                 assert_eq!(witness, vec![t0, t1]);
             }
-            CheckOutcome::NotLinearizable => panic!("expected linearizable"),
+            outcome => panic!("expected linearizable, got {outcome:?}"),
         }
     }
 
     #[test]
     fn fast_path_handles_sequential_histories_without_search() {
-        // A long, strictly sequential history: the response-order fast
-        // path must certify it even under a zero-node search budget.
+        // A long, strictly sequential history: the greedy pass must
+        // certify it even under a zero-node search budget.
         let mut h = History::new();
         for i in 0..30 {
             let t = h.invoke(p(i % 2), transfer(i % 2, (i + 1) % 2, 1));
             h.respond(t, Response::Transfer(true));
         }
-        let outcome = linearizable_bounded(&h, &ledger(), CheckBudget::nodes(0));
+        let outcome = linearizable(&h, &ledger(), CheckBudget::nodes(0));
         assert!(outcome.is_linearizable(), "{outcome:?}");
-        if let BoundedOutcome::Linearizable { witness } = outcome {
+        if let CheckOutcome::Linearizable { witness } = outcome {
             assert_eq!(witness.len(), 30);
         }
     }
@@ -603,23 +511,18 @@ mod tests {
     fn bounded_check_reports_exhaustion_not_violation() {
         // Two pending transfers, of which only the *second* (in stream
         // order) explains the completed read: the greedy pass completes
-        // the first one, blocks, and gives no verdict; response order is
-        // illegal outright. The search must run — and a one-node budget
-        // cannot finish it. The verdict must be BudgetExhausted, never a
-        // spurious NotLinearizable.
+        // the first one, blocks, and gives no verdict. The search must
+        // run — and a one-node budget cannot finish it. The verdict must
+        // be BudgetExhausted, never a spurious NotLinearizable.
         let mut h = History::new();
         let _t1 = h.invoke(p(0), transfer(0, 1, 4));
         let _t2 = h.invoke(p(0), transfer(0, 1, 3));
         let r = h.invoke(p(1), read(1));
         h.respond(r, Response::Read(amt(13)));
-        let outcome = linearizable_bounded(&h, &ledger(), CheckBudget::nodes(1));
-        assert!(matches!(
-            outcome,
-            BoundedOutcome::BudgetExhausted { explored: 1 }
-        ));
-        assert!(!outcome.is_violation());
+        let outcome = linearizable(&h, &ledger(), CheckBudget::nodes(1));
+        assert_eq!(outcome, CheckOutcome::BudgetExhausted { explored: 1 });
         // With room to search, the same history verifies.
-        let outcome = linearizable_bounded(&h, &ledger(), CheckBudget::nodes(10_000));
+        let outcome = linearizable(&h, &ledger(), CheckBudget::nodes(10_000));
         assert!(outcome.is_linearizable());
     }
 
@@ -630,21 +533,21 @@ mod tests {
         h.respond(t1, Response::Transfer(true));
         let t2 = h.invoke(p(0), transfer(0, 1, 8));
         h.respond(t2, Response::Transfer(true));
-        let outcome = linearizable_bounded(&h, &ledger(), CheckBudget::nodes(100_000));
-        assert_eq!(outcome, BoundedOutcome::NotLinearizable);
-        assert!(outcome.is_violation());
+        let outcome = linearizable(&h, &ledger(), CheckBudget::nodes(100_000));
+        assert_eq!(outcome, CheckOutcome::NotLinearizable);
     }
 
     #[test]
     fn fast_path_is_real_time_sound() {
         // Response order would be unsound if it ignored a pending op
-        // whose effect was observed: the fast path must fail over to the
-        // full search here (read sees the pending transfer's debit).
+        // whose effect was observed: the greedy pass must complete the
+        // pending transfer (read sees its debit) or fail over to the
+        // search.
         let mut h = History::new();
         let _pending = h.invoke(p(0), transfer(0, 1, 4));
         let r = h.invoke(p(1), read(0));
         h.respond(r, Response::Read(amt(6)));
-        let outcome = linearizable_bounded(&h, &ledger(), CheckBudget::UNLIMITED);
+        let outcome = check(&h);
         assert!(outcome.is_linearizable());
     }
 
@@ -658,44 +561,45 @@ mod tests {
         for id in ids {
             h.respond(id, Response::Read(amt(10)));
         }
-        assert!(linearizable(&h, &ledger()).is_linearizable());
+        assert!(check(&h).is_linearizable());
     }
 
     #[test]
     fn greedy_pass_handles_out_of_response_order_credits() {
         // The live-cluster shape: p0's credit to account 1 *completes*
         // after p1's dependent spend does (their intervals overlap), so
-        // response order applies the spend first and fails. The greedy
-        // pass must reorder within the frontier — no exhaustive search
-        // required, which matters past 128 operations (here it's just
-        // exercised directly).
+        // response order, [spend, credit], applies the spend first and
+        // fails. The greedy pass must reorder within the frontier — no
+        // exhaustive search required, which matters past 128 operations
+        // (here it's just exercised directly).
         let mut h = History::new();
         let credit = h.invoke(p(0), transfer(0, 1, 8)); // 0: 10 -> 2, 1: 10 -> 18
         let spend = h.invoke(p(1), transfer(1, 0, 15)); // needs the credit
         h.respond(spend, Response::Transfer(true));
         h.respond(credit, Response::Transfer(true));
-        let records = h.records();
-        assert!(response_order_witness(&records, &ledger()).is_none());
-        let witness = greedy_witness(&records, &ledger()).expect("greedy finds the reorder");
+        let witness = greedy_witness(&h.records(), &ledger()).expect("greedy finds the reorder");
         assert_eq!(witness, vec![credit, spend]);
-        assert!(linearizable(&h, &ledger()).is_linearizable());
+        assert_eq!(
+            linearizable(&h, &ledger(), CheckBudget::nodes(0)),
+            CheckOutcome::Linearizable { witness }
+        );
     }
 
     #[test]
     fn histories_beyond_128_operations_are_checked_not_panicked() {
         // 200 sequential transfers shuttling one unit back and forth,
         // each observed by its response — far past the exhaustive
-        // search's bitmask, handled by the fast paths.
+        // search's bitmask, handled by the greedy pass.
         let mut h = History::new();
         for i in 0..200 {
             let (src, dst) = if i % 2 == 0 { (0, 1) } else { (1, 0) };
             let t = h.invoke(p(src), transfer(src, dst, 1));
             h.respond(t, Response::Transfer(true));
         }
-        let outcome = linearizable_bounded(&h, &ledger(), CheckBudget::nodes(10));
+        let outcome = linearizable(&h, &ledger(), CheckBudget::nodes(10));
         assert!(outcome.is_linearizable());
 
-        // A large history neither fast path certifies yields "no
+        // A large history the greedy pass cannot certify yields "no
         // verdict" — never a false violation, never a panic.
         let mut h = History::new();
         for _ in 0..130 {
@@ -704,7 +608,7 @@ mod tests {
         }
         let r = h.invoke(p(0), read(0));
         h.respond(r, Response::Read(amt(9_999))); // impossible balance
-        let outcome = linearizable_bounded(&h, &ledger(), CheckBudget::nodes(10));
-        assert!(matches!(outcome, BoundedOutcome::BudgetExhausted { .. }));
+        let outcome = linearizable(&h, &ledger(), CheckBudget::UNLIMITED);
+        assert_eq!(outcome, CheckOutcome::BudgetExhausted { explored: 0 });
     }
 }

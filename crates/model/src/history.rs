@@ -78,7 +78,7 @@ impl fmt::Display for Response {
 
 /// A single event in a history: an invocation or a response.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Event {
+enum Event {
     /// Process `process` invoked operation `op` (identified by `id`).
     Invoke {
         /// The operation identifier.
@@ -156,11 +156,6 @@ impl History {
         self.events.push(Event::Return { id, response });
     }
 
-    /// The events in real-time order.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
     /// Number of invoked operations (complete or pending).
     pub fn op_count(&self) -> usize {
         self.op_count as usize
@@ -198,22 +193,6 @@ impl History {
         records
             .into_iter()
             .map(|r| r.expect("missing invocation"))
-            .collect()
-    }
-
-    /// The sub-history of events belonging to `process` (the projection
-    /// `H | p`).
-    pub fn projection(&self, process: ProcessId) -> Vec<Event> {
-        let records = self.records();
-        self.events
-            .iter()
-            .filter(|event| {
-                let id = match event {
-                    Event::Invoke { id, .. } | Event::Return { id, .. } => *id,
-                };
-                records[id.index()].process == process
-            })
-            .copied()
             .collect()
     }
 }
@@ -287,11 +266,6 @@ impl Recorder {
             Err(arc) => arc.lock().expect("recorder poisoned").clone(),
         }
     }
-
-    /// Takes a snapshot of the history recorded so far.
-    pub fn snapshot(&self) -> History {
-        self.inner.lock().expect("recorder poisoned").clone()
-    }
 }
 
 #[cfg(test)]
@@ -356,19 +330,6 @@ mod tests {
     }
 
     #[test]
-    fn projection_filters_by_process() {
-        let mut h = History::new();
-        let id0 = h.invoke(p(0), read_op(0));
-        let id1 = h.invoke(p(1), read_op(1));
-        h.respond(id0, Response::Read(Amount::ZERO));
-        h.respond(id1, Response::Read(Amount::ZERO));
-        let proj = h.projection(p(0));
-        assert_eq!(proj.len(), 2);
-        assert!(matches!(proj[0], Event::Invoke { id, .. } if id == id0));
-        assert!(matches!(proj[1], Event::Return { id, .. } if id == id0));
-    }
-
-    #[test]
     fn recorder_shares_history_across_clones() {
         let recorder = Recorder::new();
         let other = recorder.clone();
@@ -378,16 +339,6 @@ mod tests {
         let history = recorder.into_history();
         assert_eq!(history.op_count(), 1);
         assert!(history.is_complete());
-    }
-
-    #[test]
-    fn recorder_snapshot_is_a_copy() {
-        let recorder = Recorder::new();
-        let _ = recorder.invoke(p(0), read_op(0));
-        let snap = recorder.snapshot();
-        let _ = recorder.invoke(p(1), read_op(1));
-        assert_eq!(snap.op_count(), 1);
-        assert_eq!(recorder.into_history().op_count(), 2);
     }
 
     #[test]

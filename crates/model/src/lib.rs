@@ -54,10 +54,10 @@ pub mod owner;
 pub mod spec;
 pub mod transfer;
 
-pub use check::{linearizable, linearizable_bounded, BoundedOutcome, CheckBudget, CheckOutcome};
+pub use check::{linearizable, CheckBudget, CheckOutcome};
 pub use codec::{Decode, Encode, Reader, Writer};
 pub use error::{CodecError, TransferError};
-pub use history::{Event, History, OpId, Operation, Response};
+pub use history::{History, OpId, Operation, Response};
 pub use ids::{AccountId, Amount, ProcessId, Round, SeqNo};
 pub use owner::OwnerMap;
 pub use spec::Ledger;

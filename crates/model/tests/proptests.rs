@@ -3,7 +3,9 @@
 
 use at_model::codec::{decode, encode, Reader};
 use at_model::history::{History, Operation, Response};
-use at_model::{AccountId, Amount, CheckOutcome, Ledger, OwnerMap, ProcessId, SeqNo, Transfer};
+use at_model::{
+    AccountId, Amount, CheckBudget, CheckOutcome, Ledger, OwnerMap, ProcessId, SeqNo, Transfer,
+};
 use proptest::prelude::*;
 
 fn account() -> impl Strategy<Value = AccountId> {
@@ -112,7 +114,7 @@ proptest! {
                 history.respond(id, Response::Transfer(ok));
             }
         }
-        prop_assert!(at_model::linearizable(&history, &initial).is_linearizable());
+        prop_assert!(at_model::linearizable(&history, &initial, CheckBudget::UNLIMITED).is_linearizable());
     }
 
     /// Completeness of the checker on a known-bad pattern: claiming a
@@ -128,7 +130,7 @@ proptest! {
         // Balance is 0 and no transfers exist: any non-zero read is wrong.
         history.respond(id, Response::Read(Amount::new(bogus)));
         prop_assert_eq!(
-            at_model::linearizable(&history, &initial),
+            at_model::linearizable(&history, &initial, CheckBudget::UNLIMITED),
             CheckOutcome::NotLinearizable
         );
     }

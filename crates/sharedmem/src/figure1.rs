@@ -19,8 +19,8 @@
 //! Theorem 1: this implementation is linearizable and wait-free, hence the
 //! single-owner asset-transfer type has consensus number 1.
 
-use crate::object::SharedAssetTransfer;
-use crate::snapshot::{AfekSnapshot, AtomicSnapshot, LockSnapshot};
+use crate::object::{assert_owners_within, SharedAssetTransfer};
+use crate::snapshot::AfekSnapshot;
 use at_model::spec::balance_from_transfers;
 use at_model::{AccountId, Amount, OwnerMap, ProcessId, SeqNo, Transfer};
 use std::collections::BTreeMap;
@@ -33,12 +33,8 @@ use std::sync::Mutex;
 /// to copy.
 type Ops = Arc<Vec<Transfer>>;
 
-/// Figure 1's asset-transfer object, generic over the snapshot
-/// implementation.
-///
-/// Use [`SnapshotAssetTransfer::wait_free`] for the Afek et al. snapshot
-/// (the construction of the theorem) or
-/// [`SnapshotAssetTransfer::blocking`] for the lock-based snapshot.
+/// Figure 1's asset-transfer object, on the wait-free Afek et al.
+/// snapshot ([`AfekSnapshot`]).
 ///
 /// # Example
 ///
@@ -48,14 +44,14 @@ type Ops = Arc<Vec<Transfer>>;
 /// use at_sharedmem::object::SharedAssetTransfer;
 ///
 /// // 3 processes, account i owned by process i, 100 units each.
-/// let object = SnapshotAssetTransfer::wait_free_uniform(3, Amount::new(100));
+/// let object = SnapshotAssetTransfer::uniform(3, Amount::new(100));
 /// let p0 = ProcessId::new(0);
 /// assert!(object.transfer(p0, AccountId::new(0), AccountId::new(2), Amount::new(60)));
 /// assert!(!object.transfer(p0, AccountId::new(0), AccountId::new(2), Amount::new(60)));
 /// assert_eq!(object.read(AccountId::new(2)), Amount::new(160));
 /// ```
-pub struct SnapshotAssetTransfer<S> {
-    snapshot: S,
+pub struct SnapshotAssetTransfer {
+    snapshot: AfekSnapshot<Ops>,
     initial: BTreeMap<AccountId, Amount>,
     owners: OwnerMap,
     /// Process-local state (`ops_p` and the sequence counter), stored
@@ -70,49 +66,17 @@ struct Local {
     seq: SeqNo,
 }
 
-impl SnapshotAssetTransfer<AfekSnapshot<Ops>> {
-    /// Builds on the wait-free Afek et al. snapshot.
-    pub fn wait_free<I>(n: usize, initial: I, owners: OwnerMap) -> Self
-    where
-        I: IntoIterator<Item = (AccountId, Amount)>,
-    {
-        Self::with_snapshot(AfekSnapshot::new(n, Arc::new(Vec::new())), initial, owners)
-    }
-
-    /// Wait-free object with the uniform benchmark topology.
-    pub fn wait_free_uniform(n: usize, initial: Amount) -> Self {
-        let owners = OwnerMap::one_account_per_process(n);
-        let balances: Vec<_> = AccountId::all(n).map(|a| (a, initial)).collect();
-        Self::wait_free(n, balances, owners)
-    }
-}
-
-impl SnapshotAssetTransfer<LockSnapshot<Ops>> {
-    /// Builds on the blocking lock-based snapshot.
-    pub fn blocking<I>(n: usize, initial: I, owners: OwnerMap) -> Self
-    where
-        I: IntoIterator<Item = (AccountId, Amount)>,
-    {
-        Self::with_snapshot(LockSnapshot::new(n, Arc::new(Vec::new())), initial, owners)
-    }
-
-    /// Blocking object with the uniform benchmark topology.
-    pub fn blocking_uniform(n: usize, initial: Amount) -> Self {
-        let owners = OwnerMap::one_account_per_process(n);
-        let balances: Vec<_> = AccountId::all(n).map(|a| (a, initial)).collect();
-        Self::blocking(n, balances, owners)
-    }
-}
-
-impl<S: AtomicSnapshot<Ops>> SnapshotAssetTransfer<S> {
-    /// Builds on an arbitrary snapshot implementation.
+impl SnapshotAssetTransfer {
+    /// Creates the object for `n` processes with the given initial
+    /// balances and owner map.
     ///
     /// # Panics
     ///
     /// Panics when the owner map is not single-owner (`|µ(a)| ≤ 1`): the
     /// Figure 1 algorithm is only correct in the Nakamoto setting. Use
-    /// [`crate::figure3`] for shared accounts.
-    pub fn with_snapshot<I>(snapshot: S, initial: I, owners: OwnerMap) -> Self
+    /// [`crate::figure3`] for shared accounts. Panics as well when an
+    /// owner is not one of the `n` processes.
+    pub fn new<I>(n: usize, initial: I, owners: OwnerMap) -> Self
     where
         I: IntoIterator<Item = (AccountId, Amount)>,
     {
@@ -121,17 +85,25 @@ impl<S: AtomicSnapshot<Ops>> SnapshotAssetTransfer<S> {
             "Figure 1 requires single-owner accounts; got sharedness {}",
             owners.sharedness()
         );
-        let n = snapshot.len();
+        assert_owners_within(&owners, n);
         let mut balances: BTreeMap<AccountId, Amount> = initial.into_iter().collect();
         for account in owners.accounts() {
             balances.entry(account).or_insert(Amount::ZERO);
         }
         SnapshotAssetTransfer {
-            snapshot,
+            snapshot: AfekSnapshot::new(n, Arc::new(Vec::new())),
             initial: balances,
             owners,
             locals: (0..n).map(|_| Mutex::new(Local::default())).collect(),
         }
+    }
+
+    /// The uniform benchmark topology: account `i` owned by process `i`,
+    /// every account starting at `initial`.
+    pub fn uniform(n: usize, initial: Amount) -> Self {
+        let owners = OwnerMap::one_account_per_process(n);
+        let balances: Vec<_> = AccountId::all(n).map(|a| (a, initial)).collect();
+        Self::new(n, balances, owners)
     }
 
     /// The owner map.
@@ -147,7 +119,7 @@ impl<S: AtomicSnapshot<Ops>> SnapshotAssetTransfer<S> {
     }
 }
 
-impl<S: AtomicSnapshot<Ops>> SharedAssetTransfer for SnapshotAssetTransfer<S> {
+impl SharedAssetTransfer for SnapshotAssetTransfer {
     fn transfer(
         &self,
         process: ProcessId,
@@ -155,20 +127,22 @@ impl<S: AtomicSnapshot<Ops>> SharedAssetTransfer for SnapshotAssetTransfer<S> {
         destination: AccountId,
         amount: Amount,
     ) -> bool {
+        // Line 2's owner check needs no snapshot, so it comes first: a
+        // process outside µ(a) (unknown accounts have no owner) is refused
+        // before its local state is looked up.
+        if !self.owners.is_owner(process, source) || !self.initial.contains_key(&destination) {
+            return false;
+        }
         // The model assumes sequential processes; holding the local lock
         // across the whole operation keeps the object safe even if a
-        // caller violates that assumption.
+        // caller violates that assumption. It also makes the owner the
+        // single writer of its snapshot slot.
         let mut local = self.locals[process.as_usize()]
             .lock()
             .expect("local state poisoned");
-        // Line 1: take a snapshot.
+        // Lines 1-2: take a snapshot, validate the balance.
         let view = self.snapshot.snapshot();
-        // Line 2: owner and balance validation. Unknown accounts have no
-        // owner, so p ∉ µ(a) covers them.
-        if !self.owners.is_owner(process, source)
-            || !self.initial.contains_key(&destination)
-            || self.balance(source, &view) < amount
-        {
+        if self.balance(source, &view) < amount {
             return false;
         }
         // Lines 4-5: append to ops_p and publish.
@@ -187,7 +161,7 @@ impl<S: AtomicSnapshot<Ops>> SharedAssetTransfer for SnapshotAssetTransfer<S> {
     }
 }
 
-impl<S: AtomicSnapshot<Ops>> fmt::Debug for SnapshotAssetTransfer<S> {
+impl fmt::Debug for SnapshotAssetTransfer {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let view = self.snapshot.snapshot();
         f.debug_map()
@@ -218,7 +192,7 @@ mod tests {
 
     #[test]
     fn sequential_semantics_match_spec() {
-        let object = SnapshotAssetTransfer::wait_free_uniform(3, amt(10));
+        let object = SnapshotAssetTransfer::uniform(3, amt(10));
         assert_eq!(object.read(a(0)), amt(10));
         assert!(object.transfer(p(0), a(0), a(1), amt(4)));
         assert_eq!(object.read(a(0)), amt(6));
@@ -235,7 +209,7 @@ mod tests {
 
     #[test]
     fn incoming_funds_are_spendable() {
-        let object = SnapshotAssetTransfer::blocking_uniform(2, amt(10));
+        let object = SnapshotAssetTransfer::uniform(2, amt(10));
         assert!(object.transfer(p(0), a(0), a(1), amt(10)));
         assert!(object.transfer(p(1), a(1), a(0), amt(20)));
         assert_eq!(object.read(a(0)), amt(20));
@@ -246,7 +220,21 @@ mod tests {
     #[should_panic(expected = "single-owner")]
     fn rejects_shared_owner_maps() {
         let owners = OwnerMap::builder().account(a(0), [p(0), p(1)]).build();
-        let _ = SnapshotAssetTransfer::wait_free(2, [(a(0), amt(4))], owners);
+        let _ = SnapshotAssetTransfer::new(2, [(a(0), amt(4))], owners);
+    }
+
+    #[test]
+    fn an_outsiders_transfer_is_refused() {
+        let object = SnapshotAssetTransfer::uniform(2, amt(10));
+        assert!(!object.transfer(p(2), a(0), a(1), amt(1)));
+        assert_eq!(object.read(a(0)), amt(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "not one of the 2 processes")]
+    fn rejects_owners_outside_the_processes() {
+        let owners = OwnerMap::single_owner([(a(0), p(0)), (a(1), p(2))]);
+        let _ = SnapshotAssetTransfer::new(2, [(a(0), amt(4))], owners);
     }
 
     #[test]
@@ -255,7 +243,7 @@ mod tests {
         use std::thread;
         const N: usize = 4;
         const OPS: u64 = 120;
-        let object = StdArc::new(SnapshotAssetTransfer::wait_free_uniform(N, amt(50)));
+        let object = StdArc::new(SnapshotAssetTransfer::uniform(N, amt(50)));
         let handles: Vec<_> = (0..N as u32)
             .map(|i| {
                 let object = StdArc::clone(&object);
@@ -284,7 +272,7 @@ mod tests {
 
     #[test]
     fn owner_map_accessor_and_debug() {
-        let object = SnapshotAssetTransfer::wait_free_uniform(2, amt(1));
+        let object = SnapshotAssetTransfer::uniform(2, amt(1));
         assert_eq!(object.owners().sharedness(), 1);
         assert!(format!("{object:?}").contains("acct0"));
     }

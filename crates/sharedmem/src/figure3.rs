@@ -5,15 +5,16 @@
 //! per process) and an unbounded series of `k`-consensus objects
 //! `kC_a[0], kC_a[1], …`. The up-to-`k` owners of `a` agree on the order
 //! of outgoing transfers round by round; decided transfer–result pairs are
-//! published in an atomic snapshot `AS` (one slot per process holding its
-//! `hist` set). Announcing in `R_a` before proposing gives the *helping*
+//! published in the wait-free atomic snapshot `AS` ([`AfekSnapshot`], one
+//! slot per process holding its `hist` set, written only by that process).
+//! Announcing in `R_a` before proposing gives the *helping*
 //! mechanism that makes the object wait-free: owners propose the oldest
 //! announced-but-uncommitted transfer, not necessarily their own.
 
 use crate::kconsensus::KConsensusList;
-use crate::object::SharedAssetTransfer;
+use crate::object::{assert_owners_within, SharedAssetTransfer};
 use crate::register::RegisterArray;
-use crate::snapshot::{AtomicSnapshot, LockSnapshot};
+use crate::snapshot::AfekSnapshot;
 use at_model::spec::balance_from_transfers;
 use at_model::{AccountId, Amount, OwnerMap, ProcessId, Round, SeqNo, Transfer, TransferId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -82,7 +83,7 @@ struct Local {
 /// ```
 pub struct KSharedAssetTransfer {
     /// `AS`: one slot per process holding its published `hist`.
-    snapshot: LockSnapshot<Hist>,
+    snapshot: AfekSnapshot<Hist>,
     accounts: BTreeMap<AccountId, AccountShared>,
     initial: BTreeMap<AccountId, Amount>,
     owners: OwnerMap,
@@ -92,10 +93,15 @@ pub struct KSharedAssetTransfer {
 impl KSharedAssetTransfer {
     /// Creates the object for `n` processes with the given initial
     /// balances and (arbitrary-sharedness) owner map.
+    ///
+    /// # Panics
+    ///
+    /// Panics when an owner is not one of the `n` processes.
     pub fn new<I>(n: usize, initial: I, owners: OwnerMap) -> Self
     where
         I: IntoIterator<Item = (AccountId, Amount)>,
     {
+        assert_owners_within(&owners, n);
         let mut balances: BTreeMap<AccountId, Amount> = initial.into_iter().collect();
         for account in owners.accounts() {
             balances.entry(account).or_insert(Amount::ZERO);
@@ -114,7 +120,7 @@ impl KSharedAssetTransfer {
             })
             .collect();
         KSharedAssetTransfer {
-            snapshot: LockSnapshot::new(n, Arc::new(BTreeSet::new())),
+            snapshot: AfekSnapshot::new(n, Arc::new(BTreeSet::new())),
             accounts,
             initial: balances,
             owners,
@@ -236,7 +242,8 @@ impl SharedAssetTransfer for KSharedAssetTransfer {
                 .propose(prop)
                 .expect("at most k owners propose per round");
 
-            // Lines 10-11: publish the decision.
+            // Lines 10-11: publish the decision. Holding `local` makes
+            // this process the single writer of its slot.
             local.hist.insert(decision);
             self.snapshot
                 .update(process.as_usize(), Arc::new(local.hist.clone()));
@@ -347,6 +354,12 @@ mod tests {
         assert!(!object.transfer(p(0), a(9), a(1), amt(1)));
         assert!(!object.transfer(p(0), a(0), a(9), amt(1)));
         assert_eq!(object.read(a(0)), amt(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "owner p2 of acct0 is not one of the 2 processes")]
+    fn an_owner_outside_the_processes_is_refused_at_construction() {
+        let _ = shared_object(2, 3, 10);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 
 use crate::object::SharedAssetTransfer;
 use at_model::history::{Operation, Recorder, Response};
-use at_model::{AccountId, Amount, CheckOutcome, History, Ledger, OwnerMap, ProcessId};
+use at_model::{
+    AccountId, Amount, CheckBudget, CheckOutcome, History, Ledger, OwnerMap, ProcessId,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -47,56 +49,27 @@ impl Default for WorkloadConfig {
 /// Accounts follow the uniform topology: account `i` owned by process `i`.
 pub fn run_uniform_workload<O>(object: Arc<O>, config: &WorkloadConfig) -> (History, Ledger)
 where
-    O: SharedAssetTransfer + 'static,
+    O: SharedAssetTransfer,
 {
     let n = config.processes;
-    let initial = Ledger::new(
-        AccountId::all(n).map(|a| (a, config.initial_balance)),
-        OwnerMap::one_account_per_process(n),
-    );
-    let recorder = Recorder::new();
-
-    let threads: Vec<_> = (0..n)
-        .map(|i| {
-            let object = Arc::clone(&object);
-            let recorder = recorder.clone();
-            let config = config.clone();
-            thread::spawn(move || {
-                let process = ProcessId::new(i as u32);
-                let mut rng = StdRng::seed_from_u64(config.seed ^ (i as u64).wrapping_mul(0x9E37));
-                for _ in 0..config.ops_per_process {
-                    if rng.gen_range(0..100u8) < config.read_percent {
-                        let account = AccountId::new(rng.gen_range(0..n) as u32);
-                        let id = recorder.invoke(process, Operation::Read { account });
-                        let balance = object.read(account);
-                        recorder.respond(id, Response::Read(balance));
-                    } else {
-                        let source = AccountId::new(i as u32);
-                        let mut dest_index = rng.gen_range(0..n);
-                        if dest_index == i && n > 1 {
-                            dest_index = (dest_index + 1) % n;
-                        }
-                        let destination = AccountId::new(dest_index as u32);
-                        let amount = Amount::new(rng.gen_range(0..=config.max_amount));
-                        let id = recorder.invoke(
-                            process,
-                            Operation::Transfer {
-                                source,
-                                destination,
-                                amount,
-                            },
-                        );
-                        let ok = object.transfer(process, source, destination, amount);
-                        recorder.respond(id, Response::Transfer(ok));
-                    }
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("workload thread panicked");
-    }
-    (recorder.into_history(), initial)
+    let (max_amount, read_percent) = (config.max_amount, config.read_percent);
+    let choose = |i: usize, rng: &mut StdRng| {
+        if rng.gen_range(0..100u8) < read_percent {
+            let account = AccountId::new(rng.gen_range(0..n) as u32);
+            return Operation::Read { account };
+        }
+        let mut dest_index = rng.gen_range(0..n);
+        if dest_index == i && n > 1 {
+            dest_index = (dest_index + 1) % n;
+        }
+        Operation::Transfer {
+            source: AccountId::new(i as u32),
+            destination: AccountId::new(dest_index as u32),
+            amount: Amount::new(rng.gen_range(0..=max_amount)),
+        }
+    };
+    let history = run_workload(&*object, n, config.ops_per_process, config.seed, choose);
+    (history, Ledger::uniform(n, config.initial_balance))
 }
 
 /// Runs a random workload on a `k`-shared account: `k` owner processes all
@@ -109,7 +82,7 @@ pub fn run_shared_account_workload<O>(
     seed: u64,
 ) -> (History, Ledger)
 where
-    O: SharedAssetTransfer + 'static,
+    O: SharedAssetTransfer,
 {
     let shared = AccountId::new(0);
     let sink = AccountId::new(1);
@@ -118,43 +91,65 @@ where
         owners.add_owner(shared, process);
     }
     owners.add_unowned(sink);
+    let history = run_workload(&*object, k, ops_per_process, seed, |_, rng| {
+        if rng.gen_bool(0.25) {
+            let account = if rng.gen_bool(0.5) { shared } else { sink };
+            return Operation::Read { account };
+        }
+        Operation::Transfer {
+            source: shared,
+            destination: sink,
+            amount: Amount::new(rng.gen_range(1..=5)),
+        }
+    });
     let initial = Ledger::new([(shared, initial_balance), (sink, Amount::ZERO)], owners);
-    let recorder = Recorder::new();
+    (history, initial)
+}
 
-    let threads: Vec<_> = (0..k)
-        .map(|i| {
-            let object = Arc::clone(&object);
-            let recorder = recorder.clone();
-            thread::spawn(move || {
+/// The one body behind both workloads: `processes` threads, thread `i`
+/// being process `i`, each invoking `ops_per_process` operations that
+/// `choose(i, rng)` picks from its own seeded stream, and recording every
+/// invocation and response.
+fn run_workload<O, F>(
+    object: &O,
+    processes: usize,
+    ops_per_process: usize,
+    seed: u64,
+    choose: F,
+) -> History
+where
+    O: SharedAssetTransfer,
+    F: Fn(usize, &mut StdRng) -> Operation + Sync,
+{
+    let recorder = Recorder::new();
+    thread::scope(|scope| {
+        for i in 0..processes {
+            let (recorder, choose) = (recorder.clone(), &choose);
+            scope.spawn(move || {
                 let process = ProcessId::new(i as u32);
-                let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0xC0FFEE));
+                let mut rng = StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37));
                 for _ in 0..ops_per_process {
-                    if rng.gen_bool(0.25) {
-                        let account = if rng.gen_bool(0.5) { shared } else { sink };
-                        let id = recorder.invoke(process, Operation::Read { account });
-                        let balance = object.read(account);
-                        recorder.respond(id, Response::Read(balance));
-                    } else {
-                        let amount = Amount::new(rng.gen_range(1..=5));
-                        let id = recorder.invoke(
+                    let op = choose(i, &mut rng);
+                    let id = recorder.invoke(process, op);
+                    let response = match op {
+                        Operation::Transfer {
+                            source,
+                            destination,
+                            amount,
+                        } => Response::Transfer(object.transfer(
                             process,
-                            Operation::Transfer {
-                                source: shared,
-                                destination: sink,
-                                amount,
-                            },
-                        );
-                        let ok = object.transfer(process, shared, sink, amount);
-                        recorder.respond(id, Response::Transfer(ok));
-                    }
+                            source,
+                            destination,
+                            amount,
+                        )),
+                        Operation::Read { account } => Response::Read(object.read(account)),
+                    };
+                    recorder.respond(id, response);
                 }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().expect("workload thread panicked");
-    }
-    (recorder.into_history(), initial)
+            });
+        }
+    });
+    recorder.into_history()
 }
 
 /// Asserts that the recorded history linearizes; panics with the history
@@ -162,13 +157,12 @@ where
 ///
 /// # Panics
 ///
-/// Panics when the history is not linearizable (that is the point).
+/// Panics when the history is not linearizable (that is the point), and
+/// when the checker cannot decide it: an undecided history is not a pass.
 pub fn assert_linearizable(history: &History, initial: &Ledger) {
-    match at_model::linearizable(history, initial) {
+    match at_model::linearizable(history, initial, CheckBudget::UNLIMITED) {
         CheckOutcome::Linearizable { .. } => {}
-        CheckOutcome::NotLinearizable => {
-            panic!("history is not linearizable:\n{history}");
-        }
+        verdict => panic!("history is not shown linearizable ({verdict:?}):\n{history}"),
     }
 }
 
@@ -202,23 +196,7 @@ mod tests {
                 seed,
                 ..WorkloadConfig::default()
             };
-            let object = Arc::new(SnapshotAssetTransfer::wait_free_uniform(
-                config.processes,
-                config.initial_balance,
-            ));
-            let (history, initial) = run_uniform_workload(object, &config);
-            assert_linearizable(&history, &initial);
-        }
-    }
-
-    #[test]
-    fn figure1_blocking_linearizes() {
-        for seed in 0..8 {
-            let config = WorkloadConfig {
-                seed,
-                ..WorkloadConfig::default()
-            };
-            let object = Arc::new(SnapshotAssetTransfer::blocking_uniform(
+            let object = Arc::new(SnapshotAssetTransfer::uniform(
                 config.processes,
                 config.initial_balance,
             ));

@@ -1,8 +1,9 @@
 //! # at-sharedmem — the paper's shared-memory results, executable
 //!
 //! This crate implements Sections 2–4 of *The Consensus Number of a
-//! Cryptocurrency*: the shared-memory substrate (atomic registers, atomic
-//! snapshots, `k`-consensus objects) and the three algorithms built on it:
+//! Cryptocurrency*: the shared-memory substrate (atomic registers, the
+//! wait-free atomic snapshot [`AfekSnapshot`], `k`-consensus objects) and
+//! the three algorithms built on it:
 //!
 //! * [`figure1`] — wait-free asset transfer from atomic snapshots alone
 //!   (consensus number **1**, Theorem 1);
@@ -14,6 +15,12 @@
 //!
 //! Together, Figures 2 and 3 pin the consensus number of a `k`-shared
 //! asset-transfer object at exactly `k` (Theorem 2).
+//!
+//! Each object has one implementation. Figures 1 and 3 both publish
+//! through [`AfekSnapshot`], each slot written only by its owning process,
+//! so no process holds a lock across an operation that another must wait
+//! for; the registers' short critical sections stand for the atomicity of
+//! a memory word (see [`register`]).
 //!
 //! All objects implement [`object::SharedAssetTransfer`]; the
 //! [`object::MutexAssetTransfer`] reference implementation doubles as the
@@ -28,7 +35,7 @@
 //! use at_sharedmem::figure1::SnapshotAssetTransfer;
 //! use at_sharedmem::object::SharedAssetTransfer;
 //!
-//! let object = SnapshotAssetTransfer::wait_free_uniform(2, Amount::new(10));
+//! let object = SnapshotAssetTransfer::uniform(2, Amount::new(10));
 //! assert!(object.transfer(
 //!     ProcessId::new(0),
 //!     AccountId::new(0),
@@ -55,4 +62,4 @@ pub use figure2::TransferConsensus;
 pub use figure3::KSharedAssetTransfer;
 pub use kconsensus::{KConsensus, KConsensusList};
 pub use object::{MutexAssetTransfer, SharedAssetTransfer};
-pub use snapshot::{AfekSnapshot, AtomicSnapshot, LockSnapshot};
+pub use snapshot::AfekSnapshot;

@@ -95,6 +95,19 @@ impl fmt::Debug for MutexAssetTransfer {
     }
 }
 
+/// Panics unless every owner in `owners` is one of processes `0..n`:
+/// Figures 1 and 3 keep per-process state indexed by owner.
+pub(crate) fn assert_owners_within(owners: &OwnerMap, n: usize) {
+    for account in owners.accounts() {
+        for process in owners.owners(account) {
+            assert!(
+                process.as_usize() < n,
+                "owner {process} of {account} is not one of the {n} processes"
+            );
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,5 +1,5 @@
-//! Atomic snapshot objects (Afek, Attiya, Dolev, Gafni, Merritt, Shavit,
-//! JACM 1993).
+//! The atomic snapshot object (Afek, Attiya, Dolev, Gafni, Merritt,
+//! Shavit, JACM 1993).
 //!
 //! An atomic snapshot is a vector of `N` shared slots supporting two
 //! linearizable operations: `update(i, v)` on a single slot and
@@ -7,70 +7,17 @@
 //! transfer directly on this object; Figure 3 uses one to publish decided
 //! transfers.
 //!
-//! Two implementations:
-//!
-//! * [`LockSnapshot`] — a sequence of slots behind one `RwLock`; trivially
-//!   linearizable, blocking. The practical choice, and the reference.
-//! * [`AfekSnapshot`] — the classical *wait-free* construction from
-//!   single-writer registers: double collect until clean, "borrowing" the
-//!   embedded snapshot of a writer observed to move twice.
+//! There is one implementation, [`AfekSnapshot`]: the classical
+//! *wait-free* construction from single-writer registers, which double
+//! collects until clean and otherwise "borrows" the snapshot embedded by a
+//! writer observed to move twice. There is no lock-based alternative (the
+//! vector behind one reader-writer lock): Theorems 1 and 2 are statements
+//! about wait-free objects, and such a snapshot stalls every process while
+//! its lock holder is preempted.
 
 use crate::register::{MutexRegister, Register};
 use std::fmt;
-use std::sync::{Arc, RwLock};
-
-/// An `N`-slot atomic snapshot object.
-pub trait AtomicSnapshot<T: Clone>: Send + Sync {
-    /// Number of slots.
-    fn len(&self) -> usize;
-
-    /// Whether the object has zero slots.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Atomically replaces slot `i` with `value`.
-    ///
-    /// Only process `i` may call this on its slot (single-writer).
-    fn update(&self, i: usize, value: T);
-
-    /// Atomically reads all slots.
-    fn snapshot(&self) -> Vec<T>;
-}
-
-/// Blocking snapshot: one `RwLock` around the whole vector.
-pub struct LockSnapshot<T> {
-    slots: RwLock<Vec<T>>,
-}
-
-impl<T: Clone + Send + Sync> LockSnapshot<T> {
-    /// Creates `n` slots initialised to `initial`.
-    pub fn new(n: usize, initial: T) -> Self {
-        LockSnapshot {
-            slots: RwLock::new(vec![initial; n]),
-        }
-    }
-}
-
-impl<T: Clone + Send + Sync> AtomicSnapshot<T> for LockSnapshot<T> {
-    fn len(&self) -> usize {
-        self.slots.read().expect("snapshot poisoned").len()
-    }
-
-    fn update(&self, i: usize, value: T) {
-        self.slots.write().expect("snapshot poisoned")[i] = value;
-    }
-
-    fn snapshot(&self) -> Vec<T> {
-        self.slots.read().expect("snapshot poisoned").clone()
-    }
-}
-
-impl<T: Clone + Send + Sync + fmt::Debug> fmt::Debug for LockSnapshot<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "LockSnapshot({:?})", self.snapshot())
-    }
-}
+use std::sync::Arc;
 
 /// One cell of the Afek et al. construction: the value, the writer's
 /// sequence number, and the snapshot embedded by the writer.
@@ -104,7 +51,7 @@ impl<T: Clone> Clone for Cell<T> {
 /// # Example
 ///
 /// ```
-/// use at_sharedmem::snapshot::{AfekSnapshot, AtomicSnapshot};
+/// use at_sharedmem::snapshot::AfekSnapshot;
 ///
 /// let snap = AfekSnapshot::new(3, 0u64);
 /// snap.update(1, 42);
@@ -133,14 +80,12 @@ impl<T: Clone + Send + Sync> AfekSnapshot<T> {
     fn collect(&self) -> Vec<Arc<Cell<T>>> {
         self.registers.iter().map(|r| r.read()).collect()
     }
-}
 
-impl<T: Clone + Send + Sync> AtomicSnapshot<T> for AfekSnapshot<T> {
-    fn len(&self) -> usize {
-        self.registers.len()
-    }
-
-    fn update(&self, i: usize, value: T) {
+    /// Atomically replaces slot `i` with `value`.
+    ///
+    /// Slot `i` has a single writer: only its owning process may call
+    /// this, one call at a time.
+    pub fn update(&self, i: usize, value: T) {
         // Embed a snapshot so concurrent scanners can borrow it.
         let embedded = Arc::new(self.snapshot());
         let seq = self.registers[i].read().seq + 1;
@@ -151,8 +96,9 @@ impl<T: Clone + Send + Sync> AtomicSnapshot<T> for AfekSnapshot<T> {
         }));
     }
 
-    fn snapshot(&self) -> Vec<T> {
-        let n = self.len();
+    /// Atomically reads all slots.
+    pub fn snapshot(&self) -> Vec<T> {
+        let n = self.registers.len();
         // moved[j] = how many times writer j was seen to change.
         let mut moved = vec![0u32; n];
         let mut previous = self.collect();
@@ -195,9 +141,9 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::thread;
 
-    fn exercise_basic<S: AtomicSnapshot<u64>>(snap: &S) {
-        assert_eq!(snap.len(), 4);
-        assert!(!snap.is_empty());
+    #[test]
+    fn afek_snapshot_basics() {
+        let snap = AfekSnapshot::new(4, 0u64);
         assert_eq!(snap.snapshot(), vec![0, 0, 0, 0]);
         snap.update(2, 9);
         snap.update(0, 1);
@@ -206,23 +152,17 @@ mod tests {
         assert_eq!(snap.snapshot(), vec![1, 0, 10, 0]);
     }
 
+    /// Every writer only increments its own slot, so each reader's scans
+    /// must be pointwise non-decreasing in scan order. Atomicity asks more:
+    /// any two scans, by any two readers, are ordered slot by slot (one is
+    /// pointwise ≤ the other), because both are states of one linearized
+    /// vector. A snapshot that is only monotone per reader fails this when
+    /// two readers see two writers' increments in opposite orders.
     #[test]
-    fn lock_snapshot_basics() {
-        exercise_basic(&LockSnapshot::new(4, 0u64));
-    }
-
-    #[test]
-    fn afek_snapshot_basics() {
-        exercise_basic(&AfekSnapshot::new(4, 0u64));
-    }
-
-    /// Monotonic-counter regularity: every writer only increments its own
-    /// slot, so snapshots must be pointwise monotonically non-decreasing
-    /// in scan order per reader, and no snapshot may "tear" below a value
-    /// already observed.
-    fn exercise_concurrent<S: AtomicSnapshot<u64> + 'static>(snap: Arc<S>) {
+    fn afek_snapshot_concurrent_monotonicity() {
         const WRITERS: usize = 3;
-        const INCREMENTS: u64 = 300;
+        const INCREMENTS: u64 = 20_000;
+        let snap = Arc::new(AfekSnapshot::new(4, 0u64));
         let stop = Arc::new(AtomicBool::new(false));
 
         let writer_handles: Vec<_> = (0..WRITERS)
@@ -241,20 +181,20 @@ mod tests {
                 let snap = Arc::clone(&snap);
                 let stop = Arc::clone(&stop);
                 thread::spawn(move || {
-                    let mut last = vec![0u64; WRITERS];
-                    let mut scans = 0u64;
+                    let mut scans: Vec<Vec<u64>> = Vec::new();
                     loop {
-                        let view = snap.snapshot();
-                        for j in 0..WRITERS {
-                            assert!(
-                                view[j] >= last[j],
-                                "snapshot went backwards at slot {j}: {} < {}",
-                                view[j],
-                                last[j]
-                            );
+                        let view = snap.snapshot()[..WRITERS].to_vec();
+                        if let Some(last) = scans.last() {
+                            for j in 0..WRITERS {
+                                assert!(
+                                    view[j] >= last[j],
+                                    "snapshot went backwards at slot {j}: {} < {}",
+                                    view[j],
+                                    last[j]
+                                );
+                            }
                         }
-                        last = view[..WRITERS].to_vec();
-                        scans += 1;
+                        scans.push(view);
                         if stop.load(Ordering::Relaxed) {
                             break;
                         }
@@ -268,34 +208,40 @@ mod tests {
             w.join().unwrap();
         }
         stop.store(true, Ordering::Relaxed);
+        let mut scans = Vec::new();
         for r in reader_handles {
-            assert!(r.join().unwrap() > 0);
+            let taken = r.join().unwrap();
+            assert!(!taken.is_empty());
+            scans.extend(taken);
+        }
+        // Pairwise comparability is a chain under the pointwise order:
+        // sorted by total, each scan must be pointwise ≤ the next, which by
+        // transitivity orders every pair.
+        scans.sort_by_key(|view| view.iter().sum::<u64>());
+        for pair in scans.windows(2) {
+            assert!(
+                pair[0].iter().zip(&pair[1]).all(|(x, y)| x <= y),
+                "incomparable scans: {:?} and {:?}",
+                pair[0],
+                pair[1]
+            );
         }
         let final_view = snap.snapshot();
         assert_eq!(final_view[..WRITERS], vec![INCREMENTS; WRITERS][..]);
     }
 
+    /// A single writer alternately increments two slots, slot 0 first, so
+    /// slot 0 ≥ slot 1 at every instant; every atomic snapshot must
+    /// observe slot 0 ≥ slot 1.
     #[test]
-    fn lock_snapshot_concurrent_monotonicity() {
-        exercise_concurrent(Arc::new(LockSnapshot::new(4, 0u64)));
-    }
-
-    #[test]
-    fn afek_snapshot_concurrent_monotonicity() {
-        exercise_concurrent(Arc::new(AfekSnapshot::new(4, 0u64)));
-    }
-
-    /// Cross-slot consistency: writers publish (round, round) pairs into
-    /// two slots they own in lock-step fashion... simplified: a single
-    /// writer alternately increments two slots keeping slot0 >= slot1;
-    /// every atomic snapshot must observe slot0 >= slot1.
-    fn exercise_cross_slot<S: AtomicSnapshot<u64> + 'static>(snap: Arc<S>) {
+    fn afek_snapshot_never_tears() {
+        let snap = Arc::new(AfekSnapshot::new(2, 0u64));
         let stop = Arc::new(AtomicBool::new(false));
         let writer = {
             let snap = Arc::clone(&snap);
             thread::spawn(move || {
                 for v in 1..=500u64 {
-                    snap.update(0, v); // slot0 first: slot0 >= slot1 always
+                    snap.update(0, v);
                     snap.update(1, v);
                 }
             })
@@ -321,19 +267,7 @@ mod tests {
     }
 
     #[test]
-    fn lock_snapshot_never_tears() {
-        exercise_cross_slot(Arc::new(LockSnapshot::new(2, 0u64)));
-    }
-
-    #[test]
-    fn afek_snapshot_never_tears() {
-        exercise_cross_slot(Arc::new(AfekSnapshot::new(2, 0u64)));
-    }
-
-    #[test]
     fn debug_impls_render() {
-        let lock = LockSnapshot::new(2, 1u8);
-        assert!(format!("{lock:?}").contains("LockSnapshot"));
         let afek = AfekSnapshot::new(2, 1u8);
         assert!(format!("{afek:?}").contains("AfekSnapshot"));
     }

@@ -18,7 +18,7 @@ use at_sharedmem::object::SharedAssetTransfer;
 fn main() {
     banner("Shared memory: Figure 1 (consensus number 1)");
     // Three processes, process i owns account i, 100 units each.
-    let object = SnapshotAssetTransfer::wait_free_uniform(3, Amount::new(100));
+    let object = SnapshotAssetTransfer::uniform(3, Amount::new(100));
     let alice = (ProcessId::new(0), AccountId::new(0));
     let bob = (ProcessId::new(1), AccountId::new(1));
 

@@ -13,7 +13,7 @@
 
 use at_core::figure4::TransferState;
 use at_engine::{history_from_events, EngineConfig, EngineEvent, Replica};
-use at_model::{AccountId, Amount, Ledger, OwnerMap, ProcessId};
+use at_model::{AccountId, Amount, CheckBudget, Ledger, OwnerMap, ProcessId};
 use at_net::{NetConfig, Simulation, VirtualTime};
 
 fn p(i: u32) -> ProcessId {
@@ -101,7 +101,7 @@ fn successful_transfers_linearize() {
         (0..n as u32).map(|i| (a(i), amt(20))),
         OwnerMap::one_account_per_process(n),
     );
-    assert!(at_model::linearizable(&history, &initial).is_linearizable());
+    assert!(at_model::linearizable(&history, &initial, CheckBudget::UNLIMITED).is_linearizable());
 }
 
 /// The paper's `return false`: a transfer the local balance cannot fund

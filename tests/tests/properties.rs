@@ -151,7 +151,7 @@ proptest! {
             read_percent: 35,
             seed,
         };
-        let object = Arc::new(SnapshotAssetTransfer::wait_free_uniform(
+        let object = Arc::new(SnapshotAssetTransfer::uniform(
             config.processes,
             config.initial_balance,
         ));

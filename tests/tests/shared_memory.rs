@@ -39,7 +39,7 @@ fn figure1_linearizable_across_seeds() {
             read_percent: 40,
             seed,
         };
-        let object = Arc::new(SnapshotAssetTransfer::wait_free_uniform(
+        let object = Arc::new(SnapshotAssetTransfer::uniform(
             config.processes,
             config.initial_balance,
         ));
@@ -54,7 +54,7 @@ fn figure1_linearizable_across_seeds() {
 fn figure1_conserves_supply_at_scale() {
     const N: usize = 8;
     const OPS: u64 = 200;
-    let object = Arc::new(SnapshotAssetTransfer::wait_free_uniform(N, amt(1_000)));
+    let object = Arc::new(SnapshotAssetTransfer::uniform(N, amt(1_000)));
     let handles: Vec<_> = (0..N as u32)
         .map(|i| {
             let object = Arc::clone(&object);
@@ -127,11 +127,11 @@ fn figure1_and_reference_agree_on_linearizability() {
             seed,
             ..WorkloadConfig::default()
         };
-        let wait_free = Arc::new(SnapshotAssetTransfer::wait_free_uniform(
+        let figure1 = Arc::new(SnapshotAssetTransfer::uniform(
             config.processes,
             config.initial_balance,
         ));
-        let (history, initial) = run_uniform_workload(wait_free, &config);
+        let (history, initial) = run_uniform_workload(figure1, &config);
         assert_linearizable(&history, &initial);
 
         let reference = Arc::new(MutexAssetTransfer::new(Ledger::uniform(
