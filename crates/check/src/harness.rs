@@ -557,6 +557,39 @@ mod tests {
         assert!(failure.is_none());
     }
 
+    /// 64-bit FNV-1a: a digest whose value Rust cannot change under us
+    /// (unlike `DefaultHasher`'s).
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn a_seeded_random_walk_is_pinned() {
+        // The walk picks by index into `Simulation::pending()`, so this
+        // pins the frontier's order as well as the simulator's schedule:
+        // any change to either moves the length or the digest.
+        struct Walk<'a>(&'a CheckScenario);
+        impl BackendVisitor for Walk<'_> {
+            type Output = (usize, u64);
+            fn visit<B, F>(self, make: F) -> (usize, u64)
+            where
+                B: SecureBroadcast<EnginePayload> + 'static,
+                B::Msg: Encode + Decode + Send + 'static,
+                F: Fn(ProcessId) -> B,
+            {
+                let build = || build_sim(self.0, &make);
+                let (schedule, _) = random_schedule(&build, 7, 200, None);
+                (schedule.len(), fnv1a(format_schedule(&schedule).as_bytes()))
+            }
+        }
+        let scenario = &standard_check_scenarios()[1];
+        assert_eq!(scenario.name, "causal-chain");
+        let (len, digest) = BroadcastBackend::Bracha.build(scenario.n, 0, Walk(scenario));
+        assert_eq!((len, digest), (42, 0xf387_1e82_32f3_dab0), "{digest:#018x}");
+    }
+
     #[test]
     fn counterexamples_render_replayably() {
         let example = Counterexample {

@@ -68,7 +68,7 @@ use at_broadcast::{Batch, Batcher};
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer, TransferMsg};
 use at_net::{Actor, Context, VirtualTime};
 use at_obs::{Recorder, Stage, TraceCtx, TraceEventKind, Tracer};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -208,10 +208,10 @@ pub struct Replica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
     /// `rec[q]` of Figure 4: last *received* (well-formed) sequence
     /// number per process.
     received_seq: Vec<SeqNo>,
-    /// Per source: applied outgoing transfers by sequence number, ahead
-    /// of `pruned_floor` — where a dependency is looked up, and what the
-    /// scenario subsystem compares across replicas for conflicts.
-    applied_from: Vec<BTreeMap<u64, Transfer>>,
+    /// Per source, dense: entry `i` of `applied_from[q]` is `q`'s applied
+    /// transfer `pruned_floor[q] + 1 + i` — where a dependency is found by
+    /// index, and what the scenario subsystem compares for conflicts.
+    applied_from: Vec<VecDeque<Transfer>>,
     /// Per source, in receipt order: delivered, well-formed,
     /// not-yet-valid transfers (`toValidate`), each with the trace context
     /// of its batch; at most [`MAX_PENDING_PER_SOURCE`] per queue.
@@ -232,9 +232,8 @@ pub struct Replica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
     /// Highest broadcast-*instance* sequence number delivered per source
     /// (the backend floor a snapshot cut carries).
     backend_seen: Vec<SeqNo>,
-    /// Per-source floor below which applied history has been pruned:
-    /// every transfer of source `q` with `seq ≤ pruned_floor[q]` is
-    /// folded into the ledger but absent from `applied_from`.
+    /// Per source: the last seq pruned from `applied_from` (every
+    /// transfer at or below it is folded into the ledger).
     pruned_floor: Vec<SeqNo>,
     /// Total entries pruned from the applied history and deps buffer.
     pruned_total: u64,
@@ -295,7 +294,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
             own_sent: SeqNo::ZERO,
             validated_seq: vec![SeqNo::ZERO; n],
             received_seq: vec![SeqNo::ZERO; n],
-            applied_from: vec![BTreeMap::new(); n],
+            applied_from: vec![VecDeque::new(); n],
             pending: vec![VecDeque::new(); n],
             deps_buffer: BTreeSet::new(),
             next_own_seq: SeqNo::ZERO,
@@ -397,9 +396,11 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         let mut pruned = 0u64;
         for (q, &advertised) in frontier.iter().enumerate().take(self.n) {
             let floor = self.pruned_floor[q].max(advertised.min(self.validated_seq[q]));
+            let dropped = (floor.value() - self.pruned_floor[q].value()) as usize;
+            self.applied_from[q].drain(..dropped);
             self.pruned_floor[q] = floor;
-            let keep = self.applied_from[q].split_off(&(floor.value() + 1));
-            pruned += std::mem::replace(&mut self.applied_from[q], keep).len() as u64;
+            pruned += dropped as u64;
+            self.debug_assert_dense(q);
         }
         let floors = &self.pruned_floor;
         let before = self.deps_buffer.len();
@@ -475,8 +476,8 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         &self.ledger
     }
 
-    /// Applied outgoing transfers of process `q`, by sequence number.
-    pub fn applied_from(&self, q: ProcessId) -> &BTreeMap<u64, Transfer> {
+    /// Applied transfers of `q` above its pruned floor: entry `i` has seq `floor + 1 + i`.
+    pub fn applied_from(&self, q: ProcessId) -> &VecDeque<Transfer> {
         &self.applied_from[q.as_usize()]
     }
 
@@ -743,19 +744,26 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     /// behind this replica's pruned floor is accepted by floor
     /// comparison: per-source application is gapless, so everything
     /// behind the floor was applied before being pruned. Ahead of it the
-    /// dependency must equal the applied transfer whole: a forged one
-    /// that borrows a real `(originator, seq)` matches nothing.
+    /// dependency must equal, whole, the entry its seq indexes: a forged
+    /// one that borrows a real `(originator, seq)` matches nothing.
     fn valid(&self, q: ProcessId, msg: &TransferMsg) -> bool {
         let t = &msg.transfer;
         t.seq == self.validated_seq[q.as_usize()].next()
             && msg.deps.iter().all(|dep| {
                 let from = dep.originator.as_usize();
                 self.pruned_floor.get(from).is_some_and(|floor| {
-                    dep.seq <= *floor || self.applied_from[from].get(&dep.seq.value()) == Some(dep)
+                    let ahead = dep.seq.value().checked_sub(floor.value() + 1);
+                    ahead.is_none_or(|i| self.applied_from[from].get(i as usize) == Some(dep))
                 })
             })
             && self.ledger.contains(t.destination)
             && self.ledger.balance(t.source) >= t.amount
+    }
+
+    /// `applied_from[q]` holds exactly seqs `pruned_floor[q] + 1 ..= validated_seq[q]`.
+    fn debug_assert_dense(&self, q: usize) {
+        let top = self.pruned_floor[q].value() + self.applied_from[q].len() as u64;
+        debug_assert!(top == self.validated_seq[q].value(), "p{q} not dense");
     }
 
     /// Applies every pending transfer whose validity predicate holds,
@@ -785,7 +793,8 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
                         tracer.record(ctx, TraceEventKind::Apply, t.seq.value());
                     }
                     self.validated_seq[index] = t.seq;
-                    self.applied_from[index].insert(t.seq.value(), t);
+                    self.applied_from[index].push_back(t);
+                    self.debug_assert_dense(index);
                     if t.destination == self.my_account() && t.source != self.my_account() {
                         self.deps_buffer.insert(t);
                     }
@@ -838,7 +847,7 @@ impl<B: SecureBroadcast<EnginePayload>> std::fmt::Debug for Replica<B> {
             f,
             "Replica(me={}, applied={}, pending={})",
             self.me,
-            self.applied_from.iter().map(BTreeMap::len).sum::<usize>(),
+            self.applied_from.iter().map(VecDeque::len).sum::<usize>(),
             self.pending_count()
         )
     }
@@ -1341,6 +1350,90 @@ mod tests {
             let balances: Vec<u64> = (0..4).map(|j| replica.balance(a(j)).units()).collect();
             assert_eq!(balances, vec![15 - spent, 10, 5, 10 + spent], "{amount}");
         }
+    }
+
+    /// p2's transfer `seq` of one unit to account 0.
+    fn from_p2(seq: u64) -> Transfer {
+        Transfer::new(a(2), a(0), amt(1), p(2), SeqNo::new(seq))
+    }
+
+    #[test]
+    fn a_dependency_one_past_the_pruned_floor_is_found_at_index_zero() {
+        let mut replica = Replica::new(p(1), 4, amt(10), EngineConfig::unbatched());
+        let mut events = Vec::new();
+        for seq in 1..=4 {
+            deliver(&mut replica, from_p2(seq), vec![], &mut events);
+        }
+        let floor = [SeqNo::ZERO, SeqNo::ZERO, SeqNo::new(2), SeqNo::ZERO];
+        assert_eq!(replica.prune_through(&floor), 2);
+        assert_eq!(
+            replica.applied_from(p(2)),
+            &VecDeque::from([from_p2(3), from_p2(4)])
+        );
+        // Index 0 is seq 3, index 1 is seq 4.
+        for (seq, dep) in [(1, 3), (2, 4)] {
+            let spend = Transfer::new(a(0), a(3), amt(1), p(0), SeqNo::new(seq));
+            deliver(&mut replica, spend, vec![from_p2(dep)], &mut events);
+            assert_eq!(replica.pending_count(), 0, "dependency (p2, {dep})");
+        }
+        assert_eq!(replica.applied_from(p(0)).len(), 2);
+    }
+
+    #[test]
+    fn a_dependency_ahead_of_the_applied_history_waits_without_panicking() {
+        for pruned in [false, true] {
+            for ahead in [2, u64::MAX] {
+                let mut replica = Replica::new(p(1), 4, amt(10), EngineConfig::unbatched());
+                let mut events = Vec::new();
+                deliver(&mut replica, from_p2(1), vec![], &mut events);
+                if pruned {
+                    let floor = [SeqNo::ZERO, SeqNo::ZERO, SeqNo::new(1), SeqNo::ZERO];
+                    assert_eq!(replica.prune_through(&floor), 1);
+                }
+                let spend = Transfer::new(a(0), a(3), amt(1), p(0), SeqNo::new(1));
+                deliver(&mut replica, spend, vec![from_p2(ahead)], &mut events);
+                assert_eq!(
+                    replica.pending_count(),
+                    1,
+                    "(p2, {ahead}), pruned: {pruned}"
+                );
+                // Once the dependency is applied, the spend follows it.
+                if ahead == 2 {
+                    deliver(&mut replica, from_p2(2), vec![], &mut events);
+                    assert_eq!(replica.pending_count(), 0, "pruned: {pruned}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn after_a_snapshot_the_first_dependency_above_the_frontier_resolves() {
+        let snapshot = LedgerSnapshot::new(
+            (0..4).map(|i| (a(i), amt(10))).collect(),
+            vec![SeqNo::ZERO, SeqNo::ZERO, SeqNo::new(3), SeqNo::ZERO],
+            vec![SeqNo::ZERO; 4],
+        );
+        let mut replica: Replica = Replica::from_snapshot(
+            p(1),
+            4,
+            EngineConfig::unbatched(),
+            BrachaBroadcast::new(p(1), 4),
+            &snapshot,
+        );
+        let mut events = Vec::new();
+        deliver(&mut replica, from_p2(4), vec![], &mut events);
+        assert_eq!(replica.applied_from(p(2)), &VecDeque::from([from_p2(4)]));
+        // (p2, 3) is at the frontier, accepted by floor comparison; (p2, 4)
+        // is the first entry of the history above it.
+        let spend = Transfer::new(a(0), a(3), amt(1), p(0), SeqNo::new(1));
+        deliver(
+            &mut replica,
+            spend,
+            vec![from_p2(3), from_p2(4)],
+            &mut events,
+        );
+        assert_eq!(replica.pending_count(), 0);
+        assert_eq!(replica.balance(a(3)), amt(11));
     }
 
     #[test]

@@ -242,14 +242,10 @@ pub struct Simulation<A: Actor> {
     actors: Vec<A>,
     crashed: Vec<bool>,
     busy_until: Vec<VirtualTime>,
-    /// Pending entries keyed by `(time, sequence)` — the key order *is*
-    /// the default execution order, and arbitrary entries can be removed
-    /// by a schedule controller ([`Simulation::step_entry`]).
+    /// Pending entries keyed by `(time, sequence)`, the one index: key
+    /// order *is* the default execution order ([`Simulation::step`] pops
+    /// the first key; [`Simulation::step_entry`] scans for a sequence).
     queue: BTreeMap<(VirtualTime, u64), (ProcessId, Entry<A>)>,
-    /// Side index: entry sequence number → its scheduled time, so
-    /// [`Simulation::step_entry`] resolves a sequence to its queue key in
-    /// `O(log n)` instead of scanning.
-    seq_times: BTreeMap<u64, VirtualTime>,
     sequence: u64,
     now: VirtualTime,
     rng: StdRng,
@@ -277,7 +273,6 @@ impl<A: Actor> Simulation<A> {
             busy_until: vec![VirtualTime::ZERO; n],
             actors,
             queue: BTreeMap::new(),
-            seq_times: BTreeMap::new(),
             sequence: 0,
             now: VirtualTime::ZERO,
             rng,
@@ -475,7 +470,6 @@ impl<A: Actor> Simulation<A> {
 
     fn push(&mut self, at: VirtualTime, to: ProcessId, entry: Entry<A>) {
         self.queue.insert((at, self.sequence), (to, entry));
-        self.seq_times.insert(self.sequence, at);
         self.sequence += 1;
     }
 
@@ -514,29 +508,24 @@ impl<A: Actor> Simulation<A> {
     /// time order. Virtual time stays monotone: executing a later entry
     /// first advances the clock, and earlier entries then run "late" —
     /// which is exactly the arbitrary asynchrony a schedule explorer is
-    /// meant to exercise. Returns `false` when no such entry exists.
+    /// meant to exercise. Returns `false` when no such entry exists. Only
+    /// explorers call this, so it scans the queue, as `pending` does.
     pub fn step_entry(&mut self, sequence: u64) -> bool {
-        let Some(&at) = self.seq_times.get(&sequence) else {
+        let Some(&key) = self.queue.keys().find(|&&(_, seq)| seq == sequence) else {
             return false;
         };
-        self.seq_times.remove(&sequence);
-        let (to, entry) = self
-            .queue
-            .remove(&(at, sequence))
-            .expect("queue and seq index in sync");
-        self.execute(at, to, entry);
+        let (to, entry) = self.queue.remove(&key).expect("key just found");
+        self.execute(key.0, to, entry);
         true
     }
 
     /// Processes a single queue entry in default `(time, sequence)`
     /// order. Returns `false` when the queue is exhausted.
     pub fn step(&mut self) -> bool {
-        let Some((&key, _)) = self.queue.iter().next() else {
+        let Some(((at, _), (to, entry))) = self.queue.pop_first() else {
             return false;
         };
-        let (to, entry) = self.queue.remove(&key).expect("key just found");
-        self.seq_times.remove(&key.1);
-        self.execute(key.0, to, entry);
+        self.execute(at, to, entry);
         true
     }
 
@@ -616,7 +605,7 @@ impl<A: Actor> Simulation<A> {
 
     /// Runs until virtual time exceeds `deadline` or the queue drains.
     pub fn run_until(&mut self, deadline: VirtualTime) {
-        while let Some((&(at, _), _)) = self.queue.iter().next() {
+        while let Some((&(at, _), _)) = self.queue.first_key_value() {
             if at > deadline {
                 break;
             }
@@ -998,6 +987,86 @@ mod tests {
             assert!(sim.step_entry(entry.sequence));
         }
         assert_eq!(sim.actor(ProcessId::new(0)).completed, 5);
+    }
+
+    /// Every process floods a counter to all others, which re-flood it
+    /// until it reaches `hops`: many sends share a send time, so under a
+    /// fixed latency many queue entries tie on time.
+    struct Flood {
+        hops: u32,
+    }
+
+    impl Actor for Flood {
+        type Msg = u32;
+        type Event = (ProcessId, u32);
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u32, (ProcessId, u32)>) {
+            ctx.send_all(0);
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            hop: u32,
+            ctx: &mut Context<'_, u32, (ProcessId, u32)>,
+        ) {
+            ctx.emit((from, hop));
+            if hop + 1 < self.hops {
+                ctx.send_all(hop + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn the_frontier_order_is_the_default_order() {
+        let jittered = LatencyModel {
+            base: VirtualTime::from_micros(100),
+            jitter: VirtualTime::from_micros(400),
+        };
+        for latency in [LatencyModel::fixed(VirtualTime::from_millis(1)), jittered] {
+            let config = NetConfig {
+                latency,
+                processing_cost: VirtualTime::from_micros(3),
+                send_cost: VirtualTime::ZERO,
+                seed: 11,
+            };
+            let make = || {
+                let actors = (0..4).map(|_| Flood { hops: 3 }).collect();
+                Simulation::new(actors, config.clone())
+            };
+            let mut stepped = make();
+            assert!(stepped.run_until_quiet(100_000));
+            let mut chosen = make();
+            let mut ties = 0;
+            loop {
+                let frontier = chosen.pending();
+                let Some(head) = frontier.first() else { break };
+                ties += usize::from(frontier.get(1).is_some_and(|next| next.at == head.at));
+                assert!(chosen.step_entry(head.sequence));
+            }
+            if latency.jitter == VirtualTime::ZERO {
+                assert!(ties > 100, "only {ties} tied heads under a fixed latency");
+            }
+            assert_eq!(chosen.queue_len(), 0);
+            assert!(stepped.stats().events_processed > 100);
+            assert_eq!(chosen.stats(), stepped.stats());
+            assert_eq!(chosen.now(), stepped.now());
+            assert_eq!(chosen.take_events(), stepped.take_events());
+        }
+    }
+
+    #[test]
+    fn step_entry_refuses_an_executed_or_unknown_sequence() {
+        let mut sim = ping_pong_sim(3);
+        let executed = sim.pending()[0].sequence;
+        assert!(sim.step_entry(executed));
+        let len = sim.queue_len();
+        assert!(len > 0);
+        for sequence in [executed, u64::MAX] {
+            assert!(!sim.step_entry(sequence));
+            assert_eq!(sim.queue_len(), len);
+        }
+        assert_eq!(sim.stats().events_processed, 1);
     }
 
     #[test]

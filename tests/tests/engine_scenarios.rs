@@ -82,7 +82,7 @@ fn equivocation_applied_sets_are_conflict_free() {
             "replica {i} applied {} equivocated transfers",
             applied.len()
         );
-        union.extend(applied.values().copied());
+        union.extend(applied.iter().copied());
         // Funds never moved.
         let total: Amount = (0..n as u32).map(|j| replica.balance(a(j))).sum();
         assert_eq!(total, Amount::new(100 * n as u64));

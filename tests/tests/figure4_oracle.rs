@@ -356,7 +356,7 @@ where
 
         for q in 0..n {
             let mut sent = 0;
-            for transfer in replica.applied_from(p(q)).values() {
+            for transfer in replica.applied_from(p(q)).iter() {
                 sent += transfer.amount.units();
                 exercised.applied += 1;
                 exercised.credit_funded += usize::from(sent > INITIAL.units());
