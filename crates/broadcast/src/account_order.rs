@@ -293,9 +293,11 @@ mod tests {
     fn a_forged_sender_field_does_not_cost_the_named_process_its_relay() {
         // No field of a FINAL names its sender, so a relayer cannot forge
         // one to make others skip a process. Byzantine p3 relays a valid
-        // FINAL of account 0 to p2, which relays to every process but
-        // itself and the channel peer p3 — and, on p0's own stream of the
-        // base topology, the owner p0.
+        // FINAL of account 0 to p2. On the shared account the window is
+        // f + 1 = 2, {p3, p0}: p2 relays to p0 and skips only the channel
+        // peer p3. On p0's own stream of the base topology the owner is
+        // skipped uncounted, the window is {p3}, and p2 relays nothing;
+        // had the copy come from p1 instead, outside it, p3 gets it.
         fn final_of<K>(stream: K) -> EchoMsg<u64, (), K> {
             let certificate = vec![(p(0), ()), (p(1), ()), (p(3), ())];
             EchoMsg::Final {
@@ -310,14 +312,16 @@ mod tests {
         shared.on_message(p(3), final_of(acct(0)), &mut step);
         let relayed_to: Vec<ProcessId> = step.outgoing.iter().map(|out| out.to).collect();
         assert_eq!(step.deliveries.len(), 1);
-        assert_eq!(relayed_to, vec![p(0), p(1)], "shared account");
+        assert_eq!(relayed_to, vec![p(0)], "shared account");
 
-        let mut owned: AccountOrderBackend<u64, NoAuth> = SignedEcho::new(p(2), 4, NoAuth);
-        let mut step = Step::new();
-        owned.on_message(p(3), final_of(p(0)), &mut step);
-        let relayed_to: Vec<ProcessId> = step.outgoing.iter().map(|out| out.to).collect();
-        assert_eq!(step.deliveries.len(), 1);
-        assert_eq!(relayed_to, vec![p(1)], "owned stream");
+        for (from, expected) in [(p(3), vec![]), (p(1), vec![p(3)])] {
+            let mut owned: AccountOrderBackend<u64, NoAuth> = SignedEcho::new(p(2), 4, NoAuth);
+            let mut step = Step::new();
+            owned.on_message(from, final_of(p(0)), &mut step);
+            let relayed_to: Vec<ProcessId> = step.outgoing.iter().map(|out| out.to).collect();
+            assert_eq!(step.deliveries.len(), 1);
+            assert_eq!(relayed_to, expected, "owned stream, from {from}");
+        }
     }
 
     #[test]

@@ -7,11 +7,11 @@
 //! `⌈(n+f+1)/2⌉` echoes it sends the payload together with the quorum
 //! certificate to all, and everyone delivers after verifying the
 //! certificate. Two round trips and `3(n−1)` messages on the sender path,
-//! plus `(n−1)(n−2)` certificate relays that guarantee totality when the
-//! sender is Byzantine: a process that delivers hands the FINAL to
-//! every process that might lack it — everyone but itself, the channel
-//! peer its copy came from, and the stream's sole sender, who alone could
-//! assemble the certificate. The source relays nothing.
+//! plus `(n−1)·f` certificate relays that guarantee totality when the
+//! sender is Byzantine: a process that delivers hands the FINAL to the
+//! next `f` processes after it, wrapping round, skipping the stream's
+//! sole sender (who alone could assemble the certificate) and the channel
+//! peer its copy came from. The source relays nothing.
 //!
 //! Every message names its *stream* and sequence number. A benign process
 //! echoes at most one payload per `(stream, seq)`, and only after
@@ -1058,10 +1058,10 @@ mod tests {
     #[test]
     fn final_forwarding_gives_totality() {
         // The sender "selectively" finalizes: its FINAL reaches only p1,
-        // not even its own loop-back. p1's relay
-        // completes delivery at every correct process — which is what
-        // totality promises; nobody owes the misbehaving sender its own
-        // certificate back.
+        // not even its own loop-back. The relays around the ring — p1 to
+        // p2, p2 to p3 — complete delivery at every correct process,
+        // which is what totality promises; nobody owes the misbehaving
+        // sender its own certificate back.
         let delivered = run_system(
             4,
             |_| NoAuth,
@@ -1076,23 +1076,31 @@ mod tests {
 
     #[test]
     fn a_relay_skips_the_peer_it_came_from_and_the_bound_source() {
-        // p2 delivers on a copy relayed by p3: it relays to p1 alone —
-        // p3 holds the FINAL (it sent it), p0 assembled it.
-        let mut endpoint: EchoBroadcast<u64, NoAuth> = EchoBroadcast::new(p(2), 4, NoAuth);
-        let mut step = Step::new();
-        endpoint.on_message(
-            p(3),
-            EchoMsg::Final {
-                stream: p(0),
-                seq: SeqNo::new(1),
-                payload: 8,
-                certificate: vec![(p(0), ()), (p(1), ()), (p(3), ())],
-            },
-            &mut step,
-        );
-        assert_eq!(step.deliveries.len(), 1);
-        let relayed_to: Vec<ProcessId> = step.outgoing.iter().map(|out| out.to).collect();
-        assert_eq!(relayed_to, vec![p(1)]);
+        // n = 7, f = 2: a process relays to the next two after it,
+        // wrapping round, with the source p0 skipped uncounted — p2 to
+        // {p3, p4}, p5 to {p6, p1} — and drops the peer its copy came
+        // from without a replacement.
+        fn relayed_to(me: u32, from: u32) -> Vec<ProcessId> {
+            let mut endpoint: EchoBroadcast<u64, NoAuth> = EchoBroadcast::new(p(me), 7, NoAuth);
+            let mut step = Step::new();
+            let certificate = [0, 1, 2, 3, 4, 5].map(|i| (p(i), ())).to_vec();
+            let stream = p(0);
+            let seq = SeqNo::new(1);
+            let payload = 8;
+            let relay = EchoMsg::Final {
+                stream,
+                seq,
+                payload,
+                certificate,
+            };
+            endpoint.on_message(p(from), relay, &mut step);
+            assert_eq!(step.deliveries.len(), 1);
+            step.outgoing.iter().map(|out| out.to).collect()
+        }
+        assert_eq!(relayed_to(2, 0), vec![p(3), p(4)], "from the source");
+        assert_eq!(relayed_to(2, 3), vec![p(4)], "from inside the window");
+        assert_eq!(relayed_to(2, 6), vec![p(3), p(4)], "from outside it");
+        assert_eq!(relayed_to(5, 4), vec![p(6), p(1)], "across the source");
     }
 
     #[test]

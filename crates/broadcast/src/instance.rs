@@ -158,22 +158,26 @@ impl<K: Copy + Ord + Hash, S, H> InstanceTable<K, S, H> {
     }
 
     /// The relay rule of the signed backends: queues `msg`, the FINAL this
-    /// process has just delivered, for every process that may lack it.
+    /// process has just delivered, for the next `f` processes after it in
+    /// index order, wrapping around — `f + 1` on a stream with no sole
+    /// sender — not counting the stream's sole sender, and minus `from`.
     ///
-    /// Totality asks a correct process that delivers to hand the
-    /// certificate to every correct process that *might not hold it*.
-    /// Skipped are the processes this one has authenticated as holding
-    /// it: itself; `from`, the channel peer this copy came from (channels
-    /// are authenticated, and a correct process sends a FINAL only as
-    /// the instance's source or once it delivered it); and `source`, the
-    /// stream's sole sender, when it has one. Signature shares go only to
-    /// the channel peer whose SEND they acknowledge, and on such a stream
-    /// a correct process acknowledges only its sender's SENDs, so a valid
-    /// certificate was assembled by the source: a correct one sent it to
-    /// everyone, itself included, when the quorum formed; a Byzantine one
-    /// is owed nothing. For the same reason the source relays nothing at
-    /// all — its own `send_all` already reached everyone over the same
-    /// reliable channels. `(n − 1)(n − 2)` relays per honest instance.
+    /// Totality asks that every correct process deliver once one does.
+    /// Signature shares go only to the channel peer whose SEND they
+    /// acknowledge, and on a stream with a sole sender a correct process
+    /// acknowledges only that sender's SENDs, so a valid certificate was
+    /// assembled by the source: a correct one sent it to everyone when
+    /// the quorum formed, which is why the source relays nothing and is
+    /// skipped uncounted. A Byzantine source leaves at most `f − 1` other
+    /// faulty processes, so the first correct process after a correct
+    /// deliverer `p` (the source skipped) lies within `p`'s window; if it
+    /// is `from` it holds the FINAL already (channels are authenticated,
+    /// and a correct process sends a FINAL only as the source or once it
+    /// delivered). Around the ring, every correct process delivers. With
+    /// no sole sender the window counts all `f` faulty processes. The
+    /// price is hops: a FINAL handed to one process reaches the last
+    /// correct one after `⌈(n − 2)/f⌉` of them. `(n − 1)·f` relays per
+    /// honest instance.
     pub(crate) fn relay_final<M: Clone, D>(
         &self,
         step: &mut Step<M, D, K>,
@@ -184,8 +188,11 @@ impl<K: Copy + Ord + Hash, S, H> InstanceTable<K, S, H> {
         if from == self.me || source == Some(self.me) {
             return;
         }
-        for to in ProcessId::all(self.n) {
-            if to != self.me && to != from && Some(to) != source {
+        let window = if source.is_some() { self.f } else { self.f + 1 };
+        let after_me = (1..self.n).map(|k| (self.me.as_usize() + k) % self.n);
+        let ring = after_me.map(|i| ProcessId::new(i as u32));
+        for to in ring.filter(|&to| Some(to) != source).take(window) {
+            if to != from {
                 step.send(to, msg.clone());
             }
         }

@@ -33,14 +33,14 @@ pub enum AuthMode {
 /// | backend | rounds | messages/instance | signatures |
 /// |---|---|---|---|
 /// | `Bracha` | 3 one-way delays | `O(n²)` | none |
-/// | `SignedEcho` | 2 round trips | `3(n−1)` + `(n−1)(n−2)` relays | sender + echo quorum |
+/// | `SignedEcho` | 2 round trips | `3(n−1)` + `(n−1)·f` relays | sender + echo quorum |
 /// | `AccountOrder` | the same signed echo; an echo waits for the account's previous delivery | the same | the same |
 /// | `Pbft` | hop to the leader + 3 one-way delays | `O(n²)` | none |
 ///
 /// A relay is a delivered FINAL handed on for totality against a
-/// Byzantine sender: every process but the source relays to every
-/// process except itself, the peer its copy came from and the source —
-/// the ones it has authenticated as holding the certificate already.
+/// Byzantine sender: every process but the source relays to the next
+/// `f` processes after it in index order, wrapping round and skipping
+/// the source, minus the peer its copy came from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum BroadcastBackend {
     /// Bracha's reliable broadcast — the paper's deployed "naive

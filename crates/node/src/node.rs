@@ -1365,9 +1365,10 @@ mod tests {
         // One honest SignedEcho instance at n = 4 sends 4 distinct
         // messages to peers at the source (SEND, FINAL) and 2 at each
         // other node (its ECHO, the FINAL it relays): 2 encodes per
-        // node. The SEND and FINAL go to 3 peers, and a relay to 1 or 2
-        // (2 when the node delivers on the source's own copy), so the
-        // same instance counts 12 to 15 peer messages out.
+        // node. The SEND and FINAL go to 3 peers, and each other node
+        // relays to the one next after it, skipping the source — never
+        // the peer its copy came from — so the same instance counts
+        // exactly 12 peer messages out.
         let handles = echo_cluster();
         let mut client = handles[0].local_client();
         client.submit_transfer(at_model::AccountId::new(1), Amount::new(5));
@@ -1391,10 +1392,7 @@ mod tests {
             );
             msgs_out += scrape.counter("node_peer_msgs_out_total").unwrap_or(0);
         }
-        assert!(
-            (12..=15).contains(&msgs_out),
-            "{msgs_out} peer messages out"
-        );
+        assert_eq!(msgs_out, 12, "peer messages out");
         drop(client);
         for handle in handles {
             handle.stop();

@@ -285,10 +285,10 @@ fn closed_loop(n: usize, waves: usize, transfers_per_wave: usize) -> Scenario {
 /// The backend-ablation gate. Unbatched, so the
 /// per-transfer message count is each protocol's own cost: at n = 16 the
 /// signed backends spend at most half of Bracha's messages per transfer
-/// — `O(n)` sender cost plus the `(n−1)(n−2)` certificate relays that
-/// give totality, against Bracha's `O(n²)` — with every backend
-/// completing the whole closed loop in agreement. The counts are exact:
-/// 528 messages per Bracha instance, 258 per signed one.
+/// — `O(n)` sender cost plus the `(n−1)·f` certificate relays that give
+/// totality, against Bracha's `O(n²)` — with every backend completing
+/// the whole closed loop in agreement. The counts are exact, loop-backs
+/// included: 528 messages per Bracha instance, 123 per signed one.
 #[test]
 fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
     let scenario = closed_loop(16, 2, 1);
@@ -315,7 +315,7 @@ fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
     // Equal completions, so messages per transfer compare as messages.
     assert_eq!(bracha.messages_sent, 32 * 528);
     for signed in [&echo, &account] {
-        assert_eq!(signed.messages_sent, 32 * 258, "{}", signed.engine);
+        assert_eq!(signed.messages_sent, 32 * 123, "{}", signed.engine);
         assert!(
             signed.messages_sent * 2 <= bracha.messages_sent,
             "{} sent {} messages vs bracha's {}",
@@ -328,7 +328,7 @@ fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
 
 /// Real Ed25519 changes the CPU a message costs, never the messages:
 /// signed echo under `EdAuth` sends exactly what it sends under
-/// `NoAuth` — 18 per instance at n = 4, relays included — in the same
+/// `NoAuth` — 15 per instance at n = 4, relays included — in the same
 /// virtual time, to the same balances.
 #[test]
 fn ed25519_echo_matches_noauth_echo_message_for_message() {
@@ -339,7 +339,7 @@ fn ed25519_echo_matches_noauth_echo_message_for_message() {
             .with_backend(backend)
             .run(&scenario)
     });
-    assert_eq!(modelled.messages_sent, 16 * 18);
+    assert_eq!(modelled.messages_sent, 16 * 15);
     assert_eq!(real.completed, 4 * 2 * 2);
     assert!(real.agreed && real.supply_ok);
     assert_eq!(real.conflicts, 0);
