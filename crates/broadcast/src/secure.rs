@@ -303,6 +303,45 @@ mod tests {
         assert_fifo_everywhere(&drive(&mut pbft, broadcasts), 0, &[10, 20, 30]);
     }
 
+    /// Remote messages may reach a process before one it addressed to
+    /// itself — the interleaving that once crashed the account-order
+    /// backend. A replica hears itself inside its own step, but no
+    /// backend may rely on that: with every self-addressed message
+    /// parked until nothing else is in flight, each backend still
+    /// delivers every payload once, in order, everywhere.
+    #[test]
+    fn remote_messages_may_overtake_self_addressed_ones() {
+        fn self_last<B: SecureBroadcast<u64>>(mut endpoints: Vec<B>) -> Vec<Vec<Delivery<u64>>> {
+            let n = endpoints.len();
+            let mut queue: Vec<(ProcessId, ProcessId, B::Msg)> = Vec::new();
+            let mut delivered: Vec<Vec<Delivery<u64>>> = vec![Vec::new(); n];
+            let mut absorb = |me: ProcessId, step: Step<B::Msg, u64>, queue: &mut Vec<_>| {
+                queue.extend(step.outgoing.into_iter().map(|out| (me, out.to, out.msg)));
+                delivered[me.as_usize()].extend(step.deliveries);
+            };
+            for value in [10, 20] {
+                let mut step = Step::new();
+                endpoints[0].broadcast(value, &mut step);
+                absorb(p(0), step, &mut queue);
+            }
+            let mut self_addressed = 0;
+            while !queue.is_empty() {
+                let remote = queue.iter().position(|(from, to, _)| from != to);
+                self_addressed += usize::from(remote.is_none());
+                let (from, to, msg) = queue.remove(remote.unwrap_or(0));
+                let mut step = Step::new();
+                endpoints[to.as_usize()].on_message(from, msg, &mut step);
+                absorb(to, step, &mut queue);
+            }
+            assert!(self_addressed > 0, "nothing was parked");
+            delivered
+        }
+        assert_fifo_everywhere(&self_last(bracha_system(4)), 0, &[10, 20]);
+        assert_fifo_everywhere(&self_last(echo_system(4)), 0, &[10, 20]);
+        assert_fifo_everywhere(&self_last(account_system(4)), 0, &[10, 20]);
+        assert_fifo_everywhere(&self_last(pbft_system(4)), 0, &[10, 20]);
+    }
+
     #[test]
     fn pbft_releases_its_total_order_per_source() {
         // Two sources interleaved in the global order, one of them a

@@ -587,7 +587,7 @@ mod tests {
         let scenario = &standard_check_scenarios()[1];
         assert_eq!(scenario.name, "causal-chain");
         let (len, digest) = BroadcastBackend::Bracha.build(scenario.n, 0, Walk(scenario));
-        assert_eq!((len, digest), (42, 0xf387_1e82_32f3_dab0), "{digest:#018x}");
+        assert_eq!((len, digest), (32, 0x1091_85f9_32bf_03d5), "{digest:#018x}");
     }
 
     #[test]

@@ -30,12 +30,18 @@ pub enum AuthMode {
 /// as a runtime knob. [`BroadcastBackend::build`] is the one place a
 /// value of this type becomes endpoints.
 ///
-/// | backend | rounds | messages/instance | signatures |
+/// | backend | one-way delays to commit: at the source / at every replica | peer messages/instance | signatures |
 /// |---|---|---|---|
-/// | `Bracha` | 3 one-way delays | `O(n²)` | none |
-/// | `SignedEcho` | 2 round trips | `3(n−1)` + `(n−1)·f` relays | sender + echo quorum |
+/// | `Bracha` | 3 / 3 (SEND, ECHO, READY) | `(n−1)(2n+1)` | none |
+/// | `SignedEcho` | 2 / 3 (SEND, echo share; the FINAL) | `3(n−1)` + `(n−1)·f` relays | sender + echo quorum |
 /// | `AccountOrder` | the same signed echo; an echo waits for the account's previous delivery | the same | the same |
-/// | `Pbft` | hop to the leader + 3 one-way delays | `O(n²)` | none |
+/// | `Pbft` | 3 / 3 from the leader, 4 / 4 from anyone else (a forward first) | `(n−1)(2n+1)`, plus the forward | none |
+///
+/// A replica hears its own messages in the step that sent them, so
+/// neither column counts a copy to the sender itself; at a fixed delay
+/// and zero processing cost the test
+/// `one_transfer_commits_at_its_source_after_k_message_delays` holds
+/// both columns exact at n = 4, 7, 10 and 16.
 ///
 /// A relay is a delivered FINAL handed on for totality against a
 /// Byzantine sender: every process but the source relays to the next

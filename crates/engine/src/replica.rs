@@ -26,6 +26,12 @@
 //! `rec[q]`/`seq[q]` over *transfer* sequence numbers, which live inside
 //! batch payloads and are invisible to the broadcast layer.
 //!
+//! A replica hears itself without the network: whatever the backend
+//! addresses to this process goes back into the backend, oldest first,
+//! before the entry point that caused it returns — the schedule in
+//! which the self-link has zero delay, so every safety and liveness
+//! argument holds unchanged, and no runtime sees a self-addressed send.
+//!
 //! Two deliberate semantic deviations from the literal Figure 4, recorded
 //! here as the module contract:
 //!
@@ -216,6 +222,11 @@ pub struct Replica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
     /// not-yet-valid transfers (`toValidate`), each with the trace context
     /// of its batch; at most [`MAX_PENDING_PER_SOURCE`] per queue.
     pending: Vec<VecDeque<(TransferMsg, Option<TraceCtx>)>>,
+    /// Messages the backend addressed to this process, in send order, not
+    /// yet handed back to it. Every entry point empties it before it
+    /// returns (`Replica::settle`): a process hears itself in the same
+    /// step, and nothing addressed to `me` reaches the context.
+    own: VecDeque<B::Msg>,
     /// Incoming credits applied since our last submission (`deps`).
     deps_buffer: BTreeSet<Transfer>,
     /// Our next outgoing sequence number (pre-assigned at submission).
@@ -296,6 +307,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
             received_seq: vec![SeqNo::ZERO; n],
             applied_from: vec![VecDeque::new(); n],
             pending: vec![VecDeque::new(); n],
+            own: VecDeque::new(),
             deps_buffer: BTreeSet::new(),
             next_own_seq: SeqNo::ZERO,
             reserved: Amount::ZERO,
@@ -602,7 +614,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     fn flush(&mut self, reason: FlushReason, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
         if let Some(batch) = self.batcher.flush() {
             self.count_flush(reason);
-            self.broadcast_batch(batch, ctx);
+            self.launch(batch, ctx);
         }
     }
 
@@ -615,6 +627,14 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         batch: Batch<TransferMsg>,
         ctx: &mut Context<'_, B::Msg, EngineEvent>,
     ) {
+        self.launch(batch, ctx);
+        self.settle(ctx);
+    }
+
+    /// [`Replica::broadcast_batch`] short of hearing its own messages:
+    /// what the flushes inside a step call, so the step's entry point
+    /// settles them in FIFO order.
+    fn launch(&mut self, batch: Batch<TransferMsg>, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
         ctx.emit(EngineEvent::BatchBroadcast { size: batch.len() });
         if let Some(obs) = &self.obs {
             obs.batch_size.record(batch.len() as u64);
@@ -638,6 +658,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         let mut step = Step::new();
         self.broadcast.broadcast_split(left, right, &mut step);
         self.absorb(step, ctx);
+        self.settle(ctx);
     }
 
     /// The secure-broadcast backend (quorum/instance/crypto
@@ -656,8 +677,11 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     /// start or resume calls this once; the simulator never needs it.
     pub fn flush_pending(&mut self, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
         self.flush(FlushReason::Window, ctx);
+        self.settle(ctx);
     }
 
+    /// Routes one backend step: messages for peers go to `ctx`, those
+    /// for this process join `own`, and deliveries are applied.
     fn absorb(
         &mut self,
         step: Step<B::Msg, EnginePayload>,
@@ -668,7 +692,11 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
             deliveries,
         } = step;
         for Outgoing { to, msg } in outgoing {
-            ctx.send(to, msg);
+            if to == self.me {
+                self.own.push_back(msg);
+            } else {
+                ctx.send(to, msg);
+            }
         }
         for Delivery {
             source,
@@ -688,6 +716,18 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
                 // delivery.
                 self.flush(FlushReason::Delivered, ctx);
             }
+        }
+    }
+
+    /// Hands the backend, oldest first, every message it addressed to this
+    /// process, and whatever those steps address to it in turn — the
+    /// schedule in which the self-link has zero delay. Called last by every
+    /// entry point, never inside a backend call or a step's delivery loop.
+    fn settle(&mut self, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
+        while let Some(msg) = self.own.pop_front() {
+            let mut step = Step::new();
+            self.broadcast.on_message(self.me, msg, &mut step);
+            self.absorb(step, ctx);
         }
     }
 
@@ -825,6 +865,7 @@ impl<B: SecureBroadcast<EnginePayload>> Actor for Replica<B> {
         let mut step = Step::new();
         self.broadcast.on_message(from, msg, &mut step);
         self.absorb(step, ctx);
+        self.settle(ctx);
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Context<'_, Self::Msg, Self::Event>) {
@@ -837,6 +878,7 @@ impl<B: SecureBroadcast<EnginePayload>> Actor for Replica<B> {
                 FlushReason::Idle
             };
             self.flush(reason, ctx);
+            self.settle(ctx);
         }
     }
 }

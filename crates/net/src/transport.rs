@@ -157,8 +157,8 @@ pub trait Transport: Send {
     fn n(&self) -> usize;
 
     /// Queues `payload` for delivery to `to`. Must not be called with
-    /// `to == me()` — runtimes loop self-addressed messages back
-    /// internally, above the transport. Bounded implementations may
+    /// `to == me()` — a process handles its own messages inside the
+    /// step that sent them, above the transport. Bounded implementations may
     /// block briefly (backpressure) and, as a last resort, drop the
     /// frame and count it in [`Transport::dropped_frames`].
     fn send(&mut self, to: ProcessId, payload: Vec<u8>);

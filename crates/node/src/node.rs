@@ -9,10 +9,10 @@
 //! and an in-process [`LocalClient`] queue the same `Command` for a
 //! transfer, a read, a scrape or a snapshot slice. Outputs flow the
 //! other way: context sends are encoded — once per distinct message,
-//! however many peers it goes to — and handed to the transport
-//! (self-addressed messages loop back through the ingest queue, never
-//! re-entering the replica mid-handler), armed timers join a real timer
-//! heap, engine events update the node's registry counters, and every
+//! however many peers it goes to — and handed to the transport (the
+//! replica handles what it addresses to itself inside the handler, so
+//! every send is for a peer), armed timers join a real timer heap,
+//! engine events update the node's registry counters, and every
 //! answer to a client leaves the loop as the wire [`Frame`] it is (the
 //! gateway's writers encode it, a [`LocalClient`] matches on it). Every
 //! hand-off between the loop and a session carries a burst, not an
@@ -687,8 +687,7 @@ where
     counters: Counters,
     registry: ResponseRegistry,
     commands: Receiver<Vec<Command>>,
-    /// Decoded peer messages awaiting the replica (includes self
-    /// loopback), per-source FIFO.
+    /// Decoded peer messages awaiting the replica, per-source FIFO.
     typed: VecDeque<TypedMsg<B>>,
     timers: BinaryHeap<TimerEntry>,
     /// Own-transfer seq → the client request awaiting its commit, with
@@ -826,8 +825,7 @@ where
                 }
             }
 
-            // 3. Feed the replica (self-loopback pushed by `flush` is
-            // consumed here too, in arrival order).
+            // 3. Feed the replica, in arrival order.
             while let Some((from, msg)) = self.typed.pop_front() {
                 last_activity = Instant::now();
                 self.counters.msgs_in.inc();
@@ -974,9 +972,9 @@ where
     }
 
     /// Routes one handler invocation's outputs: encodes and transmits
-    /// sends (looping self-addressed messages back through the ingest
-    /// queue), arms timers, and folds emitted events into counters and
-    /// client acknowledgements.
+    /// sends (all to peers: the replica hears itself in the handler), arms
+    /// timers, and folds emitted events into counters and client
+    /// acknowledgements.
     ///
     /// A message is encoded once however many peers it goes to: a
     /// `send_all` (or a relay to several peers) queues equal messages
@@ -988,10 +986,7 @@ where
         let me = self.replica.me();
         let mut last: Option<(B::Msg, Vec<u8>)> = None;
         for (to, msg) in outputs.outbox {
-            if to == me {
-                self.typed.push_back((me, msg));
-                continue;
-            }
+            debug_assert_ne!(to, me, "the replica handles its own messages");
             let payload = match &last {
                 Some((encoded, bytes)) if *encoded == msg => bytes.clone(),
                 _ => {
@@ -1368,7 +1363,8 @@ mod tests {
         // node. The SEND and FINAL go to 3 peers, and each other node
         // relays to the one next after it, skipping the source — never
         // the peer its copy came from — so the same instance counts
-        // exactly 12 peer messages out.
+        // exactly 12 peer messages out, and 12 in: a node hears its own
+        // messages inside the replica, so none of them is counted in.
         let handles = echo_cluster();
         let mut client = handles[0].local_client();
         client.submit_transfer(at_model::AccountId::new(1), Amount::new(5));
@@ -1393,6 +1389,21 @@ mod tests {
             msgs_out += scrape.counter("node_peer_msgs_out_total").unwrap_or(0);
         }
         assert_eq!(msgs_out, 12, "peer messages out");
+        // The last relays may still be on their way once every node
+        // applied: wait for them, then hold the count exact.
+        let msgs_in = || -> u64 {
+            handles
+                .iter()
+                .map(|handle| {
+                    let scrape = handle.metrics(TIMEOUT).expect("scrape");
+                    scrape.counter("node_peer_msgs_in_total").unwrap_or(0)
+                })
+                .sum()
+        };
+        while msgs_in() < msgs_out && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(msgs_in(), 12, "peer messages in");
         drop(client);
         for handle in handles {
             handle.stop();

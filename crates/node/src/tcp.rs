@@ -1232,8 +1232,8 @@ mod tests {
 
     #[test]
     fn a_hello_naming_the_acceptor_is_refused() {
-        // Only loop-back may speak as this node: the signed broadcast
-        // checks no signature on a message from itself. A stranger that
+        // Only the node itself may speak as this node: the signed
+        // broadcast checks no signature on a message from itself. A stranger that
         // introduces itself to node 0 as node 0 is dropped and counted,
         // gets no `HelloAck`, and its `Data` frame is never delivered.
         let (mut t0, mut t1) = start_pair();

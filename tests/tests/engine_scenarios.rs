@@ -3,12 +3,13 @@
 //! behaviour, and cross-engine agreement on the standard suite.
 
 use at_broadcast::bracha::BrachaBroadcast;
+use at_broadcast::SecureBroadcast;
 use at_engine::{
-    Adversary, AuthMode, BroadcastBackend, EngineActor, EngineConfig, EngineEvent, Fault,
-    NetProfile, Scenario, Workload,
+    Adversary, AuthMode, BackendVisitor, BroadcastBackend, EngineActor, EngineConfig, EngineEvent,
+    EnginePayload, Fault, NetProfile, Replica, Scenario, Workload,
 };
-use at_model::{AccountId, Amount, ProcessId, Transfer};
-use at_net::{NetConfig, Simulation, VirtualTime};
+use at_model::{AccountId, Amount, Decode, Encode, ProcessId, Transfer};
+use at_net::{LatencyModel, NetConfig, Simulation, VirtualTime};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -287,8 +288,10 @@ fn closed_loop(n: usize, waves: usize, transfers_per_wave: usize) -> Scenario {
 /// signed backends spend at most half of Bracha's messages per transfer
 /// — `O(n)` sender cost plus the `(n−1)·f` certificate relays that give
 /// totality, against Bracha's `O(n²)` — with every backend completing
-/// the whole closed loop in agreement. The counts are exact, loop-backs
-/// included: 528 messages per Bracha instance, 123 per signed one.
+/// the whole closed loop in agreement. The counts are exact peer
+/// messages (a process hears itself without the network): 495 per
+/// Bracha instance, `(n − 1)(2n + 1)`, and 120 per signed one,
+/// `3(n − 1) + (n − 1)·f`.
 #[test]
 fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
     let scenario = closed_loop(16, 2, 1);
@@ -313,9 +316,9 @@ fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
         );
     }
     // Equal completions, so messages per transfer compare as messages.
-    assert_eq!(bracha.messages_sent, 32 * 528);
+    assert_eq!(bracha.messages_sent, 32 * 495);
     for signed in [&echo, &account] {
-        assert_eq!(signed.messages_sent, 32 * 123, "{}", signed.engine);
+        assert_eq!(signed.messages_sent, 32 * 120, "{}", signed.engine);
         assert!(
             signed.messages_sent * 2 <= bracha.messages_sent,
             "{} sent {} messages vs bracha's {}",
@@ -326,9 +329,101 @@ fn signed_backends_halve_brachas_messages_per_transfer_at_16() {
     }
 }
 
+/// One unbatched transfer from `source` over a fixed one-way delay `δ`
+/// with no processing or send cost: the delays until its source
+/// commits it and until the last replica applies it, and the peer
+/// messages the simulator carried for its instance.
+struct OneTransfer {
+    n: usize,
+    source: ProcessId,
+}
+
+impl BackendVisitor for OneTransfer {
+    type Output = (u64, u64, u64);
+
+    fn visit<B, F>(self, make: F) -> (u64, u64, u64)
+    where
+        B: SecureBroadcast<EnginePayload> + 'static,
+        B::Msg: Encode + Decode + Send + 'static,
+        F: Fn(ProcessId) -> B,
+    {
+        let delta = VirtualTime::from_micros(1_000);
+        let replicas = ProcessId::all(self.n)
+            .map(|q| {
+                let config = EngineConfig::unbatched();
+                Replica::with_backend(q, self.n, Amount::new(100), config, make(q))
+            })
+            .collect();
+        let net = NetConfig::instant(0).with_latency(LatencyModel::fixed(delta));
+        let mut sim = Simulation::new(replicas, net);
+        let destination = a((self.source.index() + 1) % self.n as u32);
+        sim.schedule(VirtualTime::ZERO, self.source, move |replica, ctx| {
+            replica.submit(destination, Amount::new(1), ctx)
+        });
+        assert!(sim.run_until_quiet(1_000_000));
+        let delays = |at: VirtualTime| {
+            assert_eq!(at.as_micros() % delta.as_micros(), 0, "off the δ grid");
+            at.as_micros() / delta.as_micros()
+        };
+        let events = sim.take_events();
+        let commit = events.iter().find_map(|(at, q, event)| {
+            matches!(event, EngineEvent::Completed { .. } if *q == self.source).then_some(*at)
+        });
+        let applies: Vec<VirtualTime> = events
+            .iter()
+            .filter_map(|(at, _, event)| {
+                matches!(event, EngineEvent::Applied { .. }).then_some(*at)
+            })
+            .collect();
+        assert_eq!(applies.len(), self.n, "not applied everywhere");
+        let last_apply = applies.into_iter().max().expect("applied");
+        (
+            delays(commit.expect("never committed")),
+            delays(last_apply),
+            sim.stats().messages_sent,
+        )
+    }
+}
+
+/// Latency counted in one-way delays `δ`: a process hears its own
+/// messages without a network hop, so an unbatched transfer commits at
+/// its source after Bracha's SEND, ECHO, READY (3δ), after the signed
+/// backends' SEND and echo share (2δ, every replica applying it with the
+/// FINAL at 3δ), and after PBFT's PRE-PREPARE, PREPARE, COMMIT (3δ from
+/// the leader p0, a forward to it first from anyone else). The messages
+/// are the closed forms with no copy to the sender itself: Bracha's
+/// `(n − 1)(2n + 1)`, the signed backends' `3(n − 1) + (n − 1)·f`, and
+/// PBFT's `(n − 1)(2n + 1)` plus the forward.
+#[test]
+fn one_transfer_commits_at_its_source_after_k_message_delays() {
+    for n in [4usize, 7, 10, 16] {
+        let (m, f) = (n as u64, (n as u64 - 1) / 3);
+        let (bracha, signed) = ((m - 1) * (2 * m + 1), 3 * (m - 1) + (m - 1) * f);
+        for source in [p(0), p(n as u32 - 1)] {
+            let forward = u64::from(source != p(0));
+            for (backend, expected) in [
+                (BroadcastBackend::Bracha, (3, 3, bracha)),
+                (BroadcastBackend::signed_echo(), (2, 3, signed)),
+                (BroadcastBackend::account_order(), (2, 3, signed)),
+                (
+                    BroadcastBackend::Pbft,
+                    (3 + forward, 3 + forward, bracha + forward),
+                ),
+            ] {
+                assert_eq!(
+                    backend.build(n, 0, OneTransfer { n, source }),
+                    expected,
+                    "{} at n = {n} from {source}: (commit δ, last apply δ, messages)",
+                    backend.label()
+                );
+            }
+        }
+    }
+}
+
 /// Real Ed25519 changes the CPU a message costs, never the messages:
 /// signed echo under `EdAuth` sends exactly what it sends under
-/// `NoAuth` — 15 per instance at n = 4, relays included — in the same
+/// `NoAuth` — 12 per instance at n = 4, relays included — in the same
 /// virtual time, to the same balances.
 #[test]
 fn ed25519_echo_matches_noauth_echo_message_for_message() {
@@ -339,7 +434,7 @@ fn ed25519_echo_matches_noauth_echo_message_for_message() {
             .with_backend(backend)
             .run(&scenario)
     });
-    assert_eq!(modelled.messages_sent, 16 * 15);
+    assert_eq!(modelled.messages_sent, 16 * 12);
     assert_eq!(real.completed, 4 * 2 * 2);
     assert!(real.agreed && real.supply_ok);
     assert_eq!(real.conflicts, 0);

@@ -16,6 +16,7 @@ use at_node::{
     MAX_FRAME_LEN,
 };
 use at_obs::{merge_traces, HistogramSnapshot, Stage, TraceConfig};
+use std::collections::VecDeque;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -635,15 +636,23 @@ fn tcp_restart_traces_merge_across_incarnations() {
     );
 }
 
-/// Regression guard for the real-runtime delivery regime (the audit
-/// behind wiring the event loop): remote protocol responses may reach a
-/// sender *before* its own self-addressed SEND loops back — the
-/// interleaving that once crashed `AccountOrderBroadcast` (fixed in the
-/// at-check PR) and that a socket runtime produces routinely. Drive
-/// replicas through the exact detached-context path the node uses and
-/// deliver every remote message before any self-addressed one.
+/// A replica hears its own messages inside the handler that sent them:
+/// driven through the exact detached-context path the node uses, no
+/// handler's outbox holds an entry addressed to its own process, on any
+/// backend, and two transfers — one from PBFT's leader, one forwarded
+/// to it — still complete and apply everywhere. (That a backend survives
+/// remote responses overtaking its self-addressed messages, which a
+/// socket runtime produced before, is checked on the backends themselves:
+/// at-broadcast's `remote_messages_may_overtake_self_addressed_ones`.)
 #[test]
-fn remote_responses_may_overtake_self_loopback() {
+fn a_replica_sends_nothing_to_itself() {
+    type Queue<M> = VecDeque<(ProcessId, ProcessId, M)>;
+    fn route<M>(me: ProcessId, ctx: Context<'_, M, EngineEvent>, queue: &mut Queue<M>) {
+        for (to, msg) in ctx.into_outputs().outbox {
+            assert_ne!(to, me, "{me} addressed a message to itself");
+            queue.push_back((me, to, msg));
+        }
+    }
     fn run<B, F>(make: F)
     where
         B: SecureBroadcast<EnginePayload>,
@@ -655,52 +664,38 @@ fn remote_responses_may_overtake_self_loopback() {
             .map(|i| Replica::with_backend(p(i), n, Amount::new(100), config, make(p(i))))
             .collect();
         let mut events = Vec::new();
-
-        // p0 submits; collect its outgoing messages.
-        let mut ctx = Context::detached(VirtualTime::ZERO, p(0), n, &mut events);
-        replicas[0].submit(a(1), Amount::new(25), &mut ctx);
-        let outputs = ctx.into_outputs();
-
-        // Deliver with self-addressed messages parked at the *back* of
-        // the queue: every remote response overtakes the loopback.
-        let mut queue: Vec<(ProcessId, ProcessId, B::Msg)> = Vec::new();
-        for (to, msg) in outputs.outbox {
-            queue.push((p(0), to, msg));
+        let mut queue = Queue::new();
+        for (from, to, amount) in [(0, 1, 25), (1, 2, 10)] {
+            let mut ctx = Context::detached(VirtualTime::ZERO, p(from), n, &mut events);
+            replicas[from as usize].submit(a(to), Amount::new(amount), &mut ctx);
+            route(p(from), ctx, &mut queue);
         }
         let mut guard = 0;
-        while !queue.is_empty() {
+        while let Some((from, to, msg)) = queue.pop_front() {
             guard += 1;
             assert!(guard < 100_000, "delivery did not quiesce");
-            // Pick the first entry whose destination differs from its
-            // sender; fall back to self-deliveries only when nothing
-            // else remains.
-            let pos = queue
-                .iter()
-                .position(|(from, to, _)| from != to)
-                .unwrap_or(0);
-            let (from, to, msg) = queue.remove(pos);
             let mut ctx = Context::detached(VirtualTime::ZERO, to, n, &mut events);
             replicas[to.as_usize()].on_message(from, msg, &mut ctx);
-            let outputs = ctx.into_outputs();
-            for (next_to, next_msg) in outputs.outbox {
-                queue.push((to, next_to, next_msg));
-            }
+            route(to, ctx, &mut queue);
         }
 
-        // The transfer completed at p0 and applied everywhere.
-        assert!(
-            events
-                .iter()
-                .any(|(_, at, e)| *at == p(0) && matches!(e, EngineEvent::Completed { .. })),
-            "transfer never completed under remote-first delivery"
-        );
+        for submitter in [p(0), p(1)] {
+            assert!(
+                events.iter().any(
+                    |(_, at, e)| *at == submitter && matches!(e, EngineEvent::Completed { .. })
+                ),
+                "{submitter}'s transfer never completed"
+            );
+        }
         for replica in &replicas {
             assert_eq!(replica.balance(a(0)), Amount::new(75));
-            assert_eq!(replica.balance(a(1)), Amount::new(125));
+            assert_eq!(replica.balance(a(1)), Amount::new(115));
+            assert_eq!(replica.balance(a(2)), Amount::new(110));
         }
     }
 
     run(|me| BrachaBroadcast::<EnginePayload>::new(me, 4));
     run(|me| EchoBroadcast::<EnginePayload, NoAuth>::new(me, 4, NoAuth));
     run(|me| at_broadcast::AccountOrderBackend::<EnginePayload, NoAuth>::new(me, 4, NoAuth));
+    run(|me| PbftBroadcast::<EnginePayload>::new(me, 4));
 }

@@ -40,7 +40,8 @@ fn echo(me: ProcessId) -> EchoNode {
 struct Counts {
     wakeups: u64,
     idle: u64,
-    /// Peer messages fed to the replica (loop-backs included).
+    /// Peer messages fed to the replica (its own it hears inside the
+    /// replica, uncounted).
     msgs: u64,
     polls: u64,
     frames_in: u64,
@@ -121,9 +122,8 @@ fn one_transfer_on_an_idle_tcp_cluster_wakes_each_loop_once_per_input() {
         let after = loop_counters(handle);
         let wakeups = after.wakeups - before.wakeups;
         let idle = after.idle - before.idle;
-        // Frames in (the replica's message count includes its own
-        // loopback, so it bounds them from above), the scrape, the
-        // client's request at node 0, the end-of-pass flush timer at
+        // Frames in (the peer messages fed to the replica), the scrape,
+        // the client's request at node 0, the end-of-pass flush timer at
         // node 0 and a prune that may come due — plus a little slack.
         let msgs = after.msgs - before.msgs;
         let inputs = msgs + 1 + 2 * u64::from(i == 0) + 1;
@@ -147,13 +147,11 @@ fn one_transfer_on_an_idle_tcp_cluster_wakes_each_loop_once_per_input() {
             "node {i}: {polls} polls for {absorbed} frames and acks, \
              {commands} commands and {timers} timers"
         );
-        // One instance is 18 messages, loop-backs included: SEND, four
-        // echo shares and FINAL at the source; SEND, FINAL and the two
-        // other receivers' relays at each receiver.
-        assert!(
-            msgs <= if i == 0 { 6 } else { 4 },
-            "node {i} was fed {msgs} messages for one instance"
-        );
+        // One instance is 12 peer messages, 3 at every node: the three
+        // echo shares at the source; SEND, FINAL and the one relay of
+        // the receiver before it (wrapping round, skipping the source)
+        // at each receiver.
+        assert_eq!(msgs, 3, "node {i} was fed {msgs} messages for one instance");
         assert!(idle <= 2, "node {i}: {idle} wake-ups found nothing to do");
     }
     cluster.stop_all();
