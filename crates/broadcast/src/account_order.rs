@@ -262,33 +262,6 @@ mod tests {
         }
     }
 
-    /// Runs p0's broadcast `wires` with its FINAL reaching only p1, not
-    /// even p0's own loop-back; returns how many payloads each process
-    /// delivered.
-    fn selective_final<K: Stream>(
-        endpoints: &mut [Endpoint<K, NoAuth>],
-        wires: VecDeque<Wire<K, NoAuth>>,
-    ) -> Vec<usize> {
-        let delivered = run(endpoints, wires, |(from, to, msg)| {
-            matches!(msg, EchoMsg::Final { .. }) && *from == p(0) && *to != p(1)
-        });
-        delivered.iter().map(Vec::len).collect()
-    }
-
-    #[test]
-    fn forwarding_gives_totality() {
-        // The relays complete delivery at every correct process. Nothing
-        // binds a shared account to p0, so p0 gets a relay too; p0's own
-        // stream (account 0 of the base topology) binds it, and nobody
-        // owes the misbehaving sender its own certificate back.
-        let mut shared = system(4);
-        let wires = start(&mut shared, p(0), acct(0), 1, 9);
-        assert_eq!(selective_final(&mut shared, wires), vec![1, 1, 1, 1]);
-        let mut owned = backends(4);
-        let wires = cast(&mut owned, p(0), 9);
-        assert_eq!(selective_final(&mut owned, wires), vec![0, 1, 1, 1]);
-    }
-
     #[test]
     fn a_forged_sender_field_does_not_cost_the_named_process_its_relay() {
         // No field of a FINAL names its sender, so a relayer cannot forge

@@ -102,6 +102,8 @@ impl<P> Default for Instance<P> {
 pub struct BrachaBroadcast<P> {
     table: InstanceTable<ProcessId, Instance<P>, P>,
     trace: TraceHook<P>,
+    /// The buffer a payload is encoded into to be hashed.
+    scratch: Vec<u8>,
 }
 
 impl<P: Clone + Eq + Encode> BrachaBroadcast<P> {
@@ -111,6 +113,7 @@ impl<P: Clone + Eq + Encode> BrachaBroadcast<P> {
         BrachaBroadcast {
             table: InstanceTable::new(me, n),
             trace: TraceHook::new(me),
+            scratch: Vec::new(),
         }
     }
 
@@ -180,7 +183,7 @@ impl<P: Clone + Eq + Encode> BrachaBroadcast<P> {
         if instance.ready_sent {
             return; // echoes only ever trigger our READY
         }
-        let digest = instance.memo.digest(&payload);
+        let digest = instance.memo.digest(&payload, &mut self.scratch);
         let echoes = instance.echoes.entry(digest).or_default();
         echoes.insert(from);
         if echoes.len() >= echo_quorum {
@@ -215,7 +218,7 @@ impl<P: Clone + Eq + Encode> BrachaBroadcast<P> {
         if instance.delivered {
             return; // delivery implies our READY went out: nothing to count for
         }
-        let digest = instance.memo.digest(&payload);
+        let digest = instance.memo.digest(&payload, &mut self.scratch);
         let readies = instance.readies.entry(digest).or_default();
         readies.insert(from);
         let count = readies.len();

@@ -638,26 +638,31 @@ mod tests {
     /// selective sender finalises to, and whichever `≤ f − 1` others stay
     /// silent beside it, every correct process delivers exactly once —
     /// on a process's own stream (SignedEcho, AccountOrder), where the
-    /// window is `f` and skips the sender, and on a shared account
-    /// (window `f + 1`, the sender inside it). 3 + 36 + 333 cases per
-    /// stream at n = 4, 7, 10. The same enumeration with every relay
-    /// lost splits every time — only the chosen process delivers — so
-    /// the relays are what carries it.
+    /// window is `f` and skips the sender, so the sender gets nothing
+    /// back, and on a shared account (window `f + 1`, the sender inside
+    /// it), where it gets one relay. 3 + 36 + 333 cases per stream at
+    /// n = 4, 7, 10. The same enumeration with every relay lost splits
+    /// every time — only the chosen process delivers — so the relays are
+    /// what carries it.
     #[test]
     fn relays_give_totality_for_every_selective_final_and_silent_set() {
         fn enumerate<K: Stream, const IN_ORDER: bool>(
             n: usize,
             start: impl Fn(&mut Signed<K, IN_ORDER>, &mut SignedStep<K>) + Copy,
             label: &str,
+            sender: usize,
         ) -> usize {
             let cases = selective_cases(n);
             for (chosen, silent) in &cases {
-                let correct = |i: usize| i != 0 && !silent.contains(&i);
                 let delivered = selective_final(n, start, *chosen, silent, true);
-                for (i, rounds) in delivered.iter().enumerate().filter(|(i, _)| correct(*i)) {
+                for (i, rounds) in delivered.iter().enumerate() {
+                    let expected = match i {
+                        0 => sender,
+                        i => usize::from(!silent.contains(&i)),
+                    };
                     assert_eq!(
                         rounds.len(),
-                        1,
+                        expected,
                         "{label}, n = {n}, to p{chosen}, silent {silent:?}: p{i}"
                     );
                 }
@@ -675,9 +680,9 @@ mod tests {
         }
         let mut cases = 0;
         for n in [4, 7, 10] {
-            cases += enumerate(n, own_stream::<false>, "echo");
-            enumerate(n, own_stream::<true>, "account order");
-            enumerate(n, shared_account, "shared account");
+            cases += enumerate(n, own_stream::<false>, "echo", 0);
+            enumerate(n, own_stream::<true>, "account order", 0);
+            enumerate(n, shared_account, "shared account", 1);
         }
         assert_eq!(cases, 3 + 36 + 333);
     }

@@ -7,7 +7,10 @@
 //! the required primitives from the specifications:
 //!
 //! * [`sha2`] — SHA-256 / SHA-512 (FIPS 180-4), with constant tables a
-//!   test re-derives from integer square/cube roots of primes;
+//!   test re-derives from integer square/cube roots of primes; SHA-256
+//!   runs on the x86 SHA extensions when the CPU has them, through the
+//!   crate's one `unsafe` block (the call into that kernel after the
+//!   run-time check), and on the portable loop otherwise;
 //! * [`field`] — GF(2^255 − 19) arithmetic, division-free;
 //! * [`scalar`] — arithmetic modulo the group order ℓ, division-free;
 //! * [`edwards`] — the edwards25519 group in extended coordinates, with
@@ -41,7 +44,7 @@
 //! assert!(keys.public(signer).verify(&message, &signature).is_ok());
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 // The arithmetic API deliberately mirrors the mathematical notation
 // (`a.add(b)`, `a.mul(b)`, `p.neg()`, `x.rem(m)`) instead of operator
@@ -80,5 +83,25 @@ pub use sha2::{Sha256, Sha512};
 /// assert_eq!(digest, at_crypto::digest_of(&tx));
 /// ```
 pub fn digest_of<T: at_model::Encode + ?Sized>(value: &T) -> [u8; 32] {
-    Sha256::digest(&at_model::codec::encode(value))
+    digest_with(value, &mut Vec::new())
+}
+
+/// [`digest_of`], with the encoding laid out in `scratch` (its contents
+/// are replaced): a caller that keeps one buffer for every value it
+/// hashes allocates nothing once the buffer has grown to the largest.
+///
+/// # Example
+///
+/// ```
+/// let mut scratch = Vec::new();
+/// let digest = at_crypto::digest_with(&7u64, &mut scratch);
+/// assert_eq!(digest, at_crypto::digest_of(&7u64));
+/// assert_eq!(scratch, 7u64.to_le_bytes());
+/// ```
+pub fn digest_with<T: at_model::Encode + ?Sized>(value: &T, scratch: &mut Vec<u8>) -> [u8; 32] {
+    scratch.clear();
+    let mut writer = at_model::codec::Writer::appending_to(std::mem::take(scratch));
+    value.encode(&mut writer);
+    *scratch = writer.into_bytes();
+    Sha256::digest(scratch)
 }

@@ -6,6 +6,32 @@
 //! primes. A test re-derives all 160 entries with exact integer roots
 //! from the crate's test-only big-integer oracle, and the implementation
 //! is validated against the standard test vectors.
+//!
+//! ## Two SHA-256 compressors
+//!
+//! [`Sha256`] hands every run of whole 64-byte blocks — the buffered
+//! block once it fills, the whole blocks of one `update`, the padded
+//! tail in `finalize` — to one compressor call. On an x86 CPU with the
+//! SHA extensions (`sha`, with `sse2`, `ssse3` and `sse4.1`) that call
+//! goes to a kernel built on `sha256rnds2`, `sha256msg1` and
+//! `sha256msg2`, which keeps the state in two registers from the run's
+//! first block to its last; elsewhere, and on other architectures, it
+//! goes to the portable FIPS 180-4 loop. Both produce the same digest,
+//! and the portable loop is the oracle the kernel is tested against on
+//! every length up to 2 048 bytes and under random splits. There is no
+//! switch: the CPU decides, once per call, from the standard library's
+//! cached feature detection. SHA-512 has one compressor, the portable
+//! one.
+//!
+//! The kernel is safe code compiled with `#[target_feature]`: its only
+//! precondition is that the CPU has those features, so the crate's one
+//! `unsafe` block is the call into it, made only after the run-time
+//! check has said yes.
+//!
+//! On a 2-core x86-64 VM with `sha_ni` (one-shot digests, best of
+//! seven): 64 / 700 / 4 600 bytes take ≈ 150 / 700 / 4 400 ns on the
+//! kernel (≈ 1 ns/byte on long inputs) and ≈ 600 / 3 700 / 21 500 ns on
+//! the portable loop (≈ 4.7 ns/byte).
 
 /// A 32-byte SHA-256 digest.
 pub type Digest256 = [u8; 32];
@@ -109,6 +135,18 @@ impl Sha256 {
 
     /// Absorbs `data`.
     pub fn update(&mut self, data: &[u8]) {
+        self.update_with(data, compress_blocks);
+    }
+
+    /// Finishes and returns the digest.
+    pub fn finalize(self) -> Digest256 {
+        self.finalize_with(compress_blocks)
+    }
+
+    /// [`Sha256::update`] through `compress`, which takes a whole number
+    /// of blocks: the buffered block once it fills, then every whole
+    /// block of `data` in one call.
+    fn update_with(&mut self, data: &[u8], compress: fn(&mut [u32; 8], &[u8])) {
         self.length = self.length.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffered > 0 {
@@ -116,46 +154,70 @@ impl Sha256 {
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        let whole = input.len() - input.len() % 64;
+        if whole > 0 {
+            compress(&mut self.state, &input[..whole]);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        let rest = &input[whole..];
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
-    /// Finishes and returns the digest.
-    pub fn finalize(mut self) -> Digest256 {
+    /// [`Sha256::finalize`] through `compress`: the padded tail, one
+    /// block or two, in one call.
+    fn finalize_with(self, compress: fn(&mut [u32; 8], &[u8])) -> Digest256 {
+        let mut state = self.state;
+        let mut tail = [0u8; 128];
+        tail[..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        tail[self.buffered] = 0x80;
+        // The bit length ends the block that has room for its 8 bytes.
+        let end = if self.buffered < 56 { 64 } else { 128 };
         let bit_length = self.length.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Length is appended manually to avoid recounting it.
-        self.buffer[56..64].copy_from_slice(&bit_length.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        tail[end - 8..end].copy_from_slice(&bit_length.to_be_bytes());
+        compress(&mut state, &tail[..end]);
         let mut out = [0u8; 32];
-        for (chunk, word) in out.chunks_exact_mut(4).zip(self.state) {
+        for (chunk, word) in out.chunks_exact_mut(4).zip(state) {
             chunk.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Compresses `blocks`, a whole number of 64-byte blocks, into `state`:
+/// on the SHA extensions when the CPU has them, else portably.
+fn compress_blocks(state: &mut [u32; 8], blocks: &[u8]) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    if sha_ni::detected() {
+        #[cfg(test)]
+        tests::SHA_NI_CALLS.with(|calls| calls.set(calls.get() + 1));
+        // SAFETY: `sha_ni::compress` is safe code compiled for the
+        // `sha`, `sse2`, `ssse3` and `sse4.1` target features, and its
+        // one precondition is that the CPU running it has them, which
+        // `detected` has just confirmed at run time.
+        #[allow(unsafe_code)]
+        unsafe {
+            sha_ni::compress(state, blocks)
+        };
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The FIPS 180-4 compression function, one block at a time: the
+/// fallback, and the oracle the kernel is tested against.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    let (blocks, rest) = blocks.as_chunks::<64>();
+    debug_assert!(rest.is_empty(), "a partial block");
+    for block in blocks {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes(chunk.try_into().expect("4-byte chunk"));
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -165,7 +227,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -186,9 +248,105 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        for (s, v) in self.state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
             *s = s.wrapping_add(v);
         }
+    }
+}
+
+/// SHA-256 on the x86 SHA extensions (Intel's SHA-NI).
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod sha_ni {
+    use super::K256;
+    #[cfg(target_arch = "x86")]
+    use std::arch::x86::*;
+    #[cfg(target_arch = "x86_64")]
+    use std::arch::x86_64::*;
+
+    /// Whether this CPU has every feature [`compress`] is compiled for.
+    /// The standard library caches the answer: a lookup is a load.
+    pub(super) fn detected() -> bool {
+        std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("sse2")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses `blocks`, a whole number of 64-byte blocks, into
+    /// `state`, keeping the state in two registers from the first block
+    /// to the last. `sha256rnds2` works on the state as `ABEF` and
+    /// `CDGH` (high lane first) and does two rounds with the low two
+    /// lanes of its third operand, each a message word plus its round
+    /// constant; `sha256msg1` and `sha256msg2` extend the schedule four
+    /// words at a time.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        let (blocks, rest) = blocks.as_chunks::<64>();
+        debug_assert!(rest.is_empty(), "a partial block");
+        let lane = |word: u32| word as i32;
+        let [a, b, c, d, e, f, g, h] = (*state).map(lane);
+        let mut abef = _mm_setr_epi32(f, e, b, a);
+        let mut cdgh = _mm_setr_epi32(h, g, d, c);
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let words = block.as_chunks::<4>().0;
+            let word = |i: usize| lane(u32::from_be_bytes(words[i]));
+            let mut schedule = [
+                _mm_setr_epi32(word(0), word(1), word(2), word(3)),
+                _mm_setr_epi32(word(4), word(5), word(6), word(7)),
+                _mm_setr_epi32(word(8), word(9), word(10), word(11)),
+                _mm_setr_epi32(word(12), word(13), word(14), word(15)),
+            ];
+            for (i, &words) in schedule.iter().enumerate() {
+                rounds4(&mut abef, &mut cdgh, words, i);
+            }
+            for i in 4..16 {
+                let next = extend(
+                    schedule[i % 4],
+                    schedule[(i + 1) % 4],
+                    schedule[(i + 2) % 4],
+                    schedule[(i + 3) % 4],
+                );
+                schedule[i % 4] = next;
+                rounds4(&mut abef, &mut cdgh, next, i);
+            }
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+        let word = |lanes: i32| lanes as u32;
+        *state = [
+            _mm_extract_epi32::<3>(abef),
+            _mm_extract_epi32::<2>(abef),
+            _mm_extract_epi32::<3>(cdgh),
+            _mm_extract_epi32::<2>(cdgh),
+            _mm_extract_epi32::<1>(abef),
+            _mm_extract_epi32::<0>(abef),
+            _mm_extract_epi32::<1>(cdgh),
+            _mm_extract_epi32::<0>(cdgh),
+        ]
+        .map(word);
+    }
+
+    /// Rounds `4i` to `4i + 3`, on message words `words`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn rounds4(abef: &mut __m128i, cdgh: &mut __m128i, words: __m128i, i: usize) {
+        let k = |j: usize| K256[4 * i + j] as i32;
+        let input = _mm_add_epi32(words, _mm_setr_epi32(k(0), k(1), k(2), k(3)));
+        *cdgh = _mm_sha256rnds2_epu32(*cdgh, *abef, input);
+        *abef = _mm_sha256rnds2_epu32(*abef, *cdgh, _mm_shuffle_epi32::<0x0E>(input));
+    }
+
+    /// Message words `W[t..t + 4]` from the sixteen before them, given
+    /// four at a time oldest first: σ0 and the `W[t − 16]` term by
+    /// `sha256msg1`, the `W[t − 7]` term by a shift across the last two,
+    /// and σ1, which needs words this call makes, by `sha256msg2`.
+    #[inline]
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    fn extend(w0: __m128i, w1: __m128i, w2: __m128i, w3: __m128i) -> __m128i {
+        let partial = _mm_sha256msg1_epu32(w0, w1);
+        let partial = _mm_add_epi32(partial, _mm_alignr_epi8::<4>(w3, w2));
+        _mm_sha256msg2_epu32(partial, w3)
     }
 }
 
@@ -322,9 +480,109 @@ impl Sha512 {
 mod tests {
     use super::*;
     use crate::bigint::{icbrt_u512, isqrt_u512, U512};
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Calls into the SHA-NI kernel on this thread.
+        pub(super) static SHA_NI_CALLS: Cell<u64> = const { Cell::new(0) };
+    }
 
     fn hex(bytes: &[u8]) -> String {
         bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// SHA-256 of `pieces`, fed one `update` each, through the portable
+    /// compressor only: the oracle of the dispatched path.
+    fn portable(pieces: &[&[u8]]) -> Digest256 {
+        let mut hasher = Sha256::new();
+        for piece in pieces {
+            hasher.update_with(piece, compress_portable);
+        }
+        hasher.finalize_with(compress_portable)
+    }
+
+    /// `len` bytes of a fixed xorshift stream.
+    fn noise(len: usize, mut x: u64) -> Vec<u8> {
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect()
+    }
+
+    /// Whether this CPU has the features the kernel needs, asked
+    /// independently of the dispatch.
+    fn cpu_has_sha() -> bool {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        return std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("sse2")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1");
+        #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+        false
+    }
+
+    /// Kernel calls made to hash `pieces`, one `update` each.
+    fn kernel_calls(pieces: &[&[u8]]) -> u64 {
+        let before = SHA_NI_CALLS.with(Cell::get);
+        let mut hasher = Sha256::new();
+        for piece in pieces {
+            hasher.update(piece);
+        }
+        hasher.finalize();
+        SHA_NI_CALLS.with(Cell::get) - before
+    }
+
+    #[test]
+    fn the_kernel_runs_whenever_the_cpu_has_sha() {
+        // A dispatch that stays portable on a CPU with the extensions
+        // fails here; so does one that splits a run of whole blocks.
+        let has = u64::from(cpu_has_sha());
+        eprintln!("SHA extensions: {}", if has == 1 { "yes" } else { "no" });
+        assert_eq!(kernel_calls(&[b"abc"]), has, "the padded tail");
+        let data = noise(4600, 1);
+        assert_eq!(kernel_calls(&[&data]), 2 * has, "71 whole blocks, the tail");
+        let split = [&data[..10], &data[10..]];
+        // The filled buffer, 70 whole blocks, a two-block tail.
+        assert_eq!(kernel_calls(&split), 3 * has, "split");
+    }
+
+    #[test]
+    fn the_dispatched_digest_matches_the_portable_one_on_every_length_to_2048() {
+        // Covers every padding edge: 55, 56, 63, 64, 119, 120, ...
+        let data = noise(2048, 7);
+        for len in 0..=2048 {
+            let data = &data[..len];
+            assert_eq!(Sha256::digest(data), portable(&[data]), "length {len}");
+        }
+    }
+
+    #[test]
+    fn the_dispatched_digest_matches_the_portable_one_under_random_splits() {
+        let data = noise(2048, 11);
+        let mut cut = 0x9e37_79b9_7f4a_7c15u64;
+        for len in (0..=2048).step_by(7) {
+            let data = &data[..len];
+            let mut pieces = Vec::new();
+            let mut rest = data;
+            while !rest.is_empty() {
+                cut = cut.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                let take = (cut >> 33) as usize % 200;
+                let (piece, tail) = rest.split_at(take.min(rest.len()));
+                pieces.push(piece);
+                rest = tail;
+            }
+            let mut hasher = Sha256::new();
+            for piece in &pieces {
+                hasher.update(piece);
+            }
+            let expected = portable(&[data]);
+            assert_eq!(hasher.finalize(), expected, "length {len}, split");
+            assert_eq!(portable(&pieces), expected, "length {len}, portable split");
+        }
     }
 
     /// Returns the first `n` prime numbers.
@@ -375,20 +633,24 @@ mod tests {
 
     #[test]
     fn sha256_standard_vectors() {
-        assert_eq!(
-            hex(&Sha256::digest(b"")),
-            "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-        );
-        assert_eq!(
-            hex(&Sha256::digest(b"abc")),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            hex(&Sha256::digest(
-                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"
-            )),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
+        // Through the dispatched path and the portable one alike.
+        for (input, digest) in [
+            (
+                &b""[..],
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                b"abc",
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+        ] {
+            assert_eq!(hex(&Sha256::digest(input)), digest);
+            assert_eq!(hex(&portable(&[input])), digest);
+        }
     }
 
     #[test]
@@ -398,10 +660,9 @@ mod tests {
         for _ in 0..1000 {
             hasher.update(&chunk);
         }
-        assert_eq!(
-            hex(&hasher.finalize()),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
+        let digest = "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0";
+        assert_eq!(hex(&hasher.finalize()), digest);
+        assert_eq!(hex(&portable(&[&chunk[..]; 1000])), digest);
     }
 
     #[test]
