@@ -112,17 +112,6 @@ mod tests {
         outgoing::<_, A>(sender, step)
     }
 
-    /// `sender` broadcasts `value` on its own stream of the base topology.
-    fn cast(
-        endpoints: &mut [AccountOrderBackend<u64, NoAuth>],
-        sender: ProcessId,
-        value: u64,
-    ) -> VecDeque<Wire<ProcessId, NoAuth>> {
-        let mut step = Step::new();
-        endpoints[sender.as_usize()].broadcast(value, &mut step);
-        outgoing::<_, NoAuth>(sender, step)
-    }
-
     fn system_with<K: Stream, A: Authenticator + Clone>(n: usize, auth: &A) -> Vec<Endpoint<K, A>> {
         (0..n)
             .map(|i| SignedEcho::new(p(i as u32), n, auth.clone()))
@@ -295,45 +284,6 @@ mod tests {
             assert_eq!(step.deliveries.len(), 1);
             assert_eq!(relayed_to, expected, "owned stream, from {from}");
         }
-    }
-
-    #[test]
-    fn prune_drops_delivered_state_and_suppresses_replays() {
-        let mut endpoints = backends(4);
-        let mut wires = cast(&mut endpoints, p(0), 100);
-        wires.extend(cast(&mut endpoints, p(0), 200));
-        // Capture a FINAL for seq 1 to replay after pruning.
-        let mut replay = None;
-        while let Some(wire) = wires.pop_front() {
-            if replay.is_none() {
-                if let EchoMsg::Final { seq, .. } = &wire.2 {
-                    if seq.value() == 1 {
-                        replay = Some(wire.2.clone());
-                    }
-                }
-            }
-            let (from, to, msg) = wire;
-            let mut step = Step::new();
-            endpoints[to.as_usize()].on_message(from, msg, &mut step);
-            for out in step.outgoing {
-                wires.push_back((to, out.to, out.msg));
-            }
-        }
-        for endpoint in &mut endpoints {
-            assert_eq!(endpoint.delivered_count(), 2);
-            assert_eq!(endpoint.instance_count(), 2);
-            let pruned = endpoint.prune_delivered();
-            assert_eq!(pruned, 2);
-            assert_eq!(endpoint.instance_count(), 0);
-            assert_eq!(endpoint.delivered_count(), 2, "monotone across pruning");
-        }
-        // A replayed FINAL below the floor must not re-deliver or park.
-        let replay = replay.expect("a FINAL for seq 1 circulated");
-        let mut step = Step::new();
-        endpoints[2].on_message(p(0), replay, &mut step);
-        assert!(step.deliveries.is_empty());
-        assert_eq!(endpoints[2].delivered_count(), 2);
-        assert_eq!(endpoints[2].prune_delivered(), 0, "no residue to prune");
     }
 
     #[test]

@@ -76,7 +76,7 @@ struct Instance<P> {
     ready_sent: bool,
     /// Whether the instance delivered.
     delivered: bool,
-    /// The payload digests, cleared on delivery.
+    /// The payload digests, freed with the slot on release.
     memo: DigestMemo<P>,
 }
 
@@ -236,7 +236,6 @@ impl<P: Clone + Eq + Encode> BrachaBroadcast<P> {
         }
         if count >= ready_deliver {
             instance.delivered = true;
-            instance.memo.clear();
             self.table.hold(source, seq, payload);
             while let Some((seq, payload)) = self.table.release(source) {
                 self.trace
@@ -296,12 +295,6 @@ impl<P: Clone + Eq + Encode + Send> SecureBroadcast<P> for BrachaBroadcast<P> {
 
     fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {
         self.trace.set(tracer, extract);
-    }
-
-    /// An instance that delivered into a sequence gap keeps its state
-    /// until the gap closes.
-    fn prune_delivered(&mut self) -> usize {
-        self.table.prune(|instance| instance.delivered)
     }
 
     fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
@@ -532,52 +525,6 @@ mod tests {
         let delivered = run_system(1, vec![(p(0), 5)], |_, _, _| false);
         assert_eq!(delivered[0].len(), 1);
         assert_eq!(delivered[0][0].payload, 5);
-    }
-
-    #[test]
-    fn prune_drops_delivered_instances_and_suppresses_replays() {
-        let n = 4;
-        let mut endpoints: Vec<BrachaBroadcast<u64>> = (0..n)
-            .map(|i| BrachaBroadcast::new(p(i as u32), n))
-            .collect();
-        let mut inflight: VecDeque<(ProcessId, ProcessId, BrachaMsg<u64>)> = VecDeque::new();
-        let mut step = Step::new();
-        endpoints[0].broadcast(42, &mut step);
-        let replay: Vec<_> = step
-            .outgoing
-            .iter()
-            .map(|out| (p(0), out.to, out.msg.clone()))
-            .collect();
-        for out in step.outgoing {
-            inflight.push_back((p(0), out.to, out.msg));
-        }
-        let mut delivered = 0usize;
-        while let Some((from, to, msg)) = inflight.pop_front() {
-            let mut step = Step::new();
-            endpoints[to.as_usize()].on_message(from, msg, &mut step);
-            for out in step.outgoing {
-                inflight.push_back((to, out.to, out.msg));
-            }
-            delivered += step.deliveries.len();
-        }
-        assert_eq!(delivered, n);
-        for endpoint in &mut endpoints {
-            assert_eq!(endpoint.instance_count(), 1);
-            assert_eq!(endpoint.prune_delivered(), 1);
-            assert_eq!(endpoint.instance_count(), 0);
-            assert_eq!(endpoint.delivered_count(), 1, "count stays monotone");
-        }
-        // A replayed INIT for the pruned instance must neither re-create
-        // state nor re-deliver.
-        for (from, to, msg) in replay {
-            let mut step = Step::new();
-            endpoints[to.as_usize()].on_message(from, msg, &mut step);
-            assert!(step.deliveries.is_empty(), "replay re-delivered");
-            assert!(step.outgoing.is_empty(), "replay re-echoed");
-        }
-        for endpoint in &endpoints {
-            assert_eq!(endpoint.instance_count(), 0, "replay re-created state");
-        }
     }
 
     #[test]

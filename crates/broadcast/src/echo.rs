@@ -127,7 +127,7 @@ struct Slot<P, S> {
     /// [`SecureBroadcast::broadcast_split`], the second one behind it.
     sending: Vec<Collector<P, S>>,
     /// The payload digests: seeded by our own SEND or the first one
-    /// received, cleared once a FINAL is certified.
+    /// received, freed with the slot on release.
     memo: DigestMemo<P>,
 }
 
@@ -424,9 +424,6 @@ impl<K: Stream, P: Clone + Eq + Encode, A: Authenticator, const IN_ORDER: bool>
         if signers < self.quorum() {
             return;
         }
-        if let Some(slot) = self.table.get_mut(stream, seq) {
-            slot.memo.clear();
-        }
         let relay = EchoMsg::Final {
             stream,
             seq,
@@ -520,12 +517,6 @@ where
 
     fn set_tracer(&mut self, tracer: Tracer, extract: TraceExtract<P>) {
         self.trace.set(tracer, extract);
-    }
-
-    /// Late `FINAL`s for a pruned instance are rejected by the release
-    /// floor, so delivery stays irrevocable and exactly-once.
-    fn prune_delivered(&mut self) -> usize {
-        self.table.prune(|_| true)
     }
 
     fn set_delivery_floor(&mut self, source: ProcessId, floor: SeqNo) {
@@ -1149,48 +1140,6 @@ mod tests {
             vec![1, 2],
             "both sides must certify under the broken quorum"
         );
-    }
-
-    #[test]
-    fn prune_drops_released_instances_and_suppresses_replays() {
-        let n = 4;
-        let mut endpoints: Vec<EchoBroadcast<u64, NoAuth>> = (0..n)
-            .map(|i| EchoBroadcast::new(p(i as u32), n, NoAuth))
-            .collect();
-        let mut inflight: VecDeque<(ProcessId, ProcessId, EchoMsg<u64, ()>)> = VecDeque::new();
-        let mut step = Step::new();
-        endpoints[0].broadcast(42, &mut step);
-        let mut replay_final = None;
-        for out in step.outgoing {
-            inflight.push_back((p(0), out.to, out.msg));
-        }
-        while let Some((from, to, msg)) = inflight.pop_front() {
-            if replay_final.is_none() {
-                if let EchoMsg::Final { .. } = &msg {
-                    replay_final = Some(msg.clone());
-                }
-            }
-            let mut step = Step::new();
-            endpoints[to.as_usize()].on_message(from, msg, &mut step);
-            for out in step.outgoing {
-                inflight.push_back((to, out.to, out.msg));
-            }
-        }
-        for endpoint in &mut endpoints {
-            assert_eq!(endpoint.instance_count(), 1);
-            assert_eq!(endpoint.delivered_count(), 1);
-            let pruned = endpoint.prune_delivered();
-            assert_eq!(pruned, 1);
-            assert_eq!(endpoint.instance_count(), 0);
-            assert_eq!(endpoint.delivered_count(), 1, "monotone across pruning");
-        }
-        // A replayed FINAL for the pruned instance must not re-deliver
-        // (the dedup map entry is gone; the release floor takes over).
-        let replay = replay_final.expect("a FINAL circulated");
-        let mut step = Step::new();
-        endpoints[2].on_message(p(0), replay, &mut step);
-        assert!(step.deliveries.is_empty(), "pruned instance re-delivered");
-        assert_eq!(endpoints[2].delivered_count(), 1);
     }
 
     #[test]

@@ -9,12 +9,15 @@
 //! The table owns what does not depend on the protocol: identity and
 //! thresholds, one delivery floor per stream (the source process for
 //! source order, the account for account order), the `(stream, seq) → S`
-//! map, the gap-holding FIFO release and the delivered count. Nothing at
-//! or below a floor can be reached or re-created — `entry`, `get` and
-//! `get_mut` answer `None` there and `hold` discards — so a replay of a
-//! released (possibly pruned) instance cannot bring its state back
-//! whatever the handler does. `is_stale` is left for one purpose: letting
-//! a handler skip signature work on a message it would drop anyway.
+//! map, the gap-holding FIFO release and the delivered count. Nothing is
+//! kept at or below a floor: `release` frees the slot and the held item
+//! of the instance it releases, and `set_floor` those of every instance
+//! it passes, so a slot lives only while its instance is in flight or
+//! held behind a gap. Nothing there can be re-created either — `entry`
+//! answers `None` and `hold` discards — so a replay of a released
+//! instance cannot bring its state back whatever the handler does.
+//! `is_stale` is that check, and it lets a handler skip signature work on
+//! a message it would drop anyway.
 
 use crate::auth::{Authenticator, BatchVerifyItem};
 use crate::secure::TraceExtract;
@@ -38,8 +41,8 @@ pub(crate) struct InstanceTable<K, S, H> {
     /// The last sequence number this process took on its own stream.
     own_seq: SeqNo,
     /// Per stream, the next sequence number to release (absent: 1).
-    /// Kept forever, in `O(streams)` space — the dedup that survives
-    /// pruning.
+    /// Kept forever, in `O(streams)` space — the dedup that outlives
+    /// every released slot.
     next: BTreeMap<K, SeqNo>,
     slots: HashMap<(K, SeqNo), S>,
     /// Completed instances waiting for a gap before them to close.
@@ -98,14 +101,11 @@ impl<K: Copy + Ord + Hash, S, H> InstanceTable<K, S, H> {
     }
 
     pub(crate) fn get(&self, stream: K, seq: SeqNo) -> Option<&S> {
-        self.slots
-            .get(&(stream, seq))
-            .filter(|_| !self.is_stale(stream, seq))
+        self.slots.get(&(stream, seq))
     }
 
     pub(crate) fn get_mut(&mut self, stream: K, seq: SeqNo) -> Option<&mut S> {
-        let live = !self.is_stale(stream, seq);
-        self.slots.get_mut(&(stream, seq)).filter(|_| live)
+        self.slots.get_mut(&(stream, seq))
     }
 
     /// Whether a completed `(stream, seq)` is waiting for its turn.
@@ -123,19 +123,19 @@ impl<K: Copy + Ord + Hash, S, H> InstanceTable<K, S, H> {
     }
 
     /// Releases the next held item of `stream`, if it is the one the
-    /// stream expects, and moves the floor past it. Calling this until
-    /// it answers `None` yields the stream gaplessly, in sequence order,
-    /// exactly once.
+    /// stream expects, frees its slot and moves the floor past it.
+    /// Calling this until it answers `None` yields the stream gaplessly,
+    /// in sequence order, exactly once.
     pub(crate) fn release(&mut self, stream: K) -> Option<(SeqNo, H)> {
         let seq = self.expected(stream);
         let item = self.held.remove(&(stream, seq))?;
+        self.slots.remove(&(stream, seq));
         self.next.insert(stream, seq.next());
         self.delivered_total += 1;
         Some((seq, item))
     }
 
-    /// Instances released over this endpoint's lifetime (monotone;
-    /// unaffected by pruning).
+    /// Instances released over this endpoint's lifetime (monotone).
     pub(crate) fn delivered_count(&self) -> usize {
         self.delivered_total
     }
@@ -143,18 +143,6 @@ impl<K: Copy + Ord + Hash, S, H> InstanceTable<K, S, H> {
     /// Everything retained per instance: slots plus held items.
     pub(crate) fn instance_count(&self) -> usize {
         self.slots.len() + self.held.len()
-    }
-
-    /// Drops every slot that is behind its stream's floor and `settled`,
-    /// returning how many went. The floors keep suppressing replays of
-    /// what was pruned.
-    pub(crate) fn prune(&mut self, settled: impl Fn(&S) -> bool) -> usize {
-        let before = self.slots.len();
-        let next = &self.next;
-        self.slots.retain(|(stream, seq), state| {
-            !(next.get(stream).is_some_and(|next| seq < next) && settled(state))
-        });
-        before - self.slots.len()
     }
 
     /// The relay rule of the signed backends: queues `msg`, the FINAL this
@@ -299,8 +287,8 @@ fn payload_digest<P: Encode>(payload: &P, scratch: &mut Vec<u8>) -> Digest {
 /// a batch decoded from the wire is compared item by item, which
 /// allocates nothing. A second, different payload (an equivocation)
 /// misses and is hashed on every lookup; the memo never holds more than
-/// one entry, so a Byzantine sender cannot grow it. A backend clears it
-/// when the instance delivers.
+/// one entry, so a Byzantine sender cannot grow it. It lives in its
+/// instance's slot and goes with it when the instance is released.
 pub(crate) struct DigestMemo<P> {
     first: Option<(P, Digest)>,
 }
@@ -338,11 +326,6 @@ impl<P: Clone + Eq + Encode> DigestMemo<P> {
             Some(memo) => memo.digest(payload, scratch),
             None => payload_digest(payload, scratch),
         }
-    }
-
-    /// Forgets the remembered payload: the instance delivered.
-    pub(crate) fn clear(&mut self) {
-        self.first = None;
     }
 }
 
@@ -506,11 +489,13 @@ mod tests {
             self.floor.get(&stream).copied().unwrap_or(0)
         }
 
-        /// Releases what is releasable on `stream`: gapless, in order.
+        /// Releases what is releasable on `stream`: gapless, in order,
+        /// each with its slot.
         fn release(&mut self, stream: u32) -> Vec<(SeqNo, usize)> {
             let mut released = Vec::new();
             while let Some(item) = self.held.remove(&(stream, self.floor(stream) + 1)) {
                 let seq = self.floor(stream) + 1;
+                self.slots.remove(&(stream, seq));
                 self.floor.insert(stream, seq);
                 self.delivered += 1;
                 released.push((SeqNo::new(seq), item));
@@ -525,10 +510,6 @@ mod tests {
                 .retain(|(s, seq), _| *s != stream || *seq > floor);
             self.held.retain(|(s, seq), _| *s != stream || *seq > floor);
         }
-    }
-
-    fn odd(touches: &u32) -> bool {
-        touches % 2 == 1
     }
 
     /// A payload's digest is `digest_of` it, encoded into the backend's
@@ -555,12 +536,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// Random offers in and out of order, duplicates, replays below
-        /// the floor, handler touches, prunes, floors from a snapshot and
+        /// the floor, handler touches, floors from a snapshot and
         /// own-stream sequence numbers, against the model: releases are
         /// gapless, in order and exactly once; nothing at or below a
-        /// floor is released, reachable or re-created; `instance_count`
+        /// floor is released, kept or re-created; `instance_count`
         /// counts slots and held items and returns to 0 once every gap
-        /// closed and prune ran; `delivered_count` is monotone.
+        /// closed; `delivered_count` is monotone.
         #[test]
         fn table_agrees_with_a_naive_model(
             ops in prop::collection::vec((0u8..9, 0..STREAMS, 0..SEQS), 1..120),
@@ -588,13 +569,13 @@ mod tests {
                         }
                     }
                     6 => {
-                        let before = model.slots.len();
-                        let floors = model.floor.clone();
-                        let behind = |(stream, seq): &(u32, u64)| {
-                            *seq <= floors.get(stream).copied().unwrap_or(0)
-                        };
-                        model.slots.retain(|key, touches| !(behind(key) && odd(touches)));
-                        prop_assert_eq!(table.prune(odd), before - model.slots.len(), "prune");
+                        // Nothing is kept at or below a floor, by either.
+                        for stream in 0..STREAMS {
+                            for seq in 0..=model.floor(stream) {
+                                prop_assert!(!model.slots.contains_key(&(stream, seq)));
+                                prop_assert!(table.get(p(stream), SeqNo::new(seq)).is_none());
+                            }
+                        }
                     }
                     7 => {
                         table.set_source_floor(k, s);
@@ -620,21 +601,20 @@ mod tests {
                     prop_assert_eq!(table.expected(p(stream)).value(), floor + 1);
                     for seq in 0..SEQS {
                         let (k, s) = (p(stream), SeqNo::new(seq));
-                        let slot = model.slots.get(&(stream, seq)).filter(|_| seq > floor);
+                        let slot = model.slots.get(&(stream, seq));
                         prop_assert_eq!(table.get(k, s), slot);
                         prop_assert_eq!(table.get_mut(k, s).map(|slot| *slot), slot.copied());
                         prop_assert_eq!(table.holds(k, s), model.held.contains_key(&(stream, seq)));
                     }
                 }
             }
-            // Quiescence: every gap closes, then a prune leaves nothing.
+            // Quiescence: once every gap closes, nothing is left.
             for stream in 0..STREAMS {
                 for seq in 1..SEQS {
                     table.hold(p(stream), SeqNo::new(seq), 0);
                     while table.release(p(stream)).is_some() {}
                 }
             }
-            table.prune(|_| true);
             prop_assert_eq!(table.instance_count(), 0);
         }
     }

@@ -483,9 +483,9 @@ type Sourced<P> = (ProcessId, SeqNo, P);
 /// one [`PbftReplica`] over all `n` processes orders
 /// `(source, seq, payload)` requests, and the crate's instance table
 /// releases what it executes per source — gaplessly, in sequence order,
-/// exactly once. `set_tracer` and `prune_delivered` stay the trait's
-/// defaults: the table keeps nothing once a stream has no gap, and the
-/// replica's own slots and executed set are not pruned.
+/// exactly once. `set_tracer` stays the trait's default. The table
+/// keeps nothing once a stream has no gap, but the replica's own slots
+/// and executed set are never freed.
 pub struct PbftBroadcast<P> {
     replica: PbftReplica<Sourced<P>>,
     table: InstanceTable<ProcessId, (), P>,

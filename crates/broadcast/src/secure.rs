@@ -44,8 +44,9 @@
 //! A message enum, a per-instance state and the phase handlers that move
 //! it (INIT/ECHO/READY; SEND/ECHO/FINAL), written against the crate's
 //! one instance table, which owns thresholds, floors, replay suppression,
-//! FIFO release, pruning and the counts below. The two signed backends
-//! are one phase machine under two acknowledgement rules. The PBFT
+//! FIFO release and the counts below; releasing an instance frees its
+//! state. The two signed backends are one phase machine under two
+//! acknowledgement rules. The PBFT
 //! backend keeps its phases (PRE-PREPARE/PREPARE/COMMIT) in
 //! [`PbftReplica`](crate::PbftReplica), where Section 6 reuses them per
 //! account, and takes from the table only floors, FIFO release and the
@@ -65,8 +66,8 @@
 //! * **Neither side of a split.** `broadcast_split` delivers *one* of its
 //!   two payloads, the same everywhere, where the secure broadcasts
 //!   deliver neither. Both are agreement.
-//! * **Bounded state.** `prune_delivered` and `set_tracer` stay the
-//!   defaults below; the replica's slots and executed set only grow.
+//! * **Bounded state.** The instance table frees what it releases, but
+//!   the replica's slots and executed set only grow.
 
 pub use crate::account_order::AccountOrderBackend;
 use crate::types::Step;
@@ -102,8 +103,9 @@ pub trait SecureBroadcast<P: Clone + Eq + Encode>: Send {
 
     /// Everything retained per instance: the `(stream, seq)` slots with
     /// protocol state — sender side, receiver side and dedup alike — plus
-    /// the completed instances held back behind a sequence gap. Back to
-    /// 0 after [`SecureBroadcast::prune_delivered`] at quiescence.
+    /// the completed instances held back behind a sequence gap. An
+    /// instance's state goes when it is released, so this is 0 whenever
+    /// nothing is in flight or held behind a gap.
     fn instance_count(&self) -> usize;
 
     /// Number of instances this endpoint has delivered.
@@ -118,15 +120,10 @@ pub trait SecureBroadcast<P: Clone + Eq + Encode>: Send {
         let _ = (tracer, extract);
     }
 
-    /// Discards the per-instance protocol state of every broadcast this
-    /// endpoint has already delivered, returning how many instances were
-    /// pruned. Deliveries are irrevocable (the quorum that enabled them
-    /// is durable evidence), so the retained state only served
-    /// deduplication — which the per-source delivery floors, kept
-    /// forever in `O(n)` space, continue to provide: late or replayed
-    /// frames for a pruned instance are dropped, never re-delivered.
-    /// [`SecureBroadcast::delivered_count`] stays monotone across
-    /// pruning. Defaults to a no-op returning 0.
+    /// A no-op returning 0, kept only for callers outside the workspace:
+    /// every backend frees an instance's state when it releases the
+    /// instance, and the per-source delivery floors, kept forever in
+    /// `O(n)` space, drop late or replayed frames for it.
     fn prune_delivered(&mut self) -> usize {
         0
     }
@@ -791,23 +788,21 @@ mod tests {
         assert_eq!(ops(1), (1, 3), "receiver signs/verifies");
     }
 
+    /// Releasing an instance frees its state on every backend: once two
+    /// broadcasts from p0 (AccountOrder's pipelined pair among them)
+    /// delivered everywhere, nothing is retained, with no pruning pass.
     #[test]
-    fn prune_and_floor_behave_uniformly_through_the_trait() {
+    fn a_released_instance_leaves_no_state_and_replays_recreate_none() {
         fn exercise<B: SecureBroadcast<u64>>(mut endpoints: Vec<B>, mut fresh: B) {
-            // A completed broadcast is prunable everywhere and the
-            // delivered count stays monotone.
             let mut wire = Vec::new();
-            drive_logged(&mut endpoints, vec![(0, 5)], &mut wire, reliable);
-            for endpoint in &mut endpoints {
-                assert_eq!(endpoint.delivered_count(), 1);
-                assert_eq!(endpoint.prune_delivered(), 1);
-                assert_eq!(endpoint.instance_count(), 0);
-                assert_eq!(endpoint.delivered_count(), 1);
-                assert_eq!(endpoint.prune_delivered(), 0, "idempotent");
+            drive_logged(&mut endpoints, vec![(0, 5), (0, 6)], &mut wire, reliable);
+            for (i, endpoint) in endpoints.iter().enumerate() {
+                assert_eq!(endpoint.delivered_count(), 2, "p{i}");
+                assert_eq!(endpoint.instance_count(), 0, "p{i} kept released state");
             }
-            // Every message the instance ever put on the wire, replayed
+            // Every message the instances ever put on the wire, replayed
             // to every endpoint: the floor drops it before it can answer,
-            // deliver or bring pruned state back.
+            // deliver or bring released state back.
             assert!(wire.len() >= endpoints.len());
             for (from, _, msg) in wire {
                 for (to, endpoint) in endpoints.iter_mut().enumerate() {
@@ -816,6 +811,7 @@ mod tests {
                     assert!(step.outgoing.is_empty(), "replay answered at {to}");
                     assert!(step.deliveries.is_empty(), "replay delivered at {to}");
                     assert_eq!(endpoint.instance_count(), 0, "replay kept at {to}");
+                    assert_eq!(endpoint.delivered_count(), 2, "replay counted at {to}");
                 }
             }
             // A cold endpoint that learns its own stream reached seq 3

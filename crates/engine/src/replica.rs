@@ -392,8 +392,9 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
 
     /// Prunes applied-history and dependency state at or below
     /// `frontier` (clamped per source to what this replica has actually
-    /// validated), plus the broadcast backend's delivered instances
-    /// behind its release floors. Returns the number of entries pruned.
+    /// validated). Returns the number of entries pruned. The broadcast
+    /// backend has nothing to prune: it frees an instance's state when it
+    /// releases the instance.
     ///
     /// Soundness: a dependency at or behind the frontier is necessarily
     /// applied (per-source application is gapless), so the relaxed
@@ -422,7 +423,6 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
                 .is_none_or(|floor| dep.seq.value() > floor.value())
         });
         pruned += (before - self.deps_buffer.len()) as u64;
-        pruned += self.broadcast.prune_delivered() as u64;
         self.pruned_total += pruned;
         pruned
     }

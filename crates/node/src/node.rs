@@ -1174,7 +1174,7 @@ where
     /// replica's and its backend's totals are folded in by monotone
     /// delta, because the replica runs without a registry in the
     /// simulator and carries its totals across a warm restart into a
-    /// fresh one. The two gauges are set, then the registry is captured.
+    /// fresh one. The three gauges are set, then the registry is captured.
     fn metrics_snapshot(&self) -> Snapshot {
         let obs = self.recorder.registry();
         let fold = |name: &str, total: u64| {
@@ -1199,6 +1199,10 @@ where
             .set(backend.instance_count() as u64);
         obs.gauge("engine_pending")
             .set(self.replica.pending_count() as u64);
+        let history =
+            ProcessId::all(self.transport.n()).map(|q| self.replica.applied_from(q).len());
+        obs.gauge("engine_applied_history")
+            .set(history.sum::<usize>() as u64);
         obs.snapshot()
     }
 

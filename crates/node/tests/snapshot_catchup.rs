@@ -231,6 +231,8 @@ struct WindowSample {
     instances: u64,
     /// `engine_pending`: delivered transfers still awaiting validation.
     pending: u64,
+    /// `engine_applied_history`: applied transfers not yet truncated.
+    applied_history: u64,
     /// `broadcast_delivered_total`: instances delivered since genesis
     /// (the backend carries it across warm restarts) — the history.
     delivered: u64,
@@ -314,6 +316,7 @@ fn rolling_soak(
         samples.push(WindowSample {
             instances: max_of(&|m| m.gauge("broadcast_instances")),
             pending: max_of(&|m| m.gauge("engine_pending")),
+            applied_history: max_of(&|m| m.gauge("engine_applied_history")),
             delivered: max_of(&|m| m.counter("broadcast_delivered_total")),
         });
 
@@ -347,8 +350,8 @@ const SETTLE: Duration = Duration::from_millis(450);
 /// The plateau clause: every window added history, yet no drained
 /// node ever held more than one window's worth of it — a bound that
 /// does not move with the number of windows. Without truncation the
-/// retained instances track `delivered` itself and cross the bound in
-/// the second window.
+/// applied history tracks every transfer ever applied and crosses the
+/// bound in the second window.
 fn plateau(peaks: &SoakPeaks) -> Result<(), String> {
     let mut bound = 0;
     let mut before = 0;
@@ -359,11 +362,10 @@ fn plateau(peaks: &SoakPeaks) -> Result<(), String> {
         bound = bound.max(sample.delivered - before);
         before = sample.delivered;
     }
-    match peaks
-        .samples
-        .iter()
-        .find(|s| s.instances > bound || s.pending > peaks.per_window)
-    {
+    match peaks.samples.iter().find(|s| {
+        let transfers = s.pending.max(s.applied_history);
+        s.instances > bound || transfers > peaks.per_window
+    }) {
         None => Ok(()),
         Some(sample) => Err(format!(
             "retained state grows with history: {sample:?} exceeds one window's \
@@ -375,21 +377,27 @@ fn plateau(peaks: &SoakPeaks) -> Result<(), String> {
 
 fn assert_plateau(peaks: &SoakPeaks) {
     assert!(peaks.pruned_total > 0, "truncation never ran: {peaks:?}");
+    // A released broadcast instance leaves nothing behind.
+    assert!(
+        peaks.samples.iter().all(|s| s.instances == 0),
+        "a drained node holds broadcast state: {peaks:?}"
+    );
     if let Err(growth) = plateau(peaks) {
         panic!("{growth}");
     }
 }
 
 /// Peaks as a soak would report them, from per-window
-/// `(instances, delivered)` readings.
-fn peaks_of(readings: &[(u64, u64)]) -> SoakPeaks {
+/// `(instances, applied history, delivered)` readings.
+fn peaks_of(readings: &[(u64, u64, u64)]) -> SoakPeaks {
     SoakPeaks {
         per_window: 48,
         samples: readings
             .iter()
-            .map(|&(instances, delivered)| WindowSample {
+            .map(|&(instances, applied_history, delivered)| WindowSample {
                 instances,
                 pending: 0,
+                applied_history,
                 delivered,
             })
             .collect(),
@@ -400,32 +408,43 @@ fn peaks_of(readings: &[(u64, u64)]) -> SoakPeaks {
 #[test]
 fn plateau_accepts_residue_within_one_window_of_history() {
     // Fully pruned, and a node caught one window behind its prune.
-    plateau(&peaks_of(&[(0, 9), (0, 22), (0, 34), (0, 42)])).expect("flat");
-    plateau(&peaks_of(&[(0, 9), (13, 22), (0, 34), (8, 42)])).expect("one window behind");
+    plateau(&peaks_of(&[(0, 0, 9), (0, 0, 22), (0, 0, 34), (0, 0, 42)])).expect("flat");
+    plateau(&peaks_of(&[
+        (0, 0, 9),
+        (13, 40, 22),
+        (0, 0, 34),
+        (8, 48, 42),
+    ]))
+    .expect("one window behind");
 }
 
-/// The series a soak without truncation produced, which the gate this
-/// one replaces (`late ≤ max(1.5·early, early + 64)` over half-soak
-/// peaks: 34 → 58) let through.
+/// Retained state that tracks history fails the gate, whichever gauge
+/// holds it: as many instances as were delivered (a series the gate
+/// this one replaces — `late ≤ max(1.5·early, early + 64)` over
+/// half-soak peaks: 34 → 58 — let through), or an applied history of
+/// every transfer, which is what a soak without truncation leaves.
 #[test]
 fn plateau_rejects_residue_that_tracks_history() {
     let growth = plateau(&peaks_of(&[
-        (9, 9),
-        (22, 22),
-        (34, 34),
-        (42, 42),
-        (50, 50),
-        (58, 58),
+        (9, 0, 9),
+        (22, 0, 22),
+        (34, 0, 34),
+        (42, 0, 42),
+        (50, 0, 50),
+        (58, 0, 58),
     ]))
     .expect_err("retained == delivered");
     assert!(growth.contains("instances: 22"), "{growth}");
+    let growth = plateau(&peaks_of(&[(0, 48, 9), (0, 96, 22), (0, 144, 34)]))
+        .expect_err("applied history == every transfer");
+    assert!(growth.contains("applied_history: 96"), "{growth}");
 }
 
 #[test]
 fn plateau_rejects_a_window_that_added_no_history() {
     // Nothing retained because nothing happened is not a plateau.
-    plateau(&peaks_of(&[(0, 9), (0, 9)])).expect_err("idle window");
-    plateau(&peaks_of(&[(0, 0)])).expect_err("idle soak");
+    plateau(&peaks_of(&[(0, 0, 9), (0, 0, 9)])).expect_err("idle window");
+    plateau(&peaks_of(&[(0, 0, 0)])).expect_err("idle soak");
 }
 
 #[test]
@@ -440,20 +459,19 @@ fn retained_state_plateaus_under_truncation_at_a_million_accounts() {
     assert_plateau(&rolling_soak(1_000_000, 20, 200, PRUNE_EVERY));
 }
 
-/// The gate has teeth: the same soak with truncation off retains every
-/// instance it ever delivered, and the plateau clause itself — not the
-/// `pruned_total` guard — reports the growth.
+/// The gate has teeth: the same soak with truncation off keeps every
+/// transfer it ever applied, and the plateau clause itself — not the
+/// `pruned_total` guard — reports the growth. The broadcast layer holds
+/// nothing either way: it frees an instance when it releases it.
 #[test]
 fn plateau_gate_reports_growth_when_truncation_is_off() {
     let peaks = rolling_soak(150_000, 6, 48, Duration::MAX);
     assert_eq!(peaks.pruned_total, 0);
     let growth = plateau(&peaks).expect_err("history retained in full must fail the gate");
-    let (first, last) = (
-        &peaks.samples[0],
-        peaks.samples.last().expect("six windows"),
-    );
+    let history: Vec<u64> = peaks.samples.iter().map(|s| s.applied_history).collect();
     assert!(
-        first.instances > 0 && last.instances > first.instances,
+        history[0] > 0 && history.windows(2).all(|pair| pair[1] > pair[0]),
         "{growth}"
     );
+    assert!(peaks.samples.iter().all(|s| s.instances == 0), "{growth}");
 }

@@ -236,11 +236,14 @@ fn tcp_cluster_runs_the_pbft_baseline_through_the_same_node() {
 /// a backend signs through `ObservedAuth`; plus
 /// `transport_poisoned_conns_total`, which the TCP transport counted
 /// where no scrape reached; less the replica's own count of admission
-/// failures, each of which the loop counts as `node_rejected_total`.
-const SCRAPE_NAMES: [&str; 42] = [
+/// failures, each of which the loop counts as `node_rejected_total`;
+/// plus `engine_applied_history`, the gauge of the replica's applied
+/// history that the memory plateau gate reads.
+const SCRAPE_NAMES: [&str; 43] = [
     "broadcast_delivered_total",
     "broadcast_instances",
     "clock_anomalies",
+    "engine_applied_history",
     "engine_batch_size",
     "engine_flush_cap_total",
     "engine_flush_delivered_total",
