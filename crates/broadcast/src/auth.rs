@@ -141,10 +141,14 @@ impl fmt::Debug for EdAuth {
     }
 }
 
-/// The authenticated-channels model: signatures carry no information and
-/// always verify *for the claimed signer the simulator actually routed
-/// from*. A forging adversary is out of scope for this authenticator by
-/// construction — use [`EdAuth`] in adversarial tests.
+/// The authenticated-channels model: signatures carry no information, and
+/// `verify` returns `true` for every certificate entry, whoever it names.
+/// Under `NoAuth` a certificate therefore proves nothing: a Byzantine
+/// *source* that assembles its own FINAL can get two payloads delivered
+/// in one instance. The engine's scripted attackers
+/// (`at_engine::Adversary`) never forge, so under `NoAuth` they exercise
+/// only the defences that do not rest on signatures. Use [`EdAuth`]
+/// wherever a forged certificate must be refused.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NoAuth;
 

@@ -335,8 +335,11 @@ impl<R: Request> PbftReplica<R> {
             if !slot.committed || slot.executed {
                 break;
             }
+            // A slot commits only once it holds a batch, and keeps it.
+            let Some(batch) = slot.batch.clone() else {
+                break;
+            };
             slot.executed = true;
-            let batch = slot.batch.clone().expect("committed slot has a batch");
             self.next_execute += 1;
             for request in batch {
                 if self.executed.insert(request.clone()) {
@@ -360,13 +363,8 @@ impl<R: Request> PbftReplica<R> {
             .slots
             .iter()
             .filter(|(_, slot)| slot.prepared && !slot.executed)
-            .map(|(&seq, slot)| {
-                (
-                    seq,
-                    slot.view,
-                    slot.batch.clone().expect("prepared slot has a batch"),
-                )
-            })
+            // A slot prepares only once it holds a batch, and keeps it.
+            .filter_map(|(&seq, slot)| Some((seq, slot.view, slot.batch.clone()?)))
             .collect();
         let msg = PbftMsg::ViewChange { new_view, prepared };
         self.send_members(step, msg);

@@ -277,7 +277,7 @@ impl TransferState {
     }
 
     /// `seq[q]`: validated outgoing transfers of process `q`.
-    pub fn validated_seq(&self, q: ProcessId) -> SeqNo {
+    pub fn seq(&self, q: ProcessId) -> SeqNo {
         self.seq[q.as_usize()]
     }
 }
@@ -508,11 +508,11 @@ mod tests {
         let mut states = system(2, 5);
         assert_eq!(states[0].me(), p(0));
         assert_eq!(states[0].my_account(), a(0));
-        assert_eq!(states[0].validated_seq(p(0)), SeqNo::ZERO);
+        assert_eq!(states[0].seq(p(0)), SeqNo::ZERO);
         assert_eq!(states[0].applied_count(), 0);
         let msg = states[0].submit(a(1), amt(1)).unwrap();
         deliver_all(&mut states, &msg);
-        assert_eq!(states[1].validated_seq(p(0)), SeqNo::new(1));
+        assert_eq!(states[1].seq(p(0)), SeqNo::new(1));
         assert_eq!(states[1].history(a(0)).count(), 1);
         assert!(format!("{:?}", states[0]).contains("me=p0"));
     }

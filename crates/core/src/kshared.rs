@@ -30,7 +30,7 @@ use at_broadcast::types::Step;
 use at_model::spec::balance_from_transfers;
 use at_model::{AccountId, Amount, OwnerMap, ProcessId, SeqNo, Transfer, TransferMsg};
 use at_net::{Actor, Context};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// The payload broadcast for one sequenced transfer: Figure 4's
 /// `[(a,b,x,s), deps]` message, where the transfer's `seq` field is the
@@ -93,8 +93,10 @@ pub struct KSharedReplica<A: Authenticator> {
     /// For owned accounts: incoming transfers applied since the last
     /// outgoing transfer we folded.
     deps_pool: BTreeMap<AccountId, BTreeSet<Transfer>>,
-    /// Account-order deliveries waiting for their dependencies.
-    waiting: Vec<(AccountId, KPayload)>,
+    /// Per account, in delivery order: account-order deliveries not yet
+    /// applied. Only a head can apply, so a later transfer never
+    /// overtakes one that waits on a credit.
+    waiting: BTreeMap<AccountId, VecDeque<KPayload>>,
     /// Every successful transfer applied locally (convergence view).
     observed: BTreeSet<Transfer>,
     /// Submission nonce.
@@ -128,7 +130,7 @@ impl<A: Authenticator> KSharedReplica<A> {
             cast: AccountOrderBroadcast::new(me, n, auth),
             applied: BTreeMap::new(),
             deps_pool: BTreeMap::new(),
-            waiting: Vec::new(),
+            waiting: BTreeMap::new(),
             observed: BTreeSet::new(),
             next_nonce: SeqNo::ZERO,
             applied_count: 0,
@@ -229,27 +231,40 @@ impl<A: Authenticator> KSharedReplica<A> {
             ctx.send(out.to, KMsg::Cast(out.msg));
         }
         for delivery in step.deliveries {
-            self.waiting.push((delivery.source, delivery.payload));
+            let queue = self.waiting.entry(delivery.source).or_default();
+            queue.push_back(delivery.payload);
         }
         self.drain(ctx);
     }
 
-    /// Applies waiting deliveries whose dependencies are satisfied.
+    /// Applies, per account in delivery order, every waiting delivery
+    /// whose dependencies are applied. Only heads are tested, and the
+    /// accounts are swept until a sweep applies nothing: a credit may
+    /// unblock an account already passed.
     fn drain(&mut self, ctx: &mut Context<'_, KMsg<A::Sig>, KEvent>) {
-        loop {
-            let position = self.waiting.iter().position(|(_, payload)| {
-                payload.deps.iter().all(|dep| {
-                    self.applied
-                        .get(&dep.source)
-                        .is_some_and(|set| set.contains(dep))
-                })
-            });
-            let Some(position) = position else {
-                break;
-            };
-            let (account, payload) = self.waiting.swap_remove(position);
-            self.apply(account, payload, ctx);
+        let mut progressed = true;
+        while progressed {
+            progressed = false;
+            let accounts: Vec<AccountId> = self.waiting.keys().copied().collect();
+            for account in accounts {
+                while let Some(payload) = self.pop_ready(account) {
+                    self.apply(account, payload, ctx);
+                    progressed = true;
+                }
+            }
         }
+    }
+
+    /// Takes `account`'s oldest waiting delivery, if its dependencies are
+    /// applied.
+    fn pop_ready(&mut self, account: AccountId) -> Option<KPayload> {
+        let queue = self.waiting.get_mut(&account)?;
+        let ready = queue.front()?.deps.iter().all(|dep| {
+            self.applied
+                .get(&dep.source)
+                .is_some_and(|set| set.contains(dep))
+        });
+        ready.then(|| queue.pop_front()).flatten()
     }
 
     fn apply(
@@ -569,6 +584,74 @@ mod tests {
         let done = completions(sim.take_events());
         assert_eq!(done.len(), 1);
         assert!(done[0].1);
+    }
+
+    /// Account 0 (balance 10, owners p0 and p1) streams A1 (12 to
+    /// account 3, funded by p2's credit X of 5) and then A2 (5, no
+    /// dependencies). Whether X reaches a replica before or after A1,
+    /// the account's stream applies in order: A1 succeeds, A2 fails.
+    #[test]
+    fn verdicts_do_not_depend_on_when_a_credit_arrives() {
+        let mut owners = OwnerMap::new();
+        owners.add_owner(a(0), p(0));
+        owners.add_owner(a(0), p(1));
+        for i in 1..4 {
+            owners.add_owner(a(i), p(i));
+        }
+        let initial = [
+            (a(0), amt(10)),
+            (a(1), amt(50)),
+            (a(2), amt(50)),
+            (a(3), amt(50)),
+        ];
+        let credit = Transfer::new(a(2), a(0), amt(5), p(2), SeqNo::new(1));
+        let x = (
+            a(2),
+            KPayload {
+                transfer: credit,
+                deps: vec![],
+            },
+        );
+        let a1 = Transfer::new(a(0), a(3), amt(12), p(0), SeqNo::new(1));
+        let a1 = (
+            a(0),
+            KPayload {
+                transfer: a1,
+                deps: vec![credit],
+            },
+        );
+        let a2 = Transfer::new(a(0), a(3), amt(5), p(1), SeqNo::new(1));
+        let a2 = (
+            a(0),
+            KPayload {
+                transfer: a2,
+                deps: vec![],
+            },
+        );
+        let verdicts = |order: [&(AccountId, KPayload); 3]| {
+            let mut replica: KSharedReplica<NoAuth> =
+                KSharedReplica::new(p(3), 4, initial, owners.clone(), NoAuth);
+            let mut events = Vec::new();
+            let mut ctx = Context::detached(VirtualTime::ZERO, p(3), 4, &mut events);
+            for (account, payload) in order {
+                let mut step = Step::new();
+                step.deliver(*account, SeqNo::new(1), payload.clone());
+                replica.absorb_cast(step, &mut ctx);
+            }
+            drop(ctx);
+            events
+                .into_iter()
+                .filter_map(|(_, _, e)| match e {
+                    KEvent::Applied { transfer, success } if transfer.source == a(0) => {
+                        Some((transfer.amount, success))
+                    }
+                    _ => None,
+                })
+                .collect::<Vec<_>>()
+        };
+        let expected = vec![(amt(12), true), (amt(5), false)];
+        assert_eq!(verdicts([&x, &a1, &a2]), expected, "credit first");
+        assert_eq!(verdicts([&a1, &a2, &x]), expected, "credit last");
     }
 
     #[test]

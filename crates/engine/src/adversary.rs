@@ -1,30 +1,33 @@
 //! Adversarial engine participants, generic over the broadcast backend.
 //!
-//! The scenario subsystem composes workloads with Byzantine behaviours;
-//! this module provides the attacker actors, all speaking the engine's
-//! wire format (`B::Msg`) so they can sit in the same simulation as
+//! The scenario subsystem composes workloads with Byzantine behaviours.
+//! A participant ([`EngineActor`]) is a replica and a role: honest
+//! (no role), or one of the [`Adversary`] behaviours, all speaking the
+//! engine's wire format (`B::Msg`) so they sit in the same simulation as
 //! honest replicas on any backend:
 //!
-//! * [`EngineActor::Equivocator`] — the classic double spend: two
+//! * [`Adversary::Equivocate`] — the classic double spend: two
 //!   conflicting batches sent in the *same* broadcast instance to
 //!   different halves of the system, via the backend's own
 //!   [`SecureBroadcast::broadcast_split`]. Every backend defeats it:
 //!   Bracha's echo quorum, the signed-echo anti-equivocation rule, and
 //!   the account-order acknowledgement rule each let at most one of the
 //!   two payloads certify;
-//! * [`EngineActor::Overspender`] — a protocol-conformant broadcast of a
+//! * [`Adversary::Overspend`] — a protocol-conformant broadcast of a
 //!   transfer the attacker cannot fund (defeated by every correct
 //!   replica's balance validation);
-//! * [`EngineActor::Silent`] — a process that never sends anything, the
+//! * [`Adversary::Silent`] — a process that never sends anything, the
 //!   crash-faulty extreme (the broadcast tolerates `f < n/3` of these).
+//!   It has no replica at all.
 //!
-//! The equivocator and overspender embed an honest [`Replica`]
-//! and relay everyone *else's* traffic through it — keeping the honest
-//! quorums intact makes the attacks maximally sharp. Both attacks go
-//! through the embedded replica's backend, so broadcast-instance
-//! sequencing and equivocation state live in exactly one place (the
-//! backend); the attacker keeps only its *transfer*-level sequence
-//! counter, which is application state the broadcast layer never sees.
+//! An attacker keeps an honest [`Replica`] and relays everyone *else's*
+//! traffic through it — keeping the honest quorums intact makes the
+//! attacks maximally sharp. Both attacks go through that replica's
+//! backend ([`Replica::broadcast_split`], [`Replica::broadcast_batch`]),
+//! so broadcast-instance sequencing and equivocation state live in
+//! exactly one place (the backend); the participant keeps only its
+//! crafted-transfer sequence counter, which is application state the
+//! broadcast layer never sees.
 
 use crate::config::EngineConfig;
 use crate::replica::{EngineEvent, EnginePayload, Replica};
@@ -34,85 +37,15 @@ use at_broadcast::Batch;
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer, TransferMsg};
 use at_net::{Actor, Context};
 
-/// Internal state shared by the attacking variants.
-pub struct AttackerState<B: SecureBroadcast<EnginePayload>> {
-    /// The honest engine used to relay other processes' traffic and to
-    /// reach the backend's broadcast state machine.
-    inner: Replica<B>,
-    /// Transfer sequence counter for crafted transfers (application
+/// A participant of an engine scenario: a replica and a role.
+pub struct EngineActor<B: SecureBroadcast<EnginePayload>> {
+    /// The replica; `None` for a silent process, which never steps one.
+    replica: Option<Replica<B>>,
+    /// `None` for a correct process.
+    role: Option<Adversary>,
+    /// Sequence number of the latest crafted transfer (application
     /// state; broadcast sequencing belongs to the backend).
-    attack_transfer_seq: SeqNo,
-}
-
-impl<B: SecureBroadcast<EnginePayload>> AttackerState<B> {
-    fn new(me: ProcessId, n: usize, initial: Amount, config: EngineConfig, backend: B) -> Self {
-        AttackerState {
-            inner: Replica::with_backend(me, n, initial, config, backend),
-            attack_transfer_seq: SeqNo::ZERO,
-        }
-    }
-
-    fn me(&self) -> ProcessId {
-        self.inner.me()
-    }
-
-    fn my_account(&self) -> AccountId {
-        self.inner.my_account()
-    }
-
-    fn craft(&mut self, destination: AccountId, amount: Amount) -> TransferMsg {
-        TransferMsg {
-            transfer: Transfer::new(
-                self.my_account(),
-                destination,
-                amount,
-                self.me(),
-                self.attack_transfer_seq,
-            ),
-            deps: vec![],
-        }
-    }
-
-    /// Sends batch `left` to the lower half of the system and batch
-    /// `right` to the upper half, both in the same broadcast instance and
-    /// with the same transfer sequence number — the double-spend attempt.
-    fn equivocate(
-        &mut self,
-        left: (AccountId, Amount),
-        right: (AccountId, Amount),
-        ctx: &mut Context<'_, B::Msg, EngineEvent>,
-    ) {
-        self.attack_transfer_seq = self.attack_transfer_seq.next();
-        let payload_left = Batch::single(self.craft(left.0, left.1));
-        let payload_right = Batch::single(self.craft(right.0, right.1));
-        self.inner.broadcast_split(payload_left, payload_right, ctx);
-    }
-
-    /// Broadcasts (fully protocol-conformant at the broadcast layer) a
-    /// transfer of `amount`, regardless of the attacker's balance.
-    fn overspend(
-        &mut self,
-        destination: AccountId,
-        amount: Amount,
-        ctx: &mut Context<'_, B::Msg, EngineEvent>,
-    ) {
-        self.attack_transfer_seq = self.attack_transfer_seq.next();
-        let batch = Batch::single(self.craft(destination, amount));
-        self.inner.broadcast_batch(batch, ctx);
-    }
-}
-
-/// A participant of an engine scenario: honest, or one of the attack
-/// variants.
-pub enum EngineActor<B: SecureBroadcast<EnginePayload> = crate::replica::DefaultEngineBroadcast> {
-    /// A correct replica.
-    Honest(Replica<B>),
-    /// Double-spends by equivocating at the broadcast layer.
-    Equivocator(AttackerState<B>),
-    /// Broadcasts transfers it cannot fund.
-    Overspender(AttackerState<B>),
-    /// Sends nothing, ever.
-    Silent,
+    crafted: SeqNo,
 }
 
 impl<B: SecureBroadcast<EnginePayload>> EngineActor<B> {
@@ -125,21 +58,18 @@ impl<B: SecureBroadcast<EnginePayload>> EngineActor<B> {
         config: EngineConfig,
         backend: B,
     ) -> Self {
-        let attacker = |backend| AttackerState::new(me, n, initial, config, backend);
-        match role {
-            None => EngineActor::Honest(Replica::with_backend(me, n, initial, config, backend)),
-            Some(Adversary::Equivocate) => EngineActor::Equivocator(attacker(backend)),
-            Some(Adversary::Overspend) => EngineActor::Overspender(attacker(backend)),
-            Some(Adversary::Silent) => EngineActor::Silent,
+        let replica = (role != Some(Adversary::Silent))
+            .then(|| Replica::with_backend(me, n, initial, config, backend));
+        EngineActor {
+            replica,
+            role,
+            crafted: SeqNo::ZERO,
         }
     }
 
-    /// The honest replica inside, when this participant is honest.
+    /// The replica inside, when this participant is honest.
     pub fn as_honest(&self) -> Option<&Replica<B>> {
-        match self {
-            EngineActor::Honest(replica) => Some(replica),
-            _ => None,
-        }
+        self.replica.as_ref().filter(|_| self.role.is_none())
     }
 
     /// Submits an honest transfer (no-op on non-honest participants —
@@ -150,7 +80,7 @@ impl<B: SecureBroadcast<EnginePayload>> EngineActor<B> {
         amount: Amount,
         ctx: &mut Context<'_, B::Msg, EngineEvent>,
     ) {
-        if let EngineActor::Honest(replica) = self {
+        if let (None, Some(replica)) = (self.role, &mut self.replica) {
             replica.submit(destination, amount, ctx);
         }
     }
@@ -159,29 +89,36 @@ impl<B: SecureBroadcast<EnginePayload>> EngineActor<B> {
     /// the others — attackers and silent processes have no meaningful
     /// local view to observe). See [`Replica::read_op`].
     pub fn read_op(&self, account: AccountId, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
-        if let EngineActor::Honest(replica) = self {
+        if let Some(replica) = self.as_honest() {
             replica.read_op(account, ctx);
         }
     }
 
-    /// Launches this participant's attack for one wave. `wave` varies the
-    /// crafted destinations so repeated attacks stay distinct.
+    /// Launches this participant's attack for one wave. An equivocator
+    /// splits one broadcast instance: the lower half of the system gets a
+    /// transfer of 5 to the next account, the upper half one of 5 to the
+    /// account after it, both under the same transfer seq. An overspender
+    /// broadcasts a transfer to the next account of an amount no initial
+    /// balance covers. `wave` shifts the destinations so repeated attacks
+    /// stay distinct.
     pub fn attack(&mut self, wave: usize, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
-        let n = ctx.n();
-        match self {
-            EngineActor::Honest(_) | EngineActor::Silent => {}
-            EngineActor::Equivocator(state) => {
-                let me = state.me().as_usize();
-                let left = AccountId::new(((me + 1 + wave) % n) as u32);
-                let right = AccountId::new(((me + 2 + wave) % n) as u32);
-                state.equivocate((left, Amount::new(5)), (right, Amount::new(5)), ctx);
-            }
-            EngineActor::Overspender(state) => {
-                let me = state.me().as_usize();
-                let dest = AccountId::new(((me + 1 + wave) % n) as u32);
-                // An amount no initial balance covers.
-                state.overspend(dest, Amount::new(u64::MAX / 2), ctx);
-            }
+        let (Some(role), Some(replica)) = (self.role, &mut self.replica) else {
+            return;
+        };
+        self.crafted = self.crafted.next();
+        let (me, source, seq, n) = (replica.me(), replica.my_account(), self.crafted, ctx.n());
+        let craft = |offset: usize, amount: u64| {
+            let destination = AccountId::new(((me.as_usize() + offset + wave) % n) as u32);
+            let transfer = Transfer::new(source, destination, Amount::new(amount), me, seq);
+            Batch::single(TransferMsg {
+                transfer,
+                deps: vec![],
+            })
+        };
+        match role {
+            Adversary::Equivocate => replica.broadcast_split(craft(1, 5), craft(2, 5), ctx),
+            Adversary::Overspend => replica.broadcast_batch(craft(1, u64::MAX / 2), ctx),
+            Adversary::Silent => {}
         }
     }
 }
@@ -196,22 +133,14 @@ impl<B: SecureBroadcast<EnginePayload>> Actor for EngineActor<B> {
         msg: Self::Msg,
         ctx: &mut Context<'_, Self::Msg, Self::Event>,
     ) {
-        match self {
-            EngineActor::Honest(replica) => replica.on_message(from, msg, ctx),
-            EngineActor::Equivocator(state) | EngineActor::Overspender(state) => {
-                state.inner.on_message(from, msg, ctx)
-            }
-            EngineActor::Silent => {}
+        if let Some(replica) = &mut self.replica {
+            replica.on_message(from, msg, ctx);
         }
     }
 
     fn on_timer(&mut self, timer: u64, ctx: &mut Context<'_, Self::Msg, Self::Event>) {
-        match self {
-            EngineActor::Honest(replica) => replica.on_timer(timer, ctx),
-            EngineActor::Equivocator(state) | EngineActor::Overspender(state) => {
-                state.inner.on_timer(timer, ctx)
-            }
-            EngineActor::Silent => {}
+        if let Some(replica) = &mut self.replica {
+            replica.on_timer(timer, ctx);
         }
     }
 }
@@ -346,32 +275,26 @@ mod tests {
 
     #[test]
     fn attack_on_honest_actor_is_a_no_op() {
-        let mut actor = EngineActor::new(
-            None,
-            p(0),
-            3,
-            amt(10),
-            EngineConfig::unbatched(),
-            BrachaBroadcast::new(p(0), 3),
-        );
-        assert!(actor.as_honest().is_some());
-        let silent = EngineActor::new(
-            Some(Adversary::Silent),
-            p(1),
-            3,
-            amt(10),
-            EngineConfig::unbatched(),
-            BrachaBroadcast::<EnginePayload>::new(p(1), 3),
-        );
-        assert!(silent.as_honest().is_none());
-        // Submitting on a silent actor does nothing (and must not panic).
-        let actors: Vec<EngineActor> = vec![EngineActor::Silent, EngineActor::Silent];
+        let n = 3;
+        let actors = (0..n as u32)
+            .map(|i| {
+                let role = (i > 0).then_some(Adversary::Silent);
+                let backend = BrachaBroadcast::new(p(i), n);
+                EngineActor::new(role, p(i), n, amt(10), EngineConfig::unbatched(), backend)
+            })
+            .collect();
         let mut sim = Simulation::new(actors, NetConfig::instant(0));
-        sim.schedule(VirtualTime::ZERO, p(0), |actor, ctx| {
-            actor.submit(a(1), amt(1), ctx);
+        assert!(sim.actor(p(0)).as_honest().is_some());
+        assert!(sim.actor(p(1)).as_honest().is_none());
+        // An honest process has no attack, and a silent one neither
+        // submits nor attacks (and must not panic trying).
+        sim.schedule(VirtualTime::ZERO, p(0), |actor, ctx| actor.attack(0, ctx));
+        sim.schedule(VirtualTime::ZERO, p(1), |actor, ctx| {
+            actor.submit(a(2), amt(1), ctx);
             actor.attack(0, ctx);
         });
         assert!(sim.run_until_quiet(100));
-        let _ = &mut actor;
+        assert_eq!(sim.stats().messages_sent, 0);
+        assert!(sim.take_events().is_empty());
     }
 }

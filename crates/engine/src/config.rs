@@ -15,8 +15,12 @@ use at_net::VirtualTime;
 pub enum AuthMode {
     /// The authenticated-channels model ([`at_broadcast::NoAuth`]):
     /// signatures carry no information; the simulator conveys the true
-    /// sender. Used by the performance experiments, whose results depend
-    /// on message and round complexity.
+    /// sender. Every certificate verifies, so none proves anything: a
+    /// Byzantine source that assembles its own FINAL can get two payloads
+    /// delivered, and the scripted [`Adversary`](crate::Adversary)
+    /// attackers, which never forge, exercise only the defences that do
+    /// not rest on signatures. Used by the performance experiments, whose
+    /// results depend on message and round complexity.
     None,
     /// Real Ed25519 ([`at_broadcast::EdAuth`]): per-process keys from
     /// `EdAuth::deterministic(n, seed)`, certificate verification on

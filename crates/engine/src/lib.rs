@@ -57,6 +57,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod adversary;
@@ -77,7 +78,7 @@ pub use probe::{
     check_fifo_contract, history_from_events, rejections_locally_justified, validate_recorded,
     Failure, FailureKind, RecordedRun, TimedEvent,
 };
-pub use replica::{DefaultEngineBroadcast, EngineEvent, EnginePayload, Replica};
+pub use replica::{EngineEvent, EnginePayload, Replica};
 pub use scenario::{Adversary, Fault, NetProfile, Scenario, ScenarioReport, Workload};
 pub use snapshot::LedgerSnapshot;
 pub use suite::{format_reports, run_suite, standard_suite};

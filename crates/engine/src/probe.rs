@@ -374,6 +374,7 @@ mod tests {
     use super::*;
     use crate::config::EngineConfig;
     use crate::replica::Replica;
+    use at_broadcast::bracha::BrachaBroadcast;
     use at_model::{AccountId, Amount, Ledger, SeqNo};
     use at_net::{NetConfig, Simulation};
 
@@ -391,7 +392,10 @@ mod tests {
 
     fn run_events(n: usize, submit: Vec<(u32, u32, u64)>) -> Vec<TimedEvent> {
         let replicas = (0..n as u32)
-            .map(|i| Replica::new(p(i), n, amt(100), EngineConfig::unbatched()))
+            .map(|i| {
+                let backend = BrachaBroadcast::new(p(i), n);
+                Replica::with_backend(p(i), n, amt(100), EngineConfig::unbatched(), backend)
+            })
             .collect();
         let mut sim = Simulation::new(replicas, NetConfig::instant(1));
         for (from, to, amount) in submit {

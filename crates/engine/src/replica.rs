@@ -67,7 +67,6 @@
 use crate::config::{BatchPolicy, EngineConfig};
 use crate::ledger::Ledger;
 use crate::snapshot::LedgerSnapshot;
-use at_broadcast::bracha::BrachaBroadcast;
 use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::types::{Delivery, Outgoing, Step};
 use at_broadcast::{Batch, Batcher};
@@ -80,10 +79,6 @@ use std::time::Instant;
 
 /// The payload every engine backend carries: a batch of transfers.
 pub type EnginePayload = Batch<TransferMsg>;
-
-/// The default backend — Bracha reliable broadcast over transfer
-/// batches, the paper's deployed configuration.
-pub type DefaultEngineBroadcast = BrachaBroadcast<EnginePayload>;
 
 /// Base of the flush timers' ids: `FLUSH_TIMER + k` was armed while this
 /// replica's latest broadcast instance was `k`. A timer whose batch has
@@ -198,7 +193,7 @@ struct EngineObs {
 
 /// One process of the batched consensusless payment engine, generic
 /// over the secure-broadcast backend `B`.
-pub struct Replica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
+pub struct Replica<B: SecureBroadcast<EnginePayload>> {
     me: ProcessId,
     n: usize,
     policy: BatchPolicy,
@@ -208,15 +203,14 @@ pub struct Replica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
     /// The instance sequence number of our latest broadcast. A batch of
     /// ours is in flight while this is ahead of `backend_seen[me]`.
     own_sent: SeqNo,
-    /// `seq[q]` of Figure 4: last *validated* outgoing sequence number
-    /// per process.
-    validated_seq: Vec<SeqNo>,
     /// `rec[q]` of Figure 4: last *received* (well-formed) sequence
     /// number per process.
     received_seq: Vec<SeqNo>,
     /// Per source, dense: entry `i` of `applied_from[q]` is `q`'s applied
     /// transfer `pruned_floor[q] + 1 + i` — where a dependency is found by
-    /// index, and what the scenario subsystem compares for conflicts.
+    /// index, and what the scenario subsystem compares for conflicts. Its
+    /// top, `pruned_floor[q] + applied_from[q].len()`, is Figure 4's
+    /// `seq[q]`: the last *validated* sequence number of `q`.
     applied_from: Vec<VecDeque<Transfer>>,
     /// Per source, in receipt order: delivered, well-formed,
     /// not-yet-valid transfers (`toValidate`), each with the trace context
@@ -257,31 +251,12 @@ pub struct Replica<B: SecureBroadcast<EnginePayload> = DefaultEngineBroadcast> {
     next_trace: Option<TraceCtx>,
 }
 
-impl Replica<DefaultEngineBroadcast> {
-    /// A replica for process `me` of `n` over the default Bracha backend,
-    /// each account starting with `initial`, configured by `config`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `config.backend` selects anything but
-    /// [`BroadcastBackend::Bracha`](crate::config::BroadcastBackend) —
-    /// this constructor builds the Bracha endpoint itself; other backends
-    /// need [`Replica::with_backend`] (the driver,
-    /// [`EngineConfig::run`], does this per `config.backend`).
-    pub fn new(me: ProcessId, n: usize, initial: Amount, config: EngineConfig) -> Self {
-        assert!(
-            matches!(config.backend, crate::config::BroadcastBackend::Bracha),
-            "Replica::new builds the Bracha backend; use with_backend (or \
-             EngineConfig::run) for {:?}",
-            config.backend
-        );
-        Replica::with_backend(me, n, initial, config, BrachaBroadcast::new(me, n))
-    }
-}
-
 impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
-    /// A replica for process `me` of `n` over an explicit broadcast
-    /// backend.
+    /// A replica for process `me` of `n` over the broadcast endpoint
+    /// `backend`, each account starting with `initial`, configured by
+    /// `config`. The endpoint is the caller's to build:
+    /// [`BroadcastBackend::build`](crate::config::BroadcastBackend::build)
+    /// builds the one `config.backend` names, and a test may pass any.
     pub fn with_backend(
         me: ProcessId,
         n: usize,
@@ -303,7 +278,6 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
             broadcast: backend,
             batcher: Batcher::new(config.batch.max_size),
             own_sent: SeqNo::ZERO,
-            validated_seq: vec![SeqNo::ZERO; n],
             received_seq: vec![SeqNo::ZERO; n],
             applied_from: vec![VecDeque::new(); n],
             pending: vec![VecDeque::new(); n],
@@ -359,7 +333,6 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         }
         let ledger = Ledger::new(snapshot.balances.iter().copied());
         Replica {
-            validated_seq: snapshot.frontier.clone(),
             received_seq: snapshot.frontier.clone(),
             pruned_floor: snapshot.frontier.clone(),
             backend_seen: snapshot.backend_floor.clone(),
@@ -378,7 +351,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     pub fn snapshot(&self) -> LedgerSnapshot {
         LedgerSnapshot::new(
             self.ledger.iter().collect(),
-            self.validated_seq.clone(),
+            self.stability_frontier(),
             self.backend_seen.clone(),
         )
     }
@@ -387,7 +360,12 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     /// last-validated transfer sequence numbers. A quorum-wide frontier
     /// is the element-wise minimum over `n − f` replicas' vectors.
     pub fn stability_frontier(&self) -> Vec<SeqNo> {
-        self.validated_seq.clone()
+        (0..self.n).map(|q| self.validated(q)).collect()
+    }
+
+    /// `seq[q]` of Figure 4: the last validated sequence number of `q`.
+    fn validated(&self, q: usize) -> SeqNo {
+        SeqNo::new(self.pruned_floor[q].value() + self.applied_from[q].len() as u64)
     }
 
     /// Prunes applied-history and dependency state at or below
@@ -408,12 +386,11 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     pub fn prune_through(&mut self, frontier: &[SeqNo]) -> u64 {
         let mut pruned = 0u64;
         for (q, &advertised) in frontier.iter().enumerate().take(self.n) {
-            let floor = self.pruned_floor[q].max(advertised.min(self.validated_seq[q]));
+            let floor = self.pruned_floor[q].max(advertised.min(self.validated(q)));
             let dropped = (floor.value() - self.pruned_floor[q].value()) as usize;
             self.applied_from[q].drain(..dropped);
             self.pruned_floor[q] = floor;
             pruned += dropped as u64;
-            self.debug_assert_dense(q);
         }
         let floors = &self.pruned_floor;
         let before = self.deps_buffer.len();
@@ -788,7 +765,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     /// one that borrows a real `(originator, seq)` matches nothing.
     fn valid(&self, q: ProcessId, msg: &TransferMsg) -> bool {
         let t = &msg.transfer;
-        t.seq == self.validated_seq[q.as_usize()].next()
+        t.seq == self.validated(q.as_usize()).next()
             && msg.deps.iter().all(|dep| {
                 let from = dep.originator.as_usize();
                 self.pruned_floor.get(from).is_some_and(|floor| {
@@ -798,12 +775,6 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
             })
             && self.ledger.contains(t.destination)
             && self.ledger.balance(t.source) >= t.amount
-    }
-
-    /// `applied_from[q]` holds exactly seqs `pruned_floor[q] + 1 ..= validated_seq[q]`.
-    fn debug_assert_dense(&self, q: usize) {
-        let top = self.pruned_floor[q].value() + self.applied_from[q].len() as u64;
-        debug_assert!(top == self.validated_seq[q].value(), "p{q} not dense");
     }
 
     /// Applies every pending transfer whose validity predicate holds,
@@ -832,9 +803,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
                         let ctx = if q != self.me { ctx.hopped() } else { ctx };
                         tracer.record(ctx, TraceEventKind::Apply, t.seq.value());
                     }
-                    self.validated_seq[index] = t.seq;
                     self.applied_from[index].push_back(t);
-                    self.debug_assert_dense(index);
                     if t.destination == self.my_account() && t.source != self.my_account() {
                         self.deps_buffer.insert(t);
                     }
@@ -898,7 +867,15 @@ impl<B: SecureBroadcast<EnginePayload>> std::fmt::Debug for Replica<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use at_broadcast::bracha::BrachaBroadcast;
     use at_net::{NetConfig, Simulation, VirtualTime};
+
+    type Bracha = Replica<BrachaBroadcast<EnginePayload>>;
+
+    /// A replica over its own Bracha endpoint.
+    fn bracha(me: ProcessId, n: usize, initial: Amount, config: EngineConfig) -> Bracha {
+        Replica::with_backend(me, n, initial, config, BrachaBroadcast::new(me, n))
+    }
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -912,9 +889,9 @@ mod tests {
         Amount::new(x)
     }
 
-    fn system(n: usize, initial: u64, config: EngineConfig) -> Simulation<Replica> {
+    fn system(n: usize, initial: u64, config: EngineConfig) -> Simulation<Bracha> {
         let replicas = (0..n as u32)
-            .map(|i| Replica::new(p(i), n, amt(initial), config))
+            .map(|i| bracha(p(i), n, amt(initial), config))
             .collect();
         Simulation::new(replicas, NetConfig::lan(3))
     }
@@ -922,7 +899,7 @@ mod tests {
     /// Hands `replica` one delivered batch holding `transfer`, the way
     /// its backend would.
     fn deliver(
-        replica: &mut Replica,
+        replica: &mut Bracha,
         transfer: Transfer,
         deps: Vec<Transfer>,
         events: &mut Vec<(VirtualTime, ProcessId, EngineEvent)>,
@@ -1144,7 +1121,7 @@ mod tests {
     fn a_stale_window_timer_does_not_take_a_later_batch_early() {
         let window = VirtualTime::from_millis(2);
         let mut sim = system(4, 100, EngineConfig::batched(8, window));
-        let submit_at = |sim: &mut Simulation<Replica>, at: u64| {
+        let submit_at = |sim: &mut Simulation<Bracha>, at: u64| {
             sim.schedule(VirtualTime::from_micros(at), p(0), |replica, ctx| {
                 replica.submit(a(1), amt(1), ctx);
             });
@@ -1211,7 +1188,7 @@ mod tests {
         // A cold start knows its stream reached 3 only from the floor.
         let snapshot = sim.actor(p(0)).snapshot();
         let backend = BrachaBroadcast::new(p(0), 4);
-        let mut restored: Replica = Replica::from_snapshot(p(0), 4, config, backend, &snapshot);
+        let mut restored: Bracha = Replica::from_snapshot(p(0), 4, config, backend, &snapshot);
         assert!(!restored.in_flight());
         let mut events = Vec::new();
         let mut ctx = Context::detached(VirtualTime::ZERO, p(0), 4, &mut events);
@@ -1378,7 +1355,7 @@ mod tests {
         let forged = Transfer::new(a(2), a(0), amt(90), p(2), SeqNo::new(1));
         // 100 needs the forged credit; 15 is within the real balance.
         for (amount, applies) in [(100, false), (15, true)] {
-            let mut replica = Replica::new(p(1), 4, amt(10), EngineConfig::unbatched());
+            let mut replica = bracha(p(1), 4, amt(10), EngineConfig::unbatched());
             let mut events = Vec::new();
             deliver(&mut replica, real, vec![], &mut events);
             assert!(
@@ -1401,7 +1378,7 @@ mod tests {
 
     #[test]
     fn a_dependency_one_past_the_pruned_floor_is_found_at_index_zero() {
-        let mut replica = Replica::new(p(1), 4, amt(10), EngineConfig::unbatched());
+        let mut replica = bracha(p(1), 4, amt(10), EngineConfig::unbatched());
         let mut events = Vec::new();
         for seq in 1..=4 {
             deliver(&mut replica, from_p2(seq), vec![], &mut events);
@@ -1425,7 +1402,7 @@ mod tests {
     fn a_dependency_ahead_of_the_applied_history_waits_without_panicking() {
         for pruned in [false, true] {
             for ahead in [2, u64::MAX] {
-                let mut replica = Replica::new(p(1), 4, amt(10), EngineConfig::unbatched());
+                let mut replica = bracha(p(1), 4, amt(10), EngineConfig::unbatched());
                 let mut events = Vec::new();
                 deliver(&mut replica, from_p2(1), vec![], &mut events);
                 if pruned {
@@ -1455,7 +1432,7 @@ mod tests {
             vec![SeqNo::ZERO, SeqNo::ZERO, SeqNo::new(3), SeqNo::ZERO],
             vec![SeqNo::ZERO; 4],
         );
-        let mut replica: Replica = Replica::from_snapshot(
+        let mut replica: Bracha = Replica::from_snapshot(
             p(1),
             4,
             EngineConfig::unbatched(),
@@ -1486,7 +1463,7 @@ mod tests {
         let t1 = Transfer::new(a(1), a(0), amt(15), p(1), SeqNo::new(1));
         let t0 = Transfer::new(a(0), a(3), amt(20), p(0), SeqNo::new(1));
         for me in 0..4 {
-            let mut replica = Replica::new(p(me), 4, amt(10), EngineConfig::unbatched());
+            let mut replica = bracha(p(me), 4, amt(10), EngineConfig::unbatched());
             let mut events = Vec::new();
             // Delivered end of the chain first: nothing can apply until
             // p2's batch lands, and then everything must.
@@ -1527,7 +1504,7 @@ mod tests {
             vec![SeqNo::ZERO; 4],
             vec![SeqNo::ZERO; 4],
         );
-        let mut replica: Replica = Replica::from_snapshot(
+        let mut replica: Bracha = Replica::from_snapshot(
             p(0),
             4,
             EngineConfig::unbatched(),
@@ -1615,7 +1592,7 @@ mod tests {
         assert!(snap.verify());
         assert_eq!(snap.frontier, vec![SeqNo::new(1); 4]);
 
-        let restored: Replica = Replica::from_snapshot(
+        let restored: Bracha = Replica::from_snapshot(
             p(0),
             4,
             EngineConfig::standard(),
@@ -1683,8 +1660,8 @@ mod tests {
     #[test]
     fn more_accounts_than_processes() {
         let config = EngineConfig::standard().with_accounts(16);
-        let replicas: Vec<Replica> = (0..3u32)
-            .map(|i| Replica::new(p(i), 3, amt(50), config))
+        let replicas: Vec<Bracha> = (0..3u32)
+            .map(|i| bracha(p(i), 3, amt(50), config))
             .collect();
         let mut sim = Simulation::new(replicas, NetConfig::lan(3));
         // Transfers into accounts beyond the process range work; the
@@ -1752,7 +1729,7 @@ mod tests {
     #[test]
     fn flush_pending_recovers_a_lost_window_timer() {
         let config = EngineConfig::batched(8, VirtualTime::from_millis(1));
-        let mut replica = Replica::new(p(0), 4, amt(100), config);
+        let mut replica = bracha(p(0), 4, amt(100), config);
         let mut events = Vec::new();
         let mut ctx = Context::detached(VirtualTime::ZERO, p(0), 4, &mut events);
         replica.submit(a(1), amt(5), &mut ctx);
@@ -1787,16 +1764,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "use with_backend")]
-    fn new_rejects_non_bracha_backend_selection() {
-        use crate::config::BroadcastBackend;
-        let config = EngineConfig::unbatched().with_backend(BroadcastBackend::signed_echo());
-        let _ = Replica::new(p(0), 3, amt(10), config);
-    }
-
-    #[test]
     fn accessors_render() {
-        let replica = Replica::new(p(0), 3, amt(10), EngineConfig::standard());
+        let replica = bracha(p(0), 3, amt(10), EngineConfig::standard());
         assert_eq!(replica.me(), p(0));
         assert_eq!(replica.my_account(), a(0));
         assert_eq!(replica.available(), amt(10));

@@ -13,7 +13,7 @@
 //! same engine yields byte-identical [`ScenarioReport`]s.
 
 use at_model::{AccountId, Amount, ProcessId};
-use at_net::{LatencyModel, NetConfig, VirtualTime};
+use at_net::{NetConfig, VirtualTime};
 
 /// The per-wave traffic pattern of the correct processes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -161,18 +161,8 @@ impl NetProfile {
     /// The simulator configuration for this profile and `seed`.
     pub fn config(self, seed: u64) -> NetConfig {
         match self {
-            NetProfile::Lan => NetConfig {
-                latency: LatencyModel::lan(),
-                processing_cost: VirtualTime::from_micros(10),
-                send_cost: VirtualTime::from_micros(5),
-                seed,
-            },
-            NetProfile::Wan => NetConfig {
-                latency: LatencyModel::wan(),
-                processing_cost: VirtualTime::from_micros(10),
-                send_cost: VirtualTime::from_micros(5),
-                seed,
-            },
+            NetProfile::Lan => NetConfig::lan(seed).with_send_cost(VirtualTime::from_micros(5)),
+            NetProfile::Wan => NetConfig::wan(seed).with_send_cost(VirtualTime::from_micros(5)),
             NetProfile::Instant => NetConfig::instant(seed),
         }
     }
@@ -398,6 +388,7 @@ pub(crate) fn percentiles(latencies: &mut [u64]) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use at_net::LatencyModel;
 
     fn p(i: u32) -> ProcessId {
         ProcessId::new(i)
@@ -491,6 +482,15 @@ mod tests {
     fn net_profiles_materialize() {
         assert_eq!(NetProfile::Lan.config(1).seed, 1);
         assert_eq!(NetProfile::Wan.config(0).latency, LatencyModel::wan());
+        for (profile, latency) in [
+            (NetProfile::Lan, LatencyModel::lan()),
+            (NetProfile::Wan, LatencyModel::wan()),
+        ] {
+            let config = profile.config(3);
+            assert_eq!(config.latency, latency);
+            assert_eq!(config.processing_cost, VirtualTime::from_micros(10));
+            assert_eq!(config.send_cost, VirtualTime::from_micros(5));
+        }
         assert_eq!(
             NetProfile::Instant.config(0).processing_cost,
             VirtualTime::ZERO

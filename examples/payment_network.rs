@@ -19,7 +19,7 @@ fn main() {
     const EVE: u32 = 9;
 
     banner("Payment network: 9 honest processes + 1 double spender");
-    let actors: Vec<EngineActor> = (0..N as u32)
+    let actors: Vec<EngineActor<_>> = (0..N as u32)
         .map(|i| {
             let role = (i == EVE).then_some(Adversary::Equivocate);
             let me = ProcessId::new(i);

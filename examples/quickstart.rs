@@ -8,6 +8,7 @@
 //!
 //! Run with `cargo run -p at-examples --example quickstart`.
 
+use at_broadcast::BrachaBroadcast;
 use at_engine::{EngineConfig, EngineEvent, Replica};
 use at_examples::banner;
 use at_model::{AccountId, Amount, ProcessId};
@@ -36,13 +37,15 @@ fn main() {
 
     banner("Message passing: Figure 4 over Bracha secure broadcast");
     let n = 4;
-    let replicas = (0..n as u32)
+    // Each replica runs over its own endpoint of the secure broadcast.
+    let replicas: Vec<Replica<_>> = (0..n as u32)
         .map(|i| {
             let me = ProcessId::new(i);
-            Replica::new(me, n, Amount::new(100), EngineConfig::unbatched())
+            let endpoint = BrachaBroadcast::new(me, n);
+            Replica::with_backend(me, n, Amount::new(100), EngineConfig::unbatched(), endpoint)
         })
         .collect();
-    let mut sim: Simulation<Replica> = Simulation::new(replicas, NetConfig::lan(1));
+    let mut sim = Simulation::new(replicas, NetConfig::lan(1));
 
     // Process 0 pays 25 to account 1; process 1 then forwards 110 to
     // account 2 (which needs the incoming credit).

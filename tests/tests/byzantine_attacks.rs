@@ -8,7 +8,7 @@ use at_broadcast::echo::{EchoBroadcast, EchoMsg};
 use at_broadcast::secure::SecureBroadcast;
 use at_broadcast::types::Step;
 use at_core::figure4::TransferMsg;
-use at_engine::{Adversary, EngineActor, EngineConfig, EngineEvent};
+use at_engine::{Adversary, EngineActor, EngineConfig, EngineEvent, EnginePayload};
 use at_model::{AccountId, Amount, ProcessId, SeqNo, Transfer};
 use at_net::{NetConfig, Simulation, VirtualTime};
 
@@ -31,7 +31,7 @@ fn mixed_system(
     seed: u64,
     is_attacker: impl Fn(u32) -> bool,
     role: Adversary,
-) -> Simulation<EngineActor> {
+) -> Simulation<EngineActor<BrachaBroadcast<EnginePayload>>> {
     let actors = (0..n as u32)
         .map(|i| {
             let role = is_attacker(i).then_some(role);
@@ -396,7 +396,7 @@ fn sequence_gap_flood_is_buffered_not_applied() {
         assert!(victim.on_deliver(p(0), msg).is_empty());
     }
     assert_eq!(victim.observed_balance(a(1)), amt(100));
-    assert_eq!(victim.validated_seq(p(0)), SeqNo::ZERO);
+    assert_eq!(victim.seq(p(0)), SeqNo::ZERO);
 }
 
 /// The overspender attack at network scale: an adversary broadcasts a

@@ -61,7 +61,7 @@ fn equivocation_applied_sets_are_conflict_free() {
         .seed(5)
         .adversary(p(0), Adversary::Equivocate);
 
-    let actors: Vec<EngineActor> = (0..n as u32)
+    let actors: Vec<EngineActor<_>> = (0..n as u32)
         .map(|i| {
             let role = scenario.adversary_of(p(i));
             let backend = BrachaBroadcast::new(p(i), n);
@@ -243,7 +243,7 @@ fn wide_batch_window_still_drains() {
 #[test]
 fn completion_events_carry_transfers() {
     let n = 3;
-    let actors: Vec<EngineActor> = (0..n as u32)
+    let actors: Vec<EngineActor<_>> = (0..n as u32)
         .map(|i| {
             EngineActor::new(
                 None,

@@ -210,7 +210,7 @@ fn hold_to_figure4<B: SecureBroadcast<EnginePayload>>(
         );
         assert_eq!(
             replica.stability_frontier()[q],
-            oracle.validated_seq(p(q)),
+            oracle.seq(p(q)),
             "{label}: seq[{q}]"
         );
     }
@@ -439,9 +439,13 @@ fn an_undeclared_credit_is_spent_where_figure_4_would_hold_it() {
     };
 
     let replicas = (0..n)
-        .map(|i| Replica::new(p(i), n, initial, EngineConfig::unbatched()))
+        .map(|i| {
+            let backend = BrachaBroadcast::new(p(i), n);
+            Replica::with_backend(p(i), n, initial, EngineConfig::unbatched(), backend)
+        })
         .collect();
-    let mut sim: Simulation<Replica> = Simulation::new(replicas, NetConfig::lan(7));
+    let mut sim: Simulation<Replica<BrachaBroadcast<EnginePayload>>> =
+        Simulation::new(replicas, NetConfig::lan(7));
     sim.schedule(VirtualTime::ZERO, p(0), |replica, ctx| {
         replica.submit(a(1), Amount::new(10), ctx);
     });

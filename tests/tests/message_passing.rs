@@ -11,8 +11,9 @@
 //! `backends_are_equivalent_on_seeded_scenarios` and
 //! `standard_suite_reruns_are_byte_identical` in `engine_scenarios.rs`.
 
+use at_broadcast::BrachaBroadcast;
 use at_core::figure4::TransferState;
-use at_engine::{history_from_events, EngineConfig, EngineEvent, Replica};
+use at_engine::{history_from_events, EngineConfig, EngineEvent, EnginePayload, Replica};
 use at_model::{AccountId, Amount, CheckBudget, Ledger, OwnerMap, ProcessId};
 use at_net::{NetConfig, Simulation, VirtualTime};
 
@@ -28,14 +29,19 @@ fn amt(x: u64) -> Amount {
     Amount::new(x)
 }
 
-fn system(n: usize, initial: u64, seed: u64) -> Simulation<Replica> {
+type Bracha = Replica<BrachaBroadcast<EnginePayload>>;
+
+fn system(n: usize, initial: u64, seed: u64) -> Simulation<Bracha> {
     let replicas = (0..n as u32)
-        .map(|i| Replica::new(p(i), n, amt(initial), EngineConfig::unbatched()))
+        .map(|i| {
+            let backend = BrachaBroadcast::new(p(i), n);
+            Replica::with_backend(p(i), n, amt(initial), EngineConfig::unbatched(), backend)
+        })
         .collect();
     Simulation::new(replicas, NetConfig::lan(seed))
 }
 
-fn completed(sim: &mut Simulation<Replica>) -> usize {
+fn completed(sim: &mut Simulation<Bracha>) -> usize {
     sim.take_events()
         .iter()
         .filter(|(_, _, e)| matches!(e, EngineEvent::Completed { .. }))
