@@ -12,6 +12,12 @@
 //!    process sends `READY(m)` to all — once per instance;
 //! 4. on `2f+1` matching `READY`s, the process delivers `m`.
 //!
+//! Each sender is counted once per phase per instance: its first ECHO is
+//! its only ECHO, and its first READY its only READY, whatever digest a
+//! later one carries. A correct process sends one of each per instance,
+//! so no honest vote is lost; a Byzantine one can neither count toward
+//! two digests nor grow the tally, which holds at most `n` digests.
+//!
 //! Message complexity: `O(n²)` per broadcast, 3 message delays — the cost
 //! profile the evaluation of Section 5 measures. Compute per process is
 //! one SHA-256 per instance: "matching" means equal values, counted by
@@ -32,7 +38,6 @@ use crate::secure::{SecureBroadcast, TraceExtract};
 use crate::types::Step;
 use at_model::{Encode, ProcessId, SeqNo};
 use at_obs::{TraceEventKind, Tracer};
-use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 
 /// Wire messages of the Bracha protocol.
@@ -65,13 +70,54 @@ pub enum BrachaMsg<P> {
     },
 }
 
+/// One phase's votes on one instance: who has voted, and how many votes
+/// each digest has. A sender's first vote is its only one.
+#[derive(Default)]
+struct Tally {
+    /// Bit `i % 64` of word `i / 64` is set once process `i` has voted.
+    voted: Vec<u64>,
+    /// Each digest voted for, with its votes, in first-vote order.
+    counts: Vec<(Digest, usize)>,
+}
+
+impl Tally {
+    /// Counts `from`'s vote for the digest `digest` computes and returns
+    /// that digest's votes, or `None` (computing nothing) when `from` has
+    /// voted before.
+    fn vote(&mut self, from: ProcessId, digest: impl FnOnce() -> Digest) -> Option<usize> {
+        let (word, bit) = (from.as_usize() / 64, 1u64 << (from.as_usize() % 64));
+        if self.voted.len() <= word {
+            self.voted.resize(word + 1, 0);
+        }
+        if self.voted[word] & bit != 0 {
+            return None;
+        }
+        self.voted[word] |= bit;
+        let digest = digest();
+        match self
+            .counts
+            .iter_mut()
+            .find(|(counted, _)| *counted == digest)
+        {
+            Some((_, votes)) => {
+                *votes += 1;
+                Some(*votes)
+            }
+            None => {
+                self.counts.push((digest, 1));
+                Some(1)
+            }
+        }
+    }
+}
+
 struct Instance<P> {
     /// Whether this process echoed (first INIT wins).
     echoed: bool,
-    /// Distinct processes that echoed each digest.
-    echoes: HashMap<Digest, BTreeSet<ProcessId>>,
-    /// Distinct processes that sent READY for each digest.
-    readies: HashMap<Digest, BTreeSet<ProcessId>>,
+    /// The ECHOs counted so far.
+    echoes: Tally,
+    /// The READYs counted so far.
+    readies: Tally,
     /// Whether this process already sent its READY.
     ready_sent: bool,
     /// Whether the instance delivered.
@@ -84,8 +130,8 @@ impl<P> Default for Instance<P> {
     fn default() -> Self {
         Instance {
             echoed: false,
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            echoes: Tally::default(),
+            readies: Tally::default(),
             ready_sent: false,
             delivered: false,
             memo: DigestMemo::default(),
@@ -183,10 +229,14 @@ impl<P: Clone + Eq + Encode> BrachaBroadcast<P> {
         if instance.ready_sent {
             return; // echoes only ever trigger our READY
         }
-        let digest = instance.memo.digest(&payload, &mut self.scratch);
-        let echoes = instance.echoes.entry(digest).or_default();
-        echoes.insert(from);
-        if echoes.len() >= echo_quorum {
+        let memo = &mut instance.memo;
+        let Some(count) = instance
+            .echoes
+            .vote(from, || memo.digest(&payload, &mut self.scratch))
+        else {
+            return; // a sender's first ECHO is its only one
+        };
+        if count >= echo_quorum {
             instance.ready_sent = true;
             self.trace
                 .record(&payload, from, TraceEventKind::Ready, echo_quorum as u64);
@@ -218,10 +268,13 @@ impl<P: Clone + Eq + Encode> BrachaBroadcast<P> {
         if instance.delivered {
             return; // delivery implies our READY went out: nothing to count for
         }
-        let digest = instance.memo.digest(&payload, &mut self.scratch);
-        let readies = instance.readies.entry(digest).or_default();
-        readies.insert(from);
-        let count = readies.len();
+        let memo = &mut instance.memo;
+        let Some(count) = instance
+            .readies
+            .vote(from, || memo.digest(&payload, &mut self.scratch))
+        else {
+            return; // a sender's first READY is its only one
+        };
 
         if count >= ready_amplify && !instance.ready_sent {
             instance.ready_sent = true;
@@ -462,6 +515,7 @@ mod tests {
         // two ECHOs of each, and each pair must count under its own
         // payload's digest — the memo holds whichever came first, and
         // answering it for the other payload would make a quorum of 3.
+        // Every process's tally counts all four voters, once each.
         let n = 4;
         let mut endpoints: Vec<BrachaBroadcast<u64>> = (0..n)
             .map(|i| BrachaBroadcast::new(p(i as u32), n))
@@ -476,12 +530,12 @@ mod tests {
             inflight.extend(step.outgoing.into_iter().map(|next| (out.to, next)));
         }
         let (one, two) = (at_crypto::digest_of(&1u64), at_crypto::digest_of(&2u64));
-        let voters = |set: &[u32]| set.iter().map(|&i| p(i)).collect::<BTreeSet<_>>();
         for endpoint in &endpoints {
             let instance = endpoint.table.get(p(0), seq).expect("instance state");
-            assert_eq!(instance.echoes[&one], voters(&[0, 1]));
-            assert_eq!(instance.echoes[&two], voters(&[2, 3]));
-            assert!(!instance.ready_sent && instance.readies.is_empty());
+            assert_eq!(votes(&instance.echoes, &one), 2);
+            assert_eq!(votes(&instance.echoes, &two), 2);
+            assert_eq!(voters(&instance.echoes, n), vec![0, 1, 2, 3]);
+            assert!(!instance.ready_sent && instance.readies.counts.is_empty());
         }
         // READYs for 2 at p0, whose memo holds 1: counted under 2, and
         // `f + 1` of them amplify into p0's own READY for 2.
@@ -495,8 +549,9 @@ mod tests {
             endpoints[0].on_message(from, ready, &mut step);
         }
         let instance = endpoints[0].table.get(p(0), seq).expect("instance state");
-        assert_eq!(instance.readies.len(), 1);
-        assert_eq!(instance.readies[&two], voters(&[2, 3]));
+        assert_eq!(instance.readies.counts.len(), 1);
+        assert_eq!(votes(&instance.readies, &two), 2);
+        assert_eq!(voters(&instance.readies, n), vec![2, 3]);
         assert!(step.outgoing.iter().all(|out| out.msg
             == BrachaMsg::Ready {
                 source: p(0),
@@ -504,6 +559,85 @@ mod tests {
                 payload: 2
             }));
         assert_eq!(step.outgoing.len(), n);
+    }
+
+    /// The votes `tally` holds for `digest`.
+    fn votes(tally: &Tally, digest: &Digest) -> usize {
+        let counted = tally.counts.iter().find(|(counted, _)| counted == digest);
+        counted.map_or(0, |&(_, votes)| votes)
+    }
+
+    /// The processes of `0..n` that `tally` has counted.
+    fn voters(tally: &Tally, n: usize) -> Vec<usize> {
+        let voted = |i: usize| tally.voted.get(i / 64).copied().unwrap_or(0) >> (i % 64) & 1;
+        (0..n).filter(|&i| voted(i) == 1).collect()
+    }
+
+    #[test]
+    fn a_byzantine_voter_counts_once_per_phase() {
+        // Byzantine p3 sends ECHO and READY for n + 3 distinct payloads,
+        // then for the honest one, on p0's instance 1 at every honest
+        // process, before any honest message moves. Only its first vote
+        // of each phase counts; p0's 42 then delivers everywhere on the
+        // three honest votes alone, exactly as without p3.
+        let n = 4;
+        let mut endpoints: Vec<BrachaBroadcast<u64>> = (0..n)
+            .map(|i| BrachaBroadcast::new(p(i as u32), n))
+            .collect();
+        let seq = SeqNo::new(1);
+        let (source, byzantine) = (p(0), p(3));
+        let honest = [p(0), p(1), p(2)];
+        let payloads = (100..100 + n as u64 + 3).chain([42]);
+        for to in honest {
+            for payload in payloads.clone() {
+                let mut step = Step::new();
+                for msg in [
+                    BrachaMsg::Echo {
+                        source,
+                        seq,
+                        payload,
+                    },
+                    BrachaMsg::Ready {
+                        source,
+                        seq,
+                        payload,
+                    },
+                ] {
+                    endpoints[to.as_usize()].on_message(byzantine, msg, &mut step);
+                }
+                assert!(step.outgoing.is_empty() && step.deliveries.is_empty());
+            }
+            let instance = endpoints[to.as_usize()]
+                .table
+                .get(source, seq)
+                .expect("instance state");
+            for tally in [&instance.echoes, &instance.readies] {
+                assert!(tally.counts.len() <= n, "{} digests", tally.counts.len());
+                assert_eq!(tally.counts, vec![(at_crypto::digest_of(&100u64), 1)]);
+                assert_eq!(voters(tally, n), vec![3]);
+            }
+        }
+        let mut step = Step::new();
+        endpoints[0].broadcast(42, &mut step);
+        let mut inflight: VecDeque<_> = step.outgoing.into_iter().map(|out| (p(0), out)).collect();
+        let mut delivered: Vec<Vec<Delivery<u64>>> = vec![Vec::new(); n];
+        while let Some((from, out)) = inflight.pop_front() {
+            if out.to == byzantine {
+                continue;
+            }
+            let mut step = Step::new();
+            endpoints[out.to.as_usize()].on_message(from, out.msg, &mut step);
+            inflight.extend(step.outgoing.into_iter().map(|next| (out.to, next)));
+            delivered[out.to.as_usize()].extend(step.deliveries);
+        }
+        let expected = vec![Delivery {
+            source,
+            seq,
+            payload: 42,
+        }];
+        for to in honest {
+            assert_eq!(delivered[to.as_usize()], expected, "{to}");
+        }
     }
 
     #[test]

@@ -221,6 +221,11 @@ pub struct Replica<B: SecureBroadcast<EnginePayload>> {
     /// returns (`Replica::settle`): a process hears itself in the same
     /// step, and nothing addressed to `me` reaches the context.
     own: VecDeque<B::Msg>,
+    /// The buffer every backend call fills: taken for the call, drained
+    /// by [`Replica::absorb`] and put back with its capacity. A flush
+    /// inside `absorb`'s delivery loop finds it taken and runs on a fresh
+    /// one, which the outer call's buffer then replaces.
+    step: Step<B::Msg, EnginePayload>,
     /// Incoming credits applied since our last submission (`deps`).
     deps_buffer: BTreeSet<Transfer>,
     /// Our next outgoing sequence number (pre-assigned at submission).
@@ -282,6 +287,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
             applied_from: vec![VecDeque::new(); n],
             pending: vec![VecDeque::new(); n],
             own: VecDeque::new(),
+            step: Step::new(),
             deps_buffer: BTreeSet::new(),
             next_own_seq: SeqNo::ZERO,
             reserved: Amount::ZERO,
@@ -616,7 +622,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         if let Some(obs) = &self.obs {
             obs.batch_size.record(batch.len() as u64);
         }
-        let mut step = Step::new();
+        let mut step = std::mem::take(&mut self.step);
         self.own_sent = self.broadcast.broadcast(batch, &mut step);
         self.absorb(step, ctx);
     }
@@ -632,7 +638,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
         right: Batch<TransferMsg>,
         ctx: &mut Context<'_, B::Msg, EngineEvent>,
     ) {
-        let mut step = Step::new();
+        let mut step = std::mem::take(&mut self.step);
         self.broadcast.broadcast_split(left, right, &mut step);
         self.absorb(step, ctx);
         self.settle(ctx);
@@ -658,17 +664,14 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     }
 
     /// Routes one backend step: messages for peers go to `ctx`, those
-    /// for this process join `own`, and deliveries are applied.
+    /// for this process join `own`, and deliveries are applied. The
+    /// drained step becomes the replica's kept buffer again.
     fn absorb(
         &mut self,
-        step: Step<B::Msg, EnginePayload>,
+        mut step: Step<B::Msg, EnginePayload>,
         ctx: &mut Context<'_, B::Msg, EngineEvent>,
     ) {
-        let Step {
-            outgoing,
-            deliveries,
-        } = step;
-        for Outgoing { to, msg } in outgoing {
+        for Outgoing { to, msg } in step.outgoing.drain(..) {
             if to == self.me {
                 self.own.push_back(msg);
             } else {
@@ -679,7 +682,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
             source,
             seq,
             payload,
-        } in deliveries
+        } in step.deliveries.drain(..)
         {
             ctx.emit(EngineEvent::BackendDelivery { source, seq });
             if let Some(seen) = self.backend_seen.get_mut(source.as_usize()) {
@@ -694,6 +697,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
                 self.flush(FlushReason::Delivered, ctx);
             }
         }
+        self.step = step;
     }
 
     /// Hands the backend, oldest first, every message it addressed to this
@@ -702,7 +706,7 @@ impl<B: SecureBroadcast<EnginePayload>> Replica<B> {
     /// entry point, never inside a backend call or a step's delivery loop.
     fn settle(&mut self, ctx: &mut Context<'_, B::Msg, EngineEvent>) {
         while let Some(msg) = self.own.pop_front() {
-            let mut step = Step::new();
+            let mut step = std::mem::take(&mut self.step);
             self.broadcast.on_message(self.me, msg, &mut step);
             self.absorb(step, ctx);
         }
@@ -831,7 +835,7 @@ impl<B: SecureBroadcast<EnginePayload>> Actor for Replica<B> {
         msg: Self::Msg,
         ctx: &mut Context<'_, Self::Msg, Self::Event>,
     ) {
-        let mut step = Step::new();
+        let mut step = std::mem::take(&mut self.step);
         self.broadcast.on_message(from, msg, &mut step);
         self.absorb(step, ctx);
         self.settle(ctx);

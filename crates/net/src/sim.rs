@@ -7,16 +7,26 @@
 //! actor's processing cost, so a saturated process queues work — the
 //! mechanism behind the throughput curves in the evaluation.
 //!
+//! The queue orders keys, not entries: a binary heap of 24-byte
+//! `(time, sequence, slot)` keys over a slab that holds each entry in
+//! place until it runs, so neither a push nor a pop moves a message. The
+//! outbox and timer buffers an event's [`Context`] fills are the
+//! simulation's own, lent to each event and drained after it, so a
+//! handler allocates nothing to send. All of this is harness cost: it
+//! makes a simulated run cheaper, not a protocol step.
+//!
 //! Determinism: identical `(actors, config, injected commands)` produce
 //! identical executions — every source of randomness derives from the
-//! config seed, and queue ties break on a monotonic sequence number.
+//! config seed, and queue ties break on a monotonic sequence number, so
+//! keys are unique and pop in one total order.
 
 use crate::config::NetConfig;
 use crate::time::VirtualTime;
 use at_model::ProcessId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{BTreeMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap, HashSet};
 
 /// A deterministic single-threaded protocol participant.
 pub trait Actor {
@@ -71,7 +81,9 @@ impl<'a, M, E> Context<'a, M, E> {
     /// same sans-I/O state machines on OS threads and sockets. The caller
     /// provides the clock reading and the event sink, invokes the actor,
     /// then collects sends and timers with [`Context::into_outputs`] and
-    /// routes them itself.
+    /// routes them itself. Unlike the simulator's contexts, which borrow
+    /// the simulation's kept buffers, a detached context starts with
+    /// buffers of its own, so an invocation that sends allocates them.
     pub fn detached(
         now: VirtualTime,
         me: ProcessId,
@@ -139,6 +151,9 @@ impl<M: Clone, E> Context<'_, M, E> {
         self.events.push((self.now, self.me, event));
     }
 }
+
+/// Every key in the queue names a slot that holds its entry.
+const FULL_SLOT: &str = "a queued key names a full slot";
 
 /// A scheduled command: a one-shot closure run on an actor, modelling a
 /// client request arriving at a replica.
@@ -242,11 +257,21 @@ pub struct Simulation<A: Actor> {
     actors: Vec<A>,
     crashed: Vec<bool>,
     busy_until: Vec<VirtualTime>,
-    /// Pending entries keyed by `(time, sequence)`, the one index: key
-    /// order *is* the default execution order ([`Simulation::step`] pops
-    /// the first key; [`Simulation::step_entry`] scans for a sequence).
-    queue: BTreeMap<(VirtualTime, u64), (ProcessId, Entry<A>)>,
+    /// Pending keys `(time, sequence, slot)`, least first: key order *is*
+    /// the default execution order ([`Simulation::step`] pops the least
+    /// key; [`Simulation::pending`] sorts a copy and
+    /// [`Simulation::step_entry`] scans for a sequence, both explorer-only
+    /// paths). The entry itself stays in `slots[slot]` until it runs.
+    queue: BinaryHeap<Reverse<(VirtualTime, u64, usize)>>,
+    /// The pending entries, each at the slot its key names; `None` slots
+    /// are listed in `free` and reused by the next push.
+    slots: Vec<Option<(ProcessId, Entry<A>)>>,
+    free: Vec<usize>,
     sequence: u64,
+    /// The send and timer buffers lent to every event's [`Context`] and
+    /// drained after it: they keep their capacity across events.
+    outbox: Vec<(ProcessId, A::Msg)>,
+    timers: Vec<(VirtualTime, u64)>,
     now: VirtualTime,
     rng: StdRng,
     config: NetConfig,
@@ -272,8 +297,12 @@ impl<A: Actor> Simulation<A> {
             crashed: vec![false; n],
             busy_until: vec![VirtualTime::ZERO; n],
             actors,
-            queue: BTreeMap::new(),
+            queue: BinaryHeap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             sequence: 0,
+            outbox: Vec::new(),
+            timers: Vec::new(),
             now: VirtualTime::ZERO,
             rng,
             config,
@@ -469,8 +498,24 @@ impl<A: Actor> Simulation<A> {
     }
 
     fn push(&mut self, at: VirtualTime, to: ProcessId, entry: Entry<A>) {
-        self.queue.insert((at, self.sequence), (to, entry));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = Some((to, entry));
+                slot
+            }
+            None => {
+                self.slots.push(Some((to, entry)));
+                self.slots.len() - 1
+            }
+        };
+        self.queue.push(Reverse((at, self.sequence, slot)));
         self.sequence += 1;
+    }
+
+    /// Takes the entry out of `slot` and frees the slot.
+    fn take(&mut self, slot: usize) -> (ProcessId, Entry<A>) {
+        self.free.push(slot);
+        self.slots[slot].take().expect(FULL_SLOT)
     }
 
     /// Number of pending queue entries (including entries targeting
@@ -486,10 +531,12 @@ impl<A: Actor> Simulation<A> {
     /// executes it with [`Simulation::step_entry`] instead of letting
     /// [`Simulation::step`] follow the time order.
     pub fn pending(&self) -> Vec<PendingEntry> {
-        self.queue
-            .iter()
-            .filter(|(_, (to, _))| !self.crashed[to.as_usize()])
-            .map(|(&(at, sequence), (to, entry))| PendingEntry {
+        let mut keys: Vec<_> = self.queue.iter().map(|Reverse(key)| *key).collect();
+        keys.sort_unstable();
+        keys.into_iter()
+            .map(|(at, sequence, slot)| (at, sequence, self.slots[slot].as_ref().expect(FULL_SLOT)))
+            .filter(|(_, _, (to, _))| !self.crashed[to.as_usize()])
+            .map(|(at, sequence, (to, entry))| PendingEntry {
                 sequence,
                 at,
                 to: *to,
@@ -509,22 +556,26 @@ impl<A: Actor> Simulation<A> {
     /// first advances the clock, and earlier entries then run "late" —
     /// which is exactly the arbitrary asynchrony a schedule explorer is
     /// meant to exercise. Returns `false` when no such entry exists. Only
-    /// explorers call this, so it scans the queue, as `pending` does.
+    /// explorers call this, so it scans and rebuilds the heap, in the
+    /// O(queue) that `pending` costs anyway.
     pub fn step_entry(&mut self, sequence: u64) -> bool {
-        let Some(&key) = self.queue.keys().find(|&&(_, seq)| seq == sequence) else {
+        let Some(&Reverse((at, _, slot))) = self.queue.iter().find(|key| key.0 .1 == sequence)
+        else {
             return false;
         };
-        let (to, entry) = self.queue.remove(&key).expect("key just found");
-        self.execute(key.0, to, entry);
+        self.queue.retain(|key| key.0 .1 != sequence);
+        let (to, entry) = self.take(slot);
+        self.execute(at, to, entry);
         true
     }
 
     /// Processes a single queue entry in default `(time, sequence)`
     /// order. Returns `false` when the queue is exhausted.
     pub fn step(&mut self) -> bool {
-        let Some(((at, _), (to, entry))) = self.queue.pop_first() else {
+        let Some(Reverse((at, _, slot))) = self.queue.pop() else {
             return false;
         };
+        let (to, entry) = self.take(slot);
         self.execute(at, to, entry);
         true
     }
@@ -545,8 +596,8 @@ impl<A: Actor> Simulation<A> {
             now: start,
             me: process,
             n: self.actors.len(),
-            outbox: Vec::new(),
-            timers: Vec::new(),
+            outbox: std::mem::take(&mut self.outbox),
+            timers: std::mem::take(&mut self.timers),
             events: &mut self.events,
         };
 
@@ -560,7 +611,11 @@ impl<A: Actor> Simulation<A> {
             Entry::Command { run } => run(&mut self.actors[index], &mut ctx),
         }
 
-        let Context { outbox, timers, .. } = ctx;
+        let Context {
+            mut outbox,
+            mut timers,
+            ..
+        } = ctx;
 
         // The handler completes after the configured processing cost plus
         // per-message transmission work.
@@ -569,7 +624,7 @@ impl<A: Actor> Simulation<A> {
         let done = start + self.config.processing_cost + send_work;
         self.busy_until[index] = done;
 
-        for (to, msg) in outbox {
+        for (to, msg) in outbox.drain(..) {
             self.stats.messages_sent += 1;
             if self.blocked_links.contains(&(process, to)) {
                 if self.partition_buffers {
@@ -586,9 +641,10 @@ impl<A: Actor> Simulation<A> {
             let latency = self.config.latency.sample(&mut self.rng) + extra_delay;
             self.push(done + latency, to, Entry::Deliver { from: process, msg });
         }
-        for (delay, timer) in timers {
+        for (delay, timer) in timers.drain(..) {
             self.push(done + delay, process, Entry::Timer { timer });
         }
+        (self.outbox, self.timers) = (outbox, timers);
     }
 
     /// Runs until the queue is empty or `limit` entries were processed.
@@ -605,7 +661,7 @@ impl<A: Actor> Simulation<A> {
 
     /// Runs until virtual time exceeds `deadline` or the queue drains.
     pub fn run_until(&mut self, deadline: VirtualTime) {
-        while let Some((&(at, _), _)) = self.queue.first_key_value() {
+        while let Some(&Reverse((at, _, _))) = self.queue.peek() {
             if at > deadline {
                 break;
             }
@@ -624,6 +680,7 @@ impl<A: Actor> Simulation<A> {
 mod tests {
     use super::*;
     use crate::config::LatencyModel;
+    use rand::{Rng, RngCore};
 
     /// A ping-pong actor: process 0 starts by pinging 1; each ping is
     /// ponged back, `rounds` times.
@@ -1189,5 +1246,205 @@ mod tests {
             events,
             vec![(VirtualTime::from_micros(5), ProcessId::new(1), 42)]
         );
+    }
+
+    /// The keys and entries the simulation holds, by sequence: what
+    /// [`Simulation::pending`] reports, keyed for set comparisons.
+    fn frontier<A: Actor>(sim: &Simulation<A>) -> BTreeMap<u64, PendingEntry> {
+        sim.pending().into_iter().map(|e| (e.sequence, e)).collect()
+    }
+
+    #[test]
+    fn the_frontier_head_is_what_step_runs_next() {
+        let config = NetConfig {
+            latency: LatencyModel::fixed(VirtualTime::from_millis(1)),
+            processing_cost: VirtualTime::ZERO,
+            send_cost: VirtualTime::ZERO,
+            seed: 5,
+        };
+        let actors = (0..4).map(|_| Flood { hops: 3 }).collect();
+        let mut sim = Simulation::new(actors, config);
+        let mut steps = 0;
+        while let Some(head) = sim.pending().first().copied() {
+            let mut rest = frontier(&sim);
+            rest.remove(&head.sequence);
+            assert!(sim.step());
+            let after = frontier(&sim);
+            assert!(
+                !after.contains_key(&head.sequence),
+                "step ran another entry"
+            );
+            assert!(rest.iter().all(|(seq, e)| after.get(seq) == Some(e)));
+            steps += 1;
+        }
+        assert!(!sim.step());
+        assert_eq!(steps, sim.stats().events_processed);
+        assert!(steps > 100);
+    }
+
+    #[test]
+    fn a_slot_freed_by_step_entry_serves_the_next_push() {
+        let config = NetConfig {
+            latency: LatencyModel::fixed(VirtualTime::from_millis(1)),
+            processing_cost: VirtualTime::from_micros(3),
+            send_cost: VirtualTime::ZERO,
+            seed: 0,
+        };
+        let actors = (0..4).map(|_| Flood { hops: 2 }).collect();
+        let mut sim = Simulation::new(actors, config);
+        let starts = sim.pending();
+        assert_eq!(sim.slots.len(), 4);
+        // p1's Start is in the middle of the frontier; its slot is free
+        // while it runs, and the first of its four sends takes it.
+        assert!(sim.step_entry(starts[1].sequence));
+        assert_eq!(sim.slots.len(), 7);
+        sim.schedule(VirtualTime::from_millis(5), p(2), |_, ctx| ctx.send_all(1));
+        let sent = VirtualTime::from_micros(1_003);
+        let start = |to| (VirtualTime::ZERO, p(to), EntryKind::Start);
+        let from_p1 = |to| (sent, p(to), EntryKind::Deliver { from: p(1) });
+        let mut expected = vec![
+            start(0),
+            start(2),
+            start(3),
+            from_p1(0),
+            from_p1(1),
+            from_p1(2),
+            from_p1(3),
+            (VirtualTime::from_millis(5), p(2), EntryKind::Command),
+        ];
+        let reported = |sim: &Simulation<Flood>| -> Vec<_> {
+            sim.pending().iter().map(|e| (e.at, e.to, e.kind)).collect()
+        };
+        assert_eq!(reported(&sim), expected);
+        // Another middle entry: p2's Start, whose first send takes the
+        // slot it frees.
+        assert!(sim.step_entry(sim.pending()[1].sequence));
+        assert_eq!(sim.slots.len(), 11);
+        let from_p2 = |to| (sent, p(to), EntryKind::Deliver { from: p(2) });
+        let command = expected.pop();
+        let mut expected: Vec<_> = expected.into_iter().filter(|e| *e != start(2)).collect();
+        expected.extend((0..4).map(from_p2).chain(command));
+        assert_eq!(reported(&sim), expected);
+        assert!(sim.run_until_quiet(10_000));
+        // Four Starts flood hop 0 to 4 processes, each of which floods
+        // hop 1 to 4; the command floods hop 1 once.
+        assert_eq!(sim.stats().messages_delivered, 16 + 16 * 4 + 4);
+    }
+
+    fn p(i: u32) -> ProcessId {
+        ProcessId::new(i)
+    }
+
+    /// A process whose every handler reports what ran it, then — from a
+    /// seeded generator of its own, until its budget is spent — sends up
+    /// to two messages to random processes and arms up to one timer with
+    /// a delay of 0, 100 or 200 µs, so that many keys tie on time.
+    struct Random {
+        rng: StdRng,
+        budget: u32,
+    }
+
+    impl Random {
+        fn act(&mut self, ran: (EntryKind, u64), ctx: &mut Context<'_, u64, (EntryKind, u64)>) {
+            ctx.emit(ran);
+            for _ in 0..self.rng.gen_range(0..3u32) {
+                if self.budget == 0 {
+                    return;
+                }
+                self.budget -= 1;
+                let to = self.rng.gen_range(0..ctx.n() as u32);
+                ctx.send(p(to), self.rng.next_u64());
+            }
+            if self.budget > 0 && self.rng.gen_bool(0.5) {
+                self.budget -= 1;
+                let delay = VirtualTime::from_micros(100 * self.rng.gen_range(0..3u64));
+                ctx.set_timer(delay, self.rng.next_u64());
+            }
+        }
+    }
+
+    impl Actor for Random {
+        type Msg = u64;
+        type Event = (EntryKind, u64);
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64, (EntryKind, u64)>) {
+            self.act((EntryKind::Start, 0), ctx);
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            msg: u64,
+            ctx: &mut Context<'_, u64, Self::Event>,
+        ) {
+            self.act((EntryKind::Deliver { from }, msg), ctx);
+        }
+
+        fn on_timer(&mut self, timer: u64, ctx: &mut Context<'_, u64, Self::Event>) {
+            self.act((EntryKind::Timer { timer }, 0), ctx);
+        }
+    }
+
+    proptest::proptest! {
+        /// `step` runs entries in strictly increasing `(time, sequence)`
+        /// order, and exactly in the order of a `BTreeMap` over the same
+        /// keys — the queue this heap replaced, kept here as the oracle.
+        /// Each step's handler reports the kind and target of the entry
+        /// the reference popped.
+        #[test]
+        fn step_runs_the_keys_in_the_reference_queue_order(
+            seed in proptest::prelude::any::<u64>(),
+            n in 1u32..6,
+            jitter in 0u64..3,
+            processing in 0u64..3,
+            commands in 0usize..6,
+        ) {
+            let config = NetConfig {
+                latency: LatencyModel {
+                    base: VirtualTime::from_micros(100),
+                    jitter: VirtualTime::from_micros(100 * jitter),
+                },
+                processing_cost: VirtualTime::from_micros(50 * processing),
+                send_cost: VirtualTime::ZERO,
+                seed,
+            };
+            let actors = (0..n)
+                .map(|i| Random {
+                    rng: StdRng::seed_from_u64(seed ^ u64::from(i)),
+                    budget: 40,
+                })
+                .collect();
+            let mut sim = Simulation::new(actors, config);
+            let mut rng = StdRng::seed_from_u64(!seed);
+            for _ in 0..commands {
+                let at = VirtualTime::from_micros(100 * rng.gen_range(0..5u64));
+                let token = rng.next_u64();
+                let to = p(rng.gen_range(0..n));
+                sim.schedule(at, to, move |actor, ctx| actor.act((EntryKind::Command, token), ctx));
+            }
+            let mut reference = BTreeMap::new();
+            let mut last = None;
+            loop {
+                for entry in sim.pending() {
+                    reference.entry((entry.at, entry.sequence)).or_insert(entry);
+                }
+                proptest::prop_assert_eq!(reference.len(), sim.queue_len());
+                let Some((key, expected)) = reference.pop_first() else {
+                    proptest::prop_assert!(!sim.step());
+                    break;
+                };
+                proptest::prop_assert!(last < Some(key));
+                last = Some(key);
+                proptest::prop_assert!(sim.step());
+                let after = frontier(&sim);
+                proptest::prop_assert!(!after.contains_key(&expected.sequence));
+                proptest::prop_assert!(reference.values().all(|e| after.get(&e.sequence) == Some(e)));
+                let ran = sim.take_events();
+                proptest::prop_assert_eq!(ran.len(), 1);
+                let (_, to, (kind, _)) = ran[0];
+                proptest::prop_assert_eq!((to, kind), (expected.to, expected.kind));
+            }
+            proptest::prop_assert!(sim.stats().events_processed > u64::from(n));
+        }
     }
 }
